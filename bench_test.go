@@ -6,12 +6,15 @@
 package repro
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/liberty"
+	"repro/internal/report"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -223,6 +226,38 @@ func BenchmarkAnalyzeFabric(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Analyze(bd, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteJSON measures the report path alone on the benchmark's
+// batch_deep shape (a hot 300×32 fabric, ≈ 22 MB of JSON): MB/s and
+// allocs/op of report.WriteJSON, the phase the ledger calls report.json_s.
+func BenchmarkWriteJSON(b *testing.B) {
+	g, err := workload.Fabric(workload.FabricSpec{
+		Width: 300, Levels: 32, CouplingDensity: 3, CoupleC: 12 * units.Femto, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bd, err := g.Bind(liberty.Generic())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Analyze(bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := report.WriteJSON(&doc, res); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := report.WriteJSON(io.Discard, res); err != nil {
 			b.Fatal(err)
 		}
 	}

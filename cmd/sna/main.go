@@ -214,8 +214,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		PrepareHook:      faults.Hook(),
 		STA:              sta.Options{InputTiming: inputs, ClockPeriod: *period},
 	}
-	var res *core.Result
-	if *iterate {
+	// Noise and delay come off one prepared analyzer: -delay runs the
+	// delay pass on the victims the noise analysis already prepared (a
+	// session), and -iterate's loop ends with both results for its final
+	// padding.
+	var (
+		res  *core.Result
+		dres *core.DelayResult
+	)
+	switch {
+	case *iterate:
 		iter, err := core.AnalyzeIterativeCtx(ctx, b, opts, 0)
 		if err != nil {
 			return fail(err)
@@ -225,8 +233,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if iter.Diverging {
 			fmt.Fprintf(stdout, "noise-timing loop diverging: %s\n", iter.DivergeReason)
 		}
-		res = iter.Noise
-	} else {
+		res, dres = iter.Noise, iter.Delay
+	case *delay:
+		s, err := core.NewSession(ctx, b, opts)
+		if err != nil {
+			return fail(err)
+		}
+		res, dres = s.Noise(), s.Delay()
+	default:
 		if res, err = core.AnalyzeCtx(ctx, b, opts); err != nil {
 			return fail(err)
 		}
@@ -234,15 +248,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	report.Violations(stdout, res)
 	report.Degradations(stdout, res.Diags)
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.WriteJSON(f, res); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeJSONFile(ctx, *jsonOut, res); err != nil {
 			return fail(err)
 		}
 	}
@@ -260,9 +266,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *delay {
-		if err := runDelay(ctx, stdout, b, res, opts, *period); err != nil {
-			return fail(err)
-		}
+		delayTable(stdout, res, dres, *period)
 	}
 	if *dump != "" {
 		for _, name := range strings.Split(*dump, ",") {
@@ -287,11 +291,41 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return exitClean
 }
 
-func runDelay(ctx context.Context, stdout io.Writer, b *bind.Design, res *core.Result, opts core.Options, period float64) error {
-	dres, err := core.AnalyzeDelayCtx(ctx, b, opts)
+// writeJSONFile writes the full report to path. A write that fails, or that
+// -timeout or a signal cancels, leaves no truncated report behind: the
+// partial file is removed (a device or pipe named by path is left alone).
+func writeJSONFile(ctx context.Context, path string, res *core.Result) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
+	err = report.WriteJSON(ctxWriter{ctx, f}, res)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if fi, serr := os.Lstat(path); serr == nil && fi.Mode().IsRegular() {
+			os.Remove(path)
+		}
+	}
+	return err
+}
+
+// ctxWriter refuses writes once its context is done.
+type ctxWriter struct {
+	ctx context.Context
+	w   io.Writer
+}
+
+func (c ctxWriter) Write(p []byte) (int, error) {
+	if err := c.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return c.w.Write(p)
+}
+
+// delayTable renders the delta-delay result computed beside res.
+func delayTable(stdout io.Writer, res *core.Result, dres *core.DelayResult, period float64) {
 	cols := []string{"net", "edge", "noise", "delta", "members"}
 	if period > 0 {
 		cols = append(cols, "slack-before", "slack-after")
@@ -322,7 +356,6 @@ func runDelay(ctx context.Context, stdout io.Writer, b *bind.Design, res *core.R
 		t.AddRow(row...)
 	}
 	t.Render(stdout)
-	return nil
 }
 
 // lintConfig builds the lint configuration from the CLI flags, validating

@@ -41,6 +41,12 @@ func writeBus(t *testing.T, dir string, spec workload.BusSpec, defects string) (
 			t.Fatal(err)
 		}
 	}
+	return writeDesign(t, dir, g)
+}
+
+// writeDesign serializes a generated design to <dir>/bus.{net,spef,win}.
+func writeDesign(t *testing.T, dir string, g *workload.Generated) (netPath, spefPath, winPath string) {
+	t.Helper()
 	netPath = filepath.Join(dir, "bus.net")
 	spefPath = filepath.Join(dir, "bus.spef")
 	winPath = filepath.Join(dir, "bus.win")

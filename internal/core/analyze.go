@@ -264,7 +264,10 @@ func (a *analyzer) newResult() *Result {
 }
 
 // finishNoise finalizes a Result after the fixpoint: statistics, the
-// violation sweep, and the sorted diagnostics.
+// violation sweep, and the sorted diagnostics. The result gets its own copy
+// of the diagnostics (into its own reused backing array, like Violations):
+// the analyzer outlives this call when noise and delay share it, and a
+// later delay-stage degradation appends to and re-sorts a.diags.
 func (a *analyzer) finishNoise(res *Result) {
 	a.stats.Propagated = a.propTotal
 	a.stats.Victims = len(a.order)
@@ -272,7 +275,7 @@ func (a *analyzer) finishNoise(res *Result) {
 	res.Stats = a.stats
 	a.checkViolations(res)
 	sortDiags(a.diags)
-	res.Diags = a.diags
+	res.Diags = append(res.Diags[:0], a.diags...)
 }
 
 // safePrepare runs prepareNet with panics converted into errors, so one

@@ -149,7 +149,8 @@ func (a *analyzer) delayPass(ctx context.Context, dirty map[string]bool) error {
 	return nil
 }
 
-// assembleDelay flattens the per-net impacts into a sorted DelayResult.
+// assembleDelay flattens the per-net impacts into a sorted DelayResult with
+// its own copy of the diagnostics (see finishNoise).
 func (a *analyzer) assembleDelay() *DelayResult {
 	res := &DelayResult{Mode: a.opts.Mode}
 	for ni := range a.order {
@@ -157,7 +158,7 @@ func (a *analyzer) assembleDelay() *DelayResult {
 	}
 	SortImpacts(res.Impacts)
 	sortDiags(a.diags)
-	res.Diags = a.diags
+	res.Diags = append([]Diag(nil), a.diags...)
 	return res
 }
 

@@ -274,3 +274,58 @@ func TestFailSoftDelayAnalysis(t *testing.T) {
 		t.Fatalf("diags = %+v", res.Diags)
 	}
 }
+
+// TestDiagsNotAliasedAcrossNoiseAndDelay pins the ownership of the
+// diagnostics when noise and delay share one analyzer (Session, the
+// iterative loop, sna -delay): a net degraded in the delay pass after
+// finishNoise is appended to — and re-sorts — the analyzer's list, and that
+// must not move entries underneath the noise result handed out earlier.
+func TestDiagsNotAliasedAcrossNoiseAndDelay(t *testing.T) {
+	b := busFixture(t, 4, 3*units.Femto, 10*units.Femto)
+	ctx := context.Background()
+	a, err := newAnalyzer(ctx, b, Options{
+		Mode:        ModeNoiseWindows,
+		FailSoft:    true,
+		PrepareHook: hookFailing("a1", "a2", "a3"), // three: the fourth append fits the backing array
+		STA:         sta.Options{InputTiming: staggeredInputs(4, 100*units.Pico, 50*units.Pico)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := a.newResult()
+	if err := a.runFixpoint(ctx, res, nil); err != nil {
+		t.Fatal(err)
+	}
+	a.finishNoise(res)
+	nets := func(diags []Diag) string {
+		var names []string
+		for _, d := range diags {
+			names = append(names, d.Net+"/"+d.Stage)
+		}
+		return strings.Join(names, " ")
+	}
+	const noiseWant = "a1/prepare a2/prepare a3/prepare"
+	if got := nets(res.Diags); got != noiseWant {
+		t.Fatalf("noise diags = %s, want %s", got, noiseWant)
+	}
+
+	// "a0" sorts before every recorded diagnostic.
+	if err := a.delayPass(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	a.degradeNet(a.orderIdx["a0"], "a0", StageDelay, errors.New("injected delay failure"))
+	dres := a.assembleDelay()
+
+	if got := nets(res.Diags); got != noiseWant {
+		t.Fatalf("noise diags moved under the result: %s, want %s", got, noiseWant)
+	}
+	if got, want := nets(dres.Diags), "a0/delay "+noiseWant; got != want {
+		t.Fatalf("delay diags = %s, want %s", got, want)
+	}
+	// The delay result owns its list too: a later degradation leaves it be.
+	a.degradeNet(a.orderIdx["v"], "v", StageDelay, errors.New("later"))
+	a.assembleDelay()
+	if got, want := nets(dres.Diags), "a0/delay "+noiseWant; got != want {
+		t.Fatalf("delay diags moved under the result: %s, want %s", got, want)
+	}
+}

@@ -9,8 +9,12 @@ import (
 )
 
 // Session is the exported handle on the persistent incremental analyzer
-// that AnalyzeIterative uses internally. A long-running service keeps one
-// Session per loaded design: the first (full) analysis builds the timing
+// that AnalyzeIterative uses internally: one prepared analyzer shared by
+// the noise and delay passes. A batch run that wants both results opens a
+// Session and reads Noise and Delay once (sna -delay), paying for timing
+// and victim preparation one time instead of once per Analyze*/
+// AnalyzeDelay* call. A long-running service keeps one Session per loaded
+// design: the first (full) analysis builds the timing
 // annotation, the noise contexts, and the coupled events once, and every
 // later delta re-analysis — new window padding from an ECO, a routing
 // iteration, or a what-if sweep — updates only the affected cones through
@@ -38,9 +42,14 @@ type Session struct {
 var ErrSessionBroken = errors.New("core: session broken by failed incremental update")
 
 // NewSession runs the full analysis (noise fixpoint plus the delta-delay
-// pass) and returns the persistent handle. Options semantics match
-// AnalyzeCtx; any WindowPadding already present in opts.STA seeds the
-// session's padding state.
+// pass) on one analyzer and returns the persistent handle. It is the way to
+// get a noise and a delay result for the same design and options without
+// preparing every victim twice, for one-shot callers as much as for a
+// service: Noise() equals AnalyzeCtx's result and Delay() equals
+// AnalyzeDelayCtx's (except that a victim degraded during the noise
+// fixpoint enters the delay pass with its full-rail fallback). Options
+// semantics match AnalyzeCtx; any WindowPadding already present in opts.STA
+// seeds the session's padding state.
 func NewSession(ctx context.Context, b *bind.Design, opts Options) (*Session, error) {
 	padding := make(map[string]float64)
 	for net, pad := range opts.STA.WindowPadding {

@@ -1,0 +1,350 @@
+package report
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"sort"
+	"strconv"
+	"unicode/utf8"
+
+	"repro/internal/core"
+	"repro/internal/interval"
+)
+
+// The write path of the JSON export. WriteJSON and WriteDelayJSON walk the
+// engine's result directly and append the indented text into one bounded
+// buffer that is flushed between records, so a 20 MB report costs one pass
+// and a few tens of kilobytes instead of a pointer-per-float tree, its
+// compact marshal, and an indented copy of that. The bytes are exactly what
+// encoding/json's Encoder with SetIndent("", "  ") produces over
+// BuildJSON/BuildDelayJSON — the schema types in json.go stay the
+// specification (and the decode side, and the server's response builder);
+// encode_test.go pins the equivalence on every fixture and by fuzzing the
+// scalar rules.
+
+// flushAt bounds the encoder's buffer: it is handed to the writer at the
+// first record boundary past this size.
+const flushAt = 32 << 10
+
+// encoder appends indented JSON. first is true only directly after open,
+// which is all the state the comma rule needs: closing a value makes its
+// parent non-empty. err is the first failure (a write error or a float
+// JSON cannot carry); once set, spill stops writing.
+type encoder struct {
+	w     io.Writer
+	buf   []byte
+	depth int
+	first bool
+	err   error
+}
+
+const indentSpaces = "                                "
+
+// sep starts the next member or element: a comma unless it is the first,
+// then a new line indented to the current depth.
+func (e *encoder) sep() {
+	if !e.first {
+		e.buf = append(e.buf, ',')
+	}
+	e.first = false
+	e.buf = append(e.buf, '\n')
+	e.buf = append(e.buf, indentSpaces[:2*e.depth]...)
+}
+
+// key starts an object member and returns e so the value chains onto it.
+// Names are schema constants that need no escaping.
+func (e *encoder) key(name string) *encoder {
+	e.sep()
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, name...)
+	e.buf = append(e.buf, `": `...)
+	return e
+}
+
+func (e *encoder) open(c byte) {
+	e.buf = append(e.buf, c)
+	e.depth++
+	e.first = true
+}
+
+func (e *encoder) close(c byte) {
+	e.depth--
+	if !e.first {
+		e.buf = append(e.buf, '\n')
+		e.buf = append(e.buf, indentSpaces[:2*e.depth]...)
+	}
+	e.first = false
+	e.buf = append(e.buf, c)
+}
+
+func (e *encoder) null() { e.buf = append(e.buf, "null"...) }
+
+func (e *encoder) int(v int) { e.buf = strconv.AppendInt(e.buf, int64(v), 10) }
+
+func (e *encoder) bool(v bool) { e.buf = strconv.AppendBool(e.buf, v) }
+
+// float applies encoding/json's number rule: the shortest 'f' form, or 'e'
+// below 1e-6 and from 1e21 with a one-digit negative exponent unpadded.
+// Like encoding/json it refuses NaN and ±Inf; nullable fields go through
+// floatOrNull instead.
+func (e *encoder) float(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if e.err == nil {
+			e.err = fmt.Errorf("report: unsupported JSON value %v", v)
+		}
+		e.null()
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.buf = strconv.AppendFloat(e.buf, v, format, -1, 64)
+	if n := len(e.buf); format == 'e' && n >= 4 && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
+		e.buf[n-2] = e.buf[n-1]
+		e.buf = e.buf[:n-1]
+	}
+}
+
+// floatOrNull encodes the engine's "no meaningful value" sentinels (NaN
+// instants, infinite window bounds) as null.
+func (e *encoder) floatOrNull(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		e.null()
+		return
+	}
+	e.float(v)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// str quotes s with encoding/json's HTML-safe escaping: control bytes,
+// quote, backslash, <, > and & are escaped, invalid UTF-8 becomes \ufffd,
+// and U+2028/U+2029 are escaped for JSONP's sake.
+func (e *encoder) str(s string) {
+	b := append(e.buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b', '\t', '\n', '\f', '\r': // 8, 9, 10, 12, 13
+				b = append(b, '\\', "btn.fr"[c-'\b'])
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	e.buf = append(b, '"')
+}
+
+// spill hands the buffer to the writer once it is past flushAt. A failed
+// write is recorded in err, which stops every array loop.
+func (e *encoder) spill() {
+	if e.err == nil && len(e.buf) >= flushAt {
+		_, e.err = e.w.Write(e.buf)
+		e.buf = e.buf[:0]
+	}
+}
+
+// finish terminates the document the way json.Encoder does, with a newline,
+// writes what is left, and returns the first error of the whole encode.
+func (e *encoder) finish() error {
+	if e.err == nil {
+		_, e.err = e.w.Write(append(e.buf, '\n'))
+	}
+	return e.err
+}
+
+// array encodes a slice member as one object per element, spilling after
+// each; an empty slice is null, as the schema's nil slices marshal. It
+// stops at the first error instead of encoding on.
+func (e *encoder) array(name string, n int, elem func(i int)) {
+	if n == 0 {
+		e.key(name).null()
+		return
+	}
+	e.key(name).open('[')
+	for i := 0; i < n && e.err == nil; i++ {
+		e.sep()
+		e.open('{')
+		elem(i)
+		e.close('}')
+		e.spill()
+	}
+	e.close(']')
+}
+
+func (e *encoder) strings(name string, ss []string) {
+	if len(ss) == 0 {
+		return // omitempty
+	}
+	e.key(name).open('[')
+	for _, s := range ss {
+		e.sep()
+		e.str(s)
+	}
+	e.close(']')
+}
+
+func (e *encoder) window(w interval.Window) {
+	if w.IsEmpty() {
+		e.null()
+		return
+	}
+	e.open('{')
+	e.key("lo").floatOrNull(w.Lo)
+	e.key("hi").floatOrNull(w.Hi)
+	e.close('}')
+}
+
+func (e *encoder) combined(name string, c *core.Combined) {
+	e.key(name).open('{')
+	e.key("peakV").float(c.Peak)
+	e.key("widthS").float(c.Width)
+	e.key("atS").floatOrNull(c.At)
+	e.key("window").window(c.Window)
+	e.strings("members", c.Members)
+	e.close('}')
+}
+
+func (e *encoder) events(name string, events []core.Event) {
+	if len(events) == 0 {
+		return // omitempty
+	}
+	e.array(name, len(events), func(i int) {
+		ev := &events[i]
+		e.key("source").str(ev.Source)
+		e.key("peakV").float(ev.Peak)
+		e.key("widthS").float(ev.Width)
+		e.key("window").window(ev.Window)
+	})
+}
+
+func (e *encoder) degradations(diags []core.Diag) {
+	if len(diags) == 0 {
+		return // omitempty
+	}
+	e.array("degradations", len(diags), func(i int) {
+		d := &diags[i]
+		msg := ""
+		if d.Err != nil {
+			msg = d.Err.Error()
+		}
+		e.key("net").str(d.Net)
+		e.key("stage").str(d.Stage)
+		e.key("error").str(msg)
+		e.key("degraded").bool(d.Degraded)
+	})
+}
+
+// newEncoder starts a document: the top-level object is open.
+func newEncoder(w io.Writer) *encoder {
+	e := &encoder{w: w, buf: make([]byte, 0, flushAt+flushAt/4)}
+	e.open('{')
+	return e
+}
+
+// WriteJSON serializes a full analysis result in the ResultJSON schema,
+// nets sorted by name. It returns the first write error; the writer may
+// then hold a truncated document.
+func WriteJSON(w io.Writer, res *core.Result) error {
+	e := newEncoder(w)
+	e.key("mode").str(res.Mode.String())
+	e.key("stats").open('{')
+	st := res.Stats // untagged in the schema: Go field names
+	e.key("Victims").int(st.Victims)
+	e.key("AggressorPairs").int(st.AggressorPairs)
+	e.key("Filtered").int(st.Filtered)
+	e.key("Propagated").int(st.Propagated)
+	e.key("Iterations").int(st.Iterations)
+	e.key("Converged").bool(st.Converged)
+	e.key("DegradedNets").int(st.DegradedNets)
+	e.close('}')
+	e.array("violations", len(res.Violations), func(i int) {
+		v := &res.Violations[i]
+		e.key("net").str(v.Net)
+		e.key("receiver").str(v.Receiver)
+		e.key("state").str(v.Kind.String())
+		e.key("peakV").float(v.Peak)
+		e.key("limitV").float(v.Limit)
+		e.key("slackV").float(v.Slack)
+		e.key("atS").floatOrNull(v.At)
+		e.strings("members", v.Members)
+	})
+	e.degradations(res.Diags)
+	names := make([]string, 0, len(res.Nets))
+	for n := range res.Nets {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	e.array("nets", len(names), func(i int) {
+		nn := res.Nets[names[i]]
+		e.key("net").str(names[i])
+		e.combined("low", &nn.Comb[core.KindLow])
+		e.combined("high", &nn.Comb[core.KindHigh])
+		// Events only for nets with any noise, to keep exports of big
+		// clean designs small.
+		if nn.WorstPeak() > 0 {
+			e.events("lowEvents", nn.Events[core.KindLow])
+			e.events("highEvents", nn.Events[core.KindHigh])
+		}
+	})
+	e.close('}')
+	return e.finish()
+}
+
+// WriteDelayJSON serializes a delta-delay result in the DelayResultJSON
+// schema, with WriteJSON's error behaviour.
+func WriteDelayJSON(w io.Writer, res *core.DelayResult) error {
+	e := newEncoder(w)
+	e.key("mode").str(res.Mode.String())
+	e.array("impacts", len(res.Impacts), func(i int) {
+		im := &res.Impacts[i]
+		edge := "fall"
+		if im.Rise {
+			edge = "rise"
+		}
+		e.key("net").str(im.Net)
+		e.key("edge").str(edge)
+		if !im.VictimWindow.IsEmpty() { // omitempty
+			e.key("victimWindow").open('[')
+			for _, w := range im.VictimWindow.Windows() {
+				e.sep()
+				e.window(w)
+			}
+			e.close(']')
+		}
+		e.key("noisePeakV").float(im.NoisePeak)
+		e.key("deltaS").float(im.Delta)
+		e.key("atS").floatOrNull(im.At)
+		e.strings("members", im.Members)
+	})
+	e.degradations(res.Diags)
+	e.close('}')
+	return e.finish()
+}

@@ -24,8 +24,12 @@ import (
 // remaining producers of the NaN sentinel (interval.MaxOverlapSum and
 // MaxOverlapSumConstrained) are guarded at their call sites: core's delay
 // pass drops combinations with a NaN instant before they become impacts.
-// The schema types are exported so clients can decode responses and so
-// ReadJSON can round-trip a report losslessly.
+// The schema types are exported so clients can decode responses, so the
+// server can embed BuildJSON/BuildDelayJSON values in its own responses,
+// and so ReadJSON can round-trip a report losslessly. WriteJSON and
+// WriteDelayJSON (encode.go) do not build them: they stream the same bytes
+// straight from the engine's result, and the tests hold them to
+// encoding/json over these types.
 
 // WindowJSON is a noise window; bounds are pointers because windows may be
 // unbounded (a virtual aggressor or a degraded net is "always on"): an
@@ -252,16 +256,6 @@ func BuildDelayJSON(res *core.DelayResult) *DelayResultJSON {
 	return out
 }
 
-// WriteJSON serializes a full analysis result.
-func WriteJSON(w io.Writer, res *core.Result) error {
-	return writeIndented(w, BuildJSON(res))
-}
-
-// WriteDelayJSON serializes a delta-delay result.
-func WriteDelayJSON(w io.Writer, res *core.DelayResult) error {
-	return writeIndented(w, BuildDelayJSON(res))
-}
-
 // ReadJSON parses a report previously written by WriteJSON (or returned
 // by the snad service). Together with WriteJSON it round-trips losslessly:
 // marshal → unmarshal → re-marshal is byte-identical, which is what makes
@@ -273,10 +267,4 @@ func ReadJSON(r io.Reader) (*ResultJSON, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-func writeIndented(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

@@ -183,7 +183,7 @@ func TestJSONRoundTripDegradedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := writeIndented(&second, back); err != nil {
+	if err := referenceJSON(&second, back); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {

@@ -58,32 +58,36 @@ func measure(ctx context.Context, name string, runs int, fn func() error) (bench
 	return rec, nil
 }
 
-// scratchRounds runs the pre-incremental reference loop — a fresh full
-// analysis every round — and returns the round count at convergence.
+// scratchEngine is the pre-incremental reference as a core.Phases: nothing
+// persists between rounds, and each round is one fresh full noise analysis
+// plus one fresh delay analysis under the padding so far.
+type scratchEngine struct {
+	bd   *bind.Design
+	opts core.Options
+}
+
+func (scratchEngine) BeginRound(context.Context, []string) (int, error) { return 0, nil }
+func (scratchEngine) EvalWave(context.Context, int) (bool, error)       { return false, nil }
+func (e scratchEngine) DelayImpacts(ctx context.Context, _ int, _ bool) (*core.DelayResult, error) {
+	if _, err := core.AnalyzeCtx(ctx, e.bd, e.opts); err != nil {
+		return nil, err
+	}
+	return core.AnalyzeDelayCtx(ctx, e.bd, e.opts)
+}
+
+// scratchRounds runs the round loop over scratchEngine and returns the
+// round count at convergence.
 func scratchRounds(ctx context.Context, bd *bind.Design, opts core.Options) (int, error) {
-	const tol = units.Pico / 100
 	padding := make(map[string]float64)
 	opts.STA.WindowPadding = padding
-	for round := 1; round <= 8; round++ {
-		if _, err := core.AnalyzeCtx(ctx, bd, opts); err != nil {
-			return 0, err
-		}
-		delay, err := core.AnalyzeDelayCtx(ctx, bd, opts)
-		if err != nil {
-			return 0, err
-		}
-		grew := false
-		for _, im := range delay.Impacts {
-			if im.Delta > padding[im.Net]+tol {
-				padding[im.Net] = im.Delta
-				grew = true
-			}
-		}
-		if !grew {
-			return round, nil
-		}
+	out, err := core.RunIterative(ctx, scratchEngine{bd, opts}, opts, 0, core.RoundState{Padding: padding}, nil)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("scratch loop did not converge in 8 rounds")
+	if !out.Converged {
+		return 0, fmt.Errorf("scratch loop did not converge in %d rounds", out.Rounds)
+	}
+	return out.Rounds, nil
 }
 
 // runBench executes the suite and writes the records to path.

@@ -30,6 +30,27 @@ func busCreate(t *testing.T, name string) *server.CreateSessionRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return createRequest(t, name, g)
+}
+
+// hotFabricCreate is internal/shard's hotfabric fixture: the design where
+// propagated glitches cross shard boundaries and a padding round widens a
+// fanin's window while its peak holds.
+func hotFabricCreate(t *testing.T, name string) *server.CreateSessionRequest {
+	t.Helper()
+	g, err := workload.Fabric(workload.FabricSpec{
+		Width: 40, Levels: 10, CouplingDensity: 3, CoupleC: 12 * units.Femto,
+		GroundC: 4 * units.Femto, SegRes: 60, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return createRequest(t, name, g)
+}
+
+// createRequest serializes a generated design into a create request.
+func createRequest(t *testing.T, name string, g *workload.Generated) *server.CreateSessionRequest {
+	t.Helper()
 	var net, sp, win bytes.Buffer
 	if err := netlist.Write(&net, g.Design); err != nil {
 		t.Fatal(err)
@@ -79,17 +100,23 @@ func TestDistributedIterateMatchesLocal(t *testing.T) {
 	ctx := context.Background()
 	coord := startSnad(t, server.Config{})
 	c := New(coord, RetryPolicy{MaxAttempts: 1})
-	if _, err := c.CreateSession(ctx, busCreate(t, "bus")); err != nil {
-		t.Fatal(err)
-	}
+	creates := []*server.CreateSessionRequest{busCreate(t, "bus"), hotFabricCreate(t, "hotfabric")}
 
-	// The oracle: a forced single-process run on the same session.
-	local, err := c.Iterate(ctx, "bus", &server.IterateRequest{Delay: true, Local: true}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.Iterate == nil || local.Iterate.Distributed {
-		t.Fatalf("local run reported iterate info %+v", local.Iterate)
+	// The oracle: a forced single-process run on the same session, taken
+	// before any worker exists.
+	locals := make(map[string]*server.AnalyzeResponse)
+	for _, cr := range creates {
+		if _, err := c.CreateSession(ctx, cr); err != nil {
+			t.Fatal(err)
+		}
+		local, err := c.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Local: true}, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if local.Iterate == nil || local.Iterate.Distributed {
+			t.Fatalf("%s: local run reported iterate info %+v", cr.Name, local.Iterate)
+		}
+		locals[cr.Name] = local
 	}
 
 	for _, u := range []string{startSnad(t, server.Config{}), startSnad(t, server.Config{}), startSnad(t, server.Config{})} {
@@ -105,29 +132,34 @@ func TestDistributedIterateMatchesLocal(t *testing.T) {
 		t.Fatalf("registered %d workers, want 3", len(ws))
 	}
 
-	dist, err := c.Iterate(ctx, "bus", &server.IterateRequest{Delay: true, Shards: 3}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := dist.Iterate
-	if it == nil || !it.Distributed {
-		t.Fatalf("iterate did not go distributed: %+v", it)
-	}
-	if it.Workers != 3 || it.Shards != 3 {
-		t.Fatalf("distributed over %d workers / %d shards, want 3/3", it.Workers, it.Shards)
-	}
-	if len(it.AbandonedShards) != 0 {
-		t.Fatalf("healthy fleet abandoned shards %v", it.AbandonedShards)
-	}
-	if it.Rounds != local.Iterate.Rounds || it.Converged != local.Iterate.Converged {
-		t.Fatalf("fixpoint diverged from oracle: distributed rounds=%d converged=%v, local rounds=%d converged=%v",
-			it.Rounds, it.Converged, local.Iterate.Rounds, local.Iterate.Converged)
-	}
-	if got, want := mustJSON(t, dist.Noise), mustJSON(t, local.Noise); !bytes.Equal(got, want) {
-		t.Errorf("distributed noise section differs from local oracle:\n got: %s\nwant: %s", got, want)
-	}
-	if got, want := mustJSON(t, dist.Delay), mustJSON(t, local.Delay); !bytes.Equal(got, want) {
-		t.Errorf("distributed delay section differs from local oracle:\n got: %s\nwant: %s", got, want)
+	for _, cr := range creates {
+		local := locals[cr.Name]
+		for _, shards := range []int{1, 2, 3, 4} {
+			dist, err := c.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Shards: shards}, 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := dist.Iterate
+			if it == nil || !it.Distributed {
+				t.Fatalf("%s/%d: iterate did not go distributed: %+v", cr.Name, shards, it)
+			}
+			if it.Workers != 3 || it.Shards != shards {
+				t.Fatalf("%s: distributed over %d workers / %d shards, want 3/%d", cr.Name, it.Workers, it.Shards, shards)
+			}
+			if len(it.AbandonedShards) != 0 {
+				t.Fatalf("%s/%d: healthy fleet abandoned shards %v", cr.Name, shards, it.AbandonedShards)
+			}
+			if it.Rounds != local.Iterate.Rounds || it.Converged != local.Iterate.Converged {
+				t.Fatalf("%s/%d: fixpoint diverged from oracle: distributed rounds=%d converged=%v, local rounds=%d converged=%v",
+					cr.Name, shards, it.Rounds, it.Converged, local.Iterate.Rounds, local.Iterate.Converged)
+			}
+			if got, want := mustJSON(t, dist.Noise), mustJSON(t, local.Noise); !bytes.Equal(got, want) {
+				t.Errorf("%s/%d: distributed noise section differs from local oracle:\n got: %.600s\nwant: %.600s", cr.Name, shards, got, want)
+			}
+			if got, want := mustJSON(t, dist.Delay), mustJSON(t, local.Delay); !bytes.Equal(got, want) {
+				t.Errorf("%s/%d: distributed delay section differs from local oracle:\n got: %.600s\nwant: %.600s", cr.Name, shards, got, want)
+			}
+		}
 	}
 }
 

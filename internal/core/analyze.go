@@ -483,7 +483,32 @@ func AnalyzeCtx(ctx context.Context, b *bind.Design, opts Options) (*Result, err
 	return res, nil
 }
 
-// runFixpoint iterates the propagation fixpoint: each pass recomputes
+// runPasses is the pass loop of the propagation fixpoint, the only copy:
+// each pass evaluates every wave in order, a pass that commits no change
+// beyond tolerance converges, without propagation one pass is exact, and
+// Options.MaxIter bounds the count. evalWave is the engine's side — the
+// local analyzer's wavefront below, or a coordinator's dispatch to the
+// shards owning nets in that wave.
+func runPasses(ctx context.Context, opts Options, waves int, evalWave func(context.Context, int) (bool, error)) (passes int, converged bool, err error) {
+	for passes < opts.MaxIter && !converged {
+		if err := ctx.Err(); err != nil {
+			return passes, false, err
+		}
+		passes++
+		changed := false
+		for wi := 0; wi < waves; wi++ {
+			wc, err := evalWave(ctx, wi)
+			if err != nil {
+				return passes, false, err
+			}
+			changed = changed || wc
+		}
+		converged = !changed || opts.NoPropagation
+	}
+	return passes, converged, nil
+}
+
+// runFixpoint runs the pass loop over this analyzer: each pass recomputes
 // every (dirty) net's event list (coupled events are cached; propagated
 // events derive from the current fanin combinations) and its windowed
 // combination, level wavefront by level wavefront. A nil dirty set means
@@ -491,33 +516,13 @@ func AnalyzeCtx(ctx context.Context, b *bind.Design, opts Options) (*Result, err
 // makes the per-pass filter exact — a net outside the set has no fanin
 // inside it, so its inputs can never change.
 func (a *analyzer) runFixpoint(ctx context.Context, res *Result, dirty map[string]bool) error {
-	converged := false
-	iterations := 0
-	for iter := 0; iter < a.opts.MaxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		iterations++
-		changed := false
-		for _, w := range a.waves {
-			wc, err := a.evalWave(ctx, res, w, dirty)
-			if err != nil {
-				return err
-			}
-			changed = changed || wc
-		}
-		if !changed {
-			converged = true
-			break
-		}
-		if a.opts.NoPropagation {
-			// Without propagation one pass is exact.
-			converged = true
-			break
-		}
+	passes, converged, err := runPasses(ctx, a.opts, len(a.waves), func(ctx context.Context, wi int) (bool, error) {
+		return a.evalWave(ctx, res, a.waves[wi], dirty, nil)
+	})
+	if err != nil {
+		return err
 	}
-	a.stats.Iterations = iterations
-	a.stats.Converged = converged
+	a.stats.Iterations, a.stats.Converged = passes, converged
 	return nil
 }
 
@@ -527,10 +532,18 @@ func (a *analyzer) runFixpoint(ctx context.Context, res *Result, dirty map[strin
 // waves) and then commits them serially in victim order, so results,
 // statistics, diagnostics, and fail-fast error selection are identical to
 // the serial engine.
-func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[string]bool) (bool, error) {
+//
+// only restricts the wave to a subset of its nets (nil means all of it):
+// the round's dirty set for the local engine, the owned set for a shard.
+// The returned flag is the convergence test — did any commit move beyond
+// tolerance — and stays true for commits made before an error. moved, when
+// non-nil, additionally collects every commit whose Peak, Width or Window
+// differs at all from what it replaced: that, not the tolerance test, is
+// what a reader of the combination elsewhere (another shard) must be sent.
+func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, only map[string]bool, moved *[]WaveUpdate) (bool, error) {
 	todo := a.todo[:0]
 	for i := w.lo; i < w.hi; i++ {
-		if dirty == nil || dirty[a.order[i].Name] {
+		if only == nil || only[a.order[i].Name] {
 			todo = append(todo, i)
 		}
 	}
@@ -553,7 +566,7 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[
 			net := a.order[oi]
 			nn := res.byID[net.ID()]
 			ev, err := a.evalNet(oi, net, nn, res, &a.scratch)
-			c, cerr := a.commitEval(oi, net, nn, ev, err)
+			c, cerr := a.commitEval(oi, net, nn, ev, err, moved)
 			if cerr != nil {
 				return changed, cerr
 			}
@@ -629,7 +642,7 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[
 			}
 			return changed, fmt.Errorf("core: net %s was not evaluated", net.Name)
 		}
-		c, cerr := a.commitEval(oi, net, res.byID[net.ID()], evals[i], errs[i])
+		c, cerr := a.commitEval(oi, net, res.byID[net.ID()], evals[i], errs[i], moved)
 		if cerr != nil {
 			return changed, cerr
 		}
@@ -643,7 +656,11 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, dirty map[
 type netEval struct {
 	comb       [2]Combined
 	propagated int
-	changed    bool
+	// changed is the convergence test (peak and width within tolerance);
+	// moved is the exact one (peak, width or window differs at all). A
+	// fanin whose window widens while its peak holds is moved but not
+	// changed, and every reader of it still needs the new window.
+	changed, moved bool
 	// pin marks a degraded net that has not yet received its fallback
 	// combination; skip marks one that has (inert).
 	pin, skip bool
@@ -682,13 +699,23 @@ func (a *analyzer) evalNet(oi int, net *netlist.Net, nn *NetNoise, res *Result, 
 	}
 	ev.changed = !combEqual(ev.comb[KindLow], nn.Comb[KindLow], 1e-7) ||
 		!combEqual(ev.comb[KindHigh], nn.Comb[KindHigh], 1e-7)
+	ev.moved = combMoved(ev.comb[KindLow], nn.Comb[KindLow]) ||
+		combMoved(ev.comb[KindHigh], nn.Comb[KindHigh])
 	return ev, nil
+}
+
+// combMoved reports whether anything a downstream net reads from a
+// combination — peak, width, window — differs, exactly.
+func combMoved(a, b Combined) bool {
+	return a.Peak != b.Peak || a.Width != b.Width || a.Window != b.Window
 }
 
 // commitEval applies one computed evaluation to the shared state. It runs
 // serially in victim order, which keeps stats, degradation bookkeeping,
-// and fail-fast error selection deterministic.
-func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval, evalErr error) (bool, error) {
+// and fail-fast error selection deterministic. It reports the convergence
+// test and appends the commit to moved (when collecting) if it differs
+// exactly.
+func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval, evalErr error, moved *[]WaveUpdate) (bool, error) {
 	if evalErr != nil {
 		if !a.opts.FailSoft {
 			return false, evalErr
@@ -696,11 +723,7 @@ func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval
 		// Pin the net at the fallback; its events are replaced so later
 		// passes (and delay analysis) see the same bound.
 		a.degradeNet(oi, net.Name, StageEvaluate, evalErr)
-		fallback := a.fullRailComb()
-		nn.Events = *a.coupled[oi]
-		nn.Comb = [2]Combined{fallback, fallback}
-		a.setPropCount(oi, 0)
-		return true, nil
+		ev = netEval{pin: true}
 	}
 	if ev.skip {
 		return false, nil
@@ -710,10 +733,14 @@ func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval
 		nn.Events = *a.coupled[oi]
 		nn.Comb = [2]Combined{fallback, fallback}
 		a.setPropCount(oi, 0)
-		return true, nil
+		ev.changed, ev.moved = true, true
+	} else {
+		nn.Comb = ev.comb
+		a.setPropCount(oi, ev.propagated)
 	}
-	nn.Comb = ev.comb
-	a.setPropCount(oi, ev.propagated)
+	if ev.moved && moved != nil {
+		*moved = append(*moved, WaveUpdate{Net: net.Name, Comb: nn.Comb})
+	}
 	return ev.changed, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bind"
+	"repro/internal/netlist"
 	"repro/internal/units"
 )
 
@@ -23,13 +24,19 @@ import (
 // blows its wall-clock budget — a run that will not converge should say
 // so instead of silently burning rounds.
 //
-// The loop is incremental: one analyzer persists across rounds, shared
-// between the noise and delay passes. Round 1 is a full analysis; each
-// later round updates the timing annotation in place for the padded nets'
-// cones (sta.Result.UpdatePaddingCtx), derives the analysis dirty sets
-// from the timing dirty set (see incremental.go), re-prepares and
-// re-evaluates only those, and reuses every other victim's committed
-// results. The per-round results are identical to a from-scratch
+// Both loops of that flow exist once: RunIterative is the round loop
+// (growth rule, budget, watchdog, resume, after-round hook) and runPasses
+// (analyze.go) the pass loop inside a round. What they drive is a Phases:
+// the single-process engine below, or the shard coordinator's dispatching
+// one. Neither engine decides when a pass, a round or the run is over.
+//
+// The single-process engine is incremental: one analyzer persists across
+// rounds, shared between the noise and delay passes. Round 1 is a full
+// analysis; each later round updates the timing annotation in place for
+// the padded nets' cones (sta.Result.UpdatePaddingCtx), derives the
+// analysis dirty sets from the timing dirty set (see incremental.go),
+// re-prepares and re-evaluates only those, and reuses every other victim's
+// committed results. The per-round results are identical to a from-scratch
 // re-analysis with the same padding, except for execution statistics
 // (Stats.Iterations counts only the incremental passes) and diagnostics
 // under fault injection (a hook that fires on clean victims fires only
@@ -56,89 +63,86 @@ type IterativeResult struct {
 	DivergeReason string
 }
 
-// AnalyzeIterative runs the noise–timing loop. maxRounds bounds the outer
-// iteration (default 8 when zero). The tolerance for padding convergence
-// is 0.01 ps.
-func AnalyzeIterative(b *bind.Design, opts Options, maxRounds int) (*IterativeResult, error) {
-	return AnalyzeIterativeCtx(context.Background(), b, opts, maxRounds)
+// Phases is an engine's side of the joint fixpoint — the three things a
+// round consists of. The driver calls them in order: BeginRound, then
+// EvalWave for every wave of every pass, then DelayImpacts.
+type Phases interface {
+	// BeginRound opens a round and returns the number of waves in a pass.
+	// The driver's first call passes nil: build the engines, seeded with
+	// the padding the driver was started with (empty, or a checkpoint's).
+	// Later calls name the nets whose padding the previous round grew; the
+	// new values are already in the padding map the engine shares with the
+	// driver.
+	BeginRound(ctx context.Context, changed []string) (waves int, err error)
+	// EvalWave evaluates one wave of the current pass and reports whether
+	// any commit moved beyond the convergence tolerance.
+	EvalWave(ctx context.Context, wave int) (changed bool, err error)
+	// DelayImpacts closes the round's noise fixpoint — passes and converged
+	// are its Stats.Iterations and Stats.Converged — and returns the
+	// delta-delay impacts of every victim, sorted (SortImpacts).
+	DelayImpacts(ctx context.Context, passes int, converged bool) (*DelayResult, error)
 }
 
-// AnalyzeIterativeCtx is AnalyzeIterative with cooperative cancellation,
-// checked between rounds and inside each round's analyses.
-func AnalyzeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxRounds int) (*IterativeResult, error) {
+// RoundState is the round loop's whole state after a completed round that
+// grew padding: what a checkpoint stores and a resumed run starts from. The
+// analysis is not part of it — an engine built over Padding is in the state
+// one that lived through the rounds reached (Session's rebuild contract).
+type RoundState struct {
+	// Round is the last completed round; 0 means a fresh start.
+	Round int
+	// Padding is the cumulative per-net window padding. The engine aliases
+	// this map; the loop grows it in place.
+	Padding map[string]float64
+	// PrevGrowth is Round's largest per-net padding increase and Stalled
+	// the count of consecutive non-contracting rounds (the watchdog).
+	PrevGrowth float64
+	Stalled    int
+}
+
+// RunIterative is the round loop over any engine. maxRounds bounds it
+// (default 8 when zero); the tolerance for padding convergence is 0.01 ps.
+// st resumes after a checkpointed round (zero value: fresh start; a nil
+// Padding is allocated); afterRound, when non-nil, sees the state after
+// every round that leaves the loop running — the checkpoint hook. The
+// result's Noise is the engine's to fill in: the loop never looks at it.
+func RunIterative(ctx context.Context, eng Phases, opts Options, maxRounds int, st RoundState, afterRound func(RoundState)) (*IterativeResult, error) {
 	if maxRounds <= 0 {
 		maxRounds = 8
 	}
-	const tol = PaddingTol
-	padding := make(map[string]float64)
+	const tol = units.Pico / 100
+	if st.Padding == nil {
+		st.Padding = make(map[string]float64)
+	}
+	if st.Round == 0 {
+		st.PrevGrowth = math.Inf(1)
+	}
+	padding := st.Padding
 	out := &IterativeResult{Padding: padding}
-	// The analyzer and the timing engine alias this map: padding grown
-	// after a round is what the next round's incremental update applies.
-	opts.STA.WindowPadding = padding
-	var (
-		a       *analyzer
-		res     *Result
-		changed []string // nets whose padding grew last round
-	)
-	// Watchdog state: the largest per-net padding increase of the
-	// previous round, and how many consecutive rounds failed to contract.
-	prevGrowth := math.Inf(1)
-	stalled := 0
-	for round := 1; round <= maxRounds; round++ {
+	var changed []string // nets whose padding grew last round
+	// A checkpoint taken after the last allowed round still gets one round
+	// to build engines and report from.
+	for round := min(st.Round+1, maxRounds); round <= maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		wrap := func(err error) error {
-			return fmt.Errorf("core: iterative round %d: %w", round, err)
+		delay, err := runRound(ctx, eng, opts, changed)
+		if err != nil {
+			return nil, fmt.Errorf("core: iterative round %d: %w", round, err)
 		}
-		if a == nil {
-			var err error
-			if a, err = newAnalyzer(ctx, b, opts); err != nil {
-				return nil, wrap(err)
-			}
-			res = a.newResult()
-			if err := a.runFixpoint(ctx, res, nil); err != nil {
-				return nil, wrap(err)
-			}
-			a.finishNoise(res)
-			if err := a.delayPass(ctx, nil); err != nil {
-				return nil, wrap(err)
-			}
-		} else {
-			staDirty, err := a.staRes.UpdatePaddingCtx(ctx, a.opts.STA, changed)
-			if err != nil {
-				return nil, wrap(err)
-			}
-			reprep, evalDirty, delayDirty := a.dirtyAfterPadding(staDirty)
-			if err := a.reprepare(ctx, reprep); err != nil {
-				return nil, wrap(err)
-			}
-			if err := a.runFixpoint(ctx, res, evalDirty); err != nil {
-				return nil, wrap(err)
-			}
-			a.finishNoise(res)
-			if err := a.delayPass(ctx, delayDirty); err != nil {
-				return nil, wrap(err)
-			}
-		}
-		delayRes := a.assembleDelay()
 		out.Rounds = round
-		out.Noise = res
-		out.Delay = delayRes
+		out.Delay = delay
 
-		grew := false
 		var growth float64
 		changed = changed[:0]
-		for _, im := range delayRes.Impacts {
+		for _, im := range delay.Impacts {
 			if im.Delta > padding[im.Net]+tol {
 				growth = math.Max(growth, im.Delta-padding[im.Net])
 				padding[im.Net] = im.Delta
 				changed = append(changed, im.Net)
-				grew = true
 			}
 		}
-		if !grew {
+		if len(changed) == 0 {
 			out.Converged = true
 			return out, nil
 		}
@@ -153,25 +157,124 @@ func AnalyzeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxR
 		// Contraction check: a healthy loop's padding increments shrink
 		// every round (the feedback gain is < 1). Two consecutive rounds
 		// of non-shrinking growth mean the loop is chasing its own tail.
-		if growth >= prevGrowth-tol {
-			stalled++
+		if growth >= st.PrevGrowth-tol {
+			st.Stalled++
 		} else {
-			stalled = 0
+			st.Stalled = 0
 		}
-		if stalled >= 2 {
+		if st.Stalled >= 2 {
 			out.Diverging = true
 			out.DivergeReason = fmt.Sprintf(
 				"padding growth not contracting for %d rounds (latest %.3gps/round)",
-				stalled, growth/units.Pico)
+				st.Stalled, growth/units.Pico)
 			return out, nil
 		}
-		prevGrowth = growth
+		st.Round, st.PrevGrowth = round, growth
+		if afterRound != nil {
+			afterRound(st)
+		}
 	}
 	// The budget ran out with padding still growing: the loop did not
 	// converge and was still moving — report it as diverging rather than
 	// letting a silent Converged=false look like a near-miss.
 	out.Diverging = true
 	out.DivergeReason = fmt.Sprintf("padding still growing after %d rounds", maxRounds)
+	return out, nil
+}
+
+// runRound is one round over any engine: begin, the pass loop, the delay
+// pass. The round loop calls it every round; a Session calls it once to
+// build and once per Reanalyze.
+func runRound(ctx context.Context, eng Phases, opts Options, changed []string) (*DelayResult, error) {
+	opts.fill()
+	waves, err := eng.BeginRound(ctx, changed)
+	if err != nil {
+		return nil, err
+	}
+	passes, converged, err := runPasses(ctx, opts, waves, eng.EvalWave)
+	if err != nil {
+		return nil, err
+	}
+	return eng.DelayImpacts(ctx, passes, converged)
+}
+
+// engine is the single-process Phases: one analyzer and one result,
+// persisting across rounds. It is also all a Session is — "build, then one
+// incremental round at a time".
+type engine struct {
+	b    *bind.Design
+	opts Options
+	a    *analyzer
+	res  *Result
+	// The current round's dirty sets (nil in the build round: everything).
+	evalDirty, delayDirty map[string]bool
+}
+
+// BeginRound implements Phases. The padding map is opts.STA.WindowPadding,
+// which the analyzer and the timing engine alias.
+func (e *engine) BeginRound(ctx context.Context, changed []string) (int, error) {
+	if e.a == nil {
+		a, err := newAnalyzer(ctx, e.b, e.opts)
+		if err != nil {
+			return 0, err
+		}
+		e.a, e.res = a, a.newResult()
+		return len(a.waves), nil
+	}
+	staDirty, err := e.a.staRes.UpdatePaddingCtx(ctx, e.a.opts.STA, changed)
+	if err != nil {
+		return 0, err
+	}
+	var reprep []*netlist.Net
+	reprep, e.evalDirty, e.delayDirty = e.a.dirtyAfterPadding(staDirty)
+	return len(e.a.waves), e.a.reprepare(ctx, reprep)
+}
+
+// EvalWave implements Phases with the analyzer's own wavefront — serial or
+// across Options.Workers — restricted to the round's dirty set.
+func (e *engine) EvalWave(ctx context.Context, wi int) (bool, error) {
+	return e.a.evalWave(ctx, e.res, e.a.waves[wi], e.evalDirty, nil)
+}
+
+// DelayImpacts implements Phases: finish the noise result, then re-run the
+// delay pass on the round's delay-dirty nets.
+func (e *engine) DelayImpacts(ctx context.Context, passes int, converged bool) (*DelayResult, error) {
+	e.a.stats.Iterations, e.a.stats.Converged = passes, converged
+	e.a.finishNoise(e.res)
+	if err := e.a.delayPass(ctx, e.delayDirty); err != nil {
+		return nil, err
+	}
+	return e.a.assembleDelay(), nil
+}
+
+// AnalyzeIterative runs the noise–timing loop single-process. maxRounds
+// bounds the outer iteration (default 8 when zero).
+func AnalyzeIterative(b *bind.Design, opts Options, maxRounds int) (*IterativeResult, error) {
+	return AnalyzeIterativeCtx(context.Background(), b, opts, maxRounds)
+}
+
+// AnalyzeIterativeCtx is AnalyzeIterative with cooperative cancellation,
+// checked between rounds and inside each round's analyses.
+func AnalyzeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxRounds int) (*IterativeResult, error) {
+	return ResumeIterativeCtx(ctx, b, opts, maxRounds, RoundState{}, nil)
+}
+
+// ResumeIterativeCtx is AnalyzeIterativeCtx under the round loop's resume
+// state and after-round hook (see RunIterative): what a caller that
+// checkpoints rounds uses.
+func ResumeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxRounds int, from RoundState, afterRound func(RoundState)) (*IterativeResult, error) {
+	if from.Padding == nil {
+		from.Padding = make(map[string]float64)
+	}
+	// The analyzer and the timing engine alias this map: padding grown
+	// after a round is what the next round's incremental update applies.
+	opts.STA.WindowPadding = from.Padding
+	eng := &engine{b: b, opts: opts}
+	out, err := RunIterative(ctx, eng, opts, maxRounds, from, afterRound)
+	if err != nil {
+		return nil, err
+	}
+	out.Noise = eng.res
 	return out, nil
 }
 

@@ -29,8 +29,8 @@ import (
 // every later call returns ErrSessionBroken so the owner knows to rebuild
 // it rather than trust stale state.
 type Session struct {
-	a       *analyzer
-	res     *Result
+	eng     engine
+	delay   *DelayResult
 	padding map[string]float64
 	broken  error
 }
@@ -59,30 +59,23 @@ func NewSession(ctx context.Context, b *bind.Design, opts Options) (*Session, er
 	// iterative loop does: padding applied later is what the incremental
 	// timing update reads.
 	opts.STA.WindowPadding = padding
-	a, err := newAnalyzer(ctx, b, opts)
-	if err != nil {
+	s := &Session{eng: engine{b: b, opts: opts}, padding: padding}
+	var err error
+	if s.delay, err = runRound(ctx, &s.eng, opts, nil); err != nil {
 		return nil, err
 	}
-	res := a.newResult()
-	if err := a.runFixpoint(ctx, res, nil); err != nil {
-		return nil, err
-	}
-	a.finishNoise(res)
-	if err := a.delayPass(ctx, nil); err != nil {
-		return nil, err
-	}
-	return &Session{a: a, res: res, padding: padding}, nil
+	return s, nil
 }
 
 // Noise returns the current noise result. The pointer stays valid across
 // Reanalyze calls (the result is updated in place, like the iterative
 // loop's), so callers that need a stable snapshot must serialize against
 // Reanalyze.
-func (s *Session) Noise() *Result { return s.res }
+func (s *Session) Noise() *Result { return s.eng.res }
 
-// Delay assembles the current crosstalk delta-delay result from the
-// per-net impacts of the last (full or incremental) delay pass.
-func (s *Session) Delay() *DelayResult { return s.a.assembleDelay() }
+// Delay returns the crosstalk delta-delay result of the last (full or
+// incremental) round. Read-only: every caller gets the same value.
+func (s *Session) Delay() *DelayResult { return s.delay }
 
 // Padding returns a copy of the per-net late-edge window padding currently
 // applied to the session's timing annotation.
@@ -122,7 +115,7 @@ func (s *Session) Reanalyze(ctx context.Context, padding map[string]float64) (*R
 		}
 	}
 	if len(changed) == 0 {
-		return s.res, 0, nil
+		return s.eng.res, 0, nil
 	}
 	sort.Strings(changed)
 	// Commit the padding, then update. From here on a failure leaves the
@@ -131,27 +124,11 @@ func (s *Session) Reanalyze(ctx context.Context, padding map[string]float64) (*R
 	for _, net := range changed {
 		s.padding[net] = padding[net]
 	}
-	if err := s.incremental(ctx, changed); err != nil {
+	delay, err := runRound(ctx, &s.eng, s.eng.opts, changed)
+	if err != nil {
 		s.broken = ErrSessionBroken
 		return nil, len(changed), err
 	}
-	return s.res, len(changed), nil
-}
-
-// incremental is one dirty-set round: the same call sequence as a later
-// round of AnalyzeIterativeCtx.
-func (s *Session) incremental(ctx context.Context, changed []string) error {
-	staDirty, err := s.a.staRes.UpdatePaddingCtx(ctx, s.a.opts.STA, changed)
-	if err != nil {
-		return err
-	}
-	reprep, evalDirty, delayDirty := s.a.dirtyAfterPadding(staDirty)
-	if err := s.a.reprepare(ctx, reprep); err != nil {
-		return err
-	}
-	if err := s.a.runFixpoint(ctx, s.res, evalDirty); err != nil {
-		return err
-	}
-	s.a.finishNoise(s.res)
-	return s.a.delayPass(ctx, delayDirty)
+	s.delay = delay
+	return s.eng.res, len(changed), nil
 }

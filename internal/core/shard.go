@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/netlist"
-	"repro/internal/units"
 )
 
 // Sharded analysis support. A shard owns a subset of the victim nets but
@@ -18,34 +17,14 @@ import (
 // a victim's coupled events depend on aggressor *timing* (local everywhere)
 // while its propagated events read the committed combinations of its fanin
 // nets, which may be owned elsewhere. The coordinator (internal/shard)
-// ships exactly those fanin combinations between shards, wave by wave, and
-// the resulting global fixpoint is byte-identical to runFixpoint.
+// ships exactly those fanin combinations between shards, wave by wave.
 //
-// ShardEngine deliberately reuses the serial engine's own loops (evalNet,
-// commitEval, reprepare, delayPass) rather than re-implementing them: the
-// equivalence argument is "same code over the same inputs in the same
-// order", not a parallel implementation to keep in sync.
-
-// PaddingTol is the padding-convergence tolerance of the iterative loop
-// (0.01 ps), exported so the distributed coordinator grows padding with
-// exactly the single-process rule.
-const PaddingTol = units.Pico / 100
-
-// DefaultMaxIter resolves Options.MaxIter the way the engine does.
-func DefaultMaxIter(maxIter int) int {
-	if maxIter <= 0 {
-		return 16
-	}
-	return maxIter
-}
-
-// DefaultMaxRounds resolves AnalyzeIterative's maxRounds default.
-func DefaultMaxRounds(maxRounds int) int {
-	if maxRounds <= 0 {
-		return 8
-	}
-	return maxRounds
-}
+// ShardEngine has no loop of its own, at any level. Passes and rounds are
+// driven from outside by the one driver (RunIterative, through the
+// coordinator's Phases); within a wave it runs the analyzer's own evalWave
+// — the same function the single-process engine runs — filtered to the
+// nets it owns. The equivalence argument is "same code over the same
+// inputs in the same order", not a parallel implementation to keep in sync.
 
 // EffectiveVdd resolves the supply voltage an analysis of this design will
 // use — Options.Vdd when positive, the library supply otherwise. The
@@ -194,9 +173,9 @@ func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
 	return plan, nil
 }
 
-// WaveUpdate is one net's committed combination change from an EvalWave
-// call: the coordinator applies it to its authoritative state and forwards
-// it to every shard that imports the net.
+// WaveUpdate is one owned net's newly committed combination from an
+// EvalWave call: the coordinator applies it to its authoritative state and
+// forwards it to every shard that imports the net.
 type WaveUpdate struct {
 	Net  string
 	Comb [2]Combined
@@ -204,8 +183,9 @@ type WaveUpdate struct {
 
 // ShardCollect is one shard's final contribution to the merged result.
 type ShardCollect struct {
-	// Nets holds the owned victims' final noise records.
-	Nets map[string]*NetNoise
+	// Nets holds the owned victims' final noise records, in evaluation
+	// order.
+	Nets []*NetNoise
 	// Violations and Slacks are in canonical gather order (see
 	// gatherChecks) restricted to owned nets — the coordinator interleaves
 	// the shards' sequences by global alphabetical net order and then
@@ -272,62 +252,35 @@ func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, owned []s
 	return e, nil
 }
 
-// NumWaves returns the wave count of the evaluation schedule.
-func (e *ShardEngine) NumWaves() int { return len(e.a.waves) }
-
-// Vdd returns the effective supply voltage of the run.
-func (e *ShardEngine) Vdd() float64 { return e.a.vdd }
-
 // SetComb installs an externally committed combination for a net — a
 // boundary import from another shard, or a restored authoritative value
-// after this engine was rebuilt mid-run. It reports whether the net exists.
-func (e *ShardEngine) SetComb(net string, comb [2]Combined) bool {
-	nn := e.res.Nets[net]
-	if nn == nil {
-		return false
+// after this engine was rebuilt mid-run. A net the design lacks is ignored.
+func (e *ShardEngine) SetComb(net string, comb [2]Combined) {
+	if nn := e.res.Nets[net]; nn != nil {
+		nn.Comb = comb
 	}
-	nn.Comb = comb
-	return true
 }
 
-// EvalWave evaluates the owned slice of one wave, in global evaluation
-// order, through the serial engine's own evalNet/commitEval pair, and
-// returns the nets whose committed combination changed. The loop is the
-// serial reference loop of evalWave restricted to owned nets; fail-soft
-// degradation, statistics, and the change test are therefore identical.
-// On error the updates committed so far are still returned — an aborted
-// attempt has already mutated the engine, and the runner must remember
-// those commits so a retried dispatch reports them rather than losing
-// them (a re-evaluated net compares equal and stays silent).
-func (e *ShardEngine) EvalWave(ctx context.Context, wi int) ([]WaveUpdate, error) {
+// EvalWave evaluates the owned slice of one wave through the analyzer's
+// evalWave, so fail-soft degradation, statistics, the change test and the
+// Options.Workers parallel path are the single-process engine's. It answers
+// two questions that are not the same predicate. forward: every owned net
+// whose committed Peak, Width or Window differs at all from before the call
+// — importers must get those. changed: the convergence test (beyond
+// tolerance) the pass loop asks for. After a padding round a fanin's window
+// can widen while its peak holds — not changed, yet an importer combining
+// against the stale narrow window reports peaks lower than single-process.
+//
+// On error both still describe the commits made so far — an aborted attempt
+// has already mutated the engine, and the runner must remember them so a
+// retried dispatch reports them (a re-evaluated net compares equal and
+// stays silent).
+func (e *ShardEngine) EvalWave(ctx context.Context, wi int) (forward []WaveUpdate, changed bool, err error) {
 	if wi < 0 || wi >= len(e.a.waves) {
-		return nil, fmt.Errorf("core: shard wave %d out of range", wi)
+		return nil, false, fmt.Errorf("core: shard wave %d out of range", wi)
 	}
-	w := e.a.waves[wi]
-	var ups []WaveUpdate
-	k := 0
-	for i := w.lo; i < w.hi; i++ {
-		net := e.a.order[i]
-		if !e.owned[net.Name] {
-			continue
-		}
-		if k&0x3f == 0 {
-			if err := ctx.Err(); err != nil {
-				return ups, err
-			}
-		}
-		k++
-		nn := e.res.byID[net.ID()]
-		ev, err := e.a.evalNet(i, net, nn, e.res, &e.a.scratch)
-		c, cerr := e.a.commitEval(i, net, nn, ev, err)
-		if cerr != nil {
-			return ups, cerr
-		}
-		if c {
-			ups = append(ups, WaveUpdate{Net: net.Name, Comb: nn.Comb})
-		}
-	}
-	return ups, nil
+	changed, err = e.a.evalWave(ctx, e.res, e.a.waves[wi], e.owned, &forward)
+	return forward, changed, err
 }
 
 // ApplyRound applies one round of padding growth: the changed nets' new
@@ -379,7 +332,7 @@ func (e *ShardEngine) Collect(ctx context.Context) (*ShardCollect, error) {
 	}
 	e.a.gatherChecks(e.res)
 	out := &ShardCollect{
-		Nets:       make(map[string]*NetNoise, len(e.ownedOrder)),
+		Nets:       make([]*NetNoise, 0, len(e.ownedOrder)),
 		Pairs:      e.a.stats.AggressorPairs,
 		Filtered:   e.a.stats.Filtered,
 		Propagated: e.a.propTotal,
@@ -390,7 +343,7 @@ func (e *ShardEngine) Collect(ctx context.Context) (*ShardCollect, error) {
 				return nil, err
 			}
 		}
-		out.Nets[net.Name] = e.res.Nets[net.Name]
+		out.Nets = append(out.Nets, e.res.byID[net.ID()])
 	}
 	out.Violations = append(out.Violations, e.res.Violations...)
 	out.Slacks = append(out.Slacks, e.res.Slacks...)

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/report"
@@ -155,76 +154,18 @@ func (s *Server) runJobWork(ctx context.Context, ss *session, id string, spec *j
 		}
 		return resp, nil, nil
 	case "iterate":
-		resp, err := s.jobIterate(ctx, ss, id, spec)
+		// The checkpoint token is the job ID, unique across restarts: a
+		// SIGKILL'd iterate job resumes mid-fixpoint instead of starting
+		// over.
+		resp, err := s.iterate(ctx, ss, &IterateRequest{
+			Delay: spec.Delay, MaxRounds: spec.MaxRounds, Shards: spec.Shards, Local: spec.Local,
+		}, id, s.jobCheckpointDir())
 		return resp, nil, err
 	case "sweep":
 		result, err := s.jobSweep(ctx, ss, spec)
 		return nil, result, err
 	}
 	return nil, nil, jobs.Permanent(fmt.Errorf("unknown job type %q", spec.Type))
-}
-
-// jobIterate runs an iterate job through the shard coordinator even on
-// the single-process path (one in-process worker): shard.Run is
-// byte-identical to the direct iterative analysis when healthy, and it
-// is what grants round-boundary checkpoints — the thing that makes a
-// SIGKILL'd iterate job resume mid-fixpoint instead of starting over.
-// The checkpoint token is the job ID, unique across restarts.
-func (s *Server) jobIterate(ctx context.Context, ss *session, id string, spec *jobs.Spec) (*AnalyzeResponse, error) {
-	workers := s.healthyWorkers()
-	distributed := !spec.Local && len(workers) > 0 && ss.spec != nil
-	shards := spec.Shards
-	if !distributed {
-		workers = []shard.Worker{shard.NewInProc("local", func(context.Context) (*bind.Design, error) {
-			return ss.b, nil
-		}, ss.opts)}
-		shards = 1
-	} else if shards <= 0 {
-		shards = s.cfg.Shards
-		if shards <= 0 {
-			shards = len(workers)
-		}
-	}
-	cfg := shard.Config{
-		B:               ss.b,
-		Opts:            ss.opts,
-		Workers:         workers,
-		Shards:          shards,
-		Token:           id,
-		MaxRounds:       spec.MaxRounds,
-		DispatchTimeout: s.cfg.MaxRequestTimeout,
-		Logf:            s.cfg.Logf,
-	}
-	if distributed {
-		cfg.Design = designSpecOf(ss.spec)
-	}
-	if s.store != nil {
-		cfg.Checkpointer = &shard.FileCheckpointer{Dir: s.jobCheckpointDir()}
-	}
-	out, err := shard.Run(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	resp := &AnalyzeResponse{
-		Session: ss.name,
-		Noise:   report.BuildJSON(out.Noise),
-		Iterate: &IterateInfo{
-			Rounds:          out.Rounds,
-			Converged:       out.Converged,
-			Diverging:       out.Diverging,
-			DivergeReason:   out.DivergeReason,
-			Distributed:     distributed,
-			Workers:         len(workers),
-			Shards:          shards,
-			Reassigns:       out.Reassigns,
-			AbandonedShards: out.AbandonedShards,
-			Resumed:         out.Resumed,
-		},
-	}
-	if spec.Delay {
-		resp.Delay = report.BuildDelayJSON(out.Delay)
-	}
-	return resp, nil
 }
 
 // jobSweep analyzes the session's design once per scenario point, each

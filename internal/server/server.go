@@ -259,11 +259,11 @@ type Server struct {
 	// jobs owns the durable async job queue and its worker pool.
 	jobs *jobs.Manager
 
-	// shardMu guards the shard runners this server hosts as a worker,
-	// keyed "token/shard", and the per-run-token design cache shared by
-	// the token's engines (a bound design is immutable after binding).
+	// shardHost keeps the shard engines this server hosts as a worker;
+	// shardMu guards the per-run-token design references its engines share
+	// (a bound design is immutable after binding).
+	shardHost    *shard.Host
 	shardMu      sync.Mutex
-	shardRunners map[string]*shard.Runner
 	shardDesigns map[string]*sharedDesign
 
 	// workerMu guards the registered shard workers (this server as
@@ -289,7 +289,6 @@ func New(cfg Config) (*Server, error) {
 		cache:        newDesignCache(cfg.MemBudget, cfg.now, cfg.Logf),
 		sessions:     make(map[string]*session),
 		lastUsed:     make(map[string]time.Time),
-		shardRunners: make(map[string]*shard.Runner),
 		shardDesigns: make(map[string]*sharedDesign),
 		workers:      make(map[string]*workerEntry),
 		hbStop:       make(chan struct{}),
@@ -299,6 +298,7 @@ func New(cfg Config) (*Server, error) {
 		histFsync:     metrics.NewHistogram("snad_journal_fsync_seconds", "Durable session-journal append latency (fsync included).", nil),
 		histJobRun:    metrics.NewHistogram("snad_job_run_seconds", "Wall time of async job execution attempts.", nil),
 	}
+	s.shardHost = shard.NewHost(s.designForToken, s.dropTokenDesign)
 	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
 	faults, err := workload.ParseStoreFaults(cfg.StoreFaultSpec)
 	if err != nil {
@@ -462,7 +462,7 @@ func (s *Server) quarantineSpec(name, reason string) {
 // in-memory reads; call it after Drain.
 func (s *Server) Close() error {
 	s.stopHeartbeat()
-	s.closeShardRunners()
+	s.shardHost.CloseAll()
 	if s.jobs != nil {
 		s.jobs.Close(2 * time.Second)
 	}

@@ -2,21 +2,25 @@ package server
 
 // Distributed analysis support, both directions:
 //
-//   - snad as worker: /v1/shard/{op} hosts shard engines behind the
-//     shard.Runner protocol. Engines are keyed by (run token, shard) and
-//     built from the design spec shipped in the init request, so a worker
-//     needs no prior session state — a coordinator can aim at any idle
-//     snad process.
+//   - snad as worker: /v1/shard/{op} is the HTTP transport of a
+//     shard.Host — decode the body, let the host execute the op, encode
+//     the answer. The host's engines are built from the design spec
+//     shipped in the init request, so a worker needs no prior session
+//     state — a coordinator can aim at any idle snad process. What this
+//     file adds is where the designs come from: the shared design cache,
+//     one reference per run token.
 //
 //   - snad as coordinator: registered workers (/v1/workers) are probed by
-//     a heartbeat, and POST /v1/sessions/{name}/iterate fans the joint
-//     noise–delay fixpoint out across the healthy ones via shard.Run. A
-//     healthy distributed run returns noise and delay sections
-//     byte-identical to the single-process path; worker loss degrades to
-//     re-hosting, then to conservative full-rail results with degradation
-//     diagnostics — never to a failed request. With a data directory, the
-//     coordinator checkpoints round state so a restarted server resumes a
-//     mid-fixpoint iterate instead of starting over.
+//     a heartbeat, and iterate — the interactive endpoint and the job type
+//     alike, through the one function below — runs the joint noise–delay
+//     fixpoint across the healthy ones (shard.Run) or, with none, in this
+//     process (shard.RunLocal). Both are the same loop (core.RunIterative)
+//     over different engines, so a healthy distributed run returns noise
+//     and delay sections byte-identical to the local one; worker loss
+//     degrades to re-hosting, then to conservative full-rail results with
+//     degradation diagnostics — never to a failed request. With a data
+//     directory, either kind checkpoints round state so a restarted server
+//     resumes a mid-fixpoint iterate instead of starting over.
 
 import (
 	"context"
@@ -140,18 +144,14 @@ func (s *Server) stopHeartbeat() {
 // healthyWorkers snapshots the live fleet in name order — deterministic
 // ordering feeds the partitioner's deterministic shard→worker mapping.
 func (s *Server) healthyWorkers() []shard.Worker {
+	entries := s.workerSnapshot()
 	s.workerMu.Lock()
 	defer s.workerMu.Unlock()
-	names := make([]string, 0, len(s.workers))
-	for name, e := range s.workers {
+	var out []shard.Worker
+	for _, e := range entries {
 		if e.info.Healthy {
-			names = append(names, name)
+			out = append(out, e.w)
 		}
-	}
-	sort.Strings(names)
-	out := make([]shard.Worker, len(names))
-	for i, name := range names {
-		out[i] = s.workers[name].w
 	}
 	return out
 }
@@ -181,82 +181,18 @@ func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, infos)
 }
 
-// --- snad as worker: hosted shard runners ---
+// --- snad as worker: the hosted engines' designs ---
 
-func runnerKey(token string, shardID int) string {
-	return fmt.Sprintf("%s/%d", token, shardID)
-}
-
-// runnerFor looks up a hosted shard runner.
-func (s *Server) runnerFor(token string, shardID int) *shard.Runner {
+// dropTokenDesign releases a run token's design-cache reference along with
+// its shardDesigns slot, once the host has dropped the token's last engine.
+// The cache mutex is a leaf, so taking it under shardMu is within the lock
+// order.
+func (s *Server) dropTokenDesign(token string) {
 	s.shardMu.Lock()
 	defer s.shardMu.Unlock()
-	return s.shardRunners[runnerKey(token, shardID)]
-}
-
-// installRunner publishes a freshly initialized shard engine, closing any
-// previous engine registered under the same (token, shard) — a re-init
-// after a coordinator retry must not leak the replaced engine.
-func (s *Server) installRunner(token string, shardID int, r *shard.Runner) {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	key := runnerKey(token, shardID)
-	if old := s.shardRunners[key]; old != nil {
-		old.Close()
-	}
-	s.shardRunners[key] = r
-}
-
-// dropRunners closes one hosted shard engine, or — shardID < 0 — every
-// engine of the run token (coordinator teardown).
-func (s *Server) dropRunners(token string, shardID int) {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	prefix := token + "/"
-	if shardID < 0 {
-		for key, runner := range s.shardRunners {
-			if strings.HasPrefix(key, prefix) {
-				runner.Close()
-				delete(s.shardRunners, key)
-			}
-		}
-		s.dropTokenDesignLocked(token)
-		return
-	}
-	key := runnerKey(token, shardID)
-	if runner := s.shardRunners[key]; runner != nil {
-		runner.Close()
-		delete(s.shardRunners, key)
-	}
-	// Drop the token's shared design with its last engine.
-	for key := range s.shardRunners {
-		if strings.HasPrefix(key, prefix) {
-			return
-		}
-	}
-	s.dropTokenDesignLocked(token)
-}
-
-// dropTokenDesignLocked releases a token's design-cache reference along
-// with its shardDesigns slot. Callers hold shardMu; the cache mutex is
-// a leaf, so taking it under shardMu is within the lock order.
-func (s *Server) dropTokenDesignLocked(token string) {
 	if e := s.shardDesigns[token]; e != nil {
 		s.cache.release(e.entry)
 		delete(s.shardDesigns, token)
-	}
-}
-
-// closeShardRunners drops every hosted shard engine (server shutdown).
-func (s *Server) closeShardRunners() {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	for key, r := range s.shardRunners {
-		r.Close()
-		delete(s.shardRunners, key)
-	}
-	for token := range s.shardDesigns {
-		s.dropTokenDesignLocked(token)
 	}
 }
 
@@ -266,7 +202,7 @@ func (s *Server) closeShardRunners() {
 // internally guarded), so sharing it is safe; everything mutable —
 // timing annotation, padding, noise state — is private to each engine.
 // The token holds one cache reference, released when its last engine
-// drops (dropRunners/closeShardRunners).
+// drops (dropTokenDesign).
 type sharedDesign struct {
 	entry *designEntry
 	opts  core.Options
@@ -282,8 +218,9 @@ type budgetShedError struct{ einfo *ErrorInfo }
 
 func (e *budgetShedError) Error() string { return e.einfo.Message }
 
-// designForToken returns the run token's shared design, building it
-// through the content-addressed design cache on the token's first init.
+// designForToken is the server's shard.EngineSource: it returns the run
+// token's shared design, building it through the content-addressed design
+// cache on the token's first init.
 // A coordinator driving a session and the workers hosting its shards
 // thus share one bound design per process, and two runs over the same
 // sources share one design across tokens. Racing first inits coalesce
@@ -291,13 +228,16 @@ func (e *budgetShedError) Error() string { return e.einfo.Message }
 // its duplicate reference. Build failures are not cached: they are
 // deterministic, and a retried init simply fails the same way.
 func (s *Server) designForToken(ctx context.Context, token string, spec *shard.DesignSpec) (*bind.Design, core.Options, error) {
+	var zero core.Options
+	if spec == nil {
+		return nil, zero, fmt.Errorf("init without a design spec (remote workers build their own engines)")
+	}
 	s.shardMu.Lock()
 	e := s.shardDesigns[token]
 	s.shardMu.Unlock()
 	if e != nil {
 		return e.entry.b, e.opts, nil
 	}
-	var zero core.Options
 	opts, inputs, err := specOpts(spec)
 	if err != nil {
 		return nil, zero, err
@@ -408,10 +348,10 @@ func (s *Server) writeShardErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// handleShardOp executes one coordinator dispatch against a hosted shard
-// engine. Ops pass through the same bounded admission as analyses — a
-// worker past its concurrency budget sheds coordinator dispatches with
-// 429, and the coordinator's retry/re-host machinery absorbs it.
+// handleShardOp executes one coordinator dispatch on the hosted engines.
+// Ops pass through the same bounded admission as analyses — a worker past
+// its concurrency budget sheds coordinator dispatches with 429, and the
+// coordinator's retry/re-host machinery absorbs it.
 func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 	op := r.PathValue("op")
 	if op == shard.OpPing {
@@ -430,127 +370,24 @@ func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	badBody := func(err error) {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-	}
-	switch op {
-	case shard.OpInit:
-		var req shard.InitRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		if req.Design == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: "init without a design spec (remote workers build their own engines)",
-			}, 0)
-			return
-		}
-		spec, token := req.Design, req.Token
-		runner := shard.NewRunner(func(ctx context.Context, owned []string, padding map[string]float64) (*core.ShardEngine, error) {
-			b, opts, err := s.designForToken(ctx, token, spec)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewShardEngine(ctx, b, opts, owned, padding)
-		})
-		if err := runner.Init(ctx, &req); err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.installRunner(req.Token, req.Shard, runner)
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	case shard.OpEval:
-		var req shard.EvalRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		runner := s.runnerFor(req.Token, req.Shard)
-		if runner == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: fmt.Sprintf("eval on uninitialized shard %s/%d", req.Token, req.Shard),
-			}, 0)
-			return
-		}
-		resp, err := runner.Eval(ctx, &req)
-		if err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-	case shard.OpRound:
-		var req shard.RoundRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		runner := s.runnerFor(req.Token, req.Shard)
-		if runner == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: fmt.Sprintf("round on uninitialized shard %s/%d", req.Token, req.Shard),
-			}, 0)
-			return
-		}
-		if err := runner.Round(ctx, &req); err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	case shard.OpDelay:
-		var req shard.DelayRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		runner := s.runnerFor(req.Token, req.Shard)
-		if runner == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: fmt.Sprintf("delay on uninitialized shard %s/%d", req.Token, req.Shard),
-			}, 0)
-			return
-		}
-		resp, err := runner.Delay(ctx, &req)
-		if err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-	case shard.OpCollect:
-		var req shard.CollectRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		runner := s.runnerFor(req.Token, req.Shard)
-		if runner == nil {
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "shard_fatal", Message: fmt.Sprintf("collect on uninitialized shard %s/%d", req.Token, req.Shard),
-			}, 0)
-			return
-		}
-		resp, err := runner.Collect(ctx, &req)
-		if err != nil {
-			s.writeShardErr(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-	case shard.OpClose:
-		var req shard.CloseRequest
-		if err := decodeBody(r.Body, &req); err != nil {
-			badBody(err)
-			return
-		}
-		s.dropRunners(req.Token, req.Shard)
+	var bodyErr error
+	resp, err := s.shardHost.Do(ctx, op, func(req any) error {
+		bodyErr = decodeBody(r.Body, req)
+		return bodyErr
+	})
+	switch {
+	case bodyErr != nil:
+		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: bodyErr.Error()}, 0)
+	case err != nil:
+		s.writeShardErr(w, err)
+	case resp == nil:
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	default:
-		s.writeErr(w, http.StatusNotFound, ErrorInfo{
-			Kind: "bad_request", Message: fmt.Sprintf("unknown shard op %q", op),
-		}, 0)
+		s.writeJSON(w, http.StatusOK, resp)
 	}
 }
 
-// --- snad as coordinator: the iterate endpoint ---
+// --- snad as coordinator: iterate ---
 
 func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
 	var req IterateRequest
@@ -559,50 +396,23 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
-		workers := s.healthyWorkers()
-		if !req.Local && len(workers) > 0 && ss.spec != nil {
-			return s.iterateDistributed(ctx, ss, &req, workers)
-		}
-		return s.iterateLocal(ctx, ss, &req)
+		// Round state persists next to the session journal, keyed by the
+		// session: a restarted server resumes a mid-fixpoint iterate from
+		// its last completed round instead of redoing the run.
+		return s.iterate(ctx, ss, &req, "iterate-"+ss.name, filepath.Join(s.cfg.DataDir, "iterate"))
 	})
 }
 
-func (s *Server) iterateLocal(ctx context.Context, ss *session, req *IterateRequest) (*AnalyzeResponse, error) {
-	out, err := core.AnalyzeIterativeCtx(ctx, ss.b, ss.opts, req.MaxRounds)
-	if err != nil {
-		return nil, err
-	}
-	resp := &AnalyzeResponse{
-		Session: ss.name,
-		Noise:   report.BuildJSON(out.Noise),
-		Iterate: &IterateInfo{
-			Rounds:        out.Rounds,
-			Converged:     out.Converged,
-			Diverging:     out.Diverging,
-			DivergeReason: out.DivergeReason,
-		},
-	}
-	if req.Delay {
-		resp.Delay = report.BuildDelayJSON(out.Delay)
-	}
-	return resp, nil
-}
-
-func (s *Server) iterateDistributed(ctx context.Context, ss *session, req *IterateRequest, workers []shard.Worker) (*AnalyzeResponse, error) {
-	shards := req.Shards
-	if shards <= 0 {
-		shards = s.cfg.Shards
-	}
-	if shards <= 0 {
-		shards = len(workers)
-	}
+// iterate runs the joint noise–delay fixpoint on a session for both
+// callers, the interactive endpoint and iterate jobs: across the healthy
+// workers when there are any (and the request does not force local, and the
+// session kept the sources to ship), in this process otherwise. token keys
+// the run on the workers and its round checkpoint under ckptDir.
+func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, token, ckptDir string) (*AnalyzeResponse, error) {
 	cfg := shard.Config{
 		B:         ss.b,
 		Opts:      ss.opts,
-		Workers:   workers,
-		Shards:    shards,
-		Token:     "iterate-" + ss.name,
-		Design:    designSpecOf(ss.spec),
+		Token:     token,
 		MaxRounds: req.MaxRounds,
 		// Each dispatch gets the same ceiling a worker enforces on its own
 		// requests; a hung worker is declared lost instead of pinning the
@@ -611,31 +421,28 @@ func (s *Server) iterateDistributed(ctx context.Context, ss *session, req *Itera
 		Logf:            s.cfg.Logf,
 	}
 	if s.store != nil {
-		// Round state persists next to the session journal: a coordinator
-		// restart resumes a mid-fixpoint iterate from its last completed
-		// round instead of redoing the run.
-		cfg.Checkpointer = &shard.FileCheckpointer{Dir: filepath.Join(s.cfg.DataDir, "iterate")}
+		cfg.Checkpointer = &shard.FileCheckpointer{Dir: ckptDir}
 	}
-	out, err := shard.Run(ctx, cfg)
+	run, info := shard.RunLocal, &IterateInfo{}
+	if workers := s.healthyWorkers(); !req.Local && len(workers) > 0 && ss.spec != nil {
+		cfg.Workers, cfg.Shards, cfg.Design = workers, req.Shards, designSpecOf(ss.spec)
+		if cfg.Shards <= 0 {
+			cfg.Shards = s.cfg.Shards
+		}
+		if cfg.Shards <= 0 {
+			cfg.Shards = len(workers)
+		}
+		run = shard.Run
+		info.Distributed, info.Workers, info.Shards = true, len(workers), cfg.Shards
+	}
+	out, err := run(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	resp := &AnalyzeResponse{
-		Session: ss.name,
-		Noise:   report.BuildJSON(out.Noise),
-		Iterate: &IterateInfo{
-			Rounds:          out.Rounds,
-			Converged:       out.Converged,
-			Diverging:       out.Diverging,
-			DivergeReason:   out.DivergeReason,
-			Distributed:     true,
-			Workers:         len(workers),
-			Shards:          shards,
-			Reassigns:       out.Reassigns,
-			AbandonedShards: out.AbandonedShards,
-			Resumed:         out.Resumed,
-		},
-	}
+	info.Rounds, info.Converged = out.Rounds, out.Converged
+	info.Diverging, info.DivergeReason = out.Diverging, out.DivergeReason
+	info.Reassigns, info.AbandonedShards, info.Resumed = out.Reassigns, out.AbandonedShards, out.Resumed
+	resp := &AnalyzeResponse{Session: ss.name, Noise: report.BuildJSON(out.Noise), Iterate: info}
 	if req.Delay {
 		resp.Delay = report.BuildDelayJSON(out.Delay)
 	}

@@ -8,14 +8,17 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/wal"
 )
 
-// Checkpoint is the coordinator's durable round state: everything needed
-// to resume the global noise–delay fixpoint after a coordinator restart.
-// The analysis state itself is NOT saved — padding-seeded engine rebuilds
-// are exactly equivalent to the incremental path (the core.Session rebuild
-// contract), so the cumulative padding plus the divergence-watchdog state
-// is the whole fixpoint.
+// Checkpoint is the durable form of core.RoundState: everything needed to
+// resume the noise–delay fixpoint after a restart. The analysis state
+// itself is NOT saved — padding-seeded engine rebuilds are exactly
+// equivalent to the incremental path (the core.Session rebuild contract),
+// so the cumulative padding plus the divergence-watchdog state is the whole
+// fixpoint.
 type Checkpoint struct {
 	// Token identifies the run (sessions use their name).
 	Token string `json:"token"`
@@ -32,8 +35,8 @@ type Checkpoint struct {
 	SavedAt string `json:"savedAt,omitempty"`
 }
 
-// Checkpointer persists coordinator round state between rounds. A nil
-// Checkpointer in Config disables persistence.
+// Checkpointer persists round state between rounds. A nil Checkpointer in
+// Config disables persistence.
 type Checkpointer interface {
 	// Save durably records cp, replacing any previous checkpoint for its
 	// token.
@@ -46,8 +49,9 @@ type Checkpointer interface {
 }
 
 // FileCheckpointer stores one JSON checkpoint file per token under Dir,
-// written atomically (temp file, fsync, rename) in the durable-store
-// style, so a crash mid-save leaves the previous checkpoint intact.
+// written with wal.WriteFileAtomic (temp file, fsync, rename, directory
+// fsync), so a crash mid-save leaves the previous checkpoint intact and an
+// acknowledged save survives power loss.
 type FileCheckpointer struct {
 	Dir string
 }
@@ -76,24 +80,8 @@ func (f *FileCheckpointer) Save(cp *Checkpoint) error {
 		return fmt.Errorf("shard: marshal checkpoint: %w", err)
 	}
 	data = append(data, '\n')
-	tmp, err := os.CreateTemp(f.Dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("shard: checkpoint temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	if err := wal.WriteFileAtomic(f.ckptFile(cp.Token), data, wal.Hooks{}); err != nil {
 		return fmt.Errorf("shard: write checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("shard: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("shard: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), f.ckptFile(cp.Token)); err != nil {
-		return fmt.Errorf("shard: publish checkpoint: %w", err)
 	}
 	return nil
 }
@@ -126,25 +114,52 @@ func (f *FileCheckpointer) Clear(token string) error {
 	return nil
 }
 
-// saveCheckpoint records one completed round, fail-soft: a checkpointing
-// failure must not take down a healthy analysis, so it only logs.
-func (r *run) saveCheckpoint(round int, prevGrowth float64, stalled int) {
-	c := r.cfg.Checkpointer
+// checkpointed runs one fixpoint under cfg's checkpoint discipline: loop
+// is handed the state to start from (a loaded checkpoint's, or a fresh one)
+// and the after-round hook that saves; a completed run clears its
+// checkpoint. Loading and saving are fail-soft — a checkpointing failure
+// must not take down a healthy analysis, so it only logs.
+func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error)) (*Outcome, error) {
+	from := core.RoundState{Padding: make(map[string]float64)}
+	c := cfg.Checkpointer
 	if c == nil {
-		return
+		return loop(from, nil)
 	}
-	cp := &Checkpoint{
-		Token:   r.cfg.Token,
-		Round:   round,
-		Padding: padEntries(r.padding),
-		Stalled: stalled,
-		SavedAt: time.Now().UTC().Format(time.RFC3339Nano),
+	cp, err := c.Load(cfg.Token)
+	switch {
+	case err != nil:
+		cfg.Logf("shard: checkpoint load failed, starting fresh: %v", err)
+	case cp != nil:
+		for _, e := range cp.Padding {
+			from.Padding[e.Net] = e.Pad
+		}
+		from.Round, from.Stalled, from.PrevGrowth = cp.Round, cp.Stalled, math.Inf(1)
+		if cp.PrevGrowth != nil {
+			from.PrevGrowth = *cp.PrevGrowth
+		}
+		cfg.Logf("shard: resuming after round %d (%d padded nets)", cp.Round, len(cp.Padding))
 	}
-	if !math.IsInf(prevGrowth, 1) {
-		pg := prevGrowth
-		cp.PrevGrowth = &pg
+	out, err := loop(from, func(st core.RoundState) {
+		save := &Checkpoint{
+			Token:   cfg.Token,
+			Round:   st.Round,
+			Padding: padEntries(st.Padding),
+			Stalled: st.Stalled,
+			SavedAt: time.Now().UTC().Format(time.RFC3339Nano),
+		}
+		if !math.IsInf(st.PrevGrowth, 1) {
+			save.PrevGrowth = &st.PrevGrowth
+		}
+		if err := c.Save(save); err != nil {
+			cfg.Logf("shard: checkpoint save for round %d failed (continuing): %v", st.Round, err)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := c.Save(cp); err != nil {
-		r.cfg.Logf("shard: checkpoint save for round %d failed (continuing): %v", round, err)
+	out.Resumed = cp != nil
+	if err := c.Clear(cfg.Token); err != nil {
+		cfg.Logf("shard: checkpoint clear failed: %v", err)
 	}
+	return out, nil
 }

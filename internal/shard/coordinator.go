@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,27 +11,23 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
-	"repro/internal/units"
 )
 
-// Config parameterizes one coordinated distributed analysis.
+// Config parameterizes one noise↔delay fixpoint run, coordinated across
+// workers (Run) or in this process (RunLocal).
 type Config struct {
 	// B is the bound design. The coordinator uses it only to derive the
 	// shard plan and the effective supply voltage; the analysis itself runs
 	// on the workers.
 	B *bind.Design
-	// Opts are the analysis options, shared verbatim with every engine.
-	// MaxIter, NoPropagation, Mode, and RoundBudget also steer the
-	// coordinator's own loop so it replicates AnalyzeIterative exactly.
+	// Opts are the analysis options, shared verbatim with every engine and
+	// with the loop driver (MaxIter, NoPropagation, RoundBudget).
 	Opts core.Options
 	// Workers are the execution backends. Shards are assigned round-robin
 	// and reassigned to surviving workers when one is lost.
 	Workers []Worker
 	// Shards is the partition size (default: one per worker).
 	Shards int
-	// Seed steers the pseudo-random partition growth (deterministic per
-	// seed).
-	Seed int64
 	// Token names the run; it routes requests on shared workers and keys
 	// the checkpoint.
 	Token string
@@ -41,39 +36,25 @@ type Config struct {
 	Design *DesignSpec
 	// MaxRounds bounds the outer noise–delay loop (default 8).
 	MaxRounds int
-	// Plan and Assignment override the derived schedule and partition
-	// (tests); nil derives both from B, Shards, and Seed.
-	Plan       *core.ShardPlan
-	Assignment *Assignment
 	// DispatchTimeout bounds each dispatch attempt (0 = only the run
 	// context limits it).
 	DispatchTimeout time.Duration
-	// Attempts is how many times one dispatch is tried on a worker before
-	// the worker is declared lost (default 2).
-	Attempts int
-	// Backoff is the base delay between attempts on the same worker,
-	// growing linearly (0 = immediate retry).
-	Backoff time.Duration
 	// Checkpointer persists round state for crash resume (nil = off).
 	Checkpointer Checkpointer
 	// Logf receives coordinator progress and degradation logs (nil = quiet).
 	Logf func(format string, args ...any)
 }
 
-// Outcome is the merged result of a distributed run. For a healthy run it
-// is byte-identical (after report serialization) to AnalyzeIterative on
-// the same design and options; under worker loss it is a sound
-// conservative report with the loss recorded in Noise.Diags.
+// attempts is how many times one dispatch is tried on a worker before the
+// worker is declared lost.
+const attempts = 2
+
+// Outcome is the result of a run. For a healthy distributed run it is
+// byte-identical (after report serialization) to AnalyzeIterative on the
+// same design and options; under worker loss it is a sound conservative
+// report with the loss recorded in Noise.Diags.
 type Outcome struct {
-	Noise *core.Result
-	Delay *core.DelayResult
-	// Padding, Rounds, Converged, Diverging, and DivergeReason mirror
-	// core.IterativeResult.
-	Padding       map[string]float64
-	Rounds        int
-	Converged     bool
-	Diverging     bool
-	DivergeReason string
+	core.IterativeResult
 	// Degraded reports any fail-soft degradation, including abandoned
 	// shards (equivalent to len(Noise.Diags) > 0).
 	Degraded bool
@@ -90,7 +71,9 @@ type Outcome struct {
 // full-rail fallback; the phase skips it and the run stays sound.
 var errAbandoned = errors.New("shard: abandoned")
 
-// run is the mutable state of one coordinated analysis.
+// run is the mutable state of one coordinated analysis. It is the
+// distributed core.Phases: each phase dispatches to the workers hosting the
+// shards. The loops that call the phases are core's.
 type run struct {
 	cfg       Config
 	plan      *core.ShardPlan
@@ -99,7 +82,6 @@ type run struct {
 	// present[s][w] reports shard s owning nets in wave w — waves without
 	// owned nets are never dispatched to s.
 	present [][]bool
-	maxIter int
 	frEvent core.Event
 	frComb  core.Combined
 
@@ -116,10 +98,16 @@ type run struct {
 	padding map[string]float64
 	// progress is how many waves of the current pass are complete — the
 	// warm-up horizon for a rebuilt engine (see reinit).
-	progress    int
+	progress int
+	// passChanged collects, since the last EvalWave returned, whether a
+	// shard committed beyond tolerance or was abandoned — importers must
+	// re-evaluate against the bound before a pass may converge.
 	passChanged bool
-	needExtra   bool
 	reassigns   int
+	// passes and converged are the last round's fixpoint statistics, kept
+	// for the merged Stats.
+	passes    int
+	converged bool
 }
 
 // Run executes the distributed noise–delay fixpoint: partition, fan out,
@@ -129,6 +117,9 @@ type run struct {
 // an error only for cancellation, a deterministic analysis failure (which
 // would equally fail single-process), or a setup problem; worker loss
 // never fails the run.
+//
+// The round and pass loops are core.RunIterative's; here is only what is
+// distributed: partition, boundary routing, retry/re-host/abandon, merge.
 func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 	if cfg.B == nil {
 		return nil, fmt.Errorf("shard: coordinator needs a bound design")
@@ -136,45 +127,29 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("shard: coordinator needs at least one worker")
 	}
-	if cfg.Token == "" {
-		cfg.Token = "run"
+	cfg.fill()
+	plan, err := core.BuildShardPlan(ctx, cfg.B)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = len(cfg.Workers)
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 2
-	}
-	plan := cfg.Plan
-	if plan == nil {
-		var err error
-		if plan, err = core.BuildShardPlan(ctx, cfg.B); err != nil {
-			return nil, err
-		}
-	}
-	asn := cfg.Assignment
-	if asn == nil {
-		shards := cfg.Shards
-		if shards <= 0 {
-			shards = len(cfg.Workers)
-		}
-		var err error
-		if asn, err = Partition(plan, shards, cfg.Seed); err != nil {
-			return nil, err
-		}
+	asn, err := Partition(plan, shards, 0)
+	if err != nil {
+		return nil, err
 	}
 	r := &run{
 		cfg:       cfg,
 		plan:      plan,
 		asn:       asn,
 		importers: asn.ImportersOf(),
-		maxIter:   core.DefaultMaxIter(cfg.Opts.MaxIter),
 		hosts:     make([]int, asn.Shards),
 		alive:     make([]bool, len(cfg.Workers)),
 		cause:     make([]error, asn.Shards),
 		combs:     make(map[string][2]core.Combined, len(plan.Order)),
 		pending:   make([]map[string]bool, asn.Shards),
-		padding:   make(map[string]float64),
 	}
 	r.frEvent, r.frComb = core.FullRail(core.EffectiveVdd(cfg.B, cfg.Opts))
 	for s := range r.hosts {
@@ -193,121 +168,81 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 			r.present[asn.Owner[net]][wi] = true
 		}
 	}
+	return cfg.checkpointed(func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error) {
+		r.padding = from.Padding
+		res, err := core.RunIterative(ctx, r, cfg.Opts, cfg.MaxRounds, from, afterRound)
+		if err != nil {
+			return nil, err
+		}
+		cols, err := r.collectAll(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out := &Outcome{IterativeResult: *res}
+		r.assemble(out, cols)
+		r.closeAll()
+		return out, nil
+	})
+}
 
-	out := &Outcome{Padding: r.padding}
-	startRound := 1
-	prevGrowth := math.Inf(1)
-	stalled := 0
-	if cfg.Checkpointer != nil {
-		cp, err := cfg.Checkpointer.Load(cfg.Token)
-		switch {
-		case err != nil:
-			cfg.Logf("shard: checkpoint load failed, starting fresh: %v", err)
-		case cp != nil:
-			for _, e := range cp.Padding {
-				r.padding[e.Net] = e.Pad
-			}
-			startRound = cp.Round + 1
-			if cp.PrevGrowth != nil {
-				prevGrowth = *cp.PrevGrowth
-			}
-			stalled = cp.Stalled
-			out.Resumed = true
-			cfg.Logf("shard: resuming after round %d (%d padded nets)", cp.Round, len(cp.Padding))
+// RunLocal is Run without workers: the same loop over the single-process
+// engine, under the same checkpoint discipline. Of cfg it reads B, Opts,
+// MaxRounds, Token, Checkpointer and Logf.
+func RunLocal(ctx context.Context, cfg Config) (*Outcome, error) {
+	cfg.fill()
+	return cfg.checkpointed(func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error) {
+		res, err := core.ResumeIterativeCtx(ctx, cfg.B, cfg.Opts, cfg.MaxRounds, from, afterRound)
+		if err != nil {
+			return nil, err
 		}
-	}
+		return &Outcome{IterativeResult: *res, Degraded: len(res.Noise.Diags) > 0}, nil
+	})
+}
 
-	maxRounds := core.DefaultMaxRounds(cfg.MaxRounds)
-	var (
-		changed    []string
-		impacts    []core.DelayImpact
-		iterations int
-		converged  bool
-		completed  bool
-	)
-	// The round loop below replicates AnalyzeIterativeCtx verbatim —
-	// growth rule, watchdog, and diverge reasons — with the three engine
-	// phases (fixpoint, delay, padding update) dispatched to shards.
-	for round := startRound; round <= maxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if round == startRound {
-			// First (or resumed) round: build every shard's engine, seeded
-			// with the cumulative padding.
-			if err := r.initAll(ctx); err != nil {
-				return nil, err
-			}
-		} else if err := r.applyRoundAll(ctx, changed); err != nil {
-			return nil, err
-		}
-		var err error
-		if iterations, converged, err = r.fixpoint(ctx); err != nil {
-			return nil, err
-		}
-		if impacts, err = r.delayAll(ctx); err != nil {
-			return nil, err
-		}
-		out.Rounds = round
-		grew := false
-		var growth float64
-		changed = changed[:0]
-		for _, im := range impacts {
-			if im.Delta > r.padding[im.Net]+core.PaddingTol {
-				growth = math.Max(growth, im.Delta-r.padding[im.Net])
-				r.padding[im.Net] = im.Delta
-				changed = append(changed, im.Net)
-				grew = true
-			}
-		}
-		if !grew {
-			out.Converged = true
-			completed = true
-			break
-		}
-		if cfg.Opts.RoundBudget > 0 {
-			if elapsed := time.Since(start); elapsed > cfg.Opts.RoundBudget {
-				out.Diverging = true
-				out.DivergeReason = fmt.Sprintf("round %d took %s, over the %s budget",
-					round, elapsed.Round(time.Millisecond), cfg.Opts.RoundBudget)
-				completed = true
-				break
-			}
-		}
-		if growth >= prevGrowth-core.PaddingTol {
-			stalled++
-		} else {
-			stalled = 0
-		}
-		if stalled >= 2 {
-			out.Diverging = true
-			out.DivergeReason = fmt.Sprintf(
-				"padding growth not contracting for %d rounds (latest %.3gps/round)",
-				stalled, growth/units.Pico)
-			completed = true
-			break
-		}
-		prevGrowth = growth
-		r.saveCheckpoint(round, prevGrowth, stalled)
+func (cfg *Config) fill() {
+	if cfg.Token == "" {
+		cfg.Token = "run"
 	}
-	if !completed {
-		out.Diverging = true
-		out.DivergeReason = fmt.Sprintf("padding still growing after %d rounds", maxRounds)
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
+}
 
-	cols, err := r.collectAll(ctx)
+// BeginRound implements core.Phases: the first round builds every shard's
+// engine, seeded with the cumulative padding (empty on a fresh run, the
+// checkpoint's on resume); later rounds push the growth to every live shard.
+func (r *run) BeginRound(ctx context.Context, changed []string) (int, error) {
+	r.setProgress(0)
+	if changed == nil {
+		return len(r.plan.Waves), r.initAll(ctx)
+	}
+	return len(r.plan.Waves), r.applyRoundAll(ctx, changed)
+}
+
+// EvalWave implements core.Phases: dispatch the wave to every shard owning
+// nets in it, then report (and reset) whether anything moved.
+func (r *run) EvalWave(ctx context.Context, wi int) (bool, error) {
+	r.setProgress(wi)
+	if err := r.evalWaveAll(ctx, wi); err != nil {
+		return false, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	changed := r.passChanged
+	r.passChanged = false
+	return changed, nil
+}
+
+// DelayImpacts implements core.Phases. The diagnostics of the result are
+// filled in by the merge, once the shards' are known.
+func (r *run) DelayImpacts(ctx context.Context, passes int, converged bool) (*core.DelayResult, error) {
+	r.setProgress(len(r.plan.Waves))
+	r.passes, r.converged = passes, converged
+	impacts, err := r.delayAll(ctx)
 	if err != nil {
 		return nil, err
 	}
-	r.assemble(out, cols, impacts, iterations, converged)
-	r.closeAll()
-	if cfg.Checkpointer != nil {
-		if err := cfg.Checkpointer.Clear(cfg.Token); err != nil {
-			cfg.Logf("shard: checkpoint clear failed: %v", err)
-		}
-	}
-	return out, nil
+	return &core.DelayResult{Mode: r.cfg.Opts.Mode, Impacts: impacts}, nil
 }
 
 func (r *run) nextSeq() int { return int(r.seq.Add(1)) }
@@ -344,24 +279,17 @@ func isFatal(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// tryWorker runs one dispatch on one worker with per-attempt timeout,
-// linear backoff, and bounded retries. Fatal and engine-broken errors
-// return immediately (retrying in place cannot help); transient errors
-// (timeouts, transport loss, injected faults) are retried Attempts times
-// before the caller declares the worker lost.
+// tryWorker runs one dispatch on one worker with per-attempt timeout and
+// bounded retries. Fatal and engine-broken errors return immediately
+// (retrying in place cannot help); transient errors (timeouts, transport
+// loss, injected faults) are retried before the caller declares the worker
+// lost.
 func (r *run) tryWorker(ctx context.Context, wi, shard int, op string, req routed, resp any) error {
-	req.setRoute(r.cfg.Token, shard)
+	*req.route() = Route{Token: r.cfg.Token, Shard: shard}
 	var last error
-	for att := 0; att < r.cfg.Attempts; att++ {
+	for att := 0; att < attempts; att++ {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if att > 0 && r.cfg.Backoff > 0 {
-			select {
-			case <-time.After(time.Duration(att) * r.cfg.Backoff):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
 		}
 		actx := ctx
 		cancel := func() {}
@@ -408,34 +336,37 @@ func (r *run) dispatch(ctx context.Context, shard int, op string, req routed, re
 		if err == nil {
 			return nil
 		}
-		if isFatal(err) {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if errors.Is(err, ErrEngineBroken) && brokenTries == 0 {
+		if errors.Is(err, ErrEngineBroken) && brokenTries == 0 && ctx.Err() == nil {
 			// The engine refused work after a half-applied update; rebuild
 			// it in place once. A second broken answer means the rebuild
 			// path itself is failing — treat the worker as lost.
 			brokenTries++
-			rerr := r.reinit(ctx, shard, wi)
-			if rerr == nil {
+			if err = r.reinit(ctx, shard, wi); err == nil {
 				continue
 			}
-			if isFatal(rerr) {
-				return rerr
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			err = rerr
 		}
-		r.markDead(wi, err)
+		if aerr := r.lost(ctx, wi, err); aerr != nil {
+			return aerr
+		}
 		if rerr := r.rehost(ctx, shard); rerr != nil {
 			return rerr
 		}
 	}
+}
+
+// lost classifies a failed dispatch to worker wi. A deterministic failure
+// or a cancelled run is returned, to abort with; anything else means the
+// worker is gone: it is marked dead and nil returned, so the caller
+// re-hosts.
+func (r *run) lost(ctx context.Context, wi int, err error) error {
+	if isFatal(err) {
+		return err
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	r.markDead(wi, err)
+	return nil
 }
 
 func (r *run) workerAlive(wi int) bool {
@@ -487,13 +418,9 @@ func (r *run) rehost(ctx context.Context, shard int) error {
 		if err == nil {
 			return nil
 		}
-		if isFatal(err) {
-			return err
+		if aerr := r.lost(ctx, cand, err); aerr != nil {
+			return aerr
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		r.markDead(cand, err)
 	}
 }
 
@@ -540,7 +467,7 @@ func (r *run) reinit(ctx context.Context, shard, wi int) error {
 		if err := r.tryWorker(ctx, wi, shard, OpEval, ereq, eresp); err != nil {
 			return err
 		}
-		r.applyUpdates(shard, eresp.Updates)
+		r.applyEval(shard, eresp)
 	}
 	return nil
 }
@@ -566,10 +493,7 @@ func (r *run) abandon(shard int, cause error) {
 			}
 		}
 	}
-	// Importers must re-evaluate against the bound, and the fixpoint must
-	// not conclude on a pass that missed these pushes.
 	r.passChanged = true
-	r.needExtra = true
 	r.cfg.Logf("shard: abandoning shard %d (%d nets degrade to full-rail): %v",
 		shard, len(r.asn.Owned[shard]), cause)
 }
@@ -597,15 +521,14 @@ func (r *run) takeBoundary(shard int) []NetComb {
 	return out
 }
 
-// applyUpdates commits a shard's wave updates to the authoritative state
-// and queues them for every shard importing the changed nets.
-func (r *run) applyUpdates(shard int, ups []NetComb) {
-	if len(ups) == 0 {
-		return
-	}
+// applyEval commits a shard's wave response: its forwarded combinations go
+// into the authoritative state and are queued for every shard importing
+// those nets (all of them — "forward" is the engine's exact test, not the
+// convergence one), and its changed bit feeds the pass loop.
+func (r *run) applyEval(shard int, resp *EvalResponse) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, u := range ups {
+	for _, u := range resp.Updates {
 		r.combs[u.Net] = combsFromWire(u.Comb)
 		for _, t := range r.importers[u.Net] {
 			if t != shard && r.hosts[t] >= 0 {
@@ -613,7 +536,7 @@ func (r *run) applyUpdates(shard int, ups []NetComb) {
 			}
 		}
 	}
-	r.passChanged = true
+	r.passChanged = r.passChanged || resp.Changed
 }
 
 // forEachShard runs fn concurrently over the given shards and returns the
@@ -641,20 +564,17 @@ func (r *run) forEachShard(shards []int, fn func(s int) error) error {
 // initAll builds every live shard's engine, seeded with the cumulative
 // padding (empty on a fresh run, the checkpoint's on resume).
 func (r *run) initAll(ctx context.Context) error {
-	r.setProgress(0)
 	return r.forEachShard(r.liveShards(), func(s int) error {
 		wi := r.hostOf(s)
 		if wi < 0 {
 			return errAbandoned
 		}
-		if err := r.reinit(ctx, s, wi); err == nil {
+		err := r.reinit(ctx, s, wi)
+		if err == nil {
 			return nil
-		} else if isFatal(err) {
-			return err
-		} else if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		} else {
-			r.markDead(wi, err)
+		}
+		if aerr := r.lost(ctx, wi, err); aerr != nil {
+			return aerr
 		}
 		return r.rehost(ctx, s)
 	})
@@ -662,7 +582,6 @@ func (r *run) initAll(ctx context.Context) error {
 
 // applyRoundAll pushes one round of padding growth to every live shard.
 func (r *run) applyRoundAll(ctx context.Context, changed []string) error {
-	r.setProgress(0)
 	entries := make([]PadEntry, len(changed))
 	r.mu.Lock()
 	for i, net := range changed {
@@ -670,48 +589,8 @@ func (r *run) applyRoundAll(ctx context.Context, changed []string) error {
 	}
 	r.mu.Unlock()
 	return r.forEachShard(r.liveShards(), func(s int) error {
-		return r.dispatch(ctx, s, OpRound, &RoundRequest{Shard: s, Changed: entries}, nil)
+		return r.dispatch(ctx, s, OpRound, &RoundRequest{Changed: entries}, nil)
 	})
-}
-
-// fixpoint runs the within-round propagation fixpoint in lockstep wave
-// dispatches, replicating runFixpoint's pass accounting: passes repeat
-// until one commits no change (or NoPropagation makes one pass exact),
-// bounded by MaxIter. A pass disturbed by a re-hosting or an abandonment
-// is followed by at least one more, so convergence is never declared on a
-// pass that missed recovery traffic.
-func (r *run) fixpoint(ctx context.Context) (int, bool, error) {
-	iterations, converged := 0, false
-	for iter := 0; iter < r.maxIter; iter++ {
-		if err := ctx.Err(); err != nil {
-			return iterations, false, err
-		}
-		iterations++
-		r.mu.Lock()
-		r.passChanged = false
-		r.progress = 0
-		r.mu.Unlock()
-		for wi := range r.plan.Waves {
-			r.setProgress(wi)
-			if err := r.evalWaveAll(ctx, wi); err != nil {
-				return iterations, false, err
-			}
-		}
-		r.mu.Lock()
-		changed := r.passChanged
-		extra := r.needExtra
-		r.needExtra = false
-		r.mu.Unlock()
-		if extra {
-			continue
-		}
-		if !changed || r.cfg.Opts.NoPropagation {
-			converged = true
-			break
-		}
-	}
-	r.setProgress(len(r.plan.Waves))
-	return iterations, converged, nil
 }
 
 // evalWaveAll dispatches one wave to every shard owning nets in it,
@@ -724,12 +603,12 @@ func (r *run) evalWaveAll(ctx context.Context, wi int) error {
 		}
 	}
 	return r.forEachShard(shards, func(s int) error {
-		req := &EvalRequest{Seq: r.nextSeq(), Shard: s, Wave: wi, Boundary: r.takeBoundary(s)}
+		req := &EvalRequest{Seq: r.nextSeq(), Wave: wi, Boundary: r.takeBoundary(s)}
 		resp := &EvalResponse{}
 		if err := r.dispatch(ctx, s, OpEval, req, resp); err != nil {
 			return err
 		}
-		r.applyUpdates(s, resp.Updates)
+		r.applyEval(s, resp)
 		return nil
 	})
 }
@@ -738,55 +617,36 @@ func (r *run) evalWaveAll(ctx context.Context, wi int) error {
 // concatenation with the engine's own (total) comparator, yielding exactly
 // the single-process impact order.
 func (r *run) delayAll(ctx context.Context) ([]core.DelayImpact, error) {
-	shards := r.liveShards()
-	per := make([][]core.DelayImpact, len(shards))
-	err := r.forEachShard(shards, func(s int) error {
-		resp := &DelayResponse{}
-		if err := r.dispatch(ctx, s, OpDelay, &DelayRequest{Shard: s}, resp); err != nil {
-			return err
-		}
-		ims := make([]core.DelayImpact, 0, len(resp.Impacts))
-		for _, iw := range resp.Impacts {
-			ims = append(ims, iw.impact())
-		}
-		for i, ss := range shards {
-			if ss == s {
-				per[i] = ims
-				break
-			}
-		}
-		return nil
+	per := make([]DelayResponse, r.asn.Shards)
+	err := r.forEachShard(r.liveShards(), func(s int) error {
+		return r.dispatch(ctx, s, OpDelay, &DelayRequest{}, &per[s])
 	})
 	if err != nil {
 		return nil, err
 	}
 	var all []core.DelayImpact
-	for _, ims := range per {
-		all = append(all, ims...)
+	for _, resp := range per {
+		for _, iw := range resp.Impacts {
+			all = append(all, iw.impact())
+		}
 	}
 	core.SortImpacts(all)
 	return all, nil
 }
 
-// collectAll gathers every live shard's slice of the final result.
-func (r *run) collectAll(ctx context.Context) (map[int]*CollectResponse, error) {
-	shards := r.liveShards()
-	var mu sync.Mutex
-	cols := make(map[int]*CollectResponse, len(shards))
-	err := r.forEachShard(shards, func(s int) error {
+// collectAll gathers every live shard's slice of the final result, by
+// shard; an abandoned shard's entry stays nil.
+func (r *run) collectAll(ctx context.Context) ([]*CollectResponse, error) {
+	cols := make([]*CollectResponse, r.asn.Shards)
+	err := r.forEachShard(r.liveShards(), func(s int) error {
 		resp := &CollectResponse{}
-		if err := r.dispatch(ctx, s, OpCollect, &CollectRequest{Shard: s}, resp); err != nil {
+		if err := r.dispatch(ctx, s, OpCollect, &CollectRequest{}, resp); err != nil {
 			return err
 		}
-		mu.Lock()
 		cols[s] = resp
-		mu.Unlock()
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cols, nil
+	return cols, err
 }
 
 // closeAll releases worker-side engines, best effort.
@@ -797,8 +657,7 @@ func (r *run) closeAll() {
 		if !r.workerAlive(wi) {
 			continue
 		}
-		req := &CloseRequest{Shard: -1}
-		req.setRoute(r.cfg.Token, -1)
+		req := &CloseRequest{Route{Token: r.cfg.Token, Shard: -1}}
 		if err := w.Do(ctx, OpClose, req, nil); err != nil {
 			r.cfg.Logf("shard: close on worker %s failed: %v", w.Name(), err)
 		}
@@ -812,7 +671,7 @@ func (r *run) closeAll() {
 // sequence checkViolations produces, which matters because that sort's
 // comparator is not total. Abandoned shards contribute synthesized
 // full-rail records and StageShard degradation diags instead.
-func (r *run) assemble(out *Outcome, cols map[int]*CollectResponse, impacts []core.DelayImpact, iterations int, converged bool) {
+func (r *run) assemble(out *Outcome, cols []*CollectResponse) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := append([]string(nil), r.plan.Order...)
@@ -823,38 +682,27 @@ func (r *run) assemble(out *Outcome, cols map[int]*CollectResponse, impacts []co
 	}
 	stats := core.Stats{
 		Victims:    len(r.plan.Order),
-		Iterations: iterations,
-		Converged:  converged,
+		Iterations: r.passes,
+		Converged:  r.converged,
 	}
-	type groups struct {
-		v  map[string][]core.Violation
-		sl map[string][]core.ReceiverSlack
-	}
-	byShard := make(map[int]*groups, len(cols))
+	// A net's violations and slacks all come from the shard owning it, so
+	// grouping by net keeps each shard's per-net sequence intact.
+	v := make(map[string][]core.Violation)
+	sl := make(map[string][]core.ReceiverSlack)
 	var diags []core.Diag
-	shardIDs := make([]int, 0, len(cols))
-	for s := range cols {
-		shardIDs = append(shardIDs, s)
-	}
-	sort.Ints(shardIDs)
-	for _, s := range shardIDs {
-		col := cols[s]
+	for _, col := range cols {
+		if col == nil {
+			continue
+		}
 		stats.AggressorPairs += col.Pairs
 		stats.Filtered += col.Filtered
 		stats.Propagated += col.Propagated
-		g := &groups{
-			v:  make(map[string][]core.Violation),
-			sl: make(map[string][]core.ReceiverSlack),
-		}
 		for _, vw := range col.Violations {
-			v := vw.violation()
-			g.v[v.Net] = append(g.v[v.Net], v)
+			v[vw.Net] = append(v[vw.Net], vw.violation())
 		}
 		for _, sw := range col.Slacks {
-			sl := sw.slack()
-			g.sl[sl.Net] = append(g.sl[sl.Net], sl)
+			sl[sw.Net] = append(sl[sw.Net], sw.slack())
 		}
-		byShard[s] = g
 		for _, nw := range col.Nets {
 			noise.Nets[nw.Net] = nw.netNoise()
 		}
@@ -884,10 +732,8 @@ func (r *run) assemble(out *Outcome, cols map[int]*CollectResponse, impacts []co
 	var vs []core.Violation
 	var sls []core.ReceiverSlack
 	for _, name := range names {
-		if g := byShard[r.asn.Owner[name]]; g != nil {
-			vs = append(vs, g.v[name]...)
-			sls = append(sls, g.sl[name]...)
-		}
+		vs = append(vs, v[name]...)
+		sls = append(sls, sl[name]...)
 	}
 	core.SortViolations(vs)
 	core.SortSlacks(sls)
@@ -898,7 +744,7 @@ func (r *run) assemble(out *Outcome, cols map[int]*CollectResponse, impacts []co
 	stats.DegradedNets = len(diags)
 	noise.Stats = stats
 	out.Noise = noise
-	out.Delay = &core.DelayResult{Mode: r.cfg.Opts.Mode, Impacts: impacts, Diags: diags}
+	out.Delay.Diags = diags
 	out.Degraded = len(diags) > 0
 	out.Reassigns = r.reassigns
 }

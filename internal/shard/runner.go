@@ -23,21 +23,17 @@ func fatalUnlessCtx(err error) error {
 	return &FatalError{Err: err}
 }
 
-// BuildEngine constructs a shard engine over the worker's design. A
-// bound design is immutable after binding (its levelization and RC
-// analysis caches are internally guarded), so a worker hosting several
-// shards of one run shares a single design across their engines:
-// in-process workers memoize their BuildDesign source, and the snad
-// server caches one parsed design per run token. All per-engine mutable
-// state (timing, padding, noise) is private to the engine.
+// BuildEngine constructs a shard engine over the worker's design (shared
+// across the worker's engines, see EngineSource).
 type BuildEngine func(ctx context.Context, owned []string, padding map[string]float64) (*core.ShardEngine, error)
 
 // Runner hosts one shard's engine behind the op protocol. It owns the two
 // pieces of protocol state that make dispatch retries exact:
 //
-//   - the eval memo: updates are accumulated per eval Seq across attempts,
-//     so a retried dispatch whose predecessor half-ran (or ran fully but
-//     lost its response) returns every commit since the wave began;
+//   - the eval memo: forwarded updates and the pass-changed bit are
+//     accumulated per eval Seq across attempts, so a retried dispatch whose
+//     predecessor half-ran (or ran fully but lost its response) reports
+//     every commit since the wave began;
 //
 //   - the broken flag: a padding update that dies halfway leaves the
 //     timing annotation inconsistent, so the engine refuses further work
@@ -53,10 +49,12 @@ type Runner struct {
 	eng     *core.ShardEngine
 	broken  error
 	evalSeq int
-	// pending accumulates the committed combinations of the current eval
-	// Seq; evalDone marks the wave fully evaluated (a duplicate dispatch
-	// then replays the response without re-running).
+	// pending and changed accumulate the forwarded combinations and the
+	// pass-changed bit of the current eval Seq; evalDone marks the wave
+	// fully evaluated (a duplicate dispatch then replays the response
+	// without re-running).
 	pending  map[string][2]core.Combined
+	changed  bool
 	evalDone bool
 }
 
@@ -80,9 +78,14 @@ func (r *Runner) Init(ctx context.Context, req *InitRequest) error {
 	r.eng = eng
 	r.broken = nil
 	r.evalSeq = 0
-	r.pending = nil
-	r.evalDone = false
+	r.resetMemo()
 	return nil
+}
+
+func (r *Runner) resetMemo() {
+	r.pending = nil
+	r.changed = false
+	r.evalDone = false
 }
 
 func (r *Runner) engine() (*core.ShardEngine, error) {
@@ -107,8 +110,7 @@ func (r *Runner) Eval(ctx context.Context, req *EvalRequest) (*EvalResponse, err
 	}
 	if req.Seq != r.evalSeq {
 		r.evalSeq = req.Seq
-		r.pending = make(map[string][2]core.Combined)
-		r.evalDone = false
+		r.resetMemo()
 	}
 	if r.evalDone {
 		return r.evalResponse(), nil
@@ -119,10 +121,11 @@ func (r *Runner) Eval(ctx context.Context, req *EvalRequest) (*EvalResponse, err
 	if r.pending == nil {
 		r.pending = make(map[string][2]core.Combined)
 	}
-	ups, err := eng.EvalWave(ctx, req.Wave)
+	ups, changed, err := eng.EvalWave(ctx, req.Wave)
 	for _, u := range ups {
 		r.pending[u.Net] = u.Comb
 	}
+	r.changed = r.changed || changed
 	if err != nil {
 		return nil, fatalUnlessCtx(err)
 	}
@@ -136,9 +139,9 @@ func (r *Runner) evalResponse() *EvalResponse {
 		nets = append(nets, net)
 	}
 	sort.Strings(nets)
-	resp := &EvalResponse{}
+	resp := &EvalResponse{Changed: r.changed}
 	for _, net := range nets {
-		resp.Updates = append(resp.Updates, NetComb{Net: net, Comb: combsToWire(r.pending[net])})
+		resp.Updates = append(resp.Updates, NetComb{Net: net, Comb: forwardToWire(r.pending[net])})
 	}
 	return resp
 }
@@ -165,8 +168,7 @@ func (r *Runner) Round(ctx context.Context, req *RoundRequest) error {
 	}
 	// A new round invalidates the eval memo (the coordinator also bumps
 	// Seq, this is belt and braces).
-	r.pending = nil
-	r.evalDone = false
+	r.resetMemo()
 	return nil
 }
 
@@ -206,13 +208,8 @@ func (r *Runner) Collect(ctx context.Context, req *CollectRequest) (*CollectResp
 		Filtered:   col.Filtered,
 		Propagated: col.Propagated,
 	}
-	nets := make([]string, 0, len(col.Nets))
-	for net := range col.Nets {
-		nets = append(nets, net)
-	}
-	sort.Strings(nets)
-	for _, net := range nets {
-		resp.Nets = append(resp.Nets, netNoiseToWire(col.Nets[net]))
+	for _, nn := range col.Nets {
+		resp.Nets = append(resp.Nets, netNoiseToWire(nn))
 	}
 	for _, v := range col.Violations {
 		resp.Violations = append(resp.Violations, violationToWire(v))
@@ -232,6 +229,5 @@ func (r *Runner) Close() {
 	defer r.mu.Unlock()
 	r.eng = nil
 	r.broken = nil
-	r.pending = nil
-	r.evalDone = false
+	r.resetMemo()
 }

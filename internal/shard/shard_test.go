@@ -27,9 +27,18 @@ type fixtureMaker func() (*workload.Generated, error)
 
 // fixtures covers every topology class the generators offer: bus
 // coupling, multi-level fabric propagation, iterative-loop ladders,
-// window-rich stars, and correlated differential pairs.
+// window-rich stars, and correlated differential pairs. The default
+// fabric's 1.5 fF couplings propagate nothing through a gate; hotfabric is
+// the one design here where glitches cross shard boundaries, and where a
+// padding round widens a fanin's window while its peak holds.
 func fixtures() map[string]fixtureMaker {
 	return map[string]fixtureMaker{
+		"hotfabric": func() (*workload.Generated, error) {
+			return workload.Fabric(workload.FabricSpec{
+				Width: 40, Levels: 10, CouplingDensity: 3, CoupleC: 12 * units.Femto,
+				GroundC: 4 * units.Femto, SegRes: 60, Seed: 1,
+			})
+		},
 		"bus": func() (*workload.Generated, error) {
 			return workload.Bus(workload.BusSpec{Bits: 8, Segs: 2, WindowWidth: 80 * units.Pico})
 		},
@@ -170,7 +179,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
 		wantNoise, wantDelay := reportBytes(t, want.Noise, want.Delay)
-		for _, shards := range []int{2, 3} {
+		for _, shards := range []int{1, 2, 3, 4} {
 			got, err := Run(context.Background(), Config{
 				B:       b,
 				Opts:    opts,
@@ -189,6 +198,9 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			if !bytes.Equal(gotDelay, wantDelay) {
 				t.Errorf("%s/%d shards: delay report differs from single-process\ngot:  %.600s\nwant: %.600s",
 					name, shards, gotDelay, wantDelay)
+			}
+			if got.Noise.Stats != want.Noise.Stats {
+				t.Errorf("%s/%d shards: stats %+v != single-process %+v", name, shards, got.Noise.Stats, want.Noise.Stats)
 			}
 			if got.Rounds != want.Rounds || got.Converged != want.Converged ||
 				got.Diverging != want.Diverging || got.DivergeReason != want.DivergeReason {
@@ -213,7 +225,14 @@ func TestDistributedMatchesSerial(t *testing.T) {
 // never an error, and never a net reported less noisy than the
 // single-process truth (degradation may only add pessimism).
 func TestWorkerFaultsStaySound(t *testing.T) {
-	mk := fixtures()["bus"]
+	// bus is quick and couples only; hotfabric is where glitches propagate
+	// across shard boundaries, so "never less noisy" has something to lose.
+	for _, name := range []string{"bus", "hotfabric"} {
+		t.Run(name, func(t *testing.T) { workerFaultsStaySound(t, fixtures()[name]) })
+	}
+}
+
+func workerFaultsStaySound(t *testing.T, mk fixtureMaker) {
 	b, opts := bindFixture(t, mk)
 	want, err := core.AnalyzeIterative(b, opts, 0)
 	if err != nil {
@@ -251,7 +270,6 @@ func TestWorkerFaultsStaySound(t *testing.T) {
 				Shards:          3,
 				Token:           "chaos",
 				DispatchTimeout: 30 * time.Millisecond,
-				Attempts:        2,
 			})
 			if err != nil {
 				t.Fatalf("run failed under %q (must degrade, not fail): %v", spec, err)
@@ -421,7 +439,7 @@ func TestRunnerEvalMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out.Updates) > 0 {
+		if out.Changed {
 			first, wave = out, w
 			break
 		}
@@ -433,8 +451,26 @@ func TestRunnerEvalMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(first.Updates) == 0 {
+		t.Fatal("a wave that moved the pass forwarded nothing")
+	}
 	if !reflect.DeepEqual(first, replay) {
-		t.Fatal("duplicate Seq did not replay the memoized updates")
+		t.Fatal("duplicate Seq did not replay the memoized updates and changed bit")
+	}
+	// An attempt that committed and then died before finishing the wave
+	// leaves the memo open: the retry re-evaluates, finds everything equal,
+	// and must still answer with what the dead attempt committed — the
+	// updates and the changed bit alike.
+	r.mu.Lock()
+	r.evalDone = false
+	r.mu.Unlock()
+	retry, err := r.Eval(ctx, &EvalRequest{Seq: seq, Wave: wave})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, retry) {
+		t.Fatalf("retry after an aborted attempt lost commits: changed=%v, %d updates; want changed=true, %d",
+			retry.Changed, len(retry.Updates), len(first.Updates))
 	}
 	// A new Seq re-evaluates: at the fixpoint nothing changes, so the
 	// response is empty rather than a replay.
@@ -442,7 +478,7 @@ func TestRunnerEvalMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Updates) != 0 {
-		t.Fatalf("fresh Seq at fixpoint committed %d updates, want 0", len(fresh.Updates))
+	if len(fresh.Updates) != 0 || fresh.Changed {
+		t.Fatalf("fresh Seq at fixpoint: %d updates, changed=%v; want none", len(fresh.Updates), fresh.Changed)
 	}
 }

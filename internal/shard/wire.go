@@ -1,9 +1,12 @@
 // Package shard implements fault-tolerant distributed noise analysis: a
 // deterministic partitioner over the coupling/fanin affinity graph, a
-// runner that drives one partition's core.ShardEngine behind a small op
-// protocol, worker transports (in-process and, via internal/client, remote
-// snad daemons), and a coordinator that drives the global noise/delay
-// fixpoint across workers, exchanging boundary combinations wave by wave.
+// runner that hosts one partition's core.ShardEngine behind a small op
+// protocol, a Host that keeps a worker's runners and executes ops on them
+// (shared by the in-process worker and snad's /v1/shard endpoint), and a
+// coordinator that is the distributed side of core's noise/delay fixpoint
+// driver: core.RunIterative decides when a wave, a pass, a round and the run
+// are over; the coordinator turns each phase into dispatches, exchanging
+// boundary combinations wave by wave.
 //
 // The contract: a healthy distributed run is byte-identical (at the report
 // JSON level) to the single-process core.AnalyzeIterative; a run that loses
@@ -205,6 +208,17 @@ func combsFromWire(c [2]CombinedWire) [2]core.Combined {
 	return [2]core.Combined{c[0].comb(), c[1].comb()}
 }
 
+// forwardToWire is combsToWire without the members: a forwarded value is
+// read by another engine for its peak, width and window only. The members
+// matter to the report, which every owner renders from its own evaluation
+// (collect), never from a forwarded or restored value.
+func forwardToWire(c [2]core.Combined) [2]CombinedWire {
+	for k := range c {
+		c[k].Members, c[k].MemberEvents = nil, nil
+	}
+	return combsToWire(c)
+}
+
 // NetComb carries one net's committed combination — the boundary-exchange
 // and restore currency of the protocol.
 type NetComb struct {
@@ -358,13 +372,25 @@ type DesignSpec struct {
 	Options OptionsSpec `json:"options"`
 }
 
+// Route addresses a request: the run token and the shard. Every request
+// embeds it (the JSON stays flat); the coordinator stamps it per dispatch
+// and a Host keys its engines by it.
+type Route struct {
+	Token string `json:"token"`
+	Shard int    `json:"shard"`
+}
+
+func (r *Route) route() *Route { return r }
+
+// routed is implemented by every request through its embedded Route.
+type routed interface{ route() *Route }
+
 // InitRequest builds (or rebuilds) one shard's engine on a worker: the
 // owned nets, the cumulative padding to seed timing with, and the
 // authoritative combinations to restore (empty on the first init, the
 // coordinator's committed state on a mid-run rebuild).
 type InitRequest struct {
-	Token   string      `json:"token"`
-	Shard   int         `json:"shard"`
+	Route
 	Owned   []string    `json:"owned"`
 	Padding []PadEntry  `json:"padding,omitempty"`
 	Restore []NetComb   `json:"restore,omitempty"`
@@ -377,30 +403,29 @@ type InitRequest struct {
 // retried dispatch after a lost response exact. Boundary carries the fanin
 // combinations committed on other shards since this shard's last eval.
 type EvalRequest struct {
-	Token    string    `json:"token"`
-	Shard    int       `json:"shard"`
+	Route
 	Seq      int       `json:"seq"`
 	Wave     int       `json:"wave"`
 	Boundary []NetComb `json:"boundary,omitempty"`
 }
 
-// EvalResponse lists the nets whose committed combination changed.
+// EvalResponse answers two different questions (core.ShardEngine.EvalWave):
+// Updates is what to forward — every owned net whose committed peak, width
+// or window differs at all — and Changed whether the pass moved beyond the
+// fixpoint tolerance. A net can be in Updates while Changed is false.
 type EvalResponse struct {
 	Updates []NetComb `json:"updates,omitempty"`
+	Changed bool      `json:"changed,omitempty"`
 }
 
 // RoundRequest applies one round of padding growth (absolute values).
 type RoundRequest struct {
-	Token   string     `json:"token"`
-	Shard   int        `json:"shard"`
+	Route
 	Changed []PadEntry `json:"changed"`
 }
 
 // DelayRequest runs the delta-delay pass over the shard's owned nets.
-type DelayRequest struct {
-	Token string `json:"token"`
-	Shard int    `json:"shard"`
-}
+type DelayRequest struct{ Route }
 
 // DelayResponse returns the shard's impacts in evaluation order.
 type DelayResponse struct {
@@ -408,10 +433,7 @@ type DelayResponse struct {
 }
 
 // CollectRequest fetches the shard's slice of the final result.
-type CollectRequest struct {
-	Token string `json:"token"`
-	Shard int    `json:"shard"`
-}
+type CollectRequest struct{ Route }
 
 // CollectResponse is the shard's final contribution: full per-net results,
 // canonical-order violations and slacks, diagnostics, and additive stats.
@@ -427,21 +449,7 @@ type CollectResponse struct {
 
 // CloseRequest drops one shard's engine (or, with Shard -1, every engine
 // of the token) on a worker. Best-effort cleanup.
-type CloseRequest struct {
-	Token string `json:"token"`
-	Shard int    `json:"shard"`
-}
-
-// routed is implemented by every request so the coordinator can stamp the
-// run token and shard id uniformly.
-type routed interface{ setRoute(token string, shard int) }
-
-func (r *InitRequest) setRoute(t string, s int)    { r.Token, r.Shard = t, s }
-func (r *EvalRequest) setRoute(t string, s int)    { r.Token, r.Shard = t, s }
-func (r *RoundRequest) setRoute(t string, s int)   { r.Token, r.Shard = t, s }
-func (r *DelayRequest) setRoute(t string, s int)   { r.Token, r.Shard = t, s }
-func (r *CollectRequest) setRoute(t string, s int) { r.Token, r.Shard = t, s }
-func (r *CloseRequest) setRoute(t string, s int)   { r.Token, r.Shard = t, s }
+type CloseRequest struct{ Route }
 
 func padEntries(padding map[string]float64) []PadEntry {
 	if len(padding) == 0 {

@@ -29,27 +29,22 @@ type Worker interface {
 	Ping(ctx context.Context) error
 }
 
-// BuildDesign supplies a worker's bound design. A bound design is
-// immutable after binding apart from its internal guarded caches
-// (levelization, RC analyses), so one design is shared by every shard
-// engine this worker hosts: the in-process worker calls build once and
-// reuses the result across its shard inits, mirroring a remote snad
-// worker caching one parsed design per run token. Per-engine mutable
-// state (timing annotations, window padding, noise state) lives in the
-// engine itself. build must produce an identical design every call —
-// the coordinator's byte-identity guarantee rides on every engine
-// seeing the same inputs.
+// BuildDesign supplies an in-process worker's bound design, shared by
+// every shard engine the worker hosts (see EngineSource), mirroring a
+// remote snad worker caching one parsed design per run token. build must
+// produce an identical design every call — the coordinator's byte-identity
+// guarantee rides on every engine seeing the same inputs.
 type BuildDesign func(ctx context.Context) (*bind.Design, error)
 
-// InProc is a worker running in the coordinator's own process, hosting
-// one Runner per assigned shard, all sharing one bound design.
+// InProc is a worker running in the coordinator's own process: a Host
+// whose engines all share one bound design, reached by copying the typed
+// requests and responses instead of encoding them.
 type InProc struct {
 	name  string
 	build BuildDesign
-	opts  core.Options
+	host  *Host
 
-	mu      sync.Mutex
-	runners map[int]*Runner
+	mu sync.Mutex
 	// b is the worker's shared bound design, built on first shard init.
 	b *bind.Design
 }
@@ -58,7 +53,12 @@ type InProc struct {
 // the first shard init, and shares it across every engine it hosts. opts
 // is copied per engine.
 func NewInProc(name string, build BuildDesign, opts core.Options) *InProc {
-	return &InProc{name: name, build: build, opts: opts, runners: make(map[int]*Runner)}
+	w := &InProc{name: name, build: build}
+	w.host = NewHost(func(ctx context.Context, _ string, _ *DesignSpec) (*bind.Design, core.Options, error) {
+		b, err := w.design(ctx)
+		return b, opts, err
+	}, nil)
+	return w
 }
 
 // Name implements Worker.
@@ -91,110 +91,13 @@ func (w *InProc) design(ctx context.Context) (*bind.Design, error) {
 	return b, nil
 }
 
-func (w *InProc) runner(shard int, create bool) *Runner {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	r, ok := w.runners[shard]
-	if !ok && create {
-		opts := w.opts
-		r = NewRunner(func(ctx context.Context, owned []string, padding map[string]float64) (*core.ShardEngine, error) {
-			b, err := w.design(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewShardEngine(ctx, b, opts, owned, padding)
-		})
-		w.runners[shard] = r
-	}
-	return r
-}
-
-// Do implements Worker by dispatching to the shard's runner.
+// Do implements Worker on the worker's Host.
 func (w *InProc) Do(ctx context.Context, op string, req, resp any) error {
-	switch op {
-	case OpInit:
-		r, ok := req.(*InitRequest)
-		if !ok {
-			return badRequestError("shard: init wants *InitRequest, got %T", req)
-		}
-		return w.runner(r.Shard, true).Init(ctx, r)
-	case OpEval:
-		r, ok := req.(*EvalRequest)
-		if !ok {
-			return badRequestError("shard: eval wants *EvalRequest, got %T", req)
-		}
-		runner := w.runner(r.Shard, false)
-		if runner == nil {
-			return badRequestError("shard: eval on uninitialized shard %d", r.Shard)
-		}
-		out, err := runner.Eval(ctx, r)
-		if err != nil {
-			return err
-		}
-		*resp.(*EvalResponse) = *out
-		return nil
-	case OpRound:
-		r, ok := req.(*RoundRequest)
-		if !ok {
-			return badRequestError("shard: round wants *RoundRequest, got %T", req)
-		}
-		runner := w.runner(r.Shard, false)
-		if runner == nil {
-			return badRequestError("shard: round on uninitialized shard %d", r.Shard)
-		}
-		return runner.Round(ctx, r)
-	case OpDelay:
-		r, ok := req.(*DelayRequest)
-		if !ok {
-			return badRequestError("shard: delay wants *DelayRequest, got %T", req)
-		}
-		runner := w.runner(r.Shard, false)
-		if runner == nil {
-			return badRequestError("shard: delay on uninitialized shard %d", r.Shard)
-		}
-		out, err := runner.Delay(ctx, r)
-		if err != nil {
-			return err
-		}
-		*resp.(*DelayResponse) = *out
-		return nil
-	case OpCollect:
-		r, ok := req.(*CollectRequest)
-		if !ok {
-			return badRequestError("shard: collect wants *CollectRequest, got %T", req)
-		}
-		runner := w.runner(r.Shard, false)
-		if runner == nil {
-			return badRequestError("shard: collect on uninitialized shard %d", r.Shard)
-		}
-		out, err := runner.Collect(ctx, r)
-		if err != nil {
-			return err
-		}
-		*resp.(*CollectResponse) = *out
-		return nil
-	case OpClose:
-		r, ok := req.(*CloseRequest)
-		if !ok {
-			return badRequestError("shard: close wants *CloseRequest, got %T", req)
-		}
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if r.Shard < 0 {
-			for _, runner := range w.runners {
-				runner.Close()
-			}
-			w.runners = make(map[int]*Runner)
-			return nil
-		}
-		if runner := w.runners[r.Shard]; runner != nil {
-			runner.Close()
-			delete(w.runners, r.Shard)
-		}
-		return nil
-	default:
-		return badRequestError("shard: unknown op %q", op)
+	out, err := w.host.Do(ctx, op, func(dst any) error { return assign(dst, req) })
+	if err != nil || resp == nil {
+		return err
 	}
+	return assign(resp, out)
 }
 
 // FaultyWorker wraps a Worker with a workload.WorkerFaults injector. It

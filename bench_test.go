@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/liberty"
 	"repro/internal/report"
+	"repro/internal/shard"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -258,6 +260,60 @@ func BenchmarkWriteJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := report.WriteJSON(io.Discard, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardWire measures the shard protocol's binary codec on the
+// largest message of a run: one shard's collect reply for the hot 40×10
+// fabric (every net's events, combinations and members), encoded and decoded
+// once per iteration. MB/s is of the frame; allocs/op is what the transport
+// adds to a remote run that the in-process worker does not pay.
+func BenchmarkShardWire(b *testing.B) {
+	g, err := workload.Fabric(workload.FabricSpec{
+		Width: 40, Levels: 10, CouplingDensity: 3, CoupleC: 12 * units.Femto,
+		GroundC: 4 * units.Femto, SegRes: 60, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bd, err := g.Bind(liberty.Generic())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	plan, err := core.BuildShardPlan(ctx, bd)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewShardEngine(ctx, bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}, plan.Order, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for w := range plan.Waves {
+		if _, _, err := eng.EvalWave(ctx, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	col, err := eng.Collect(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reply := &shard.Reply{Faults: make([]shard.Fault, 1), Collects: []core.ShardCollect{*col}}
+	frame, err := shard.Marshal(reply)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame, err := shard.Marshal(reply)
+		if err == nil {
+			err = shard.Unmarshal(frame, &shard.Reply{})
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

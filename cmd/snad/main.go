@@ -368,7 +368,11 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		if it := resp.Iterate; it != nil {
 			mode := "local"
 			if it.Distributed {
-				mode = fmt.Sprintf("distributed over %d worker(s), %d shard(s)", it.Workers, it.Shards)
+				trips := 0
+				for _, st := range it.Dispatches {
+					trips += st.Dispatches
+				}
+				mode = fmt.Sprintf("distributed over %d worker(s), %d shard(s), %d round trip(s)", it.Workers, it.Shards, trips)
 			}
 			state := "converged"
 			if !it.Converged {

@@ -240,12 +240,16 @@ func (c *Client) doRetry(ctx context.Context, method, path string, mkBody func()
 // the retry loop use the caller's context, so an expired attempt counts
 // as a transport failure (retryable) rather than ending the whole call.
 func (c *Client) attempt(ctx context.Context, method, path string, mkBody func() (io.Reader, error), out any) error {
-	if c.retry.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.retry.AttemptTimeout)
-		defer cancel()
-	}
+	ctx, cancel := c.attemptCtx(ctx)
+	defer cancel()
 	return c.doOnce(ctx, method, path, mkBody, out)
+}
+
+func (c *Client) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.retry.AttemptTimeout > 0 {
+		return context.WithTimeout(ctx, c.retry.AttemptTimeout)
+	}
+	return ctx, func() {}
 }
 
 func (c *Client) doOnce(ctx context.Context, method, path string, mkBody func() (io.Reader, error), out any) error {
@@ -256,24 +260,41 @@ func (c *Client) doOnce(ctx context.Context, method, path string, mkBody func() 
 			return err
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	data, err := c.roundTrip(ctx, method, path, "application/json", body)
 	if err != nil {
 		return err
 	}
+	if out != nil && len(data) > 0 {
+		if err := json.Unmarshal(data, out); err != nil {
+			return fmt.Errorf("snad: decoding %s %s response: %w", method, path, err)
+		}
+	}
+	return nil
+}
+
+// roundTrip performs one HTTP exchange and returns the reply's body, read
+// whole and sized by its Content-Length when the server sent one. A status
+// of 400 or more becomes an *APIError, decoded from the JSON error body every
+// endpoint answers with.
+func (c *Client) roundTrip(ctx context.Context, method, path, contentType string, body io.Reader) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, err
+	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	if c.tenant != "" {
 		req.Header.Set(server.TenantHeader, c.tenant)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode >= 400 {
 		ae := &APIError{Status: resp.StatusCode}
@@ -284,14 +305,22 @@ func (c *Client) doOnce(ctx context.Context, method, path string, mkBody func() 
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			ae.retryAfter = parseRetryAfter(ra, c.now())
 		}
-		return ae
+		return nil, ae
 	}
-	if out != nil && len(data) > 0 {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("snad: decoding %s %s response: %w", method, path, err)
-		}
+	return data, nil
+}
+
+// readBody reads a reply's body whole, presized from its Content-Length when
+// the server sent one instead of regrowing; a dishonest length costs at most
+// maxPresize.
+func readBody(resp *http.Response) ([]byte, error) {
+	const maxPresize = 64 << 20
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
 	}
-	return nil
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 func jsonBody(v any) func() (io.Reader, error) {

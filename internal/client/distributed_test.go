@@ -10,10 +10,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -119,47 +124,104 @@ func TestDistributedIterateMatchesLocal(t *testing.T) {
 		locals[cr.Name] = local
 	}
 
-	for _, u := range []string{startSnad(t, server.Config{}), startSnad(t, server.Config{}), startSnad(t, server.Config{})} {
-		if _, err := c.RegisterWorker(ctx, &server.RegisterWorkerRequest{URL: u}); err != nil {
+	// Two fleets: two workers first (4 shards there means requests of two
+	// shards each), then the third joins for the 1–4 shard matrix.
+	for _, fleet := range []struct {
+		workers int
+		shards  []int
+	}{{2, []int{4}}, {3, []int{1, 2, 3, 4}}} {
+		ws, err := c.Workers(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for n := len(ws); n < fleet.workers; n++ {
+			if _, err := c.RegisterWorker(ctx, &server.RegisterWorkerRequest{URL: startSnad(t, server.Config{})}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ws, err = c.Workers(ctx); err != nil || len(ws) != fleet.workers {
+			t.Fatalf("registered %d workers (%v), want %d", len(ws), err, fleet.workers)
+		}
+		for _, cr := range creates {
+			local := locals[cr.Name]
+			for _, shards := range fleet.shards {
+				dist, err := c.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Shards: shards}, 30*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				it := dist.Iterate
+				if it == nil || !it.Distributed {
+					t.Fatalf("%s/%d: iterate did not go distributed: %+v", cr.Name, shards, it)
+				}
+				if it.Workers != fleet.workers || it.Shards != shards {
+					t.Fatalf("%s: distributed over %d workers / %d shards, want %d/%d", cr.Name, it.Workers, it.Shards, fleet.workers, shards)
+				}
+				if len(it.AbandonedShards) != 0 || it.Reassigns != 0 {
+					t.Fatalf("%s/%d: healthy fleet abandoned shards %v, rebuilt %d", cr.Name, shards, it.AbandonedShards, it.Reassigns)
+				}
+				// One round trip per worker per step: a worker hosting two
+				// shards is still asked once, so the busiest op's count is
+				// bounded by steps × workers, whatever the shard count.
+				if n := min(fleet.workers, shards); it.Dispatches[shard.OpInit].Dispatches != n || it.Dispatches[shard.OpCollect].Dispatches != n {
+					t.Errorf("%s/%d: %d init and %d collect round trips, want %d each (one per hosting worker)",
+						cr.Name, shards, it.Dispatches[shard.OpInit].Dispatches, it.Dispatches[shard.OpCollect].Dispatches, n)
+				}
+				if it.Rounds != local.Iterate.Rounds || it.Converged != local.Iterate.Converged {
+					t.Fatalf("%s/%d: fixpoint diverged from oracle: distributed rounds=%d converged=%v, local rounds=%d converged=%v",
+						cr.Name, shards, it.Rounds, it.Converged, local.Iterate.Rounds, local.Iterate.Converged)
+				}
+				if got, want := mustJSON(t, dist.Noise), mustJSON(t, local.Noise); !bytes.Equal(got, want) {
+					t.Errorf("%s/%d: distributed noise section differs from local oracle:\n got: %.600s\nwant: %.600s", cr.Name, shards, got, want)
+				}
+				if got, want := mustJSON(t, dist.Delay), mustJSON(t, local.Delay); !bytes.Equal(got, want) {
+					t.Errorf("%s/%d: distributed delay section differs from local oracle:\n got: %.600s\nwant: %.600s", cr.Name, shards, got, want)
+				}
+			}
+		}
 	}
-	ws, err := c.Workers(ctx)
+}
+
+// TestShardRunKeepsOneConnection pins the invariant ShardWorker documents: at
+// most one request in flight per worker per run, so a 4-shard run on one
+// worker dials once — on http.DefaultTransport, whose two idle connections
+// per host the parent's four concurrent per-shard requests kept overflowing.
+func TestShardRunKeepsOneConnection(t *testing.T) {
+	g, err := workload.Fabric(workload.FabricSpec{
+		Width: 40, Levels: 10, CouplingDensity: 3, CoupleC: 12 * units.Femto,
+		GroundC: 4 * units.Femto, SegRes: 60, Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ws) != 3 {
-		t.Fatalf("registered %d workers, want 3", len(ws))
+	b, err := g.Bind(liberty.Generic())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for _, cr := range creates {
-		local := locals[cr.Name]
-		for _, shards := range []int{1, 2, 3, 4} {
-			dist, err := c.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Shards: shards}, 30*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			it := dist.Iterate
-			if it == nil || !it.Distributed {
-				t.Fatalf("%s/%d: iterate did not go distributed: %+v", cr.Name, shards, it)
-			}
-			if it.Workers != 3 || it.Shards != shards {
-				t.Fatalf("%s: distributed over %d workers / %d shards, want 3/%d", cr.Name, it.Workers, it.Shards, shards)
-			}
-			if len(it.AbandonedShards) != 0 {
-				t.Fatalf("%s/%d: healthy fleet abandoned shards %v", cr.Name, shards, it.AbandonedShards)
-			}
-			if it.Rounds != local.Iterate.Rounds || it.Converged != local.Iterate.Converged {
-				t.Fatalf("%s/%d: fixpoint diverged from oracle: distributed rounds=%d converged=%v, local rounds=%d converged=%v",
-					cr.Name, shards, it.Rounds, it.Converged, local.Iterate.Rounds, local.Iterate.Converged)
-			}
-			if got, want := mustJSON(t, dist.Noise), mustJSON(t, local.Noise); !bytes.Equal(got, want) {
-				t.Errorf("%s/%d: distributed noise section differs from local oracle:\n got: %.600s\nwant: %.600s", cr.Name, shards, got, want)
-			}
-			if got, want := mustJSON(t, dist.Delay), mustJSON(t, local.Delay); !bytes.Equal(got, want) {
-				t.Errorf("%s/%d: distributed delay section differs from local oracle:\n got: %.600s\nwant: %.600s", cr.Name, shards, got, want)
-			}
+	cr := createRequest(t, "hotfabric", g)
+	s, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var dialed atomic.Int32
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dialed.Add(1)
 		}
+	}
+	ts.Start()
+	defer ts.Close()
+	out, err := shard.Run(context.Background(), shard.Config{
+		B: b, Opts: core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions(), FailSoft: true},
+		Workers: []shard.Worker{NewShardWorker("w0", ts.URL, RetryPolicy{})}, Shards: 4, Token: "conns",
+		Design: &shard.DesignSpec{Netlist: cr.Netlist, SPEF: cr.SPEF, Timing: cr.Timing, Options: shard.OptionsSpec{Mode: "noise"}},
+	})
+	if err != nil || out.Degraded || out.Reassigns != 0 {
+		t.Fatalf("run: %v, outcome %+v", err, out)
+	}
+	if n := dialed.Load(); n != 1 {
+		t.Errorf("a 4-shard run on one worker opened %d connections, want 1", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/url"
@@ -11,12 +12,20 @@ import (
 )
 
 // ShardWorker adapts a remote snad process into a shard.Worker: each
-// protocol op posts to the worker's /v1/shard/{op} endpoint. It does NOT
-// retry — the coordinator owns the retry/re-host discipline, and stacking
-// a second retry loop under it would stretch its failure detection — but
-// it does translate the server's structured error kinds back into the
-// shard error taxonomy so the coordinator can classify failures exactly
-// as it does for in-process workers.
+// protocol op posts the request's binary frame (application/octet-stream)
+// to the worker's /v1/shard/{op} endpoint and decodes the reply's frame into
+// resp; JSON appears only in an error body. It does NOT retry — the
+// coordinator owns the retry/re-host discipline, and stacking a second retry
+// loop under it would stretch its failure detection — but it does translate
+// the server's structured error kinds back into the shard error taxonomy so
+// the coordinator can classify failures exactly as it does for in-process
+// workers.
+//
+// Invariant: at most one request is in flight per worker per run — the
+// coordinator sends a worker one request per step, carrying every shard it
+// hosts there, and waits for the answer — so one keep-alive connection serves
+// a whole run whatever the shard count, inside http.DefaultTransport's two
+// idle connections per host. Only the failure ladder's requests may overlap.
 type ShardWorker struct {
 	name string
 	c    *Client
@@ -35,10 +44,13 @@ func (w *ShardWorker) Name() string { return w.name }
 
 // Do implements shard.Worker.
 func (w *ShardWorker) Do(ctx context.Context, op string, req, resp any) error {
-	err := w.c.attempt(ctx, "POST", "/v1/shard/"+url.PathEscape(op), jsonBody(req), resp)
-	if err == nil {
-		return nil
+	frame, err := shard.Marshal(req)
+	if err != nil {
+		return err
 	}
+	ctx, cancel := w.c.attemptCtx(ctx)
+	defer cancel()
+	data, err := w.c.roundTrip(ctx, "POST", "/v1/shard/"+url.PathEscape(op), "application/octet-stream", bytes.NewReader(frame))
 	if ae, ok := err.(*APIError); ok {
 		switch ae.Info.Kind {
 		case "shard_broken":
@@ -50,7 +62,10 @@ func (w *ShardWorker) Do(ctx context.Context, op string, req, resp any) error {
 		// Everything else (overloaded, draining, deadline, engine, ...) is
 		// transient from the coordinator's seat: retry, then re-host.
 	}
-	return err
+	if err != nil || resp == nil {
+		return err
+	}
+	return shard.Unmarshal(data, resp)
 }
 
 // Ping implements shard.Worker via the worker's liveness endpoint.

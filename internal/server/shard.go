@@ -3,12 +3,15 @@ package server
 // Distributed analysis support, both directions:
 //
 //   - snad as worker: /v1/shard/{op} is the HTTP transport of a
-//     shard.Host — decode the body, let the host execute the op, encode
-//     the answer. The host's engines are built from the design spec
-//     shipped in the init request, so a worker needs no prior session
-//     state — a coordinator can aim at any idle snad process. What this
-//     file adds is where the designs come from: the shared design cache,
-//     one reference per run token.
+//     shard.Host — decode the body, let the host execute the op for every
+//     shard the request addresses, encode the answer. Bodies are the shard
+//     package's binary frames (application/octet-stream); only a failed
+//     request answers JSON, the ErrorBody every endpoint uses, which the
+//     client's error taxonomy and humans read. The host's engines are
+//     built from the design spec shipped in the init request, so a worker
+//     needs no prior session state — a coordinator can aim at any idle
+//     snad process. What this file adds is where the designs come from:
+//     the shared design cache, one reference per run token.
 //
 //   - snad as coordinator: registered workers (/v1/workers) are probed by
 //     a heartbeat, and iterate — the interactive endpoint and the job type
@@ -26,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -297,7 +301,6 @@ func specOpts(spec *shard.DesignSpec) (core.Options, map[string]*sta.Timing, err
 		LogicCorrelation: spec.Options.LogicCorrelation,
 		Workers:          spec.Options.Workers,
 		FailSoft:         !spec.Options.FailFast,
-		MaxIter:          spec.Options.MaxIter,
 		STA:              sta.Options{InputTiming: inputs},
 	}, inputs, nil
 }
@@ -351,13 +354,11 @@ func (s *Server) writeShardErr(w http.ResponseWriter, err error) {
 // handleShardOp executes one coordinator dispatch on the hosted engines.
 // Ops pass through the same bounded admission as analyses — a worker past
 // its concurrency budget sheds coordinator dispatches with 429, and the
-// coordinator's retry/re-host machinery absorbs it.
+// coordinator's retry/re-host machinery absorbs it. The reply is written
+// from one complete buffer, so it carries a Content-Length the client sizes
+// its read by.
 func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 	op := r.PathValue("op")
-	if op == shard.OpPing {
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-		return
-	}
 	release, ok := s.admit(w, r)
 	if !ok {
 		return
@@ -370,21 +371,30 @@ func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	var bodyErr error
-	resp, err := s.shardHost.Do(ctx, op, func(req any) error {
-		bodyErr = decodeBody(r.Body, req)
-		return bodyErr
-	})
-	switch {
-	case bodyErr != nil:
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: bodyErr.Error()}, 0)
-	case err != nil:
-		s.writeShardErr(w, err)
-	case resp == nil:
-		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	default:
-		s.writeJSON(w, http.StatusOK, resp)
+	// An unknown op or an unreadable frame is shard_fatal: the coordinator's
+	// to fix, not to retry.
+	req, err := shard.NewRequest(op)
+	if err == nil {
+		var body []byte
+		if body, err = io.ReadAll(r.Body); err == nil {
+			err = shard.Unmarshal(body, req)
+		}
 	}
+	var out []byte
+	rep := &shard.Reply{}
+	if err == nil {
+		err = s.shardHost.Do(ctx, req, rep)
+	}
+	if err == nil && op != shard.OpClose {
+		out, err = shard.Marshal(rep)
+	}
+	if err != nil {
+		s.writeShardErr(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", fmt.Sprint(len(out)))
+	w.Write(out)
 }
 
 // --- snad as coordinator: iterate ---
@@ -442,6 +452,7 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 	info.Rounds, info.Converged = out.Rounds, out.Converged
 	info.Diverging, info.DivergeReason = out.Diverging, out.DivergeReason
 	info.Reassigns, info.AbandonedShards, info.Resumed = out.Reassigns, out.AbandonedShards, out.Resumed
+	info.Dispatches = out.Dispatches
 	resp := &AnalyzeResponse{Session: ss.name, Noise: report.BuildJSON(out.Noise), Iterate: info}
 	if req.Delay {
 		resp.Delay = report.BuildDelayJSON(out.Delay)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"repro/internal/report"
+	"repro/internal/shard"
 )
 
 // Wire types: the JSON request and response bodies of the snad HTTP API.
@@ -162,6 +163,9 @@ type IterateInfo struct {
 	// Resumed reports that the run continued from a persisted round
 	// checkpoint instead of starting at round 1.
 	Resumed bool `json:"resumed,omitempty"`
+	// Dispatches is a distributed run's worker traffic by shard op: round
+	// trips and their summed wall clock.
+	Dispatches map[string]shard.OpStat `json:"dispatches,omitempty"`
 }
 
 // RegisterWorkerRequest announces a shard worker to the coordinator.

@@ -60,12 +60,22 @@ type Outcome struct {
 	Degraded bool
 	// Resumed reports the run continued from a checkpoint.
 	Resumed bool
-	// Reassigns counts shard re-hostings (engine rebuilds on a new or the
-	// same worker); AbandonedShards lists shards degraded to the full-rail
-	// fallback because no worker could host them.
+	// Reassigns counts engine rebuilds after the first init (on another
+	// worker after a loss, in place after a broken answer); AbandonedShards
+	// lists shards degraded to full-rail because no worker could host them.
 	Reassigns       int
 	AbandonedShards []int
+	// Dispatches is the run's ledger by op, every Worker.Do attempt counted.
+	Dispatches map[string]OpStat
 }
+
+// OpStat is one op's share of a run: round trips and their summed wall clock.
+type OpStat struct {
+	Dispatches int     `json:"dispatches"`
+	Seconds    float64 `json:"seconds"`
+}
+
+func (s OpStat) String() string { return fmt.Sprintf("%d in %.3fs", s.Dispatches, s.Seconds) }
 
 // errAbandoned marks a dispatch to a shard that was degraded to the
 // full-rail fallback; the phase skips it and the run stays sound.
@@ -108,6 +118,7 @@ type run struct {
 	// for the merged Stats.
 	passes    int
 	converged bool
+	ledger    map[string]OpStat
 }
 
 // Run executes the distributed noise–delay fixpoint: partition, fan out,
@@ -150,6 +161,7 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 		cause:     make([]error, asn.Shards),
 		combs:     make(map[string][2]core.Combined, len(plan.Order)),
 		pending:   make([]map[string]bool, asn.Shards),
+		ledger:    make(map[string]OpStat),
 	}
 	r.frEvent, r.frComb = core.FullRail(core.EffectiveVdd(cfg.B, cfg.Opts))
 	for s := range r.hosts {
@@ -170,6 +182,9 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 	return cfg.checkpointed(func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error) {
 		r.padding = from.Padding
+		// On every exit: a failed or cancelled run must not leave its engines,
+		// and the design reference their token pins, on the workers.
+		defer r.finish()
 		res, err := core.RunIterative(ctx, r, cfg.Opts, cfg.MaxRounds, from, afterRound)
 		if err != nil {
 			return nil, err
@@ -180,7 +195,6 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 		}
 		out := &Outcome{IterativeResult: *res}
 		r.assemble(out, cols)
-		r.closeAll()
 		return out, nil
 	})
 }
@@ -247,29 +261,10 @@ func (r *run) DelayImpacts(ctx context.Context, passes int, converged bool) (*co
 
 func (r *run) nextSeq() int { return int(r.seq.Add(1)) }
 
-func (r *run) hostOf(shard int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hosts[shard]
-}
-
 func (r *run) setProgress(p int) {
 	r.mu.Lock()
 	r.progress = p
 	r.mu.Unlock()
-}
-
-// liveShards returns the shards not yet abandoned, ascending.
-func (r *run) liveShards() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []int
-	for s, h := range r.hosts {
-		if h >= 0 {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // isFatal reports a deterministic analysis failure: retrying it anywhere
@@ -279,13 +274,16 @@ func isFatal(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// tryWorker runs one dispatch on one worker with per-attempt timeout and
-// bounded retries. Fatal and engine-broken errors return immediately
+func (r *run) at(shards ...int) Route { return Route{Token: r.cfg.Token, Shards: shards} }
+
+// tryWorker runs one request on one worker with per-attempt timeout and
+// bounded retries, counting every attempt in the ledger. A request of one
+// fails as its shard does. Fatal and engine-broken errors return immediately
 // (retrying in place cannot help); transient errors (timeouts, transport
 // loss, injected faults) are retried before the caller declares the worker
 // lost.
-func (r *run) tryWorker(ctx context.Context, wi, shard int, op string, req routed, resp any) error {
-	*req.route() = Route{Token: r.cfg.Token, Shard: shard}
+func (r *run) tryWorker(ctx context.Context, wi int, op string, req request, rep *Reply) error {
+	w, shards := r.cfg.Workers[wi], len(req.route().Shards)
 	var last error
 	for att := 0; att < attempts; att++ {
 		if err := ctx.Err(); err != nil {
@@ -296,8 +294,18 @@ func (r *run) tryWorker(ctx context.Context, wi, shard int, op string, req route
 		if r.cfg.DispatchTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, r.cfg.DispatchTimeout)
 		}
-		err := r.cfg.Workers[wi].Do(actx, op, req, resp)
+		t0 := time.Now()
+		err := w.Do(actx, op, req, rep)
 		cancel()
+		r.mu.Lock()
+		st := r.ledger[op]
+		r.ledger[op] = OpStat{st.Dispatches + 1, st.Seconds + time.Since(t0).Seconds()}
+		r.mu.Unlock()
+		if err == nil && len(rep.Faults) != shards {
+			err = fmt.Errorf("shard: worker %s answered for %d of %d shards", w.Name(), len(rep.Faults), shards)
+		} else if err == nil && shards == 1 {
+			err = rep.Faults[0].err()
+		}
 		if err == nil {
 			return nil
 		}
@@ -312,17 +320,68 @@ func (r *run) tryWorker(ctx context.Context, wi, shard int, op string, req route
 	return last
 }
 
-// dispatch executes one op against a shard wherever it is hosted,
-// surviving worker loss: engine-broken answers re-initialize in place,
-// transient loss marks the worker dead and re-hosts the shard on a
+// exchange runs one step — op over the live shards owning nets in wave, or
+// over all of them (wave -1) — with one request per worker: mk builds the
+// request for the shards a worker hosts, the workers run concurrently, and
+// within a run a worker therefore never has two requests in flight. commit
+// is handed each good answer as (shard, reply, index in the reply). A shard
+// whose answer is a fault — and every shard of a request that failed as a
+// whole, after its worker was declared lost — is re-sent as a request of one
+// through dispatch, the one failure ladder; the runners' protocol (eval Seq
+// memo, idempotent round and init) keeps the re-send exact.
+func (r *run) exchange(ctx context.Context, op string, wave int, mk func(at Route) request, commit func(shard int, rep *Reply, i int)) error {
+	groups := make([][]int, len(r.cfg.Workers))
+	r.mu.Lock()
+	for s, wi := range r.hosts {
+		if wi >= 0 && (wave < 0 || r.present[s][wave]) {
+			groups[wi] = append(groups[wi], s)
+		}
+	}
+	r.mu.Unlock()
+	return parallel(len(groups), func(wi int) error {
+		g := groups[wi]
+		if len(g) == 0 {
+			return nil
+		}
+		req, done := mk(r.at(g...)), make([]bool, len(g))
+		// A request of one is the ladder's own first send.
+		if len(g) > 1 && r.workerAlive(wi) {
+			rep := &Reply{}
+			if err := r.tryWorker(ctx, wi, op, req, rep); err == nil {
+				for i, f := range rep.Faults {
+					if done[i] = f.Kind == faultNone; done[i] {
+						commit(g[i], rep, i)
+					}
+				}
+			} else if aerr := r.lost(ctx, wi, err); aerr != nil {
+				return aerr
+			}
+		}
+		return parallel(len(g), func(i int) error {
+			if done[i] {
+				return nil
+			}
+			rep := &Reply{}
+			if err := r.dispatch(ctx, g[i], op, req.pick(i), rep); err != nil {
+				return err
+			}
+			commit(g[i], rep, 0)
+			return nil
+		})
+	})
+}
+
+// dispatch executes a request of one against its shard wherever it is
+// hosted, surviving worker loss: engine-broken answers re-initialize in
+// place, transient loss marks the worker dead and re-hosts the shard on a
 // survivor (rebuilding its engine from the authoritative state), and only
-// when no worker can host it is the shard abandoned (errAbandoned). The
-// op request must be reusable across retries — the runner's protocol
-// (eval Seq memo, idempotent round/init) makes re-execution exact.
-func (r *run) dispatch(ctx context.Context, shard int, op string, req routed, resp any) error {
+// when no worker can host it is the shard abandoned (errAbandoned).
+func (r *run) dispatch(ctx context.Context, shard int, op string, req request, rep *Reply) error {
 	brokenTries := 0
 	for {
-		wi := r.hostOf(shard)
+		r.mu.Lock()
+		wi := r.hosts[shard]
+		r.mu.Unlock()
 		if wi < 0 {
 			return errAbandoned
 		}
@@ -332,7 +391,7 @@ func (r *run) dispatch(ctx context.Context, shard int, op string, req routed, re
 			}
 			continue
 		}
-		err := r.tryWorker(ctx, wi, shard, op, req, resp)
+		err := r.tryWorker(ctx, wi, op, req, rep)
 		if err == nil {
 			return nil
 		}
@@ -411,7 +470,6 @@ func (r *run) rehost(ctx context.Context, shard int) error {
 			return errAbandoned
 		}
 		r.hosts[shard] = cand
-		r.reassigns++
 		r.mu.Unlock()
 		r.cfg.Logf("shard: re-hosting shard %d on worker %s", shard, r.cfg.Workers[cand].Name())
 		err := r.reinit(ctx, shard, cand)
@@ -424,6 +482,31 @@ func (r *run) rehost(ctx context.Context, shard int) error {
 	}
 }
 
+// initRequest builds the init of the addressed shards from the
+// authoritative state: the cumulative padding and, per shard, the committed
+// combinations of its owned and imported nets (none before the first wave).
+func (r *run) initRequest(at Route) request {
+	req := &InitRequest{Route: at, Design: r.cfg.Design, Inits: make([]ShardInit, len(at.Shards))}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	req.Padding = padEntries(r.padding)
+	for i, shard := range at.Shards {
+		in := &req.Inits[i]
+		in.Owned = r.asn.Owned[shard]
+		for _, nets := range [][]string{in.Owned, r.asn.Imports[shard]} {
+			for _, net := range nets {
+				if comb, ok := r.combs[net]; ok {
+					in.Restore = append(in.Restore, NetComb{Net: net, Comb: comb})
+				}
+			}
+		}
+		sort.Slice(in.Restore, func(a, b int) bool { return in.Restore[a].Net < in.Restore[b].Net })
+		// The restore supersedes any queued boundary deltas.
+		r.pending[shard] = make(map[string]bool)
+	}
+	return req
+}
+
 // reinit rebuilds a shard's engine on worker wi: a fresh padding-seeded
 // init, the authoritative combinations restored, and a warm-up sweep over
 // the waves already evaluated this pass so the fresh engine's event lists
@@ -431,43 +514,23 @@ func (r *run) rehost(ctx context.Context, shard int) error {
 // warm-up re-evaluations see exactly the inputs the lost engine saw, so
 // they commit identical values and report no spurious updates.
 func (r *run) reinit(ctx context.Context, shard, wi int) error {
-	req := &InitRequest{Design: r.cfg.Design}
 	r.mu.Lock()
-	req.Owned = r.asn.Owned[shard]
-	req.Padding = padEntries(r.padding)
-	restore := make([]string, 0, len(r.asn.Owned[shard])+len(r.asn.Imports[shard]))
-	for _, net := range r.asn.Owned[shard] {
-		if _, ok := r.combs[net]; ok {
-			restore = append(restore, net)
-		}
-	}
-	for _, net := range r.asn.Imports[shard] {
-		if _, ok := r.combs[net]; ok {
-			restore = append(restore, net)
-		}
-	}
-	sort.Strings(restore)
-	for _, net := range restore {
-		req.Restore = append(req.Restore, NetComb{Net: net, Comb: combsToWire(r.combs[net])})
-	}
-	// The restore supersedes any queued boundary deltas.
-	r.pending[shard] = make(map[string]bool)
+	r.reassigns++
 	warmTo := r.progress
 	r.mu.Unlock()
-
-	if err := r.tryWorker(ctx, wi, shard, OpInit, req, nil); err != nil {
+	if err := r.tryWorker(ctx, wi, OpInit, r.initRequest(r.at(shard)), &Reply{}); err != nil {
 		return err
 	}
 	for w := 0; w < warmTo; w++ {
 		if !r.present[shard][w] {
 			continue
 		}
-		ereq := &EvalRequest{Seq: r.nextSeq(), Wave: w}
-		eresp := &EvalResponse{}
-		if err := r.tryWorker(ctx, wi, shard, OpEval, ereq, eresp); err != nil {
+		req := &EvalRequest{Route: r.at(shard), Seq: r.nextSeq(), Wave: w, Boundary: make([][]NetComb, 1)}
+		rep := &Reply{}
+		if err := r.tryWorker(ctx, wi, OpEval, req, rep); err != nil {
 			return err
 		}
-		r.applyEval(shard, eresp)
+		r.applyEval(shard, &rep.Evals[0])
 	}
 	return nil
 }
@@ -500,7 +563,7 @@ func (r *run) abandon(shard int, cause error) {
 
 // takeBoundary drains the queued boundary updates for a shard into a wire
 // list (sorted for determinism). Entries are moved, not copied: the
-// caller's request owns them across retries, and a re-host's restore
+// caller's request owns them across re-sends, and a re-host's restore
 // supersedes them anyway.
 func (r *run) takeBoundary(shard int) []NetComb {
 	r.mu.Lock()
@@ -515,42 +578,42 @@ func (r *run) takeBoundary(shard int) []NetComb {
 	sort.Strings(nets)
 	out := make([]NetComb, 0, len(nets))
 	for _, net := range nets {
-		out = append(out, NetComb{Net: net, Comb: combsToWire(r.combs[net])})
+		out = append(out, NetComb{Net: net, Comb: r.combs[net]})
 		delete(r.pending[shard], net)
 	}
 	return out
 }
 
-// applyEval commits a shard's wave response: its forwarded combinations go
+// applyEval commits a shard's wave result: its forwarded combinations go
 // into the authoritative state and are queued for every shard importing
 // those nets (all of them — "forward" is the engine's exact test, not the
 // convergence one), and its changed bit feeds the pass loop.
-func (r *run) applyEval(shard int, resp *EvalResponse) {
+func (r *run) applyEval(shard int, res *EvalResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, u := range resp.Updates {
-		r.combs[u.Net] = combsFromWire(u.Comb)
+	for _, u := range res.Updates {
+		r.combs[u.Net] = u.Comb
 		for _, t := range r.importers[u.Net] {
 			if t != shard && r.hosts[t] >= 0 {
 				r.pending[t][u.Net] = true
 			}
 		}
 	}
-	r.passChanged = r.passChanged || resp.Changed
+	r.passChanged = r.passChanged || res.Changed
 }
 
-// forEachShard runs fn concurrently over the given shards and returns the
-// first fatal error; errAbandoned results are tolerated (the shard was
+// parallel runs fn(0..n-1) concurrently and returns the first error that
+// aborts the run; errAbandoned results are tolerated (the shard was
 // degraded, the run goes on).
-func (r *run) forEachShard(shards []int, fn func(s int) error) error {
-	errs := make([]error, len(shards))
+func parallel(n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, s := range shards {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i, s int) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn(s)
-		}(i, s)
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -564,20 +627,7 @@ func (r *run) forEachShard(shards []int, fn func(s int) error) error {
 // initAll builds every live shard's engine, seeded with the cumulative
 // padding (empty on a fresh run, the checkpoint's on resume).
 func (r *run) initAll(ctx context.Context) error {
-	return r.forEachShard(r.liveShards(), func(s int) error {
-		wi := r.hostOf(s)
-		if wi < 0 {
-			return errAbandoned
-		}
-		err := r.reinit(ctx, s, wi)
-		if err == nil {
-			return nil
-		}
-		if aerr := r.lost(ctx, wi, err); aerr != nil {
-			return aerr
-		}
-		return r.rehost(ctx, s)
-	})
+	return r.exchange(ctx, OpInit, -1, r.initRequest, func(int, *Reply, int) {})
 }
 
 // applyRoundAll pushes one round of padding growth to every live shard.
@@ -588,80 +638,59 @@ func (r *run) applyRoundAll(ctx context.Context, changed []string) error {
 		entries[i] = PadEntry{Net: net, Pad: r.padding[net]}
 	}
 	r.mu.Unlock()
-	return r.forEachShard(r.liveShards(), func(s int) error {
-		return r.dispatch(ctx, s, OpRound, &RoundRequest{Changed: entries}, nil)
-	})
+	return r.exchange(ctx, OpRound, -1, func(at Route) request {
+		return &RoundRequest{Route: at, Changed: entries}
+	}, func(int, *Reply, int) {})
 }
 
 // evalWaveAll dispatches one wave to every shard owning nets in it,
 // shipping each shard's queued boundary imports with the request.
 func (r *run) evalWaveAll(ctx context.Context, wi int) error {
-	var shards []int
-	for _, s := range r.liveShards() {
-		if r.present[s][wi] {
-			shards = append(shards, s)
+	seq := r.nextSeq()
+	return r.exchange(ctx, OpEval, wi, func(at Route) request {
+		req := &EvalRequest{Route: at, Seq: seq, Wave: wi, Boundary: make([][]NetComb, len(at.Shards))}
+		for i, s := range at.Shards {
+			req.Boundary[i] = r.takeBoundary(s)
 		}
-	}
-	return r.forEachShard(shards, func(s int) error {
-		req := &EvalRequest{Seq: r.nextSeq(), Wave: wi, Boundary: r.takeBoundary(s)}
-		resp := &EvalResponse{}
-		if err := r.dispatch(ctx, s, OpEval, req, resp); err != nil {
-			return err
-		}
-		r.applyEval(s, resp)
-		return nil
-	})
+		return req
+	}, func(s int, rep *Reply, i int) { r.applyEval(s, &rep.Evals[i]) })
 }
 
 // delayAll gathers every live shard's delta-delay impacts and sorts the
 // concatenation with the engine's own (total) comparator, yielding exactly
 // the single-process impact order.
 func (r *run) delayAll(ctx context.Context) ([]core.DelayImpact, error) {
-	per := make([]DelayResponse, r.asn.Shards)
-	err := r.forEachShard(r.liveShards(), func(s int) error {
-		return r.dispatch(ctx, s, OpDelay, &DelayRequest{}, &per[s])
-	})
-	if err != nil {
-		return nil, err
-	}
+	per := make([][]core.DelayImpact, r.asn.Shards)
+	err := r.exchange(ctx, OpDelay, -1, func(at Route) request { return &DelayRequest{at} },
+		func(s int, rep *Reply, i int) { per[s] = rep.Impacts[i] })
 	var all []core.DelayImpact
-	for _, resp := range per {
-		for _, iw := range resp.Impacts {
-			all = append(all, iw.impact())
-		}
+	for _, ims := range per {
+		all = append(all, ims...)
 	}
 	core.SortImpacts(all)
-	return all, nil
+	return all, err
 }
 
 // collectAll gathers every live shard's slice of the final result, by
 // shard; an abandoned shard's entry stays nil.
-func (r *run) collectAll(ctx context.Context) ([]*CollectResponse, error) {
-	cols := make([]*CollectResponse, r.asn.Shards)
-	err := r.forEachShard(r.liveShards(), func(s int) error {
-		resp := &CollectResponse{}
-		if err := r.dispatch(ctx, s, OpCollect, &CollectRequest{}, resp); err != nil {
-			return err
-		}
-		cols[s] = resp
-		return nil
-	})
+func (r *run) collectAll(ctx context.Context) ([]*core.ShardCollect, error) {
+	cols := make([]*core.ShardCollect, r.asn.Shards)
+	err := r.exchange(ctx, OpCollect, -1, func(at Route) request { return &CollectRequest{at} },
+		func(s int, rep *Reply, i int) { cols[s] = &rep.Collects[i] })
 	return cols, err
 }
 
-// closeAll releases worker-side engines, best effort.
-func (r *run) closeAll() {
+// finish releases the run's engines, best effort, on every worker (one that
+// merely timed out still holds them) and logs the dispatch ledger.
+func (r *run) finish() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	for wi, w := range r.cfg.Workers {
-		if !r.workerAlive(wi) {
-			continue
-		}
-		req := &CloseRequest{Route{Token: r.cfg.Token, Shard: -1}}
-		if err := w.Do(ctx, OpClose, req, nil); err != nil {
+	for _, w := range r.cfg.Workers {
+		if err := w.Do(ctx, OpClose, &CloseRequest{r.at()}, nil); err != nil {
 			r.cfg.Logf("shard: close on worker %s failed: %v", w.Name(), err)
 		}
 	}
+	r.cfg.Logf("shard: run %s over %d worker(s), dispatches by op: %v", r.cfg.Token, len(r.cfg.Workers), r.ledger)
 }
 
 // assemble merges the shard collects into the single-process result
@@ -671,7 +700,7 @@ func (r *run) closeAll() {
 // sequence checkViolations produces, which matters because that sort's
 // comparator is not total. Abandoned shards contribute synthesized
 // full-rail records and StageShard degradation diags instead.
-func (r *run) assemble(out *Outcome, cols []*CollectResponse) {
+func (r *run) assemble(out *Outcome, cols []*core.ShardCollect) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := append([]string(nil), r.plan.Order...)
@@ -697,18 +726,16 @@ func (r *run) assemble(out *Outcome, cols []*CollectResponse) {
 		stats.AggressorPairs += col.Pairs
 		stats.Filtered += col.Filtered
 		stats.Propagated += col.Propagated
-		for _, vw := range col.Violations {
-			v[vw.Net] = append(v[vw.Net], vw.violation())
+		for _, vi := range col.Violations {
+			v[vi.Net] = append(v[vi.Net], vi)
 		}
-		for _, sw := range col.Slacks {
-			sl[sw.Net] = append(sl[sw.Net], sw.slack())
+		for _, s := range col.Slacks {
+			sl[s.Net] = append(sl[s.Net], s)
 		}
-		for _, nw := range col.Nets {
-			noise.Nets[nw.Net] = nw.netNoise()
+		for _, nn := range col.Nets {
+			noise.Nets[nn.Net] = nn
 		}
-		for _, dw := range col.Diags {
-			diags = append(diags, dw.diag())
-		}
+		diags = append(diags, col.Diags...)
 	}
 	for s := range r.hosts {
 		if r.hosts[s] >= 0 {
@@ -747,4 +774,5 @@ func (r *run) assemble(out *Outcome, cols []*CollectResponse) {
 	out.Delay.Diags = diags
 	out.Degraded = len(diags) > 0
 	out.Reassigns = r.reassigns
+	out.Dispatches = r.ledger
 }

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"context"
-	"reflect"
+	"fmt"
 	"sync"
 
 	"repro/internal/bind"
@@ -18,11 +18,22 @@ import (
 // annotation, padding, noise state) is private to each engine.
 type EngineSource func(ctx context.Context, token string, spec *DesignSpec) (*bind.Design, core.Options, error)
 
+type slot struct { // keys one hosted engine
+	token string
+	shard int
+}
+
 // Host keeps the shard runners one worker hosts, keyed by (run token,
 // shard), and executes protocol ops against them. Both worker kinds are a
-// Host behind a transport: InProc copies typed values in and out, snad's
-// /v1/shard/{op} endpoint decodes and encodes JSON. Do is the only place
-// ops are told apart.
+// Host behind a transport: InProc passes the coordinator's typed messages
+// straight through, snad's /v1/shard/{op} endpoint decodes and encodes the
+// binary wire form. Do is the only place ops are told apart.
+//
+// A request addresses every shard of the worker that takes part in the step.
+// Do runs them concurrently and files each shard's error as that shard's
+// Fault, so one broken engine does not cost the other shards their answers;
+// only what fails the request as a whole (a malformed message, no design)
+// is returned as Do's error.
 type Host struct {
 	source EngineSource
 	// drop, when non-nil, is told when a token's last runner is gone, so
@@ -30,117 +41,130 @@ type Host struct {
 	drop func(token string)
 
 	mu      sync.Mutex
-	runners map[Route]*Runner
+	runners map[slot]*Runner
 }
 
 // NewHost returns an empty host building engines from source.
 func NewHost(source EngineSource, drop func(token string)) *Host {
-	return &Host{source: source, drop: drop, runners: make(map[Route]*Runner)}
+	return &Host{source: source, drop: drop, runners: make(map[slot]*Runner)}
 }
 
-// Do executes one op. bind fills the op's request in — by decoding a body
-// or by copying a typed value — and Do returns the op's response, nil for
-// ops that have none. A bind error is returned as is.
-func (h *Host) Do(ctx context.Context, op string, bind func(req any) error) (any, error) {
-	switch op {
-	case OpInit:
-		var req InitRequest
-		if err := bind(&req); err != nil {
-			return nil, err
+// Do executes the op that req (a pointer to a request type) asks for and
+// fills rep in; a close has no reply and ignores it.
+func (h *Host) Do(ctx context.Context, req any, rep *Reply) error {
+	switch req := req.(type) {
+	case *InitRequest:
+		if len(req.Inits) != len(req.Shards) {
+			break
 		}
-		// The runner keeps its builder: hand it the token and the spec, not
-		// the whole request with its restore list.
-		token, spec := req.Token, req.Design
-		r := NewRunner(func(ctx context.Context, owned []string, padding map[string]float64) (*core.ShardEngine, error) {
-			b, opts, err := h.source(ctx, token, spec)
+		// Once per request: every engine of the token shares the design.
+		b, opts, err := h.source(ctx, req.Token, req.Design)
+		if err != nil {
+			return fatalUnlessCtx(err)
+		}
+		padding := padMap(req.Padding)
+		h.each(&req.Route, rep, false, func(i int, k slot, _ *Runner) error {
+			eng, err := core.NewShardEngine(ctx, b, opts, req.Inits[i].Owned, padding)
 			if err != nil {
-				return nil, err
+				return fatalUnlessCtx(err)
 			}
-			return core.NewShardEngine(ctx, b, opts, owned, padding)
+			// Publish only an initialized engine, closing the one it replaces:
+			// a re-init after a coordinator retry must not leak it.
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			if old := h.runners[k]; old != nil {
+				old.Close()
+			}
+			h.runners[k] = NewRunner(eng, req.Inits[i].Restore)
+			return nil
 		})
-		if err := r.Init(ctx, &req); err != nil {
-			return nil, err
+		return nil
+	case *EvalRequest:
+		if len(req.Boundary) != len(req.Shards) {
+			break
 		}
-		// Publish only an initialized engine, closing the one it replaces:
-		// a re-init after a coordinator retry must not leak it.
-		h.mu.Lock()
-		if old := h.runners[req.Route]; old != nil {
-			old.Close()
-		}
-		h.runners[req.Route] = r
-		h.mu.Unlock()
-		return nil, nil
-	case OpEval:
-		req := &EvalRequest{}
-		r, err := h.bound(op, req, bind)
-		if err != nil {
-			return nil, err
-		}
-		return r.Eval(ctx, req)
-	case OpRound:
-		req := &RoundRequest{}
-		r, err := h.bound(op, req, bind)
-		if err != nil {
-			return nil, err
-		}
-		return nil, r.Round(ctx, req)
-	case OpDelay:
-		req := &DelayRequest{}
-		r, err := h.bound(op, req, bind)
-		if err != nil {
-			return nil, err
-		}
-		return r.Delay(ctx, req)
-	case OpCollect:
-		req := &CollectRequest{}
-		r, err := h.bound(op, req, bind)
-		if err != nil {
-			return nil, err
-		}
-		return r.Collect(ctx, req)
-	case OpClose:
-		var req CloseRequest
-		if err := bind(&req); err != nil {
-			return nil, err
-		}
-		h.close(func(k Route) bool {
-			return k.Token == req.Token && (req.Shard < 0 || k.Shard == req.Shard)
+		rep.Evals = make([]EvalResult, len(req.Shards))
+		h.each(&req.Route, rep, true, func(i int, _ slot, r *Runner) (err error) {
+			rep.Evals[i], err = r.Eval(ctx, req.Seq, req.Wave, req.Boundary[i])
+			return err
 		})
-		return nil, nil
+		return nil
+	case *RoundRequest:
+		h.each(&req.Route, rep, true, func(_ int, _ slot, r *Runner) error { return r.Round(ctx, req.Changed) })
+		return nil
+	case *DelayRequest:
+		rep.Impacts = make([][]core.DelayImpact, len(req.Shards))
+		h.each(&req.Route, rep, true, func(i int, _ slot, r *Runner) (err error) {
+			rep.Impacts[i], err = r.Delay(ctx)
+			return err
+		})
+		return nil
+	case *CollectRequest:
+		rep.Collects = make([]core.ShardCollect, len(req.Shards))
+		h.each(&req.Route, rep, true, func(i int, _ slot, r *Runner) error {
+			col, err := r.Collect(ctx)
+			if err == nil {
+				rep.Collects[i] = *col
+			}
+			return err
+		})
+		return nil
+	case *CloseRequest:
+		h.close(req.Token)
+		return nil
 	}
-	return nil, badRequestError("shard: unknown op %q", op)
+	return badRequestError("shard: malformed request %T", req)
 }
 
-// bound fills req in and finds the runner it is routed to.
-func (h *Host) bound(op string, req routed, bind func(any) error) (*Runner, error) {
-	if err := bind(req); err != nil {
-		return nil, err
+// each runs fn once per addressed shard, concurrently, and files what it
+// returns (or panics with) as the shard's fault. With hosted set fn gets the
+// shard's runner, and a shard without one faults.
+func (h *Host) each(at *Route, rep *Reply, hosted bool, fn func(i int, k slot, r *Runner) error) {
+	rep.Faults = make([]Fault, len(at.Shards))
+	var wg sync.WaitGroup
+	for i, s := range at.Shards {
+		wg.Add(1)
+		go func(i int, k slot) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					rep.Faults[i] = Fault{faultTransient, fmt.Sprintf("shard: panic on %s/%d: %v", k.token, k.shard, p)}
+				}
+			}()
+			h.mu.Lock()
+			r := h.runners[k]
+			h.mu.Unlock()
+			if hosted && r == nil {
+				rep.Faults[i] = faultOf(badRequestError("shard: op on uninitialized shard %s/%d", k.token, k.shard))
+				return
+			}
+			rep.Faults[i] = faultOf(fn(i, k, r))
+		}(i, slot{at.Token, s})
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	at := *req.route()
-	if r := h.runners[at]; r != nil {
-		return r, nil
-	}
-	return nil, badRequestError("shard: %s on uninitialized shard %s/%d", op, at.Token, at.Shard)
+	wg.Wait()
 }
 
-// close drops every matching runner, then reports each token left without
-// one. drop runs under the host lock so a token's release is atomic with
-// the disappearance of its last engine.
-func (h *Host) close(match func(Route) bool) {
+// close drops the token's runners — every runner for "" — then reports each
+// token left without one: the closed ones and token itself, which may hold a
+// design without an engine (an init whose every build failed). drop runs
+// under the host lock so a token's release is atomic with the disappearance
+// of its last engine.
+func (h *Host) close(token string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	gone := make(map[string]bool)
+	if token != "" {
+		gone[token] = true
+	}
 	for k, r := range h.runners {
-		if match(k) {
+		if token == "" || k.token == token {
 			r.Close()
 			delete(h.runners, k)
-			gone[k.Token] = true
+			gone[k.token] = true
 		}
 	}
 	for k := range h.runners {
-		delete(gone, k.Token)
+		delete(gone, k.token)
 	}
 	if h.drop != nil {
 		for token := range gone {
@@ -150,17 +174,4 @@ func (h *Host) close(match func(Route) bool) {
 }
 
 // CloseAll drops every hosted engine (worker shutdown).
-func (h *Host) CloseAll() {
-	h.close(func(Route) bool { return true })
-}
-
-// assign copies *src into *dst — the in-process stand-in for an encode and
-// decode. Both must be non-nil pointers to the same wire type.
-func assign(dst, src any) error {
-	d, s := reflect.ValueOf(dst), reflect.ValueOf(src)
-	if src == nil || s.Type() != d.Type() || s.IsNil() {
-		return badRequestError("shard: want %T, got %T", dst, src)
-	}
-	d.Elem().Set(s.Elem())
-	return nil
-}
+func (h *Host) CloseAll() { h.close("") }

@@ -23,10 +23,6 @@ func fatalUnlessCtx(err error) error {
 	return &FatalError{Err: err}
 }
 
-// BuildEngine constructs a shard engine over the worker's design (shared
-// across the worker's engines, see EngineSource).
-type BuildEngine func(ctx context.Context, owned []string, padding map[string]float64) (*core.ShardEngine, error)
-
 // Runner hosts one shard's engine behind the op protocol. It owns the two
 // pieces of protocol state that make dispatch retries exact:
 //
@@ -43,8 +39,6 @@ type BuildEngine func(ctx context.Context, owned []string, padding map[string]fl
 // (the coordinator never overlaps them), the lock just makes stray
 // concurrent calls safe.
 type Runner struct {
-	build BuildEngine
-
 	mu      sync.Mutex
 	eng     *core.ShardEngine
 	broken  error
@@ -58,28 +52,13 @@ type Runner struct {
 	evalDone bool
 }
 
-// NewRunner returns a runner that builds engines with build.
-func NewRunner(build BuildEngine) *Runner {
-	return &Runner{build: build}
-}
-
-// Init builds (or rebuilds) the engine: owned nets, padding-seeded timing,
-// and restored authoritative combinations.
-func (r *Runner) Init(ctx context.Context, req *InitRequest) error {
-	eng, err := r.build(ctx, req.Owned, padMap(req.Padding))
-	if err != nil {
-		return fatalUnlessCtx(err)
+// NewRunner hosts eng with the authoritative combinations restored (none on
+// a first init, the coordinator's committed state on a mid-run rebuild).
+func NewRunner(eng *core.ShardEngine, restore []NetComb) *Runner {
+	for _, nc := range restore {
+		eng.SetComb(nc.Net, nc.Comb)
 	}
-	for _, nc := range req.Restore {
-		eng.SetComb(nc.Net, combsFromWire(nc.Comb))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.eng = eng
-	r.broken = nil
-	r.evalSeq = 0
-	r.resetMemo()
-	return nil
+	return &Runner{eng: eng}
 }
 
 func (r *Runner) resetMemo() {
@@ -93,76 +72,77 @@ func (r *Runner) engine() (*core.ShardEngine, error) {
 		return nil, fmt.Errorf("%w: %v", ErrEngineBroken, r.broken)
 	}
 	if r.eng == nil {
-		return nil, badRequestError("shard: runner has no engine (init not seen)")
+		return nil, badRequestError("shard: runner is closed")
 	}
 	return r.eng, nil
 }
 
-// Eval applies the request's boundary combinations and evaluates the wave,
-// returning every commit of this Seq (including ones from earlier aborted
-// attempts).
-func (r *Runner) Eval(ctx context.Context, req *EvalRequest) (*EvalResponse, error) {
+// Eval applies the boundary combinations and evaluates the wave, returning
+// every commit of this Seq (including ones from earlier aborted attempts).
+func (r *Runner) Eval(ctx context.Context, seq, wave int, boundary []NetComb) (EvalResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	eng, err := r.engine()
 	if err != nil {
-		return nil, err
+		return EvalResult{}, err
 	}
-	if req.Seq != r.evalSeq {
-		r.evalSeq = req.Seq
+	if seq != r.evalSeq {
+		r.evalSeq = seq
 		r.resetMemo()
 	}
 	if r.evalDone {
-		return r.evalResponse(), nil
+		return r.evalResult(), nil
 	}
-	for _, nc := range req.Boundary {
-		eng.SetComb(nc.Net, combsFromWire(nc.Comb))
+	for _, nc := range boundary {
+		eng.SetComb(nc.Net, nc.Comb)
 	}
 	if r.pending == nil {
 		r.pending = make(map[string][2]core.Combined)
 	}
-	ups, changed, err := eng.EvalWave(ctx, req.Wave)
+	ups, changed, err := eng.EvalWave(ctx, wave)
 	for _, u := range ups {
+		// Forwarded without the members (see NetComb).
+		for k := range u.Comb {
+			u.Comb[k].Members, u.Comb[k].MemberEvents = nil, nil
+		}
 		r.pending[u.Net] = u.Comb
 	}
 	r.changed = r.changed || changed
 	if err != nil {
-		return nil, fatalUnlessCtx(err)
+		return EvalResult{}, fatalUnlessCtx(err)
 	}
 	r.evalDone = true
-	return r.evalResponse(), nil
+	return r.evalResult(), nil
 }
 
-func (r *Runner) evalResponse() *EvalResponse {
+func (r *Runner) evalResult() EvalResult {
 	nets := make([]string, 0, len(r.pending))
 	for net := range r.pending {
 		nets = append(nets, net)
 	}
 	sort.Strings(nets)
-	resp := &EvalResponse{Changed: r.changed}
+	res := EvalResult{Changed: r.changed}
 	for _, net := range nets {
-		resp.Updates = append(resp.Updates, NetComb{Net: net, Comb: forwardToWire(r.pending[net])})
+		res.Updates = append(res.Updates, NetComb{Net: net, Comb: r.pending[net]})
 	}
-	return resp
+	return res
 }
 
 // Round applies one round of padding growth. A failure marks the engine
 // broken: the timing update mutates in place and a partial update is not a
 // state any single-process run ever visits.
-func (r *Runner) Round(ctx context.Context, req *RoundRequest) error {
+func (r *Runner) Round(ctx context.Context, changed []PadEntry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	eng, err := r.engine()
 	if err != nil {
 		return err
 	}
-	changed := make([]string, len(req.Changed))
-	padding := make(map[string]float64, len(req.Changed))
-	for i, e := range req.Changed {
-		changed[i] = e.Net
-		padding[e.Net] = e.Pad
+	nets := make([]string, len(changed))
+	for i, e := range changed {
+		nets[i] = e.Net
 	}
-	if err := eng.ApplyRound(ctx, changed, padding); err != nil {
+	if err := eng.ApplyRound(ctx, nets, padMap(changed)); err != nil {
 		r.broken = err
 		return fmt.Errorf("%w: %v", ErrEngineBroken, err)
 	}
@@ -172,8 +152,9 @@ func (r *Runner) Round(ctx context.Context, req *RoundRequest) error {
 	return nil
 }
 
-// Delay runs the delta-delay pass over the owned nets.
-func (r *Runner) Delay(ctx context.Context, req *DelayRequest) (*DelayResponse, error) {
+// Delay runs the delta-delay pass over the owned nets and returns their
+// impacts in evaluation order.
+func (r *Runner) Delay(ctx context.Context) ([]core.DelayImpact, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	eng, err := r.engine()
@@ -181,46 +162,18 @@ func (r *Runner) Delay(ctx context.Context, req *DelayRequest) (*DelayResponse, 
 		return nil, err
 	}
 	ims, err := eng.DelayImpacts(ctx)
-	if err != nil {
-		return nil, fatalUnlessCtx(err)
-	}
-	resp := &DelayResponse{}
-	for _, im := range ims {
-		resp.Impacts = append(resp.Impacts, impactToWire(im))
-	}
-	return resp, nil
+	return ims, fatalUnlessCtx(err)
 }
 
 // Collect returns the shard's slice of the final result.
-func (r *Runner) Collect(ctx context.Context, req *CollectRequest) (*CollectResponse, error) {
+func (r *Runner) Collect(ctx context.Context) (*core.ShardCollect, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	eng, err := r.engine()
 	if err != nil {
 		return nil, err
 	}
-	col, err := eng.Collect(ctx)
-	if err != nil {
-		return nil, err
-	}
-	resp := &CollectResponse{
-		Pairs:      col.Pairs,
-		Filtered:   col.Filtered,
-		Propagated: col.Propagated,
-	}
-	for _, nn := range col.Nets {
-		resp.Nets = append(resp.Nets, netNoiseToWire(nn))
-	}
-	for _, v := range col.Violations {
-		resp.Violations = append(resp.Violations, violationToWire(v))
-	}
-	for _, s := range col.Slacks {
-		resp.Slacks = append(resp.Slacks, slackToWire(s))
-	}
-	for _, d := range col.Diags {
-		resp.Diags = append(resp.Diags, diagToWire(d))
-	}
-	return resp, nil
+	return eng.Collect(ctx)
 }
 
 // Close drops the engine.

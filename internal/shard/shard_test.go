@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -304,6 +305,83 @@ func workerFaultsStaySound(t *testing.T, mk fixtureMaker) {
 			}
 		})
 	}
+
+	// One shard of a two-shard request fails while its neighbour's answer is
+	// good: the neighbour's answer is kept, the failed shard alone walks the
+	// ladder as a request of one, and the run stays byte-identical.
+	for _, c := range []struct {
+		name, op  string
+		kind      byte
+		reassigns int
+	}{
+		// A padding update that died halfway: rebuilt in place, once.
+		{"one-shard-broken", OpRound, faultBroken, 1},
+		// The shard's answer was lost: the eval memo replays it, nothing is rebuilt.
+		{"one-shard-partial", OpEval, faultTransient, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			workers := inprocWorkers(mk, opts, 2)
+			hit := &oneShardFault{InProc: workers[1].(*InProc), op: c.op, kind: c.kind, victim: -1}
+			workers[1] = hit
+			got, err := Run(context.Background(), Config{B: b, Opts: opts, Workers: workers, Shards: 4, Token: c.name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit.victim < 0 {
+				t.Fatalf("no two-shard %s request reached the worker", c.op)
+			}
+			if got.Reassigns != c.reassigns || got.Degraded {
+				t.Errorf("reassigns=%d degraded=%v, want %d and false", got.Reassigns, got.Degraded, c.reassigns)
+			}
+			if want := [][]int{{hit.victim}}[:c.reassigns]; fmt.Sprint(hit.reinits) != fmt.Sprint(want) {
+				t.Errorf("re-initialised %v after the fault, want %v", hit.reinits, want)
+			}
+			gotNoise, gotDelay := reportBytes(t, got.Noise, got.Delay)
+			if !bytes.Equal(gotNoise, wantNoise) || !bytes.Equal(gotDelay, wantDelay) {
+				t.Errorf("run differs from single-process report")
+			}
+		})
+	}
+}
+
+// oneShardFault fails the second shard of the first two-shard request of op
+// it sees, after the op ran: the shard's answer becomes a fault of the given
+// kind, and for a broken fault its engine really is left broken. It records
+// the shards of every init that follows.
+type oneShardFault struct {
+	*InProc
+	op      string
+	kind    byte
+	victim  int
+	reinits [][]int
+}
+
+func (w *oneShardFault) Do(ctx context.Context, op string, req, resp any) error {
+	err := w.InProc.Do(ctx, op, req, resp)
+	if op == OpClose {
+		return err
+	}
+	at := req.(request).route()
+	switch {
+	case w.victim >= 0 && op == OpInit:
+		w.reinits = append(w.reinits, at.Shards)
+	case w.victim < 0 && op == w.op && len(at.Shards) == 2 && err == nil:
+		w.victim = at.Shards[1]
+		rep := resp.(*Reply)
+		rep.Faults[1] = Fault{Kind: w.kind, Msg: "injected"}
+		if rep.Evals != nil {
+			rep.Evals[1] = EvalResult{}
+		}
+		if w.kind == faultBroken {
+			w.host.mu.Lock()
+			r := w.host.runners[slot{at.Token, w.victim}]
+			w.host.mu.Unlock()
+			r.mu.Lock()
+			r.broken = errors.New("injected half-applied round")
+			r.mu.Unlock()
+		}
+	}
+	return err
 }
 
 // TestAllWorkersLost pins the worst case: every worker dies, every shard
@@ -415,6 +493,20 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
+// sameEval compares two eval results bit for bit, through their wire form:
+// reflect.DeepEqual would call two NaN At instants different.
+func sameEval(t *testing.T, a, b EvalResult) bool {
+	t.Helper()
+	var frames [2][]byte
+	for i, res := range []EvalResult{a, b} {
+		var err error
+		if frames[i], err = Marshal(&Reply{Faults: make([]Fault, 1), Evals: []EvalResult{res}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bytes.Equal(frames[0], frames[1])
+}
+
 // TestRunnerEvalMemo pins the retry-exactness contract: re-dispatching an
 // eval Seq replays the accumulated updates instead of losing them.
 func TestRunnerEvalMemo(t *testing.T) {
@@ -423,19 +515,18 @@ func TestRunnerEvalMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(func(ctx context.Context, owned []string, padding map[string]float64) (*core.ShardEngine, error) {
-		return core.NewShardEngine(ctx, b, opts, owned, padding)
-	})
 	ctx := context.Background()
-	if err := r.Init(ctx, &InitRequest{Owned: plan.Order}); err != nil {
+	eng, err := core.NewShardEngine(ctx, b, opts, plan.Order, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	r := NewRunner(eng, nil)
 	// Find a wave that actually commits something on the first pass.
-	var first *EvalResponse
+	var first EvalResult
 	wave, seq := -1, 0
 	for w := range plan.Waves {
 		seq++
-		out, err := r.Eval(ctx, &EvalRequest{Seq: seq, Wave: w})
+		out, err := r.Eval(ctx, seq, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,17 +535,17 @@ func TestRunnerEvalMemo(t *testing.T) {
 			break
 		}
 	}
-	if first == nil {
+	if wave < 0 {
 		t.Fatal("no wave committed anything; fixture too quiet for this test")
 	}
-	replay, err := r.Eval(ctx, &EvalRequest{Seq: seq, Wave: wave})
+	replay, err := r.Eval(ctx, seq, wave, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(first.Updates) == 0 {
 		t.Fatal("a wave that moved the pass forwarded nothing")
 	}
-	if !reflect.DeepEqual(first, replay) {
+	if !sameEval(t, first, replay) {
 		t.Fatal("duplicate Seq did not replay the memoized updates and changed bit")
 	}
 	// An attempt that committed and then died before finishing the wave
@@ -464,21 +555,67 @@ func TestRunnerEvalMemo(t *testing.T) {
 	r.mu.Lock()
 	r.evalDone = false
 	r.mu.Unlock()
-	retry, err := r.Eval(ctx, &EvalRequest{Seq: seq, Wave: wave})
+	retry, err := r.Eval(ctx, seq, wave, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first, retry) {
+	if !sameEval(t, first, retry) {
 		t.Fatalf("retry after an aborted attempt lost commits: changed=%v, %d updates; want changed=true, %d",
 			retry.Changed, len(retry.Updates), len(first.Updates))
 	}
 	// A new Seq re-evaluates: at the fixpoint nothing changes, so the
 	// response is empty rather than a replay.
-	fresh, err := r.Eval(ctx, &EvalRequest{Seq: seq + 1, Wave: wave})
+	fresh, err := r.Eval(ctx, seq+1, wave, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fresh.Updates) != 0 || fresh.Changed {
 		t.Fatalf("fresh Seq at fixpoint: %d updates, changed=%v; want none", len(fresh.Updates), fresh.Changed)
+	}
+}
+
+// hostWorker is a bare Host behind the Worker interface — what snad's shard
+// endpoint is behind HTTP — whose runners and drop hook a test can see.
+type hostWorker struct {
+	h      *Host
+	before func(op string)
+}
+
+func (w hostWorker) Name() string                   { return "host" }
+func (w hostWorker) Ping(ctx context.Context) error { return ctx.Err() }
+func (w hostWorker) Do(ctx context.Context, op string, req, resp any) error {
+	w.before(op)
+	rep, _ := resp.(*Reply)
+	return w.h.Do(ctx, req, rep)
+}
+
+// TestRunReleasesWorkersOnEveryExit: a run that fails or is cancelled must
+// close its engines and release its token's design exactly as a finished one
+// does — a job iterate's token is unique, so nothing else ever would.
+func TestRunReleasesWorkersOnEveryExit(t *testing.T) {
+	b, opts := bindFixture(t, fixtures()["bus"])
+	for _, cancelAtEval := range []int{3, 0} {
+		drops := 0
+		host := NewHost(func(context.Context, string, *DesignSpec) (*bind.Design, core.Options, error) {
+			return b, opts, nil
+		}, func(string) { drops++ })
+		ctx, cancel := context.WithCancel(context.Background())
+		evals := 0
+		w := hostWorker{h: host, before: func(op string) {
+			if op == OpEval {
+				if evals++; evals == cancelAtEval {
+					cancel() // mid-pass: engines built, waves under way
+				}
+			}
+		}}
+		_, err := Run(ctx, Config{B: b, Opts: opts, Workers: []Worker{w}, Shards: 2, Token: "leak"})
+		cancel()
+		if (err != nil) != (cancelAtEval > 0) {
+			t.Fatalf("cancel at eval %d: run returned %v", cancelAtEval, err)
+		}
+		if n := len(host.runners); n != 0 || drops != 1 {
+			t.Errorf("cancel at eval %d: %d runner(s) left on the worker, drop hook fired %d time(s); want 0 and 1",
+				cancelAtEval, n, drops)
+		}
 	}
 }

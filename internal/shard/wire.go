@@ -5,8 +5,8 @@
 // (shared by the in-process worker and snad's /v1/shard endpoint), and a
 // coordinator that is the distributed side of core's noise/delay fixpoint
 // driver: core.RunIterative decides when a wave, a pass, a round and the run
-// are over; the coordinator turns each phase into dispatches, exchanging
-// boundary combinations wave by wave.
+// are over; the coordinator turns each phase into one exchange per worker,
+// trading boundary combinations wave by wave.
 //
 // The contract: a healthy distributed run is byte-identical (at the report
 // JSON level) to the single-process core.AnalyzeIterative; a run that loses
@@ -14,12 +14,20 @@
 // irrecoverable, substitutes the conservative full-rail bound for its nets
 // with Diag{Stage: "shard"} records — a sound report, never a hang or a
 // hard failure.
+//
+// This file is the protocol: the messages, which hold the engine's own types
+// (core.Combined, core.DelayImpact, core.ShardCollect, ...) and which the
+// in-process worker is handed by pointer, and the binary frames the HTTP
+// transport carries them in. One function per message both encodes and
+// decodes it, so the directions cannot drift; DESIGN.md §10 has the format.
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/core"
@@ -35,7 +43,6 @@ const (
 	OpDelay   = "delay"
 	OpCollect = "collect"
 	OpClose   = "close"
-	OpPing    = "ping"
 )
 
 // ErrEngineBroken is returned by a runner whose engine was left in an
@@ -52,404 +59,204 @@ type FatalError struct{ Err error }
 func (e *FatalError) Error() string { return e.Err.Error() }
 func (e *FatalError) Unwrap() error { return e.Err }
 
-// Float JSON round-trips are exact (encoding/json emits the shortest
-// representation that parses back to the same float64), so the wire forms
-// below preserve bit-identical results across the HTTP transport. The only
-// values float64 JSON cannot carry are NaN and the infinities; the wire
-// types encode those explicitly: a Combined's At is NaN when no events
-// combine (pointer, nil = NaN), and a Window distinguishes the empty
-// window (Lo > Hi) from infinite bounds (nil Lo = -Inf, nil Hi = +Inf).
-
-// WindowWire is the wire form of interval.Window.
-type WindowWire struct {
-	Empty bool     `json:"empty,omitempty"`
-	Lo    *float64 `json:"lo,omitempty"`
-	Hi    *float64 `json:"hi,omitempty"`
+// badRequestError marks a malformed protocol request (unknown op, missing
+// engine, out-of-range wave) — a coordinator bug or a stale worker, not a
+// transient fault.
+func badRequestError(format string, args ...any) error {
+	return &FatalError{Err: fmt.Errorf(format, args...)}
 }
 
-func windowToWire(w interval.Window) WindowWire {
-	if w.IsEmpty() {
-		return WindowWire{Empty: true}
-	}
-	var out WindowWire
-	if !math.IsInf(w.Lo, -1) {
-		lo := w.Lo
-		out.Lo = &lo
-	}
-	if !math.IsInf(w.Hi, 1) {
-		hi := w.Hi
-		out.Hi = &hi
-	}
-	return out
+// Fault is one shard's failure inside a delivered answer: the error's class
+// in the coordinator's taxonomy and its message. The zero Fault is success.
+type Fault struct {
+	Kind byte
+	Msg  string
 }
 
-func (w WindowWire) window() interval.Window {
-	if w.Empty {
-		return interval.Empty()
+const (
+	faultNone      byte = iota
+	faultTransient      // timeouts, cancellation, anything retryable
+	faultBroken         // ErrEngineBroken
+	faultFatal          // FatalError
+)
+
+func faultOf(err error) Fault {
+	switch {
+	case err == nil:
+		return Fault{}
+	case errors.Is(err, ErrEngineBroken):
+		return Fault{faultBroken, err.Error()}
+	case isFatal(err):
+		return Fault{faultFatal, err.Error()}
 	}
-	lo, hi := math.Inf(-1), math.Inf(1)
-	if w.Lo != nil {
-		lo = *w.Lo
-	}
-	if w.Hi != nil {
-		hi = *w.Hi
-	}
-	return interval.Window{Lo: lo, Hi: hi}
+	return Fault{faultTransient, err.Error()}
 }
 
-func setToWire(s interval.Set) []WindowWire {
-	ws := s.Windows()
-	out := make([]WindowWire, len(ws))
-	for i, w := range ws {
-		out[i] = windowToWire(w)
-	}
-	return out
-}
-
-func setFromWire(ws []WindowWire) interval.Set {
-	wins := make([]interval.Window, len(ws))
-	for i, w := range ws {
-		wins[i] = w.window()
-	}
-	return interval.NewSet(wins...)
-}
-
-func floatToWire(v float64) *float64 {
-	if math.IsNaN(v) {
+func (f Fault) err() error {
+	switch f.Kind {
+	case faultNone:
 		return nil
+	case faultBroken:
+		return fmt.Errorf("%w: %s", ErrEngineBroken, f.Msg)
+	case faultFatal:
+		return &FatalError{Err: errors.New(f.Msg)}
 	}
-	return &v
+	return errors.New(f.Msg)
 }
 
-func floatFromWire(v *float64) float64 {
-	if v == nil {
-		return math.NaN()
-	}
-	return *v
+// Route addresses a request: the run token and the shards of the receiving
+// worker that take part in the step, ascending. Every request embeds it and
+// a Host keys its engines by (token, shard). A request's per-shard fields and
+// every field of its Reply are parallel to Shards; a request of one shard is
+// the same message with one entry.
+type Route struct {
+	Token  string
+	Shards []int
 }
 
-// EventWire is the wire form of core.Event.
-type EventWire struct {
-	Peak   float64    `json:"peak"`
-	Width  float64    `json:"width"`
-	Window WindowWire `json:"window"`
-	Source string     `json:"source"`
+func (r *Route) route() *Route { return r }
+
+func (r Route) only(i int) Route { return Route{Token: r.Token, Shards: r.Shards[i : i+1]} }
+
+// request is what the coordinator needs of any op's request: whom it
+// addresses, and pick(i), the request of one for entry i, sharing its payload
+// so a re-send is exact.
+type request interface {
+	route() *Route
+	pick(i int) request
 }
 
-func eventToWire(e core.Event) EventWire {
-	return EventWire{Peak: e.Peak, Width: e.Width, Window: windowToWire(e.Window), Source: e.Source}
-}
-
-func (e EventWire) event() core.Event {
-	return core.Event{Peak: e.Peak, Width: e.Width, Window: e.Window.window(), Source: e.Source}
-}
-
-func eventsToWire(es []core.Event) []EventWire {
-	if es == nil {
-		return nil
-	}
-	out := make([]EventWire, len(es))
-	for i, e := range es {
-		out[i] = eventToWire(e)
-	}
-	return out
-}
-
-func eventsFromWire(es []EventWire) []core.Event {
-	if es == nil {
-		return nil
-	}
-	out := make([]core.Event, len(es))
-	for i, e := range es {
-		out[i] = e.event()
-	}
-	return out
-}
-
-// CombinedWire is the wire form of core.Combined, at full fidelity —
-// members and member events included, because the final report renders
-// them.
-type CombinedWire struct {
-	Peak         float64     `json:"peak"`
-	Width        float64     `json:"width"`
-	Window       WindowWire  `json:"window"`
-	At           *float64    `json:"at"`
-	Members      []string    `json:"members,omitempty"`
-	MemberEvents []EventWire `json:"member_events,omitempty"`
-}
-
-func combToWire(c core.Combined) CombinedWire {
-	return CombinedWire{
-		Peak:         c.Peak,
-		Width:        c.Width,
-		Window:       windowToWire(c.Window),
-		At:           floatToWire(c.At),
-		Members:      c.Members,
-		MemberEvents: eventsToWire(c.MemberEvents),
-	}
-}
-
-func (c CombinedWire) comb() core.Combined {
-	return core.Combined{
-		Peak:         c.Peak,
-		Width:        c.Width,
-		Window:       c.Window.window(),
-		At:           floatFromWire(c.At),
-		Members:      c.Members,
-		MemberEvents: eventsFromWire(c.MemberEvents),
-	}
-}
-
-func combsToWire(c [2]core.Combined) [2]CombinedWire {
-	return [2]CombinedWire{combToWire(c[0]), combToWire(c[1])}
-}
-
-func combsFromWire(c [2]CombinedWire) [2]core.Combined {
-	return [2]core.Combined{c[0].comb(), c[1].comb()}
-}
-
-// forwardToWire is combsToWire without the members: a forwarded value is
-// read by another engine for its peak, width and window only. The members
-// matter to the report, which every owner renders from its own evaluation
-// (collect), never from a forwarded or restored value.
-func forwardToWire(c [2]core.Combined) [2]CombinedWire {
-	for k := range c {
-		c[k].Members, c[k].MemberEvents = nil, nil
-	}
-	return combsToWire(c)
+// Reply is every op's answer, one result-or-error per addressed shard:
+// Faults[i] tells how Shards[i] fared (the zero Fault: fine) and, by op,
+// Evals[i], Impacts[i] (in evaluation order) or Collects[i] (a diagnostic's
+// error crosses as its message) is its result. Init and round answer Faults
+// alone; close answers nothing.
+type Reply struct {
+	Faults   []Fault
+	Evals    []EvalResult
+	Impacts  [][]core.DelayImpact
+	Collects []core.ShardCollect
 }
 
 // NetComb carries one net's committed combination — the boundary-exchange
-// and restore currency of the protocol.
+// and restore currency of the protocol. It travels without the members: a
+// forwarded value is read by another engine for its peak, width and window
+// only, and the report renders members from the owner's own evaluation
+// (collect), never from a forwarded or restored value.
 type NetComb struct {
-	Net  string          `json:"net"`
-	Comb [2]CombinedWire `json:"comb"`
+	Net  string
+	Comb [2]core.Combined
 }
 
-// NetNoiseWire is a full per-net result (collect only).
-type NetNoiseWire struct {
-	Net    string          `json:"net"`
-	Events [2][]EventWire  `json:"events"`
-	Comb   [2]CombinedWire `json:"comb"`
-}
-
-func netNoiseToWire(nn *core.NetNoise) NetNoiseWire {
-	return NetNoiseWire{
-		Net:    nn.Net,
-		Events: [2][]EventWire{eventsToWire(nn.Events[0]), eventsToWire(nn.Events[1])},
-		Comb:   combsToWire(nn.Comb),
-	}
-}
-
-func (w NetNoiseWire) netNoise() *core.NetNoise {
-	return &core.NetNoise{
-		Net:    w.Net,
-		Events: [2][]core.Event{eventsFromWire(w.Events[0]), eventsFromWire(w.Events[1])},
-		Comb:   combsFromWire(w.Comb),
-	}
-}
-
-// ViolationWire is the wire form of core.Violation.
-type ViolationWire struct {
-	Net      string   `json:"net"`
-	Receiver string   `json:"receiver"`
-	Kind     int      `json:"kind"`
-	Peak     float64  `json:"peak"`
-	Width    float64  `json:"width"`
-	Limit    float64  `json:"limit"`
-	Slack    float64  `json:"slack"`
-	At       *float64 `json:"at"`
-	Members  []string `json:"members,omitempty"`
-}
-
-func violationToWire(v core.Violation) ViolationWire {
-	return ViolationWire{
-		Net: v.Net, Receiver: v.Receiver, Kind: int(v.Kind),
-		Peak: v.Peak, Width: v.Width, Limit: v.Limit, Slack: v.Slack,
-		At: floatToWire(v.At), Members: v.Members,
-	}
-}
-
-func (v ViolationWire) violation() core.Violation {
-	return core.Violation{
-		Net: v.Net, Receiver: v.Receiver, Kind: core.Kind(v.Kind),
-		Peak: v.Peak, Width: v.Width, Limit: v.Limit, Slack: v.Slack,
-		At: floatFromWire(v.At), Members: v.Members,
-	}
-}
-
-// SlackWire is the wire form of core.ReceiverSlack.
-type SlackWire struct {
-	Net      string  `json:"net"`
-	Receiver string  `json:"receiver"`
-	Kind     int     `json:"kind"`
-	Peak     float64 `json:"peak"`
-	Limit    float64 `json:"limit"`
-	Slack    float64 `json:"slack"`
-}
-
-func slackToWire(s core.ReceiverSlack) SlackWire {
-	return SlackWire{Net: s.Net, Receiver: s.Receiver, Kind: int(s.Kind), Peak: s.Peak, Limit: s.Limit, Slack: s.Slack}
-}
-
-func (s SlackWire) slack() core.ReceiverSlack {
-	return core.ReceiverSlack{Net: s.Net, Receiver: s.Receiver, Kind: core.Kind(s.Kind), Peak: s.Peak, Limit: s.Limit, Slack: s.Slack}
-}
-
-// ImpactWire is the wire form of core.DelayImpact.
-type ImpactWire struct {
-	Net          string       `json:"net"`
-	Rise         bool         `json:"rise"`
-	VictimWindow []WindowWire `json:"victim_window"`
-	NoisePeak    float64      `json:"noise_peak"`
-	Delta        float64      `json:"delta"`
-	At           *float64     `json:"at"`
-	Members      []string     `json:"members,omitempty"`
-}
-
-func impactToWire(im core.DelayImpact) ImpactWire {
-	return ImpactWire{
-		Net: im.Net, Rise: im.Rise, VictimWindow: setToWire(im.VictimWindow),
-		NoisePeak: im.NoisePeak, Delta: im.Delta, At: floatToWire(im.At), Members: im.Members,
-	}
-}
-
-func (im ImpactWire) impact() core.DelayImpact {
-	return core.DelayImpact{
-		Net: im.Net, Rise: im.Rise, VictimWindow: setFromWire(im.VictimWindow),
-		NoisePeak: im.NoisePeak, Delta: im.Delta, At: floatFromWire(im.At), Members: im.Members,
-	}
-}
-
-// DiagWire is the wire form of core.Diag; the error crosses as its message.
-type DiagWire struct {
-	Net      string `json:"net"`
-	Stage    string `json:"stage"`
-	Err      string `json:"err"`
-	Degraded bool   `json:"degraded"`
-}
-
-func diagToWire(d core.Diag) DiagWire {
-	msg := ""
-	if d.Err != nil {
-		msg = d.Err.Error()
-	}
-	return DiagWire{Net: d.Net, Stage: d.Stage, Err: msg, Degraded: d.Degraded}
-}
-
-func (d DiagWire) diag() core.Diag {
-	return core.Diag{Net: d.Net, Stage: d.Stage, Err: errors.New(d.Err), Degraded: d.Degraded}
-}
-
-// PadEntry is one net's absolute window padding, seconds.
+// PadEntry is one net's absolute window padding, seconds. (The JSON tags
+// serve the checkpoint file.)
 type PadEntry struct {
 	Net string  `json:"net"`
 	Pad float64 `json:"pad"`
 }
 
-// OptionsSpec is the serializable subset of analysis options a remote
-// worker needs to rebuild the coordinator's engine configuration. It
-// mirrors the snad session options.
+// OptionsSpec is the subset of analysis options a remote worker needs to
+// rebuild the coordinator's engine configuration (the snad session options).
 type OptionsSpec struct {
-	Mode             string  `json:"mode,omitempty"`
-	Threshold        float64 `json:"threshold,omitempty"`
-	NoPropagation    bool    `json:"no_propagation,omitempty"`
-	LogicCorrelation bool    `json:"logic_correlation,omitempty"`
-	Workers          int     `json:"workers,omitempty"`
-	FailFast         bool    `json:"fail_fast,omitempty"`
-	MaxIter          int     `json:"max_iter,omitempty"`
+	Mode             string
+	Threshold        float64
+	NoPropagation    bool
+	LogicCorrelation bool
+	Workers          int
+	FailFast         bool
 }
 
 // DesignSpec ships the design sources to a remote worker so it can bind
 // and analyze the same inputs the coordinator holds. In-process workers
 // ignore it (they carry their own BuildDesign source).
 type DesignSpec struct {
-	Netlist string      `json:"netlist,omitempty"`
-	Verilog string      `json:"verilog,omitempty"`
-	SPEF    string      `json:"spef,omitempty"`
-	Liberty string      `json:"liberty,omitempty"`
-	Timing  string      `json:"timing,omitempty"`
-	Options OptionsSpec `json:"options"`
+	Netlist string
+	Verilog string
+	SPEF    string
+	Liberty string
+	Timing  string
+	Options OptionsSpec
 }
 
-// Route addresses a request: the run token and the shard. Every request
-// embeds it (the JSON stays flat); the coordinator stamps it per dispatch
-// and a Host keys its engines by it.
-type Route struct {
-	Token string `json:"token"`
-	Shard int    `json:"shard"`
+// ShardInit is one shard's part of an init: the owned nets and the
+// authoritative combinations to restore (none on the first init).
+type ShardInit struct {
+	Owned   []string
+	Restore []NetComb
 }
 
-func (r *Route) route() *Route { return r }
-
-// routed is implemented by every request through its embedded Route.
-type routed interface{ route() *Route }
-
-// InitRequest builds (or rebuilds) one shard's engine on a worker: the
-// owned nets, the cumulative padding to seed timing with, and the
-// authoritative combinations to restore (empty on the first init, the
-// coordinator's committed state on a mid-run rebuild).
+// InitRequest builds (or rebuilds) shard engines on a worker. The design
+// source and the cumulative padding that seeds timing are the same for every
+// shard of a run, so they travel once per request.
 type InitRequest struct {
 	Route
-	Owned   []string    `json:"owned"`
-	Padding []PadEntry  `json:"padding,omitempty"`
-	Restore []NetComb   `json:"restore,omitempty"`
-	Design  *DesignSpec `json:"design,omitempty"`
+	Design  *DesignSpec
+	Padding []PadEntry
+	Inits   []ShardInit
 }
 
-// EvalRequest evaluates the owned slice of one wave. Seq increases with
-// every distinct wave dispatch; a runner that sees a Seq twice returns the
-// accumulated response instead of re-evaluating, which is what makes a
-// retried dispatch after a lost response exact. Boundary carries the fanin
-// combinations committed on other shards since this shard's last eval.
+// EvalRequest evaluates the addressed shards' slices of one wave. Seq
+// increases with every distinct wave dispatch; a runner that sees a Seq twice
+// returns the accumulated result instead of re-evaluating, which makes a
+// re-send after a lost response exact. Boundary[i] carries the fanin
+// combinations committed on other shards since shard i's last eval.
 type EvalRequest struct {
 	Route
-	Seq      int       `json:"seq"`
-	Wave     int       `json:"wave"`
-	Boundary []NetComb `json:"boundary,omitempty"`
+	Seq      int
+	Wave     int
+	Boundary [][]NetComb
 }
 
-// EvalResponse answers two different questions (core.ShardEngine.EvalWave):
+// EvalResult answers two different questions (core.ShardEngine.EvalWave):
 // Updates is what to forward — every owned net whose committed peak, width
 // or window differs at all — and Changed whether the pass moved beyond the
 // fixpoint tolerance. A net can be in Updates while Changed is false.
-type EvalResponse struct {
-	Updates []NetComb `json:"updates,omitempty"`
-	Changed bool      `json:"changed,omitempty"`
+type EvalResult struct {
+	Updates []NetComb
+	Changed bool
 }
 
 // RoundRequest applies one round of padding growth (absolute values).
 type RoundRequest struct {
 	Route
-	Changed []PadEntry `json:"changed"`
+	Changed []PadEntry
 }
 
-// DelayRequest runs the delta-delay pass over the shard's owned nets.
+// DelayRequest runs the delta-delay pass over the shards' owned nets.
 type DelayRequest struct{ Route }
 
-// DelayResponse returns the shard's impacts in evaluation order.
-type DelayResponse struct {
-	Impacts []ImpactWire `json:"impacts,omitempty"`
-}
-
-// CollectRequest fetches the shard's slice of the final result.
+// CollectRequest fetches the shards' slices of the final result.
 type CollectRequest struct{ Route }
 
-// CollectResponse is the shard's final contribution: full per-net results,
-// canonical-order violations and slacks, diagnostics, and additive stats.
-type CollectResponse struct {
-	Nets       []NetNoiseWire  `json:"nets"`
-	Violations []ViolationWire `json:"violations,omitempty"`
-	Slacks     []SlackWire     `json:"slacks,omitempty"`
-	Diags      []DiagWire      `json:"diags,omitempty"`
-	Pairs      int             `json:"pairs"`
-	Filtered   int             `json:"filtered"`
-	Propagated int             `json:"propagated"`
+// CloseRequest drops every engine of the token on a worker (Shards is not
+// read). Best-effort cleanup, no response.
+type CloseRequest struct{ Route }
+
+func (m *InitRequest) pick(i int) request {
+	return &InitRequest{Route: m.only(i), Design: m.Design, Padding: m.Padding, Inits: m.Inits[i : i+1]}
+}
+func (m *EvalRequest) pick(i int) request {
+	return &EvalRequest{Route: m.only(i), Seq: m.Seq, Wave: m.Wave, Boundary: m.Boundary[i : i+1]}
+}
+func (m *RoundRequest) pick(i int) request {
+	return &RoundRequest{Route: m.only(i), Changed: m.Changed}
+}
+func (m *DelayRequest) pick(i int) request   { return &DelayRequest{m.only(i)} }
+func (m *CollectRequest) pick(i int) request { return &CollectRequest{m.only(i)} }
+
+// NewRequest returns an op's empty request, to decode into.
+func NewRequest(op string) (any, error) {
+	if mk := requests[op]; mk != nil {
+		return mk(), nil
+	}
+	return nil, badRequestError("shard: unknown op %q", op)
 }
 
-// CloseRequest drops one shard's engine (or, with Shard -1, every engine
-// of the token) on a worker. Best-effort cleanup.
-type CloseRequest struct{ Route }
+var requests = map[string]func() any{
+	OpInit: func() any { return &InitRequest{} }, OpEval: func() any { return &EvalRequest{} },
+	OpRound: func() any { return &RoundRequest{} }, OpDelay: func() any { return &DelayRequest{} },
+	OpCollect: func() any { return &CollectRequest{} }, OpClose: func() any { return &CloseRequest{} },
+}
 
 func padEntries(padding map[string]float64) []PadEntry {
 	if len(padding) == 0 {
@@ -477,9 +284,354 @@ func padMap(entries []PadEntry) map[string]float64 {
 	return out
 }
 
-// badRequestError marks a malformed protocol request (unknown op, missing
-// engine, out-of-range wave) — a coordinator bug or a stale worker, not a
-// transient fault.
-func badRequestError(format string, args ...any) error {
-	return &FatalError{Err: fmt.Errorf(format, args...)}
+const (
+	wireVersion = 1 // leads every frame
+	frameHeader = 5 // version byte + payload length
+)
+
+// wired is a protocol message: wire encodes or decodes it, field by field.
+type wired interface{ wire(c *codec) }
+
+// Marshal returns msg (a pointer to a request type or a *Reply) as one frame.
+func Marshal(msg any) ([]byte, error) {
+	m, ok := msg.(wired)
+	if !ok {
+		return nil, badRequestError("shard: %T is not a protocol message", msg)
+	}
+	// Two walks: the first only counts, so a frame of megabytes is allocated
+	// once at its final size instead of regrown a dozen times.
+	c := &codec{sizing: true}
+	m.wire(c)
+	c = &codec{buf: make([]byte, frameHeader, frameHeader+c.size)}
+	m.wire(c)
+	c.buf[0] = wireVersion
+	binary.LittleEndian.PutUint32(c.buf[1:], uint32(len(c.buf)-frameHeader))
+	return c.buf, nil
 }
+
+// Unmarshal decodes one frame into msg, which must be the message type the
+// frame holds. Malformed input of any kind is an error, never a panic, and
+// no slice is allocated longer than the unread input could fill. The error
+// is a FatalError: HTTP delivers a body whole or not at all, so a frame that
+// does not parse — another wire version, say — will not on a retry either.
+func Unmarshal(data []byte, msg any) error {
+	m, ok := msg.(wired)
+	if !ok {
+		return badRequestError("shard: %T is not a protocol message", msg)
+	}
+	c := &codec{dec: true}
+	switch {
+	case len(data) < frameHeader:
+		c.fail("frame shorter than its header")
+	case data[0] != wireVersion:
+		c.fail("peer speaks version %d, this build version %d", data[0], wireVersion)
+	case uint64(binary.LittleEndian.Uint32(data[1:])) != uint64(len(data)-frameHeader):
+		c.fail("frame of %d bytes declares %d", len(data), binary.LittleEndian.Uint32(data[1:]))
+	default:
+		c.buf = data[frameHeader:]
+		if m.wire(c); c.err == nil && len(c.buf) > 0 {
+			c.fail("%d bytes after the message", len(c.buf))
+		}
+	}
+	if c.err != nil {
+		return &FatalError{Err: c.err}
+	}
+	return nil
+}
+
+// codec encodes into buf or decodes from it, by dec. Every method takes
+// pointers and moves the values in the codec's direction; a decoding failure
+// sticks in err and turns the rest of the walk into no-ops on zero values.
+type codec struct {
+	buf    []byte // encoding: the frame so far; decoding: the unread input
+	dec    bool
+	sizing bool // encode nothing, add the bytes it would take to size
+	size   int
+	err    error
+}
+
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("shard: wire: "+format, args...)
+	}
+	c.buf = nil
+}
+
+// take returns the next n unread bytes, or nil after a failure.
+func (c *codec) take(n int) []byte {
+	if len(c.buf) < n {
+		c.fail("truncated message")
+		return nil
+	}
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
+	return b
+}
+
+func (c *codec) uvarint(v *uint64) {
+	if c.sizing {
+		c.size += (bits.Len64(*v|1) + 6) / 7
+		return
+	}
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, *v)
+		return
+	}
+	x, n := binary.Uvarint(c.buf)
+	if n <= 0 {
+		c.fail("bad varint")
+		x, n = 0, 0
+	}
+	*v, c.buf = x, c.buf[n:]
+}
+
+func (c *codec) ints(vs ...*int) {
+	for _, v := range vs {
+		u := uint64(*v<<1) ^ uint64(*v>>63) // zig-zag; encoding never writes back: requests share payloads
+		if c.uvarint(&u); c.dec {
+			*v = int(u>>1) ^ -int(u&1)
+		}
+	}
+}
+
+func (c *codec) byte(v *byte) {
+	if c.sizing {
+		c.size++
+	} else if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
+	}
+}
+
+func (c *codec) bools(vs ...*bool) {
+	for _, v := range vs {
+		var b byte
+		if *v {
+			b = 1
+		}
+		if c.byte(&b); c.dec {
+			if *v = b == 1; b > 1 {
+				c.fail("bad boolean %d", b)
+			}
+		}
+	}
+}
+
+// tag writes a message's tag byte or checks that the input carries it.
+func (c *codec) tag(want byte) {
+	got := want
+	if c.byte(&got); got != want {
+		c.fail("message tag %q, want %q", got, want)
+	}
+}
+
+func (c *codec) floats(vs ...*float64) {
+	for _, v := range vs {
+		if c.sizing {
+			c.size += 8
+		} else if !c.dec {
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+		} else if b := c.take(8); b != nil {
+			*v = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		}
+	}
+}
+
+func (c *codec) strs(vs ...*string) {
+	for _, v := range vs {
+		n := uint64(len(*v))
+		if c.uvarint(&n); c.sizing {
+			c.size += len(*v)
+		} else if !c.dec {
+			c.buf = append(c.buf, *v...)
+		} else if n > uint64(len(c.buf)) {
+			c.fail("string of %d bytes in %d bytes of input", n, len(c.buf))
+		} else {
+			*v = string(c.take(int(n)))
+		}
+	}
+}
+
+// slice moves a slice whose elements each take at least min bytes on the
+// wire, which bounds what a decoded length may allocate. nil and empty
+// slices stay distinct.
+func slice[T any](c *codec, v *[]T, min int, elem func(*codec, *T)) {
+	n := uint64(len(*v)) + 1
+	if *v == nil {
+		n = 0
+	}
+	if c.uvarint(&n); c.dec {
+		if *v = nil; n == 0 || c.err != nil {
+			return
+		}
+		if n-1 > uint64(len(c.buf)/min) {
+			c.fail("slice of %d elements in %d bytes of input", n-1, len(c.buf))
+			return
+		}
+		*v = make([]T, n-1)
+	}
+	for i := range *v {
+		elem(c, &(*v)[i])
+	}
+}
+
+// Minimum wire sizes (see slice): a string or slice is at least 1 byte.
+const (
+	minWindow   = 16
+	minEvent    = 16 + minWindow + 1
+	minCombined = 24 + minWindow + 2
+	minNetComb  = 1 + 2*minCombined
+)
+
+func (c *codec) names(v *[]string) { slice(c, v, 1, func(c *codec, s *string) { c.strs(s) }) }
+
+func (c *codec) window(v *interval.Window) { c.floats(&v.Lo, &v.Hi) }
+
+func (c *codec) event(v *core.Event) {
+	c.floats(&v.Peak, &v.Width)
+	c.window(&v.Window)
+	c.strs(&v.Source)
+}
+
+func (c *codec) events(v *[]core.Event) { slice(c, v, minEvent, (*codec).event) }
+
+func (c *codec) combined(v *core.Combined) {
+	c.floats(&v.Peak, &v.Width)
+	c.window(&v.Window)
+	c.floats(&v.At)
+	c.names(&v.Members)
+	c.events(&v.MemberEvents)
+}
+
+func (c *codec) netCombs(v *[]NetComb) {
+	slice(c, v, minNetComb, func(c *codec, nc *NetComb) {
+		c.strs(&nc.Net)
+		c.combined(&nc.Comb[0])
+		c.combined(&nc.Comb[1])
+	})
+}
+
+func (c *codec) pads(v *[]PadEntry) {
+	slice(c, v, 9, func(c *codec, p *PadEntry) { c.strs(&p.Net); c.floats(&p.Pad) })
+}
+
+func (c *codec) netNoise(v **core.NetNoise) {
+	if c.dec {
+		*v = &core.NetNoise{}
+	}
+	nn := *v
+	c.strs(&nn.Net)
+	c.events(&nn.Events[0])
+	c.events(&nn.Events[1])
+	c.combined(&nn.Comb[0])
+	c.combined(&nn.Comb[1])
+}
+
+func (c *codec) violation(v *core.Violation) {
+	c.strs(&v.Net, &v.Receiver)
+	c.ints((*int)(&v.Kind))
+	c.floats(&v.Peak, &v.Width, &v.Limit, &v.Slack, &v.At)
+	c.names(&v.Members)
+}
+
+func (c *codec) slack(v *core.ReceiverSlack) {
+	c.strs(&v.Net, &v.Receiver)
+	c.ints((*int)(&v.Kind))
+	c.floats(&v.Peak, &v.Limit, &v.Slack)
+}
+
+// diag moves a core.Diag; its error crosses as presence and message.
+func (c *codec) diag(v *core.Diag) {
+	has, msg := v.Err != nil, ""
+	if has {
+		msg = v.Err.Error()
+	}
+	c.strs(&v.Net, &v.Stage, &msg)
+	c.bools(&has, &v.Degraded)
+	if c.dec && has {
+		v.Err = errors.New(msg)
+	}
+}
+
+func (c *codec) impact(v *core.DelayImpact) {
+	c.strs(&v.Net)
+	c.bools(&v.Rise)
+	ws := v.VictimWindow.Windows()
+	slice(c, &ws, minWindow, (*codec).window)
+	for i, w := range ws {
+		if !(w.Lo <= w.Hi) || i > 0 && !(ws[i-1].Hi < w.Lo) {
+			c.fail("victim window set is not normalized")
+		}
+	}
+	if c.dec && c.err == nil && len(ws) > 0 {
+		v.VictimWindow = interval.NewSet(ws...)
+	}
+	c.floats(&v.NoisePeak, &v.Delta, &v.At)
+	c.names(&v.Members)
+}
+
+func (c *codec) collect(v *core.ShardCollect) {
+	slice(c, &v.Nets, 3+2*minCombined, (*codec).netNoise)
+	slice(c, &v.Violations, 3+40+1, (*codec).violation)
+	slice(c, &v.Slacks, 3+24, (*codec).slack)
+	slice(c, &v.Diags, 5, (*codec).diag)
+	c.ints(&v.Pairs, &v.Filtered, &v.Propagated)
+}
+
+// route moves a request's tag and Route.
+func (c *codec) route(tag byte, v *Route) {
+	c.tag(tag)
+	c.strs(&v.Token)
+	slice(c, &v.Shards, 1, func(c *codec, s *int) { c.ints(s) })
+}
+
+// per checks, decoding, that a per-shard field answers every addressed shard.
+func (c *codec) per(n, shards int) {
+	if c.dec && c.err == nil && n != shards {
+		c.fail("%d per-shard entries for %d shards", n, shards)
+	}
+}
+
+func (v *Reply) wire(c *codec) {
+	c.tag('r')
+	slice(c, &v.Faults, 2, func(c *codec, f *Fault) { c.byte(&f.Kind); c.strs(&f.Msg) })
+	slice(c, &v.Evals, 2, func(c *codec, r *EvalResult) { c.netCombs(&r.Updates); c.bools(&r.Changed) })
+	slice(c, &v.Impacts, 1, func(c *codec, ims *[]core.DelayImpact) { slice(c, ims, 4+24, (*codec).impact) })
+	slice(c, &v.Collects, 7, (*codec).collect)
+	for _, n := range []int{len(v.Evals), len(v.Impacts), len(v.Collects)} {
+		if n > 0 {
+			c.per(n, len(v.Faults))
+		}
+	}
+}
+
+func (v *InitRequest) wire(c *codec) {
+	c.route('I', &v.Route)
+	has := v.Design != nil
+	if c.bools(&has); has {
+		if c.dec {
+			v.Design = &DesignSpec{}
+		}
+		d, o := v.Design, &v.Design.Options
+		c.strs(&d.Netlist, &d.Verilog, &d.SPEF, &d.Liberty, &d.Timing, &o.Mode)
+		c.floats(&o.Threshold)
+		c.bools(&o.NoPropagation, &o.LogicCorrelation, &o.FailFast)
+		c.ints(&o.Workers)
+	}
+	c.pads(&v.Padding)
+	slice(c, &v.Inits, 2, func(c *codec, in *ShardInit) { c.names(&in.Owned); c.netCombs(&in.Restore) })
+	c.per(len(v.Inits), len(v.Shards))
+}
+
+func (v *EvalRequest) wire(c *codec) {
+	c.route('E', &v.Route)
+	c.ints(&v.Seq, &v.Wave)
+	slice(c, &v.Boundary, 1, (*codec).netCombs)
+	c.per(len(v.Boundary), len(v.Shards))
+}
+
+func (v *RoundRequest) wire(c *codec)   { c.route('R', &v.Route); c.pads(&v.Changed) }
+func (v *DelayRequest) wire(c *codec)   { c.route('D', &v.Route) }
+func (v *CollectRequest) wire(c *codec) { c.route('C', &v.Route) }
+func (v *CloseRequest) wire(c *codec)   { c.route('X', &v.Route) }

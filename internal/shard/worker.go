@@ -14,16 +14,15 @@ import (
 // Worker is one execution backend the coordinator can host shards on. The
 // two implementations are InProc (a goroutine sharing the coordinator's
 // bound design) and client.ShardWorker (a remote snad process reached over
-// HTTP). Do executes one protocol op: req and resp are the matching
-// *XxxRequest / *XxxResponse wire pairs (resp nil for ops without a
-// response body).
+// HTTP). Do executes one protocol op for every shard the request addresses:
+// req is a pointer to the op's request type, resp a *Reply (nil for close).
 type Worker interface {
 	// Name identifies the worker in logs, diags, and health tracking.
 	Name() string
-	// Do executes op with req, decoding into resp when non-nil. Errors
-	// are classified by the coordinator: FatalError aborts the run,
-	// ErrEngineBroken forces a re-init on the same worker, anything else
-	// (timeouts, transport loss) marks the worker dead.
+	// Do executes op with req, filling resp in. Its error is the request's
+	// as a whole: FatalError aborts the run, anything else (timeouts,
+	// transport loss) marks the worker dead. A single shard's failure
+	// arrives in resp as that shard's Fault instead.
 	Do(ctx context.Context, op string, req, resp any) error
 	// Ping probes liveness without touching any shard state.
 	Ping(ctx context.Context) error
@@ -37,8 +36,8 @@ type Worker interface {
 type BuildDesign func(ctx context.Context) (*bind.Design, error)
 
 // InProc is a worker running in the coordinator's own process: a Host
-// whose engines all share one bound design, reached by copying the typed
-// requests and responses instead of encoding them.
+// whose engines all share one bound design, handed the coordinator's typed
+// requests and responses as they are — nothing is copied or encoded.
 type InProc struct {
 	name  string
 	build BuildDesign
@@ -91,13 +90,10 @@ func (w *InProc) design(ctx context.Context) (*bind.Design, error) {
 	return b, nil
 }
 
-// Do implements Worker on the worker's Host.
-func (w *InProc) Do(ctx context.Context, op string, req, resp any) error {
-	out, err := w.host.Do(ctx, op, func(dst any) error { return assign(dst, req) })
-	if err != nil || resp == nil {
-		return err
-	}
-	return assign(resp, out)
+// Do implements Worker on the worker's Host; the request's type says the op.
+func (w *InProc) Do(ctx context.Context, _ string, req, resp any) error {
+	rep, _ := resp.(*Reply)
+	return w.host.Do(ctx, req, rep)
 }
 
 // FaultyWorker wraps a Worker with a workload.WorkerFaults injector. It
@@ -119,13 +115,6 @@ func NewFaultyWorker(w Worker, faults *workload.WorkerFaults) *FaultyWorker {
 
 // Name implements Worker.
 func (w *FaultyWorker) Name() string { return w.inner.Name() }
-
-// Killed reports whether a kill fault has fired on this worker.
-func (w *FaultyWorker) Killed() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.killed
-}
 
 func (w *FaultyWorker) dead() error {
 	w.mu.Lock()
@@ -171,23 +160,10 @@ func (w *FaultyWorker) Do(ctx context.Context, op string, req, resp any) error {
 	return err
 }
 
-// Ping implements Worker.
+// Ping implements Worker: a killed worker stays dead, faults fire on ops only.
 func (w *FaultyWorker) Ping(ctx context.Context) error {
 	if err := w.dead(); err != nil {
 		return err
-	}
-	act := w.faults.Intercept(OpPing)
-	switch {
-	case act.Kill:
-		w.mu.Lock()
-		w.killed = true
-		w.mu.Unlock()
-		return fmt.Errorf("workload: worker %s died on ping (killed by fault injection)", w.inner.Name())
-	case act.Drop:
-		<-ctx.Done()
-		return ctx.Err()
-	case act.Err != nil:
-		return act.Err
 	}
 	return w.inner.Ping(ctx)
 }

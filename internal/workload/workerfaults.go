@@ -26,7 +26,7 @@ import (
 //	kill    the worker dies: this and every later call on it fail
 //
 // Operations the rules select on are the shard protocol ops ("init",
-// "eval", "round", "delay", "collect", "close", "ping") or "*" for all.
+// "eval", "round", "delay", "collect", "close") or "*" for all.
 //
 // The struct is safe for concurrent use; the coordinator dispatches to
 // many workers at once.
@@ -99,7 +99,7 @@ func ParseWorkerFaults(spec string) (*WorkerFaults, error) {
 			return nil, fmt.Errorf("workload: unknown worker fault kind %q (want drop|delay|error|partial|kill)", r.kind)
 		}
 		switch r.op {
-		case "init", "eval", "round", "delay", "collect", "close", "ping", "*":
+		case "init", "eval", "round", "delay", "collect", "close", "*":
 		default:
 			return nil, fmt.Errorf("workload: unknown worker fault op %q (want a shard protocol op or *)", r.op)
 		}

@@ -9,15 +9,22 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/liberty"
+	"repro/internal/lint"
+	"repro/internal/load"
 	"repro/internal/report"
 	"repro/internal/shard"
+	"repro/internal/spef"
+	"repro/internal/sta"
 	"repro/internal/units"
+	"repro/internal/vlog"
 	"repro/internal/workload"
 )
 
@@ -231,6 +238,93 @@ func BenchmarkAnalyzeFabric(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLoadBus measures the front half of a batch run on the
+// benchmark's batch_wide shape at a tenth of its size: a 1500-bit coupled
+// bus as Verilog, SPEF and timing files on disk → concurrent parse, lint,
+// bind (load.Load + Bind — what sna, snalint, noisebench -scale and the
+// server's design cache all call).
+func BenchmarkLoadBus(b *testing.B) {
+	g, err := workload.Bus(workload.BusSpec{
+		Bits: 1500, Segs: 1,
+		WindowSep: 25 * units.Pico, WindowWidth: 100 * units.Pico,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	var size int64
+	write := func(name string, fn func(io.Writer) error) string {
+		var text bytes.Buffer
+		if err := fn(&text); err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, text.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		size += int64(text.Len())
+		return path
+	}
+	src := load.Files(
+		write("d.v", func(w io.Writer) error { return vlog.Write(w, g.Design) }), "",
+		write("d.spef", func(w io.Writer) error { return spef.Write(w, g.Paras) }),
+		write("d.win", func(w io.Writer) error { return sta.WriteInputTiming(w, g.Inputs) }))
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loaded, err := load.Load(src, lint.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bd, err := loaded.Bind()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bd.Net.NumNets() != g.Design.NumNets() {
+			b.Fatalf("bound %d nets, generated %d", bd.Net.NumNets(), g.Design.NumNets())
+		}
+	}
+}
+
+// BenchmarkSTARun measures the timing pass alone, serial and with the
+// levels fanned out over four workers, on a 1500-bit bus (two levels of
+// 1500 instances: above the fan-out threshold) — the phase the ledger
+// calls sta.run_s, through both entry points core and the replica use.
+func BenchmarkSTARun(b *testing.B) {
+	g, err := workload.Bus(workload.BusSpec{
+		Bits: 1500, Segs: 1,
+		WindowSep: 25 * units.Pico, WindowWidth: 100 * units.Pico,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bd, err := g.Bind(liberty.Generic())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := g.STAOptions()
+	if _, err := sta.Run(bd, opts); err != nil { // warm the RC analysis cache
+		b.Fatal(err)
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sta.Run(bd, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("workers4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sta.RunCtx(context.Background(), bd, opts, 4); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkWriteJSON measures the report path alone on the benchmark's

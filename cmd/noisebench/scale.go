@@ -15,7 +15,8 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
-	"repro/internal/liberty"
+	"repro/internal/lint"
+	"repro/internal/load"
 	"repro/internal/spef"
 	"repro/internal/sta"
 	"repro/internal/vlog"
@@ -35,7 +36,7 @@ import (
 type scaleRecord struct {
 	// Nets is the realized net count of the rung's design.
 	Nets int `json:"nets"`
-	// LoadNs covers parsing the .v/.spef/.win files and binding.
+	// LoadNs covers parsing the .v/.spef/.win files, lint and binding.
 	LoadNs float64 `json:"load_ns"`
 	// AnalyzeNs covers one windowed noise analysis of the bound design.
 	AnalyzeNs float64 `json:"analyze_ns"`
@@ -122,43 +123,19 @@ func writeRungFiles(dir string, nets int) (realized int, err error) {
 	return g.Design.NumNets(), err
 }
 
-// loadRung parses the rung's files through the streaming loaders and binds
-// the design, mirroring what the sna CLI does with real inputs.
+// loadRung loads the rung's files the way the sna CLI loads real inputs —
+// the same loader: concurrent streaming parse, lint, bind.
 func loadRung(dir string) (*bind.Design, core.Options, error) {
-	var opts core.Options
-	vf, err := os.Open(filepath.Join(dir, "design.v"))
+	loaded, err := load.Load(load.Files(filepath.Join(dir, "design.v"), "",
+		filepath.Join(dir, "design.spef"), filepath.Join(dir, "design.win")), lint.Config{})
 	if err != nil {
-		return nil, opts, err
+		return nil, core.Options{}, err
 	}
-	defer vf.Close()
-	d, err := vlog.Parse(vf, liberty.Generic())
+	bd, err := loaded.Bind()
 	if err != nil {
-		return nil, opts, err
+		return nil, core.Options{}, err
 	}
-	sf, err := os.Open(filepath.Join(dir, "design.spef"))
-	if err != nil {
-		return nil, opts, err
-	}
-	defer sf.Close()
-	paras, err := spef.Parse(sf)
-	if err != nil {
-		return nil, opts, err
-	}
-	wf, err := os.Open(filepath.Join(dir, "design.win"))
-	if err != nil {
-		return nil, opts, err
-	}
-	defer wf.Close()
-	inputs, err := sta.ParseInputTiming(wf)
-	if err != nil {
-		return nil, opts, err
-	}
-	bd, err := bind.New(d, liberty.Generic(), paras)
-	if err != nil {
-		return nil, opts, err
-	}
-	opts = core.Options{Mode: core.ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}
-	return bd, opts, nil
+	return bd, core.Options{Mode: core.ModeNoiseWindows, STA: sta.Options{InputTiming: loaded.Inputs}}, nil
 }
 
 // runScale climbs the ladder and writes the records to path. A positive
@@ -194,7 +171,7 @@ func runScale(ctx context.Context, path, rungSpec string, maxAllocsPerNet float6
 }
 
 // runRung measures one rung: generate and write the design, then a timed
-// alloc-counted load (parse + bind) and a timed alloc-counted analysis.
+// alloc-counted load (parse + lint + bind) and a timed alloc-counted analysis.
 func runRung(ctx context.Context, nets int) (scaleRecord, error) {
 	var rec scaleRecord
 	dir, err := os.MkdirTemp("", "noisebench-scale")

@@ -13,7 +13,8 @@ import (
 	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/interval"
-	"repro/internal/liberty"
+	"repro/internal/lint"
+	"repro/internal/load"
 	"repro/internal/report"
 	"repro/internal/sta"
 	"repro/internal/units"
@@ -23,23 +24,15 @@ import (
 // bound loads the files the way run does and binds them.
 func bound(t *testing.T, n, s, w string) (*bind.Design, map[string]*sta.Timing) {
 	t.Helper()
-	lib := liberty.Generic()
-	design, err := loadNetlist(n, lib)
+	loaded, err := load.Load(load.Files(n, "", s, w), lint.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paras, err := loadSPEF(s)
+	b, err := loaded.Bind()
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs, err := loadTiming(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bind.New(design, lib, paras)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inputs := loaded.Inputs
 	return b, inputs
 }
 

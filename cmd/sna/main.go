@@ -51,16 +51,12 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/bind"
 	"repro/internal/core"
-	"repro/internal/liberty"
 	"repro/internal/lint"
-	"repro/internal/netlist"
+	"repro/internal/load"
 	"repro/internal/prof"
 	"repro/internal/report"
-	"repro/internal/spef"
 	"repro/internal/sta"
-	"repro/internal/vlog"
 	"repro/internal/workload"
 )
 
@@ -132,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sna:", err)
 		return exitUsage
 	}
-	lintCfg, err := lintConfig(*suppress, *werror)
+	lintCfg, err := lint.ParseConfig(*suppress, *werror)
 	if err != nil {
 		fmt.Fprintln(stderr, "sna:", err)
 		return exitUsage
@@ -159,31 +155,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return exitFail
 	}
-	lib := liberty.Generic()
-	if *libPath != "" {
-		if lib, err = loadLibrary(*libPath); err != nil {
-			return fail(err)
-		}
-	}
-	design, err := loadNetlist(*netPath, lib)
+	// Load ends with the lint pre-flight: it always runs, and error
+	// findings gate the analysis.
+	loaded, err := load.Load(load.Files(*netPath, *libPath, *spefPath, *winPath), lintCfg)
 	if err != nil {
 		return fail(err)
 	}
-	var paras *spef.Parasitics
-	if *spefPath != "" {
-		if paras, err = loadSPEF(*spefPath); err != nil {
-			return fail(err)
-		}
-	}
-	var inputs map[string]*sta.Timing
-	if *winPath != "" {
-		if inputs, err = loadTiming(*winPath); err != nil {
-			return fail(err)
-		}
-	}
-
-	// Lint pre-flight: always runs; error findings gate the analysis.
-	lres := lint.Run(&lint.Input{Design: design, Lib: lib, Paras: paras, Inputs: inputs}, lintCfg)
+	lres := loaded.Lint
 	if *lintOnly {
 		report.Lint(stdout, lres)
 		if lres.HasErrors() {
@@ -200,7 +178,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		report.Lint(stderr, lres)
 	}
 
-	b, err := bind.New(design, lib, paras)
+	b, err := loaded.Bind()
 	if err != nil {
 		return fail(err)
 	}
@@ -212,7 +190,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		LogicCorrelation: *corr,
 		FailSoft:         !*failFast,
 		PrepareHook:      faults.Hook(),
-		STA:              sta.Options{InputTiming: inputs, ClockPeriod: *period},
+		STA:              sta.Options{InputTiming: loaded.Inputs, ClockPeriod: *period},
 	}
 	// Noise and delay come off one prepared analyzer: -delay runs the
 	// delay pass on the victims the noise analysis already prepared (a
@@ -358,32 +336,6 @@ func delayTable(stdout io.Writer, res *core.Result, dres *core.DelayResult, peri
 	t.Render(stdout)
 }
 
-// lintConfig builds the lint configuration from the CLI flags, validating
-// suppressed rule IDs against the registry so typos surface as usage
-// errors instead of silently suppressing nothing.
-func lintConfig(suppress string, werror bool) (lint.Config, error) {
-	cfg := lint.Config{Werror: werror}
-	if suppress == "" {
-		return cfg, nil
-	}
-	known := make(map[string]bool)
-	for _, r := range lint.Rules() {
-		known[r.ID()] = true
-	}
-	cfg.Suppress = make(map[string]bool)
-	for _, id := range strings.Split(suppress, ",") {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
-		}
-		if !known[id] {
-			return cfg, fmt.Errorf("unknown lint rule %q in -suppress", id)
-		}
-		cfg.Suppress[id] = true
-	}
-	return cfg, nil
-}
-
 func parseMode(s string) (core.Mode, error) {
 	switch s {
 	case "all":
@@ -394,45 +346,4 @@ func parseMode(s string) (core.Mode, error) {
 		return core.ModeNoiseWindows, nil
 	}
 	return 0, fmt.Errorf("unknown mode %q (want all|timing|noise)", s)
-}
-
-// loadNetlist accepts both the native .net format and structural Verilog
-// (by .v extension), resolving pin directions against the library.
-func loadNetlist(path string, lib *liberty.Library) (*netlist.Design, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".v") {
-		return vlog.Parse(f, lib)
-	}
-	return netlist.Parse(f)
-}
-
-func loadLibrary(path string) (*liberty.Library, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return liberty.Parse(f)
-}
-
-func loadSPEF(path string) (*spef.Parasitics, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return spef.Parse(f)
-}
-
-func loadTiming(path string) (map[string]*sta.Timing, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return sta.ParseInputTiming(f)
 }

@@ -26,15 +26,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"repro/internal/liberty"
 	"repro/internal/lint"
-	"repro/internal/netlist"
+	"repro/internal/load"
 	"repro/internal/report"
-	"repro/internal/spef"
-	"repro/internal/sta"
-	"repro/internal/vlog"
 )
 
 // Exit codes match sna's lint-related subset (there is no "violations"
@@ -74,56 +69,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "snalint: -net is required")
 		return exitUsage
 	}
-	cfg := lint.Config{Werror: *werror}
-	if *suppress != "" {
-		known := make(map[string]bool)
-		for _, r := range lint.Rules() {
-			known[r.ID()] = true
-		}
-		cfg.Suppress = make(map[string]bool)
-		for _, id := range strings.Split(*suppress, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			if !known[id] {
-				fmt.Fprintf(stderr, "snalint: unknown lint rule %q in -suppress\n", id)
-				return exitUsage
-			}
-			cfg.Suppress[id] = true
-		}
+	cfg, err := lint.ParseConfig(*suppress, *werror)
+	if err != nil {
+		fmt.Fprintln(stderr, "snalint:", err)
+		return exitUsage
 	}
 
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "snalint:", err)
 		return exitFail
 	}
-	lib := liberty.Generic()
-	if *libPath != "" {
-		l, err := loadFile(*libPath, liberty.Parse)
-		if err != nil {
-			return fail(err)
-		}
-		lib = l
-	}
-	design, err := loadNetlist(*netPath, lib)
+	loaded, err := load.Load(load.Files(*netPath, *libPath, *spefPath, *winPath), cfg)
 	if err != nil {
 		return fail(err)
 	}
-	var paras *spef.Parasitics
-	if *spefPath != "" {
-		if paras, err = loadFile(*spefPath, spef.Parse); err != nil {
-			return fail(err)
-		}
-	}
-	var inputs map[string]*sta.Timing
-	if *winPath != "" {
-		if inputs, err = loadFile(*winPath, sta.ParseInputTiming); err != nil {
-			return fail(err)
-		}
-	}
-
-	res := lint.Run(&lint.Input{Design: design, Lib: lib, Paras: paras, Inputs: inputs}, cfg)
+	res := loaded.Lint
 	if *jsonOut {
 		if err := report.WriteLintJSON(stdout, res); err != nil {
 			return fail(err)
@@ -143,27 +103,4 @@ func printRules(w io.Writer) {
 		t.AddRow(r.ID(), r.Severity().String(), r.Title())
 	}
 	t.Render(w)
-}
-
-// loadFile opens a path and runs a reader-based parser over it.
-func loadFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer f.Close()
-	return parse(f)
-}
-
-func loadNetlist(path string, lib *liberty.Library) (*netlist.Design, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".v") {
-		return vlog.Parse(f, lib)
-	}
-	return netlist.Parse(f)
 }

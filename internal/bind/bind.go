@@ -10,11 +10,14 @@
 package bind
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
 
 	"repro/internal/liberty"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/rc"
 	"repro/internal/spef"
 )
@@ -22,8 +25,9 @@ import (
 // Design is the resolved, analyzable view of one design. After New it is
 // immutable apart from two guarded caches (the RC analysis cache here
 // and the netlist's levelization cache), so it is safe for concurrent
-// readers: parallel noise analysis — and since the levelization became
-// cached, even multiple concurrent engines — can share one Design.
+// readers: parallel timing and noise analysis — and since the
+// levelization became cached, even multiple concurrent engines — can
+// share one Design.
 //
 // Per-net state is stored densely, indexed by netlist.Net.ID, so the
 // hot paths resolve a net's parasitics with a slice index instead of a
@@ -32,11 +36,18 @@ type Design struct {
 	Net *netlist.Design
 	Lib *liberty.Library
 
-	nets []*rc.Network // indexed by netlist.Net.ID()
-
-	mu       sync.Mutex
-	analyses []*rc.Analysis // indexed by netlist.Net.ID(); nil until computed
+	nets  []*rc.Network   // indexed by netlist.Net.ID()
+	cells []*liberty.Cell // indexed by netlist.Inst.ID()
+	// analyses caches each net's RC analysis by netlist.Net.ID(), nil
+	// until computed. One atomic slot per net, so the parallel STA and
+	// the per-victim workers, which all read it, share no lock.
+	analyses []atomic.Pointer[rc.Analysis]
 }
+
+// parallelBelow is the object count under which New's loops stay serial:
+// a few hundred nets bind in well under a millisecond, less than waking
+// the workers costs.
+const parallelBelow = 1024
 
 // PinNode returns the RC node name a connection lands on.
 func PinNode(c *netlist.Conn) string {
@@ -59,35 +70,49 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 		Net:      d,
 		Lib:      lib,
 		nets:     make([]*rc.Network, d.NumNets()),
-		analyses: make([]*rc.Analysis, d.NumNets()),
+		cells:    make([]*liberty.Cell, d.NumInsts()),
+		analyses: make([]atomic.Pointer[rc.Analysis], d.NumNets()),
 	}
+	// Both loops fan out over the cores: an iteration reads the
+	// (immutable) databases and writes only its own instance's or net's
+	// slot, and the first error in name order wins, as in a serial loop.
+	ctx, workers := context.TODO(), runtime.GOMAXPROCS(0)
 	// Resolve instances against the library and check pin directions.
-	for _, inst := range d.Insts() {
+	insts := d.Insts()
+	err := par.For(ctx, len(insts), workers, parallelBelow, func(i int) error {
+		inst := insts[i]
 		cell, err := lib.ResolveCell(inst.Name, inst.Cell)
 		if err != nil {
-			return nil, fmt.Errorf("bind: %w", err)
+			return fmt.Errorf("bind: %w", err)
 		}
 		for pinName, conn := range inst.Conns {
 			pin := cell.Pin(pinName)
 			if pin == nil {
-				return nil, fmt.Errorf("bind: %s.%s: cell %s has no such pin", inst.Name, pinName, cell.Name)
+				return fmt.Errorf("bind: %s.%s: cell %s has no such pin", inst.Name, pinName, cell.Name)
 			}
 			wantOut := pin.Dir == liberty.Output
 			isOut := conn.Dir == netlist.Out
 			if wantOut != isOut {
-				return nil, fmt.Errorf("bind: %s.%s: direction mismatch with cell %s", inst.Name, pinName, cell.Name)
+				return fmt.Errorf("bind: %s.%s: direction mismatch with cell %s", inst.Name, pinName, cell.Name)
 			}
 		}
+		b.cells[inst.ID()] = cell
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Build an RC network per net.
-	for _, net := range d.Nets() {
+	nets := d.Nets()
+	err = par.For(ctx, len(nets), workers, parallelBelow, func(i int) error {
+		net := nets[i]
 		var nw *rc.Network
 		if p != nil {
 			if sn := p.Net(net.Name); sn != nil {
 				var err error
 				nw, err = rc.FromSPEF(sn)
 				if err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -99,8 +124,7 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 			if lc.Inst == nil {
 				continue // output port: no pin cap
 			}
-			cell := lib.Cell(lc.Inst.Cell)
-			pin := cell.Pin(lc.Pin)
+			pin := b.cells[lc.Inst.ID()].Pin(lc.Pin)
 			node := PinNode(lc)
 			if !nw.HasNode(node) {
 				// Extractor omitted the pin node; lump the cap at the
@@ -110,6 +134,10 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 			nw.AddLoadCap(node, pin.Cap)
 		}
 		b.nets[net.ID()] = nw
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -135,53 +163,31 @@ func lumpedNetwork(net *netlist.Net) *rc.Network {
 	return nw
 }
 
-// Network returns the RC network of a net.
-func (b *Design) Network(net string) (*rc.Network, error) {
-	n := b.Net.FindNet(net)
-	if n == nil || int(n.ID()) >= len(b.nets) {
-		return nil, fmt.Errorf("bind: no network for net %q", net)
-	}
-	return b.nets[n.ID()], nil
-}
-
-// NetworkOf returns the RC network of a net already resolved in the
-// netlist, skipping the name lookup.
+// NetworkOf returns the RC network of a net of the bound netlist.
 func (b *Design) NetworkOf(n *netlist.Net) *rc.Network {
 	return b.nets[n.ID()]
 }
 
-// Analysis returns the (cached) RC tree analysis of a net. It is safe to
-// call from concurrent goroutines.
-func (b *Design) Analysis(net string) (*rc.Analysis, error) {
-	n := b.Net.FindNet(net)
-	if n == nil || int(n.ID()) >= len(b.nets) {
-		return nil, fmt.Errorf("bind: no network for net %q", net)
-	}
-	return b.AnalysisOf(n)
-}
-
-// AnalysisOf is Analysis for a net already resolved in the netlist.
+// AnalysisOf returns the (cached) RC tree analysis of a net of the bound
+// netlist. It is safe to call from concurrent goroutines: two callers
+// racing on a cold net both compute the same analysis and either copy
+// serves every later call.
 func (b *Design) AnalysisOf(n *netlist.Net) (*rc.Analysis, error) {
-	id := n.ID()
-	b.mu.Lock()
-	a := b.analyses[id]
-	b.mu.Unlock()
-	if a != nil {
+	slot := &b.analyses[n.ID()]
+	if a := slot.Load(); a != nil {
 		return a, nil
 	}
-	a, err := b.nets[id].Analyze()
+	a, err := b.nets[n.ID()].Analyze()
 	if err != nil {
 		return nil, err
 	}
-	b.mu.Lock()
-	b.analyses[id] = a
-	b.mu.Unlock()
+	slot.Store(a)
 	return a, nil
 }
 
 // Cell resolves an instance's library cell (known valid after New).
 func (b *Design) Cell(inst *netlist.Inst) *liberty.Cell {
-	return b.Lib.Cell(inst.Cell)
+	return b.cells[inst.ID()]
 }
 
 // DriverCell returns the cell and connection driving a net, or nil for
@@ -192,17 +198,6 @@ func (b *Design) DriverCell(net *netlist.Net) (*liberty.Cell, *netlist.Conn) {
 		return nil, drv
 	}
 	return b.Cell(drv.Inst), drv
-}
-
-// LoadCapOf returns the total capacitive load the driver of a net sees:
-// wire capacitance plus receiver pin capacitances plus coupling lumped to
-// ground. This is the load axis value for NLDM table lookups.
-func (b *Design) LoadCapOf(net string) (float64, error) {
-	nw, err := b.Network(net)
-	if err != nil {
-		return 0, err
-	}
-	return nw.TotalCap(), nil
 }
 
 // WireDelayTo returns the Elmore delay from a net's driver to a load

@@ -71,22 +71,16 @@ func TestBindWithSPEF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := b.Network("mid")
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := b.NetworkOf(d.FindNet("mid"))
 	if nw.Root() != "u0:Y" {
 		t.Fatalf("root = %q", nw.Root())
 	}
 	// Load cap = wire 3fF + coupling 1fF + u1 pin cap.
 	pinCap := genericCell(t, "INV_X2").Pin("A").Cap
 	want := 3e-15 + 1e-15 + pinCap
-	got, err := b.LoadCapOf("mid")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := nw.TotalCap()
 	if diff := got - want; diff > 1e-21 || diff < -1e-21 {
-		t.Fatalf("LoadCapOf = %g, want %g", got, want)
+		t.Fatalf("TotalCap = %g, want %g", got, want)
 	}
 	// Wire delay to the receiver pin is positive.
 	var loadConn *netlist.Conn
@@ -109,15 +103,12 @@ func TestBindLumpedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without SPEF every net is lumped: load = receiver pin caps only.
-	got, err := b.LoadCapOf("mid")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := b.NetworkOf(d.FindNet("mid")).TotalCap()
 	pinCap := genericCell(t, "INV_X2").Pin("A").Cap
 	if diff := got - pinCap; diff > 1e-21 || diff < -1e-21 {
-		t.Fatalf("lumped LoadCapOf = %g, want %g", got, pinCap)
+		t.Fatalf("lumped TotalCap = %g, want %g", got, pinCap)
 	}
-	if _, err := b.Analysis("mid"); err != nil {
+	if _, err := b.AnalysisOf(d.FindNet("mid")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,19 +214,5 @@ func TestPinNode(t *testing.T) {
 	in := d.FindNet("in")
 	if got := PinNode(in.Driver()); got != "in" {
 		t.Fatalf("PinNode(port) = %q", got)
-	}
-}
-
-func TestNetworkUnknownNet(t *testing.T) {
-	d := twoInv(t)
-	b, err := New(d, liberty.Generic(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Network("ghost"); err == nil {
-		t.Fatal("unknown net accepted")
-	}
-	if _, err := b.Analysis("ghost"); err == nil {
-		t.Fatal("unknown net analysis accepted")
 	}
 }

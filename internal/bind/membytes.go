@@ -13,7 +13,7 @@ func (b *Design) MemBytes() int64 {
 	total += b.Net.MemBytes()
 	total += b.Lib.MemBytes()
 	ptr := int64(unsafe.Sizeof(uintptr(0)))
-	total += int64(cap(b.nets)+cap(b.analyses)) * ptr
+	total += int64(cap(b.nets)+cap(b.cells)+cap(b.analyses)) * ptr
 	for _, nw := range b.nets {
 		if nw != nil {
 			total += nw.MemBytes()

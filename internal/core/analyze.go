@@ -36,12 +36,14 @@ type Options struct {
 	NoPropagation bool
 	// MaxIter bounds the propagation fixpoint iteration (default 16).
 	MaxIter int
-	// Workers sets the number of goroutines used for the per-victim
-	// context and coupled-event construction and for the propagation
-	// fixpoint's level wavefronts (the dominant costs on big designs).
-	// 0 or 1 runs serially; results are identical either way — victims
-	// are independent during preparation, and within one level wavefront
-	// no net's events depend on another's combination.
+	// Workers sets the number of goroutines used for the timing pass's
+	// levels (sta.RunCtx), the per-victim context and coupled-event
+	// construction, and the propagation fixpoint's level wavefronts (the
+	// dominant costs on big designs). 0 or 1 runs serially; results are
+	// identical either way — the instances of a timing level read only
+	// earlier levels, victims are independent during preparation, and
+	// within one level wavefront no net's events depend on another's
+	// combination.
 	Workers int
 	// DefaultAggSlew is the aggressor edge rate assumed when timing gives
 	// none (default 20 ps).
@@ -201,7 +203,7 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 	if a.vdd <= 0 {
 		a.vdd = b.Lib.Vdd
 	}
-	staRes, err := sta.RunCtx(ctx, b, opts.STA)
+	staRes, err := sta.RunCtx(ctx, b, opts.STA, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -829,7 +831,7 @@ func (a *analyzer) prepareEvents(net *netlist.Net, ctx *noise.Context) (*prepare
 	var events [2][]Event
 	for i := range kept {
 		cpl := &kept[i]
-		aggT := a.staRes.TimingOfNet(cpl.Aggressor)
+		aggT := a.staRes.TimingOf(cpl.Agg)
 		for _, k := range Kinds {
 			rise := k == KindLow // rising aggressor endangers a low victim
 			var winSet interval.Set
@@ -935,10 +937,7 @@ func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Resu
 		return 0
 	}
 	cell := a.b.Cell(drv.Inst)
-	load, err := a.b.LoadCapOf(net.Name)
-	if err != nil {
-		return 0
-	}
+	load := a.b.NetworkOf(net).TotalCap()
 	propagated := 0
 	for _, arc := range cell.ArcsTo(drv.Pin) {
 		if arc.Transfer == nil {

@@ -194,7 +194,7 @@ func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact) (ou
 	if events == nil {
 		return out, nil
 	}
-	vt := a.staRes.TimingOfNet(net.Name)
+	vt := a.staRes.TimingOf(net)
 	for _, rise := range []bool{true, false} {
 		vw := vt.Window(rise)
 		if vw.IsEmpty() {

@@ -147,11 +147,9 @@ func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
 			plan.Fanin[n.Name] = fanin
 		}
 		// Coupling neighbours from the extracted parasitics.
-		if nw, err := b.Network(n.Name); err == nil {
-			for _, c := range nw.CouplingsView() {
-				if c.OtherNet != "" {
-					link(n.Name, c.OtherNet)
-				}
+		for _, c := range b.NetworkOf(n).CouplingsView() {
+			if c.OtherNet != "" {
+				link(n.Name, c.OtherNet)
 			}
 		}
 	}

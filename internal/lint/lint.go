@@ -15,7 +15,10 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"repro/internal/liberty"
 	"repro/internal/netlist"
@@ -96,6 +99,27 @@ type Config struct {
 	Severity map[string]Severity
 	// Werror escalates every warning to an error.
 	Werror bool
+}
+
+// ParseConfig builds a Config from the CLIs' flags: a comma-separated
+// list of rule IDs to suppress and the warnings-as-errors switch. IDs are
+// validated against the registry so a typo is an error instead of
+// silently suppressing nothing.
+func ParseConfig(suppress string, werror bool) (Config, error) {
+	cfg := Config{Werror: werror}
+	for _, id := range strings.Split(suppress, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if !slices.ContainsFunc(registry, func(r Rule) bool { return r.ID() == id }) {
+			return cfg, fmt.Errorf("unknown lint rule %q in -suppress", id)
+		}
+		if cfg.Suppress == nil {
+			cfg.Suppress = make(map[string]bool)
+		}
+		cfg.Suppress[id] = true
+	}
+	return cfg, nil
 }
 
 // Result is the outcome of one lint run: all diagnostics, sorted by
@@ -191,18 +215,39 @@ func Rules() []Rule {
 }
 
 // Run executes every registered, non-suppressed rule over the input and
-// returns the sorted result.
+// returns the sorted result. Rules only read the input, so they run
+// concurrently, each into its own reporter; the per-rule findings are
+// joined in rule-ID order, which is the order a serial run appends them
+// in. A rule that panics does so on the caller's goroutine.
 func Run(in *Input, cfg Config) *Result {
-	res := &Result{}
+	var rules []Rule
 	for _, rule := range Rules() {
-		if cfg.Suppress[rule.ID()] {
-			continue
+		if !cfg.Suppress[rule.ID()] {
+			rules = append(rules, rule)
 		}
+	}
+	parts := make([]Result, len(rules))
+	panics := make([]any, len(rules))
+	var wg sync.WaitGroup
+	for i, rule := range rules {
 		sev := rule.Severity()
 		if over, ok := cfg.Severity[rule.ID()]; ok {
 			sev = over
 		}
-		rule.Check(in, &Reporter{rule: rule.ID(), sev: sev, cfg: &cfg, out: res})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			rule.Check(in, &Reporter{rule: rule.ID(), sev: sev, cfg: &cfg, out: &parts[i]})
+		}()
+	}
+	wg.Wait()
+	res := &Result{}
+	for i := range parts {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		res.Diags = append(res.Diags, parts[i].Diags...)
 	}
 	sort.SliceStable(res.Diags, func(i, j int) bool {
 		a, b := res.Diags[i], res.Diags[j]

@@ -147,8 +147,13 @@ func (p Params) Metrics() waveform.GlitchMetrics {
 
 // Coupling summarizes one aggressor of a victim net.
 type Coupling struct {
-	Aggressor string  // aggressor net name
-	CoupleC   float64 // total coupling capacitance to the victim, farads
+	Aggressor string // aggressor net name
+	// Agg is the aggressor in the bound netlist, resolved once by
+	// BuildContext so the engines index their per-net tables by its ID.
+	// Nil when the parasitics couple to a net the netlist does not have,
+	// and in hand-built contexts.
+	Agg     *netlist.Net
+	CoupleC float64 // total coupling capacitance to the victim, farads
 	// WireRes is the victim-side wire resistance from the victim driver
 	// to the (capacitance-weighted) coupling site.
 	WireRes float64
@@ -202,11 +207,8 @@ func (c *Context) CouplingTo(net string) *Coupling {
 // holding resistance from the driver cell, victim capacitance and coupling
 // groups from the RC network, wire resistances from the tree analysis.
 func BuildContext(b *bind.Design, victim *netlist.Net) (*Context, error) {
-	nw, err := b.Network(victim.Name)
-	if err != nil {
-		return nil, err
-	}
-	a, err := b.Analysis(victim.Name)
+	nw := b.NetworkOf(victim)
+	a, err := b.AnalysisOf(victim)
 	if err != nil {
 		return nil, err
 	}
@@ -242,15 +244,17 @@ func BuildContext(b *bind.Design, victim *netlist.Net) (*Context, error) {
 	sort.Strings(names)
 	for _, n := range names {
 		g := groups[n]
-		cpl := Coupling{Aggressor: n, CoupleC: g.c}
+		cpl := Coupling{Aggressor: n, Agg: b.Net.FindNet(n), CoupleC: g.c}
 		if g.c > 0 {
 			cpl.WireRes = g.rw / g.c
 		}
 		// Aggressor-side wire delay to its coupling site: use the
 		// aggressor's max Elmore as a conservative bound when the exact
 		// node isn't resolvable on the aggressor network.
-		if aggA, err := b.Analysis(n); err == nil {
-			cpl.AggWireDelay = aggA.MaxElmore()
+		if cpl.Agg != nil {
+			if aggA, err := b.AnalysisOf(cpl.Agg); err == nil {
+				cpl.AggWireDelay = aggA.MaxElmore()
+			}
 		}
 		ctx.Couplings = append(ctx.Couplings, cpl)
 	}

@@ -1,0 +1,80 @@
+// Package par runs an index loop across goroutines with a serial loop's
+// outcome. The front half of a run (bind, timing) is made of loops whose
+// iterations write disjoint slots of dense-ID tables; For is the one
+// place that decides when such a loop fans out and which error it
+// returns.
+package par
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+)
+
+// chunk is how many consecutive indices a goroutine claims at a time, and
+// the stride of the context checks: big enough that the claim's atomic add
+// and the check vanish against the work, small enough to balance a loop
+// of a few thousand iterations across the workers.
+const chunk = 64
+
+// For calls fn(i) for every i in [0, n) and returns the error of the
+// lowest failing i — what a serial loop stopping at its first error
+// returns. It is that serial loop when workers <= 1 or n < serialBelow. Otherwise
+// up to workers goroutines claim chunks of consecutive indices in
+// ascending order; after a failure no further chunk is claimed, but every
+// chunk below the failing one has been claimed and runs to its own end or
+// first error, so the lowest failure is always seen. Iterations must
+// write only state no other iteration touches. A cancelled context ends
+// the loop with ctx.Err() at the next chunk boundary.
+func For(ctx context.Context, n, workers, serialBelow int, fn func(i int) error) error {
+	if workers <= 1 || n < serialBelow {
+		for i := 0; i < n; i++ {
+			if i%chunk == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	chunks := (n + chunk - 1) / chunk
+	if workers > chunks {
+		workers = chunks
+	}
+	errs := make([]error, chunks)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				c := int(next.Add(1)) - 1
+				if c >= chunks {
+					return
+				}
+				if errs[c] = ctx.Err(); errs[c] == nil {
+					for i, hi := c*chunk, min(n, (c+1)*chunk); i < hi && errs[c] == nil; i++ {
+						errs[c] = fn(i)
+					}
+				}
+				if errs[c] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -1,0 +1,83 @@
+package par
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
+	"testing"
+)
+
+func TestForVisitsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, chunk - 1, chunk, 10*chunk + 7} {
+		for _, workers := range []int{0, 1, 3, 64} {
+			seen := make([]atomic.Int32, n)
+			err := For(context.Background(), n, workers, 2, func(i int) error {
+				seen[i].Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range seen {
+				if got := seen[i].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, got)
+				}
+			}
+		}
+	}
+}
+
+// The error of the lowest failing index wins, whichever worker hits its
+// failure first — the serial loop's answer.
+func TestForReturnsLowestFailure(t *testing.T) {
+	const n = 50 * chunk
+	bad := map[int]bool{7*chunk + 3: true, 7*chunk + 9: true, 30 * chunk: true, n - 1: true}
+	for _, workers := range []int{1, 2, 8} {
+		for rep := 0; rep < 20; rep++ {
+			err := For(context.Background(), n, workers, 2, func(i int) error {
+				if bad[i] {
+					return fmt.Errorf("index %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != fmt.Sprintf("index %d", 7*chunk+3) {
+				t.Fatalf("workers=%d: got %v, want the failure at index %d", workers, err, 7*chunk+3)
+			}
+		}
+	}
+}
+
+func TestForStaysSerialBelowThreshold(t *testing.T) {
+	last := -1
+	err := For(context.Background(), 5*chunk, 8, 5*chunk+1, func(i int) error {
+		if i != last+1 {
+			return fmt.Errorf("index %d after %d: not the serial order", i, last)
+		}
+		last = i // unsynchronized on purpose: -race proves one goroutine
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestForStopsOnCancel(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int32
+		err := For(ctx, 100*chunk, workers, 2, func(i int) error {
+			if ran.Add(1) == chunk {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if got := ran.Load(); got > int32((workers+1)*chunk) {
+			t.Fatalf("workers=%d: %d iterations ran after the cancel", workers, got)
+		}
+	}
+}

@@ -62,15 +62,12 @@ import (
 	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/jobs"
-	"repro/internal/liberty"
 	"repro/internal/lint"
+	"repro/internal/load"
 	"repro/internal/metrics"
-	"repro/internal/netlist"
 	"repro/internal/report"
 	"repro/internal/shard"
-	"repro/internal/spef"
 	"repro/internal/sta"
-	"repro/internal/vlog"
 	"repro/internal/workload"
 )
 
@@ -1097,30 +1094,17 @@ func buildDesign(src designSources, inputs map[string]*sta.Timing) (*bind.Design
 	bad := func(err error) *ErrorInfo {
 		return &ErrorInfo{Kind: "bad_request", Message: err.Error()}
 	}
-	lib := liberty.Generic()
-	if src.Liberty != "" {
-		var err error
-		if lib, err = liberty.Parse(strings.NewReader(src.Liberty)); err != nil {
-			return nil, bad(err)
-		}
+	ls := load.Sources{
+		Netlist: load.Text(src.Netlist), Liberty: load.Text(src.Liberty), SPEF: load.Text(src.SPEF), Inputs: inputs,
 	}
-	var design *netlist.Design
-	var err error
 	if src.Verilog != "" {
-		design, err = vlog.Parse(strings.NewReader(src.Verilog), lib)
-	} else {
-		design, err = netlist.Parse(strings.NewReader(src.Netlist))
+		ls.Netlist, ls.Verilog = load.Text(src.Verilog), true
 	}
+	loaded, err := load.Load(ls, lint.Config{})
 	if err != nil {
 		return nil, bad(err)
 	}
-	var paras *spef.Parasitics
-	if src.SPEF != "" {
-		if paras, err = spef.Parse(strings.NewReader(src.SPEF)); err != nil {
-			return nil, bad(err)
-		}
-	}
-	lres := lint.Run(&lint.Input{Design: design, Lib: lib, Paras: paras, Inputs: inputs}, lint.Config{})
+	lres := loaded.Lint
 	if lres.HasErrors() {
 		info := &ErrorInfo{
 			Kind:    "lint_rejected",
@@ -1133,7 +1117,7 @@ func buildDesign(src designSources, inputs map[string]*sta.Timing) (*bind.Design
 		}
 		return nil, info
 	}
-	b, err := bind.New(design, lib, paras)
+	b, err := loaded.Bind()
 	if err != nil {
 		return nil, bad(err)
 	}

@@ -19,7 +19,7 @@ import (
 //     annotation before applying padding (the union is for loop fixpoints).
 //     A padded stale annotation must therefore never be merged into a
 //     re-evaluation — the padding would be applied twice. The update
-//     deletes every dirty instance's output annotations before walking the
+//     clears every dirty instance's output annotations before walking the
 //     levelized order, so each dirty instance computes exactly what a
 //     fresh run would.
 //
@@ -41,14 +41,21 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 	b := res.design
 	lev := b.Net.Levelize()
 	if len(lev.Feedback) > 0 {
-		fresh, err := RunCtx(ctx, b, opts)
+		fresh, err := RunCtx(ctx, b, opts, res.workers)
 		if err != nil {
 			return nil, err
 		}
 		*res = *fresh
 		dirty := make(map[string]bool, len(res.nets))
-		for name := range res.nets {
-			dirty[name] = true
+		for id, t := range res.nets {
+			if id&0x3f == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			if t != nil {
+				dirty[b.Net.NetByID(int32(id)).Name] = true
+			}
 		}
 		return dirty, nil
 	}
@@ -101,7 +108,7 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 			return nil, err
 		}
 		for _, oc := range inst.Outputs() {
-			delete(res.nets, oc.Net.Name)
+			res.nets[oc.Net.ID()] = nil
 			dirtyNets[oc.Net.Name] = true
 		}
 	}

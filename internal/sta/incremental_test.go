@@ -2,6 +2,7 @@ package sta
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/netlist"
@@ -40,29 +41,26 @@ func twoChains(d *netlist.Design) error {
 	return nil
 }
 
-// requireEqualResults compares every net annotation of two results exactly
-// (tolerance zero: the incremental path must run the same arithmetic).
+// requireEqualResults compares two results field for field: every net
+// and pin annotation and every required time, exactly (the incremental
+// and the parallel paths must run the same arithmetic as a fresh serial
+// run).
 func requireEqualResults(t *testing.T, got, want *Result) {
 	t.Helper()
-	if len(got.nets) != len(want.nets) {
-		t.Fatalf("net count %d != %d", len(got.nets), len(want.nets))
-	}
-	for name, wt := range want.nets {
-		gt, ok := got.nets[name]
-		if !ok {
-			t.Fatalf("net %s missing from incremental result", name)
-		}
-		if !gt.equalWithin(wt, 0) {
-			t.Fatalf("net %s: incremental %+v != fresh %+v", name, gt, wt)
+	d := want.design.Net
+	for id := range want.nets {
+		if !reflect.DeepEqual(got.nets[id], want.nets[id]) {
+			t.Fatalf("net %s: got %+v, want %+v", d.NetByID(int32(id)).Name, got.nets[id], want.nets[id])
 		}
 	}
-	if len(got.required) != len(want.required) {
-		t.Fatalf("required count %d != %d", len(got.required), len(want.required))
+	if !reflect.DeepEqual(got.pins, want.pins) {
+		t.Fatal("pin annotations differ")
 	}
-	for name, wv := range want.required {
-		if gv, ok := got.required[name]; !ok || gv != wv {
-			t.Fatalf("required[%s] = %v, want %v", name, gv, wv)
-		}
+	if !reflect.DeepEqual(got.required, want.required) {
+		t.Fatalf("required times differ: got %v, want %v", got.required, want.required)
+	}
+	if got.early != want.early || got.late != want.late {
+		t.Fatalf("derates differ: got %v/%v, want %v/%v", got.early, got.late, want.early, want.late)
 	}
 }
 
@@ -74,7 +72,7 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	untouched := res.nets["mid2"]
+	untouched := res.nets[b.Net.FindNet("mid2").ID()]
 
 	padding["mid1"] = 30 * units.Pico
 	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []string{"mid1"})
@@ -87,7 +85,7 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	if dirty["mid2"] || dirty["out2"] || dirty["in1"] {
 		t.Fatalf("dirty = %v leaked outside the padded cone", dirty)
 	}
-	if res.nets["mid2"] != untouched {
+	if res.nets[b.Net.FindNet("mid2").ID()] != untouched {
 		t.Fatal("untouched chain was recomputed")
 	}
 	fresh, err := Run(b, opts)

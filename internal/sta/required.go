@@ -20,16 +20,13 @@ import (
 // arrival windows.
 func (res *Result) computeRequired(opts *Options) error {
 	b := res.design
-	res.required = make(map[string]float64, b.Net.NumNets())
-	req := func(net string) float64 {
-		if v, ok := res.required[net]; ok {
-			return v
-		}
-		return math.Inf(1)
+	res.required = make([]float64, b.Net.NumNets())
+	for i := range res.required {
+		res.required[i] = math.Inf(1)
 	}
 	for _, p := range b.Net.Ports() {
 		if p.Dir == netlist.Out {
-			res.required[p.Name] = opts.ClockPeriod
+			res.required[p.Conn.Net.ID()] = opts.ClockPeriod
 		}
 	}
 	lev := b.Net.Levelize()
@@ -38,14 +35,11 @@ func (res *Result) computeRequired(opts *Options) error {
 		inst := ordered[i]
 		cell := b.Cell(inst)
 		for _, oc := range inst.Outputs() {
-			outReq := req(oc.Net.Name)
+			outReq := res.required[oc.Net.ID()]
 			if math.IsInf(outReq, 1) {
 				continue
 			}
-			load, err := b.LoadCapOf(oc.Net.Name)
-			if err != nil {
-				return err
-			}
+			load := b.NetworkOf(oc.Net).TotalCap()
 			for _, arc := range cell.ArcsTo(oc.Pin) {
 				ic := inst.Conns[arc.From]
 				if ic == nil {
@@ -63,8 +57,8 @@ func (res *Result) computeRequired(opts *Options) error {
 					return err
 				}
 				cand := outReq - d - wd*res.late
-				if cand < req(ic.Net.Name) {
-					res.required[ic.Net.Name] = cand
+				if cand < res.required[ic.Net.ID()] {
+					res.required[ic.Net.ID()] = cand
 				}
 			}
 		}
@@ -76,14 +70,15 @@ func (res *Result) computeRequired(opts *Options) error {
 // arrival — and whether a meaningful slack exists (the net switches and a
 // clock period constrained it). Negative slack is a setup violation.
 func (r *Result) TimingSlack(net string) (float64, bool) {
-	if r.required == nil {
+	return r.slackOf(r.design.Net.FindNet(net))
+}
+
+func (r *Result) slackOf(n *netlist.Net) (float64, bool) {
+	if r.required == nil || n == nil || math.IsInf(r.required[n.ID()], 1) {
 		return 0, false
 	}
-	reqT, ok := r.required[net]
-	if !ok || math.IsInf(reqT, 1) {
-		return 0, false
-	}
-	t := r.TimingOfNet(net)
+	reqT := r.required[n.ID()]
+	t := r.TimingOf(n)
 	if !t.HasActivity() {
 		return 0, false
 	}
@@ -103,8 +98,8 @@ func (r *Result) TimingSlack(net string) (float64, bool) {
 // +Inf when no net is constrained.
 func (r *Result) WorstTimingSlack() float64 {
 	worst := math.Inf(1)
-	for net := range r.required {
-		if s, ok := r.TimingSlack(net); ok && s < worst {
+	for id := range r.required {
+		if s, ok := r.slackOf(r.design.Net.NetByID(int32(id))); ok && s < worst {
 			worst = s
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/interval"
 	"repro/internal/liberty"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/units"
 )
 
@@ -170,28 +171,45 @@ func (o *Options) fill() {
 	}
 }
 
-// Result is the timing annotation of a design.
+// Result is the timing annotation of a design. The tables are dense,
+// indexed by the netlist's creation-order IDs: names are resolved once at
+// the edges (TimingOfNet, Options.InputTiming), never inside the passes.
 type Result struct {
 	design      *bind.Design
-	nets        map[string]*Timing        // at net source (driver output)
-	pins        map[*netlist.Conn]*Timing // at load pins, wire delay applied
-	early, late float64                   // delay derates
-	// required times per net (present only when ClockPeriod was set).
-	required map[string]float64
+	nets        []*Timing // at net source (driver output), by Net.ID(); nil = never annotated
+	pins        []*Timing // at load pins, wire delay applied, by Conn.ID()
+	early, late float64   // delay derates
+	workers     int       // RunCtx's fan-out, for UpdatePaddingCtx's fresh-run fallback
+	// required times by Net.ID(), +Inf where unconstrained (nil unless
+	// ClockPeriod was set).
+	required []float64
 }
+
+// parallelBelow is the loop length under which a level (or the port list)
+// is walked serially: a few hundred instances take less time than waking
+// the workers.
+const parallelBelow = 128
 
 // TimingOfNet returns the switching information at a net's source, or an
 // inactive Timing if the net never switches (e.g. untied inputs).
 func (r *Result) TimingOfNet(net string) *Timing {
-	if t, ok := r.nets[net]; ok {
-		return t
+	return r.TimingOf(r.design.Net.FindNet(net))
+}
+
+// TimingOf is TimingOfNet for a net of the analyzed design (nil reads as
+// a net that never switches).
+func (r *Result) TimingOf(n *netlist.Net) *Timing {
+	if n != nil {
+		if t := r.nets[n.ID()]; t != nil {
+			return t
+		}
 	}
 	return emptyTiming()
 }
 
 // TimingOfPin returns the switching information at a specific load pin.
 func (r *Result) TimingOfPin(c *netlist.Conn) *Timing {
-	if t, ok := r.pins[c]; ok {
+	if t := r.pins[c.ID()]; t != nil {
 		return t
 	}
 	return emptyTiming()
@@ -202,57 +220,59 @@ func (r *Result) SwitchingWindow(net string) interval.Set {
 	return r.TimingOfNet(net).SwitchingWindow()
 }
 
-// Run performs the analysis.
+// Run performs the analysis serially.
 func Run(b *bind.Design, opts Options) (*Result, error) {
-	return RunCtx(context.Background(), b, opts)
+	return RunCtx(context.Background(), b, opts, 0)
 }
 
-// RunCtx is Run with cooperative cancellation: the context is checked
-// while walking the levelized instance list and between loop-fixpoint
+// RunCtx is Run with cooperative cancellation and a fan-out. The context
+// is checked while walking the ports and levels and between loop-fixpoint
 // passes, so a timing run over a huge design stops within a bounded
 // amount of work of the deadline.
-func RunCtx(ctx context.Context, b *bind.Design, opts Options) (*Result, error) {
+//
+// With workers > 1 the port seeding and every large enough level of the
+// levelization are evaluated across that many goroutines. The result is
+// the serial one: the instances of a level read only annotations of
+// earlier levels and each writes only the slots of the nets it drives
+// and of their load pins. Feedback instances read each other and stay
+// serial.
+func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Result, error) {
 	opts.fill()
 	res := &Result{
-		design: b,
-		nets:   make(map[string]*Timing, b.Net.NumNets()),
-		pins:   make(map[*netlist.Conn]*Timing),
-		early:  opts.EarlyDerate,
-		late:   opts.LateDerate,
+		design:  b,
+		nets:    make([]*Timing, b.Net.NumNets()),
+		pins:    make([]*Timing, b.Net.NumConns()),
+		early:   opts.EarlyDerate,
+		late:    opts.LateDerate,
+		workers: workers,
 	}
 
 	// Seed primary inputs.
-	for _, p := range b.Net.Ports() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	ports := b.Net.Ports()
+	dw := interval.NewSet(opts.DefaultInputWindow)
+	ds := Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew}
+	err := par.For(ctx, len(ports), workers, parallelBelow, func(i int) error {
+		p := ports[i]
 		if p.Dir != netlist.In {
-			continue
+			return nil
 		}
 		t := opts.InputTiming[p.Name]
 		if t == nil {
-			dw := interval.NewSet(opts.DefaultInputWindow)
-			t = &Timing{
-				Rise:     dw,
-				Fall:     dw,
-				SlewRise: Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew},
-				SlewFall: Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew},
-			}
+			t = &Timing{Rise: dw, Fall: dw, SlewRise: ds, SlewFall: ds}
 		}
-		res.nets[p.Name] = t
-		if err := res.propagateNetToPins(p.Conn.Net); err != nil {
-			return nil, err
-		}
+		res.nets[p.Conn.Net.ID()] = t
+		return res.propagateNetToPins(p.Conn.Net)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	lev := b.Net.Levelize()
-	for i, inst := range lev.Ordered() {
-		if i&0x3f == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := res.evalInst(inst, &opts); err != nil {
+	for _, level := range lev.Levels {
+		err := par.For(ctx, len(level), workers, parallelBelow, func(i int) error {
+			return res.evalInst(level[i], &opts)
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -289,16 +309,16 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options) (*Result, error) 
 					return nil, err
 				}
 				for _, oc := range inst.Outputs() {
-					t := res.TimingOfNet(oc.Net.Name)
+					t := res.TimingOf(oc.Net)
 					inf := interval.InfiniteSet()
 					nt := &Timing{Rise: inf, Fall: inf, SlewRise: t.SlewRise, SlewFall: t.SlewFall}
 					if !nt.SlewRise.valid() {
-						nt.SlewRise = Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew}
+						nt.SlewRise = ds
 					}
 					if !nt.SlewFall.valid() {
-						nt.SlewFall = Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew}
+						nt.SlewFall = ds
 					}
-					res.nets[oc.Net.Name] = nt
+					res.nets[oc.Net.ID()] = nt
 					if err := res.propagateNetToPins(oc.Net); err != nil {
 						return nil, err
 					}
@@ -318,8 +338,7 @@ func snapshotOutputs(res *Result, inst *netlist.Inst) []*Timing {
 	outs := inst.Outputs()
 	snap := make([]*Timing, len(outs))
 	for i, oc := range outs {
-		t := res.TimingOfNet(oc.Net.Name)
-		cp := *t
+		cp := *res.TimingOf(oc.Net)
 		snap[i] = &cp
 	}
 	return snap
@@ -327,7 +346,7 @@ func snapshotOutputs(res *Result, inst *netlist.Inst) []*Timing {
 
 func outputsEqual(res *Result, inst *netlist.Inst, snap []*Timing, tol float64) bool {
 	for i, oc := range inst.Outputs() {
-		if !res.TimingOfNet(oc.Net.Name).equalWithin(snap[i], tol) {
+		if !res.TimingOf(oc.Net).equalWithin(snap[i], tol) {
 			return false
 		}
 	}
@@ -339,18 +358,15 @@ func outputsEqual(res *Result, inst *netlist.Inst, snap []*Timing, tol float64) 
 func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 	cell := res.design.Cell(inst)
 	for _, oc := range inst.Outputs() {
-		load, err := res.design.LoadCapOf(oc.Net.Name)
-		if err != nil {
-			return err
-		}
+		load := res.design.NetworkOf(oc.Net).TotalCap()
 		out := emptyTiming()
 		for _, arc := range cell.ArcsTo(oc.Pin) {
 			ic := inst.Conns[arc.From]
 			if ic == nil {
 				return fmt.Errorf("sta: %s.%s unconnected arc input", inst.Name, arc.From)
 			}
-			in := res.TimingOfPin(ic)
-			if !in.HasActivity() {
+			in := res.pins[ic.ID()]
+			if in == nil || !in.HasActivity() {
 				continue
 			}
 			for _, inRise := range []bool{true, false} {
@@ -393,7 +409,7 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 		// Merge with any existing annotation (loop iteration): windows
 		// only grow. Simplify bounds set fragmentation so the fixpoint
 		// stays cheap on loops.
-		if prev, ok := res.nets[oc.Net.Name]; ok {
+		if prev := res.nets[oc.Net.ID()]; prev != nil {
 			out.Rise = out.Rise.Union(prev.Rise)
 			out.Fall = out.Fall.Union(prev.Fall)
 			if prev.SlewRise.valid() {
@@ -409,7 +425,7 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 		}
 		out.Rise = out.Rise.Simplify(maxWindowFragments)
 		out.Fall = out.Fall.Simplify(maxWindowFragments)
-		res.nets[oc.Net.Name] = out
+		res.nets[oc.Net.ID()] = out
 		if err := res.propagateNetToPins(oc.Net); err != nil {
 			return err
 		}
@@ -432,15 +448,12 @@ func outDirections(u liberty.Unateness, inRise bool) []bool {
 // propagateNetToPins annotates each load pin of a net with the source
 // timing delayed by the wire (Elmore) and degraded in slew.
 func (res *Result) propagateNetToPins(net *netlist.Net) error {
-	src := res.TimingOfNet(net.Name)
-	a, err := res.design.Analysis(net.Name)
+	src := res.TimingOf(net)
+	a, err := res.design.AnalysisOf(net)
 	if err != nil {
 		return err
 	}
-	nw, err := res.design.Network(net.Name)
-	if err != nil {
-		return err
-	}
+	nw := res.design.NetworkOf(net)
 	for _, lc := range net.Loads() {
 		node := bind.PinNode(lc)
 		var wd, sd float64
@@ -458,7 +471,7 @@ func (res *Result) propagateNetToPins(net *netlist.Net) error {
 			SlewRise: addSlew(src.SlewRise, sd),
 			SlewFall: addSlew(src.SlewFall, sd),
 		}
-		res.pins[lc] = t
+		res.pins[lc.ID()] = t
 	}
 	return nil
 }

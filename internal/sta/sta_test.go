@@ -62,10 +62,7 @@ func TestChainWindowsMatchTables(t *testing.T) {
 	}
 	lib := b.Lib
 	slew := 20 * units.Pico
-	load, err := b.LoadCapOf("mid")
-	if err != nil {
-		t.Fatal(err)
-	}
+	load := b.NetworkOf(b.Net.FindNet("mid")).TotalCap()
 	cell, err := lib.ResolveCell("", "INV_X1")
 	if err != nil {
 		t.Fatal(err)

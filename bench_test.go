@@ -216,6 +216,84 @@ func BenchmarkAnalyzeIterativeScratch(b *testing.B) {
 	}
 }
 
+// roundCounter counts a worker's Do calls, and the evals among them that
+// came before the first round op — round 1's.
+type roundCounter struct {
+	shard.Worker
+	calls, round1Evals int
+	rounds             bool
+}
+
+func (w *roundCounter) Do(ctx context.Context, op string, req, resp any) error {
+	w.calls++
+	w.rounds = w.rounds || op == shard.OpRound
+	if op == shard.OpEval && !w.rounds {
+		w.round1Evals++
+	}
+	return w.Worker.Do(ctx, op, req, resp)
+}
+
+// BenchmarkIterateHotFabric runs the noise↔delay fixpoint on the
+// benchmark's iterate shape (hot fabric 120 × 16, 2 160 nets, 18 waves, 5
+// rounds of 2 passes), single-process and as 4 shards on one in-process
+// worker, and reports what the change-driven fixpoint is about: per-net
+// evaluations and Worker.Do calls per run. It fails outright when the
+// confirming pass of round 1 evaluates, or is sent, anything.
+func BenchmarkIterateHotFabric(b *testing.B) {
+	g, err := workload.Fabric(workload.FabricSpec{
+		Width: 120, Levels: 16, CouplingDensity: 3, CoupleC: 12 * units.Femto,
+		GroundC: 4 * units.Femto, SegRes: 60, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bd, err := g.Bind(liberty.Generic())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := core.Options{Mode: core.ModeNoiseWindows, FailSoft: true, STA: g.STAOptions()}
+	b.Run("local", func(b *testing.B) {
+		// Round 1 alone is a session build: two passes, every net once.
+		s, err := core.NewSession(ctx, bd, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := s.Noise(); n.Stats.Iterations != 2 || n.Evals() != n.Stats.Victims {
+			b.Fatalf("round 1 made %d evaluations of %d nets in %d passes: its second pass is not empty",
+				n.Evals(), n.Stats.Victims, n.Stats.Iterations)
+		}
+		evals := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := core.AnalyzeIterativeCtx(ctx, bd, opts, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			evals += out.Noise.Evals()
+		}
+		b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	})
+	b.Run("inproc4", func(b *testing.B) {
+		plan, err := core.BuildShardPlan(ctx, bd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		calls := 0
+		for i := 0; i < b.N; i++ {
+			w := &roundCounter{Worker: shard.NewInProc("w0", func(context.Context) (*bind.Design, error) { return bd, nil }, opts)}
+			if _, err := shard.Run(ctx, shard.Config{B: bd, Opts: opts, Workers: []shard.Worker{w}, Shards: 4, Token: "bench"}); err != nil {
+				b.Fatal(err)
+			}
+			if w.round1Evals > len(plan.Waves) {
+				b.Fatalf("round 1 made %d eval dispatches over %d waves: its second pass is not idle", w.round1Evals, len(plan.Waves))
+			}
+			calls += w.calls
+		}
+		b.ReportMetric(float64(calls)/float64(b.N), "dispatches/op")
+	})
+}
+
 // BenchmarkAnalyzeFabric measures the engine on irregular logic with
 // propagation, the other workload family.
 func BenchmarkAnalyzeFabric(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,12 +39,12 @@ type Options struct {
 	MaxIter int
 	// Workers sets the number of goroutines used for the timing pass's
 	// levels (sta.RunCtx), the per-victim context and coupled-event
-	// construction, and the propagation fixpoint's level wavefronts (the
-	// dominant costs on big designs). 0 or 1 runs serially; results are
-	// identical either way — the instances of a timing level read only
-	// earlier levels, victims are independent during preparation, and
-	// within one level wavefront no net's events depend on another's
-	// combination.
+	// construction, the propagation fixpoint's level wavefronts and the
+	// delay pass's victims (the dominant costs on big designs). 0 or 1
+	// runs serially; results are identical either way — the instances of
+	// a timing level read only earlier levels, victims are independent
+	// during preparation and in the delay pass, and within one level
+	// wavefront no net's events depend on another's combination.
 	Workers int
 	// DefaultAggSlew is the aggressor edge rate assumed when timing gives
 	// none (default 20 ps).
@@ -113,25 +114,41 @@ type prepCount struct {
 	pairs, filtered int
 }
 
+// bitset is a set of evaluation-order positions.
+type bitset []uint64
+
+func (s bitset) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s bitset) set(i int)      { s[i>>6] |= 1 << (i & 63) }
+func (s bitset) clear(i int)    { s[i>>6] &^= 1 << (i & 63) }
+
+// appendRange appends the set's positions within [lo, hi) to out, ascending.
+func (s bitset) appendRange(out []int, lo, hi int) []int {
+	for i := lo; i < hi; i++ {
+		if s.has(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // analyzer carries per-run state. Under AnalyzeIterative one analyzer
 // persists across rounds and is shared between the noise and delay passes:
-// the timing result is updated in place, contexts and coupled events are
-// re-prepared only for dirty victims, and committed combinations carry
-// over for everything else.
+// the timing result is updated in place, coupled events are re-prepared
+// only for victims with a re-timed aggressor, and a net is re-evaluated only
+// while it is stale — everything else's committed results carry over.
 type analyzer struct {
 	b      *bind.Design
 	opts   Options
 	vdd    float64
 	staRes *sta.Result
-	// order is the victim evaluation order (victimOrder); orderIdx maps a
-	// net name back to its position; waves partitions order into level
-	// wavefronts; namesSorted caches the alphabetical net order used by
-	// the violation check, and sortedPos the matching order positions.
-	order       []*netlist.Net
-	orderIdx    map[string]int
-	waves       []wave
-	namesSorted []string
-	sortedPos   []int
+	// order is the victim evaluation order (victimOrder); posByID maps a
+	// net ID back to its position (-1: not analyzed); waves partitions
+	// order into level wavefronts; sortedPos lists the positions in the
+	// alphabetical net order the violation check walks.
+	order     []*netlist.Net
+	posByID   []int32
+	waves     []wave
+	sortedPos []int
 	// Per-victim state lives in dense slices indexed by evaluation-order
 	// position, not name-keyed maps: at millions of nets the per-entry
 	// map overhead (hashing, bucket churn) dominated steady-state
@@ -142,6 +159,16 @@ type analyzer struct {
 	// prepare only the nets they own).
 	coupled    []*[2][]Event
 	prepCounts []prepCount
+	// stale marks the victims whose next evaluation can differ from their
+	// last: an input of it — the coupled events, a fanin's committed
+	// combination — has moved since. The fixpoint evaluates exactly these
+	// (evalWave); everything else is a pure function of bit-identical
+	// inputs and is skipped. delayStale is the same for the delay pass,
+	// whose inputs are the coupled events and the victim's own timing.
+	// Only prepared victims are ever marked, so on a shard the bits are
+	// confined to the nets it owns. evals counts evalNet calls.
+	stale, delayStale bitset
+	evals             int
 	// propCount tracks the propagated events each net's latest evaluation
 	// built; propTotal is their running sum, so Stats.Propagated reflects
 	// the final pass without a per-pass recount even when an incremental
@@ -162,18 +189,18 @@ type analyzer struct {
 	diags    []Diag
 	// Reusable buffers: the serial-path combiner scratch, per-worker
 	// combiner scratch for parallel waves, and the wave work/result
-	// arrays.
+	// arrays (todo also serves the re-prepare and delay passes).
 	scratch  combiner
 	wscratch []combiner
 	todo     []int
-	evals    []netEval
+	results  []netEval
 	evalErrs []error
-	// Incremental indexes, built lazily on the first dirty-set query.
-	aggIndex map[string][]string
-	fanout   map[string][]string
-	// delayItems/delayIdx are the serial delay pass's per-net scratch.
-	delayItems []interval.Weighted
-	delayIdx   []int
+	// propSrc is each net's propagated-event source string, by net ID.
+	propSrc []string
+	// The aggressor index, built on the first padding update: the prepared
+	// victims coupled to net id are aggVictims[aggOff[id]:aggOff[id+1]],
+	// as positions.
+	aggOff, aggVictims []int32
 }
 
 // newAnalyzer runs the shared setup — timing, victim ordering, context and
@@ -184,7 +211,11 @@ func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, 
 	if err != nil {
 		return nil, err
 	}
-	if err := a.prepareAll(ctx, a.order); err != nil {
+	all := make([]int, len(a.order))
+	for i := range all {
+		all[i] = i
+	}
+	if err := a.prepareAll(ctx, all); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -213,18 +244,9 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 	}
 
 	a.order = a.victimOrder()
-	a.orderIdx = make(map[string]int, len(a.order))
-	a.namesSorted = make([]string, len(a.order))
-	for i, net := range a.order {
-		a.orderIdx[net.Name] = i
-		a.namesSorted[i] = net.Name
-	}
-	sort.Strings(a.namesSorted)
-	a.sortedPos = make([]int, len(a.namesSorted))
-	for i, name := range a.namesSorted {
-		a.sortedPos[i] = a.orderIdx[name]
-	}
+	a.indexOrder()
 	n := len(a.order)
+	a.stale, a.delayStale = make(bitset, (n+63)/64), make(bitset, (n+63)/64)
 	a.ctxs = make([]*noise.Context, n)
 	a.coupled = make([]*[2][]Event, n)
 	a.prepCounts = make([]prepCount, n)
@@ -232,6 +254,24 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 	a.degraded = make([]bool, n)
 	a.buildWaves()
 	return a, nil
+}
+
+// indexOrder builds the tables that lead back from a net to its place in
+// the victim order, and the per-net strings the hot loops would otherwise
+// concatenate on every evaluation.
+func (a *analyzer) indexOrder() {
+	a.posByID = make([]int32, a.b.Net.NumNets())
+	for id := range a.posByID {
+		a.posByID[id] = -1
+	}
+	a.propSrc = make([]string, len(a.posByID))
+	a.sortedPos = make([]int, len(a.order))
+	for i, net := range a.order {
+		a.posByID[net.ID()] = int32(i)
+		a.propSrc[net.ID()] = "prop:" + net.Name
+		a.sortedPos[i] = i
+	}
+	sort.Slice(a.sortedPos, func(i, j int) bool { return a.order[a.sortedPos[i]].Name < a.order[a.sortedPos[j]].Name })
 }
 
 // buildWaves groups the level-sorted victim order into contiguous
@@ -274,17 +314,20 @@ func (a *analyzer) finishNoise(res *Result) {
 	a.stats.Propagated = a.propTotal
 	a.stats.Victims = len(a.order)
 	a.stats.DegradedNets = len(a.diags)
-	res.Stats = a.stats
+	res.Stats, res.evals = a.stats, a.evals
 	a.checkViolations(res)
 	sortDiags(a.diags)
 	res.Diags = append(res.Diags[:0], a.diags...)
 }
 
-// safePrepare runs prepareNet with panics converted into errors, so one
-// malformed victim (a corrupt RC tree, an unphysical parameter, an
-// injected fault) surfaces as a per-net failure instead of crashing the
-// whole engine.
-func (a *analyzer) safePrepare(net *netlist.Net) (p *preparedNet, err error) {
+// safePrepare prepares one victim — a first preparation builds its noise
+// context, a later one (an iterative round) only rebuilds the coupled events
+// from the cached context — with panics converted into errors, so one
+// malformed victim (a corrupt RC tree, an unphysical parameter, an injected
+// fault) surfaces as a per-net failure instead of crashing the whole engine.
+// A degraded victim yields nil: its full-rail fallback stands.
+func (a *analyzer) safePrepare(pos int) (p *preparedNet, err error) {
+	net := a.order[pos]
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: panic preparing net %s: %v", net.Name, r)
@@ -295,40 +338,40 @@ func (a *analyzer) safePrepare(net *netlist.Net) (p *preparedNet, err error) {
 			return nil, err
 		}
 	}
+	if a.degraded[pos] {
+		return nil, nil
+	}
+	if nctx := a.ctxs[pos]; nctx != nil {
+		return a.prepareEvents(net, nctx)
+	}
 	return a.prepareNet(net)
 }
 
-// prepareAll builds every victim's context and coupled events, optionally
-// across Options.Workers goroutines. Victims are independent here, so the
-// parallel and serial paths produce identical results. Cancellation is
-// checked between victims; under fail-soft a per-net failure degrades
-// that net, under fail-fast it stops the remaining workers promptly so an
-// early error on a huge design does not keep preparing doomed work.
-func (a *analyzer) prepareAll(ctx context.Context, order []*netlist.Net) error {
+// prepareAll prepares the victims at the given positions (ascending),
+// optionally across Options.Workers goroutines. Victims are independent
+// here, so the parallel and serial paths produce identical results.
+// Cancellation is checked between victims; under fail-soft a per-net failure
+// degrades that net, under fail-fast it stops the remaining workers promptly
+// so an early error on a huge design does not keep preparing doomed work.
+func (a *analyzer) prepareAll(ctx context.Context, todo []int) error {
 	workers := a.opts.Workers
-	if workers <= 1 || len(order) < 2 {
-		for _, net := range order {
+	if workers <= 1 || len(todo) < 2 {
+		for _, pos := range todo {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			pos := a.orderIdx[net.Name]
-			p, err := a.safePrepare(net)
-			if err != nil {
-				if !a.opts.FailSoft {
-					return err
-				}
-				a.degradeNet(pos, net.Name, StagePrepare, err)
-				continue
+			p, err := a.safePrepare(pos)
+			if err := a.commitPrepared(pos, p, err); err != nil {
+				return err
 			}
-			a.commitPrepared(pos, p)
 		}
 		return nil
 	}
-	if workers > len(order) {
-		workers = len(order)
+	if workers > len(todo) {
+		workers = len(todo)
 	}
-	prepared := make([]*preparedNet, len(order))
-	errs := make([]error, len(order))
+	prepared := make([]*preparedNet, len(todo))
+	errs := make([]error, len(todo))
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	var next int64 = -1
@@ -341,7 +384,7 @@ func (a *analyzer) prepareAll(ctx context.Context, order []*netlist.Net) error {
 					return
 				}
 				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(order) {
+				if i >= len(todo) {
 					return
 				}
 				if err := ctx.Err(); err != nil {
@@ -349,18 +392,13 @@ func (a *analyzer) prepareAll(ctx context.Context, order []*netlist.Net) error {
 					stop.Store(true)
 					return
 				}
-				p, err := a.safePrepare(order[i])
-				if err != nil {
-					errs[i] = err
-					// Fail-soft keeps the other victims coming; fail-fast
-					// drains the queue so the run aborts promptly.
-					if !a.opts.FailSoft {
-						stop.Store(true)
-						return
-					}
-					continue
+				prepared[i], errs[i] = a.safePrepare(todo[i])
+				// Fail-soft keeps the other victims coming; fail-fast
+				// drains the queue so the run aborts promptly.
+				if errs[i] != nil && !a.opts.FailSoft {
+					stop.Store(true)
+					return
 				}
-				prepared[i] = p
 			}
 		}()
 	}
@@ -368,28 +406,22 @@ func (a *analyzer) prepareAll(ctx context.Context, order []*netlist.Net) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Commit serially in victim order so maps, stats, and diagnostics are
+	// Commit serially in victim order so stats and diagnostics are
 	// deterministic regardless of worker scheduling.
-	for i, net := range order {
+	for i, pos := range todo {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		pos := a.orderIdx[net.Name]
-		if errs[i] != nil {
-			if !a.opts.FailSoft {
-				return errs[i]
-			}
-			a.degradeNet(pos, net.Name, StagePrepare, errs[i])
-			continue
-		}
-		if prepared[i] == nil {
+		if errs[i] == nil && prepared[i] == nil && !a.degraded[pos] {
 			// Only reachable when a fail-fast stop drained the queue, and
-			// then the error above has already returned.
-			return fmt.Errorf("core: net %s was not prepared", net.Name)
+			// then the error has already returned from an earlier commit.
+			return fmt.Errorf("core: net %s was not prepared", a.order[pos].Name)
 		}
-		a.commitPrepared(pos, prepared[i])
+		if err := a.commitPrepared(pos, prepared[i], errs[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -424,15 +456,23 @@ func (a *analyzer) fullRailComb() Combined {
 // checked (its noise context may not exist); the Diag plus the full-rail
 // bound mark the whole net as failing, which downstream propagation and
 // the exit-code policy treat conservatively.
-func (a *analyzer) degradeNet(pos int, net, stage string, err error) {
+func (a *analyzer) degradeNet(pos int, stage string, err error) {
 	if a.degraded[pos] {
 		return
 	}
 	a.degraded[pos] = true
-	a.diags = append(a.diags, Diag{Net: net, Stage: stage, Err: err, Degraded: true})
+	a.diags = append(a.diags, Diag{Net: a.order[pos].Name, Stage: stage, Err: err, Degraded: true})
 	e := a.fullRailEvent()
 	a.ctxs[pos] = nil
-	a.coupled[pos] = &[2][]Event{{e}, {e}}
+	a.setCoupled(pos, &[2][]Event{{e}, {e}})
+}
+
+// setCoupled installs a victim's coupled events; both passes must look at
+// the victim again.
+func (a *analyzer) setCoupled(pos int, events *[2][]Event) {
+	a.coupled[pos] = events
+	a.stale.set(pos)
+	a.delayStale.set(pos)
 }
 
 // preparedNet is the output of the per-victim preparation stage.
@@ -444,15 +484,31 @@ type preparedNet struct {
 }
 
 // commitPrepared stores one victim's preparation into the analyzer state
-// (serially, so shared slices and stats need no locks). Re-committing a
-// victim in a later iterative round replaces its statistics contribution.
-func (a *analyzer) commitPrepared(pos int, p *preparedNet) {
+// (serially, so shared slices and stats need no locks): a failure degrades
+// the victim or, fail-fast, is returned; nil (a degraded victim, skipped)
+// commits nothing. Re-committing a victim in a later iterative round
+// replaces its statistics contribution, and leaves it clean when the rebuilt
+// events are the ones it already had.
+func (a *analyzer) commitPrepared(pos int, p *preparedNet, err error) error {
+	if err != nil {
+		if !a.opts.FailSoft {
+			return err
+		}
+		a.degradeNet(pos, StagePrepare, err)
+		return nil
+	}
+	if p == nil {
+		return nil
+	}
 	a.ctxs[pos] = p.ctx
-	a.coupled[pos] = &p.events
+	if old := a.coupled[pos]; old == nil || !slices.Equal(old[KindLow], p.events[KindLow]) || !slices.Equal(old[KindHigh], p.events[KindHigh]) {
+		a.setCoupled(pos, &p.events)
+	}
 	old := a.prepCounts[pos]
 	a.stats.AggressorPairs += p.pairs - old.pairs
 	a.stats.Filtered += p.filtered - old.filtered
 	a.prepCounts[pos] = prepCount{pairs: p.pairs, filtered: p.filtered}
+	return nil
 }
 
 // setPropCount records the propagated-event count of one net's latest
@@ -478,7 +534,7 @@ func AnalyzeCtx(ctx context.Context, b *bind.Design, opts Options) (*Result, err
 		return nil, err
 	}
 	res := a.newResult()
-	if err := a.runFixpoint(ctx, res, nil); err != nil {
+	if err := a.runFixpoint(ctx, res); err != nil {
 		return nil, err
 	}
 	a.finishNoise(res)
@@ -486,11 +542,13 @@ func AnalyzeCtx(ctx context.Context, b *bind.Design, opts Options) (*Result, err
 }
 
 // runPasses is the pass loop of the propagation fixpoint, the only copy:
-// each pass evaluates every wave in order, a pass that commits no change
+// each pass visits every wave in order, a pass that commits no change
 // beyond tolerance converges, without propagation one pass is exact, and
 // Options.MaxIter bounds the count. evalWave is the engine's side — the
 // local analyzer's wavefront below, or a coordinator's dispatch to the
-// shards owning nets in that wave.
+// shards with stale nets in that wave. The engines evaluate only what is
+// stale, so the confirming pass of an acyclic design still counts as a
+// pass but evaluates nothing.
 func runPasses(ctx context.Context, opts Options, waves int, evalWave func(context.Context, int) (bool, error)) (passes int, converged bool, err error) {
 	for passes < opts.MaxIter && !converged {
 		if err := ctx.Err(); err != nil {
@@ -511,15 +569,12 @@ func runPasses(ctx context.Context, opts Options, waves int, evalWave func(conte
 }
 
 // runFixpoint runs the pass loop over this analyzer: each pass recomputes
-// every (dirty) net's event list (coupled events are cached; propagated
+// every stale net's event list (coupled events are cached; propagated
 // events derive from the current fanin combinations) and its windowed
-// combination, level wavefront by level wavefront. A nil dirty set means
-// every net; a non-nil set must be closed under structural fanout, which
-// makes the per-pass filter exact — a net outside the set has no fanin
-// inside it, so its inputs can never change.
-func (a *analyzer) runFixpoint(ctx context.Context, res *Result, dirty map[string]bool) error {
+// combination, level wavefront by level wavefront.
+func (a *analyzer) runFixpoint(ctx context.Context, res *Result) error {
 	passes, converged, err := runPasses(ctx, a.opts, len(a.waves), func(ctx context.Context, wi int) (bool, error) {
-		return a.evalWave(ctx, res, a.waves[wi], dirty, nil)
+		return a.evalWave(ctx, res, a.waves[wi], nil)
 	})
 	if err != nil {
 		return err
@@ -528,42 +583,40 @@ func (a *analyzer) runFixpoint(ctx context.Context, res *Result, dirty map[strin
 	return nil
 }
 
-// evalWave evaluates one level wavefront. The serial path is the
-// reference; the parallel path computes the same per-net evaluations
+// evalWave evaluates the stale nets of one level wavefront. The serial path
+// is the reference; the parallel path computes the same per-net evaluations
 // concurrently (safe because a wave's nets only read strictly earlier
 // waves) and then commits them serially in victim order, so results,
 // statistics, diagnostics, and fail-fast error selection are identical to
-// the serial engine.
+// the serial engine. Skipping a clean net is exact, not approximate: its
+// evaluation is a pure function of inputs that are bit-identical to the ones
+// its committed state was computed from.
 //
-// only restricts the wave to a subset of its nets (nil means all of it):
-// the round's dirty set for the local engine, the owned set for a shard.
 // The returned flag is the convergence test — did any commit move beyond
 // tolerance — and stays true for commits made before an error. moved, when
 // non-nil, additionally collects every commit whose Peak, Width or Window
 // differs at all from what it replaced: that, not the tolerance test, is
 // what a reader of the combination elsewhere (another shard) must be sent.
-func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, only map[string]bool, moved *[]WaveUpdate) (bool, error) {
+func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, moved *[]WaveUpdate) (bool, error) {
 	todo := a.todo[:0]
-	for i := w.lo; i < w.hi; i++ {
-		if only == nil || only[a.order[i].Name] {
-			todo = append(todo, i)
-		}
+	if !w.serial && a.opts.Workers > 1 {
+		todo = a.stale.appendRange(todo, w.lo, w.hi)
 	}
 	a.todo = todo
-	if len(todo) == 0 {
-		return false, nil
-	}
-	workers := a.opts.Workers
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if w.serial || workers <= 1 {
+	workers := min(a.opts.Workers, len(todo))
+	if workers <= 1 {
+		// The bit is tested as the walk reaches each net, not up front: in
+		// the feedback wave a commit can make a later net of the same wave
+		// stale, and Gauss–Seidel evaluates it in this pass.
 		changed := false
-		for k, oi := range todo {
-			if k&0x3f == 0 {
+		for oi := w.lo; oi < w.hi; oi++ {
+			if (oi-w.lo)&0x3f == 0 {
 				if err := ctx.Err(); err != nil {
 					return changed, err
 				}
+			}
+			if !a.stale.has(oi) {
+				continue
 			}
 			net := a.order[oi]
 			nn := res.byID[net.ID()]
@@ -580,14 +633,14 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, only map[s
 	if len(a.wscratch) < workers {
 		a.wscratch = make([]combiner, workers)
 	}
-	if cap(a.evals) < len(todo) {
-		a.evals = make([]netEval, len(todo))
+	if cap(a.results) < len(todo) {
+		a.results = make([]netEval, len(todo))
 		a.evalErrs = make([]error, len(todo))
 	}
-	evals := a.evals[:len(todo)]
+	results := a.results[:len(todo)]
 	errs := a.evalErrs[:len(todo)]
-	for i := range evals {
-		evals[i] = netEval{}
+	for i := range results {
+		results[i] = netEval{}
 		errs[i] = nil
 	}
 	var stop atomic.Bool
@@ -613,7 +666,7 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, only map[s
 				}
 				oi := todo[i]
 				net := a.order[oi]
-				evals[i], errs[i] = a.evalNet(oi, net, res.byID[net.ID()], res, cb)
+				results[i], errs[i] = a.evalNet(oi, net, res.byID[net.ID()], res, cb)
 				if errs[i] != nil && !a.opts.FailSoft {
 					stop.Store(true)
 					return
@@ -633,7 +686,7 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, only map[s
 			}
 		}
 		net := a.order[oi]
-		if errs[i] == nil && !evals[i].done {
+		if errs[i] == nil && !results[i].done {
 			// Only reachable when a fail-fast stop drained the queue;
 			// every item before the stopping error is claimed and
 			// completed, so the recorded error is ahead of us.
@@ -644,7 +697,7 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, only map[s
 			}
 			return changed, fmt.Errorf("core: net %s was not evaluated", net.Name)
 		}
-		c, cerr := a.commitEval(oi, net, res.byID[net.ID()], evals[i], errs[i], moved)
+		c, cerr := a.commitEval(oi, net, res.byID[net.ID()], results[i], errs[i], moved)
 		if cerr != nil {
 			return changed, cerr
 		}
@@ -715,18 +768,22 @@ func combMoved(a, b Combined) bool {
 // commitEval applies one computed evaluation to the shared state. It runs
 // serially in victim order, which keeps stats, degradation bookkeeping,
 // and fail-fast error selection deterministic. It reports the convergence
-// test and appends the commit to moved (when collecting) if it differs
-// exactly.
+// test; a commit that differs exactly makes the net's readers stale and is
+// appended to moved (when collecting).
 func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval, evalErr error, moved *[]WaveUpdate) (bool, error) {
+	a.evals++
 	if evalErr != nil {
 		if !a.opts.FailSoft {
 			return false, evalErr
 		}
 		// Pin the net at the fallback; its events are replaced so later
 		// passes (and delay analysis) see the same bound.
-		a.degradeNet(oi, net.Name, StageEvaluate, evalErr)
+		a.degradeNet(oi, StageEvaluate, evalErr)
 		ev = netEval{pin: true}
 	}
+	// Cleared before the readers are marked: a feedback net that reads
+	// itself must come out stale.
+	a.stale.clear(oi)
 	if ev.skip {
 		return false, nil
 	}
@@ -740,10 +797,33 @@ func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval
 		nn.Comb = ev.comb
 		a.setPropCount(oi, ev.propagated)
 	}
-	if ev.moved && moved != nil {
-		*moved = append(*moved, WaveUpdate{Net: net.Name, Comb: nn.Comb})
+	if ev.moved {
+		a.markReaders(net)
+		if moved != nil {
+			*moved = append(*moved, WaveUpdate{Net: net.Name, Comb: nn.Comb})
+		}
 	}
 	return ev.changed, nil
+}
+
+// markReaders makes stale every prepared victim whose propagated events read
+// net's combination: the nets driven by the instances net feeds. (All of an
+// instance's inputs count, with or without a noise-transfer arc — an extra
+// evaluation is exact, a missed one is not.)
+func (a *analyzer) markReaders(net *netlist.Net) {
+	if a.opts.NoPropagation {
+		return
+	}
+	for _, lc := range net.Loads() {
+		if lc.Inst == nil {
+			continue
+		}
+		for _, oc := range lc.Inst.Outputs() {
+			if p := a.posByID[oc.Net.ID()]; p >= 0 && a.coupled[p] != nil {
+				a.stale.set(int(p))
+			}
+		}
+	}
 }
 
 // occupancy resolves the effective combination policy: the baselines keep
@@ -980,7 +1060,7 @@ func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Resu
 					Peak:   outPeak,
 					Width:  outWidth,
 					Window: win,
-					Source: "prop:" + ic.Net.Name,
+					Source: a.propSrc[ic.Net.ID()],
 				})
 			}
 		}

@@ -200,9 +200,17 @@ type Result struct {
 	// byID indexes the analyzed nets' records by netlist ID for the
 	// engine's hot loops. Only results built by an analyzer carry it;
 	// merged shard results leave it nil and are never fed back into
-	// engine loops.
-	byID []*NetNoise
+	// engine loops. evals is the analyzer's evaluation count when the
+	// result was last finished.
+	byID  []*NetNoise
+	evals int
 }
+
+// Evals returns how many per-net evaluations the analyzer behind this result
+// had made when it last finished it — an execution counter for benchmarks and
+// tests, kept out of Stats (whose fields are the report schema). Zero on a
+// merged shard result.
+func (r *Result) Evals() int { return r.evals }
 
 // NoiseOf returns the noise record for a net (nil if not analyzed).
 func (r *Result) NoiseOf(net string) *NetNoise { return r.Nets[net] }
@@ -447,13 +455,17 @@ func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict fun
 	if math.IsNaN(bestAt) || bestSum <= 0 {
 		return Combined{At: math.NaN(), Window: interval.Empty()}
 	}
-	out := Combined{Peak: math.Min(bestSum, vdd), At: bestAt}
+	out := Combined{
+		Peak:         math.Min(bestSum, vdd),
+		At:           bestAt,
+		Members:      make([]string, len(bestMembers)),
+		MemberEvents: make([]Event, len(bestMembers)),
+	}
 	win := interval.Infinite()
 	containing := 0
-	for _, idx := range bestMembers {
+	for i, idx := range bestMembers {
 		e := events[idx]
-		out.Members = append(out.Members, e.Source)
-		out.MemberEvents = append(out.MemberEvents, e)
+		out.Members[i], out.MemberEvents[i] = e.Source, e
 		if e.Width > out.Width {
 			out.Width = e.Width
 		}
@@ -468,7 +480,9 @@ func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict fun
 	if containing == 0 {
 		win = interval.Point(bestAt)
 	}
-	sort.Strings(out.Members)
+	if len(out.Members) > 1 {
+		sort.Strings(out.Members)
+	}
 	out.Window = win
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bind"
 	"repro/internal/interval"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/units"
 )
 
@@ -114,40 +115,49 @@ func AnalyzeDelayCtx(ctx context.Context, b *bind.Design, opts Options) (*DelayR
 	if err != nil {
 		return nil, err
 	}
-	if err := a.delayPass(ctx, nil); err != nil {
+	if err := a.delayPass(ctx); err != nil {
 		return nil, err
 	}
 	return a.assembleDelay(), nil
 }
 
 // delayPass evaluates (or re-evaluates) the delta-delay impacts of the
-// dirty victims and stores them per net; a nil dirty set means every
-// victim. Iterative rounds call it on the shared analyzer with only the
-// round's dirty set.
-func (a *analyzer) delayPass(ctx context.Context, dirty map[string]bool) error {
+// delay-stale victims — the ones whose coupled events or own timing moved
+// since their impacts were computed; on a fresh analyzer, every prepared
+// victim — and stores them per net. Victims are independent here, so they
+// are computed across Options.Workers goroutines on a big enough design;
+// failures degrade serially, in victim order, as evalWave commits.
+func (a *analyzer) delayPass(ctx context.Context) error {
 	if a.impacts == nil {
 		a.impacts = make([][]DelayImpact, len(a.order))
 	}
-	for ni, net := range a.order {
-		if ni&0x3f == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	todo := a.delayStale.appendRange(a.todo[:0], 0, len(a.order))
+	a.todo = todo
+	errs := make([]error, len(todo))
+	err := par.For(ctx, len(todo), a.opts.Workers, delayParallelBelow, func(i int) error {
+		ni := todo[i]
+		a.impacts[ni], errs[i] = a.safeDelayNet(ni, a.order[ni], a.impacts[ni][:0])
+		if a.opts.FailSoft {
+			return nil
 		}
-		if dirty != nil && !dirty[net.Name] {
-			continue
-		}
-		ims, err := a.safeDelayNet(ni, net, a.impacts[ni][:0])
-		a.impacts[ni] = ims
-		if err != nil {
-			if !a.opts.FailSoft {
-				return err
-			}
-			a.degradeNet(ni, net.Name, StageDelay, err)
+		return errs[i]
+	})
+	if err != nil {
+		return err // the bits stand: a retried pass redoes all of it
+	}
+	clear(a.delayStale)
+	//snavet:ctxloop only a failed victim does anything here, and the pass itself is over
+	for i, ni := range todo {
+		if errs[i] != nil {
+			a.degradeNet(ni, StageDelay, errs[i])
 		}
 	}
 	return nil
 }
+
+// delayParallelBelow is the victim count under which the delay pass stays
+// serial: a few hundred delay queries take less time than waking the workers.
+const delayParallelBelow = 256
 
 // assembleDelay flattens the per-net impacts into a sorted DelayResult with
 // its own copy of the diagnostics (see finishNoise).
@@ -195,6 +205,9 @@ func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact) (ou
 		return out, nil
 	}
 	vt := a.staRes.TimingOf(net)
+	// Per-call scratch: victims run concurrently.
+	var items []interval.Weighted
+	var idx []int
 	for _, rise := range []bool{true, false} {
 		vw := vt.Window(rise)
 		if vw.IsEmpty() {
@@ -209,8 +222,7 @@ func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact) (ou
 		if len(opposing) == 0 {
 			continue
 		}
-		items := a.delayItems[:0]
-		idx := a.delayIdx[:0]
+		items, idx = items[:0], idx[:0]
 		for i, e := range opposing {
 			if e.Peak <= 0 {
 				continue
@@ -229,7 +241,6 @@ func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact) (ou
 				idx = append(idx, i)
 			}
 		}
-		a.delayItems, a.delayIdx = items, idx
 		if len(items) == 0 {
 			continue
 		}

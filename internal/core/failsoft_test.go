@@ -293,7 +293,7 @@ func TestDiagsNotAliasedAcrossNoiseAndDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := a.newResult()
-	if err := a.runFixpoint(ctx, res, nil); err != nil {
+	if err := a.runFixpoint(ctx, res); err != nil {
 		t.Fatal(err)
 	}
 	a.finishNoise(res)
@@ -310,10 +310,10 @@ func TestDiagsNotAliasedAcrossNoiseAndDelay(t *testing.T) {
 	}
 
 	// "a0" sorts before every recorded diagnostic.
-	if err := a.delayPass(ctx, nil); err != nil {
+	if err := a.delayPass(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a.degradeNet(a.orderIdx["a0"], "a0", StageDelay, errors.New("injected delay failure"))
+	a.degradeNet(int(a.posByID[b.Net.FindNet("a0").ID()]), StageDelay, errors.New("injected delay failure"))
 	dres := a.assembleDelay()
 
 	if got := nets(res.Diags); got != noiseWant {
@@ -323,7 +323,7 @@ func TestDiagsNotAliasedAcrossNoiseAndDelay(t *testing.T) {
 		t.Fatalf("delay diags = %s, want %s", got, want)
 	}
 	// The delay result owns its list too: a later degradation leaves it be.
-	a.degradeNet(a.orderIdx["v"], "v", StageDelay, errors.New("later"))
+	a.degradeNet(int(a.posByID[b.Net.FindNet("v").ID()]), StageDelay, errors.New("later"))
 	a.assembleDelay()
 	if got, want := nets(dres.Diags), "a0/delay "+noiseWant; got != want {
 		t.Fatalf("delay diags moved under the result: %s, want %s", got, want)

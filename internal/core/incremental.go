@@ -1,165 +1,83 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"sort"
+import "context"
 
-	"repro/internal/netlist"
-)
+// What a round of padding growth invalidates. After a round, window padding
+// grows on the nets whose delay impact exceeded it; the STA update reports
+// the nets whose timing annotation was recomputed. A re-timed net has two
+// consequences and no others:
+//
+//   - every prepared victim it aggresses gets its coupled events rebuilt — an
+//     aggressor's switching window is the only timing input of a coupled
+//     event. The noise context is RC-derived and timing-independent, so only
+//     the events are rebuilt, and the coupling filter is timing-independent
+//     too, so indexing over all couplings (kept or filtered) is conservative
+//     and exact. commitPrepared compares the rebuilt events with the ones
+//     they replace: only a victim whose events really moved becomes stale,
+//     for the noise fixpoint and for the delay pass.
+//
+//   - the net itself, as a victim, is delay-stale: its own switching window
+//     is the other input of the delay query. Its noise does not move (its
+//     windows enter only the delay pass and its role as an aggressor).
+//
+// Nothing is closed under fanout ahead of time: from the stale victims the
+// fixpoint spreads by itself, commit by commit, only as far as combinations
+// actually move (commitEval).
 
-// Dirty-set derivation for the iterative engine. After a round, window
-// padding grows on the nets whose delay impact exceeded it; the STA update
-// reports the set of nets whose timing annotation was recomputed. From
-// that timing dirty set three analysis dirty sets follow:
-//
-//   - reprep: victims whose coupled events must be rebuilt — any victim
-//     with an aggressor whose timing changed (an aggressor's switching
-//     window is the only timing input of a coupled event). The noise
-//     context itself is RC-derived and timing-independent, so only the
-//     events are rebuilt. The coupling filter is also timing-independent,
-//     so indexing over all couplings (kept or filtered) is conservative
-//     and exact.
-//
-//   - evalDirty: nets whose fixpoint evaluation can change — the re-
-//     prepared victims plus their structural fanout closure (propagated
-//     noise flows only along driver arcs). A victim's own timing change
-//     does not move its noise (its windows enter only the delay pass and
-//     its role as an aggressor), so evalDirty needs no entry for a net
-//     whose aggressors all kept their timing. The closure makes the set
-//     closed under fanout, which is what lets runFixpoint filter every
-//     pass by it exactly.
-//
-//   - delayDirty: nets whose delta-delay impacts can change — evalDirty
-//     (their coupled events moved) plus any analyzed net whose own timing
-//     changed (the victim window is the other input of the delay query).
-
-// incrIndexes builds the static indexes the dirty-set derivation needs,
-// once per analyzer: victim lists per aggressor name, and the structural
-// fanout net graph restricted to analyzed nets.
-func (a *analyzer) incrIndexes() {
-	if a.aggIndex != nil {
+// buildAggIndex builds the aggressor index from the prepared victims' noise
+// contexts, once per analyzer.
+func (a *analyzer) buildAggIndex() {
+	if a.aggOff != nil {
 		return
 	}
-	a.aggIndex = make(map[string][]string)
-	for ni, net := range a.order {
-		ctx := a.ctxs[ni]
-		if ctx == nil {
-			continue
-		}
-		for i := range ctx.Couplings {
-			agg := ctx.Couplings[i].Aggressor
-			a.aggIndex[agg] = append(a.aggIndex[agg], net.Name)
-		}
-	}
-	a.fanout = make(map[string][]string, len(a.order))
-	for _, net := range a.order {
-		for _, lc := range net.Loads() {
-			if lc.Inst == nil {
-				continue
-			}
-			for _, oc := range lc.Inst.Outputs() {
-				if _, ok := a.orderIdx[oc.Net.Name]; ok {
-					a.fanout[net.Name] = append(a.fanout[net.Name], oc.Net.Name)
+	a.aggOff = make([]int32, a.b.Net.NumNets()+1)
+	each := func(fn func(agg int32, victim int)) {
+		for pos, nctx := range a.ctxs {
+			for i := 0; nctx != nil && i < len(nctx.Couplings); i++ {
+				if agg := nctx.Couplings[i].Agg; agg != nil {
+					fn(agg.ID(), pos)
 				}
 			}
 		}
 	}
+	each(func(agg int32, _ int) { a.aggOff[agg+1]++ })
+	for id := 1; id < len(a.aggOff); id++ {
+		a.aggOff[id] += a.aggOff[id-1]
+	}
+	a.aggVictims = make([]int32, a.aggOff[len(a.aggOff)-1])
+	next := append([]int32(nil), a.aggOff...)
+	each(func(agg int32, victim int) {
+		a.aggVictims[next[agg]] = int32(victim)
+		next[agg]++
+	})
 }
 
-// dirtyAfterPadding maps the STA dirty set of a round onto the analysis
-// dirty sets: the victims to re-prepare (in evaluation order), the nets to
-// re-run the noise fixpoint on, and the nets to re-run delay analysis on.
-func (a *analyzer) dirtyAfterPadding(staDirty map[string]bool) (reprep []*netlist.Net, evalDirty, delayDirty map[string]bool) {
-	a.incrIndexes()
-	reprepSet := make(map[string]bool)
-	for agg := range staDirty {
-		for _, victim := range a.aggIndex[agg] {
-			reprepSet[victim] = true
-		}
+// applyPadding is every round's BeginRound after the first, on the
+// single-process engine and on a shard alike (a shard's analyzer prepared
+// only the victims it owns, so everything below stays inside them): update
+// the timing annotation in place for the padded nets' cones, then re-prepare
+// the victims of every re-timed aggressor, in evaluation order, with the same
+// hook, panic isolation and fail-soft degradation as the first preparation.
+func (a *analyzer) applyPadding(ctx context.Context, changed []string) error {
+	retimed, err := a.staRes.UpdatePaddingCtx(ctx, a.opts.STA, changed)
+	if err != nil {
+		return err
 	}
-	for _, net := range a.order {
-		if reprepSet[net.Name] {
-			reprep = append(reprep, net)
-		}
-	}
-	evalDirty = make(map[string]bool, len(reprepSet))
-	queue := make([]string, 0, len(reprepSet))
-	for name := range reprepSet {
-		evalDirty[name] = true
-		queue = append(queue, name)
-	}
-	// The propagation below only grows a set, so traversal order cannot
-	// change the result — but a deterministic worklist keeps the walk
-	// reproducible under the serial-identical guarantee, and debuggable.
-	sort.Strings(queue)
-	if !a.opts.NoPropagation {
-		for len(queue) > 0 {
-			name := queue[0]
-			queue = queue[1:]
-			for _, out := range a.fanout[name] {
-				if !evalDirty[out] {
-					evalDirty[out] = true
-					queue = append(queue, out)
-				}
-			}
-		}
-	}
-	delayDirty = make(map[string]bool, len(evalDirty)+len(staDirty))
-	for name := range evalDirty {
-		delayDirty[name] = true
-	}
-	for name := range staDirty {
-		if _, ok := a.orderIdx[name]; ok {
-			delayDirty[name] = true
-		}
-	}
-	return reprep, evalDirty, delayDirty
-}
-
-// safeReprepare rebuilds one victim's coupled events from its cached
-// noise context, with the same panic isolation and fault-injection hook as
-// the initial preparation. Degraded victims (nil context) are skipped —
-// their full-rail fallback stands.
-func (a *analyzer) safeReprepare(pos int, net *netlist.Net) (p *preparedNet, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: panic preparing net %s: %v", net.Name, r)
-		}
-	}()
-	if h := a.opts.PrepareHook; h != nil {
-		if err := h(net.Name); err != nil {
-			return nil, err
-		}
-	}
-	nctx := a.ctxs[pos]
-	if nctx == nil {
-		return nil, nil
-	}
-	return a.prepareEvents(net, nctx)
-}
-
-// reprepare rebuilds the coupled events of the given victims on the shared
-// analyzer, committing serially in evaluation order.
-func (a *analyzer) reprepare(ctx context.Context, victims []*netlist.Net) error {
-	for i, net := range victims {
+	a.buildAggIndex()
+	reprep := make(bitset, len(a.stale))
+	for i, id := range retimed {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		pos := a.orderIdx[net.Name]
-		p, err := a.safeReprepare(pos, net)
-		if err != nil {
-			if !a.opts.FailSoft {
-				return err
-			}
-			a.degradeNet(pos, net.Name, StagePrepare, err)
-			continue
+		if p := a.posByID[id]; p >= 0 && a.coupled[p] != nil {
+			a.delayStale.set(int(p))
 		}
-		if p != nil {
-			a.commitPrepared(pos, p)
+		for _, v := range a.aggVictims[a.aggOff[id]:a.aggOff[id+1]] {
+			reprep.set(int(v))
 		}
 	}
-	return nil
+	a.todo = reprep.appendRange(a.todo[:0], 0, len(a.order))
+	return a.prepareAll(ctx, a.todo)
 }

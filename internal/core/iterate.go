@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bind"
-	"repro/internal/netlist"
 	"repro/internal/units"
 )
 
@@ -33,14 +32,14 @@ import (
 // The single-process engine is incremental: one analyzer persists across
 // rounds, shared between the noise and delay passes. Round 1 is a full
 // analysis; each later round updates the timing annotation in place for
-// the padded nets' cones (sta.Result.UpdatePaddingCtx), derives the
-// analysis dirty sets from the timing dirty set (see incremental.go),
-// re-prepares and re-evaluates only those, and reuses every other victim's
-// committed results. The per-round results are identical to a from-scratch
-// re-analysis with the same padding, except for execution statistics
-// (Stats.Iterations counts only the incremental passes) and diagnostics
-// under fault injection (a hook that fires on clean victims fires only
-// for re-prepared ones).
+// the padded nets' cones (sta.Result.UpdatePaddingCtx), re-prepares the
+// victims of the re-timed aggressors (see incremental.go), re-evaluates
+// only what that — and then each moved commit — made stale, and reuses
+// every other victim's committed results. The per-round results are
+// identical to a from-scratch re-analysis with the same padding, except for
+// execution statistics (Stats.Iterations counts only the incremental
+// passes) and diagnostics under fault injection (a hook that fires on clean
+// victims fires only for re-prepared ones).
 
 // IterativeResult is the converged joint noise/timing analysis.
 type IterativeResult struct {
@@ -206,8 +205,6 @@ type engine struct {
 	opts Options
 	a    *analyzer
 	res  *Result
-	// The current round's dirty sets (nil in the build round: everything).
-	evalDirty, delayDirty map[string]bool
 }
 
 // BeginRound implements Phases. The padding map is opts.STA.WindowPadding,
@@ -221,27 +218,21 @@ func (e *engine) BeginRound(ctx context.Context, changed []string) (int, error) 
 		e.a, e.res = a, a.newResult()
 		return len(a.waves), nil
 	}
-	staDirty, err := e.a.staRes.UpdatePaddingCtx(ctx, e.a.opts.STA, changed)
-	if err != nil {
-		return 0, err
-	}
-	var reprep []*netlist.Net
-	reprep, e.evalDirty, e.delayDirty = e.a.dirtyAfterPadding(staDirty)
-	return len(e.a.waves), e.a.reprepare(ctx, reprep)
+	return len(e.a.waves), e.a.applyPadding(ctx, changed)
 }
 
 // EvalWave implements Phases with the analyzer's own wavefront — serial or
-// across Options.Workers — restricted to the round's dirty set.
+// across Options.Workers — over the wave's stale nets.
 func (e *engine) EvalWave(ctx context.Context, wi int) (bool, error) {
-	return e.a.evalWave(ctx, e.res, e.a.waves[wi], e.evalDirty, nil)
+	return e.a.evalWave(ctx, e.res, e.a.waves[wi], nil)
 }
 
 // DelayImpacts implements Phases: finish the noise result, then re-run the
-// delay pass on the round's delay-dirty nets.
+// delay pass on the delay-stale nets.
 func (e *engine) DelayImpacts(ctx context.Context, passes int, converged bool) (*DelayResult, error) {
 	e.a.stats.Iterations, e.a.stats.Converged = passes, converged
 	e.a.finishNoise(e.res)
-	if err := e.a.delayPass(ctx, e.delayDirty); err != nil {
+	if err := e.a.delayPass(ctx); err != nil {
 		return nil, err
 	}
 	return e.a.assembleDelay(), nil

@@ -17,8 +17,8 @@ import (
 // design: the first (full) analysis builds the timing
 // annotation, the noise contexts, and the coupled events once, and every
 // later delta re-analysis — new window padding from an ECO, a routing
-// iteration, or a what-if sweep — updates only the affected cones through
-// the same dirty-set machinery the joint noise–timing loop runs on. The
+// iteration, or a what-if sweep — re-evaluates only what the change moves,
+// through the same stale-bit machinery the joint noise–timing loop runs on. The
 // incremental results are identical to a from-scratch analysis under the
 // same padding (the oracle tests in session_test.go pin this), except for
 // execution statistics.
@@ -92,11 +92,11 @@ func (s *Session) Padding() map[string]float64 {
 func (s *Session) Err() error { return s.broken }
 
 // Reanalyze applies the given per-net window padding and incrementally
-// re-analyzes the affected cones: the timing annotation is updated in
-// place for the padded nets' fanout, coupled events are rebuilt only for
-// victims with a re-timed aggressor, the noise fixpoint re-runs only on
-// the dirty closure, and the delay pass re-evaluates only the impacted
-// victims. Padding is max-monotonic — an entry smaller than the current
+// re-analyzes what it moves: the timing annotation is updated in place for
+// the padded nets' fanout, coupled events are rebuilt only for victims with
+// a re-timed aggressor, the noise fixpoint re-evaluates only nets with a
+// moved input, and the delay pass only victims whose events or own timing
+// moved. Padding is max-monotonic — an entry smaller than the current
 // padding for that net is ignored — which makes Reanalyze idempotent: a
 // retried delta is absorbed without moving the result.
 //
@@ -105,6 +105,12 @@ func (s *Session) Err() error { return s.broken }
 // error the session is broken (see ErrSessionBroken) unless the error
 // occurred before any state was touched.
 func (s *Session) Reanalyze(ctx context.Context, padding map[string]float64) (*Result, int, error) {
+	return s.reanalyze(ctx, &s.eng, padding)
+}
+
+// reanalyze is Reanalyze over eng, the session's engine (or, in the oracle
+// tests, a wrapper around it).
+func (s *Session) reanalyze(ctx context.Context, eng Phases, padding map[string]float64) (*Result, int, error) {
 	if s.broken != nil {
 		return nil, 0, s.broken
 	}
@@ -124,7 +130,7 @@ func (s *Session) Reanalyze(ctx context.Context, padding map[string]float64) (*R
 	for _, net := range changed {
 		s.padding[net] = padding[net]
 	}
-	delay, err := runRound(ctx, &s.eng, s.eng.opts, changed)
+	delay, err := runRound(ctx, eng, s.eng.opts, changed)
 	if err != nil {
 		s.broken = ErrSessionBroken
 		return nil, len(changed), err

@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bind"
-	"repro/internal/netlist"
 )
 
 // Sharded analysis support. A shard owns a subset of the victim nets but
@@ -202,12 +202,14 @@ type ShardCollect struct {
 // coordinator feeds it the boundary combinations its owned nets read
 // (SetComb), asks it to evaluate the owned slice of each wave (EvalWave),
 // applies the round's padding growth (ApplyRound), and finally collects the
-// shard's slice of the result (Collect, DelayImpacts).
+// shard's slice of the result (Collect, DelayImpacts). Ownership needs no
+// filter of its own: the analyzer marks only victims it prepared as stale,
+// and this one prepared only the owned.
 type ShardEngine struct {
-	a          *analyzer
-	res        *Result
-	owned      map[string]bool
-	ownedOrder []*netlist.Net
+	a   *analyzer
+	res *Result
+	// owned lists the owned nets' evaluation-order positions, ascending.
+	owned []int
 }
 
 // NewShardEngine builds a shard over the full design that prepares and
@@ -226,24 +228,22 @@ func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, owned []s
 	if err != nil {
 		return nil, err
 	}
-	e := &ShardEngine{a: a, owned: make(map[string]bool, len(owned))}
+	e := &ShardEngine{a: a, owned: make([]int, len(owned))}
 	for i, name := range owned {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		if _, ok := a.orderIdx[name]; !ok {
+		net := b.Net.FindNet(name)
+		if net == nil || a.posByID[net.ID()] < 0 {
 			return nil, fmt.Errorf("core: shard owns unknown net %s", name)
 		}
-		e.owned[name] = true
+		e.owned[i] = int(a.posByID[net.ID()])
 	}
-	for _, net := range a.order {
-		if e.owned[net.Name] {
-			e.ownedOrder = append(e.ownedOrder, net)
-		}
-	}
-	if err := a.prepareAll(ctx, e.ownedOrder); err != nil {
+	slices.Sort(e.owned)
+	e.owned = slices.Compact(e.owned)
+	if err := a.prepareAll(ctx, e.owned); err != nil {
 		return nil, err
 	}
 	e.res = a.newResult()
@@ -252,14 +252,21 @@ func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, owned []s
 
 // SetComb installs an externally committed combination for a net — a
 // boundary import from another shard, or a restored authoritative value
-// after this engine was rebuilt mid-run. A net the design lacks is ignored.
-func (e *ShardEngine) SetComb(net string, comb [2]Combined) {
-	if nn := e.res.Nets[net]; nn != nil {
-		nn.Comb = comb
+// after this engine was rebuilt mid-run — and, when it differs from what the
+// net's owned readers last saw, makes them stale. A net the design lacks is
+// ignored.
+func (e *ShardEngine) SetComb(name string, comb [2]Combined) {
+	nn := e.res.Nets[name]
+	if nn == nil {
+		return
 	}
+	if combMoved(comb[KindLow], nn.Comb[KindLow]) || combMoved(comb[KindHigh], nn.Comb[KindHigh]) {
+		e.a.markReaders(e.a.b.Net.FindNet(name))
+	}
+	nn.Comb = comb
 }
 
-// EvalWave evaluates the owned slice of one wave through the analyzer's
+// EvalWave evaluates the stale owned nets of one wave through the analyzer's
 // evalWave, so fail-soft degradation, statistics, the change test and the
 // Options.Workers parallel path are the single-process engine's. It answers
 // two questions that are not the same predicate. forward: every owned net
@@ -271,51 +278,45 @@ func (e *ShardEngine) SetComb(net string, comb [2]Combined) {
 //
 // On error both still describe the commits made so far — an aborted attempt
 // has already mutated the engine, and the runner must remember them so a
-// retried dispatch reports them (a re-evaluated net compares equal and
-// stays silent).
+// retried dispatch reports them (a committed net is clean and is not
+// evaluated again).
 func (e *ShardEngine) EvalWave(ctx context.Context, wi int) (forward []WaveUpdate, changed bool, err error) {
 	if wi < 0 || wi >= len(e.a.waves) {
 		return nil, false, fmt.Errorf("core: shard wave %d out of range", wi)
 	}
-	changed, err = e.a.evalWave(ctx, e.res, e.a.waves[wi], e.owned, &forward)
+	changed, err = e.a.evalWave(ctx, e.res, e.a.waves[wi], &forward)
 	return forward, changed, err
 }
 
 // ApplyRound applies one round of padding growth: the changed nets' new
-// absolute padding values are written into the timing options, the timing
-// annotation is updated in place (full design, exactly as the
-// single-process iterative loop does), and every owned victim's coupled
-// events are rebuilt. Re-preparing a victim whose aggressor timing did not
-// move rebuilds identical events, so the blanket re-prepare is equivalent
-// to the single-process dirty-set one; it just trades a little work for
-// not needing the aggressor index on the coordinator.
+// absolute padding values are written into the timing options, and from
+// there the round begins as the single-process engine's does (applyPadding):
+// the timing annotation is updated in place over the full design, and the
+// owned victims of the re-timed aggressors are re-prepared.
 func (e *ShardEngine) ApplyRound(ctx context.Context, changed []string, padding map[string]float64) error {
 	for _, net := range changed {
 		e.a.opts.STA.WindowPadding[net] = padding[net]
 	}
-	if _, err := e.a.staRes.UpdatePaddingCtx(ctx, e.a.opts.STA, changed); err != nil {
-		return err
-	}
-	return e.a.reprepare(ctx, e.ownedOrder)
+	return e.a.applyPadding(ctx, changed)
 }
 
-// DelayImpacts runs the crosstalk delta-delay pass over the owned victims
-// and returns their impacts in evaluation order (the order assembleDelay
-// flattens in). The impact sort comparator is total, so the coordinator
-// may sort the concatenation of all shards' lists and obtain exactly the
-// single-process order.
+// DelayImpacts runs the crosstalk delta-delay pass over the delay-stale owned
+// victims and returns all owned impacts in evaluation order (the order
+// assembleDelay flattens in). The impact sort comparator is total, so the
+// coordinator may sort the concatenation of all shards' lists and obtain
+// exactly the single-process order.
 func (e *ShardEngine) DelayImpacts(ctx context.Context) ([]DelayImpact, error) {
-	if err := e.a.delayPass(ctx, e.owned); err != nil {
+	if err := e.a.delayPass(ctx); err != nil {
 		return nil, err
 	}
 	var out []DelayImpact
-	for i, net := range e.ownedOrder {
+	for i, pos := range e.owned {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		out = append(out, e.a.impacts[e.a.orderIdx[net.Name]]...)
+		out = append(out, e.a.impacts[pos]...)
 	}
 	return out, nil
 }
@@ -330,18 +331,18 @@ func (e *ShardEngine) Collect(ctx context.Context) (*ShardCollect, error) {
 	}
 	e.a.gatherChecks(e.res)
 	out := &ShardCollect{
-		Nets:       make([]*NetNoise, 0, len(e.ownedOrder)),
+		Nets:       make([]*NetNoise, 0, len(e.owned)),
 		Pairs:      e.a.stats.AggressorPairs,
 		Filtered:   e.a.stats.Filtered,
 		Propagated: e.a.propTotal,
 	}
-	for i, net := range e.ownedOrder {
+	for i, pos := range e.owned {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		out.Nets = append(out.Nets, e.res.byID[net.ID()])
+		out.Nets = append(out.Nets, e.res.byID[e.a.order[pos].ID()])
 	}
 	out.Violations = append(out.Violations, e.res.Violations...)
 	out.Slacks = append(out.Slacks, e.res.Slacks...)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,14 +82,19 @@ func (s OpStat) String() string { return fmt.Sprintf("%d in %.3fs", s.Dispatches
 // full-rail fallback; the phase skips it and the run stays sound.
 var errAbandoned = errors.New("shard: abandoned")
 
+// cell is one shard's slice of one wave, the unit an eval step dispatches.
+type cell struct{ shard, wave int }
+
 // run is the mutable state of one coordinated analysis. It is the
 // distributed core.Phases: each phase dispatches to the workers hosting the
 // shards. The loops that call the phases are core's.
 type run struct {
-	cfg       Config
-	plan      *core.ShardPlan
-	asn       *Assignment
-	importers map[string][]int
+	cfg  Config
+	plan *core.ShardPlan
+	asn  *Assignment
+	// readers maps a net to the cells (shard, wave) that own a net reading
+	// its combination: where a moved commit of it leaves stale nets.
+	readers map[string][]cell
 	// present[s][w] reports shard s owning nets in wave w — waves without
 	// owned nets are never dispatched to s.
 	present [][]bool
@@ -101,6 +107,12 @@ type run struct {
 	hosts []int  // shard -> worker index, -1 = abandoned
 	alive []bool // worker index -> believed alive
 	cause []error
+	// due[s][w] reports that shard s may hold stale nets in wave w: every
+	// present wave once its engine is built or a round applied, afterwards
+	// the waves of the readers of each moved commit. An eval step goes only
+	// to the shards due in its wave — the others would evaluate nothing —
+	// and is no dispatch at all when no shard is.
+	due [][]bool
 	// combs is the coordinator's authoritative committed combination per
 	// net; pending[s] marks imports of s with updates not yet shipped.
 	combs   map[string][2]core.Combined
@@ -132,6 +144,31 @@ type run struct {
 // The round and pass loops are core.RunIterative's; here is only what is
 // distributed: partition, boundary routing, retry/re-host/abandon, merge.
 func Run(ctx context.Context, cfg Config) (*Outcome, error) {
+	r, err := newRun(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.cfg.checkpointed(func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error) {
+		r.padding = from.Padding
+		// On every exit: a failed or cancelled run must not leave its engines,
+		// and the design reference their token pins, on the workers.
+		defer r.finish()
+		res, err := core.RunIterative(ctx, r, r.cfg.Opts, r.cfg.MaxRounds, from, afterRound)
+		if err != nil {
+			return nil, err
+		}
+		cols, err := r.collectAll(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out := &Outcome{IterativeResult: *res}
+		r.assemble(out, cols)
+		return out, nil
+	})
+}
+
+// newRun plans and partitions the design and places the shards.
+func newRun(ctx context.Context, cfg Config) (*run, error) {
 	if cfg.B == nil {
 		return nil, fmt.Errorf("shard: coordinator needs a bound design")
 	}
@@ -152,16 +189,16 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 		return nil, err
 	}
 	r := &run{
-		cfg:       cfg,
-		plan:      plan,
-		asn:       asn,
-		importers: asn.ImportersOf(),
-		hosts:     make([]int, asn.Shards),
-		alive:     make([]bool, len(cfg.Workers)),
-		cause:     make([]error, asn.Shards),
-		combs:     make(map[string][2]core.Combined, len(plan.Order)),
-		pending:   make([]map[string]bool, asn.Shards),
-		ledger:    make(map[string]OpStat),
+		cfg:     cfg,
+		plan:    plan,
+		asn:     asn,
+		readers: make(map[string][]cell),
+		hosts:   make([]int, asn.Shards),
+		alive:   make([]bool, len(cfg.Workers)),
+		cause:   make([]error, asn.Shards),
+		combs:   make(map[string][2]core.Combined, len(plan.Order)),
+		pending: make([]map[string]bool, asn.Shards),
+		ledger:  make(map[string]OpStat),
 	}
 	r.frEvent, r.frComb = core.FullRail(core.EffectiveVdd(cfg.B, cfg.Opts))
 	for s := range r.hosts {
@@ -171,32 +208,22 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 	for w := range r.alive {
 		r.alive[w] = true
 	}
-	r.present = make([][]bool, asn.Shards)
+	r.present, r.due = make([][]bool, asn.Shards), make([][]bool, asn.Shards)
 	for s := range r.present {
-		r.present[s] = make([]bool, len(plan.Waves))
+		r.present[s], r.due[s] = make([]bool, len(plan.Waves)), make([]bool, len(plan.Waves))
 	}
 	for wi, w := range plan.Waves {
 		for _, net := range w.Nets {
-			r.present[asn.Owner[net]][wi] = true
+			c := cell{asn.Owner[net], wi}
+			r.present[c.shard][wi] = true
+			for _, in := range plan.Fanin[net] {
+				if !slices.Contains(r.readers[in], c) {
+					r.readers[in] = append(r.readers[in], c)
+				}
+			}
 		}
 	}
-	return cfg.checkpointed(func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error) {
-		r.padding = from.Padding
-		// On every exit: a failed or cancelled run must not leave its engines,
-		// and the design reference their token pins, on the workers.
-		defer r.finish()
-		res, err := core.RunIterative(ctx, r, cfg.Opts, cfg.MaxRounds, from, afterRound)
-		if err != nil {
-			return nil, err
-		}
-		cols, err := r.collectAll(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out := &Outcome{IterativeResult: *res}
-		r.assemble(out, cols)
-		return out, nil
-	})
+	return r, nil
 }
 
 // RunLocal is Run without workers: the same loop over the single-process
@@ -233,8 +260,8 @@ func (r *run) BeginRound(ctx context.Context, changed []string) (int, error) {
 	return len(r.plan.Waves), r.applyRoundAll(ctx, changed)
 }
 
-// EvalWave implements core.Phases: dispatch the wave to every shard owning
-// nets in it, then report (and reset) whether anything moved.
+// EvalWave implements core.Phases: dispatch the wave to every shard due in
+// it, then report (and reset) whether anything moved.
 func (r *run) EvalWave(ctx context.Context, wi int) (bool, error) {
 	r.setProgress(wi)
 	if err := r.evalWaveAll(ctx, wi); err != nil {
@@ -320,8 +347,8 @@ func (r *run) tryWorker(ctx context.Context, wi int, op string, req request, rep
 	return last
 }
 
-// exchange runs one step — op over the live shards owning nets in wave, or
-// over all of them (wave -1) — with one request per worker: mk builds the
+// exchange runs one step — op over the live shards due in wave, or over
+// all of them (wave -1) — with one request per worker: mk builds the
 // request for the shards a worker hosts, the workers run concurrently, and
 // within a run a worker therefore never has two requests in flight. commit
 // is handed each good answer as (shard, reply, index in the reply). A shard
@@ -330,14 +357,17 @@ func (r *run) tryWorker(ctx context.Context, wi int, op string, req request, rep
 // through dispatch, the one failure ladder; the runners' protocol (eval Seq
 // memo, idempotent round and init) keeps the re-send exact.
 func (r *run) exchange(ctx context.Context, op string, wave int, mk func(at Route) request, commit func(shard int, rep *Reply, i int)) error {
-	groups := make([][]int, len(r.cfg.Workers))
+	groups, idle := make([][]int, len(r.cfg.Workers)), true
 	r.mu.Lock()
 	for s, wi := range r.hosts {
-		if wi >= 0 && (wave < 0 || r.present[s][wave]) {
-			groups[wi] = append(groups[wi], s)
+		if wi >= 0 && (wave < 0 || r.due[s][wave]) {
+			groups[wi], idle = append(groups[wi], s), false
 		}
 	}
 	r.mu.Unlock()
+	if idle {
+		return nil
+	}
 	return parallel(len(groups), func(wi int) error {
 		g := groups[wi]
 		if len(g) == 0 {
@@ -501,18 +531,22 @@ func (r *run) initRequest(at Route) request {
 			}
 		}
 		sort.Slice(in.Restore, func(a, b int) bool { return in.Restore[a].Net < in.Restore[b].Net })
-		// The restore supersedes any queued boundary deltas.
+		// The restore supersedes any queued boundary deltas, and a fresh
+		// engine starts with every owned net stale.
 		r.pending[shard] = make(map[string]bool)
+		copy(r.due[shard], r.present[shard])
 	}
 	return req
 }
 
 // reinit rebuilds a shard's engine on worker wi: a fresh padding-seeded
 // init, the authoritative combinations restored, and a warm-up sweep over
-// the waves already evaluated this pass so the fresh engine's event lists
-// and statistics catch up with the state the lost engine carried. The
-// warm-up re-evaluations see exactly the inputs the lost engine saw, so
-// they commit identical values and report no spurious updates.
+// the waves this pass is already past so the fresh engine's event lists,
+// members and statistics catch up with the state the lost engine carried
+// (the waves still ahead are due again, by initRequest, and the pass
+// reaches them). The warm-up re-evaluations see exactly the inputs the lost
+// engine saw, so they commit identical values and report no spurious
+// updates.
 func (r *run) reinit(ctx context.Context, shard, wi int) error {
 	r.mu.Lock()
 	r.reassigns++
@@ -530,7 +564,7 @@ func (r *run) reinit(ctx context.Context, shard, wi int) error {
 		if err := r.tryWorker(ctx, wi, OpEval, req, rep); err != nil {
 			return err
 		}
-		r.applyEval(shard, &rep.Evals[0])
+		r.applyEval(shard, w, &rep.Evals[0])
 	}
 	return nil
 }
@@ -550,11 +584,7 @@ func (r *run) abandon(shard int, cause error) {
 	r.cause[shard] = cause
 	for _, net := range r.asn.Owned[shard] {
 		r.combs[net] = [2]core.Combined{r.frComb, r.frComb}
-		for _, t := range r.importers[net] {
-			if t != shard && r.hosts[t] >= 0 {
-				r.pending[t][net] = true
-			}
-		}
+		r.moved(shard, net)
 	}
 	r.passChanged = true
 	r.cfg.Logf("shard: abandoning shard %d (%d nets degrade to full-rail): %v",
@@ -584,22 +614,32 @@ func (r *run) takeBoundary(shard int) []NetComb {
 	return out
 }
 
-// applyEval commits a shard's wave result: its forwarded combinations go
-// into the authoritative state and are queued for every shard importing
-// those nets (all of them — "forward" is the engine's exact test, not the
-// convergence one), and its changed bit feeds the pass loop.
-func (r *run) applyEval(shard int, res *EvalResult) {
+// applyEval commits a shard's wave result: the cell is clean, its forwarded
+// combinations go into the authoritative state and to their readers (all of
+// them — "forward" is the engine's exact test, not the convergence one), and
+// its changed bit feeds the pass loop.
+func (r *run) applyEval(shard, wave int, res *EvalResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.due[shard][wave] = false
 	for _, u := range res.Updates {
 		r.combs[u.Net] = u.Comb
-		for _, t := range r.importers[u.Net] {
-			if t != shard && r.hosts[t] >= 0 {
-				r.pending[t][u.Net] = true
-			}
-		}
+		r.moved(shard, u.Net)
 	}
 	r.passChanged = r.passChanged || res.Changed
+}
+
+// moved records (r.mu held) that net, owned by shard, committed a new
+// combination: the cells of its readers are due — its own among them when a
+// feedback net reads its wave — and the other live shards get it as a
+// boundary import with their next eval.
+func (r *run) moved(shard int, net string) {
+	for _, c := range r.readers[net] {
+		r.due[c.shard][c.wave] = true
+		if c.shard != shard && r.hosts[c.shard] >= 0 {
+			r.pending[c.shard][net] = true
+		}
+	}
 }
 
 // parallel runs fn(0..n-1) concurrently and returns the first error that
@@ -637,14 +677,18 @@ func (r *run) applyRoundAll(ctx context.Context, changed []string) error {
 	for i, net := range changed {
 		entries[i] = PadEntry{Net: net, Pad: r.padding[net]}
 	}
+	// Which victims a round leaves stale only its engine knows.
+	for s := range r.due {
+		copy(r.due[s], r.present[s])
+	}
 	r.mu.Unlock()
 	return r.exchange(ctx, OpRound, -1, func(at Route) request {
 		return &RoundRequest{Route: at, Changed: entries}
 	}, func(int, *Reply, int) {})
 }
 
-// evalWaveAll dispatches one wave to every shard owning nets in it,
-// shipping each shard's queued boundary imports with the request.
+// evalWaveAll dispatches one wave to every shard due in it, shipping each
+// shard's queued boundary imports with the request.
 func (r *run) evalWaveAll(ctx context.Context, wi int) error {
 	seq := r.nextSeq()
 	return r.exchange(ctx, OpEval, wi, func(at Route) request {
@@ -653,7 +697,7 @@ func (r *run) evalWaveAll(ctx context.Context, wi int) error {
 			req.Boundary[i] = r.takeBoundary(s)
 		}
 		return req
-	}, func(s int, rep *Reply, i int) { r.applyEval(s, &rep.Evals[i]) })
+	}, func(s int, rep *Reply, i int) { r.applyEval(s, wi, &rep.Evals[i]) })
 }
 
 // delayAll gathers every live shard's delta-delay impacts and sorts the

@@ -151,16 +151,3 @@ func Partition(plan *core.ShardPlan, shards int, seed int64) (*Assignment, error
 	}
 	return asn, nil
 }
-
-// ImportersOf builds the reverse boundary index: for every net, the shards
-// (other than its owner) that import it. The coordinator uses it to fan a
-// committed update out to exactly the shards that read it.
-func (a *Assignment) ImportersOf() map[string][]int {
-	out := make(map[string][]int)
-	for s, imports := range a.Imports {
-		for _, net := range imports {
-			out[net] = append(out[net], s)
-		}
-	}
-	return out
-}

@@ -619,3 +619,159 @@ func TestRunReleasesWorkersOnEveryExit(t *testing.T) {
 		}
 	}
 }
+
+// iterateFixture is the benchmark's iterate shape: the hot fabric 120 × 16,
+// 2 160 nets, 18 waves, 5 rounds of 2 passes.
+func iterateFixture() (*workload.Generated, error) {
+	return workload.Fabric(workload.FabricSpec{
+		Width: 120, Levels: 16, CouplingDensity: 3, CoupleC: 12 * units.Femto,
+		GroundC: 4 * units.Femto, SegRes: 60, Seed: 1,
+	})
+}
+
+// TestIdleStepsAreNotDispatched: the coordinator sends an eval step only to
+// shards that may hold stale nets in its wave. On an acyclic design that is
+// the first pass of every round and nothing of the confirming pass: 4 shards
+// on one worker made 192 Worker.Do calls before (every wave of every pass),
+// 1 init + rounds × waves + 4 rounds + 5 delays + 1 collect + 1 close now.
+func TestIdleStepsAreNotDispatched(t *testing.T) {
+	b, opts := bindFixture(t, iterateFixture)
+	want, err := core.AnalyzeIterative(b, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	w := hostWorker{h: NewHost(func(context.Context, string, *DesignSpec) (*bind.Design, core.Options, error) {
+		return b, opts, nil
+	}, nil), before: func(string) { calls++ }}
+	got, err := Run(context.Background(), Config{B: b, Opts: opts, Workers: []Worker{w}, Shards: 4, Token: "idle"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.BuildShardPlan(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evals, most := got.Dispatches[OpEval].Dispatches, got.Rounds*len(plan.Waves); evals > most {
+		t.Errorf("%d eval dispatches over %d rounds of %d waves: a confirming pass was dispatched", evals, got.Rounds, len(plan.Waves))
+	}
+	if calls > 110 {
+		t.Errorf("%d Worker.Do calls, want at most 110", calls)
+	}
+	gotNoise, gotDelay := reportBytes(t, got.Noise, got.Delay)
+	wantNoise, wantDelay := reportBytes(t, want.Noise, want.Delay)
+	if !bytes.Equal(gotNoise, wantNoise) || !bytes.Equal(gotDelay, wantDelay) || got.Noise.Stats != want.Noise.Stats {
+		t.Errorf("run differs from single-process report")
+	}
+}
+
+// requireComplete fails unless every net of got carries the events, members
+// and member events of the single-process result.
+func requireComplete(t *testing.T, label string, got, want *core.Result) {
+	t.Helper()
+	for net, wn := range want.Nets {
+		gn := got.Nets[net]
+		if gn == nil {
+			t.Fatalf("%s: net %s missing", label, net)
+		}
+		for _, k := range core.Kinds {
+			if !reflect.DeepEqual(gn.Events[k], wn.Events[k]) || !reflect.DeepEqual(gn.Comb[k].Members, wn.Comb[k].Members) ||
+				!reflect.DeepEqual(gn.Comb[k].MemberEvents, wn.Comb[k].MemberEvents) {
+				t.Fatalf("%s: net %s %v was not rebuilt: members %v events %d, want %v and %d",
+					label, net, k, gn.Comb[k].Members, len(gn.Events[k]), wn.Comb[k].Members, len(wn.Events[k]))
+			}
+		}
+	}
+}
+
+// TestRehostedShardIsComplete kills a worker at evals spread over the rounds
+// of a run. A rebuilt engine starts with every owned net stale and holds
+// restored combinations that carry no members: it has to be sent every wave
+// it owns nets in — the ones the pass is past as warm-up, the ones ahead as
+// due — or the collect returns records that were never rebuilt.
+func TestRehostedShardIsComplete(t *testing.T) {
+	mk := fixtures()["hotfabric"]
+	b, opts := bindFixture(t, mk)
+	want, err := core.AnalyzeIterative(b, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNoise, wantDelay := reportBytes(t, want.Noise, want.Delay)
+	for _, at := range []int{2, 9, 14, 25, 33} {
+		label := fmt.Sprintf("kill:eval:%d", at)
+		faults, err := workload.ParseWorkerFaults(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers := inprocWorkers(mk, opts, 3)
+		workers[1] = NewFaultyWorker(workers[1], faults)
+		got, err := Run(context.Background(), Config{B: b, Opts: opts, Workers: workers, Shards: 3, Token: label})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got.Reassigns == 0 || got.Degraded {
+			t.Fatalf("%s: reassigns=%d degraded=%v, want a re-hosted, healthy run", label, got.Reassigns, got.Degraded)
+		}
+		requireComplete(t, label, got.Noise, want.Noise)
+		gotNoise, gotDelay := reportBytes(t, got.Noise, got.Delay)
+		if !bytes.Equal(gotNoise, wantNoise) || !bytes.Equal(gotDelay, wantDelay) {
+			t.Errorf("%s: run differs from single-process report", label)
+		}
+	}
+}
+
+// TestRebuildMidPassMakesRemainingWavesDue is the same hazard where no fault
+// spec reaches it: the rebuild happens in a pass whose remaining waves are
+// clean on every shard (the confirming pass, where nothing is dispatched and
+// so no dispatch can fail).
+func TestRebuildMidPassMakesRemainingWavesDue(t *testing.T) {
+	mk := fixtures()["hotfabric"]
+	b, opts := bindFixture(t, mk)
+	ctx := context.Background()
+	want, err := core.NewSession(ctx, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRun(ctx, Config{B: b, Opts: opts, Workers: inprocWorkers(mk, opts, 2), Shards: 4, Token: "rebuild"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.finish()
+	r.padding = map[string]float64{}
+	waves, err := r.BeginRound(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(from int) {
+		for w := from; w < waves; w++ {
+			if _, err := r.EvalWave(ctx, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass(0)
+	before := r.ledger[OpEval].Dispatches
+	pass(0)
+	if n := r.ledger[OpEval].Dispatches; n != before {
+		t.Fatalf("confirming pass made %d eval dispatches, want none", n-before)
+	}
+	const shard = 1
+	mid := waves / 2
+	r.setProgress(mid)
+	if err := r.reinit(ctx, shard, r.hosts[shard]); err != nil {
+		t.Fatal(err)
+	}
+	for w := range r.present[shard] {
+		if r.due[shard][w] != (r.present[shard][w] && w >= mid) {
+			t.Errorf("after a rebuild at wave %d: due[%d]=%v with present=%v", mid, w, r.due[shard][w], r.present[shard][w])
+		}
+	}
+	pass(mid)
+	cols, err := r.collectAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &Outcome{IterativeResult: core.IterativeResult{Delay: &core.DelayResult{}}}
+	r.assemble(out, cols)
+	requireComplete(t, "rebuilt mid-pass", out.Noise, want.Noise())
+}

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -33,20 +34,20 @@ import (
 
 // UpdatePaddingCtx re-runs timing incrementally after opts.WindowPadding
 // changed on the named nets, mutating the Result in place. It returns the
-// set of nets whose annotation was recomputed (a superset of the nets
-// whose timing actually changed). opts must match the options of the run
-// that produced the Result, apart from the padding values.
-func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed []string) (map[string]bool, error) {
+// IDs of the nets whose annotation was recomputed, ascending (a superset of
+// the nets whose timing actually changed). opts must match the options of
+// the run that produced the Result, apart from the padding values.
+func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed []string) ([]int32, error) {
 	opts.fill()
 	b := res.design
 	lev := b.Net.Levelize()
+	var retimed []int32
 	if len(lev.Feedback) > 0 {
 		fresh, err := RunCtx(ctx, b, opts, res.workers)
 		if err != nil {
 			return nil, err
 		}
 		*res = *fresh
-		dirty := make(map[string]bool, len(res.nets))
 		for id, t := range res.nets {
 			if id&0x3f == 0 {
 				if err := ctx.Err(); err != nil {
@@ -54,19 +55,21 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 				}
 			}
 			if t != nil {
-				dirty[b.Net.NetByID(int32(id)).Name] = true
+				retimed = append(retimed, int32(id))
 			}
 		}
-		return dirty, nil
+		return retimed, nil
 	}
 
 	// Seed: the instances driving the changed nets. Port-driven nets are
-	// seeded, not evaluated, so padding never applies to them.
-	dirtyInst := make(map[*netlist.Inst]bool)
+	// seeded, not evaluated, so padding never applies to them. Then the
+	// fanout closure over instances: a re-evaluated output perturbs every
+	// instance reading it. queue ends up holding every dirty instance.
+	dirty := make([]bool, b.Net.NumInsts())
 	var queue []*netlist.Inst
 	mark := func(inst *netlist.Inst) {
-		if inst != nil && !dirtyInst[inst] {
-			dirtyInst[inst] = true
+		if inst != nil && !dirty[inst.ID()] {
+			dirty[inst.ID()] = true
 			queue = append(queue, inst)
 		}
 	}
@@ -74,42 +77,33 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		net := b.Net.FindNet(name)
-		if net == nil {
-			continue
-		}
-		if drv := net.Driver(); drv != nil {
-			mark(drv.Inst)
+		if net := b.Net.FindNet(name); net != nil && net.Driver() != nil {
+			mark(net.Driver().Inst)
 		}
 	}
-	// Fanout closure over instances: a re-evaluated output perturbs every
-	// instance reading it.
-	for len(queue) > 0 {
+	for qi := 0; qi < len(queue); qi++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		inst := queue[0]
-		queue = queue[1:]
-		for _, oc := range inst.Outputs() {
+		for _, oc := range queue[qi].Outputs() {
 			for _, lc := range oc.Net.Loads() {
 				mark(lc.Inst)
 			}
 		}
 	}
-	dirtyNets := make(map[string]bool)
-	if len(dirtyInst) == 0 {
-		return dirtyNets, nil
+	if len(queue) == 0 {
+		return nil, nil
 	}
 	// Clear the dirty annotations first (see the double-padding note
 	// above), then re-evaluate in levelized order so every dirty
 	// instance's inputs are final when it runs.
-	for inst := range dirtyInst {
+	for _, inst := range queue {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		for _, oc := range inst.Outputs() {
 			res.nets[oc.Net.ID()] = nil
-			dirtyNets[oc.Net.Name] = true
+			retimed = append(retimed, oc.Net.ID())
 		}
 	}
 	for i, inst := range lev.Ordered() {
@@ -118,7 +112,7 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 				return nil, err
 			}
 		}
-		if !dirtyInst[inst] {
+		if !dirty[inst.ID()] {
 			continue
 		}
 		if err := res.evalInst(inst, &opts); err != nil {
@@ -130,5 +124,6 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 			return nil, err
 		}
 	}
-	return dirtyNets, nil
+	slices.Sort(retimed)
+	return slices.Compact(retimed), nil
 }

@@ -3,6 +3,7 @@ package sta
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -79,11 +80,11 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dirty["mid1"] || !dirty["out1"] {
-		t.Fatalf("dirty = %v, want mid1 and out1", dirty)
-	}
-	if dirty["mid2"] || dirty["out2"] || dirty["in1"] {
-		t.Fatalf("dirty = %v leaked outside the padded cone", dirty)
+	// Exactly the padded cone, as ascending net IDs.
+	want := []int32{b.Net.FindNet("mid1").ID(), b.Net.FindNet("out1").ID()}
+	slices.Sort(want)
+	if !slices.Equal(dirty, want) {
+		t.Fatalf("dirty = %v, want mid1 and out1 (%v)", dirty, want)
 	}
 	if res.nets[b.Net.FindNet("mid2").ID()] != untouched {
 		t.Fatal("untouched chain was recomputed")
@@ -169,8 +170,8 @@ func TestUpdatePaddingFeedbackFallsBackToFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dirty) != len(res.nets) {
-		t.Fatalf("feedback fallback dirtied %d of %d nets", len(dirty), len(res.nets))
+	if len(dirty) != len(res.nets) || !slices.IsSorted(dirty) {
+		t.Fatalf("feedback fallback dirtied %d of %d nets: %v", len(dirty), len(res.nets), dirty)
 	}
 	fresh, err := Run(b, opts)
 	if err != nil {

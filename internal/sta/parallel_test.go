@@ -2,6 +2,7 @@ package sta
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/interval"
@@ -117,7 +118,7 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireEqualResults(t, par, serial)
-			if len(parDirty) != len(serDirty) {
+			if !slices.Equal(parDirty, serDirty) {
 				t.Fatalf("dirty sets differ: %d nets parallel, %d serial", len(parDirty), len(serDirty))
 			}
 			fresh, err := Run(b, opts)

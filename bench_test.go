@@ -19,6 +19,7 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/lint"
 	"repro/internal/load"
+	"repro/internal/netlist"
 	"repro/internal/report"
 	"repro/internal/shard"
 	"repro/internal/spef"
@@ -366,6 +367,41 @@ func BenchmarkLoadBus(b *testing.B) {
 		}
 	}
 }
+
+// benchParseNetlist measures one netlist reader on the 1500-bit bus's
+// text, in memory: MB/s and allocations per parse.
+func benchParseNetlist(b *testing.B, write func(io.Writer, *netlist.Design) error, parse func(io.Reader) (*netlist.Design, error)) {
+	g, err := workload.Bus(workload.BusSpec{Bits: 1500, Segs: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := write(&text, g.Design); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(text.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := parse(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if d.NumConns() != g.Design.NumConns() {
+			b.Fatalf("parsed %d connections, generated %d", d.NumConns(), g.Design.NumConns())
+		}
+	}
+}
+
+// BenchmarkParseVerilog and BenchmarkParseNet measure the two netlist
+// readers alone, beside BenchmarkLoadBus, which runs them inside the
+// loader.
+func BenchmarkParseVerilog(b *testing.B) {
+	lib := liberty.Generic()
+	benchParseNetlist(b, vlog.Write, func(r io.Reader) (*netlist.Design, error) { return vlog.Parse(r, lib) })
+}
+
+func BenchmarkParseNet(b *testing.B) { benchParseNetlist(b, netlist.Write, netlist.Parse) }
 
 // BenchmarkSTARun measures the timing pass alone, serial and with the
 // levels fanned out over four workers, on a 1500-bit bus (two levels of

@@ -85,15 +85,17 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 		if err != nil {
 			return fmt.Errorf("bind: %w", err)
 		}
-		for pinName, conn := range inst.Conns {
-			pin := cell.Pin(pinName)
+		// Pin-name order, so an instance with two bad pins reports the
+		// same one on every run.
+		for _, conn := range inst.Pins() {
+			pin := cell.Pin(conn.Pin)
 			if pin == nil {
-				return fmt.Errorf("bind: %s.%s: cell %s has no such pin", inst.Name, pinName, cell.Name)
+				return fmt.Errorf("bind: %s.%s: cell %s has no such pin", inst.Name, conn.Pin, cell.Name)
 			}
 			wantOut := pin.Dir == liberty.Output
 			isOut := conn.Dir == netlist.Out
 			if wantOut != isOut {
-				return fmt.Errorf("bind: %s.%s: direction mismatch with cell %s", inst.Name, pinName, cell.Name)
+				return fmt.Errorf("bind: %s.%s: direction mismatch with cell %s", inst.Name, conn.Pin, cell.Name)
 			}
 		}
 		b.cells[inst.ID()] = cell

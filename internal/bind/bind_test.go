@@ -164,6 +164,31 @@ func TestBindBadPinAndDirection(t *testing.T) {
 	}
 }
 
+// TestBindPinErrorIsDeterministic: an instance with two bad pins reports
+// the one that comes first by pin name, on every run.
+func TestBindPinErrorIsDeterministic(t *testing.T) {
+	const want = "bind: u.A: direction mismatch with cell INV_X1"
+	for run := 0; run < 50; run++ {
+		d := netlist.New("bad")
+		if _, err := d.AddPort("in", netlist.In); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.AddInst("u", "INV_X1"); err != nil {
+			t.Fatal(err)
+		}
+		// Q is no pin of the cell; A is an input connected as a driver.
+		if err := d.Connect("u", "Q", "in", netlist.In); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Connect("u", "A", "x", netlist.Out); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(d, liberty.Generic(), nil); err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %s", run, err, want)
+		}
+	}
+}
+
 func TestBindValidatesNetlist(t *testing.T) {
 	d := netlist.New("invalid")
 	if _, err := d.AddInst("u", "INV_X1"); err != nil {

@@ -1023,7 +1023,7 @@ func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Resu
 		if arc.Transfer == nil {
 			continue // cell blocks noise through this arc
 		}
-		ic := drv.Inst.Conns[arc.From]
+		ic := drv.Inst.Conn(arc.From)
 		if ic == nil {
 			continue
 		}

@@ -66,7 +66,7 @@ func buildCorrelations(b *bind.Design) map[string]sourceMap {
 			merged := sourceMap{}
 			known := true
 			for _, arc := range cell.ArcsTo(oc.Pin) {
-				ic := inst.Conns[arc.From]
+				ic := inst.Conn(arc.From)
 				if ic == nil {
 					continue
 				}

@@ -14,6 +14,7 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -126,10 +127,17 @@ func ParseConfig(suppress string, werror bool) (Config, error) {
 // severity (errors first), then rule ID, then object.
 type Result struct {
 	Diags []Diagnostic
+
+	// bySev is Run's count of Diags per severity; a Result put together
+	// by hand has none and counts when asked.
+	bySev *[Error + 1]int
 }
 
 // Count returns the number of diagnostics at the given severity.
 func (r *Result) Count(s Severity) int {
+	if r.bySev != nil {
+		return r.bySev[s]
+	}
 	n := 0
 	for _, d := range r.Diags {
 		if d.Sev == s {
@@ -184,6 +192,11 @@ func (rep *Reporter) Report(object, msg, hint string) {
 func (rep *Reporter) ReportAt(sev Severity, object, msg, hint string) {
 	if sev == Warn && rep.cfg.Werror {
 		sev = Error
+	}
+	if d := rep.out.Diags; len(d) == cap(d) {
+		// Doubling: a bus without parasitics is tens of thousands of
+		// findings, and append's 1.25x steps copy them five times over.
+		rep.out.Diags = slices.Grow(d, max(16, len(d)))
 	}
 	rep.out.Diags = append(rep.out.Diags, Diagnostic{
 		Rule:   rep.rule,
@@ -242,25 +255,26 @@ func Run(in *Input, cfg Config) *Result {
 		}()
 	}
 	wg.Wait()
-	res := &Result{}
+	total := 0
 	for i := range parts {
 		if panics[i] != nil {
 			panic(panics[i])
 		}
+		total += len(parts[i].Diags)
+	}
+	res := &Result{Diags: make([]Diagnostic, 0, total), bySev: new([Error + 1]int)}
+	for i := range parts {
 		res.Diags = append(res.Diags, parts[i].Diags...)
 	}
-	sort.SliceStable(res.Diags, func(i, j int) bool {
-		a, b := res.Diags[i], res.Diags[j]
-		if a.Sev != b.Sev {
-			return a.Sev > b.Sev // errors first
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Msg < b.Msg
+	for i := range res.Diags {
+		res.bySev[res.Diags[i].Sev]++
+	}
+	slices.SortStableFunc(res.Diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(b.Sev, a.Sev), // errors first
+			strings.Compare(a.Rule, b.Rule),
+			strings.Compare(a.Object, b.Object),
+			strings.Compare(a.Msg, b.Msg))
 	})
 	return res
 }

@@ -138,6 +138,7 @@ func usedCells(in *Input) []*liberty.Cell {
 }
 
 func checkBinding(in *Input, rep *Reporter) {
+	inputPins := make(map[*liberty.Cell][]*liberty.Pin) // InputPins sorts per call
 	for _, inst := range in.Design.Insts() {
 		cell := in.Lib.Cell(inst.Cell)
 		if cell == nil {
@@ -146,23 +147,28 @@ func checkBinding(in *Input, rep *Reporter) {
 				"add the cell to the library or fix the instance's cell name")
 			continue
 		}
-		for pinName, conn := range inst.Conns {
-			pin := cell.Pin(pinName)
+		for _, conn := range inst.Pins() {
+			pin := cell.Pin(conn.Pin)
 			if pin == nil {
-				rep.Report(fmt.Sprintf("pin %s.%s", inst.Name, pinName),
+				rep.Report(fmt.Sprintf("pin %s.%s", inst.Name, conn.Pin),
 					fmt.Sprintf("cell %s has no such pin", cell.Name),
 					"fix the connection's pin name")
 				continue
 			}
 			wantOut := pin.Dir == liberty.Output
 			if isOut := conn.Dir == netlist.Out; isOut != wantOut {
-				rep.Report(fmt.Sprintf("pin %s.%s", inst.Name, pinName),
+				rep.Report(fmt.Sprintf("pin %s.%s", inst.Name, conn.Pin),
 					fmt.Sprintf("direction %s contradicts cell %s (%s pin)", conn.Dir, cell.Name, pin.Dir),
 					"fix the connection direction to match the library pin")
 			}
 		}
-		for _, pin := range cell.InputPins() {
-			if inst.Conns[pin.Name] == nil {
+		pins, ok := inputPins[cell]
+		if !ok {
+			pins = cell.InputPins()
+			inputPins[cell] = pins
+		}
+		for _, pin := range pins {
+			if inst.Conn(pin.Name) == nil {
 				rep.Report(fmt.Sprintf("pin %s.%s", inst.Name, pin.Name),
 					"input pin is unconnected",
 					"connect every input pin; open inputs make gate evaluation undefined")

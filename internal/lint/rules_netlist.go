@@ -31,17 +31,18 @@ func init() {
 
 func checkMultiDriven(in *Input, rep *Reporter) {
 	for _, n := range in.Design.Nets() {
+		if len(n.Conns)-len(n.Loads()) < 2 {
+			continue // every connection that is no load drives
+		}
 		var drivers []string
 		for _, c := range n.Conns {
 			if c.Driver() {
 				drivers = append(drivers, c.Name())
 			}
 		}
-		if len(drivers) > 1 {
-			rep.Report("net "+n.Name,
-				fmt.Sprintf("%d drivers: %s", len(drivers), strings.Join(drivers, ", ")),
-				"keep exactly one driver per net; remove or reroute the extra output connections")
-		}
+		rep.Report("net "+n.Name,
+			fmt.Sprintf("%d drivers: %s", len(drivers), strings.Join(drivers, ", ")),
+			"keep exactly one driver per net; remove or reroute the extra output connections")
 	}
 }
 

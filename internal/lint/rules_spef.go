@@ -2,7 +2,9 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/netlist"
 	"repro/internal/spef"
 )
 
@@ -30,50 +32,81 @@ func init() {
 	})
 }
 
+// eachNet calls f once for every net name of the design or the
+// parasitics, with the name's net on each side or nil. Both hand out
+// name-sorted views, so matching them is one merge walk and no lookup.
+func eachNet(in *Input, f func(n *netlist.Net, sn *spef.Net)) {
+	nets, paras := in.Design.Nets(), in.Paras.Nets()
+	for len(nets) > 0 || len(paras) > 0 {
+		switch {
+		case len(paras) == 0 || len(nets) > 0 && nets[0].Name < paras[0].Name:
+			f(nets[0], nil)
+			nets = nets[1:]
+		case len(nets) == 0 || paras[0].Name < nets[0].Name:
+			f(nil, paras[0])
+			paras = paras[1:]
+		default:
+			f(nets[0], paras[0])
+			nets, paras = nets[1:], paras[1:]
+		}
+	}
+}
+
 func checkSpefCorrespondence(in *Input, rep *Reporter) {
 	if in.Paras == nil {
 		return
 	}
-	for _, sn := range in.Paras.Nets() {
-		if in.Design.FindNet(sn.Name) == nil {
+	eachNet(in, func(n *netlist.Net, sn *spef.Net) {
+		switch {
+		case n == nil:
 			rep.Report("spef net "+sn.Name,
 				"parasitic net is not present in the netlist",
 				"fix the extractor's name mapping or re-extract against this netlist")
+		case sn == nil && len(n.Conns) > 0:
+			// This direction is informational: a net without extracted
+			// parasitics falls back to the lumped zero-resistance model,
+			// which is routine pre-layout but worth surfacing on signoff
+			// runs.
+			rep.ReportAt(Info, "net "+n.Name,
+				"no extracted parasitics; a lumped zero-resistance model will be used",
+				"extract the net, or ignore for pre-layout runs")
 		}
-	}
-	// The reverse direction is informational: a net without extracted
-	// parasitics falls back to the lumped zero-resistance model, which is
-	// routine pre-layout but worth surfacing on signoff runs.
-	for _, n := range in.Design.Nets() {
-		if len(n.Conns) == 0 || in.Paras.Net(n.Name) != nil {
-			continue
-		}
-		rep.ReportAt(Info, "net "+n.Name,
-			"no extracted parasitics; a lumped zero-resistance model will be used",
-			"extract the net, or ignore for pre-layout runs")
-	}
+	})
 }
 
 func checkSpefValues(in *Input, rep *Reporter) {
 	if in.Paras == nil {
 		return
 	}
-	// couplingsOf memoizes each net's per-partner coupling totals for the
-	// reciprocity check.
-	memo := make(map[string]map[string]float64)
-	couplingsOf := func(n *spef.Net) map[string]float64 {
-		if m, ok := memo[n.Name]; ok {
-			return m
+	// A finding's object path is built when there is a finding.
+	object := func(sn *spef.Net, kind string, i int) string {
+		return fmt.Sprintf("spef net %s %s %d", sn.Name, kind, i+1)
+	}
+	// listsPartner reports whether pn's own section couples it to the
+	// named net. It walks pn's capacitors; only a net with more of them
+	// than a walk per partner should cost gets its totals in a map.
+	var wide map[*spef.Net]map[string]float64
+	listsPartner := func(pn *spef.Net, name string) bool {
+		if len(pn.Caps) <= 32 {
+			return slices.ContainsFunc(pn.Caps, func(c spef.CapEntry) bool {
+				return c.Other != "" && spef.NetOfNode(c.Other) == name
+			})
 		}
-		m := n.CouplingByNet()
-		memo[n.Name] = m
-		return m
+		m, ok := wide[pn]
+		if !ok {
+			if wide == nil {
+				wide = make(map[*spef.Net]map[string]float64)
+			}
+			m = pn.CouplingByNet()
+			wide[pn] = m
+		}
+		_, ok = m[name]
+		return ok
 	}
 	for _, sn := range in.Paras.Nets() {
 		for i, c := range sn.Caps {
-			object := fmt.Sprintf("spef net %s cap %d", sn.Name, i+1)
 			if c.F < 0 {
-				rep.Report(object,
+				rep.Report(object(sn, "cap", i),
 					fmt.Sprintf("negative capacitance %g F", c.F),
 					"fix the extraction; negative capacitance is unphysical")
 				continue
@@ -84,22 +117,20 @@ func checkSpefValues(in *Input, rep *Reporter) {
 			partner := spef.NetOfNode(c.Other)
 			pn := in.Paras.Net(partner)
 			if pn == nil && in.Design.FindNet(partner) == nil {
-				rep.Report(object,
+				rep.Report(object(sn, "cap", i),
 					fmt.Sprintf("dangling coupling cap: partner net %q exists in neither the parasitics nor the netlist", partner),
 					"remove the capacitor or restore the missing aggressor net")
 				continue
 			}
-			if pn != nil {
-				if _, reciprocal := couplingsOf(pn)[sn.Name]; !reciprocal {
-					rep.ReportAt(Info, object,
-						fmt.Sprintf("coupling to %q has no reciprocal entry in that net's section", partner),
-						"extractors list each coupling cap in both partners' sections; the partner will not see this aggressor")
-				}
+			if pn != nil && !listsPartner(pn, sn.Name) {
+				rep.ReportAt(Info, object(sn, "cap", i),
+					fmt.Sprintf("coupling to %q has no reciprocal entry in that net's section", partner),
+					"extractors list each coupling cap in both partners' sections; the partner will not see this aggressor")
 			}
 		}
 		for i, r := range sn.Ress {
 			if r.Ohms < 0 {
-				rep.Report(fmt.Sprintf("spef net %s res %d", sn.Name, i+1),
+				rep.Report(object(sn, "res", i),
 					fmt.Sprintf("negative resistance %g ohm", r.Ohms),
 					"fix the extraction; negative resistance is unphysical")
 			}
@@ -115,86 +146,107 @@ func checkRCTopology(in *Input, rep *Reporter) {
 	if in.Paras == nil {
 		return
 	}
-	for _, sn := range in.Paras.Nets() {
-		if in.Design.FindNet(sn.Name) == nil {
-			continue // SPF001 already reports the mismatch
+	var t rcTopology // scratch shared by every net
+	eachNet(in, func(n *netlist.Net, sn *spef.Net) {
+		if n != nil && sn != nil { // SPF001 reports a net of one side only
+			t.lint(sn, rep)
 		}
-		lintRCNet(sn, rep)
-	}
+	})
 }
 
-func lintRCNet(sn *spef.Net, rep *Reporter) {
-	object := "spef net " + sn.Name
-	// Collect the node universe exactly as rc.FromSPEF interns it.
-	idx := make(map[string]int)
-	var names []string
-	node := func(name string) int {
-		if i, ok := idx[name]; ok {
+// rcTopology is the working state of one net's topology check: its nodes
+// numbered in order of first mention, exactly as rc.FromSPEF numbers
+// them, and a union-find over them that the resistors merge.
+type rcTopology struct {
+	names  []string
+	index  map[string]int32 // nil while names is short enough to scan
+	parent []int32
+	resA   []int32 // one end of each resistor
+}
+
+// node returns the number of the named node, adding it when new.
+func (t *rcTopology) node(name string) int32 {
+	if t.index != nil {
+		if i, ok := t.index[name]; ok {
 			return i
 		}
-		i := len(names)
-		idx[name] = i
-		names = append(names, name)
-		return i
+	} else if i := slices.Index(t.names, name); i >= 0 {
+		return int32(i)
 	}
-	root := -1
+	i := int32(len(t.names))
+	t.names = append(t.names, name)
+	t.parent = append(t.parent, i)
+	if t.index != nil {
+		t.index[name] = i
+	} else if len(t.names) > 16 {
+		t.index = make(map[string]int32, 2*len(t.names))
+		for j, nm := range t.names {
+			t.index[nm] = int32(j)
+		}
+	}
+	return i
+}
+
+// find returns the representative of i's component, halving the path.
+func (t *rcTopology) find(i int32) int32 {
+	for t.parent[i] != i {
+		t.parent[i] = t.parent[t.parent[i]]
+		i = t.parent[i]
+	}
+	return i
+}
+
+func (t *rcTopology) lint(sn *spef.Net, rep *Reporter) {
+	t.names, t.parent, t.resA, t.index = t.names[:0], t.parent[:0], t.resA[:0], nil
+	root := int32(-1)
 	for _, c := range sn.Conns {
-		i := node(c.Node)
+		i := t.node(c.Node)
 		if c.Dir == spef.DirOut && root < 0 {
 			root = i
 		}
 	}
-	type edge struct{ a, b int }
-	var edges []edge
 	for _, r := range sn.Ress {
-		edges = append(edges, edge{node(r.A), node(r.B)})
+		a, b := t.node(r.A), t.node(r.B)
+		t.resA = append(t.resA, a)
+		t.parent[t.find(a)] = t.find(b)
 	}
 	for _, c := range sn.Caps {
 		if c.F >= 0 { // negative caps are SPF002's finding
-			node(c.Node)
+			t.node(c.Node)
 		}
 	}
 	if root < 0 {
-		rep.Report(object,
+		rep.Report("spef net "+sn.Name,
 			"no driver connection (*CONN entry with direction O)",
 			"add the driver pin to the net's *CONN section")
 		return
 	}
-	adj := make([][]int, len(names))
-	for _, e := range edges {
-		adj[e.a] = append(adj[e.a], e.b)
-		adj[e.b] = append(adj[e.b], e.a)
-	}
-	seen := make([]bool, len(names))
-	seen[root] = true
-	queue := []int{root}
+	// The driver's component: its nodes, and the resistors inside it.
+	root = t.find(root)
 	reached, compEdges := 0, 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		reached++
-		compEdges += len(adj[u])
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
-			}
+	for i := range t.names {
+		if t.find(int32(i)) == root {
+			reached++
 		}
 	}
-	compEdges /= 2 // each undirected edge was counted from both endpoints
-	if compEdges >= reached && reached > 0 && compEdges > 0 {
-		rep.Report(object,
+	for _, a := range t.resA {
+		if t.find(a) == root {
+			compEdges++
+		}
+	}
+	if compEdges >= reached && compEdges > 0 {
+		rep.Report("spef net "+sn.Name,
 			fmt.Sprintf("resistive loop: %d resistors span only %d reachable nodes", compEdges, reached),
 			"RC reduction assumes a tree; remove the redundant resistor or merge parallel segments")
 	}
-	var orphans []string
-	for i, s := range seen {
-		if !s {
-			orphans = append(orphans, names[i])
+	if reached < len(t.names) {
+		var orphans []string
+		for i, name := range t.names {
+			if t.find(int32(i)) != root {
+				orphans = append(orphans, name)
+			}
 		}
-	}
-	if len(orphans) > 0 {
-		rep.Report(object,
+		rep.Report("spef net "+sn.Name,
 			fmt.Sprintf("%d node(s) unreachable from the driver: %s", len(orphans), truncList(orphans, 3)),
 			"connect the subtree with a resistor or drop the stray nodes")
 	}

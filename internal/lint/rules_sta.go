@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/netlist"
 )
@@ -23,23 +22,17 @@ func checkInputTiming(in *Input, rep *Reporter) {
 	if len(in.Inputs) == 0 {
 		return
 	}
-	names := make([]string, 0, len(in.Inputs))
-	for n := range in.Inputs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := in.Inputs[name]
-		object := "input " + name
+	// Run orders the findings, so the map's order never shows.
+	for name, t := range in.Inputs {
 		p := in.Design.FindPort(name)
 		if p == nil || p.Dir != netlist.In {
-			rep.Report(object,
+			rep.Report("input "+name,
 				"timing annotation names no input port of the design",
 				"fix the port name or drop the stale annotation")
 			continue
 		}
 		if t == nil || !t.HasActivity() {
-			rep.Report(object,
+			rep.Report("input "+name,
 				"switching windows are empty in both directions: this input can never transition",
 				"give the port a rise or fall window, or confirm it is intentionally quiet")
 			continue
@@ -52,14 +45,14 @@ func checkInputTiming(in *Input, rep *Reporter) {
 		}{{"rise", true}, {"fall", false}} {
 			for _, w := range t.Window(dir.rise).Windows() {
 				if w.Lo > w.Hi {
-					rep.ReportAt(Error, object,
+					rep.ReportAt(Error, "input "+name,
 						fmt.Sprintf("inverted %s window [%g, %g]", dir.label, w.Lo, w.Hi),
 						"swap the bounds; windows are [lo, hi] with lo <= hi")
 				}
 			}
 			slew := t.Slew(dir.rise)
 			if !t.Window(dir.rise).IsEmpty() && slew.Min <= slew.Max && slew.Min < 0 {
-				rep.ReportAt(Error, object,
+				rep.ReportAt(Error, "input "+name,
 					fmt.Sprintf("negative %s slew %g s", dir.label, slew.Min),
 					"transition times must be non-negative")
 			}

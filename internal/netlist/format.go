@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
+
+	"repro/internal/textio"
 )
 
 // The .net text format is a minimal line-oriented netlist interchange
@@ -21,21 +22,34 @@ import (
 
 // Parse reads a design in .net format.
 func Parse(r io.Reader) (*Design, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var d *Design
-	lineNo := 0
-	for sc.Scan() {
+	var (
+		lr     = textio.NewLineReader(r)
+		d      *Design
+		inst   *Inst // the last inst line's: its conn lines follow it
+		f      [][]byte
+		lineNo int
+	)
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("netlist: line %d: %s", lineNo, fmt.Sprintf(format, args...))
+	}
+	for {
+		line, ok, err := lr.Next()
+		if err != nil {
+			return nil, fmt.Errorf("netlist: %w", err)
+		}
+		if !ok {
+			break
+		}
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		f = textio.SplitFields(line, f[:0])
+		if len(f) == 0 || f[0][0] == '#' {
 			continue
 		}
-		f := strings.Fields(line)
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("netlist: line %d: %s", lineNo, fmt.Sprintf(format, args...))
+		kw := textio.View(f[0])
+		if d == nil && (kw == "port" || kw == "inst" || kw == "conn") {
+			return nil, fail("%s before design", kw)
 		}
-		switch f[0] {
+		switch kw {
 		case "design":
 			if len(f) != 2 {
 				return nil, fail("design wants 1 argument")
@@ -43,11 +57,8 @@ func Parse(r io.Reader) (*Design, error) {
 			if d != nil {
 				return nil, fail("duplicate design line")
 			}
-			d = New(f[1])
+			d = New(string(f[1]))
 		case "port":
-			if d == nil {
-				return nil, fail("port before design")
-			}
 			if len(f) != 3 {
 				return nil, fail("port wants NAME in|out")
 			}
@@ -55,23 +66,17 @@ func Parse(r io.Reader) (*Design, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			if _, err := d.AddPort(f[1], dir); err != nil {
+			if _, err := d.AddPort(textio.View(f[1]), dir); err != nil {
 				return nil, fail("%v", err)
 			}
 		case "inst":
-			if d == nil {
-				return nil, fail("inst before design")
-			}
 			if len(f) != 3 {
 				return nil, fail("inst wants NAME CELL")
 			}
-			if _, err := d.AddInst(f[1], f[2]); err != nil {
+			if inst, err = d.AddInst(textio.View(f[1]), textio.View(f[2])); err != nil {
 				return nil, fail("%v", err)
 			}
 		case "conn":
-			if d == nil {
-				return nil, fail("conn before design")
-			}
 			if len(f) != 5 {
 				return nil, fail("conn wants INST PIN NET in|out")
 			}
@@ -79,15 +84,17 @@ func Parse(r io.Reader) (*Design, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			if err := d.Connect(f[1], f[2], f[3], dir); err != nil {
+			if inst != nil && inst.Name == string(f[1]) {
+				err = d.ConnectPin(inst, textio.View(f[2]), textio.View(f[3]), dir)
+			} else {
+				err = d.Connect(textio.View(f[1]), textio.View(f[2]), textio.View(f[3]), dir)
+			}
+			if err != nil {
 				return nil, fail("%v", err)
 			}
 		default:
 			return nil, fail("unknown keyword %q", f[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("netlist: %w", err)
 	}
 	if d == nil {
 		return nil, fmt.Errorf("netlist: no design line")
@@ -96,8 +103,8 @@ func Parse(r io.Reader) (*Design, error) {
 	return d, nil
 }
 
-func parseDir(s string) (Dir, error) {
-	switch s {
+func parseDir(s []byte) (Dir, error) {
+	switch string(s) {
 	case "in":
 		return In, nil
 	case "out":

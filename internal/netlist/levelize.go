@@ -1,6 +1,9 @@
 package netlist
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // Levelization is the topological structure of the combinational netlist.
 type Levelization struct {
@@ -59,7 +62,7 @@ func (d *Design) Levelize() *Levelization {
 // straight through the maintained output/load connection views, so the
 // peel allocates only the level slices themselves.
 func (d *Design) levelize() *Levelization {
-	insts := d.instsByID
+	insts := d.insts.all()
 	indeg := make([]int32, len(insts))
 	for _, i := range insts {
 		i.Level = -1
@@ -72,7 +75,7 @@ func (d *Design) levelize() *Levelization {
 	// leveled), so it correctly lands in Feedback rather than getting a
 	// bogus finite level.
 	for _, i := range insts {
-		for _, c := range i.ins {
+		for _, c := range i.Inputs() {
 			if drv := c.Net.Driver(); drv != nil && drv.Inst != nil {
 				indeg[i.id]++
 			}
@@ -87,14 +90,14 @@ func (d *Design) levelize() *Levelization {
 	var lev Levelization
 	level := 0
 	for len(frontier) > 0 {
-		sort.Slice(frontier, func(a, b int) bool { return frontier[a].Name < frontier[b].Name })
+		slices.SortFunc(frontier, byInstName)
 		for _, i := range frontier {
 			i.Level = level
 		}
 		lev.Levels = append(lev.Levels, frontier)
 		var next []*Inst
 		for _, i := range frontier {
-			for _, oc := range i.outs {
+			for _, oc := range i.Outputs() {
 				for _, lc := range oc.Net.Loads() {
 					fo := lc.Inst
 					if fo == nil || fo.Level >= 0 {
@@ -117,6 +120,8 @@ func (d *Design) levelize() *Levelization {
 			lev.Feedback = append(lev.Feedback, i)
 		}
 	}
-	sort.Slice(lev.Feedback, func(a, b int) bool { return lev.Feedback[a].Name < lev.Feedback[b].Name })
+	slices.SortFunc(lev.Feedback, byInstName)
 	return &lev
 }
+
+func byInstName(a, b *Inst) int { return strings.Compare(a.Name, b.Name) }

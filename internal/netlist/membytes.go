@@ -1,67 +1,25 @@
 package netlist
 
-import (
-	"unsafe"
-
-	"repro/internal/intern"
-)
+import "unsafe"
 
 // MemBytes estimates the resident heap footprint of the design database
-// in bytes: the object arenas at chunk granularity, the name indexes,
-// the dense ID views, and the per-object variable parts (connection
-// slices, pin maps, name strings). It is an estimator, not an
-// accounting of every allocation — map bucket overhead is approximated
-// and shared interned string backing may be counted once per design —
-// but it is deterministic, cheap (one pass over the dense views, no
-// allocation), and tracks the real footprint closely enough to budget
-// a shared design cache against.
+// in bytes: the object arenas at chunk granularity, the name index (its
+// table, its symbols and the one copy of each name they hold), and the
+// connection lists. It is an estimator, not an accounting of every
+// allocation — allocator size-class rounding and the lazily built sorted
+// views are left out — but it is deterministic, cheap (one pass over the
+// arenas, no allocation), and tracks the real footprint closely enough to
+// budget a shared design cache against.
 func (d *Design) MemBytes() int64 {
-	b := int64(unsafe.Sizeof(*d))
-	b += arenaBytes(&d.netArena)
-	b += arenaBytes(&d.instArena)
-	b += arenaBytes(&d.connArena)
-	b += arenaBytes(&d.portArena)
-	symBytes := int64(unsafe.Sizeof(intern.Sym(0)))
-	b += mapBytes(len(d.ports), symBytes)
-	b += mapBytes(len(d.nets), symBytes)
-	b += mapBytes(len(d.insts), symBytes)
-	b += int64(cap(d.netsByID)+cap(d.instsByID)+cap(d.portsByID)) * ptrBytes
-	for _, n := range d.netsByID {
-		b += int64(cap(n.Conns)+cap(n.loads)) * ptrBytes
-		b += strBytes(n.Name)
-	}
-	for _, i := range d.instsByID {
-		b += mapBytes(len(i.Conns), strHeaderBytes)
-		b += int64(cap(i.ins)+cap(i.outs)) * ptrBytes
-		b += strBytes(i.Name) + strBytes(i.Cell)
-		for pin := range i.Conns {
-			b += int64(len(pin))
-		}
-	}
-	for _, p := range d.portsByID {
-		b += strBytes(p.Name)
-	}
-	// Conn.Port/Pin strings share backing with the pin-map keys and port
-	// names counted above; only the headers (already inside the arena
-	// element size) remain.
-	return b
-}
-
-const (
-	ptrBytes       = int64(unsafe.Sizeof(uintptr(0)))
-	strHeaderBytes = int64(unsafe.Sizeof(""))
-	// mapEntryOverhead approximates Go map bucket cost beyond key+value:
-	// tophash bytes, overflow pointers, and load-factor slack.
-	mapEntryOverhead = 16
-)
-
-func strBytes(s string) int64 { return strHeaderBytes + int64(len(s)) }
-
-func mapBytes(n int, keySize int64) int64 {
-	if n == 0 {
-		return 0
-	}
-	return int64(n) * (keySize + ptrBytes + mapEntryOverhead)
+	b := int64(unsafe.Sizeof(*d)) + int64(cap(d.slots))*int64(unsafe.Sizeof(slot{}))
+	b += arenaBytes(&d.syms) + arenaBytes(&d.nets) + arenaBytes(&d.insts) + arenaBytes(&d.conns) + arenaBytes(&d.ports)
+	// Every Name, Cell, Pin and Port string is a header inside an arena
+	// element sharing these bytes.
+	d.syms.each(func(s *sym) { b += int64(len(s.name)) })
+	conns := len(d.spare)
+	d.nets.each(func(n *Net) { conns += cap(n.Conns) + cap(n.loads) })
+	d.insts.each(func(i *Inst) { conns += cap(i.conns) })
+	return b + int64(conns)*int64(unsafe.Sizeof(uintptr(0)))
 }
 
 func arenaBytes[T any](a *arena[T]) int64 {

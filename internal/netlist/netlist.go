@@ -12,8 +12,9 @@
 // Storage is struct-of-arrays at heart: Net/Inst/Conn/Port objects live
 // in chunked arenas (pointer-stable, one allocation per chunk), carry
 // dense creation-order int32 IDs for slice-indexed side tables, and are
-// looked up by interned name symbols (internal/intern) rather than raw
-// strings. Driver, load, and pin-direction views are maintained
+// looked up through one name index the design owns (see sym). The design
+// copies every name it keeps, once, so callers may pass views of a read
+// buffer. Driver, load, and pin-direction views are maintained
 // incrementally at build time instead of being recomputed per call, so
 // the analysis layers can traverse the graph allocation-free and — once
 // construction is done — concurrently. The mutating builder methods
@@ -23,10 +24,10 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"slices"
+	"strings"
 	"sync"
-
-	"repro/internal/intern"
 )
 
 // Dir is the direction of a pin or port from the perspective of the
@@ -108,30 +109,17 @@ func (n *Net) Driver() *Conn { return n.drv }
 // returned slice is shared with the net; callers must not modify it.
 func (n *Net) Loads() []*Conn { return n.loads }
 
-func (n *Net) addConn(c *Conn) {
-	n.Conns = append(n.Conns, c)
-	if c.Driver() {
-		if n.drv == nil {
-			n.drv = c
-		}
-	} else {
-		n.loads = append(n.loads, c)
-	}
-}
-
 // Inst is a placed occurrence of a library cell.
 type Inst struct {
 	Name string
 	Cell string // library cell name, resolved by the analysis layers
-	// Conns maps pin name to its connection.
-	Conns map[string]*Conn
 	// Level is filled in by Levelize: topological depth from primary
 	// inputs, or -1 for instances on combinational loops.
 	Level int
 
-	id   int32
-	ins  []*Conn // input connections sorted by pin name
-	outs []*Conn // output connections sorted by pin name
+	id    int32
+	nIn   int32   // conns[:nIn] are the inputs
+	conns []*Conn // inputs, then outputs, each sorted by pin name
 }
 
 // ID returns the instance's dense creation-order index, in
@@ -141,26 +129,34 @@ func (i *Inst) ID() int32 { return i.id }
 // Inputs returns the instance's input connections sorted by pin name.
 // The returned slice is shared with the instance; callers must not
 // modify it.
-func (i *Inst) Inputs() []*Conn { return i.ins }
+func (i *Inst) Inputs() []*Conn { return i.conns[:i.nIn:i.nIn] }
 
 // Outputs returns the instance's output connections sorted by pin name.
 // The returned slice is shared with the instance; callers must not
 // modify it.
-func (i *Inst) Outputs() []*Conn { return i.outs }
+func (i *Inst) Outputs() []*Conn { return i.conns[i.nIn:] }
 
-func (i *Inst) addConn(c *Conn) {
-	into := &i.ins
-	if c.Dir == Out {
-		into = &i.outs
+// Conn returns the connection of the named pin, or nil. Instances have a
+// handful of pins, so a scan beats any index.
+func (i *Inst) Conn(pin string) *Conn {
+	for _, c := range i.conns {
+		if c.Pin == pin {
+			return c
+		}
 	}
-	// Insertion sort by pin name: pin counts are tiny and this keeps the
-	// sorted views always valid instead of rebuilding them per call.
-	s := *into
-	k := sort.Search(len(s), func(j int) bool { return s[j].Pin > c.Pin })
-	s = append(s, nil)
-	copy(s[k+1:], s[k:])
-	s[k] = c
-	*into = s
+	return nil
+}
+
+// Pins returns every connection in pin-name order, whatever its
+// direction. The slice may be shared with the instance; callers must not
+// modify it.
+func (i *Inst) Pins() []*Conn {
+	if n := int(i.nIn); n == 0 || n == len(i.conns) || i.conns[n-1].Pin < i.conns[n].Pin {
+		return i.conns // A, B, Y: inputs-then-outputs is already name order
+	}
+	pins := slices.Clone(i.conns)
+	slices.SortFunc(pins, func(a, b *Conn) int { return strings.Compare(a.Pin, b.Pin) })
+	return pins
 }
 
 // Port is a top-level design port.
@@ -171,44 +167,82 @@ type Port struct {
 }
 
 // arena is a chunked, pointer-stable allocator: one heap allocation per
-// chunk instead of one per object. Pointers into earlier chunks are
-// never invalidated by growth.
+// chunk instead of one per object, and pointers into earlier chunks are
+// never invalidated by growth. Objects are numbered in allocation order,
+// which makes an arena the table from a dense ID to its object as well.
 type arena[T any] struct {
 	chunks [][]T
+	n      int // objects allocated
 }
 
 const arenaChunk = 4096
 
+// at returns object number i. It panics on an out-of-range number, like
+// a slice index.
+func (a *arena[T]) at(i int) *T { return &a.chunks[i/arenaChunk][i%arenaChunk] }
+
+// alloc returns a new zero object, number a.n-1.
 func (a *arena[T]) alloc() *T {
-	n := len(a.chunks)
-	if n == 0 || len(a.chunks[n-1]) == cap(a.chunks[n-1]) {
+	if a.n == len(a.chunks)*arenaChunk {
 		a.chunks = append(a.chunks, make([]T, 0, arenaChunk))
-		n++
 	}
-	c := &a.chunks[n-1]
-	*c = append(*c, *new(T))
+	c := &a.chunks[len(a.chunks)-1]
+	*c = (*c)[:len(*c)+1] // make zeroed it
+	a.n++
 	return &(*c)[len(*c)-1]
 }
+
+// each calls f on every object, in number order.
+func (a *arena[T]) each(f func(*T)) {
+	for _, c := range a.chunks {
+		for i := range c {
+			f(&c[i])
+		}
+	}
+}
+
+// all returns the address of every object, in number order.
+func (a *arena[T]) all() []*T {
+	out := make([]*T, 0, a.n)
+	a.each(func(p *T) { out = append(out, p) })
+	return out
+}
+
+// sym is one distinct name the design has seen: the single canonical copy
+// of its text, and the object of each kind that bears it. Nets, instances
+// and ports are separate name spaces sharing one table, so a loader hashes
+// an identifier once and every lookup is one probe; pin and cell names go
+// through it too, which is what makes equal names share one string.
+type sym struct {
+	name            string
+	net, inst, port int32 // ID+1 of the bearer, 0 for none
+}
+
+// slot is one cell of the open-addressed (linear-probe) name table. It
+// holds no pointer, so the collector never scans the table.
+type slot struct {
+	hash uint32
+	sym  uint32 // number of the symbol in syms, +1; 0 marks an empty slot
+}
+
+var hashSeed = maphash.MakeSeed()
 
 // Design is the netlist database. Construct with New and the Add/Connect
 // builder methods, then call Validate before analysis.
 type Design struct {
 	Name string
 
-	ports map[intern.Sym]*Port
-	nets  map[intern.Sym]*Net
-	insts map[intern.Sym]*Inst
+	syms  arena[sym]
+	slots []slot // len is a power of two, at most 3/4 full
 
-	// Dense creation-order views; index == ID.
-	netsByID  []*Net
-	instsByID []*Inst
-	portsByID []*Port
-	numConns  int
-
-	netArena  arena[Net]
-	instArena arena[Inst]
-	connArena arena[Conn]
-	portArena arena[Port]
+	// The objects, each numbered by its dense creation-order ID.
+	nets  arena[Net]
+	insts arena[Inst]
+	conns arena[Conn]
+	ports arena[Port]
+	// spare is the unused tail of the block connection lists grow out of
+	// (see push); Compact drops the blocks.
+	spare []*Conn
 
 	// version counts builder mutations; the lazy caches below are keyed
 	// on it.
@@ -227,162 +261,184 @@ type Design struct {
 
 // New returns an empty design.
 func New(name string) *Design {
-	return &Design{
-		Name:  name,
-		ports: make(map[intern.Sym]*Port),
-		nets:  make(map[intern.Sym]*Net),
-		insts: make(map[intern.Sym]*Inst),
-	}
+	return &Design{Name: name, slots: make([]slot, 64)}
 }
 
-// Grow pre-sizes the name indexes for a design of about nets nets and
-// insts instances, so bulk loaders avoid incremental map growth.
-func (d *Design) Grow(nets, insts int) {
-	if nets > len(d.nets) {
-		m := make(map[intern.Sym]*Net, nets)
-		for k, v := range d.nets {
-			m[k] = v
+// symOf returns name's symbol. A name the design has not seen is added
+// when add is set — copied, so name may be a view of a buffer the caller
+// reuses — and nil otherwise.
+func (d *Design) symOf(name string, add bool) *sym {
+	h := uint32(maphash.String(hashSeed, name))
+	mask := uint32(len(d.slots) - 1)
+	i := h & mask
+	for ; d.slots[i].sym != 0; i = (i + 1) & mask {
+		if d.slots[i].hash == h {
+			if s := d.syms.at(int(d.slots[i].sym - 1)); s.name == name {
+				return s
+			}
 		}
-		d.nets = m
-		d.netsByID = append(make([]*Net, 0, nets), d.netsByID...)
 	}
-	if insts > len(d.insts) {
-		m := make(map[intern.Sym]*Inst, insts)
-		for k, v := range d.insts {
-			m[k] = v
+	if !add {
+		return nil
+	}
+	s := d.syms.alloc()
+	s.name = strings.Clone(name)
+	d.slots[i] = slot{hash: h, sym: uint32(d.syms.n)}
+	if 4*d.syms.n > 3*len(d.slots) {
+		old := d.slots
+		d.slots = make([]slot, 2*len(old))
+		mask = uint32(len(d.slots) - 1)
+		for _, sl := range old {
+			if sl.sym != 0 {
+				i := sl.hash & mask
+				for d.slots[i].sym != 0 {
+					i = (i + 1) & mask
+				}
+				d.slots[i] = sl
+			}
 		}
-		d.insts = m
-		d.instsByID = append(make([]*Inst, 0, insts), d.instsByID...)
 	}
+	return s
 }
 
 // AddPort declares a top-level port and connects it to the net of the same
 // name (created if needed). It errors on duplicates.
 func (d *Design) AddPort(name string, dir Dir) (*Port, error) {
-	return d.AddPortSym(intern.Intern(name), dir)
-}
-
-// AddPortSym is AddPort keyed by an interned name symbol; bulk loaders
-// use it to skip re-hashing names they interned during parsing.
-func (d *Design) AddPortSym(sym intern.Sym, dir Dir) (*Port, error) {
-	if _, dup := d.ports[sym]; dup {
-		return nil, fmt.Errorf("netlist: duplicate port %q", sym.String())
+	s := d.symOf(name, true)
+	if s.port != 0 {
+		return nil, fmt.Errorf("netlist: duplicate port %q", name)
 	}
+	net := d.netOf(s)
 	d.version++
-	name := sym.String()
-	net := d.NetSym(sym)
-	c := d.connArena.alloc()
-	*c = Conn{Port: name, Dir: dir, Net: net, id: int32(d.numConns)}
-	d.numConns++
-	net.addConn(c)
-	p := d.portArena.alloc()
-	*p = Port{Name: name, Dir: dir, Conn: c}
-	d.ports[sym] = p
-	d.portsByID = append(d.portsByID, p)
+	c := d.conns.alloc()
+	*c = Conn{Port: s.name, Dir: dir, Net: net, id: int32(d.conns.n - 1)}
+	d.addConn(net, c)
+	p := d.ports.alloc()
+	*p = Port{Name: s.name, Dir: dir, Conn: c}
+	s.port = int32(d.ports.n)
 	return p, nil
 }
 
 // AddInst declares an instance of the named cell. It errors on duplicates.
 func (d *Design) AddInst(name, cell string) (*Inst, error) {
-	return d.AddInstSym(intern.Intern(name), intern.Intern(cell))
-}
-
-// AddInstSym is AddInst keyed by interned name symbols.
-func (d *Design) AddInstSym(sym, cell intern.Sym) (*Inst, error) {
-	if _, dup := d.insts[sym]; dup {
-		return nil, fmt.Errorf("netlist: duplicate instance %q", sym.String())
+	s := d.symOf(name, true)
+	if s.inst != 0 {
+		return nil, fmt.Errorf("netlist: duplicate instance %q", name)
 	}
 	d.version++
-	i := d.instArena.alloc()
-	*i = Inst{Name: sym.String(), Cell: cell.String(), Conns: make(map[string]*Conn), Level: -1, id: int32(len(d.instsByID))}
-	d.insts[sym] = i
-	d.instsByID = append(d.instsByID, i)
+	i := d.insts.alloc()
+	*i = Inst{Name: s.name, Cell: d.symOf(cell, true).name, Level: -1, id: int32(d.insts.n - 1)}
+	s.inst = int32(d.insts.n)
 	return i, nil
 }
 
 // Net returns the net with the given name, creating it on first use.
-func (d *Design) Net(name string) *Net {
-	return d.NetSym(intern.Intern(name))
-}
+func (d *Design) Net(name string) *Net { return d.netOf(d.symOf(name, true)) }
 
-// NetSym is Net keyed by an interned name symbol.
-func (d *Design) NetSym(sym intern.Sym) *Net {
-	if n, ok := d.nets[sym]; ok {
-		return n
+// netOf returns the net bearing symbol s, creating it on first use.
+func (d *Design) netOf(s *sym) *Net {
+	if s.net != 0 {
+		return d.nets.at(int(s.net - 1))
 	}
 	d.version++
-	n := d.netArena.alloc()
-	*n = Net{Name: sym.String(), id: int32(len(d.netsByID))}
-	d.nets[sym] = n
-	d.netsByID = append(d.netsByID, n)
+	n := d.nets.alloc()
+	*n = Net{Name: s.name, id: int32(d.nets.n - 1)}
+	s.net = int32(d.nets.n)
 	return n
 }
 
 // FindNet returns the named net or nil.
 func (d *Design) FindNet(name string) *Net {
-	sym, ok := intern.Lookup(name)
-	if !ok {
-		return nil
+	if s := d.symOf(name, false); s != nil && s.net != 0 {
+		return d.nets.at(int(s.net - 1))
 	}
-	return d.nets[sym]
+	return nil
 }
 
 // FindInst returns the named instance or nil.
 func (d *Design) FindInst(name string) *Inst {
-	sym, ok := intern.Lookup(name)
-	if !ok {
-		return nil
+	if s := d.symOf(name, false); s != nil && s.inst != 0 {
+		return d.insts.at(int(s.inst - 1))
 	}
-	return d.insts[sym]
+	return nil
 }
 
 // FindPort returns the named port or nil.
 func (d *Design) FindPort(name string) *Port {
-	sym, ok := intern.Lookup(name)
-	if !ok {
-		return nil
+	if s := d.symOf(name, false); s != nil && s.port != 0 {
+		return d.ports.at(int(s.port - 1))
 	}
-	return d.ports[sym]
+	return nil
 }
 
 // NetByID, InstByID, PortByID return objects by dense ID. They panic on
 // out-of-range IDs, like a slice index.
-func (d *Design) NetByID(id int32) *Net   { return d.netsByID[id] }
-func (d *Design) InstByID(id int32) *Inst { return d.instsByID[id] }
-func (d *Design) PortByID(id int32) *Port { return d.portsByID[id] }
+func (d *Design) NetByID(id int32) *Net   { return d.nets.at(int(id)) }
+func (d *Design) InstByID(id int32) *Inst { return d.insts.at(int(id)) }
+func (d *Design) PortByID(id int32) *Port { return d.ports.at(int(id)) }
 
 // Connect attaches pin pin of instance inst to net net with direction dir.
 // The net is created if needed. It errors if the instance is unknown or the
 // pin is already connected.
 func (d *Design) Connect(inst, pin, net string, dir Dir) error {
-	i, ok := d.insts[intern.Intern(inst)]
-	if !ok {
+	i := d.FindInst(inst)
+	if i == nil {
 		return fmt.Errorf("netlist: connect to unknown instance %q", inst)
 	}
-	return d.connect(i, intern.Canon(pin), d.Net(net), dir)
+	return d.ConnectPin(i, pin, net, dir)
 }
 
-// ConnectSym is Connect keyed by interned symbols.
-func (d *Design) ConnectSym(inst, pin, net intern.Sym, dir Dir) error {
-	i, ok := d.insts[inst]
-	if !ok {
-		return fmt.Errorf("netlist: connect to unknown instance %q", inst.String())
-	}
-	return d.connect(i, pin.String(), d.NetSym(net), dir)
-}
-
-func (d *Design) connect(i *Inst, pin string, n *Net, dir Dir) error {
-	if _, dup := i.Conns[pin]; dup {
+// ConnectPin is Connect for a caller that holds the instance, as a loader
+// reading an instance's connections does.
+func (d *Design) ConnectPin(i *Inst, pin, net string, dir Dir) error {
+	if i.Conn(pin) != nil {
 		return fmt.Errorf("netlist: pin %s.%s already connected", i.Name, pin)
 	}
+	n := d.Net(net)
 	d.version++
-	c := d.connArena.alloc()
-	*c = Conn{Inst: i, Pin: pin, Dir: dir, Net: n, id: int32(d.numConns)}
-	d.numConns++
-	i.Conns[pin] = c
-	i.addConn(c)
-	n.addConn(c)
+	c := d.conns.alloc()
+	*c = Conn{Inst: i, Pin: d.symOf(pin, true).name, Dir: dir, Net: n, id: int32(d.conns.n - 1)}
+	// Insertion sort by pin name within the pin's direction: pin counts
+	// are tiny and this keeps the sorted views always valid.
+	k, end := 0, int(i.nIn)
+	if dir == Out {
+		k, end = end, len(i.conns)
+	} else {
+		i.nIn++
+	}
+	for k < end && i.conns[k].Pin < c.Pin {
+		k++
+	}
+	i.conns = d.push(i.conns, nil)
+	copy(i.conns[k+1:], i.conns[k:])
+	i.conns[k] = c
+	d.addConn(n, c)
 	return nil
+}
+
+func (d *Design) addConn(n *Net, c *Conn) {
+	n.Conns = d.push(n.Conns, c)
+	if !c.Driver() {
+		n.loads = d.push(n.loads, c)
+	} else if n.drv == nil {
+		n.drv = c
+	}
+}
+
+// push is append for the design's connection lists. A full list moves to
+// twice its room carved from a shared block, not to an allocation of its
+// own: a design has several short lists per net, and Compact repacks them
+// all once the design is built.
+func (d *Design) push(s []*Conn, c *Conn) []*Conn {
+	if len(s) == cap(s) {
+		n := max(2, 2*cap(s))
+		if len(d.spare) < n {
+			d.spare = make([]*Conn, max(n, arenaChunk))
+		}
+		s = append(d.spare[:0:n], s...)
+		d.spare = d.spare[n:]
+	}
+	return append(s, c)
 }
 
 // Ports returns the ports sorted by name. The returned slice is a shared
@@ -412,43 +468,39 @@ func (d *Design) refreshSorted() {
 	if d.cache.sortedVer == d.version && d.cache.nets != nil {
 		return
 	}
-	d.cache.ports = append(make([]*Port, 0, len(d.portsByID)), d.portsByID...)
-	sort.Slice(d.cache.ports, func(a, b int) bool { return d.cache.ports[a].Name < d.cache.ports[b].Name })
-	d.cache.nets = append(make([]*Net, 0, len(d.netsByID)), d.netsByID...)
-	sort.Slice(d.cache.nets, func(a, b int) bool { return d.cache.nets[a].Name < d.cache.nets[b].Name })
-	d.cache.insts = append(make([]*Inst, 0, len(d.instsByID)), d.instsByID...)
-	sort.Slice(d.cache.insts, func(a, b int) bool { return d.cache.insts[a].Name < d.cache.insts[b].Name })
+	d.cache.ports = d.ports.all()
+	slices.SortFunc(d.cache.ports, func(a, b *Port) int { return strings.Compare(a.Name, b.Name) })
+	d.cache.nets = d.nets.all()
+	slices.SortFunc(d.cache.nets, func(a, b *Net) int { return strings.Compare(a.Name, b.Name) })
+	d.cache.insts = d.insts.all()
+	slices.SortFunc(d.cache.insts, byInstName)
 	d.cache.sortedVer = d.version
 }
 
 // NumNets, NumInsts, NumPorts, NumConns report database sizes.
-func (d *Design) NumNets() int  { return len(d.netsByID) }
-func (d *Design) NumInsts() int { return len(d.instsByID) }
-func (d *Design) NumPorts() int { return len(d.portsByID) }
-func (d *Design) NumConns() int { return d.numConns }
+func (d *Design) NumNets() int  { return d.nets.n }
+func (d *Design) NumInsts() int { return d.insts.n }
+func (d *Design) NumPorts() int { return d.ports.n }
+func (d *Design) NumConns() int { return d.conns.n }
 
-// Compact repacks every net's connection lists into shared CSR-style
-// backing arrays in net-ID order. Bulk loaders call it once after
-// construction: the per-net slices grown incrementally during parsing
-// are replaced by three contiguous arrays (conns, loads) that the
-// garbage collector scans as single objects. Slices are full-capacity
-// clipped, so a later Connect still works (append copies out instead of
-// clobbering a neighbor's storage).
+// Compact repacks every connection list into one exactly-sized array in
+// ID order and drops the blocks they grew in, with the room each doubling
+// left behind. Bulk loaders call it once after construction. Lists are
+// full-capacity clipped, so a later Connect still works (push copies out
+// instead of clobbering a neighbor's storage).
 func (d *Design) Compact() {
-	total := 0
-	for _, n := range d.netsByID {
-		total += len(n.Conns)
+	// Every connection is on its net's list, the loads on a second one,
+	// and every instance pin on its instance's.
+	total := 2*d.conns.n - d.ports.n
+	d.nets.each(func(n *Net) { total += len(n.loads) })
+	packed := make([]*Conn, 0, total)
+	pack := func(s []*Conn) []*Conn {
+		packed = append(packed, s...)
+		return packed[len(packed)-len(s) : len(packed) : len(packed)]
 	}
-	conns := make([]*Conn, 0, total)
-	loads := make([]*Conn, 0, total)
-	for _, n := range d.netsByID {
-		c0 := len(conns)
-		conns = append(conns, n.Conns...)
-		n.Conns = conns[c0:len(conns):len(conns)]
-		l0 := len(loads)
-		loads = append(loads, n.loads...)
-		n.loads = loads[l0:len(loads):len(loads)]
-	}
+	d.nets.each(func(n *Net) { n.Conns, n.loads = pack(n.Conns), pack(n.loads) })
+	d.insts.each(func(i *Inst) { i.conns = pack(i.conns) })
+	d.spare = nil
 }
 
 // Validate checks structural sanity: every net has exactly one driver,
@@ -471,19 +523,12 @@ func (d *Design) Validate() error {
 		}
 	}
 	for _, i := range d.Insts() {
-		if len(i.Conns) == 0 {
+		if len(i.conns) == 0 {
 			errs = append(errs, fmt.Errorf("instance %q has no connections", i.Name))
 		}
-		// Iterate pins in sorted order so the problem report is
-		// byte-stable across runs.
-		pins := make([]string, 0, len(i.Conns))
-		for pin := range i.Conns {
-			pins = append(pins, pin)
-		}
-		sort.Strings(pins)
-		for _, pin := range pins {
-			if i.Conns[pin].Net == nil {
-				errs = append(errs, fmt.Errorf("pin %s.%s connected to nil net", i.Name, pin))
+		for _, c := range i.Pins() {
+			if c.Net == nil {
+				errs = append(errs, fmt.Errorf("pin %s.%s connected to nil net", i.Name, c.Pin))
 			}
 		}
 	}
@@ -508,7 +553,7 @@ func (d *Design) FanoutInsts(i *Inst) []*Inst {
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	slices.SortFunc(out, byInstName)
 	// Dedup after the sort; fanout lists are small.
 	k := 0
 	for _, inst := range out {

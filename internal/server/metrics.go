@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-
-	"repro/internal/intern"
 )
 
 // handleMetrics is GET /metrics: Prometheus text exposition (format
@@ -71,9 +69,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("snad_go_heap_alloc_bytes", "Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).", ms.HeapAlloc)
 	gauge("snad_go_heap_sys_bytes", "Bytes of heap obtained from the OS (runtime.MemStats.HeapSys).", ms.HeapSys)
 	gauge("snad_go_goroutines", "Live goroutines.", runtime.NumGoroutine())
-	syms, symBytes := intern.Stats()
-	gauge("snad_interned_symbols", "Strings interned in the global symbol table.", syms)
-	gauge("snad_interned_bytes", "Estimated bytes held by the global symbol table.", symBytes)
 
 	// Per-stage latency histograms.
 	s.histAdmission.Write(&sb)

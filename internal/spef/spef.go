@@ -23,7 +23,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -132,6 +132,9 @@ func NetOfNode(node string) string {
 type Parasitics struct {
 	Design string
 	nets   map[string]*Net
+
+	mu     sync.Mutex // guards sorted among concurrent readers
+	sorted []*Net     // what Nets returns; nil until asked for, and after AddNet
 }
 
 // NewParasitics returns an empty database.
@@ -145,24 +148,26 @@ func (p *Parasitics) AddNet(n *Net) error {
 		return fmt.Errorf("spef: duplicate net %q", n.Name)
 	}
 	p.nets[n.Name] = n
+	p.sorted = nil
 	return nil
 }
 
 // Net returns the named net's parasitics or nil.
 func (p *Parasitics) Net(name string) *Net { return p.nets[name] }
 
-// Nets returns all nets sorted by name.
+// Nets returns all nets sorted by name. The slice is sorted once and
+// shared; callers must not modify it.
 func (p *Parasitics) Nets() []*Net {
-	names := make([]string, 0, len(p.nets))
-	for n := range p.nets {
-		names = append(names, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.sorted == nil {
+		p.sorted = make([]*Net, 0, len(p.nets))
+		for _, n := range p.nets {
+			p.sorted = append(p.sorted, n)
+		}
+		slices.SortFunc(p.sorted, func(a, b *Net) int { return strings.Compare(a.Name, b.Name) })
 	}
-	sort.Strings(names)
-	out := make([]*Net, len(names))
-	for i, n := range names {
-		out[i] = p.nets[n]
-	}
-	return out
+	return p.sorted
 }
 
 // NumNets returns the number of nets with parasitics.

@@ -41,7 +41,7 @@ func (res *Result) computeRequired(opts *Options) error {
 			}
 			load := b.NetworkOf(oc.Net).TotalCap()
 			for _, arc := range cell.ArcsTo(oc.Pin) {
-				ic := inst.Conns[arc.From]
+				ic := inst.Conn(arc.From)
 				if ic == nil {
 					continue
 				}

@@ -361,7 +361,7 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 		load := res.design.NetworkOf(oc.Net).TotalCap()
 		out := emptyTiming()
 		for _, arc := range cell.ArcsTo(oc.Pin) {
-			ic := inst.Conns[arc.From]
+			ic := inst.Conn(arc.From)
 			if ic == nil {
 				return fmt.Errorf("sta: %s.%s unconnected arc input", inst.Name, arc.From)
 			}

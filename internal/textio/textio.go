@@ -1,16 +1,24 @@
-// Package textio provides the chunked line-streaming helpers shared by
-// the line-oriented loaders (SPEF, liberty): a reader that yields
-// zero-copy line views from bounded reads, and allocation-free field
-// splitting. Loaders batch line views into sections for parallel
-// parsing; the views keep their backing chunks alive, so no lifetime
-// bookkeeping is needed beyond dropping the views.
+// Package textio provides the helpers the text loaders share: a reader
+// that yields zero-copy line views from bounded reads (SPEF, liberty,
+// .net), allocation-free field splitting, and the string view of a byte
+// slice that lets a loader name things to the netlist builder without a
+// string per token. Loaders that batch line views into sections for
+// parallel parsing keep their backing chunks alive through the views, so
+// no lifetime bookkeeping is needed beyond dropping them.
 package textio
 
 import (
 	"bytes"
 	"io"
 	"unicode/utf8"
+	"unsafe"
 )
+
+// View returns b's bytes as a string without copying them. The string is
+// good only while the bytes are: hand it to code that reads it or copies
+// what it keeps (the netlist builder, a map lookup), never to code that
+// stores it, and not past the next read into b's buffer.
+func View(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // LineReader yields '\n'-terminated line views from chunked reads,
 // never materializing the whole input. The views alias chunk arrays and

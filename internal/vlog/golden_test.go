@@ -75,7 +75,7 @@ func designsEqual(t *testing.T, got, want *netlist.Design) {
 }
 
 // chainSource synthesizes a large valid module so the golden test
-// crosses several splitter batches and exercises the parallel path.
+// crosses the read window many times.
 func chainSource(n int) string {
 	var b strings.Builder
 	b.WriteString("module chain (a, y);\n  input a;\n  output y;\n")
@@ -95,6 +95,24 @@ func chainSource(n int) string {
 	return b.String()
 }
 
+// wideSource is a module whose header, input and wire statements each
+// list n names.
+func wideSource(n int) string {
+	names := func(prefix string) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "%s%d", prefix, i)
+		}
+		return b.String()
+	}
+	in := names("in")
+	return "module wide (" + in + ");\n  input " + in + ";\n  wire " + names("w") + ";\n" +
+		"  INV_X1 u0 (.A(in0), .Y(w0));\nendmodule\n"
+}
+
 func TestParseMatchesReference(t *testing.T) {
 	bus4, err := os.ReadFile("../../testdata/bus4.v")
 	if err != nil {
@@ -105,6 +123,9 @@ func TestParseMatchesReference(t *testing.T) {
 		"bus4":    string(bus4),
 		"escaped": "module m (\\a$1 );\n  input \\a$1 ;\nendmodule\n",
 		"chain":   chainSource(3000),
+		// The batch_wide shape: single statements of 30 000 names, each
+		// several read windows long.
+		"wide": wideSource(30000),
 	}
 	lib := liberty.Generic()
 	for name, src := range srcs {
@@ -148,6 +169,14 @@ func TestParseErrorsMatchReference(t *testing.T) {
 		"module t (a);\n  input a;\n  /* no end",
 		"module t (a)\n",
 		"module\n",
+		// The error is where the parser stopped, not where a ';' fell.
+		"module;\n00",
+		"module;000",
+		// A syntax error later in a declaration comes before its
+		// duplicate; a lexical error anywhere comes before both.
+		"module t (a);\n  input a, a, (;\nendmodule\n",
+		"module t (a);\n  input a, a;\nendmodule /",
+		"module t ();\nendmodule\n/* open",
 	}
 	lib := liberty.Generic()
 	for i, src := range cases {

@@ -15,669 +15,438 @@
 // (behavioral code, buses/vectors, parameters, assigns, multiple modules)
 // is rejected with a positioned error rather than misread.
 //
-// The reader is streaming and parallel: a cheap byte-level scan splits
-// the input into ';'-terminated statements (comment- and
-// escaped-identifier-aware, so a ';' inside either never splits), a
-// worker pool lexes and parses statement batches into records feeding
-// the string interner, and the records are applied to the design
-// serially in statement order — so the resulting design, including
-// creation-order IDs, is identical to a sequential parse. The input is
-// never materialized as one []byte and identifiers are interned rather
-// than allocated per token.
+// The reader is one streaming pass: a scanner turns a bounded read window
+// into tokens (views of the window, never copied) and the parser hands
+// each name straight to the netlist builder, which hashes it once and
+// copies it if it is new. Nothing is kept per token or per statement, so
+// a 30 000-name port list costs what its names cost.
 package vlog
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 
-	"repro/internal/intern"
 	"repro/internal/liberty"
 	"repro/internal/netlist"
+	"repro/internal/textio"
 )
 
 // Parse reads one structural module against the given library.
 func Parse(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
-	sp := newSplitter(r)
-	workers := runtime.GOMAXPROCS(0)
-	const batchSize = 1024
+	p := &parser{lib: lib, sc: scanner{r: r, buf: make([]byte, 64<<10), line: 1, tokLine: 1}}
+	err := p.module()
+	// Verilog is tokenized before it is parsed: a lexical error anywhere
+	// in the input, after endmodule too, comes before any parse error.
+	for p.sc.next() != nil {
+	}
+	if p.sc.err != nil {
+		return nil, p.sc.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.d.Compact()
+	return p.d, nil
+}
 
-	var (
-		d           *netlist.Design
-		headerPorts []intern.Sym
-		declared    = map[intern.Sym]bool{}
-		lastTok     = 0 // line of the last token seen anywhere
-		segIndex    = 0 // global statement segment counter
-		segs        []segment
-		parsed      [][]stmtRec
-		lastLines   []int
-	)
+// --- scanning ----------------------------------------------------------
+
+// scanner yields the tokens of the input: identifiers, the single
+// characters "(),;.", and escaped names with the backslash stripped.
+// Comments and white space are skipped.
+type scanner struct {
+	r       io.Reader
+	buf     []byte // the read window; buf[pos:n] is unread
+	pos, n  int
+	line    int // line of buf[pos]
+	tokLine int // line of the last token returned, 1 before the first
+	eof     bool
+	err     error // the first lexical or read error; no token follows it
+}
+
+// Byte classes. A byte of 0x80 and up starts a rune that may be a Unicode
+// space and is decoded; every other byte decides by itself.
+const (
+	cIdent = iota
+	cSpace
+	cNewline
+	cPunct
+	cSlash
+	cEscape
+	cRune
+)
+
+var class = func() (t [256]uint8) {
+	for _, c := range " \t\r\v\f" {
+		t[c] = cSpace
+	}
+	for _, c := range "(),;." {
+		t[c] = cPunct
+	}
+	t['\n'], t['/'], t['\\'] = cNewline, cSlash, cEscape
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = cRune
+	}
+	return t
+}()
+
+// fill reads more input behind the unread bytes, which it first moves to
+// the front of the window: views of earlier tokens die here, and so does
+// any slice of the window a caller holds. A window that one token fills
+// is doubled. It reports whether bytes arrived.
+func (s *scanner) fill() bool {
+	if s.eof || s.err != nil {
+		return false
+	}
+	if s.pos > 0 {
+		s.n = copy(s.buf, s.buf[s.pos:s.n])
+		s.pos = 0
+	} else if s.n == len(s.buf) {
+		s.buf = append(s.buf, make([]byte, len(s.buf))...)
+	}
 	for {
-		var err error
-		segs, err = sp.nextBatch(segs[:0], batchSize)
-		if err != nil {
-			return nil, err
-		}
-		if len(segs) == 0 {
-			break
-		}
-		if cap(parsed) < len(segs) {
-			parsed = make([][]stmtRec, len(segs))
-			lastLines = make([]int, len(segs))
-		}
-		parsed = parsed[:len(segs)]
-		lastLines = lastLines[:len(segs)]
-		first := segIndex == 0
-		parseBatch(segs, first, lib, workers, parsed, lastLines)
-		segIndex += len(segs)
-
-		for i := range parsed {
-			if lastLines[i] > 0 {
-				lastTok = lastLines[i]
-			}
-			for _, rec := range parsed[i] {
-				switch rec.kind {
-				case kErr:
-					return nil, rec.err
-				case kHeader:
-					d = netlist.New(rec.name.String())
-					headerPorts = rec.names
-				case kDecl:
-					for _, nm := range rec.names {
-						if _, err := d.AddPortSym(nm, rec.dir); err != nil {
-							return nil, fmt.Errorf("vlog: line %d: %w", rec.line, err)
-						}
-						declared[nm] = true
-					}
-				case kWire:
-					for _, nm := range rec.names {
-						d.NetSym(nm)
-					}
-				case kInst:
-					if _, err := d.AddInstSym(rec.name, rec.cell); err != nil {
-						return nil, fmt.Errorf("vlog: line %d: %w", rec.line, err)
-					}
-					for _, c := range rec.conns {
-						if err := d.ConnectSym(rec.name, c.pinSym, c.netSym, c.dir); err != nil {
-							return nil, fmt.Errorf("vlog: line %d: %w", c.line, err)
-						}
-					}
-				case kEnd:
-					for _, hp := range headerPorts {
-						if !declared[hp] {
-							return nil, fmt.Errorf("vlog: line %d: port %q in header but never declared", rec.line, hp.String())
-						}
-					}
-					d.Compact()
-					return d, nil
-				}
-			}
-		}
-	}
-	if lastTok == 0 {
-		// No tokens at all: same report as asking for "module" at EOF.
-		return nil, fmt.Errorf("vlog: line 1: unexpected end of input")
-	}
-	return nil, fmt.Errorf("vlog: line %d: missing endmodule", lastTok)
-}
-
-// parseBatch parses each segment of a batch into statement records,
-// fanning out across workers when there is enough work to matter.
-func parseBatch(segs []segment, first bool, lib *liberty.Library, workers int, out [][]stmtRec, lastLines []int) {
-	if workers <= 1 || len(segs) < 4 {
-		var lx lexer
-		for i := range segs {
-			out[i], lastLines[i] = parseSegment(&lx, segs[i], first && i == 0, lib)
-		}
-		return
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var lx lexer
-			for i := w; i < len(segs); i += workers {
-				out[i], lastLines[i] = parseSegment(&lx, segs[i], first && i == 0, lib)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// --- statement records -------------------------------------------------
-
-type stmtKind int
-
-const (
-	kErr stmtKind = iota
-	kHeader
-	kDecl
-	kWire
-	kInst
-	kEnd
-)
-
-type connRec struct {
-	pinSym intern.Sym
-	netSym intern.Sym
-	dir    netlist.Dir
-	line   int // net token line, for Connect error positions
-}
-
-type stmtRec struct {
-	kind  stmtKind
-	err   error        // kErr only
-	line  int          // keyword/name/endmodule line for apply-time errors
-	name  intern.Sym   // design name (kHeader) or instance name (kInst)
-	cell  intern.Sym   // canonical cell name (kInst)
-	dir   netlist.Dir  // kDecl
-	names []intern.Sym // header ports (kHeader) or declared names (kDecl/kWire)
-	conns []connRec    // kInst
-}
-
-// --- input splitting ---------------------------------------------------
-
-// segment is one ';'-terminated statement (or the trailing input after
-// the last ';'), with the line number of its first byte.
-type segment struct {
-	data []byte
-	line int
-}
-
-const (
-	stCode = iota
-	stLineComment
-	stBlockComment
-	stEsc
-)
-
-// splitter finds statement boundaries with a byte-level state machine:
-// a ';' splits only in code state, never inside //, /* */ or an escaped
-// identifier. It validates comment structure as it goes, so segments
-// handed to the parsing workers always contain complete comments.
-type splitter struct {
-	r     io.Reader
-	buf   []byte
-	start int // offset of the current segment's first byte
-	pos   int // scan cursor
-	n     int // valid bytes in buf
-	line  int // line number at pos
-	segLn int // line number at start
-	state int
-	star  bool // in a block comment, previous byte was '*'
-	eof   bool
-	done  bool
-}
-
-func newSplitter(r io.Reader) *splitter {
-	return &splitter{r: r, buf: make([]byte, 256*1024), line: 1, segLn: 1}
-}
-
-// fill compacts the unscanned tail to the front of the buffer and reads
-// more input. Segment views handed out earlier become invalid, so the
-// caller only refills between batches.
-func (s *splitter) fill() error {
-	if s.start > 0 {
-		copy(s.buf, s.buf[s.start:s.n])
-		s.n -= s.start
-		s.pos -= s.start
-		s.start = 0
-	}
-	if s.n == len(s.buf) {
-		// One statement larger than the window: grow it.
-		nb := make([]byte, 2*len(s.buf))
-		copy(nb, s.buf[:s.n])
-		s.buf = nb
-	}
-	for !s.eof && s.n < len(s.buf) {
 		m, err := s.r.Read(s.buf[s.n:])
 		s.n += m
 		if err == io.EOF {
 			s.eof = true
 		} else if err != nil {
-			return fmt.Errorf("vlog: %w", err)
+			s.err = fmt.Errorf("vlog: %w", err)
+			return false
 		}
-		if m > 0 {
-			break
+		if m > 0 || s.eof {
+			return m > 0
+		}
+	}
+}
+
+// runeAt decodes the rune i bytes past the cursor, reading more input if
+// the window ends before or inside it. The size is 0 at end of input and
+// after a read error.
+func (s *scanner) runeAt(i int) (rune, int) {
+	for {
+		w := s.buf[s.pos+i : s.n]
+		if len(w) > 0 && (w[0] < utf8.RuneSelf || utf8.FullRune(w) || s.eof) {
+			return utf8.DecodeRune(w)
+		}
+		if !s.fill() && (s.err != nil || s.pos+i == s.n) {
+			return 0, 0
+		}
+	}
+}
+
+// next returns the next token, a view of the window that is good until
+// the following call, or nil at end of input and after an error.
+func (s *scanner) next() []byte {
+	for s.err == nil && (s.pos < s.n || s.fill()) {
+		var tok []byte
+		switch class[s.buf[s.pos]] {
+		case cNewline:
+			s.line++
+			s.pos++
+		case cSpace:
+			s.pos++
+		case cPunct:
+			s.pos++
+			tok = s.buf[s.pos-1 : s.pos]
+		case cSlash:
+			s.comment()
+		case cEscape:
+			tok = s.escaped()
+		default:
+			tok = s.ident()
+		}
+		if tok != nil {
+			s.tokLine = s.line
+			return tok
 		}
 	}
 	return nil
 }
 
-// nextBatch returns up to max segments. The views are valid until the
-// next nextBatch call. An empty batch means end of input.
-func (s *splitter) nextBatch(dst []segment, max int) ([]segment, error) {
-	if s.done {
-		return dst, nil
-	}
-	for len(dst) < max {
-		if s.pos >= s.n {
-			if s.eof {
-				if s.state == stBlockComment {
-					return dst, fmt.Errorf("vlog: line %d: unterminated block comment", s.line)
-				}
-				if s.start < s.n {
-					dst = append(dst, segment{data: s.buf[s.start:s.n], line: s.segLn})
-					s.start = s.n
-				}
-				s.done = true
-				return dst, nil
+// comment skips the comment at the cursor. A '/' that opens none and a
+// block comment that never closes are errors.
+func (s *scanner) comment() {
+	switch c, _ := s.runeAt(1); {
+	case s.err != nil:
+	case c == '/':
+		for {
+			if k := bytes.IndexByte(s.buf[s.pos:s.n], '\n'); k >= 0 {
+				s.pos += k // the newline itself is next's to count
+				return
 			}
-			if len(dst) > 0 {
-				// Drain what we have before compacting the buffer, so
-				// the returned views stay valid.
-				return dst, nil
+			if s.pos = s.n; !s.fill() {
+				return
 			}
-			if err := s.fill(); err != nil {
-				return dst, err
-			}
-			continue
 		}
-		c := s.buf[s.pos]
-		switch s.state {
-		case stCode:
-			switch c {
-			case '\n':
-				s.line++
-			case ';':
-				dst = append(dst, segment{data: s.buf[s.start : s.pos+1], line: s.segLn})
-				s.start = s.pos + 1
-				s.segLn = s.line
-			case '/':
-				if s.pos+1 >= s.n && !s.eof {
-					if len(dst) > 0 {
-						return dst, nil // drain, then refill for lookahead
-					}
-					if err := s.fill(); err != nil {
-						return dst, err
-					}
-					continue // re-examine with lookahead available
-				}
-				if s.pos+1 >= s.n {
-					return dst, fmt.Errorf("vlog: line %d: stray '/'", s.line)
-				}
-				switch s.buf[s.pos+1] {
-				case '/':
-					s.state = stLineComment
-					s.pos++
-				case '*':
-					s.state = stBlockComment
-					s.star = false
-					s.pos++
-				default:
-					return dst, fmt.Errorf("vlog: line %d: stray '/'", s.line)
-				}
-			case '\\':
-				s.state = stEsc
-			}
-		case stLineComment:
-			if c == '\n' {
-				s.line++
-				s.state = stCode
-			}
-		case stBlockComment:
-			if c == '\n' {
-				s.line++
-			}
-			if s.star && c == '/' {
-				s.state = stCode
-			}
-			s.star = c == '*'
-		case stEsc:
-			// Escaped identifiers run to whitespace; the splitter only
-			// needs ASCII spacing to find real ';' boundaries.
-			if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f' {
+	case c == '*':
+		s.pos += 2
+		for star := false; ; {
+			for s.pos < s.n {
+				c := s.buf[s.pos]
+				s.pos++
 				if c == '\n' {
 					s.line++
+				} else if c == '/' && star {
+					return
 				}
-				s.state = stCode
+				star = c == '*'
+			}
+			if !s.fill() {
+				if s.err == nil {
+					s.err = fmt.Errorf("vlog: line %d: unterminated block comment", s.line)
+				}
+				return
 			}
 		}
-		s.pos++
+	default:
+		s.err = fmt.Errorf("vlog: line %d: stray '/'", s.line)
 	}
-	return dst, nil
 }
 
-// --- lexing ------------------------------------------------------------
-
-type tokView struct {
-	text []byte
-	line int
-}
-
-// lexer carries reusable token scratch across segments of one worker.
-type lexer struct {
-	toks []tokView
-}
-
-func isPunct(c byte) bool {
-	return c == '(' || c == ')' || c == ',' || c == ';' || c == '.'
-}
-
-// lex tokenizes one segment: identifiers, single-char punctuation
-// "(),;.", escaped names with the backslash stripped, comments skipped.
-// Token views alias the segment bytes.
-func (lx *lexer) lex(data []byte, line int) []tokView {
-	dst := lx.toks[:0]
-	i, n := 0, len(data)
-	for i < n {
-		c := data[i]
-		switch {
-		case c == '\n':
-			line++
+// ident returns the identifier at the cursor: everything up to white
+// space, punctuation, '/' or '\\'. A non-ASCII space rune is no
+// identifier: ident skips it and returns nil.
+func (s *scanner) ident() []byte {
+	for i := 0; ; {
+		w := s.buf[s.pos:s.n]
+		for i < len(w) && class[w[i]] == cIdent {
 			i++
-		case c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f':
-			i++
-		case c == '/':
-			// Comment structure was validated by the splitter.
-			if i+1 < n && data[i+1] == '/' {
-				i += 2
-				for i < n && data[i] != '\n' {
-					i++
-				}
-			} else if i+1 < n && data[i+1] == '*' {
-				i += 2
-				star := false
-				for i < n {
-					ch := data[i]
-					if ch == '\n' {
-						line++
-					}
-					i++
-					if star && ch == '/' {
-						break
-					}
-					star = ch == '*'
-				}
-			} else {
-				i++
-			}
-		case isPunct(c):
-			dst = append(dst, tokView{text: data[i : i+1], line: line})
-			i++
-		case c == '\\':
-			// Escaped identifier: runs to whitespace, backslash stripped;
-			// the terminating space is consumed. Empty names vanish. Like
-			// the original rune tokenizer, a newline terminator bumps the
-			// line counter before the token is recorded.
-			i++
-			st := i
-			end := -1
-			for i < n {
-				r, sz := rune(data[i]), 1
-				if data[i] >= utf8.RuneSelf {
-					r, sz = utf8.DecodeRune(data[i:])
-				}
-				if unicode.IsSpace(r) {
-					end = i
-					if r == '\n' {
-						line++
-					}
-					i += sz
-					break
-				}
-				i += sz
-			}
-			if end < 0 {
-				end = i
-			}
-			if end > st {
-				dst = append(dst, tokView{text: data[st:end], line: line})
-			}
-		default:
-			st := i
-			for i < n {
-				ch := data[i]
-				if ch == '/' || ch == '\\' || isPunct(ch) {
-					break
-				}
-				if ch < utf8.RuneSelf {
-					if ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r' || ch == '\v' || ch == '\f' {
-						break
-					}
-					i++
-					continue
-				}
-				r, sz := utf8.DecodeRune(data[i:])
-				if unicode.IsSpace(r) {
-					break
-				}
-				i += sz
-			}
-			if i > st {
-				dst = append(dst, tokView{text: data[st:i], line: line})
-			} else {
-				// A lone non-ASCII whitespace rune: skip it.
-				_, sz := utf8.DecodeRune(data[i:])
-				i += sz
+		}
+		size := 0
+		if i == len(w) || class[w[i]] == cRune { // else an ASCII byte ends the name
+			var r rune
+			r, size = s.runeAt(i)
+			if size > 0 && (r < utf8.RuneSelf && class[r] == cIdent || r >= utf8.RuneSelf && !unicode.IsSpace(r)) {
+				i += size
+				continue
 			}
 		}
+		if i == 0 {
+			s.pos += size
+			return nil
+		}
+		s.pos += i
+		return s.buf[s.pos-i : s.pos]
 	}
-	lx.toks = dst
-	return dst
 }
 
-// --- segment parsing ---------------------------------------------------
-
-type segParser struct {
-	toks []tokView
-	pos  int
-	lib  *liberty.Library
-}
-
-func (p *segParser) lastLine() int {
-	if len(p.toks) == 0 {
-		return 1
+// escaped returns the escaped identifier at the cursor: the runes after
+// the backslash up to white space, which it consumes. An empty one is no
+// token. A newline that ends the name is counted before the token's line
+// is taken, as the reference tokenizer does.
+func (s *scanner) escaped() []byte {
+	for i := 1; ; {
+		r, size := s.runeAt(i)
+		if size > 0 && !unicode.IsSpace(r) {
+			i += size
+			continue
+		}
+		if size > 0 && r == '\n' {
+			s.line++
+		}
+		name := s.buf[s.pos+1 : s.pos+i]
+		s.pos += i + size
+		if len(name) == 0 {
+			return nil
+		}
+		return name
 	}
-	return p.toks[len(p.toks)-1].line
 }
 
-func (p *segParser) next() (tokView, error) {
-	if p.pos >= len(p.toks) {
-		return tokView{}, fmt.Errorf("vlog: line %d: unexpected end of input", p.lastLine())
+// --- parsing -----------------------------------------------------------
+
+type parser struct {
+	sc  scanner
+	lib *liberty.Library
+	d   *netlist.Design
+
+	// net is the net name of the connection being read, copied because
+	// the ")" after it is read before the connection is made.
+	net []byte
+	// cell and pins are the previous instance's cell and the pins its
+	// connections named, in order: netlists repeat one cell, pins in one
+	// order, for lines on end, and a match skips the library's maps.
+	cell *liberty.Cell
+	pins []*liberty.Pin
+}
+
+func errorf(line int, format string, args ...any) error {
+	return fmt.Errorf("vlog: line %d: "+format, append([]any{line}, args...)...)
+}
+
+func (p *parser) next() ([]byte, error) {
+	if t := p.sc.next(); t != nil {
+		return t, nil
 	}
-	t := p.toks[p.pos]
-	p.pos++
-	return t, nil
+	return nil, errorf(p.sc.tokLine, "unexpected end of input")
 }
 
-func (p *segParser) expect(text string) error {
+func (p *parser) expect(text string) error {
 	t, err := p.next()
-	if err != nil {
-		return err
+	if err == nil && string(t) != text {
+		err = errorf(p.sc.tokLine, "expected %q, found %q", text, t)
 	}
-	if string(t.text) != text {
-		return fmt.Errorf("vlog: line %d: expected %q, found %q", t.line, text, t.text)
-	}
-	return nil
+	return err
 }
 
-func tokIs(t tokView, s string) bool { return string(t.text) == s }
-
-// parseSegment lexes one segment and parses its statements into
-// records. It returns the records and the line of the segment's last
-// token (0 when the segment has none).
-func parseSegment(lx *lexer, seg segment, first bool, lib *liberty.Library) ([]stmtRec, int) {
-	toks := lx.lex(seg.data, seg.line)
-	if len(toks) == 0 {
-		return nil, 0
-	}
-	p := &segParser{toks: toks, lib: lib}
-	var recs []stmtRec
-	if first {
-		rec := p.header()
-		recs = append(recs, rec)
-		if rec.kind == kErr {
-			return recs, p.lastLine()
-		}
-	}
-	for p.pos < len(p.toks) {
-		rec := p.statement()
-		recs = append(recs, rec)
-		if rec.kind == kErr || rec.kind == kEnd {
-			break
-		}
-	}
-	return recs, p.lastLine()
-}
-
-func errRec(err error) stmtRec { return stmtRec{kind: kErr, err: err} }
-
-// header consumes "module NAME ( ports ) ;".
-func (p *segParser) header() stmtRec {
+// module consumes "module NAME ( ports ) ; statements endmodule".
+func (p *parser) module() error {
 	if err := p.expect("module"); err != nil {
-		return errRec(err)
+		return err
 	}
 	name, err := p.next()
 	if err != nil {
-		return errRec(err)
+		return err
 	}
-	rec := stmtRec{kind: kHeader, name: intern.InternBytes(name.text)}
+	p.d = netlist.New(string(name))
 	if err := p.expect("("); err != nil {
-		return errRec(err)
+		return err
 	}
+	// The header's port names, each must have been declared by the time
+	// endmodule is read. A space ends each: no token contains one.
+	var header []byte
 	for {
 		t, err := p.next()
 		if err != nil {
-			return errRec(err)
+			return err
 		}
-		if tokIs(t, ")") {
+		if string(t) == ")" {
 			break
 		}
-		if tokIs(t, ",") {
-			continue
+		if string(t) != "," {
+			header = append(append(header, t...), ' ')
 		}
-		rec.names = append(rec.names, intern.InternBytes(t.text))
 	}
 	if err := p.expect(";"); err != nil {
-		return errRec(err)
+		return err
 	}
-	return rec
-}
-
-func (p *segParser) statement() stmtRec {
-	t := p.toks[p.pos]
-	switch {
-	case tokIs(t, "endmodule"):
-		p.pos++
-		return stmtRec{kind: kEnd, line: t.line}
-	case tokIs(t, "input"), tokIs(t, "output"):
-		p.pos++
-		names, err := p.nameList()
-		if err != nil {
-			return errRec(err)
-		}
-		dir := netlist.In
-		if tokIs(t, "output") {
-			dir = netlist.Out
-		}
-		return stmtRec{kind: kDecl, line: t.line, dir: dir, names: names}
-	case tokIs(t, "wire"):
-		p.pos++
-		names, err := p.nameList()
-		if err != nil {
-			return errRec(err)
-		}
-		return stmtRec{kind: kWire, line: t.line, names: names}
-	default:
-		return p.instance()
-	}
-}
-
-// nameList consumes "a, b, c ;".
-func (p *segParser) nameList() ([]intern.Sym, error) {
-	var out []intern.Sym
 	for {
-		t, err := p.next()
-		if err != nil {
-			return nil, err
+		t := p.sc.next()
+		if t == nil {
+			return errorf(p.sc.tokLine, "missing endmodule")
 		}
-		switch {
-		case tokIs(t, ";"):
-			return out, nil
-		case tokIs(t, ","):
-		case tokIs(t, "("), tokIs(t, ")"), tokIs(t, "."):
-			return nil, fmt.Errorf("vlog: line %d: unexpected %q in declaration", t.line, t.text)
+		switch string(t) {
+		case "endmodule":
+			for len(header) > 0 {
+				end := bytes.IndexByte(header, ' ')
+				if p.d.FindPort(textio.View(header[:end])) == nil {
+					return errorf(p.sc.tokLine, "port %q in header but never declared", header[:end])
+				}
+				header = header[end+1:]
+			}
+			return nil
+		case "input":
+			err = p.names(func(name string) error { _, err := p.d.AddPort(name, netlist.In); return err })
+		case "output":
+			err = p.names(func(name string) error { _, err := p.d.AddPort(name, netlist.Out); return err })
+		case "wire":
+			err = p.names(func(name string) error { p.d.Net(name); return nil })
 		default:
-			out = append(out, intern.InternBytes(t.text))
+			err = p.instance(t)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// instance consumes "CELL name ( .PIN(net), ... ) ;".
-func (p *segParser) instance() stmtRec {
-	cellTok, err := p.next()
-	if err != nil {
-		return errRec(err)
-	}
-	cellSym := intern.InternBytes(cellTok.text)
-	cellName := cellSym.String()
-	cell := p.lib.Cell(cellName)
-	if cell == nil {
-		return errRec(fmt.Errorf("vlog: line %d: unknown cell %q (behavioral Verilog is not supported)", cellTok.line, cellName))
-	}
-	nameTok, err := p.next()
-	if err != nil {
-		return errRec(err)
-	}
-	rec := stmtRec{kind: kInst, line: nameTok.line, name: intern.InternBytes(nameTok.text), cell: cellSym}
-	if err := p.expect("("); err != nil {
-		return errRec(err)
-	}
+// names consumes "a, b, c ;" and declares each name. The whole list is
+// read before a failed declaration is reported, so a syntax error later
+// in the statement comes first.
+func (p *parser) names(declare func(name string) error) error {
+	line := p.sc.tokLine
+	var failed error
 	for {
 		t, err := p.next()
 		if err != nil {
-			return errRec(err)
+			return err
 		}
-		if tokIs(t, ")") {
+		switch string(t) {
+		case ";":
+			return failed
+		case ",":
+		case "(", ")", ".":
+			return errorf(p.sc.tokLine, "unexpected %q in declaration", t)
+		default:
+			if failed == nil {
+				if err := declare(textio.View(t)); err != nil {
+					failed = errorf(line, "%w", err)
+				}
+			}
+		}
+	}
+}
+
+// instance consumes "CELL name ( .PIN(net), ... ) ;" after its first token.
+func (p *parser) instance(cellTok []byte) error {
+	if p.cell == nil || p.cell.Name != string(cellTok) {
+		p.cell, p.pins = p.lib.Cell(textio.View(cellTok)), p.pins[:0]
+		if p.cell == nil {
+			return errorf(p.sc.tokLine, "unknown cell %q (behavioral Verilog is not supported)", cellTok)
+		}
+	}
+	name, err := p.next()
+	if err != nil {
+		return err
+	}
+	inst, err := p.d.AddInst(textio.View(name), p.cell.Name)
+	if err != nil {
+		return errorf(p.sc.tokLine, "%w", err)
+	}
+	if err := p.expect("("); err != nil {
+		return err
+	}
+	for k := 0; ; {
+		t, err := p.next()
+		if err != nil {
+			return err
+		}
+		if string(t) == ")" {
 			break
 		}
-		if tokIs(t, ",") {
+		if string(t) == "," {
 			continue
 		}
-		if !tokIs(t, ".") {
-			return errRec(fmt.Errorf("vlog: line %d: positional connections are not supported (found %q)", t.line, t.text))
+		if string(t) != "." {
+			return errorf(p.sc.tokLine, "positional connections are not supported (found %q)", t)
 		}
-		pinTok, err := p.next()
-		if err != nil {
-			return errRec(err)
+		if t, err = p.next(); err != nil {
+			return err
 		}
-		pinSym := intern.InternBytes(pinTok.text)
-		pin := cell.Pin(pinSym.String())
-		if pin == nil {
-			return errRec(fmt.Errorf("vlog: line %d: cell %s has no pin %q", pinTok.line, cell.Name, pinSym.String()))
+		if k == len(p.pins) || p.pins[k].Name != string(t) {
+			pin := p.cell.Pin(textio.View(t))
+			if pin == nil {
+				return errorf(p.sc.tokLine, "cell %s has no pin %q", p.cell.Name, t)
+			}
+			p.pins = append(p.pins[:k], pin)
 		}
+		pin := p.pins[k]
+		k++
 		if err := p.expect("("); err != nil {
-			return errRec(err)
+			return err
 		}
-		netTok, err := p.next()
-		if err != nil {
-			return errRec(err)
+		if t, err = p.next(); err != nil {
+			return err
 		}
+		p.net = append(p.net[:0], t...)
+		line := p.sc.tokLine
 		if err := p.expect(")"); err != nil {
-			return errRec(err)
+			return err
 		}
 		dir := netlist.In
 		if pin.Dir == liberty.Output {
 			dir = netlist.Out
 		}
-		rec.conns = append(rec.conns, connRec{
-			pinSym: pinSym, netSym: intern.InternBytes(netTok.text), dir: dir, line: netTok.line,
-		})
+		if err := p.d.ConnectPin(inst, pin.Name, textio.View(p.net), dir); err != nil {
+			return errorf(line, "%w", err)
+		}
 	}
-	if err := p.expect(";"); err != nil {
-		return errRec(err)
-	}
-	return rec
+	return p.expect(";")
 }
 
 // Write renders the design as one structural module.

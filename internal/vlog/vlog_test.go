@@ -1,8 +1,11 @@
 package vlog
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/liberty"
 	"repro/internal/netlist"
@@ -125,5 +128,31 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("nondeterministic output")
+	}
+}
+
+// TestTokenLongerThanWindow: a name the read window cannot hold grows the
+// window, plain or escaped, whatever the read size.
+func TestTokenLongerThanWindow(t *testing.T) {
+	long := strings.Repeat("x", 200<<10)
+	src := "module m (" + long + ", \\" + long + "y );\n input " + long + ";\n input \\" + long + "y ;\nendmodule\n"
+	for _, r := range []io.Reader{strings.NewReader(src), iotest.HalfReader(strings.NewReader(src))} {
+		d, err := Parse(r, liberty.Generic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.FindPort(long) == nil || d.FindPort(long+"y") == nil || d.NumPorts() != 2 {
+			t.Fatalf("%d ports, the long names are not among them", d.NumPorts())
+		}
+	}
+}
+
+// TestReadError: a failing reader is reported as such, ahead of whatever
+// parse error the truncated input would have been.
+func TestReadError(t *testing.T) {
+	r := io.MultiReader(strings.NewReader("module m (a);\n input a"), iotest.ErrReader(io.ErrUnexpectedEOF))
+	_, err := Parse(r, liberty.Generic())
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "vlog: ") {
+		t.Fatalf("err = %v, want the reader's error", err)
 	}
 }

@@ -11,7 +11,6 @@
 //	             [-max-concurrent N] [-queue N] [-max-timeout 30s]
 //	             [-drain-budget 10s] [-breaker-trips 3]
 //	             [-breaker-cooldown 10s] [-data-dir DIR]
-//	             [-compact-every 64]
 //	             [-workers url1,url2,...] [-shards N]
 //	             [-job-workers 2] [-job-queue 16] [-job-max-attempts 3]
 //	             [-job-deadline 5m]
@@ -155,7 +154,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		cooldown     = fs.Duration("breaker-cooldown", 0, "breaker cooldown before going half-open (default 10s)")
 		quiet        = fs.Bool("quiet", false, "suppress operational logging")
 		dataDir      = fs.String("data-dir", "", "durable session directory; empty runs memory-only")
-		compactEvery = fs.Int("compact-every", 0, "journal records between compactions (default 64)")
 		storeFaults  = fs.String("store-inject-fault", "", "inject store write-path faults, e.g. torn:append:2 (chaos testing)")
 		workerURLs   = fs.String("workers", "", "comma-separated snad worker base URLs to coordinate over")
 		shards       = fs.Int("shards", 0, "default shard count for distributed iterate (0 = one per worker)")
@@ -192,7 +190,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		BreakerCooldown:   *cooldown,
 		Logf:              logf,
 		DataDir:           *dataDir,
-		CompactEvery:      *compactEvery,
 		StoreFaultSpec:    *storeFaults,
 		Shards:            *shards,
 		JobWorkers:        *jobWorkers,

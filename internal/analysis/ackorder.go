@@ -11,10 +11,16 @@ import (
 // PR 5 built the session store around: once a client sees a 2xx, the
 // mutation it acknowledges must already be in the fsynced journal, or a
 // crash re-orders history out from under an acknowledged request. In
-// internal/server, any function that both mutates durable store state
-// (Store.Create / Store.Delete / Store.Padding) and acknowledges success
+// internal/server, any function that both mutates durable state — the
+// session store (Store.Create / Store.Delete / Store.Padding) or the job
+// journal (Manager.Submit / Manager.Cancel) — and acknowledges success
 // (writeJSON with a 2xx status, or WriteHeader(2xx)) must order every
 // acknowledgement after the first mutation, in source order.
+//
+// The mutators are matched on the journal owners' own methods, so the
+// handlers must call them directly: a wrapper method between a handler
+// and the store hides the mutation and the handler goes unchecked.
+// TestAckOrderSeesTheRealHandlers fails when that happens.
 //
 // Source order is a deliberate approximation of dominance: the handlers
 // are written straight-line (mutate, check error, acknowledge), so a 2xx
@@ -24,37 +30,21 @@ import (
 // ignored; the analyzer only reasons about statuses it can prove are 2xx.
 var AckOrder = &Analyzer{
 	Name: "ackorder",
-	Doc: "in internal/server, 2xx acknowledgements must follow the store's " +
-		"journal-append (journal-before-acknowledge)",
+	Doc: "in internal/server, 2xx acknowledgements must follow the session " +
+		"store's or job manager's journal-append (journal-before-acknowledge)",
 	Run: runAckOrder,
 }
 
-// storeMutators are the Store methods that append to the journal.
-var storeMutators = map[string]bool{"Create": true, "Delete": true, "Padding": true}
+// journalMutators are the methods that append to a journal before
+// returning, by the name of the type that owns the journal: the session
+// store (any type named *Store) and the job manager.
+var journalMutators = map[string]map[string]bool{
+	"Store":   {"Create": true, "Delete": true, "Padding": true},
+	"Manager": {"Submit": true, "Cancel": true},
+}
 
 func runAckOrder(pass *Pass) error {
-	if !pkgMatches(pass.Pkg.Path(), "ackorder", "internal/server") {
-		return nil
-	}
-	funcDecls(pass, func(fd *ast.FuncDecl) {
-		var mutates []*ast.CallExpr
-		var acks []*ast.CallExpr
-		ast.Inspect(fd.Body, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch {
-			case isStoreMutation(pass, call):
-				mutates = append(mutates, call)
-			case isSuccessAck(pass, call):
-				acks = append(acks, call)
-			}
-			return true
-		})
-		if len(mutates) == 0 {
-			return
-		}
+	ackOrderPairs(pass, func(fd *ast.FuncDecl, mutates, acks []*ast.CallExpr) {
 		first := mutates[0].Pos()
 		for _, m := range mutates[1:] {
 			if m.Pos() < first {
@@ -72,13 +62,40 @@ func runAckOrder(pass *Pass) error {
 	return nil
 }
 
-// isStoreMutation reports whether call is a journal-appending method on a
-// value of the durable store type (named type whose name is or ends in
-// "Store").
-func isStoreMutation(pass *Pass, call *ast.CallExpr) bool {
-	if !storeMutators[calleeName(call)] {
-		return false
+// ackOrderPairs calls fn for every function in scope that mutates a
+// journal, with its mutation calls and its 2xx acknowledgements (possibly
+// none).
+func ackOrderPairs(pass *Pass, fn func(fd *ast.FuncDecl, mutates, acks []*ast.CallExpr)) {
+	if !pkgMatches(pass.Pkg.Path(), "ackorder", "internal/server") {
+		return
 	}
+	funcDecls(pass, func(fd *ast.FuncDecl) {
+		var mutates []*ast.CallExpr
+		var acks []*ast.CallExpr
+		ast.Inspect(fd.Body, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			switch {
+			case isJournalMutation(pass, call):
+				mutates = append(mutates, call)
+			case isSuccessAck(pass, call):
+				acks = append(acks, call)
+			}
+			return true
+		})
+		if len(mutates) > 0 {
+			fn(fd, mutates, acks)
+		}
+	})
+}
+
+// isJournalMutation reports whether call is a journal-appending method
+// on a value of a journal-owning type: Create/Delete/Padding on a named
+// type whose name is or ends in "Store", Submit/Cancel on one named
+// "Manager".
+func isJournalMutation(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
@@ -102,8 +119,11 @@ func isStoreMutation(pass *Pass, call *ast.CallExpr) bool {
 			return false
 		}
 	}
-	name := named.Obj().Name()
-	return name == "Store" || strings.HasSuffix(name, "Store")
+	owner := named.Obj().Name()
+	if strings.HasSuffix(owner, "Store") {
+		owner = "Store"
+	}
+	return journalMutators[owner][calleeName(call)]
 }
 
 // isSuccessAck reports whether call acknowledges success to the client: a

@@ -11,6 +11,14 @@ func (st *Store) Delete(name string) error  { return nil }
 func (st *Store) Padding(name string) error { return nil }
 func (st *Store) Spec(name string) *string  { return nil }
 
+// Manager mirrors the job manager: Submit and Cancel journal before they
+// return.
+type Manager struct{}
+
+func (m *Manager) Submit(spec string) (string, error) { return "", nil }
+func (m *Manager) Cancel(id string) (string, error)   { return "", nil }
+func (m *Manager) Get(id string) (string, error)      { return "", nil }
+
 type responseWriter struct{}
 
 func (w *responseWriter) WriteHeader(code int) {}
@@ -20,6 +28,7 @@ func writeJSON(w *responseWriter, status int, v any) {}
 const (
 	statusOK        = 200
 	statusCreated   = 201
+	statusAccepted  = 202
 	statusNoContent = 204
 	statusUnavail   = 503
 )
@@ -74,4 +83,32 @@ func waived(w *responseWriter, st *Store, name string) {
 	//snavet:ackorder padding re-applies idempotently; ack-before-journal is safe here
 	writeJSON(w, statusOK, name)
 	_ = st.Padding(name)
+}
+
+// submitAckFirst sends the 202 before the job spec is journaled:
+// reported.
+func submitAckFirst(w *responseWriter, m *Manager, spec string) {
+	writeJSON(w, statusAccepted, spec) // want `success acknowledged before the store mutation`
+	_, _ = m.Submit(spec)
+}
+
+// cancelJournalFirst journals the cancel intent, then acknowledges with
+// either constant status: clean.
+func cancelJournalFirst(w *responseWriter, m *Manager, id string) {
+	snap, err := m.Cancel(id)
+	if err != nil {
+		writeJSON(w, statusUnavail, err)
+		return
+	}
+	if snap == "canceled" {
+		writeJSON(w, statusOK, snap)
+		return
+	}
+	writeJSON(w, statusAccepted, snap)
+}
+
+// jobStatus reads the manager without mutating: clean.
+func jobStatus(w *responseWriter, m *Manager, id string) {
+	writeJSON(w, statusOK, id)
+	_, _ = m.Get(id)
 }

@@ -129,12 +129,12 @@ func TestTenantCapLeavesWorkersForOthers(t *testing.T) {
 func TestTenantCapClamp(t *testing.T) {
 	for _, cap := range []int{0, -2, 99} {
 		cfg := Config{Dir: t.TempDir(), Workers: 3, TenantCap: cap, Exec: okExec(nil), Logf: t.Logf}
-		m, err := Open(cfg)
+		m, _, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.cfg.TenantCap != 3 {
-			t.Fatalf("TenantCap %d normalized to %d, want Workers (3)", cap, m.cfg.TenantCap)
+		if got := m.queue.Cap(); got != 3 {
+			t.Fatalf("TenantCap %d normalized to %d, want Workers (3)", cap, got)
 		}
 		m.Close(time.Second)
 	}

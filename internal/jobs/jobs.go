@@ -46,12 +46,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fairq"
 	"repro/internal/report"
 	"repro/internal/wal"
 )
@@ -196,9 +196,6 @@ type Config struct {
 	// Backoff is the base retry delay, doubled per failed attempt and
 	// capped at 16x (default 250ms).
 	Backoff time.Duration
-	// CompactEvery bounds journal growth: the journal is rewritten from
-	// live state after this many records (default 256).
-	CompactEvery int
 	// KeepDone bounds terminal-job retention: compaction prunes all but
 	// the newest this-many finished jobs (default 64).
 	KeepDone int
@@ -224,9 +221,6 @@ func (c *Config) fill() {
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = 16
 	}
-	if c.TenantCap <= 0 || c.TenantCap > c.Workers {
-		c.TenantCap = c.Workers
-	}
 	if c.DefaultMaxAttempts <= 0 {
 		c.DefaultMaxAttempts = 3
 	}
@@ -235,9 +229,6 @@ func (c *Config) fill() {
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = 250 * time.Millisecond
-	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 256
 	}
 	if c.KeepDone <= 0 {
 		c.KeepDone = 64
@@ -290,54 +281,40 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// job is one job's runtime state; every field is guarded by the
+// job is one job's runtime state: its durable part — what a compaction
+// writes and a replay rebuilds — plus what is resolved from the spec or
+// lives only while an attempt runs. Every field is guarded by the
 // manager's mu.
 type job struct {
-	id          string
-	spec        *Spec
-	state       State
-	attempts    int
+	jobSnapshot
 	maxAttempts int
 	deadline    time.Duration
-	diags       []report.JobDiagJSON
-	errMsg      string
-	quarantined bool
-	result      json.RawMessage
-
-	submittedAt time.Time
-	startedAt   time.Time
-	finishedAt  time.Time
-
-	cancelRequested bool
 	// cancel tears down the running attempt's context; non-nil exactly
 	// while an attempt executes.
 	cancel context.CancelFunc
+}
+
+// newJob wraps a durable snapshot with the knobs its spec resolves to.
+func (m *Manager) newJob(s jobSnapshot) *job {
+	return &job{jobSnapshot: s, maxAttempts: m.maxAttemptsOf(s.Spec), deadline: m.deadlineOf(s.Spec)}
 }
 
 // Manager owns the queue, the journal, and the worker pool. Open one
 // with Open; it is safe for concurrent use.
 type Manager struct {
 	cfg Config
-	dir string
 
-	mu      sync.Mutex
-	journal *wal.Writer
-	seq     uint64
-	nextID  uint64
-	jobs    map[string]*job
-	// Tenant-fair dispatch: queues holds queued job IDs per tenant in
-	// FIFO order, ring lists the tenants with queued work, and workers
-	// claim round-robin from rr, skipping tenants whose runningBy count
-	// is at TenantCap. The invariant "tenant in ring iff its queue is
-	// non-empty" is maintained by enqueueLocked/popLocked; cond wakes
-	// workers on pushes, slot releases, and shutdown.
-	queues              map[string][]string
-	ring                []string
-	rr                  int
-	runningBy           map[string]int
-	cond                *sync.Cond
-	recordsSinceCompact int
-	closed              bool
+	mu     sync.Mutex
+	log    *wal.Log // nil when memory-only
+	nextID uint64
+	jobs   map[string]*job
+	// queue holds the IDs of claimable jobs, tenant-fair: workers claim
+	// round-robin across tenants, skipping tenants at TenantCap, and a
+	// claim charges the tenant's running slot for the whole runJob. cond
+	// wakes workers on pushes, slot releases, and shutdown.
+	queue  *fairq.Ring[string]
+	cond   *sync.Cond
+	closed bool
 
 	// baseCtx dies when Close begins; every attempt context derives from
 	// it, so a drain cancels running work cooperatively.
@@ -345,62 +322,53 @@ type Manager struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	storageDegraded atomic.Bool
-	doneTotal       atomic.Uint64
-	failedTotal     atomic.Uint64
-	canceledTotal   atomic.Uint64
-	quarantinedN    atomic.Uint64
-	bootRequeued    int
-	bootQuarantined int
+	doneTotal     atomic.Uint64
+	failedTotal   atomic.Uint64
+	canceledTotal atomic.Uint64
+	quarantinedN  atomic.Uint64
 }
 
-// Open builds a Manager: replays the journal (when Dir is set), repairs
-// its tail, finalizes or re-enqueues interrupted jobs, and starts the
-// worker pool. Like the session store, corrupt records never fail the
-// boot — only a structurally unusable directory does.
-func Open(cfg Config) (*Manager, error) {
+// Open builds a Manager: replays the journal (when Dir is set),
+// finalizes or re-enqueues interrupted jobs, and starts the worker pool.
+// Like the session store, corrupt records never fail the boot — only a
+// structurally unusable directory does. The returned Replay (nil when
+// memory-only) says what the journal held and what was quarantined.
+func Open(cfg Config) (*Manager, *wal.Replay, error) {
 	cfg.fill()
 	if cfg.Exec == nil {
-		return nil, fmt.Errorf("jobs: Config.Exec is required")
+		return nil, nil, fmt.Errorf("jobs: Config.Exec is required")
 	}
 	m := &Manager{
-		cfg:       cfg,
-		dir:       cfg.Dir,
-		jobs:      make(map[string]*job),
-		queues:    make(map[string][]string),
-		runningBy: make(map[string]int),
+		cfg:    cfg,
+		jobs:   make(map[string]*job),
+		queue:  fairq.New[string](cfg.TenantCap, cfg.Workers),
+		nextID: 1,
 	}
-	m.nextID = 1
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
-	if m.dir != "" {
-		for _, d := range []string{m.dir, filepath.Join(m.dir, quarantineDir)} {
-			if err := os.MkdirAll(d, 0o755); err != nil {
-				return nil, fmt.Errorf("jobs: %w", err)
+	var replay *wal.Replay
+	if cfg.Dir != "" {
+		var err error
+		m.log, replay, err = wal.OpenLog(filepath.Join(cfg.Dir, journalFile), "jobs", cfg.Hooks, cfg.Logf, m.applyRecord)
+		if err != nil {
+			return nil, nil, err
+		}
+		// IDs never regress, even past a submit record that was
+		// quarantined after the meta floor was written.
+		for id := range m.jobs {
+			var n uint64
+			if _, serr := fmt.Sscanf(id, "job-%d", &n); serr == nil && n >= m.nextID {
+				m.nextID = n + 1
 			}
 		}
-		if err := m.replay(); err != nil {
-			return nil, err
-		}
-		// Boot compaction prunes and drops any torn tail before the first
-		// append; it leaves the journal writer open (on the compacted file,
-		// or the old one when the replace failed), so only open one here
-		// when it could not.
-		m.compactLocked()
-		if m.journal == nil {
-			w, err := wal.OpenWriter(m.journalPath(), m.cfg.Hooks)
-			if err != nil {
-				return nil, fmt.Errorf("jobs: opening journal: %w", err)
-			}
-			m.journal = w
-		}
+		m.compactLocked(false)
 		m.recoverInterrupted()
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	return m, nil
+	return m, replay, nil
 }
 
 // Submit validates, journals, and enqueues one job, returning its
@@ -418,7 +386,7 @@ func (m *Manager) Submit(spec *Spec) (*report.JobJSON, error) {
 	}
 	queued := 0
 	for _, j := range m.jobs {
-		if j.state == StateQueued {
+		if j.State == StateQueued {
 			queued++
 		}
 	}
@@ -428,23 +396,15 @@ func (m *Manager) Submit(spec *Spec) (*report.JobJSON, error) {
 	}
 	id := fmt.Sprintf("job-%06d", m.nextID)
 	if err := m.appendLocked(&record{Type: recSubmit, ID: id, Spec: spec}); err != nil {
-		m.storageDegraded.Store(true)
 		m.mu.Unlock()
 		return nil, &StorageError{Err: err}
 	}
 	m.nextID++
-	j := &job{
-		id:          id,
-		spec:        spec,
-		state:       StateQueued,
-		maxAttempts: m.maxAttemptsOf(spec),
-		deadline:    m.deadlineOf(spec),
-		submittedAt: time.Now().UTC(),
-	}
+	j := m.newJob(jobSnapshot{ID: id, Spec: spec, State: StateQueued, SubmittedAt: time.Now().UTC()})
 	m.jobs[id] = j
-	m.enqueueLocked(id)
+	m.queue.Push(spec.Tenant, id)
 	snap := m.snapshotLocked(j)
-	m.maybeCompactLocked()
+	m.compactLocked(false)
 	m.mu.Unlock()
 	m.cond.Signal()
 	m.cfg.Logf("jobs: %s submitted (%s on %q)", id, spec.Type, spec.Session)
@@ -467,11 +427,7 @@ func (m *Manager) Get(id string) (*report.JobJSON, error) {
 func (m *Manager) List() []report.JobJSON {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sortStrings(ids)
+	ids := m.sortedIDsLocked()
 	out := make([]report.JobJSON, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, *m.snapshotLocked(m.jobs[id]))
@@ -492,40 +448,33 @@ func (m *Manager) Cancel(id string) (*report.JobJSON, error) {
 		m.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	if j.state == StateCanceled {
+	if j.State.Terminal() || j.CancelRequested {
+		var err error
+		if j.State.Terminal() && j.State != StateCanceled {
+			err = ErrTerminal
+		}
 		snap := m.snapshotLocked(j)
 		m.mu.Unlock()
-		return snap, nil
-	}
-	if j.state.Terminal() {
-		snap := m.snapshotLocked(j)
-		m.mu.Unlock()
-		return snap, ErrTerminal
-	}
-	if j.cancelRequested {
-		snap := m.snapshotLocked(j)
-		m.mu.Unlock()
-		return snap, nil
+		return snap, err
 	}
 	var final bool
-	if j.state == StateQueued {
+	if j.State == StateQueued {
 		// Not yet claimed (or parked between retry attempts): the
 		// terminal record can land right now.
 		if err := m.appendLocked(&record{Type: recCanceled, ID: id}); err != nil {
-			m.storageDegraded.Store(true)
 			m.mu.Unlock()
 			return nil, &StorageError{Err: err}
 		}
-		j.cancelRequested = true
+		j.CancelRequested = true
+		m.queue.Remove(j.Spec.Tenant, id)
 		m.finalizeLocked(j, StateCanceled, "", false, nil)
 		final = true
 	} else {
 		if err := m.appendLocked(&record{Type: recCancel, ID: id}); err != nil {
-			m.storageDegraded.Store(true)
 			m.mu.Unlock()
 			return nil, &StorageError{Err: err}
 		}
-		j.cancelRequested = true
+		j.CancelRequested = true
 		if j.cancel != nil {
 			j.cancel()
 		}
@@ -556,7 +505,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 	m.mu.Lock()
 	var queued, running int
 	for _, j := range m.jobs {
-		switch j.state {
+		switch j.State {
 		case StateQueued:
 			queued++
 		case StateRunning:
@@ -571,7 +520,7 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		Failed:          m.failedTotal.Load(),
 		Canceled:        m.canceledTotal.Load(),
 		Quarantined:     m.quarantinedN.Load(),
-		StorageDegraded: m.storageDegraded.Load(),
+		StorageDegraded: m.log != nil && m.log.Degraded(),
 	}
 }
 
@@ -600,12 +549,11 @@ func (m *Manager) Close(budget time.Duration) {
 	case <-time.After(budget):
 		m.cfg.Logf("jobs: drain budget %s exceeded; abandoning worker wait", budget)
 	}
-	m.mu.Lock()
-	if m.journal != nil {
-		m.journal.Close()
-		m.journal = nil
+	if m.log != nil {
+		m.mu.Lock()
+		m.log.Close()
+		m.mu.Unlock()
 	}
-	m.mu.Unlock()
 }
 
 // --- worker pool ------------------------------------------------------
@@ -618,7 +566,7 @@ func (m *Manager) worker() {
 			return
 		}
 		m.runJob(j)
-		m.releaseSlot(j.spec.Tenant)
+		m.releaseSlot(j.Spec.Tenant)
 	}
 }
 
@@ -633,72 +581,11 @@ func (m *Manager) next() *job {
 		if m.closed {
 			return nil
 		}
-		if j := m.popLocked(); j != nil {
-			return j
+		if _, id, ok := m.queue.Pop(); ok {
+			return m.jobs[id]
 		}
 		m.cond.Wait()
 	}
-}
-
-// popLocked claims the next runnable job round-robin across tenants,
-// dropping stale queue entries (canceled or pruned while waiting) and
-// skipping tenants at their running cap. Callers hold m.mu.
-func (m *Manager) popLocked() *job {
-	scanned := 0
-	for scanned < len(m.ring) {
-		if m.rr >= len(m.ring) {
-			m.rr = 0
-		}
-		t := m.ring[m.rr]
-		q := m.queues[t]
-		for len(q) > 0 {
-			if j := m.jobs[q[0]]; j != nil && j.state == StateQueued {
-				break
-			}
-			q = q[1:]
-		}
-		if len(q) == 0 {
-			// Only stale entries remained: drop the tenant's ring slot
-			// without advancing rr (the next tenant slides into this
-			// index) and without counting it as scanned.
-			delete(m.queues, t)
-			m.ring = append(m.ring[:m.rr], m.ring[m.rr+1:]...)
-			continue
-		}
-		m.queues[t] = q
-		if m.runningBy[t] >= m.cfg.TenantCap {
-			m.rr = (m.rr + 1) % len(m.ring)
-			scanned++
-			continue
-		}
-		j := m.jobs[q[0]]
-		if len(q) == 1 {
-			delete(m.queues, t)
-			m.ring = append(m.ring[:m.rr], m.ring[m.rr+1:]...)
-			if len(m.ring) > 0 {
-				m.rr %= len(m.ring)
-			}
-		} else {
-			m.queues[t] = q[1:]
-			m.rr = (m.rr + 1) % len(m.ring)
-		}
-		m.runningBy[t]++
-		return j
-	}
-	return nil
-}
-
-// enqueueLocked appends a queued job to its tenant's queue, registering
-// the tenant in the dispatch ring on its first entry. Callers hold m.mu.
-func (m *Manager) enqueueLocked(id string) {
-	tenant := ""
-	if j := m.jobs[id]; j != nil {
-		tenant = j.spec.Tenant
-	}
-	if len(m.queues[tenant]) == 0 {
-		m.ring = append(m.ring, tenant)
-	}
-	m.queues[tenant] = append(m.queues[tenant], id)
 }
 
 // releaseSlot returns a tenant's running slot and wakes a waiting
@@ -706,11 +593,7 @@ func (m *Manager) enqueueLocked(id string) {
 // jobs claimable even though nothing new was enqueued.
 func (m *Manager) releaseSlot(tenant string) {
 	m.mu.Lock()
-	if n := m.runningBy[tenant] - 1; n > 0 {
-		m.runningBy[tenant] = n
-	} else {
-		delete(m.runningBy, tenant)
-	}
+	m.queue.Release(tenant)
 	m.mu.Unlock()
 	m.cond.Signal()
 }
@@ -720,26 +603,25 @@ func (m *Manager) releaseSlot(tenant string) {
 func (m *Manager) runJob(j *job) {
 	for {
 		m.mu.Lock()
-		if j.state != StateQueued || m.closed {
+		if j.State != StateQueued || m.closed {
 			// Canceled between claim and start, or drain began: a queued
 			// job's journal state already replays to queued.
 			m.mu.Unlock()
 			return
 		}
-		attempt := j.attempts + 1
+		attempt := j.Attempts + 1
 		// The start record lands BEFORE the attempt runs, so a process
 		// death mid-attempt still consumes the attempt on replay — the
 		// poison-quarantine counter survives crashes. An append failure
 		// here is logged and the attempt runs anyway: refusing work
 		// because bookkeeping failed would turn a sick disk into a dead
 		// queue.
-		if err := m.appendLocked(&record{Type: recStart, ID: j.id, Attempt: attempt}); err != nil {
-			m.storageDegraded.Store(true)
-			m.cfg.Logf("jobs: %s attempt %d not journaled (running anyway): %v", j.id, attempt, err)
+		if err := m.appendLocked(&record{Type: recStart, ID: j.ID, Attempt: attempt}); err != nil {
+			m.cfg.Logf("jobs: %s attempt %d not journaled (running anyway): %v", j.ID, attempt, err)
 		}
-		j.attempts = attempt
-		j.state = StateRunning
-		j.startedAt = time.Now().UTC()
+		j.Attempts = attempt
+		j.State = StateRunning
+		j.StartedAt = time.Now().UTC()
 		jctx, cancel := context.WithCancel(m.baseCtx)
 		j.cancel = cancel
 		deadline := j.deadline
@@ -756,7 +638,7 @@ func (m *Manager) runJob(j *job) {
 
 		m.mu.Lock()
 		j.cancel = nil
-		canceled := j.cancelRequested
+		canceled := j.CancelRequested
 		draining := m.closed || m.baseCtx.Err() != nil
 
 		switch {
@@ -765,23 +647,22 @@ func (m *Manager) runJob(j *job) {
 			// cancel; a fully successful result still wins below.
 			m.finalizeLocked(j, StateCanceled, "", false, nil)
 			m.mu.Unlock()
-			m.notifyFinal(j.id, StateCanceled)
+			m.notifyFinal(j.ID, StateCanceled)
 			return
 		case err == nil && !degraded:
 			m.finalizeLocked(j, StateDone, "", false, result)
 			m.mu.Unlock()
-			m.notifyFinal(j.id, StateDone)
+			m.notifyFinal(j.ID, StateDone)
 			return
 		case draining && err != nil && !IsPermanent(err):
 			// The drain cancelled the attempt; refund it so a clean
 			// shutdown costs no retry budget. Replay of start+requeue
 			// nets out to a queued job.
-			if aerr := m.appendLocked(&record{Type: recRequeue, ID: j.id, Attempt: attempt}); aerr != nil {
-				m.storageDegraded.Store(true)
-				m.cfg.Logf("jobs: %s requeue not journaled (replay will count the attempt): %v", j.id, aerr)
+			if aerr := m.appendLocked(&record{Type: recRequeue, ID: j.ID, Attempt: attempt}); aerr != nil {
+				m.cfg.Logf("jobs: %s requeue not journaled (replay will count the attempt): %v", j.ID, aerr)
 			}
-			j.attempts--
-			j.state = StateQueued
+			j.Attempts--
+			j.State = StateQueued
 			m.mu.Unlock()
 			return
 		}
@@ -807,19 +688,18 @@ func (m *Manager) runJob(j *job) {
 			Error:   msg,
 			Time:    time.Now().UTC().Format(time.RFC3339Nano),
 		}
-		j.diags = append(j.diags, diag)
-		if aerr := m.appendLocked(&record{Type: recAttempt, ID: j.id, Attempt: attempt, Stage: stage, Error: msg}); aerr != nil {
-			m.storageDegraded.Store(true)
-			m.cfg.Logf("jobs: %s attempt diag not journaled: %v", j.id, aerr)
+		j.Diags = append(j.Diags, diag)
+		if aerr := m.appendLocked(&record{Type: recAttempt, ID: j.ID, Attempt: attempt, Stage: stage, Error: msg}); aerr != nil {
+			m.cfg.Logf("jobs: %s attempt diag not journaled: %v", j.ID, aerr)
 		}
 
 		if IsPermanent(err) {
 			m.finalizeLocked(j, StateFailed, msg, false, nil)
 			m.mu.Unlock()
-			m.notifyFinal(j.id, StateFailed)
+			m.notifyFinal(j.ID, StateFailed)
 			return
 		}
-		if j.attempts >= j.maxAttempts {
+		if j.Attempts >= j.maxAttempts {
 			// Out of budget. Panic and degraded outcomes mark the job as
 			// poison — quarantined so operators can tell "this job broke
 			// the engine" from "this job just kept failing". A degraded
@@ -833,16 +713,16 @@ func (m *Manager) runJob(j *job) {
 				fmt.Sprintf("%s on attempt %d/%d: %s", stage, attempt, j.maxAttempts, msg),
 				quarantine, keep)
 			m.mu.Unlock()
-			m.notifyFinal(j.id, StateFailed)
+			m.notifyFinal(j.ID, StateFailed)
 			return
 		}
 		// Park as queued during the backoff: a Cancel in this window
 		// takes the immediate queued path, and the loop's state check
 		// honors it.
-		j.state = StateQueued
-		backoff := m.backoffFor(j.attempts)
+		j.State = StateQueued
+		backoff := m.backoffFor(j.Attempts)
 		m.mu.Unlock()
-		m.cfg.Logf("jobs: %s attempt %d/%d failed (%s): %s; retrying in %s", j.id, attempt, j.maxAttempts, stage, msg, backoff)
+		m.cfg.Logf("jobs: %s attempt %d/%d failed (%s): %s; retrying in %s", j.ID, attempt, j.maxAttempts, stage, msg, backoff)
 		select {
 		case <-time.After(backoff):
 		case <-m.baseCtx.Done():
@@ -864,13 +744,13 @@ func (m *Manager) safeExec(ctx context.Context, j *job, attempt int) (result jso
 		}
 	}()
 	if m.cfg.Fault != nil {
-		d, ferr := m.cfg.Fault(ctx, j.spec.Type)
+		d, ferr := m.cfg.Fault(ctx, j.Spec.Type)
 		if ferr != nil {
 			return nil, d, ferr, false
 		}
 		degraded = d
 	}
-	res, d, err := m.cfg.Exec(ctx, j.id, j.spec, attempt)
+	res, d, err := m.cfg.Exec(ctx, j.ID, j.Spec, attempt)
 	return res, degraded || d, err, false
 }
 
@@ -903,21 +783,16 @@ func (m *Manager) finalizeLocked(j *job, state State, errMsg string, quarantined
 	default:
 		typ = recFail
 	}
-	rec := &record{Type: typ, ID: j.id, Error: errMsg, Quarantined: quarantined, Result: result}
-	if state == StateDone {
-		rec.Result = result
+	if err := m.appendLocked(&record{Type: typ, ID: j.ID, Error: errMsg, Quarantined: quarantined, Result: result}); err != nil {
+		m.cfg.Logf("jobs: %s %s record not journaled: %v", j.ID, typ, err)
 	}
-	if err := m.appendLocked(rec); err != nil {
-		m.storageDegraded.Store(true)
-		m.cfg.Logf("jobs: %s %s record not journaled: %v", j.id, typ, err)
-	}
-	j.state = state
-	j.errMsg = errMsg
-	j.quarantined = quarantined
+	j.State = state
+	j.Error = errMsg
+	j.Quarantined = quarantined
 	if result != nil {
-		j.result = result
+		j.Result = result
 	}
-	j.finishedAt = time.Now().UTC()
+	j.FinishedAt = time.Now().UTC()
 	switch state {
 	case StateDone:
 		m.doneTotal.Add(1)
@@ -929,8 +804,8 @@ func (m *Manager) finalizeLocked(j *job, state State, errMsg string, quarantined
 			m.quarantinedN.Add(1)
 		}
 	}
-	m.maybeCompactLocked()
-	m.cfg.Logf("jobs: %s -> %s%s", j.id, state, map[bool]string{true: " (quarantined)", false: ""}[quarantined])
+	m.compactLocked(false)
+	m.cfg.Logf("jobs: %s -> %s%s", j.ID, state, map[bool]string{true: " (quarantined)", false: ""}[quarantined])
 }
 
 // notifyFinal runs the OnFinal callback outside the manager lock.
@@ -960,40 +835,24 @@ func (m *Manager) deadlineOf(s *Spec) time.Duration {
 
 func (m *Manager) snapshotLocked(j *job) *report.JobJSON {
 	out := &report.JobJSON{
-		ID:              j.id,
-		Session:         j.spec.Session,
-		Type:            j.spec.Type,
-		Tenant:          j.spec.Tenant,
-		State:           string(j.state),
-		Attempts:        j.attempts,
+		ID:              j.ID,
+		Session:         j.Spec.Session,
+		Type:            j.Spec.Type,
+		Tenant:          j.Spec.Tenant,
+		State:           string(j.State),
+		Attempts:        j.Attempts,
 		MaxAttempts:     j.maxAttempts,
-		Error:           j.errMsg,
-		Quarantined:     j.quarantined,
+		Error:           j.Error,
+		Quarantined:     j.Quarantined,
 		Deadline:        j.deadline.String(),
-		CancelRequested: j.cancelRequested && !j.state.Terminal(),
-		Result:          j.result,
+		CancelRequested: j.CancelRequested && !j.State.Terminal(),
+		Result:          j.Result,
+		SubmittedAt:     fmtTime(j.SubmittedAt),
+		StartedAt:       fmtTime(j.StartedAt),
+		FinishedAt:      fmtTime(j.FinishedAt),
 	}
-	if len(j.diags) > 0 {
-		out.Diags = append([]report.JobDiagJSON(nil), j.diags...)
-	}
-	if !j.submittedAt.IsZero() {
-		out.SubmittedAt = j.submittedAt.Format(time.RFC3339Nano)
-	}
-	if !j.startedAt.IsZero() {
-		out.StartedAt = j.startedAt.Format(time.RFC3339Nano)
-	}
-	if !j.finishedAt.IsZero() {
-		out.FinishedAt = j.finishedAt.Format(time.RFC3339Nano)
+	if len(j.Diags) > 0 {
+		out.Diags = append([]report.JobDiagJSON(nil), j.Diags...)
 	}
 	return out
-}
-
-// sortStrings is the repo's tiny insertion sort (stdlib-only dependency
-// discipline for small call sites).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -40,12 +40,40 @@ func openManager(t *testing.T, dir string, exec Executor, mutate ...func(*Config
 	for _, fn := range mutate {
 		fn(&cfg)
 	}
-	m, err := Open(cfg)
+	m, _, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { m.Close(2 * time.Second) })
 	return m
+}
+
+// compact forces a journal rewrite, which production code leaves to the
+// log's size rule.
+func compact(m *Manager) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.compactLocked(true)
+}
+
+// writeJournal hand-writes dir's job journal: one record per payload,
+// stamped and framed by the log itself.
+func writeJournal(t *testing.T, dir string, records ...*record) {
+	t.Helper()
+	log, _, err := wal.OpenLog(filepath.Join(dir, journalFile), "jobs", wal.Hooks{}, nil, func([]byte, time.Time) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	for _, rec := range records {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func submit(t *testing.T, m *Manager, spec *Spec) string {
@@ -391,15 +419,18 @@ func TestRestartDoesNotRerunCompletedJobs(t *testing.T) {
 func TestCompactionPrunesTerminalKeepsIDs(t *testing.T) {
 	dir := t.TempDir()
 	m := openManager(t, dir, okExec(nil), func(c *Config) {
-		c.CompactEvery = 1
 		c.KeepDone = 1
 	})
 	for i := 0; i < 3; i++ {
 		id := submit(t, m, &Spec{Session: "s", Type: "analyze"})
 		waitState(t, m, id, StateDone)
 	}
-	// Submission triggers compaction; after three done jobs only the
-	// newest terminal job survives, but IDs never rewind.
+	// After three done jobs a compaction keeps only the newest terminal
+	// job, but IDs never rewind.
+	compact(m)
+	if n := len(m.List()); n != 1 {
+		t.Fatalf("%d job(s) retained past KeepDone 1", n)
+	}
 	id := submit(t, m, &Spec{Session: "s", Type: "analyze"})
 	if id != "job-000004" {
 		t.Fatalf("ID after pruning = %q (terminal pruning must not recycle IDs)", id)
@@ -462,14 +493,15 @@ func TestChaosSubmitAppendFaults(t *testing.T) {
 func TestChaosCompactionCrashRename(t *testing.T) {
 	dir := t.TempDir()
 	m := openManager(t, dir, okExec(nil), func(c *Config) {
-		c.CompactEvery = 1
 		c.Hooks = chaosHooks(t, "crashrename:write:*")
 	})
 	id := submit(t, m, &Spec{Session: "s", Type: "analyze"})
+	compact(m)
 	snap := waitState(t, m, id, StateDone)
 	if string(snap.Result) != `{"ok":true}` {
 		t.Fatalf("done snapshot = %+v", snap)
 	}
+	compact(m)
 	m.Close(2 * time.Second)
 
 	// Reopen without faults: replay sees the append-only journal (every
@@ -491,26 +523,31 @@ func TestChaosCompactionCrashRename(t *testing.T) {
 func TestChaosFailedCompactionDoesNotLoseLaterAcks(t *testing.T) {
 	dir := t.TempDir()
 	m := openManager(t, dir, okExec(nil), func(c *Config) {
-		c.CompactEvery = 1
 		c.Hooks = chaosHooks(t, "crashrename:write:*")
 	})
 	first := submit(t, m, &Spec{Session: "s", Type: "analyze"})
+	compact(m)
 	waitState(t, m, first, StateDone)
-	// Several compactions (submit, finalize) have failed by now; the
-	// next ack must land past the journal's existing tail.
+	compact(m)
+	// Two compactions have failed by now; the next ack must land past
+	// the journal's existing tail.
 	second := submit(t, m, &Spec{Session: "s", Type: "analyze"})
 	waitState(t, m, second, StateDone)
 	m.Close(2 * time.Second)
 
-	m2 := openManager(t, dir, okExec(nil))
+	m2, replay, err := Open(Config{Dir: dir, Exec: okExec(nil), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close(2 * time.Second)
 	for _, id := range []string{first, second} {
 		snap, err := m2.Get(id)
 		if err != nil || snap.State != string(StateDone) {
 			t.Fatalf("job %s lost after failed compactions: %+v, %v", id, snap, err)
 		}
 	}
-	if m2.bootQuarantined != 0 {
-		t.Fatalf("replay quarantined %d record(s) from a journal that should be monotonic", m2.bootQuarantined)
+	if len(replay.Quarantined) != 0 {
+		t.Fatalf("replay quarantined %+v from a journal that should be monotonic", replay.Quarantined)
 	}
 }
 
@@ -520,27 +557,16 @@ func TestChaosFailedCompactionDoesNotLoseLaterAcks(t *testing.T) {
 func TestChaosUnreplayableSpecQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	// Hand-write a journal: one poison submit (bad type), one good one.
-	var buf []byte
-	for seq, spec := range []*Spec{
-		{Session: "s", Type: "time-travel"},
-		{Session: "s", Type: "analyze"},
-	} {
-		payload, err := json.Marshal(&record{Seq: uint64(seq + 1), Type: recSubmit, ID: fmt.Sprintf("job-%06d", seq+1), Spec: spec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, wal.Frame(payload)...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, journalFile), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, dir,
+		&record{Type: recSubmit, ID: "job-000001", Spec: &Spec{Session: "s", Type: "time-travel"}},
+		&record{Type: recSubmit, ID: "job-000002", Spec: &Spec{Session: "s", Type: "analyze"}})
 
 	m := openManager(t, dir, okExec(nil))
 	if _, err := m.Get("job-000001"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unreplayable job resurrected: %v", err)
 	}
 	waitState(t, m, "job-000002", StateDone)
-	matches, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*.reason.json"))
+	matches, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.reason.json"))
 	if len(matches) == 0 {
 		t.Fatal("no quarantine reason sidecar written for the unreplayable spec")
 	}
@@ -550,38 +576,31 @@ func TestChaosUnreplayableSpecQuarantined(t *testing.T) {
 	}
 }
 
-// A corrupt (CRC-flipped) record mid-journal stops replay at the last
-// good prefix, quarantines the tail bytes, and truncates — the journal
-// stays appendable.
-func TestChaosCorruptTailQuarantinedAndTruncated(t *testing.T) {
+// Quarantine evidence is never overwritten: compaction renumbers the
+// journal, so two boots can each find their bad record at frame 0, and
+// each must leave its own record file and sidecar.
+func TestQuarantineEvidenceSurvivesLaterBoots(t *testing.T) {
 	dir := t.TempDir()
-	var buf []byte
-	for seq := 1; seq <= 2; seq++ {
-		payload, _ := json.Marshal(&record{Seq: uint64(seq), Type: recSubmit, ID: fmt.Sprintf("job-%06d", seq), Spec: &Spec{Session: "s", Type: "analyze"}})
-		buf = append(buf, wal.Frame(payload)...)
-	}
-	// Flip a byte inside the second frame's payload.
-	buf[len(buf)-3] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, journalFile), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m := openManager(t, dir, okExec(nil))
-	waitState(t, m, "job-000001", StateDone)
-	if _, err := m.Get("job-000002"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("job behind corrupt record resurrected: %v", err)
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "jobs-tail-*.bin"))
-	if len(matches) != 1 {
-		t.Fatalf("corrupt tail not quarantined: %v", matches)
-	}
-	// Journal still appendable and durable after the repair.
-	id := submit(t, m, &Spec{Session: "s", Type: "analyze"})
-	waitState(t, m, id, StateDone)
-	m.Close(2 * time.Second)
-	m2 := openManager(t, dir, okExec(nil))
-	if snap, err := m2.Get(id); err != nil || snap.State != string(StateDone) {
-		t.Fatalf("post-repair job lost: %+v, %v", snap, err)
+	for boot := 1; boot <= 2; boot++ {
+		writeJournal(t, dir, &record{Type: recSubmit, ID: fmt.Sprintf("job-%06d", boot), Spec: &Spec{Session: "s", Type: "time-travel"}})
+		m, replay, err := Open(Config{Dir: dir, Exec: okExec(nil), Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(replay.Quarantined) != 1 || replay.Quarantined[0].Source != "jobs" {
+			t.Fatalf("boot %d: quarantine = %+v", boot, replay.Quarantined)
+		}
+		// The boot compaction dropped the bad record; empty the journal so
+		// the next boot's bad record is frame 0 again.
+		m.Close(time.Second)
+		if err := os.Remove(filepath.Join(dir, journalFile)); err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.rec"))
+		sidecars, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.reason.json"))
+		if len(recs) != boot || len(sidecars) != boot {
+			t.Fatalf("boot %d: %d record file(s) and %d sidecar(s) in quarantine, want %d each", boot, len(recs), len(sidecars), boot)
+		}
 	}
 }
 

@@ -3,19 +3,17 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/report"
-	"repro/internal/wal"
 )
 
-// The job journal is a single append-only WAL (jobs.wal) of state
-// transitions, periodically rewritten in place (atomic replace) from
-// live state instead of the session store's generation dance — one job
-// file keeps recovery simple, and compaction already runs under the
-// manager lock.
+// The job journal is one journaled log (internal/wal.Log), jobs.wal, of
+// state transitions. The log owns replay, sequence numbers, tail repair,
+// quarantine and the atomic rewrite; this file owns the record schema,
+// what each record does to the job table, and which jobs a compaction
+// keeps.
 //
 // Record types, in lifecycle order:
 //
@@ -49,16 +47,10 @@ const (
 	recMeta     = "meta"
 )
 
-const (
-	journalFile   = "jobs.wal"
-	quarantineDir = "quarantine"
-)
+const journalFile = "jobs.wal"
 
-// record is one journaled job event. Seq is monotonic within the file;
-// replay quarantines out-of-order records the way the session journal
-// does.
+// record is one journaled job event.
 type record struct {
-	Seq         uint64          `json:"seq"`
 	Type        string          `json:"type"`
 	ID          string          `json:"id,omitempty"`
 	Spec        *Spec           `json:"spec,omitempty"`
@@ -69,11 +61,10 @@ type record struct {
 	Result      json.RawMessage `json:"result,omitempty"`
 	Job         *jobSnapshot    `json:"job,omitempty"`
 	NextID      uint64          `json:"nextId,omitempty"`
-	Time        string          `json:"time,omitempty"`
 }
 
-// jobSnapshot is a job's full durable state, used by compaction to
-// collapse a record chain into one frame.
+// jobSnapshot is a job's full durable state: what the record chain of
+// one job replays to, and what compaction collapses that chain into.
 type jobSnapshot struct {
 	ID              string               `json:"id"`
 	Spec            *Spec                `json:"spec"`
@@ -84,99 +75,34 @@ type jobSnapshot struct {
 	Quarantined     bool                 `json:"quarantined,omitempty"`
 	Result          json.RawMessage      `json:"result,omitempty"`
 	CancelRequested bool                 `json:"cancelRequested,omitempty"`
-	SubmittedAt     string               `json:"submittedAt,omitempty"`
-	StartedAt       string               `json:"startedAt,omitempty"`
-	FinishedAt      string               `json:"finishedAt,omitempty"`
+	SubmittedAt     time.Time            `json:"submittedAt"`
+	StartedAt       time.Time            `json:"startedAt"`
+	FinishedAt      time.Time            `json:"finishedAt"`
 }
 
-func (m *Manager) journalPath() string { return filepath.Join(m.dir, journalFile) }
-
-// appendLocked journals one record: assign the next sequence number,
-// stamp, frame, append, fsync. Callers decide whether a failure is
+// appendLocked journals one record. Callers decide whether a failure is
 // fatal to their operation (submit/cancel: yes, the ack is refused) or
-// fail-soft (attempt bookkeeping: the work proceeds). The sequence
-// number is burned even on failure so a partially-written frame can
-// never collide with a later successful one. Memory-only managers
-// (no Dir) treat every append as a success.
+// fail-soft (attempt bookkeeping: the work proceeds). Memory-only
+// managers (no Dir) treat every append as a success.
 func (m *Manager) appendLocked(rec *record) error {
-	if m.dir == "" {
+	if m.log == nil {
 		return nil
 	}
-	if m.journal == nil {
-		return fmt.Errorf("job journal is closed")
-	}
-	m.seq++
-	rec.Seq = m.seq
-	rec.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("encoding %s record: %w", rec.Type, err)
 	}
-	if err := m.journal.Append(payload); err != nil {
-		return err
-	}
-	m.recordsSinceCompact++
-	return nil
+	return m.log.Append(payload)
 }
 
-// replay rebuilds in-memory job state from the journal. It never
-// refuses the boot for bad content: torn tails are truncated away (the
-// crash signature), corrupt tails are quarantined with a reason
-// sidecar and then truncated, and records that don't decode or apply
-// are quarantined individually. Only a structurally unusable file
-// (unreadable, untruncatable) fails Open.
-func (m *Manager) replay() error {
-	path := m.journalPath()
-	scan, err := wal.Scan(path)
-	if err != nil {
-		return fmt.Errorf("jobs: scanning journal: %w", err)
+// applyRecord folds one replayed journal record, appended at instant at,
+// into the in-memory job table. Returned errors mean the record was
+// unreplayable (the log quarantines it); they never abort the replay.
+func (m *Manager) applyRecord(payload []byte, at time.Time) error {
+	var rec record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return fmt.Errorf("undecodable record: %v", err)
 	}
-	var lastSeq uint64
-	for i, payload := range scan.Frames {
-		var rec record
-		if derr := json.Unmarshal(payload, &rec); derr != nil {
-			m.quarantineRecord(i, payload, fmt.Sprintf("undecodable record: %v", derr))
-			continue
-		}
-		if rec.Seq <= lastSeq {
-			m.quarantineRecord(i, payload, fmt.Sprintf("out-of-order record: seq %d after %d", rec.Seq, lastSeq))
-			continue
-		}
-		lastSeq = rec.Seq
-		if aerr := m.applyRecord(&rec); aerr != nil {
-			m.quarantineRecord(i, payload, aerr.Error())
-		}
-	}
-	m.seq = lastSeq
-	if scan.Torn || scan.Corrupt != "" {
-		// The tail is unreadable past GoodOffset. A torn tail is the
-		// normal crash signature and is silently dropped; a corrupt tail
-		// is preserved in quarantine before truncation so the evidence
-		// survives.
-		if scan.Corrupt != "" {
-			m.quarantineTail(path, scan.GoodOffset, scan.Corrupt)
-		} else {
-			m.cfg.Logf("jobs: journal has a torn tail at offset %d (crash mid-append); truncating", scan.GoodOffset)
-		}
-		if terr := os.Truncate(path, scan.GoodOffset); terr != nil {
-			return fmt.Errorf("jobs: truncating journal tail: %w", terr)
-		}
-	}
-	// IDs never regress even when compaction pruned the jobs that used
-	// them.
-	for id := range m.jobs {
-		var n uint64
-		if _, serr := fmt.Sscanf(id, "job-%d", &n); serr == nil && n >= m.nextID {
-			m.nextID = n + 1
-		}
-	}
-	return nil
-}
-
-// applyRecord folds one journal record into the in-memory job table.
-// Returned errors mean the record was unreplayable (the caller
-// quarantines it); they never abort the replay.
-func (m *Manager) applyRecord(rec *record) error {
 	switch rec.Type {
 	case recMeta:
 		if rec.NextID > m.nextID {
@@ -191,23 +117,7 @@ func (m *Manager) applyRecord(rec *record) error {
 		if err := s.Spec.Validate(); err != nil {
 			return fmt.Errorf("unreplayable job spec for %s: %v", s.ID, err)
 		}
-		j := &job{
-			id:              s.ID,
-			spec:            s.Spec,
-			state:           s.State,
-			attempts:        s.Attempts,
-			maxAttempts:     m.maxAttemptsOf(s.Spec),
-			deadline:        m.deadlineOf(s.Spec),
-			diags:           s.Diags,
-			errMsg:          s.Error,
-			quarantined:     s.Quarantined,
-			result:          s.Result,
-			cancelRequested: s.CancelRequested,
-			submittedAt:     parseTime(s.SubmittedAt),
-			startedAt:       parseTime(s.StartedAt),
-			finishedAt:      parseTime(s.FinishedAt),
-		}
-		m.jobs[s.ID] = j
+		m.jobs[s.ID] = m.newJob(*s)
 		return nil
 	case recSubmit:
 		if rec.ID == "" || rec.Spec == nil {
@@ -218,14 +128,7 @@ func (m *Manager) applyRecord(rec *record) error {
 			// execute; quarantining beats an eternal retry loop.
 			return fmt.Errorf("unreplayable job spec for %s: %v", rec.ID, err)
 		}
-		m.jobs[rec.ID] = &job{
-			id:          rec.ID,
-			spec:        rec.Spec,
-			state:       StateQueued,
-			maxAttempts: m.maxAttemptsOf(rec.Spec),
-			deadline:    m.deadlineOf(rec.Spec),
-			submittedAt: parseTime(rec.Time),
-		}
+		m.jobs[rec.ID] = m.newJob(jobSnapshot{ID: rec.ID, Spec: rec.Spec, State: StateQueued, SubmittedAt: at})
 		return nil
 	}
 
@@ -235,43 +138,43 @@ func (m *Manager) applyRecord(rec *record) error {
 	}
 	switch rec.Type {
 	case recStart:
-		j.attempts = rec.Attempt
-		j.state = StateRunning
-		j.startedAt = parseTime(rec.Time)
+		j.Attempts = rec.Attempt
+		j.State = StateRunning
+		j.StartedAt = at
 	case recAttempt:
-		j.diags = append(j.diags, report.JobDiagJSON{
+		j.Diags = append(j.Diags, report.JobDiagJSON{
 			Attempt: rec.Attempt,
 			Stage:   rec.Stage,
 			Error:   rec.Error,
-			Time:    rec.Time,
+			Time:    at.Format(time.RFC3339Nano),
 		})
 		// The attempt concluded; until a new start record the job is
 		// retry-pending, i.e. queued.
-		j.state = StateQueued
+		j.State = StateQueued
 	case recRequeue:
 		// A drain interrupted the attempt cooperatively; refund it.
-		if j.attempts > 0 {
-			j.attempts--
+		if j.Attempts > 0 {
+			j.Attempts--
 		}
-		j.state = StateQueued
+		j.State = StateQueued
 	case recCancel:
-		j.cancelRequested = true
+		j.CancelRequested = true
 	case recDone:
-		j.state = StateDone
-		j.result = rec.Result
-		j.finishedAt = parseTime(rec.Time)
+		j.State = StateDone
+		j.Result = rec.Result
+		j.FinishedAt = at
 	case recFail:
-		j.state = StateFailed
-		j.errMsg = rec.Error
-		j.quarantined = rec.Quarantined
+		j.State = StateFailed
+		j.Error = rec.Error
+		j.Quarantined = rec.Quarantined
 		if len(rec.Result) > 0 {
-			j.result = rec.Result
+			j.Result = rec.Result
 		}
-		j.finishedAt = parseTime(rec.Time)
+		j.FinishedAt = at
 	case recCanceled:
-		j.state = StateCanceled
-		j.cancelRequested = true
-		j.finishedAt = parseTime(rec.Time)
+		j.State = StateCanceled
+		j.CancelRequested = true
+		j.FinishedAt = at
 	default:
 		return fmt.Errorf("unknown record type %q", rec.Type)
 	}
@@ -283,231 +186,113 @@ func (m *Manager) applyRecord(rec *record) error {
 // the attempt budget — quarantines as a poison job. Runs after the
 // journal writer reopens so the decisions are themselves journaled.
 func (m *Manager) recoverInterrupted() {
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sortStrings(ids)
 	var finals []string
-	for _, id := range ids {
+	for _, id := range m.sortedIDsLocked() {
 		j := m.jobs[id]
-		if j.state.Terminal() {
+		if j.State.Terminal() {
 			continue
 		}
-		if j.state == StateRunning {
+		if j.State == StateRunning {
 			// The process died mid-attempt: the start record consumed the
 			// attempt; record what happened to it.
 			diag := report.JobDiagJSON{
-				Attempt: j.attempts,
+				Attempt: j.Attempts,
 				Stage:   "interrupted",
 				Error:   "process exited mid-attempt",
 				Time:    time.Now().UTC().Format(time.RFC3339Nano),
 			}
-			j.diags = append(j.diags, diag)
-			if err := m.appendLocked(&record{Type: recAttempt, ID: id, Attempt: j.attempts, Stage: diag.Stage, Error: diag.Error}); err != nil {
-				m.storageDegraded.Store(true)
+			j.Diags = append(j.Diags, diag)
+			if err := m.appendLocked(&record{Type: recAttempt, ID: id, Attempt: j.Attempts, Stage: diag.Stage, Error: diag.Error}); err != nil {
 				m.cfg.Logf("jobs: %s interrupted diag not journaled: %v", id, err)
 			}
 		}
 		switch {
-		case j.cancelRequested:
+		case j.CancelRequested:
 			// Cancel intent was durable but the terminal record was not;
 			// honor the intent.
 			m.finalizeLocked(j, StateCanceled, "", false, nil)
 			finals = append(finals, id)
-		case j.attempts >= j.maxAttempts:
+		case j.Attempts >= j.maxAttempts:
 			// Every budgeted attempt died with the process — the poison
 			// signature a recover barrier can't catch.
 			m.finalizeLocked(j, StateFailed,
-				fmt.Sprintf("interrupted by process exit on attempt %d/%d", j.attempts, j.maxAttempts),
+				fmt.Sprintf("interrupted by process exit on attempt %d/%d", j.Attempts, j.maxAttempts),
 				true, nil)
 			finals = append(finals, id)
 		default:
-			if j.attempts > 0 {
-				m.bootRequeued++
-			}
-			j.state = StateQueued
-			m.enqueueLocked(id)
-			m.cfg.Logf("jobs: %s re-enqueued after restart (attempt %d/%d)", id, j.attempts, j.maxAttempts)
+			j.State = StateQueued
+			m.queue.Push(j.Spec.Tenant, id)
+			m.cfg.Logf("jobs: %s re-enqueued after restart (attempt %d/%d)", id, j.Attempts, j.maxAttempts)
 		}
 	}
 	for _, id := range finals {
-		m.notifyFinal(id, m.jobs[id].state)
+		m.notifyFinal(id, m.jobs[id].State)
 	}
 }
 
-// maybeCompactLocked rewrites the journal once enough records
-// accumulate. Failures are logged and retried at the next append — the
-// existing journal stays authoritative throughout.
-func (m *Manager) maybeCompactLocked() {
-	if m.dir == "" || m.recordsSinceCompact < m.cfg.CompactEvery {
-		return
-	}
-	m.compactLocked()
-}
-
-// compactLocked rewrites the journal as one snapshot record per
-// retained job (atomic replace), pruning all but the newest KeepDone
-// terminal jobs. The rename is the commit point: a crash on either
-// side leaves a fully consistent journal.
-func (m *Manager) compactLocked() {
-	if m.dir == "" {
-		return
-	}
+// sortedIDsLocked lists every retained job's ID; IDs are zero-padded, so
+// lexical order is submission order.
+func (m *Manager) sortedIDsLocked() []string {
 	ids := make([]string, 0, len(m.jobs))
 	for id := range m.jobs {
 		ids = append(ids, id)
 	}
-	sortStrings(ids)
-	// Prune oldest terminal jobs past the retention bound (IDs sort in
-	// submission order, so walking back from the end keeps the newest).
+	slices.Sort(ids)
+	return ids
+}
+
+// compactLocked rewrites the journal — when the log says a rewrite is
+// due, or when force is set — as the nextID floor plus one snapshot
+// record per retained job, pruning all but the newest KeepDone terminal
+// jobs. The pruning takes effect in memory only once the rewrite has
+// committed; a failed one leaves journal and job table as they were and
+// is retried after the next append.
+func (m *Manager) compactLocked(force bool) {
+	if m.log == nil || !force && !m.log.Due() {
+		return
+	}
+	ids := m.sortedIDsLocked()
+	// Walking back from the newest ID keeps the newest terminal jobs.
 	keep := make(map[string]bool, len(ids))
 	terminal := 0
 	for i := len(ids) - 1; i >= 0; i-- {
-		j := m.jobs[ids[i]]
-		if !j.state.Terminal() {
+		if !m.jobs[ids[i]].State.Terminal() {
 			keep[ids[i]] = true
-			continue
-		}
-		if terminal < m.cfg.KeepDone {
+		} else if terminal < m.cfg.KeepDone {
 			keep[ids[i]] = true
 			terminal++
 		}
 	}
-
-	var buf []byte
-	var seq uint64
-	frame := func(rec *record) bool {
-		seq++
-		rec.Seq = seq
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			m.cfg.Logf("jobs: compaction skipped: encoding: %v", err)
-			return false
+	err := m.log.Rewrite(func(emit func([]byte) error) error {
+		put := func(rec *record) error {
+			payload, err := json.Marshal(rec)
+			if err != nil {
+				return fmt.Errorf("encoding %s record: %w", rec.Type, err)
+			}
+			return emit(payload)
 		}
-		buf = append(buf, wal.Frame(payload)...)
-		return true
-	}
-	if !frame(&record{Type: recMeta, NextID: m.nextID, Time: time.Now().UTC().Format(time.RFC3339Nano)}) {
-		return
-	}
-	for _, id := range ids {
-		if !keep[id] {
-			continue
+		if err := put(&record{Type: recMeta, NextID: m.nextID}); err != nil {
+			return err
 		}
-		j := m.jobs[id]
-		snap := &jobSnapshot{
-			ID:              j.id,
-			Spec:            j.spec,
-			State:           j.state,
-			Attempts:        j.attempts,
-			Diags:           j.diags,
-			Error:           j.errMsg,
-			Quarantined:     j.quarantined,
-			Result:          j.result,
-			CancelRequested: j.cancelRequested,
-			SubmittedAt:     fmtTime(j.submittedAt),
-			StartedAt:       fmtTime(j.startedAt),
-			FinishedAt:      fmtTime(j.finishedAt),
+		for _, id := range ids {
+			if !keep[id] {
+				continue
+			}
+			if err := put(&record{Type: recJob, Job: &m.jobs[id].jobSnapshot}); err != nil {
+				return err
+			}
 		}
-		if !frame(&record{Type: recJob, Job: snap}) {
-			return
-		}
-	}
-
-	if m.journal != nil {
-		m.journal.Close()
-		m.journal = nil
-	}
-	path := m.journalPath()
-	if err := wal.WriteFileAtomic(path, buf, m.cfg.Hooks); err != nil {
-		// The old journal is intact (rename is all-or-nothing) and its
-		// tail holds sequence numbers past this snapshot's: reopen it and
-		// keep appending in the OLD sequence space. Resetting m.seq (or
-		// the compaction counter, or pruning jobs) here would hand later
-		// fsync-acked records seqs at or below the file's last one, and
-		// the next boot's replay would quarantine them as out-of-order —
-		// a lost ack.
-		m.storageDegraded.Store(true)
+		return nil
+	})
+	if err != nil {
 		m.cfg.Logf("jobs: compaction failed (will retry): %v", err)
-		w, werr := wal.OpenWriter(path, m.cfg.Hooks)
-		if werr != nil {
-			m.cfg.Logf("jobs: reopening journal after failed compaction: %v", werr)
-			return
-		}
-		m.journal = w
 		return
 	}
-	// The rename committed: the snapshot is the journal now, and only now
-	// do the new sequence space and the retention pruning take effect.
-	m.seq = seq
-	m.recordsSinceCompact = 0
 	for _, id := range ids {
 		if !keep[id] {
 			delete(m.jobs, id)
 		}
 	}
-	w, err := wal.OpenWriter(path, m.cfg.Hooks)
-	if err != nil {
-		m.storageDegraded.Store(true)
-		m.cfg.Logf("jobs: reopening journal after compaction: %v", err)
-		return
-	}
-	m.journal = w
-}
-
-// quarantineRecord preserves an unreplayable journal record with a
-// reason sidecar, mirroring the session store's quarantine layout.
-func (m *Manager) quarantineRecord(idx int, payload []byte, reason string) {
-	m.bootQuarantined++
-	m.cfg.Logf("jobs: quarantining journal record %d: %s", idx, reason)
-	base := filepath.Join(m.dir, quarantineDir, fmt.Sprintf("jobs-rec-%d", idx))
-	if err := os.WriteFile(base+".rec", payload, 0o644); err != nil {
-		m.cfg.Logf("jobs: quarantine write failed: %v", err)
-		return
-	}
-	meta, _ := json.MarshalIndent(map[string]string{
-		"reason": reason,
-		"time":   time.Now().UTC().Format(time.RFC3339Nano),
-	}, "", "  ")
-	if err := os.WriteFile(base+".reason.json", meta, 0o644); err != nil {
-		m.cfg.Logf("jobs: quarantine reason write failed: %v", err)
-	}
-}
-
-// quarantineTail preserves the unreadable bytes past goodOff before the
-// journal is truncated under them.
-func (m *Manager) quarantineTail(path string, goodOff int64, reason string) {
-	m.bootQuarantined++
-	m.cfg.Logf("jobs: quarantining corrupt journal tail at offset %d: %s", goodOff, reason)
-	data, err := os.ReadFile(path)
-	if err != nil || goodOff >= int64(len(data)) {
-		return
-	}
-	base := filepath.Join(m.dir, quarantineDir, fmt.Sprintf("jobs-tail-%d", goodOff))
-	if err := os.WriteFile(base+".bin", data[goodOff:], 0o644); err != nil {
-		m.cfg.Logf("jobs: quarantine write failed: %v", err)
-		return
-	}
-	meta, _ := json.MarshalIndent(map[string]string{
-		"reason": reason,
-		"offset": fmt.Sprintf("%d", goodOff),
-		"time":   time.Now().UTC().Format(time.RFC3339Nano),
-	}, "", "  ")
-	if err := os.WriteFile(base+".reason.json", meta, 0o644); err != nil {
-		m.cfg.Logf("jobs: quarantine reason write failed: %v", err)
-	}
-}
-
-func parseTime(s string) time.Time {
-	if s == "" {
-		return time.Time{}
-	}
-	t, err := time.Parse(time.RFC3339Nano, s)
-	if err != nil {
-		return time.Time{}
-	}
-	return t
 }
 
 func fmtTime(t time.Time) string {

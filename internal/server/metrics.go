@@ -42,7 +42,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("snad_breakers_open", "Sessions with an open circuit breaker.", len(open))
 	gauge("snad_draining", "1 while a graceful drain is in progress.", b01(s.draining.Load()))
 	gauge("snad_durable", "1 when a durable data directory is configured.", b01(s.store != nil))
-	gauge("snad_storage_degraded", "1 after any journal append has failed.", b01(s.storeDegraded.Load() || jm.StorageDegraded))
+	gauge("snad_storage_degraded", "1 after any journal append has failed.", b01(s.storageDegraded(jm)))
 
 	gauge("snad_jobs_queued", "Async jobs waiting for a job worker.", jm.Queued)
 	gauge("snad_jobs_running", "Async jobs currently executing.", jm.Running)

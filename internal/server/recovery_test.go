@@ -3,12 +3,16 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/report"
 	"repro/internal/units"
+	"repro/internal/wal"
 )
 
 // analyzeOK runs an analyze (or reanalyze) and decodes the response.
@@ -242,8 +246,66 @@ func TestServerRecoveryEndpoint(t *testing.T) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Restored) != 1 || rec.Restored[0] != "bus" || !rec.Compacted || rec.RecoveredAt == "" {
+	// A clean restart replays the journal as it is: nothing to repair,
+	// nothing outgrown, so no boot rewrite.
+	if len(rec.Restored) != 1 || rec.Restored[0] != "bus" || rec.Records != 1 || rec.Compacted || rec.RecoveredAt == "" {
 		t.Fatalf("recovery = %+v", rec)
+	}
+}
+
+// TestServerRecoveryCoversBothJournals: what either journal's replay
+// quarantined is in the one report /v1/recovery serves — a bad job
+// record is no longer visible only in a log line.
+func TestServerRecoveryCoversBothJournals(t *testing.T) {
+	dir := t.TempDir()
+	// CRC-valid frames neither owner can decode, written through the log
+	// itself so they carry proper envelopes.
+	for _, j := range []struct{ path, source string }{
+		{filepath.Join(dir, journalName), "journal"},
+		{filepath.Join(dir, "jobs", "jobs.wal"), "jobs"},
+	} {
+		if err := os.MkdirAll(filepath.Dir(j.path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		log, _, err := wal.OpenLog(j.path, j.source, wal.Hooks{}, nil, func([]byte, time.Time) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append([]byte("not json")); err != nil {
+			t.Fatal(err)
+		}
+		log.Close()
+	}
+
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	resp, data := do(t, "GET", ts.URL+"/v1/recovery", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("recovery: %d: %s", resp.StatusCode, data)
+	}
+	var rec report.RecoveryJSON
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	bySource := map[string]report.QuarantineJSON{}
+	for _, q := range rec.Quarantined {
+		bySource[q.Source] = q
+	}
+	if len(rec.Quarantined) != 2 || bySource["journal"].File == "" || bySource["jobs"].File == "" {
+		t.Fatalf("quarantined = %+v, want one entry per journal", rec.Quarantined)
+	}
+	for _, q := range rec.Quarantined {
+		if !strings.Contains(q.Reason, "undecodable") {
+			t.Fatalf("reason = %q", q.Reason)
+		}
+		// File is relative to the data directory for both journals.
+		for _, name := range []string{q.File, q.File + ".reason.json"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Fatalf("%s evidence missing: %v", q.Source, err)
+			}
+		}
+	}
+	if !strings.HasPrefix(bySource["jobs"].File, filepath.Join("jobs", "quarantine")) {
+		t.Fatalf("job-journal entry at %q", bySource["jobs"].File)
 	}
 }
 
@@ -255,7 +317,7 @@ func TestServerUnreplayableSpecQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	// Seed the store directly: the store journals payloads verbatim, so a
 	// create whose netlist no longer parses models on-disk format skew.
-	st, _, err := OpenStore(dir, nil, 0, t.Logf)
+	st, _, err := OpenStore(dir, wal.Hooks{}, nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

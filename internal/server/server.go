@@ -36,7 +36,7 @@
 //     fsynced and CRC-framed — before the response is acknowledged, and
 //     boot replays the journal fail-soft: corrupt records are quarantined
 //     with a reason, healthy sessions come back, and a SIGKILL at any
-//     instant never prevents the next boot (store.go, recovery.go).
+//     instant never prevents the next boot (store.go).
 //     LRU-evicting a persisted session keeps it reloadable: a later
 //     request transparently re-materializes it from its stored sources.
 package server
@@ -50,7 +50,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,6 +68,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/shard"
 	"repro/internal/sta"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -116,9 +117,6 @@ type Config struct {
 	// here and replayed on boot. Empty runs memory-only (sessions die
 	// with the process), the pre-persistence behavior.
 	DataDir string
-	// CompactEvery bounds journal growth: the store folds the journal
-	// into snapshots after this many records (default 64).
-	CompactEvery int
 	// StoreFaultSpec injects faults into the store's write path (see
 	// workload.ParseStoreFaults). It exists for chaos-testing the
 	// recovery machinery; production leaves it empty. The same faults
@@ -249,9 +247,8 @@ type Server struct {
 
 	// store is the durable session store (nil when DataDir is empty);
 	// recovery is the boot replay report /v1/recovery serves.
-	store         *Store
-	recovery      *report.RecoveryJSON
-	storeDegraded atomic.Bool
+	store    *Store
+	recovery *report.RecoveryJSON
 
 	// jobs owns the durable async job queue and its worker pool.
 	jobs *jobs.Manager
@@ -278,6 +275,8 @@ type Server struct {
 // is structurally unusable (cannot be created, journal cannot be opened
 // for append) — corrupt durable state never fails New; it is quarantined
 // and reported through /v1/recovery instead.
+//
+//snavet:ctxloop boot-time merge of the job journal's replay summary, before any request context exists; bounded by what replay quarantined
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
@@ -301,16 +300,15 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var adapter *storeFaultAdapter
+	// The job journal shares the data directory and the injected
+	// write-path faults with the session store, but is its own log: the
+	// two subsystems fail and recover independently.
+	var hooks wal.Hooks
 	if faults != nil {
-		adapter = &storeFaultAdapter{
-			BeforeWrite:  faults.BeforeWrite,
-			BeforeSync:   faults.BeforeSync,
-			BeforeRename: faults.BeforeRename,
-		}
+		hooks = wal.Hooks{BeforeWrite: faults.BeforeWrite, BeforeSync: faults.BeforeSync, BeforeRename: faults.BeforeRename}
 	}
 	if cfg.DataDir != "" {
-		st, rep, err := OpenStore(cfg.DataDir, adapter, cfg.CompactEvery, cfg.Logf)
+		st, rep, err := OpenStore(cfg.DataDir, hooks, s.histFsync, cfg.Logf)
 		if err != nil {
 			return nil, err
 		}
@@ -336,15 +334,9 @@ func New(cfg Config) (*Server, error) {
 		jcfg.Fault = jobFaults.Fire
 	}
 	if cfg.DataDir != "" {
-		// The job journal shares the data directory (and the injected
-		// write-path faults) with the session store, but is its own WAL:
-		// the two subsystems fail and recover independently.
-		jcfg.Dir = filepath.Join(cfg.DataDir, "jobs")
-		if adapter != nil {
-			jcfg.Hooks = adapter.hooks()
-		}
+		jcfg.Dir, jcfg.Hooks = filepath.Join(cfg.DataDir, "jobs"), hooks
 	}
-	jm, err := jobs.Open(jcfg)
+	jm, replay, err := jobs.Open(jcfg)
 	if err != nil {
 		if s.store != nil {
 			s.store.Close()
@@ -352,6 +344,16 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.jobs = jm
+	if replay != nil {
+		// One recovery report for both journals; the job journal's entries
+		// carry source "jobs" and paths under jobs/.
+		s.recovery.Records += replay.Records
+		s.recovery.TornTail = s.recovery.TornTail || replay.TornTail
+		for _, q := range replay.Quarantined {
+			q.File = filepath.Join("jobs", q.File)
+			s.recovery.Quarantined = append(s.recovery.Quarantined, q)
+		}
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
@@ -628,28 +630,22 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (func(), bool) {
 		}, s.cfg.RetryAfter)
 		return nil, false
 	}
+	var gaveUp ErrorInfo
 	select {
 	case <-wt.ready:
 		s.histAdmission.Observe(time.Since(start).Seconds())
 		return func() { s.gate.release(tenant) }, true
 	case <-r.Context().Done():
-		if !s.gate.abandon(wt) {
-			// The grant raced the expiry; the slot is ours to return.
-			s.gate.release(tenant)
-		}
-		s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-			Kind: "deadline", Message: "request expired while queued for a worker",
-		}, s.cfg.RetryAfter)
-		return nil, false
+		gaveUp = ErrorInfo{Kind: "deadline", Message: "request expired while queued for a worker"}
 	case <-s.forceCtx.Done():
-		if !s.gate.abandon(wt) {
-			s.gate.release(tenant)
-		}
-		s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-			Kind: "draining", Message: "server drained while request was queued",
-		}, s.cfg.RetryAfter)
-		return nil, false
+		gaveUp = ErrorInfo{Kind: "draining", Message: "server drained while request was queued"}
 	}
+	if !s.gate.abandon(wt) {
+		// The grant raced the expiry; the slot is ours to return.
+		s.gate.release(tenant)
+	}
+	s.writeErr(w, http.StatusServiceUnavailable, gaveUp, s.cfg.RetryAfter)
+	return nil, false
 }
 
 // requestCtx derives the analysis context: the client's connection
@@ -875,8 +871,14 @@ func (s *Server) readySnapshot() (n int, open []string) {
 			open = append(open, name)
 		}
 	}
-	sort.Strings(open)
+	slices.Sort(open)
 	return n, open
+}
+
+// storageDegraded reports whether either journal has failed an append or
+// a compaction since boot.
+func (s *Server) storageDegraded(jm jobs.Metrics) bool {
+	return jm.StorageDegraded || s.store != nil && s.store.Degraded()
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -894,7 +896,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		Shed:            s.shedN.Load(),
 		OpenBreakers:    open,
 		Durable:         s.store != nil,
-		StorageDegraded: s.storeDegraded.Load() || jm.StorageDegraded,
+		StorageDegraded: s.storageDegraded(jm),
 		JobsQueued:      jm.Queued,
 		JobsRunning:     jm.Running,
 		MemBudget:       cs.Budget,
@@ -996,8 +998,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.store != nil {
-		if err := s.storeCreate(&req); err != nil {
-			s.storeDegraded.Store(true)
+		if err := s.store.Create(&req); err != nil {
 			func() {
 				s.mu.Lock()
 				defer s.mu.Unlock()
@@ -1135,7 +1136,7 @@ func (s *Server) listSnapshot() (infos []SessionInfo, loaded map[string]bool) {
 	for name := range s.sessions {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	infos = make([]SessionInfo, 0, len(names))
 	loaded = make(map[string]bool, len(names))
 	now := s.cfg.now()
@@ -1164,7 +1165,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	sortInfos(infos)
+	slices.SortFunc(infos, func(a, b SessionInfo) int { return strings.Compare(a.Name, b.Name) })
 	s.writeJSON(w, http.StatusOK, infos)
 }
 
@@ -1215,8 +1216,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if persisted {
 		// The tombstone must be durable BEFORE the 200: a crash right
 		// after the reply must not resurrect the session on replay.
-		if err := s.storeDelete(name); err != nil {
-			s.storeDegraded.Store(true)
+		if err := s.store.Delete(name); err != nil {
 			s.mu.Lock()
 			if inMem {
 				ss.deleting = false
@@ -1352,35 +1352,9 @@ func (s *Server) persistPadding(ss *session) {
 	if s.store == nil || !ss.persisted {
 		return
 	}
-	if err := s.storePadding(ss.name, ss.padding); err != nil {
-		s.storeDegraded.Store(true)
+	if err := s.store.Padding(ss.name, ss.padding); err != nil {
 		s.cfg.Logf("session %q padding not journaled (analysis succeeded; the delta is safely re-appliable): %v", ss.name, err)
 	}
-}
-
-// storeCreate, storeDelete, and storePadding wrap the durable store's
-// journal mutations with the fsync-latency histogram: every journaled
-// record is one fsync'd append, so timing these three seams covers the
-// whole write path.
-func (s *Server) storeCreate(req *CreateSessionRequest) error {
-	start := time.Now()
-	err := s.store.Create(req)
-	s.histFsync.Observe(time.Since(start).Seconds())
-	return err
-}
-
-func (s *Server) storeDelete(name string) error {
-	start := time.Now()
-	err := s.store.Delete(name)
-	s.histFsync.Observe(time.Since(start).Seconds())
-	return err
-}
-
-func (s *Server) storePadding(name string, padding map[string]float64) error {
-	start := time.Now()
-	err := s.store.Padding(name, padding)
-	s.histFsync.Observe(time.Since(start).Seconds())
-	return err
 }
 
 // writeReviveErr maps a failed lazy revive onto a response: a budget
@@ -1564,12 +1538,4 @@ func parseMode(s string) (core.Mode, error) {
 		return core.ModeNoiseWindows, nil
 	}
 	return 0, fmt.Errorf("unknown mode %q (want all|timing|noise)", s)
-}
-
-func sortInfos(infos []SessionInfo) {
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].Name < infos[j-1].Name; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
 }

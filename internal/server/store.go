@@ -1,71 +1,55 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/wal"
 )
 
-// Store is the durable session store: an append-only write-ahead journal
-// of session lifecycle events plus per-session snapshot files, under one
-// data directory. Its contract to the server:
+// Store is the durable session store: the session registry's lifecycle
+// events in one journaled log (internal/wal.Log), DIR/sessions.wal, with
+// DIR/quarantine/ beside it. The log owns replay, sequence numbers, tail
+// repair, quarantine and compaction; this file owns what a session
+// record means. Its contract to the server:
 //
 //   - An acknowledged Create/Delete/Padding is durable: the record is
-//     framed (length + CRC32), appended, and fsynced before the call
-//     returns, so a crash immediately after cannot lose (or, for Delete,
-//     resurrect) the session.
+//     appended and fsynced before the call returns, so a crash
+//     immediately after cannot lose (or, for Delete, resurrect) the
+//     session. The in-memory index changes only after a successful
+//     append, so it never runs ahead of the file.
 //
-//   - Every multi-byte file replacement (snapshots, the manifest) is
-//     atomic: written to a temp file, fsynced, renamed into place, and
-//     the directory fsynced. A crash at any instant leaves either the
-//     old file or the new one, never a hybrid; stray temp files are
-//     swept on boot.
+//   - Replay is absorbing: a create overwrites, a delete tombstones, and
+//     padding merges max-monotonically — the windowed noise bound is
+//     monotone in window width, so re-applying a stale record can only
+//     be a no-op.
 //
-//   - Recovery is fail-soft: a corrupt or unreplayable record is moved
-//     to quarantine/ with a structured reason and the boot continues
-//     with every healthy session (see recovery.go).
-//
-// Layout of the data directory:
-//
-//	MANIFEST            framed JSON {version, generation}
-//	journal-NNNNNN.wal  the active journal for generation NNNNNN
-//	sessions/HASH.snap  framed JSON snapshot per persisted session
-//	quarantine/*        unreplayable records/files + reasons
-//
-// Compaction folds the journal into snapshots: every live session is
-// snapshotted, stale snapshots of deleted sessions are removed, a fresh
-// empty journal for generation+1 is created, and the manifest flips to
-// the new generation — in that order, so a crash at any point between
-// steps replays to the same state from either generation.
+//   - Recovery is fail-soft: an unreplayable record is quarantined with
+//     a reason and the boot continues with every healthy session. Only
+//     an unusable directory refuses the boot — or one in the layout this
+//     store replaced (MANIFEST + journal generations + sessions/*.snap),
+//     which must never be booted empty over acknowledged sessions.
 //
 // Store methods are safe for concurrent use. The in-memory spec index
 // mirrors the durable state so the server can list and lazily
 // re-materialize persisted sessions (including ones LRU-evicted from
 // memory) without touching disk on the read path.
 type Store struct {
-	dir   string
 	logf  func(format string, args ...any)
-	hooks wal.Hooks
+	fsync *metrics.Histogram
 
-	mu      sync.Mutex
-	journal *wal.Writer
-	gen     uint64
-	seq     uint64
-	specs   map[string]*sessionSpec
-	// recordsSinceCompact triggers background-free compaction once the
-	// journal accumulates compactEvery records.
-	recordsSinceCompact int
-	compactEvery        int
-	quarantined         int
+	mu    sync.Mutex
+	log   *wal.Log
+	specs map[string]*sessionSpec
 }
 
 // sessionSpec is everything needed to re-materialize one session: the
@@ -90,65 +74,104 @@ func (sp *sessionSpec) clone() *sessionSpec {
 	return out
 }
 
-// manifest is the framed JSON of the MANIFEST file.
-type manifest struct {
-	Version    int    `json:"version"`
-	Generation uint64 `json:"generation"`
+// record is one journaled session lifecycle event.
+type record struct {
+	// Type is "create", "padding", or "delete".
+	Type string `json:"type"`
+	// Name is the session the event applies to.
+	Name string `json:"name"`
+	// Create carries the full CreateSessionRequest for "create" records —
+	// everything needed to re-materialize the session from scratch.
+	Create *CreateSessionRequest `json:"create,omitempty"`
+	// Padding carries the cumulative per-net window padding: the whole
+	// map on a "padding" record, and on the "create" record a compaction
+	// writes per live session.
+	Padding map[string]float64 `json:"padding,omitempty"`
 }
 
-const (
-	manifestName  = "MANIFEST"
-	sessionsDir   = "sessions"
-	quarantineDir = "quarantine"
-	// defaultCompactEvery bounds journal growth: one compaction per this
-	// many appended records.
-	defaultCompactEvery = 64
-)
+const journalName = "sessions.wal"
 
-func journalName(gen uint64) string { return fmt.Sprintf("journal-%06d.wal", gen) }
-
-// snapName maps a session name to its snapshot filename. Session names
-// are client-chosen free text, so the filename is a truncated SHA-256 —
-// fixed length, collision-resistant, and immune to path tricks; the real
-// name lives inside the snapshot payload.
-func snapName(name string) string {
-	sum := sha256.Sum256([]byte(name))
-	return hex.EncodeToString(sum[:16]) + ".snap"
+// OpenStore opens (creating if needed) the data directory, replays the
+// journal, and returns the store plus the recovery report that
+// /v1/recovery serves. fsync, when set, observes every journal append.
+func OpenStore(dir string, hooks wal.Hooks, fsync *metrics.Histogram, logf func(string, ...any)) (*Store, *report.RecoveryJSON, error) {
+	path := filepath.Join(dir, journalName)
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); err == nil {
+		if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
+			return nil, nil, fmt.Errorf("store: %s holds the MANIFEST/journal-N.wal/sessions/*.snap layout of an earlier snad, which this version cannot read; refusing to start empty over its sessions — serve it with the version that wrote it, or point -data-dir at a new directory", dir)
+		}
+	}
+	st := &Store{logf: logf, fsync: fsync, specs: make(map[string]*sessionSpec)}
+	restoredAt := time.Now().UTC()
+	log, replay, err := wal.OpenLog(path, "journal", hooks, logf, func(payload []byte, _ time.Time) error {
+		return st.apply(payload, restoredAt)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	st.log = log
+	rep := &report.RecoveryJSON{
+		DataDir:     dir,
+		RecoveredAt: restoredAt.Format(time.RFC3339Nano),
+		Records:     replay.Records,
+		TornTail:    replay.TornTail,
+		Quarantined: replay.Quarantined,
+		Compacted:   st.compactLocked(false),
+		Restored:    st.Names(),
+	}
+	return st, rep, nil
 }
 
-// writeFileAtomic lands data at path through the temp+fsync+rename+dirsync
-// discipline, with the fault hooks at each stage.
-func (st *Store) writeFileAtomic(path string, data []byte) error {
-	return wal.WriteFileAtomic(path, data, st.hooks)
+// apply folds one replayed record into the spec index; an error
+// quarantines the record.
+func (st *Store) apply(payload []byte, restoredAt time.Time) error {
+	var rec record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return fmt.Errorf("undecodable record: %v", err)
+	}
+	switch rec.Type {
+	case "create":
+		if rec.Create == nil || rec.Create.Name == "" {
+			return errors.New("create record without a request payload")
+		}
+		st.specs[rec.Create.Name] = &sessionSpec{Create: rec.Create, Padding: rec.Padding, restoredAt: restoredAt}
+	case "padding":
+		sp := st.specs[rec.Name]
+		if sp == nil {
+			return fmt.Errorf("padding for unknown session %q", rec.Name)
+		}
+		if sp.Padding == nil {
+			sp.Padding = make(map[string]float64, len(rec.Padding))
+		}
+		for net, pad := range rec.Padding {
+			if pad > sp.Padding[net] {
+				sp.Padding[net] = pad
+			}
+		}
+	case "delete":
+		if rec.Name == "" {
+			return errors.New("delete record without a session name")
+		}
+		delete(st.specs, rec.Name)
+	default:
+		return fmt.Errorf("unknown record type %q", rec.Type)
+	}
+	return nil
 }
-
-// --- lifecycle events -------------------------------------------------
 
 // appendLocked journals one record; callers hold st.mu. On success the
 // in-memory effects have NOT been applied — callers apply them after, so
 // a journaling failure leaves the index matching the durable state.
-func (st *Store) appendLocked(typ, name string, create *CreateSessionRequest, padding map[string]float64) error {
-	st.seq++
-	rec := &record{
-		Seq:     st.seq,
-		Type:    typ,
-		Name:    name,
-		Create:  create,
-		Padding: padding,
-		Time:    time.Now().UTC().Format(time.RFC3339Nano),
+func (st *Store) appendLocked(rec *record) error {
+	start := time.Now()
+	if st.fsync != nil {
+		defer func() { st.fsync.Observe(time.Since(start).Seconds()) }()
 	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("encoding journal record: %w", err)
 	}
-	if err := st.journal.Append(payload); err != nil {
-		// The tail may now hold a torn frame. Sequence numbers must not
-		// be reused (replay treats non-monotonic seq as corruption), so
-		// the burned seq stays burned.
-		return err
-	}
-	st.recordsSinceCompact++
-	return nil
+	return st.log.Append(payload)
 }
 
 // Create durably records a session creation. It must succeed before the
@@ -157,31 +180,25 @@ func (st *Store) appendLocked(typ, name string, create *CreateSessionRequest, pa
 func (st *Store) Create(req *CreateSessionRequest) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.appendLocked("create", req.Name, req, nil); err != nil {
+	if err := st.appendLocked(&record{Type: "create", Name: req.Name, Create: req}); err != nil {
 		return err
 	}
 	st.specs[req.Name] = &sessionSpec{Create: req}
-	st.maybeCompactLocked()
+	st.compactLocked(false)
 	return nil
 }
 
 // Delete durably records a session tombstone. It must succeed before the
 // server acknowledges the delete: a crash right after the 200 must not
-// resurrect the session on replay. The snapshot file (if any) is removed
-// after the tombstone lands; if that removal is lost to a crash, the
-// replayed tombstone still wins.
+// resurrect the session on replay.
 func (st *Store) Delete(name string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.appendLocked("delete", name, nil, nil); err != nil {
+	if err := st.appendLocked(&record{Type: "delete", Name: name}); err != nil {
 		return err
 	}
 	delete(st.specs, name)
-	snap := filepath.Join(st.dir, sessionsDir, snapName(name))
-	if err := os.Remove(snap); err != nil && !os.IsNotExist(err) {
-		st.logf("store: removing snapshot of deleted %q: %v (tombstone journaled; compaction will finish the cleanup)", name, err)
-	}
-	st.maybeCompactLocked()
+	st.compactLocked(false)
 	return nil
 }
 
@@ -200,11 +217,11 @@ func (st *Store) Padding(name string, padding map[string]float64) error {
 	for k, v := range padding {
 		cp[k] = v
 	}
-	if err := st.appendLocked("padding", name, nil, cp); err != nil {
+	if err := st.appendLocked(&record{Type: "padding", Name: name, Padding: cp}); err != nil {
 		return err
 	}
 	sp.Padding = cp
-	st.maybeCompactLocked()
+	st.compactLocked(false)
 	return nil
 }
 
@@ -225,11 +242,15 @@ func (st *Store) Spec(name string) *sessionSpec {
 func (st *Store) Names() []string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.namesLocked()
+}
+
+func (st *Store) namesLocked() []string {
 	out := make([]string, 0, len(st.specs))
 	for name := range st.specs {
 		out = append(out, name)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -245,153 +266,54 @@ func (st *Store) QuarantineSpec(name, reason string) *report.QuarantineJSON {
 	if sp == nil {
 		return nil
 	}
-	dst := st.quarantinePath(snapName(name) + ".spec")
-	if payload, err := json.Marshal(sp); err == nil {
-		if werr := os.WriteFile(dst, payload, 0o644); werr != nil {
-			st.logf("store: writing quarantined spec %s: %v", dst, werr)
-		}
+	payload, err := json.Marshal(sp)
+	if err != nil {
+		st.logf("store: encoding quarantined spec of %q: %v", name, err)
 	}
-	if err := st.appendLocked("delete", name, nil, nil); err != nil {
+	entry := st.log.Quarantine(".spec", bytes.NewReader(payload), report.QuarantineJSON{Session: name, Reason: reason})
+	if err := st.appendLocked(&record{Type: "delete", Name: name}); err != nil {
 		st.logf("store: journaling quarantine tombstone for %q: %v", name, err)
 	}
 	delete(st.specs, name)
-	if err := os.Remove(filepath.Join(st.dir, sessionsDir, snapName(name))); err != nil && !os.IsNotExist(err) {
-		st.logf("store: removing quarantined snapshot of %q: %v", name, err)
-	}
-	rel, err := filepath.Rel(st.dir, dst)
-	if err != nil {
-		rel = dst
-	}
-	entry := &report.QuarantineJSON{File: rel, Source: "snapshot", Session: name, Reason: reason}
-	if meta, err := json.Marshal(entry); err == nil {
-		if werr := os.WriteFile(dst+".reason.json", meta, 0o644); werr != nil {
-			st.logf("store: writing quarantine reason for %q: %v", name, werr)
-		}
-	}
-	st.quarantined++
-	return entry
+	return &entry
 }
 
-// Close flushes nothing (appends are already fsynced) and releases the
-// journal file.
+// Degraded reports whether a journal append or compaction has failed
+// since boot.
+func (st *Store) Degraded() bool { return st.log.Degraded() }
+
+// Close releases the journal file (appends are already fsynced).
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.journal == nil {
-		return nil
-	}
-	err := st.journal.Close()
-	st.journal = nil
-	return err
+	return st.log.Close()
 }
 
-// --- compaction -------------------------------------------------------
-
-// maybeCompactLocked compacts when the journal has accumulated enough
-// records; a failure is logged and retried after the next append —
-// compaction is an optimization, not a durability requirement.
-func (st *Store) maybeCompactLocked() {
-	if st.recordsSinceCompact < st.compactEvery {
-		return
+// compactLocked rewrites the journal as one create record per live
+// session (request plus cumulative padding) when the log says a rewrite
+// is due, or when force is set; it reports whether the journal was
+// rewritten. A failure is logged and retried after the next append:
+// compaction bounds replay time, it is not a durability requirement, and
+// a failed rewrite leaves the journal whole.
+func (st *Store) compactLocked(force bool) bool {
+	if !force && !st.log.Due() {
+		return false
 	}
-	if err := st.compactLocked(); err != nil {
-		st.logf("store: compaction failed (will retry): %v", err)
-	}
-}
-
-// compactLocked folds the journal into snapshots and starts a fresh
-// generation. Ordering is the crash-safety argument:
-//
-//  1. snapshot every live session (atomic replaces)
-//  2. remove snapshots of sessions that no longer exist — before the
-//     manifest flips, while the old journal's tombstones still replay
-//  3. create + fsync the new empty journal
-//  4. flip the manifest (atomic replace) — the commit point
-//  5. remove the old journal
-//
-// A crash before 4 recovers from the old generation (snapshots are
-// absorbed by replay because creates overwrite and padding is
-// max-monotonic); a crash after 4 recovers from the new generation's
-// snapshots alone.
-func (st *Store) compactLocked() error {
-	for name, sp := range st.specs {
-		if err := st.writeSnapshotLocked(name, sp); err != nil {
-			return fmt.Errorf("snapshotting %q: %w", name, err)
-		}
-	}
-	entries, err := os.ReadDir(filepath.Join(st.dir, sessionsDir))
-	if err != nil {
-		return err
-	}
-	live := make(map[string]bool, len(st.specs))
-	for name := range st.specs {
-		live[snapName(name)] = true
-	}
-	for _, e := range entries {
-		if name := e.Name(); strings.HasSuffix(name, ".snap") && !live[name] {
-			if err := os.Remove(filepath.Join(st.dir, sessionsDir, name)); err != nil {
+	err := st.log.Rewrite(func(emit func([]byte) error) error {
+		for _, name := range st.namesLocked() {
+			sp := st.specs[name]
+			payload, err := json.Marshal(&record{Type: "create", Name: name, Create: sp.Create, Padding: sp.Padding})
+			if err != nil {
+				return fmt.Errorf("encoding %q: %w", name, err)
+			}
+			if err := emit(payload); err != nil {
 				return err
 			}
 		}
-	}
-	if err := wal.SyncDir(filepath.Join(st.dir, sessionsDir)); err != nil {
-		return err
-	}
-
-	newGen := st.gen + 1
-	nj, err := wal.OpenWriter(filepath.Join(st.dir, journalName(newGen)), st.hooks)
+		return nil
+	})
 	if err != nil {
-		return err
+		st.logf("store: compaction failed (will retry): %v", err)
 	}
-	if err := nj.Sync(); err != nil {
-		nj.Close()
-		return err
-	}
-	if err := st.writeManifestLocked(newGen); err != nil {
-		nj.Close()
-		// The new journal file is harmless: boot ignores journals of
-		// other generations and sweeps them.
-		return err
-	}
-	old := st.journal
-	st.journal, st.gen, st.seq = nj, newGen, 0
-	st.recordsSinceCompact = 0
-	if old != nil {
-		oldPath := old.Path()
-		old.Close()
-		if err := os.Remove(oldPath); err != nil && !os.IsNotExist(err) {
-			st.logf("store: removing compacted journal %s: %v", oldPath, err)
-		}
-	}
-	if err := wal.SyncDir(st.dir); err != nil {
-		st.logf("store: syncing data dir after compaction: %v", err)
-	}
-	return nil
-}
-
-func (st *Store) writeSnapshotLocked(name string, sp *sessionSpec) error {
-	payload, err := json.Marshal(sp)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(st.dir, sessionsDir, snapName(name))
-	return st.writeFileAtomic(path, wal.Frame(payload))
-}
-
-func (st *Store) writeManifestLocked(gen uint64) error {
-	payload, err := json.Marshal(manifest{Version: 1, Generation: gen})
-	if err != nil {
-		return err
-	}
-	return st.writeFileAtomic(filepath.Join(st.dir, manifestName), wal.Frame(payload))
-}
-
-// sortStrings is a tiny insertion sort, matching sortInfos' dependency
-// discipline (stdlib-only, no sort import for two call sites).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return err == nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/report"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -15,24 +16,28 @@ import (
 // failing the test on the structurally-unusable-directory path.
 func openTestStore(t *testing.T, dir, faultSpec string) (*Store, *report.RecoveryJSON) {
 	t.Helper()
-	var adapter *storeFaultAdapter
+	var hooks wal.Hooks
 	if faultSpec != "" {
 		faults, err := workload.ParseStoreFaults(faultSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adapter = &storeFaultAdapter{
-			BeforeWrite:  faults.BeforeWrite,
-			BeforeSync:   faults.BeforeSync,
-			BeforeRename: faults.BeforeRename,
-		}
+		hooks = wal.Hooks{BeforeWrite: faults.BeforeWrite, BeforeSync: faults.BeforeSync, BeforeRename: faults.BeforeRename}
 	}
-	st, rep, err := OpenStore(dir, adapter, 0, t.Logf)
+	st, rep, err := OpenStore(dir, hooks, nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
 	return st, rep
+}
+
+// compact forces a journal rewrite, which production code leaves to the
+// log's size rule; it reports whether the rewrite committed.
+func compact(st *Store) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.compactLocked(true)
 }
 
 func storeCreate(t *testing.T, st *Store, name string) {
@@ -89,44 +94,51 @@ func TestStoreRoundtrip(t *testing.T) {
 	}
 }
 
-// TestStoreCompaction: the journal folds into snapshots and a fresh
-// generation without changing the recovered state, and stale journals
-// disappear.
+// TestStoreCompaction: rewriting the journal from live state shrinks it
+// without changing the recovered state — padding and tombstones
+// included — and leaves one journal file and no debris.
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := OpenStore(dir, nil, 2, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := openTestStore(t, dir, "")
 	for _, name := range []string{"a", "b", "c", "d", "e"} {
 		storeCreate(t, st, name)
+	}
+	if err := st.Padding("b", map[string]float64{"n1": 3e-12}); err != nil {
+		t.Fatal(err)
 	}
 	if err := st.Delete("d"); err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(dir, journalName)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !compact(st) {
+		t.Fatal("compaction failed")
+	}
+	after, err := os.Stat(path)
+	if err != nil || after.Size() >= before.Size() {
+		t.Fatalf("journal is %d bytes after compaction, %d before (%v)", after.Size(), before.Size(), err)
+	}
+	storeCreate(t, st, "f") // the rewritten journal takes appends
 	st.Close()
 
-	journals := 0
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".wal") {
-			journals++
-		}
-	}
-	if journals != 1 {
-		t.Fatalf("%d journal files after compaction, want 1", journals)
+	if len(entries) != 2 { // sessions.wal and quarantine/
+		t.Fatalf("data dir after compaction holds %v", entries)
 	}
 
 	st2, rep := openTestStore(t, dir, "")
-	wantNames(t, st2, "a", "b", "c", "e")
-	if rep.Snapshots == 0 {
-		t.Fatal("no snapshots were loaded after compaction")
+	wantNames(t, st2, "a", "b", "c", "e", "f")
+	if sp := st2.Spec("b"); sp == nil || sp.Padding["n1"] != 3e-12 {
+		t.Fatalf("padding lost in compaction: %+v", sp)
 	}
-	if !rep.Compacted {
-		t.Fatal("boot did not compact")
+	if rep.Records != 5 || rep.Compacted {
+		t.Fatalf("clean reopen of a compacted journal: %d record(s), compacted=%v; want 5 and no boot rewrite", rep.Records, rep.Compacted)
 	}
 }
 
@@ -155,107 +167,28 @@ func TestStoreFailedAppendKeepsTailReplayable(t *testing.T) {
 	}
 }
 
-// TestStoreCrashAfterTornAppend: a torn frame at the very tail (crash
-// mid-append, no repair ran) is the expected crash signature — replay
-// keeps everything before it and boots.
-func TestStoreCrashAfterTornAppend(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir, "")
-	storeCreate(t, st, "a")
-	storeCreate(t, st, "b")
-	st.Close()
-	// Simulate the crash: chop the tail of the last appended frame (b's).
-	path := activeJournal(t, dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) < frameHeaderLen+2 {
-		t.Fatalf("journal too short to tear: %d bytes", len(data))
-	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st3, rep := openTestStore(t, dir, "")
-	if !rep.TornTail {
-		t.Fatal("torn tail not reported")
-	}
-	// b's record was the torn one; a survives.
-	wantNames(t, st3, "a")
-	if len(rep.Quarantined) != 0 {
-		t.Fatalf("a torn tail is a crash signature, not corruption: %v", rep.Quarantined)
-	}
-}
-
-// activeJournal finds the single journal file on disk without reopening
-// the store (an open would compact and empty it).
-func activeJournal(t *testing.T, dir string) string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var found string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".wal") {
-			if found != "" {
-				t.Fatalf("multiple journals: %s and %s", found, e.Name())
-			}
-			found = filepath.Join(dir, e.Name())
-		}
-	}
-	if found == "" {
-		t.Fatal("no journal file on disk")
-	}
-	return found
-}
-
-// TestStoreCrashBetweenTempAndRename: a stranded snapshot temp file (the
-// crash-between-temp-and-rename window) is swept on boot, and the state
-// recovers from the journal.
+// TestStoreCrashBetweenTempAndRename: a stranded compaction temp file
+// (the crash-between-temp-and-rename window) is swept on boot, and the
+// state recovers from the journal.
 func TestStoreCrashBetweenTempAndRename(t *testing.T) {
 	dir := t.TempDir()
-	// compactEvery=1 compacts after the first create; the crashrename
-	// fault fails that compaction's snapshot write after the temp file is
-	// fully on disk (write #1 is the boot compaction's manifest, #2 the
-	// snapshot).
-	var adapter *storeFaultAdapter
-	faults, err := workload.ParseStoreFaults("crashrename:write:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapter = &storeFaultAdapter{BeforeWrite: faults.BeforeWrite, BeforeSync: faults.BeforeSync, BeforeRename: faults.BeforeRename}
-	st, _, err := OpenStore(dir, adapter, 1, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The create itself succeeds — compaction is an optimization and its
-	// failure must not fail the lifecycle event.
+	st, _ := openTestStore(t, dir, "crashrename:write:1")
 	storeCreate(t, st, "a")
-	stranded := 0
-	entries, err := os.ReadDir(filepath.Join(dir, sessionsDir))
-	if err != nil {
-		t.Fatal(err)
+	// The compaction fails after its temp file is fully on disk; the
+	// journal it was replacing stays authoritative and appendable.
+	if compact(st) {
+		t.Fatal("crashrename did not fail the compaction")
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			stranded++
-		}
-	}
-	if stranded == 0 {
-		t.Fatal("crashrename did not strand a temp file")
+	storeCreate(t, st, "b")
+	tmp := filepath.Join(dir, journalName+".tmp")
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("crashrename did not strand a temp file: %v", err)
 	}
 	// Crash; reopen without faults.
 	st2, _ := openTestStore(t, dir, "")
-	wantNames(t, st2, "a")
-	entries, err = os.ReadDir(filepath.Join(dir, sessionsDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("stranded temp file %s survived the boot sweep", e.Name())
-		}
+	wantNames(t, st2, "a", "b")
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stranded temp file survived the boot sweep: %v", err)
 	}
 }
 
@@ -269,7 +202,7 @@ func TestStoreJournalCorruptionQuarantined(t *testing.T) {
 	storeCreate(t, st, "b")
 	st.Close()
 
-	path := activeJournal(t, dir)
+	path := filepath.Join(dir, journalName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +210,7 @@ func TestStoreJournalCorruptionQuarantined(t *testing.T) {
 	// Flip a payload byte inside the second frame: the first frame's
 	// length names the boundary.
 	n1 := binary.LittleEndian.Uint32(data[0:4])
-	off := int(frameHeaderLen+n1) + frameHeaderLen + 2
+	off := int(wal.FrameHeaderLen+n1) + wal.FrameHeaderLen + 2
 	if off >= len(data) {
 		t.Fatalf("journal layout: %d bytes, second payload at %d", len(data), off)
 	}
@@ -300,8 +233,11 @@ func TestStoreJournalCorruptionQuarantined(t *testing.T) {
 	if !found {
 		t.Fatalf("no CRC quarantine entry: %+v", rep.Quarantined)
 	}
-	// The boot compaction folds the healthy state into a new generation:
-	// the next boot is clean.
+	// The boot compaction rewrote the journal from the healthy state: the
+	// next boot is clean.
+	if !rep.Compacted {
+		t.Fatal("boot did not compact after a quarantine")
+	}
 	st2.Close()
 	st3, rep3 := openTestStore(t, dir, "")
 	wantNames(t, st3, "a")
@@ -310,103 +246,27 @@ func TestStoreJournalCorruptionQuarantined(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotCorruptionQuarantined: one rotten snapshot loses one
-// session — with a quarantine trail — not the directory.
-func TestStoreSnapshotCorruptionQuarantined(t *testing.T) {
+// TestStoreRefusesLegacyLayout: a directory written by the
+// MANIFEST/generation/snapshot store must fail the open with a message
+// naming the layout — never boot empty over acknowledged sessions — and
+// the refusal must leave the directory untouched.
+func TestStoreRefusesLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
-	st, _, err := OpenStore(dir, nil, 1, t.Logf) // compact after every record
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeCreate(t, st, "healthy")
-	storeCreate(t, st, "rotten")
-	st.Close()
-
-	snap := filepath.Join(dir, sessionsDir, snapName("rotten"))
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(snap, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, rep := openTestStore(t, dir, "")
-	wantNames(t, st2, "healthy")
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Source != "snapshot" {
-		t.Fatalf("quarantine = %+v", rep.Quarantined)
-	}
-	// The quarantined bytes and their reason sidecar are on disk for the
-	// operator.
-	qfile := filepath.Join(dir, rep.Quarantined[0].File)
-	if _, err := os.Stat(qfile); err != nil {
-		t.Fatalf("quarantined file missing: %v", err)
-	}
-	if _, err := os.Stat(qfile + ".reason.json"); err != nil {
-		t.Fatalf("quarantine reason sidecar missing: %v", err)
-	}
-}
-
-// TestStoreManifestCorruptionFallsBack: an unreadable manifest is
-// quarantined and the generation is recovered from the journal files on
-// disk.
-func TestStoreManifestCorruptionFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir, "")
-	storeCreate(t, st, "a")
-	st.Close()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not a manifest"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, rep := openTestStore(t, dir, "")
-	wantNames(t, st2, "a")
-	found := false
-	for _, q := range rep.Quarantined {
-		if q.Source == "manifest" {
-			found = true
+	for _, name := range []string{"MANIFEST", "journal-000003.wal"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("legacy"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !found {
-		t.Fatalf("manifest corruption not quarantined: %+v", rep.Quarantined)
+	_, _, err := OpenStore(dir, wal.Hooks{}, nil, t.Logf)
+	if err == nil || !strings.Contains(err.Error(), "MANIFEST") || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("legacy layout: err = %v, want a refusal naming the layout and the directory", err)
 	}
-}
-
-// TestStoreTombstoneOutlivesLostUnlink: a delete whose snapshot unlink is
-// lost to a crash still deletes — the replayed tombstone beats the stale
-// snapshot.
-func TestStoreTombstoneOutlivesLostUnlink(t *testing.T) {
-	dir := t.TempDir()
-	st, _, err := OpenStore(dir, nil, 1, t.Logf)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := New(Config{DataDir: dir}); err == nil {
+		t.Fatal("server.New booted over a legacy data directory")
 	}
-	storeCreate(t, st, "a") // compacted: snapshot on disk
-	st.Close()
-	snap := filepath.Join(dir, sessionsDir, snapName("a"))
-	saved, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with compaction disabled-ish (large interval) so the
-	// tombstone stays in the journal, delete, then "crash" and undo the
-	// snapshot unlink as a crash would.
-	st2, _, err := OpenStore(dir, nil, 1000, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	st2.Close()
-	if err := os.WriteFile(snap, saved, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st3, _ := openTestStore(t, dir, "")
-	if st3.Spec("a") != nil {
-		t.Fatal("tombstoned session resurrected from a stale snapshot")
+	entries, _ := os.ReadDir(dir)
+	if len(entries) != 2 {
+		t.Fatalf("refused open modified the directory: %v", entries)
 	}
 }
 
@@ -428,7 +288,12 @@ func TestStoreQuarantineSpec(t *testing.T) {
 	if st2.Spec("bad") != nil {
 		t.Fatal("quarantined spec resurrected on reboot")
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, snapName("bad")+".spec")); err != nil {
-		t.Fatalf("quarantined spec bytes missing: %v", err)
+	for _, name := range []string{entry.File, entry.File + ".reason.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("quarantined spec evidence missing: %v", err)
+		}
+	}
+	if !strings.HasSuffix(entry.File, ".spec") {
+		t.Fatalf("quarantined spec stored as %s", entry.File)
 	}
 }

@@ -12,14 +12,18 @@ package server
 //   - a per-tenant running cap (tenantCap), so even with an empty ring a
 //     single tenant cannot occupy every worker slot.
 //
-// With tenantCap == capacity (the default) and one tenant, the behavior
-// is indistinguishable from the old gate. The tenant ID is free text
-// from the X-Snad-Tenant header; absent means the "" tenant, so
-// untagged traffic shares one fair slice instead of bypassing fairness.
+// The queues, the rotation and the cap are internal/fairq's Ring, shared
+// with the job pool. With tenantCap == capacity (the default) and one
+// tenant, the behavior is indistinguishable from the old gate. The
+// tenant ID is free text from the X-Snad-Tenant header; absent means the
+// "" tenant, so untagged traffic shares one fair slice instead of
+// bypassing fairness.
 
 import (
 	"net/http"
 	"sync"
+
+	"repro/internal/fairq"
 )
 
 // TenantHeader carries the tenant ID on requests and job submissions
@@ -37,55 +41,38 @@ type waiter struct {
 	granted bool
 }
 
+// admission owns the gate's outer contract — capacity, queueCap, no
+// barging, grant-vs-abandon — over the shared tenant-fair ring, which
+// owns the per-tenant queues, the rotation and the running caps.
 type admission struct {
-	capacity  int
-	queueCap  int
-	tenantCap int
+	capacity int
+	queueCap int
 
-	mu        sync.Mutex
-	running   int
-	queued    int
-	runningBy map[string]int
-	queues    map[string][]*waiter
-	// ring lists tenants awaiting grants; dispatch round-robins over it
-	// from rr. inRing mirrors ring's membership so enqueue never adds a
-	// duplicate slot (a duplicate would hand that tenant extra turns and
-	// grow the ring without bound under drain-then-refill churn). A
-	// tenant whose queue drains by grant leaves the ring immediately;
-	// one drained by abandon leaves lazily on the next dispatch scan,
-	// with inRing keeping enqueue honest in between.
-	ring   []string
-	inRing map[string]bool
-	rr     int
+	mu      sync.Mutex
+	running int
+	waiters *fairq.Ring[*waiter]
 }
 
 func newAdmission(capacity, queueCap, tenantCap int) *admission {
-	if tenantCap <= 0 || tenantCap > capacity {
-		tenantCap = capacity
-	}
 	return &admission{
-		capacity:  capacity,
-		queueCap:  queueCap,
-		tenantCap: tenantCap,
-		runningBy: make(map[string]int),
-		queues:    make(map[string][]*waiter),
-		inRing:    make(map[string]bool),
+		capacity: capacity,
+		queueCap: queueCap,
+		waiters:  fairq.New[*waiter](tenantCap, capacity),
 	}
 }
 
 // tryAcquire takes a slot without waiting. It fails when capacity is
-// exhausted, the tenant is at its running cap, or the tenant already
-// has waiters (a newcomer must not barge past its own tenant's queue;
-// other tenants' waiters are at their cap or a slot would have been
-// dispatched to them already).
+// exhausted, the tenant already has waiters (a newcomer must not barge
+// past its own tenant's queue; other tenants' waiters are at their cap
+// or a slot would have been dispatched to them already), or the tenant
+// is at its running cap.
 func (a *admission) tryAcquire(tenant string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.running >= a.capacity || a.runningBy[tenant] >= a.tenantCap || len(a.queues[tenant]) > 0 {
+	if a.running >= a.capacity || a.waiters.Waiting(tenant) > 0 || !a.waiters.Charge(tenant) {
 		return false
 	}
 	a.running++
-	a.runningBy[tenant]++
 	return true
 }
 
@@ -94,16 +81,11 @@ func (a *admission) tryAcquire(tenant string) bool {
 func (a *admission) enqueue(tenant string) *waiter {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.queued >= a.queueCap {
+	if a.waiters.Len() >= a.queueCap {
 		return nil
 	}
 	w := &waiter{tenant: tenant, ready: make(chan struct{})}
-	if !a.inRing[tenant] {
-		a.ring = append(a.ring, tenant)
-		a.inRing[tenant] = true
-	}
-	a.queues[tenant] = append(a.queues[tenant], w)
-	a.queued++
+	a.waiters.Push(tenant, w)
 	// A slot may be free right now (e.g. other tenants capped); dispatch
 	// so the new waiter doesn't wait for the next release.
 	a.dispatchLocked()
@@ -119,20 +101,7 @@ func (a *admission) abandon(w *waiter) bool {
 	if w.granted {
 		return false
 	}
-	q := a.queues[w.tenant]
-	for i, x := range q {
-		if x == w {
-			if len(q) == 1 {
-				delete(a.queues, w.tenant)
-			} else {
-				a.queues[w.tenant] = append(q[:i], q[i+1:]...)
-			}
-			a.queued--
-			break
-		}
-	}
-	// A drained tenant's ring entry is removed lazily by dispatch;
-	// inRing stays set until then so enqueue does not add a duplicate.
+	a.waiters.Remove(w.tenant, w)
 	return true
 }
 
@@ -141,66 +110,22 @@ func (a *admission) release(tenant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.running--
-	if n := a.runningBy[tenant] - 1; n > 0 {
-		a.runningBy[tenant] = n
-	} else {
-		delete(a.runningBy, tenant)
-	}
+	a.waiters.Release(tenant)
 	a.dispatchLocked()
 }
 
-// dispatchLocked grants free slots round-robin across tenants with
-// waiters, skipping tenants at their running cap and dropping drained
-// ring entries. Callers hold a.mu.
+// dispatchLocked grants free slots to waiters in the ring's fair order
+// until capacity is full or every waiting tenant is at its cap (the next
+// release re-dispatches). Callers hold a.mu.
 func (a *admission) dispatchLocked() {
-	for a.running < a.capacity && a.queued > 0 {
-		granted := false
-		scanned := 0
-		for scanned < len(a.ring) {
-			if a.rr >= len(a.ring) {
-				a.rr = 0
-			}
-			t := a.ring[a.rr]
-			q := a.queues[t]
-			if len(q) == 0 {
-				// Tenant drained by abandon: drop its ring slot without
-				// advancing rr (the next tenant slides into this index).
-				a.ring = append(a.ring[:a.rr], a.ring[a.rr+1:]...)
-				delete(a.queues, t)
-				delete(a.inRing, t)
-				continue
-			}
-			if a.runningBy[t] >= a.tenantCap {
-				a.rr = (a.rr + 1) % len(a.ring)
-				scanned++
-				continue
-			}
-			w := q[0]
-			if len(q) == 1 {
-				// Granting the last waiter: leave the ring now, keeping
-				// the "tenant in ring iff it has waiters (or a pending
-				// lazy removal)" invariant. rr stays put — the next
-				// tenant slides into this index.
-				delete(a.queues, t)
-				delete(a.inRing, t)
-				a.ring = append(a.ring[:a.rr], a.ring[a.rr+1:]...)
-			} else {
-				a.queues[t] = q[1:]
-				a.rr = (a.rr + 1) % len(a.ring)
-			}
-			a.queued--
-			w.granted = true
-			a.running++
-			a.runningBy[t]++
-			close(w.ready)
-			granted = true
-			break
-		}
-		if !granted {
-			// Every waiting tenant is at its cap; the next release
-			// re-dispatches.
+	for a.running < a.capacity {
+		_, w, ok := a.waiters.Pop()
+		if !ok {
 			return
 		}
+		w.granted = true
+		a.running++
+		close(w.ready)
 	}
 }
 
@@ -208,5 +133,5 @@ func (a *admission) dispatchLocked() {
 func (a *admission) snapshot() (running, queued int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.running, a.queued
+	return a.running, a.waiters.Len()
 }

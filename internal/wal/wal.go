@@ -1,9 +1,11 @@
-// Package wal is the shared write-ahead-log machinery of snad's durable
-// subsystems: CRC-framed fsynced appends, torn-tail repair, fail-soft
-// scans, and the temp+fsync+rename+dirsync atomic-replace discipline.
-// It was extracted from the session store (internal/server) so the jobs
-// subsystem (internal/jobs) journals with the exact same crash-safety
-// semantics instead of a parallel implementation.
+// Package wal is the write-ahead-log machinery of snad's durable
+// subsystems, in two layers. This file is the framing layer: CRC-framed
+// fsynced appends, torn-tail repair, fail-soft scans, and the
+// temp+fsync+rename+dirsync atomic-replace discipline. log.go builds the
+// journaled log on it — replay, sequence numbers, quarantine, tail
+// repair and compaction — which the session store (internal/server) and
+// the job journal (internal/jobs) both own one of, so neither carries a
+// recovery implementation of its own.
 //
 // A journal is an append-only sequence of framed payloads. Every frame
 // is
@@ -19,18 +21,20 @@
 // a CRC mismatch in the middle of the file is quarantined with a
 // reason.
 //
-// Payloads are owner-defined (both current owners use JSON record
-// objects — a few bytes over a binary encoding, but on-disk journals
-// stay inspectable with nothing but cat, worth it at lifecycle-event
+// Payloads are owner-defined (both Log owners use JSON record objects —
+// a few bytes over a binary encoding, but on-disk journals stay
+// inspectable with nothing but strings(1), worth it at lifecycle-event
 // rates).
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -65,7 +69,13 @@ func (e *FrameError) Error() string { return e.Reason }
 
 // ReadFrame reads one frame from r. io.EOF means a clean end exactly at
 // a frame boundary; a *FrameError reports a torn tail or corruption.
-func ReadFrame(r io.Reader) ([]byte, error) {
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r, math.MaxInt64) }
+
+// readFrame is ReadFrame for a reader known to hold left more bytes: a
+// frame that claims more than that is a torn tail, decided before
+// anything is allocated for it — one flipped bit in a length field must
+// not cost a budgeted server a gigabyte at boot.
+func readFrame(r io.Reader, left int64) ([]byte, error) {
 	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -76,6 +86,9 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	if n > MaxFramePayload {
 		return nil, &FrameError{Reason: fmt.Sprintf("frame length %d exceeds limit %d (corrupt header)", n, MaxFramePayload)}
+	}
+	if int64(n) > left-FrameHeaderLen {
+		return nil, &FrameError{Torn: true, Reason: fmt.Sprintf("torn frame payload (%d bytes claimed, %d left)", n, left-FrameHeaderLen)}
 	}
 	payload := make([]byte, n)
 	if m, err := io.ReadFull(r, payload); err != nil {
@@ -145,11 +158,14 @@ func (j *Writer) Sync() error { return j.f.Sync() }
 // Append frames, writes, and fsyncs one payload. On failure the partial
 // frame is truncated away so the tail stays replayable; the caller
 // surfaces the error and the record is never acknowledged.
-func (j *Writer) Append(payload []byte) error {
+func (j *Writer) Append(payload []byte) error { return j.appendFrame(Frame(payload)) }
+
+// appendFrame is Append for a caller that built the frame itself (the
+// Log frames its envelope and the owner's payload in one buffer).
+func (j *Writer) appendFrame(buf []byte) error {
 	if j.broken != nil {
 		return fmt.Errorf("journal is broken (previous append left an unrepairable tail: %w)", j.broken)
 	}
-	buf := Frame(payload)
 	if err := j.writeFrame(buf); err != nil {
 		j.repairTail()
 		return err
@@ -159,21 +175,8 @@ func (j *Writer) Append(payload []byte) error {
 }
 
 func (j *Writer) writeFrame(buf []byte) error {
-	keep := len(buf)
-	var ferr error
-	if j.hooks.BeforeWrite != nil {
-		keep, ferr = j.hooks.BeforeWrite("append", len(buf))
-		if keep > len(buf) {
-			keep = len(buf)
-		}
-	}
-	if keep > 0 {
-		if _, werr := j.f.Write(buf[:keep]); werr != nil {
-			return fmt.Errorf("appending journal record: %w", werr)
-		}
-	}
-	if ferr != nil {
-		return fmt.Errorf("appending journal record: %w", ferr)
+	if err := j.hooks.write(j.f, "append", buf); err != nil {
+		return fmt.Errorf("appending journal record: %w", err)
 	}
 	if j.hooks.BeforeSync != nil {
 		if err := j.hooks.BeforeSync("append"); err != nil {
@@ -184,6 +187,23 @@ func (j *Writer) writeFrame(buf []byte) error {
 		return fmt.Errorf("syncing journal: %w", err)
 	}
 	return nil
+}
+
+// write writes buf to f through the BeforeWrite hook, which may cut the
+// write short (a torn write lands its prefix) and/or fail it.
+func (h Hooks) write(f *os.File, op string, buf []byte) error {
+	keep := len(buf)
+	var ferr error
+	if h.BeforeWrite != nil {
+		keep, ferr = h.BeforeWrite(op, len(buf))
+		keep = min(keep, len(buf))
+	}
+	if keep > 0 {
+		if _, err := f.Write(buf[:keep]); err != nil {
+			return err
+		}
+	}
+	return ferr
 }
 
 // repairTail truncates a failed append's partial frame so later records
@@ -224,84 +244,106 @@ type ScanResult struct {
 // quarantine; the returned error is reserved for the file being
 // unopenable.
 func Scan(path string) (*ScanResult, error) {
+	scan := &ScanResult{}
+	err := scan.visit(path, func(payload []byte) { scan.Frames = append(scan.Frames, payload) })
+	return scan, err
+}
+
+// visit is Scan handing each intact payload to fn instead of collecting
+// it, so a caller that folds frames into state holds one at a time. The
+// file's size bounds every frame length before its payload is allocated.
+func (scan *ScanResult) visit(path string, fn func(payload []byte)) error {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return &ScanResult{}, nil
+			return nil
 		}
-		return nil, err
+		return err
 	}
 	defer f.Close()
-	scan := &ScanResult{}
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	r := bufio.NewReaderSize(f, 64<<10)
 	for {
-		payload, err := ReadFrame(f)
+		payload, err := readFrame(r, fi.Size()-scan.GoodOffset)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return scan, nil
-			}
 			var fe *FrameError
-			if errors.As(err, &fe) && fe.Torn {
+			switch {
+			case errors.Is(err, io.EOF):
+			case errors.As(err, &fe) && fe.Torn:
 				scan.Torn = true
-			} else {
+			default:
 				scan.Corrupt = err.Error()
 			}
-			return scan, nil
+			return nil
 		}
-		scan.Frames = append(scan.Frames, payload)
 		scan.GoodOffset += int64(FrameHeaderLen + len(payload))
+		fn(payload)
 	}
 }
 
 // WriteFileAtomic lands data at path through the
 // temp+fsync+rename+dirsync discipline, with the fault hooks at each
 // stage. A crash at any instant leaves either the old file or the new
-// one, never a hybrid; callers sweep stray *.tmp files on boot.
+// one, never a hybrid; a stranded path.tmp is overwritten by the next
+// attempt.
 func WriteFileAtomic(path string, data []byte, hooks Hooks) error {
-	tmp := path + ".tmp"
-	keep := len(data)
-	var ferr error
-	if hooks.BeforeWrite != nil {
-		keep, ferr = hooks.BeforeWrite("write", len(data))
-		if keep > len(data) {
-			keep = len(data)
-		}
-	}
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	a, err := createAtomic(path, hooks)
 	if err != nil {
 		return err
 	}
-	if keep > 0 {
-		if _, werr := f.Write(data[:keep]); werr != nil {
-			f.Close()
-			return werr
-		}
+	if err := a.write(data); err != nil {
+		a.f.Close()
+		return err
 	}
-	if ferr != nil {
-		f.Close()
-		return ferr
+	return a.commit()
+}
+
+// atomicFile is one atomic replace in progress: write the temp file in
+// as many pieces as the caller has, then commit. A failed write or
+// commit leaves the temp file where a crash would.
+type atomicFile struct {
+	f     *os.File
+	path  string
+	hooks Hooks
+}
+
+func createAtomic(path string, hooks Hooks) (*atomicFile, error) {
+	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
 	}
-	if hooks.BeforeSync != nil {
-		if err := hooks.BeforeSync("write"); err != nil {
-			f.Close()
+	return &atomicFile{f: f, path: path, hooks: hooks}, nil
+}
+
+func (a *atomicFile) write(data []byte) error { return a.hooks.write(a.f, "write", data) }
+
+// commit makes the temp file durable and renames it into place.
+func (a *atomicFile) commit() error {
+	if a.hooks.BeforeSync != nil {
+		if err := a.hooks.BeforeSync("write"); err != nil {
+			a.f.Close()
 			return err
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := a.f.Sync(); err != nil {
+		a.f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
+	if err := a.f.Close(); err != nil {
 		return err
 	}
-	if hooks.BeforeRename != nil {
-		if err := hooks.BeforeRename("write"); err != nil {
+	if a.hooks.BeforeRename != nil {
+		if err := a.hooks.BeforeRename("write"); err != nil {
 			return err
 		}
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := os.Rename(a.path+".tmp", a.path); err != nil {
 		return err
 	}
-	return SyncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(a.path))
 }
 
 // SyncDir fsyncs a directory so a rename or unlink inside it is

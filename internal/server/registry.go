@@ -1,0 +1,370 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"time"
+
+	"repro/internal/bind"
+	"repro/internal/core"
+	"repro/internal/lint"
+	"repro/internal/load"
+	"repro/internal/sta"
+	"repro/internal/workload"
+)
+
+// restoreSessions eagerly re-materializes recovered sessions into memory,
+// up to the session cap; the remainder stay on disk and re-materialize
+// lazily on first access. A spec whose sources no longer build is
+// quarantined — the server still boots with every healthy session.
+func (s *Server) restoreSessions() {
+	names := s.store.Names()
+	loaded := 0
+	for _, name := range names {
+		if loaded >= s.cfg.MaxSessions {
+			s.cfg.Logf("restore: %d session(s) beyond the cap of %d stay on disk, reloadable on access", len(names)-loaded, s.cfg.MaxSessions)
+			break
+		}
+		sp := s.store.Spec(name)
+		if sp == nil {
+			continue
+		}
+		ss, einfo := s.materialize(context.Background(), name, sp)
+		if einfo != nil {
+			if einfo.Kind == "budget" {
+				// Out of memory budget, not an unreplayable spec: leave it
+				// on disk for lazy revive once memory frees up.
+				s.cfg.Logf("restore: %q stays on disk (memory budget): %s", name, einfo.Message)
+				continue
+			}
+			s.quarantineSpec(name, einfo.Message)
+			continue
+		}
+		if einfo := s.insert(ss); einfo != nil {
+			s.cache.release(ss.entry)
+			s.cfg.Logf("restore: %q stays on disk: %s", name, einfo.Message)
+			continue
+		}
+		loaded++
+		s.cfg.Logf("restore: session %q re-materialized from %s", name, s.cfg.DataDir)
+	}
+}
+
+// materialize builds an in-memory session from a persisted spec: the same
+// parse/lint/bind pipeline as a create, plus the restored padding, which
+// seeds the engine on first analyze (core.NewSession applies seeded
+// padding in its full analysis, and the session oracle pins that this
+// equals create-then-reanalyze).
+func (s *Server) materialize(ctx context.Context, name string, sp *sessionSpec) (*session, *ErrorInfo) {
+	ss, einfo := s.buildSession(ctx, sp.Create)
+	if einfo != nil {
+		return nil, einfo
+	}
+	ss.padding = sp.Padding
+	ss.persisted = true
+	ss.restored = true
+	if !sp.restoredAt.IsZero() {
+		ss.recoveredAt = sp.restoredAt
+	} else {
+		ss.recoveredAt = s.cfg.now()
+	}
+	return ss, nil
+}
+
+// quarantineSpec moves an unreplayable persisted session out of the
+// store: its spec bytes land in quarantine/ with the reason, a tombstone
+// is journaled so it never resurfaces, and the recovery report gains the
+// entry. The registry mutex guards the report against concurrent revives
+// and /v1/recovery reads.
+func (s *Server) quarantineSpec(name, reason string) {
+	s.cfg.Logf("restore: session %q quarantined: %s", name, reason)
+	if rep := s.store.QuarantineSpec(name, reason); rep != nil {
+		s.mu.Lock()
+		s.recovery.Quarantined = append(s.recovery.Quarantined, *rep)
+		for i, n := range s.recovery.Restored {
+			if n == name {
+				s.recovery.Restored = append(s.recovery.Restored[:i], s.recovery.Restored[i+1:]...)
+				break
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
+func (s *Server) lookup(name string) *session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ss := s.sessions[name]
+	if ss == nil || ss.pending || ss.deleting {
+		return nil
+	}
+	s.lastUsed[name] = s.cfg.now()
+	return ss
+}
+
+// retain looks up a session and pins it against eviction and deletion for
+// the duration of a request; callers must releaseRef when done. Without
+// the pin, a request that passed lookup but is still queued in admit could
+// have its session evicted underneath it and complete against an orphaned
+// object whose cached result no report could ever see.
+func (s *Server) retain(name string) *session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ss := s.sessions[name]
+	if ss == nil || ss.pending || ss.deleting {
+		return nil
+	}
+	s.lastUsed[name] = s.cfg.now()
+	ss.refs++
+	return ss
+}
+
+// revive transparently re-materializes a persisted session that is not in
+// memory — LRU-evicted under pressure, or never loaded since the last
+// restart. The rebuild (parse, lint, bind) happens outside the registry
+// lock; insertion tolerates losing a race with a concurrent revive of the
+// same name. Returns (nil, nil) when the store has no such session.
+//
+// The returned session is PINNED (refs incremented before it becomes
+// visible in the registry) and the caller must releaseRef it. Handing it
+// back unpinned would reopen an overload race: under heavy session churn
+// every other loaded session can be pinned by in-flight requests, which
+// makes a freshly revived refs==0 session the only LRU-eviction candidate
+// — it would be evicted between revive and the caller's retain, turning a
+// perfectly durable session into a spurious 404.
+func (s *Server) revive(ctx context.Context, name string) (*session, *ErrorInfo) {
+	if s.store == nil {
+		return nil, nil
+	}
+	for {
+		sp := s.store.Spec(name)
+		if sp == nil {
+			return nil, nil
+		}
+		sp.restoredAt = time.Time{} // a revive is recovered "now", not at boot
+		ss, einfo := s.materialize(ctx, name, sp)
+		if einfo != nil {
+			if einfo.Kind == "budget" || einfo.Kind == "canceled" {
+				// A budget shed is load and a canceled wait is the
+				// caller's own deadline — neither is rot: the spec still
+				// builds. Do NOT quarantine; surface the transient error
+				// for the caller to map onto 503.
+				return nil, einfo
+			}
+			s.quarantineSpec(name, einfo.Message)
+			return nil, &ErrorInfo{
+				Kind:    "unreplayable",
+				Message: fmt.Sprintf("session %q could not be re-materialized from disk and was quarantined: %s", name, einfo.Message),
+				Session: name,
+			}
+		}
+		// Born pinned: the ref must exist before insert makes the session
+		// visible, or a concurrent insert could evict it first.
+		ss.refs = 1
+		if einfo := s.insert(ss); einfo != nil {
+			s.cache.release(ss.entry)
+			if einfo.Kind == "conflict" {
+				// A concurrent request revived it first; use theirs.
+				//snavet:deferrelease the pin is handed to the caller, which defers releaseRef for the request's lifetime
+				if cur := s.retain(name); cur != nil {
+					return cur, nil
+				}
+				continue
+			}
+			return nil, einfo
+		}
+		// A DELETE may have tombstoned the spec between our read and the
+		// insert; honor the tombstone rather than resurrecting.
+		if s.store.Spec(name) == nil {
+			func() {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				if s.sessions[name] == ss {
+					if ss.refs--; ss.refs == 0 {
+						s.dropSessionLocked(ss)
+					}
+				}
+			}()
+			return nil, nil
+		}
+		s.cfg.Logf("session %q re-materialized from disk", name)
+		return ss, nil
+	}
+}
+
+// retainOrRevive pins the named session, re-materializing it from the
+// store when it is not in memory. The caller must releaseRef the result.
+func (s *Server) retainOrRevive(ctx context.Context, name string) (*session, *ErrorInfo) {
+	//snavet:deferrelease the pin is handed to the caller, which defers releaseRef for the request's lifetime
+	if ss := s.retain(name); ss != nil {
+		return ss, nil
+	}
+	// revive returns the session already pinned; the caller defers
+	// releaseRef just the same.
+	return s.revive(ctx, name)
+}
+
+func (s *Server) releaseRef(ss *session) {
+	s.mu.Lock()
+	ss.refs--
+	s.mu.Unlock()
+}
+
+// dropSessionLocked removes a session from the registry and releases
+// its design-cache reference. Callers hold s.mu (the cache mutex is a
+// leaf below it).
+func (s *Server) dropSessionLocked(ss *session) {
+	delete(s.sessions, ss.name)
+	delete(s.lastUsed, ss.name)
+	s.cache.release(ss.entry)
+}
+
+// insert registers a new session, evicting the least-recently-used idle
+// session when the cap is reached. It fails with a conflict if the name
+// exists and with session_limit when every loaded session is busy.
+func (s *Server) insert(ss *session) *ErrorInfo {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ss.busy == nil {
+		ss.busy = make(chan struct{}, 1)
+	}
+	if _, dup := s.sessions[ss.name]; dup {
+		return &ErrorInfo{Kind: "conflict", Message: fmt.Sprintf("session %q already exists", ss.name), Session: ss.name}
+	}
+	for len(s.sessions) >= s.cfg.MaxSessions {
+		victim := ""
+		var oldest time.Time
+		for name := range s.sessions {
+			if victim == "" || s.lastUsed[name].Before(oldest) {
+				// Only unreferenced sessions are evictable: refs counts
+				// every in-flight request pinned to the session, including
+				// ones still waiting in the admission queue, so eviction
+				// can never orphan a request that already passed lookup.
+				if s.sessions[name].refs == 0 {
+					victim, oldest = name, s.lastUsed[name]
+				}
+			}
+		}
+		if victim == "" {
+			return &ErrorInfo{Kind: "session_limit", Message: fmt.Sprintf("session cap %d reached and every session is busy", s.cfg.MaxSessions)}
+		}
+		if s.store != nil && s.sessions[victim].persisted {
+			// Eviction under persistence is memory-only: the spec stays in
+			// the store and the session re-materializes transparently on
+			// its next access (losing only warm engine state and the
+			// cached report).
+			s.cfg.Logf("evicting idle session %q (LRU, still on disk) for %q", victim, ss.name)
+		} else {
+			s.cfg.Logf("evicting idle session %q (LRU) for %q", victim, ss.name)
+		}
+		s.dropSessionLocked(s.sessions[victim])
+	}
+	s.sessions[ss.name] = ss
+	s.lastUsed[ss.name] = s.cfg.now()
+	return nil
+}
+
+// buildSession resolves the request into a session: cheap per-session
+// inputs (timing annotation, mode, fault spec) are parsed here, and the
+// expensive immutable part — the parsed, linted, bound design — is
+// acquired from the shared content-addressed cache, which builds it at
+// most once per distinct source set. The returned session holds one
+// cache reference; every path that discards the session must release it
+// (dropSessionLocked, or cache.release on pre-insert failures).
+func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*session, *ErrorInfo) {
+	if req.Name == "" {
+		return nil, &ErrorInfo{Kind: "bad_request", Message: "session name is required"}
+	}
+	if (req.Netlist == "") == (req.Verilog == "") {
+		return nil, &ErrorInfo{Kind: "bad_request", Message: "exactly one of netlist or verilog is required", Session: req.Name}
+	}
+	bad := func(err error) *ErrorInfo {
+		return &ErrorInfo{Kind: "bad_request", Message: err.Error(), Session: req.Name}
+	}
+	var inputs map[string]*sta.Timing
+	var err error
+	if req.Timing != "" {
+		if inputs, err = sta.ParseInputTiming(strings.NewReader(req.Timing)); err != nil {
+			return nil, bad(err)
+		}
+	}
+	mode, err := parseMode(req.Options.Mode)
+	if err != nil {
+		return nil, bad(err)
+	}
+	faults, err := workload.ParseRuntimeFaults(req.Options.InjectFault)
+	if err != nil {
+		return nil, bad(err)
+	}
+	src := sourcesOf(req)
+	//snavet:deferrelease the entry reference is owned by the returned session and released by dropSessionLocked (or by the caller on insert failure)
+	entry, einfo := s.cache.acquire(ctx, src, func() (*bind.Design, *ErrorInfo) {
+		return buildDesign(src, inputs)
+	})
+	if einfo != nil {
+		// The error object may be shared with coalesced waiters of the
+		// same build; annotate a copy with this request's session name.
+		e := *einfo
+		e.Session = req.Name
+		return nil, &e
+	}
+	return &session{
+		name:  req.Name,
+		spec:  req,
+		busy:  make(chan struct{}, 1),
+		b:     entry.b,
+		entry: entry,
+		opts: core.Options{
+			Mode:             mode,
+			FilterThreshold:  req.Options.Threshold,
+			NoPropagation:    req.Options.NoPropagation,
+			LogicCorrelation: req.Options.LogicCorrelation,
+			Workers:          req.Options.Workers,
+			FailSoft:         !req.Options.FailFast,
+			PrepareHook:      faults.Hook(),
+			STA:              sta.Options{InputTiming: inputs},
+		},
+	}, nil
+}
+
+// buildDesign is the cache-miss build path: parse every database, run
+// the lint pre-flight, and bind. Errors carry no session name — the
+// result may be shared by coalesced acquires from different sessions,
+// so callers annotate a copy. A lint rejection fails the build (noise
+// results computed from a broken database are worse than no results)
+// and is deliberately not cached: it is deterministic, cheap to rerun,
+// and caching failures would pin rejected source text in memory.
+func buildDesign(src designSources, inputs map[string]*sta.Timing) (*bind.Design, *ErrorInfo) {
+	bad := func(err error) *ErrorInfo {
+		return &ErrorInfo{Kind: "bad_request", Message: err.Error()}
+	}
+	ls := load.Sources{
+		Netlist: load.Text(src.Netlist), Liberty: load.Text(src.Liberty), SPEF: load.Text(src.SPEF), Inputs: inputs,
+	}
+	if src.Verilog != "" {
+		ls.Netlist, ls.Verilog = load.Text(src.Verilog), true
+	}
+	loaded, err := load.Load(ls, lint.Config{})
+	if err != nil {
+		return nil, bad(err)
+	}
+	lres := loaded.Lint
+	if lres.HasErrors() {
+		info := &ErrorInfo{
+			Kind:    "lint_rejected",
+			Message: fmt.Sprintf("design rejected by lint: %d error(s)", lres.Errors()),
+		}
+		for _, d := range lres.Diags {
+			info.Lint = append(info.Lint, LintDiagJSON{
+				Rule: d.Rule, Severity: d.Sev.String(), Object: d.Object, Message: d.Msg, Hint: d.Hint,
+			})
+		}
+		return nil, info
+	}
+	b, err := loaded.Bind()
+	if err != nil {
+		return nil, bad(err)
+	}
+	return b, nil
+}

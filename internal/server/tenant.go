@@ -20,8 +20,10 @@ package server
 // bypassing fairness.
 
 import (
+	"fmt"
 	"net/http"
 	"sync"
+	"time"
 
 	"repro/internal/fairq"
 )
@@ -134,4 +136,48 @@ func (a *admission) snapshot() (running, queued int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.running, a.waiters.Len()
+}
+
+// admit implements bounded, tenant-fair admission for the heavy
+// endpoints. It returns a release function on success; otherwise it has
+// already written the shed response. Waiting in the queue respects the
+// request context and the drain signal; grants rotate round-robin
+// across tenants (tenant.go), so one flooding tenant cannot starve the
+// rest of the queue.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (func(), bool) {
+	tenant := tenantOf(r)
+	start := time.Now()
+	if s.gate.tryAcquire(tenant) {
+		s.histAdmission.Observe(time.Since(start).Seconds())
+		return func() { s.gate.release(tenant) }, true
+	}
+	// No slot free for this tenant: try to join the wait queue. A full
+	// queue means the server is past its configured backlog — shed
+	// immediately rather than building an invisible line of doomed
+	// requests.
+	wt := s.gate.enqueue(tenant)
+	if wt == nil {
+		s.shedN.Add(1)
+		s.writeErr(w, http.StatusTooManyRequests, ErrorInfo{
+			Kind:    "overloaded",
+			Message: fmt.Sprintf("all %d workers busy and queue of %d full", s.cfg.MaxConcurrent, s.cfg.QueueDepth),
+		}, s.cfg.RetryAfter)
+		return nil, false
+	}
+	var gaveUp ErrorInfo
+	select {
+	case <-wt.ready:
+		s.histAdmission.Observe(time.Since(start).Seconds())
+		return func() { s.gate.release(tenant) }, true
+	case <-r.Context().Done():
+		gaveUp = ErrorInfo{Kind: "deadline", Message: "request expired while queued for a worker"}
+	case <-s.forceCtx.Done():
+		gaveUp = ErrorInfo{Kind: "draining", Message: "server drained while request was queued"}
+	}
+	if !s.gate.abandon(wt) {
+		// The grant raced the expiry; the slot is ours to return.
+		s.gate.release(tenant)
+	}
+	s.writeErr(w, http.StatusServiceUnavailable, gaveUp, s.cfg.RetryAfter)
+	return nil, false
 }

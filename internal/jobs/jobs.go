@@ -384,13 +384,7 @@ func (m *Manager) Submit(spec *Spec) (*report.JobJSON, error) {
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	queued := 0
-	for _, j := range m.jobs {
-		if j.State == StateQueued {
-			queued++
-		}
-	}
-	if queued >= m.cfg.MaxQueued {
+	if queued, _ := m.countLocked(); queued >= m.cfg.MaxQueued {
 		m.mu.Unlock()
 		return nil, ErrQueueFull
 	}
@@ -457,27 +451,23 @@ func (m *Manager) Cancel(id string) (*report.JobJSON, error) {
 		m.mu.Unlock()
 		return snap, err
 	}
-	var final bool
-	if j.State == StateQueued {
-		// Not yet claimed (or parked between retry attempts): the
-		// terminal record can land right now.
-		if err := m.appendLocked(&record{Type: recCanceled, ID: id}); err != nil {
-			m.mu.Unlock()
-			return nil, &StorageError{Err: err}
-		}
-		j.CancelRequested = true
+	// A job not yet claimed (or parked between retry attempts) can take
+	// its terminal record right now; a running one gets the intent.
+	final := j.State == StateQueued
+	typ := recCancel
+	if final {
+		typ = recCanceled
+	}
+	if err := m.appendLocked(&record{Type: typ, ID: id}); err != nil {
+		m.mu.Unlock()
+		return nil, &StorageError{Err: err}
+	}
+	j.CancelRequested = true
+	if final {
 		m.queue.Remove(j.Spec.Tenant, id)
 		m.finalizeLocked(j, StateCanceled, "", false, nil)
-		final = true
-	} else {
-		if err := m.appendLocked(&record{Type: recCancel, ID: id}); err != nil {
-			m.mu.Unlock()
-			return nil, &StorageError{Err: err}
-		}
-		j.CancelRequested = true
-		if j.cancel != nil {
-			j.cancel()
-		}
+	} else if j.cancel != nil {
+		j.cancel()
 	}
 	snap := m.snapshotLocked(j)
 	m.mu.Unlock()
@@ -503,15 +493,7 @@ type Metrics struct {
 // MetricsSnapshot collects the current job gauges and counters.
 func (m *Manager) MetricsSnapshot() Metrics {
 	m.mu.Lock()
-	var queued, running int
-	for _, j := range m.jobs {
-		switch j.State {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
-		}
-	}
+	queued, running := m.countLocked()
 	m.mu.Unlock()
 	return Metrics{
 		Queued:          queued,
@@ -522,6 +504,20 @@ func (m *Manager) MetricsSnapshot() Metrics {
 		Quarantined:     m.quarantinedN.Load(),
 		StorageDegraded: m.log != nil && m.log.Degraded(),
 	}
+}
+
+// countLocked counts the waiting jobs (in the queue or parked between
+// retry attempts) and the running ones.
+func (m *Manager) countLocked() (queued, running int) {
+	for _, j := range m.jobs {
+		switch j.State {
+		case StateQueued:
+			queued++
+		case StateRunning:
+			running++
+		}
+	}
+	return queued, running
 }
 
 // Close drains the pool: no new attempts start, running attempts are
@@ -682,16 +678,7 @@ func (m *Manager) runJob(j *job) {
 		if err != nil {
 			msg = err.Error()
 		}
-		diag := report.JobDiagJSON{
-			Attempt: attempt,
-			Stage:   stage,
-			Error:   msg,
-			Time:    time.Now().UTC().Format(time.RFC3339Nano),
-		}
-		j.Diags = append(j.Diags, diag)
-		if aerr := m.appendLocked(&record{Type: recAttempt, ID: j.ID, Attempt: attempt, Stage: stage, Error: msg}); aerr != nil {
-			m.cfg.Logf("jobs: %s attempt diag not journaled: %v", j.ID, aerr)
-		}
+		m.failAttemptLocked(j, stage, msg)
 
 		if IsPermanent(err) {
 			m.finalizeLocked(j, StateFailed, msg, false, nil)
@@ -730,6 +717,17 @@ func (m *Manager) runJob(j *job) {
 			// journal already replays this job to queued.
 			return
 		}
+	}
+}
+
+// failAttemptLocked records the diagnostic of the job's current attempt
+// on the job and, fail-soft, in the journal.
+func (m *Manager) failAttemptLocked(j *job, stage, msg string) {
+	j.Diags = append(j.Diags, report.JobDiagJSON{
+		Attempt: j.Attempts, Stage: stage, Error: msg, Time: time.Now().UTC().Format(time.RFC3339Nano),
+	})
+	if err := m.appendLocked(&record{Type: recAttempt, ID: j.ID, Attempt: j.Attempts, Stage: stage, Error: msg}); err != nil {
+		m.cfg.Logf("jobs: %s %s diag not journaled: %v", j.ID, stage, err)
 	}
 }
 

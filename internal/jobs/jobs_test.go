@@ -60,7 +60,7 @@ func compact(m *Manager) {
 // stamped and framed by the log itself.
 func writeJournal(t *testing.T, dir string, records ...*record) {
 	t.Helper()
-	log, _, err := wal.OpenLog(filepath.Join(dir, journalFile), "jobs", wal.Hooks{}, nil, func([]byte, time.Time) error { return nil })
+	log, _, err := wal.OpenLog(filepath.Join(dir, journalFile), "jobs", wal.Hooks{}, t.Logf, func([]byte, time.Time) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

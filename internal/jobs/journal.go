@@ -195,16 +195,7 @@ func (m *Manager) recoverInterrupted() {
 		if j.State == StateRunning {
 			// The process died mid-attempt: the start record consumed the
 			// attempt; record what happened to it.
-			diag := report.JobDiagJSON{
-				Attempt: j.Attempts,
-				Stage:   "interrupted",
-				Error:   "process exited mid-attempt",
-				Time:    time.Now().UTC().Format(time.RFC3339Nano),
-			}
-			j.Diags = append(j.Diags, diag)
-			if err := m.appendLocked(&record{Type: recAttempt, ID: id, Attempt: j.Attempts, Stage: diag.Stage, Error: diag.Error}); err != nil {
-				m.cfg.Logf("jobs: %s interrupted diag not journaled: %v", id, err)
-			}
+			m.failAttemptLocked(j, "interrupted", "process exited mid-attempt")
 		}
 		switch {
 		case j.CancelRequested:

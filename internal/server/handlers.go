@@ -279,20 +279,26 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
-		eng, rebuilt, err := ss.ensureEngine(ctx)
-		if err != nil {
-			return nil, err
-		}
-		resp := &AnalyzeResponse{
-			Session: ss.name,
-			Noise:   report.BuildJSON(eng.Noise()),
-			Rebuilt: rebuilt,
-		}
-		if req.Delay {
-			resp.Delay = report.BuildDelayJSON(eng.Delay())
-		}
-		return resp, nil
+		return s.analyzeWork(ctx, ss, req.Delay)
 	})
+}
+
+// analyzeWork is one full analysis of the session, run under its busy
+// slot: the body of POST analyze and of an analyze job.
+func (s *Server) analyzeWork(ctx context.Context, ss *session, delay bool) (*AnalyzeResponse, error) {
+	eng, rebuilt, err := ss.ensureEngine(ctx)
+	if err != nil {
+		return nil, err
+	}
+	resp := &AnalyzeResponse{
+		Session: ss.name,
+		Noise:   report.BuildJSON(eng.Noise()),
+		Rebuilt: rebuilt,
+	}
+	if delay {
+		resp.Delay = report.BuildDelayJSON(eng.Delay())
+	}
+	return resp, nil
 }
 
 func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) {
@@ -310,32 +316,38 @@ func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
-		eng, rebuilt, err := ss.ensureEngine(ctx)
-		if err != nil {
-			return nil, err
-		}
-		res, changed, err := eng.Reanalyze(ctx, req.Padding)
-		if err != nil {
-			return nil, err
-		}
-		if changed > 0 {
-			// Mirror the engine's cumulative padding (we hold the busy slot)
-			// and journal it, so a rebuild — in this process or the next —
-			// replays the session to exactly this state.
-			ss.padding = eng.Padding()
-			s.persistPadding(ss)
-		}
-		resp := &AnalyzeResponse{
-			Session:     ss.name,
-			Noise:       report.BuildJSON(res),
-			ChangedNets: changed,
-			Rebuilt:     rebuilt,
-		}
-		if req.Delay {
-			resp.Delay = report.BuildDelayJSON(eng.Delay())
-		}
-		return resp, nil
+		return s.reanalyzeWork(ctx, ss, req.Padding, req.Delay)
 	})
+}
+
+// reanalyzeWork applies padding to the session's warm engine, run under
+// its busy slot: the body of POST reanalyze and of a reanalyze job.
+func (s *Server) reanalyzeWork(ctx context.Context, ss *session, padding map[string]float64, delay bool) (*AnalyzeResponse, error) {
+	eng, rebuilt, err := ss.ensureEngine(ctx)
+	if err != nil {
+		return nil, err
+	}
+	res, changed, err := eng.Reanalyze(ctx, padding)
+	if err != nil {
+		return nil, err
+	}
+	if changed > 0 {
+		// Mirror the engine's cumulative padding (we hold the busy slot)
+		// and journal it, so a rebuild — in this process or the next —
+		// replays the session to exactly this state.
+		ss.padding = eng.Padding()
+		s.persistPadding(ss)
+	}
+	resp := &AnalyzeResponse{
+		Session:     ss.name,
+		Noise:       report.BuildJSON(res),
+		ChangedNets: changed,
+		Rebuilt:     rebuilt,
+	}
+	if delay {
+		resp.Delay = report.BuildDelayJSON(eng.Delay())
+	}
+	return resp, nil
 }
 
 // persistPadding journals a session's cumulative reanalyze padding.

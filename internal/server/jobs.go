@@ -126,33 +126,11 @@ func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, attemp
 func (s *Server) runJobWork(ctx context.Context, ss *session, id string, spec *jobs.Spec) (*AnalyzeResponse, json.RawMessage, error) {
 	switch spec.Type {
 	case "analyze":
-		eng, rebuilt, err := ss.ensureEngine(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		resp := &AnalyzeResponse{Session: ss.name, Noise: report.BuildJSON(eng.Noise()), Rebuilt: rebuilt}
-		if spec.Delay {
-			resp.Delay = report.BuildDelayJSON(eng.Delay())
-		}
-		return resp, nil, nil
+		resp, err := s.analyzeWork(ctx, ss, spec.Delay)
+		return resp, nil, err
 	case "reanalyze":
-		eng, rebuilt, err := ss.ensureEngine(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, changed, err := eng.Reanalyze(ctx, spec.Padding)
-		if err != nil {
-			return nil, nil, err
-		}
-		if changed > 0 {
-			ss.padding = eng.Padding()
-			s.persistPadding(ss)
-		}
-		resp := &AnalyzeResponse{Session: ss.name, Noise: report.BuildJSON(res), ChangedNets: changed, Rebuilt: rebuilt}
-		if spec.Delay {
-			resp.Delay = report.BuildDelayJSON(eng.Delay())
-		}
-		return resp, nil, nil
+		resp, err := s.reanalyzeWork(ctx, ss, spec.Padding, spec.Delay)
+		return resp, nil, err
 	case "iterate":
 		// The checkpoint token is the job ID, unique across restarts: a
 		// SIGKILL'd iterate job resumes mid-fixpoint instead of starting

@@ -267,7 +267,7 @@ func TestServerRecoveryCoversBothJournals(t *testing.T) {
 		if err := os.MkdirAll(filepath.Dir(j.path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		log, _, err := wal.OpenLog(j.path, j.source, wal.Hooks{}, nil, func([]byte, time.Time) error { return nil })
+		log, _, err := wal.OpenLog(j.path, j.source, wal.Hooks{}, t.Logf, func([]byte, time.Time) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

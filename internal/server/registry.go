@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -82,12 +83,7 @@ func (s *Server) quarantineSpec(name, reason string) {
 	if rep := s.store.QuarantineSpec(name, reason); rep != nil {
 		s.mu.Lock()
 		s.recovery.Quarantined = append(s.recovery.Quarantined, *rep)
-		for i, n := range s.recovery.Restored {
-			if n == name {
-				s.recovery.Restored = append(s.recovery.Restored[:i], s.recovery.Restored[i+1:]...)
-				break
-			}
-		}
+		s.recovery.Restored = slices.DeleteFunc(s.recovery.Restored, func(n string) bool { return n == name })
 		s.mu.Unlock()
 	}
 }

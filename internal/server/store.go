@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -64,14 +65,7 @@ type sessionSpec struct {
 }
 
 func (sp *sessionSpec) clone() *sessionSpec {
-	out := &sessionSpec{Create: sp.Create, restoredAt: sp.restoredAt}
-	if len(sp.Padding) > 0 {
-		out.Padding = make(map[string]float64, len(sp.Padding))
-		for k, v := range sp.Padding {
-			out.Padding[k] = v
-		}
-	}
-	return out
+	return &sessionSpec{Create: sp.Create, Padding: maps.Clone(sp.Padding), restoredAt: sp.restoredAt}
 }
 
 // record is one journaled session lifecycle event.
@@ -213,10 +207,7 @@ func (st *Store) Padding(name string, padding map[string]float64) error {
 	if sp == nil {
 		return fmt.Errorf("store: padding for unknown session %q", name)
 	}
-	cp := make(map[string]float64, len(padding))
-	for k, v := range padding {
-		cp[k] = v
-	}
+	cp := maps.Clone(padding)
 	if err := st.appendLocked(&record{Type: "padding", Name: name, Padding: cp}); err != nil {
 		return err
 	}

@@ -5,19 +5,13 @@ package server
 // all callers, so one bulk tenant flooding the queue starves every
 // interactive user behind it. admission keeps the same outer contract —
 // at most capacity running, at most queueCap waiting, overflow shed
-// immediately — and replaces global FIFO with:
-//
-//   - per-tenant FIFO wait queues (order within a tenant is preserved),
-//   - round-robin grants across tenants with waiters, and
-//   - a per-tenant running cap (tenantCap), so even with an empty ring a
-//     single tenant cannot occupy every worker slot.
-//
-// The queues, the rotation and the cap are internal/fairq's Ring, shared
-// with the job pool. With tenantCap == capacity (the default) and one
-// tenant, the behavior is indistinguishable from the old gate. The
-// tenant ID is free text from the X-Snad-Tenant header; absent means the
-// "" tenant, so untagged traffic shares one fair slice instead of
-// bypassing fairness.
+// immediately — and replaces global FIFO with internal/fairq's Ring,
+// shared with the job pool: per-tenant FIFO queues, round-robin grants
+// across them, and a per-tenant running cap (tenantCap). With tenantCap
+// == capacity (the default) and one tenant, the behavior is
+// indistinguishable from the old gate. The tenant ID is free text from
+// the X-Snad-Tenant header; absent means the "" tenant, so untagged
+// traffic shares one fair slice instead of bypassing fairness.
 
 import (
 	"fmt"

@@ -18,25 +18,10 @@ import (
 
 // Log is a journaled log: one append-only file of sequenced, time-stamped
 // records that an owner folds into its in-memory state. The owner brings
-// a record schema, an apply function and a snapshot emitter; everything
-// else about durability is done here, once:
-//
-//	open     scan the file; for each intact frame check its sequence
-//	         number and hand the payload to the owner's apply; a record
-//	         apply refuses is quarantined with a reason sidecar and replay
-//	         continues; a corrupt tail is preserved in quarantine, a torn
-//	         tail (the crash signature) is dropped, and the file is
-//	         truncated to the last intact frame before the writer opens,
-//	         so nothing is ever appended after an unreadable frame
-//	append   stamp the next sequence number and the time, frame, write,
-//	         fsync; a failed append burns its sequence number and the
-//	         Writer repairs the tail
-//	rewrite  stream the owner's snapshot records into a temp file, fsync,
-//	         rename over the journal, fsync the directory — the rename is
-//	         the commit point, so a crash or a failure at any step leaves
-//	         a whole journal
-//
-// Corrupt content never fails Open; only a file that cannot be read,
+// a record schema, an apply function and a snapshot emitter; replay,
+// sequence numbers, quarantine, tail repair, durable appends and
+// compaction are done here, once (OpenLog, Append, Rewrite). Corrupt
+// content never fails an open; only a file that cannot be read,
 // truncated or opened for append does.
 //
 // Every frame's payload is a 16-byte envelope — sequence number, then
@@ -93,14 +78,15 @@ type Replay struct {
 // OpenLog replays the journal at path (a missing file is an empty one)
 // through apply, repairs its tail and opens it for appending. source
 // names the journal in quarantine file names, sidecars and log lines.
-// apply receives each record's payload and append time in file order; an
-// error from it quarantines that record and replay goes on.
+// apply receives each intact, in-sequence record's payload and append
+// time in file order; an error from it quarantines that record with a
+// reason sidecar and replay goes on. A corrupt tail is preserved in
+// quarantine, a torn one (the crash signature) is dropped, and the file
+// is truncated to its last intact frame before the writer opens, so
+// nothing is ever appended after an unreadable frame.
 func OpenLog(path, source string, hooks Hooks, logf func(string, ...any), apply func(payload []byte, at time.Time) error) (*Log, *Replay, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	l := &Log{path: path, source: source, hooks: hooks, logf: logf}
-	if err := os.MkdirAll(l.quarantineDir(), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(filepath.Dir(path), "quarantine"), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", source, err)
 	}
 	// A rewrite that died before its rename left only this behind; the
@@ -169,8 +155,6 @@ func OpenLog(path, source string, hooks Hooks, logf func(string, ...any), apply 
 	l.w = w
 	return l, rep, nil
 }
-
-func (l *Log) quarantineDir() string { return filepath.Join(filepath.Dir(l.path), "quarantine") }
 
 // frameRecord builds one whole frame — header, envelope, payload — in a
 // single buffer.
@@ -241,13 +225,13 @@ func (l *Log) Rewrite(snapshot func(emit func(payload []byte) error) error) erro
 			seq++
 			buf := frameRecord(seq, now, payload)
 			size += int64(len(buf))
-			return a.write(buf)
+			return l.hooks.write(a.f, "write", buf)
 		}
-		if err := snapshot(write); err != nil {
-			a.f.Close()
-			return err
+		err = snapshot(write)
+		if err == nil {
+			err = write(nil) // the end marker
 		}
-		if err := write(nil); err != nil {
+		if err != nil {
 			a.f.Close()
 			return err
 		}

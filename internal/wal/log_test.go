@@ -58,7 +58,7 @@ func (o *toy) snapshot(emit func([]byte) error) error {
 func openToy(t testing.TB, dir string, hooks Hooks) (*toy, *Replay) {
 	t.Helper()
 	o := &toy{state: make(map[string]string)}
-	l, rep, err := OpenLog(filepath.Join(dir, "toy.wal"), "toy", hooks, nil, o.apply)
+	l, rep, err := OpenLog(filepath.Join(dir, "toy.wal"), "toy", hooks, t.Logf, o.apply)
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}

@@ -151,8 +151,7 @@ func OpenWriter(path string, hooks Hooks) (*Writer, error) {
 // Path returns the journal's file path.
 func (j *Writer) Path() string { return j.path }
 
-// Sync fsyncs the underlying file (used right after creating a fresh
-// journal, before a manifest points at it).
+// Sync fsyncs the underlying file.
 func (j *Writer) Sync() error { return j.f.Sync() }
 
 // Append frames, writes, and fsyncs one payload. On failure the partial
@@ -294,16 +293,17 @@ func WriteFileAtomic(path string, data []byte, hooks Hooks) error {
 	if err != nil {
 		return err
 	}
-	if err := a.write(data); err != nil {
+	if err := hooks.write(a.f, "write", data); err != nil {
 		a.f.Close()
 		return err
 	}
 	return a.commit()
 }
 
-// atomicFile is one atomic replace in progress: write the temp file in
-// as many pieces as the caller has, then commit. A failed write or
-// commit leaves the temp file where a crash would.
+// atomicFile is one atomic replace in progress: write f, the temp file,
+// in as many pieces as the caller has (through hooks.write), then
+// commit. A failed write or commit leaves the temp file where a crash
+// would.
 type atomicFile struct {
 	f     *os.File
 	path  string
@@ -317,8 +317,6 @@ func createAtomic(path string, hooks Hooks) (*atomicFile, error) {
 	}
 	return &atomicFile{f: f, path: path, hooks: hooks}, nil
 }
-
-func (a *atomicFile) write(data []byte) error { return a.hooks.write(a.f, "write", data) }
 
 // commit makes the temp file durable and renames it into place.
 func (a *atomicFile) commit() error {

@@ -45,10 +45,11 @@
 //
 // With -data-dir, session lifecycle (creates, reanalyze padding, deletes)
 // is journaled to disk before it is acknowledged and replayed on the next
-// boot: sessions survive restarts and crashes, corrupt records are
-// quarantined into DIR/quarantine with a reason instead of refusing the
-// boot, and `snad recovery` reports what the last boot restored and
-// quarantined.
+// boot: sessions survive restarts and crashes, corrupt records of either
+// journal (DIR/sessions.wal, DIR/jobs/jobs.wal) are quarantined beside it
+// with a reason instead of refusing the boot, and `snad recovery` reports
+// what the last boot restored and quarantined. The journals compact
+// themselves; there is nothing to tune.
 //
 // With -workers, the server is also a coordinator: the listed snad
 // processes are registered as shard workers (heartbeat-probed), and
@@ -76,7 +77,8 @@
 //	0  clean drain: every in-flight request finished within the budget
 //	1  forced drain: in-flight work had to be cancelled
 //	3  usage error (bad flags)
-//	4  startup failure (listen error) or server crash
+//	4  startup failure (listen error; an unusable -data-dir, or one in
+//	   an earlier version's MANIFEST/generation layout) or server crash
 //
 // Client commands reuse the sna discipline where it applies: 0 clean,
 // 1 violations (analyze/reanalyze), 3 usage, 4 request failure,

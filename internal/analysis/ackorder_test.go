@@ -10,6 +10,9 @@ import (
 // the real internal/server, it must find a journal mutation and a 2xx
 // acknowledgement in each handler that acknowledges durable state.
 func TestAckOrderSeesTheRealHandlers(t *testing.T) {
+	// The golden-package tests in this binary switch the process to GOPATH
+	// mode for their source importer; the go list below needs the module.
+	t.Setenv("GO111MODULE", "on")
 	paired := map[string]bool{}
 	probe := &Analyzer{Name: "ackorderprobe", Run: func(pass *Pass) error {
 		ackOrderPairs(pass, func(fd *ast.FuncDecl, mutates, acks []*ast.CallExpr) {

@@ -353,8 +353,8 @@ func Open(cfg Config) (*Manager, *wal.Replay, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// IDs never regress, even past a submit record that was
-		// quarantined after the meta floor was written.
+		// The meta record floors nextID past the jobs compaction pruned;
+		// the jobs replayed on top of it floor it past themselves.
 		for id := range m.jobs {
 			var n uint64
 			if _, serr := fmt.Sscanf(id, "job-%d", &n); serr == nil && n >= m.nextID {

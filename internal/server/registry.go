@@ -82,9 +82,9 @@ func (s *Server) quarantineSpec(name, reason string) {
 	s.cfg.Logf("restore: session %q quarantined: %s", name, reason)
 	if rep := s.store.QuarantineSpec(name, reason); rep != nil {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.recovery.Quarantined = append(s.recovery.Quarantined, *rep)
 		s.recovery.Restored = slices.DeleteFunc(s.recovery.Restored, func(n string) bool { return n == name })
-		s.mu.Unlock()
 	}
 }
 

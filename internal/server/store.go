@@ -104,16 +104,16 @@ func OpenStore(dir string, hooks wal.Hooks, fsync *metrics.Histogram, logf func(
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	st.log = log
-	rep := &report.RecoveryJSON{
+	compacted := st.compactLocked(false)
+	return st, &report.RecoveryJSON{
 		DataDir:     dir,
 		RecoveredAt: restoredAt.Format(time.RFC3339Nano),
 		Records:     replay.Records,
 		TornTail:    replay.TornTail,
 		Quarantined: replay.Quarantined,
-		Compacted:   st.compactLocked(false),
+		Compacted:   compacted,
 		Restored:    st.Names(),
-	}
-	return st, rep, nil
+	}, nil
 }
 
 // apply folds one replayed record into the spec index; an error

@@ -215,28 +215,19 @@ func (l *Log) Rewrite(snapshot func(emit func(payload []byte) error) error) erro
 	}
 	var seq uint64
 	var size int64
-	err := func() error {
-		a, err := createAtomic(l.path, l.hooks)
-		if err != nil {
-			return err
-		}
-		now := time.Now()
+	now := time.Now()
+	err := replaceAtomic(l.path, l.hooks, func(tmp *os.File) error {
 		write := func(payload []byte) error {
 			seq++
 			buf := frameRecord(seq, now, payload)
 			size += int64(len(buf))
-			return l.hooks.write(a.f, "write", buf)
+			return l.hooks.write(tmp, "write", buf)
 		}
-		err = snapshot(write)
-		if err == nil {
-			err = write(nil) // the end marker
-		}
-		if err != nil {
-			a.f.Close()
+		if err := snapshot(write); err != nil {
 			return err
 		}
-		return a.commit()
-	}()
+		return write(nil) // the end marker
+	})
 
 	// Reopen by path either way: a commit can fail after its rename (the
 	// directory fsync), and appending to the unlinked old file would lose

@@ -289,59 +289,43 @@ func (scan *ScanResult) visit(path string, fn func(payload []byte)) error {
 // one, never a hybrid; a stranded path.tmp is overwritten by the next
 // attempt.
 func WriteFileAtomic(path string, data []byte, hooks Hooks) error {
-	a, err := createAtomic(path, hooks)
-	if err != nil {
-		return err
-	}
-	if err := hooks.write(a.f, "write", data); err != nil {
-		a.f.Close()
-		return err
-	}
-	return a.commit()
+	return replaceAtomic(path, hooks, func(tmp *os.File) error { return hooks.write(tmp, "write", data) })
 }
 
-// atomicFile is one atomic replace in progress: write f, the temp file,
-// in as many pieces as the caller has (through hooks.write), then
-// commit. A failed write or commit leaves the temp file where a crash
-// would.
-type atomicFile struct {
-	f     *os.File
-	path  string
-	hooks Hooks
-}
-
-func createAtomic(path string, hooks Hooks) (*atomicFile, error) {
+// replaceAtomic is WriteFileAtomic for content that fill writes to the
+// temp file in as many pieces as it has (through hooks.write). A failure
+// at any stage leaves the temp file where a crash would.
+func replaceAtomic(path string, hooks Hooks, fill func(tmp *os.File) error) error {
 	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &atomicFile{f: f, path: path, hooks: hooks}, nil
-}
-
-// commit makes the temp file durable and renames it into place.
-func (a *atomicFile) commit() error {
-	if a.hooks.BeforeSync != nil {
-		if err := a.hooks.BeforeSync("write"); err != nil {
-			a.f.Close()
+	if err := fill(f); err != nil {
+		f.Close()
+		return err
+	}
+	if hooks.BeforeSync != nil {
+		if err := hooks.BeforeSync("write"); err != nil {
+			f.Close()
 			return err
 		}
 	}
-	if err := a.f.Sync(); err != nil {
-		a.f.Close()
+	if err := f.Sync(); err != nil {
+		f.Close()
 		return err
 	}
-	if err := a.f.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
-	if a.hooks.BeforeRename != nil {
-		if err := a.hooks.BeforeRename("write"); err != nil {
+	if hooks.BeforeRename != nil {
+		if err := hooks.BeforeRename("write"); err != nil {
 			return err
 		}
 	}
-	if err := os.Rename(a.path+".tmp", a.path); err != nil {
+	if err := os.Rename(path+".tmp", path); err != nil {
 		return err
 	}
-	return SyncDir(filepath.Dir(a.path))
+	return SyncDir(filepath.Dir(path))
 }
 
 // SyncDir fsyncs a directory so a rename or unlink inside it is

@@ -495,7 +495,11 @@ func BenchmarkShardWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := core.NewShardEngine(ctx, bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}, plan.Order, nil)
+	whole, err := shard.Partition(plan, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewShardEngine(ctx, bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}, plan.ID, whole.Owned[0], nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,16 +95,16 @@ func (o *Options) fill() {
 	}
 }
 
-// wave is one level of the propagation schedule: the contiguous run
-// a.order[lo:hi] of nets whose drivers share a levelization level. Every
-// fanin of a wave's nets lives in a strictly earlier wave, so the nets of
-// one wave never read each other's combinations and may be evaluated
-// concurrently. The feedback wave (cyclic nets) is the exception — its
-// nets can read each other within a pass, so it keeps the serial
-// Gauss–Seidel order.
-type wave struct {
-	lo, hi int
-	serial bool
+// Wave is one level of the propagation schedule: the contiguous run
+// [Lo, Hi) of the victim order, nets whose drivers share a levelization
+// level. Every fanin of a wave's nets lives in a strictly earlier wave, so
+// the nets of one wave never read each other's combinations and may be
+// evaluated concurrently. The feedback wave (cyclic nets) is the exception —
+// its nets can read each other within a pass, so it keeps the serial
+// Gauss–Seidel order (and, sharded, must be owned by one shard).
+type Wave struct {
+	Lo, Hi int
+	Serial bool
 }
 
 // prepCount remembers one victim's preparation statistics so re-preparing
@@ -147,8 +147,8 @@ type analyzer struct {
 	// alphabetical net order the violation check walks.
 	order     []*netlist.Net
 	posByID   []int32
-	waves     []wave
-	sortedPos []int
+	waves     []Wave
+	sortedPos []int32
 	// Per-victim state lives in dense slices indexed by evaluation-order
 	// position, not name-keyed maps: at millions of nets the per-entry
 	// map overhead (hashing, bucket churn) dominated steady-state
@@ -252,7 +252,7 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 	a.prepCounts = make([]prepCount, n)
 	a.propCount = make([]int, n)
 	a.degraded = make([]bool, n)
-	a.buildWaves()
+	a.waves = wavesOf(a.order)
 	return a, nil
 }
 
@@ -260,33 +260,40 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 // the victim order, and the per-net strings the hot loops would otherwise
 // concatenate on every evaluation.
 func (a *analyzer) indexOrder() {
-	a.posByID = make([]int32, a.b.Net.NumNets())
-	for id := range a.posByID {
-		a.posByID[id] = -1
-	}
+	a.posByID, a.sortedPos = orderIndex(a.b.Net.NumNets(), a.order)
 	a.propSrc = make([]string, len(a.posByID))
-	a.sortedPos = make([]int, len(a.order))
-	for i, net := range a.order {
-		a.posByID[net.ID()] = int32(i)
+	for _, net := range a.order {
 		a.propSrc[net.ID()] = "prop:" + net.Name
-		a.sortedPos[i] = i
 	}
-	sort.Slice(a.sortedPos, func(i, j int) bool { return a.order[a.sortedPos[i]].Name < a.order[a.sortedPos[j]].Name })
 }
 
-// buildWaves groups the level-sorted victim order into contiguous
-// same-level runs. Feedback nets (netLevel 1<<30) form a serial wave.
-func (a *analyzer) buildWaves() {
-	a.waves = a.waves[:0]
-	for lo := 0; lo < len(a.order); {
-		lvl := netLevel(a.order[lo])
+// orderIndex returns, for a victim order over a design of nets nets, each net
+// ID's position (-1: not analyzed) and the positions in alphabetical net order.
+func orderIndex(nets int, order []*netlist.Net) (posByID, sortedPos []int32) {
+	posByID, sortedPos = make([]int32, nets), make([]int32, len(order))
+	for id := range posByID {
+		posByID[id] = -1
+	}
+	for i, net := range order {
+		posByID[net.ID()], sortedPos[i] = int32(i), int32(i)
+	}
+	sort.Slice(sortedPos, func(i, j int) bool { return order[sortedPos[i]].Name < order[sortedPos[j]].Name })
+	return posByID, sortedPos
+}
+
+// wavesOf groups a level-sorted victim order into contiguous same-level
+// runs. Feedback nets (netLevel 1<<30) form a serial wave, the last.
+func wavesOf(order []*netlist.Net) (waves []Wave) {
+	for lo := 0; lo < len(order); {
+		lvl := netLevel(order[lo])
 		hi := lo + 1
-		for hi < len(a.order) && netLevel(a.order[hi]) == lvl {
+		for hi < len(order) && netLevel(order[hi]) == lvl {
 			hi++
 		}
-		a.waves = append(a.waves, wave{lo: lo, hi: hi, serial: lvl == feedbackLevel})
+		waves = append(waves, Wave{Lo: lo, Hi: hi, Serial: lvl == feedbackLevel})
 		lo = hi
 	}
+	return waves
 }
 
 // newResult allocates the Result shell the fixpoint fills in.
@@ -597,10 +604,10 @@ func (a *analyzer) runFixpoint(ctx context.Context, res *Result) error {
 // non-nil, additionally collects every commit whose Peak, Width or Window
 // differs at all from what it replaced: that, not the tolerance test, is
 // what a reader of the combination elsewhere (another shard) must be sent.
-func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, moved *[]WaveUpdate) (bool, error) {
+func (a *analyzer) evalWave(ctx context.Context, res *Result, w Wave, moved *[]WaveUpdate) (bool, error) {
 	todo := a.todo[:0]
-	if !w.serial && a.opts.Workers > 1 {
-		todo = a.stale.appendRange(todo, w.lo, w.hi)
+	if !w.Serial && a.opts.Workers > 1 {
+		todo = a.stale.appendRange(todo, w.Lo, w.Hi)
 	}
 	a.todo = todo
 	workers := min(a.opts.Workers, len(todo))
@@ -609,8 +616,8 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w wave, moved *[]W
 		// the feedback wave a commit can make a later net of the same wave
 		// stale, and Gauss–Seidel evaluates it in this pass.
 		changed := false
-		for oi := w.lo; oi < w.hi; oi++ {
-			if (oi-w.lo)&0x3f == 0 {
+		for oi := w.Lo; oi < w.Hi; oi++ {
+			if (oi-w.Lo)&0x3f == 0 {
 				if err := ctx.Err(); err != nil {
 					return changed, err
 				}
@@ -800,7 +807,11 @@ func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval
 	if ev.moved {
 		a.markReaders(net)
 		if moved != nil {
-			*moved = append(*moved, WaveUpdate{Net: net.Name, Comb: nn.Comb})
+			u := WaveUpdate{Pos: int32(oi), Comb: nn.Comb}
+			for k := range u.Comb {
+				u.Comb[k].Members, u.Comb[k].MemberEvents = nil, nil
+			}
+			*moved = append(*moved, u)
 		}
 	}
 	return ev.changed, nil

@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/bind"
+	"repro/internal/netlist"
 )
 
 // Sharded analysis support. A shard owns a subset of the victim nets but
@@ -46,38 +50,73 @@ func FullRail(vdd float64) (Event, Combined) {
 	return a.fullRailEvent(), a.fullRailComb()
 }
 
-// PlanWave is one level wavefront of the evaluation schedule, by net name.
-type PlanWave struct {
-	// Nets lists the wave's nets in evaluation (victimOrder) order.
-	Nets []string
-	// Serial marks the feedback wave: its nets read each other within a
-	// pass (Gauss–Seidel), so they must all be owned by one shard.
-	Serial bool
+// PlanID identifies a victim order: its length and a digest of its names.
+// A position means the same net on two participants exactly when their IDs
+// are equal, so every init carries the coordinator's and the engine refuses
+// one that is not its own.
+type PlanID struct {
+	Nets   int
+	Digest [sha256.Size]byte
+}
+
+func orderID(order []*netlist.Net) PlanID {
+	h := sha256.New()
+	var frame [binary.MaxVarintLen64]byte
+	for _, net := range order {
+		h.Write(frame[:binary.PutUvarint(frame[:], uint64(len(net.Name)))])
+		io.WriteString(h, net.Name)
+	}
+	id := PlanID{Nets: len(order)}
+	h.Sum(id.Digest[:0])
+	return id
 }
 
 // ShardPlan is the design-global schedule and connectivity the partitioner
 // and coordinator work from. It is derived deterministically from the bound
 // design alone, so every participant (coordinator, each worker, a restarted
-// coordinator) reconstructs the identical plan.
+// coordinator) reconstructs the identical plan — which is what lets a net be
+// named, everywhere between them, by its position in Order.
 type ShardPlan struct {
-	// Order is the global victim evaluation order.
+	// Order is the global victim evaluation order: the one table from a
+	// position to its net's name. ID identifies it.
 	Order []string
-	// Waves partitions Order into level wavefronts.
-	Waves []PlanWave
-	// Fanin maps each analyzed net to the analyzed nets its propagated
-	// events read (its driver's input nets), sorted. A shard must know the
-	// committed combinations of every fanin of an owned net before
+	ID    PlanID
+	// Rank is each position's rank in alphabetical net-name order. Ordering
+	// by it is how the partitioner stays independent of everything but the
+	// names without ever comparing them again.
+	Rank []int32
+	// Waves partitions Order into level wavefronts; the feedback nets, if
+	// any, are the serial wave, the last.
+	Waves []Wave
+	// Fanin lists, per analyzed net, the analyzed nets its propagated
+	// events read (its driver's input nets), ascending. A shard must know
+	// the committed combinations of every fanin of an owned net before
 	// evaluating its wave; fanins it does not own are its imports.
-	Fanin map[string][]string
+	Fanin [][]int32
 	// Adjacency is the undirected affinity graph the partitioner cuts:
 	// coupling neighbours (from the RC networks) plus fanin/fanout edges,
-	// sorted and deduplicated per net. Cutting a coupling edge costs
-	// nothing at runtime (aggressor timing is local to every shard), but
-	// keeping coupled and logically adjacent nets together is what keeps
-	// boundary traffic and padding churn low.
-	Adjacency map[string][]string
-	// Feedback lists the nets of serial waves (empty for acyclic designs).
-	Feedback []string
+	// deduplicated and ordered by Rank per net. Cutting a coupling edge
+	// costs nothing at runtime (aggressor timing is local to every shard),
+	// but keeping coupled and logically adjacent nets together is what
+	// keeps boundary traffic and padding churn low.
+	Adjacency [][]int32
+}
+
+// edgeLists turns directed edges, each from<<32 | to, into one ascending,
+// deduplicated list per position; the lists share one backing array.
+func edgeLists(n int, edges []uint64) [][]int32 {
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	flat, out := make([]int32, len(edges)), make([][]int32, n)
+	for lo := 0; lo < len(edges); {
+		from, hi := edges[lo]>>32, lo
+		for ; hi < len(edges) && edges[hi]>>32 == from; hi++ {
+			flat[hi] = int32(uint32(edges[hi]))
+		}
+		out[from] = flat[lo:hi:hi]
+		lo = hi
+	}
+	return out
 }
 
 // BuildShardPlan derives the evaluation schedule and the affinity graph
@@ -85,45 +124,18 @@ type ShardPlan struct {
 // it is cheap enough for the coordinator to rebuild on every run.
 func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
 	order := victimOrderOf(b)
-	plan := &ShardPlan{
-		Order:     make([]string, len(order)),
-		Fanin:     make(map[string][]string, len(order)),
-		Adjacency: make(map[string][]string, len(order)),
+	plan := &ShardPlan{Order: make([]string, len(order)), ID: orderID(order), Rank: make([]int32, len(order)), Waves: wavesOf(order)}
+	pos, byName := orderIndex(b.Net.NumNets(), order)
+	for rank, p := range byName {
+		plan.Order[p], plan.Rank[p] = order[p].Name, int32(rank)
 	}
-	inOrder := make(map[string]bool, len(order))
-	for i, n := range order {
-		plan.Order[i] = n.Name
-		inOrder[n.Name] = true
-	}
-	for lo := 0; lo < len(order); {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	// Adjacency edges carry the neighbour's rank, so the one sort orders each
+	// list alphabetically; they are mapped back to positions below.
+	var fanin, adj []uint64
+	link := func(a, b int32) {
+		if a != b {
+			adj = append(adj, uint64(a)<<32|uint64(plan.Rank[b]), uint64(b)<<32|uint64(plan.Rank[a]))
 		}
-		lvl := netLevel(order[lo])
-		hi := lo + 1
-		for hi < len(order) && netLevel(order[hi]) == lvl {
-			hi++
-		}
-		w := PlanWave{Nets: plan.Order[lo:hi], Serial: lvl == feedbackLevel}
-		plan.Waves = append(plan.Waves, w)
-		if w.Serial {
-			plan.Feedback = append(plan.Feedback, w.Nets...)
-		}
-		lo = hi
-	}
-	adj := make(map[string]map[string]bool, len(order))
-	link := func(a, b string) {
-		if a == b || !inOrder[a] || !inOrder[b] {
-			return
-		}
-		if adj[a] == nil {
-			adj[a] = make(map[string]bool)
-		}
-		if adj[b] == nil {
-			adj[b] = make(map[string]bool)
-		}
-		adj[a][b] = true
-		adj[b][a] = true
 	}
 	for i, n := range order {
 		if i&0x3f == 0 {
@@ -133,49 +145,38 @@ func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
 		}
 		// Structural fanin: the driver instance's input nets.
 		if drv := n.Driver(); drv != nil && drv.Inst != nil {
-			var fanin []string
-			seen := make(map[string]bool)
 			for _, ic := range drv.Inst.Inputs() {
-				if ic.Net == nil || !inOrder[ic.Net.Name] || seen[ic.Net.Name] {
+				if ic.Net == nil || pos[ic.Net.ID()] < 0 {
 					continue
 				}
-				seen[ic.Net.Name] = true
-				fanin = append(fanin, ic.Net.Name)
-				link(n.Name, ic.Net.Name)
+				fanin = append(fanin, uint64(i)<<32|uint64(pos[ic.Net.ID()]))
+				link(int32(i), pos[ic.Net.ID()])
 			}
-			sort.Strings(fanin)
-			plan.Fanin[n.Name] = fanin
 		}
-		// Coupling neighbours from the extracted parasitics.
+		// Coupling neighbours from the extracted parasitics, which name them.
 		for _, c := range b.NetworkOf(n).CouplingsView() {
-			if c.OtherNet != "" {
-				link(n.Name, c.OtherNet)
+			if other := b.Net.FindNet(c.OtherNet); other != nil && pos[other.ID()] >= 0 {
+				link(int32(i), pos[other.ID()])
 			}
 		}
 	}
-	i := 0
-	for name, set := range adj {
-		if i&0x3f == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	plan.Fanin, plan.Adjacency = edgeLists(len(order), fanin), edgeLists(len(order), adj)
+	for _, list := range plan.Adjacency {
+		for i, rank := range list {
+			list[i] = byName[rank]
 		}
-		i++
-		out := make([]string, 0, len(set))
-		for other := range set {
-			out = append(out, other)
-		}
-		sort.Strings(out)
-		plan.Adjacency[name] = out
 	}
 	return plan, nil
 }
 
-// WaveUpdate is one owned net's newly committed combination from an
-// EvalWave call: the coordinator applies it to its authoritative state and
-// forwards it to every shard that imports the net.
+// WaveUpdate is one net's committed combination, keyed by its evaluation-order
+// position: what an EvalWave call reports for every owned net that moved, and
+// what the coordinator keeps as authoritative, forwards to every shard that
+// imports the net and restores into a rebuilt engine. It carries no members:
+// another engine reads a forwarded value for its peak, width and window only,
+// and the report renders members from the owner's own evaluation (Collect).
 type WaveUpdate struct {
-	Net  string
+	Pos  int32
 	Comb [2]Combined
 }
 
@@ -213,36 +214,32 @@ type ShardEngine struct {
 }
 
 // NewShardEngine builds a shard over the full design that prepares and
-// evaluates only the owned nets. The padding map seeds the timing run
-// (values are copied); an engine rebuilt after a worker loss with the
-// cumulative padding is therefore in exactly the state a surviving engine
-// reached through incremental updates, by the same rebuild-equivalence
-// contract core.Session relies on.
-func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, owned []string, padding map[string]float64) (*ShardEngine, error) {
-	pad := make(map[string]float64, len(padding))
-	for net, p := range padding {
-		pad[net] = p
-	}
-	opts.STA.WindowPadding = pad
+// evaluates only the owned nets, given as positions of the victim order plan
+// identifies; an order other than this design's, or a position outside it, is
+// refused. The padding map seeds the timing run (values are copied); an
+// engine rebuilt after a worker loss with the cumulative padding is therefore
+// in exactly the state a surviving engine reached through incremental
+// updates, by the same rebuild-equivalence contract core.Session relies on.
+func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, plan PlanID, owned []int32, padding map[string]float64) (*ShardEngine, error) {
+	opts.STA.WindowPadding = make(map[string]float64, len(padding))
+	maps.Copy(opts.STA.WindowPadding, padding)
 	a, err := newAnalyzerBase(ctx, b, opts)
 	if err != nil {
 		return nil, err
 	}
+	if own := orderID(a.order); own != plan {
+		return nil, fmt.Errorf("core: shard plan names %d nets (digest %x), this design's victim order %d (digest %x)",
+			plan.Nets, plan.Digest[:4], own.Nets, own.Digest[:4])
+	}
 	e := &ShardEngine{a: a, owned: make([]int, len(owned))}
-	for i, name := range owned {
-		if i&0x3f == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		net := b.Net.FindNet(name)
-		if net == nil || a.posByID[net.ID()] < 0 {
-			return nil, fmt.Errorf("core: shard owns unknown net %s", name)
-		}
-		e.owned[i] = int(a.posByID[net.ID()])
+	for i, pos := range owned {
+		e.owned[i] = int(pos)
 	}
 	slices.Sort(e.owned)
 	e.owned = slices.Compact(e.owned)
+	if n := len(e.owned); n > 0 && (e.owned[0] < 0 || e.owned[n-1] >= len(a.order)) {
+		return nil, fmt.Errorf("core: shard owns net positions %d..%d, outside [0, %d)", e.owned[0], e.owned[n-1], len(a.order))
+	}
 	if err := a.prepareAll(ctx, e.owned); err != nil {
 		return nil, err
 	}
@@ -250,20 +247,21 @@ func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, owned []s
 	return e, nil
 }
 
-// SetComb installs an externally committed combination for a net — a
-// boundary import from another shard, or a restored authoritative value
+// SetComb installs an externally committed combination for the net at pos —
+// a boundary import from another shard, or a restored authoritative value
 // after this engine was rebuilt mid-run — and, when it differs from what the
-// net's owned readers last saw, makes them stale. A net the design lacks is
-// ignored.
-func (e *ShardEngine) SetComb(name string, comb [2]Combined) {
-	nn := e.res.Nets[name]
-	if nn == nil {
-		return
+// net's owned readers last saw, makes them stale.
+func (e *ShardEngine) SetComb(pos int32, comb [2]Combined) error {
+	if pos < 0 || int(pos) >= len(e.a.order) {
+		return fmt.Errorf("core: shard net position %d outside [0, %d)", pos, len(e.a.order))
 	}
+	net := e.a.order[pos]
+	nn := e.res.byID[net.ID()]
 	if combMoved(comb[KindLow], nn.Comb[KindLow]) || combMoved(comb[KindHigh], nn.Comb[KindHigh]) {
-		e.a.markReaders(e.a.b.Net.FindNet(name))
+		e.a.markReaders(net)
 	}
 	nn.Comb = comb
+	return nil
 }
 
 // EvalWave evaluates the stale owned nets of one wave through the analyzer's

@@ -130,9 +130,7 @@ func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(
 	case err != nil:
 		cfg.Logf("shard: checkpoint load failed, starting fresh: %v", err)
 	case cp != nil:
-		for _, e := range cp.Padding {
-			from.Padding[e.Net] = e.Pad
-		}
+		from.Padding = padMap(cp.Padding)
 		from.Round, from.Stalled, from.PrevGrowth = cp.Round, cp.Stalled, math.Inf(1)
 		if cp.PrevGrowth != nil {
 			from.PrevGrowth = *cp.PrevGrowth

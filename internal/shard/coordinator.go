@@ -87,14 +87,16 @@ type cell struct{ shard, wave int }
 
 // run is the mutable state of one coordinated analysis. It is the
 // distributed core.Phases: each phase dispatches to the workers hosting the
-// shards. The loops that call the phases are core's.
+// shards. The loops that call the phases are core's. Everything per net is a
+// slice over the plan's victim order; a name appears where the run meets
+// padding or the report.
 type run struct {
 	cfg  Config
 	plan *core.ShardPlan
 	asn  *Assignment
-	// readers maps a net to the cells (shard, wave) that own a net reading
+	// readers lists, per net, the cells (shard, wave) that own a net reading
 	// its combination: where a moved commit of it leaves stale nets.
-	readers map[string][]cell
+	readers [][]cell
 	// present[s][w] reports shard s owning nets in wave w — waves without
 	// owned nets are never dispatched to s.
 	present [][]bool
@@ -114,10 +116,12 @@ type run struct {
 	// and is no dispatch at all when no shard is.
 	due [][]bool
 	// combs is the coordinator's authoritative committed combination per
-	// net; pending[s] marks imports of s with updates not yet shipped.
-	combs   map[string][2]core.Combined
-	pending []map[string]bool
-	padding map[string]float64
+	// net, for the nets committed marks; pending[s] queues the imports of s
+	// with updates not yet shipped (a net once per commit).
+	combs     [][2]core.Combined
+	committed []bool
+	pending   [][]int32
+	padding   map[string]float64
 	// progress is how many waves of the current pass are complete — the
 	// warm-up horizon for a rebuilt engine (see reinit).
 	progress int
@@ -189,21 +193,21 @@ func newRun(ctx context.Context, cfg Config) (*run, error) {
 		return nil, err
 	}
 	r := &run{
-		cfg:     cfg,
-		plan:    plan,
-		asn:     asn,
-		readers: make(map[string][]cell),
-		hosts:   make([]int, asn.Shards),
-		alive:   make([]bool, len(cfg.Workers)),
-		cause:   make([]error, asn.Shards),
-		combs:   make(map[string][2]core.Combined, len(plan.Order)),
-		pending: make([]map[string]bool, asn.Shards),
-		ledger:  make(map[string]OpStat),
+		cfg:       cfg,
+		plan:      plan,
+		asn:       asn,
+		readers:   make([][]cell, len(plan.Order)),
+		hosts:     make([]int, asn.Shards),
+		alive:     make([]bool, len(cfg.Workers)),
+		cause:     make([]error, asn.Shards),
+		combs:     make([][2]core.Combined, len(plan.Order)),
+		committed: make([]bool, len(plan.Order)),
+		pending:   make([][]int32, asn.Shards),
+		ledger:    make(map[string]OpStat),
 	}
 	r.frEvent, r.frComb = core.FullRail(core.EffectiveVdd(cfg.B, cfg.Opts))
 	for s := range r.hosts {
 		r.hosts[s] = s % len(cfg.Workers)
-		r.pending[s] = make(map[string]bool)
 	}
 	for w := range r.alive {
 		r.alive[w] = true
@@ -213,10 +217,10 @@ func newRun(ctx context.Context, cfg Config) (*run, error) {
 		r.present[s], r.due[s] = make([]bool, len(plan.Waves)), make([]bool, len(plan.Waves))
 	}
 	for wi, w := range plan.Waves {
-		for _, net := range w.Nets {
-			c := cell{asn.Owner[net], wi}
+		for p := w.Lo; p < w.Hi; p++ {
+			c := cell{int(asn.Owner[p]), wi}
 			r.present[c.shard][wi] = true
-			for _, in := range plan.Fanin[net] {
+			for _, in := range plan.Fanin[p] {
 				if !slices.Contains(r.readers[in], c) {
 					r.readers[in] = append(r.readers[in], c)
 				}
@@ -334,6 +338,9 @@ func (r *run) tryWorker(ctx context.Context, wi int, op string, req request, rep
 			err = rep.Faults[0].err()
 		}
 		if err == nil {
+			err = r.ownUpdates(req.route().Shards, rep)
+		}
+		if err == nil {
 			return nil
 		}
 		last = err
@@ -345,6 +352,20 @@ func (r *run) tryWorker(ctx context.Context, wi int, op string, req request, rep
 		}
 	}
 	return last
+}
+
+// ownUpdates vets an eval answer before it indexes the coordinator's state:
+// every forwarded position lies in the plan and belongs to the shard that
+// reports it. Anything else is a worker speaking of another design.
+func (r *run) ownUpdates(shards []int, rep *Reply) error {
+	for i, ev := range rep.Evals {
+		for _, u := range ev.Updates {
+			if u.Pos < 0 || int(u.Pos) >= len(r.asn.Owner) || int(r.asn.Owner[u.Pos]) != shards[i] {
+				return badRequestError("shard: shard %d forwarded net position %d, which it does not own", shards[i], u.Pos)
+			}
+		}
+	}
+	return nil
 }
 
 // exchange runs one step — op over the live shards due in wave, or over
@@ -516,24 +537,23 @@ func (r *run) rehost(ctx context.Context, shard int) error {
 // authoritative state: the cumulative padding and, per shard, the committed
 // combinations of its owned and imported nets (none before the first wave).
 func (r *run) initRequest(at Route) request {
-	req := &InitRequest{Route: at, Design: r.cfg.Design, Inits: make([]ShardInit, len(at.Shards))}
+	req := &InitRequest{Route: at, Design: r.cfg.Design, Plan: r.plan.ID, Inits: make([]ShardInit, len(at.Shards))}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	req.Padding = padEntries(r.padding)
 	for i, shard := range at.Shards {
 		in := &req.Inits[i]
 		in.Owned = r.asn.Owned[shard]
-		for _, nets := range [][]string{in.Owned, r.asn.Imports[shard]} {
-			for _, net := range nets {
-				if comb, ok := r.combs[net]; ok {
-					in.Restore = append(in.Restore, NetComb{Net: net, Comb: comb})
+		for _, nets := range [][]int32{in.Owned, r.asn.imports[shard]} {
+			for _, p := range nets {
+				if r.committed[p] {
+					in.Restore = append(in.Restore, NetComb{Pos: p, Comb: r.combs[p]})
 				}
 			}
 		}
-		sort.Slice(in.Restore, func(a, b int) bool { return in.Restore[a].Net < in.Restore[b].Net })
 		// The restore supersedes any queued boundary deltas, and a fresh
 		// engine starts with every owned net stale.
-		r.pending[shard] = make(map[string]bool)
+		r.pending[shard] = nil
 		copy(r.due[shard], r.present[shard])
 	}
 	return req
@@ -582,9 +602,8 @@ func (r *run) abandon(shard int, cause error) {
 	}
 	r.hosts[shard] = -1
 	r.cause[shard] = cause
-	for _, net := range r.asn.Owned[shard] {
-		r.combs[net] = [2]core.Combined{r.frComb, r.frComb}
-		r.moved(shard, net)
+	for _, p := range r.asn.Owned[shard] {
+		r.commit(shard, NetComb{Pos: p, Comb: [2]core.Combined{r.frComb, r.frComb}})
 	}
 	r.passChanged = true
 	r.cfg.Logf("shard: abandoning shard %d (%d nets degrade to full-rail): %v",
@@ -592,25 +611,22 @@ func (r *run) abandon(shard int, cause error) {
 }
 
 // takeBoundary drains the queued boundary updates for a shard into a wire
-// list (sorted for determinism). Entries are moved, not copied: the
-// caller's request owns them across re-sends, and a re-host's restore
-// supersedes them anyway.
+// list, each net once with its latest combination, ascending. Entries are
+// moved, not copied: the caller's request owns them across re-sends, and a
+// re-host's restore supersedes them anyway.
 func (r *run) takeBoundary(shard int) []NetComb {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.pending[shard]) == 0 {
 		return nil
 	}
-	nets := make([]string, 0, len(r.pending[shard]))
-	for net := range r.pending[shard] {
-		nets = append(nets, net)
+	slices.Sort(r.pending[shard])
+	nets := slices.Compact(r.pending[shard])
+	out := make([]NetComb, len(nets))
+	for i, p := range nets {
+		out[i] = NetComb{Pos: p, Comb: r.combs[p]}
 	}
-	sort.Strings(nets)
-	out := make([]NetComb, 0, len(nets))
-	for _, net := range nets {
-		out = append(out, NetComb{Net: net, Comb: r.combs[net]})
-		delete(r.pending[shard], net)
-	}
+	r.pending[shard] = nets[:0]
 	return out
 }
 
@@ -623,21 +639,21 @@ func (r *run) applyEval(shard, wave int, res *EvalResult) {
 	defer r.mu.Unlock()
 	r.due[shard][wave] = false
 	for _, u := range res.Updates {
-		r.combs[u.Net] = u.Comb
-		r.moved(shard, u.Net)
+		r.commit(shard, u)
 	}
 	r.passChanged = r.passChanged || res.Changed
 }
 
-// moved records (r.mu held) that net, owned by shard, committed a new
-// combination: the cells of its readers are due — its own among them when a
-// feedback net reads its wave — and the other live shards get it as a
-// boundary import with their next eval.
-func (r *run) moved(shard int, net string) {
-	for _, c := range r.readers[net] {
+// commit records (r.mu held) that a net owned by shard committed a new
+// combination: it is the authoritative one, the cells of its readers are due
+// — its own among them when a feedback net reads its wave — and the other
+// live shards get it as a boundary import with their next eval.
+func (r *run) commit(shard int, u NetComb) {
+	r.combs[u.Pos], r.committed[u.Pos] = u.Comb, true
+	for _, c := range r.readers[u.Pos] {
 		r.due[c.shard][c.wave] = true
 		if c.shard != shard && r.hosts[c.shard] >= 0 {
-			r.pending[c.shard][net] = true
+			r.pending[c.shard] = append(r.pending[c.shard], u.Pos)
 		}
 	}
 }
@@ -738,7 +754,7 @@ func (r *run) finish() {
 }
 
 // assemble merges the shard collects into the single-process result
-// shapes. Violations and slacks are interleaved in the canonical gather
+// shapes. Violations and slacks are brought into the canonical gather
 // order (global alphabetical net order, each shard's per-net groups kept
 // intact) and then sorted with the engine's own comparators — the exact
 // sequence checkViolations produces, which matters because that sort's
@@ -747,21 +763,17 @@ func (r *run) finish() {
 func (r *run) assemble(out *Outcome, cols []*core.ShardCollect) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := append([]string(nil), r.plan.Order...)
-	sort.Strings(names)
 	noise := &core.Result{
 		Mode: r.cfg.Opts.Mode,
-		Nets: make(map[string]*core.NetNoise, len(names)),
+		Nets: make(map[string]*core.NetNoise, len(r.plan.Order)),
 	}
 	stats := core.Stats{
 		Victims:    len(r.plan.Order),
 		Iterations: r.passes,
 		Converged:  r.converged,
 	}
-	// A net's violations and slacks all come from the shard owning it, so
-	// grouping by net keeps each shard's per-net sequence intact.
-	v := make(map[string][]core.Violation)
-	sl := make(map[string][]core.ReceiverSlack)
+	var vs []core.Violation
+	var sls []core.ReceiverSlack
 	var diags []core.Diag
 	for _, col := range cols {
 		if col == nil {
@@ -770,12 +782,8 @@ func (r *run) assemble(out *Outcome, cols []*core.ShardCollect) {
 		stats.AggressorPairs += col.Pairs
 		stats.Filtered += col.Filtered
 		stats.Propagated += col.Propagated
-		for _, vi := range col.Violations {
-			v[vi.Net] = append(v[vi.Net], vi)
-		}
-		for _, s := range col.Slacks {
-			sl[s.Net] = append(sl[s.Net], s)
-		}
+		vs = append(vs, col.Violations...)
+		sls = append(sls, col.Slacks...)
 		for _, nn := range col.Nets {
 			noise.Nets[nn.Net] = nn
 		}
@@ -786,7 +794,8 @@ func (r *run) assemble(out *Outcome, cols []*core.ShardCollect) {
 			continue
 		}
 		out.AbandonedShards = append(out.AbandonedShards, s)
-		for _, net := range r.asn.Owned[s] {
+		for _, p := range r.asn.Owned[s] {
+			net := r.plan.Order[p]
 			noise.Nets[net] = &core.NetNoise{
 				Net:    net,
 				Events: [2][]core.Event{{r.frEvent}, {r.frEvent}},
@@ -800,12 +809,10 @@ func (r *run) assemble(out *Outcome, cols []*core.ShardCollect) {
 			})
 		}
 	}
-	var vs []core.Violation
-	var sls []core.ReceiverSlack
-	for _, name := range names {
-		vs = append(vs, v[name]...)
-		sls = append(sls, sl[name]...)
-	}
+	// A net's violations and slacks all come from the shard owning it, in
+	// sequence, so a stable sort by net is the canonical gather order.
+	stableByNet(vs, func(v *core.Violation) string { return v.Net })
+	stableByNet(sls, func(s *core.ReceiverSlack) string { return s.Net })
 	core.SortViolations(vs)
 	core.SortSlacks(sls)
 	core.SortDiags(diags)
@@ -819,4 +826,8 @@ func (r *run) assemble(out *Outcome, cols []*core.ShardCollect) {
 	out.Degraded = len(diags) > 0
 	out.Reassigns = r.reassigns
 	out.Dispatches = r.ledger
+}
+
+func stableByNet[T any](xs []T, net func(*T) string) {
+	sort.SliceStable(xs, func(i, j int) bool { return net(&xs[i]) < net(&xs[j]) })
 }

@@ -64,9 +64,13 @@ func (h *Host) Do(ctx context.Context, req any, rep *Reply) error {
 		}
 		padding := padMap(req.Padding)
 		h.each(&req.Route, rep, false, func(i int, k slot, _ *Runner) error {
-			eng, err := core.NewShardEngine(ctx, b, opts, req.Inits[i].Owned, padding)
+			eng, err := core.NewShardEngine(ctx, b, opts, req.Plan, req.Inits[i].Owned, padding)
 			if err != nil {
 				return fatalUnlessCtx(err)
+			}
+			r, err := NewRunner(eng, req.Inits[i].Restore)
+			if err != nil {
+				return err
 			}
 			// Publish only an initialized engine, closing the one it replaces:
 			// a re-init after a coordinator retry must not leak it.
@@ -75,7 +79,7 @@ func (h *Host) Do(ctx context.Context, req any, rep *Reply) error {
 			if old := h.runners[k]; old != nil {
 				old.Close()
 			}
-			h.runners[k] = NewRunner(eng, req.Inits[i].Restore)
+			h.runners[k] = r
 			return nil
 		})
 		return nil

@@ -3,29 +3,26 @@ package shard
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
 
 // Assignment maps every analyzed net to its owning shard and precomputes
-// each shard's import set.
+// each shard's import set. Nets are evaluation-order positions (plan.Order).
 type Assignment struct {
 	// Shards is the effective shard count (clamped to the net count).
 	Shards int
-	// Seed is the partitioning seed the assignment was grown from.
-	Seed int64
-	// Owner maps net name to shard id.
-	Owner map[string]int
-	// Owned lists each shard's nets, sorted.
-	Owned [][]string
-	// Imports lists, per shard, the fanin nets of its owned nets that are
-	// owned elsewhere, sorted — the boundary combinations the shard must
+	// Owner maps a position to its shard id.
+	Owner []int32
+	// Owned lists each shard's positions, ascending.
+	Owned [][]int32
+	// imports lists, per shard, the fanins of its owned nets that are owned
+	// elsewhere, ascending — the boundary combinations the shard must
 	// receive before (re)evaluating a wave.
+	imports [][]int32
+	// Imports is imports by net name, for reports; no run reads it.
 	Imports [][]string
-	// CutEdges counts affinity-graph edges crossing shard boundaries — a
-	// partition-quality metric for logs and tests.
-	CutEdges int
 }
 
 // Partition grows a deterministic partition of the victim set over the
@@ -39,37 +36,32 @@ func Partition(plan *core.ShardPlan, shards int, seed int64) (*Assignment, error
 	if n == 0 {
 		return nil, fmt.Errorf("shard: nothing to partition (no analyzable nets)")
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
+	shards = max(1, min(shards, n))
 	asn := &Assignment{
-		Shards: shards,
-		Seed:   seed,
-		Owner:  make(map[string]int, n),
-		Owned:  make([][]string, shards),
+		Shards:  shards,
+		Owner:   make([]int32, n),
+		Owned:   make([][]int32, shards),
+		imports: make([][]int32, shards),
+		Imports: make([][]string, shards),
 	}
 
-	// Feedback nets first: all pinned to shard 0, over quota if need be.
-	for _, net := range plan.Feedback {
-		asn.Owner[net] = 0
+	// Feedback nets first: all pinned to shard 0, over quota if need be. The
+	// rest are free (owner -1 until grown into), in alphabetical order.
+	free := make([]int32, n)
+	for p, rank := range plan.Rank {
+		free[rank], asn.Owner[p] = int32(p), -1
 	}
-	free := make([]string, 0, n)
-	for _, net := range plan.Order {
-		if _, pinned := asn.Owner[net]; !pinned {
-			free = append(free, net)
+	if w := plan.Waves[len(plan.Waves)-1]; w.Serial {
+		for p := w.Lo; p < w.Hi; p++ {
+			asn.Owner[p] = 0
 		}
 	}
-	sort.Strings(free)
-	unassigned := make(map[string]bool, len(free))
-	for _, net := range free {
-		unassigned[net] = true
-	}
+	assigned := func(p int32) bool { return asn.Owner[p] >= 0 }
+	free = slices.DeleteFunc(free, assigned)
 
 	// Quotas: distribute the free nets evenly; shard 0's pinned feedback
-	// nets ride on top of its quota.
+	// nets ride on top of its quota. They add up to the free nets, so the
+	// last region grown takes the last of them.
 	quota := make([]int, shards)
 	for i := range free {
 		quota[i%shards]++
@@ -78,75 +70,45 @@ func Partition(plan *core.ShardPlan, shards int, seed int64) (*Assignment, error
 	rng := rand.New(rand.NewSource(seed))
 	for s := 0; s < shards; s++ {
 		grown := 0
-		var queue []string
+		var queue []int32
 		for grown < quota[s] {
 			if len(queue) == 0 {
 				// Re-seed the region pseudo-randomly among the remaining
-				// nets (deterministic under the run seed). Rebuilding the
-				// sorted remainder keeps selection order-independent of
-				// map iteration.
-				rest := make([]string, 0, len(unassigned))
-				for _, net := range free {
-					if unassigned[net] {
-						rest = append(rest, net)
-					}
-				}
-				if len(rest) == 0 {
+				// nets (deterministic under the run seed).
+				free = slices.DeleteFunc(free, assigned)
+				if len(free) == 0 {
 					break
 				}
-				queue = append(queue, rest[rng.Intn(len(rest))])
+				queue = append(queue, free[rng.Intn(len(free))])
 			}
-			net := queue[0]
+			p := queue[0]
 			queue = queue[1:]
-			if !unassigned[net] {
+			if assigned(p) {
 				continue
 			}
-			delete(unassigned, net)
-			asn.Owner[net] = s
+			asn.Owner[p] = int32(s)
 			grown++
-			// Grow along affinity edges, nearest (sorted) first.
-			queue = append(queue, plan.Adjacency[net]...)
+			// Grow along affinity edges, alphabetically nearest first.
+			queue = append(queue, plan.Adjacency[p]...)
 		}
-	}
-	// Anything left (only possible if every quota filled early, which the
-	// accounting above prevents — kept as a safety net) goes round-robin.
-	rest := make([]string, 0, len(unassigned))
-	for _, net := range free {
-		if unassigned[net] {
-			rest = append(rest, net)
-		}
-	}
-	for i, net := range rest {
-		asn.Owner[net] = i % shards
 	}
 
-	for _, net := range plan.Order {
-		s := asn.Owner[net]
-		asn.Owned[s] = append(asn.Owned[s], net)
+	for p, s := range asn.Owner {
+		asn.Owned[s] = append(asn.Owned[s], int32(p))
 	}
-	for s := range asn.Owned {
-		sort.Strings(asn.Owned[s])
-	}
-	asn.Imports = make([][]string, shards)
-	for s := range asn.Imports {
-		seen := make(map[string]bool)
-		var imports []string
-		for _, net := range asn.Owned[s] {
-			for _, fanin := range plan.Fanin[net] {
-				if asn.Owner[fanin] != s && !seen[fanin] {
-					seen[fanin] = true
+	for s, owned := range asn.Owned {
+		var imports []int32
+		for _, p := range owned {
+			for _, fanin := range plan.Fanin[p] {
+				if asn.Owner[fanin] != int32(s) {
 					imports = append(imports, fanin)
 				}
 			}
 		}
-		sort.Strings(imports)
-		asn.Imports[s] = imports
-	}
-	for net, neighbours := range plan.Adjacency {
-		for _, other := range neighbours {
-			if net < other && asn.Owner[net] != asn.Owner[other] {
-				asn.CutEdges++
-			}
+		slices.Sort(imports)
+		asn.imports[s] = slices.Compact(imports)
+		for _, p := range asn.imports[s] {
+			asn.Imports[s] = append(asn.Imports[s], plan.Order[p])
 		}
 	}
 	return asn, nil

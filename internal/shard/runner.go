@@ -1,10 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -43,22 +44,33 @@ type Runner struct {
 	eng     *core.ShardEngine
 	broken  error
 	evalSeq int
-	// pending and changed accumulate the forwarded combinations and the
-	// pass-changed bit of the current eval Seq; evalDone marks the wave
-	// fully evaluated (a duplicate dispatch then replays the response
-	// without re-running).
-	pending  map[string][2]core.Combined
+	// pending and changed accumulate the forwarded combinations, in commit
+	// order, and the pass-changed bit of the current eval Seq; evalDone marks
+	// the wave fully evaluated (a duplicate dispatch then replays the
+	// response without re-running).
+	pending  []NetComb
 	changed  bool
 	evalDone bool
 }
 
 // NewRunner hosts eng with the authoritative combinations restored (none on
 // a first init, the coordinator's committed state on a mid-run rebuild).
-func NewRunner(eng *core.ShardEngine, restore []NetComb) *Runner {
-	for _, nc := range restore {
-		eng.SetComb(nc.Net, nc.Comb)
+func NewRunner(eng *core.ShardEngine, restore []NetComb) (*Runner, error) {
+	if err := setCombs(eng, restore); err != nil {
+		return nil, err
 	}
-	return &Runner{eng: eng}
+	return &Runner{eng: eng}, nil
+}
+
+// setCombs installs combinations the coordinator sent; a position the
+// engine's order lacks is the coordinator's bug, not a transient fault.
+func setCombs(eng *core.ShardEngine, combs []NetComb) error {
+	for _, nc := range combs {
+		if err := eng.SetComb(nc.Pos, nc.Comb); err != nil {
+			return &FatalError{Err: err}
+		}
+	}
+	return nil
 }
 
 func (r *Runner) resetMemo() {
@@ -93,20 +105,11 @@ func (r *Runner) Eval(ctx context.Context, seq, wave int, boundary []NetComb) (E
 	if r.evalDone {
 		return r.evalResult(), nil
 	}
-	for _, nc := range boundary {
-		eng.SetComb(nc.Net, nc.Comb)
-	}
-	if r.pending == nil {
-		r.pending = make(map[string][2]core.Combined)
+	if err := setCombs(eng, boundary); err != nil {
+		return EvalResult{}, err
 	}
 	ups, changed, err := eng.EvalWave(ctx, wave)
-	for _, u := range ups {
-		// Forwarded without the members (see NetComb).
-		for k := range u.Comb {
-			u.Comb[k].Members, u.Comb[k].MemberEvents = nil, nil
-		}
-		r.pending[u.Net] = u.Comb
-	}
+	r.pending = append(r.pending, ups...)
 	r.changed = r.changed || changed
 	if err != nil {
 		return EvalResult{}, fatalUnlessCtx(err)
@@ -115,15 +118,15 @@ func (r *Runner) Eval(ctx context.Context, seq, wave int, boundary []NetComb) (E
 	return r.evalResult(), nil
 }
 
+// evalResult answers with the Seq's commits by position, the last one of a
+// net that a retried attempt committed again.
 func (r *Runner) evalResult() EvalResult {
-	nets := make([]string, 0, len(r.pending))
-	for net := range r.pending {
-		nets = append(nets, net)
-	}
-	sort.Strings(nets)
+	slices.SortStableFunc(r.pending, func(a, b NetComb) int { return cmp.Compare(a.Pos, b.Pos) })
 	res := EvalResult{Changed: r.changed}
-	for _, net := range nets {
-		res.Updates = append(res.Updates, NetComb{Net: net, Comb: r.pending[net]})
+	for i, u := range r.pending {
+		if i+1 == len(r.pending) || r.pending[i+1].Pos != u.Pos {
+			res.Updates = append(res.Updates, u)
+		}
 	}
 	return res
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -130,9 +131,13 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 		// Exact cover: every net owned exactly once.
 		seen := make(map[string]int)
 		for s, owned := range a1.Owned {
-			for _, net := range owned {
+			for _, p := range owned {
+				net := plan.Order[p]
 				if _, dup := seen[net]; dup {
 					t.Fatalf("net %s owned twice", net)
+				}
+				if int(a1.Owner[p]) != s {
+					t.Fatalf("net %s listed under shard %d, owner says %d", net, s, a1.Owner[p])
 				}
 				seen[net] = s
 			}
@@ -140,16 +145,24 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 		if len(seen) != len(plan.Order) {
 			t.Fatalf("%d shards: %d nets assigned, want %d", shards, len(seen), len(plan.Order))
 		}
-		for _, net := range plan.Feedback {
-			if seen[net] != 0 {
-				t.Fatalf("feedback net %s not pinned to shard 0", net)
+		for _, w := range plan.Waves {
+			for p := w.Lo; w.Serial && p < w.Hi; p++ {
+				if a1.Owner[p] != 0 {
+					t.Fatalf("feedback net %s not pinned to shard 0", plan.Order[p])
+				}
 			}
 		}
-		// Imports are exactly the cross-shard fanins.
+		// Imports are exactly the cross-shard fanins, by name as by position.
 		for s, imports := range a1.Imports {
-			for _, net := range imports {
+			if len(imports) != len(a1.imports[s]) {
+				t.Fatalf("shard %d: %d imports by name, %d by position", s, len(imports), len(a1.imports[s]))
+			}
+			for i, net := range imports {
 				if seen[net] == s {
 					t.Fatalf("shard %d imports net %s it owns", s, net)
+				}
+				if plan.Order[a1.imports[s][i]] != net {
+					t.Fatalf("shard %d import %d is %s by name, %s by position", s, i, net, plan.Order[a1.imports[s][i]])
 				}
 			}
 		}
@@ -166,6 +179,63 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 	if n != len(plan.Order) {
 		t.Fatalf("seed 7: %d nets assigned, want %d", n, len(plan.Order))
 	}
+
+	// The assignment itself is pinned, to what the name-keyed partitioner
+	// (free list and adjacency lists sorted by name) produced before nets
+	// were keyed by position: the digests below were taken at that commit.
+	// shard.boundary_nets and the dispatch counts of every sharded run hang
+	// on it.
+	pinned := map[string]string{
+		"bus seed=0 shards=2": "1369d01fd356cce7", "bus seed=0 shards=3": "f0e7121a2beab71e",
+		"bus seed=0 shards=4": "d2991001c03b6861", "bus seed=0 shards=5": "5eb1eef3e3bf6278",
+		"bus seed=42 shards=2": "e5a54d71bfd1b7c2", "bus seed=42 shards=3": "955fd1d71ebcfa1f",
+		"bus seed=42 shards=4": "e56891e1226bb3be", "bus seed=42 shards=5": "cce041f5cf72b618",
+		"hotfabric seed=0 shards=2": "4b80e536d566e76d", "hotfabric seed=0 shards=3": "a971ecaa1494bc2a",
+		"hotfabric seed=0 shards=4": "d8049898c612766f", "hotfabric seed=0 shards=5": "b31d91ee641eea01",
+		"hotfabric seed=42 shards=2": "a66fc5fd4e55bf7e", "hotfabric seed=42 shards=3": "6945ae9b25f33ea4",
+		"hotfabric seed=42 shards=4": "aa0b86e9b00d9091", "hotfabric seed=42 shards=5": "faec43611e40a538",
+	}
+	for _, name := range []string{"bus", "hotfabric"} {
+		b, _ := bindFixture(t, fixtures()[name])
+		plan, err := core.BuildShardPlan(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{0, 42} {
+			for shards := 2; shards <= 5; shards++ {
+				asn, err := Partition(plan, shards, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s seed=%d shards=%d", name, seed, shards)
+				if got := ownerDigest(plan, asn); got != pinned[key] {
+					t.Errorf("%s: owner digest %s, want %s: the assignment moved", key, got, pinned[key])
+				}
+			}
+		}
+	}
+}
+
+// ownerDigest hashes "name=shard" lines in alphabetical net order.
+func ownerDigest(plan *core.ShardPlan, asn *Assignment) string {
+	byName := make([]int, len(plan.Rank))
+	for p, rank := range plan.Rank {
+		byName[rank] = p
+	}
+	h := sha256.New()
+	for _, p := range byName {
+		fmt.Fprintf(h, "%s=%d\n", plan.Order[p], asn.Owner[p])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// allNets is the owned list of an engine that owns the whole plan.
+func allNets(plan *core.ShardPlan) []int32 {
+	all := make([]int32, len(plan.Order))
+	for p := range all {
+		all[p] = int32(p)
+	}
+	return all
 }
 
 // TestDistributedMatchesSerial is the tentpole oracle: a healthy
@@ -516,11 +586,14 @@ func TestRunnerEvalMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	eng, err := core.NewShardEngine(ctx, b, opts, plan.Order, nil)
+	eng, err := core.NewShardEngine(ctx, b, opts, plan.ID, allNets(plan), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(eng, nil)
+	r, err := NewRunner(eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Find a wave that actually commits something on the first pass.
 	var first EvalResult
 	wave, seq := -1, 0
@@ -774,4 +847,120 @@ func TestRebuildMidPassMakesRemainingWavesDue(t *testing.T) {
 	out := &Outcome{IterativeResult: core.IterativeResult{Delay: &core.DelayResult{}}}
 	r.assemble(out, cols)
 	requireComplete(t, "rebuilt mid-pass", out.Noise, want.Noise())
+}
+
+// TestPositionsAreChecked covers what a net name used to guarantee by
+// failing to resolve. A position resolves on any design, so a host builds no
+// engine unless its design yields the victim order the coordinator's plan
+// identifies, an engine refuses a position outside that order, and the
+// coordinator refuses an answer about a net the answering shard does not own
+// — each a FatalError, none a panic or a combination filed under another net.
+func TestPositionsAreChecked(t *testing.T) {
+	ctx := context.Background()
+	b, opts := bindFixture(t, fixtures()["bus"])
+	plan, err := core.BuildShardPlan(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := bindFixture(t, fixtures()["ladder"])
+	otherPlan, err := core.BuildShardPlan(ctx, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int32(len(plan.Order))
+	host := NewHost(func(context.Context, string, *DesignSpec) (*bind.Design, core.Options, error) {
+		return b, opts, nil
+	}, nil)
+	defer host.CloseAll()
+	at := Route{Token: "pos", Shards: []int{0}}
+	fatal := func(what string, req any) {
+		t.Helper()
+		rep := &Reply{}
+		if err := host.Do(ctx, req, rep); err != nil {
+			t.Fatalf("%s: request failed as a whole: %v", what, err)
+		}
+		if len(rep.Faults) != 1 || rep.Faults[0].Kind != faultFatal {
+			t.Fatalf("%s: faults %+v, want one fatal fault", what, rep.Faults)
+		}
+	}
+	init := func(id core.PlanID, owned ...int32) *InitRequest {
+		return &InitRequest{Route: at, Plan: id, Inits: []ShardInit{{Owned: owned}}}
+	}
+	id := plan.ID
+	fatal("init for another design's order", init(otherPlan.ID, 0))
+	fatal("init with a net count off by one", init(core.PlanID{Nets: id.Nets + 1, Digest: id.Digest}, 0))
+	flipped := id
+	flipped.Digest[7] ^= 1
+	fatal("init with another digest", init(flipped, 0))
+	fatal("init owning the position past the order", init(id, 0, n))
+	fatal("init owning a negative position", init(id, -1))
+	restore := init(id, 0)
+	restore.Inits[0].Restore = []NetComb{{Pos: n}}
+	fatal("init restoring the position past the order", restore)
+	if len(host.runners) != 0 {
+		t.Fatalf("%d engine(s) built from refused inits", len(host.runners))
+	}
+
+	rep := &Reply{}
+	if err := host.Do(ctx, init(id, allNets(plan)...), rep); err != nil || rep.Faults[0].Kind != faultNone {
+		t.Fatalf("init over the host's own order: %v %+v", err, rep.Faults)
+	}
+	for _, bad := range []int32{n, -1} {
+		fatal(fmt.Sprintf("eval importing position %d", bad),
+			&EvalRequest{Route: at, Seq: 1, Boundary: [][]NetComb{{{Pos: bad}}}})
+	}
+
+	// A worker that forwards a net its shard does not own — past the order,
+	// negative, or a neighbour shard's: the run aborts with the fatal error
+	// before the answer indexes the coordinator's state.
+	first := func(evals []EvalResult) *NetComb {
+		for i := range evals {
+			if len(evals[i].Updates) > 0 {
+				return &evals[i].Updates[0]
+			}
+		}
+		return nil
+	}
+	forgeries := map[string]func(evals []EvalResult) bool{
+		"past the order": func(evals []EvalResult) bool { u := first(evals); u.Pos = n; return true },
+		"negative":       func(evals []EvalResult) bool { u := first(evals); u.Pos = -1; return true },
+		"a neighbour's": func(evals []EvalResult) bool {
+			if len(evals) != 2 || len(evals[0].Updates) == 0 || len(evals[1].Updates) == 0 {
+				return false
+			}
+			evals[0].Updates[0].Pos = evals[1].Updates[0].Pos
+			return true
+		},
+	}
+	for what, forge := range forgeries {
+		liar := &lyingWorker{InProc: NewInProc("liar", func(context.Context) (*bind.Design, error) { return b, nil }, opts), forge: forge}
+		_, err := Run(ctx, Config{B: b, Opts: opts, Workers: []Worker{liar}, Shards: 2, Token: "liar"})
+		if !liar.lied {
+			t.Fatalf("%s: no eval answer to forge", what)
+		}
+		if !isFatal(err) {
+			t.Fatalf("run whose worker forwarded a position %s: %v, want a FatalError", what, err)
+		}
+	}
+}
+
+// lyingWorker hands its eval answers that forward anything to forge until
+// forge reports it rewrote one.
+type lyingWorker struct {
+	*InProc
+	forge func(evals []EvalResult) bool
+	lied  bool
+}
+
+func (w *lyingWorker) Do(ctx context.Context, op string, req, resp any) error {
+	err := w.InProc.Do(ctx, op, req, resp)
+	if rep, ok := resp.(*Reply); ok && err == nil && !w.lied {
+		for _, ev := range rep.Evals {
+			if len(ev.Updates) > 0 {
+				w.lied = w.forge(rep.Evals)
+				break
+			}
+		}
+	}
+	return err
 }

@@ -138,15 +138,9 @@ type Reply struct {
 	Collects []core.ShardCollect
 }
 
-// NetComb carries one net's committed combination — the boundary-exchange
-// and restore currency of the protocol. It travels without the members: a
-// forwarded value is read by another engine for its peak, width and window
-// only, and the report renders members from the owner's own evaluation
-// (collect), never from a forwarded or restored value.
-type NetComb struct {
-	Net  string
-	Comb [2]core.Combined
-}
+// NetComb is the boundary-exchange and restore currency of the protocol: the
+// engine's own record of one net's committed combination, by position.
+type NetComb = core.WaveUpdate
 
 // PadEntry is one net's absolute window padding, seconds. (The JSON tags
 // serve the checkpoint file.)
@@ -178,19 +172,23 @@ type DesignSpec struct {
 	Options OptionsSpec
 }
 
-// ShardInit is one shard's part of an init: the owned nets and the
-// authoritative combinations to restore (none on the first init).
+// ShardInit is one shard's part of an init: the owned nets' positions and
+// the authoritative combinations to restore (none on the first init).
 type ShardInit struct {
-	Owned   []string
+	Owned   []int32
 	Restore []NetComb
 }
 
 // InitRequest builds (or rebuilds) shard engines on a worker. The design
-// source and the cumulative padding that seeds timing are the same for every
-// shard of a run, so they travel once per request.
+// source, the cumulative padding that seeds timing and the identity of the
+// victim order every position of the run refers to are the same for every
+// shard of a run, so they travel once per request. A name would check itself
+// against the worker's design; a position cannot, so the worker builds no
+// engine unless its own design yields the order Plan identifies.
 type InitRequest struct {
 	Route
 	Design  *DesignSpec
+	Plan    core.PlanID
 	Padding []PadEntry
 	Inits   []ShardInit
 }
@@ -233,7 +231,7 @@ type CollectRequest struct{ Route }
 type CloseRequest struct{ Route }
 
 func (m *InitRequest) pick(i int) request {
-	return &InitRequest{Route: m.only(i), Design: m.Design, Padding: m.Padding, Inits: m.Inits[i : i+1]}
+	return &InitRequest{Route: m.only(i), Design: m.Design, Plan: m.Plan, Padding: m.Padding, Inits: m.Inits[i : i+1]}
 }
 func (m *EvalRequest) pick(i int) request {
 	return &EvalRequest{Route: m.only(i), Seq: m.Seq, Wave: m.Wave, Boundary: m.Boundary[i : i+1]}
@@ -285,7 +283,7 @@ func padMap(entries []PadEntry) map[string]float64 {
 }
 
 const (
-	wireVersion = 1 // leads every frame
+	wireVersion = 2 // leads every frame
 	frameHeader = 5 // version byte + payload length
 )
 
@@ -319,7 +317,7 @@ func Unmarshal(data []byte, msg any) error {
 	if !ok {
 		return badRequestError("shard: %T is not a protocol message", msg)
 	}
-	c := &codec{dec: true}
+	c := &codec{dec: true, nets: math.MaxInt32 + 1}
 	switch {
 	case len(data) < frameHeader:
 		c.fail("frame shorter than its header")
@@ -347,6 +345,7 @@ type codec struct {
 	dec    bool
 	sizing bool // encode nothing, add the bytes it would take to size
 	size   int
+	nets   uint64 // decoding: every net position lies below it
 	err    error
 }
 
@@ -504,9 +503,23 @@ func (c *codec) combined(v *core.Combined) {
 	c.events(&v.MemberEvents)
 }
 
+// pos moves a net's position in the victim order. No negative one crosses,
+// and none at or past the order's length where the message says it (an
+// init); elsewhere the engine checks (SetComb).
+func (c *codec) pos(v *int32) {
+	u := uint64(uint32(*v))
+	if c.uvarint(&u); c.dec {
+		if u >= c.nets {
+			c.fail("net position %d outside an order of %d nets", u, c.nets)
+			u = 0
+		}
+		*v = int32(u)
+	}
+}
+
 func (c *codec) netCombs(v *[]NetComb) {
 	slice(c, v, minNetComb, func(c *codec, nc *NetComb) {
-		c.strs(&nc.Net)
+		c.pos(&nc.Pos)
 		c.combined(&nc.Comb[0])
 		c.combined(&nc.Comb[1])
 	})
@@ -619,8 +632,13 @@ func (v *InitRequest) wire(c *codec) {
 		c.bools(&o.NoPropagation, &o.LogicCorrelation, &o.FailFast)
 		c.ints(&o.Workers)
 	}
+	c.ints(&v.Plan.Nets)
+	for i := range v.Plan.Digest {
+		c.byte(&v.Plan.Digest[i])
+	}
+	c.nets = uint64(max(0, min(v.Plan.Nets, math.MaxInt32)))
 	c.pads(&v.Padding)
-	slice(c, &v.Inits, 2, func(c *codec, in *ShardInit) { c.names(&in.Owned); c.netCombs(&in.Restore) })
+	slice(c, &v.Inits, 2, func(c *codec, in *ShardInit) { slice(c, &in.Owned, 1, (*codec).pos); c.netCombs(&in.Restore) })
 	c.per(len(v.Inits), len(v.Shards))
 }
 

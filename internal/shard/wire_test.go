@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -72,8 +73,16 @@ func (g gen) combined() core.Combined {
 	}
 }
 
+// planNets is the victim-order length the drawn init requests declare; every
+// drawn position lies inside it.
+const planNets = 1 << 20
+
+func (g gen) pos() int32 {
+	return []int32{0, 1, 127, 128, planNets - 1}[g.Intn(5)]
+}
+
 func (g gen) netComb() NetComb {
-	return NetComb{Net: g.str(), Comb: [2]core.Combined{g.combined(), g.combined()}}
+	return NetComb{Pos: g.pos(), Comb: [2]core.Combined{g.combined(), g.combined()}}
 }
 
 func (g gen) pad() PadEntry { return PadEntry{Net: g.str(), Pad: g.float()} }
@@ -155,11 +164,12 @@ func perShard[T any](g gen, n int, elem func() T) []T {
 
 // messages draws one message of every type.
 func (g gen) messages() []any {
-	init := &InitRequest{Padding: list(g, g.pad)}
+	init := &InitRequest{Padding: list(g, g.pad), Plan: core.PlanID{Nets: planNets}}
+	g.Read(init.Plan.Digest[:])
 	var n int
 	init.Route, n = g.route()
 	init.Inits = perShard(g, n, func() ShardInit {
-		return ShardInit{Owned: list(g, g.str), Restore: list(g, g.netComb)}
+		return ShardInit{Owned: list(g, g.pos), Restore: list(g, g.netComb)}
 	})
 	if n == 0 && g.Intn(2) == 0 {
 		init.Inits = nil
@@ -247,7 +257,7 @@ func bitEqual(a, b reflect.Value) bool {
 		return a.String() == b.String()
 	case reflect.Bool:
 		return a.Bool() == b.Bool()
-	case reflect.Int:
+	case reflect.Int, reflect.Int32:
 		return a.Int() == b.Int()
 	case reflect.Uint8:
 		return a.Uint() == b.Uint()
@@ -315,12 +325,38 @@ func TestWireRejectsMalformed(t *testing.T) {
 		long := append(append([]byte(nil), frame...), 0)
 		binary.LittleEndian.PutUint32(long[1:], uint32(len(long)-frameHeader))
 		mustFail("trailing payload byte", long, fresh(msg))
-		other := append([]byte(nil), frame...)
-		other[0] = wireVersion + 1
-		mustFail("foreign version", other, fresh(msg))
+		for _, version := range []byte{1, wireVersion + 1} {
+			other := append([]byte(nil), frame...)
+			other[0] = version
+			mustFail("foreign version", other, fresh(msg))
+		}
 		for _, into := range msgs {
 			if reflect.TypeOf(into) != reflect.TypeOf(msg) {
 				mustFail("frame of another message", frame, fresh(into))
+			}
+		}
+	}
+	// What a name used to guarantee by failing to resolve: a position the
+	// plan lacks — owned or restored, at the edge or beyond int32 — never
+	// decodes, and a negative one cannot be encoded into anything that does.
+	for _, bad := range []int32{planNets, math.MaxInt32, -1, math.MinInt32} {
+		for _, in := range []ShardInit{{Owned: []int32{0, bad}}, {Restore: []NetComb{{Pos: bad}}}} {
+			frame, err := Marshal(&InitRequest{Route: Route{Shards: []int{0}}, Plan: core.PlanID{Nets: planNets}, Inits: []ShardInit{in}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustFail(fmt.Sprintf("init naming position %d", bad), frame, &InitRequest{})
+		}
+		if bad < 0 {
+			for _, msg := range []any{
+				&EvalRequest{Route: Route{Shards: []int{0}}, Boundary: [][]NetComb{{{Pos: bad}}}},
+				&Reply{Faults: make([]Fault, 1), Evals: []EvalResult{{Updates: []NetComb{{Pos: bad}}}}},
+			} {
+				frame, err := Marshal(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustFail(fmt.Sprintf("%T naming position %d", msg, bad), frame, fresh(msg))
 			}
 		}
 	}
@@ -343,6 +379,13 @@ func TestWireRejectsMalformed(t *testing.T) {
 	}
 }
 
+func requireInPlan(t *testing.T, p int32, nets int) {
+	t.Helper()
+	if p < 0 || int(p) >= nets {
+		t.Fatalf("an init decoded with net position %d in a plan of %d nets", p, nets)
+	}
+}
+
 // FuzzShardWire feeds arbitrary bytes to the decoder of every message type:
 // it may refuse them, never panic, never allocate out of proportion; what it
 // accepts must survive a re-encode unchanged.
@@ -357,6 +400,7 @@ func FuzzShardWire(f *testing.F) {
 		}
 	}
 	f.Add([]byte{wireVersion, 1, 0, 0, 0, 'r'})
+	f.Add([]byte{1, 1, 0, 0, 0, 'r'}) // the version before positions
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, into := range []any{&InitRequest{}, &EvalRequest{}, &RoundRequest{}, &DelayRequest{}, &CollectRequest{}, &CloseRequest{}, &Reply{}} {
 			var before, after runtime.MemStats
@@ -370,6 +414,19 @@ func FuzzShardWire(f *testing.F) {
 			}
 			if err != nil {
 				continue
+			}
+			if len(data) > 0 && data[0] != wireVersion {
+				t.Fatalf("%T accepted a version-%d frame", into, data[0])
+			}
+			if init, ok := into.(*InitRequest); ok {
+				for _, in := range init.Inits {
+					for _, p := range in.Owned {
+						requireInPlan(t, p, init.Plan.Nets)
+					}
+					for _, nc := range in.Restore {
+						requireInPlan(t, nc.Pos, init.Plan.Nets)
+					}
+				}
 			}
 			frame, back := roundTrip(t, into)
 			if !bitEqual(reflect.ValueOf(into), reflect.ValueOf(back)) {

@@ -123,7 +123,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sna: -net is required")
 		return exitUsage
 	}
-	mode, err := parseMode(*modeFlag)
+	mode, err := core.ParseMode(*modeFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "sna:", err)
 		return exitUsage
@@ -334,16 +334,4 @@ func delayTable(stdout io.Writer, res *core.Result, dres *core.DelayResult, peri
 		t.AddRow(row...)
 	}
 	t.Render(stdout)
-}
-
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "all":
-		return core.ModeAllAggressors, nil
-	case "timing":
-		return core.ModeTimingWindows, nil
-	case "noise":
-		return core.ModeNoiseWindows, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want all|timing|noise)", s)
 }

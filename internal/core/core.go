@@ -29,6 +29,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -53,6 +54,22 @@ const (
 	// glitches combine.
 	ModeNoiseWindows
 )
+
+// modeNames are the short names options and flags select a mode by.
+var modeNames = [...]string{ModeAllAggressors: "all", ModeTimingWindows: "timing", ModeNoiseWindows: "noise"}
+
+// ParseMode resolves a mode's short name: all, timing or noise.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want all|timing|noise)", name)
+}
+
+// Name is the mode's short name, the one ParseMode reads.
+func (m Mode) Name() string { return modeNames[m] }
 
 // String names the mode for reports.
 func (m Mode) String() string {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"sort"
 
 	"repro/internal/bind"
@@ -51,10 +52,8 @@ var ErrSessionBroken = errors.New("core: session broken by failed incremental up
 // semantics match AnalyzeCtx; any WindowPadding already present in opts.STA
 // seeds the session's padding state.
 func NewSession(ctx context.Context, b *bind.Design, opts Options) (*Session, error) {
-	padding := make(map[string]float64)
-	for net, pad := range opts.STA.WindowPadding {
-		padding[net] = pad
-	}
+	padding := make(map[string]float64, len(opts.STA.WindowPadding))
+	maps.Copy(padding, opts.STA.WindowPadding)
 	// The analyzer and the timing engine alias this map, exactly as the
 	// iterative loop does: padding applied later is what the incremental
 	// timing update reads.
@@ -79,13 +78,7 @@ func (s *Session) Delay() *DelayResult { return s.delay }
 
 // Padding returns a copy of the per-net late-edge window padding currently
 // applied to the session's timing annotation.
-func (s *Session) Padding() map[string]float64 {
-	out := make(map[string]float64, len(s.padding))
-	for net, pad := range s.padding {
-		out[net] = pad
-	}
-	return out
-}
+func (s *Session) Padding() map[string]float64 { return maps.Clone(s.padding) }
 
 // Err returns nil for a healthy session and ErrSessionBroken after a
 // failed incremental update.

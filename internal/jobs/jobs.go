@@ -465,7 +465,7 @@ func (m *Manager) Cancel(id string) (*report.JobJSON, error) {
 	j.CancelRequested = true
 	if final {
 		m.queue.Remove(j.Spec.Tenant, id)
-		m.finalizeLocked(j, StateCanceled, "", false, nil)
+		m.finishLocked(j, StateCanceled, "", false, nil)
 	} else if j.cancel != nil {
 		j.cancel()
 	}
@@ -784,6 +784,13 @@ func (m *Manager) finalizeLocked(j *job, state State, errMsg string, quarantined
 	if err := m.appendLocked(&record{Type: typ, ID: j.ID, Error: errMsg, Quarantined: quarantined, Result: result}); err != nil {
 		m.cfg.Logf("jobs: %s %s record not journaled: %v", j.ID, typ, err)
 	}
+	m.finishLocked(j, state, errMsg, quarantined, result)
+}
+
+// finishLocked applies a terminal transition whose record the caller has
+// journaled (Cancel of a queued job, which must refuse the ack when the
+// append fails) or finalizeLocked has tried to.
+func (m *Manager) finishLocked(j *job, state State, errMsg string, quarantined bool, result json.RawMessage) {
 	j.State = state
 	j.Error = errMsg
 	j.Quarantined = quarantined

@@ -634,3 +634,51 @@ func TestMemoryOnlyManager(t *testing.T) {
 		t.Fatalf("memory-only job = %+v", snap)
 	}
 }
+
+// TestCancelQueuedJournalsOnce: cancelling a queued job appends its terminal
+// record once — one fsync before the acknowledgement, not a second behind
+// it — and a replay of that journal finds the job canceled.
+func TestCancelQueuedJournalsOnce(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	defer close(release)
+	m := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, false, ctx.Err()
+	}, func(c *Config) { c.Workers = 1 })
+	runner := submit(t, m, &Spec{Session: "s", Type: "analyze"})
+	waitState(t, m, runner, StateRunning)
+	queued := submit(t, m, &Spec{Session: "s", Type: "analyze"})
+	if snap, err := m.Cancel(queued); err != nil || snap.State != string(StateCanceled) {
+		t.Fatalf("cancel queued: %+v, %v", snap, err)
+	}
+	crash(t, m)
+
+	byType := map[string]int{}
+	log, _, err := wal.OpenLog(filepath.Join(dir, journalFile), "jobs", wal.Hooks{}, t.Logf, func(payload []byte, _ time.Time) error {
+		var rec record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		if rec.ID == queued {
+			byType[rec.Type]++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if len(byType) != 2 || byType[recSubmit] != 1 || byType[recCanceled] != 1 {
+		t.Fatalf("journal records of the canceled job: %v, want one submit and one canceled", byType)
+	}
+
+	var calls atomic.Int64
+	m2 := openManager(t, dir, okExec(&calls))
+	if snap, err := m2.Get(queued); err != nil || snap.State != string(StateCanceled) || snap.Attempts != 0 {
+		t.Fatalf("replayed canceled job: %+v, %v", snap, err)
+	}
+}

@@ -157,13 +157,13 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 		opts := ss.opts
 		modeName := pt.Mode
 		if modeName != "" {
-			mode, err := parseMode(modeName)
+			mode, err := core.ParseMode(modeName)
 			if err != nil {
 				return nil, jobs.Permanent(err)
 			}
 			opts.Mode = mode
 		} else {
-			modeName = modeString(opts.Mode)
+			modeName = opts.Mode.Name()
 		}
 		if pt.Threshold > 0 {
 			opts.FilterThreshold = pt.Threshold
@@ -183,16 +183,6 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 		return nil, fmt.Errorf("encoding sweep result: %w", err)
 	}
 	return body, nil
-}
-
-func modeString(m core.Mode) string {
-	switch m {
-	case core.ModeAllAggressors:
-		return "all"
-	case core.ModeTimingWindows:
-		return "timing"
-	}
-	return "noise"
 }
 
 // --- HTTP surface -----------------------------------------------------

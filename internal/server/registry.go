@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/bind"
-	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/load"
 	"repro/internal/sta"
@@ -278,14 +276,7 @@ func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*
 	bad := func(err error) *ErrorInfo {
 		return &ErrorInfo{Kind: "bad_request", Message: err.Error(), Session: req.Name}
 	}
-	var inputs map[string]*sta.Timing
-	var err error
-	if req.Timing != "" {
-		if inputs, err = sta.ParseInputTiming(strings.NewReader(req.Timing)); err != nil {
-			return nil, bad(err)
-		}
-	}
-	mode, err := parseMode(req.Options.Mode)
+	opts, err := engineOptions(designSpecOf(req).Options, req.Timing)
 	if err != nil {
 		return nil, bad(err)
 	}
@@ -293,10 +284,11 @@ func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*
 	if err != nil {
 		return nil, bad(err)
 	}
+	opts.PrepareHook = faults.Hook()
 	src := sourcesOf(req)
 	//snavet:deferrelease the entry reference is owned by the returned session and released by dropSessionLocked (or by the caller on insert failure)
 	entry, einfo := s.cache.acquire(ctx, src, func() (*bind.Design, *ErrorInfo) {
-		return buildDesign(src, inputs)
+		return buildDesign(src, opts.STA.InputTiming)
 	})
 	if einfo != nil {
 		// The error object may be shared with coalesced waiters of the
@@ -311,16 +303,7 @@ func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*
 		busy:  make(chan struct{}, 1),
 		b:     entry.b,
 		entry: entry,
-		opts: core.Options{
-			Mode:             mode,
-			FilterThreshold:  req.Options.Threshold,
-			NoPropagation:    req.Options.NoPropagation,
-			LogicCorrelation: req.Options.LogicCorrelation,
-			Workers:          req.Options.Workers,
-			FailSoft:         !req.Options.FailFast,
-			PrepareHook:      faults.Hook(),
-			STA:              sta.Options{InputTiming: inputs},
-		},
+		opts:  opts,
 	}, nil
 }
 

@@ -58,7 +58,6 @@ import (
 
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -660,16 +659,4 @@ func decodeBodyOptional(r io.Reader, v any) error {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
-}
-
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "all":
-		return core.ModeAllAggressors, nil
-	case "timing":
-		return core.ModeTimingWindows, nil
-	case "", "noise":
-		return core.ModeNoiseWindows, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want all|timing|noise)", s)
 }

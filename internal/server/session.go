@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"maps"
 	"sync"
 	"time"
 
@@ -127,11 +128,7 @@ func (s *session) ensureEngine(ctx context.Context) (*core.Session, bool, error)
 	s.eng = nil // drop broken state before the rebuild
 	opts := s.opts
 	if len(s.padding) > 0 {
-		seed := make(map[string]float64, len(s.padding))
-		for net, pad := range s.padding {
-			seed[net] = pad
-		}
-		opts.STA.WindowPadding = seed
+		opts.STA.WindowPadding = maps.Clone(s.padding)
 	}
 	eng, err := core.NewSession(ctx, s.b, opts)
 	if err != nil {

@@ -242,7 +242,10 @@ func (s *Server) designForToken(ctx context.Context, token string, spec *shard.D
 	if e != nil {
 		return e.entry.b, e.opts, nil
 	}
-	opts, inputs, err := specOpts(spec)
+	if (spec.Netlist == "") == (spec.Verilog == "") {
+		return nil, zero, fmt.Errorf("design spec needs exactly one of netlist or verilog")
+	}
+	opts, err := engineOptions(spec.Options, spec.Timing)
 	if err != nil {
 		return nil, zero, err
 	}
@@ -255,7 +258,7 @@ func (s *Server) designForToken(ctx context.Context, token string, spec *shard.D
 	}
 	//snavet:deferrelease the entry reference is handed to the run token's sharedDesign (released on token drop) or released explicitly on the lost race below; acquire failure returns a nil entry
 	entry, einfo := s.cache.acquire(ctx, src, func() (*bind.Design, *ErrorInfo) {
-		return buildDesign(src, inputs)
+		return buildDesign(src, opts.STA.InputTiming)
 	})
 	if einfo != nil {
 		if einfo.Kind == "budget" {
@@ -274,35 +277,32 @@ func (s *Server) designForToken(ctx context.Context, token string, spec *shard.D
 	return entry.b, opts, nil
 }
 
-// specOpts derives the engine options (and the parsed input timing they
-// embed) from a shipped design spec. The design itself builds through
-// the shared cache — including lint, which the coordinator's session
-// already passed; re-running it on a cache miss is cheap defensive
-// hardening, not a behavior change.
-func specOpts(spec *shard.DesignSpec) (core.Options, map[string]*sta.Timing, error) {
-	var zero core.Options
-	if (spec.Netlist == "") == (spec.Verilog == "") {
-		return zero, nil, fmt.Errorf("design spec needs exactly one of netlist or verilog")
+// engineOptions is the one mapping from the service's option schema — a
+// session's create request, or the spec a coordinator ships of it — to the
+// engine's: the mode by name (noise when unnamed), the input timing parsed,
+// fail-soft unless FailFast.
+func engineOptions(o shard.OptionsSpec, timing string) (core.Options, error) {
+	mode, inputs := core.ModeNoiseWindows, map[string]*sta.Timing(nil)
+	var err error
+	if timing != "" {
+		if inputs, err = sta.ParseInputTiming(strings.NewReader(timing)); err != nil {
+			return core.Options{}, err
+		}
 	}
-	mode, err := parseMode(spec.Options.Mode)
-	if err != nil {
-		return zero, nil, err
-	}
-	var inputs map[string]*sta.Timing
-	if spec.Timing != "" {
-		if inputs, err = sta.ParseInputTiming(strings.NewReader(spec.Timing)); err != nil {
-			return zero, nil, err
+	if o.Mode != "" {
+		if mode, err = core.ParseMode(o.Mode); err != nil {
+			return core.Options{}, err
 		}
 	}
 	return core.Options{
 		Mode:             mode,
-		FilterThreshold:  spec.Options.Threshold,
-		NoPropagation:    spec.Options.NoPropagation,
-		LogicCorrelation: spec.Options.LogicCorrelation,
-		Workers:          spec.Options.Workers,
-		FailSoft:         !spec.Options.FailFast,
+		FilterThreshold:  o.Threshold,
+		NoPropagation:    o.NoPropagation,
+		LogicCorrelation: o.LogicCorrelation,
+		Workers:          o.Workers,
+		FailSoft:         !o.FailFast,
 		STA:              sta.Options{InputTiming: inputs},
-	}, inputs, nil
+	}, nil
 }
 
 // designSpecOf converts a session's retained create request into the wire

@@ -3,9 +3,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
 )
 
 // JobFaults injects failures into the async job executor, the way
@@ -27,18 +24,12 @@ import (
 // "sweep", or "*" for any.
 //
 // The struct is safe for concurrent use; job workers run in parallel.
-type JobFaults struct {
-	mu    sync.Mutex
-	rules []jobFaultRule
-}
+type JobFaults faultRules
 
-type jobFaultRule struct {
-	kind   string // panic | error | degrade | hang
-	typ    string // analyze | reanalyze | iterate | sweep | *
-	at     int    // fire on the at-th matching attempt (1-based); 0 = every attempt
-	seen   int
-	fired  bool
-	always bool
+var jobFaultGrammar = faultGrammar{
+	what: "job", target: "type", example: "panic:iterate:2",
+	kinds:   []string{"panic", "error", "degrade", "hang"},
+	targets: []string{"analyze", "reanalyze", "iterate", "sweep"}, wantTargets: "analyze|reanalyze|iterate|sweep|*",
 }
 
 // InjectedJobFault marks a simulated job-execution failure.
@@ -57,68 +48,8 @@ func (e *InjectedJobFault) Error() string {
 // selects the n-th matching attempt (default 1), and n "*" fires every
 // attempt. An empty spec returns nil (no faults).
 func ParseJobFaults(spec string) (*JobFaults, error) {
-	var rules []jobFaultRule
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		parts := strings.Split(item, ":")
-		if len(parts) < 2 || len(parts) > 3 {
-			return nil, fmt.Errorf("workload: bad job fault %q (want kind:type[:n], e.g. panic:iterate:2)", item)
-		}
-		r := jobFaultRule{kind: parts[0], typ: parts[1], at: 1}
-		switch r.kind {
-		case "panic", "error", "degrade", "hang":
-		default:
-			return nil, fmt.Errorf("workload: unknown job fault kind %q (want panic|error|degrade|hang)", r.kind)
-		}
-		switch r.typ {
-		case "analyze", "reanalyze", "iterate", "sweep", "*":
-		default:
-			return nil, fmt.Errorf("workload: unknown job fault type %q (want analyze|reanalyze|iterate|sweep|*)", r.typ)
-		}
-		if len(parts) == 3 {
-			if parts[2] == "*" {
-				r.always, r.at = true, 0
-			} else {
-				n, err := strconv.Atoi(parts[2])
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("workload: bad job fault count %q (want a positive integer or *)", parts[2])
-				}
-				r.at = n
-			}
-		}
-		rules = append(rules, r)
-	}
-	if len(rules) == 0 {
-		return nil, nil
-	}
-	return &JobFaults{rules: rules}, nil
-}
-
-// match finds the first armed rule for jobType and consumes it.
-func (f *JobFaults) match(jobType string) string {
-	if f == nil {
-		return ""
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := range f.rules {
-		r := &f.rules[i]
-		if r.typ != "*" && r.typ != jobType {
-			continue
-		}
-		r.seen++
-		if r.always {
-			return r.kind
-		}
-		if !r.fired && r.seen == r.at {
-			r.fired = true
-			return r.kind
-		}
-	}
-	return ""
+	r, err := jobFaultGrammar.parse(spec)
+	return (*JobFaults)(r), err
 }
 
 // Fire runs at the top of one job execution attempt. It panics for
@@ -126,7 +57,7 @@ func (f *JobFaults) match(jobType string) string {
 // otherwise reports whether the attempt should be forced degraded and/or
 // failed. A nil receiver is a no-op.
 func (f *JobFaults) Fire(ctx context.Context, jobType string) (degrade bool, err error) {
-	switch f.match(jobType) {
+	switch (*faultRules)(f).match(jobType) {
 	case "panic":
 		panic((&InjectedJobFault{Kind: "panic", Type: jobType}).Error())
 	case "error":

@@ -1,11 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-	"sync"
-)
+import "fmt"
 
 // StoreFaults injects failures into the durable session store's write
 // path, the way RuntimeFaults injects them into the analysis engine. The
@@ -27,18 +22,12 @@ import (
 //
 // The struct is safe for concurrent use; the store may be called from
 // many request goroutines.
-type StoreFaults struct {
-	mu    sync.Mutex
-	rules []storeFaultRule
-}
+type StoreFaults faultRules
 
-type storeFaultRule struct {
-	kind   string // torn | enospc | syncerr | crashrename
-	op     string // append | write | *
-	at     int    // fire on the at-th matching call (1-based); 0 = every call
-	seen   int
-	fired  bool
-	always bool
+var storeFaultGrammar = faultGrammar{
+	what: "store", target: "op", example: "torn:append:2",
+	kinds:   []string{"torn", "enospc", "syncerr", "crashrename"},
+	targets: []string{"append", "write"}, wantTargets: "append|write|*",
 }
 
 // InjectedFault marks a simulated storage failure: the store must treat
@@ -59,79 +48,14 @@ func (e *InjectedFault) Error() string {
 // the n-th matching operation (default 1), and n "*" fires every time.
 // An empty spec returns nil (no faults).
 func ParseStoreFaults(spec string) (*StoreFaults, error) {
-	var rules []storeFaultRule
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		parts := strings.Split(item, ":")
-		if len(parts) < 2 || len(parts) > 3 {
-			return nil, fmt.Errorf("workload: bad store fault %q (want kind:op[:n], e.g. torn:append:2)", item)
-		}
-		r := storeFaultRule{kind: parts[0], op: parts[1], at: 1}
-		switch r.kind {
-		case "torn", "enospc", "syncerr", "crashrename":
-		default:
-			return nil, fmt.Errorf("workload: unknown store fault kind %q (want torn|enospc|syncerr|crashrename)", r.kind)
-		}
-		switch r.op {
-		case "append", "write", "*":
-		default:
-			return nil, fmt.Errorf("workload: unknown store fault op %q (want append|write|*)", r.op)
-		}
-		if len(parts) == 3 {
-			if parts[2] == "*" {
-				r.always, r.at = true, 0
-			} else {
-				n, err := strconv.Atoi(parts[2])
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("workload: bad store fault count %q (want a positive integer or *)", parts[2])
-				}
-				r.at = n
-			}
-		}
-		rules = append(rules, r)
-	}
-	if len(rules) == 0 {
-		return nil, nil
-	}
-	return &StoreFaults{rules: rules}, nil
+	r, err := storeFaultGrammar.parse(spec)
+	return (*StoreFaults)(r), err
 }
 
 // match finds the first armed rule of one of the given kinds for op and
 // consumes it.
 func (f *StoreFaults) match(op string, kinds ...string) string {
-	if f == nil {
-		return ""
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := range f.rules {
-		r := &f.rules[i]
-		if r.op != "*" && r.op != op {
-			continue
-		}
-		ok := false
-		for _, k := range kinds {
-			if r.kind == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		r.seen++
-		if r.always {
-			return r.kind
-		}
-		if !r.fired && r.seen == r.at {
-			r.fired = true
-			return r.kind
-		}
-	}
-	return ""
+	return (*faultRules)(f).match(op, kinds...)
 }
 
 // BeforeWrite fires before the bytes of an append or atomic write land.

@@ -2,9 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 )
 
@@ -30,18 +27,12 @@ import (
 //
 // The struct is safe for concurrent use; the coordinator dispatches to
 // many workers at once.
-type WorkerFaults struct {
-	mu    sync.Mutex
-	rules []workerFaultRule
-}
+type WorkerFaults faultRules
 
-type workerFaultRule struct {
-	kind   string // drop | delay | error | partial | kill
-	op     string // protocol op | *
-	at     int    // fire on the at-th matching call (1-based); 0 = every call
-	seen   int
-	fired  bool
-	always bool
+var workerFaultGrammar = faultGrammar{
+	what: "worker", target: "op", example: "kill:eval:3",
+	kinds:   []string{"drop", "delay", "error", "partial", "kill"},
+	targets: []string{"init", "eval", "round", "delay", "collect", "close"}, wantTargets: "a shard protocol op or *",
 }
 
 // WorkerFaultDelay is how long a "delay" fault holds a call. Chaos tests
@@ -82,77 +73,24 @@ type WorkerFaultAction struct {
 // selects the n-th matching call (default 1), and n "*" fires every time.
 // An empty spec returns nil (no faults).
 func ParseWorkerFaults(spec string) (*WorkerFaults, error) {
-	var rules []workerFaultRule
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		parts := strings.Split(item, ":")
-		if len(parts) < 2 || len(parts) > 3 {
-			return nil, fmt.Errorf("workload: bad worker fault %q (want kind:op[:n], e.g. kill:eval:3)", item)
-		}
-		r := workerFaultRule{kind: parts[0], op: parts[1], at: 1}
-		switch r.kind {
-		case "drop", "delay", "error", "partial", "kill":
-		default:
-			return nil, fmt.Errorf("workload: unknown worker fault kind %q (want drop|delay|error|partial|kill)", r.kind)
-		}
-		switch r.op {
-		case "init", "eval", "round", "delay", "collect", "close", "*":
-		default:
-			return nil, fmt.Errorf("workload: unknown worker fault op %q (want a shard protocol op or *)", r.op)
-		}
-		if len(parts) == 3 {
-			if parts[2] == "*" {
-				r.always, r.at = true, 0
-			} else {
-				n, err := strconv.Atoi(parts[2])
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("workload: bad worker fault count %q (want a positive integer or *)", parts[2])
-				}
-				r.at = n
-			}
-		}
-		rules = append(rules, r)
-	}
-	if len(rules) == 0 {
-		return nil, nil
-	}
-	return &WorkerFaults{rules: rules}, nil
+	r, err := workerFaultGrammar.parse(spec)
+	return (*WorkerFaults)(r), err
 }
 
 // Intercept reports what to do with one dispatched call. At most one rule
 // fires per call: the first armed match in spec order.
 func (f *WorkerFaults) Intercept(op string) WorkerFaultAction {
-	if f == nil {
-		return WorkerFaultAction{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := range f.rules {
-		r := &f.rules[i]
-		if r.op != "*" && r.op != op {
-			continue
-		}
-		r.seen++
-		fire := r.always || (!r.fired && r.seen == r.at)
-		if !fire {
-			continue
-		}
-		r.fired = true
-		switch r.kind {
-		case "drop":
-			return WorkerFaultAction{Drop: true}
-		case "delay":
-			return WorkerFaultAction{Delay: true}
-		case "error":
-			return WorkerFaultAction{Err: &InjectedWorkerFault{Kind: "error", Op: op}}
-		case "partial":
-			return WorkerFaultAction{Partial: true}
-		case "kill":
-			return WorkerFaultAction{Kill: true}
-		}
+	switch (*faultRules)(f).match(op) {
+	case "drop":
+		return WorkerFaultAction{Drop: true}
+	case "delay":
+		return WorkerFaultAction{Delay: true}
+	case "error":
+		return WorkerFaultAction{Err: &InjectedWorkerFault{Kind: "error", Op: op}}
+	case "partial":
+		return WorkerFaultAction{Partial: true}
+	case "kill":
+		return WorkerFaultAction{Kill: true}
 	}
 	return WorkerFaultAction{}
 }

@@ -141,7 +141,7 @@ type analyzer struct {
 	opts   Options
 	vdd    float64
 	staRes *sta.Result
-	// order is the victim evaluation order (victimOrder); posByID maps a
+	// order is the victim evaluation order (victimOrderOf); posByID maps a
 	// net ID back to its position (-1: not analyzed); waves partitions
 	// order into level wavefronts; sortedPos lists the positions in the
 	// alphabetical net order the violation check walks.
@@ -226,14 +226,7 @@ func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, 
 // engine uses it directly so each shard prepares only the victims it owns.
 func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyzer, error) {
 	opts.fill()
-	a := &analyzer{
-		b:    b,
-		opts: opts,
-		vdd:  opts.Vdd,
-	}
-	if a.vdd <= 0 {
-		a.vdd = b.Lib.Vdd
-	}
+	a := &analyzer{b: b, opts: opts, vdd: EffectiveVdd(b, opts)}
 	staRes, err := sta.RunCtx(ctx, b, opts.STA, opts.Workers)
 	if err != nil {
 		return nil, err
@@ -243,7 +236,7 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 		a.corr = buildCorrelations(b)
 	}
 
-	a.order = a.victimOrder()
+	a.order = victimOrderOf(b)
 	a.indexOrder()
 	n := len(a.order)
 	a.stale, a.delayStale = make(bitset, (n+63)/64), make(bitset, (n+63)/64)
@@ -323,7 +316,7 @@ func (a *analyzer) finishNoise(res *Result) {
 	a.stats.DegradedNets = len(a.diags)
 	res.Stats, res.evals = a.stats, a.evals
 	a.checkViolations(res)
-	sortDiags(a.diags)
+	SortDiags(a.diags)
 	res.Diags = append(res.Diags[:0], a.diags...)
 }
 
@@ -867,15 +860,10 @@ func netLevel(n *netlist.Net) int {
 	return drv.Inst.Level
 }
 
-// victimOrder returns the analyzable nets in propagation-friendly order:
-// port-driven nets first, then by driving instance level (feedback last).
-func (a *analyzer) victimOrder() []*netlist.Net {
-	return victimOrderOf(a.b)
-}
-
-// victimOrderOf is the package-level form of victimOrder, shared with the
-// shard planner so partitioning sees exactly the evaluation order and wave
-// structure every engine (single-process or shard) will use.
+// victimOrderOf returns the analyzable nets in propagation-friendly order:
+// port-driven nets first, then by driving instance level (feedback last). The
+// shard planner calls it too, so partitioning sees exactly the evaluation
+// order and wave structure every engine (single-process or shard) will use.
 func victimOrderOf(b *bind.Design) []*netlist.Net {
 	b.Net.Levelize()
 	nets := b.Net.Nets()

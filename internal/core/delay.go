@@ -167,7 +167,7 @@ func (a *analyzer) assembleDelay() *DelayResult {
 		res.Impacts = append(res.Impacts, a.impacts[ni]...)
 	}
 	SortImpacts(res.Impacts)
-	sortDiags(a.diags)
+	SortDiags(a.diags)
 	res.Diags = append([]Diag(nil), a.diags...)
 	return res
 }

@@ -54,14 +54,11 @@ func (d Diag) String() string {
 	return fmt.Sprintf("net %s: %s failed (%s): %v", d.Net, d.Stage, action, d.Err)
 }
 
-// SortDiags orders diagnostics by net name then stage — exported for the
-// shard coordinator, which merges per-shard diagnostics (disjoint victim
-// sets, so no ties) with its own shard-loss records before reporting.
-func SortDiags(diags []Diag) { sortDiags(diags) }
-
-// sortDiags orders diagnostics by net name then stage for deterministic
-// reports regardless of worker scheduling.
-func sortDiags(diags []Diag) {
+// SortDiags orders diagnostics by net name then stage for deterministic
+// reports regardless of worker scheduling — exported for the shard
+// coordinator, which merges per-shard diagnostics (disjoint victim sets, so
+// no ties) with its own shard-loss records before reporting.
+func SortDiags(diags []Diag) {
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].Net != diags[j].Net {
 			return diags[i].Net < diags[j].Net

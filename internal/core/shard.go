@@ -344,7 +344,7 @@ func (e *ShardEngine) Collect(ctx context.Context) (*ShardCollect, error) {
 	}
 	out.Violations = append(out.Violations, e.res.Violations...)
 	out.Slacks = append(out.Slacks, e.res.Slacks...)
-	sortDiags(e.a.diags)
+	SortDiags(e.a.diags)
 	out.Diags = append(out.Diags, e.a.diags...)
 	return out, nil
 }

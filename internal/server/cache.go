@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/bind"
+	"repro/internal/shard"
 )
 
 // designSources are the five content inputs that determine a bound
@@ -61,13 +62,13 @@ type designSources struct {
 	Timing  string
 }
 
-func sourcesOf(req *CreateSessionRequest) designSources {
+func sourcesOf(spec *shard.DesignSpec) designSources {
 	return designSources{
-		Netlist: req.Netlist,
-		Verilog: req.Verilog,
-		SPEF:    req.SPEF,
-		Liberty: req.Liberty,
-		Timing:  req.Timing,
+		Netlist: spec.Netlist,
+		Verilog: spec.Verilog,
+		SPEF:    spec.SPEF,
+		Liberty: spec.Liberty,
+		Timing:  spec.Timing,
 	}
 }
 

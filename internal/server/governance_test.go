@@ -224,7 +224,7 @@ func TestSingleFlightRevive(t *testing.T) {
 // waiter a reference.
 func TestCoalescedAcquireHonorsCancel(t *testing.T) {
 	req := busPayload(t, "a", 4, SessionOptions{})
-	src := sourcesOf(&req)
+	src := sourcesOf(designSpecOf(&req))
 	c := newDesignCache(0, time.Now, t.Logf)
 	started := make(chan struct{})
 	unblock := make(chan struct{})

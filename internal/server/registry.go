@@ -276,7 +276,8 @@ func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*
 	bad := func(err error) *ErrorInfo {
 		return &ErrorInfo{Kind: "bad_request", Message: err.Error(), Session: req.Name}
 	}
-	opts, err := engineOptions(designSpecOf(req).Options, req.Timing)
+	spec := designSpecOf(req)
+	opts, err := engineOptions(spec.Options, spec.Timing)
 	if err != nil {
 		return nil, bad(err)
 	}
@@ -285,7 +286,7 @@ func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*
 		return nil, bad(err)
 	}
 	opts.PrepareHook = faults.Hook()
-	src := sourcesOf(req)
+	src := sourcesOf(spec)
 	//snavet:deferrelease the entry reference is owned by the returned session and released by dropSessionLocked (or by the caller on insert failure)
 	entry, einfo := s.cache.acquire(ctx, src, func() (*bind.Design, *ErrorInfo) {
 		return buildDesign(src, opts.STA.InputTiming)

@@ -249,13 +249,7 @@ func (s *Server) designForToken(ctx context.Context, token string, spec *shard.D
 	if err != nil {
 		return nil, zero, err
 	}
-	src := designSources{
-		Netlist: spec.Netlist,
-		Verilog: spec.Verilog,
-		SPEF:    spec.SPEF,
-		Liberty: spec.Liberty,
-		Timing:  spec.Timing,
-	}
+	src := sourcesOf(spec)
 	//snavet:deferrelease the entry reference is handed to the run token's sharedDesign (released on token drop) or released explicitly on the lost race below; acquire failure returns a nil entry
 	entry, einfo := s.cache.acquire(ctx, src, func() (*bind.Design, *ErrorInfo) {
 		return buildDesign(src, opts.STA.InputTiming)

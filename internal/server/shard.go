@@ -275,28 +275,26 @@ func (s *Server) designForToken(ctx context.Context, token string, spec *shard.D
 // session's create request, or the spec a coordinator ships of it — to the
 // engine's: the mode by name (noise when unnamed), the input timing parsed,
 // fail-soft unless FailFast.
-func engineOptions(o shard.OptionsSpec, timing string) (core.Options, error) {
-	mode, inputs := core.ModeNoiseWindows, map[string]*sta.Timing(nil)
-	var err error
-	if timing != "" {
-		if inputs, err = sta.ParseInputTiming(strings.NewReader(timing)); err != nil {
-			return core.Options{}, err
-		}
-	}
-	if o.Mode != "" {
-		if mode, err = core.ParseMode(o.Mode); err != nil {
-			return core.Options{}, err
-		}
-	}
-	return core.Options{
-		Mode:             mode,
+func engineOptions(o shard.OptionsSpec, timing string) (opts core.Options, err error) {
+	opts = core.Options{
+		Mode:             core.ModeNoiseWindows,
 		FilterThreshold:  o.Threshold,
 		NoPropagation:    o.NoPropagation,
 		LogicCorrelation: o.LogicCorrelation,
 		Workers:          o.Workers,
 		FailSoft:         !o.FailFast,
-		STA:              sta.Options{InputTiming: inputs},
-	}, nil
+	}
+	if timing != "" {
+		if opts.STA.InputTiming, err = sta.ParseInputTiming(strings.NewReader(timing)); err != nil {
+			return core.Options{}, err
+		}
+	}
+	if o.Mode != "" {
+		if opts.Mode, err = core.ParseMode(o.Mode); err != nil {
+			return core.Options{}, err
+		}
+	}
+	return opts, nil
 }
 
 // designSpecOf converts a session's retained create request into the wire

@@ -8,7 +8,6 @@
 //	noisebench -quick       # shrunken sweeps (seconds instead of minutes)
 //	noisebench -list        # list experiment IDs
 //	noisebench -timeout 5m  # bound the whole sweep's wall clock
-//	noisebench -bench-out BENCH_core.json   # engine benchmarks, JSON out
 //	noisebench -scale -rungs 10000,100000   # capacity ladder -> BENCH_scale.json
 //	noisebench -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
@@ -46,7 +45,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		timeout  = fs.Duration("timeout", 0, "wall-clock budget for the sweep; 0 = unbounded")
-		benchOut = fs.String("bench-out", "", "run the engine benchmark suite and write JSON records to this file")
 		scale    = fs.Bool("scale", false, "climb the capacity ladder (load+analyze per rung) instead of running experiments")
 		scaleOut = fs.String("scale-out", "BENCH_scale.json", "scale: output file for the ladder records")
 		rungs    = fs.String("rungs", "10000,100000,1000000", "scale: comma-separated ascending net counts")
@@ -77,13 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *scale {
 		if err := runScale(ctx, *scaleOut, *rungs, *maxAPN, stdout); err != nil {
-			fmt.Fprintln(stderr, "noisebench:", err)
-			return 1
-		}
-		return 0
-	}
-	if *benchOut != "" {
-		if err := runBench(ctx, *benchOut, *quick, stdout); err != nil {
 			fmt.Fprintln(stderr, "noisebench:", err)
 			return 1
 		}

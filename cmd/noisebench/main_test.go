@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -58,49 +56,6 @@ func TestUsageError(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run(context.Background(), []string{"-bogus"}, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d for bad flag", code)
-	}
-}
-
-func TestBenchOutQuick(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-quick", "-bench-out", path}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []benchRecord
-	if err := json.Unmarshal(data, &records); err != nil {
-		t.Fatalf("bench output is not valid JSON: %v\n%s", err, data)
-	}
-	if len(records) != 5 {
-		t.Fatalf("got %d records, want 5:\n%s", len(records), data)
-	}
-	byName := make(map[string]benchRecord)
-	for _, r := range records {
-		if r.NsPerOp <= 0 || r.Runs < 1 {
-			t.Fatalf("degenerate record %+v", r)
-		}
-		byName[r.Name] = r
-	}
-	dist, ok := byName["distributed_bus64"]
-	if !ok {
-		t.Fatalf("missing distributed_bus64 record:\n%s", data)
-	}
-	if dist.Extra["workers"] < 2 || dist.Extra["shards"] < 2 {
-		t.Fatalf("distributed record not actually sharded: %+v", dist)
-	}
-	scr, ok := byName["iterative_scratch"]
-	if !ok {
-		t.Fatalf("missing iterative_scratch record:\n%s", data)
-	}
-	if scr.Extra["speedup"] <= 1 {
-		t.Fatalf("incremental loop not faster than scratch: speedup=%g", scr.Extra["speedup"])
-	}
-	if r := byName["iterative_incremental"].Extra["rounds"]; r < 4 {
-		t.Fatalf("ladder converged in %g rounds, want ≥ 4", r)
 	}
 }
 

@@ -27,10 +27,10 @@ import (
 // measuring the full pipeline — streaming parse of on-disk Verilog, SPEF,
 // and input-timing files, binding, and a windowed noise analysis — so the
 // checked-in BENCH_scale.json tracks end-to-end cost per net as designs
-// grow from 10k toward 1M nets. Unlike the -bench-out suite (steady-state
-// engine ops on small fixtures), the ladder runs each rung once: at 1M
-// nets a single load+analyze IS the workload, and the per-net normalization
-// is what makes rungs comparable.
+// grow from 10k toward 1M nets. Unlike the testing.B benchmarks in
+// bench_test.go (steady-state engine ops on small fixtures), the ladder
+// runs each rung once: at 1M nets a single load+analyze IS the workload,
+// and the per-net normalization is what makes rungs comparable.
 
 // scaleRecord is one rung's result.
 type scaleRecord struct {

@@ -4,27 +4,13 @@
 // retry, so the client owns exponential backoff with jitter, honors
 // Retry-After hints, and retries only requests that are safe to repeat.
 //
-// Retryability is decided from the response, not the method:
-//
-//	status              retried?  why
-//	429 overloaded      yes       request was shed before running
-//	503 draining        yes       another replica (or a drained restart)
-//	                              can serve it
-//	503 breaker_open    yes       the breaker reopens after its cooldown
-//	503 deadline        yes       analyze/reanalyze are idempotent —
-//	503 canceled        yes       padding is max-monotonic, repeating is
-//	                              safe
-//	409 busy            yes       delete raced an in-flight request; the
-//	                              session quiesces shortly
-//	503 storage         yes       a journal append failed before the change
-//	                              was acknowledged; nothing was applied, so
-//	                              repeating is safe once the disk recovers
-//	409 conflict        no        the session already exists; repeating
-//	                              cannot help
-//	422 lint_rejected   no        the design is broken; fix it first
-//	400/404             no        caller bug
-//	500 engine/panic    no        repeating the same work repeats the
-//	                              failure; surface it
+// Retryability is decided from the response, not the method, and not
+// here: the reply's kind is looked up in the server's own kind table
+// (server.Retryable; the rows are in internal/server/wire.go and README),
+// so the client retries exactly what the server wrote Retry-After on. Load
+// is retried — nothing was applied, and analyses are idempotent because
+// padding is max-monotonic; a verdict (a caller or input bug, an engine
+// failure that repeating the work repeats) is not.
 //
 // Transport errors (connection refused, reset) are retried for GETs and
 // for the idempotent analysis POSTs, but not for session creation, where
@@ -94,14 +80,15 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("snad: %s (%d): %s", e.Info.Kind, e.Status, e.Info.Message)
 }
 
-// Retryable reports whether repeating the request can succeed.
+// Retryable reports whether repeating the request can succeed: the kind's
+// row in the server's table says.
 func (e *APIError) Retryable() bool {
-	switch e.Info.Kind {
-	case "overloaded", "draining", "breaker_open", "deadline", "canceled", "busy", "storage", "budget", "session_limit":
-		return true
+	if retry, known := server.Retryable(e.Info.Kind); known {
+		return retry
 	}
-	// A 503 without a parseable body is still a capacity signal.
-	return e.Info.Kind == "" && (e.Status == http.StatusServiceUnavailable || e.Status == http.StatusTooManyRequests)
+	// No kind the table knows — a proxy's reply, an unparseable body: a
+	// 429 or 503 is still a capacity signal.
+	return e.Status == http.StatusServiceUnavailable || e.Status == http.StatusTooManyRequests
 }
 
 // Client talks to one snad server.

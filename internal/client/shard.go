@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/url"
 	"time"
 
@@ -17,8 +16,9 @@ import (
 // resp; JSON appears only in an error body. It does NOT retry — the
 // coordinator owns the retry/re-host discipline, and stacking a second retry
 // loop under it would stretch its failure detection — but it does translate
-// the server's structured error kinds back into the shard error taxonomy so
-// the coordinator can classify failures exactly as it does for in-process
+// the server's structured error kinds back into the shard error taxonomy
+// (server.ShardError, the inverse of what the worker's handler wrote) so the
+// coordinator can classify failures exactly as it does for in-process
 // workers.
 //
 // Invariant: at most one request is in flight per worker per run — the
@@ -52,12 +52,8 @@ func (w *ShardWorker) Do(ctx context.Context, op string, req, resp any) error {
 	defer cancel()
 	data, err := w.c.roundTrip(ctx, "POST", "/v1/shard/"+url.PathEscape(op), "application/octet-stream", bytes.NewReader(frame))
 	if ae, ok := err.(*APIError); ok {
-		switch ae.Info.Kind {
-		case "shard_broken":
-			return fmt.Errorf("%w: worker %s: %s", shard.ErrEngineBroken, w.name, ae.Info.Message)
-		case "shard_fatal", "bad_request":
-			// Deterministic: re-running the same op anywhere reproduces it.
-			return &shard.FatalError{Err: fmt.Errorf("worker %s: %s", w.name, ae.Info.Message)}
+		if serr := server.ShardError(w.name, ae.Info); serr != nil {
+			return serr
 		}
 		// Everything else (overloaded, draining, deadline, engine, ...) is
 		// transient from the coordinator's seat: retry, then re-host.

@@ -108,13 +108,13 @@ type designEntry struct {
 }
 
 // buildCall coalesces concurrent builds of one key. waiters is guarded
-// by the cache mutex; entry/einfo are written before done closes and
+// by the cache mutex; entry/err are written before done closes and
 // read only after.
 type buildCall struct {
 	done    chan struct{}
 	waiters int
 	entry   *designEntry
-	einfo   *ErrorInfo
+	err     error
 }
 
 // cacheStats is a point-in-time snapshot for /readyz and /metrics.
@@ -178,7 +178,7 @@ func (c *designCache) budgetErr(need int64) *ErrorInfo {
 // handler goroutine and admission slot until the build completes. The
 // build itself is never canceled — other waiters still want it. The
 // caller owns one reference and must release() it.
-func (c *designCache) acquire(ctx context.Context, src designSources, build func() (*bind.Design, *ErrorInfo)) (*designEntry, *ErrorInfo) {
+func (c *designCache) acquire(ctx context.Context, src designSources, build func() (*bind.Design, error)) (*designEntry, error) {
 	key := src.key()
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
@@ -197,7 +197,7 @@ func (c *designCache) acquire(ctx context.Context, src designSources, build func
 		case <-bc.done:
 			// The builder granted this waiter's reference under the lock,
 			// so the entry cannot have been evicted in between.
-			return bc.entry, bc.einfo
+			return bc.entry, bc.err
 		case <-ctx.Done():
 			canceled := &ErrorInfo{
 				Kind:    "canceled",
@@ -227,9 +227,9 @@ func (c *designCache) acquire(ctx context.Context, src designSources, build func
 		c.evictLocked(src.srcBytes())
 		if c.charged+src.srcBytes() > c.budget {
 			c.budgetSheds++
-			einfo := c.budgetErr(src.srcBytes())
+			err := c.budgetErr(src.srcBytes())
 			c.mu.Unlock()
-			return nil, einfo
+			return nil, err
 		}
 	}
 	bc := &buildCall{done: make(chan struct{})}
@@ -241,18 +241,18 @@ func (c *designCache) acquire(ctx context.Context, src designSources, build func
 	if hook != nil {
 		hook()
 	}
-	b, einfo := build() // parse + lint + bind, outside every lock
+	b, err := build() // parse + lint + bind, outside every lock
 
 	c.mu.Lock()
 	var entry *designEntry
-	if einfo == nil {
+	if err == nil {
 		need := b.MemBytes()
 		if c.budget > 0 && c.charged+need > c.budget {
 			c.evictLocked(need)
 		}
 		if c.budget > 0 && c.charged+need > c.budget {
 			c.budgetSheds++
-			einfo = c.budgetErr(need)
+			err = c.budgetErr(need)
 			c.logf("design cache: built design of %d bytes discarded (budget %d, charged %d)", need, c.budget, c.charged)
 		} else {
 			entry = &designEntry{
@@ -267,11 +267,11 @@ func (c *designCache) acquire(ctx context.Context, src designSources, build func
 			c.charged += need
 		}
 	}
-	bc.entry, bc.einfo = entry, einfo
+	bc.entry, bc.err = entry, err
 	delete(c.building, key)
 	c.mu.Unlock()
 	close(bc.done)
-	return entry, einfo
+	return entry, err
 }
 
 // release drops one reference. The entry stays resident as a warm hit

@@ -229,28 +229,28 @@ func TestCoalescedAcquireHonorsCancel(t *testing.T) {
 	started := make(chan struct{})
 	unblock := make(chan struct{})
 	c.buildHook = func() { close(started); <-unblock }
-	build := func() (*bind.Design, *ErrorInfo) { return buildDesign(src, nil) }
+	build := func() (*bind.Design, error) { return buildDesign(src, nil) }
 
 	var e1 *designEntry
-	var einfo1 *ErrorInfo
+	var err1 error
 	builderDone := make(chan struct{})
 	go func() {
 		defer close(builderDone)
-		e1, einfo1 = c.acquire(context.Background(), src, build)
+		e1, err1 = c.acquire(context.Background(), src, build)
 	}()
 	<-started // the build call is registered and parked in the hook
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e2, einfo2 := c.acquire(ctx, src, build) // coalesces, then withdraws
-	if e2 != nil || einfo2 == nil || einfo2.Kind != "canceled" {
-		t.Fatalf("canceled waiter: entry=%v einfo=%+v, want nil entry and kind \"canceled\"", e2, einfo2)
+	e2, err2 := c.acquire(ctx, src, build) // coalesces, then withdraws
+	if e2 != nil || err2 == nil || classify(err2).Kind != "canceled" {
+		t.Fatalf("canceled waiter: entry=%v err=%+v, want nil entry and kind \"canceled\"", e2, err2)
 	}
 
 	close(unblock)
 	<-builderDone
-	if einfo1 != nil || e1 == nil {
-		t.Fatalf("builder: entry=%v einfo=%+v, want a successful build", e1, einfo1)
+	if err1 != nil || e1 == nil {
+		t.Fatalf("builder: entry=%v err=%+v, want a successful build", e1, err1)
 	}
 	c.mu.Lock()
 	refs := e1.refs
@@ -322,8 +322,9 @@ func TestTenantStarvation(t *testing.T) {
 // TestShedPathsCarryRetryAfter is the shed-consistency table: every
 // refusal the server can emit under load — admission queue full, memory
 // budget, draining, breaker, session cap, storage failure, job queue
-// full — must be a 429/503 with a positive integer Retry-After and a
-// structured JSON error body of the right kind.
+// full, an expired deadline, a forced-drain cancel, a delete racing a
+// request — must be a 429/503 (409 for busy) with a positive integer
+// Retry-After and a structured JSON error body of the right kind.
 func TestShedPathsCarryRetryAfter(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -426,6 +427,47 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 					return jm.Running == 1 && jm.Queued == 1
 				})
 				return do(t, "POST", ts.URL+"/v1/jobs", submit)
+			},
+		},
+		{
+			name: "analysis past its deadline", wantStatus: http.StatusServiceUnavailable, wantKind: "deadline",
+			fire: func(t *testing.T) (*http.Response, []byte) {
+				_, ts := newTestServer(t, Config{})
+				createSession(t, ts.URL, "slow", SessionOptions{InjectFault: "sleep:*"})
+				return do(t, "POST", ts.URL+"/v1/sessions/slow/analyze?timeout=5ms", nil)
+			},
+		},
+		{
+			// The forced drain cancels an analysis mid-work; its client is
+			// still connected and reads a refusal it can take elsewhere.
+			name: "analysis canceled by the forced drain", wantStatus: http.StatusServiceUnavailable, wantKind: "canceled",
+			fire: func(t *testing.T) (*http.Response, []byte) {
+				s, ts := newTestServer(t, Config{})
+				resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{InjectFault: "sleep:*"}))
+				if resp.StatusCode != http.StatusCreated {
+					t.Fatalf("create: %d: %s", resp.StatusCode, data)
+				}
+				ss := s.lookup("slow")
+				drained := make(chan struct{})
+				go func() {
+					defer close(drained)
+					for i := 0; len(ss.busy) == 0 && i < 5000; i++ {
+						time.Sleep(time.Millisecond)
+					}
+					s.Drain(time.Millisecond)
+				}()
+				t.Cleanup(func() { <-drained })
+				return do(t, "POST", ts.URL+"/v1/sessions/slow/analyze", nil)
+			},
+		},
+		{
+			name: "delete racing a request", wantStatus: http.StatusConflict, wantKind: "busy",
+			fire: func(t *testing.T) (*http.Response, []byte) {
+				s, ts := newTestServer(t, Config{})
+				createSession(t, ts.URL, "bus", SessionOptions{})
+				ss := s.retain("bus") // pin it the way an in-flight request does
+				t.Cleanup(func() { s.releaseRef(ss) })
+				return do(t, "DELETE", ts.URL+"/v1/sessions/bus", nil)
 			},
 		},
 	}

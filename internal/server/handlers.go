@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -13,112 +12,89 @@ import (
 	"repro/internal/report"
 )
 
-// requestCtx derives the analysis context: the client's connection
-// context, bounded by min(client ?timeout, MaxRequestTimeout), and tied to
-// the forced-drain signal.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
+// gated runs fn holding a worker slot of the admission gate and under the
+// request's deadline: the client's connection context, bounded by
+// min(client ?timeout, MaxRequestTimeout) from the moment the slot is
+// granted, and tied to the forced-drain signal. Create, the shard ops and
+// the analyses share it.
+func (s *Server) gated(r *http.Request, fn func(context.Context) error) error {
 	eff := s.cfg.MaxRequestTimeout
 	if q := r.URL.Query().Get("timeout"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil || d <= 0 {
-			return nil, nil, fmt.Errorf("bad timeout %q (want a positive duration like 5s)", q)
+			return badRequest(fmt.Errorf("bad timeout %q (want a positive duration like 5s)", q), "")
 		}
-		if d < eff {
-			eff = d
-		}
+		eff = min(eff, d)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), eff)
-	stop := context.AfterFunc(s.forceCtx, cancel)
-	return ctx, func() { stop(); cancel() }, nil
-}
-
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
+	release, err := s.admit(r)
+	if err != nil {
+		return err
 	}
 	defer release()
-	var req CreateSessionRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
-	}
-	ss, einfo := s.buildSession(r.Context(), &req)
-	if einfo != nil {
-		status := http.StatusBadRequest
-		var retry time.Duration
-		switch einfo.Kind {
-		case "lint_rejected":
-			status = http.StatusUnprocessableEntity
-		case "budget":
-			// The design did not fit the memory budget even after idle
-			// eviction: shed, don't grow until the OOM killer decides.
-			status = http.StatusServiceUnavailable
-			retry = s.cfg.RetryAfter
-		case "canceled":
-			// The request expired while coalesced on an in-flight build;
-			// the design is intact and likely cached by the retry.
-			status = http.StatusServiceUnavailable
-			retry = s.cfg.RetryAfter
+	ctx, cancel := context.WithTimeout(r.Context(), eff)
+	defer cancel()
+	stop := context.AfterFunc(s.forceCtx, cancel)
+	defer stop()
+	return fn(ctx)
+}
+
+// handleCreate builds under the gated context: the build may wait on a
+// coalesced single-flight build of the same sources, and that wait ends at
+// the request deadline and the forced drain like any other.
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
+	return s.gated(r, func(ctx context.Context) error {
+		var req CreateSessionRequest
+		if err := decodeBody(r.Body, &req); err != nil {
+			return err
 		}
-		s.writeErr(w, status, *einfo, retry)
-		return
-	}
-	if s.store != nil {
-		// A persisted session that was LRU-evicted from memory still
-		// exists; its name is not reusable until it is deleted.
-		if s.store.Spec(req.Name) != nil {
+		ss, err := s.buildSession(ctx, &req)
+		if err != nil {
+			return err
+		}
+		if s.store != nil {
+			// A persisted session that was LRU-evicted from memory still
+			// exists; its name is not reusable until it is deleted.
+			if s.store.Spec(req.Name) != nil {
+				s.cache.release(ss.entry)
+				return &ErrorInfo{
+					Kind: "conflict", Message: fmt.Sprintf("session %q already exists (persisted)", req.Name), Session: req.Name,
+				}
+			}
+			// Reserve the name first (pending sessions are invisible to
+			// lookups and pinned against eviction), then journal, then
+			// publish: the 201 is not sent until the create record is
+			// fsynced, so an acknowledged session survives a crash; and a
+			// journaling failure unwinds the reservation, so the in-memory
+			// state never runs ahead of the durable state.
+			ss.pending = true
+			ss.persisted = true
+			ss.refs = 1
+		}
+		if err := s.insert(ss); err != nil {
 			s.cache.release(ss.entry)
-			s.writeErr(w, http.StatusConflict, ErrorInfo{
-				Kind: "conflict", Message: fmt.Sprintf("session %q already exists (persisted)", req.Name), Session: req.Name,
-			}, 0)
-			return
+			return err
 		}
-		// Reserve the name first (pending sessions are invisible to
-		// lookups and pinned against eviction), then journal, then
-		// publish: the 201 is not sent until the create record is fsynced,
-		// so an acknowledged session survives a crash; and a journaling
-		// failure unwinds the reservation, so the in-memory state never
-		// runs ahead of the durable state.
-		ss.pending = true
-		ss.persisted = true
-		ss.refs = 1
-	}
-	if einfo := s.insert(ss); einfo != nil {
-		s.cache.release(ss.entry)
-		status := http.StatusConflict
-		if einfo.Kind == "session_limit" {
-			status = http.StatusServiceUnavailable
+		if s.store != nil {
+			if err := s.store.Create(&req); err != nil {
+				func() {
+					s.mu.Lock()
+					defer s.mu.Unlock()
+					s.dropSessionLocked(ss)
+				}()
+				s.cfg.Logf("session %q create not journaled, refused: %v", ss.name, err)
+				return &ErrorInfo{
+					Kind: "storage", Message: fmt.Sprintf("session could not be journaled: %v", err), Session: ss.name,
+				}
+			}
+			s.mu.Lock()
+			ss.pending = false
+			ss.refs--
+			s.mu.Unlock()
 		}
-		var retry time.Duration
-		if status == http.StatusServiceUnavailable {
-			retry = s.cfg.RetryAfter
-		}
-		s.writeErr(w, status, *einfo, retry)
-		return
-	}
-	if s.store != nil {
-		if err := s.store.Create(&req); err != nil {
-			func() {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				s.dropSessionLocked(ss)
-			}()
-			s.cfg.Logf("session %q create not journaled, refused: %v", ss.name, err)
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind:    "storage",
-				Message: fmt.Sprintf("session could not be journaled: %v", err),
-				Session: ss.name,
-			}, s.cfg.RetryAfter)
-			return
-		}
-		s.mu.Lock()
-		ss.pending = false
-		ss.refs--
-		s.mu.Unlock()
-	}
-	s.cfg.Logf("session %q created", ss.name)
-	s.writeJSON(w, http.StatusCreated, ss.info(s.cfg.now()))
+		s.cfg.Logf("session %q created", ss.name)
+		s.writeJSON(w, http.StatusCreated, ss.info(s.cfg.now()))
+		return nil
+	})
 }
 
 // listSnapshot collects the visible in-memory sessions under the session
@@ -165,22 +141,17 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, infos)
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ss, einfo := s.retainOrRevive(r.Context(), name)
-	if einfo != nil {
-		s.writeReviveErr(w, einfo)
-		return
-	}
-	if ss == nil {
-		s.writeNotFound(w, name)
-		return
+func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) error {
+	ss, err := s.retainOrRevive(r.Context(), r.PathValue("name"))
+	if err != nil {
+		return err
 	}
 	defer s.releaseRef(ss)
 	s.writeJSON(w, http.StatusOK, ss.info(s.cfg.now()))
+	return nil
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	s.mu.Lock()
 	ss, inMem := s.sessions[name]
@@ -189,18 +160,16 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		// would let them complete against an orphaned object. Refuse and
 		// let the caller retry once the session quiesces.
 		s.mu.Unlock()
-		s.writeErr(w, http.StatusConflict, ErrorInfo{
+		return &ErrorInfo{
 			Kind: "busy", Message: fmt.Sprintf("session %q has requests in flight", name), Session: name,
-		}, s.cfg.RetryAfter)
-		return
+		}
 	}
 	// A persisted session may exist on disk only (LRU-evicted); it is
 	// deletable without reloading it.
 	persisted := s.store != nil && s.store.Spec(name) != nil
 	if !inMem && !persisted {
 		s.mu.Unlock()
-		s.writeNotFound(w, name)
-		return
+		return notFound(name)
 	}
 	if inMem {
 		// Block new retains/revives of the name while the tombstone is
@@ -219,12 +188,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 			}
 			s.mu.Unlock()
 			s.cfg.Logf("session %q delete not journaled, refused: %v", name, err)
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind:    "storage",
-				Message: fmt.Sprintf("tombstone could not be journaled: %v", err),
-				Session: name,
-			}, s.cfg.RetryAfter)
-			return
+			return &ErrorInfo{
+				Kind: "storage", Message: fmt.Sprintf("tombstone could not be journaled: %v", err), Session: name,
+			}
 		}
 	}
 	func() {
@@ -238,18 +204,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ss, einfo := s.retainOrRevive(r.Context(), name)
-	if einfo != nil {
-		s.writeReviveErr(w, einfo)
-		return
-	}
-	if ss == nil {
-		s.writeNotFound(w, name)
-		return
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) error {
+	ss, err := s.retainOrRevive(r.Context(), r.PathValue("name"))
+	if err != nil {
+		return err
 	}
 	defer s.releaseRef(ss)
 	body := ss.report()
@@ -262,23 +223,20 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		if ss.isRestored() {
 			msg = "session was re-materialized from disk and has no cached analysis yet; POST analyze to regenerate it"
 		}
-		s.writeErr(w, http.StatusNotFound, ErrorInfo{
-			Kind: "not_found", Message: msg, Session: ss.name,
-		}, 0)
-		return
+		return &ErrorInfo{Kind: "not_found", Message: msg, Session: ss.name}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
+	return nil
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 	var req AnalyzeRequest
 	if err := decodeBodyOptional(r.Body, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
+		return err
 	}
-	s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
+	return s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
 		return s.analyzeWork(ctx, ss, req.Delay)
 	})
 }
@@ -301,21 +259,17 @@ func (s *Server) analyzeWork(ctx context.Context, ss *session, delay bool) (*Ana
 	return resp, nil
 }
 
-func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) error {
 	var req ReanalyzeRequest
 	if err := decodeBody(r.Body, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
+		return err
 	}
 	for net, pad := range req.Padding {
 		if pad < 0 || pad != pad || pad-pad != 0 { // negative, NaN, or Inf
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-				Kind: "bad_request", Message: fmt.Sprintf("bad padding %v for net %q (want finite seconds >= 0)", pad, net),
-			}, 0)
-			return
+			return badRequest(fmt.Errorf("bad padding %v for net %q (want finite seconds >= 0)", pad, net), "")
 		}
 	}
-	s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
+	return s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
 		return s.reanalyzeWork(ctx, ss, req.Padding, req.Delay)
 	})
 }
@@ -365,124 +319,102 @@ func (s *Server) persistPadding(ss *session) {
 	}
 }
 
-// writeReviveErr maps a failed lazy revive onto a response: a budget
-// shed is transient load (503 + Retry-After — the spec is intact and
-// builds once memory frees), anything else means the spec was
-// quarantined as unreplayable (404 with the detail).
-func (s *Server) writeReviveErr(w http.ResponseWriter, einfo *ErrorInfo) {
-	switch einfo.Kind {
-	case "budget", "session_limit", "canceled":
-		// All transient refusals — the memory budget or loaded-session
-		// cap is full right now, or the request expired while coalesced
-		// on an in-flight rebuild — not statements about the session's
-		// existence; shed with Retry-After like any overload.
-		s.writeErr(w, http.StatusServiceUnavailable, *einfo, s.cfg.RetryAfter)
-	default:
-		s.writeErr(w, http.StatusNotFound, *einfo, 0)
-	}
-}
-
-// analysis is the shared harness of the two heavy endpoints: session
-// lookup, breaker check, admission, deadline plumbing, serialized engine
-// work, breaker accounting, and error mapping.
-func (s *Server) analysis(w http.ResponseWriter, r *http.Request, work func(context.Context, *session) (*AnalyzeResponse, error)) {
-	name := r.PathValue("name")
-	ss, einfo := s.retainOrRevive(r.Context(), name)
-	if einfo != nil {
-		s.writeReviveErr(w, einfo)
-		return
-	}
-	if ss == nil {
-		s.writeNotFound(w, name)
-		return
-	}
-	defer s.releaseRef(ss)
-	retryAfter, probe, open := ss.breakerAdmit(s.cfg.now(), s.cfg.RetryAfter)
-	if open {
-		s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-			Kind:    "breaker_open",
-			Message: fmt.Sprintf("session breaker open after %d consecutive degraded results", s.cfg.BreakerTrips),
-			Session: name,
-		}, retryAfter)
-		return
-	}
-	if probe {
-		// The probe slot must be returned on every path out of this
-		// handler — including cancellation and panic — or the half-open
-		// breaker would reject requests forever.
-		defer ss.probeRelease()
-	}
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
-	}
-	defer cancel()
-
-	// Serialize engine work per session. The wait is a select against the
-	// request deadline and the drain signal, so a pile-up behind one slow
-	// session sheds at its deadline instead of pinning workers; a
-	// sync.Mutex here would block uncancellably.
-	if !ss.acquire(ctx, s.forceCtx) {
-		if s.forceCtx.Err() != nil || errors.Is(ctx.Err(), context.Canceled) {
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind: "canceled", Message: "request cancelled while waiting for the session", Session: name,
-			}, 0)
-		} else {
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind: "deadline", Message: "request deadline expired while waiting for the session", Session: name,
-			}, s.cfg.RetryAfter)
+// analysis is the interactive face of sessionWork, under analyze, reanalyze
+// and iterate. What is its alone — breaker admission and the half-open
+// probe, the admission gate and request deadline, snad_analysis_seconds —
+// wraps the harness's busy-slot half, so each keeps its deferred release.
+func (s *Server) analysis(w http.ResponseWriter, r *http.Request, work func(context.Context, *session) (*AnalyzeResponse, error)) error {
+	admit := func(ss *session, run func(context.Context) error) error {
+		retryAfter, probe, open := ss.breakerAdmit(s.cfg.now())
+		if open {
+			return &ErrorInfo{
+				Kind:       "breaker_open",
+				Message:    fmt.Sprintf("session breaker open after %d consecutive degraded results", s.cfg.BreakerTrips),
+				Session:    ss.name,
+				retryAfter: retryAfter,
+			}
 		}
-		return
+		if probe {
+			// The probe slot must be returned on every path out of this
+			// request — including cancellation and panic — or the half-open
+			// breaker would reject requests forever.
+			defer ss.probeRelease()
+		}
+		return s.gated(r, run)
 	}
-	resp, err := func() (*AnalyzeResponse, error) {
-		// Release under defer so a panic in the engine or handler cannot
-		// leak the busy slot and wedge every later request to the session
-		// (the barrier turns the panic itself into a structured 500).
-		defer ss.release()
-		astart := time.Now()
-		defer func() { s.histAnalysis.Observe(time.Since(astart).Seconds()) }()
+	body, _, err := s.sessionWork(r.Context(), r.PathValue("name"), admit, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
+		start := time.Now()
+		defer func() { s.histAnalysis.Observe(time.Since(start).Seconds()) }()
 		return work(ctx, ss)
-	}()
-
+	})
 	if err != nil {
-		// Cancellation is not session health: only engine failures feed
-		// the breaker.
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind: "deadline", Message: fmt.Sprintf("analysis exceeded its deadline: %v", err), Session: name,
-			}, s.cfg.RetryAfter)
-		case errors.Is(err, context.Canceled):
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind: "canceled", Message: fmt.Sprintf("analysis cancelled: %v", err), Session: name,
-			}, 0)
-		default:
-			ss.recordOutcome(true, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
-			s.writeErr(w, http.StatusInternalServerError, ErrorInfo{
-				Kind: "engine", Message: err.Error(), Session: name,
-			}, 0)
-		}
-		return
+		return err
 	}
-	degraded := resp.Noise.Stats.DegradedNets > 0
-	ss.recordOutcome(degraded, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
-	body, err := json.Marshal(resp)
-	if err != nil {
-		// Unreachable as long as the report schema keeps its no-NaN
-		// discipline; fail loudly rather than hang the connection.
-		s.writeErr(w, http.StatusInternalServerError, ErrorInfo{
-			Kind: "engine", Message: fmt.Sprintf("encoding response: %v", err), Session: name,
-		}, 0)
-		return
-	}
-	ss.recordResult(resp, body)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
+	return nil
+}
+
+// sessionWork is the one harness under every analysis, a request's or a
+// job's; DESIGN.md §7 gives the reasons for its one order of steps. It
+// returns the reply body (nil when work made no AnalyzeResponse — a sweep
+// keeps its own payload), whether the engine degraded, and the classified
+// error.
+func (s *Server) sessionWork(ctx context.Context, name string, admit func(*session, func(context.Context) error) error, work func(context.Context, *session) (*AnalyzeResponse, error)) (body []byte, degraded bool, err error) {
+	// 1. Pin the session, reviving it from the store when it is not loaded:
+	// neither eviction nor a delete can orphan the work.
+	ss, err := s.retainOrRevive(ctx, name)
+	if err != nil {
+		return nil, false, err
+	}
+	defer s.releaseRef(ss)
+	run := func(ctx context.Context) error {
+		// 3. The busy slot, against the caller's context and the forced
+		// drain: a pile-up behind one slow session sheds at its deadline
+		// instead of pinning workers, which a sync.Mutex could not do.
+		if !ss.acquire(ctx, s.forceCtx) {
+			err := ctx.Err()
+			if err == nil {
+				err = context.Canceled // the forced drain, ahead of ctx hearing of it
+			}
+			return inSession(fmt.Errorf("waiting for the session: %w", err), name)
+		}
+		// 4. Work under a deferred release: a panic in the engine cannot
+		// leak the slot and wedge every later request to the session.
+		resp, err := func() (*AnalyzeResponse, error) {
+			defer ss.release()
+			return work(ctx, ss)
+		}()
+		// 5. The breaker: an engine failure or a degraded result counts
+		// against the session and a clean result resets it; a refusal or a
+		// cancellation is not session health.
+		if err != nil {
+			info := inSession(err, name)
+			if info.Kind == "engine" {
+				ss.recordOutcome(true, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
+			}
+			return info
+		}
+		if resp == nil {
+			return nil
+		}
+		degraded = resp.Noise.Stats.DegradedNets > 0
+		ss.recordOutcome(degraded, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
+		// 6. Marshal, and 7. cache the body as the session's report.
+		if body, err = json.Marshal(resp); err != nil {
+			// Unreachable as long as the report schema keeps its no-NaN
+			// discipline; fail loudly rather than hang the connection.
+			return &ErrorInfo{Kind: "engine", Message: fmt.Sprintf("encoding response: %v", err), Session: name}
+		}
+		ss.recordResult(resp, body)
+		return nil
+	}
+	// 2. The caller's own admission, when it has one, around the rest.
+	if admit == nil {
+		err = run(ctx)
+	} else {
+		err = admit(ss, run)
+	}
+	return body, degraded, err
 }

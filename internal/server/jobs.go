@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -57,93 +56,45 @@ func (s *Server) jobFinal(id string, state jobs.State) {
 }
 
 // execJob is the jobs.Executor: one attempt of one job, run by a job
-// worker. It pins the session (reviving from the durable store when
-// needed), serializes on the session's busy slot against interactive
-// requests, and routes by job type. Deterministic failures — unknown
-// session, unreplayable spec — are marked Permanent so the manager
-// fails fast instead of burning the retry budget.
+// worker through the same sessionWork harness as an interactive analysis
+// (no admission of its own: the job pool is its gate), routed by job type.
+// An analyze-shaped result becomes the session's cached report — GET
+// report serves it; a sweep keeps its own payload. A refusal that would
+// recur — unknown session, unreplayable spec, a bad sweep point — is marked
+// Permanent so the manager fails fast instead of burning the retry budget.
 func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, attempt int) (json.RawMessage, bool, error) {
 	start := time.Now()
 	defer func() { s.histJobRun.Observe(time.Since(start).Seconds()) }()
-	ss, einfo := s.retainOrRevive(ctx, spec.Session)
-	if einfo != nil {
-		if einfo.Kind == "budget" || einfo.Kind == "session_limit" || einfo.Kind == "canceled" {
-			// The design didn't fit the memory budget, the session
-			// registry was full of busy sessions, or this attempt's
-			// context expired mid-revive; all transient, so let the
-			// manager's retry/backoff absorb it instead of failing the
-			// job permanently.
-			return nil, false, errors.New(einfo.Message)
+	var sweep json.RawMessage
+	body, degraded, err := s.sessionWork(ctx, spec.Session, nil, func(ctx context.Context, ss *session) (resp *AnalyzeResponse, err error) {
+		switch spec.Type {
+		case "analyze":
+			return s.analyzeWork(ctx, ss, spec.Delay)
+		case "reanalyze":
+			return s.reanalyzeWork(ctx, ss, spec.Padding, spec.Delay)
+		case "iterate":
+			// The checkpoint token is the job ID, unique across restarts: a
+			// SIGKILL'd iterate job resumes mid-fixpoint instead of starting
+			// over.
+			return s.iterate(ctx, ss, &IterateRequest{
+				Delay: spec.Delay, MaxRounds: spec.MaxRounds, Shards: spec.Shards, Local: spec.Local,
+			}, id, s.jobCheckpointDir())
+		case "sweep":
+			sweep, err = s.jobSweep(ctx, ss, spec)
+			return nil, err
 		}
-		return nil, false, jobs.Permanent(errors.New(einfo.Message))
-	}
-	if ss == nil {
-		return nil, false, jobs.Permanent(fmt.Errorf("no session %q", spec.Session))
-	}
-	defer s.releaseRef(ss)
-	if !ss.acquire(ctx, s.forceCtx) {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		return nil, false, fmt.Errorf("drain interrupted job %s waiting for session %q", id, spec.Session)
-	}
-	resp, result, err := func() (*AnalyzeResponse, json.RawMessage, error) {
-		// Release under defer: a panicking engine must not wedge the
-		// session (the manager's recover barrier handles the panic
-		// itself).
-		defer ss.release()
-		return s.runJobWork(ctx, ss, id, spec)
-	}()
+		return nil, badRequest(fmt.Errorf("unknown job type %q", spec.Type), "")
+	})
 	if err != nil {
-		// Engine failures feed the session breaker exactly like
-		// interactive analyses; cancellation does not.
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			ss.recordOutcome(true, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
+		if permanent(err) {
+			err = jobs.Permanent(err)
 		}
 		return nil, false, err
 	}
-	degraded := false
-	if resp != nil && resp.Noise != nil {
-		degraded = resp.Noise.Stats.DegradedNets > 0
-		ss.recordOutcome(degraded, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
+	if body == nil {
+		body = sweep
 	}
-	if resp != nil {
-		body, merr := json.Marshal(resp)
-		if merr != nil {
-			return nil, degraded, fmt.Errorf("encoding job result: %w", merr)
-		}
-		// The job's analysis becomes the session's cached report, the
-		// same as an interactive run — GET report serves it.
-		ss.recordResult(resp, body)
-		return body, degraded, nil
-	}
-	return result, degraded, nil
-}
-
-// runJobWork routes one attempt by job type. Analyze-shaped work
-// returns an *AnalyzeResponse (cached on the session); sweep returns
-// its own payload.
-func (s *Server) runJobWork(ctx context.Context, ss *session, id string, spec *jobs.Spec) (*AnalyzeResponse, json.RawMessage, error) {
-	switch spec.Type {
-	case "analyze":
-		resp, err := s.analyzeWork(ctx, ss, spec.Delay)
-		return resp, nil, err
-	case "reanalyze":
-		resp, err := s.reanalyzeWork(ctx, ss, spec.Padding, spec.Delay)
-		return resp, nil, err
-	case "iterate":
-		// The checkpoint token is the job ID, unique across restarts: a
-		// SIGKILL'd iterate job resumes mid-fixpoint instead of starting
-		// over.
-		resp, err := s.iterate(ctx, ss, &IterateRequest{
-			Delay: spec.Delay, MaxRounds: spec.MaxRounds, Shards: spec.Shards, Local: spec.Local,
-		}, id, s.jobCheckpointDir())
-		return resp, nil, err
-	case "sweep":
-		result, err := s.jobSweep(ctx, ss, spec)
-		return nil, result, err
-	}
-	return nil, nil, jobs.Permanent(fmt.Errorf("unknown job type %q", spec.Type))
+	return body, degraded, nil
 }
 
 // jobSweep analyzes the session's design once per scenario point, each
@@ -159,7 +110,7 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 		if modeName != "" {
 			mode, err := core.ParseMode(modeName)
 			if err != nil {
-				return nil, jobs.Permanent(err)
+				return nil, badRequest(err, "")
 			}
 			opts.Mode = mode
 		} else {
@@ -191,11 +142,10 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 // written only after the spec's journal append fsyncs; a full queue
 // sheds with 429 and a sick disk refuses with 503 storage — in both
 // cases nothing was acknowledged and nothing is owed.
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	var spec jobs.Spec
 	if err := decodeBody(r.Body, &spec); err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
+		return err
 	}
 	// The transport-level tenant wins over the body's: proxies stamp the
 	// header per caller, and a spec replayed from a template must not
@@ -203,54 +153,35 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if t := tenantOf(r); t != "" {
 		spec.Tenant = t
 	}
+	// Submit validates too, but says no more than the rest of its refusals
+	// do; validated here, a bad spec is the caller's and the rest is load.
+	if err := spec.Validate(); err != nil {
+		return badRequest(err, spec.Session)
+	}
 	snap, err := s.jobs.Submit(&spec)
 	if err != nil {
-		var se *jobs.StorageError
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			s.writeErr(w, http.StatusTooManyRequests, ErrorInfo{
-				Kind:    "overloaded",
-				Message: fmt.Sprintf("job queue of %d is full", s.cfg.JobQueueDepth),
-				Session: spec.Session,
-			}, s.cfg.RetryAfter)
-		case errors.Is(err, jobs.ErrDraining):
-			// Retry-After points the client at this server's replacement:
-			// a drain precedes either a restart or a peer taking over.
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind: "draining", Message: "server is draining; no new jobs accepted",
-			}, s.cfg.RetryAfter)
-		case errors.As(err, &se):
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind:    "storage",
-				Message: fmt.Sprintf("job not accepted: journal append failed: %v; retry once storage recovers", se.Err),
-				Session: spec.Session,
-			}, s.cfg.RetryAfter)
-		default:
-			s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error(), Session: spec.Session}, 0)
-		}
-		return
+		// A full queue, a drain or a sick journal: nothing was accepted,
+		// nothing is owed, and each is the client's to retry.
+		return inSession(fmt.Errorf("job not accepted: %w", err), spec.Session)
 	}
 	s.writeJSON(w, http.StatusAccepted, snap)
+	return nil
 }
 
 // handleListJobs is GET /v1/jobs, optionally filtered with ?state=:
 // one of the lifecycle states, or the pseudo-state "quarantined"
 // (failed jobs parked as poison — the ones an operator triages first).
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 	all := s.jobs.List()
 	state := r.URL.Query().Get("state")
 	if state == "" {
 		s.writeJSON(w, http.StatusOK, JobsResponse{Jobs: all})
-		return
+		return nil
 	}
 	switch state {
 	case "queued", "running", "done", "failed", "canceled", "quarantined":
 	default:
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{
-			Kind:    "bad_request",
-			Message: fmt.Sprintf("unknown state filter %q (want queued|running|done|failed|canceled|quarantined)", state),
-		}, 0)
-		return
+		return badRequest(fmt.Errorf("unknown state filter %q (want queued|running|done|failed|canceled|quarantined)", state), "")
 	}
 	filtered := make([]report.JobJSON, 0, len(all))
 	for _, j := range all {
@@ -263,53 +194,35 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, JobsResponse{Jobs: filtered})
+	return nil
 }
 
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	snap, err := s.jobs.Get(id)
 	if err != nil {
-		s.writeErr(w, http.StatusNotFound, ErrorInfo{
-			Kind: "not_found", Message: fmt.Sprintf("no job %q", id),
-		}, 0)
-		return
+		return fmt.Errorf("job %q: %w", id, err)
 	}
 	s.writeJSON(w, http.StatusOK, snap)
+	return nil
 }
 
 // handleCancelJob is DELETE /v1/jobs/{id}. The cancel intent is
 // journaled before the response: 200 when the job is already terminal
 // in the canceled state, 202 while a running attempt unwinds, 409 for
 // done/failed jobs (there is nothing left to cancel).
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	snap, err := s.jobs.Cancel(id)
 	if err != nil {
-		var se *jobs.StorageError
-		switch {
-		case errors.Is(err, jobs.ErrNotFound):
-			s.writeErr(w, http.StatusNotFound, ErrorInfo{
-				Kind: "not_found", Message: fmt.Sprintf("no job %q", id),
-			}, 0)
-		case errors.Is(err, jobs.ErrTerminal):
-			s.writeErr(w, http.StatusConflict, ErrorInfo{
-				Kind: "conflict", Message: fmt.Sprintf("job %q already finished as %s", id, snap.State),
-			}, 0)
-		case errors.As(err, &se):
-			s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-				Kind:    "storage",
-				Message: fmt.Sprintf("cancel not accepted: journal append failed: %v; retry once storage recovers", se.Err),
-			}, s.cfg.RetryAfter)
-		default:
-			s.writeErr(w, http.StatusInternalServerError, ErrorInfo{Kind: "engine", Message: err.Error()}, 0)
-		}
-		return
+		return fmt.Errorf("job %q: %w", id, err)
 	}
 	// Constant statuses, so the ackorder analyzer can prove both are
 	// acknowledgements that follow the journal append.
 	if snap.State == string(jobs.StateCanceled) {
 		s.writeJSON(w, http.StatusOK, snap)
-		return
+		return nil
 	}
 	s.writeJSON(w, http.StatusAccepted, snap)
+	return nil
 }

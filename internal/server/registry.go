@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -29,20 +30,20 @@ func (s *Server) restoreSessions() {
 		if sp == nil {
 			continue
 		}
-		ss, einfo := s.materialize(context.Background(), name, sp)
-		if einfo != nil {
-			if einfo.Kind == "budget" {
+		ss, err := s.materialize(context.Background(), name, sp)
+		if err != nil {
+			if retryable(err) {
 				// Out of memory budget, not an unreplayable spec: leave it
 				// on disk for lazy revive once memory frees up.
-				s.cfg.Logf("restore: %q stays on disk (memory budget): %s", name, einfo.Message)
+				s.cfg.Logf("restore: %q stays on disk (memory budget): %v", name, err)
 				continue
 			}
-			s.quarantineSpec(name, einfo.Message)
+			s.quarantineSpec(name, err.Error())
 			continue
 		}
-		if einfo := s.insert(ss); einfo != nil {
+		if err := s.insert(ss); err != nil {
 			s.cache.release(ss.entry)
-			s.cfg.Logf("restore: %q stays on disk: %s", name, einfo.Message)
+			s.cfg.Logf("restore: %q stays on disk: %v", name, err)
 			continue
 		}
 		loaded++
@@ -55,10 +56,10 @@ func (s *Server) restoreSessions() {
 // seeds the engine on first analyze (core.NewSession applies seeded
 // padding in its full analysis, and the session oracle pins that this
 // equals create-then-reanalyze).
-func (s *Server) materialize(ctx context.Context, name string, sp *sessionSpec) (*session, *ErrorInfo) {
-	ss, einfo := s.buildSession(ctx, sp.Create)
-	if einfo != nil {
-		return nil, einfo
+func (s *Server) materialize(ctx context.Context, name string, sp *sessionSpec) (*session, error) {
+	ss, err := s.buildSession(ctx, sp.Create)
+	if err != nil {
+		return nil, err
 	}
 	ss.padding = sp.Padding
 	ss.persisted = true
@@ -118,7 +119,7 @@ func (s *Server) retain(name string) *session {
 // memory — LRU-evicted under pressure, or never loaded since the last
 // restart. The rebuild (parse, lint, bind) happens outside the registry
 // lock; insertion tolerates losing a race with a concurrent revive of the
-// same name. Returns (nil, nil) when the store has no such session.
+// same name, and answers not_found when the store has no such session.
 //
 // The returned session is PINNED (refs incremented before it becomes
 // visible in the registry) and the caller must releaseRef it. Handing it
@@ -127,38 +128,38 @@ func (s *Server) retain(name string) *session {
 // makes a freshly revived refs==0 session the only LRU-eviction candidate
 // — it would be evicted between revive and the caller's retain, turning a
 // perfectly durable session into a spurious 404.
-func (s *Server) revive(ctx context.Context, name string) (*session, *ErrorInfo) {
+func (s *Server) revive(ctx context.Context, name string) (*session, error) {
 	if s.store == nil {
-		return nil, nil
+		return nil, notFound(name)
 	}
 	for {
 		sp := s.store.Spec(name)
 		if sp == nil {
-			return nil, nil
+			return nil, notFound(name)
 		}
 		sp.restoredAt = time.Time{} // a revive is recovered "now", not at boot
-		ss, einfo := s.materialize(ctx, name, sp)
-		if einfo != nil {
-			if einfo.Kind == "budget" || einfo.Kind == "canceled" {
+		ss, err := s.materialize(ctx, name, sp)
+		if err != nil {
+			if retryable(err) {
 				// A budget shed is load and a canceled wait is the
 				// caller's own deadline — neither is rot: the spec still
-				// builds. Do NOT quarantine; surface the transient error
-				// for the caller to map onto 503.
-				return nil, einfo
+				// builds. Do NOT quarantine; the refusal is the caller's
+				// to retry.
+				return nil, err
 			}
-			s.quarantineSpec(name, einfo.Message)
+			s.quarantineSpec(name, err.Error())
 			return nil, &ErrorInfo{
 				Kind:    "unreplayable",
-				Message: fmt.Sprintf("session %q could not be re-materialized from disk and was quarantined: %s", name, einfo.Message),
+				Message: fmt.Sprintf("session %q could not be re-materialized from disk and was quarantined: %v", name, err),
 				Session: name,
 			}
 		}
 		// Born pinned: the ref must exist before insert makes the session
 		// visible, or a concurrent insert could evict it first.
 		ss.refs = 1
-		if einfo := s.insert(ss); einfo != nil {
+		if err := s.insert(ss); err != nil {
 			s.cache.release(ss.entry)
-			if einfo.Kind == "conflict" {
+			if classify(err).Kind == "conflict" {
 				// A concurrent request revived it first; use theirs.
 				//snavet:deferrelease the pin is handed to the caller, which defers releaseRef for the request's lifetime
 				if cur := s.retain(name); cur != nil {
@@ -166,7 +167,7 @@ func (s *Server) revive(ctx context.Context, name string) (*session, *ErrorInfo)
 				}
 				continue
 			}
-			return nil, einfo
+			return nil, err
 		}
 		// A DELETE may have tombstoned the spec between our read and the
 		// insert; honor the tombstone rather than resurrecting.
@@ -180,7 +181,7 @@ func (s *Server) revive(ctx context.Context, name string) (*session, *ErrorInfo)
 					}
 				}
 			}()
-			return nil, nil
+			return nil, notFound(name)
 		}
 		s.cfg.Logf("session %q re-materialized from disk", name)
 		return ss, nil
@@ -188,8 +189,9 @@ func (s *Server) revive(ctx context.Context, name string) (*session, *ErrorInfo)
 }
 
 // retainOrRevive pins the named session, re-materializing it from the
-// store when it is not in memory. The caller must releaseRef the result.
-func (s *Server) retainOrRevive(ctx context.Context, name string) (*session, *ErrorInfo) {
+// store when it is not in memory; a name neither holds is not_found. The
+// caller must releaseRef the result.
+func (s *Server) retainOrRevive(ctx context.Context, name string) (*session, error) {
 	//snavet:deferrelease the pin is handed to the caller, which defers releaseRef for the request's lifetime
 	if ss := s.retain(name); ss != nil {
 		return ss, nil
@@ -217,7 +219,7 @@ func (s *Server) dropSessionLocked(ss *session) {
 // insert registers a new session, evicting the least-recently-used idle
 // session when the cap is reached. It fails with a conflict if the name
 // exists and with session_limit when every loaded session is busy.
-func (s *Server) insert(ss *session) *ErrorInfo {
+func (s *Server) insert(ss *session) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ss.busy == nil {
@@ -266,37 +268,30 @@ func (s *Server) insert(ss *session) *ErrorInfo {
 // most once per distinct source set. The returned session holds one
 // cache reference; every path that discards the session must release it
 // (dropSessionLocked, or cache.release on pre-insert failures).
-func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*session, *ErrorInfo) {
+func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*session, error) {
 	if req.Name == "" {
-		return nil, &ErrorInfo{Kind: "bad_request", Message: "session name is required"}
+		return nil, badRequest(errors.New("session name is required"), "")
 	}
 	if (req.Netlist == "") == (req.Verilog == "") {
-		return nil, &ErrorInfo{Kind: "bad_request", Message: "exactly one of netlist or verilog is required", Session: req.Name}
-	}
-	bad := func(err error) *ErrorInfo {
-		return &ErrorInfo{Kind: "bad_request", Message: err.Error(), Session: req.Name}
+		return nil, badRequest(errors.New("exactly one of netlist or verilog is required"), req.Name)
 	}
 	spec := designSpecOf(req)
 	opts, err := engineOptions(spec.Options, spec.Timing)
 	if err != nil {
-		return nil, bad(err)
+		return nil, badRequest(err, req.Name)
 	}
 	faults, err := workload.ParseRuntimeFaults(req.Options.InjectFault)
 	if err != nil {
-		return nil, bad(err)
+		return nil, badRequest(err, req.Name)
 	}
 	opts.PrepareHook = faults.Hook()
 	src := sourcesOf(spec)
 	//snavet:deferrelease the entry reference is owned by the returned session and released by dropSessionLocked (or by the caller on insert failure)
-	entry, einfo := s.cache.acquire(ctx, src, func() (*bind.Design, *ErrorInfo) {
+	entry, err := s.cache.acquire(ctx, src, func() (*bind.Design, error) {
 		return buildDesign(src, opts.STA.InputTiming)
 	})
-	if einfo != nil {
-		// The error object may be shared with coalesced waiters of the
-		// same build; annotate a copy with this request's session name.
-		e := *einfo
-		e.Session = req.Name
-		return nil, &e
+	if err != nil {
+		return nil, inSession(err, req.Name)
 	}
 	return &session{
 		name:  req.Name,
@@ -315,10 +310,7 @@ func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*
 // results computed from a broken database are worse than no results)
 // and is deliberately not cached: it is deterministic, cheap to rerun,
 // and caching failures would pin rejected source text in memory.
-func buildDesign(src designSources, inputs map[string]*sta.Timing) (*bind.Design, *ErrorInfo) {
-	bad := func(err error) *ErrorInfo {
-		return &ErrorInfo{Kind: "bad_request", Message: err.Error()}
-	}
+func buildDesign(src designSources, inputs map[string]*sta.Timing) (*bind.Design, error) {
 	ls := load.Sources{
 		Netlist: load.Text(src.Netlist), Liberty: load.Text(src.Liberty), SPEF: load.Text(src.SPEF), Inputs: inputs,
 	}
@@ -327,7 +319,7 @@ func buildDesign(src designSources, inputs map[string]*sta.Timing) (*bind.Design
 	}
 	loaded, err := load.Load(ls, lint.Config{})
 	if err != nil {
-		return nil, bad(err)
+		return nil, badRequest(err, "")
 	}
 	lres := loaded.Lint
 	if lres.HasErrors() {
@@ -344,7 +336,7 @@ func buildDesign(src designSources, inputs map[string]*sta.Timing) (*bind.Design
 	}
 	b, err := loaded.Bind()
 	if err != nil {
-		return nil, bad(err)
+		return nil, badRequest(err, "")
 	}
 	return b, nil
 }

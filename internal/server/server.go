@@ -51,7 +51,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,7 +82,8 @@ type Config struct {
 	// analysis deadline; a client ?timeout tighter than this wins
 	// (default 30s).
 	MaxRequestTimeout time.Duration
-	// RetryAfter is the hint attached to 429 shed responses (default 1s).
+	// RetryAfter is the Retry-After hint on every retryable refusal that
+	// carries none of its own (default 1s).
 	RetryAfter time.Duration
 	// BreakerTrips is the number of consecutive engine-degraded results
 	// that trip a session's circuit breaker (default 3).
@@ -349,25 +349,35 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	mux := http.NewServeMux()
+	// route adapts an endpoint that can fail: whatever it returns leaves
+	// through fail, the one exit (the barrier's drain refusal and panic
+	// reply are the other two callers).
+	route := func(pattern string, endpoint func(http.ResponseWriter, *http.Request) error) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if err := endpoint(w, r); err != nil {
+				s.fail(w, err)
+			}
+		})
+	}
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("GET /v1/recovery", s.handleRecovery)
-	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
-	mux.HandleFunc("GET /v1/sessions", s.handleList)
-	mux.HandleFunc("GET /v1/sessions/{name}", s.handleInfo)
-	mux.HandleFunc("DELETE /v1/sessions/{name}", s.handleDelete)
-	mux.HandleFunc("POST /v1/sessions/{name}/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/sessions/{name}/reanalyze", s.handleReanalyze)
-	mux.HandleFunc("POST /v1/sessions/{name}/iterate", s.handleIterate)
-	mux.HandleFunc("GET /v1/sessions/{name}/report", s.handleReport)
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
-	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("POST /v1/shard/{op}", s.handleShardOp)
-	mux.HandleFunc("POST /v1/workers", s.handleRegisterWorker)
+	mux.HandleFunc("GET /v1/sessions", s.handleList)
 	mux.HandleFunc("GET /v1/workers", s.handleListWorkers)
+	route("GET /v1/recovery", s.handleRecovery)
+	route("POST /v1/sessions", s.handleCreate)
+	route("GET /v1/sessions/{name}", s.handleInfo)
+	route("DELETE /v1/sessions/{name}", s.handleDelete)
+	route("POST /v1/sessions/{name}/analyze", s.handleAnalyze)
+	route("POST /v1/sessions/{name}/reanalyze", s.handleReanalyze)
+	route("POST /v1/sessions/{name}/iterate", s.handleIterate)
+	route("GET /v1/sessions/{name}/report", s.handleReport)
+	route("POST /v1/jobs", s.handleSubmitJob)
+	route("GET /v1/jobs", s.handleListJobs)
+	route("GET /v1/jobs/{id}", s.handleJobStatus)
+	route("DELETE /v1/jobs/{id}", s.handleCancelJob)
+	route("POST /v1/shard/{op}", s.handleShardOp)
+	route("POST /v1/workers", s.handleRegisterWorker)
 	s.handler = s.barrier(mux)
 	return s, nil
 }
@@ -469,9 +479,7 @@ func (s *Server) barrier(next http.Handler) http.Handler {
 		// out.
 		if probe := r.URL.Path == "/healthz" || r.URL.Path == "/readyz" || r.URL.Path == "/metrics"; !probe {
 			if !s.enter() {
-				s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{
-					Kind: "draining", Message: "server is draining; no new work accepted",
-				}, s.cfg.RetryAfter)
+				s.fail(w, &ErrorInfo{Kind: "draining", Message: "server is draining; no new work accepted"})
 				return
 			}
 			defer s.exit()
@@ -491,11 +499,7 @@ func (s *Server) barrier(next http.Handler) http.Handler {
 				}
 				s.cfg.Logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 				if !ww.wrote {
-					s.writeErr(ww, http.StatusInternalServerError, ErrorInfo{
-						Kind:    "panic",
-						Message: fmt.Sprintf("internal error: %v", p),
-						Session: name,
-					}, 0)
+					s.fail(ww, &ErrorInfo{Kind: "panic", Message: fmt.Sprintf("internal error: %v", p), Session: name})
 				}
 			}
 		}()
@@ -597,12 +601,9 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // handleRecovery serves the boot replay report: what was restored, what
 // was quarantined and why, and whether the journal ended in a torn tail.
 // Memory-only servers answer 404 — there is no durable state to recover.
-func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) error {
 	if s.store == nil {
-		s.writeErr(w, http.StatusNotFound, ErrorInfo{
-			Kind: "not_found", Message: "server is running memory-only (no -data-dir); nothing to recover",
-		}, 0)
-		return
+		return &ErrorInfo{Kind: "not_found", Message: "server is running memory-only (no -data-dir); nothing to recover"}
 	}
 	s.mu.Lock()
 	rep := *s.recovery
@@ -610,6 +611,7 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	rep.Quarantined = append([]report.QuarantineJSON(nil), s.recovery.Quarantined...)
 	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, rep)
+	return nil
 }
 
 // --- helpers ---
@@ -622,28 +624,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Server) writeErr(w http.ResponseWriter, status int, info ErrorInfo, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		// Retry-After is integral seconds; round up so clients never
-		// retry into a still-closed window.
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	s.writeJSON(w, status, ErrorBody{Error: info})
-}
-
-func (s *Server) writeNotFound(w http.ResponseWriter, name string) {
-	s.writeErr(w, http.StatusNotFound, ErrorInfo{
-		Kind: "not_found", Message: fmt.Sprintf("no session %q", name), Session: name,
-	}, 0)
-}
-
-// decodeBody strictly decodes one JSON object.
+// decodeBody strictly decodes one JSON object; a failure is the caller's
+// bad_request.
 func decodeBody(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		return badRequest(fmt.Errorf("bad request body: %w", err), "")
 	}
 	return nil
 }
@@ -656,7 +643,7 @@ func decodeBodyOptional(r io.Reader, v any) error {
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
-		return fmt.Errorf("bad request body: %w", err)
+		return badRequest(fmt.Errorf("bad request body: %w", err), "")
 	}
 	return nil
 }

@@ -225,12 +225,15 @@ func TestServerBadRequests(t *testing.T) {
 		t.Fatalf("negative padding: status %d", resp.StatusCode)
 	}
 	wantErrKind(t, data, "bad_request")
-	// Bad timeout query.
-	resp, data = do(t, "POST", ts.URL+"/v1/sessions/bus/analyze?timeout=banana", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad timeout: status %d", resp.StatusCode)
+	// Bad timeout query — on create too, which runs under the request
+	// deadline like every other admitted endpoint.
+	for _, path := range []string{"/v1/sessions/bus/analyze?timeout=banana", "/v1/sessions?timeout=bogus"} {
+		resp, data = do(t, "POST", ts.URL+path, busPayload(t, "late", 4, SessionOptions{}))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad timeout on %s: status %d: %s", path, resp.StatusCode, data)
+		}
+		wantErrKind(t, data, "bad_request")
 	}
-	wantErrKind(t, data, "bad_request")
 }
 
 func TestServerLintRejection(t *testing.T) {
@@ -509,21 +512,21 @@ func TestServerLRUEviction(t *testing.T) {
 // blocked.
 func TestServerSessionLimitBusy(t *testing.T) {
 	s := mustNew(t, Config{MaxSessions: 1})
-	if einfo := s.insert(&session{name: "busy"}); einfo != nil {
-		t.Fatalf("insert: %+v", einfo)
+	if err := s.insert(&session{name: "busy"}); err != nil {
+		t.Fatalf("insert: %+v", err)
 	}
 	ss := s.retain("busy") // pin it the way an in-flight request does
 	if ss == nil {
 		t.Fatal("retain failed")
 	}
-	einfo := s.insert(&session{name: "second"})
-	if einfo == nil || einfo.Kind != "session_limit" {
-		t.Fatalf("insert while busy = %+v, want session_limit", einfo)
+	err := s.insert(&session{name: "second"})
+	if err == nil || classify(err).Kind != "session_limit" {
+		t.Fatalf("insert while busy = %+v, want session_limit", err)
 	}
 	// Once the request releases its pin the session is evictable again.
 	s.releaseRef(ss)
-	if einfo := s.insert(&session{name: "third"}); einfo != nil {
-		t.Fatalf("insert after release: %+v", einfo)
+	if err := s.insert(&session{name: "third"}); err != nil {
+		t.Fatalf("insert after release: %+v", err)
 	}
 }
 
@@ -555,12 +558,14 @@ func TestServerDeleteBusySession(t *testing.T) {
 // session would block forever waiting for it.
 func TestServerAnalysisPanicReleasesSession(t *testing.T) {
 	s := mustNew(t, Config{MaxRequestTimeout: 100 * time.Millisecond})
-	if einfo := s.insert(&session{name: "p"}); einfo != nil {
-		t.Fatalf("insert: %+v", einfo)
+	if err := s.insert(&session{name: "p"}); err != nil {
+		t.Fatalf("insert: %+v", err)
 	}
 	run := func(work func(context.Context, *session) (*AnalyzeResponse, error)) *httptest.ResponseRecorder {
 		h := s.barrier(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			s.analysis(w, r, work)
+			if err := s.analysis(w, r, work); err != nil {
+				s.fail(w, err)
+			}
 		}))
 		req := httptest.NewRequest("POST", "/v1/sessions/p/analyze", nil)
 		req.SetPathValue("name", "p")
@@ -643,32 +648,32 @@ func TestSessionBreakerHalfOpenSingleProbe(t *testing.T) {
 	now := time.Now()
 	ss.recordOutcome(true, now, trips, cooldown)
 	ss.recordOutcome(true, now, trips, cooldown)
-	if _, _, open := ss.breakerAdmit(now.Add(time.Second), time.Second); !open {
+	if _, _, open := ss.breakerAdmit(now.Add(time.Second)); !open {
 		t.Fatal("breaker should be open during the cooldown")
 	}
 
 	half := now.Add(cooldown + time.Second)
-	if _, probe, open := ss.breakerAdmit(half, time.Second); open || !probe {
+	if _, probe, open := ss.breakerAdmit(half); open || !probe {
 		t.Fatalf("first half-open caller: probe=%v open=%v, want the single probe", probe, open)
 	}
-	if retry, probe, open := ss.breakerAdmit(half, time.Second); !open || probe || retry != time.Second {
-		t.Fatalf("second half-open caller: retry=%v probe=%v open=%v, want shed with hint", retry, probe, open)
+	if retry, probe, open := ss.breakerAdmit(half); !open || probe || retry != 0 {
+		t.Fatalf("second half-open caller: retry=%v probe=%v open=%v, want shed with no wait of its own (fail supplies the default hint)", retry, probe, open)
 	}
 
 	// One degraded probe re-trips immediately — not after `trips` more.
 	ss.recordOutcome(true, half, trips, cooldown)
 	ss.probeRelease()
-	if _, _, open := ss.breakerAdmit(half.Add(time.Second), time.Second); !open {
+	if _, _, open := ss.breakerAdmit(half.Add(time.Second)); !open {
 		t.Fatal("degraded probe must re-trip the breaker")
 	}
 
 	half2 := half.Add(cooldown + time.Second)
-	if _, probe, open := ss.breakerAdmit(half2, time.Second); open || !probe {
+	if _, probe, open := ss.breakerAdmit(half2); open || !probe {
 		t.Fatal("second probe not admitted after the re-trip cooldown")
 	}
 	ss.recordOutcome(false, half2, trips, cooldown)
 	ss.probeRelease()
-	if _, probe, open := ss.breakerAdmit(half2, time.Second); open || probe {
+	if _, probe, open := ss.breakerAdmit(half2); open || probe {
 		t.Fatal("clean probe must close the breaker")
 	}
 }

@@ -165,10 +165,10 @@ func (s *session) breakerOpen(now time.Time) (time.Duration, bool) {
 // cooldown is running every request is rejected with the remaining wait.
 // At the trip deadline the breaker goes half-open: exactly one request is
 // admitted as the probe (probe=true; the caller must probeRelease() when
-// it finishes) and concurrent requests are rejected with the hint until
-// the probe's outcome decides — via recordOutcome — whether the breaker
-// resets or re-trips.
-func (s *session) breakerAdmit(now time.Time, hint time.Duration) (retryAfter time.Duration, probe, open bool) {
+// it finishes) and concurrent requests are rejected with no wait of their
+// own (fail's default hint) until the probe's outcome decides — via
+// recordOutcome — whether the breaker resets or re-trips.
+func (s *session) breakerAdmit(now time.Time) (retryAfter time.Duration, probe, open bool) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	if now.Before(s.trippedUntil) {
@@ -178,7 +178,7 @@ func (s *session) breakerAdmit(now time.Time, hint time.Duration) (retryAfter ti
 		return 0, false, false
 	}
 	if s.probing {
-		return hint, false, true
+		return 0, false, true
 	}
 	s.probing = true
 	return 0, true, false

@@ -27,7 +27,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -160,18 +159,17 @@ func (s *Server) healthyWorkers() []shard.Worker {
 	return out
 }
 
-func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) error {
 	var req RegisterWorkerRequest
 	if err := decodeBody(r.Body, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
+		return err
 	}
 	info, err := s.RegisterWorker(req.Name, req.URL)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
+		return badRequest(err, "")
 	}
 	s.writeJSON(w, http.StatusCreated, info)
+	return nil
 }
 
 func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
@@ -212,16 +210,6 @@ type sharedDesign struct {
 	opts  core.Options
 }
 
-// budgetShedError carries a design-cache budget shed through the shard
-// runner's error classification. The runner wraps builder failures in
-// FatalError (deterministic errors recur on any worker), but a budget
-// shed is load, not determinism — errors.As finds this through the
-// FatalError unwrap chain and writeShardErr maps it back to a 503 the
-// coordinator treats as a transient worker loss.
-type budgetShedError struct{ einfo *ErrorInfo }
-
-func (e *budgetShedError) Error() string { return e.einfo.Message }
-
 // designForToken is the server's shard.EngineSource: it returns the run
 // token's shared design, building it through the content-addressed design
 // cache on the token's first init.
@@ -230,7 +218,9 @@ func (e *budgetShedError) Error() string { return e.einfo.Message }
 // sources share one design across tokens. Racing first inits coalesce
 // in the cache's single-flight build; the install race's loser releases
 // its duplicate reference. Build failures are not cached: they are
-// deterministic, and a retried init simply fails the same way.
+// deterministic, and a retried init simply fails the same way. The cache's
+// error is returned as it is: shardErr finds a budget shed — load, not
+// determinism — inside the FatalError the runner wraps it in.
 func (s *Server) designForToken(ctx context.Context, token string, spec *shard.DesignSpec) (*bind.Design, core.Options, error) {
 	var zero core.Options
 	if spec == nil {
@@ -251,14 +241,11 @@ func (s *Server) designForToken(ctx context.Context, token string, spec *shard.D
 	}
 	src := sourcesOf(spec)
 	//snavet:deferrelease the entry reference is handed to the run token's sharedDesign (released on token drop) or released explicitly on the lost race below; acquire failure returns a nil entry
-	entry, einfo := s.cache.acquire(ctx, src, func() (*bind.Design, *ErrorInfo) {
+	entry, err := s.cache.acquire(ctx, src, func() (*bind.Design, error) {
 		return buildDesign(src, opts.STA.InputTiming)
 	})
-	if einfo != nil {
-		if einfo.Kind == "budget" {
-			return nil, zero, &budgetShedError{einfo: einfo}
-		}
-		return nil, zero, fmt.Errorf("%s", einfo.Message)
+	if err != nil {
+		return nil, zero, err
 	}
 	s.shardMu.Lock()
 	if prev := s.shardDesigns[token]; prev != nil {
@@ -318,86 +305,50 @@ func designSpecOf(req *CreateSessionRequest) *shard.DesignSpec {
 	}
 }
 
-// writeShardErr maps a runner error onto the wire so the coordinator's
-// client can reconstruct the shard error taxonomy: shard_broken asks for
-// a re-init of the same engine, shard_fatal would recur anywhere and
-// aborts the run, deadline/canceled are transient.
-func (s *Server) writeShardErr(w http.ResponseWriter, err error) {
-	var fe *shard.FatalError
-	var be *budgetShedError
-	switch {
-	case errors.As(err, &be):
-		// Before the FatalError case: the runner wraps builder errors as
-		// fatal, but a memory-budget shed is transient worker load.
-		s.writeErr(w, http.StatusServiceUnavailable, *be.einfo, s.cfg.RetryAfter)
-	case errors.Is(err, shard.ErrEngineBroken):
-		s.writeErr(w, http.StatusConflict, ErrorInfo{Kind: "shard_broken", Message: err.Error()}, 0)
-	case errors.As(err, &fe):
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "shard_fatal", Message: err.Error()}, 0)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{Kind: "deadline", Message: err.Error()}, s.cfg.RetryAfter)
-	case errors.Is(err, context.Canceled):
-		s.writeErr(w, http.StatusServiceUnavailable, ErrorInfo{Kind: "canceled", Message: err.Error()}, 0)
-	default:
-		s.writeErr(w, http.StatusInternalServerError, ErrorInfo{Kind: "engine", Message: err.Error()}, 0)
-	}
-}
-
 // handleShardOp executes one coordinator dispatch on the hosted engines.
 // Ops pass through the same bounded admission as analyses — a worker past
 // its concurrency budget sheds coordinator dispatches with 429, and the
 // coordinator's retry/re-host machinery absorbs it. The reply is written
 // from one complete buffer, so it carries a Content-Length the client sizes
 // its read by.
-func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) {
-	op := r.PathValue("op")
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
-	}
-	defer cancel()
-
-	// An unknown op or an unreadable frame is shard_fatal: the coordinator's
-	// to fix, not to retry.
-	req, err := shard.NewRequest(op)
-	if err == nil {
-		var body []byte
-		if body, err = io.ReadAll(r.Body); err == nil {
-			err = shard.Unmarshal(body, req)
+func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) error {
+	return s.gated(r, func(ctx context.Context) error {
+		// An unknown op or an unreadable frame is shard_fatal: the
+		// coordinator's to fix, not to retry.
+		op := r.PathValue("op")
+		req, err := shard.NewRequest(op)
+		if err == nil {
+			var body []byte
+			if body, err = io.ReadAll(r.Body); err == nil {
+				err = shard.Unmarshal(body, req)
+			}
 		}
-	}
-	var out []byte
-	rep := &shard.Reply{}
-	if err == nil {
-		err = s.shardHost.Do(ctx, req, rep)
-	}
-	if err == nil && op != shard.OpClose {
-		out, err = shard.Marshal(rep)
-	}
-	if err != nil {
-		s.writeShardErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(out)))
-	w.Write(out)
+		var out []byte
+		rep := &shard.Reply{}
+		if err == nil {
+			err = s.shardHost.Do(ctx, req, rep)
+		}
+		if err == nil && op != shard.OpClose {
+			out, err = shard.Marshal(rep)
+		}
+		if err != nil {
+			return shardErr(err)
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", fmt.Sprint(len(out)))
+		w.Write(out)
+		return nil
+	})
 }
 
 // --- snad as coordinator: iterate ---
 
-func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) error {
 	var req IterateRequest
 	if err := decodeBodyOptional(r.Body, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, ErrorInfo{Kind: "bad_request", Message: err.Error()}, 0)
-		return
+		return err
 	}
-	s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
+	return s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
 		// Round state persists next to the session journal, keyed by the
 		// session: a restarted server resumes a mid-fixpoint iterate from
 		// its last completed round instead of redoing the run.

@@ -133,45 +133,41 @@ func (a *admission) snapshot() (running, queued int) {
 }
 
 // admit implements bounded, tenant-fair admission for the heavy
-// endpoints. It returns a release function on success; otherwise it has
-// already written the shed response. Waiting in the queue respects the
-// request context and the drain signal; grants rotate round-robin
-// across tenants (tenant.go), so one flooding tenant cannot starve the
-// rest of the queue.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (func(), bool) {
+// endpoints. It returns a release function, or the shed the caller fails
+// with. Waiting in the queue respects the request context and the drain
+// signal; grants rotate round-robin across tenants (tenant.go), so one
+// flooding tenant cannot starve the rest of the queue.
+func (s *Server) admit(r *http.Request) (release func(), err error) {
 	tenant := tenantOf(r)
 	start := time.Now()
-	if s.gate.tryAcquire(tenant) {
-		s.histAdmission.Observe(time.Since(start).Seconds())
-		return func() { s.gate.release(tenant) }, true
+	if !s.gate.tryAcquire(tenant) {
+		// No slot free for this tenant: try to join the wait queue. A full
+		// queue means the server is past its configured backlog — shed
+		// immediately rather than building an invisible line of doomed
+		// requests.
+		wt := s.gate.enqueue(tenant)
+		if wt == nil {
+			s.shedN.Add(1)
+			return nil, &ErrorInfo{
+				Kind:    "overloaded",
+				Message: fmt.Sprintf("all %d workers busy and queue of %d full", s.cfg.MaxConcurrent, s.cfg.QueueDepth),
+			}
+		}
+		select {
+		case <-wt.ready:
+		case <-r.Context().Done():
+			err = &ErrorInfo{Kind: "deadline", Message: "request expired while queued for a worker"}
+		case <-s.forceCtx.Done():
+			err = &ErrorInfo{Kind: "draining", Message: "server drained while request was queued"}
+		}
+		if err != nil {
+			if !s.gate.abandon(wt) {
+				// The grant raced the expiry; the slot is ours to return.
+				s.gate.release(tenant)
+			}
+			return nil, err
+		}
 	}
-	// No slot free for this tenant: try to join the wait queue. A full
-	// queue means the server is past its configured backlog — shed
-	// immediately rather than building an invisible line of doomed
-	// requests.
-	wt := s.gate.enqueue(tenant)
-	if wt == nil {
-		s.shedN.Add(1)
-		s.writeErr(w, http.StatusTooManyRequests, ErrorInfo{
-			Kind:    "overloaded",
-			Message: fmt.Sprintf("all %d workers busy and queue of %d full", s.cfg.MaxConcurrent, s.cfg.QueueDepth),
-		}, s.cfg.RetryAfter)
-		return nil, false
-	}
-	var gaveUp ErrorInfo
-	select {
-	case <-wt.ready:
-		s.histAdmission.Observe(time.Since(start).Seconds())
-		return func() { s.gate.release(tenant) }, true
-	case <-r.Context().Done():
-		gaveUp = ErrorInfo{Kind: "deadline", Message: "request expired while queued for a worker"}
-	case <-s.forceCtx.Done():
-		gaveUp = ErrorInfo{Kind: "draining", Message: "server drained while request was queued"}
-	}
-	if !s.gate.abandon(wt) {
-		// The grant raced the expiry; the slot is ours to return.
-		s.gate.release(tenant)
-	}
-	s.writeErr(w, http.StatusServiceUnavailable, gaveUp, s.cfg.RetryAfter)
-	return nil, false
+	s.histAdmission.Observe(time.Since(start).Seconds())
+	return func() { s.gate.release(tenant) }, nil
 }

@@ -1,6 +1,14 @@
 package server
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+	"time"
+
+	"repro/internal/jobs"
 	"repro/internal/report"
 	"repro/internal/shard"
 )
@@ -204,23 +212,175 @@ type ErrorBody struct {
 	Error ErrorInfo `json:"error"`
 }
 
-// ErrorInfo describes one failure.
+// ErrorInfo describes one failure, and is the service's one error value:
+// the registry, the design cache, the gate and the session-work harness
+// return it, fail writes it, and errors.As finds it through whatever
+// wrapped it on the way (the shard runner's FatalError included).
 type ErrorInfo struct {
-	// Kind is a stable machine-readable class: bad_request, not_found,
-	// conflict, busy, lint_rejected, overloaded, breaker_open, draining,
-	// deadline, canceled, panic, engine, session_limit, storage (a
-	// lifecycle change could not be journaled; retryable), budget (the
-	// server-wide memory budget cannot fit another design; retryable
-	// once sessions are deleted or go idle), unreplayable (a persisted
-	// session failed to re-materialize and was quarantined),
-	// shard_broken (a shard engine needs re-init before further ops), and
-	// shard_fatal (a deterministic shard failure that would recur on any
-	// worker).
+	// Kind is a stable machine-readable class, one of the rows of kinds;
+	// everything a caller may do about the failure follows from it.
 	Kind    string `json:"kind"`
 	Message string `json:"message"`
 	Session string `json:"session,omitempty"`
 	// Lint carries the findings of a lint_rejected error.
 	Lint []LintDiagJSON `json:"lint,omitempty"`
+
+	// retryAfter is the failure's own Retry-After hint (breaker_open's
+	// remaining cooldown); zero leaves it to Config.RetryAfter.
+	retryAfter time.Duration
+}
+
+func (e *ErrorInfo) Error() string { return e.Message }
+
+// kinds is the one table: a kind's HTTP status, and whether it is a refusal
+// that repeating the request can outlast. Everything else is derived from
+// the row and chosen nowhere else: the Retry-After header (fail), the
+// client's retry loop (Retryable), whether a failed revive quarantines the
+// spec (retryable), whether a job attempt is permanent, and what a worker's
+// refusal means to a coordinator (permanent). README's retry table and
+// DESIGN.md §13 print these rows with their reasons.
+var kinds = map[string]struct {
+	status int
+	retry  bool
+}{
+	// The request or its input is wrong; repeating it repeats the answer.
+	"bad_request":   {http.StatusBadRequest, false},
+	"not_found":     {http.StatusNotFound, false},
+	"conflict":      {http.StatusConflict, false},
+	"lint_rejected": {http.StatusUnprocessableEntity, false},
+	"unreplayable":  {http.StatusNotFound, false},
+	"shard_broken":  {http.StatusConflict, false},
+	"shard_fatal":   {http.StatusBadRequest, false},
+	// Load, not a verdict: nothing was applied, and capacity returns.
+	"overloaded":    {http.StatusTooManyRequests, true},
+	"busy":          {http.StatusConflict, true},
+	"draining":      {http.StatusServiceUnavailable, true},
+	"breaker_open":  {http.StatusServiceUnavailable, true},
+	"deadline":      {http.StatusServiceUnavailable, true},
+	"canceled":      {http.StatusServiceUnavailable, true},
+	"session_limit": {http.StatusServiceUnavailable, true},
+	"budget":        {http.StatusServiceUnavailable, true},
+	"storage":       {http.StatusServiceUnavailable, true},
+	// Repeating the work repeats the failure; surface it.
+	"engine": {http.StatusInternalServerError, false},
+	"panic":  {http.StatusInternalServerError, false},
+}
+
+// Retryable reports whether a reply of this kind is worth repeating, and
+// whether the table knows the kind at all.
+func Retryable(kind string) (retry, known bool) {
+	row, known := kinds[kind]
+	return row.retry, known
+}
+
+// retryable reports that err is load, not a verdict on what was asked.
+func retryable(err error) bool { return kinds[classify(err).Kind].retry }
+
+// permanent reports a refusal that would recur however often the request is
+// repeated: a 4xx without the retry bit.
+func permanent(err error) bool {
+	row := kinds[classify(err).Kind]
+	return row.status >= 400 && row.status < 500 && !row.retry
+}
+
+// classify is the one place an error that is not yet an ErrorInfo becomes a
+// kind: the two ways a context ends, the jobs manager's refusals, and engine
+// for the rest. The message stays the error's own.
+func classify(err error) *ErrorInfo {
+	var info *ErrorInfo
+	var storage *jobs.StorageError
+	kind := "engine"
+	switch {
+	case errors.As(err, &info):
+		return info
+	case errors.Is(err, context.DeadlineExceeded):
+		kind = "deadline"
+	case errors.Is(err, context.Canceled):
+		kind = "canceled"
+	case errors.Is(err, jobs.ErrQueueFull):
+		kind = "overloaded"
+	case errors.Is(err, jobs.ErrDraining):
+		kind = "draining"
+	case errors.Is(err, jobs.ErrNotFound):
+		kind = "not_found"
+	case errors.Is(err, jobs.ErrTerminal):
+		kind = "conflict"
+	case errors.As(err, &storage):
+		kind = "storage"
+	}
+	return &ErrorInfo{Kind: kind, Message: err.Error()}
+}
+
+// inSession is err's ErrorInfo naming the session it belongs to — a copy,
+// because the value may be shared with coalesced waiters of one build.
+func inSession(err error, session string) *ErrorInfo {
+	info := *classify(err)
+	info.Session = session
+	return &info
+}
+
+func badRequest(err error, session string) *ErrorInfo {
+	return &ErrorInfo{Kind: "bad_request", Message: err.Error(), Session: session}
+}
+
+func notFound(session string) *ErrorInfo {
+	return &ErrorInfo{Kind: "not_found", Message: fmt.Sprintf("no session %q", session), Session: session}
+}
+
+// fail is the only way an error leaves the server: the kind's row decides
+// the status and whether the reply carries Retry-After. A request ID and a
+// Server-Timing header (ROADMAP item 1) attach here and at sessionWork.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	info := *classify(err)
+	row, ok := kinds[info.Kind]
+	if !ok {
+		s.cfg.Logf("error kind %q has no row in the kind table; answering engine: %s", info.Kind, info.Message)
+		info.Kind, row = "engine", kinds["engine"]
+	}
+	if row.retry {
+		hint := info.retryAfter
+		if hint <= 0 {
+			hint = s.cfg.RetryAfter
+		}
+		// Retry-After is integral seconds; round up so clients never
+		// retry into a still-closed window.
+		w.Header().Set("Retry-After", strconv.FormatInt(int64((hint+time.Second-1)/time.Second), 10))
+	}
+	s.writeJSON(w, row.status, ErrorBody{Error: info})
+}
+
+// The shard taxonomy crosses the wire as kinds; its two directions are the
+// pair below. A coordinator asks two things of a worker's error — is the
+// engine broken (re-init it; the worker is fine), is the failure
+// deterministic (abort; it would recur anywhere) — and treats the rest as
+// transient: retry, then re-host.
+
+// shardErr is the worker's half: a runner's error, ready for fail. Load
+// outranks determinism: the runner calls every builder failure fatal, but a
+// budget shed or a canceled wait in the chain is this worker's moment, not
+// the design's fault, and is answered as what it is.
+func shardErr(err error) error {
+	var fatal *shard.FatalError
+	switch {
+	case errors.Is(err, shard.ErrEngineBroken):
+		return &ErrorInfo{Kind: "shard_broken", Message: err.Error()}
+	case errors.As(err, &fatal) && !retryable(err):
+		return &ErrorInfo{Kind: "shard_fatal", Message: err.Error()}
+	}
+	return err
+}
+
+// ShardError is the coordinator's half: the shard-taxonomy error a worker's
+// reply stands for, or nil for a transient one. Any permanent kind — the
+// worker judged the request, not its own load — would recur on any worker.
+func ShardError(worker string, info ErrorInfo) error {
+	switch {
+	case info.Kind == "shard_broken":
+		return fmt.Errorf("%w: worker %s: %s", shard.ErrEngineBroken, worker, info.Message)
+	case permanent(&info):
+		return &shard.FatalError{Err: fmt.Errorf("worker %s: %s", worker, info.Message)}
+	}
+	return nil
 }
 
 // HealthResponse is the /healthz body. The endpoint answers 200 as long

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -374,11 +375,10 @@ func (s *Server) sessionWork(ctx context.Context, name string, admit func(*sessi
 		// drain: a pile-up behind one slow session sheds at its deadline
 		// instead of pinning workers, which a sync.Mutex could not do.
 		if !ss.acquire(ctx, s.forceCtx) {
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled // the forced drain, ahead of ctx hearing of it
+			if s.forceCtx.Err() != nil || errors.Is(ctx.Err(), context.Canceled) {
+				return &ErrorInfo{Kind: "canceled", Message: "request cancelled while waiting for the session", Session: name}
 			}
-			return inSession(fmt.Errorf("waiting for the session: %w", err), name)
+			return &ErrorInfo{Kind: "deadline", Message: "request deadline expired while waiting for the session", Session: name}
 		}
 		// 4. Work under a deferred release: a panic in the engine cannot
 		// leak the slot and wedge every later request to the session.
@@ -388,11 +388,17 @@ func (s *Server) sessionWork(ctx context.Context, name string, admit func(*sessi
 		}()
 		// 5. The breaker: an engine failure or a degraded result counts
 		// against the session and a clean result resets it; a refusal or a
-		// cancellation is not session health.
+		// cancellation is not session health, and says so in the reply's
+		// words (the kind is classify's either way).
 		if err != nil {
 			info := inSession(err, name)
-			if info.Kind == "engine" {
+			switch {
+			case info.Kind == "engine":
 				ss.recordOutcome(true, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
+			case errors.Is(err, context.DeadlineExceeded):
+				info.Message = fmt.Sprintf("analysis exceeded its deadline: %v", err)
+			case errors.Is(err, context.Canceled):
+				info.Message = fmt.Sprintf("analysis cancelled: %v", err)
 			}
 			return info
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -138,6 +139,29 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 
 // --- HTTP surface -----------------------------------------------------
 
+// jobRefusal is a refusal of the jobs manager in the words the API has always
+// had for it, which say what the bare error cannot: the job's ID and final
+// state, the queue's depth, the journal's own failure under what was refused
+// ("job", "cancel"). Only the words are chosen here; the kind is classify's.
+func (s *Server) jobRefusal(err error, what, id string, snap *report.JobJSON, session string) *ErrorInfo {
+	info := inSession(err, session)
+	var storage *jobs.StorageError
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull):
+		info.Message = fmt.Sprintf("job queue of %d is full", s.cfg.JobQueueDepth)
+	case errors.Is(err, jobs.ErrDraining):
+		// The drain is the server's, whatever session was asked for.
+		info.Message, info.Session = "server is draining; no new jobs accepted", ""
+	case errors.Is(err, jobs.ErrNotFound):
+		info.Message = fmt.Sprintf("no job %q", id)
+	case errors.Is(err, jobs.ErrTerminal):
+		info.Message = fmt.Sprintf("job %q already finished as %s", id, snap.State)
+	case errors.As(err, &storage):
+		info.Message = fmt.Sprintf("%s not accepted: journal append failed: %v; retry once storage recovers", what, storage.Err)
+	}
+	return info
+}
+
 // handleSubmitJob is POST /v1/jobs: validate, journal, 202. The 202 is
 // written only after the spec's journal append fsyncs; a full queue
 // sheds with 429 and a sick disk refuses with 503 storage — in both
@@ -153,16 +177,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	if t := tenantOf(r); t != "" {
 		spec.Tenant = t
 	}
-	// Submit validates too, but says no more than the rest of its refusals
-	// do; validated here, a bad spec is the caller's and the rest is load.
-	if err := spec.Validate(); err != nil {
-		return badRequest(err, spec.Session)
-	}
 	snap, err := s.jobs.Submit(&spec)
 	if err != nil {
-		// A full queue, a drain or a sick journal: nothing was accepted,
-		// nothing is owed, and each is the client's to retry.
-		return inSession(fmt.Errorf("job not accepted: %w", err), spec.Session)
+		if !retryable(err) {
+			// A full queue, a drain and a sick journal are load; whatever
+			// else Submit refuses, it refuses the spec.
+			return badRequest(err, spec.Session)
+		}
+		return s.jobRefusal(err, "job", "", nil, spec.Session)
 	}
 	s.writeJSON(w, http.StatusAccepted, snap)
 	return nil
@@ -201,7 +223,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	snap, err := s.jobs.Get(id)
 	if err != nil {
-		return fmt.Errorf("job %q: %w", id, err)
+		return s.jobRefusal(err, "", id, nil, "")
 	}
 	s.writeJSON(w, http.StatusOK, snap)
 	return nil
@@ -215,7 +237,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	snap, err := s.jobs.Cancel(id)
 	if err != nil {
-		return fmt.Errorf("job %q: %w", id, err)
+		return s.jobRefusal(err, "cancel", id, snap, "")
 	}
 	// Constant statuses, so the ackorder analyzer can prove both are
 	// acknowledgements that follow the journal append.

@@ -84,6 +84,15 @@ func TestJobLifecycleHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), `"jobsQueued"`) {
 		t.Fatalf("readyz lacks job gauges: %d %s", resp.StatusCode, data)
 	}
+
+	// There is nothing left to cancel, and the refusal says how it ended.
+	resp, data = do(t, "DELETE", ts.URL+"/v1/jobs/"+ack.ID, nil)
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("cancel of a done job: %d: %s", resp.StatusCode, data)
+	}
+	if ei, want := wantErrKind(t, data, "conflict"), fmt.Sprintf("job %q already finished as done", ack.ID); ei.Message != want {
+		t.Fatalf("cancel of a done job: message %q, want %q", ei.Message, want)
+	}
 }
 
 func TestJobSweepHTTP(t *testing.T) {
@@ -128,12 +137,16 @@ func TestJobValidationAndNotFound(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job: %d", resp.StatusCode)
 	}
-	wantErrKind(t, data, "not_found")
+	if ei := wantErrKind(t, data, "not_found"); ei.Message != `no job "job-999999"` {
+		t.Fatalf("missing job: message %q", ei.Message)
+	}
 	resp, data = do(t, "DELETE", ts.URL+"/v1/jobs/job-999999", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cancel missing job: %d", resp.StatusCode)
 	}
-	wantErrKind(t, data, "not_found")
+	if ei := wantErrKind(t, data, "not_found"); ei.Message != `no job "job-999999"` {
+		t.Fatalf("cancel missing job: message %q", ei.Message)
+	}
 }
 
 // A poison job (injected to panic on every attempt) must quarantine with
@@ -196,7 +209,9 @@ func TestJobQueueSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: %d: %s", resp.StatusCode, data)
 	}
-	wantErrKind(t, data, "overloaded")
+	if ei := wantErrKind(t, data, "overloaded"); ei.Message != "job queue of 1 is full" || ei.Session != "bus" {
+		t.Fatalf("overflow submit answered %+v, want the queue's depth and the session", ei)
+	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
@@ -256,12 +271,43 @@ func TestJobSubmitStorageFault(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit under fault: %d: %s", resp.StatusCode, data)
 	}
-	wantErrKind(t, data, "storage")
+	ei := wantErrKind(t, data, "storage")
+	if !strings.HasPrefix(ei.Message, "job not accepted: journal append failed: ") || !strings.HasSuffix(ei.Message, "; retry once storage recovers") {
+		t.Fatalf("submit under fault: message %q", ei.Message)
+	}
 	var list JobsResponse
 	_, data = do(t, "GET", ts.URL+"/v1/jobs", nil)
 	if err := json.Unmarshal(data, &list); err != nil || len(list.Jobs) != 0 {
 		t.Fatalf("refused submit left jobs: %s", data)
 	}
+}
+
+// A cancel refused by a sick disk is 503 storage too, says what was refused,
+// and leaves the job as it was: the retried cancel lands.
+func TestJobCancelStorageFault(t *testing.T) {
+	// Appends across both WALs: the create, the first submit, its start
+	// record, the second submit — the fifth is the cancel.
+	_, ts := newTestServer(t, Config{
+		DataDir: t.TempDir(), JobWorkers: 1, JobFaultSpec: "hang:analyze:*", StoreFaultSpec: "enospc:append:5",
+	})
+	createSession(t, ts.URL, "bus", SessionOptions{})
+	running := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "analyze"})
+	waitJobHTTP(t, ts.URL, running.ID, "running")
+	queued := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "analyze"})
+	resp, data := do(t, "DELETE", ts.URL+"/v1/jobs/"+queued.ID, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("cancel under fault: %d (Retry-After %q): %s", resp.StatusCode, resp.Header.Get("Retry-After"), data)
+	}
+	ei := wantErrKind(t, data, "storage")
+	if !strings.HasPrefix(ei.Message, "cancel not accepted: journal append failed: ") || !strings.HasSuffix(ei.Message, "; retry once storage recovers") {
+		t.Fatalf("cancel under fault: message %q", ei.Message)
+	}
+	waitJobHTTP(t, ts.URL, queued.ID, "queued")
+	resp, data = do(t, "DELETE", ts.URL+"/v1/jobs/"+queued.ID, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("retried cancel: %d: %s", resp.StatusCode, data)
+	}
+	do(t, "DELETE", ts.URL+"/v1/jobs/"+running.ID, nil)
 }
 
 func TestJobReanalyzePersistsPadding(t *testing.T) {

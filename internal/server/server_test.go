@@ -226,13 +226,23 @@ func TestServerBadRequests(t *testing.T) {
 	}
 	wantErrKind(t, data, "bad_request")
 	// Bad timeout query — on create too, which runs under the request
-	// deadline like every other admitted endpoint.
-	for _, path := range []string{"/v1/sessions/bus/analyze?timeout=banana", "/v1/sessions?timeout=bogus"} {
-		resp, data = do(t, "POST", ts.URL+path, busPayload(t, "late", 4, SessionOptions{}))
+	// deadline like every other admitted endpoint. Each path gets a body it
+	// would accept, and the message must name the timeout, so neither case
+	// can pass on a body error.
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/sessions/bus/analyze?timeout=banana", nil},
+		{"/v1/sessions?timeout=bogus", busPayload(t, "late", 4, SessionOptions{})},
+	} {
+		resp, data = do(t, "POST", ts.URL+tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad timeout on %s: status %d: %s", path, resp.StatusCode, data)
+			t.Fatalf("bad timeout on %s: status %d: %s", tc.path, resp.StatusCode, data)
 		}
-		wantErrKind(t, data, "bad_request")
+		if ei := wantErrKind(t, data, "bad_request"); !strings.Contains(ei.Message, "bad timeout") {
+			t.Fatalf("bad timeout on %s: refused for another reason: %q", tc.path, ei.Message)
+		}
 	}
 }
 
@@ -412,7 +422,9 @@ func TestServerDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	wantErrKind(t, data, "deadline")
+	if ei := wantErrKind(t, data, "deadline"); !strings.HasPrefix(ei.Message, "analysis exceeded its deadline: ") || ei.Session != "slow" {
+		t.Fatalf("deadline error = %+v, want the analysis-deadline message", ei)
+	}
 }
 
 // TestServerBreaker pins the degradation circuit breaker: consecutive
@@ -631,7 +643,7 @@ func TestServerSessionWaitRespectsDeadline(t *testing.T) {
 		t.Fatalf("queued request: status %d: %s", resp.StatusCode, data)
 	}
 	ei := wantErrKind(t, data, "deadline")
-	if !strings.Contains(ei.Message, "waiting for the session") {
+	if ei.Message != "request deadline expired while waiting for the session" {
 		t.Fatalf("deadline error = %q, want the session-wait message", ei.Message)
 	}
 	<-done

@@ -236,9 +236,8 @@ func (e *ErrorInfo) Error() string { return e.Message }
 // that repeating the request can outlast. Everything else is derived from
 // the row and chosen nowhere else: the Retry-After header (fail), the
 // client's retry loop (Retryable), whether a failed revive quarantines the
-// spec (retryable), whether a job attempt is permanent, and what a worker's
-// refusal means to a coordinator (permanent). README's retry table and
-// DESIGN.md §13 print these rows with their reasons.
+// spec (retryable) and whether a job attempt is permanent. README's retry
+// table and DESIGN.md §13 print these rows with their reasons.
 var kinds = map[string]struct {
 	status int
 	retry  bool
@@ -371,13 +370,14 @@ func shardErr(err error) error {
 }
 
 // ShardError is the coordinator's half: the shard-taxonomy error a worker's
-// reply stands for, or nil for a transient one. Any permanent kind — the
-// worker judged the request, not its own load — would recur on any worker.
+// reply stands for, or nil for a transient one. It inverts what a worker
+// writes and no more: shardErr's two kinds, and the bad_request gated
+// answers a malformed dispatch with, which is as deterministic.
 func ShardError(worker string, info ErrorInfo) error {
-	switch {
-	case info.Kind == "shard_broken":
+	switch info.Kind {
+	case "shard_broken":
 		return fmt.Errorf("%w: worker %s: %s", shard.ErrEngineBroken, worker, info.Message)
-	case permanent(&info):
+	case "shard_fatal", "bad_request":
 		return &shard.FatalError{Err: fmt.Errorf("worker %s: %s", worker, info.Message)}
 	}
 	return nil

@@ -80,14 +80,17 @@ func TestKindTable(t *testing.T) {
 // both halves of the pair in wire.go — runner error → worker reply →
 // ShardWorker.Do error — and asks the two questions the coordinator asks of
 // a worker's error. The answers must be the ones the error itself gives an
-// in-process worker, except where the wire is the point: load that the
-// runner wrapped as fatal (a budget shed, a canceled wait) arrives transient.
+// in-process worker, except where the wire is the point (flips): load that
+// the runner wrapped as fatal (a budget shed, a canceled wait) arrives
+// transient, and a dispatch the worker's gate refused as malformed, which no
+// in-process worker can be sent, arrives fatal. Fatal is no wider than that:
+// a kind no worker writes is as transient as any reply the pair does not name.
 func TestShardErrorsRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		err  error
-		kind string // of the reply
-		load bool
+		name  string
+		err   error
+		kind  string // of the reply
+		flips bool
 	}{
 		{"engine broken", fmt.Errorf("%w: padding died halfway", shard.ErrEngineBroken), "shard_broken", false},
 		{"fatal", &shard.FatalError{Err: errors.New("net b3 has no driver")}, "shard_fatal", false},
@@ -97,10 +100,12 @@ func TestShardErrorsRoundTrip(t *testing.T) {
 		{"deadline", fmt.Errorf("eval: %w", context.DeadlineExceeded), "deadline", false},
 		{"cancel", context.Canceled, "canceled", false},
 		{"anything else", errors.New("disk on fire"), "engine", false},
+		{"malformed dispatch", &server.ErrorInfo{Kind: "bad_request", Message: "bad timeout"}, "bad_request", true},
+		{"a verdict no worker writes", &server.ErrorInfo{Kind: "conflict", Message: "session exists"}, "conflict", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var fe *shard.FatalError
-			broken, fatal := errors.Is(tc.err, shard.ErrEngineBroken), errors.As(tc.err, &fe) && !tc.load
+			broken, fatal := errors.Is(tc.err, shard.ErrEngineBroken), errors.As(tc.err, &fe) != tc.flips
 			url := failing(t, (*server.Server).FailShard, func(*http.Request) error { return tc.err })
 			// The worker's half alone: the reply's kind.
 			resp, err := http.Post(url, "application/octet-stream", nil)
@@ -126,7 +131,7 @@ func TestShardErrorsRoundTrip(t *testing.T) {
 			if errors.As(got, &ae) != (!broken && !fatal) {
 				t.Fatalf("over the wire: %T, want an APIError exactly for a transient failure", got)
 			}
-			if ae != nil && (ae.Info.Kind != tc.kind || ae.Retryable() != (tc.kind != "engine")) {
+			if retry, _ := server.Retryable(tc.kind); ae != nil && (ae.Info.Kind != tc.kind || ae.Retryable() != retry) {
 				t.Fatalf("transient failure arrived as %v (retryable=%v), want kind %q", ae, ae.Retryable(), tc.kind)
 			}
 		})

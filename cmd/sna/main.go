@@ -37,7 +37,8 @@
 //	4  load or analysis failure (unreadable/unparsable input, engine
 //	   error, deadline exceeded)
 //	5  degraded-clean: no violations, but one or more nets were degraded
-//	   to conservative fallbacks — the result is incomplete, not clean
+//	   to conservative fallbacks, or analyzed against an aggressor of
+//	   unknown timing — the result is incomplete, not clean
 package main
 
 import (
@@ -260,9 +261,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if len(res.Violations) > 0 {
 		return exitViolations
 	}
-	// A run with degraded nets and no violations is NOT clean: the
-	// degraded victims were never actually analyzed, so signoff must
-	// distinguish "checked and passed" from "gave up conservatively".
+	// A run with diagnosed nets and no violations is NOT clean: degraded
+	// victims were never actually analyzed, assumed ones were analyzed
+	// against an aggressor of unknown timing, so signoff must distinguish
+	// "checked and passed" from "gave up conservatively".
 	if len(res.Diags) > 0 {
 		return exitDegraded
 	}

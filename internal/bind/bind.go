@@ -3,17 +3,20 @@
 // the timing and noise engines analyze.
 //
 // Binding resolves every instance to its library cell, checks pin
-// directions, builds an rc.Network per net (from SPEF when present,
-// otherwise a lumped stand-in), and attaches receiver pin capacitances at
-// the right RC nodes. SPEF node names follow the extractor convention
-// "inst:pin" for instance connections and the bare port name for ports.
+// directions, and compiles the parasitics into one rc.DB: each net's RC
+// tree (from SPEF when present, otherwise a lumped stand-in) with receiver
+// pin capacitances attached at the right nodes, every connection resolved
+// to its node, every coupling resolved to its partner net, and the tree
+// reduction done. SPEF node names follow the extractor convention
+// "inst:pin" for instance connections and the bare port name for ports;
+// past New nothing is looked up by name.
 package bind
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/liberty"
 	"repro/internal/netlist"
@@ -23,39 +26,31 @@ import (
 )
 
 // Design is the resolved, analyzable view of one design. After New it is
-// immutable apart from two guarded caches (the RC analysis cache here
-// and the netlist's levelization cache), so it is safe for concurrent
-// readers: parallel timing and noise analysis — and since the
-// levelization became cached, even multiple concurrent engines — can
-// share one Design.
-//
-// Per-net state is stored densely, indexed by netlist.Net.ID, so the
-// hot paths resolve a net's parasitics with a slice index instead of a
-// string-map lookup.
+// immutable apart from the netlist's guarded levelization cache, so it is
+// safe for concurrent readers: parallel timing and noise analysis, even
+// multiple concurrent engines, can share one Design. Per-net, per-instance
+// and per-connection state is stored densely, indexed by the netlist's IDs.
 type Design struct {
 	Net *netlist.Design
 	Lib *liberty.Library
 
-	nets  []*rc.Network   // indexed by netlist.Net.ID()
 	cells []*liberty.Cell // indexed by netlist.Inst.ID()
-	// analyses caches each net's RC analysis by netlist.Net.ID(), nil
-	// until computed. One atomic slot per net, so the parallel STA and
-	// the per-victim workers, which all read it, share no lock.
-	analyses []atomic.Pointer[rc.Analysis]
+	rc    *rc.DB          // every net's parasitics, by netlist.Net.ID()
+	// connNode is the node of its net each connection lands on, by
+	// netlist.Conn.ID(); -1 for a pin the extractor omitted, whose cap is
+	// lumped at the driver.
+	connNode []int32
+	// The rare leftovers of binding by name: why a net's tree reduction
+	// failed, by net ID, and the names of coupling partners the netlist
+	// does not have, by victim net ID << 32 | index in Couplings.
+	fails     map[int32]error
+	strangers map[int64]string
 }
 
 // parallelBelow is the object count under which New's loops stay serial:
 // a few hundred nets bind in well under a millisecond, less than waking
 // the workers costs.
 const parallelBelow = 1024
-
-// PinNode returns the RC node name a connection lands on.
-func PinNode(c *netlist.Conn) string {
-	if c.Inst == nil {
-		return c.Port
-	}
-	return c.Inst.Name + ":" + c.Pin
-}
 
 // New binds the databases. Parasitics may be nil; nets absent from the
 // parasitics get a lumped zero-resistance network carrying only pin loads.
@@ -67,15 +62,16 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 		return nil, err
 	}
 	b := &Design{
-		Net:      d,
-		Lib:      lib,
-		nets:     make([]*rc.Network, d.NumNets()),
-		cells:    make([]*liberty.Cell, d.NumInsts()),
-		analyses: make([]atomic.Pointer[rc.Analysis], d.NumNets()),
+		Net:       d,
+		Lib:       lib,
+		cells:     make([]*liberty.Cell, d.NumInsts()),
+		connNode:  make([]int32, d.NumConns()),
+		fails:     make(map[int32]error),
+		strangers: make(map[int64]string),
 	}
-	// Both loops fan out over the cores: an iteration reads the
-	// (immutable) databases and writes only its own instance's or net's
-	// slot, and the first error in name order wins, as in a serial loop.
+	// The loops fan out over the cores: an iteration reads the (immutable)
+	// databases and writes only its own instance's or net's slots, and the
+	// first error in name order wins, as in a serial loop.
 	ctx, workers := context.TODO(), runtime.GOMAXPROCS(0)
 	// Resolve instances against the library and check pin directions.
 	insts := d.Insts()
@@ -104,87 +100,165 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 	if err != nil {
 		return nil, err
 	}
-	// Build an RC network per net.
+	// Size the parasitics database: a first pass over the nets counts each
+	// one's nodes and coupling partners, which only naming them can.
 	nets := d.Nets()
-	err = par.For(ctx, len(nets), workers, parallelBelow, func(i int) error {
-		net := nets[i]
-		var nw *rc.Network
+	extracted, sizes := make([]*spef.Net, d.NumNets()), make([]rc.Sizes, d.NumNets())
+	scratch := make([]netScratch, max(workers, 1)) // one per worker
+	err = par.ForWorker(ctx, len(nets), workers, parallelBelow, func(w, i int) error {
+		net, nb := nets[i], &scratch[w].Builder
 		if p != nil {
-			if sn := p.Net(net.Name); sn != nil {
-				var err error
-				nw, err = rc.FromSPEF(sn)
-				if err != nil {
-					return err
-				}
-			}
+			extracted[net.ID()] = p.Net(net.Name)
 		}
-		if nw == nil {
-			nw = lumpedNetwork(net)
+		sn := extracted[net.ID()]
+		if sn == nil {
+			// Lumped: the driver's node, and one per load behind a
+			// negligible resistor.
+			sizes[net.ID()] = rc.Sizes{Nodes: 1 + len(net.Loads()), Ress: len(net.Loads())}
+			return nil
 		}
-		// Attach receiver pin capacitances at their nodes.
-		for _, lc := range net.Loads() {
-			if lc.Inst == nil {
-				continue // output port: no pin cap
-			}
-			pin := b.cells[lc.Inst.ID()].Pin(lc.Pin)
-			node := PinNode(lc)
-			if !nw.HasNode(node) {
-				// Extractor omitted the pin node; lump the cap at the
-				// driver so it still loads the net.
-				node = nw.Root()
-			}
-			nw.AddLoadCap(node, pin.Cap)
+		if _, err := read(nb, sn); err != nil {
+			return err
 		}
-		b.nets[net.ID()] = nw
+		sizes[net.ID()] = nb.Sizes()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return b, nil
-}
-
-// lumpedNetwork synthesizes a single-node network for a net without
-// extracted parasitics: driver and loads share one node, wire cap zero.
-func lumpedNetwork(net *netlist.Net) *rc.Network {
-	nw := rc.NewNetwork(net.Name)
-	drv := net.Driver()
-	root := "root"
-	if drv != nil {
-		root = PinNode(drv)
-	}
-	nw.SetRoot(root)
-	for _, lc := range net.Loads() {
-		// Loads sit on the root node (zero wire resistance); interning
-		// their names keeps PinNode lookups working.
-		node := PinNode(lc)
-		if node != root {
-			nw.AddRes(root, node, 1e-3) // negligible series resistance
-		}
-	}
-	return nw
-}
-
-// NetworkOf returns the RC network of a net of the bound netlist.
-func (b *Design) NetworkOf(n *netlist.Net) *rc.Network {
-	return b.nets[n.ID()]
-}
-
-// AnalysisOf returns the (cached) RC tree analysis of a net of the bound
-// netlist. It is safe to call from concurrent goroutines: two callers
-// racing on a cold net both compute the same analysis and either copy
-// serves every later call.
-func (b *Design) AnalysisOf(n *netlist.Net) (*rc.Analysis, error) {
-	slot := &b.analyses[n.ID()]
-	if a := slot.Load(); a != nil {
-		return a, nil
-	}
-	a, err := b.nets[n.ID()].Analyze()
-	if err != nil {
+	if b.rc, err = rc.NewDB(sizes); err != nil {
 		return nil, err
 	}
-	slot.Store(a)
-	return a, nil
+	// Assemble, resolve and reduce every net.
+	var mu sync.Mutex // guards fails and strangers
+	err = par.ForWorker(ctx, len(nets), workers, parallelBelow, func(w, i int) error {
+		b.compile(nets[i], extracted[nets[i].ID()], &scratch[w], &mu)
+		return nil
+	})
+	return b, err
+}
+
+// netScratch is what one worker reuses from net to net: the builder, and
+// the "inst:pin" a connection is looked up as.
+type netScratch struct {
+	rc.Builder
+	pin []byte
+}
+
+// read assembles an extracted net: its nodes numbered in order of first
+// mention — connections, then resistor ends, then capacitor nodes — rooted
+// at the first driver (*CONN direction O) entry, which it returns.
+func read(nb *rc.Builder, sn *spef.Net) (root int32, err error) {
+	nb.Reset(sn.Name)
+	root = -1
+	for _, c := range sn.Conns {
+		if i := nb.Node(c.Node); c.Dir == spef.DirOut && root < 0 {
+			root = i
+		}
+	}
+	for _, r := range sn.Ress {
+		nb.AddRes(nb.Node(r.A), nb.Node(r.B), r.Ohms)
+	}
+	for _, c := range sn.Caps {
+		if node := nb.Node(c.Node); c.Other == "" {
+			nb.AddCap(node, c.F)
+		} else {
+			nb.AddCoupling(node, spef.NetOfNode(c.Other), c.F)
+		}
+	}
+	if root < 0 {
+		return root, fmt.Errorf("rc: net %q has no driver connection", sn.Name)
+	}
+	nb.SetRoot(root)
+	return root, nil
+}
+
+// compile assembles a net — from its extracted parasitics, or as a lumped
+// stand-in — resolves its connections to nodes, attaches the receiver pin
+// capacitances, commits it, reduced, to the database, and resolves its
+// coupling partners to nets. What names leave behind goes in under mu.
+func (b *Design) compile(net *netlist.Net, sn *spef.Net, nb *netScratch, mu *sync.Mutex) {
+	root := int32(0)
+	if sn == nil {
+		nb.Reset(net.Name)
+		nb.SetRoot(nb.Anon())
+		if drv := net.Driver(); drv != nil {
+			b.connNode[drv.ID()] = root
+		}
+		for _, lc := range net.Loads() {
+			b.connNode[lc.ID()] = nb.Anon()
+			nb.AddRes(root, b.connNode[lc.ID()], 1e-3)
+		}
+	} else {
+		root, _ = read(&nb.Builder, sn) // cannot fail: it did not when sizing
+		for _, c := range net.Conns {
+			// The extractor names a connection's node "inst:pin", or by
+			// the bare port name.
+			if c.Inst == nil {
+				b.connNode[c.ID()] = rc.Find(&nb.Builder, c.Port)
+				continue
+			}
+			nb.pin = append(append(append(nb.pin[:0], c.Inst.Name...), ':'), c.Pin...)
+			b.connNode[c.ID()] = rc.Find(&nb.Builder, nb.pin)
+		}
+	}
+	for _, lc := range net.Loads() {
+		if lc.Inst == nil {
+			continue // output port: no pin cap
+		}
+		node := b.connNode[lc.ID()]
+		if node < 0 {
+			// Extractor omitted the pin node; lump the cap at the
+			// driver so it still loads the net.
+			node = root
+		}
+		nb.AddLoadCap(node, b.cells[lc.Inst.ID()].Pin(lc.Pin).Cap)
+	}
+	failed := nb.Commit(b.rc, net.ID())
+	groups := b.rc.Groups(net.ID())
+	for g, name := range nb.Partners() {
+		if agg := b.Net.FindNet(name); agg != nil {
+			groups[g].Agg = agg.ID()
+			continue
+		}
+		groups[g].Agg = -1
+		mu.Lock()
+		b.strangers[int64(net.ID())<<32|int64(g)] = name
+		mu.Unlock()
+	}
+	if failed != nil {
+		mu.Lock()
+		b.fails[net.ID()] = failed
+		mu.Unlock()
+	}
+}
+
+// NetworkOf returns the RC record of a net of the bound netlist: its
+// capacitances, and the scalars of its tree reduction.
+func (b *Design) NetworkOf(n *netlist.Net) *rc.Network { return b.rc.Net(n.ID()) }
+
+// AnalysisOf returns the RC tree analysis of a net of the bound netlist,
+// computed by New, or the reason the net's resistors could not be reduced.
+func (b *Design) AnalysisOf(n *netlist.Net) (rc.Analysis, error) {
+	if !b.rc.Net(n.ID()).Reduced() {
+		return rc.Analysis{}, b.fails[n.ID()]
+	}
+	return b.rc.Analysis(n.ID()), nil
+}
+
+// NodeOf returns the node of its net a connection lands on, or -1 for a
+// pin the extractor omitted (its cap is lumped at the driver).
+func (b *Design) NodeOf(c *netlist.Conn) int32 { return b.connNode[c.ID()] }
+
+// Couplings returns a net's couplings grouped per partner net, ordered by
+// partner name. A group's Agg is the partner's net ID, or -1 when the
+// netlist has no such net; Stranger then gives its name.
+func (b *Design) Couplings(n *netlist.Net) []rc.Group { return b.rc.Groups(n.ID()) }
+
+// Stranger names the partner of net n's i-th coupling group when the
+// netlist does not have it.
+func (b *Design) Stranger(n *netlist.Net, i int) string {
+	return b.strangers[int64(n.ID())<<32|int64(i)]
 }
 
 // Cell resolves an instance's library cell (known valid after New).
@@ -209,13 +283,12 @@ func (b *Design) WireDelayTo(lc *netlist.Conn) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	node := PinNode(lc)
-	nw := b.NetworkOf(lc.Net)
-	if !nw.HasNode(node) {
+	node := b.connNode[lc.ID()]
+	if node < 0 {
 		// Pin cap was lumped at the driver; no extra wire delay.
 		return 0, nil
 	}
-	return a.ElmoreTo(node)
+	return a.Elmore(node), nil
 }
 
 // HoldRes returns the holding resistance of a net's driver — the quiet

@@ -1,6 +1,7 @@
 package bind
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -72,8 +73,8 @@ func TestBindWithSPEF(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := b.NetworkOf(d.FindNet("mid"))
-	if nw.Root() != "u0:Y" {
-		t.Fatalf("root = %q", nw.Root())
+	if a, err := b.AnalysisOf(d.FindNet("mid")); err != nil || nw.NumNodes() != 3 || a.Res(b.NodeOf(d.FindNet("mid").Driver())) != 0 {
+		t.Fatalf("%d nodes, driver u0:Y on node %d, error %v", nw.NumNodes(), b.NodeOf(d.FindNet("mid").Driver()), err)
 	}
 	// Load cap = wire 3fF + coupling 1fF + u1 pin cap.
 	pinCap := genericCell(t, "INV_X2").Pin("A").Cap
@@ -229,15 +230,50 @@ func TestHoldAndDriveRes(t *testing.T) {
 	}
 }
 
+// TestPinNode: a connection lands on the node the extractor named
+// "inst:pin" (or, a port, by its bare name) and on nothing that merely
+// resembles it — by linear scan on a small net and by hash on a large one —
+// and a pin the extractor left out lands nowhere.
 func TestPinNode(t *testing.T) {
-	d := twoInv(t)
-	mid := d.FindNet("mid")
-	drv := mid.Driver()
-	if got := PinNode(drv); got != "u0:Y" {
-		t.Fatalf("PinNode(driver) = %q", got)
-	}
-	in := d.FindNet("in")
-	if got := PinNode(in.Driver()); got != "in" {
-		t.Fatalf("PinNode(port) = %q", got)
+	for _, pad := range []int{0, 40} {
+		d := twoInv(t)
+		_, err := d.AddInst("u2", "INV_X1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Connect("u2", "A", "mid", netlist.In); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Connect("u2", "Y", "spare", netlist.Out); err != nil {
+			t.Fatal(err)
+		}
+		names := []string{"u1:AA", "u1A", "u1:", ":A", "u0:Y", "u1:A"}
+		for i := 0; i < pad; i++ {
+			names = append(names, fmt.Sprintf("mid:%d", i))
+		}
+		sn := &spef.Net{Name: "mid", Conns: []spef.Conn{{Pin: "u0:Y", Dir: spef.DirOut, Node: "u0:Y"}}}
+		for _, name := range names {
+			if name != "u0:Y" {
+				sn.Ress = append(sn.Ress, spef.ResEntry{A: "u0:Y", B: name, Ohms: 10})
+			}
+		}
+		p := spef.NewParasitics("two")
+		if err := p.AddNet(sn); err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(d, liberty.Generic(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Nodes number in order of first mention: u0:Y, then the resistor ends.
+		want := map[string]int32{"u0.Y": 0, "u1.A": 5, "u2.A": -1}
+		for _, c := range d.FindNet("mid").Conns {
+			if got := b.NodeOf(c); got != want[c.Name()] {
+				t.Errorf("%d nodes: %s on node %d, want %d", len(names), c.Name(), got, want[c.Name()])
+			}
+		}
+		if got := b.NodeOf(d.FindNet("in").Driver()); got != 0 {
+			t.Errorf("port in on node %d of its lumped net, want the root", got)
+		}
 	}
 }

@@ -2,22 +2,12 @@ package bind
 
 import "unsafe"
 
-// MemBytes estimates the heap footprint of the bound design in bytes:
-// the netlist database, the cell library, and every per-net RC network.
-// The lazily filled analysis cache is priced at its slice backing only
-// (entries appear after binding, and the budget governs admission, not
-// steady-state growth). Deterministic and allocation-free; the server's
-// shared design cache charges this value against its byte budget.
+// MemBytes estimates the heap footprint of the bound design in bytes: the
+// netlist database, the cell library, the parasitics database with every
+// net's reduction, and the per-connection node table. Deterministic,
+// allocation-free and constant-time past the netlist's own estimate; the
+// server's shared design cache charges this value against its byte budget.
 func (b *Design) MemBytes() int64 {
-	total := int64(unsafe.Sizeof(*b))
-	total += b.Net.MemBytes()
-	total += b.Lib.MemBytes()
-	ptr := int64(unsafe.Sizeof(uintptr(0)))
-	total += int64(cap(b.nets)+cap(b.cells)+cap(b.analyses)) * ptr
-	for _, nw := range b.nets {
-		if nw != nil {
-			total += nw.MemBytes()
-		}
-	}
-	return total
+	return int64(unsafe.Sizeof(*b)) + b.Net.MemBytes() + b.Lib.MemBytes() + b.rc.MemBytes() +
+		int64(cap(b.cells))*int64(unsafe.Sizeof(uintptr(0))) + int64(cap(b.connNode))*4
 }

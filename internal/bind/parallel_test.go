@@ -24,7 +24,8 @@ func wideBus(t *testing.T) *workload.Generated {
 }
 
 // TestNewParallelMatchesSerial: the fanned-out bind builds the design the
-// one-core bind builds — every net's network, node for node.
+// one-core bind builds — every net's record, coupling groups and node
+// values.
 func TestNewParallelMatchesSerial(t *testing.T) {
 	g := wideBus(t)
 	lib := liberty.Generic()
@@ -39,8 +40,15 @@ func TestNewParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range g.Design.Nets() {
-		if !reflect.DeepEqual(par.NetworkOf(n), ser.NetworkOf(n)) {
+		if !reflect.DeepEqual(par.NetworkOf(n), ser.NetworkOf(n)) || !reflect.DeepEqual(par.Couplings(n), ser.Couplings(n)) {
 			t.Fatalf("net %s: parallel bind built a different network", n.Name)
+		}
+		pa, _ := par.AnalysisOf(n)
+		sa, _ := ser.AnalysisOf(n)
+		for i := int32(0); int(i) < pa.NumNodes(); i++ {
+			if pa.Elmore(i) != sa.Elmore(i) || pa.M2(i) != sa.M2(i) || pa.Res(i) != sa.Res(i) {
+				t.Fatalf("net %s node %d: parallel bind reduced it differently", n.Name, i)
+			}
 		}
 		if inst := n.Driver().Inst; inst != nil && par.Cell(inst) != ser.Cell(inst) {
 			t.Fatalf("net %s: driver cell differs", n.Name)
@@ -68,9 +76,9 @@ func TestNewParallelFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestAnalysisOfConcurrent hammers the per-net analysis cache from many
-// goroutines on cold nets: every caller gets a usable analysis, and once a
-// net is warm every caller gets the same one.
+// TestAnalysisOfConcurrent reads the analyses from many goroutines at once
+// (New computed them all; there is no cache to race on): every caller gets a
+// usable analysis, and every call the same one.
 func TestAnalysisOfConcurrent(t *testing.T) {
 	g := wideBus(t)
 	b, err := bind.New(g.Design, liberty.Generic(), g.Paras)
@@ -84,7 +92,7 @@ func TestAnalysisOfConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, n := range nets {
-				if a, err := b.AnalysisOf(n); err != nil || a == nil {
+				if a, err := b.AnalysisOf(n); err != nil || a.NumNodes() == 0 || a.Elmore(b.NodeOf(n.Driver())) != 0 {
 					t.Errorf("net %s: analysis %v, error %v", n.Name, a, err)
 					return
 				}
@@ -96,7 +104,82 @@ func TestAnalysisOfConcurrent(t *testing.T) {
 		a1, _ := b.AnalysisOf(n)
 		a2, _ := b.AnalysisOf(n)
 		if a1 != a2 {
-			t.Fatalf("net %s: warm cache returned two analyses", n.Name)
+			t.Fatalf("net %s: two calls returned two analyses", n.Name)
 		}
 	}
+}
+
+// TestAllocationGates: reading the parasitics database allocates nothing,
+// and building it costs a handful of allocations per design, not per net
+// (the old per-net Network cost 11 a net, its lazy Analysis 17 more).
+func TestAllocationGates(t *testing.T) {
+	g, err := workload.Bus(workload.BusSpec{Bits: 4096, Segs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := liberty.Generic()
+	b, err := bind.New(g.Design, lib, g.Paras)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := g.Design.FindNet(workload.MiddleBusNet(4096))
+	load := net.Loads()[0]
+	var sink float64
+	for name, fn := range map[string]func(){
+		"NetworkOf":   func() { sink += b.NetworkOf(net).TotalCap() },
+		"AnalysisOf":  func() { a, _ := b.AnalysisOf(net); sink += a.Elmore(b.NodeOf(load)) + a.MaxElmore() },
+		"WireDelayTo": func() { wd, _ := b.WireDelayTo(load); sink += wd },
+		"Couplings":   func() { sink += b.Couplings(net)[0].C },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+	}
+	if sink == 0 {
+		t.Fatal("the reads returned nothing")
+	}
+	perNet := testing.AllocsPerRun(3, func() {
+		if _, err := bind.New(g.Design, lib, g.Paras); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(g.Design.NumNets())
+	t.Logf("bind.New: %.4f allocations per net over %d nets", perNet, g.Design.NumNets())
+	if perNet > 0.1 { // the issue's bound was 3; one stray allocation per extracted net reads 0.25
+		t.Fatalf("bind.New: %.2f allocations per net, want ≤ 0.1", perNet)
+	}
+}
+
+// TestMemBytesTracksHeap pins what the design cache charges for a bound
+// design's parasitics — now including every net's reduction, which New
+// computes — to the heap the bind really left behind: within 25 %.
+func TestMemBytesTracksHeap(t *testing.T) {
+	g, err := workload.Bus(workload.BusSpec{Bits: 4096, Segs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := liberty.Generic()
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	b, err := bind.New(g.Design, lib, g.Paras)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := heap() - before
+	for _, n := range g.Design.Nets() { // the full analysis is in what was measured
+		if _, err := b.AnalysisOf(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := b.MemBytes() - g.Design.MemBytes() - lib.MemBytes()
+	t.Logf("MemBytes %d for the bind's share, heap grew %d (%.2f)", got, grew, float64(got)/float64(grew))
+	if got < grew*3/4 || got > grew*5/4 {
+		t.Fatalf("MemBytes %d is not within 25%% of the %d bytes the heap grew", got, grew)
+	}
+	runtime.KeepAlive(b)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -467,6 +468,22 @@ func (a *analyzer) degradeNet(pos int, stage string, err error) {
 	a.setCoupled(pos, &[2][]Event{{e}, {e}})
 }
 
+// noteStrangers records, once per victim, the aggressors of a freshly built
+// context that the netlist does not have. The victim is analyzed, not
+// degraded: those aggressors are assumed to switch at any time.
+func (a *analyzer) noteStrangers(pos int, nctx *noise.Context) {
+	var names []string
+	for i := range nctx.Couplings {
+		if nctx.Couplings[i].Agg == nil {
+			names = append(names, nctx.Couplings[i].Aggressor)
+		}
+	}
+	if len(names) > 0 {
+		a.diags = append(a.diags, Diag{Net: a.order[pos].Name, Stage: StagePrepare,
+			Err: fmt.Errorf("core: aggressor %s is not in the netlist: assumed to switch at any time", strings.Join(names, ", "))})
+	}
+}
+
 // setCoupled installs a victim's coupled events; both passes must look at
 // the victim again.
 func (a *analyzer) setCoupled(pos int, events *[2][]Event) {
@@ -499,6 +516,9 @@ func (a *analyzer) commitPrepared(pos int, p *preparedNet, err error) error {
 	}
 	if p == nil {
 		return nil
+	}
+	if a.ctxs[pos] == nil {
+		a.noteStrangers(pos, p.ctx)
 	}
 	a.ctxs[pos] = p.ctx
 	if old := a.coupled[pos]; old == nil || !slices.Equal(old[KindLow], p.events[KindLow]) || !slices.Equal(old[KindHigh], p.events[KindHigh]) {
@@ -915,8 +935,10 @@ func (a *analyzer) prepareEvents(net *netlist.Net, ctx *noise.Context) (*prepare
 			rise := k == KindLow // rising aggressor endangers a low victim
 			var winSet interval.Set
 			slew := a.opts.DefaultAggSlew
-			switch a.opts.Mode {
-			case ModeAllAggressors:
+			switch {
+			case a.opts.Mode == ModeAllAggressors || cpl.Agg == nil:
+				// A partner the netlist does not have has no switching
+				// window to read: it may switch at any time.
 				winSet = interval.InfiniteSet()
 				if s := aggT.Slew(rise); s.Min <= s.Max {
 					slew = s.Min

@@ -191,8 +191,10 @@ type Stats struct {
 	Propagated     int // propagated glitch events created (last pass)
 	Iterations     int // propagation passes until fixpoint
 	Converged      bool
-	// DegradedNets counts victims substituted with the conservative
-	// full-rail fallback under fail-soft (equals len(Result.Diags)).
+	// DegradedNets counts the victims that carry a diagnostic (equals
+	// len(Result.Diags)): those substituted with the conservative full-rail
+	// fallback under fail-soft, and those analyzed against an aggressor the
+	// netlist lacks, assumed to switch at any time.
 	DegradedNets int
 }
 
@@ -210,7 +212,8 @@ type Result struct {
 	// fail-fast run aborts on the first such failure instead). Sorted by
 	// net name. Degraded nets appear in Nets with Peak pinned at Vdd but
 	// carry no per-receiver Violations — the Diag marks the whole net
-	// failing.
+	// failing. A Diag that is not Degraded marks a victim analyzed in full
+	// (in any run), an aggressor of unknown timing assumed always switching.
 	Diags []Diag
 	// STA is the timing annotation used (switching windows, slews).
 	STA *sta.Result

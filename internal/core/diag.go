@@ -40,21 +40,22 @@ type Diag struct {
 	// Err is the recovered panic or returned error.
 	Err error
 	// Degraded reports that the conservative full-rail fallback was
-	// substituted (always true under fail-soft; a Diag is only recorded
-	// at all when the run continued).
+	// substituted. It is false for a victim that was analyzed, but under
+	// an assumption the inputs forced: a coupling partner the netlist does
+	// not have is taken to switch at any time.
 	Degraded bool
 }
 
 // String renders the diagnostic for logs and reports.
 func (d Diag) String() string {
-	action := "aborted"
-	if d.Degraded {
-		action = "degraded to full-rail bound"
+	if !d.Degraded {
+		return fmt.Sprintf("net %s: %s: %v", d.Net, d.Stage, d.Err)
 	}
-	return fmt.Sprintf("net %s: %s failed (%s): %v", d.Net, d.Stage, action, d.Err)
+	return fmt.Sprintf("net %s: %s failed (degraded to full-rail bound): %v", d.Net, d.Stage, d.Err)
 }
 
-// SortDiags orders diagnostics by net name then stage for deterministic
+// SortDiags orders diagnostics by net name, then stage, then an assumption
+// before the degradation that may follow it at the same stage, for deterministic
 // reports regardless of worker scheduling — exported for the shard
 // coordinator, which merges per-shard diagnostics (disjoint victim sets, so
 // no ties) with its own shard-loss records before reporting.
@@ -63,6 +64,9 @@ func SortDiags(diags []Diag) {
 		if diags[i].Net != diags[j].Net {
 			return diags[i].Net < diags[j].Net
 		}
-		return diags[i].Stage < diags[j].Stage
+		if diags[i].Stage != diags[j].Stage {
+			return diags[i].Stage < diags[j].Stage
+		}
+		return !diags[i].Degraded && diags[j].Degraded
 	})
 }

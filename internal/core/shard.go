@@ -153,10 +153,10 @@ func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
 				link(int32(i), pos[ic.Net.ID()])
 			}
 		}
-		// Coupling neighbours from the extracted parasitics, which name them.
-		for _, c := range b.NetworkOf(n).CouplingsView() {
-			if other := b.Net.FindNet(c.OtherNet); other != nil && pos[other.ID()] >= 0 {
-				link(int32(i), pos[other.ID()])
+		// Coupling neighbours, as the bind resolved the extracted parasitics.
+		for _, g := range b.Couplings(n) {
+			if g.Agg >= 0 && pos[g.Agg] >= 0 {
+				link(int32(i), pos[g.Agg])
 			}
 		}
 	}

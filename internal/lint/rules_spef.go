@@ -138,9 +138,9 @@ func checkSpefValues(in *Input, rep *Reporter) {
 	}
 }
 
-// checkRCTopology verifies, per parasitic net, what rc.Network.Analyze
-// will require: a driver root exists, every node is reachable from it
-// through the resistive tree, and the tree is acyclic. Reporting it here
+// checkRCTopology verifies, per parasitic net, what the bind's tree
+// reduction will require: a driver root exists, every node is reachable
+// from it through the resistive tree, and the tree is acyclic. Reporting it here
 // turns a mid-analysis abort into a pre-flight diagnostic.
 func checkRCTopology(in *Input, rep *Reporter) {
 	if in.Paras == nil {
@@ -155,7 +155,7 @@ func checkRCTopology(in *Input, rep *Reporter) {
 }
 
 // rcTopology is the working state of one net's topology check: its nodes
-// numbered in order of first mention, exactly as rc.FromSPEF numbers
+// numbered in order of first mention, exactly as bind.New numbers
 // them, and a union-find over them that the resistors merge.
 type rcTopology struct {
 	names  []string

@@ -148,10 +148,10 @@ func (p Params) Metrics() waveform.GlitchMetrics {
 // Coupling summarizes one aggressor of a victim net.
 type Coupling struct {
 	Aggressor string // aggressor net name
-	// Agg is the aggressor in the bound netlist, resolved once by
-	// BuildContext so the engines index their per-net tables by its ID.
-	// Nil when the parasitics couple to a net the netlist does not have,
-	// and in hand-built contexts.
+	// Agg is the aggressor in the bound netlist, so the engines index their
+	// per-net tables by its ID. Nil when the parasitics couple to a net the
+	// netlist does not have — nothing is known of when it switches — and in
+	// hand-built contexts.
 	Agg     *netlist.Net
 	CoupleC float64 // total coupling capacitance to the victim, farads
 	// WireRes is the victim-side wire resistance from the victim driver
@@ -165,17 +165,14 @@ type Coupling struct {
 
 // Context is everything the analytical model needs about one victim net.
 type Context struct {
-	Victim    string
-	HoldRes   float64
-	VictimC   float64 // total cap incl. coupling
+	Victim  string
+	HoldRes float64
+	VictimC float64 // total cap incl. coupling
+	// Couplings are sorted by aggressor net name.
 	Couplings []Coupling
 	// Receivers are the victim's load connections (where glitches are
 	// checked against immunity curves).
 	Receivers []*netlist.Conn
-	// byAgg indexes Couplings by aggressor net name; BuildContext fills it
-	// so CouplingTo is a lookup instead of a scan (repair loops call it
-	// per victim-aggressor pair). Hand-built contexts may leave it nil.
-	byAgg map[string]int
 }
 
 // TotalCoupling sums coupling capacitance over all aggressors.
@@ -187,80 +184,48 @@ func (c *Context) TotalCoupling() float64 {
 	return s
 }
 
-// CouplingTo finds a coupling entry by aggressor net name.
+// CouplingTo finds a coupling entry by aggressor net name (repair loops
+// call it per victim-aggressor pair).
 func (c *Context) CouplingTo(net string) *Coupling {
-	if c.byAgg != nil {
-		if i, ok := c.byAgg[net]; ok {
-			return &c.Couplings[i]
-		}
-		return nil
-	}
-	for i := range c.Couplings {
-		if c.Couplings[i].Aggressor == net {
-			return &c.Couplings[i]
-		}
+	i := sort.Search(len(c.Couplings), func(i int) bool { return c.Couplings[i].Aggressor >= net })
+	if i < len(c.Couplings) && c.Couplings[i].Aggressor == net {
+		return &c.Couplings[i]
 	}
 	return nil
 }
 
-// BuildContext derives a victim's noise context from the bound design:
-// holding resistance from the driver cell, victim capacitance and coupling
-// groups from the RC network, wire resistances from the tree analysis.
+// BuildContext copies a victim's noise context out of the bound design:
+// holding resistance from the driver cell, victim capacitance and the
+// per-aggressor coupling groups (with their cap-weighted victim-side wire
+// resistance) from the parasitics database.
 func BuildContext(b *bind.Design, victim *netlist.Net) (*Context, error) {
-	nw := b.NetworkOf(victim)
 	a, err := b.AnalysisOf(victim)
 	if err != nil {
 		return nil, err
 	}
+	groups := b.Couplings(victim)
 	ctx := &Context{
 		Victim:    victim.Name,
 		HoldRes:   b.HoldRes(victim),
-		VictimC:   nw.TotalCap(),
+		VictimC:   a.TotalCap(),
+		Couplings: make([]Coupling, len(groups)),
 		Receivers: victim.Loads(),
 	}
-	// Group couplings by aggressor net with cap-weighted victim-side wire
-	// resistance and aggressor-side wire delay.
-	type accum struct {
-		c, rw float64
-	}
-	groups := make(map[string]*accum)
-	for _, x := range nw.CouplingsView() {
-		g := groups[x.OtherNet]
-		if g == nil {
-			g = &accum{}
-			groups[x.OtherNet] = g
+	for i, g := range groups {
+		cpl := &ctx.Couplings[i]
+		cpl.CoupleC, cpl.WireRes = g.C, g.WireRes
+		if g.Agg < 0 {
+			cpl.Aggressor = b.Stranger(victim, i)
+			continue
 		}
-		r, err := a.ResTo(x.Node)
-		if err != nil {
-			return nil, err
+		cpl.Agg = b.Net.NetByID(g.Agg)
+		cpl.Aggressor = cpl.Agg.Name
+		// Aggressor-side wire delay to its coupling site: the aggressor's
+		// max Elmore is a conservative bound, the exact node not being
+		// resolved on the aggressor network.
+		if aggA, err := b.AnalysisOf(cpl.Agg); err == nil {
+			cpl.AggWireDelay = aggA.MaxElmore()
 		}
-		g.c += x.F
-		g.rw += x.F * r
-	}
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		g := groups[n]
-		cpl := Coupling{Aggressor: n, Agg: b.Net.FindNet(n), CoupleC: g.c}
-		if g.c > 0 {
-			cpl.WireRes = g.rw / g.c
-		}
-		// Aggressor-side wire delay to its coupling site: use the
-		// aggressor's max Elmore as a conservative bound when the exact
-		// node isn't resolvable on the aggressor network.
-		if cpl.Agg != nil {
-			if aggA, err := b.AnalysisOf(cpl.Agg); err == nil {
-				cpl.AggWireDelay = aggA.MaxElmore()
-			}
-		}
-		ctx.Couplings = append(ctx.Couplings, cpl)
-	}
-	ctx.byAgg = make(map[string]int, len(ctx.Couplings))
-	for i := range ctx.Couplings {
-		ctx.byAgg[ctx.Couplings[i].Aggressor] = i
 	}
 	return ctx, nil
 }

@@ -417,3 +417,17 @@ func TestWidthMonotoneInSlew(t *testing.T) {
 		prev = w
 	}
 }
+
+// TestBuildContextAllocations: a context is a copy out of the parasitics
+// database — the Context and its Couplings, nothing per coupling.
+func TestBuildContextAllocations(t *testing.T) {
+	b := buildBusDesign(t)
+	v := b.Net.FindNet("v")
+	if n := testing.AllocsPerRun(100, func() {
+		if ctx, err := BuildContext(b, v); err != nil || len(ctx.Couplings) != 2 {
+			t.Fatalf("context %+v, error %v", ctx, err)
+		}
+	}); n > 2 {
+		t.Fatalf("BuildContext: %v allocations, want ≤ 2", n)
+	}
+}

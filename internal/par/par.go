@@ -27,6 +27,13 @@ const chunk = 64
 // write only state no other iteration touches. A cancelled context ends
 // the loop with ctx.Err() at the next chunk boundary.
 func For(ctx context.Context, n, workers, serialBelow int, fn func(i int) error) error {
+	return ForWorker(ctx, n, workers, serialBelow, func(_, i int) error { return fn(i) })
+}
+
+// ForWorker is For for iterations that reuse per-worker state (scratch
+// buffers): fn also learns which goroutine runs it, w in [0, max(workers,
+// 1)), and no two concurrent calls share a w. The serial loop is worker 0.
+func ForWorker(ctx context.Context, n, workers, serialBelow int, fn func(w, i int) error) error {
 	if workers <= 1 || n < serialBelow {
 		for i := 0; i < n; i++ {
 			if i%chunk == 0 {
@@ -34,7 +41,7 @@ func For(ctx context.Context, n, workers, serialBelow int, fn func(i int) error)
 					return err
 				}
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -52,7 +59,7 @@ func For(ctx context.Context, n, workers, serialBelow int, fn func(i int) error)
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for !failed.Load() {
 				c := int(next.Add(1)) - 1
@@ -61,14 +68,14 @@ func For(ctx context.Context, n, workers, serialBelow int, fn func(i int) error)
 				}
 				if errs[c] = ctx.Err(); errs[c] == nil {
 					for i, hi := c*chunk, min(n, (c+1)*chunk); i < hi && errs[c] == nil; i++ {
-						errs[c] = fn(i)
+						errs[c] = fn(w, i)
 					}
 				}
 				if errs[c] != nil {
 					failed.Store(true)
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -81,3 +81,21 @@ func TestForStopsOnCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestForWorkerNeverSharesAWorker: at any moment each worker index is in at
+// most one call, so state indexed by it needs no lock — also serially.
+func TestForWorkerNeverSharesAWorker(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 8} {
+		busy := make([]atomic.Int32, max(workers, 1))
+		err := ForWorker(context.Background(), 40*chunk, workers, 2, func(w, i int) error {
+			if busy[w].Add(1) != 1 {
+				return fmt.Errorf("worker %d ran two iterations at once", w)
+			}
+			defer busy[w].Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

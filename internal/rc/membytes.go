@@ -2,32 +2,13 @@ package rc
 
 import "unsafe"
 
-// MemBytes estimates the network's heap footprint in bytes: node name
-// strings, the resistor/capacitor arrays at capacity, the coupling
-// list including its partner-name strings, and the node index map when
-// the net outgrew linear scanning. Deterministic and allocation-free;
-// the design cache sums it across nets to price a bound design.
-func (n *Network) MemBytes() int64 {
-	const (
-		ptr       = int64(unsafe.Sizeof(uintptr(0)))
-		strHeader = int64(unsafe.Sizeof(""))
-	)
-	b := int64(unsafe.Sizeof(*n))
-	b += int64(cap(n.names)) * strHeader
-	for _, nm := range n.names {
-		b += int64(len(nm))
-	}
-	b += int64(cap(n.res)) * int64(unsafe.Sizeof(edge{}))
-	b += int64(cap(n.gcap)+cap(n.load)) * 8
-	b += int64(cap(n.coup)) * int64(unsafe.Sizeof(Coupling{}))
-	for _, c := range n.coup {
-		// Coupling node names usually alias n.names entries, but the
-		// partner-net strings are this network's only reference.
-		b += int64(len(c.OtherNet) + len(c.OtherNode))
-	}
-	if n.idx != nil {
-		// Key strings alias n.names; count headers plus bucket overhead.
-		b += int64(len(n.idx)) * (strHeader + 8 + 16)
-	}
-	return b
+// MemBytes returns the database's heap footprint in bytes — every array at
+// its capacity — in constant time. The design cache charges it as part of
+// a bound design.
+func (db *DB) MemBytes() int64 {
+	perNode := cap(db.gcap) + cap(db.load) + cap(db.elmore) + cap(db.m2) + cap(db.rpath)
+	perRes := 8*cap(db.ohms) + 4*(cap(db.resA)+cap(db.resB))
+	perCpl := 8*cap(db.cplF) + 4*(cap(db.cplNode)+cap(db.cplGroup))
+	return int64(unsafe.Sizeof(*db)) + int64(cap(db.nets))*int64(unsafe.Sizeof(Network{})) +
+		int64(8*perNode+perRes+perCpl) + int64(cap(db.groups))*int64(unsafe.Sizeof(Group{}))
 }

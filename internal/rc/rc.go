@@ -1,410 +1,112 @@
-// Package rc models per-net distributed RC networks and computes the
-// reduced quantities delay and noise analysis consume: Elmore delays,
-// second moments, path resistances, total and coupling capacitances, and
-// the O'Brien–Savarino π-model of the driving-point admittance.
+// Package rc is the parasitics database of a bound design: every net's
+// distributed RC tree in flat, pointer-free arrays, and the reduced
+// quantities delay and noise analysis consume — Elmore delays, second
+// moments, path resistances, total and coupling capacitances, the
+// couplings summed per partner net, and the O'Brien–Savarino π-model of
+// the driving-point admittance.
 //
-// A Network is built either programmatically or from a spef.Net via
-// FromSPEF. Analysis assumes the resistive topology is a tree rooted at the
-// driver node (the overwhelmingly common case for extracted signal nets);
-// Analyze reports an error for meshes.
+// A Builder names nodes and partner nets while it assembles one net and
+// commits it; in the database they are indexes. Reduction assumes the
+// resistive topology is a tree rooted at the driver node (the overwhelmingly
+// common case for extracted signal nets) and fails the net otherwise.
 package rc
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/spef"
 )
 
-// Coupling is a cross-coupling capacitor from a node of this net to a node
-// of another net.
-type Coupling struct {
-	Node      string  // node on this net
-	OtherNet  string  // the aggressor/victim partner net
-	OtherNode string  // node on the partner net
-	F         float64 // farads
+// DB holds the RC networks of every net of one design.
+type DB struct {
+	nets []Network // by net ID
+	// Per node, at Network.node0 + the node's index within its net.
+	gcap, load        []float64 // grounded wire cap, attached pin cap
+	elmore, m2, rpath []float64 // step-response moments, resistance from the root
+	// Per resistor, at Network.res0 + i; the ends are nodes within the net.
+	resA, resB []int32
+	ohms       []float64
+	// Per coupling capacitor, at Network.cpl0 + i: its node within the net,
+	// the group (of this net) it belongs to, and its farads.
+	cplNode, cplGroup []int32
+	cplF              []float64
+	groups            []Group // at Network.grp0 + i
 }
 
-type edge struct {
-	a, b int
-	ohms float64
+// Group is a net's coupling toward one partner net, summed over the
+// coupling capacitors between the two.
+type Group struct {
+	// Agg identifies the partner the way the builder numbers partners:
+	// bind stores the net ID, or -1 for a net the netlist does not have.
+	Agg     int32
+	C       float64 // total coupling capacitance, farads
+	WireRes float64 // cap-weighted resistance from this net's root to the coupling sites
 }
 
-// Network is one net's RC parasitics plus attached pin load capacitances.
+// Network is one net's record: where its share of the arrays lies, and the
+// scalars reduced from it. The capacitances are valid whether or not the
+// tree reduction succeeded; the rest only when it did.
 type Network struct {
-	Name  string
-	names []string
-	// idx maps node name to index, but only once the net outgrows
-	// linear scanning: extracted signal nets overwhelmingly have a
-	// handful of nodes, and at million-net scale one map per net is the
-	// dominant memory and allocation cost of the parasitics database.
-	idx  map[string]int
-	root int // -1 until set
-	res  []edge
-	gcap []float64 // grounded wire cap per node
-	load []float64 // attached pin load cap per node
-	coup []Coupling
+	node0, res0, cpl0, grp0 int32
+	nodes, ress, cpls, grps int32
+	reduced                 bool
+	ground, load, coupling  float64
+	maxElmore               float64
+	piNear, piR, piFar      float64
 }
 
-// smallNodes is the node count up to which lookup stays a linear scan.
-const smallNodes = 16
+// Sizes is what one net needs of the database.
+type Sizes struct{ Nodes, Ress, Cpls, Groups int }
 
-// NewNetwork returns an empty network.
-func NewNetwork(name string) *Network {
-	return &Network{Name: name, root: -1}
-}
-
-// lookup returns the index of a node name, scanning small nets and
-// consulting the map on large ones.
-func (n *Network) lookup(name string) (int, bool) {
-	if n.idx != nil {
-		i, ok := n.idx[name]
-		return i, ok
-	}
-	for i, nm := range n.names {
-		if nm == name {
-			return i, true
+// NewDB allocates the database for nets of the given sizes, by net ID.
+func NewDB(sizes []Sizes) (*DB, error) {
+	db := &DB{nets: make([]Network, len(sizes))}
+	var t Sizes
+	for i, s := range sizes {
+		db.nets[i] = Network{
+			node0: int32(t.Nodes), res0: int32(t.Ress), cpl0: int32(t.Cpls), grp0: int32(t.Groups),
+			nodes: int32(s.Nodes), ress: int32(s.Ress), cpls: int32(s.Cpls), grps: int32(s.Groups),
 		}
+		t.Nodes, t.Ress, t.Cpls, t.Groups = t.Nodes+s.Nodes, t.Ress+s.Ress, t.Cpls+s.Cpls, t.Groups+s.Groups
 	}
-	return 0, false
+	if max(t.Nodes, t.Ress, t.Cpls) > math.MaxInt32 {
+		return nil, fmt.Errorf("rc: parasitics of %d nodes, %d resistors and %d coupling capacitors exceed the database's 2^31 index range", t.Nodes, t.Ress, t.Cpls)
+	}
+	db.gcap, db.load = make([]float64, t.Nodes), make([]float64, t.Nodes)
+	db.elmore, db.m2, db.rpath = make([]float64, t.Nodes), make([]float64, t.Nodes), make([]float64, t.Nodes)
+	db.resA, db.resB, db.ohms = make([]int32, t.Ress), make([]int32, t.Ress), make([]float64, t.Ress)
+	db.cplNode, db.cplGroup, db.cplF = make([]int32, t.Cpls), make([]int32, t.Cpls), make([]float64, t.Cpls)
+	db.groups = make([]Group, t.Groups)
+	return db, nil
 }
 
-// Node interns a node name and returns its index.
-func (n *Network) Node(name string) int {
-	if i, ok := n.lookup(name); ok {
-		return i
-	}
-	i := len(n.names)
-	n.names = append(n.names, name)
-	n.gcap = append(n.gcap, 0)
-	n.load = append(n.load, 0)
-	if n.idx != nil {
-		n.idx[name] = i
-	} else if len(n.names) > smallNodes {
-		n.idx = make(map[string]int, 2*smallNodes)
-		for j, nm := range n.names {
-			n.idx[nm] = j
-		}
-	}
-	return i
-}
+// Net returns the record of net id.
+func (db *DB) Net(id int32) *Network { return &db.nets[id] }
 
-// HasNode reports whether the named node exists.
-func (n *Network) HasNode(name string) bool {
-	_, ok := n.lookup(name)
-	return ok
+// Groups returns net id's couplings per partner, in the builder's order.
+func (db *DB) Groups(id int32) []Group {
+	n := &db.nets[id]
+	return db.groups[n.grp0:][:n.grps]
 }
 
 // NumNodes returns the node count.
-func (n *Network) NumNodes() int { return len(n.names) }
+func (n *Network) NumNodes() int { return int(n.nodes) }
 
-// NodeNames returns the node names in index order.
-func (n *Network) NodeNames() []string { return append([]string(nil), n.names...) }
+// Reduced reports whether the tree reduction succeeded.
+func (n *Network) Reduced() bool { return n.reduced }
 
-// SetRoot marks the driver node. FromSPEF does this automatically from the
-// *CONN section.
-func (n *Network) SetRoot(name string) {
-	n.root = n.Node(name)
-}
-
-// Root returns the driver node name, or "" if unset.
-func (n *Network) Root() string {
-	if n.root < 0 {
-		return ""
-	}
-	return n.names[n.root]
-}
-
-// AddRes adds a resistor between two nodes (created on demand).
-func (n *Network) AddRes(a, b string, ohms float64) {
-	n.res = append(n.res, edge{a: n.Node(a), b: n.Node(b), ohms: ohms})
-}
-
-// AddCap adds grounded wire capacitance at a node.
-func (n *Network) AddCap(node string, f float64) {
-	n.gcap[n.Node(node)] += f
-}
-
-// AddLoadCap attaches pin load capacitance (a receiver input) at a node.
-// It is kept separate from wire cap so callers can re-bind libraries.
-func (n *Network) AddLoadCap(node string, f float64) {
-	n.load[n.Node(node)] += f
-}
-
-// AddCoupling adds a cross-coupling capacitor at a node.
-func (n *Network) AddCoupling(node, otherNet, otherNode string, f float64) {
-	n.Node(node)
-	n.coup = append(n.coup, Coupling{Node: node, OtherNet: otherNet, OtherNode: otherNode, F: f})
-}
-
-// Couplings returns a copy of the coupling capacitors. Hot paths should
-// use CouplingsView, which does not allocate.
-func (n *Network) Couplings() []Coupling { return append([]Coupling(nil), n.coup...) }
-
-// CouplingsView returns the coupling capacitors without copying. The
-// returned slice is owned by the Network and must not be mutated.
-func (n *Network) CouplingsView() []Coupling { return n.coup }
-
-// GroundCap returns total grounded wire capacitance.
-func (n *Network) GroundCap() float64 {
-	var s float64
-	for _, c := range n.gcap {
-		s += c
-	}
-	return s
-}
-
-// LoadCap returns total attached pin capacitance.
-func (n *Network) LoadCap() float64 {
-	var s float64
-	for _, c := range n.load {
-		s += c
-	}
-	return s
-}
-
-// CouplingCap returns total cross-coupling capacitance.
-func (n *Network) CouplingCap() float64 {
-	var s float64
-	for _, c := range n.coup {
-		s += c.F
-	}
-	return s
-}
-
-// CouplingTo returns the summed coupling capacitance toward one other net.
-// Partner counts per net are small, so this scans rather than caching a
-// per-net map.
-func (n *Network) CouplingTo(other string) float64 {
-	var s float64
-	for _, x := range n.coup {
-		if x.OtherNet == other {
-			s += x.F
-		}
-	}
-	return s
-}
+// Caps returns the net's total grounded wire, attached pin and
+// cross-coupling capacitance.
+func (n *Network) Caps() (ground, load, coupling float64) { return n.ground, n.load, n.coupling }
 
 // TotalCap is the capacitance a quiet victim's driver must hold: grounded
 // wire cap + pin loads + coupling caps (a switching-aggressor boundary
 // treats Cx as connected to a source, but for time-constant purposes the
 // conservative lumping includes it).
-func (n *Network) TotalCap() float64 {
-	return n.GroundCap() + n.LoadCap() + n.CouplingCap()
-}
-
-// capAt returns the effective grounded cap at node i including coupling
-// caps lumped to ground and pin loads.
-func (n *Network) capAt(i int) float64 {
-	c := n.gcap[i] + n.load[i]
-	for _, x := range n.coup {
-		if j, ok := n.lookup(x.Node); ok && j == i {
-			c += x.F
-		}
-	}
-	return c
-}
-
-// FromSPEF builds a Network from parsed SPEF, rooting it at the first
-// driver (*CONN direction O) entry. Connection nodes are created even when
-// no RC entry references them so single-segment nets still resolve.
-func FromSPEF(sn *spef.Net) (*Network, error) {
-	n := NewNetwork(sn.Name)
-	for _, c := range sn.Conns {
-		n.Node(c.Node)
-		if c.Dir == spef.DirOut && n.root < 0 {
-			n.SetRoot(c.Node)
-		}
-	}
-	for _, r := range sn.Ress {
-		n.AddRes(r.A, r.B, r.Ohms)
-	}
-	for _, c := range sn.Caps {
-		if c.Other == "" {
-			n.AddCap(c.Node, c.F)
-		} else {
-			n.AddCoupling(c.Node, spef.NetOfNode(c.Other), c.Other, c.F)
-		}
-	}
-	if n.root < 0 {
-		return nil, fmt.Errorf("rc: net %q has no driver connection", sn.Name)
-	}
-	return n, nil
-}
-
-// Analysis holds the tree-derived quantities for one network.
-type Analysis struct {
-	net *Network
-	// per node, by index:
-	elmore []float64 // first moment of the step response (Elmore delay)
-	m2     []float64 // second moment
-	rpath  []float64 // total resistance from root to node
-	ctotal float64
-}
-
-// Analyze orients the resistive tree from the root and computes Elmore
-// delays, second moments, and path resistances to every node. It errors if
-// the root is unset, the resistive graph is disconnected from the root, or
-// the topology is not a tree.
-func (n *Network) Analyze() (*Analysis, error) {
-	if n.root < 0 {
-		return nil, fmt.Errorf("rc: net %q: root not set", n.Name)
-	}
-	nn := len(n.names)
-	adj := make([][]edge, nn)
-	for _, e := range n.res {
-		if e.ohms < 0 {
-			return nil, fmt.Errorf("rc: net %q: negative resistance", n.Name)
-		}
-		adj[e.a] = append(adj[e.a], e)
-		adj[e.b] = append(adj[e.b], edge{a: e.b, b: e.a, ohms: e.ohms})
-	}
-	// BFS orientation from root.
-	parent := make([]int, nn)
-	parentR := make([]float64, nn)
-	order := make([]int, 0, nn)
-	seen := make([]bool, nn)
-	for i := range parent {
-		parent[i] = -1
-	}
-	queue := []int{n.root}
-	seen[n.root] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, e := range adj[u] {
-			v := e.b
-			if v == u {
-				continue
-			}
-			if seen[v] {
-				if v != parent[u] {
-					return nil, fmt.Errorf("rc: net %q: resistive loop involving node %q", n.Name, n.names[v])
-				}
-				continue
-			}
-			seen[v] = true
-			parent[v] = u
-			parentR[v] = e.ohms
-			queue = append(queue, v)
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			return nil, fmt.Errorf("rc: net %q: node %q unreachable from driver", n.Name, n.names[i])
-		}
-	}
-
-	a := &Analysis{net: n}
-	a.rpath = pathAccumulateConst(order, parent, parentR)
-	caps := make([]float64, nn)
-	for i := range caps {
-		caps[i] = n.capAt(i)
-		a.ctotal += caps[i]
-	}
-	a.elmore = pathAccumulate(order, parent, parentR, caps)
-	// Second moments reuse the same accumulation with weights C_j·m1_j.
-	w2 := make([]float64, nn)
-	for i := range w2 {
-		w2[i] = caps[i] * a.elmore[i]
-	}
-	a.m2 = pathAccumulate(order, parent, parentR, w2)
-	return a, nil
-}
-
-// pathAccumulate computes, for each node v,
-//
-//	val(v) = Σ_{edges e on path root→v} R_e · (Σ_{j in subtree below e} w_j)
-//
-// which is the Elmore form for w = node caps and the second-moment form for
-// w = C·m1. order must be a BFS/DFS order from the root (parents precede
-// children).
-func pathAccumulate(order, parent []int, parentR, w []float64) []float64 {
-	nn := len(order)
-	sub := append([]float64(nil), w...)
-	// Bottom-up subtree sums: reverse BFS order visits children first.
-	for i := nn - 1; i >= 1; i-- {
-		v := order[i]
-		sub[parent[v]] += sub[v]
-	}
-	val := make([]float64, nn)
-	for i := 1; i < nn; i++ {
-		v := order[i]
-		val[v] = val[parent[v]] + parentR[v]*sub[v]
-	}
-	return val
-}
-
-// pathAccumulateConst computes plain path resistance from root to each
-// node.
-func pathAccumulateConst(order, parent []int, parentR []float64) []float64 {
-	val := make([]float64, len(order))
-	for i := 1; i < len(order); i++ {
-		v := order[i]
-		val[v] = val[parent[v]] + parentR[v]
-	}
-	return val
-}
-
-// ElmoreTo returns the Elmore delay from the driver to the named node.
-func (a *Analysis) ElmoreTo(node string) (float64, error) {
-	i, ok := a.net.lookup(node)
-	if !ok {
-		return 0, fmt.Errorf("rc: net %q: unknown node %q", a.net.Name, node)
-	}
-	return a.elmore[i], nil
-}
-
-// M2To returns the second moment of the step response at the named node.
-func (a *Analysis) M2To(node string) (float64, error) {
-	i, ok := a.net.lookup(node)
-	if !ok {
-		return 0, fmt.Errorf("rc: net %q: unknown node %q", a.net.Name, node)
-	}
-	return a.m2[i], nil
-}
-
-// ResTo returns the path resistance from the driver to the named node.
-func (a *Analysis) ResTo(node string) (float64, error) {
-	i, ok := a.net.lookup(node)
-	if !ok {
-		return 0, fmt.Errorf("rc: net %q: unknown node %q", a.net.Name, node)
-	}
-	return a.rpath[i], nil
-}
-
-// TotalCap returns the total effective grounded capacitance seen in the
-// analysis (wire + load + lumped coupling).
-func (a *Analysis) TotalCap() float64 { return a.ctotal }
+func (n *Network) TotalCap() float64 { return n.ground + n.load + n.coupling }
 
 // MaxElmore returns the largest Elmore delay over all nodes — the
 // conservative wire-delay number for the net.
-func (a *Analysis) MaxElmore() float64 {
-	var best float64
-	for _, d := range a.elmore {
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// SlewDegradation estimates the additional output slew introduced by the
-// wire at a node using the PERI-style two-moment metric
-// sqrt(2·m2 − m1²)·ln(9) when the discriminant is positive, falling back to
-// the Elmore delay otherwise.
-func (a *Analysis) SlewDegradation(node string) (float64, error) {
-	i, ok := a.net.lookup(node)
-	if !ok {
-		return 0, fmt.Errorf("rc: net %q: unknown node %q", a.net.Name, node)
-	}
-	d := 2*a.m2[i] - a.elmore[i]*a.elmore[i]
-	if d <= 0 {
-		return a.elmore[i], nil
-	}
-	return math.Sqrt(d) * math.Log(9), nil
-}
+func (n *Network) MaxElmore() float64 { return n.maxElmore }
 
 // Pi returns the O'Brien–Savarino π-model (near cap, resistance, far cap)
 // of the driving-point admittance: the three-moment match
@@ -413,24 +115,50 @@ func (a *Analysis) SlewDegradation(node string) (float64, error) {
 //
 // with y1 = ΣC, y2 = −ΣC·m1, y3 = ΣC·m2. Degenerate nets (no resistance or
 // no capacitance) collapse to a single near capacitor.
-func (a *Analysis) Pi() (cnear, r, cfar float64) {
-	var y1, y2, y3 float64
-	for i := range a.elmore {
-		c := a.net.capAt(i)
-		y1 += c
-		y2 -= c * a.elmore[i]
-		y3 += c * a.m2[i]
+func (n *Network) Pi() (cnear, r, cfar float64) { return n.piNear, n.piR, n.piFar }
+
+// Analysis reads the tree-derived quantities of one successfully reduced
+// net; nodes are indexes within the net.
+type Analysis struct {
+	*Network
+	db *DB
+}
+
+// Analysis returns the reduced view of net id.
+func (db *DB) Analysis(id int32) Analysis { return Analysis{&db.nets[id], db} }
+
+// Elmore returns the Elmore delay from the driver to a node.
+func (a Analysis) Elmore(node int32) float64 { return a.db.elmore[a.node0+node] }
+
+// M2 returns the second moment of the step response at a node.
+func (a Analysis) M2(node int32) float64 { return a.db.m2[a.node0+node] }
+
+// Res returns the path resistance from the driver to a node.
+func (a Analysis) Res(node int32) float64 { return a.db.rpath[a.node0+node] }
+
+// SlewDegradation estimates the additional output slew introduced by the
+// wire at a node using the PERI-style two-moment metric
+// sqrt(2·m2 − m1²)·ln(9) when the discriminant is positive, falling back to
+// the Elmore delay otherwise.
+func (a Analysis) SlewDegradation(node int32) float64 {
+	m1 := a.Elmore(node)
+	d := 2*a.M2(node) - m1*m1
+	if d <= 0 {
+		return m1
 	}
-	if y2 == 0 || y3 == 0 {
-		return y1, 0, 0
+	return math.Sqrt(d) * math.Log(9)
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, 2*n)
 	}
-	cfar = y2 * y2 / y3
-	r = -y3 * y3 / (y2 * y2 * y2)
-	cnear = y1 - cfar
-	if cnear < 0 || r < 0 || cfar < 0 {
-		// Moment match went unphysical (can happen for exotic cap
-		// distributions); fall back to the lumped model.
-		return y1, 0, 0
+	return s[:n]
+}
+
+func sum(xs []float64) (s float64) {
+	for _, x := range xs {
+		s += x
 	}
-	return cnear, r, cfar
+	return s
 }

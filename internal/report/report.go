@@ -144,12 +144,25 @@ func Violations(w io.Writer, res *core.Result) {
 // the engine could not analyze, at what stage, and why. Degraded nets
 // carry conservative full-rail bounds, so the section is the signoff
 // reviewer's cue that those nets need a rerun or a waiver — a silent
-// fallback would read as a real full-rail violation.
+// fallback would read as a real full-rail violation. Nets that were
+// analyzed, but with an aggressor the netlist lacks taken to switch at any
+// time, are counted apart and listed in the same table.
 func Degradations(w io.Writer, diags []core.Diag) {
+	degraded := 0
+	for _, d := range diags {
+		if d.Degraded {
+			degraded++
+		}
+	}
+	if degraded > 0 {
+		fmt.Fprintf(w, "degraded nets: %d (conservative full-rail bounds substituted)\n", degraded)
+	}
+	if n := len(diags) - degraded; n > 0 {
+		fmt.Fprintf(w, "assumed nets: %d (analyzed against an aggressor of unknown timing)\n", n)
+	}
 	if len(diags) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "degraded nets: %d (conservative full-rail bounds substituted)\n", len(diags))
 	t := NewTable("", "net", "stage", "error")
 	for _, d := range diags {
 		msg := ""

@@ -200,8 +200,8 @@ func (s *Server) dropTokenDesign(token string) {
 
 // sharedDesign is one run token's referenced design-cache entry, shared
 // by every shard engine the token hosts on this worker. A bound design
-// is immutable after binding (levelization and RC-analysis caches are
-// internally guarded), so sharing it is safe; everything mutable —
+// is immutable after binding (the levelization cache is internally
+// guarded), so sharing it is safe; everything mutable —
 // timing annotation, padding, noise state — is private to each engine.
 // The token holds one cache reference, released when its last engine
 // drops (dropTokenDesign).

@@ -13,7 +13,7 @@ import (
 // token's shards on this host. spec is the init request's shipped design
 // (nil from a coordinator that expects the host to have its own). The
 // design may be shared by every engine of the token — a bound design is
-// immutable after binding apart from internally guarded caches — so a
+// immutable after binding apart from one internally guarded cache — so a
 // source should build it once per token; everything mutable (timing
 // annotation, padding, noise state) is private to each engine.
 type EngineSource func(ctx context.Context, token string, spec *DesignSpec) (*bind.Design, core.Options, error)

@@ -201,6 +201,7 @@ func Parse(r io.Reader) (*Parasitics, error) {
 		block      blockRec
 		collecting bool
 		lineNo     = 0
+		blockLines = 8
 	)
 	// flush parses the pending batch in parallel and commits the nets in
 	// file order.
@@ -214,8 +215,9 @@ func Parse(r io.Reader) (*Parasitics, error) {
 			nw = len(batch)
 		}
 		if nw <= 1 {
+			wm := newBlockMachine(m)
 			for i := range batch {
-				results[i] = parseBlock(batch[i], m.cScale, m.rScale, m.nameMap)
+				results[i] = wm.parseBlock(batch[i])
 			}
 		} else {
 			var wg sync.WaitGroup
@@ -223,8 +225,9 @@ func Parse(r io.Reader) (*Parasitics, error) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					wm := newBlockMachine(m)
 					for i := w; i < len(batch); i += nw {
-						results[i] = parseBlock(batch[i], m.cScale, m.rScale, m.nameMap)
+						results[i] = wm.parseBlock(batch[i])
 					}
 				}(w)
 			}
@@ -267,7 +270,7 @@ func Parse(r io.Reader) (*Parasitics, error) {
 				// on the live serial state.
 				block.global = true
 			case "*END":
-				collecting = false
+				collecting, blockLines = false, len(block.lines)
 				if block.global {
 					if err := flush(); err != nil {
 						return nil, err
@@ -289,7 +292,9 @@ func Parse(r io.Reader) (*Parasitics, error) {
 		}
 		if string(textio.FirstField(trim)) == "*D_NET" {
 			collecting = true
-			block = blockRec{lines: [][]byte{trim}, nos: []int{lineNo}}
+			// Sections of one file are much of a size: the last one's line
+			// count sizes this one's slices.
+			block = blockRec{lines: append(make([][]byte, 0, blockLines), trim), nos: append(make([]int, 0, blockLines), lineNo)}
 			continue
 		}
 		// Any other top-level line runs serially against live state; the
@@ -336,19 +341,42 @@ type blockResult struct {
 	err  error
 }
 
-// parseBlock runs one section through a private machine seeded with a
-// snapshot of the header state. The name map is shared read-only: map
-// mutations inside a section always error before writing.
-func parseBlock(b blockRec, cScale, rScale float64, nameMap map[string]string) blockResult {
-	wm := newMachine(new(Parasitics))
-	wm.cScale, wm.rScale = cScale, rScale
-	wm.nameMap = nameMap
-	var res blockResult
+// newBlockMachine returns a machine for the sections of one batch: it reads
+// a snapshot of live's header state, and shares the name map read-only (map
+// mutations inside a section always error before writing).
+func newBlockMachine(live *machine) *machine {
+	wm := &machine{p: new(Parasitics), cScale: live.cScale, rScale: live.rScale, nameMap: live.nameMap}
 	wm.onNet = func(n *Net, endLine int) error {
-		res.nets = append(res.nets, netAndLine{net: n, endLine: endLine})
+		wm.done = append(wm.done, netAndLine{net: n, endLine: endLine})
 		return nil
 	}
-	res.err = wm.runBlock(b)
+	return wm
+}
+
+// parseBlock runs one section, sizing the net's slices from the section
+// lines the block already collected.
+func (m *machine) parseBlock(b blockRec) blockResult {
+	m.cur, m.section, m.sized = nil, "", [3]int{}
+	sec := -1
+	for _, line := range b.lines {
+		switch string(textio.FirstField(line)) {
+		case "*CONN":
+			sec = 0
+		case "*CAP":
+			sec = 1
+		case "*RES":
+			sec = 2
+		case "*END", "*D_NET":
+			sec = -1
+		default:
+			if sec >= 0 {
+				m.sized[sec]++
+			}
+		}
+	}
+	err := m.runBlock(b)
+	res := blockResult{nets: m.done, err: err}
+	m.done = nil
 	return res
 }
 
@@ -363,6 +391,50 @@ type machine struct {
 	nameMap map[string]string
 	onNet   func(n *Net, endLine int) error
 	fields  [][]byte // reusable scratch
+	// Per section (parseBlock): the nets it finished, and how many *CONN,
+	// *CAP and *RES lines the one being read has.
+	done  []netAndLine
+	sized [3]int
+	// The node names minted for the current net: a node is named in *CONN,
+	// in *CAP and twice in *RES, and gets one string. index takes over
+	// from scanning names on a net with many nodes.
+	names []string
+	index map[string]string
+}
+
+// scanNames is the count of a net's node names up to which finding one is a
+// scan.
+const scanNames = 16
+
+// node returns the expanded name of a node token, the same string for
+// every mention of the node within one net (name-map references excepted).
+func (m *machine) node(tok []byte) string {
+	if len(tok) > 0 && tok[0] == '*' {
+		return m.expand(tok)
+	}
+	if len(m.names) <= scanNames {
+		for _, nm := range m.names {
+			if nm == string(tok) {
+				return nm
+			}
+		}
+	} else if nm, ok := m.index[string(tok)]; ok {
+		return nm
+	}
+	nm := string(tok)
+	m.names = append(m.names, nm)
+	if len(m.names) == scanNames+1 {
+		if m.index == nil {
+			m.index = make(map[string]string)
+		}
+		clear(m.index)
+		for _, old := range m.names {
+			m.index[old] = old
+		}
+	} else if len(m.names) > scanNames {
+		m.index[nm] = nm
+	}
+	return nm
 }
 
 func newMachine(p *Parasitics) *machine {
@@ -446,7 +518,16 @@ func (m *machine) step(line []byte, lineNo int) error {
 			return fail("negative total cap %g on net %q", tc, name)
 		}
 		m.cur = &Net{Name: name, TotalCap: tc * m.cScale}
-		m.section = ""
+		if n := m.sized[0]; n > 0 {
+			m.cur.Conns = make([]Conn, 0, n)
+		}
+		if n := m.sized[1]; n > 0 {
+			m.cur.Caps = make([]CapEntry, 0, n)
+		}
+		if n := m.sized[2]; n > 0 {
+			m.cur.Ress = make([]ResEntry, 0, n)
+		}
+		m.section, m.names = "", m.names[:0]
 	case "*CONN", "*CAP", "*RES":
 		if m.cur == nil {
 			return fail("%s outside *D_NET", f[0])
@@ -472,7 +553,7 @@ func (m *machine) step(line []byte, lineNo int) error {
 		if err != nil {
 			return fail("%v", err)
 		}
-		pin := m.expand(f[1])
+		pin := m.node(f[1])
 		m.cur.Conns = append(m.cur.Conns, Conn{
 			Pin:    pin,
 			IsPort: f[0][1] == 'P',
@@ -500,7 +581,7 @@ func (m *machine) step(line []byte, lineNo int) error {
 				if v < 0 {
 					return fail("negative cap %g at node %q", v, f[1])
 				}
-				m.cur.Caps = append(m.cur.Caps, CapEntry{Node: m.expand(f[1]), F: v * m.cScale})
+				m.cur.Caps = append(m.cur.Caps, CapEntry{Node: m.node(f[1]), F: v * m.cScale})
 			case 4: // idx node other cap
 				v, err := strconv.ParseFloat(string(f[3]), 64)
 				if err != nil {
@@ -509,7 +590,7 @@ func (m *machine) step(line []byte, lineNo int) error {
 				if v < 0 {
 					return fail("negative coupling cap %g at node %q", v, f[1])
 				}
-				m.cur.Caps = append(m.cur.Caps, CapEntry{Node: m.expand(f[1]), Other: m.expand(f[2]), F: v * m.cScale})
+				m.cur.Caps = append(m.cur.Caps, CapEntry{Node: m.node(f[1]), Other: m.expand(f[2]), F: v * m.cScale})
 			default:
 				return fail("bad *CAP entry")
 			}
@@ -524,7 +605,7 @@ func (m *machine) step(line []byte, lineNo int) error {
 			if v < 0 {
 				return fail("negative resistance %g between %q and %q", v, f[1], f[2])
 			}
-			m.cur.Ress = append(m.cur.Ress, ResEntry{A: m.expand(f[1]), B: m.expand(f[2]), Ohms: v * m.rScale})
+			m.cur.Ress = append(m.cur.Ress, ResEntry{A: m.node(f[1]), B: m.node(f[2]), Ohms: v * m.rScale})
 		default:
 			return fail("unexpected line %q", line)
 		}

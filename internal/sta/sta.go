@@ -453,17 +453,10 @@ func (res *Result) propagateNetToPins(net *netlist.Net) error {
 	if err != nil {
 		return err
 	}
-	nw := res.design.NetworkOf(net)
 	for _, lc := range net.Loads() {
-		node := bind.PinNode(lc)
 		var wd, sd float64
-		if nw.HasNode(node) {
-			if wd, err = a.ElmoreTo(node); err != nil {
-				return err
-			}
-			if sd, err = a.SlewDegradation(node); err != nil {
-				return err
-			}
+		if node := res.design.NodeOf(lc); node >= 0 {
+			wd, sd = a.Elmore(node), a.SlewDegradation(node)
 		}
 		t := &Timing{
 			Rise:     src.Rise.ShiftRange(wd*res.early, wd*res.late),

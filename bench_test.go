@@ -16,6 +16,7 @@ import (
 	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/interval"
 	"repro/internal/liberty"
 	"repro/internal/lint"
 	"repro/internal/load"
@@ -316,6 +317,56 @@ func BenchmarkAnalyzeFabric(b *testing.B) {
 		if _, err := core.Analyze(bd, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAnalyzeHotFabric is the engine's share of batch_deep, alone: the
+// hot 300 × 32 fabric (10 200 nets, ≈ 29 000 couplings, ≈ 1 300 propagated
+// glitches) through one session — timing, preparation, the propagation
+// fixpoint, the violation sweep and the delta-delay pass — with sna's two
+// workers. allocs/op over 10 200 is the ledger's core.allocs_per_net.
+func BenchmarkAnalyzeHotFabric(b *testing.B) {
+	g, err := workload.Fabric(workload.FabricSpec{
+		Width: 300, Levels: 32, CouplingDensity: 3, CoupleC: 12 * units.Femto,
+		GroundC: 4 * units.Femto, SegRes: 60, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bd, err := g.Bind(liberty.Generic())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.Options{Mode: core.ModeNoiseWindows, FailSoft: true, Workers: 2, STA: g.STAOptions()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := core.NewSession(context.Background(), bd, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := s.Noise().Stats; n.Propagated == 0 || len(s.Delay().Impacts) == 0 {
+			b.Fatalf("%d propagated glitches, %d delay impacts: the fabric is not hot", n.Propagated, len(s.Delay().Impacts))
+		}
+	}
+}
+
+// BenchmarkSetShiftUnion is the window algebra as timing uses it: a
+// single-window set shifted by a delay range and merged into an
+// accumulator, the pair of operations sta.evalInst makes per arc and edge.
+// 0 allocs/op: the set is a value.
+func BenchmarkSetShiftUnion(b *testing.B) {
+	in := interval.SetOf(100*units.Pico, 180*units.Pico)
+	var out interval.Set
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := float64(i&7) * units.Pico
+		out = out.Union(in.ShiftRange(d, d+20*units.Pico))
+		if i&63 == 63 {
+			out = interval.Set{}
+		}
+	}
+	if out.Len() > 1 {
+		b.Fatalf("overlapping shifts did not merge: %v", out)
 	}
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -19,10 +20,15 @@ import (
 //     function later sorts that slice (sort.*/slices.* call naming it);
 //   - writing output directly (Print/Fprint/Write/Encode/AddRow/
 //     WriteString-style callee names);
-//   - sending on a channel.
+//   - sending on a channel;
+//   - accumulating into a float declared outside the loop (+=, -=, *=, /=,
+//     or x = x + ...): float arithmetic is not associative, so the total's
+//     last bits follow the iteration order, and a total that is printed or
+//     compared differs from run to run (core.Result.TotalNoise gave ten
+//     bit patterns in fifty calls on one result).
 //
-// Iterations that only fill other maps, sum counters, or collect keys that
-// are sorted before use are order-safe and not reported. Intentional
+// Iterations that only fill other maps, count in integers, or collect keys
+// that are sorted before use are order-safe and not reported. Intentional
 // unordered iteration is waived with `//snavet:ordered <reason>` — the key
 // names the claim ("this is order-safe") rather than the analyzer.
 var MapDeterm = &Analyzer{
@@ -75,6 +81,7 @@ func checkMapRange(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt) {
 			return true
 		case *ast.AssignStmt:
 			checkAppendSink(pass, fd, rng, s)
+			checkFloatSink(pass, rng, s)
 			return true
 		case *ast.CallExpr:
 			name := calleeName(s)
@@ -129,6 +136,34 @@ func checkAppendSink(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, assign *a
 			"map iteration order flows into %s via append and %s is never sorted in %s: sort it (or the keys) before it becomes output",
 			obj.Name(), obj.Name(), fd.Name.Name)
 	}
+}
+
+// checkFloatSink flags an order-sensitive update of a float declared
+// outside the map range: a compound assignment, or x = <expression using x>.
+func checkFloatSink(pass *Pass, rng *ast.RangeStmt, assign *ast.AssignStmt) {
+	if len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
+		return
+	}
+	lhs := assign.Lhs[0]
+	if b, ok := pass.TypesInfo.TypeOf(lhs).Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return
+	}
+	obj := rootObject(pass, lhs)
+	if obj == nil || declaredWithin(pass, obj, rng) {
+		return
+	}
+	switch assign.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	case token.ASSIGN:
+		if _, arith := ast.Unparen(assign.Rhs[0]).(*ast.BinaryExpr); !arith || !usesAny(pass, assign.Rhs[0], []types.Object{obj}) {
+			return
+		}
+	default:
+		return
+	}
+	pass.Reportf(assign.Pos(),
+		"map iteration order decides the rounding of %s: a float accumulated inside a map range differs in its last bits from run to run — accumulate over sorted keys",
+		obj.Name())
 }
 
 // rootObject resolves the base identifier of a (possibly selected)

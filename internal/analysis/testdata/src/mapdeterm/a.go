@@ -63,6 +63,50 @@ func counters(m map[string]int) (int, map[string]bool) {
 	return n, seen
 }
 
+// floatTotal sums floats in map order, three ways: reported. The integer
+// count beside them is exact in any order: clean.
+type tally struct{ total float64 }
+
+func floatTotal(m map[string]float64, t *tally) (float64, float64, int) {
+	var sum, scaled float64
+	n := 0
+	for _, v := range m {
+		sum += v                // want `map iteration order decides the rounding of sum`
+		scaled = scaled*0.5 + v // want `map iteration order decides the rounding of scaled`
+		t.total -= v            // want `map iteration order decides the rounding of total`
+		n++
+	}
+	return sum, scaled, n
+}
+
+// floatMax keeps a running maximum, which no order changes, and a float
+// local to the body: clean.
+func floatMax(m map[string]float64) float64 {
+	worst := 0.0
+	for _, v := range m {
+		half := 0.0
+		half += v / 2
+		if half > worst {
+			worst = half
+		}
+	}
+	return worst
+}
+
+// sortedFloatTotal sums over sorted keys: clean.
+func sortedFloatTotal(m map[string]float64) float64 {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sum float64
+	for _, k := range keys {
+		sum += m[k]
+	}
+	return sum
+}
+
 // sliceRange iterates a slice, not a map: clean.
 func sliceRange(xs []string) []string {
 	var rows []string

@@ -1,14 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bind"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/noise"
+	"repro/internal/par"
 	"repro/internal/sta"
 	"repro/internal/units"
 )
@@ -156,9 +155,10 @@ type analyzer struct {
 	// allocations and lookups on the fixpoint hot path.
 	ctxs []*noise.Context
 	// coupled events are timing-dependent but iteration-invariant within
-	// a round. A nil entry means the victim is not prepared (shards
-	// prepare only the nets they own).
-	coupled    []*[2][]Event
+	// a round. prepared marks the victims that have them (shards prepare
+	// only the nets they own).
+	coupled    [][2][]Event
+	prepared   bitset
 	prepCounts []prepCount
 	// stale marks the victims whose next evaluation can differ from their
 	// last: an input of it — the coupled events, a fanin's committed
@@ -188,14 +188,18 @@ type analyzer struct {
 	// records why. Both are written serially (commit or fixpoint loop).
 	degraded []bool
 	diags    []Diag
-	// Reusable buffers: the serial-path combiner scratch, per-worker
-	// combiner scratch for parallel waves, and the wave work/result
-	// arrays (todo also serves the re-prepare and delay passes).
-	scratch  combiner
-	wscratch []combiner
+	// Reusable buffers: one scratch per worker (the serial paths are
+	// worker 0) for prepare, evaluate and delay, and the work/result arrays
+	// of a parallel wave (todo also serves the re-prepare and delay passes).
+	scratch  []scratch
 	todo     []int
 	results  []netEval
 	evalErrs []error
+	// receivers lists what the violation sweep needs of each victim's
+	// checked receivers, receivers[rcvOff[pos]:rcvOff[pos+1]]; the first
+	// sweep builds it.
+	receivers []receiver
+	rcvOff    []int32
 	// propSrc is each net's propagated-event source string, by net ID.
 	propSrc []string
 	// The aggressor index, built on the first padding update: the prepared
@@ -240,9 +244,10 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 	a.order = victimOrderOf(b)
 	a.indexOrder()
 	n := len(a.order)
-	a.stale, a.delayStale = make(bitset, (n+63)/64), make(bitset, (n+63)/64)
+	a.stale, a.delayStale, a.prepared = make(bitset, (n+63)/64), make(bitset, (n+63)/64), make(bitset, (n+63)/64)
+	a.scratch = make([]scratch, max(opts.Workers, 1))
 	a.ctxs = make([]*noise.Context, n)
-	a.coupled = make([]*[2][]Event, n)
+	a.coupled = make([][2][]Event, n)
 	a.prepCounts = make([]prepCount, n)
 	a.propCount = make([]int, n)
 	a.degraded = make([]bool, n)
@@ -271,7 +276,7 @@ func orderIndex(nets int, order []*netlist.Net) (posByID, sortedPos []int32) {
 	for i, net := range order {
 		posByID[net.ID()], sortedPos[i] = int32(i), int32(i)
 	}
-	sort.Slice(sortedPos, func(i, j int) bool { return order[sortedPos[i]].Name < order[sortedPos[j]].Name })
+	slices.SortFunc(sortedPos, func(a, b int32) int { return strings.Compare(order[a].Name, order[b].Name) })
 	return posByID, sortedPos
 }
 
@@ -296,12 +301,11 @@ func (a *analyzer) newResult() *Result {
 		Mode: a.opts.Mode,
 		Nets: make(map[string]*NetNoise, len(a.order)),
 		STA:  a.staRes,
-		byID: make([]*NetNoise, a.b.Net.NumNets()),
+		slab: make([]NetNoise, len(a.order)),
 	}
-	for _, net := range a.order {
-		nn := &NetNoise{Net: net.Name}
-		res.Nets[net.Name] = nn
-		res.byID[net.ID()] = nn
+	for pos, net := range a.order {
+		res.slab[pos].Net = net.Name
+		res.Nets[net.Name] = &res.slab[pos]
 	}
 	return res
 }
@@ -321,13 +325,28 @@ func (a *analyzer) finishNoise(res *Result) {
 	res.Diags = append(res.Diags[:0], a.diags...)
 }
 
+// scratch is one worker's buffers for the three per-victim phases. Nothing
+// in it survives the victim it was filled for.
+type scratch struct {
+	cb combiner
+	// events stages a victim's coupled events (prepare) or its propagated
+	// ones (evaluate) until their count is known.
+	events [2][]Event
+	// The delay pass's query: weighted window pieces, the opposing event
+	// each belongs to, and the scan line's buffers.
+	items []interval.Weighted
+	idx   []int
+	scan  interval.Scan
+}
+
 // safePrepare prepares one victim — a first preparation builds its noise
 // context, a later one (an iterative round) only rebuilds the coupled events
 // from the cached context — with panics converted into errors, so one
 // malformed victim (a corrupt RC tree, an unphysical parameter, an injected
 // fault) surfaces as a per-net failure instead of crashing the whole engine.
-// A degraded victim yields nil: its full-rail fallback stands.
-func (a *analyzer) safePrepare(pos int) (p *preparedNet, err error) {
+// A degraded victim yields the zero preparedNet: its full-rail fallback
+// stands.
+func (a *analyzer) safePrepare(pos int, sc *scratch) (p preparedNet, err error) {
 	net := a.order[pos]
 	defer func() {
 		if r := recover(); r != nil {
@@ -336,16 +355,19 @@ func (a *analyzer) safePrepare(pos int) (p *preparedNet, err error) {
 	}()
 	if h := a.opts.PrepareHook; h != nil {
 		if err := h(net.Name); err != nil {
-			return nil, err
+			return p, err
 		}
 	}
 	if a.degraded[pos] {
-		return nil, nil
+		return p, nil
 	}
-	if nctx := a.ctxs[pos]; nctx != nil {
-		return a.prepareEvents(net, nctx)
+	nctx := a.ctxs[pos]
+	if nctx == nil {
+		if nctx, err = noise.BuildContext(a.b, net); err != nil {
+			return p, err
+		}
 	}
-	return a.prepareNet(net)
+	return a.prepareEvents(pos, nctx, sc)
 }
 
 // prepareAll prepares the victims at the given positions (ascending),
@@ -355,76 +377,37 @@ func (a *analyzer) safePrepare(pos int) (p *preparedNet, err error) {
 // degrades that net, under fail-fast it stops the remaining workers promptly
 // so an early error on a huge design does not keep preparing doomed work.
 func (a *analyzer) prepareAll(ctx context.Context, todo []int) error {
-	workers := a.opts.Workers
-	if workers <= 1 || len(todo) < 2 {
-		for _, pos := range todo {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			p, err := a.safePrepare(pos)
-			if err := a.commitPrepared(pos, p, err); err != nil {
-				return err
-			}
+	preps, errs := make([]preparedNet, len(todo)), make([]error, len(todo))
+	// Fail-soft keeps the other victims coming; fail-fast returns the error
+	// and par stops handing out work. Every victim before the lowest failure
+	// has been prepared either way.
+	err := par.ForWorker(ctx, len(todo), a.opts.Workers, 2, func(w, i int) error {
+		if err := ctx.Err(); err != nil { // per victim, not per chunk: one victim can be slow
+			return err
 		}
-		return nil
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	prepared := make([]*preparedNet, len(todo))
-	errs := make([]error, len(todo))
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	var next int64 = -1
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(todo) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				prepared[i], errs[i] = a.safePrepare(todo[i])
-				// Fail-soft keeps the other victims coming; fail-fast
-				// drains the queue so the run aborts promptly.
-				if errs[i] != nil && !a.opts.FailSoft {
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
+		preps[i], errs[i] = a.safePrepare(todo[i], &a.scratch[w])
+		if a.opts.FailSoft {
+			return nil
+		}
+		return errs[i]
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
 	}
 	// Commit serially in victim order so stats and diagnostics are
-	// deterministic regardless of worker scheduling.
+	// deterministic regardless of worker scheduling; a fail-fast error comes
+	// back out of its own victim's commit, after the commits before it.
 	for i, pos := range todo {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if errs[i] == nil && prepared[i] == nil && !a.degraded[pos] {
-			// Only reachable when a fail-fast stop drained the queue, and
-			// then the error has already returned from an earlier commit.
-			return fmt.Errorf("core: net %s was not prepared", a.order[pos].Name)
-		}
-		if err := a.commitPrepared(pos, prepared[i], errs[i]); err != nil {
-			return err
+		if cerr := a.commitPrepared(pos, &preps[i], errs[i]); cerr != nil {
+			return cerr
 		}
 	}
-	return nil
+	return err
 }
 
 // degradedWidth is the glitch width assumed for the full-rail fallback: a
@@ -465,7 +448,7 @@ func (a *analyzer) degradeNet(pos int, stage string, err error) {
 	a.diags = append(a.diags, Diag{Net: a.order[pos].Name, Stage: stage, Err: err, Degraded: true})
 	e := a.fullRailEvent()
 	a.ctxs[pos] = nil
-	a.setCoupled(pos, &[2][]Event{{e}, {e}})
+	a.setCoupled(pos, [2][]Event{{e}, {e}})
 }
 
 // noteStrangers records, once per victim, the aggressors of a freshly built
@@ -486,26 +469,30 @@ func (a *analyzer) noteStrangers(pos int, nctx *noise.Context) {
 
 // setCoupled installs a victim's coupled events; both passes must look at
 // the victim again.
-func (a *analyzer) setCoupled(pos int, events *[2][]Event) {
+func (a *analyzer) setCoupled(pos int, events [2][]Event) {
 	a.coupled[pos] = events
+	a.prepared.set(pos)
 	a.stale.set(pos)
 	a.delayStale.set(pos)
 }
 
-// preparedNet is the output of the per-victim preparation stage.
+// preparedNet is the output of the per-victim preparation stage; the zero
+// value is a victim that was skipped (degraded).
 type preparedNet struct {
-	ctx      *noise.Context
-	events   [2][]Event
-	pairs    int
-	filtered int
+	ctx *noise.Context
+	// events are the victim's coupled events in storage of their own: the
+	// slices it already had when moved is false.
+	events [2][]Event
+	moved  bool
+	counts prepCount
 }
 
 // commitPrepared stores one victim's preparation into the analyzer state
 // (serially, so shared slices and stats need no locks): a failure degrades
-// the victim or, fail-fast, is returned; nil (a degraded victim, skipped)
-// commits nothing. Re-committing a victim in a later iterative round
-// replaces its statistics contribution, and leaves it clean when the rebuilt
-// events are the ones it already had.
+// the victim or, fail-fast, is returned; a skipped victim commits nothing.
+// Re-committing a victim in a later iterative round replaces its statistics
+// contribution, and leaves it clean when the rebuilt events are the ones it
+// already had.
 func (a *analyzer) commitPrepared(pos int, p *preparedNet, err error) error {
 	if err != nil {
 		if !a.opts.FailSoft {
@@ -514,20 +501,20 @@ func (a *analyzer) commitPrepared(pos int, p *preparedNet, err error) error {
 		a.degradeNet(pos, StagePrepare, err)
 		return nil
 	}
-	if p == nil {
+	if p.ctx == nil {
 		return nil
 	}
 	if a.ctxs[pos] == nil {
 		a.noteStrangers(pos, p.ctx)
 	}
 	a.ctxs[pos] = p.ctx
-	if old := a.coupled[pos]; old == nil || !slices.Equal(old[KindLow], p.events[KindLow]) || !slices.Equal(old[KindHigh], p.events[KindHigh]) {
-		a.setCoupled(pos, &p.events)
+	if p.moved {
+		a.setCoupled(pos, p.events)
 	}
 	old := a.prepCounts[pos]
-	a.stats.AggressorPairs += p.pairs - old.pairs
-	a.stats.Filtered += p.filtered - old.filtered
-	a.prepCounts[pos] = prepCount{pairs: p.pairs, filtered: p.filtered}
+	a.stats.AggressorPairs += p.counts.pairs - old.pairs
+	a.stats.Filtered += p.counts.filtered - old.filtered
+	a.prepCounts[pos] = p.counts
 	return nil
 }
 
@@ -618,17 +605,11 @@ func (a *analyzer) runFixpoint(ctx context.Context, res *Result) error {
 // differs at all from what it replaced: that, not the tolerance test, is
 // what a reader of the combination elsewhere (another shard) must be sent.
 func (a *analyzer) evalWave(ctx context.Context, res *Result, w Wave, moved *[]WaveUpdate) (bool, error) {
-	todo := a.todo[:0]
-	if !w.Serial && a.opts.Workers > 1 {
-		todo = a.stale.appendRange(todo, w.Lo, w.Hi)
-	}
-	a.todo = todo
-	workers := min(a.opts.Workers, len(todo))
-	if workers <= 1 {
+	changed := false
+	if w.Serial || a.opts.Workers <= 1 {
 		// The bit is tested as the walk reaches each net, not up front: in
 		// the feedback wave a commit can make a later net of the same wave
 		// stale, and Gauss–Seidel evaluates it in this pass.
-		changed := false
 		for oi := w.Lo; oi < w.Hi; oi++ {
 			if (oi-w.Lo)&0x3f == 0 {
 				if err := ctx.Err(); err != nil {
@@ -638,9 +619,8 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w Wave, moved *[]W
 			if !a.stale.has(oi) {
 				continue
 			}
-			net := a.order[oi]
-			nn := res.byID[net.ID()]
-			ev, err := a.evalNet(oi, net, nn, res, &a.scratch)
+			net, nn := a.order[oi], &res.slab[oi]
+			ev, err := a.evalNet(oi, net, nn, res, &a.scratch[0])
 			c, cerr := a.commitEval(oi, net, nn, ev, err, moved)
 			if cerr != nil {
 				return changed, cerr
@@ -650,80 +630,43 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w Wave, moved *[]W
 		return changed, nil
 	}
 
-	if len(a.wscratch) < workers {
-		a.wscratch = make([]combiner, workers)
-	}
+	todo := a.stale.appendRange(a.todo[:0], w.Lo, w.Hi)
+	a.todo = todo
 	if cap(a.results) < len(todo) {
 		a.results = make([]netEval, len(todo))
 		a.evalErrs = make([]error, len(todo))
 	}
-	results := a.results[:len(todo)]
-	errs := a.evalErrs[:len(todo)]
-	for i := range results {
-		results[i] = netEval{}
-		errs[i] = nil
+	results, errs := a.results[:len(todo)], a.evalErrs[:len(todo)]
+	clear(results)
+	clear(errs)
+	// Fail-soft keeps the other nets coming; fail-fast hands the error to
+	// par, which stops giving out work. Either way every net before the
+	// lowest failure has been evaluated, and the commit of that one is
+	// where the loop below ends.
+	err := par.ForWorker(ctx, len(todo), a.opts.Workers, 2, func(wk, i int) error {
+		oi := todo[i]
+		results[i], errs[i] = a.evalNet(oi, a.order[oi], &res.slab[oi], res, &a.scratch[wk])
+		if a.opts.FailSoft {
+			return nil
+		}
+		return errs[i]
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return false, cerr
 	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	var next int64 = -1
-	for wk := 0; wk < workers; wk++ {
-		cb := &a.wscratch[wk]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(todo) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				oi := todo[i]
-				net := a.order[oi]
-				results[i], errs[i] = a.evalNet(oi, net, res.byID[net.ID()], res, cb)
-				if errs[i] != nil && !a.opts.FailSoft {
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	changed := false
 	for i, oi := range todo {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
 				return changed, err
 			}
 		}
-		net := a.order[oi]
-		if errs[i] == nil && !results[i].done {
-			// Only reachable when a fail-fast stop drained the queue;
-			// every item before the stopping error is claimed and
-			// completed, so the recorded error is ahead of us.
-			for j := i; j < len(todo); j++ {
-				if errs[j] != nil {
-					return changed, errs[j]
-				}
-			}
-			return changed, fmt.Errorf("core: net %s was not evaluated", net.Name)
-		}
-		c, cerr := a.commitEval(oi, net, res.byID[net.ID()], results[i], errs[i], moved)
+		c, cerr := a.commitEval(oi, a.order[oi], &res.slab[oi], results[i], errs[i], moved)
 		if cerr != nil {
 			return changed, cerr
 		}
 		changed = changed || c
 	}
-	return changed, nil
+	return changed, err
 }
 
 // netEval is one victim's freshly computed pass state, produced by evalNet
@@ -739,9 +682,6 @@ type netEval struct {
 	// pin marks a degraded net that has not yet received its fallback
 	// combination; skip marks one that has (inert).
 	pin, skip bool
-	// done distinguishes a computed evaluation from a zero value left by
-	// a drained worker queue.
-	done bool
 }
 
 // evalNet recomputes one net's event list and windowed combination for
@@ -750,13 +690,12 @@ type netEval struct {
 // own record, owned by its worker during a parallel wave) and reads other
 // nets' committed combinations from strictly earlier waves; all shared
 // analyzer state it touches is immutable during a wave.
-func (a *analyzer) evalNet(oi int, net *netlist.Net, nn *NetNoise, res *Result, cb *combiner) (ev netEval, err error) {
+func (a *analyzer) evalNet(oi int, net *netlist.Net, nn *NetNoise, res *Result, sc *scratch) (ev netEval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: panic evaluating net %s: %v", net.Name, r)
 		}
 	}()
-	ev.done = true
 	if a.degraded[oi] {
 		// Pin the fallback once (a prepare-stage degradation reaches the
 		// fixpoint loop before any combination was stored); afterwards the
@@ -768,9 +707,9 @@ func (a *analyzer) evalNet(oi int, net *netlist.Net, nn *NetNoise, res *Result, 
 		}
 		return ev, nil
 	}
-	ev.propagated = a.buildEvents(oi, net, nn, res)
+	ev.propagated = a.buildEvents(oi, net, nn, res, sc)
 	for _, k := range Kinds {
-		ev.comb[k] = cb.combineConstrained(nn.Events[k], a.vdd, a.conflictFunc(nn.Events[k], k), a.occupancy())
+		ev.comb[k] = sc.cb.combineConstrained(nn.Events[k], a.vdd, a.conflictFunc(nn.Events[k], k), a.occupancy(), &nn.Comb[k])
 	}
 	ev.changed = !combEqual(ev.comb[KindLow], nn.Comb[KindLow], 1e-7) ||
 		!combEqual(ev.comb[KindHigh], nn.Comb[KindHigh], 1e-7)
@@ -809,7 +748,7 @@ func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval
 	}
 	if ev.pin {
 		fallback := a.fullRailComb()
-		nn.Events = *a.coupled[oi]
+		nn.Events = a.coupled[oi]
 		nn.Comb = [2]Combined{fallback, fallback}
 		a.setPropCount(oi, 0)
 		ev.changed, ev.moved = true, true
@@ -843,7 +782,7 @@ func (a *analyzer) markReaders(net *netlist.Net) {
 			continue
 		}
 		for _, oc := range lc.Inst.Outputs() {
-			if p := a.posByID[oc.Net.ID()]; p >= 0 && a.coupled[p] != nil {
+			if p := a.posByID[oc.Net.ID()]; p >= 0 && a.prepared.has(int(p)) {
 				a.stale.set(int(p))
 			}
 		}
@@ -894,40 +833,27 @@ func victimOrderOf(b *bind.Design) []*netlist.Net {
 		}
 		out = append(out, n)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		li, lj := netLevel(out[i]), netLevel(out[j])
-		if li != lj {
-			return li < lj
+	slices.SortStableFunc(out, func(x, y *netlist.Net) int {
+		if c := cmp.Compare(netLevel(x), netLevel(y)); c != 0 {
+			return c
 		}
-		return out[i].Name < out[j].Name
+		return strings.Compare(x.Name, y.Name)
 	})
 	return out
 }
 
-// prepareNet builds the noise context and the coupled (plus virtual)
-// events for one victim. It only reads shared state, so prepareAll may run
-// it concurrently for different victims.
-func (a *analyzer) prepareNet(net *netlist.Net) (*preparedNet, error) {
-	ctx, err := noise.BuildContext(a.b, net)
-	if err != nil {
-		return nil, err
-	}
-	return a.prepareEvents(net, ctx)
-}
-
 // prepareEvents derives the coupled (plus virtual) events for one victim
-// from an existing noise context. The context is RC-derived and timing
-// independent, so iterative rounds reuse it and only re-derive the events
-// (which depend on the aggressors' switching windows).
-func (a *analyzer) prepareEvents(net *netlist.Net, ctx *noise.Context) (*preparedNet, error) {
+// from its noise context. The context is RC-derived and timing independent,
+// so iterative rounds reuse it and only re-derive the events (which depend
+// on the aggressors' switching windows). It only reads shared state and
+// writes only the victim's own event storage, so prepareAll may run it
+// concurrently for different victims.
+func (a *analyzer) prepareEvents(pos int, ctx *noise.Context, sc *scratch) (preparedNet, error) {
 	kept, dropped := ctx.Filter(a.opts.FilterThreshold)
-	out := &preparedNet{
-		ctx:      ctx,
-		pairs:    len(ctx.Couplings),
-		filtered: len(ctx.Couplings) - len(kept),
-	}
+	out := preparedNet{ctx: ctx, counts: prepCount{pairs: len(ctx.Couplings), filtered: len(ctx.Couplings) - len(kept)}}
 
-	var events [2][]Event
+	events := &sc.events
+	events[KindLow], events[KindHigh] = events[KindLow][:0], events[KindHigh][:0]
 	for i := range kept {
 		cpl := &kept[i]
 		aggT := a.staRes.TimingOf(cpl.Agg)
@@ -957,7 +883,7 @@ func (a *analyzer) prepareEvents(net *netlist.Net, ctx *noise.Context) (*prepare
 			}
 			p := ctx.ParamsFor(cpl, slew, a.vdd)
 			if err := p.Validate(); err != nil {
-				return nil, fmt.Errorf("core: net %s aggressor %s: %w", net.Name, cpl.Aggressor, err)
+				return out, fmt.Errorf("core: net %s aggressor %s: %w", a.order[pos].Name, cpl.Aggressor, err)
 			}
 			peak, width := p.Peak(), p.Width()
 			if peak <= 0 {
@@ -965,19 +891,16 @@ func (a *analyzer) prepareEvents(net *netlist.Net, ctx *noise.Context) (*prepare
 			}
 			// One event per disjoint switching opportunity. The shift
 			// and widening can make neighbouring fragments overlap, so
-			// the shifted windows are re-normalized into a Set first —
-			// its members never overlap, so at any alignment instant at
-			// most one event contributes and the aggressor is never
+			// the shifted windows are re-normalized as a Set — its
+			// members never overlap, so at any alignment instant at most
+			// one event contributes and the aggressor is never
 			// double-counted.
-			shifted := make([]interval.Window, 0, winSet.Len())
-			for _, win := range winSet.Windows() {
-				shifted = append(shifted, a.eventWindow(win, cpl.AggWireDelay, slew))
-			}
-			for _, win := range interval.NewSet(shifted...).Windows() {
+			noiseWins := a.eventWindows(winSet, cpl.AggWireDelay, slew)
+			for wi := 0; wi < noiseWins.Len(); wi++ {
 				events[k] = append(events[k], Event{
 					Peak:   peak,
 					Width:  width,
-					Window: win,
+					Window: noiseWins.At(wi),
 					Source: cpl.Aggressor,
 				})
 			}
@@ -1002,45 +925,62 @@ func (a *analyzer) prepareEvents(net *netlist.Net, ctx *noise.Context) (*prepare
 			}
 		}
 	}
-	out.events = events
+	old := a.coupled[pos]
+	out.events = old
+	if !a.prepared.has(pos) || !slices.Equal(old[KindLow], events[KindLow]) || !slices.Equal(old[KindHigh], events[KindHigh]) {
+		out.events, out.moved = storeEvents(old, *events, [2][]Event{}), true
+	}
 	return out, nil
 }
 
-// eventWindow turns an aggressor switching window into the glitch's noise
-// window: the edge reaches the coupling site after the aggressor wire
+// storeEvents makes each of dst's two lists head's followed by tail's, in
+// dst's own storage when both fit, else in one new exact-sized array (a
+// list is at full capacity, so one kind cannot grow into the other's).
+func storeEvents(dst, head, tail [2][]Event) [2][]Event {
+	nLow, nHigh := len(head[KindLow])+len(tail[KindLow]), len(head[KindHigh])+len(tail[KindHigh])
+	if cap(dst[KindLow]) < nLow || cap(dst[KindHigh]) < nHigh {
+		buf := make([]Event, nLow+nHigh)
+		dst[KindLow], dst[KindHigh] = buf[:0:nLow], buf[nLow:nLow]
+	}
+	for _, k := range Kinds {
+		dst[k] = append(append(dst[k][:0], head[k]...), tail[k]...)
+	}
+	return dst
+}
+
+// eventWindows turns an aggressor's switching windows into its glitch's
+// noise windows: the edge reaches the coupling site after the aggressor wire
 // delay and the peak lands at the end of the edge (up to one slew later).
 // Waveform extent around the peak is the combination policy's concern
 // (Options.Occupancy), not the window's.
-func (a *analyzer) eventWindow(aggWin interval.Window, wireDelay, slew float64) interval.Window {
-	if aggWin.IsInfinite() {
-		return aggWin
+func (a *analyzer) eventWindows(aggWins interval.Set, wireDelay, slew float64) interval.Set {
+	if aggWins.IsInfinite() {
+		return aggWins
 	}
-	return aggWin.ShiftRange(wireDelay, wireDelay+slew)
+	return aggWins.ShiftRange(wireDelay, wireDelay+slew)
 }
 
 // buildEvents assembles the full event list for a net in the current
 // iteration into nn.Events, reusing its backing arrays: cached coupled
 // events plus freshly derived propagated events. It returns the number of
 // propagated events built.
-func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Result) int {
-	events := &nn.Events
-	events[KindLow] = events[KindLow][:0]
-	events[KindHigh] = events[KindHigh][:0]
-	if c := a.coupled[oi]; c != nil {
-		events[KindLow] = append(events[KindLow], c[KindLow]...)
-		events[KindHigh] = append(events[KindHigh], c[KindHigh]...)
-	}
-	if a.opts.NoPropagation {
-		return 0
-	}
-	drv := net.Driver()
-	if drv == nil || drv.Inst == nil {
-		return 0
-	}
-	cell := a.b.Cell(drv.Inst)
-	load := a.b.NetworkOf(net).TotalCap()
+func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Result, sc *scratch) int {
+	prop := &sc.events
+	prop[KindLow], prop[KindHigh] = prop[KindLow][:0], prop[KindHigh][:0]
 	propagated := 0
-	for _, arc := range cell.ArcsTo(drv.Pin) {
+	if drv := net.Driver(); !a.opts.NoPropagation && drv != nil && drv.Inst != nil {
+		propagated = a.propagatedEvents(drv, a.b.NetworkOf(net).TotalCap(), res, prop)
+	}
+	nn.Events = storeEvents(nn.Events, a.coupled[oi], *prop)
+	return propagated
+}
+
+// propagatedEvents appends to out the glitches that the committed
+// combinations of the driving instance's input nets put on its output, and
+// returns how many.
+func (a *analyzer) propagatedEvents(drv *netlist.Conn, load float64, res *Result, out *[2][]Event) int {
+	propagated := 0
+	for _, arc := range a.b.Cell(drv.Inst).ArcsTo(drv.Pin) {
 		if arc.Transfer == nil {
 			continue // cell blocks noise through this arc
 		}
@@ -1048,12 +988,13 @@ func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Resu
 		if ic == nil {
 			continue
 		}
-		inNoise := res.byID[ic.Net.ID()]
-		if inNoise == nil {
+		ip := a.posByID[ic.Net.ID()]
+		if ip < 0 {
 			continue
 		}
+		inNoise := &res.slab[ip]
 		for _, inKind := range Kinds {
-			comb := inNoise.Comb[inKind]
+			comb := &inNoise.Comb[inKind]
 			if comb.Peak <= 0 {
 				continue
 			}
@@ -1075,9 +1016,10 @@ func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Resu
 				// propagated noise: it may appear any time.
 				win = interval.Infinite()
 			}
-			for _, outKind := range propagateKind(arc.Unate, inKind) {
+			kinds, n := propagateKind(arc.Unate, inKind)
+			for _, outKind := range kinds[:n] {
 				propagated++
-				events[outKind] = append(events[outKind], Event{
+				out[outKind] = append(out[outKind], Event{
 					Peak:   outPeak,
 					Width:  outWidth,
 					Window: win,
@@ -1090,20 +1032,21 @@ func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Resu
 }
 
 // propagateKind maps a glitch's victim-state kind through an arc's
-// unateness. An upward glitch on a low input of an inverter (negative
-// unate) appears as a downward glitch on its high output, and so on.
-func propagateKind(u liberty.Unateness, in Kind) []Kind {
+// unateness: the kinds it appears as at the output, and how many. An upward
+// glitch on a low input of an inverter (negative unate) appears as a
+// downward glitch on its high output, and so on.
+func propagateKind(u liberty.Unateness, in Kind) ([2]Kind, int) {
 	other := KindHigh
 	if in == KindHigh {
 		other = KindLow
 	}
 	switch u {
 	case liberty.PositiveUnate:
-		return []Kind{in}
+		return [2]Kind{in}, 1
 	case liberty.NegativeUnate:
-		return []Kind{other}
+		return [2]Kind{other}, 1
 	default:
-		return []Kind{in, other}
+		return [2]Kind{in, other}, 2
 	}
 }
 
@@ -1116,6 +1059,34 @@ func (a *analyzer) checkViolations(res *Result) {
 	SortSlacks(res.Slacks)
 }
 
+// receiver is what the violation sweep needs of one checked load pin of a
+// victim: its name, built once, and its immunity curve.
+type receiver struct {
+	name  string
+	curve *liberty.ImmunityCurve
+}
+
+// indexReceivers builds the receiver table on the first sweep: the load
+// pins that have an immunity curve, victim by victim. Every victim that
+// will ever have a noise context has it by then (preparation comes first; a
+// later degradation only takes contexts away).
+func (a *analyzer) indexReceivers() {
+	a.rcvOff = make([]int32, len(a.order)+1)
+	for pos, ctx := range a.ctxs {
+		for i := 0; ctx != nil && i < len(ctx.Receivers); i++ {
+			rcv := ctx.Receivers[i]
+			var pin *liberty.Pin
+			if rcv.Inst != nil {
+				pin = a.b.Cell(rcv.Inst).Pin(rcv.Pin)
+			}
+			if curve := a.b.Lib.Immunity(pin); curve != nil {
+				a.receivers = append(a.receivers, receiver{name: rcv.Name(), curve: curve})
+			}
+		}
+		a.rcvOff[pos+1] = int32(len(a.receivers))
+	}
+}
+
 // gatherChecks runs the immunity sweep and appends violations and slacks in
 // canonical order — alphabetical net, then the net's receiver order, then
 // kind — without the final slack sort. The sort comparators are not total
@@ -1124,35 +1095,37 @@ func (a *analyzer) checkViolations(res *Result) {
 // sequence; the shard collector returns it so the coordinator can rebuild
 // the identical sequence before applying the identical sort.
 func (a *analyzer) gatherChecks(res *Result) {
+	if a.rcvOff == nil {
+		a.indexReceivers()
+	}
+	// Exactly one slack per receiver per noisy state of its victim.
+	slacks := 0
+	for oi, ctx := range a.ctxs {
+		for _, k := range Kinds {
+			if ctx != nil && res.slab[oi].Comb[k].Peak > 0 {
+				slacks += int(a.rcvOff[oi+1] - a.rcvOff[oi])
+			}
+		}
+	}
 	res.Violations = res.Violations[:0]
-	res.Slacks = res.Slacks[:0]
+	res.Slacks = slices.Grow(res.Slacks[:0], slacks)
 	for _, oi := range a.sortedPos {
-		net := a.order[oi]
-		netName := net.Name
-		nn := res.byID[net.ID()]
-		ctx := a.ctxs[oi]
-		if ctx == nil {
+		if a.ctxs[oi] == nil {
 			continue
 		}
-		for _, rcv := range ctx.Receivers {
-			var pin *liberty.Pin
-			if rcv.Inst != nil {
-				pin = a.b.Cell(rcv.Inst).Pin(rcv.Pin)
-			}
-			curve := a.b.Lib.Immunity(pin)
-			if curve == nil {
-				continue
-			}
+		netName := a.order[oi].Name
+		nn := &res.slab[oi]
+		for _, rcv := range a.receivers[a.rcvOff[oi]:a.rcvOff[oi+1]] {
 			for _, k := range Kinds {
-				comb := nn.Comb[k]
+				comb := &nn.Comb[k]
 				if comb.Peak <= 0 {
 					continue
 				}
-				limit := curve.MaxPeak(comb.Width)
+				limit := rcv.curve.MaxPeak(comb.Width)
 				slack := limit - comb.Peak
 				res.Slacks = append(res.Slacks, ReceiverSlack{
 					Net:      netName,
-					Receiver: rcv.Name(),
+					Receiver: rcv.name,
 					Kind:     k,
 					Peak:     comb.Peak,
 					Limit:    limit,
@@ -1161,7 +1134,7 @@ func (a *analyzer) gatherChecks(res *Result) {
 				if slack < 0 {
 					res.Violations = append(res.Violations, Violation{
 						Net:      netName,
-						Receiver: rcv.Name(),
+						Receiver: rcv.name,
 						Kind:     k,
 						Peak:     comb.Peak,
 						Width:    comb.Width,
@@ -1176,27 +1149,29 @@ func (a *analyzer) gatherChecks(res *Result) {
 	}
 }
 
+// bySlackThenNet is the violation and slack order: tightest first, then net.
+// It is not total — see gatherChecks for what the rest of the order rests on.
+func bySlackThenNet(slackA, slackB float64, netA, netB string) int {
+	if slackA != slackB {
+		if slackA < slackB {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(netA, netB)
+}
+
 // SortViolations orders violations by slack (tightest first), then net —
 // the exact order checkViolations has always produced. Exported so the
 // shard coordinator applies the identical sort to the identical canonical
 // sequence, keeping distributed reports byte-identical to single-process
 // ones.
 func SortViolations(v []Violation) {
-	sort.Slice(v, func(i, j int) bool {
-		if v[i].Slack != v[j].Slack {
-			return v[i].Slack < v[j].Slack
-		}
-		return v[i].Net < v[j].Net
-	})
+	slices.SortFunc(v, func(a, b Violation) int { return bySlackThenNet(a.Slack, b.Slack, a.Net, b.Net) })
 }
 
 // SortSlacks orders receiver slacks tightest first, then by net; see
 // SortViolations for why it is exported.
 func SortSlacks(s []ReceiverSlack) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Slack != s[j].Slack {
-			return s[i].Slack < s[j].Slack
-		}
-		return s[i].Net < s[j].Net
-	})
+	slices.SortFunc(s, func(a, b ReceiverSlack) int { return bySlackThenNet(a.Slack, b.Slack, a.Net, b.Net) })
 }

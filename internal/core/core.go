@@ -31,7 +31,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/interval"
 	"repro/internal/sta"
@@ -138,7 +139,9 @@ type Combined struct {
 	// Members lists the sources that align to produce Peak.
 	Members []string
 	// MemberEvents holds the aligned events themselves, for waveform
-	// reconstruction.
+	// reconstruction. Both lists of an analyzer's result are that result's
+	// own storage, rewritten in place when the net is next evaluated: copy
+	// what must outlive a Reanalyze.
 	MemberEvents []Event
 }
 
@@ -217,12 +220,13 @@ type Result struct {
 	Diags []Diag
 	// STA is the timing annotation used (switching windows, slews).
 	STA *sta.Result
-	// byID indexes the analyzed nets' records by netlist ID for the
-	// engine's hot loops. Only results built by an analyzer carry it;
+	// slab holds the analyzed nets' records, by evaluation-order position:
+	// what the engine's hot loops index, and what Nets — the name index at
+	// the edge — points into. Only results built by an analyzer carry it;
 	// merged shard results leave it nil and are never fed back into
 	// engine loops. evals is the analyzer's evaluation count when the
 	// result was last finished.
-	byID  []*NetNoise
+	slab  []NetNoise
 	evals int
 }
 
@@ -236,11 +240,18 @@ func (r *Result) Evals() int { return r.evals }
 func (r *Result) NoiseOf(net string) *NetNoise { return r.Nets[net] }
 
 // TotalNoise sums every net's worst combined peak — the aggregate
-// pessimism metric the experiments track across modes.
+// pessimism metric the experiments track across modes — in net-name order:
+// a float sum depends on its order, and this one is the same for every
+// call, every worker count and a result merged from shards.
 func (r *Result) TotalNoise() float64 {
+	names := make([]string, 0, len(r.Nets))
+	for name := range r.Nets {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 	var s float64
-	for _, n := range r.Nets {
-		s += n.WorstPeak()
+	for _, name := range names {
+		s += r.Nets[name].WorstPeak()
 	}
 	return s
 }
@@ -309,7 +320,7 @@ func (o Occupancy) String() string {
 
 // combine runs the windowed combination with the default (tent) occupancy.
 func combine(events []Event, vdd float64) Combined {
-	return combineConstrained(events, vdd, nil, OccupancyTent)
+	return new(combiner).combineConstrained(events, vdd, nil, OccupancyTent, nil)
 }
 
 // combiner holds the scratch buffers one combination query needs, so the
@@ -321,7 +332,51 @@ type combiner struct {
 	weights    []float64
 	active     []int
 	members    []int
-	seen       map[string]bool
+	bySource   []int32
+	scan       interval.Scan
+	// names and events are the unused tail of the chunks this combiner
+	// carves member lists from. A chunk lives as long as a result refers
+	// to it; the combiner only ever holds the newest one.
+	names  []string
+	events []Event
+}
+
+// memberChunk is how many member slots a combiner allocates at a time.
+const memberChunk = 512
+
+// memberLists returns storage for a combination of n members: prev's own
+// lists when they are big enough — a victim's slot is rewritten in place,
+// so evaluating the same victims round after round holds what the first
+// round held — else a fresh piece of the chunk.
+func (cb *combiner) memberLists(prev *Combined, n int) ([]string, []Event) {
+	if prev != nil && cap(prev.Members) >= n && cap(prev.MemberEvents) >= n {
+		return prev.Members[:n], prev.MemberEvents[:n]
+	}
+	if len(cb.names) < n {
+		cb.names, cb.events = make([]string, max(n, memberChunk)), make([]Event, max(n, memberChunk))
+	}
+	names, events := cb.names[:n:n], cb.events[:n:n]
+	cb.names, cb.events = cb.names[n:], cb.events[n:]
+	return names, events
+}
+
+// hasDuplicateSource reports whether two of the events share a source.
+func (cb *combiner) hasDuplicateSource(events []Event) bool {
+	if len(events) < 2 {
+		return false
+	}
+	order := cb.bySource[:0]
+	for i := range events {
+		order = append(order, int32(i))
+	}
+	cb.bySource = order
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(events[a].Source, events[b].Source) })
+	for i := 1; i < len(order); i++ {
+		if events[order[i-1]].Source == events[order[i]].Source {
+			return true
+		}
+	}
+	return false
 }
 
 // contribution returns how much of event e's peak can appear at instant t
@@ -367,13 +422,10 @@ func contribution(e *Event, t float64, occ Occupancy) float64 {
 // maximum lies at a breakpoint: a window edge, or a window edge offset by
 // the event's (half-)width. Each candidate instant is evaluated exactly;
 // with exclusions the best conflict-free subset at each instant comes from
-// an exact branch-and-bound independent-set query.
-func combineConstrained(events []Event, vdd float64, conflict func(i, j int) bool, occ Occupancy) Combined {
-	var cb combiner
-	return cb.combineConstrained(events, vdd, conflict, occ)
-}
-
-func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict func(i, j int) bool, occ Occupancy) Combined {
+// an exact branch-and-bound independent-set query. The result's member
+// lists go where memberLists puts them (prev: the combination this one
+// replaces, or nil).
+func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict func(i, j int) bool, occ Occupancy, prev *Combined) Combined {
 	if len(events) == 0 {
 		return Combined{At: math.NaN(), Window: interval.Empty()}
 	}
@@ -412,22 +464,8 @@ func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict fun
 	// arcs — are mutually exclusive and must never sum. Under the peak
 	// policy their disjoint windows make that automatic; tails make it
 	// explicit.
-	dupSources := false
-	if cb.seen == nil {
-		cb.seen = make(map[string]bool, len(events))
-	} else {
-		clear(cb.seen)
-	}
-	seen := cb.seen
-	for i := range events {
-		if seen[events[i].Source] {
-			dupSources = true
-			break
-		}
-		seen[events[i].Source] = true
-	}
 	fullConflict := conflict
-	if dupSources {
+	if cb.hasDuplicateSource(events) {
 		fullConflict = func(i, j int) bool {
 			if events[i].Source == events[j].Source {
 				return true
@@ -463,7 +501,7 @@ func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict fun
 			}
 			members = active
 		} else {
-			sum, members = interval.MaxWeightIndependentSet(weights, active, fullConflict)
+			sum, members = cb.scan.MaxWeightIndependentSet(weights, active, fullConflict)
 		}
 		if sum > bestSum {
 			bestSum = sum
@@ -475,12 +513,8 @@ func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict fun
 	if math.IsNaN(bestAt) || bestSum <= 0 {
 		return Combined{At: math.NaN(), Window: interval.Empty()}
 	}
-	out := Combined{
-		Peak:         math.Min(bestSum, vdd),
-		At:           bestAt,
-		Members:      make([]string, len(bestMembers)),
-		MemberEvents: make([]Event, len(bestMembers)),
-	}
+	out := Combined{Peak: math.Min(bestSum, vdd), At: bestAt}
+	out.Members, out.MemberEvents = cb.memberLists(prev, len(bestMembers))
 	win := interval.Infinite()
 	containing := 0
 	for i, idx := range bestMembers {
@@ -501,13 +535,13 @@ func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict fun
 		win = interval.Point(bestAt)
 	}
 	if len(out.Members) > 1 {
-		sort.Strings(out.Members)
+		slices.Sort(out.Members)
 	}
 	out.Window = win
 	return out
 }
 
-// eventsApproxEqualPeak reports whether two combined results agree on peak
+// combEqual reports whether two combined results agree on peak and width
 // within tolerance — the fixpoint test for the propagation iteration.
 func combEqual(a, b Combined, tol float64) bool {
 	return math.Abs(a.Peak-b.Peak) <= tol && math.Abs(a.Width-b.Width) <= tol+units.Pico/1000

@@ -379,6 +379,10 @@ func TestCombineHelperEdgeCases(t *testing.T) {
 }
 
 func TestPropagateKindMapping(t *testing.T) {
+	propagateKind := func(u liberty.Unateness, in Kind) []Kind {
+		kinds, n := propagateKind(u, in)
+		return kinds[:n]
+	}
 	if got := propagateKind(liberty.PositiveUnate, KindLow); len(got) != 1 || got[0] != KindLow {
 		t.Fatalf("pos/low = %v", got)
 	}

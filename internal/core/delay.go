@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/bind"
 	"repro/internal/interval"
@@ -134,9 +135,9 @@ func (a *analyzer) delayPass(ctx context.Context) error {
 	todo := a.delayStale.appendRange(a.todo[:0], 0, len(a.order))
 	a.todo = todo
 	errs := make([]error, len(todo))
-	err := par.For(ctx, len(todo), a.opts.Workers, delayParallelBelow, func(i int) error {
+	err := par.ForWorker(ctx, len(todo), a.opts.Workers, delayParallelBelow, func(w, i int) error {
 		ni := todo[i]
-		a.impacts[ni], errs[i] = a.safeDelayNet(ni, a.order[ni], a.impacts[ni][:0])
+		a.impacts[ni], errs[i] = a.safeDelayNet(ni, a.order[ni], a.impacts[ni][:0], &a.scratch[w])
 		if a.opts.FailSoft {
 			return nil
 		}
@@ -177,14 +178,19 @@ func (a *analyzer) assembleDelay() *DelayResult {
 // one impact per edge — so sorting a merged multi-shard impact list yields
 // exactly the single-process order. Exported for the shard coordinator.
 func SortImpacts(ims []DelayImpact) {
-	sort.Slice(ims, func(i, j int) bool {
-		if ims[i].Delta != ims[j].Delta {
-			return ims[i].Delta > ims[j].Delta
+	slices.SortFunc(ims, func(a, b DelayImpact) int {
+		switch {
+		case a.Delta != b.Delta:
+			if a.Delta > b.Delta {
+				return -1
+			}
+			return 1
+		case a.Net != b.Net:
+			return strings.Compare(a.Net, b.Net)
+		case a.Rise && !b.Rise:
+			return -1
 		}
-		if ims[i].Net != ims[j].Net {
-			return ims[i].Net < ims[j].Net
-		}
-		return ims[i].Rise && !ims[j].Rise
+		return 0
 	})
 }
 
@@ -193,22 +199,19 @@ func SortImpacts(ims []DelayImpact) {
 // (typically the net's previous slice, truncated) and returns it; on a
 // panic the impacts appended so far survive, matching the historical
 // partial-append behaviour.
-func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact) (out []DelayImpact, err error) {
+func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact, sc *scratch) (out []DelayImpact, err error) {
 	out = ims
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: panic in delay analysis of net %s: %v", net.Name, r)
 		}
 	}()
-	events := a.coupled[ni]
-	if events == nil {
+	if !a.prepared.has(ni) {
 		return out, nil
 	}
+	events := &a.coupled[ni]
 	vt := a.staRes.TimingOf(net)
-	// Per-call scratch: victims run concurrently.
-	var items []interval.Weighted
-	var idx []int
-	for _, rise := range []bool{true, false} {
+	for _, rise := range [2]bool{true, false} {
 		vw := vt.Window(rise)
 		if vw.IsEmpty() {
 			continue
@@ -222,29 +225,30 @@ func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact) (ou
 		if len(opposing) == 0 {
 			continue
 		}
-		items, idx = items[:0], idx[:0]
+		sc.items, sc.idx = sc.items[:0], sc.idx[:0]
 		for i, e := range opposing {
 			if e.Peak <= 0 {
 				continue
 			}
 			if a.opts.Mode == ModeAllAggressors {
-				items = append(items, interval.Weighted{W: e.Window, Weight: e.Peak})
-				idx = append(idx, i)
+				sc.items = append(sc.items, interval.Weighted{W: e.Window, Weight: e.Peak})
+				sc.idx = append(sc.idx, i)
 				continue
 			}
 			// Clip the glitch window against every phase of the
 			// victim's switching set; disjoint pieces cannot both
 			// contain an alignment instant, so the aggressor is
 			// never double-counted.
-			for _, piece := range vw.IntersectWindow(e.Window).Windows() {
-				items = append(items, interval.Weighted{W: piece, Weight: e.Peak})
-				idx = append(idx, i)
+			pieces := vw.IntersectWindow(e.Window)
+			for pi := 0; pi < pieces.Len(); pi++ {
+				sc.items = append(sc.items, interval.Weighted{W: pieces.At(pi), Weight: e.Peak})
+				sc.idx = append(sc.idx, i)
 			}
 		}
-		if len(items) == 0 {
+		if len(sc.items) == 0 {
 			continue
 		}
-		comb := interval.MaxOverlapSum(items)
+		comb := sc.scan.MaxOverlapSum(sc.items)
 		if comb.Sum <= 0 || math.IsNaN(comb.At) {
 			continue
 		}
@@ -262,10 +266,14 @@ func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact) (ou
 			Delta:        s * noisePeak / a.vdd,
 			At:           comb.At,
 		}
-		for _, ci := range comb.Members {
-			im.Members = append(im.Members, opposing[idx[ci]].Source)
+		im.Members = make([]string, len(comb.Members))
+		for mi, ci := range comb.Members {
+			im.Members[mi] = opposing[sc.idx[ci]].Source
 		}
-		sort.Strings(im.Members)
+		slices.Sort(im.Members)
+		if out == nil {
+			out = make([]DelayImpact, 0, 2) // one per edge
+		}
 		out = append(out, im)
 	}
 	return out, nil

@@ -27,7 +27,7 @@ func (e everything) DelayImpacts(ctx context.Context, passes int, converged bool
 
 func (a *analyzer) markPrepared(s bitset) {
 	for pos := range a.order {
-		if a.coupled[pos] != nil {
+		if a.prepared.has(pos) {
 			s.set(pos)
 		}
 	}

@@ -71,7 +71,7 @@ func (a *analyzer) applyPadding(ctx context.Context, changed []string) error {
 				return err
 			}
 		}
-		if p := a.posByID[id]; p >= 0 && a.coupled[p] != nil {
+		if p := a.posByID[id]; p >= 0 && a.prepared.has(int(p)) {
 			a.delayStale.set(int(p))
 		}
 		for _, v := range a.aggVictims[a.aggOff[id]:a.aggOff[id+1]] {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -398,4 +399,36 @@ func TestIterateFixtureEvaluations(t *testing.T) {
 		t.Errorf("%d evaluations by pass %v, want at most 9000 and all in first passes", got, rec.PassEvals)
 	}
 	t.Logf("evaluations by pass: %v", rec.PassEvals)
+}
+
+// TestTotalNoiseIsOneNumber: the total is a float sum, so it has an order,
+// and the order is the nets' names — not Go's map order, which on this
+// fabric gave ten different bit patterns in fifty calls on one result. Every
+// call, every worker count and a result merged from four shards agree bit
+// for bit.
+func TestTotalNoiseIsOneNumber(t *testing.T) {
+	c := oracleCase{name: "total", mk: func() (*workload.Generated, error) { return hotFabric(40, 8) }}
+	b, opts := bindCase(t, c)
+	serial, _ := runLocal(t, c, b, opts, 0, false)
+	want := serial.Noise.TotalNoise()
+	if want <= 0 {
+		t.Fatal("the fixture is quiet")
+	}
+	for call := 0; call < 50; call++ {
+		if got := serial.Noise.TotalNoise(); got != want {
+			t.Fatalf("call %d on one result: %x, the first call gave %x", call, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	fanned, _ := runLocal(t, c, b, opts, 4, false)
+	if got := fanned.Noise.TotalNoise(); got != want {
+		t.Errorf("workers=4: %x, serial %x", math.Float64bits(got), math.Float64bits(want))
+	}
+	workers := []shard.Worker{shard.NewInProc("w0", func(context.Context) (*bind.Design, error) { return b, nil }, opts)}
+	sharded, err := shard.Run(context.Background(), shard.Config{B: b, Opts: opts, Workers: workers, Shards: 4, Token: c.name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sharded.Noise.TotalNoise(); got != want {
+		t.Errorf("4 shards: %x, serial %x", math.Float64bits(got), math.Float64bits(want))
+	}
 }

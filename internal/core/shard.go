@@ -256,7 +256,7 @@ func (e *ShardEngine) SetComb(pos int32, comb [2]Combined) error {
 		return fmt.Errorf("core: shard net position %d outside [0, %d)", pos, len(e.a.order))
 	}
 	net := e.a.order[pos]
-	nn := e.res.byID[net.ID()]
+	nn := &e.res.slab[pos]
 	if combMoved(comb[KindLow], nn.Comb[KindLow]) || combMoved(comb[KindHigh], nn.Comb[KindHigh]) {
 		e.a.markReaders(net)
 	}
@@ -340,7 +340,7 @@ func (e *ShardEngine) Collect(ctx context.Context) (*ShardCollect, error) {
 				return nil, err
 			}
 		}
-		out.Nets = append(out.Nets, e.res.byID[e.a.order[pos].ID()])
+		out.Nets = append(out.Nets, &e.res.slab[pos])
 	}
 	out.Violations = append(out.Violations, e.res.Violations...)
 	out.Slacks = append(out.Slacks, e.res.Slacks...)

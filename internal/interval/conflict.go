@@ -23,9 +23,6 @@ func MaxOverlapSumConstrained(items []Weighted, conflict func(i, j int) bool) Co
 		return MaxOverlapSum(items)
 	}
 	// Candidate instants: every non-empty positive-weight window's Lo.
-	type cand struct {
-		t float64
-	}
 	cands := make([]float64, 0, len(items))
 	for _, it := range items {
 		if !it.W.IsEmpty() && it.Weight > 0 {
@@ -75,50 +72,71 @@ func maxWeightIndependent(items []Weighted, active []int, conflict func(i, j int
 // per-item weights vary by alignment instant (the tent-occupancy noise
 // combination).
 func MaxWeightIndependentSet(weights []float64, active []int, conflict func(i, j int) bool) (float64, []int) {
-	if conflict == nil {
-		conflict = func(i, j int) bool { return false }
-	}
+	var sc Scan
+	return sc.MaxWeightIndependentSet(weights, active, conflict)
+}
+
+// MaxWeightIndependentSet is the package function of that name over sc's
+// buffers.
+func (sc *Scan) MaxWeightIndependentSet(weights []float64, active []int, conflict func(i, j int) bool) (float64, []int) {
+	m := &sc.mwis
+	m.weights, m.conflict = weights, conflict
 	// Sort heaviest-first: tightens the bound early.
-	active = append([]int(nil), active...)
-	sort.Slice(active, func(a, b int) bool {
-		return weights[active[a]] > weights[active[b]]
-	})
-	suffix := make([]float64, len(active)+1)
+	m.active = append(m.active[:0], active...)
+	sort.Sort(m)
+	m.suffix = append(m.suffix[:0], make([]float64, len(active)+1)...)
 	for i := len(active) - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + weights[active[i]]
+		m.suffix[i] = m.suffix[i+1] + weights[m.active[i]]
 	}
-	var bestSum float64
-	var bestSet []int
-	cur := make([]int, 0, len(active))
-	var rec func(pos int, sum float64)
-	rec = func(pos int, sum float64) {
-		if sum+suffix[pos] <= bestSum {
-			return // cannot beat the incumbent
+	m.bestSum, m.bestSet, m.cur = 0, m.bestSet[:0], m.cur[:0]
+	m.search(0, 0)
+	m.weights, m.conflict = nil, nil // the buffers outlive the query; the caller's closure need not
+	return m.bestSum, m.bestSet
+}
+
+// mwis is one branch-and-bound search: the query, the incumbent and the
+// buffers. It sorts its active list by descending weight (sort.Interface).
+type mwis struct {
+	weights  []float64
+	conflict func(i, j int) bool
+	active   []int
+	suffix   []float64 // suffix[p] = total weight of active[p:]
+	cur      []int
+	bestSum  float64
+	bestSet  []int
+}
+
+func (m *mwis) Len() int           { return len(m.active) }
+func (m *mwis) Less(a, b int) bool { return m.weights[m.active[a]] > m.weights[m.active[b]] }
+func (m *mwis) Swap(a, b int)      { m.active[a], m.active[b] = m.active[b], m.active[a] }
+
+func (m *mwis) search(pos int, sum float64) {
+	if sum+m.suffix[pos] <= m.bestSum {
+		return // cannot beat the incumbent
+	}
+	if pos == len(m.active) {
+		if sum > m.bestSum {
+			m.bestSum = sum
+			m.bestSet = append(m.bestSet[:0], m.cur...)
 		}
-		if pos == len(active) {
-			if sum > bestSum {
-				bestSum = sum
-				bestSet = append(bestSet[:0], cur...)
-			}
-			return
-		}
-		idx := active[pos]
-		// Include idx if compatible with the current set.
-		ok := true
-		for _, c := range cur {
-			if conflict(c, idx) || conflict(idx, c) {
+		return
+	}
+	idx := m.active[pos]
+	// Include idx if compatible with the current set.
+	ok := true
+	if m.conflict != nil {
+		for _, c := range m.cur {
+			if m.conflict(c, idx) || m.conflict(idx, c) {
 				ok = false
 				break
 			}
 		}
-		if ok {
-			cur = append(cur, idx)
-			rec(pos+1, sum+weights[idx])
-			cur = cur[:len(cur)-1]
-		}
-		// Exclude idx.
-		rec(pos+1, sum)
 	}
-	rec(0, 0)
-	return bestSum, append([]int(nil), bestSet...)
+	if ok {
+		m.cur = append(m.cur, idx)
+		m.search(pos+1, sum+m.weights[idx])
+		m.cur = m.cur[:len(m.cur)-1]
+	}
+	// Exclude idx.
+	m.search(pos+1, sum)
 }

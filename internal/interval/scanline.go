@@ -2,6 +2,7 @@ package interval
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,6 +27,40 @@ type Combination struct {
 	Members []int
 }
 
+// Scan owns the buffers of the window kernels (MaxOverlapSum,
+// MaxWeightIndependentSet), so a caller that asks once per victim edge or
+// per alignment instant allocates nothing once the buffers are warm. The
+// zero value is ready to use; one Scan serves one goroutine. The index
+// slices a query returns alias the Scan and hold until its next query.
+type Scan struct {
+	edges   []edge
+	members []int
+	mwis    mwis
+}
+
+// edge is one end of a weighted window on the scan line.
+type edge struct {
+	t     float64
+	start bool
+	w     float64
+}
+
+// byInstant orders edges by time. Closed intervals: at a tie instant, starts
+// are processed before ends so that windows touching at a point are counted
+// as overlapping there.
+func byInstant(a, b edge) int {
+	switch {
+	case a.t != b.t:
+		if a.t < b.t {
+			return -1
+		}
+		return 1
+	case a.start && !b.start:
+		return -1
+	}
+	return 0
+}
+
 // MaxOverlapSum computes the classical windowed-combination query: over all
 // instants t, the maximum of the summed weights of the windows containing t.
 //
@@ -38,33 +73,27 @@ type Combination struct {
 // Windows with empty intervals or non-positive weights contribute nothing.
 // The scan runs in O(n log n).
 func MaxOverlapSum(items []Weighted) Combination {
-	type event struct {
-		t     float64
-		start bool
-		w     float64
-	}
-	events := make([]event, 0, 2*len(items))
+	var sc Scan
+	return sc.MaxOverlapSum(items)
+}
+
+// MaxOverlapSum is the package function of that name over sc's buffers.
+func (sc *Scan) MaxOverlapSum(items []Weighted) Combination {
+	edges := sc.edges[:0]
 	for _, it := range items {
 		if it.W.IsEmpty() || it.Weight <= 0 {
 			continue
 		}
-		events = append(events, event{t: it.W.Lo, start: true, w: it.Weight})
-		events = append(events, event{t: it.W.Hi, start: false, w: it.Weight})
+		edges = append(edges, edge{t: it.W.Lo, start: true, w: it.Weight}, edge{t: it.W.Hi, w: it.Weight})
 	}
-	if len(events) == 0 {
+	sc.edges = edges
+	if len(edges) == 0 {
 		return Combination{Sum: 0, At: math.NaN()}
 	}
-	// Closed intervals: at a tie instant, starts are processed before ends
-	// so that windows touching at a point are counted as overlapping there.
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
-		}
-		return events[i].start && !events[j].start
-	})
+	slices.SortFunc(edges, byInstant)
 	var cur, best float64
-	bestAt := events[0].t
-	for _, e := range events {
+	bestAt := edges[0].t
+	for _, e := range edges {
 		if e.start {
 			cur += e.w
 			if cur > best {
@@ -75,12 +104,13 @@ func MaxOverlapSum(items []Weighted) Combination {
 			cur -= e.w
 		}
 	}
-	members := make([]int, 0, 4)
+	members := sc.members[:0]
 	for i, it := range items {
 		if it.Weight > 0 && it.W.Contains(bestAt) {
 			members = append(members, i)
 		}
 	}
+	sc.members = members
 	return Combination{Sum: best, At: bestAt, Members: members}
 }
 

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -10,10 +11,80 @@ import (
 // multiple clock phases or mode conditions: a net clocked by a gated clock
 // may switch in [0,200ps] or [600,800ps] but never between.
 //
+// A Set is a value, 32 bytes, and canonical: nearly every set an analysis
+// meets is one window, and that window lives in the Set itself. The spill
+// slice exists exactly when Len() > 1 (then one is zero), so equal sets are
+// equal field for field (reflect.DeepEqual) and the one-window operations
+// touch no heap. Compare with Equal; == does not compile.
+//
 // All Set operations return normalized sets and never mutate their
 // receivers.
 type Set struct {
-	ws []Window
+	_     [0]func() // not comparable: two equal multi-window sets differ by pointer
+	one   [1]Window // the window, when n == 1
+	n     int       // number of disjoint windows
+	spill *[]Window // all n windows, when n > 1
+}
+
+// single returns the set of one non-empty window.
+func single(w Window) Set { return Set{one: [1]Window{w}, n: 1} }
+
+// setOf wraps windows that are already disjoint, sorted and non-empty; the
+// set owns the slice.
+func setOf(ws []Window) Set {
+	switch len(ws) {
+	case 0:
+		return Set{}
+	case 1:
+		return single(ws[0])
+	}
+	return Set{n: len(ws), spill: &ws}
+}
+
+// ws returns the member windows without copying: the spill slice, or a view
+// of the inline window. On a local copy of a Set the view stays on the stack.
+func (s *Set) ws() []Window {
+	if s.spill != nil {
+		return *s.spill
+	}
+	return s.one[:s.n]
+}
+
+// merger accumulates windows that arrive in ascending order into canonical
+// form, merging each one that overlaps or touches its predecessor. Nothing
+// is allocated until a second disjoint window turns up.
+type merger struct {
+	last Window   // the still-open last window, when n > 0
+	n    int      // windows so far, last included
+	done []Window // the closed windows before last
+	hint int      // capacity for done when it is first needed
+}
+
+func (m *merger) add(w Window) {
+	if w.IsEmpty() {
+		return
+	}
+	if m.n > 0 {
+		if m.last.Hi >= w.Lo {
+			if w.Hi > m.last.Hi {
+				m.last.Hi = w.Hi
+			}
+			return
+		}
+		if m.done == nil {
+			m.done = make([]Window, 0, max(m.hint, 2))
+		}
+		m.done = append(m.done, m.last)
+	}
+	m.last = w
+	m.n++
+}
+
+func (m *merger) set() Set {
+	if m.n <= 1 {
+		return Set{one: [1]Window{m.last}, n: m.n}
+	}
+	return setOf(append(m.done, m.last))
 }
 
 // SetOf returns the one-window set [lo, hi]. Like New, it panics on NaN
@@ -27,67 +98,81 @@ func SetOf(lo, hi float64) Set {
 func EmptySet() Set { return Set{} }
 
 // InfiniteSet returns the set covering the whole time axis.
-func InfiniteSet() Set { return NewSet(Infinite()) }
+func InfiniteSet() Set { return single(Infinite()) }
 
 // IsInfinite reports whether the set covers the whole axis.
 func (s Set) IsInfinite() bool {
-	return len(s.ws) == 1 && s.ws[0].IsInfinite()
+	return s.n == 1 && s.one[0].IsInfinite()
+}
+
+// byLoHi orders windows by left edge, then right edge.
+func byLoHi(a, b Window) int {
+	switch {
+	case a.Lo != b.Lo:
+		if a.Lo < b.Lo {
+			return -1
+		}
+		return 1
+	case a.Hi < b.Hi:
+		return -1
+	case a.Hi > b.Hi:
+		return 1
+	}
+	return 0
 }
 
 // NewSet builds a normalized set from arbitrary windows: empties are
 // dropped, the rest are sorted and overlapping or touching windows are
 // merged.
 func NewSet(windows ...Window) Set {
-	ws := make([]Window, 0, len(windows))
-	for _, w := range windows {
-		if !w.IsEmpty() {
-			ws = append(ws, w)
+	if len(windows) == 1 {
+		if windows[0].IsEmpty() {
+			return Set{}
 		}
+		return single(windows[0])
 	}
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Lo != ws[j].Lo {
-			return ws[i].Lo < ws[j].Lo
-		}
-		return ws[i].Hi < ws[j].Hi
-	})
-	merged := ws[:0]
+	var buf [8]Window
+	ws := append(buf[:0], windows...)
+	slices.SortFunc(ws, byLoHi)
+	m := merger{hint: len(ws)}
 	for _, w := range ws {
-		if n := len(merged); n > 0 && merged[n-1].Hi >= w.Lo {
-			if w.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = w.Hi
-			}
-			continue
-		}
-		merged = append(merged, w)
+		m.add(w)
 	}
-	// merged aliases the local filtered copy, never the caller's slice, so
-	// it can back the set directly without another copy.
-	return Set{ws: merged}
+	return m.set()
 }
 
 // Windows returns a copy of the set's windows in ascending order.
 func (s Set) Windows() []Window {
-	return append([]Window(nil), s.ws...)
+	return append([]Window(nil), s.ws()...)
 }
 
 // IsEmpty reports whether the set contains no instants.
-func (s Set) IsEmpty() bool { return len(s.ws) == 0 }
+func (s Set) IsEmpty() bool { return s.n == 0 }
 
 // Len returns the number of disjoint windows in the set.
-func (s Set) Len() int { return len(s.ws) }
+func (s Set) Len() int { return s.n }
+
+// At returns the i-th window in ascending order, 0 <= i < Len(). With Len
+// it walks a set without the copy Windows makes.
+func (s Set) At(i int) Window {
+	if s.spill != nil {
+		return (*s.spill)[i]
+	}
+	return s.one[:s.n][i]
+}
 
 // Hull returns the smallest single window containing the whole set.
 func (s Set) Hull() Window {
-	if s.IsEmpty() {
+	if s.n == 0 {
 		return Empty()
 	}
-	return Window{Lo: s.ws[0].Lo, Hi: s.ws[len(s.ws)-1].Hi}
+	return Window{Lo: s.At(0).Lo, Hi: s.At(s.n - 1).Hi}
 }
 
 // TotalLength returns the summed lengths of the member windows.
 func (s Set) TotalLength() float64 {
 	var sum float64
-	for _, w := range s.ws {
+	for _, w := range s.ws() {
 		sum += w.Length()
 	}
 	return sum
@@ -96,8 +181,9 @@ func (s Set) TotalLength() float64 {
 // Contains reports whether instant t lies in any member window. It runs in
 // O(log n) by binary search on the sorted member list.
 func (s Set) Contains(t float64) bool {
-	i := sort.Search(len(s.ws), func(i int) bool { return s.ws[i].Hi >= t })
-	return i < len(s.ws) && s.ws[i].Contains(t)
+	ws := s.ws()
+	i := sort.Search(len(ws), func(i int) bool { return ws[i].Hi >= t })
+	return i < len(ws) && ws[i].Contains(t)
 }
 
 // Overlaps reports whether the set shares any instant with window w.
@@ -105,70 +191,51 @@ func (s Set) Overlaps(w Window) bool {
 	if w.IsEmpty() {
 		return false
 	}
-	i := sort.Search(len(s.ws), func(i int) bool { return s.ws[i].Hi >= w.Lo })
-	return i < len(s.ws) && s.ws[i].Overlaps(w)
+	ws := s.ws()
+	i := sort.Search(len(ws), func(i int) bool { return ws[i].Hi >= w.Lo })
+	return i < len(ws) && ws[i].Overlaps(w)
 }
 
 // Union returns the set covering every instant in s or o, by a linear
-// merge of the two sorted member lists (sets are immutable, so the empty
-// cases can share the other operand's backing outright).
+// merge of the two sorted member lists.
 func (s Set) Union(o Set) Set {
-	if len(s.ws) == 0 {
+	if s.n == 0 {
 		return o
 	}
-	if len(o.ws) == 0 {
+	if o.n == 0 {
 		return s
 	}
-	out := make([]Window, 0, len(s.ws)+len(o.ws))
-	i, j := 0, 0
-	for i < len(s.ws) || j < len(o.ws) {
-		var w Window
-		switch {
-		case i == len(s.ws):
-			w = o.ws[j]
-			j++
-		case j == len(o.ws):
-			w = s.ws[i]
-			i++
-		case o.ws[j].Lo < s.ws[i].Lo || (o.ws[j].Lo == s.ws[i].Lo && o.ws[j].Hi < s.ws[i].Hi):
-			w = o.ws[j]
-			j++
-		default:
-			w = s.ws[i]
-			i++
+	a, b := s.ws(), o.ws()
+	m := merger{hint: len(a) + len(b)}
+	for len(a) > 0 || len(b) > 0 {
+		if len(a) == 0 || len(b) > 0 && byLoHi(b[0], a[0]) < 0 {
+			m.add(b[0])
+			b = b[1:]
+		} else {
+			m.add(a[0])
+			a = a[1:]
 		}
-		if n := len(out); n > 0 && out[n-1].Hi >= w.Lo {
-			if w.Hi > out[n-1].Hi {
-				out[n-1].Hi = w.Hi
-			}
-			continue
-		}
-		out = append(out, w)
 	}
-	return Set{ws: out}
+	return m.set()
 }
 
 // Add returns the set with window w merged in.
-func (s Set) Add(w Window) Set {
-	return NewSet(append(s.Windows(), w)...)
-}
+func (s Set) Add(w Window) Set { return s.Union(NewSet(w)) }
 
 // Intersect returns the set of instants present in both s and o, using a
 // linear merge over the two sorted member lists.
 func (s Set) Intersect(o Set) Set {
-	var out []Window
-	i, j := 0, 0
-	for i < len(s.ws) && j < len(o.ws) {
-		if x := s.ws[i].Intersect(o.ws[j]); !x.IsEmpty() {
-			out = append(out, x)
-		}
-		if s.ws[i].Hi < o.ws[j].Hi {
-			i++
+	a, b := s.ws(), o.ws()
+	m := merger{hint: max(len(a), len(b))}
+	for len(a) > 0 && len(b) > 0 {
+		m.add(a[0].Intersect(b[0]))
+		if a[0].Hi < b[0].Hi {
+			a = a[1:]
 		} else {
-			j++
+			b = b[1:]
 		}
 	}
-	return Set{ws: out}
+	return m.set()
 }
 
 // IntersectWindow returns the part of the set inside w.
@@ -177,33 +244,17 @@ func (s Set) IntersectWindow(w Window) Set {
 }
 
 // Shift translates every member window by dt.
-func (s Set) Shift(dt float64) Set {
-	out := make([]Window, len(s.ws))
-	for i, w := range s.ws {
-		out[i] = w.Shift(dt)
-	}
-	return Set{ws: out}
-}
+func (s Set) Shift(dt float64) Set { return s.ShiftRange(dt, dt) }
 
 // ShiftRange translates every member by an uncertain delay in [dMin, dMax]
 // and re-normalizes in one pass: the shift is monotone, so the members stay
 // sorted and only adjacent ones can come to touch.
 func (s Set) ShiftRange(dMin, dMax float64) Set {
-	out := make([]Window, 0, len(s.ws))
-	for _, w := range s.ws {
-		sw := w.ShiftRange(dMin, dMax)
-		if sw.IsEmpty() {
-			continue
-		}
-		if n := len(out); n > 0 && out[n-1].Hi >= sw.Lo {
-			if sw.Hi > out[n-1].Hi {
-				out[n-1].Hi = sw.Hi
-			}
-			continue
-		}
-		out = append(out, sw)
+	m := merger{hint: s.n}
+	for _, w := range s.ws() {
+		m.add(w.ShiftRange(dMin, dMax))
 	}
-	return Set{ws: out}
+	return m.set()
 }
 
 // Complement returns the instants of span not covered by the set.
@@ -211,24 +262,24 @@ func (s Set) Complement(span Window) Set {
 	if span.IsEmpty() {
 		return Set{}
 	}
-	var out []Window
+	m := merger{hint: s.n + 1}
 	cursor := span.Lo
-	for _, w := range s.ws {
+	for _, w := range s.ws() {
 		x := w.Intersect(span)
 		if x.IsEmpty() {
 			continue
 		}
 		if x.Lo > cursor {
-			out = append(out, Window{Lo: cursor, Hi: x.Lo})
+			m.add(Window{Lo: cursor, Hi: x.Lo})
 		}
 		if x.Hi > cursor {
 			cursor = x.Hi
 		}
 	}
 	if cursor < span.Hi {
-		out = append(out, Window{Lo: cursor, Hi: span.Hi})
+		m.add(Window{Lo: cursor, Hi: span.Hi})
 	}
-	return NewSet(out...)
+	return m.set()
 }
 
 // Simplify reduces the set to at most max member windows by repeatedly
@@ -239,10 +290,10 @@ func (s Set) Simplify(max int) Set {
 	if max < 1 {
 		max = 1
 	}
-	if len(s.ws) <= max {
+	if s.n <= max {
 		return s
 	}
-	ws := append([]Window(nil), s.ws...)
+	ws := s.Windows()
 	for len(ws) > max {
 		// Find the smallest inter-window gap.
 		best := 1
@@ -255,20 +306,12 @@ func (s Set) Simplify(max int) Set {
 		ws[best-1] = Window{Lo: ws[best-1].Lo, Hi: ws[best].Hi}
 		ws = append(ws[:best], ws[best+1:]...)
 	}
-	return Set{ws: ws}
+	return setOf(ws)
 }
 
 // Equal reports whether two sets cover exactly the same instants.
 func (s Set) Equal(o Set) bool {
-	if len(s.ws) != len(o.ws) {
-		return false
-	}
-	for i := range s.ws {
-		if !s.ws[i].Equal(o.ws[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(s.ws(), o.ws(), Window.Equal)
 }
 
 // String renders the set for reports.
@@ -276,8 +319,8 @@ func (s Set) String() string {
 	if s.IsEmpty() {
 		return "{}"
 	}
-	parts := make([]string, len(s.ws))
-	for i, w := range s.ws {
+	parts := make([]string, s.n)
+	for i, w := range s.ws() {
 		parts[i] = w.String()
 	}
 	return "{" + strings.Join(parts, " ") + "}"

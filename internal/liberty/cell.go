@@ -3,6 +3,7 @@ package liberty
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // PinDir is the direction of a library pin.
@@ -84,6 +85,55 @@ type Cell struct {
 	// injected crosstalk charge. Stronger (smaller) holding resistance
 	// means smaller glitches.
 	HoldRes float64
+
+	// arcIdx answers ArcsTo and ArcsFrom; see arcIndex.
+	arcIdx atomic.Pointer[arcIndex]
+}
+
+// arcIndex is a cell's arcs grouped by pin, built on the first query (cells
+// are filled in by hand and by the parser, then only read; queries come from
+// every worker). Each group keeps the arcs in Arcs order.
+type arcIndex struct {
+	n        int // len(Arcs) when built: an arc added since rebuilds
+	to, from []arcGroup
+}
+
+type arcGroup struct {
+	pin  string
+	arcs []*Arc
+}
+
+func (c *Cell) arcs() *arcIndex {
+	if idx := c.arcIdx.Load(); idx != nil && idx.n == len(c.Arcs) {
+		return idx
+	}
+	idx := &arcIndex{n: len(c.Arcs)}
+	for _, a := range c.Arcs {
+		idx.to, idx.from = addArc(idx.to, a.To, a), addArc(idx.from, a.From, a)
+	}
+	c.arcIdx.Store(idx)
+	return idx
+}
+
+func addArc(groups []arcGroup, pin string, a *Arc) []arcGroup {
+	for i := range groups {
+		if groups[i].pin == pin {
+			groups[i].arcs = append(groups[i].arcs, a)
+			return groups
+		}
+	}
+	return append(groups, arcGroup{pin: pin, arcs: []*Arc{a}})
+}
+
+// arcsOf returns pin's group; a cell has a handful of pins, so a scan beats
+// any map. The slice is the index's own: callers must not modify it.
+func arcsOf(groups []arcGroup, pin string) []*Arc {
+	for i := range groups {
+		if groups[i].pin == pin {
+			return groups[i].arcs
+		}
+	}
+	return nil
 }
 
 // Pin returns the named pin or nil.
@@ -114,27 +164,13 @@ func (c *Cell) pinsByDir(d PinDir) []*Pin {
 	return out
 }
 
-// ArcsFrom returns the arcs departing the named input pin.
-func (c *Cell) ArcsFrom(pin string) []*Arc {
-	var out []*Arc
-	for _, a := range c.Arcs {
-		if a.From == pin {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+// ArcsFrom returns the arcs departing the named input pin, in Arcs order.
+// The slice is shared with the cell; callers must not modify it.
+func (c *Cell) ArcsFrom(pin string) []*Arc { return arcsOf(c.arcs().from, pin) }
 
-// ArcsTo returns the arcs arriving at the named output pin.
-func (c *Cell) ArcsTo(pin string) []*Arc {
-	var out []*Arc
-	for _, a := range c.Arcs {
-		if a.To == pin {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+// ArcsTo returns the arcs arriving at the named output pin, in Arcs order.
+// The slice is shared with the cell; callers must not modify it.
+func (c *Cell) ArcsTo(pin string) []*Arc { return arcsOf(c.arcs().to, pin) }
 
 // Arc returns the arc from one pin to another, or nil.
 func (c *Cell) Arc(from, to string) *Arc {

@@ -2,6 +2,7 @@ package liberty
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/units"
@@ -328,5 +329,41 @@ func TestScaleCorners(t *testing.T) {
 	// The base library is untouched.
 	if mustCell(t, base, "INV_X1").HoldRes != bi.HoldRes {
 		t.Fatal("Scale mutated the source library")
+	}
+}
+
+// TestArcIndex: ArcsTo and ArcsFrom answer from the cell's index — the
+// arcs of a pin in Arcs order, nothing allocated per query — whoever asks
+// first (every worker of a timing level does), and an arc added after a
+// query is seen by the next.
+func TestArcIndex(t *testing.T) {
+	cell := mustCell(t, Generic(), "NAND2_X1")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if to := cell.ArcsTo("Y"); len(to) != 2 || to[0] != cell.Arcs[0] || to[1] != cell.Arcs[1] {
+				t.Errorf("ArcsTo(Y) = %v, want the cell's two arcs in order", to)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := testing.AllocsPerRun(100, func() {
+		if len(cell.ArcsTo("Y")) != 2 || len(cell.ArcsFrom("B")) != 1 || cell.ArcsTo("A") != nil {
+			t.Fatal("arc index answers wrongly")
+		}
+	}); n != 0 {
+		t.Errorf("ArcsTo/ArcsFrom: %v allocations per query, want 0", n)
+	}
+	extra := *cell.Arcs[0]
+	extra.From = "C"
+	grown := &Cell{Name: "grown", Arcs: []*Arc{cell.Arcs[0]}}
+	if len(grown.ArcsTo("Y")) != 1 {
+		t.Fatal("one arc to Y expected")
+	}
+	grown.Arcs = append(grown.Arcs, &extra)
+	if to := grown.ArcsTo("Y"); len(to) != 2 || len(grown.ArcsFrom("C")) != 1 {
+		t.Fatalf("after adding an arc ArcsTo(Y) = %v", to)
 	}
 }

@@ -43,8 +43,8 @@ func checkInputTiming(in *Input, rep *Reporter) {
 			label string
 			rise  bool
 		}{{"rise", true}, {"fall", false}} {
-			for _, w := range t.Window(dir.rise).Windows() {
-				if w.Lo > w.Hi {
+			for ws, i := t.Window(dir.rise), 0; i < ws.Len(); i++ {
+				if w := ws.At(i); w.Lo > w.Hi {
 					rep.ReportAt(Error, "input "+name,
 						fmt.Sprintf("inverted %s window [%g, %g]", dir.label, w.Lo, w.Hi),
 						"swap the bounds; windows are [lo, hi] with lo <= hi")

@@ -245,11 +245,21 @@ func (c *Context) ParamsFor(cpl *Coupling, aggSlew, vdd float64) Params {
 // Filter drops aggressors whose coupling ratio C_x/C_v is below threshold,
 // returning the kept couplings and the total dropped capacitance. The
 // dropped capacitance can be re-injected as a virtual aggressor so the
-// filter stays conservative.
+// filter stays conservative. When nothing is dropped, kept is the context's
+// own slice: callers must not modify it.
 func (c *Context) Filter(threshold float64) (kept []Coupling, droppedCap float64) {
-	for _, x := range c.Couplings {
-		if c.VictimC > 0 && x.CoupleC/c.VictimC >= threshold {
-			kept = append(kept, x)
+	keeps := func(x *Coupling) bool { return c.VictimC > 0 && x.CoupleC/c.VictimC >= threshold }
+	first := 0
+	for first < len(c.Couplings) && keeps(&c.Couplings[first]) {
+		first++
+	}
+	if first == len(c.Couplings) {
+		return c.Couplings, 0
+	}
+	kept = append(kept, c.Couplings[:first]...)
+	for i := first; i < len(c.Couplings); i++ {
+		if x := &c.Couplings[i]; keeps(x) {
+			kept = append(kept, *x)
 		} else {
 			droppedCap += x.CoupleC
 		}

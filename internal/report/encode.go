@@ -333,9 +333,9 @@ func WriteDelayJSON(w io.Writer, res *core.DelayResult) error {
 		e.key("edge").str(edge)
 		if !im.VictimWindow.IsEmpty() { // omitempty
 			e.key("victimWindow").open('[')
-			for _, w := range im.VictimWindow.Windows() {
+			for i := 0; i < im.VictimWindow.Len(); i++ {
 				e.sep()
-				e.window(w)
+				e.window(im.VictimWindow.At(i))
 			}
 			e.close(']')
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -61,8 +62,8 @@ func jsonSet(s interval.Set) []*WindowJSON {
 		return nil
 	}
 	out := make([]*WindowJSON, 0, s.Len())
-	for _, w := range s.Windows() {
-		out = append(out, jsonWin(w))
+	for i := 0; i < s.Len(); i++ {
+		out = append(out, jsonWin(s.At(i)))
 	}
 	return out
 }
@@ -162,7 +163,7 @@ func jsonComb(c core.Combined) CombinedJSON {
 		Width:   c.Width,
 		At:      finite(c.At),
 		Window:  jsonWin(c.Window),
-		Members: c.Members,
+		Members: slices.Clone(c.Members), // the engine rewrites its lists in place
 	}
 }
 
@@ -208,7 +209,7 @@ func BuildJSON(res *core.Result) *ResultJSON {
 			Limit:    v.Limit,
 			Slack:    v.Slack,
 			At:       finite(v.At),
-			Members:  v.Members,
+			Members:  slices.Clone(v.Members),
 		})
 	}
 	names := make([]string, 0, len(res.Nets))

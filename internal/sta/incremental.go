@@ -48,13 +48,13 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 			return nil, err
 		}
 		*res = *fresh
-		for id, t := range res.nets {
+		for id, ok := range res.hasNet {
 			if id&0x3f == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			if t != nil {
+			if ok {
 				retimed = append(retimed, int32(id))
 			}
 		}
@@ -102,7 +102,7 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 			return nil, err
 		}
 		for _, oc := range inst.Outputs() {
-			res.nets[oc.Net.ID()] = nil
+			res.hasNet[oc.Net.ID()] = false
 			retimed = append(retimed, oc.Net.ID())
 		}
 	}

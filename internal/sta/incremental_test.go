@@ -50,11 +50,12 @@ func requireEqualResults(t *testing.T, got, want *Result) {
 	t.Helper()
 	d := want.design.Net
 	for id := range want.nets {
-		if !reflect.DeepEqual(got.nets[id], want.nets[id]) {
-			t.Fatalf("net %s: got %+v, want %+v", d.NetByID(int32(id)).Name, got.nets[id], want.nets[id])
+		if got.hasNet[id] != want.hasNet[id] || !reflect.DeepEqual(got.nets[id], want.nets[id]) {
+			t.Fatalf("net %s: got %v %+v, want %v %+v", d.NetByID(int32(id)).Name,
+				got.hasNet[id], got.nets[id], want.hasNet[id], want.nets[id])
 		}
 	}
-	if !reflect.DeepEqual(got.pins, want.pins) {
+	if !reflect.DeepEqual(got.pins, want.pins) || !reflect.DeepEqual(got.hasPin, want.hasPin) {
 		t.Fatal("pin annotations differ")
 	}
 	if !reflect.DeepEqual(got.required, want.required) {
@@ -73,7 +74,11 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	untouched := res.nets[b.Net.FindNet("mid2").ID()]
+	// Every evalInst call of the update, by instance: value tables have no
+	// pointer identity to betray a recomputation, and a count also catches
+	// one that lands on the value it replaced.
+	var evaluated []string
+	res.onEval = func(inst *netlist.Inst) { evaluated = append(evaluated, inst.Name) }
 
 	padding["mid1"] = 30 * units.Pico
 	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []string{"mid1"})
@@ -86,8 +91,10 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	if !slices.Equal(dirty, want) {
 		t.Fatalf("dirty = %v, want mid1 and out1 (%v)", dirty, want)
 	}
-	if res.nets[b.Net.FindNet("mid2").ID()] != untouched {
-		t.Fatal("untouched chain was recomputed")
+	// Exactly the padded net's driver and its fanout, once each, in level
+	// order: the untouched chain (u2, v2) is not evaluated at all.
+	if want := []string{"u1", "v1"}; !slices.Equal(evaluated, want) {
+		t.Fatalf("update evaluated %v, want exactly %v", evaluated, want)
 	}
 	fresh, err := Run(b, opts)
 	if err != nil {
@@ -98,9 +105,13 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	// Growing the same net again keeps matching (the double-padding
 	// hazard: a stale padded annotation merged into the re-evaluation
 	// would pad twice).
+	evaluated = evaluated[:0]
 	padding["mid1"] = 55 * units.Pico
 	if _, err := res.UpdatePaddingCtx(context.Background(), opts, []string{"mid1"}); err != nil {
 		t.Fatal(err)
+	}
+	if want := []string{"u1", "v1"}; !slices.Equal(evaluated, want) {
+		t.Fatalf("second update evaluated %v, want exactly %v", evaluated, want)
 	}
 	fresh, err = Run(b, opts)
 	if err != nil {

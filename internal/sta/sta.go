@@ -63,13 +63,9 @@ type Timing struct {
 	SlewRise, SlewFall Range
 }
 
-// emptyTiming returns a Timing with empty windows and inverted slews.
-func emptyTiming() *Timing {
-	return &Timing{
-		SlewRise: emptyRange(),
-		SlewFall: emptyRange(),
-	}
-}
+// noTiming has empty windows and inverted slews: what every point without
+// an annotation reads as. It is shared and never written.
+var noTiming = Timing{SlewRise: emptyRange(), SlewFall: emptyRange()}
 
 // Window returns the arrival window set for one direction.
 func (t *Timing) Window(rise bool) interval.Set {
@@ -101,12 +97,12 @@ func (t *Timing) HasActivity() bool {
 // equalWithin compares two timings to tolerance, for fixpoint detection.
 func (t *Timing) equalWithin(o *Timing, tol float64) bool {
 	wEq := func(a, b interval.Set) bool {
-		aw, bw := a.Windows(), b.Windows()
-		if len(aw) != len(bw) {
+		if a.Len() != b.Len() {
 			return false
 		}
-		for i := range aw {
-			if math.Abs(aw[i].Lo-bw[i].Lo) > tol || math.Abs(aw[i].Hi-bw[i].Hi) > tol {
+		for i := 0; i < a.Len(); i++ {
+			aw, bw := a.At(i), b.At(i)
+			if math.Abs(aw.Lo-bw.Lo) > tol || math.Abs(aw.Hi-bw.Hi) > tol {
 				return false
 			}
 		}
@@ -171,18 +167,28 @@ func (o *Options) fill() {
 	}
 }
 
-// Result is the timing annotation of a design. The tables are dense,
-// indexed by the netlist's creation-order IDs: names are resolved once at
-// the edges (TimingOfNet, Options.InputTiming), never inside the passes.
+// Result is the timing annotation of a design. The tables are dense value
+// tables, indexed by the netlist's creation-order IDs: names are resolved
+// once at the edges (TimingOfNet, Options.InputTiming), never inside the
+// passes, and nothing in them points — an annotation is read in place, and
+// a point never annotated reads as the shared noTiming.
 type Result struct {
-	design      *bind.Design
-	nets        []*Timing // at net source (driver output), by Net.ID(); nil = never annotated
-	pins        []*Timing // at load pins, wire delay applied, by Conn.ID()
-	early, late float64   // delay derates
-	workers     int       // RunCtx's fan-out, for UpdatePaddingCtx's fresh-run fallback
+	design *bind.Design
+	// nets is the annotation at each net's source (driver output), by
+	// Net.ID(); pins the one at each load pin, wire delay applied, by load
+	// index — pinOf maps a Conn.ID() to it, -1 for a connection that is not
+	// a load. A slot counts only while its presence flag is set (a flag per
+	// slot, not a bit: the instances of a level set them concurrently).
+	nets, pins     []Timing
+	hasNet, hasPin []bool
+	pinOf          []int32
+	early, late    float64 // delay derates
+	workers        int     // RunCtx's fan-out, for UpdatePaddingCtx's fresh-run fallback
 	// required times by Net.ID(), +Inf where unconstrained (nil unless
 	// ClockPeriod was set).
 	required []float64
+	// onEval, when set, sees every evalInst call (tests count them).
+	onEval func(*netlist.Inst)
 }
 
 // parallelBelow is the loop length under which a level (or the port list)
@@ -197,22 +203,27 @@ func (r *Result) TimingOfNet(net string) *Timing {
 }
 
 // TimingOf is TimingOfNet for a net of the analyzed design (nil reads as
-// a net that never switches).
+// a net that never switches). The Timing is the result's own — read it,
+// never write it; an incremental update rewrites it in place.
 func (r *Result) TimingOf(n *netlist.Net) *Timing {
-	if n != nil {
-		if t := r.nets[n.ID()]; t != nil {
-			return t
-		}
+	if n != nil && r.hasNet[n.ID()] {
+		return &r.nets[n.ID()]
 	}
-	return emptyTiming()
+	return &noTiming
 }
 
-// TimingOfPin returns the switching information at a specific load pin.
+// TimingOfPin returns the switching information at a specific load pin,
+// under TimingOf's contract.
 func (r *Result) TimingOfPin(c *netlist.Conn) *Timing {
-	if t := r.pins[c.ID()]; t != nil {
-		return t
+	if i := r.pinOf[c.ID()]; i >= 0 && r.hasPin[i] {
+		return &r.pins[i]
 	}
-	return emptyTiming()
+	return &noTiming
+}
+
+// setNet stores a net's source annotation.
+func (r *Result) setNet(n *netlist.Net, t Timing) {
+	r.nets[n.ID()], r.hasNet[n.ID()] = t, true
 }
 
 // SwitchingWindow returns the switching-window set of a net.
@@ -240,12 +251,29 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 	opts.fill()
 	res := &Result{
 		design:  b,
-		nets:    make([]*Timing, b.Net.NumNets()),
-		pins:    make([]*Timing, b.Net.NumConns()),
+		nets:    make([]Timing, b.Net.NumNets()),
+		hasNet:  make([]bool, b.Net.NumNets()),
+		pinOf:   make([]int32, b.Net.NumConns()),
 		early:   opts.EarlyDerate,
 		late:    opts.LateDerate,
 		workers: workers,
 	}
+	for i := range res.pinOf {
+		res.pinOf[i] = -1
+	}
+	loads := int32(0)
+	for id := range res.nets {
+		if id&0x3f == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		for _, lc := range b.Net.NetByID(int32(id)).Loads() {
+			res.pinOf[lc.ID()] = loads
+			loads++
+		}
+	}
+	res.pins, res.hasPin = make([]Timing, loads), make([]bool, loads)
 
 	// Seed primary inputs.
 	ports := b.Net.Ports()
@@ -256,11 +284,11 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 		if p.Dir != netlist.In {
 			return nil
 		}
-		t := opts.InputTiming[p.Name]
-		if t == nil {
-			t = &Timing{Rise: dw, Fall: dw, SlewRise: ds, SlewFall: ds}
+		t := Timing{Rise: dw, Fall: dw, SlewRise: ds, SlewFall: ds}
+		if in := opts.InputTiming[p.Name]; in != nil {
+			t = *in
 		}
-		res.nets[p.Conn.Net.ID()] = t
+		res.setNet(p.Conn.Net, t)
 		return res.propagateNetToPins(p.Conn.Net)
 	})
 	if err != nil {
@@ -282,13 +310,14 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 	// non-convergence and is resolved conservatively.
 	if len(lev.Feedback) > 0 {
 		converged := false
+		var before []Timing
 		for iter := 0; iter < opts.MaxLoopIter; iter++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			changed := false
 			for _, inst := range lev.Feedback {
-				before := snapshotOutputs(res, inst)
+				before = snapshotOutputs(res, inst, before[:0])
 				if err := res.evalInst(inst, &opts); err != nil {
 					return nil, err
 				}
@@ -311,14 +340,14 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 				for _, oc := range inst.Outputs() {
 					t := res.TimingOf(oc.Net)
 					inf := interval.InfiniteSet()
-					nt := &Timing{Rise: inf, Fall: inf, SlewRise: t.SlewRise, SlewFall: t.SlewFall}
+					nt := Timing{Rise: inf, Fall: inf, SlewRise: t.SlewRise, SlewFall: t.SlewFall}
 					if !nt.SlewRise.valid() {
 						nt.SlewRise = ds
 					}
 					if !nt.SlewFall.valid() {
 						nt.SlewFall = ds
 					}
-					res.nets[oc.Net.ID()] = nt
+					res.setNet(oc.Net, nt)
 					if err := res.propagateNetToPins(oc.Net); err != nil {
 						return nil, err
 					}
@@ -334,19 +363,17 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 	return res, nil
 }
 
-func snapshotOutputs(res *Result, inst *netlist.Inst) []*Timing {
-	outs := inst.Outputs()
-	snap := make([]*Timing, len(outs))
-	for i, oc := range outs {
-		cp := *res.TimingOf(oc.Net)
-		snap[i] = &cp
+// snapshotOutputs appends a copy of each of inst's output annotations to snap.
+func snapshotOutputs(res *Result, inst *netlist.Inst, snap []Timing) []Timing {
+	for _, oc := range inst.Outputs() {
+		snap = append(snap, *res.TimingOf(oc.Net))
 	}
 	return snap
 }
 
-func outputsEqual(res *Result, inst *netlist.Inst, snap []*Timing, tol float64) bool {
+func outputsEqual(res *Result, inst *netlist.Inst, snap []Timing, tol float64) bool {
 	for i, oc := range inst.Outputs() {
-		if !res.TimingOf(oc.Net).equalWithin(snap[i], tol) {
+		if !res.TimingOf(oc.Net).equalWithin(&snap[i], tol) {
 			return false
 		}
 	}
@@ -356,20 +383,23 @@ func outputsEqual(res *Result, inst *netlist.Inst, snap []*Timing, tol float64) 
 // evalInst computes the output timing of one instance from its input pin
 // timings, then updates downstream pin annotations.
 func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
+	if res.onEval != nil {
+		res.onEval(inst)
+	}
 	cell := res.design.Cell(inst)
 	for _, oc := range inst.Outputs() {
 		load := res.design.NetworkOf(oc.Net).TotalCap()
-		out := emptyTiming()
+		out := noTiming
 		for _, arc := range cell.ArcsTo(oc.Pin) {
 			ic := inst.Conn(arc.From)
 			if ic == nil {
 				return fmt.Errorf("sta: %s.%s unconnected arc input", inst.Name, arc.From)
 			}
-			in := res.pins[ic.ID()]
-			if in == nil || !in.HasActivity() {
+			in := res.TimingOfPin(ic)
+			if !in.HasActivity() {
 				continue
 			}
-			for _, inRise := range []bool{true, false} {
+			for _, inRise := range [2]bool{true, false} {
 				win := in.Window(inRise)
 				if win.IsEmpty() {
 					continue
@@ -378,7 +408,8 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 				if !slew.valid() {
 					slew = Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew}
 				}
-				for _, outRise := range outDirections(arc.Unate, inRise) {
+				dirs, n := outDirections(arc.Unate, inRise)
+				for _, outRise := range dirs[:n] {
 					dT, sT := arc.DelayFall, arc.SlewFall
 					if outRise {
 						dT, sT = arc.DelayRise, arc.SlewRise
@@ -409,7 +440,8 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 		// Merge with any existing annotation (loop iteration): windows
 		// only grow. Simplify bounds set fragmentation so the fixpoint
 		// stays cheap on loops.
-		if prev := res.nets[oc.Net.ID()]; prev != nil {
+		if res.hasNet[oc.Net.ID()] {
+			prev := &res.nets[oc.Net.ID()]
 			out.Rise = out.Rise.Union(prev.Rise)
 			out.Fall = out.Fall.Union(prev.Fall)
 			if prev.SlewRise.valid() {
@@ -425,7 +457,7 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 		}
 		out.Rise = out.Rise.Simplify(maxWindowFragments)
 		out.Fall = out.Fall.Simplify(maxWindowFragments)
-		res.nets[oc.Net.ID()] = out
+		res.setNet(oc.Net, out)
 		if err := res.propagateNetToPins(oc.Net); err != nil {
 			return err
 		}
@@ -433,15 +465,16 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 	return nil
 }
 
-// outDirections maps an input transition through an arc's unateness.
-func outDirections(u liberty.Unateness, inRise bool) []bool {
+// outDirections maps an input transition through an arc's unateness: the
+// output transitions it can cause, and how many.
+func outDirections(u liberty.Unateness, inRise bool) ([2]bool, int) {
 	switch u {
 	case liberty.PositiveUnate:
-		return []bool{inRise}
+		return [2]bool{inRise}, 1
 	case liberty.NegativeUnate:
-		return []bool{!inRise}
+		return [2]bool{!inRise}, 1
 	default:
-		return []bool{true, false}
+		return [2]bool{true, false}, 2
 	}
 }
 
@@ -458,13 +491,13 @@ func (res *Result) propagateNetToPins(net *netlist.Net) error {
 		if node := res.design.NodeOf(lc); node >= 0 {
 			wd, sd = a.Elmore(node), a.SlewDegradation(node)
 		}
-		t := &Timing{
+		i := res.pinOf[lc.ID()]
+		res.pins[i], res.hasPin[i] = Timing{
 			Rise:     src.Rise.ShiftRange(wd*res.early, wd*res.late),
 			Fall:     src.Fall.ShiftRange(wd*res.early, wd*res.late),
 			SlewRise: addSlew(src.SlewRise, sd),
 			SlewFall: addSlew(src.SlewFall, sd),
-		}
-		res.pins[lc.ID()] = t
+		}, true
 	}
 	return nil
 }

@@ -54,7 +54,8 @@ func winField(s interval.Set) string {
 		return "-"
 	}
 	parts := make([]string, 0, s.Len())
-	for _, w := range s.Windows() {
+	for i := 0; i < s.Len(); i++ {
+		w := s.At(i)
 		parts = append(parts, numField(w.Lo)+":"+numField(w.Hi))
 	}
 	return strings.Join(parts, ",")

@@ -126,13 +126,13 @@ func BenchmarkAnalyzeBus64(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}
-	if _, err := core.Analyze(bd, opts); err != nil {
+	if _, err := core.AnalyzeCtx(context.Background(), bd, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(bd, opts); err != nil {
+		if _, err := core.AnalyzeCtx(context.Background(), bd, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func ladderFixture(b *testing.B) (*bind.Design, core.Options) {
 // set while the 64-line background bus is reused untouched.
 func BenchmarkAnalyzeIterative(b *testing.B) {
 	bd, opts := ladderFixture(b)
-	iter, err := core.AnalyzeIterative(bd, opts, 0)
+	iter, err := core.AnalyzeIterativeCtx(context.Background(), bd, opts, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func BenchmarkAnalyzeIterative(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AnalyzeIterative(bd, opts, 0); err != nil {
+		if _, err := core.AnalyzeIterativeCtx(context.Background(), bd, opts, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,10 +188,10 @@ func BenchmarkAnalyzeIterativeScratch(b *testing.B) {
 		ropts := opts
 		ropts.STA.WindowPadding = padding
 		for round := 1; round <= 8; round++ {
-			if _, err := core.Analyze(bd, ropts); err != nil {
+			if _, err := core.AnalyzeCtx(context.Background(), bd, ropts); err != nil {
 				b.Fatal(err)
 			}
-			delay, err := core.AnalyzeDelay(bd, ropts)
+			delay, err := core.AnalyzeDelayCtx(context.Background(), bd, ropts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -308,13 +308,13 @@ func BenchmarkAnalyzeFabric(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}
-	if _, err := core.Analyze(bd, opts); err != nil {
+	if _, err := core.AnalyzeCtx(context.Background(), bd, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(bd, opts); err != nil {
+		if _, err := core.AnalyzeCtx(context.Background(), bd, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -373,8 +373,8 @@ func BenchmarkSetShiftUnion(b *testing.B) {
 // BenchmarkLoadBus measures the front half of a batch run on the
 // benchmark's batch_wide shape at a tenth of its size: a 1500-bit coupled
 // bus as Verilog, SPEF and timing files on disk → concurrent parse, lint,
-// bind (load.Load + Bind — what sna, snalint, noisebench -scale and the
-// server's design cache all call).
+// bind (load.Load + Bind — what sna, noisebench -scale and the server's
+// design cache all call).
 func BenchmarkLoadBus(b *testing.B) {
 	g, err := workload.Bus(workload.BusSpec{
 		Bits: 1500, Segs: 1,
@@ -506,7 +506,7 @@ func BenchmarkWriteJSON(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Analyze(bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(context.Background(), bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}

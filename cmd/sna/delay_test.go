@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -152,11 +153,11 @@ func TestIterateDelayRendersConvergedTable(t *testing.T) {
 	n, s, w := writeDesign(t, dir, g)
 	b, inputs := bound(t, n, s, w)
 	opts := core.Options{Mode: core.ModeNoiseWindows, FailSoft: true, STA: sta.Options{InputTiming: inputs}}
-	iter, err := core.AnalyzeIterative(b, opts, 0)
+	iter, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := core.AnalyzeDelay(b, opts)
+	first, err := core.AnalyzeDelayCtx(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,21 +203,22 @@ func TestJSONFailureLeavesNoFile(t *testing.T) {
 	// A write cancelled part-way (here: before its first byte) removes the
 	// file it created.
 	b, inputs := bound(t, n, s, w)
-	res, err := core.Analyze(b, core.Options{STA: sta.Options{InputTiming: inputs}})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{STA: sta.Options{InputTiming: inputs}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	write := func(w io.Writer) error { return report.WriteJSON(w, res) }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jsonPath = filepath.Join(dir, "out.json")
-	if err := writeJSONFile(ctx, jsonPath, res); !errors.Is(err, context.Canceled) {
+	if err := writeJSONFile(ctx, jsonPath, write); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if _, err := os.Stat(jsonPath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("partial report left behind (stat err = %v)", err)
 	}
 	// And the same call succeeds, and keeps the file, on a live context.
-	if err := writeJSONFile(context.Background(), jsonPath, res); err != nil {
+	if err := writeJSONFile(context.Background(), jsonPath, write); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(jsonPath); err != nil || fi.Size() == 0 {

@@ -9,6 +9,7 @@
 //	    [-lint-only] [-werror] [-suppress NL003,SPF001] \
 //	    [-repair] [-delay] [-corr] [-timeout 30s] [-fail-fast] \
 //	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	sna -rules
 //
 // The netlist may also be structural Verilog (a .v file).
 //
@@ -20,7 +21,9 @@
 // Every run starts with the lint pre-flight (internal/lint): error-severity
 // findings abort the run before analysis, because noise results computed
 // from a broken database are worse than no results. -lint-only stops after
-// the pre-flight and prints every diagnostic including infos.
+// the pre-flight and prints every diagnostic including infos; with -json it
+// also writes them to that file as JSON. -rules prints the rule reference
+// (ID, default severity, title) and exits.
 //
 // The engine runs fail-soft by default: a victim whose analysis fails is
 // degraded to a conservative full-rail bound and reported in the
@@ -100,8 +103,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		iterate   = fs.Bool("iterate", false, "run the joint noise-timing fixpoint loop")
 		slacks    = fs.Int("slacks", 0, "also print the N tightest receiver noise margins")
 		period    = fs.Float64("period", 0, "clock period in seconds; enables timing slacks in the delta-delay report")
-		jsonOut   = fs.String("json", "", "write the full result as JSON to this file")
+		jsonOut   = fs.String("json", "", "write the full result (with -lint-only: the lint diagnostics) as JSON to this file")
 		lintOnly  = fs.Bool("lint-only", false, "run the lint pre-flight and stop")
+		rules     = fs.Bool("rules", false, "print the lint rule reference and exit")
 		werror    = fs.Bool("werror", false, "treat lint warnings as errors")
 		suppress  = fs.String("suppress", "", "comma-separated lint rule IDs to suppress")
 		timeout   = fs.Duration("timeout", 0, "wall-clock budget for the analysis; 0 = unbounded")
@@ -113,6 +117,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
+	}
+	if *rules {
+		printRules(stdout)
+		return exitClean
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -165,6 +173,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	lres := loaded.Lint
 	if *lintOnly {
 		report.Lint(stdout, lres)
+		if *jsonOut != "" {
+			if err := writeJSONFile(ctx, *jsonOut, func(w io.Writer) error { return report.WriteLintJSON(w, lres) }); err != nil {
+				return fail(err)
+			}
+		}
 		if lres.HasErrors() {
 			return exitLint
 		}
@@ -227,7 +240,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	report.Violations(stdout, res)
 	report.Degradations(stdout, res.Diags)
 	if *jsonOut != "" {
-		if err := writeJSONFile(ctx, *jsonOut, res); err != nil {
+		if err := writeJSONFile(ctx, *jsonOut, func(w io.Writer) error { return report.WriteJSON(w, res) }); err != nil {
 			return fail(err)
 		}
 	}
@@ -235,7 +248,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		report.SlackTable(stdout, res, *slacks)
 	}
 	if *repair && len(res.Violations) > 0 {
-		repairs, err := core.SuggestRepairs(b, res, 0.05)
+		repairs, err := core.SuggestRepairsCtx(ctx, b, res, 0.05)
 		if err != nil {
 			return fail(err)
 		}
@@ -271,15 +284,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return exitClean
 }
 
-// writeJSONFile writes the full report to path. A write that fails, or that
-// -timeout or a signal cancels, leaves no truncated report behind: the
-// partial file is removed (a device or pipe named by path is left alone).
-func writeJSONFile(ctx context.Context, path string, res *core.Result) error {
+// writeJSONFile writes a JSON report to path through write. A write that
+// fails, or that -timeout or a signal cancels, leaves no truncated report
+// behind: the partial file is removed (a device or pipe named by path is
+// left alone).
+func writeJSONFile(ctx context.Context, path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = report.WriteJSON(ctxWriter{ctx, f}, res)
+	err = write(ctxWriter{ctx, f})
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -336,4 +350,13 @@ func delayTable(stdout io.Writer, res *core.Result, dres *core.DelayResult, peri
 		t.AddRow(row...)
 	}
 	t.Render(stdout)
+}
+
+// printRules prints the lint rule reference: ID, default severity, title.
+func printRules(w io.Writer) {
+	t := report.NewTable("registered lint rules", "rule", "severity", "title")
+	for _, r := range lint.Rules() {
+		t.AddRow(r.ID(), r.Severity().String(), r.Title())
+	}
+	t.Render(w)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/spef"
 	"repro/internal/sta"
@@ -133,6 +135,54 @@ func TestLintOnlyClean(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout, "lint: 0 error(s)") {
 		t.Fatalf("lint-only summary missing:\n%s", stdout)
+	}
+}
+
+func TestRulesListing(t *testing.T) {
+	code, stdout, _ := runSna("-rules")
+	if code != exitClean {
+		t.Fatalf("exit = %d, want %d", code, exitClean)
+	}
+	rows := strings.Split(stdout, "\n")
+	for _, r := range lint.Rules() {
+		found := false
+		for _, row := range rows {
+			f := strings.Fields(row)
+			if len(f) >= 2 && f[0] == r.ID() && f[1] == r.Severity().String() && strings.Contains(row, r.Title()) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("rule listing has no row %s %s %q:\n%s", r.ID(), r.Severity(), r.Title(), stdout)
+		}
+	}
+}
+
+func TestLintOnlyJSON(t *testing.T) {
+	dir := t.TempDir()
+	n, s, w := writeBus(t, dir, workload.BusSpec{}, "multi-driven")
+	jsonPath := filepath.Join(dir, "lint.json")
+	code, stdout, _ := runSna("-net", n, "-spef", s, "-win", w, "-lint-only", "-json", jsonPath)
+	if code != exitLint || !strings.Contains(stdout, "NL001") {
+		t.Fatalf("exit = %d, want %d; stdout:\n%s", code, exitLint, stdout)
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Tool        string `json:"tool"`
+		Errors      int    `json:"errors"`
+		Diagnostics []struct {
+			Rule string `json:"rule"`
+		} `json:"diagnostics"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, data)
+	}
+	if got.Tool != "sna" || got.Errors == 0 || len(got.Diagnostics) == 0 || !strings.HasPrefix(got.Diagnostics[0].Rule, "NL001") {
+		t.Fatalf("JSON payload = %+v", got)
 	}
 }
 

@@ -23,24 +23,17 @@ func runJobs(ctx context.Context, cmd string, args []string, stdout, stderr io.W
 	fs.SetOutput(stderr)
 	var (
 		serverURL = fs.String("server", "http://127.0.0.1:8347", "snad server base URL")
-		retries   = fs.Int("retries", 0, "max attempts for retryable failures (default 4)")
 		tenant    = fs.String("tenant", "", "tenant ID for fair scheduling (X-Snad-Tenant)")
 
 		// submit flags
-		name        = fs.String("name", "", "session the job runs against")
-		jobType     = fs.String("type", "analyze", "job type: analyze | reanalyze | iterate | sweep")
-		delay       = fs.Bool("delay", false, "include the crosstalk delta-delay section in the result")
-		pad         = fs.String("pad", "", "reanalyze padding: net=seconds[,net=seconds...]")
-		maxRounds   = fs.Int("max-rounds", 0, "iterate: bound on the fixpoint rounds (default 8)")
-		shards      = fs.Int("shards", 0, "iterate: shard count for a distributed run (0 = server default)")
-		local       = fs.Bool("local", false, "iterate: force a single-process run")
-		sweepSpec   = fs.String("sweep", "", "sweep points: mode[:threshold][,mode[:threshold]...], e.g. noise:0.02,all:0.05")
-		deadline    = fs.String("deadline", "", "per-attempt execution budget, e.g. 90s (default: server's)")
-		maxAttempts = fs.Int("max-attempts", 0, "retry budget (default: server's)")
-		wait        = fs.Bool("wait", false, "block until the job reaches a terminal state")
-
-		// jobs flags
-		state = fs.String("state", "", "jobs: filter by state (queued|running|done|failed|canceled|quarantined)")
+		name      = fs.String("name", "", "session the job runs against")
+		jobType   = fs.String("type", "analyze", "job type: analyze | reanalyze | iterate | sweep")
+		delay     = fs.Bool("delay", false, "include the crosstalk delta-delay section in the result")
+		pad       = fs.String("pad", "", "reanalyze padding: net=seconds[,net=seconds...]")
+		shards    = fs.Int("shards", 0, "iterate: shard count for a distributed run (0 = server default)")
+		local     = fs.Bool("local", false, "iterate: force a single-process run")
+		sweepSpec = fs.String("sweep", "", "sweep points: mode[:threshold][,mode[:threshold]...], e.g. noise:0.02,all:0.05")
+		wait      = fs.Bool("wait", false, "block until the job reaches a terminal state")
 
 		// job/cancel flags
 		id      = fs.String("id", "", "job id (e.g. job-000001)")
@@ -49,7 +42,7 @@ func runJobs(ctx context.Context, cmd string, args []string, stdout, stderr io.W
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
-	c := client.New(*serverURL, client.RetryPolicy{MaxAttempts: *retries})
+	c := client.New(*serverURL, client.RetryPolicy{})
 	c.SetTenant(*tenant)
 	switch cmd {
 	case "submit":
@@ -58,14 +51,11 @@ func runJobs(ctx context.Context, cmd string, args []string, stdout, stderr io.W
 			return exitUsage
 		}
 		spec := &jobs.Spec{
-			Session:     *name,
-			Type:        *jobType,
-			Delay:       *delay,
-			MaxRounds:   *maxRounds,
-			Shards:      *shards,
-			Local:       *local,
-			Deadline:    *deadline,
-			MaxAttempts: *maxAttempts,
+			Session: *name,
+			Type:    *jobType,
+			Delay:   *delay,
+			Shards:  *shards,
+			Local:   *local,
 		}
 		if *pad != "" {
 			padding, err := parsePadding(*pad)
@@ -93,7 +83,7 @@ func runJobs(ctx context.Context, cmd string, args []string, stdout, stderr io.W
 		}
 		return waitAndPrint(ctx, c, snap.ID, *jsonOut, stdout, stderr)
 	case "jobs":
-		list, err := c.Jobs(ctx, *state)
+		list, err := c.Jobs(ctx)
 		if err != nil {
 			return clientFail(stderr, err)
 		}
@@ -199,7 +189,7 @@ func parseSweep(spec string) ([]jobs.SweepPoint, error) {
 		pt := jobs.SweepPoint{Mode: mode}
 		if hasThresh {
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
+			if err != nil {
 				return nil, fmt.Errorf("bad sweep threshold %q in %q", val, item)
 			}
 			pt.Threshold = f
@@ -208,6 +198,9 @@ func parseSweep(spec string) ([]jobs.SweepPoint, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-sweep needs at least one point (mode[:threshold],...)")
+	}
+	if err := jobs.CheckValues(nil, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

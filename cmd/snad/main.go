@@ -13,15 +13,12 @@
 //	             [-breaker-cooldown 10s] [-data-dir DIR]
 //	             [-workers url1,url2,...] [-shards N]
 //	             [-job-workers 2] [-job-queue 16] [-job-max-attempts 3]
-//	             [-job-deadline 5m]
 //	             [-mem-budget 512MB] [-tenant-cap N] [-job-tenant-cap N]
 //	snad create  -server URL -name S -net design.net [-spef design.spef]
-//	             [-lib lib.nlib] [-win design.win] [-mode all|timing|noise]
-//	             [-threshold 0.02] [-corr] [-noprop] [-workers N]
-//	             [-fail-fast] [-inject-fault spec]
+//	             [-win design.win] [-workers N] [-inject-fault spec]
 //	snad analyze -server URL -name S [-delay] [-timeout 10s]
-//	snad iterate -server URL -name S [-delay] [-max-rounds 8] [-shards N]
-//	             [-local] [-timeout 60s]
+//	snad iterate -server URL -name S [-delay] [-shards N] [-local]
+//	             [-timeout 60s]
 //	snad reanalyze -server URL -name S -pad net=3e-12,net2=5e-12 [-delay]
 //	snad report  -server URL -name S
 //	snad list    -server URL
@@ -29,10 +26,9 @@
 //	snad health  -server URL
 //	snad recovery -server URL
 //	snad submit  -server URL -name S -type analyze|reanalyze|iterate|sweep
-//	             [-delay] [-pad net=3e-12,...] [-max-rounds 8] [-shards N]
-//	             [-local] [-sweep mode:threshold,...] [-deadline 90s]
-//	             [-max-attempts 3] [-wait] [-json]
-//	snad jobs    -server URL [-state queued|running|done|failed|canceled|quarantined] [-json]
+//	             [-delay] [-pad net=3e-12,...] [-shards N] [-local]
+//	             [-sweep mode:threshold,...] [-wait] [-json]
+//	snad jobs    -server URL [-json]
 //	snad job     -server URL -id job-000001 [-wait] [-json]
 //	snad cancel  -server URL -id job-000001
 //
@@ -102,6 +98,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/jobs"
 	"repro/internal/report"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -163,7 +160,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		jobQueue     = fs.Int("job-queue", 0, "max queued async jobs; submits past it are shed (default 16)")
 		jobKeep      = fs.Int("job-keep-done", 0, "terminal jobs retained for status queries (default 64)")
 		jobAttempts  = fs.Int("job-max-attempts", 0, "default retry budget per async job (default 3)")
-		jobDeadline  = fs.Duration("job-deadline", 0, "default per-attempt execution budget per async job (default 5m)")
 		jobFaults    = fs.String("job-inject-fault", "", "inject job execution faults, e.g. panic:analyze:2 (chaos testing)")
 		memBudget    = fs.String("mem-budget", "", "byte budget for cached designs, e.g. 512MB or 2GiB (empty = unlimited); past it, creates shed with 503 instead of growing")
 		tenantCap    = fs.Int("tenant-cap", 0, "max concurrent analyses per tenant (0 = the concurrency cap)")
@@ -198,7 +194,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		JobQueueDepth:     *jobQueue,
 		JobKeepDone:       *jobKeep,
 		JobMaxAttempts:    *jobAttempts,
-		JobDeadline:       *jobDeadline,
 		JobFaultSpec:      *jobFaults,
 		MemBudget:         budget,
 		TenantCap:         *tenantCap,
@@ -262,21 +257,14 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 	var (
 		serverURL = fs.String("server", "http://127.0.0.1:8347", "snad server base URL")
 		name      = fs.String("name", "", "session name")
-		retries   = fs.Int("retries", 0, "max attempts for retryable failures (default 4)")
 		timeout   = fs.Duration("timeout", 0, "per-request analysis deadline sent to the server")
 		tenant    = fs.String("tenant", "", "tenant ID for fair scheduling (X-Snad-Tenant)")
 
 		// create flags
 		netPath   = fs.String("net", "", "netlist file (.net or .v)")
 		spefPath  = fs.String("spef", "", "parasitics file (.spef)")
-		libPath   = fs.String("lib", "", "cell library (.nlib); default: server's built-in generic")
 		winPath   = fs.String("win", "", "input timing file (.win)")
-		modeFlag  = fs.String("mode", "noise", "combination policy: all | timing | noise")
-		threshold = fs.Float64("threshold", 0, "aggressor coupling-ratio filter threshold")
-		noProp    = fs.Bool("noprop", false, "disable noise propagation through gates")
-		corr      = fs.Bool("corr", false, "enable logic-correlation aggressor filtering")
 		workers   = fs.Int("workers", 0, "parallel analysis workers (0 = serial)")
-		failFast  = fs.Bool("fail-fast", false, "abort a request on the first per-net failure instead of degrading")
 		faultSpec = fs.String("inject-fault", "", "inject runtime faults, e.g. panic:b1,sleep:* (testing)")
 
 		// analyze/reanalyze flags
@@ -284,7 +272,6 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		pad   = fs.String("pad", "", "reanalyze padding: net=seconds[,net=seconds...]")
 
 		// iterate flags
-		maxRounds = fs.Int("max-rounds", 0, "bound on the noise-delay fixpoint rounds (default 8)")
 		iterShard = fs.Int("shards", 0, "shard count for a distributed iterate (0 = server default)")
 		local     = fs.Bool("local", false, "force a single-process iterate even when workers are registered")
 	)
@@ -296,7 +283,7 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		fmt.Fprintln(stderr, "snad: -name is required")
 		return exitUsage
 	}
-	c := client.New(*serverURL, client.RetryPolicy{MaxAttempts: *retries})
+	c := client.New(*serverURL, client.RetryPolicy{})
 	c.SetTenant(*tenant)
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "snad:", err)
@@ -311,13 +298,8 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		req := &server.CreateSessionRequest{
 			Name: *name,
 			Options: server.SessionOptions{
-				Mode:             *modeFlag,
-				Threshold:        *threshold,
-				NoPropagation:    *noProp,
-				LogicCorrelation: *corr,
-				Workers:          *workers,
-				FailFast:         *failFast,
-				InjectFault:      *faultSpec,
+				Workers:     *workers,
+				InjectFault: *faultSpec,
 			},
 		}
 		text, err := os.ReadFile(*netPath)
@@ -332,7 +314,7 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		for _, f := range []struct {
 			path string
 			dst  *string
-		}{{*spefPath, &req.SPEF}, {*libPath, &req.Liberty}, {*winPath, &req.Timing}} {
+		}{{*spefPath, &req.SPEF}, {*winPath, &req.Timing}} {
 			if f.path == "" {
 				continue
 			}
@@ -356,10 +338,9 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		return printAnalysis(stdout, resp)
 	case "iterate":
 		resp, err := c.Iterate(ctx, *name, &server.IterateRequest{
-			Delay:     *delay,
-			MaxRounds: *maxRounds,
-			Shards:    *iterShard,
-			Local:     *local,
+			Delay:  *delay,
+			Shards: *iterShard,
+			Local:  *local,
 		}, *timeout)
 		if err != nil {
 			return clientFail(stderr, err)
@@ -583,13 +564,16 @@ func parsePadding(spec string) (map[string]float64, error) {
 			return nil, fmt.Errorf("bad padding %q (want net=seconds)", item)
 		}
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f < 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad padding value %q for net %q (want finite seconds >= 0)", val, net)
 		}
 		out[net] = f
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-pad is required (net=seconds[,net=seconds...])")
+	}
+	if err := jobs.CheckValues(out, nil); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -337,3 +337,22 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteValuesAreUsageErrors pins that the flags holding padding and
+// sweep thresholds apply the same finite-and-non-negative rule as the
+// server: NaN and Inf are refused with the usage exit before any request.
+func TestNonFiniteValuesAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"reanalyze", "-name", "x", "-pad", "n=NaN"},
+		{"reanalyze", "-name", "x", "-pad", "n=+Inf"},
+		{"submit", "-name", "x", "-type", "reanalyze", "-pad", "n=NaN"},
+		{"submit", "-name", "x", "-type", "sweep", "-sweep", "noise:NaN"},
+		{"submit", "-name", "x", "-type", "sweep", "-sweep", "noise:Inf"},
+	} {
+		var out, errb bytes.Buffer
+		code := run(context.Background(), append(args, "-server", "http://127.0.0.1:1"), &out, &errb)
+		if code != exitUsage || !strings.Contains(errb.String(), "want finite") {
+			t.Errorf("args %v: exit %d, want %d; stderr: %s", args, code, exitUsage, errb.String())
+		}
+	}
+}

@@ -6,23 +6,18 @@
 // and journal-before-acknowledge in handlers (ackorder). DESIGN.md §9 maps
 // each analyzer to the incident that motivated it.
 //
-// Two ways to run it:
+// It runs under go vet, which drives it once per compilation unit through
+// the unit-checker protocol (-V=full, -flags, *.cfg) and caches verdicts:
 //
 //	go build -o bin/snavet ./cmd/snavet
-//	go vet -vettool=$PWD/bin/snavet ./...     # what CI runs
-//	bin/snavet [-json] [-run a,b] [pattern ...]   # standalone, default ./...
-//
-// The first form speaks the go-vet unit-checker protocol (-V=full, -flags,
-// *.cfg) and inherits vet's build cache; the second loads packages itself
-// via `go list -export` and prints the same diagnostics, optionally as
-// JSON in the shared snalint/snavet diagnostics schema.
+//	go vet -vettool=$PWD/bin/snavet ./...
+//	bin/snavet help                           # the analyzers and waiver keys
 //
 // Findings are waived in source with `//snavet:<key> <reason>` on the
 // offending line or the line above. The reason is mandatory, unknown keys
-// and stale waivers are diagnostics themselves, and `snavet help` lists
-// every analyzer with its key.
+// and stale waivers are diagnostics themselves.
 //
-// Exit codes (standalone mode):
+// Exit codes:
 //
 //	0  clean
 //	2  diagnostics reported
@@ -60,14 +55,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		versionFlag = fs.String("V", "", "print version for the go command's build cache (go vet protocol)")
 		flagsFlag   = fs.Bool("flags", false, "print flag description in JSON (go vet protocol)")
-		jsonOut     = fs.Bool("json", false, "emit diagnostics as JSON in the shared snalint/snavet schema")
-		runOnly     = fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: snavet [-json] [-run a,b] [package pattern ...]\n")
-		fmt.Fprintf(stderr, "       go vet -vettool=$(which snavet) ./...\n")
+		fmt.Fprintf(stderr, "usage: go vet -vettool=$(which snavet) [packages]\n")
 		fmt.Fprintf(stderr, "       snavet help\n")
-		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -75,52 +66,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// go vet protocol: describe the executable for the build cache.
 	if *versionFlag != "" {
-		return printVersion(stdout, stderr)
+		return printVersion(stdout)
 	}
-	// go vet protocol: describe pass-through flags.
+	// go vet protocol: describe pass-through flags; there are none.
 	if *flagsFlag {
-		fmt.Fprintln(stdout, `[{"Name":"json","Bool":true,"Usage":"emit diagnostics as JSON"}]`)
+		fmt.Fprintln(stdout, "[]")
 		return exitClean
-	}
-
-	analyzers, code := selectAnalyzers(*runOnly, stderr)
-	if code != exitClean {
-		return code
 	}
 
 	rest := fs.Args()
-	if len(rest) == 1 && rest[0] == "help" {
-		printHelp(stdout, analyzers)
+	switch {
+	case len(rest) == 1 && rest[0] == "help":
+		printHelp(stdout)
 		return exitClean
-	}
-
-	// go vet protocol: a single *.cfg argument names one compilation unit.
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		diags, err := analysis.RunUnit(rest[0], analyzers)
+	case len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg"):
+		// go vet protocol: a single *.cfg argument names one compilation unit.
+		diags, err := analysis.RunUnit(rest[0], analysis.All())
 		if err != nil {
 			fmt.Fprintf(stderr, "snavet: %v\n", err)
 			return exitFail
 		}
-		return emit(diags, *jsonOut, stdout, stderr)
+		// Diagnostics go to stderr, the go vet convention, so go vet
+		// interleaves them with its own output correctly.
+		for _, d := range diags {
+			fmt.Fprintf(stderr, "%s:%d:%d: %s (%s)\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
+		}
+		if len(diags) > 0 {
+			return exitDiags
+		}
+		return exitClean
 	}
-
-	// Standalone mode: load package patterns ourselves.
-	patterns := rest
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	diags, err := analysis.LoadAndRun(patterns, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "snavet: %v\n", err)
-		return exitFail
-	}
-	return emit(diags, *jsonOut, stdout, stderr)
+	fs.Usage()
+	return exitUsage
 }
 
 // printVersion implements -V=full: the go command caches vet results keyed
 // on this line, so it embeds a content hash of the executable — rebuild
 // the tool and every cached verdict is invalidated.
-func printVersion(stdout, stderr io.Writer) int {
+func printVersion(stdout io.Writer) int {
 	name := "snavet"
 	if exe, err := os.Executable(); err == nil {
 		name = filepath.Base(exe)
@@ -138,68 +121,12 @@ func printVersion(stdout, stderr io.Writer) int {
 	return exitClean
 }
 
-func selectAnalyzers(runOnly string, stderr io.Writer) ([]*analysis.Analyzer, int) {
-	all := analysis.All()
-	if runOnly == "" {
-		return all, exitClean
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(runOnly, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a := analysis.ByName(name)
-		if a == nil {
-			fmt.Fprintf(stderr, "snavet: unknown analyzer %q in -run\n", name)
-			return nil, exitUsage
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return all, exitClean
-	}
-	return out, exitClean
-}
-
-func printHelp(w io.Writer, analyzers []*analysis.Analyzer) {
+func printHelp(w io.Writer) {
 	fmt.Fprintf(w, "snavet enforces this repository's hard-won invariants at vet time.\n\n")
 	fmt.Fprintf(w, "Waive a finding with //snavet:<key> <reason> on the line or the line above.\n\n")
 	t := report.NewTable("registered analyzers", "analyzer", "waiver key", "description")
-	for _, a := range analyzers {
+	for _, a := range analysis.All() {
 		t.AddRow(a.Name, "//snavet:"+a.DirectiveName(), a.Doc)
 	}
 	t.Render(w)
-}
-
-// emit prints diagnostics and returns the exit code. In plain mode the
-// diagnostics go to stderr (the go vet convention, so `go vet -vettool`
-// interleaves them with its own output correctly); in JSON mode the
-// machine-readable report goes to stdout.
-func emit(diags []analysis.Diagnostic, jsonOut bool, stdout, stderr io.Writer) int {
-	if jsonOut {
-		out := &report.ToolDiagsJSON{Tool: "snavet", Errors: len(diags)}
-		for _, d := range diags {
-			out.Diagnostics = append(out.Diagnostics, report.ToolDiagJSON{
-				Rule:     d.Analyzer,
-				Severity: "error",
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		if err := report.WriteToolDiagsJSON(stdout, out); err != nil {
-			fmt.Fprintf(stderr, "snavet: %v\n", err)
-			return exitFail
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(stderr, "%s:%d:%d: %s (%s)\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-		}
-	}
-	if len(diags) > 0 {
-		return exitDiags
-	}
-	return exitClean
 }

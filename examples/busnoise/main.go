@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -38,7 +39,7 @@ func main() {
 		"32-bit coupled bus, staggered switching windows",
 		"mode", "violations", "total-noise", "worst-victim-peak")
 	for _, mode := range []core.Mode{core.ModeAllAggressors, core.ModeTimingWindows, core.ModeNoiseWindows} {
-		res, err := core.Analyze(b, core.Options{Mode: mode, STA: g.STAOptions()})
+		res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: mode, STA: g.STAOptions()})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func main() {
 
 	// Show the middle line (attacked from both sides) in detail under
 	// the paper's policy.
-	res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -47,7 +48,7 @@ func main() {
 		{"noise windows, hull (single interval)", core.ModeNoiseWindows, true},
 		{"noise windows, sets (multi-phase)", core.ModeNoiseWindows, false},
 	} {
-		res, err := core.Analyze(b, core.Options{
+		res, err := core.AnalyzeCtx(context.Background(), b, core.Options{
 			Mode: c.mode, HullWindows: c.hull, STA: g.STAOptions(),
 		})
 		if err != nil {
@@ -65,7 +66,7 @@ func main() {
 
 	// Show the middle victim's event windows: two disjoint windows per
 	// aggressor, one per phase.
-	res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		log.Fatal(err)
 	}

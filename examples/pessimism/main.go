@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -42,7 +43,7 @@ func main() {
 			log.Fatal(err)
 		}
 		peak := func(mode core.Mode) float64 {
-			res, err := core.Analyze(b, core.Options{Mode: mode, STA: g.STAOptions()})
+			res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: mode, STA: g.STAOptions()})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		log.Fatal(err)
 	}

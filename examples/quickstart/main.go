@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -52,7 +53,7 @@ func main() {
 	}
 
 	// 5. Analyze with noise windows and print everything.
-	res, err := core.Analyze(b, core.Options{
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{
 		Mode: core.ModeNoiseWindows,
 		STA:  sta.Options{InputTiming: inputs},
 	})

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -78,13 +79,13 @@ func analyzeStar(spec workload.StarSpec) (*core.Result, []core.Repair) {
 	if b, err = g.Bind(liberty.Generic()); err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		log.Fatal(err)
 	}
 	var repairs []core.Repair
 	if len(res.Violations) > 0 {
-		if repairs, err = core.SuggestRepairs(b, res, 0.05); err != nil {
+		if repairs, err = core.SuggestRepairsCtx(context.Background(), b, res, 0.05); err != nil {
 			log.Fatal(err)
 		}
 	}

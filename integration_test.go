@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -69,11 +70,11 @@ func TestPipelineFileRoundTrip(t *testing.T) {
 	}
 
 	for _, mode := range []core.Mode{core.ModeAllAggressors, core.ModeNoiseWindows} {
-		rDirect, err := core.Analyze(bDirect, core.Options{Mode: mode, STA: g.STAOptions()})
+		rDirect, err := core.AnalyzeCtx(context.Background(), bDirect, core.Options{Mode: mode, STA: g.STAOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rFile, err := core.Analyze(bFile, core.Options{Mode: mode, STA: sta.Options{InputTiming: in2}})
+		rFile, err := core.AnalyzeCtx(context.Background(), bFile, core.Options{Mode: mode, STA: sta.Options{InputTiming: in2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestEndToEndConservativeVsSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(b, core.Options{Mode: core.ModeAllAggressors, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeAllAggressors, STA: g.STAOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestCrossModeInvariantsOnRandomFabrics(t *testing.T) {
 		}
 		var got [3]outcome
 		for i, mode := range []core.Mode{core.ModeAllAggressors, core.ModeTimingWindows, core.ModeNoiseWindows} {
-			res, err := core.Analyze(b, core.Options{Mode: mode, STA: g.STAOptions()})
+			res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: mode, STA: g.STAOptions()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +227,7 @@ func TestMultiphaseSetsNeverWorseThanHull(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func(hull bool) float64 {
-			res, err := core.Analyze(b, core.Options{
+			res, err := core.AnalyzeCtx(context.Background(), b, core.Options{
 				Mode: core.ModeNoiseWindows, HullWindows: hull,
 				STA: g.STAOptions(),
 			})
@@ -257,7 +258,7 @@ func TestDelayAnalysisAgreesAcrossPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.AnalyzeDelay(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeDelayCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

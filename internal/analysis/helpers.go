@@ -126,7 +126,7 @@ func containsRealCall(pass *Pass, n ast.Node) bool {
 }
 
 // calleeName returns the bare name of the called function or method
-// ("Lock" for mu.Lock(), "Analyze" for core.Analyze()), or "".
+// ("Lock" for mu.Lock(), "AnalyzeCtx" for core.AnalyzeCtx()), or "".
 func calleeName(call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -189,9 +189,18 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 }
 
 // doRetry runs one request through the retry loop. retryTransport allows
-// retrying transport-level failures (safe only for idempotent requests);
-// body is re-marshaled per attempt via mkBody.
-func (c *Client) doRetry(ctx context.Context, method, path string, mkBody func() (io.Reader, error), out any, retryTransport bool) error {
+// retrying transport-level failures (safe only for idempotent requests).
+// body (nil for none) is encoded once, before the first attempt: a body
+// that cannot be encoded fails the call at once rather than being retried
+// as if the transport had failed.
+func (c *Client) doRetry(ctx context.Context, method, path string, body any, out any, retryTransport bool) error {
+	var payload []byte
+	if body != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
+			return err
+		}
+	}
 	var lastErr error
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -205,7 +214,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, mkBody func()
 				return fmt.Errorf("snad: giving up after %d attempt(s): %w (last: %v)", attempt, err, lastErr)
 			}
 		}
-		err := c.attempt(ctx, method, path, mkBody, out)
+		err := c.attempt(ctx, method, path, payload, out)
 		if err == nil {
 			return nil
 		}
@@ -226,10 +235,10 @@ func (c *Client) doRetry(ctx context.Context, method, path string, mkBody func()
 // attempt runs doOnce under the per-attempt timeout. ctx.Err() checks in
 // the retry loop use the caller's context, so an expired attempt counts
 // as a transport failure (retryable) rather than ending the whole call.
-func (c *Client) attempt(ctx context.Context, method, path string, mkBody func() (io.Reader, error), out any) error {
+func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, out any) error {
 	ctx, cancel := c.attemptCtx(ctx)
 	defer cancel()
-	return c.doOnce(ctx, method, path, mkBody, out)
+	return c.doOnce(ctx, method, path, payload, out)
 }
 
 func (c *Client) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
@@ -239,13 +248,10 @@ func (c *Client) attemptCtx(ctx context.Context) (context.Context, context.Cance
 	return ctx, func() {}
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, mkBody func() (io.Reader, error), out any) error {
+func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte, out any) error {
 	var body io.Reader
-	if mkBody != nil {
-		var err error
-		if body, err = mkBody(); err != nil {
-			return err
-		}
+	if payload != nil {
+		body = bytes.NewReader(payload)
 	}
 	data, err := c.roundTrip(ctx, method, path, "application/json", body)
 	if err != nil {
@@ -310,22 +316,12 @@ func readBody(resp *http.Response) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-func jsonBody(v any) func() (io.Reader, error) {
-	return func() (io.Reader, error) {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return nil, err
-		}
-		return bytes.NewReader(b), nil
-	}
-}
-
 // CreateSession loads a design into a named session. Not retried on
 // transport failure: the create may have landed before the connection
 // died, and replaying it would read as a conflict.
 func (c *Client) CreateSession(ctx context.Context, req *server.CreateSessionRequest) (*server.SessionInfo, error) {
 	var info server.SessionInfo
-	if err := c.doRetry(ctx, "POST", "/v1/sessions", jsonBody(req), &info, false); err != nil {
+	if err := c.doRetry(ctx, "POST", "/v1/sessions", req, &info, false); err != nil {
 		return nil, err
 	}
 	return &info, nil
@@ -335,7 +331,7 @@ func (c *Client) CreateSession(ctx context.Context, req *server.CreateSessionReq
 func (c *Client) Analyze(ctx context.Context, name string, req *server.AnalyzeRequest, timeout time.Duration) (*server.AnalyzeResponse, error) {
 	var out server.AnalyzeResponse
 	path := "/v1/sessions/" + url.PathEscape(name) + "/analyze" + timeoutQuery(timeout)
-	if err := c.doRetry(ctx, "POST", path, jsonBody(req), &out, true); err != nil {
+	if err := c.doRetry(ctx, "POST", path, req, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -346,7 +342,7 @@ func (c *Client) Analyze(ctx context.Context, name string, req *server.AnalyzeRe
 func (c *Client) Reanalyze(ctx context.Context, name string, req *server.ReanalyzeRequest, timeout time.Duration) (*server.AnalyzeResponse, error) {
 	var out server.AnalyzeResponse
 	path := "/v1/sessions/" + url.PathEscape(name) + "/reanalyze" + timeoutQuery(timeout)
-	if err := c.doRetry(ctx, "POST", path, jsonBody(req), &out, true); err != nil {
+	if err := c.doRetry(ctx, "POST", path, req, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil

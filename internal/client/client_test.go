@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -193,6 +194,22 @@ func TestAnalyzeRetriedOnTransportError(t *testing.T) {
 	}
 	if out.Session != "s" || calls.Load() != 2 {
 		t.Fatalf("out=%+v calls=%d", out, calls.Load())
+	}
+}
+
+// TestUnencodableBodyFailsAtOnce pins that a request body JSON cannot carry
+// (a NaN padding) fails the call before any attempt: it is not a transport
+// error, so nothing is sent and nothing is retried.
+func TestUnencodableBodyFailsAtOnce(t *testing.T) {
+	ts, calls := shedding(0, "", "overloaded")
+	defer ts.Close()
+	c, slept := testClient(ts.URL, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond})
+	req := &server.ReanalyzeRequest{Padding: map[string]float64{"b1": math.NaN()}}
+	if _, err := c.Reanalyze(context.Background(), "s", req, 0); err == nil {
+		t.Fatal("NaN padding encoded")
+	}
+	if calls.Load() != 0 || len(*slept) != 0 {
+		t.Fatalf("calls=%d slept=%v, want no attempt and no backoff", calls.Load(), *slept)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // (503) responses are still retried, because those are explicit refusals.
 func (c *Client) SubmitJob(ctx context.Context, spec *jobs.Spec) (*report.JobJSON, error) {
 	var snap report.JobJSON
-	if err := c.doRetry(ctx, "POST", "/v1/jobs", jsonBody(spec), &snap, false); err != nil {
+	if err := c.doRetry(ctx, "POST", "/v1/jobs", spec, &snap, false); err != nil {
 		return nil, err
 	}
 	return &snap, nil
@@ -34,16 +34,10 @@ func (c *Client) JobStatus(ctx context.Context, id string) (*report.JobJSON, err
 }
 
 // Jobs lists every job the server remembers (all non-terminal jobs plus
-// the retained tail of terminal ones). A non-empty state filters to one
-// lifecycle state — "queued", "running", "done", "failed", "canceled" —
-// or the pseudo-state "quarantined" (poison jobs parked as failed).
-func (c *Client) Jobs(ctx context.Context, state string) ([]report.JobJSON, error) {
-	path := "/v1/jobs"
-	if state != "" {
-		path += "?state=" + url.QueryEscape(state)
-	}
+// the retained tail of terminal ones).
+func (c *Client) Jobs(ctx context.Context) ([]report.JobJSON, error) {
 	var out server.JobsResponse
-	if err := c.doRetry(ctx, "GET", path, nil, &out, true); err != nil {
+	if err := c.doRetry(ctx, "GET", "/v1/jobs", nil, &out, true); err != nil {
 		return nil, err
 	}
 	return out.Jobs, nil

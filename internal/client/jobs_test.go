@@ -79,7 +79,7 @@ func TestSubmitWaitCancelJob(t *testing.T) {
 		t.Fatalf("slept = %v", *slept)
 	}
 
-	list, err := c.Jobs(context.Background(), "")
+	list, err := c.Jobs(context.Background())
 	if err != nil || len(list) != 1 {
 		t.Fatalf("list = %v, %v", list, err)
 	}

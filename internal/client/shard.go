@@ -77,7 +77,7 @@ func (w *ShardWorker) Ping(ctx context.Context) error {
 func (c *Client) Iterate(ctx context.Context, name string, req *server.IterateRequest, timeout time.Duration) (*server.AnalyzeResponse, error) {
 	var out server.AnalyzeResponse
 	path := "/v1/sessions/" + url.PathEscape(name) + "/iterate" + timeoutQuery(timeout)
-	if err := c.doRetry(ctx, "POST", path, jsonBody(req), &out, true); err != nil {
+	if err := c.doRetry(ctx, "POST", path, req, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -88,7 +88,7 @@ func (c *Client) Iterate(ctx context.Context, name string, req *server.IterateRe
 // safe.
 func (c *Client) RegisterWorker(ctx context.Context, req *server.RegisterWorkerRequest) (*server.WorkerInfo, error) {
 	var out server.WorkerInfo
-	if err := c.doRetry(ctx, "POST", "/v1/workers", jsonBody(req), &out, true); err != nil {
+	if err := c.doRetry(ctx, "POST", "/v1/workers", req, &out, true); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -78,7 +78,7 @@ type Options struct {
 	// panic, or block to simulate a malformed or pathological victim. Not
 	// consulted on any other path.
 	PrepareHook func(net string) error
-	// RoundBudget bounds each round's wall clock in AnalyzeIterative;
+	// RoundBudget bounds each round's wall clock in AnalyzeIterativeCtx;
 	// a round exceeding it stops the loop with a Diverging diagnostic.
 	// Zero means no budget.
 	RoundBudget time.Duration
@@ -131,7 +131,7 @@ func (s bitset) appendRange(out []int, lo, hi int) []int {
 	return out
 }
 
-// analyzer carries per-run state. Under AnalyzeIterative one analyzer
+// analyzer carries per-run state. Under AnalyzeIterativeCtx one analyzer
 // persists across rounds and is shared between the noise and delay passes:
 // the timing result is updated in place, coupled events are re-prepared
 // only for victims with a re-timed aggressor, and a net is re-evaluated only
@@ -209,7 +209,7 @@ type analyzer struct {
 }
 
 // newAnalyzer runs the shared setup — timing, victim ordering, context and
-// coupled-event construction — used by Analyze, AnalyzeDelay, and the
+// coupled-event construction — used by AnalyzeCtx, AnalyzeDelayCtx and the
 // iterative engine.
 func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, error) {
 	a, err := newAnalyzerBase(ctx, b, opts)
@@ -525,13 +525,8 @@ func (a *analyzer) setPropCount(pos, n int) {
 	a.propCount[pos] = n
 }
 
-// Analyze runs static noise analysis over the whole design.
-func Analyze(b *bind.Design, opts Options) (*Result, error) {
-	return AnalyzeCtx(context.Background(), b, opts)
-}
-
-// AnalyzeCtx is Analyze with cooperative cancellation: the context is
-// checked during victim preparation and between propagation passes, and
+// AnalyzeCtx runs static noise analysis over the whole design, with
+// cooperative cancellation: the context is checked during victim preparation and between propagation passes, and
 // its error is returned as soon as it fires. A cancelled run returns no
 // partial result — partial results come from fail-soft degradation
 // (Options.FailSoft), not from cancellation.

@@ -256,17 +256,6 @@ func (r *Result) TotalNoise() float64 {
 	return s
 }
 
-// ViolationsOn returns the violations for one net.
-func (r *Result) ViolationsOn(net string) []Violation {
-	var out []Violation
-	for _, v := range r.Violations {
-		if v.Net == net {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // WorstSlack returns the smallest noise slack across all checked
 // receivers, +Inf when nothing was checked.
 func (r *Result) WorstSlack() float64 {

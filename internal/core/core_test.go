@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -99,7 +100,7 @@ func staggeredInputs(n int, sep, width float64) map[string]*sta.Timing {
 
 func analyze(t testing.TB, b *bind.Design, opts Options) *Result {
 	t.Helper()
-	res, err := Analyze(b, opts)
+	res, err := AnalyzeCtx(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +304,6 @@ func TestViolationsDetectedAndSorted(t *testing.T) {
 	if v.Slack >= 0 || v.Peak <= v.Limit {
 		t.Fatalf("violation fields inconsistent: %+v", v)
 	}
-	if len(res.ViolationsOn(v.Net)) == 0 {
-		t.Fatal("ViolationsOn lost the violation")
-	}
 	if res.WorstSlack() != v.Slack {
 		t.Fatalf("WorstSlack = %g, want %g", res.WorstSlack(), v.Slack)
 	}
@@ -415,7 +413,7 @@ func BenchmarkAnalyzeBus8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(bd, opts); err != nil {
+		if _, err := AnalyzeCtx(context.Background(), bd, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

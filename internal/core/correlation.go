@@ -21,7 +21,7 @@ import (
 // mutually exclusive when both depend on exactly the same single input
 // with definite polarities that demand opposite transitions of that input.
 // Combination then becomes a maximum-weight overlap query with pairwise
-// conflicts (interval.MaxOverlapSumConstrained).
+// conflicts (interval's Scan.MaxWeightIndependentSet at each instant).
 
 // polarity is a bitmask: bit 0 = positive path exists, bit 1 = negative.
 type polarity uint8

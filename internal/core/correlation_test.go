@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bind"
@@ -146,7 +147,7 @@ func TestCorrelationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(corr bool) Combined {
-		res, err := Analyze(b, Options{
+		res, err := AnalyzeCtx(context.Background(), b, Options{
 			Mode:             ModeNoiseWindows,
 			LogicCorrelation: corr,
 			STA:              g.STAOptions(),

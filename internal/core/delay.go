@@ -86,31 +86,16 @@ func (r *DelayResult) ImpactOn(net string, rise bool) *DelayImpact {
 	return nil
 }
 
-// TotalDelta sums every impact — the aggregate delay-pessimism metric the
-// experiments track across modes.
-func (r *DelayResult) TotalDelta() float64 {
-	var s float64
-	for _, im := range r.Impacts {
-		s += im.Delta
-	}
-	return s
-}
-
-// AnalyzeDelay estimates crosstalk-induced delay changes for every
-// switching net. Mode semantics mirror Analyze: ModeAllAggressors lets
+// AnalyzeDelayCtx estimates crosstalk-induced delay changes for every
+// switching net. Mode semantics mirror AnalyzeCtx: ModeAllAggressors lets
 // every opposing aggressor attack every victim edge; the window modes
 // require the aggressor's noise window to overlap the victim's switching
 // window (peak semantics — the linearized bump-on-ramp model this uses is
 // itself first order, so tent tails and logic correlation are not applied
 // here). Only coupled (not propagated) noise disturbs delay — a glitch
 // arriving through the victim's own driver is already part of its input
-// arrival, not an independent disturbance.
-func AnalyzeDelay(b *bind.Design, opts Options) (*DelayResult, error) {
-	return AnalyzeDelayCtx(context.Background(), b, opts)
-}
-
-// AnalyzeDelayCtx is AnalyzeDelay with cooperative cancellation, checked
-// during preparation and between victims.
+// arrival, not an independent disturbance. Cancellation is checked during
+// preparation and between victims.
 func AnalyzeDelayCtx(ctx context.Context, b *bind.Design, opts Options) (*DelayResult, error) {
 	a, err := newAnalyzer(ctx, b, opts)
 	if err != nil {

@@ -37,7 +37,7 @@ func TestFailSoftIsolatesInjectedFaults(t *testing.T) {
 	faulty := base
 	faulty.FailSoft = true
 	faulty.PrepareHook = hookFailing("a1", "a2")
-	res, err := Analyze(b, faulty)
+	res, err := AnalyzeCtx(context.Background(), b, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFailSoftRecoversPanic(t *testing.T) {
 			return nil
 		},
 	}
-	res, err := Analyze(b, opts)
+	res, err := AnalyzeCtx(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFailFastReturnsFirstError(t *testing.T) {
 		PrepareHook: hookFailing("a1"),
 		STA:         sta.Options{InputTiming: inputs},
 	}
-	if _, err := Analyze(b, opts); err == nil || !strings.Contains(err.Error(), "a1") {
+	if _, err := AnalyzeCtx(context.Background(), b, opts); err == nil || !strings.Contains(err.Error(), "a1") {
 		t.Fatalf("fail-fast error = %v", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestFailSoftParallelMatchesSerial(t *testing.T) {
 	b := busFixture(t, 24, 3*units.Femto, 10*units.Femto)
 	inputs := staggeredInputs(24, 100*units.Pico, 50*units.Pico)
 	mk := func(workers int) *Result {
-		res, err := Analyze(b, Options{
+		res, err := AnalyzeCtx(context.Background(), b, Options{
 			Mode:        ModeNoiseWindows,
 			FailSoft:    true,
 			Workers:     workers,
@@ -204,7 +204,7 @@ func TestFailFastDrainsWorkersPromptly(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := Analyze(b, opts); err == nil {
+	if _, err := AnalyzeCtx(context.Background(), b, opts); err == nil {
 		t.Fatal("early failure not reported")
 	}
 	// With 8 workers only the handful of already-claimed nets may still
@@ -261,7 +261,7 @@ func TestAnalyzeCtxDeadlinePrompt(t *testing.T) {
 func TestFailSoftDelayAnalysis(t *testing.T) {
 	b := busFixture(t, 3, 3*units.Femto, 10*units.Femto)
 	inputs := staggeredInputs(3, 100*units.Pico, 50*units.Pico)
-	res, err := AnalyzeDelay(b, Options{
+	res, err := AnalyzeDelayCtx(context.Background(), b, Options{
 		Mode:        ModeNoiseWindows,
 		FailSoft:    true,
 		PrepareHook: hookFailing("a1"),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -116,7 +117,7 @@ func TestIterativeIncrementalMatchesScratch(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			b, staOpts := coupledBus(t, 8)
 			opts := Options{Mode: mode, STA: staOpts}
-			iter, err := AnalyzeIterative(b, opts, 0)
+			iter, err := AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,11 +131,11 @@ func TestIterativeIncrementalMatchesScratch(t *testing.T) {
 			}
 			scratch := opts
 			scratch.STA.WindowPadding = iter.Padding
-			noise, err := Analyze(b, scratch)
+			noise, err := AnalyzeCtx(context.Background(), b, scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			delay, err := AnalyzeDelay(b, scratch)
+			delay, err := AnalyzeDelayCtx(context.Background(), b, scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +170,7 @@ func TestLadderWorkloadConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Mode: ModeNoiseWindows, STA: g.STAOptions()}
-	iter, err := AnalyzeIterative(b, opts, 0)
+	iter, err := AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +180,11 @@ func TestLadderWorkloadConvergence(t *testing.T) {
 	}
 	scratch := opts
 	scratch.STA.WindowPadding = iter.Padding
-	noise, err := Analyze(b, scratch)
+	noise, err := AnalyzeCtx(context.Background(), b, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delay, err := AnalyzeDelay(b, scratch)
+	delay, err := AnalyzeDelayCtx(context.Background(), b, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,11 @@ func TestWorkersDeterminism(t *testing.T) {
 				t.Fatalf("stats differ: serial %+v parallel %+v", serial.Stats, parallel.Stats)
 			}
 
-			iterS, err := AnalyzeIterative(b, mk(1), 0)
+			iterS, err := AnalyzeIterativeCtx(context.Background(), b, mk(1), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			iterP, err := AnalyzeIterative(b, mk(8), 0)
+			iterP, err := AnalyzeIterativeCtx(context.Background(), b, mk(8), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +251,7 @@ func TestIncrementalRoundsReuseCleanVictims(t *testing.T) {
 			return nil
 		},
 	}
-	iter, err := AnalyzeIterative(b, opts, 0)
+	iter, err := AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,13 +238,8 @@ func (e *engine) DelayImpacts(ctx context.Context, passes int, converged bool) (
 	return e.a.assembleDelay(), nil
 }
 
-// AnalyzeIterative runs the noise–timing loop single-process. maxRounds
-// bounds the outer iteration (default 8 when zero).
-func AnalyzeIterative(b *bind.Design, opts Options, maxRounds int) (*IterativeResult, error) {
-	return AnalyzeIterativeCtx(context.Background(), b, opts, maxRounds)
-}
-
-// AnalyzeIterativeCtx is AnalyzeIterative with cooperative cancellation,
+// AnalyzeIterativeCtx runs the noise–timing loop single-process. maxRounds
+// bounds the outer iteration (default 8 when zero). Cancellation is
 // checked between rounds and inside each round's analyses.
 func AnalyzeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxRounds int) (*IterativeResult, error) {
 	return ResumeIterativeCtx(ctx, b, opts, maxRounds, RoundState{}, nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ func TestIterativeConvergesOnQuietVictims(t *testing.T) {
 	// round with zero padding.
 	b := busFixture(t, 2, 4*units.Femto, 10*units.Femto)
 	inputs := staggeredInputs(2, 0, 60*units.Pico)
-	res, err := AnalyzeIterative(b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}, 0)
+	res, err := AnalyzeIterativeCtx(context.Background(), b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestIterativeConvergesWithDeltaFeedback(t *testing.T) {
 	b := busFixture(t, 3, 4*units.Femto, 8*units.Femto)
 	inputs := staggeredInputs(3, 0, 60*units.Pico)
 	inputs["i_v"] = timingAt(0, 60*units.Pico)
-	res, err := AnalyzeIterative(b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}, 0)
+	res, err := AnalyzeIterativeCtx(context.Background(), b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestIterativeConvergesWithDeltaFeedback(t *testing.T) {
 	}
 	// The victim's window in the final round is wider than in a plain
 	// run: padding made the late edge later.
-	plain, err := Analyze(b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}})
+	plain, err := AnalyzeCtx(context.Background(), b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestIterativePaddingMonotone(t *testing.T) {
 	inputs := staggeredInputs(3, 100*units.Pico, 60*units.Pico)
 	inputs["i_v"] = timingAt(0, 60*units.Pico)
 	opts := Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}
-	iter, err := AnalyzeIterative(b, opts, 0)
+	iter, err := AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Analyze(b, opts)
+	plain, err := AnalyzeCtx(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestIterativeNonConvergenceReportsDiverging(t *testing.T) {
 	b := busFixture(t, 3, 4*units.Femto, 8*units.Femto)
 	inputs := staggeredInputs(3, 0, 60*units.Pico)
 	inputs["i_v"] = timingAt(0, 60*units.Pico)
-	res, err := AnalyzeIterative(b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}, 1)
+	res, err := AnalyzeIterativeCtx(context.Background(), b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestIterativeRoundBudgetTripsWatchdog(t *testing.T) {
 	inputs := staggeredInputs(3, 0, 60*units.Pico)
 	inputs["i_v"] = timingAt(0, 60*units.Pico)
 	opts := Options{Mode: ModeNoiseWindows, RoundBudget: time.Nanosecond, STA: sta.Options{InputTiming: inputs}}
-	res, err := AnalyzeIterative(b, opts, 0)
+	res, err := AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestIterativeRoundBudgetTripsWatchdog(t *testing.T) {
 func TestIterativeConvergedNeverDiverging(t *testing.T) {
 	b := busFixture(t, 2, 4*units.Femto, 10*units.Femto)
 	inputs := staggeredInputs(2, 0, 60*units.Pico)
-	res, err := AnalyzeIterative(b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}, 0)
+	res, err := AnalyzeIterativeCtx(context.Background(), b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,16 +59,11 @@ func (r *Repair) Describe() string {
 	return s
 }
 
-// SuggestRepairs computes a repair per violation of a completed analysis.
-// margin is the extra headroom demanded below the immunity limit (e.g.
-// 0.05 for 5 %); zero means repair exactly to the limit.
-func SuggestRepairs(b *bind.Design, res *Result, margin float64) ([]Repair, error) {
-	return SuggestRepairsCtx(context.Background(), b, res, margin)
-}
-
-// SuggestRepairsCtx is SuggestRepairs with cooperative cancellation: the
-// context is checked once per violation, each of which rebuilds the noise
-// context for its net.
+// SuggestRepairsCtx computes a repair per violation of a completed
+// analysis. margin is the extra headroom demanded below the immunity limit
+// (e.g. 0.05 for 5 %); zero means repair exactly to the limit. The context
+// is checked once per violation, each of which rebuilds the noise context
+// for its net.
 func SuggestRepairsCtx(ctx context.Context, b *bind.Design, res *Result, margin float64) ([]Repair, error) {
 	if margin < 0 || margin >= 1 {
 		return nil, fmt.Errorf("core: repair margin %g out of [0, 1)", margin)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestSuggestRepairsBasics(t *testing.T) {
 	if len(res.Violations) == 0 {
 		t.Fatal("fixture produced no violations")
 	}
-	repairs, err := SuggestRepairs(b, res, 0.05)
+	repairs, err := SuggestRepairsCtx(context.Background(), b, res, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRepairUpsizeTarget(t *testing.T) {
 	b := busFixture(t, 4, 8*units.Femto, 1*units.Femto)
 	inputs := staggeredInputs(4, 0, 50*units.Pico)
 	res := analyze(t, b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}})
-	repairs, err := SuggestRepairs(b, res, 0)
+	repairs, err := SuggestRepairsCtx(context.Background(), b, res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestRepairCouplingCutInsufficientAlone(t *testing.T) {
 	b := busFixture(t, 4, 8*units.Femto, 1*units.Femto)
 	inputs := staggeredInputs(4, 0, 50*units.Pico)
 	res := analyze(t, b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}})
-	repairs, err := SuggestRepairs(b, res, 0.05)
+	repairs, err := SuggestRepairsCtx(context.Background(), b, res, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +100,10 @@ func TestRepairMarginValidation(t *testing.T) {
 	b := busFixture(t, 2, 8*units.Femto, 1*units.Femto)
 	inputs := staggeredInputs(2, 0, 50*units.Pico)
 	res := analyze(t, b, Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: inputs}})
-	if _, err := SuggestRepairs(b, res, -0.1); err == nil {
+	if _, err := SuggestRepairsCtx(context.Background(), b, res, -0.1); err == nil {
 		t.Fatal("negative margin accepted")
 	}
-	if _, err := SuggestRepairs(b, res, 1.0); err == nil {
+	if _, err := SuggestRepairsCtx(context.Background(), b, res, 1.0); err == nil {
 		t.Fatal("margin 1 accepted")
 	}
 }
@@ -114,7 +115,7 @@ func TestRepairCleanDesignEmpty(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Fatal("weakly coupled fixture violated")
 	}
-	repairs, err := SuggestRepairs(b, res, 0.05)
+	repairs, err := SuggestRepairsCtx(context.Background(), b, res, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // Session is the exported handle on the persistent incremental analyzer
-// that AnalyzeIterative uses internally: one prepared analyzer shared by
+// that AnalyzeIterativeCtx uses internally: one prepared analyzer shared by
 // the noise and delay passes. A batch run that wants both results opens a
 // Session and reads Noise and Delay once (sna -delay), paying for timing
-// and victim preparation one time instead of once per Analyze*/
-// AnalyzeDelay* call. A long-running service keeps one Session per loaded
+// and victim preparation one time instead of once per AnalyzeCtx/
+// AnalyzeDelayCtx call. A long-running service keeps one Session per loaded
 // design: the first (full) analysis builds the timing
 // annotation, the noise contexts, and the coupled events once, and every
 // later delta re-analysis — new window padding from an ECO, a routing

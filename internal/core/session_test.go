@@ -42,11 +42,11 @@ func TestSessionReanalyzeMatchesScratch(t *testing.T) {
 
 	scratch := opts
 	scratch.STA.WindowPadding = sess.Padding()
-	noise, err := Analyze(b, scratch)
+	noise, err := AnalyzeCtx(context.Background(), b, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delay, err := AnalyzeDelay(b, scratch)
+	delay, err := AnalyzeDelayCtx(context.Background(), b, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func A1Widening(cfg Config) ([]*report.Table, error) {
 		}
 		mid := workload.MiddleBusNet(8)
 		run := func(occ core.Occupancy) (core.Combined, error) {
-			res, err := core.Analyze(b, core.Options{
+			res, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{
 				Mode:      core.ModeNoiseWindows,
 				Occupancy: occ,
 				STA:       g.STAOptions(),

@@ -45,7 +45,7 @@ func A2Multiphase(cfg Config) ([]*report.Table, error) {
 			return nil, err
 		}
 		run := func(mode core.Mode, hull bool) (float64, error) {
-			res, err := core.Analyze(b, core.Options{
+			res, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{
 				Mode:        mode,
 				HullWindows: hull,
 				STA:         g.STAOptions(),

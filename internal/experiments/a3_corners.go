@@ -62,7 +62,7 @@ func A3Corners(cfg Config) ([]*report.Table, error) {
 			EarlyDerate: c.earlyDerate,
 			LateDerate:  c.lateDerate,
 		}
-		res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: staOpts})
+		res, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{Mode: core.ModeNoiseWindows, STA: staOpts})
 		if err != nil {
 			return nil, err
 		}

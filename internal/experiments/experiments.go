@@ -26,8 +26,8 @@ type Config struct {
 	Ctx context.Context
 }
 
-// Context returns the configured context, defaulting to background.
-func (c Config) Context() context.Context {
+// ctx returns the configured context, defaulting to background.
+func (c Config) ctx() context.Context {
 	if c.Ctx != nil {
 		return c.Ctx
 	}
@@ -74,7 +74,7 @@ func Run(id string, cfg Config) ([]*report.Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
-	if err := cfg.Context().Err(); err != nil {
+	if err := cfg.ctx().Err(); err != nil {
 		return nil, err
 	}
 	return r(cfg)
@@ -85,7 +85,7 @@ func Run(id string, cfg Config) ([]*report.Table, error) {
 func All(cfg Config) ([]*report.Table, error) {
 	var out []*report.Table
 	for _, id := range IDs() {
-		if err := cfg.Context().Err(); err != nil {
+		if err := cfg.ctx().Err(); err != nil {
 			return nil, err
 		}
 		ts, err := Run(id, cfg)

@@ -38,7 +38,7 @@ func F2Propagation(cfg Config) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		return nil, err
 	}

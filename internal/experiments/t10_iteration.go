@@ -61,11 +61,11 @@ func T10Iteration(cfg Config) ([]*report.Table, error) {
 			return nil, err
 		}
 		opts := core.Options{Mode: core.ModeNoiseWindows, STA: sta.Options{InputTiming: ge.g.Inputs}}
-		first, err := core.Analyze(b, opts)
+		first, err := core.AnalyzeCtx(cfg.ctx(), b, opts)
 		if err != nil {
 			return nil, err
 		}
-		iter, err := core.AnalyzeIterative(b, opts, 0)
+		iter, err := core.AnalyzeIterativeCtx(cfg.ctx(), b, opts, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -54,11 +54,11 @@ func T11MonteCarlo(cfg Config) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		resC, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+		resC, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 		if err != nil {
 			return nil, err
 		}
-		resA, err := core.Analyze(b, core.Options{Mode: core.ModeAllAggressors, STA: g.STAOptions()})
+		resA, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{Mode: core.ModeAllAggressors, STA: g.STAOptions()})
 		if err != nil {
 			return nil, err
 		}

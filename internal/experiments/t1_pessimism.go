@@ -42,7 +42,7 @@ func T1Pessimism(cfg Config) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := runT1Design(t, g, lib, fmt.Sprintf("bus%d", bits), modes); err != nil {
+		if err := runT1Design(cfg, t, g, lib, fmt.Sprintf("bus%d", bits), modes); err != nil {
 			return nil, err
 		}
 	}
@@ -61,14 +61,14 @@ func T1Pessimism(cfg Config) ([]*report.Table, error) {
 			return nil, err
 		}
 		name := fmt.Sprintf("fabric%dx%d", fs.Width, fs.Levels)
-		if err := runT1Design(t, g, lib, name, modes); err != nil {
+		if err := runT1Design(cfg, t, g, lib, name, modes); err != nil {
 			return nil, err
 		}
 	}
 	return []*report.Table{t}, nil
 }
 
-func runT1Design(t *report.Table, g *workload.Generated, lib *liberty.Library, name string, modes []core.Mode) error {
+func runT1Design(cfg Config, t *report.Table, g *workload.Generated, lib *liberty.Library, name string, modes []core.Mode) error {
 	b, err := g.Bind(lib)
 	if err != nil {
 		return err
@@ -76,7 +76,7 @@ func runT1Design(t *report.Table, g *workload.Generated, lib *liberty.Library, n
 	var baseViol int
 	var baseNoise float64
 	for i, mode := range modes {
-		res, err := core.Analyze(b, core.Options{Mode: mode, STA: g.STAOptions()})
+		res, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{Mode: mode, STA: g.STAOptions()})
 		if err != nil {
 			return err
 		}

@@ -55,14 +55,14 @@ func T3Runtime(cfg Config) ([]*report.Table, error) {
 		for _, v := range variants {
 			opts := core.Options{Mode: v.mode, Workers: v.workers, STA: g.STAOptions()}
 			// Warm once (bind caches RC analyses), then time.
-			if _, err := core.Analyze(b, opts); err != nil {
+			if _, err := core.AnalyzeCtx(cfg.ctx(), b, opts); err != nil {
 				return nil, err
 			}
 			reps := 3
 			start := time.Now()
 			var pairs int
 			for r := 0; r < reps; r++ {
-				res, err := core.Analyze(b, opts)
+				res, err := core.AnalyzeCtx(cfg.ctx(), b, opts)
 				if err != nil {
 					return nil, err
 				}

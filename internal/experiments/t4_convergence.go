@@ -60,7 +60,7 @@ func T4Convergence(cfg Config) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: ge.g.STAOptions()})
+		res, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{Mode: core.ModeNoiseWindows, STA: ge.g.STAOptions()})
 		if err != nil {
 			return nil, err
 		}

@@ -51,11 +51,11 @@ func T5Filtering(cfg Config) ([]*report.Table, error) {
 	var basePeak float64
 	for i, th := range thresholds {
 		opts := core.Options{Mode: core.ModeNoiseWindows, FilterThreshold: th, STA: g.STAOptions()}
-		if _, err := core.Analyze(b, opts); err != nil { // warm caches
+		if _, err := core.AnalyzeCtx(cfg.ctx(), b, opts); err != nil { // warm caches
 			return nil, err
 		}
 		start := time.Now()
-		res, err := core.Analyze(b, opts)
+		res, err := core.AnalyzeCtx(cfg.ctx(), b, opts)
 		if err != nil {
 			return nil, err
 		}

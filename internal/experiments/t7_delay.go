@@ -56,7 +56,7 @@ func T7DeltaDelay(cfg Config) ([]*report.Table, error) {
 			return nil, err
 		}
 		run := func(mode core.Mode) (*core.DelayImpact, error) {
-			res, err := core.AnalyzeDelay(b, core.Options{Mode: mode, STA: g.STAOptions()})
+			res, err := core.AnalyzeDelayCtx(cfg.ctx(), b, core.Options{Mode: mode, STA: g.STAOptions()})
 			if err != nil {
 				return nil, err
 			}

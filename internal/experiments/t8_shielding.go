@@ -48,7 +48,7 @@ func T8Shielding(cfg Config) ([]*report.Table, error) {
 			shields = (bits - 1) / every
 		}
 		for _, mode := range []core.Mode{core.ModeAllAggressors, core.ModeNoiseWindows} {
-			res, err := core.Analyze(b, core.Options{Mode: mode, STA: g.STAOptions()})
+			res, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{Mode: mode, STA: g.STAOptions()})
 			if err != nil {
 				return nil, err
 			}

@@ -43,7 +43,7 @@ func T9Correlation(cfg Config) ([]*report.Table, error) {
 			return nil, err
 		}
 		run := func(corr bool) (core.Combined, error) {
-			res, err := core.Analyze(b, core.Options{
+			res, err := core.AnalyzeCtx(cfg.ctx(), b, core.Options{
 				Mode:             core.ModeNoiseWindows,
 				LogicCorrelation: corr,
 				STA:              g.STAOptions(),

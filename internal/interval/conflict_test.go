@@ -3,15 +3,46 @@ package interval
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// maxOverlapSumConstrained is the combination query under pairwise
+// exclusion constraints, posed the way core's combiner poses it: at every
+// window's left edge (where the optimum is achieved), the exact
+// maximum-weight independent set of the windows active there.
+func maxOverlapSumConstrained(items []Weighted, conflict func(i, j int) bool) Combination {
+	var sc Scan
+	weights := make([]float64, len(items))
+	for i, it := range items {
+		weights[i] = it.Weight
+	}
+	best := Combination{At: math.NaN()}
+	for _, c := range items {
+		if c.W.IsEmpty() || c.Weight <= 0 {
+			continue
+		}
+		var active []int
+		for i, it := range items {
+			if it.Weight > 0 && it.W.Contains(c.W.Lo) {
+				active = append(active, i)
+			}
+		}
+		if sum, members := sc.MaxWeightIndependentSet(weights, active, conflict); sum > best.Sum {
+			members = slices.Clone(members)
+			slices.Sort(members)
+			best = Combination{Sum: sum, At: c.W.Lo, Members: members}
+		}
+	}
+	return best
+}
+
 func TestConstrainedNilConflictMatchesUnconstrained(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	items := randWeighted(r, 10)
-	a := MaxOverlapSum(items)
-	b := MaxOverlapSumConstrained(items, nil)
+	a := new(Scan).MaxOverlapSum(items)
+	b := maxOverlapSumConstrained(items, nil)
 	if math.Abs(a.Sum-b.Sum) > 1e-12 {
 		t.Fatalf("nil conflict: %g vs %g", a.Sum, b.Sum)
 	}
@@ -21,8 +52,8 @@ func TestConstrainedFalseConflictMatchesUnconstrained(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		items := randWeighted(r, 1+r.Intn(10))
-		a := MaxOverlapSum(items)
-		b := MaxOverlapSumConstrained(items, func(i, j int) bool { return false })
+		a := new(Scan).MaxOverlapSum(items)
+		b := maxOverlapSumConstrained(items, func(i, j int) bool { return false })
 		return math.Abs(a.Sum-b.Sum) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -37,7 +68,7 @@ func TestConstrainedExclusivePair(t *testing.T) {
 		{W: New(0, 10), Weight: 0.5},
 	}
 	conflict := func(i, j int) bool { return true }
-	c := MaxOverlapSumConstrained(items, conflict)
+	c := maxOverlapSumConstrained(items, conflict)
 	if c.Sum != 0.5 || len(c.Members) != 1 || c.Members[0] != 1 {
 		t.Fatalf("got %+v", c)
 	}
@@ -53,7 +84,7 @@ func TestConstrainedTriangle(t *testing.T) {
 	conflict := func(i, j int) bool {
 		return (i == 0 && j == 1) || (i == 1 && j == 0)
 	}
-	c := MaxOverlapSumConstrained(items, conflict)
+	c := maxOverlapSumConstrained(items, conflict)
 	// Best: {0, 2} = 0.6.
 	if math.Abs(c.Sum-0.6) > 1e-12 {
 		t.Fatalf("Sum = %g, want 0.6", c.Sum)
@@ -71,18 +102,18 @@ func TestConstrainedConflictOutsideOverlapIrrelevant(t *testing.T) {
 		{W: New(5, 6), Weight: 0.5},
 	}
 	conflict := func(i, j int) bool { return true }
-	c := MaxOverlapSumConstrained(items, conflict)
+	c := maxOverlapSumConstrained(items, conflict)
 	if c.Sum != 0.5 {
 		t.Fatalf("Sum = %g", c.Sum)
 	}
 }
 
 func TestConstrainedEmpty(t *testing.T) {
-	c := MaxOverlapSumConstrained(nil, func(i, j int) bool { return false })
+	c := maxOverlapSumConstrained(nil, func(i, j int) bool { return false })
 	if c.Sum != 0 || !math.IsNaN(c.At) {
 		t.Fatalf("got %+v", c)
 	}
-	c = MaxOverlapSumConstrained([]Weighted{{W: Empty(), Weight: 1}}, func(i, j int) bool { return false })
+	c = maxOverlapSumConstrained([]Weighted{{W: Empty(), Weight: 1}}, func(i, j int) bool { return false })
 	if c.Sum != 0 {
 		t.Fatalf("got %+v", c)
 	}
@@ -145,7 +176,7 @@ func TestQuickConstrainedMatchesBruteForce(t *testing.T) {
 			}
 		}
 		conflict := func(i, j int) bool { return conf[i][j] }
-		got := MaxOverlapSumConstrained(items, conflict).Sum
+		got := maxOverlapSumConstrained(items, conflict).Sum
 		want := bruteConstrained(items, conflict)
 		return math.Abs(got-want) < 1e-9
 	}
@@ -159,7 +190,7 @@ func TestQuickConstrainedBoundedByUnconstrained(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		items := randWeighted(r, 1+r.Intn(10))
 		conflict := func(i, j int) bool { return (i+j)%3 == 0 }
-		return MaxOverlapSumConstrained(items, conflict).Sum <= MaxOverlapSum(items).Sum+1e-9
+		return maxOverlapSumConstrained(items, conflict).Sum <= new(Scan).MaxOverlapSum(items).Sum+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -8,7 +8,7 @@
 // windowed noise analysis reduces to questions this package answers directly:
 // do two windows overlap, what is their intersection, and — for a set of
 // weighted windows — what is the maximum total weight achievable at any
-// single instant (see MaxOverlapSum in scanline.go).
+// single instant (see Scan.MaxOverlapSum in scanline.go).
 //
 // The package also provides Set, a normalized union of disjoint windows, for
 // nets whose switching opportunities are split across multiple clock phases.
@@ -139,24 +139,6 @@ func (w Window) ShiftRange(dMin, dMax float64) Window {
 		return w
 	}
 	return Window{Lo: w.Lo + dMin, Hi: w.Hi + dMax}
-}
-
-// Widen grows the window by lo on the left and hi on the right (both
-// non-negative). It models accounting for a glitch's nonzero width around
-// its peak instant.
-func (w Window) Widen(lo, hi float64) Window {
-	if lo < 0 || hi < 0 {
-		panic("interval: Widen with negative amount")
-	}
-	if w.IsEmpty() {
-		return w
-	}
-	return Window{Lo: w.Lo - lo, Hi: w.Hi + hi}
-}
-
-// Clip returns the part of w inside bounds.
-func (w Window) Clip(bounds Window) Window {
-	return w.Intersect(bounds)
 }
 
 // Midpoint returns the center of the window. For an empty window it returns

@@ -133,19 +133,6 @@ func TestShiftRange(t *testing.T) {
 	New(0, 1).ShiftRange(3, 1)
 }
 
-func TestWiden(t *testing.T) {
-	w := New(10, 20).Widen(2, 5)
-	if w.Lo != 8 || w.Hi != 25 {
-		t.Fatalf("Widen = %v", w)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Widen(-1,0) did not panic")
-		}
-	}()
-	New(0, 1).Widen(-1, 0)
-}
-
 func TestMidpoint(t *testing.T) {
 	if m := New(2, 6).Midpoint(); m != 4 {
 		t.Fatalf("midpoint = %g", m)

@@ -72,12 +72,6 @@ func byInstant(a, b edge) int {
 //
 // Windows with empty intervals or non-positive weights contribute nothing.
 // The scan runs in O(n log n).
-func MaxOverlapSum(items []Weighted) Combination {
-	var sc Scan
-	return sc.MaxOverlapSum(items)
-}
-
-// MaxOverlapSum is the package function of that name over sc's buffers.
 func (sc *Scan) MaxOverlapSum(items []Weighted) Combination {
 	edges := sc.edges[:0]
 	for _, it := range items {
@@ -142,7 +136,8 @@ func MaxOverlapSumAnchored(items []Weighted, anchor int) Combination {
 		clipped = append(clipped, Weighted{W: c, Weight: it.Weight})
 		idx = append(idx, i)
 	}
-	comb := MaxOverlapSum(clipped)
+	var sc Scan
+	comb := sc.MaxOverlapSum(clipped)
 	if math.IsNaN(comb.At) {
 		// No other window overlaps the anchor: the anchor stands alone.
 		return Combination{
@@ -162,15 +157,4 @@ func MaxOverlapSumAnchored(items []Weighted, anchor int) Combination {
 		At:      comb.At,
 		Members: members,
 	}
-}
-
-// SumAt returns the total weight of the windows containing instant t.
-func SumAt(items []Weighted, t float64) float64 {
-	var sum float64
-	for _, it := range items {
-		if it.Weight > 0 && it.W.Contains(t) {
-			sum += it.Weight
-		}
-	}
-	return sum
 }

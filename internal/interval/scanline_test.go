@@ -14,7 +14,7 @@ func TestMaxOverlapSumDisjoint(t *testing.T) {
 		{W: New(2, 3), Weight: 0.5},
 		{W: New(4, 5), Weight: 0.2},
 	}
-	c := MaxOverlapSum(items)
+	c := new(Scan).MaxOverlapSum(items)
 	if c.Sum != 0.5 {
 		t.Fatalf("Sum = %g, want 0.5 (heaviest single window)", c.Sum)
 	}
@@ -32,7 +32,7 @@ func TestMaxOverlapSumAllOverlap(t *testing.T) {
 		{W: New(2, 8), Weight: 0.5},
 		{W: New(5, 20), Weight: 0.2},
 	}
-	c := MaxOverlapSum(items)
+	c := new(Scan).MaxOverlapSum(items)
 	if math.Abs(c.Sum-1.0) > 1e-12 {
 		t.Fatalf("Sum = %g, want 1.0", c.Sum)
 	}
@@ -47,7 +47,7 @@ func TestMaxOverlapSumTouching(t *testing.T) {
 		{W: New(0, 5), Weight: 1},
 		{W: New(5, 9), Weight: 1},
 	}
-	c := MaxOverlapSum(items)
+	c := new(Scan).MaxOverlapSum(items)
 	if c.Sum != 2 || c.At != 5 {
 		t.Fatalf("Sum=%g At=%g, want 2 at 5", c.Sum, c.At)
 	}
@@ -61,7 +61,7 @@ func TestMaxOverlapSumInfiniteWindows(t *testing.T) {
 		{W: Infinite(), Weight: 0.3},
 		{W: New(100, 101), Weight: 0.2},
 	}
-	c := MaxOverlapSum(items)
+	c := new(Scan).MaxOverlapSum(items)
 	if math.Abs(c.Sum-0.9) > 1e-12 {
 		t.Fatalf("Sum = %g, want 0.9", c.Sum)
 	}
@@ -73,14 +73,14 @@ func TestMaxOverlapSumIgnoresEmptyAndZero(t *testing.T) {
 		{W: New(0, 1), Weight: 0},
 		{W: New(0, 1), Weight: -3},
 	}
-	c := MaxOverlapSum(items)
+	c := new(Scan).MaxOverlapSum(items)
 	if c.Sum != 0 || !math.IsNaN(c.At) || len(c.Members) != 0 {
 		t.Fatalf("got %+v, want zero combination", c)
 	}
 }
 
 func TestMaxOverlapSumSingle(t *testing.T) {
-	c := MaxOverlapSum([]Weighted{{W: New(3, 4), Weight: 0.7}})
+	c := new(Scan).MaxOverlapSum([]Weighted{{W: New(3, 4), Weight: 0.7}})
 	if c.Sum != 0.7 || !New(3, 4).Contains(c.At) {
 		t.Fatalf("got %+v", c)
 	}
@@ -93,7 +93,7 @@ func TestMaxOverlapSumStaggeredChain(t *testing.T) {
 		{W: New(1, 3), Weight: 1},
 		{W: New(2, 4), Weight: 1},
 	}
-	c := MaxOverlapSum(items)
+	c := new(Scan).MaxOverlapSum(items)
 	if c.Sum != 3 || c.At != 2 {
 		t.Fatalf("Sum=%g At=%g", c.Sum, c.At)
 	}
@@ -147,14 +147,14 @@ func TestSumAt(t *testing.T) {
 		{W: New(0, 2), Weight: 1},
 		{W: New(1, 3), Weight: 2},
 	}
-	if got := SumAt(items, 1.5); got != 3 {
-		t.Fatalf("SumAt(1.5) = %g", got)
+	if got := sumAt(items, 1.5); got != 3 {
+		t.Fatalf("sumAt(1.5) = %g", got)
 	}
-	if got := SumAt(items, 2.5); got != 2 {
-		t.Fatalf("SumAt(2.5) = %g", got)
+	if got := sumAt(items, 2.5); got != 2 {
+		t.Fatalf("sumAt(2.5) = %g", got)
 	}
-	if got := SumAt(items, -1); got != 0 {
-		t.Fatalf("SumAt(-1) = %g", got)
+	if got := sumAt(items, -1); got != 0 {
+		t.Fatalf("sumAt(-1) = %g", got)
 	}
 }
 
@@ -166,7 +166,18 @@ func randWeighted(r *rand.Rand, n int) []Weighted {
 	return items
 }
 
-// bruteMaxOverlap evaluates SumAt at every window endpoint — for closed
+// sumAt returns the total weight of the windows containing instant t.
+func sumAt(items []Weighted, t float64) float64 {
+	var sum float64
+	for _, it := range items {
+		if it.Weight > 0 && it.W.Contains(t) {
+			sum += it.Weight
+		}
+	}
+	return sum
+}
+
+// bruteMaxOverlap evaluates sumAt at every window endpoint — for closed
 // intervals the optimum is always achieved at some left endpoint.
 func bruteMaxOverlap(items []Weighted) float64 {
 	best := 0.0
@@ -175,7 +186,7 @@ func bruteMaxOverlap(items []Weighted) float64 {
 			continue
 		}
 		for _, t := range []float64{it.W.Lo, it.W.Hi} {
-			if s := SumAt(items, t); s > best {
+			if s := sumAt(items, t); s > best {
 				best = s
 			}
 		}
@@ -187,7 +198,7 @@ func TestQuickMaxOverlapMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		items := randWeighted(r, 1+r.Intn(12))
-		got := MaxOverlapSum(items).Sum
+		got := new(Scan).MaxOverlapSum(items).Sum
 		want := bruteMaxOverlap(items)
 		return math.Abs(got-want) < 1e-9
 	}
@@ -202,7 +213,7 @@ func TestQuickMaxOverlapAchievable(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		items := randWeighted(r, 1+r.Intn(12))
-		c := MaxOverlapSum(items)
+		c := new(Scan).MaxOverlapSum(items)
 		if math.IsNaN(c.At) {
 			return c.Sum == 0
 		}
@@ -224,10 +235,10 @@ func TestQuickMaxOverlapUpperBoundsSumAt(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		items := randWeighted(r, 1+r.Intn(12))
-		c := MaxOverlapSum(items)
+		c := new(Scan).MaxOverlapSum(items)
 		for k := 0; k < 20; k++ {
 			t := r.Float64()*220 - 110
-			if SumAt(items, t) > c.Sum+1e-9 {
+			if sumAt(items, t) > c.Sum+1e-9 {
 				return false
 			}
 		}
@@ -249,7 +260,7 @@ func TestQuickAnchoredNeverExceedsGlobal(t *testing.T) {
 			return true
 		}
 		ca := MaxOverlapSumAnchored(items, anchor)
-		cg := MaxOverlapSum(items)
+		cg := new(Scan).MaxOverlapSum(items)
 		return ca.Sum <= cg.Sum+items[anchor].Weight+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -263,7 +274,7 @@ func BenchmarkMaxOverlapSum64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxOverlapSum(items)
+		new(Scan).MaxOverlapSum(items)
 	}
 }
 
@@ -273,6 +284,6 @@ func BenchmarkMaxOverlapSum1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxOverlapSum(items)
+		new(Scan).MaxOverlapSum(items)
 	}
 }

@@ -257,31 +257,6 @@ func (s Set) ShiftRange(dMin, dMax float64) Set {
 	return m.set()
 }
 
-// Complement returns the instants of span not covered by the set.
-func (s Set) Complement(span Window) Set {
-	if span.IsEmpty() {
-		return Set{}
-	}
-	m := merger{hint: s.n + 1}
-	cursor := span.Lo
-	for _, w := range s.ws() {
-		x := w.Intersect(span)
-		if x.IsEmpty() {
-			continue
-		}
-		if x.Lo > cursor {
-			m.add(Window{Lo: cursor, Hi: x.Lo})
-		}
-		if x.Hi > cursor {
-			cursor = x.Hi
-		}
-	}
-	if cursor < span.Hi {
-		m.add(Window{Lo: cursor, Hi: span.Hi})
-	}
-	return m.set()
-}
-
 // Simplify reduces the set to at most max member windows by repeatedly
 // merging the pair separated by the smallest gap — a conservative
 // over-approximation (the result covers a superset of the instants). It

@@ -82,21 +82,6 @@ func TestSetUnion(t *testing.T) {
 	}
 }
 
-func TestSetComplement(t *testing.T) {
-	s := NewSet(New(2, 4), New(6, 8))
-	c := s.Complement(New(0, 10))
-	want := NewSet(New(0, 2), New(4, 6), New(8, 10))
-	if !c.Equal(want) {
-		t.Fatalf("Complement = %v, want %v", c, want)
-	}
-	if got := NewSet().Complement(New(0, 1)); !got.Equal(NewSet(New(0, 1))) {
-		t.Fatalf("complement of empty set = %v", got)
-	}
-	if got := s.Complement(Empty()); !got.IsEmpty() {
-		t.Fatalf("complement within empty span = %v", got)
-	}
-}
-
 func TestSetShift(t *testing.T) {
 	s := NewSet(New(0, 1), New(4, 5)).Shift(10)
 	want := NewSet(New(10, 11), New(14, 15))
@@ -186,22 +171,6 @@ func TestQuickSetIntersectSubset(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSetComplementPartition(t *testing.T) {
-	// complement(s, span) and s∩span together cover span exactly.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := randSet(r)
-		span := New(-50, 50)
-		c := s.Complement(span)
-		inSpan := s.IntersectWindow(span)
-		u := c.Union(inSpan)
-		return u.Equal(NewSet(span)) || (inSpan.IsEmpty() && c.Equal(NewSet(span)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -373,27 +342,11 @@ func checkSetAgainstModel(seeds int, union func(a, b Set) Set) error {
 			}
 			return out
 		}
-		var meet, meetW, gaps []Window
+		var meet, meetW []Window
 		for _, x := range an {
 			meetW = append(meetW, x.Intersect(w))
 			for _, y := range bn {
 				meet = append(meet, x.Intersect(y))
-			}
-		}
-		// The complement within w, from the list: the closed stretches of
-		// positive length between the members that reach into w.
-		if !w.IsEmpty() {
-			cursor := w.Lo
-			for _, x := range meetW {
-				if !x.IsEmpty() && x.Lo > cursor {
-					gaps = append(gaps, Window{Lo: cursor, Hi: x.Lo})
-				}
-				if !x.IsEmpty() {
-					cursor = math.Max(cursor, x.Hi)
-				}
-			}
-			if cursor < w.Hi {
-				gaps = append(gaps, Window{Lo: cursor, Hi: w.Hi})
 			}
 		}
 		// Simplify on the list: merge across the smallest gap, leftmost first.
@@ -421,7 +374,6 @@ func checkSetAgainstModel(seeds int, union func(a, b Set) Set) error {
 			{"IntersectWindow", a.IntersectWindow(w), meetW},
 			{"Shift", a.Shift(d1), shift(an, d1, d1)},
 			{"ShiftRange", a.ShiftRange(d1, d2), shift(an, d1, d2)},
-			{"Complement", a.Complement(w), gaps},
 			{"Simplify", a.Simplify(most), simple},
 		} {
 			if err := same(c.op, c.got, c.want); err != nil {
@@ -524,7 +476,7 @@ func TestSetOperationsDoNotAllocate(t *testing.T) {
 	}
 	items := []Weighted{{New(0, 4), 1}, {New(2, 6), 2}, {New(5, 9), 3}, {New(3, 3), 1}}
 	var sc Scan
-	want := MaxOverlapSum(items)
+	want := new(Scan).MaxOverlapSum(items)
 	if n := testing.AllocsPerRun(100, func() {
 		if got := sc.MaxOverlapSum(items); got.Sum != want.Sum || got.At != want.At || !slices.Equal(got.Members, want.Members) {
 			t.Fatalf("warm scan gave %+v, want %+v", got, want)

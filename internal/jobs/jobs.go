@@ -46,6 +46,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -119,6 +120,31 @@ type SweepPoint struct {
 	Threshold float64 `json:"threshold,omitempty"`
 }
 
+// CheckValues holds window padding (seconds) and sweep thresholds to the
+// one rule they share, finite and >= 0; a NaN or an Inf would reach the
+// engine, or fail to encode as JSON. With several bad padding entries it
+// names the alphabetically first net, so the message never depends on map
+// order. It is the check every entry point applies: a job spec, a
+// reanalyze request, and the snad flags that build them.
+func CheckValues(padding map[string]float64, sweep []SweepPoint) error {
+	bad := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
+	first, found := "", false
+	for net, pad := range padding {
+		if bad(pad) && (!found || net < first) {
+			first, found = net, true
+		}
+	}
+	if found {
+		return fmt.Errorf("bad padding %v for net %q (want finite seconds >= 0)", padding[first], first)
+	}
+	for i, pt := range sweep {
+		if bad(pt.Threshold) {
+			return fmt.Errorf("bad threshold %v in sweep point %d (want finite >= 0)", pt.Threshold, i)
+		}
+	}
+	return nil
+}
+
 // Validate rejects specs that could never execute. It runs at submit
 // (before the journal ack) and again at replay — a journaled spec that
 // stops validating is quarantined, not retried forever.
@@ -139,15 +165,8 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("unknown job type %q (want analyze|reanalyze|iterate|sweep)", s.Type)
 	}
-	for net, pad := range s.Padding {
-		if pad < 0 || pad != pad || pad-pad != 0 { // negative, NaN, or Inf
-			return fmt.Errorf("bad padding %v for net %q (want finite seconds >= 0)", pad, net)
-		}
-	}
-	for i, pt := range s.Sweep {
-		if pt.Threshold < 0 || pt.Threshold != pt.Threshold || pt.Threshold-pt.Threshold != 0 { // negative, NaN, or Inf
-			return fmt.Errorf("bad threshold %v in sweep point %d (want finite >= 0)", pt.Threshold, i)
-		}
+	if err := CheckValues(s.Padding, s.Sweep); err != nil {
+		return err
 	}
 	if s.Deadline != "" {
 		d, err := time.ParseDuration(s.Deadline)

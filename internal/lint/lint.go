@@ -10,7 +10,7 @@
 // Diagnostics carrying a severity, the offending design-object path, and a
 // fix hint. Run applies a Config (per-rule suppression, severity
 // overrides, warnings-as-errors) and returns a deterministic, sorted
-// Result that cmd/sna and cmd/snalint render through internal/report.
+// Result that cmd/sna renders through internal/report.
 package lint
 
 import (

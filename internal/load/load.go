@@ -1,7 +1,7 @@
 // Package load is the one path from design sources to a bound design:
 // parse the netlist, parasitics and input timing, lint the combined
-// database, bind. Every front end (sna, snalint, noisebench's capacity
-// ladder, the server's design cache) goes through it, so they agree on
+// database, bind. Every front end (sna, noisebench's capacity ladder, the
+// server's design cache) goes through it, so they agree on
 // what is parsed how, in which order errors surface, and that nothing
 // binds past a lint error.
 //

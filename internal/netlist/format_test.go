@@ -208,7 +208,7 @@ func TestInstPins(t *testing.T) {
 	if c := u.Conn("Z"); c == nil || c.Net.Name != "n_Z" || u.Conn("Q") != nil {
 		t.Fatalf("Conn(Z) = %v, Conn(Q) = %v", c, u.Conn("Q"))
 	}
-	if d.InstByID(u.ID()) != u || d.NetByID(u.Conn("A").Net.ID()) != d.FindNet("n_A") {
+	if d.insts.at(int(u.ID())) != u || d.NetByID(u.Conn("A").Net.ID()) != d.FindNet("n_A") {
 		t.Fatal("an ID does not lead back to its object")
 	}
 	// After Compact the views are the same and a later connection still

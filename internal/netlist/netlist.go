@@ -371,11 +371,9 @@ func (d *Design) FindPort(name string) *Port {
 	return nil
 }
 
-// NetByID, InstByID, PortByID return objects by dense ID. They panic on
-// out-of-range IDs, like a slice index.
-func (d *Design) NetByID(id int32) *Net   { return d.nets.at(int(id)) }
-func (d *Design) InstByID(id int32) *Inst { return d.insts.at(int(id)) }
-func (d *Design) PortByID(id int32) *Port { return d.ports.at(int(id)) }
+// NetByID returns the net with dense ID id. It panics on an out-of-range
+// ID, like a slice index.
+func (d *Design) NetByID(id int32) *Net { return d.nets.at(int(id)) }
 
 // Connect attaches pin pin of instance inst to net net with direction dir.
 // The net is created if needed. It errors if the instance is unknown or the
@@ -540,27 +538,4 @@ func (d *Design) Validate() error {
 		msg += "\n  " + e.Error()
 	}
 	return fmt.Errorf("%s", msg)
-}
-
-// FanoutInsts returns the instances that read any output net of i, sorted
-// by name, without duplicates.
-func (d *Design) FanoutInsts(i *Inst) []*Inst {
-	var out []*Inst
-	for _, oc := range i.Outputs() {
-		for _, lc := range oc.Net.Loads() {
-			if lc.Inst != nil {
-				out = append(out, lc.Inst)
-			}
-		}
-	}
-	slices.SortFunc(out, byInstName)
-	// Dedup after the sort; fanout lists are small.
-	k := 0
-	for _, inst := range out {
-		if k == 0 || out[k-1] != inst {
-			out[k] = inst
-			k++
-		}
-	}
-	return out[:k]
 }

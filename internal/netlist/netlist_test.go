@@ -343,17 +343,6 @@ func TestLevelizeMultiEdge(t *testing.T) {
 	}
 }
 
-func TestFanoutInsts(t *testing.T) {
-	d := buildChain(t, 3)
-	fo := d.FanoutInsts(d.FindInst("u0"))
-	if len(fo) != 1 || fo[0].Name != "u1" {
-		t.Fatalf("fanout = %v", fo)
-	}
-	if fo := d.FanoutInsts(d.FindInst("u2")); len(fo) != 0 {
-		t.Fatalf("sink fanout = %v", fo)
-	}
-}
-
 func mustPort(t *testing.T, d *Design, name string, dir Dir) {
 	t.Helper()
 	if _, err := d.AddPort(name, dir); err != nil {

@@ -175,15 +175,6 @@ type Context struct {
 	Receivers []*netlist.Conn
 }
 
-// TotalCoupling sums coupling capacitance over all aggressors.
-func (c *Context) TotalCoupling() float64 {
-	var s float64
-	for _, x := range c.Couplings {
-		s += x.CoupleC
-	}
-	return s
-}
-
 // CouplingTo finds a coupling entry by aggressor net name (repair loops
 // call it per victim-aggressor pair).
 func (c *Context) CouplingTo(net string) *Coupling {

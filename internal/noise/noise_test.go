@@ -188,9 +188,6 @@ func TestContextHelpers(t *testing.T) {
 			{Aggressor: "b", CoupleC: 2e-15},
 		},
 	}
-	if got := ctx.TotalCoupling(); math.Abs(got-3e-15) > 1e-24 {
-		t.Fatalf("TotalCoupling = %g", got)
-	}
 	if ctx.CouplingTo("b") == nil || ctx.CouplingTo("zz") != nil {
 		t.Fatal("CouplingTo lookup broken")
 	}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -101,7 +102,7 @@ func TestStreamedJSONMatchesReferenceOnFixtures(t *testing.T) {
 		for _, mode := range []core.Mode{core.ModeAllAggressors, core.ModeTimingWindows, core.ModeNoiseWindows} {
 			what := name + "/" + mode.String()
 			opts := core.Options{Mode: mode, STA: g.STAOptions()}
-			res, err := core.Analyze(b, opts)
+			res, err := core.AnalyzeCtx(context.Background(), b, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -109,7 +110,7 @@ func TestStreamedJSONMatchesReferenceOnFixtures(t *testing.T) {
 			sawViolations = sawViolations || len(res.Violations) > 0
 			sawClean = sawClean || len(res.Violations) == 0
 			sawPropagated = sawPropagated || res.Stats.Propagated > 0
-			dres, err := core.AnalyzeDelay(b, opts)
+			dres, err := core.AnalyzeDelayCtx(context.Background(), b, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -233,11 +234,11 @@ func TestWriteJSONStopsAtFirstWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}
-	res, err := core.Analyze(b, opts)
+	res, err := core.AnalyzeCtx(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := core.AnalyzeDelay(b, opts)
+	dres, err := core.AnalyzeDelayCtx(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -22,12 +20,12 @@ import (
 // interval.Combination's `At: math.NaN()` sentinel — is a *float64 that
 // encodes as null, and every window bound that can be infinite encodes as
 // a null endpoint. The regression tests in json_test.go pin both. The
-// remaining producers of the NaN sentinel (interval.MaxOverlapSum and
-// MaxOverlapSumConstrained) are guarded at their call sites: core's delay
-// pass drops combinations with a NaN instant before they become impacts.
-// The schema types are exported so clients can decode responses, so the
-// server can embed BuildJSON/BuildDelayJSON values in its own responses,
-// and so ReadJSON can round-trip a report losslessly. WriteJSON and
+// remaining producer of the NaN sentinel (interval's Scan.MaxOverlapSum)
+// is guarded at its call site: core's delay pass drops combinations with a
+// NaN instant before they become impacts. The schema types are exported so
+// clients can decode responses (losslessly: marshal → unmarshal →
+// re-marshal is byte-identical) and so the server can embed
+// BuildJSON/BuildDelayJSON values in its own responses. WriteJSON and
 // WriteDelayJSON (encode.go) do not build them: they stream the same bytes
 // straight from the engine's result, and the tests hold them to
 // encoding/json over these types.
@@ -255,17 +253,4 @@ func BuildDelayJSON(res *core.DelayResult) *DelayResultJSON {
 		})
 	}
 	return out
-}
-
-// ReadJSON parses a report previously written by WriteJSON (or returned
-// by the snad service). Together with WriteJSON it round-trips losslessly:
-// marshal → unmarshal → re-marshal is byte-identical, which is what makes
-// the server's JSON responses stable for downstream consumers.
-func ReadJSON(r io.Reader) (*ResultJSON, error) {
-	var out ResultJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }

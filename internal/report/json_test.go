@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -154,7 +155,7 @@ func degradedRun(t *testing.T) *core.Result {
 		t.Fatal(err)
 	}
 	faults := workload.RuntimeFaults{Panic: []string{"b1"}}
-	res, err := core.Analyze(b, core.Options{
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{
 		Mode:        core.ModeNoiseWindows,
 		STA:         g.STAOptions(),
 		FailSoft:    true,
@@ -178,8 +179,8 @@ func TestJSONRoundTripDegradedRun(t *testing.T) {
 	if err := WriteJSON(&first, res); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(bytes.NewReader(first.Bytes()))
-	if err != nil {
+	back := new(ResultJSON)
+	if err := json.Unmarshal(first.Bytes(), back); err != nil {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
@@ -255,7 +256,7 @@ func TestDelayJSONFromEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.AnalyzeDelay(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeDelayCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -23,19 +24,38 @@ func Lint(w io.Writer, res *lint.Result) {
 	t.Render(w)
 }
 
-// WriteLintJSON serializes a lint result in the shared tool-diagnostics
-// schema (ToolDiagsJSON) that snavet's -json output also uses, so CI and
-// editor integrations consume one shape for both linters.
+// lintJSON is the document `sna -lint-only -json` writes: the counts and
+// one entry per diagnostic, in Run's order.
+type lintJSON struct {
+	Tool        string         `json:"tool"`
+	Errors      int            `json:"errors"`
+	Warnings    int            `json:"warnings"`
+	Infos       int            `json:"infos"`
+	Diagnostics []lintDiagJSON `json:"diagnostics"`
+}
+
+// lintDiagJSON is one diagnostic, positioned by the design object it names.
+type lintDiagJSON struct {
+	Rule     string `json:"rule"`
+	Severity string `json:"severity"`
+	Object   string `json:"object,omitempty"`
+	Message  string `json:"message"`
+	Hint     string `json:"hint,omitempty"`
+}
+
+// WriteLintJSON serializes a lint result with the same stable-schema
+// conventions as WriteJSON: indented, and an empty list rather than null
+// when there is nothing to report.
 func WriteLintJSON(w io.Writer, res *lint.Result) error {
-	out := &ToolDiagsJSON{
-		Tool:        "snalint",
+	out := &lintJSON{
+		Tool:        "sna",
 		Errors:      res.Errors(),
 		Warnings:    res.Warnings(),
 		Infos:       res.Infos(),
-		Diagnostics: make([]ToolDiagJSON, 0, res.Total()),
+		Diagnostics: make([]lintDiagJSON, 0, res.Total()),
 	}
 	for _, d := range res.Diags {
-		out.Diagnostics = append(out.Diagnostics, ToolDiagJSON{
+		out.Diagnostics = append(out.Diagnostics, lintDiagJSON{
 			Rule:     d.Rule,
 			Severity: d.Sev.String(),
 			Object:   d.Object,
@@ -43,5 +63,7 @@ func WriteLintJSON(w io.Writer, res *lint.Result) error {
 			Hint:     d.Hint,
 		})
 	}
-	return WriteToolDiagsJSON(w, out)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }

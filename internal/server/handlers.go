@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/report"
 )
 
@@ -265,10 +266,8 @@ func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeBody(r.Body, &req); err != nil {
 		return err
 	}
-	for net, pad := range req.Padding {
-		if pad < 0 || pad != pad || pad-pad != 0 { // negative, NaN, or Inf
-			return badRequest(fmt.Errorf("bad padding %v for net %q (want finite seconds >= 0)", pad, net), "")
-		}
+	if err := jobs.CheckValues(req.Padding, nil); err != nil {
+		return badRequest(err, "")
 	}
 	return s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
 		return s.reanalyzeWork(ctx, ss, req.Padding, req.Delay)

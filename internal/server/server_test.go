@@ -246,6 +246,24 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestReanalyzeBadPaddingMessageIsStable pins that a body with several bad
+// nets is refused with one message, naming the alphabetically first net,
+// however the decoded map happens to iterate.
+func TestReanalyzeBadPaddingMessageIsStable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	createSession(t, ts.URL, "bus", SessionOptions{})
+	body := ReanalyzeRequest{Padding: map[string]float64{"b2": -2, "b1": -1}}
+	for i := 0; i < 20; i++ {
+		resp, data := do(t, "POST", ts.URL+"/v1/sessions/bus/reanalyze", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("try %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		if ei := wantErrKind(t, data, "bad_request"); !strings.Contains(ei.Message, `net "b1"`) {
+			t.Fatalf("try %d: message %q does not name b1, the first bad net", i, ei.Message)
+		}
+	}
+}
+
 func TestServerLintRejection(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	g, err := workload.Bus(workload.BusSpec{Bits: 4, Segs: 2, WindowWidth: 80 * units.Pico})

@@ -51,7 +51,7 @@ type Config struct {
 const attempts = 2
 
 // Outcome is the result of a run. For a healthy distributed run it is
-// byte-identical (after report serialization) to AnalyzeIterative on the
+// byte-identical (after report serialization) to AnalyzeIterativeCtx on the
 // same design and options; under worker loss it is a sound conservative
 // report with the loss recorded in Noise.Diags.
 type Outcome struct {

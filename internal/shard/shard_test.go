@@ -245,7 +245,7 @@ func allNets(plan *core.ShardPlan) []int32 {
 func TestDistributedMatchesSerial(t *testing.T) {
 	for name, mk := range fixtures() {
 		b, opts := bindFixture(t, mk)
-		want, err := core.AnalyzeIterative(b, opts, 0)
+		want, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
@@ -305,7 +305,7 @@ func TestWorkerFaultsStaySound(t *testing.T) {
 
 func workerFaultsStaySound(t *testing.T, mk fixtureMaker) {
 	b, opts := bindFixture(t, mk)
-	want, err := core.AnalyzeIterative(b, opts, 0)
+	want, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,14 +503,14 @@ func TestAllWorkersLost(t *testing.T) {
 func TestCheckpointResume(t *testing.T) {
 	mk := fixtures()["bus"]
 	b, opts := bindFixture(t, mk)
-	full, err := core.AnalyzeIterative(b, opts, 0)
+	full, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Rounds < 2 {
 		t.Fatalf("fixture converges in %d rounds; resume needs >= 2", full.Rounds)
 	}
-	one, err := core.AnalyzeIterative(b, opts, 1)
+	one, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +709,7 @@ func iterateFixture() (*workload.Generated, error) {
 // 1 init + rounds × waves + 4 rounds + 5 delays + 1 collect + 1 close now.
 func TestIdleStepsAreNotDispatched(t *testing.T) {
 	b, opts := bindFixture(t, iterateFixture)
-	want, err := core.AnalyzeIterative(b, opts, 0)
+	want, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +765,7 @@ func requireComplete(t *testing.T, label string, got, want *core.Result) {
 func TestRehostedShardIsComplete(t *testing.T) {
 	mk := fixtures()["hotfabric"]
 	b, opts := bindFixture(t, mk)
-	want, err := core.AnalyzeIterative(b, opts, 0)
+	want, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

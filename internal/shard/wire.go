@@ -9,7 +9,7 @@
 // trading boundary combinations wave by wave.
 //
 // The contract: a healthy distributed run is byte-identical (at the report
-// JSON level) to the single-process core.AnalyzeIterative; a run that loses
+// JSON level) to the single-process core.AnalyzeIterativeCtx; a run that loses
 // workers reassigns their shards to survivors and, when a shard is
 // irrecoverable, substitutes the conservative full-rail bound for its nets
 // with Diag{Stage: "shard"} records — a sound report, never a hang or a

@@ -93,15 +93,3 @@ func (r *Result) slackOf(n *netlist.Net) (float64, bool) {
 	}
 	return reqT - latest, true
 }
-
-// WorstTimingSlack returns the smallest slack across constrained nets, or
-// +Inf when no net is constrained.
-func (r *Result) WorstTimingSlack() float64 {
-	worst := math.Inf(1)
-	for id := range r.required {
-		if s, ok := r.slackOf(r.design.Net.NetByID(int32(id))); ok && s < worst {
-			worst = s
-		}
-	}
-	return worst
-}

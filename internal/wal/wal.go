@@ -125,7 +125,6 @@ type Hooks struct {
 // records a replay would never see.
 type Writer struct {
 	f     *os.File
-	path  string
 	hooks Hooks
 	// off is the file offset after the last fully synced frame.
 	off int64
@@ -145,14 +144,8 @@ func OpenWriter(path string, hooks Hooks) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, path: path, hooks: hooks, off: fi.Size()}, nil
+	return &Writer{f: f, hooks: hooks, off: fi.Size()}, nil
 }
-
-// Path returns the journal's file path.
-func (j *Writer) Path() string { return j.path }
-
-// Sync fsyncs the underlying file.
-func (j *Writer) Sync() error { return j.f.Sync() }
 
 // Append frames, writes, and fsyncs one payload. On failure the partial
 // frame is truncated away so the tail stays replayable; the caller

@@ -198,37 +198,6 @@ func (w PWL) Add(o PWL) PWL {
 	return PWL{pts: out}
 }
 
-// Crossings returns the times at which the waveform crosses the given level,
-// in ascending order. A segment lying exactly on the level contributes its
-// endpoints. Touch points (local extremum exactly at the level) are included
-// once.
-func (w PWL) Crossings(level float64) []float64 {
-	var out []float64
-	push := func(t float64) {
-		if n := len(out); n > 0 && out[n-1] == t {
-			return
-		}
-		out = append(out, t)
-	}
-	for i := 1; i < len(w.pts); i++ {
-		a, b := w.pts[i-1], w.pts[i]
-		da, db := a.V-level, b.V-level
-		switch {
-		case da == 0 && db == 0:
-			push(a.T)
-			push(b.T)
-		case da == 0:
-			push(a.T)
-		case db == 0:
-			push(b.T)
-		case (da < 0) != (db < 0):
-			frac := da / (da - db)
-			push(a.T + frac*(b.T-a.T))
-		}
-	}
-	return out
-}
-
 // WidthAbove returns the total time the waveform spends strictly above
 // level. It measures glitch width at a threshold for positive-going
 // glitches; use Negate for undershoot glitches.

@@ -120,29 +120,6 @@ func pwlEqual(a, b PWL) bool {
 	return true
 }
 
-func TestCrossings(t *testing.T) {
-	w := MustNew(Point{0, 0}, Point{1, 1}, Point{2, 0}, Point{3, 1})
-	got := w.Crossings(0.5)
-	want := []float64{0.5, 1.5, 2.5}
-	if len(got) != len(want) {
-		t.Fatalf("crossings = %v, want %v", got, want)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("crossings = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCrossingsTouch(t *testing.T) {
-	// Touches the level exactly at a vertex.
-	w := MustNew(Point{0, 0}, Point{1, 0.5}, Point{2, 0})
-	got := w.Crossings(0.5)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("touch crossings = %v", got)
-	}
-}
-
 func TestWidthAbove(t *testing.T) {
 	w := MustNew(Point{0, 0}, Point{1, 1}, Point{2, 0})
 	if got := w.WidthAbove(0.5); math.Abs(got-1.0) > 1e-12 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestStarWindowControlDrivesAlignment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+		res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -113,11 +114,11 @@ func TestBusEndToEndAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA, err := core.Analyze(b, core.Options{Mode: core.ModeAllAggressors, STA: g.STAOptions()})
+	resA, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeAllAggressors, STA: g.STAOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	resC, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFabricGeneratesValidDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestChainPropagatesGlitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestShieldingReducesNoise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Analyze(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
+		res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}

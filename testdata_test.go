@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,7 +48,7 @@ func TestTestdataNetFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(b, core.Options{
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{
 		Mode: core.ModeNoiseWindows,
 		STA:  sta.Options{InputTiming: in},
 	})

@@ -13,12 +13,13 @@ import (
 )
 
 // TestWorkersIdentity pins what -workers promises now that it covers the
-// timing pass too: stdout and the JSON report are byte-identical for any
-// worker count. The fixtures are wide enough (levels of 200+ instances, 1200+ nets)
-// that -workers 2 and 8 really fan the timing levels out: the Verilog
-// bus, the hot fabric with propagation and the delay pass, a design with
-// a combinational loop (serial feedback fixpoint after parallel levels),
-// and a fail-soft run with an injected per-net fault.
+// timing pass too: stdout, stderr, the exit code and the JSON report are
+// byte-identical for any worker count. The fixtures are wide enough (levels
+// of 200+ instances, 1200+ nets) that -workers 2 and 8 really fan the
+// timing levels out: the bus, read as Verilog and as .net (the two must
+// agree as well), the hot fabric with propagation and the delay pass, a
+// design with a combinational loop (serial feedback fixpoint after
+// parallel levels), and a fail-soft run with an injected per-net fault.
 func TestWorkersIdentity(t *testing.T) {
 	bus := func(t *testing.T, defects string) *workload.Generated {
 		g, err := workload.Bus(workload.BusSpec{Bits: 300, Segs: 2, WindowSep: 25 * units.Pico, WindowWidth: 100 * units.Pico})
@@ -60,34 +61,40 @@ func TestWorkersIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			n, s, w := writeDesign(t, dir, tc.gen(t))
+			nets := []string{n}
 			if tc.verilog {
+				// Format identity too: the two readers build the design in
+				// different orders, and nothing downstream may notice.
 				g := tc.gen(t)
-				n = filepath.Join(dir, "bus.v")
-				writeTo(t, n, func(f *os.File) error { return vlog.Write(f, g.Design) })
+				v := filepath.Join(dir, "bus.v")
+				writeTo(t, v, func(f *os.File) error { return vlog.Write(f, g.Design) })
+				nets = []string{v, n}
 			}
 			var refCode int
 			var refOut, refErr string
 			var refJSON []byte
-			for i, workers := range []int{0, 1, 2, 8} {
-				jsonPath := filepath.Join(dir, "out"+strconv.Itoa(workers)+".json")
-				args := append([]string{"-net", n, "-spef", s, "-win", w, "-workers", strconv.Itoa(workers), "-json", jsonPath}, tc.args...)
-				code, stdout, stderr := runSna(args...)
-				if code == exitFail || code == exitUsage || code == exitLint {
-					t.Fatalf("-workers %d: exit %d\nstderr: %s", workers, code, stderr)
-				}
-				doc, err := os.ReadFile(jsonPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i == 0 {
-					refCode, refOut, refErr, refJSON = code, stdout, stderr, doc
-					continue
-				}
-				if code != refCode || stdout != refOut || stderr != refErr {
-					t.Fatalf("-workers %d differs from -workers 0: exit %d vs %d\n--- stdout ---\n%s\n--- want ---\n%s", workers, code, refCode, stdout, refOut)
-				}
-				if string(doc) != string(refJSON) {
-					t.Fatalf("-workers %d: JSON report differs from -workers 0", workers)
+			for _, n := range nets {
+				for _, workers := range []int{0, 1, 2, 8} {
+					jsonPath := filepath.Join(dir, "out"+strconv.Itoa(workers)+".json")
+					args := append([]string{"-net", n, "-spef", s, "-win", w, "-workers", strconv.Itoa(workers), "-json", jsonPath}, tc.args...)
+					code, stdout, stderr := runSna(args...)
+					if code == exitFail || code == exitUsage || code == exitLint {
+						t.Fatalf("%s -workers %d: exit %d\nstderr: %s", filepath.Base(n), workers, code, stderr)
+					}
+					doc, err := os.ReadFile(jsonPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if refJSON == nil {
+						refCode, refOut, refErr, refJSON = code, stdout, stderr, doc
+						continue
+					}
+					if code != refCode || stdout != refOut || stderr != refErr {
+						t.Fatalf("%s -workers %d differs from %s -workers 0: exit %d vs %d\n--- stdout ---\n%s\n--- want ---\n%s", filepath.Base(n), workers, filepath.Base(nets[0]), code, refCode, stdout, refOut)
+					}
+					if string(doc) != string(refJSON) {
+						t.Fatalf("%s -workers %d: JSON report differs from %s -workers 0", filepath.Base(n), workers, filepath.Base(nets[0]))
+					}
 				}
 			}
 			if tc.name == "combinational-loop" && !strings.Contains(refErr, "NL003") {

@@ -17,13 +17,14 @@ import (
 )
 
 // TestMain lets this test binary double as the snad executable: with
-// SNAD_E2E_CHILD=1 in the environment it runs the real CLI entry point
-// on its own arguments instead of the test suite. The SIGKILL recovery
-// e2e uses this to kill a genuinely separate server process mid-traffic
-// — an in-process server can't be SIGKILLed without killing the test.
+// SNAD_E2E_CHILD=1 in the environment it runs the real entry point, signal
+// handling included, on its own arguments instead of the test suite. The
+// SIGKILL recovery e2e uses this to kill a genuinely separate server
+// process mid-traffic — an in-process server can't be SIGKILLed without
+// killing the test — and the overload contract to SIGTERM one.
 func TestMain(m *testing.M) {
 	if os.Getenv("SNAD_E2E_CHILD") == "1" {
-		os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+		main()
 	}
 	os.Exit(m.Run())
 }
@@ -213,8 +214,10 @@ func TestServeSIGKILLRecovery(t *testing.T) {
 	if code := run(ctx, []string{"recovery", "-server", base2}, &out, &errb); code != exitClean {
 		t.Fatalf("recovery subcommand: exit %d: %s%s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "restored") {
-		t.Fatalf("recovery output: %s", out.String())
+	for _, want := range []string{"restored bus\n", "no records quarantined\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("recovery output lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 

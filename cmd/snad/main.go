@@ -158,7 +158,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		shards       = fs.Int("shards", 0, "default shard count for distributed iterate (0 = one per worker)")
 		jobWorkers   = fs.Int("job-workers", 0, "async job worker pool size (default 2)")
 		jobQueue     = fs.Int("job-queue", 0, "max queued async jobs; submits past it are shed (default 16)")
-		jobKeep      = fs.Int("job-keep-done", 0, "terminal jobs retained for status queries (default 64)")
 		jobAttempts  = fs.Int("job-max-attempts", 0, "default retry budget per async job (default 3)")
 		jobFaults    = fs.String("job-inject-fault", "", "inject job execution faults, e.g. panic:analyze:2 (chaos testing)")
 		memBudget    = fs.String("mem-budget", "", "byte budget for cached designs, e.g. 512MB or 2GiB (empty = unlimited); past it, creates shed with 503 instead of growing")
@@ -192,7 +191,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		Shards:            *shards,
 		JobWorkers:        *jobWorkers,
 		JobQueueDepth:     *jobQueue,
-		JobKeepDone:       *jobKeep,
 		JobMaxAttempts:    *jobAttempts,
 		JobFaultSpec:      *jobFaults,
 		MemBudget:         budget,

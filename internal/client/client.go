@@ -134,13 +134,6 @@ func New(base string, policy RetryPolicy) *Client {
 	}
 }
 
-// SetHTTPClient replaces the underlying HTTP client. The default is a
-// zero http.Client on the shared DefaultTransport, whose two idle
-// connections per host collapse into connection churn when thousands of
-// logical clients target one server — load harnesses pass one tuned
-// shared transport instead. Call it once after New.
-func (c *Client) SetHTTPClient(h *http.Client) { c.http = h }
-
 // SetTenant tags every subsequent request with the tenant ID ("" clears
 // the tag). Call it once after New; the client is then safe for
 // concurrent use as usual.

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/report"
+	"repro/internal/shard"
 )
 
 // gated runs fn holding a worker slot of the admission gate and under the
@@ -168,7 +169,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	}
 	// A persisted session may exist on disk only (LRU-evicted); it is
 	// deletable without reloading it.
-	persisted := s.store != nil && s.store.Spec(name) != nil
+	var sp *sessionSpec
+	if s.store != nil {
+		sp = s.store.Spec(name)
+	}
+	persisted := sp != nil
 	if !inMem && !persisted {
 		s.mu.Unlock()
 		return notFound(name)
@@ -193,6 +198,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 			return &ErrorInfo{
 				Kind: "storage", Message: fmt.Sprintf("tombstone could not be journaled: %v", err), Session: name,
 			}
+		}
+		// An iterate cut off mid-fixpoint left its round checkpoint; it
+		// goes with the session.
+		ck := &shard.FileCheckpointer{Dir: s.iterateDir()}
+		if err := ck.Clear(iterateToken(sp.Create)); err != nil {
+			s.cfg.Logf("session %q: clearing iterate checkpoint: %v", name, err)
 		}
 	}
 	func() {

@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/report"
-	"repro/internal/shard"
 )
 
 // Async jobs: POST /v1/jobs accepts a batch-analysis work order and
@@ -44,15 +44,18 @@ func (s *Server) jobCheckpointDir() string {
 	return filepath.Join(s.cfg.DataDir, "jobs", "checkpoints")
 }
 
-// jobFinal clears a terminal job's iterate checkpoint — the checkpoint
-// outlives crashes (that is its job) but must not outlive the job.
+// jobFinal clears a terminal job's iterate checkpoints — a checkpoint
+// outlives crashes (that is its job) but must not outlive the job. Its
+// run tokens start with the job's ID, whatever design they ran over.
 func (s *Server) jobFinal(id string, state jobs.State) {
 	if s.cfg.DataDir == "" {
 		return
 	}
-	ck := &shard.FileCheckpointer{Dir: s.jobCheckpointDir()}
-	if err := ck.Clear(id); err != nil {
-		s.cfg.Logf("job %s: clearing checkpoint: %v", id, err)
+	left, _ := filepath.Glob(filepath.Join(s.jobCheckpointDir(), id+"-*.ckpt.json"))
+	for _, p := range left {
+		if err := os.Remove(p); err != nil {
+			s.cfg.Logf("job %s: clearing checkpoint: %v", id, err)
+		}
 	}
 }
 
@@ -74,12 +77,12 @@ func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, attemp
 		case "reanalyze":
 			return s.reanalyzeWork(ctx, ss, spec.Padding, spec.Delay)
 		case "iterate":
-			// The checkpoint token is the job ID, unique across restarts: a
-			// SIGKILL'd iterate job resumes mid-fixpoint instead of starting
-			// over.
+			// The checkpoint token starts with the job ID, unique across
+			// restarts: a SIGKILL'd iterate job resumes mid-fixpoint
+			// instead of starting over.
 			return s.iterate(ctx, ss, &IterateRequest{
 				Delay: spec.Delay, MaxRounds: spec.MaxRounds, Shards: spec.Shards, Local: spec.Local,
-			}, id, s.jobCheckpointDir())
+			}, runToken(id, ss.spec), s.jobCheckpointDir())
 		case "sweep":
 			sweep, err = s.jobSweep(ctx, ss, spec)
 			return nil, err

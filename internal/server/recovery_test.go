@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -434,6 +436,90 @@ func TestServerStorageDegradedSurfaced(t *testing.T) {
 	}
 	if rr := ready(); !rr.StorageDegraded {
 		t.Fatalf("storage failure not surfaced: %+v", rr)
+	}
+}
+
+// TestRecreatedSessionStartsItsOwnIterate: an iterate cut off mid-fixpoint
+// leaves its round checkpoint, and a session re-created under the deleted
+// one's name over another design must not resume it — not after DELETE,
+// which removes the checkpoint, and not when the file survives anyway (a
+// crash between the tombstone and the removal), because the run token
+// names the design as well as the session. The re-created session answers
+// what a fresh server answers.
+func TestRecreatedSessionStartsItsOwnIterate(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	ckpts := filepath.Join(dir, "iterate", "*.ckpt.json")
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "s", 6, SessionOptions{InjectFault: "sleep:*"}))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d: %s", resp.StatusCode, data)
+	}
+
+	// Cut the run off, the way its deadline would, once round 1 is saved.
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/sessions/s/iterate", strings.NewReader(`{"local":true,"delay":true}`))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	saved := map[string][]byte{}
+	waitFor(t, func() bool {
+		select {
+		case <-ran:
+			t.Fatal("iterate finished before any round checkpoint was written; grow the fixture")
+		default:
+		}
+		m, _ := filepath.Glob(ckpts)
+		for _, p := range m {
+			if b, err := os.ReadFile(p); err == nil {
+				saved[p] = b
+			}
+		}
+		return len(saved) > 0
+	})
+	cancel()
+	<-ran
+
+	// The canceled run unwinds before the session stops being busy.
+	waitFor(t, func() bool {
+		resp, _ := do(t, "DELETE", ts.URL+"/v1/sessions/s", nil)
+		return resp.StatusCode == http.StatusNoContent
+	})
+	if m, _ := filepath.Glob(ckpts); len(m) != 0 {
+		t.Fatalf("DELETE left the session's checkpoint behind: %v", m)
+	}
+	for p, b := range saved {
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	iterate := func(base string) AnalyzeResponse {
+		resp, data := do(t, "POST", base+"/v1/sessions", busPayload(t, "s", 4, SessionOptions{}))
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: %d: %s", resp.StatusCode, data)
+		}
+		return analyzeOK(t, base, "s", "iterate", IterateRequest{Local: true, Delay: true})
+	}
+	got := iterate(ts.URL)
+	_, fresh := newTestServer(t, Config{DataDir: t.TempDir()})
+	want := iterate(fresh.URL)
+	if got.Iterate.Resumed || got.Iterate.Rounds != want.Iterate.Rounds {
+		t.Fatalf("re-created session: resumed=%v after %d round(s); a fresh server: resumed=%v after %d",
+			got.Iterate.Resumed, got.Iterate.Rounds, want.Iterate.Resumed, want.Iterate.Rounds)
+	}
+	for _, sec := range []struct {
+		name      string
+		got, want any
+	}{{"noise", got.Noise, want.Noise}, {"delay", got.Delay, want.Delay}} {
+		g, _ := json.Marshal(sec.got)
+		w, _ := json.Marshal(sec.want)
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s section differs from a fresh server's", sec.name)
+		}
 	}
 }
 

@@ -124,11 +124,6 @@ type Config struct {
 	// JobQueueDepth caps jobs waiting for a job worker; POST /v1/jobs
 	// past it is shed with 429 (default 16).
 	JobQueueDepth int
-	// JobKeepDone bounds terminal-job retention for status queries
-	// (default 64). High-throughput batch callers that poll for results
-	// need retention deeper than their poll interval times the completion
-	// rate, or a finished job can be pruned before its submitter sees it.
-	JobKeepDone int
 	// JobMaxAttempts is the default retry budget for jobs that don't set
 	// their own (default 3).
 	JobMaxAttempts int
@@ -316,7 +311,6 @@ func New(cfg Config) (*Server, error) {
 	jcfg := jobs.Config{
 		Workers:            cfg.JobWorkers,
 		MaxQueued:          cfg.JobQueueDepth,
-		KeepDone:           cfg.JobKeepDone,
 		TenantCap:          cfg.JobTenantCap,
 		DefaultMaxAttempts: cfg.JobMaxAttempts,
 		DefaultDeadline:    cfg.JobDeadline,

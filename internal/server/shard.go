@@ -27,6 +27,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"net/http"
@@ -350,10 +351,31 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) error {
 	}
 	return s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
 		// Round state persists next to the session journal, keyed by the
-		// session: a restarted server resumes a mid-fixpoint iterate from
-		// its last completed round instead of redoing the run.
-		return s.iterate(ctx, ss, &req, "iterate-"+ss.name, filepath.Join(s.cfg.DataDir, "iterate"))
+		// session and its design: a restarted server resumes a
+		// mid-fixpoint iterate from its last completed round instead of
+		// redoing the run.
+		return s.iterate(ctx, ss, &req, iterateToken(ss.spec), s.iterateDir())
 	})
+}
+
+func (s *Server) iterateDir() string { return filepath.Join(s.cfg.DataDir, "iterate") }
+
+// iterateToken keys a session's interactive iterate runs.
+func iterateToken(spec *CreateSessionRequest) string { return runToken("iterate-"+spec.Name, spec) }
+
+// runToken names an iterate run: key (a session's, or a job's ID) plus a
+// digest of the design spec it runs over — the sources and the options the
+// workers receive. A worker hands a token's cached design to every init
+// that names it, and a checkpoint resumes whichever run saved it; keyed by
+// name alone, a session deleted and re-created over another design would
+// inherit both.
+func runToken(key string, spec *CreateSessionRequest) string {
+	ds := designSpecOf(spec)
+	src := sourcesOf(ds).key()
+	h := sha256.New()
+	h.Write(src[:])
+	fmt.Fprintf(h, "%+v", ds.Options)
+	return fmt.Sprintf("%s-%x", key, h.Sum(nil)[:8])
 }
 
 // iterate runs the joint noise–delay fixpoint on a session for both

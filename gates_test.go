@@ -2,17 +2,24 @@ package repro
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
+	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The source gates hold two design rules of this tree on its syntax, so
-// comments and strings never count. Each gate runs over the real files,
-// which must pass, and again with testdata/gates/planted.go added, which
-// must fail: a gate that cannot fail proves nothing.
+// The source gates hold design rules of this tree on its syntax (and, for
+// what a marshalled value holds, its types), so comments and strings never
+// count. Each gate runs over the real files, which must pass, and over
+// testdata/gates/planted.go, which must fail it: a gate that cannot fail
+// proves nothing.
 
 // planted breaks every gate once (and carries decoys in a comment and a
 // string that must not count).
@@ -159,4 +166,270 @@ func errorStatusUses(t *testing.T, files []string) []string {
 		out = append(out, fset.Position(sel.Pos()).String())
 	})
 	return out
+}
+
+// TestGateOneWritePath is the one-write-path gate. The JSON a reply or a
+// report carries is written once, by internal/report's encoders, straight
+// from the engine's results: BuildJSON and BuildDelayJSON build the schema
+// tree only as the oracle those encoders are tested against, so nothing
+// outside _test.go files and benchmark/ calls them. And a finished job's
+// result is stored as the bytes its analysis encoded and is spliced into
+// replies and journal records as it is: non-test server and jobs code
+// never hands encoding/json a value that holds one (a json.RawMessage)
+// unless it cleared that member first.
+func TestGateOneWritePath(t *testing.T) {
+	if got := buildJSONCalls(t, []string{planted}); len(got) != 1 {
+		t.Fatalf("%s: %d BuildJSON calls found, want the 1 outside its decoys: %v", planted, len(got), got)
+	}
+	files := treeGoFiles(t)
+	if got := buildJSONCalls(t, files); len(got) > 0 {
+		t.Errorf("the schema tree is built outside tests and benchmark/:\n%s", strings.Join(got, "\n"))
+	}
+	if got := buildJSONCalls(t, append(files, planted)); len(got) == 0 {
+		t.Errorf("the BuildJSON gate passes with %s added", planted)
+	}
+
+	exports := exportData(t, "./internal/server", "./internal/jobs")
+	if got := marshalsStored(t, exports, []string{planted}); len(got) != 1 {
+		t.Fatalf("%s: %d marshals of a stored result found, want the 1 outside its decoy: %v", planted, len(got), got)
+	}
+	for _, dir := range []string{"internal/server", "internal/jobs"} {
+		if got := marshalsStored(t, exports, goFiles(t, dir)); len(got) > 0 {
+			t.Errorf("%s marshals a stored job result:\n%s", dir, strings.Join(got, "\n"))
+		}
+	}
+}
+
+// treeGoFiles lists the module's non-test Go files outside benchmark/,
+// testdata and hidden directories.
+func treeGoFiles(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			out = append(out, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// buildJSONCalls returns the position of every call of report.BuildJSON or
+// BuildDelayJSON (unqualified inside package report).
+func buildJSONCalls(t *testing.T, files []string) []string {
+	var out []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var name string
+			switch fn := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := fn.X.(*ast.Ident); ok && x.Name == "report" {
+					name = fn.Sel.Name
+				}
+			case *ast.Ident:
+				if f.Name.Name == "report" {
+					name = fn.Name
+				}
+			}
+			if name == "BuildJSON" || name == "BuildDelayJSON" {
+				out = append(out, fset.Position(call.Pos()).String())
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// exportData maps each package the given ones import, directly or not, to
+// the export data go list compiles for it.
+func exportData(t *testing.T, pkgs ...string) map[string]string {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}, pkgs...)...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	m := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		m[path] = file
+	}
+	return m
+}
+
+// marshalsStored type-checks files, one package, and returns the position
+// of every json.Marshal, json.MarshalIndent, Encoder.Encode or writeJSON
+// whose value holds a json.RawMessage in a member the function did not set
+// to nil on that variable first.
+func marshalsStored(t *testing.T, exports map[string]string, files []string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	var parsed []*ast.File
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, f)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	if _, err := conf.Check(parsed[0].Name.Name, fset, parsed, info); err != nil {
+		t.Fatalf("type-checking %v: %v", files, err)
+	}
+	var out []string
+	for _, f := range parsed {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			// The members each variable has set to nil in this function.
+			cleared := map[types.Object]map[string]bool{}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != len(as.Rhs) {
+					return true
+				}
+				for i, lhs := range as.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok || !info.Types[as.Rhs[i]].IsNil() {
+						continue
+					}
+					if x, ok := sel.X.(*ast.Ident); ok {
+						obj := info.Uses[x]
+						if cleared[obj] == nil {
+							cleared[obj] = map[string]bool{}
+						}
+						cleared[obj][sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				arg := encodedArg(info, call)
+				if arg == nil {
+					return true
+				}
+				var obj types.Object
+				if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+					arg = u.X
+				}
+				if id, ok := arg.(*ast.Ident); ok {
+					obj = info.Uses[id]
+				}
+				for _, member := range rawMembers(info.TypeOf(arg)) {
+					if !cleared[obj][member] {
+						out = append(out, fset.Position(call.Pos()).String())
+						break
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// encodedArg returns the value argument of a call to one of encoding/json's
+// encoders or to a writeJSON helper, or nil for any other call.
+func encodedArg(info *types.Info, call *ast.CallExpr) ast.Expr {
+	var id *ast.Ident
+	switch fn := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	case *ast.Ident:
+		id = fn
+	}
+	obj, ok := info.Uses[id].(*types.Func)
+	switch {
+	case !ok:
+	case obj.Pkg() != nil && obj.Pkg().Path() == "encoding/json" && (obj.Name() == "Marshal" || obj.Name() == "MarshalIndent" || obj.Name() == "Encode"):
+		return call.Args[0]
+	case obj.Name() == "writeJSON":
+		return call.Args[len(call.Args)-1]
+	}
+	return nil
+}
+
+// rawMembers names the members of a struct (or pointer to one) whose type
+// holds a json.RawMessage; a value that holds one some other way is "*",
+// which nothing clears.
+func rawMembers(typ types.Type) []string {
+	if p, ok := typ.Underlying().(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	st, ok := typ.Underlying().(*types.Struct)
+	if !ok || isRaw(typ) {
+		if holdsRaw(typ, map[types.Type]bool{}) {
+			return []string{"*"}
+		}
+		return nil
+	}
+	var out []string
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); holdsRaw(f.Type(), map[types.Type]bool{}) {
+			out = append(out, f.Name())
+		}
+	}
+	return out
+}
+
+func isRaw(typ types.Type) bool {
+	n, ok := types.Unalias(typ).(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "encoding/json" && n.Obj().Name() == "RawMessage"
+}
+
+func holdsRaw(typ types.Type, seen map[types.Type]bool) bool {
+	if isRaw(typ) {
+		return true
+	}
+	if seen[typ] {
+		return false
+	}
+	seen[typ] = true
+	switch u := typ.Underlying().(type) {
+	case *types.Pointer:
+		return holdsRaw(u.Elem(), seen)
+	case *types.Slice:
+		return holdsRaw(u.Elem(), seen)
+	case *types.Array:
+		return holdsRaw(u.Elem(), seen)
+	case *types.Map:
+		return holdsRaw(u.Key(), seen) || holdsRaw(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsRaw(u.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	}
+	return false
 }

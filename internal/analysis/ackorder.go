@@ -127,15 +127,15 @@ func isJournalMutation(pass *Pass, call *ast.CallExpr) bool {
 }
 
 // isSuccessAck reports whether call acknowledges success to the client: a
-// WriteHeader with a provably-2xx argument, or a writeJSON-style helper
-// (name starting "writeJSON"/"WriteJSON") whose status argument is
-// provably 2xx.
+// WriteHeader with a provably-2xx argument, or a reply-writing helper
+// (name starting "write"/"Write": writeJSON, writeJob, writeBody) whose
+// status argument is provably 2xx.
 func isSuccessAck(pass *Pass, call *ast.CallExpr) bool {
 	name := calleeName(call)
 	switch {
 	case name == "WriteHeader":
 		return len(call.Args) == 1 && is2xx(pass, call.Args[0])
-	case strings.HasPrefix(name, "writeJSON") || strings.HasPrefix(name, "WriteJSON"):
+	case strings.HasPrefix(name, "write") || strings.HasPrefix(name, "Write"):
 		for _, arg := range call.Args {
 			if is2xx(pass, arg) {
 				return true

@@ -107,6 +107,16 @@ func cancelJournalFirst(w *responseWriter, m *Manager, id string) {
 	writeJSON(w, statusAccepted, snap)
 }
 
+// writeJob stands for the helpers that write an already-encoded reply.
+func writeJob(w *responseWriter, status int, snap string) {}
+
+// submitRawAckFirst sends the 202 through such a helper before the job
+// spec is journaled: reported.
+func submitRawAckFirst(w *responseWriter, m *Manager, spec string) {
+	writeJob(w, statusAccepted, spec) // want `success acknowledged before the store mutation`
+	_, _ = m.Submit(spec)
+}
+
 // jobStatus reads the manager without mutating: clean.
 func jobStatus(w *responseWriter, m *Manager, id string) {
 	writeJSON(w, statusOK, id)

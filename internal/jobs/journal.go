@@ -88,11 +88,43 @@ func (m *Manager) appendLocked(rec *record) error {
 	if m.log == nil {
 		return nil
 	}
-	payload, err := json.Marshal(rec)
+	payload, err := encodeRecord(rec)
 	if err != nil {
-		return fmt.Errorf("encoding %s record: %w", rec.Type, err)
+		return err
 	}
 	return m.log.Append(payload)
+}
+
+// encodeRecord marshals rec with its job's result spliced in as the stored
+// bytes it is: an encoder wrote them, or replay decoded them, so they are
+// valid JSON that encoding/json would only re-scan, on every append and
+// rewrite. The result goes last in its object; replay reads by name.
+func encodeRecord(rec *record) ([]byte, error) {
+	head := *rec
+	head.Result, head.Job = nil, nil
+	b, err := json.Marshal(&head)
+	if snap := rec.Job; err == nil && snap != nil {
+		js := *snap
+		js.Result = nil
+		var jb []byte
+		if jb, err = json.Marshal(&js); err == nil {
+			b = splice(b, "job", splice(jb, "result", snap.Result))
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("encoding %s record: %w", rec.Type, err)
+	}
+	return splice(b, "result", rec.Result), nil
+}
+
+// splice adds the member key: raw, unless raw is empty, to the end of the
+// encoded object obj, which has members already.
+func splice(obj []byte, key string, raw []byte) []byte {
+	if len(raw) == 0 {
+		return obj
+	}
+	obj = append(append(obj[:len(obj)-1], `,"`+key+`":`...), raw...)
+	return append(obj, '}')
 }
 
 // applyRecord folds one replayed journal record, appended at instant at,
@@ -256,9 +288,9 @@ func (m *Manager) compactLocked(force bool) {
 	}
 	err := m.log.Rewrite(func(emit func([]byte) error) error {
 		put := func(rec *record) error {
-			payload, err := json.Marshal(rec)
+			payload, err := encodeRecord(rec)
 			if err != nil {
-				return fmt.Errorf("encoding %s record: %w", rec.Type, err)
+				return err
 			}
 			return emit(payload)
 		}

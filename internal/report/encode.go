@@ -18,38 +18,46 @@ import (
 // and a few tens of kilobytes instead of a pointer-per-float tree, its
 // compact marshal, and an indented copy of that. The bytes are exactly what
 // encoding/json's Encoder with SetIndent("", "  ") produces over
-// BuildJSON/BuildDelayJSON — the schema types in json.go stay the
-// specification (and the decode side, and the server's response builder);
-// encode_test.go pins the equivalence on every fixture and by fuzzing the
-// scalar rules.
+// BuildJSON/BuildDelayJSON; AppendJSON and AppendDelayJSON are the same walk
+// in compact mode, json.Marshal's bytes, for snad's replies. The schema types
+// in json.go stay the specification (and the decode side); encode_test.go
+// pins both modes on every fixture and by fuzzing the scalar rules.
 
 // flushAt bounds the encoder's buffer: it is handed to the writer at the
 // first record boundary past this size.
 const flushAt = 32 << 10
 
-// encoder appends indented JSON. first is true only directly after open,
-// which is all the state the comma rule needs: closing a value makes its
-// parent non-empty. err is the first failure (a write error or a float
-// JSON cannot carry); once set, spill stops writing.
+// encoder appends indented JSON when ws is 1, compact JSON (no writer,
+// never spilling) when it is 0; ws scales the whitespace instead of
+// branching on it, so the indented path costs no more than it did alone.
+// first is true only directly after open, which is all the state the
+// comma rule needs: closing a value makes its parent non-empty. err is the
+// first failure (a write error or a float JSON cannot carry); once set,
+// spill stops writing.
 type encoder struct {
 	w     io.Writer
 	buf   []byte
 	depth int
 	first bool
+	ws    int
 	err   error
 }
 
-const indentSpaces = "                                "
+const newlineIndent = "\n                                "
+
+// newline starts a new line indented to the current depth, when indenting.
+func (e *encoder) newline() {
+	e.buf = append(e.buf, newlineIndent[:e.ws*(1+2*e.depth)]...)
+}
 
 // sep starts the next member or element: a comma unless it is the first,
-// then a new line indented to the current depth.
+// then a new line.
 func (e *encoder) sep() {
 	if !e.first {
 		e.buf = append(e.buf, ',')
 	}
 	e.first = false
-	e.buf = append(e.buf, '\n')
-	e.buf = append(e.buf, indentSpaces[:2*e.depth]...)
+	e.newline()
 }
 
 // key starts an object member and returns e so the value chains onto it.
@@ -59,6 +67,7 @@ func (e *encoder) key(name string) *encoder {
 	e.buf = append(e.buf, '"')
 	e.buf = append(e.buf, name...)
 	e.buf = append(e.buf, `": `...)
+	e.buf = e.buf[:len(e.buf)-1+e.ws] // compact drops the space
 	return e
 }
 
@@ -71,8 +80,7 @@ func (e *encoder) open(c byte) {
 func (e *encoder) close(c byte) {
 	e.depth--
 	if !e.first {
-		e.buf = append(e.buf, '\n')
-		e.buf = append(e.buf, indentSpaces[:2*e.depth]...)
+		e.newline()
 	}
 	e.first = false
 	e.buf = append(e.buf, c)
@@ -165,7 +173,7 @@ func (e *encoder) str(s string) {
 // spill hands the buffer to the writer once it is past flushAt. A failed
 // write is recorded in err, which stops every array loop.
 func (e *encoder) spill() {
-	if e.err == nil && len(e.buf) >= flushAt {
+	if e.w != nil && e.err == nil && len(e.buf) >= flushAt {
 		_, e.err = e.w.Write(e.buf)
 		e.buf = e.buf[:0]
 	}
@@ -262,18 +270,52 @@ func (e *encoder) degradations(diags []core.Diag) {
 	})
 }
 
-// newEncoder starts a document: the top-level object is open.
 func newEncoder(w io.Writer) *encoder {
-	e := &encoder{w: w, buf: make([]byte, 0, flushAt+flushAt/4)}
-	e.open('{')
-	return e
+	return &encoder{w: w, buf: make([]byte, 0, flushAt+flushAt/4), ws: 1}
 }
 
 // WriteJSON serializes a full analysis result in the ResultJSON schema,
 // nets sorted by name. It returns the first write error; the writer may
 // then hold a truncated document.
 func WriteJSON(w io.Writer, res *core.Result) error {
-	e := newEncoder(w)
+	return newEncoder(w).result(res).finish()
+}
+
+// WriteDelayJSON serializes a delta-delay result in the DelayResultJSON
+// schema, with WriteJSON's error behaviour.
+func WriteDelayJSON(w io.Writer, res *core.DelayResult) error {
+	return newEncoder(w).delay(res).finish()
+}
+
+// AppendJSON appends json.Marshal(BuildJSON(res))'s bytes to dst, or fails
+// where json.Marshal does.
+func AppendJSON(dst []byte, res *core.Result) ([]byte, error) {
+	e := (&encoder{buf: dst}).result(res)
+	return e.buf, e.err
+}
+
+// AppendDelayJSON is AppendJSON for a delta-delay result.
+func AppendDelayJSON(dst []byte, res *core.DelayResult) ([]byte, error) {
+	e := (&encoder{buf: dst}).delay(res)
+	return e.buf, e.err
+}
+
+// AppendString appends s as json.Marshal quotes it.
+func AppendString(dst []byte, s string) []byte {
+	e := &encoder{buf: dst}
+	e.str(s)
+	return e.buf
+}
+
+// AppendFloat appends v as json.Marshal writes it, refusing NaN and ±Inf.
+func AppendFloat(dst []byte, v float64) ([]byte, error) {
+	e := &encoder{buf: dst}
+	e.float(v)
+	return e.buf, e.err
+}
+
+func (e *encoder) result(res *core.Result) *encoder {
+	e.open('{')
 	e.key("mode").str(res.Mode.String())
 	e.key("stats").open('{')
 	st := res.Stats // untagged in the schema: Go field names
@@ -315,13 +357,11 @@ func WriteJSON(w io.Writer, res *core.Result) error {
 		}
 	})
 	e.close('}')
-	return e.finish()
+	return e
 }
 
-// WriteDelayJSON serializes a delta-delay result in the DelayResultJSON
-// schema, with WriteJSON's error behaviour.
-func WriteDelayJSON(w io.Writer, res *core.DelayResult) error {
-	e := newEncoder(w)
+func (e *encoder) delay(res *core.DelayResult) *encoder {
+	e.open('{')
 	e.key("mode").str(res.Mode.String())
 	e.array("impacts", len(res.Impacts), func(i int) {
 		im := &res.Impacts[i]
@@ -346,5 +386,5 @@ func WriteDelayJSON(w io.Writer, res *core.DelayResult) error {
 	})
 	e.degradations(res.Diags)
 	e.close('}')
-	return e.finish()
+	return e
 }

@@ -24,10 +24,11 @@ func referenceJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// sameAsReference checks one streamed document against the reference. When
-// encoding/json refuses the tree (a NaN in a non-nullable field) the
-// streamed writer must refuse it too.
-func sameAsReference(t *testing.T, what string, tree any, write func(io.Writer) error) {
+// sameAsReference checks one streamed document against the reference, and
+// the compact encoding of the same result against json.Marshal. When
+// encoding/json refuses the tree (a NaN in a non-nullable field) both
+// encoders must refuse it too.
+func sameAsReference(t *testing.T, what string, tree any, write func(io.Writer) error, appendTo func([]byte) ([]byte, error)) {
 	t.Helper()
 	var want, got bytes.Buffer
 	refErr := referenceJSON(&want, tree)
@@ -36,31 +37,53 @@ func sameAsReference(t *testing.T, what string, tree any, write func(io.Writer) 
 		if err == nil {
 			t.Fatalf("%s: reference refuses (%v), streamed writer accepted", what, refErr)
 		}
+	} else if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	} else {
+		sameBytes(t, what+": streamed", got.Bytes(), want.Bytes())
+	}
+
+	// The compact encoder appends: what dst held stays in front.
+	wantC, refErr := json.Marshal(tree)
+	gotC, err := appendTo([]byte("head"))
+	if refErr != nil {
+		if err == nil {
+			t.Fatalf("%s: json.Marshal refuses (%v), compact encoder accepted", what, refErr)
+		}
 		return
 	}
 	if err != nil {
-		t.Fatalf("%s: %v", what, err)
+		t.Fatalf("%s: compact: %v", what, err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		g, w := got.Bytes(), want.Bytes()
+	if !bytes.HasPrefix(gotC, []byte("head")) {
+		t.Fatalf("%s: compact encoder dropped what dst held", what)
+	}
+	sameBytes(t, what+": compact", gotC[len("head"):], wantC)
+}
+
+func sameBytes(t *testing.T, what string, g, w []byte) {
+	t.Helper()
+	if !bytes.Equal(g, w) {
 		i := 0
 		for i < len(g) && i < len(w) && g[i] == w[i] {
 			i++
 		}
 		lo := max(i-80, 0)
-		t.Fatalf("%s: streamed JSON differs from reference at byte %d (got %d bytes, want %d)\n got: …%s\nwant: …%s",
+		t.Fatalf("%s JSON differs from reference at byte %d (got %d bytes, want %d)\n got: …%s\nwant: …%s",
 			what, i, len(g), len(w), g[lo:min(i+80, len(g))], w[lo:min(i+80, len(w))])
 	}
 }
 
 func checkNoise(t *testing.T, what string, res *core.Result) {
 	t.Helper()
-	sameAsReference(t, what, BuildJSON(res), func(w io.Writer) error { return WriteJSON(w, res) })
+	sameAsReference(t, what, BuildJSON(res), func(w io.Writer) error { return WriteJSON(w, res) },
+		func(b []byte) ([]byte, error) { return AppendJSON(b, res) })
 }
 
 func checkDelay(t *testing.T, what string, res *core.DelayResult) {
 	t.Helper()
-	sameAsReference(t, what+" (delay)", BuildDelayJSON(res), func(w io.Writer) error { return WriteDelayJSON(w, res) })
+	sameAsReference(t, what+" (delay)", BuildDelayJSON(res), func(w io.Writer) error { return WriteDelayJSON(w, res) },
+		func(b []byte) ([]byte, error) { return AppendDelayJSON(b, res) })
 }
 
 // hotFabric is the benchmark's batch_deep shape at test size: coupling
@@ -286,10 +309,28 @@ func FuzzEncodeScalars(f *testing.F) {
 		if err == nil && string(e.buf) != string(want) {
 			t.Fatalf("float %v (%#x): got %s, want %s", v, bits, e.buf, want)
 		}
+		if got, gerr := AppendFloat(nil, v); (gerr != nil) != (err != nil) || err == nil && string(got) != string(want) {
+			t.Fatalf("AppendFloat %v: got %s (err %v), want %s (err %v)", v, got, gerr, want, err)
+		}
 		e = &encoder{}
 		e.str(s)
 		if want, _ = json.Marshal(s); string(e.buf) != string(want) {
 			t.Fatalf("string %q: got %s, want %s", s, e.buf, want)
 		}
+		if got := AppendString(nil, s); string(got) != string(want) {
+			t.Fatalf("AppendString %q: got %s, want %s", s, got, want)
+		}
+
+		// Both scalars inside a document, in both modes: a net named s with
+		// v wherever the schema has a number or a nullable instant.
+		res := &core.Result{Mode: core.ModeNoiseWindows, Nets: map[string]*core.NetNoise{s: {
+			Net: s,
+			Comb: [2]core.Combined{
+				{Peak: v, Width: 1e-11, At: v, Window: interval.New(0, 1e-10), Members: []string{s}},
+				{Peak: 0.1, Width: v, At: math.NaN()},
+			},
+			Events: [2][]core.Event{{{Source: s, Peak: 0.1, Width: 1e-11, Window: interval.Infinite()}}},
+		}}}
+		checkNoise(t, "fuzzed scalars", res)
 	})
 }

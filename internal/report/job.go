@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -97,7 +98,9 @@ func JobText(w io.Writer, j *JobJSON) {
 		fmt.Fprintf(w, "  attempt %d %s: %s\n", d.Attempt, d.Stage, d.Error)
 	}
 	if len(j.Result) > 0 && j.State == "done" {
-		fmt.Fprintf(w, "  result: %d bytes (fetch with -json for the full report)\n", len(j.Result))
+		var shown bytes.Buffer // the size -json prints it at, one level deep
+		json.Indent(&shown, j.Result, "  ", "  ")
+		fmt.Fprintf(w, "  result: %d bytes (fetch with -json for the full report)\n", shown.Len())
 	}
 }
 

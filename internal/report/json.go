@@ -2,7 +2,6 @@ package report
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -24,11 +23,10 @@ import (
 // is guarded at its call site: core's delay pass drops combinations with a
 // NaN instant before they become impacts. The schema types are exported so
 // clients can decode responses (losslessly: marshal → unmarshal →
-// re-marshal is byte-identical) and so the server can embed
-// BuildJSON/BuildDelayJSON values in its own responses. WriteJSON and
-// WriteDelayJSON (encode.go) do not build them: they stream the same bytes
-// straight from the engine's result, and the tests hold them to
-// encoding/json over these types.
+// re-marshal is byte-identical). Nothing on the write side builds them:
+// the writers in encode.go stream the same bytes straight from the
+// engine's result, and BuildJSON/BuildDelayJSON are the oracle the tests
+// hold those writers to through encoding/json.
 
 // WindowJSON is a noise window; bounds are pointers because windows may be
 // unbounded (a virtual aggressor or a degraded net is "always on"): an
@@ -161,7 +159,7 @@ func jsonComb(c core.Combined) CombinedJSON {
 		Width:   c.Width,
 		At:      finite(c.At),
 		Window:  jsonWin(c.Window),
-		Members: slices.Clone(c.Members), // the engine rewrites its lists in place
+		Members: c.Members,
 	}
 }
 
@@ -207,7 +205,7 @@ func BuildJSON(res *core.Result) *ResultJSON {
 			Limit:    v.Limit,
 			Slack:    v.Slack,
 			At:       finite(v.At),
-			Members:  slices.Clone(v.Members),
+			Members:  v.Members,
 		})
 	}
 	names := make([]string, 0, len(res.Nets))

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/report"
 	"repro/internal/shard"
@@ -238,9 +240,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) error {
 		}
 		return &ErrorInfo{Kind: "not_found", Message: msg, Session: ss.name}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	writeBody(w, http.StatusOK, body)
 	return nil
 }
 
@@ -249,27 +249,55 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeBodyOptional(r.Body, &req); err != nil {
 		return err
 	}
-	return s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
+	return s.analysis(w, r, func(ctx context.Context, ss *session) (*answer, error) {
 		return s.analyzeWork(ctx, ss, req.Delay)
 	})
 }
 
+// answer is an analysis's reply before it is encoded: the engine's own
+// results, encoded before the busy slot is released, and the members
+// AnalyzeResponse puts around them.
+type answer struct {
+	noise       *core.Result
+	delay       *core.DelayResult // nil unless the request asked for it
+	changedNets int
+	rebuilt     bool
+	iterate     *IterateInfo
+}
+
+// encode appends the answer to dst as json.Marshal would write the
+// AnalyzeResponse it stands for.
+func (a *answer) encode(dst []byte, session string) ([]byte, error) {
+	b := report.AppendString(append(dst, `{"session":`...), session)
+	b, err := report.AppendJSON(append(b, `,"noise":`...), a.noise)
+	if err == nil && a.delay != nil {
+		b, err = report.AppendDelayJSON(append(b, `,"delay":`...), a.delay)
+	}
+	if a.changedNets != 0 {
+		b = strconv.AppendInt(append(b, `,"changedNets":`...), int64(a.changedNets), 10)
+	}
+	if a.rebuilt {
+		b = append(b, `,"rebuilt":true`...)
+	}
+	if a.iterate != nil {
+		info, _ := json.Marshal(a.iterate) // cannot fail: ints, bools, strings and finite seconds
+		b = append(append(b, `,"iterate":`...), info...)
+	}
+	return append(b, '}'), err
+}
+
 // analyzeWork is one full analysis of the session, run under its busy
 // slot: the body of POST analyze and of an analyze job.
-func (s *Server) analyzeWork(ctx context.Context, ss *session, delay bool) (*AnalyzeResponse, error) {
+func (s *Server) analyzeWork(ctx context.Context, ss *session, delay bool) (*answer, error) {
 	eng, rebuilt, err := ss.ensureEngine(ctx)
 	if err != nil {
 		return nil, err
 	}
-	resp := &AnalyzeResponse{
-		Session: ss.name,
-		Noise:   report.BuildJSON(eng.Noise()),
-		Rebuilt: rebuilt,
-	}
+	a := &answer{noise: eng.Noise(), rebuilt: rebuilt}
 	if delay {
-		resp.Delay = report.BuildDelayJSON(eng.Delay())
+		a.delay = eng.Delay()
 	}
-	return resp, nil
+	return a, nil
 }
 
 func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) error {
@@ -280,14 +308,14 @@ func (s *Server) handleReanalyze(w http.ResponseWriter, r *http.Request) error {
 	if err := jobs.CheckValues(req.Padding, nil); err != nil {
 		return badRequest(err, "")
 	}
-	return s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
+	return s.analysis(w, r, func(ctx context.Context, ss *session) (*answer, error) {
 		return s.reanalyzeWork(ctx, ss, req.Padding, req.Delay)
 	})
 }
 
 // reanalyzeWork applies padding to the session's warm engine, run under
 // its busy slot: the body of POST reanalyze and of a reanalyze job.
-func (s *Server) reanalyzeWork(ctx context.Context, ss *session, padding map[string]float64, delay bool) (*AnalyzeResponse, error) {
+func (s *Server) reanalyzeWork(ctx context.Context, ss *session, padding map[string]float64, delay bool) (*answer, error) {
 	eng, rebuilt, err := ss.ensureEngine(ctx)
 	if err != nil {
 		return nil, err
@@ -303,16 +331,11 @@ func (s *Server) reanalyzeWork(ctx context.Context, ss *session, padding map[str
 		ss.padding = eng.Padding()
 		s.persistPadding(ss)
 	}
-	resp := &AnalyzeResponse{
-		Session:     ss.name,
-		Noise:       report.BuildJSON(res),
-		ChangedNets: changed,
-		Rebuilt:     rebuilt,
-	}
+	a := &answer{noise: res, changedNets: changed, rebuilt: rebuilt}
 	if delay {
-		resp.Delay = report.BuildDelayJSON(eng.Delay())
+		a.delay = eng.Delay()
 	}
-	return resp, nil
+	return a, nil
 }
 
 // persistPadding journals a session's cumulative reanalyze padding.
@@ -334,7 +357,7 @@ func (s *Server) persistPadding(ss *session) {
 // and iterate. What is its alone — breaker admission and the half-open
 // probe, the admission gate and request deadline, snad_analysis_seconds —
 // wraps the harness's busy-slot half, so each keeps its deferred release.
-func (s *Server) analysis(w http.ResponseWriter, r *http.Request, work func(context.Context, *session) (*AnalyzeResponse, error)) error {
+func (s *Server) analysis(w http.ResponseWriter, r *http.Request, work func(context.Context, *session) (*answer, error)) error {
 	admit := func(ss *session, run func(context.Context) error) error {
 		retryAfter, probe, open := ss.breakerAdmit(s.cfg.now())
 		if open {
@@ -353,7 +376,7 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request, work func(cont
 		}
 		return s.gated(r, run)
 	}
-	body, _, err := s.sessionWork(r.Context(), r.PathValue("name"), admit, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
+	body, _, err := s.sessionWork(r.Context(), r.PathValue("name"), admit, func(ctx context.Context, ss *session) (*answer, error) {
 		start := time.Now()
 		defer func() { s.histAnalysis.Observe(time.Since(start).Seconds()) }()
 		return work(ctx, ss)
@@ -361,18 +384,15 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request, work func(cont
 	if err != nil {
 		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	writeBody(w, http.StatusOK, body)
 	return nil
 }
 
 // sessionWork is the one harness under every analysis, a request's or a
 // job's; DESIGN.md §7 gives the reasons for its one order of steps. It
-// returns the reply body (nil when work made no AnalyzeResponse — a sweep
-// keeps its own payload), whether the engine degraded, and the classified
-// error.
-func (s *Server) sessionWork(ctx context.Context, name string, admit func(*session, func(context.Context) error) error, work func(context.Context, *session) (*AnalyzeResponse, error)) (body []byte, degraded bool, err error) {
+// returns the reply body (nil when work made no answer — a sweep keeps its
+// own payload), whether the engine degraded, and the classified error.
+func (s *Server) sessionWork(ctx context.Context, name string, admit func(*session, func(context.Context) error) error, work func(context.Context, *session) (*answer, error)) (body []byte, degraded bool, err error) {
 	// 1. Pin the session, reviving it from the store when it is not loaded:
 	// neither eviction nor a delete can orphan the work.
 	ss, err := s.retainOrRevive(ctx, name)
@@ -392,11 +412,27 @@ func (s *Server) sessionWork(ctx context.Context, name string, admit func(*sessi
 		}
 		// 4. Work under a deferred release: a panic in the engine cannot
 		// leak the slot and wedge every later request to the session.
-		resp, err := func() (*AnalyzeResponse, error) {
+		err := func() error {
 			defer ss.release()
-			return work(ctx, ss)
+			a, err := work(ctx, ss)
+			if err != nil || a == nil {
+				return err
+			}
+			// 5. Encode the reply once, sized by the last, and cache it as
+			// the report — under the slot: the next analysis rewrites the
+			// engine's result in place once the slot is free.
+			prev := len(ss.report())
+			b, err := a.encode(make([]byte, 0, prev+prev/8), name)
+			if err != nil {
+				// Unreachable as long as the report schema keeps its no-NaN
+				// discipline; fail loudly rather than hang the connection.
+				return &ErrorInfo{Kind: "engine", Message: fmt.Sprintf("encoding response: %v", err)}
+			}
+			body, degraded = b, a.noise.Stats.DegradedNets > 0
+			ss.recordResult(a.noise, body)
+			return nil
 		}()
-		// 5. The breaker: an engine failure or a degraded result counts
+		// 6. The breaker: an engine failure or a degraded result counts
 		// against the session and a clean result resets it; a refusal or a
 		// cancellation is not session health, and says so in the reply's
 		// words (the kind is classify's either way).
@@ -412,18 +448,9 @@ func (s *Server) sessionWork(ctx context.Context, name string, admit func(*sessi
 			}
 			return info
 		}
-		if resp == nil {
-			return nil
+		if body != nil {
+			ss.recordOutcome(degraded, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
 		}
-		degraded = resp.Noise.Stats.DegradedNets > 0
-		ss.recordOutcome(degraded, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
-		// 6. Marshal, and 7. cache the body as the session's report.
-		if body, err = json.Marshal(resp); err != nil {
-			// Unreachable as long as the report schema keeps its no-NaN
-			// discipline; fail loudly rather than hang the connection.
-			return &ErrorInfo{Kind: "engine", Message: fmt.Sprintf("encoding response: %v", err), Session: name}
-		}
-		ss.recordResult(resp, body)
 		return nil
 	}
 	// 2. The caller's own admission, when it has one, around the rest.

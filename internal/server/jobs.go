@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -70,7 +71,7 @@ func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, attemp
 	start := time.Now()
 	defer func() { s.histJobRun.Observe(time.Since(start).Seconds()) }()
 	var sweep json.RawMessage
-	body, degraded, err := s.sessionWork(ctx, spec.Session, nil, func(ctx context.Context, ss *session) (resp *AnalyzeResponse, err error) {
+	body, degraded, err := s.sessionWork(ctx, spec.Session, nil, func(ctx context.Context, ss *session) (a *answer, err error) {
 		switch spec.Type {
 		case "analyze":
 			return s.analyzeWork(ctx, ss, spec.Delay)
@@ -102,10 +103,11 @@ func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, attemp
 }
 
 // jobSweep analyzes the session's design once per scenario point, each
-// under the point's mode/threshold overrides.
+// under the point's mode/threshold overrides, encoding as it goes.
 func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (json.RawMessage, error) {
-	out := SweepResult{Session: ss.name, Points: make([]SweepPointResult, 0, len(spec.Sweep))}
-	for _, pt := range spec.Sweep {
+	b := report.AppendString([]byte(`{"session":`), ss.name)
+	b = append(b, `,"points":[`...)
+	for i, pt := range spec.Sweep {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -127,17 +129,19 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 		if err != nil {
 			return nil, err
 		}
-		out.Points = append(out.Points, SweepPointResult{
-			Mode:      modeName,
-			Threshold: opts.FilterThreshold,
-			Noise:     report.BuildJSON(res),
-		})
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = report.AppendString(append(b, `{"mode":`...), modeName)
+		if b, err = report.AppendFloat(append(b, `,"threshold":`...), opts.FilterThreshold); err == nil {
+			b, err = report.AppendJSON(append(b, `,"noise":`...), res)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("encoding sweep result: %w", err)
+		}
+		b = append(b, '}')
 	}
-	body, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("encoding sweep result: %w", err)
-	}
-	return body, nil
+	return append(b, "]}"...), nil
 }
 
 // --- HTTP surface -----------------------------------------------------
@@ -189,7 +193,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 		}
 		return s.jobRefusal(err, "job", "", nil, spec.Session)
 	}
-	s.writeJSON(w, http.StatusAccepted, snap)
+	s.writeJob(w, http.StatusAccepted, snap)
 	return nil
 }
 
@@ -200,7 +204,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 	all := s.jobs.List()
 	state := r.URL.Query().Get("state")
 	if state == "" {
-		s.writeJSON(w, http.StatusOK, JobsResponse{Jobs: all})
+		s.writeJobs(w, all)
 		return nil
 	}
 	switch state {
@@ -218,7 +222,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 			filtered = append(filtered, j)
 		}
 	}
-	s.writeJSON(w, http.StatusOK, JobsResponse{Jobs: filtered})
+	s.writeJobs(w, filtered)
 	return nil
 }
 
@@ -228,7 +232,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return s.jobRefusal(err, "", id, nil, "")
 	}
-	s.writeJSON(w, http.StatusOK, snap)
+	s.writeJob(w, http.StatusOK, snap)
 	return nil
 }
 
@@ -245,9 +249,44 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
 	// Constant statuses, so the ackorder analyzer can prove both are
 	// acknowledgements that follow the journal append.
 	if snap.State == string(jobs.StateCanceled) {
-		s.writeJSON(w, http.StatusOK, snap)
+		s.writeJob(w, http.StatusOK, snap)
 		return nil
 	}
-	s.writeJSON(w, http.StatusAccepted, snap)
+	s.writeJob(w, http.StatusAccepted, snap)
 	return nil
+}
+
+// writeJob and writeJobs write what writeJSON would, except that a job's
+// result goes out as the bytes its analysis encoded: writeJSON would re-scan
+// and re-indent them, at many times the cost of the rest of the reply.
+func (s *Server) writeJob(w http.ResponseWriter, status int, j *report.JobJSON) {
+	writeBody(w, status, append(appendJob(nil, j, ""), '\n'))
+}
+
+// writeJobs writes a JobsResponse over jobs, which is never nil.
+func (s *Server) writeJobs(w http.ResponseWriter, jobs []report.JobJSON) {
+	b := []byte("{\n  \"jobs\": [")
+	sep := "\n    "
+	for i := range jobs {
+		b = appendJob(append(b, sep...), &jobs[i], "    ")
+		sep = ",\n    "
+	}
+	if len(jobs) > 0 {
+		b = append(b, "\n  "...)
+	}
+	writeBody(w, http.StatusOK, append(b, "]\n}\n"...))
+}
+
+// appendJob appends j indented at prefix, its result spliced in last, where
+// JobJSON declares it.
+func appendJob(b []byte, j *report.JobJSON, prefix string) []byte {
+	head := *j
+	head.Result = nil
+	env, _ := json.MarshalIndent(&head, prefix, "  ") // cannot fail: strings, ints and bools
+	if len(j.Result) == 0 {
+		return append(b, env...)
+	}
+	end := bytes.LastIndexByte(env, '\n')
+	b = append(append(b, env[:end]...), ",\n"+prefix+`  "result": `...)
+	return append(append(b, j.Result...), env[end:]...)
 }

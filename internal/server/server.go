@@ -611,11 +611,15 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) error {
 // --- helpers ---
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := json.MarshalIndent(v, "", "  ")
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody writes a JSON reply that is already encoded.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
 }
 
 // decodeBody strictly decodes one JSON object; a failure is the caller's

@@ -591,7 +591,7 @@ func TestServerAnalysisPanicReleasesSession(t *testing.T) {
 	if err := s.insert(&session{name: "p"}); err != nil {
 		t.Fatalf("insert: %+v", err)
 	}
-	run := func(work func(context.Context, *session) (*AnalyzeResponse, error)) *httptest.ResponseRecorder {
+	run := func(work func(context.Context, *session) (*answer, error)) *httptest.ResponseRecorder {
 		h := s.barrier(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if err := s.analysis(w, r, work); err != nil {
 				s.fail(w, err)
@@ -604,7 +604,7 @@ func TestServerAnalysisPanicReleasesSession(t *testing.T) {
 		return rec
 	}
 
-	rec := run(func(context.Context, *session) (*AnalyzeResponse, error) { panic("work exploded") })
+	rec := run(func(context.Context, *session) (*answer, error) { panic("work exploded") })
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking analysis: status %d: %s", rec.Code, rec.Body.Bytes())
 	}
@@ -613,7 +613,7 @@ func TestServerAnalysisPanicReleasesSession(t *testing.T) {
 	// The busy slot and the eviction pin must both be free again: a second
 	// analysis reaches its work function (engine 500) instead of timing
 	// out against a wedged session (deadline 503).
-	rec = run(func(context.Context, *session) (*AnalyzeResponse, error) { return nil, errors.New("engine says no") })
+	rec = run(func(context.Context, *session) (*answer, error) { return nil, errors.New("engine says no") })
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("post-panic analysis: status %d: %s", rec.Code, rec.Body.Bytes())
 	}

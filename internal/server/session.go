@@ -79,7 +79,7 @@ type session struct {
 	// suspect marks a handler-level panic observed on this session.
 	suspect bool
 	// analyzed and the summary counters describe the last completed
-	// analysis; lastResponse is its marshaled body for GET report.
+	// analysis; lastResponse is its encoded body for GET report.
 	analyzed     bool
 	victims      int
 	violations   int
@@ -216,15 +216,15 @@ func (s *session) recordOutcome(degraded bool, now time.Time, trips int, cooldow
 	}
 }
 
-// recordResult caches the summary and marshaled body of a completed
-// analysis for the report and info endpoints.
-func (s *session) recordResult(resp *AnalyzeResponse, body []byte) {
+// recordResult caches the summary and encoded body of a completed
+// analysis for the report and info endpoints, under the busy slot.
+func (s *session) recordResult(res *core.Result, body []byte) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	s.analyzed = true
-	s.victims = resp.Noise.Stats.Victims
-	s.violations = len(resp.Noise.Violations)
-	s.degradedNets = resp.Noise.Stats.DegradedNets
+	s.victims = res.Stats.Victims
+	s.violations = len(res.Violations)
+	s.degradedNets = res.Stats.DegradedNets
 	s.lastResponse = body
 }
 

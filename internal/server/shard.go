@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
-	"repro/internal/report"
 	"repro/internal/shard"
 	"repro/internal/sta"
 )
@@ -349,7 +348,7 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeBodyOptional(r.Body, &req); err != nil {
 		return err
 	}
-	return s.analysis(w, r, func(ctx context.Context, ss *session) (*AnalyzeResponse, error) {
+	return s.analysis(w, r, func(ctx context.Context, ss *session) (*answer, error) {
 		// Round state persists next to the session journal, keyed by the
 		// session and its design: a restarted server resumes a
 		// mid-fixpoint iterate from its last completed round instead of
@@ -383,7 +382,7 @@ func runToken(key string, spec *CreateSessionRequest) string {
 // workers when there are any (and the request does not force local, and the
 // session kept the sources to ship), in this process otherwise. token keys
 // the run on the workers and its round checkpoint under ckptDir.
-func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, token, ckptDir string) (*AnalyzeResponse, error) {
+func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, token, ckptDir string) (*answer, error) {
 	cfg := shard.Config{
 		B:         ss.b,
 		Opts:      ss.opts,
@@ -418,9 +417,9 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 	info.Diverging, info.DivergeReason = out.Diverging, out.DivergeReason
 	info.Reassigns, info.AbandonedShards, info.Resumed = out.Reassigns, out.AbandonedShards, out.Resumed
 	info.Dispatches = out.Dispatches
-	resp := &AnalyzeResponse{Session: ss.name, Noise: report.BuildJSON(out.Noise), Iterate: info}
+	a := &answer{noise: out.Noise, iterate: info}
 	if req.Delay {
-		resp.Delay = report.BuildDelayJSON(out.Delay)
+		a.delay = out.Delay
 	}
-	return resp, nil
+	return a, nil
 }

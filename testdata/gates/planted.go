@@ -1,14 +1,36 @@
 // Package planted breaks every source gate once, so gates_test.go can show
 // each gate fails. The decoys in comments and strings must not count:
-// map[string]int, http.StatusNotFound.
+// map[string]int, http.StatusNotFound, report.BuildJSON(res).
 package planted
 
-import "net/http"
+import (
+	"encoding/json"
+	"net/http"
+
+	"repro/internal/report"
+)
 
 var byName map[string]int
 
-const decoy = "map[string]bool http.StatusConflict"
+const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res)"
 
 func handleGhost(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusNotFound)
+}
+
+func buildTree() *report.ResultJSON { return report.BuildJSON(nil) }
+
+// storedJob holds a stored result the way a job snapshot does.
+type storedJob struct {
+	ID     string
+	Result json.RawMessage
+}
+
+func marshalJob(j storedJob) ([]byte, error) { return json.Marshal(j) }
+
+// marshalHead is a decoy: the result is cleared before the marshal, the
+// way the splicing encoders leave it out.
+func marshalHead(j storedJob) ([]byte, error) {
+	j.Result = nil
+	return json.Marshal(&j)
 }

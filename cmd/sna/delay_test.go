@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bind"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/lint"
@@ -114,15 +115,16 @@ func TestDelayJSONMatchesTwoAnalyzerRun(t *testing.T) {
 				jsonPath := filepath.Join(dir, "out.json")
 				args := append([]string{"-net", n, "-spef", s, "-win", w, "-workers", workers, "-delay", "-json", jsonPath}, tc.extra...)
 				opts := core.Options{Mode: core.ModeNoiseWindows, FailSoft: true, NoPropagation: len(tc.extra) > 0}
+				faults := ""
 				if tc.fault != "" {
-					args = append(args, "-inject-fault", "panic:"+tc.fault)
-					opts.PrepareHook = workload.RuntimeFaults{Panic: []string{tc.fault}}.Hook()
+					faults = "panic:" + tc.fault
+					opts.PrepareHook = chaos.RuntimeFaults{Panic: []string{tc.fault}}.Hook()
 				}
 				wantOut, wantJSON, wantCode := twoAnalyzerRun(t, n, s, w, opts)
 				if tc.fault != "" && (wantCode != tc.code || !strings.Contains(wantOut, "degraded nets: 1")) {
 					t.Fatalf("fixture drifted: fault on %s gives exit %d, want %d\n%s", tc.fault, wantCode, tc.code, wantOut)
 				}
-				code, stdout, stderr := runSna(args...)
+				code, stdout, stderr := runSnaFaults(t, faults, args...)
 				if code != wantCode {
 					t.Fatalf("exit = %d, want %d\nstderr: %s", code, wantCode, stderr)
 				}

@@ -61,7 +61,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/sta"
-	"repro/internal/workload"
 )
 
 // Exit codes; documented in the package comment and pinned by the
@@ -82,10 +81,12 @@ func main() {
 	// being killed mid-analysis.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr, nil))
 }
 
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+// run is sna on args. prepare, when non-nil, becomes the engine's
+// PrepareHook: tests inject per-victim faults through it.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer, prepare func(net string) error) int {
 	fs := flag.NewFlagSet("sna", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -110,7 +111,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		suppress  = fs.String("suppress", "", "comma-separated lint rule IDs to suppress")
 		timeout   = fs.Duration("timeout", 0, "wall-clock budget for the analysis; 0 = unbounded")
 		failFast  = fs.Bool("fail-fast", false, "abort on the first per-net analysis failure instead of degrading")
-		faultSpec = fs.String("inject-fault", "", "inject runtime faults, e.g. panic:b1,error:b2,sleep:* (testing)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		workers   = fs.Int("workers", 0, "parallel analysis workers (0 = serial); results are identical")
@@ -138,11 +138,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	lintCfg, err := lint.ParseConfig(*suppress, *werror)
-	if err != nil {
-		fmt.Fprintln(stderr, "sna:", err)
-		return exitUsage
-	}
-	faults, err := workload.ParseRuntimeFaults(*faultSpec)
 	if err != nil {
 		fmt.Fprintln(stderr, "sna:", err)
 		return exitUsage
@@ -203,7 +198,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		NoPropagation:    *noProp,
 		LogicCorrelation: *corr,
 		FailSoft:         !*failFast,
-		PrepareHook:      faults.Hook(),
+		PrepareHook:      prepare,
 		STA:              sta.Options{InputTiming: loaded.Inputs, ClockPeriod: *period},
 	}
 	// Noise and delay come off one prepared analyzer: -delay runs the

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/spef"
@@ -75,7 +76,20 @@ func writeTo(t *testing.T, path string, fn func(*os.File) error) {
 
 func runSna(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
-	code = run(context.Background(), args, &out, &errb)
+	code = run(context.Background(), args, &out, &errb, nil)
+	return code, out.String(), errb.String()
+}
+
+// runSnaFaults runs sna with the chaos.RuntimeFaults spec faults as the
+// engine's prepare hook.
+func runSnaFaults(t *testing.T, faults string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	f, err := chaos.ParseRuntimeFaults(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code = run(context.Background(), args, &out, &errb, f.Hook())
 	return code, out.String(), errb.String()
 }
 
@@ -232,7 +246,7 @@ func TestExitDegraded(t *testing.T) {
 	// completes, reports the degradation, and exits degraded-clean.
 	// -noprop keeps the conservative full-rail bound from propagating
 	// into real downstream violations (which would rightly exit 1).
-	code, stdout, stderr := runSna("-net", n, "-spef", s, "-win", w, "-noprop", "-inject-fault", "error:b1")
+	code, stdout, stderr := runSnaFaults(t, "error:b1", "-net", n, "-spef", s, "-win", w, "-noprop")
 	if code != exitDegraded {
 		t.Fatalf("exit = %d, want %d\nstdout: %s\nstderr: %s", code, exitDegraded, stdout, stderr)
 	}
@@ -244,7 +258,7 @@ func TestExitDegraded(t *testing.T) {
 func TestFailFastFlag(t *testing.T) {
 	dir := t.TempDir()
 	n, s, w := writeBus(t, dir, workload.BusSpec{WindowSep: 500 * units.Pico}, "")
-	code, _, stderr := runSna("-net", n, "-spef", s, "-win", w, "-inject-fault", "error:b1", "-fail-fast")
+	code, _, stderr := runSnaFaults(t, "error:b1", "-net", n, "-spef", s, "-win", w, "-fail-fast")
 	if code != exitFail {
 		t.Fatalf("exit = %d, want %d; stderr: %s", code, exitFail, stderr)
 	}
@@ -253,9 +267,15 @@ func TestFailFastFlag(t *testing.T) {
 	}
 }
 
+// TestBadFaultSpecIsUsageError pins that faults are not a product
+// surface: sna has no fault flag, so -inject-fault is a usage error like
+// any unknown flag, whatever its spec.
 func TestBadFaultSpecIsUsageError(t *testing.T) {
-	if code, _, _ := runSna("-net", "x", "-inject-fault", "explode:b1"); code != exitUsage {
-		t.Fatalf("exit = %d, want %d", code, exitUsage)
+	for _, spec := range []string{"explode:b1", "panic:*"} {
+		code, _, stderr := runSna("-net", "x", "-inject-fault", spec)
+		if code != exitUsage || !strings.Contains(stderr, "flag provided but not defined: -inject-fault") {
+			t.Fatalf("-inject-fault %s: exit = %d, want %d; stderr: %s", spec, code, exitUsage, stderr)
+		}
 	}
 }
 
@@ -266,8 +286,8 @@ func TestTimeoutCancelsPromptly(t *testing.T) {
 	// mid-run and the engine must stop within a second of it.
 	const deadline = 50 * time.Millisecond
 	start := time.Now()
-	code, _, stderr := runSna("-net", n, "-spef", s, "-win", w,
-		"-inject-fault", "sleep:*", "-timeout", deadline.String())
+	code, _, stderr := runSnaFaults(t, "sleep:*", "-net", n, "-spef", s, "-win", w,
+		"-timeout", deadline.String())
 	elapsed := time.Since(start)
 	if code != exitFail {
 		t.Fatalf("exit = %d, want %d; stderr: %s", code, exitFail, stderr)
@@ -286,8 +306,8 @@ func TestJSONIncludesDegradations(t *testing.T) {
 	jsonPath := filepath.Join(dir, "out.json")
 	// -noprop keeps the degraded net's full-rail bound from propagating
 	// into real downstream violations, so the run stays degraded-clean.
-	code, _, stderr := runSna("-net", n, "-spef", s, "-win", w,
-		"-inject-fault", "error:b2", "-noprop", "-json", jsonPath)
+	code, _, stderr := runSnaFaults(t, "error:b2", "-net", n, "-spef", s, "-win", w,
+		"-noprop", "-json", jsonPath)
 	if code != exitDegraded {
 		t.Fatalf("exit = %d; stderr: %s", code, stderr)
 	}
@@ -320,7 +340,7 @@ func TestInterruptSignalCancelsAnalysis(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		var out, errb bytes.Buffer
-		code := run(ctx, []string{"-net", n, "-spef", s, "-win", w, "-inject-fault", "sleep:*"}, &out, &errb)
+		code := run(ctx, []string{"-net", n, "-spef", s, "-win", w}, &out, &errb, chaos.RuntimeFaults{Sleep: []string{"*"}}.Hook())
 		done <- result{code, errb.String()}
 	}()
 	// Let the run get past flag parsing and into the engine before

@@ -42,6 +42,7 @@ func TestWorkersIdentity(t *testing.T) {
 		gen     func(t *testing.T) *workload.Generated
 		verilog bool
 		args    []string
+		faults  string // a chaos.RuntimeFaults spec
 	}{
 		{name: "verilog-bus", gen: func(t *testing.T) *workload.Generated { return bus(t, "") }, verilog: true},
 		{name: "hot-fabric", gen: func(t *testing.T) *workload.Generated {
@@ -56,7 +57,7 @@ func TestWorkersIdentity(t *testing.T) {
 		}, args: []string{"-delay"}},
 		{name: "combinational-loop", gen: func(t *testing.T) *workload.Generated { return bus(t, "self-loop") }},
 		{name: "inject-fault", gen: func(t *testing.T) *workload.Generated { return bus(t, "") },
-			args: []string{"-inject-fault", "error:b7,panic:b250"}},
+			faults: "error:b7,panic:b250"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -77,7 +78,7 @@ func TestWorkersIdentity(t *testing.T) {
 				for _, workers := range []int{0, 1, 2, 8} {
 					jsonPath := filepath.Join(dir, "out"+strconv.Itoa(workers)+".json")
 					args := append([]string{"-net", n, "-spef", s, "-win", w, "-workers", strconv.Itoa(workers), "-json", jsonPath}, tc.args...)
-					code, stdout, stderr := runSna(args...)
+					code, stdout, stderr := runSnaFaults(t, tc.faults, args...)
 					if code == exitFail || code == exitUsage || code == exitLint {
 						t.Fatalf("%s -workers %d: exit %d\nstderr: %s", filepath.Base(n), workers, code, stderr)
 					}

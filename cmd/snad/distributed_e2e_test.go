@@ -27,7 +27,7 @@ func TestDistributedIterateSurvivesWorkerSIGKILL(t *testing.T) {
 	var urls []string
 	var kill func() // SIGKILLs worker 1
 	for i := 0; i < 3; i++ {
-		cmd, base := startChild(t, t.TempDir())
+		cmd, base := startChild(t, t.TempDir(), childFaults{})
 		urls = append(urls, base)
 		if i == 1 {
 			proc, wait := cmd.Process, cmd.Wait
@@ -37,7 +37,7 @@ func TestDistributedIterateSurvivesWorkerSIGKILL(t *testing.T) {
 			}
 		}
 	}
-	_, coordBase := startChild(t, t.TempDir(), "-workers", strings.Join(urls, ","))
+	_, coordBase := startChild(t, t.TempDir(), childFaults{}, "-workers", strings.Join(urls, ","))
 
 	c := client.New(coordBase, client.RetryPolicy{MaxAttempts: 1})
 	netPath, spefPath, winPath := writeBus(t, t.TempDir(), 16)

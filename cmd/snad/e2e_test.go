@@ -21,19 +21,31 @@ import (
 // handling included, on its own arguments instead of the test suite. The
 // SIGKILL recovery e2e uses this to kill a genuinely separate server
 // process mid-traffic — an in-process server can't be SIGKILLed without
-// killing the test — and the overload contract to SIGTERM one.
+// killing the test — and the overload contract to SIGTERM one. A child
+// installs the fault hooks its childFaults name before it starts.
 func TestMain(m *testing.M) {
 	if os.Getenv("SNAD_E2E_CHILD") == "1" {
+		f, err := serverFaults(os.Getenv("SNAD_E2E_SESSION_FAULTS"), os.Getenv("SNAD_E2E_JOB_FAULTS"))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(exitUsage)
+		}
+		faults = f
 		main()
 	}
 	os.Exit(m.Run())
 }
 
+// childFaults are the fault hooks a child server installs: a
+// chaos.SessionFaults spec and a chaos.JobFaults spec. A restarted child
+// gets its hooks from its own childFaults; nothing of them is journaled.
+type childFaults struct{ sessions, jobs string }
+
 // startChild execs this test binary as `snad serve -data-dir dir` in a
 // separate process and returns the process and its base URL. extra args
 // are appended to the serve command line (e.g. -workers for a
 // coordinator).
-func startChild(t *testing.T, dir string, extra ...string) (*exec.Cmd, string) {
+func startChild(t *testing.T, dir string, cf childFaults, extra ...string) (*exec.Cmd, string) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -41,7 +53,8 @@ func startChild(t *testing.T, dir string, extra ...string) (*exec.Cmd, string) {
 	}
 	args := append([]string{"serve", "-listen", "127.0.0.1:0", "-data-dir", dir, "-quiet"}, extra...)
 	cmd := exec.Command(exe, args...)
-	cmd.Env = append(os.Environ(), "SNAD_E2E_CHILD=1")
+	cmd.Env = append(os.Environ(), "SNAD_E2E_CHILD=1",
+		"SNAD_E2E_SESSION_FAULTS="+cf.sessions, "SNAD_E2E_JOB_FAULTS="+cf.jobs)
 	out := &safeBuffer{}
 	cmd.Stdout = out
 	cmd.Stderr = out
@@ -80,7 +93,7 @@ func startChild(t *testing.T, dir string, extra ...string) (*exec.Cmd, string) {
 // with the same analysis results and cumulative padding.
 func TestServeSIGKILLRecovery(t *testing.T) {
 	dir := t.TempDir()
-	child, base := startChild(t, dir)
+	child, base := startChild(t, dir, childFaults{})
 	ctx := context.Background()
 	c := client.New(base, client.RetryPolicy{MaxAttempts: 1})
 
@@ -166,7 +179,7 @@ func TestServeSIGKILLRecovery(t *testing.T) {
 
 	// Restart over the same directory. Retries are fine here; the fault
 	// is behind us.
-	_, base2 := startChild(t, dir)
+	_, base2 := startChild(t, dir, childFaults{})
 	c2 := client.New(base2, client.RetryPolicy{})
 	list, err := c2.List(ctx)
 	if err != nil {

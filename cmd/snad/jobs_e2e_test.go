@@ -27,7 +27,8 @@ import (
 
 func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 	dir := t.TempDir()
-	child, base := startChild(t, dir)
+	slow := childFaults{sessions: "bus=sleep:*"}
+	child, base := startChild(t, dir, slow)
 	ctx := context.Background()
 	c := client.New(base, client.RetryPolicy{MaxAttempts: 1})
 
@@ -43,7 +44,6 @@ func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 	}
 	if _, err := c.CreateSession(ctx, &server.CreateSessionRequest{
 		Name: "bus", Netlist: mustRead(netPath), SPEF: mustRead(spefPath), Timing: mustRead(winPath),
-		Options: server.SessionOptions{InjectFault: "sleep:*"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,11 @@ func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 	}
 	child.Wait()
 
-	// Restart over the same directory, with poison-job injection armed for
-	// the quarantine half below (it targets analyze jobs only; the iterate
-	// resume is untouched).
-	_, base2 := startChild(t, dir, "-job-inject-fault", "panic:analyze:*", "-job-max-attempts", "2")
+	// Restart over the same directory, with the session's sleeps again and
+	// poison-job injection armed for the quarantine half below (it targets
+	// analyze jobs only; the iterate resume is untouched).
+	slow.jobs = "panic:analyze:*"
+	_, base2 := startChild(t, dir, slow, "-job-max-attempts", "2")
 	c2 := client.New(base2, client.RetryPolicy{})
 
 	final, err := c2.WaitJob(ctx, snap.ID)

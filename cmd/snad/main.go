@@ -15,7 +15,7 @@
 //	             [-job-workers 2] [-job-queue 16] [-job-max-attempts 3]
 //	             [-mem-budget 512MB] [-tenant-cap N] [-job-tenant-cap N]
 //	snad create  -server URL -name S -net design.net [-spef design.spef]
-//	             [-win design.win] [-workers N] [-inject-fault spec]
+//	             [-win design.win] [-workers N]
 //	snad analyze -server URL -name S [-delay] [-timeout 10s]
 //	snad iterate -server URL -name S [-delay] [-shards N] [-local]
 //	             [-timeout 60s]
@@ -113,6 +113,10 @@ const (
 	exitDegraded   = 5
 )
 
+// faults is the server's fault-injection seam (server.Config.Faults).
+// Only this package's tests set it, before they call main or run.
+var faults *server.Faults
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -153,13 +157,11 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		cooldown     = fs.Duration("breaker-cooldown", 0, "breaker cooldown before going half-open (default 10s)")
 		quiet        = fs.Bool("quiet", false, "suppress operational logging")
 		dataDir      = fs.String("data-dir", "", "durable session directory; empty runs memory-only")
-		storeFaults  = fs.String("store-inject-fault", "", "inject store write-path faults, e.g. torn:append:2 (chaos testing)")
 		workerURLs   = fs.String("workers", "", "comma-separated snad worker base URLs to coordinate over")
 		shards       = fs.Int("shards", 0, "default shard count for distributed iterate (0 = one per worker)")
 		jobWorkers   = fs.Int("job-workers", 0, "async job worker pool size (default 2)")
 		jobQueue     = fs.Int("job-queue", 0, "max queued async jobs; submits past it are shed (default 16)")
 		jobAttempts  = fs.Int("job-max-attempts", 0, "default retry budget per async job (default 3)")
-		jobFaults    = fs.String("job-inject-fault", "", "inject job execution faults, e.g. panic:analyze:2 (chaos testing)")
 		memBudget    = fs.String("mem-budget", "", "byte budget for cached designs, e.g. 512MB or 2GiB (empty = unlimited); past it, creates shed with 503 instead of growing")
 		tenantCap    = fs.Int("tenant-cap", 0, "max concurrent analyses per tenant (0 = the concurrency cap)")
 		jobTenantCap = fs.Int("job-tenant-cap", 0, "max concurrently running async jobs per tenant (0 = the job worker count)")
@@ -187,15 +189,14 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		BreakerCooldown:   *cooldown,
 		Logf:              logf,
 		DataDir:           *dataDir,
-		StoreFaultSpec:    *storeFaults,
 		Shards:            *shards,
 		JobWorkers:        *jobWorkers,
 		JobQueueDepth:     *jobQueue,
 		JobMaxAttempts:    *jobAttempts,
-		JobFaultSpec:      *jobFaults,
 		MemBudget:         budget,
 		TenantCap:         *tenantCap,
 		JobTenantCap:      *jobTenantCap,
+		Faults:            faults,
 		// The dialer lives here because the server package cannot import
 		// the client (the client imports the server's wire types).
 		WorkerDialer: func(name, url string) shard.Worker {
@@ -259,11 +260,10 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		tenant    = fs.String("tenant", "", "tenant ID for fair scheduling (X-Snad-Tenant)")
 
 		// create flags
-		netPath   = fs.String("net", "", "netlist file (.net or .v)")
-		spefPath  = fs.String("spef", "", "parasitics file (.spef)")
-		winPath   = fs.String("win", "", "input timing file (.win)")
-		workers   = fs.Int("workers", 0, "parallel analysis workers (0 = serial)")
-		faultSpec = fs.String("inject-fault", "", "inject runtime faults, e.g. panic:b1,sleep:* (testing)")
+		netPath  = fs.String("net", "", "netlist file (.net or .v)")
+		spefPath = fs.String("spef", "", "parasitics file (.spef)")
+		winPath  = fs.String("win", "", "input timing file (.win)")
+		workers  = fs.Int("workers", 0, "parallel analysis workers (0 = serial)")
 
 		// analyze/reanalyze flags
 		delay = fs.Bool("delay", false, "include the crosstalk delta-delay section")
@@ -294,11 +294,8 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 			return exitUsage
 		}
 		req := &server.CreateSessionRequest{
-			Name: *name,
-			Options: server.SessionOptions{
-				Workers:     *workers,
-				InjectFault: *faultSpec,
-			},
+			Name:    *name,
+			Options: server.SessionOptions{Workers: *workers},
 		}
 		text, err := os.ReadFile(*netPath)
 		if err != nil {

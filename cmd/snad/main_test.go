@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/netlist"
 	"repro/internal/server"
@@ -115,6 +116,39 @@ func startServe(t *testing.T, extra ...string) (base string, exit chan int, stdo
 	return base, exit, stdout
 }
 
+// serverFaults builds the server's fault hooks from a chaos.SessionFaults
+// spec and a chaos.JobFaults spec; both empty is no hooks.
+func serverFaults(sessions, jobs string) (*server.Faults, error) {
+	if sessions == "" && jobs == "" {
+		return nil, nil
+	}
+	sf, err := chaos.ParseSessionFaults(sessions)
+	if err != nil {
+		return nil, err
+	}
+	jf, err := chaos.ParseJobFaults(jobs)
+	if err != nil {
+		return nil, err
+	}
+	f := &server.Faults{Prepare: sf.Prepare}
+	if jf != nil {
+		f.Job = jf.Fire
+	}
+	return f, nil
+}
+
+// setFaults installs the session faults spec for the in-process servers
+// this test starts.
+func setFaults(t *testing.T, sessions string) {
+	t.Helper()
+	f, err := serverFaults(sessions, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults = f
+	t.Cleanup(func() { faults = nil })
+}
+
 // waitInflight polls until the server reports an analysis in flight.
 func waitInflight(t *testing.T, c *client.Client) {
 	t.Helper()
@@ -135,6 +169,7 @@ func waitInflight(t *testing.T, c *client.Client) {
 // shutdown: a real SIGTERM during in-flight work lets the request finish
 // within the drain budget and the process exits 0.
 func TestServeSIGTERMCleanDrain(t *testing.T) {
+	setFaults(t, "slow=sleep:*")
 	base, exit, stdout := startServe(t, "-drain-budget", "30s", "-quiet")
 	c := client.New(base, client.RetryPolicy{MaxAttempts: 1})
 
@@ -151,7 +186,6 @@ func TestServeSIGTERMCleanDrain(t *testing.T) {
 		Netlist: mustRead(netPath),
 		SPEF:    mustRead(spefPath),
 		Timing:  mustRead(winPath),
-		Options: server.SessionOptions{InjectFault: "sleep:*"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +219,7 @@ func TestServeSIGTERMCleanDrain(t *testing.T) {
 // TestServeSIGINTForcedDrain: when in-flight work exceeds the budget, the
 // drain cancels it and the process exits 1.
 func TestServeSIGINTForcedDrain(t *testing.T) {
+	setFaults(t, "glacial=sleep:*")
 	base, exit, _ := startServe(t, "-drain-budget", "20ms", "-quiet")
 	c := client.New(base, client.RetryPolicy{MaxAttempts: 1})
 
@@ -203,7 +238,6 @@ func TestServeSIGINTForcedDrain(t *testing.T) {
 		Netlist: mustRead(netPath),
 		SPEF:    mustRead(spefPath),
 		Timing:  mustRead(winPath),
-		Options: server.SessionOptions{InjectFault: "sleep:*"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +274,7 @@ func TestServeSIGINTForcedDrain(t *testing.T) {
 // TestClientSubcommands drives the full CLI surface against an in-process
 // server.
 func TestClientSubcommands(t *testing.T) {
+	setFaults(t, "flaky=panic:b1")
 	base, exit, _ := startServe(t, "-quiet")
 	netPath, spefPath, winPath := writeBus(t, t.TempDir(), 4)
 
@@ -298,7 +333,7 @@ func TestClientSubcommands(t *testing.T) {
 
 	// A degraded session maps onto the degraded-clean exit code.
 	code, _, errOut = runCmd("create", "-server", base, "-name", "flaky",
-		"-net", netPath, "-spef", spefPath, "-win", winPath, "-inject-fault", "panic:b1")
+		"-net", netPath, "-spef", spefPath, "-win", winPath)
 	if code != exitClean {
 		t.Fatalf("create flaky: exit %d: %s", code, errOut)
 	}
@@ -331,6 +366,10 @@ func TestUsageErrors(t *testing.T) {
 		{"reanalyze", "-name", "x"}, // missing -pad
 		{"serve", "-listen"},        // bad flag usage
 		{"reanalyze", "-name", "x", "-pad", "b1=-3"}, // negative padding
+		// Faults are a test seam, not flags.
+		{"create", "-name", "x", "-net", "x.net", "-inject-fault", "panic:b1"},
+		{"serve", "-store-inject-fault", "torn:append:1"},
+		{"serve", "-job-inject-fault", "panic:analyze:*"},
 	} {
 		if code := runCmd(args...); code != exitUsage {
 			t.Fatalf("args %v: exit %d, want %d", args, code, exitUsage)

@@ -170,7 +170,7 @@ func (l *loadRun) churn(tenant, name string, design server.CreateSessionRequest)
 }
 
 // busRequest is a create request over a generated bus of the given width.
-func busRequest(t *testing.T, bits int, fault string) server.CreateSessionRequest {
+func busRequest(t *testing.T, bits int) server.CreateSessionRequest {
 	t.Helper()
 	netPath, spefPath, winPath := writeBus(t, t.TempDir(), bits)
 	text := func(p string) string {
@@ -182,7 +182,6 @@ func busRequest(t *testing.T, bits int, fault string) server.CreateSessionReques
 	}
 	return server.CreateSessionRequest{
 		Netlist: text(netPath), SPEF: text(spefPath), Timing: text(winPath),
-		Options: server.SessionOptions{InjectFault: fault},
 	}
 }
 
@@ -218,7 +217,7 @@ func TestOverloadContract(t *testing.T) {
 		t.Fatalf("a well-formed budget shed classified as %q, %v", kind, err)
 	}
 
-	child, base := startChild(t, t.TempDir(), "-mem-budget", "3MiB", "-max-concurrent", "1", "-queue", "1",
+	child, base := startChild(t, t.TempDir(), childFaults{sessions: "base-*=sleep:b0"}, "-mem-budget", "3MiB", "-max-concurrent", "1", "-queue", "1",
 		"-job-workers", "1", "-job-queue", "1")
 	l := &loadRun{
 		http:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}, Timeout: 30 * time.Second},
@@ -226,7 +225,7 @@ func TestOverloadContract(t *testing.T) {
 		sheds: map[string]int{},
 	}
 	const tenants = 4
-	shared := busRequest(t, 8, "sleep:b0")
+	shared := busRequest(t, 8)
 	for i := range tenants {
 		req := shared
 		req.Name = fmt.Sprintf("base-t%d", i)
@@ -234,7 +233,7 @@ func TestOverloadContract(t *testing.T) {
 			t.Fatalf("creating %s: refused (%q) or violated: %v", req.Name, kind, l.violations)
 		}
 	}
-	churn := []server.CreateSessionRequest{busRequest(t, 9, ""), busRequest(t, 10, ""), busRequest(t, 11, "")}
+	churn := []server.CreateSessionRequest{busRequest(t, 9), busRequest(t, 10), busRequest(t, 11)}
 
 	deadline := time.Now().Add(2 * time.Second)
 	var wg sync.WaitGroup

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -181,7 +182,7 @@ func TestGateOneWritePath(t *testing.T) {
 	if got := buildJSONCalls(t, []string{planted}); len(got) != 1 {
 		t.Fatalf("%s: %d BuildJSON calls found, want the 1 outside its decoys: %v", planted, len(got), got)
 	}
-	files := treeGoFiles(t)
+	files := treeGoFiles(t, "benchmark")
 	if got := buildJSONCalls(t, files); len(got) > 0 {
 		t.Errorf("the schema tree is built outside tests and benchmark/:\n%s", strings.Join(got, "\n"))
 	}
@@ -189,7 +190,8 @@ func TestGateOneWritePath(t *testing.T) {
 		t.Errorf("the BuildJSON gate passes with %s added", planted)
 	}
 
-	exports := exportData(t, "./internal/server", "./internal/jobs")
+	// planted.go imports internal/chaos too, for the test-seam gate.
+	exports := exportData(t, "./internal/server", "./internal/jobs", "./internal/chaos")
 	if got := marshalsStored(t, exports, []string{planted}); len(got) != 1 {
 		t.Fatalf("%s: %d marshals of a stored result found, want the 1 outside its decoy: %v", planted, len(got), got)
 	}
@@ -200,9 +202,9 @@ func TestGateOneWritePath(t *testing.T) {
 	}
 }
 
-// treeGoFiles lists the module's non-test Go files outside benchmark/,
-// testdata and hidden directories.
-func treeGoFiles(t *testing.T) []string {
+// treeGoFiles lists the module's non-test Go files outside testdata,
+// hidden directories and the top-level directories named in skip.
+func treeGoFiles(t *testing.T, skip ...string) []string {
 	t.Helper()
 	var out []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -211,7 +213,7 @@ func treeGoFiles(t *testing.T) []string {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
+			if path != "." && (slices.Contains(skip, path) || name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -258,6 +260,72 @@ func buildJSONCalls(t *testing.T, files []string) []string {
 			}
 			return true
 		})
+	}
+	return out
+}
+
+// testSeams are the packages only tests may use: the fault injectors and
+// the synthetic-design generator.
+var testSeams = []string{"repro/internal/chaos", "repro/internal/workload"}
+
+// TestGateTestSeamsStayInTests is the test-seam gate. Fault injection is
+// a test seam, not a product surface: the shipped binaries link neither
+// the injectors nor the design generator, and no non-test file imports
+// internal/chaos — its hooks reach the product only through the function
+// seams tests set. The dependency half is shown to fail on netgen, which
+// links the generator by design.
+func TestGateTestSeamsStayInTests(t *testing.T) {
+	if got := linkedSeams(t, "./cmd/netgen"); len(got) == 0 {
+		t.Fatalf("./cmd/netgen: no test seam found among its dependencies; the dependency check cannot fail")
+	}
+	if got := linkedSeams(t, "./cmd/sna", "./cmd/snad"); len(got) > 0 {
+		t.Errorf("the shipped binaries link test seams: %v", got)
+	}
+
+	if got := chaosImports(t, []string{planted}); len(got) != 1 {
+		t.Fatalf("%s: %d imports of internal/chaos found, want 1: %v", planted, len(got), got)
+	}
+	files := treeGoFiles(t)
+	if got := chaosImports(t, files); len(got) > 0 {
+		t.Errorf("non-test files import internal/chaos:\n%s", strings.Join(got, "\n"))
+	}
+	if got := chaosImports(t, append(files, planted)); len(got) == 0 {
+		t.Errorf("the import gate passes with %s added", planted)
+	}
+}
+
+// linkedSeams returns the test seams among the given packages'
+// dependencies.
+func linkedSeams(t *testing.T, pkgs ...string) []string {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"list", "-deps"}, pkgs...)...).Output()
+	if err != nil {
+		t.Fatalf("go list -deps %v: %v", pkgs, err)
+	}
+	var got []string
+	for _, dep := range strings.Fields(string(out)) {
+		if slices.Contains(testSeams, dep) {
+			got = append(got, dep)
+		}
+	}
+	return got
+}
+
+// chaosImports returns the position of every import of internal/chaos.
+func chaosImports(t *testing.T, files []string) []string {
+	t.Helper()
+	var out []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/internal/chaos"` {
+				out = append(out, fset.Position(imp.Pos()).String())
+			}
+		}
 	}
 	return out
 }

@@ -74,7 +74,7 @@ type Options struct {
 	FailSoft bool
 	// PrepareHook, when non-nil, runs at the start of every victim's
 	// preparation. It exists for runtime fault injection in robustness
-	// tests (see workload.RuntimeFaults): a hook may return an error,
+	// tests (see chaos.RuntimeFaults): a hook may return an error,
 	// panic, or block to simulate a malformed or pathological victim. Not
 	// consulted on any other path.
 	PrepareHook func(net string) error

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bind"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/liberty"
@@ -114,7 +115,7 @@ func loopDesign(cx float64) (*workload.Generated, error) {
 type oracleCase struct {
 	name string
 	mk   func() (*workload.Generated, error)
-	// faults is an -inject-fault spec (prepare stage); degrade names a net
+	// faults is a chaos.RuntimeFaults spec (prepare stage); degrade names a net
 	// degraded at the evaluate stage before the given wave of round 2's
 	// first pass.
 	faults      string
@@ -150,7 +151,7 @@ func bindCase(t *testing.T, c oracleCase) (*bind.Design, core.Options) {
 	}
 	opts := core.Options{Mode: core.ModeNoiseWindows, FailSoft: true, STA: g.STAOptions()}
 	if c.faults != "" {
-		f, err := workload.ParseRuntimeFaults(c.faults)
+		f, err := chaos.ParseRuntimeFaults(c.faults)
 		if err != nil {
 			t.Fatal(err)
 		}

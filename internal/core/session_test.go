@@ -4,7 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/workload"
+	"repro/internal/chaos"
 )
 
 // TestSessionReanalyzeMatchesScratch is the oracle for the exported
@@ -120,7 +120,7 @@ func TestSessionBrokenAfterCancelledReanalyze(t *testing.T) {
 // rest analyzable — the substrate the server's circuit breaker observes.
 func TestSessionFaultInjection(t *testing.T) {
 	b, staOpts := coupledBus(t, 8)
-	faults := workload.RuntimeFaults{Panic: []string{"b1"}}
+	faults := chaos.RuntimeFaults{Panic: []string{"b1"}}
 	sess, err := NewSession(context.Background(), b, Options{
 		Mode:        ModeNoiseWindows,
 		STA:         staOpts,

@@ -3,7 +3,6 @@ package interval
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // Weighted couples a window with a non-negative weight. In noise combination
@@ -106,55 +105,4 @@ func (sc *Scan) MaxOverlapSum(items []Weighted) Combination {
 	}
 	sc.members = members
 	return Combination{Sum: best, At: bestAt, Members: members}
-}
-
-// MaxOverlapSumAnchored answers the anchored variant used when one glitch is
-// mandatory: the maximum summed weight over instants inside anchor's window,
-// always including anchor's own weight. It is used when combining coupled
-// noise against a specific propagated glitch, or when evaluating the worst
-// aggressor alignment against a victim transition constrained to its own
-// switching window.
-//
-// The anchor index addresses items; the query considers only instants in
-// items[anchor].W. If the anchor window is empty the result is the zero
-// Combination.
-func MaxOverlapSumAnchored(items []Weighted, anchor int) Combination {
-	aw := items[anchor].W
-	if aw.IsEmpty() {
-		return Combination{Sum: 0, At: math.NaN()}
-	}
-	clipped := make([]Weighted, 0, len(items))
-	idx := make([]int, 0, len(items))
-	for i, it := range items {
-		if i == anchor {
-			continue
-		}
-		c := it.W.Intersect(aw)
-		if c.IsEmpty() || it.Weight <= 0 {
-			continue
-		}
-		clipped = append(clipped, Weighted{W: c, Weight: it.Weight})
-		idx = append(idx, i)
-	}
-	var sc Scan
-	comb := sc.MaxOverlapSum(clipped)
-	if math.IsNaN(comb.At) {
-		// No other window overlaps the anchor: the anchor stands alone.
-		return Combination{
-			Sum:     items[anchor].Weight,
-			At:      aw.Midpoint(),
-			Members: []int{anchor},
-		}
-	}
-	members := make([]int, 0, len(comb.Members)+1)
-	members = append(members, anchor)
-	for _, ci := range comb.Members {
-		members = append(members, idx[ci])
-	}
-	sort.Ints(members)
-	return Combination{
-		Sum:     comb.Sum + items[anchor].Weight,
-		At:      comb.At,
-		Members: members,
-	}
 }

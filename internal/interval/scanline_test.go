@@ -3,7 +3,6 @@ package interval
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -96,49 +95,6 @@ func TestMaxOverlapSumStaggeredChain(t *testing.T) {
 	c := new(Scan).MaxOverlapSum(items)
 	if c.Sum != 3 || c.At != 2 {
 		t.Fatalf("Sum=%g At=%g", c.Sum, c.At)
-	}
-}
-
-func TestMaxOverlapSumAnchored(t *testing.T) {
-	items := []Weighted{
-		{W: New(0, 2), Weight: 0.5}, // anchor
-		{W: New(1, 5), Weight: 0.3}, // overlaps anchor
-		{W: New(10, 12), Weight: 9}, // heavy but outside anchor window
-		{W: New(-5, 0.5), Weight: 0.1},
-	}
-	c := MaxOverlapSumAnchored(items, 0)
-	// Best inside [0,2]: anchor 0.5 + 0.3 (at t in [1,2]) = 0.8; the 0.1
-	// window only reaches 0.5 so combining with it gives 0.6.
-	if math.Abs(c.Sum-0.8) > 1e-12 {
-		t.Fatalf("Sum = %g, want 0.8", c.Sum)
-	}
-	if !sort.IntsAreSorted(c.Members) {
-		t.Fatalf("Members unsorted: %v", c.Members)
-	}
-	if len(c.Members) != 2 || c.Members[0] != 0 || c.Members[1] != 1 {
-		t.Fatalf("Members = %v", c.Members)
-	}
-}
-
-func TestMaxOverlapSumAnchoredAlone(t *testing.T) {
-	items := []Weighted{
-		{W: New(0, 2), Weight: 0.5},
-		{W: New(10, 12), Weight: 1},
-	}
-	c := MaxOverlapSumAnchored(items, 0)
-	if c.Sum != 0.5 || len(c.Members) != 1 || c.Members[0] != 0 {
-		t.Fatalf("got %+v", c)
-	}
-	if !items[0].W.Contains(c.At) {
-		t.Fatalf("At = %g outside anchor", c.At)
-	}
-}
-
-func TestMaxOverlapSumAnchoredEmptyAnchor(t *testing.T) {
-	items := []Weighted{{W: Empty(), Weight: 1}, {W: New(0, 1), Weight: 1}}
-	c := MaxOverlapSumAnchored(items, 0)
-	if c.Sum != 0 {
-		t.Fatalf("Sum = %g", c.Sum)
 	}
 }
 
@@ -243,25 +199,6 @@ func TestQuickMaxOverlapUpperBoundsSumAt(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickAnchoredNeverExceedsGlobal(t *testing.T) {
-	// Anchored combination with the anchor's weight removed is bounded by
-	// the unanchored optimum.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		items := randWeighted(r, 2+r.Intn(10))
-		anchor := r.Intn(len(items))
-		if items[anchor].W.IsEmpty() {
-			return true
-		}
-		ca := MaxOverlapSumAnchored(items, anchor)
-		cg := new(Scan).MaxOverlapSum(items)
-		return ca.Sum <= cg.Sum+items[anchor].Weight+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

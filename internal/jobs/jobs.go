@@ -222,9 +222,10 @@ type Config struct {
 	Hooks wal.Hooks
 	// Exec executes attempts. Required.
 	Exec Executor
-	// Fault, when set, fires at the top of every attempt before Exec —
-	// the job-level chaos injector (workload.JobFaults.Fire). It may
-	// panic, hang on ctx, force an error, or force a degraded outcome.
+	// Fault, when set, fires at the top of every attempt before Exec. It
+	// is the job-level fault seam, set only by tests (chaos.JobFaults.Fire),
+	// and may panic, hang on ctx, force an error, or force a degraded
+	// outcome.
 	Fault func(ctx context.Context, jobType string) (degrade bool, err error)
 	// OnFinal is called (outside the manager lock) when a job reaches a
 	// terminal state; the server uses it to clear iterate checkpoints.

@@ -13,9 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/report"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // okExec is an executor that immediately succeeds with a canned result.
@@ -448,7 +448,7 @@ func TestCompactionPrunesTerminalKeepsIDs(t *testing.T) {
 
 func chaosHooks(t *testing.T, spec string) wal.Hooks {
 	t.Helper()
-	sf, err := workload.ParseStoreFaults(spec)
+	sf, err := chaos.ParseStoreFaults(spec)
 	if err != nil {
 		t.Fatalf("ParseStoreFaults(%q): %v", spec, err)
 	}
@@ -607,7 +607,7 @@ func TestQuarantineEvidenceSurvivesLaterBoots(t *testing.T) {
 // The injected job-fault hook exercises the same quarantine machinery
 // end to end: panic:N drives the recover barrier; hang drives deadlines.
 func TestJobFaultInjectorIntegration(t *testing.T) {
-	faults, err := workload.ParseJobFaults("panic:analyze:*,hang:iterate")
+	faults, err := chaos.ParseJobFaults("panic:analyze:*,hang:iterate")
 	if err != nil {
 		t.Fatal(err)
 	}

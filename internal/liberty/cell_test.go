@@ -193,17 +193,6 @@ func TestResolveCellUnknown(t *testing.T) {
 	}
 }
 
-func TestGenericCellNamesResolve(t *testing.T) {
-	lib := Generic()
-	for family, names := range GenericCellNames() {
-		for _, n := range names {
-			if lib.Cell(n) == nil {
-				t.Errorf("family %s: cell %s not in library", family, n)
-			}
-		}
-	}
-}
-
 func TestParseWriteRoundTrip(t *testing.T) {
 	lib := Generic()
 	var sb strings.Builder

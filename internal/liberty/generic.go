@@ -119,19 +119,6 @@ func makeGenericCell(lib *Library, name string, inputs []string, unate Unateness
 	return cell
 }
 
-// GenericCellNames lists the generic cells by family for the generators.
-func GenericCellNames() map[string][]string {
-	return map[string][]string{
-		"inv":  {"INV_X1", "INV_X2", "INV_X4", "INV_X8"},
-		"buf":  {"BUF_X1", "BUF_X2", "BUF_X4"},
-		"nand": {"NAND2_X1", "NAND2_X2"},
-		"nor":  {"NOR2_X1", "NOR2_X2"},
-		"and":  {"AND2_X1"},
-		"or":   {"OR2_X1"},
-		"xor":  {"XOR2_X1"},
-	}
-}
-
 // ResolveCell returns the named cell, or an error naming both the cell
 // and the instance that referenced it. A missing cell is a property of
 // the input (a netlist referencing a library it was not built against),

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/liberty"
@@ -154,7 +155,7 @@ func degradedRun(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := workload.RuntimeFaults{Panic: []string{"b1"}}
+	faults := chaos.RuntimeFaults{Panic: []string{"b1"}}
 	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{
 		Mode:        core.ModeNoiseWindows,
 		STA:         g.STAOptions(),

@@ -273,7 +273,7 @@ func TestTenantStarvation(t *testing.T) {
 	// (and instant) after the first one, and the backlog would drain
 	// before the live request could demonstrate anything. The live
 	// session is a fast 4-bit bus.
-	slow := busPayload(t, "", 16, SessionOptions{InjectFault: "sleep:*"})
+	slow := busPayload(t, "", 16, SessionOptions{})
 	for i := 0; i < bulkN; i++ {
 		slow.Name = fmt.Sprintf("slow-%d", i)
 		resp, data := do(t, "POST", ts.URL+"/v1/sessions", slow)
@@ -336,7 +336,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "admission queue full", wantStatus: http.StatusTooManyRequests, wantKind: "overloaded",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
-				createSession(t, ts.URL, "slow", SessionOptions{InjectFault: "sleep:*"})
+				createSession(t, ts.URL, "slow", SessionOptions{})
 				var wg sync.WaitGroup
 				for i := 0; i < 2; i++ {
 					wg.Add(1)
@@ -374,7 +374,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 				_, ts := newTestServer(t, Config{BreakerTrips: 1})
 				// Fail-soft degrades one net per run; a single degraded
 				// result trips the one-strike breaker.
-				createSession(t, ts.URL, "flaky", SessionOptions{InjectFault: "panic:b1"})
+				createSession(t, ts.URL, "flaky", SessionOptions{})
 				resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("degraded analyze: %d: %s", resp.StatusCode, data)
@@ -386,7 +386,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "session cap with all sessions busy", wantStatus: http.StatusServiceUnavailable, wantKind: "session_limit",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{MaxSessions: 1, MaxConcurrent: 2, QueueDepth: 4})
-				createSession(t, ts.URL, "slow", SessionOptions{InjectFault: "sleep:*"})
+				createSession(t, ts.URL, "slow", SessionOptions{})
 				var wg sync.WaitGroup
 				wg.Add(1)
 				go func() {
@@ -406,7 +406,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 		{
 			name: "storage failure", wantStatus: http.StatusServiceUnavailable, wantKind: "storage",
 			fire: func(t *testing.T) (*http.Response, []byte) {
-				_, ts := newTestServer(t, Config{DataDir: t.TempDir(), StoreFaultSpec: "enospc:append:1"})
+				_, ts := newTestServer(t, Config{DataDir: t.TempDir(), Faults: testFaults(t, "enospc:append:1", "")})
 				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, SessionOptions{}))
 			},
 		},
@@ -414,7 +414,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "job queue full", wantStatus: http.StatusTooManyRequests, wantKind: "overloaded",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{JobWorkers: 1, JobQueueDepth: 1})
-				createSession(t, ts.URL, "slow", SessionOptions{InjectFault: "sleep:*"})
+				createSession(t, ts.URL, "slow", SessionOptions{})
 				submit := map[string]string{"session": "slow", "type": "analyze"}
 				for i := 0; i < 2; i++ {
 					resp, data := do(t, "POST", ts.URL+"/v1/jobs", submit)
@@ -433,7 +433,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "analysis past its deadline", wantStatus: http.StatusServiceUnavailable, wantKind: "deadline",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				_, ts := newTestServer(t, Config{})
-				createSession(t, ts.URL, "slow", SessionOptions{InjectFault: "sleep:*"})
+				createSession(t, ts.URL, "slow", SessionOptions{})
 				return do(t, "POST", ts.URL+"/v1/sessions/slow/analyze?timeout=5ms", nil)
 			},
 		},
@@ -443,7 +443,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "analysis canceled by the forced drain", wantStatus: http.StatusServiceUnavailable, wantKind: "canceled",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{})
-				resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{InjectFault: "sleep:*"}))
+				resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{}))
 				if resp.StatusCode != http.StatusCreated {
 					t.Fatalf("create: %d: %s", resp.StatusCode, data)
 				}

@@ -152,7 +152,7 @@ func TestJobValidationAndNotFound(t *testing.T) {
 // A poison job (injected to panic on every attempt) must quarantine with
 // Diag records while the server keeps serving — interactive and batch.
 func TestJobPoisonQuarantineKeepsServing(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobFaultSpec: "panic:reanalyze:*"})
+	_, ts := newTestServer(t, Config{Faults: testFaults(t, "", "panic:reanalyze:*")})
 	createSession(t, ts.URL, "bus", SessionOptions{})
 
 	ack := submitJob(t, ts.URL, jobs.Spec{
@@ -197,7 +197,7 @@ func TestJobQueueSheds(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		JobWorkers:    1,
 		JobQueueDepth: 1,
-		JobFaultSpec:  "hang:analyze:*",
+		Faults:        testFaults(t, "", "hang:analyze:*"),
 	})
 	createSession(t, ts.URL, "bus", SessionOptions{})
 
@@ -239,7 +239,7 @@ func TestJobQueueSheds(t *testing.T) {
 // process.
 func TestJobsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newTestServer(t, Config{DataDir: dir, JobFaultSpec: "hang:iterate:*"})
+	s1, ts1 := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "", "hang:iterate:*")})
 	createSession(t, ts1.URL, "bus", SessionOptions{})
 	ack := submitJob(t, ts1.URL, jobs.Spec{Session: "bus", Type: "iterate", Local: true})
 	waitJobHTTP(t, ts1.URL, ack.ID, "running")
@@ -265,7 +265,7 @@ func TestJobSubmitStorageFault(t *testing.T) {
 	dir := t.TempDir()
 	// The fault rules count appends across both WALs; the session create
 	// consumes the first append, so the second lands on the job submit.
-	_, ts := newTestServer(t, Config{DataDir: dir, StoreFaultSpec: "enospc:append:2"})
+	_, ts := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "enospc:append:2", "")})
 	createSession(t, ts.URL, "bus", SessionOptions{})
 	resp, data := do(t, "POST", ts.URL+"/v1/jobs", jobs.Spec{Session: "bus", Type: "analyze"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -288,7 +288,7 @@ func TestJobCancelStorageFault(t *testing.T) {
 	// Appends across both WALs: the create, the first submit, its start
 	// record, the second submit — the fifth is the cancel.
 	_, ts := newTestServer(t, Config{
-		DataDir: t.TempDir(), JobWorkers: 1, JobFaultSpec: "hang:analyze:*", StoreFaultSpec: "enospc:append:5",
+		DataDir: t.TempDir(), JobWorkers: 1, Faults: testFaults(t, "enospc:append:5", "hang:analyze:*"),
 	})
 	createSession(t, ts.URL, "bus", SessionOptions{})
 	running := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "analyze"})

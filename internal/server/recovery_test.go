@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/report"
 	"repro/internal/units"
 	"repro/internal/wal"
@@ -105,7 +106,7 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 // not on disk, not after a restart.
 func TestServerCreateJournaledBefore201(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{DataDir: dir, StoreFaultSpec: "torn:append:1"})
+	_, ts := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "torn:append:1", "")})
 	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "doomed", 4, SessionOptions{}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("unjournaled create: status %d: %s", resp.StatusCode, data)
@@ -135,7 +136,7 @@ func TestServerCreateJournaledBefore201(t *testing.T) {
 func TestServerDeleteJournaledBefore204(t *testing.T) {
 	dir := t.TempDir()
 	// Append #1 is the create; #2 the delete's tombstone.
-	_, ts := newTestServer(t, Config{DataDir: dir, StoreFaultSpec: "torn:append:2"})
+	_, ts := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "torn:append:2", "")})
 	createSession(t, ts.URL, "keep", SessionOptions{})
 
 	resp, data := do(t, "DELETE", ts.URL+"/v1/sessions/keep", nil)
@@ -373,6 +374,55 @@ func TestServerUnreplayableSpecQuarantined(t *testing.T) {
 	}
 }
 
+// TestReplayIgnoresJournaledInjectFault: a create record journaled the
+// way earlier versions wrote it, carrying options.injectFault, replays as
+// a healthy session. The field names nothing any more: the session is not
+// quarantined, nothing in it is degraded, and its analysis equals a fresh
+// create's.
+func TestReplayIgnoresJournaledInjectFault(t *testing.T) {
+	dir := t.TempDir()
+	req := busPayload(t, "legacy", 4, SessionOptions{})
+	payload, err := json.Marshal(&record{Type: "create", Name: req.Name, Create: &req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = bytes.Replace(payload, []byte(`"options":{`), []byte(`"options":{"injectFault":"panic:*"`), 1)
+	if !bytes.Contains(payload, []byte(`"options":{"injectFault":"panic:*"}`)) {
+		t.Fatalf("the record does not carry the fault the way it was journaled: %s", payload)
+	}
+	st, _, err := OpenStore(dir, wal.Hooks{}, nil, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.log.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	resp, data := do(t, "GET", ts.URL+"/v1/recovery", nil)
+	var rec report.RecoveryJSON
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Quarantined) != 0 || len(rec.Restored) != 1 || rec.Restored[0] != "legacy" {
+		t.Fatalf("recovery = %d %s: quarantined %+v, restored %v", resp.StatusCode, data, rec.Quarantined, rec.Restored)
+	}
+	got := analyzeOK(t, ts.URL, "legacy", "analyze", nil)
+	if got.Noise.Stats.DegradedNets != 0 {
+		t.Fatalf("replayed session degraded %d net(s): the journaled fault fired", got.Noise.Stats.DegradedNets)
+	}
+
+	_, fresh := newTestServer(t, Config{})
+	createSession(t, fresh.URL, "legacy", SessionOptions{})
+	want := analyzeOK(t, fresh.URL, "legacy", "analyze", nil)
+	g, _ := json.Marshal(got.Noise)
+	w, _ := json.Marshal(want.Noise)
+	if !bytes.Equal(g, w) {
+		t.Fatalf("replayed session's analysis differs from a fresh create's\ngot:  %s\nwant: %s", g, w)
+	}
+}
+
 // TestServerBootBeyondSessionCap: persisted sessions past MaxSessions
 // stay on disk at boot and reload lazily.
 func TestServerBootBeyondSessionCap(t *testing.T) {
@@ -415,7 +465,7 @@ func TestServerBootBeyondSessionCap(t *testing.T) {
 // diagnostic without killing the server.
 func TestServerStorageDegradedSurfaced(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{DataDir: dir, StoreFaultSpec: "enospc:append:1"})
+	_, ts := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "enospc:append:1", "")})
 	ready := func() ReadyResponse {
 		resp, data := do(t, "GET", ts.URL+"/readyz", nil)
 		if resp.StatusCode != http.StatusOK {
@@ -448,9 +498,10 @@ func TestServerStorageDegradedSurfaced(t *testing.T) {
 // what a fresh server answers.
 func TestRecreatedSessionStartsItsOwnIterate(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{DataDir: dir})
+	slow := chaos.SessionFaults{"s": {Sleep: []string{"*"}}}
+	_, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
 	ckpts := filepath.Join(dir, "iterate", "*.ckpt.json")
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "s", 6, SessionOptions{InjectFault: "sleep:*"}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "s", 6, SessionOptions{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d: %s", resp.StatusCode, data)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/load"
 	"repro/internal/sta"
-	"repro/internal/workload"
 )
 
 // restoreSessions eagerly re-materializes recovered sessions into memory,
@@ -262,7 +261,7 @@ func (s *Server) insert(ss *session) error {
 }
 
 // buildSession resolves the request into a session: cheap per-session
-// inputs (timing annotation, mode, fault spec) are parsed here, and the
+// inputs (timing annotation, mode) are parsed here, and the
 // expensive immutable part — the parsed, linted, bound design — is
 // acquired from the shared content-addressed cache, which builds it at
 // most once per distinct source set. The returned session holds one
@@ -280,11 +279,10 @@ func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*
 	if err != nil {
 		return nil, badRequest(err, req.Name)
 	}
-	faults, err := workload.ParseRuntimeFaults(req.Options.InjectFault)
-	if err != nil {
-		return nil, badRequest(err, req.Name)
+	if f := s.cfg.Faults; f != nil && f.Prepare != nil {
+		name := req.Name
+		opts.PrepareHook = func(net string) error { return f.Prepare(name, net) }
 	}
-	opts.PrepareHook = faults.Hook()
 	src := sourcesOf(spec)
 	//snavet:deferrelease the entry reference is owned by the returned session and released by dropSessionLocked (or by the caller on insert failure)
 	entry, err := s.cache.acquire(ctx, src, func() (*bind.Design, error) {

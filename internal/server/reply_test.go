@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/liberty"
@@ -38,7 +39,7 @@ func TestAnswerEncodesAsAnalyzeResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.PrepareHook = workload.RuntimeFaults{Panic: []string{"b1"}}.Hook()
+	opts.PrepareHook = chaos.RuntimeFaults{Panic: []string{"b1"}}.Hook()
 	degraded, err := core.NewSession(context.Background(), b, opts)
 	if err != nil {
 		t.Fatal(err)

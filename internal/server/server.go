@@ -62,7 +62,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/shard"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // Config tunes the service. The zero value is usable: every field has a
@@ -111,11 +110,6 @@ type Config struct {
 	// here and replayed on boot. Empty runs memory-only (sessions die
 	// with the process), the pre-persistence behavior.
 	DataDir string
-	// StoreFaultSpec injects faults into the store's write path (see
-	// workload.ParseStoreFaults). It exists for chaos-testing the
-	// recovery machinery; production leaves it empty. The same faults
-	// apply to the job journal's write path.
-	StoreFaultSpec string
 
 	// JobWorkers sizes the async job worker pool — deliberately separate
 	// from MaxConcurrent so queued batch work cannot starve interactive
@@ -131,9 +125,6 @@ type Config struct {
 	// that don't set their own (default 5m — batch work gets more room
 	// than MaxRequestTimeout gives an interactive request).
 	JobDeadline time.Duration
-	// JobFaultSpec injects faults into job execution attempts (see
-	// workload.ParseJobFaults); chaos testing only.
-	JobFaultSpec string
 
 	// WorkerDialer builds a shard.Worker for a registered worker URL. It
 	// is injected by cmd/snad (the client package implements it, and the
@@ -146,8 +137,27 @@ type Config struct {
 	// HeartbeatEvery is the worker health-probe interval (default 2s).
 	HeartbeatEvery time.Duration
 
+	// Faults is the fault-injection seam for tests; production leaves it
+	// nil.
+	Faults *Faults
+
 	// now is the clock, injectable for breaker tests.
 	now func() time.Time
+}
+
+// Faults holds the function hooks through which tests make the engine,
+// the journals and job attempts fail. A nil hook never fires.
+type Faults struct {
+	// Prepare runs at the start of every victim's preparation in the named
+	// session (core.Options.PrepareHook). Remote shard engines never see
+	// it: it chaos-tests one process, not the fleet.
+	Prepare func(session, net string) error
+	// Store is the write-path seam of both journals; the session store and
+	// the job journal fail and recover independently.
+	Store wal.Hooks
+	// Job fires at the top of every job execution attempt
+	// (jobs.Config.Fault).
+	Job func(ctx context.Context, jobType string) (degrade bool, err error)
 }
 
 func (c *Config) fill() {
@@ -285,28 +295,19 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.shardHost = shard.NewHost(s.designForToken, s.dropTokenDesign)
 	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
-	faults, err := workload.ParseStoreFaults(cfg.StoreFaultSpec)
-	if err != nil {
-		return nil, err
-	}
 	// The job journal shares the data directory and the injected
-	// write-path faults with the session store, but is its own log: the
-	// two subsystems fail and recover independently.
-	var hooks wal.Hooks
-	if faults != nil {
-		hooks = wal.Hooks{BeforeWrite: faults.BeforeWrite, BeforeSync: faults.BeforeSync, BeforeRename: faults.BeforeRename}
+	// write-path faults with the session store.
+	var faults Faults
+	if cfg.Faults != nil {
+		faults = *cfg.Faults
 	}
 	if cfg.DataDir != "" {
-		st, rep, err := OpenStore(cfg.DataDir, hooks, s.histFsync, cfg.Logf)
+		st, rep, err := OpenStore(cfg.DataDir, faults.Store, s.histFsync, cfg.Logf)
 		if err != nil {
 			return nil, err
 		}
 		s.store, s.recovery = st, rep
 		s.restoreSessions()
-	}
-	jobFaults, err := workload.ParseJobFaults(cfg.JobFaultSpec)
-	if err != nil {
-		return nil, err
 	}
 	jcfg := jobs.Config{
 		Workers:            cfg.JobWorkers,
@@ -315,14 +316,12 @@ func New(cfg Config) (*Server, error) {
 		DefaultMaxAttempts: cfg.JobMaxAttempts,
 		DefaultDeadline:    cfg.JobDeadline,
 		Exec:               s.execJob,
+		Fault:              faults.Job,
 		OnFinal:            s.jobFinal,
 		Logf:               cfg.Logf,
 	}
-	if jobFaults != nil {
-		jcfg.Fault = jobFaults.Fire
-	}
 	if cfg.DataDir != "" {
-		jcfg.Dir, jcfg.Hooks = filepath.Join(cfg.DataDir, "jobs"), hooks
+		jcfg.Dir, jcfg.Hooks = filepath.Join(cfg.DataDir, "jobs"), faults.Store
 	}
 	jm, replay, err := jobs.Open(jcfg)
 	if err != nil {

@@ -14,10 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/netlist"
 	"repro/internal/spef"
 	"repro/internal/sta"
 	"repro/internal/units"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -48,13 +50,49 @@ func busPayload(t *testing.T, name string, bits int, opts SessionOptions) Create
 	}
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// namedFaults are the runtime faults every test server injects by session
+// name: "slow…" sessions sleep 10ms on every victim, "flaky" panics on b1
+// and "bad" on every net.
+var namedFaults = chaos.SessionFaults{
+	"slow*": {Sleep: []string{"*"}},
+	"flaky": {Panic: []string{"b1"}},
+	"bad":   {Panic: []string{"*"}},
+}
+
+// testFaults is a test server's fault seam: the named session faults, a
+// chaos.StoreFaults spec on both journals' write paths and a
+// chaos.JobFaults spec on every job attempt.
+func testFaults(t *testing.T, store, job string) *Faults {
 	t.Helper()
-	s, err := New(cfg)
+	jf, err := chaos.ParseJobFaults(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	f := &Faults{Prepare: namedFaults.Prepare, Store: storeHooks(t, store)}
+	if jf != nil {
+		f.Job = jf.Fire
+	}
+	return f
+}
+
+// storeHooks are the write-path hooks of a chaos.StoreFaults spec.
+func storeHooks(t *testing.T, spec string) wal.Hooks {
+	t.Helper()
+	sf, err := chaos.ParseStoreFaults(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf == nil {
+		return wal.Hooks{}
+	}
+	return wal.Hooks{BeforeWrite: sf.BeforeWrite, BeforeSync: sf.BeforeSync, BeforeRename: sf.BeforeRename}
+}
+
+// newTestServer starts a server over cfg, with the named session faults
+// unless cfg brings its own.
+func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	s := mustNew(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -63,6 +101,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // mustNew builds a Server for tests that drive the handler directly.
 func mustNew(t *testing.T, cfg Config) *Server {
 	t.Helper()
+	if cfg.Faults == nil {
+		cfg.Faults = testFaults(t, "", "")
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +290,33 @@ func TestServerBadRequests(t *testing.T) {
 // TestReanalyzeBadPaddingMessageIsStable pins that a body with several bad
 // nets is refused with one message, naming the alphabetically first net,
 // however the decoded map happens to iterate.
+// TestCreateRejectsInjectFault pins that faults are not a product
+// surface: a create request carrying options.injectFault is refused like
+// any request with an unknown field, and no session is made.
+func TestCreateRejectsInjectFault(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body, err := json.Marshal(busPayload(t, "s", 4, SessionOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{"injectFault":"panic:*"`), 1)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with injectFault: status %d: %s", resp.StatusCode, data)
+	}
+	if ei := wantErrKind(t, data, "bad_request"); !strings.Contains(ei.Message, "injectFault") {
+		t.Fatalf("refused for another reason: %q", ei.Message)
+	}
+	if resp, _ := do(t, "GET", ts.URL+"/v1/sessions/s", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused create made a session: %d", resp.StatusCode)
+	}
+}
+
 func TestReanalyzeBadPaddingMessageIsStable(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	createSession(t, ts.URL, "bus", SessionOptions{})
@@ -308,7 +376,7 @@ func TestServerPanicFaultIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	// FailFast turns the injected per-victim panic into an engine error for
 	// the whole request — the hard-failure path.
-	createSession(t, ts.URL, "bad", SessionOptions{InjectFault: "panic:*", FailFast: true})
+	createSession(t, ts.URL, "bad", SessionOptions{FailFast: true})
 	createSession(t, ts.URL, "good", SessionOptions{})
 
 	var wg sync.WaitGroup
@@ -381,7 +449,7 @@ func TestServerRecoverBarrier(t *testing.T) {
 // a Retry-After hint instead of queueing unboundedly.
 func TestServerAdmissionShedding(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
-	createSession(t, ts.URL, "slow", SessionOptions{InjectFault: "sleep:*"})
+	createSession(t, ts.URL, "slow", SessionOptions{})
 
 	const burst = 6
 	statuses := make([]int, burst)
@@ -435,7 +503,7 @@ func TestServerAdmissionShedding(t *testing.T) {
 // than the work cancels the engine run and maps to a structured 503.
 func TestServerDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "slow", SessionOptions{InjectFault: "sleep:*"})
+	createSession(t, ts.URL, "slow", SessionOptions{})
 	resp, data := do(t, "POST", ts.URL+"/v1/sessions/slow/analyze?timeout=20ms", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -458,7 +526,7 @@ func TestServerBreaker(t *testing.T) {
 	// Fail-soft (default): the injected panic degrades one net per run,
 	// returning a 200 with DegradedNets > 0 — exactly what the breaker
 	// watches.
-	createSession(t, ts.URL, "flaky", SessionOptions{InjectFault: "panic:b1"})
+	createSession(t, ts.URL, "flaky", SessionOptions{})
 
 	for i := 0; i < 2; i++ {
 		resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
@@ -633,7 +701,7 @@ func TestServerAnalysisPanicReleasesSession(t *testing.T) {
 func TestServerSessionWaitRespectsDeadline(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	// A 16-bit bus with per-net sleeps is hundreds of ms of serial work.
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{InjectFault: "sleep:*"}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", resp.StatusCode, data)
 	}
@@ -712,7 +780,7 @@ func TestSessionBreakerHalfOpenSingleProbe(t *testing.T) {
 // the budget, new work is refused, readiness flips, Drain reports clean.
 func TestServerDrainClean(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "slow", SessionOptions{InjectFault: "sleep:*"})
+	createSession(t, ts.URL, "slow", SessionOptions{})
 
 	started := make(chan struct{})
 	result := make(chan int, 1)
@@ -774,7 +842,7 @@ func TestServerDrainForced(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// A 16-bit bus with per-net sleeps is hundreds of ms of work — far
 	// beyond the 10ms budget.
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{InjectFault: "sleep:*"}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", resp.StatusCode, data)
 	}
@@ -825,7 +893,7 @@ func TestServerDrainForced(t *testing.T) {
 // fail the query.
 func TestServerFailSoftDegradedResponse(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "flaky", SessionOptions{InjectFault: "panic:b1"})
+	createSession(t, ts.URL, "flaky", SessionOptions{})
 	resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)

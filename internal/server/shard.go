@@ -285,8 +285,7 @@ func engineOptions(o shard.OptionsSpec, timing string) (opts core.Options, err e
 }
 
 // designSpecOf converts a session's retained create request into the wire
-// spec shipped to remote workers. Runtime fault injection deliberately
-// stays local: it chaos-tests one process, not the fleet.
+// spec shipped to remote workers.
 func designSpecOf(req *CreateSessionRequest) *shard.DesignSpec {
 	return &shard.DesignSpec{
 		Netlist: req.Netlist,

@@ -9,22 +9,13 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // openTestStore opens a store on dir with an optional fault spec,
 // failing the test on the structurally-unusable-directory path.
 func openTestStore(t *testing.T, dir, faultSpec string) (*Store, *report.RecoveryJSON) {
 	t.Helper()
-	var hooks wal.Hooks
-	if faultSpec != "" {
-		faults, err := workload.ParseStoreFaults(faultSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hooks = wal.Hooks{BeforeWrite: faults.BeforeWrite, BeforeSync: faults.BeforeSync, BeforeRename: faults.BeforeRename}
-	}
-	st, rep, err := OpenStore(dir, hooks, nil, t.Logf)
+	st, rep, err := OpenStore(dir, storeHooks(t, faultSpec), nil, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,10 +51,6 @@ type SessionOptions struct {
 	// degrading fail-soft. Fail-soft is the service default: one bad
 	// victim must not take down the query.
 	FailFast bool `json:"failFast,omitempty"`
-	// InjectFault is a workload.RuntimeFaults spec
-	// ("panic:b1,error:b2,sleep:*") wired into the engine's PrepareHook.
-	// It exists for robustness testing of the service itself.
-	InjectFault string `json:"injectFault,omitempty"`
 }
 
 // SessionInfo describes one loaded session.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bind"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/interval"
 	"repro/internal/liberty"
@@ -328,12 +329,12 @@ func workerFaultsStaySound(t *testing.T, mk fixtureMaker) {
 	}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
-			faults, err := workload.ParseWorkerFaults(spec)
+			faults, err := chaos.ParseWorkerFaults(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			workers := inprocWorkers(mk, opts, 3)
-			workers[1] = NewFaultyWorker(workers[1], faults)
+			workers[1] = chaos.NewFaultyWorker(workers[1], faults)
 			got, err := Run(context.Background(), Config{
 				B:               b,
 				Opts:            opts,
@@ -460,11 +461,11 @@ func (w *oneShardFault) Do(ctx context.Context, op string, req, resp any) error 
 func TestAllWorkersLost(t *testing.T) {
 	mk := fixtures()["star"]
 	b, opts := bindFixture(t, mk)
-	faults, err := workload.ParseWorkerFaults("kill:eval")
+	faults, err := chaos.ParseWorkerFaults("kill:eval")
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults2, err := workload.ParseWorkerFaults("kill:eval")
+	faults2, err := chaos.ParseWorkerFaults("kill:eval")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,8 +473,8 @@ func TestAllWorkersLost(t *testing.T) {
 		B:    b,
 		Opts: opts,
 		Workers: []Worker{
-			NewFaultyWorker(NewInProc("w0", buildFrom(mk), opts), faults),
-			NewFaultyWorker(NewInProc("w1", buildFrom(mk), opts), faults2),
+			chaos.NewFaultyWorker(NewInProc("w0", buildFrom(mk), opts), faults),
+			chaos.NewFaultyWorker(NewInProc("w1", buildFrom(mk), opts), faults2),
 		},
 		Shards: 2,
 		Token:  "doom",
@@ -772,12 +773,12 @@ func TestRehostedShardIsComplete(t *testing.T) {
 	wantNoise, wantDelay := reportBytes(t, want.Noise, want.Delay)
 	for _, at := range []int{2, 9, 14, 25, 33} {
 		label := fmt.Sprintf("kill:eval:%d", at)
-		faults, err := workload.ParseWorkerFaults(label)
+		faults, err := chaos.ParseWorkerFaults(label)
 		if err != nil {
 			t.Fatal(err)
 		}
 		workers := inprocWorkers(mk, opts, 3)
-		workers[1] = NewFaultyWorker(workers[1], faults)
+		workers[1] = chaos.NewFaultyWorker(workers[1], faults)
 		got, err := Run(context.Background(), Config{B: b, Opts: opts, Workers: workers, Shards: 3, Token: label})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

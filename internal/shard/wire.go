@@ -35,7 +35,7 @@ import (
 )
 
 // Protocol operations, in the order a run issues them. They double as the
-// op names workload.WorkerFaults rules select on.
+// op names chaos.WorkerFaults rules select on in tests.
 const (
 	OpInit    = "init"
 	OpEval    = "eval"

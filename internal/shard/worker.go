@@ -2,13 +2,10 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bind"
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // Worker is one execution backend the coordinator can host shards on. The
@@ -94,76 +91,4 @@ func (w *InProc) design(ctx context.Context) (*bind.Design, error) {
 func (w *InProc) Do(ctx context.Context, _ string, req, resp any) error {
 	rep, _ := resp.(*Reply)
 	return w.host.Do(ctx, req, rep)
-}
-
-// FaultyWorker wraps a Worker with a workload.WorkerFaults injector. It
-// sits where the transport would fail in production: faults fire before
-// the wrapped call (drop, delay, error, kill) or after it (partial — the
-// op executed but its response was lost), and a kill is permanent.
-type FaultyWorker struct {
-	inner  Worker
-	faults *workload.WorkerFaults
-
-	mu     sync.Mutex
-	killed bool
-}
-
-// NewFaultyWorker wraps w; a nil faults injector passes everything through.
-func NewFaultyWorker(w Worker, faults *workload.WorkerFaults) *FaultyWorker {
-	return &FaultyWorker{inner: w, faults: faults}
-}
-
-// Name implements Worker.
-func (w *FaultyWorker) Name() string { return w.inner.Name() }
-
-func (w *FaultyWorker) dead() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.killed {
-		return fmt.Errorf("workload: worker %s is dead (killed by fault injection)", w.inner.Name())
-	}
-	return nil
-}
-
-// Do implements Worker, applying any armed fault for op around the call.
-func (w *FaultyWorker) Do(ctx context.Context, op string, req, resp any) error {
-	if err := w.dead(); err != nil {
-		return err
-	}
-	act := w.faults.Intercept(op)
-	switch {
-	case act.Kill:
-		w.mu.Lock()
-		w.killed = true
-		w.mu.Unlock()
-		return fmt.Errorf("workload: worker %s died mid-%s (killed by fault injection)", w.inner.Name(), op)
-	case act.Drop:
-		<-ctx.Done()
-		return ctx.Err()
-	case act.Err != nil:
-		return act.Err
-	case act.Delay:
-		select {
-		case <-time.After(workload.WorkerFaultDelay):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	err := w.inner.Do(ctx, op, req, resp)
-	if act.Partial {
-		// The op ran (and may have mutated shard state) but the response
-		// never made it back. Retries must cope with the half-applied op.
-		if err == nil {
-			err = &workload.InjectedWorkerFault{Kind: "partial", Op: op}
-		}
-	}
-	return err
-}
-
-// Ping implements Worker: a killed worker stays dead, faults fire on ops only.
-func (w *FaultyWorker) Ping(ctx context.Context) error {
-	if err := w.dead(); err != nil {
-		return err
-	}
-	return w.inner.Ping(ctx)
 }

@@ -48,17 +48,6 @@ func ApproxEqual(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
-// Clamp returns v limited to the closed range [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // RelErr returns |a-b| / max(|b|, floor). It is used by the accuracy
 // experiments to compare the analytical noise model against transient
 // simulation without blowing up when the reference value is near zero.

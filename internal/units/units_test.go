@@ -26,12 +26,6 @@ func TestApproxEqual(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp wrong")
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	if got := RelErr(1.1, 1.0, 1e-3); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("RelErr = %g", got)

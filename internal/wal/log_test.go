@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/workload"
+	"repro/internal/chaos"
 )
 
 // toy is the smallest owner a Log can have: a string map whose records
@@ -243,7 +243,7 @@ func TestLogBitFlips(t *testing.T) {
 	}
 }
 
-// TestLogStoreFaultMatrix drives every workload.StoreFaults kind × op
+// TestLogStoreFaultMatrix drives every chaos.StoreFaults kind × op
 // through appends with forced rewrites in between, then "crashes" (no
 // Close) and reopens clean: a failed append is not in the replayed state,
 // every acknowledged one — including those after a failure — is, and a
@@ -259,7 +259,7 @@ func TestLogStoreFaultMatrix(t *testing.T) {
 	specs = append(specs, "crashrename:write:1", "crashrename:write:2", "crashrename:write:*", "torn:*:3", "syncerr:*:*")
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
-			faults, err := workload.ParseStoreFaults(spec)
+			faults, err := chaos.ParseStoreFaults(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -101,8 +101,9 @@ func readFrame(r io.Reader, left int64) ([]byte, error) {
 	return payload, nil
 }
 
-// Hooks is the write-path fault-injection seam. The fields match
-// workload.StoreFaults' methods; production journals leave them nil.
+// Hooks is the write-path fault-injection seam. Only tests set it (the
+// chaos package's StoreFaults supplies all three); production journals
+// leave it zero.
 type Hooks struct {
 	// BeforeWrite may truncate the write to its returned length (torn
 	// write) and/or fail it. op is "append" or "write".

@@ -1,7 +1,5 @@
 package waveform
 
-import "math"
-
 // SatRamp returns a saturated-ramp transition: v0 until t0, linear to v1
 // over slew seconds, then v1. It models an aggressor's switching edge; slew
 // is the 0–100 % transition time. A non-positive slew is replaced by a very
@@ -36,35 +34,6 @@ func Triangle(t0, tPeak, t1, peak float64) PWL {
 	if t1 > tPeak {
 		pts = append(pts, Point{T: t1, V: 0})
 	}
-	return MustNew(pts...)
-}
-
-// ExpGlitch samples the canonical crosstalk glitch template
-//
-//	v(t) = peak * (e^{-(t-tp)/tauF}) for t >= tp, rising as
-//	v(t) = peak * (t-t0)/(tp-t0)     for t0 <= t <= tp
-//
-// i.e. a linear ramp up over the aggressor slew followed by an RC
-// exponential decay with time constant tauF, sampled into a PWL with enough
-// breakpoints to keep interpolation error small. The decay is truncated
-// where it falls below 1 % of the peak.
-func ExpGlitch(t0, rise, tauF, peak float64) PWL {
-	if rise <= 0 {
-		rise = 1e-15
-	}
-	if tauF <= 0 {
-		tauF = 1e-15
-	}
-	tp := t0 + rise
-	pts := []Point{{T: t0, V: 0}, {T: tp, V: peak}}
-	// Sample the exponential tail out to ~4.6 tau (1 % of peak), 12 points.
-	const tail = 4.6
-	const n = 12
-	for i := 1; i <= n; i++ {
-		dt := tail * tauF * float64(i) / n
-		pts = append(pts, Point{T: tp + dt, V: peak * math.Exp(-dt/tauF)})
-	}
-	pts = append(pts, Point{T: tp + tail*tauF*1.05, V: 0})
 	return MustNew(pts...)
 }
 

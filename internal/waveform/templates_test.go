@@ -64,41 +64,6 @@ func TestTriangleDegenerate(t *testing.T) {
 	Triangle(2, 1, 3, 0.5)
 }
 
-func TestExpGlitchShape(t *testing.T) {
-	peak := 0.5
-	w := ExpGlitch(0, 10e-12, 50e-12, peak)
-	tt, v := w.Peak()
-	if math.Abs(v-peak) > 1e-12 {
-		t.Fatalf("peak = %g, want %g", v, peak)
-	}
-	if math.Abs(tt-10e-12) > 1e-15 {
-		t.Fatalf("peak time = %g", tt)
-	}
-	// One tau after the peak the value should be close to peak/e.
-	got := w.Eval(10e-12 + 50e-12)
-	want := peak / math.E
-	if math.Abs(got-want) > 0.02*peak {
-		t.Fatalf("decay @ tau = %g, want ~%g", got, want)
-	}
-	// Ends at zero.
-	_, hi, _ := w.Span()
-	if w.Eval(hi) != 0 {
-		t.Fatalf("tail end = %g", w.Eval(hi))
-	}
-}
-
-func TestExpGlitchNegativePeak(t *testing.T) {
-	w := ExpGlitch(0, 5e-12, 20e-12, -0.3)
-	_, v := w.Peak()
-	if v != -0.3 {
-		t.Fatalf("peak = %g", v)
-	}
-	m := MeasureGlitch(w)
-	if m.Peak != -0.3 || m.Width <= 0 {
-		t.Fatalf("metrics = %+v", m)
-	}
-}
-
 func TestMeasureGlitch(t *testing.T) {
 	w := Triangle(0, 1e-12, 3e-12, 0.8)
 	m := MeasureGlitch(w)

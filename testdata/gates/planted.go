@@ -1,18 +1,23 @@
 // Package planted breaks every source gate once, so gates_test.go can show
 // each gate fails. The decoys in comments and strings must not count:
-// map[string]int, http.StatusNotFound, report.BuildJSON(res).
+// map[string]int, http.StatusNotFound, report.BuildJSON(res),
+// "repro/internal/chaos".
 package planted
 
 import (
 	"encoding/json"
 	"net/http"
 
+	"repro/internal/chaos"
 	"repro/internal/report"
 )
 
 var byName map[string]int
 
 const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res)"
+
+// prepare reaches for an injector from product code.
+var prepare = chaos.RuntimeFaults{Panic: []string{"*"}}.Hook()
 
 func handleGhost(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusNotFound)

@@ -295,7 +295,7 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		}
 		req := &server.CreateSessionRequest{
 			Name:    *name,
-			Options: server.SessionOptions{Workers: *workers},
+			Options: shard.OptionsSpec{Workers: *workers},
 		}
 		text, err := os.ReadFile(*netPath)
 		if err != nil {

@@ -88,6 +88,49 @@ func TestGateOneExit(t *testing.T) {
 	}
 }
 
+// TestGateOneDesignHash is the one-key gate: a design spec is hashed where
+// it enters the process — a create, a replayed create record, a run
+// token's first init on a worker — by one function, keysOf, which returns
+// both the design key and the run key; everything after carries them. So
+// exactly one function of non-test internal/server calls crypto/sha256.
+func TestGateOneDesignHash(t *testing.T) {
+	if got := sha256Callers(t, []string{planted}); len(got) != 1 {
+		t.Fatalf("%s: %d functions calling sha256 found, want the 1 outside its decoys: %v", planted, len(got), got)
+	}
+	files := goFiles(t, "internal/server")
+	if got := sha256Callers(t, files); len(got) != 1 {
+		t.Errorf("internal/server: %d functions call sha256, want exactly 1 (keysOf): %v", len(got), got)
+	}
+	if got := sha256Callers(t, append(files, planted)); len(got) == 1 {
+		t.Errorf("the gate passes with %s added", planted)
+	}
+}
+
+// sha256Callers returns each function (by name and position) that calls
+// into crypto/sha256.
+func sha256Callers(t *testing.T, files []string) []string {
+	seen := map[string]bool{}
+	var out []string
+	inspect(t, files, func(fset *token.FileSet, fn string, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sha256" {
+			at := fset.Position(call.Pos())
+			if key := at.Filename + ":" + fn; !seen[key] {
+				seen[key] = true
+				out = append(out, fn+" "+at.String())
+			}
+		}
+	})
+	return out
+}
+
 // goFiles expands each path, a .go file or a package directory, to its
 // non-test Go files.
 func goFiles(t *testing.T, paths ...string) []string {

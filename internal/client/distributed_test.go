@@ -71,7 +71,7 @@ func createRequest(t *testing.T, name string, g *workload.Generated) *server.Cre
 		Netlist: net.String(),
 		SPEF:    sp.String(),
 		Timing:  win.String(),
-		Options: server.SessionOptions{Mode: "noise"},
+		Options: shard.OptionsSpec{Mode: "noise"},
 	}
 }
 

@@ -31,7 +31,7 @@
 //   - Graceful drain requeues: Close cancels running attempts through
 //     their contexts and journals a "requeue" so a clean shutdown does
 //     not burn an attempt; iterate jobs additionally checkpoint at round
-//     boundaries (shard.FileCheckpointer, wired by the server's
+//     boundaries (shard.Config.CheckpointDir, set by the server's
 //     executor), so the next boot resumes mid-fixpoint instead of
 //     rerunning from scratch.
 //

@@ -2,7 +2,8 @@ package server
 
 // The content-addressed shared design cache. A thousand sessions (or
 // shard run tokens) over the same sources cost one parsed-and-bound
-// design: entries are keyed by a SHA-256 over the source texts,
+// design: entries are keyed by a SHA-256 over the source texts (the
+// design key, computed once where a spec enters the process),
 // refcounted by every holder, and priced in bytes (bind.Design.MemBytes)
 // against an optional server-wide budget.
 //
@@ -50,48 +51,45 @@ import (
 	"repro/internal/shard"
 )
 
-// designSources are the five content inputs that determine a bound
-// design and its lint verdict; together they form the cache key. Session
-// options (mode, threshold, workers, fault injection) deliberately stay
-// out: they configure the engine, not the immutable design.
-type designSources struct {
-	Netlist string
-	Verilog string
-	SPEF    string
-	Liberty string
-	Timing  string
-}
-
-func sourcesOf(spec *shard.DesignSpec) designSources {
-	return designSources{
-		Netlist: spec.Netlist,
-		Verilog: spec.Verilog,
-		SPEF:    spec.SPEF,
-		Liberty: spec.Liberty,
-		Timing:  spec.Timing,
-	}
-}
-
-// srcBytes is the cheap lower bound on the parsed footprint used for
-// the pre-build budget check.
-func (src designSources) srcBytes() int64 {
-	return int64(len(src.Netlist) + len(src.Verilog) + len(src.SPEF) + len(src.Liberty) + len(src.Timing))
-}
-
 type cacheKey [sha256.Size]byte
 
-// key hashes the sources with length-prefix framing so concatenation
-// ambiguity cannot collide two different inputs.
-func (src designSources) key() cacheKey {
+// specKeys are a design spec's two identities.
+type specKeys struct {
+	// design covers the five sources, which determine a bound design and
+	// its lint verdict: the design cache's key. Options stay out — they
+	// configure the engine, not the immutable design — so sessions that
+	// differ only in options share one cache entry.
+	design cacheKey
+	// run covers the design and every option that affects a result: an
+	// iterate run's token and its checkpoint are named by it. Workers
+	// stays out, because serial and parallel runs are byte-identical by
+	// contract.
+	run cacheKey
+}
+
+// keysOf makes one pass over a field-by-field encoding of spec, every
+// string length-framed so two different specs cannot encode alike, and
+// reads the design key off once the sources are in and the run key once
+// the options have followed. It runs where a spec enters the process — a
+// create, a replayed create record, a run token's first init on this
+// worker — and everything after carries what it returned.
+func keysOf(spec *shard.DesignSpec) (k specKeys) {
 	h := sha256.New()
-	for _, s := range []string{src.Netlist, src.Verilog, src.SPEF, src.Liberty, src.Timing} {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
+	str := func(s string) {
+		binary.Write(h, binary.BigEndian, uint64(len(s)))
 		io.WriteString(h, s)
 	}
-	var k cacheKey
-	h.Sum(k[:0])
+	for _, s := range []string{spec.Netlist, spec.Verilog, spec.SPEF, spec.Liberty, spec.Timing} {
+		str(s)
+	}
+	h.Sum(k.design[:0])
+	o := &spec.Options
+	str(o.Mode)
+	binary.Write(h, binary.BigEndian, struct {
+		Threshold                                 float64
+		NoPropagation, LogicCorrelation, FailFast bool
+	}{o.Threshold, o.NoPropagation, o.LogicCorrelation, o.FailFast})
+	h.Sum(k.run[:0])
 	return k
 }
 
@@ -168,9 +166,11 @@ func (c *designCache) budgetErr(need int64) *ErrorInfo {
 	}
 }
 
-// acquire returns a referenced cache entry for the sources, building the
-// design with build() on a miss. Exactly one build runs per key at a
-// time; concurrent acquires wait for it and share the result (including
+// acquire returns a referenced cache entry for the design key, building
+// the design with build() on a miss; size, the sources' byte count, is the
+// cheap lower bound on the parsed footprint that the pre-build budget
+// check uses. Exactly one build runs per key at a time; concurrent
+// acquires wait for it and share the result (including
 // a failure — a deterministic parse/lint error is the same for every
 // waiter, and failed builds are not cached). Coalesced waiters respect
 // ctx: a caller whose request expires while a slow build is in flight
@@ -178,8 +178,7 @@ func (c *designCache) budgetErr(need int64) *ErrorInfo {
 // handler goroutine and admission slot until the build completes. The
 // build itself is never canceled — other waiters still want it. The
 // caller owns one reference and must release() it.
-func (c *designCache) acquire(ctx context.Context, src designSources, build func() (*bind.Design, error)) (*designEntry, error) {
-	key := src.key()
+func (c *designCache) acquire(ctx context.Context, key cacheKey, size int64, build func() (*bind.Design, error)) (*designEntry, error) {
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
 		e.refs++
@@ -223,11 +222,11 @@ func (c *designCache) acquire(ctx context.Context, src designSources, build func
 	}
 	// Miss. Pre-check the budget with the cheap lower bound (source
 	// bytes) so a hopeless build sheds before burning CPU and peak RSS.
-	if c.budget > 0 && c.charged+src.srcBytes() > c.budget {
-		c.evictLocked(src.srcBytes())
-		if c.charged+src.srcBytes() > c.budget {
+	if c.budget > 0 && c.charged+size > c.budget {
+		c.evictLocked(size)
+		if c.charged+size > c.budget {
 			c.budgetSheds++
-			err := c.budgetErr(src.srcBytes())
+			err := c.budgetErr(size)
 			c.mu.Unlock()
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bind"
+	"repro/internal/shard"
 )
 
 // doTenant is do with an X-Snad-Tenant header attached.
@@ -63,7 +64,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // in the cache), and deleting one must not unbind the other.
 func TestSharedDesignCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	p := busPayload(t, "a", 4, SessionOptions{})
+	p := busPayload(t, "a", 4, shard.OptionsSpec{})
 	resp, data := do(t, "POST", ts.URL+"/v1/sessions", p)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create a: %d: %s", resp.StatusCode, data)
@@ -107,12 +108,12 @@ func TestSharedDesignCache(t *testing.T) {
 func TestMemBudgetShedEvictRecover(t *testing.T) {
 	// Measure on an unbudgeted server.
 	m, mts := newTestServer(t, Config{})
-	resp, data := do(t, "POST", mts.URL+"/v1/sessions", busPayload(t, "m4", 4, SessionOptions{}))
+	resp, data := do(t, "POST", mts.URL+"/v1/sessions", busPayload(t, "m4", 4, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("measure m4: %d: %s", resp.StatusCode, data)
 	}
 	sizeA := m.cache.stats().Charged
-	resp, data = do(t, "POST", mts.URL+"/v1/sessions", busPayload(t, "m6", 6, SessionOptions{}))
+	resp, data = do(t, "POST", mts.URL+"/v1/sessions", busPayload(t, "m6", 6, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("measure m6: %d: %s", resp.StatusCode, data)
 	}
@@ -122,14 +123,14 @@ func TestMemBudgetShedEvictRecover(t *testing.T) {
 	}
 
 	s, ts := newTestServer(t, Config{MemBudget: sizeA + sizeB - 1})
-	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, SessionOptions{}))
+	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create a: %d: %s", resp.StatusCode, data)
 	}
 
 	// b does not fit beside the referenced a: 503 kind "budget" with a
 	// well-formed Retry-After.
-	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "b", 6, SessionOptions{}))
+	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "b", 6, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-budget create: %d: %s", resp.StatusCode, data)
 	}
@@ -146,7 +147,7 @@ func TestMemBudgetShedEvictRecover(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete a: %d: %s", resp.StatusCode, data)
 	}
-	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "b", 6, SessionOptions{}))
+	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "b", 6, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create b after delete: %d: %s", resp.StatusCode, data)
 	}
@@ -163,13 +164,13 @@ func TestMemBudgetShedEvictRecover(t *testing.T) {
 func TestSingleFlightRevive(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{DataDir: dir, MaxSessions: 1, MaxConcurrent: 8, QueueDepth: 32})
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, SessionOptions{}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create a: %d: %s", resp.StatusCode, data)
 	}
 	// Creating b LRU-evicts the idle session a (MaxSessions 1); a's spec
 	// stays on disk.
-	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "b", 5, SessionOptions{}))
+	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "b", 5, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create b: %d: %s", resp.StatusCode, data)
 	}
@@ -223,26 +224,27 @@ func TestSingleFlightRevive(t *testing.T) {
 // until the build finishes — and the builder must not grant the departed
 // waiter a reference.
 func TestCoalescedAcquireHonorsCancel(t *testing.T) {
-	req := busPayload(t, "a", 4, SessionOptions{})
-	src := sourcesOf(designSpecOf(&req))
+	req := busPayload(t, "a", 4, shard.OptionsSpec{})
+	spec := req.design()
+	key := keysOf(spec).design
 	c := newDesignCache(0, time.Now, t.Logf)
 	started := make(chan struct{})
 	unblock := make(chan struct{})
 	c.buildHook = func() { close(started); <-unblock }
-	build := func() (*bind.Design, error) { return buildDesign(src, nil) }
+	build := func() (*bind.Design, error) { return buildDesign(spec, nil) }
 
 	var e1 *designEntry
 	var err1 error
 	builderDone := make(chan struct{})
 	go func() {
 		defer close(builderDone)
-		e1, err1 = c.acquire(context.Background(), src, build)
+		e1, err1 = c.acquire(context.Background(), key, 0, build)
 	}()
 	<-started // the build call is registered and parked in the hook
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e2, err2 := c.acquire(ctx, src, build) // coalesces, then withdraws
+	e2, err2 := c.acquire(ctx, key, 0, build) // coalesces, then withdraws
 	if e2 != nil || err2 == nil || classify(err2).Kind != "canceled" {
 		t.Fatalf("canceled waiter: entry=%v err=%+v, want nil entry and kind \"canceled\"", e2, err2)
 	}
@@ -273,7 +275,7 @@ func TestTenantStarvation(t *testing.T) {
 	// (and instant) after the first one, and the backlog would drain
 	// before the live request could demonstrate anything. The live
 	// session is a fast 4-bit bus.
-	slow := busPayload(t, "", 16, SessionOptions{})
+	slow := busPayload(t, "", 16, shard.OptionsSpec{})
 	for i := 0; i < bulkN; i++ {
 		slow.Name = fmt.Sprintf("slow-%d", i)
 		resp, data := do(t, "POST", ts.URL+"/v1/sessions", slow)
@@ -281,7 +283,7 @@ func TestTenantStarvation(t *testing.T) {
 			t.Fatalf("create %s: %d: %s", slow.Name, resp.StatusCode, data)
 		}
 	}
-	createSession(t, ts.URL, "fast", SessionOptions{})
+	createSession(t, ts.URL, "fast", shard.OptionsSpec{})
 	// Warm the fast engine so the interactive request below measures
 	// scheduling, not first-build cost.
 	if resp, data := do(t, "POST", ts.URL+"/v1/sessions/fast/analyze", nil); resp.StatusCode != http.StatusOK {
@@ -336,7 +338,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "admission queue full", wantStatus: http.StatusTooManyRequests, wantKind: "overloaded",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
-				createSession(t, ts.URL, "slow", SessionOptions{})
+				createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 				var wg sync.WaitGroup
 				for i := 0; i < 2; i++ {
 					wg.Add(1)
@@ -357,7 +359,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "memory budget", wantStatus: http.StatusServiceUnavailable, wantKind: "budget",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				_, ts := newTestServer(t, Config{MemBudget: 1})
-				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, SessionOptions{}))
+				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, shard.OptionsSpec{}))
 			},
 		},
 		{
@@ -365,7 +367,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{})
 				s.Drain(time.Second)
-				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, SessionOptions{}))
+				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, shard.OptionsSpec{}))
 			},
 		},
 		{
@@ -374,7 +376,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 				_, ts := newTestServer(t, Config{BreakerTrips: 1})
 				// Fail-soft degrades one net per run; a single degraded
 				// result trips the one-strike breaker.
-				createSession(t, ts.URL, "flaky", SessionOptions{})
+				createSession(t, ts.URL, "flaky", shard.OptionsSpec{})
 				resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("degraded analyze: %d: %s", resp.StatusCode, data)
@@ -386,7 +388,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "session cap with all sessions busy", wantStatus: http.StatusServiceUnavailable, wantKind: "session_limit",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{MaxSessions: 1, MaxConcurrent: 2, QueueDepth: 4})
-				createSession(t, ts.URL, "slow", SessionOptions{})
+				createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 				var wg sync.WaitGroup
 				wg.Add(1)
 				go func() {
@@ -400,21 +402,21 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 					ss := s.sessions["slow"]
 					return ss != nil && ss.refs > 0
 				})
-				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "b", 4, SessionOptions{}))
+				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "b", 4, shard.OptionsSpec{}))
 			},
 		},
 		{
 			name: "storage failure", wantStatus: http.StatusServiceUnavailable, wantKind: "storage",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				_, ts := newTestServer(t, Config{DataDir: t.TempDir(), Faults: testFaults(t, "enospc:append:1", "")})
-				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, SessionOptions{}))
+				return do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "a", 4, shard.OptionsSpec{}))
 			},
 		},
 		{
 			name: "job queue full", wantStatus: http.StatusTooManyRequests, wantKind: "overloaded",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{JobWorkers: 1, JobQueueDepth: 1})
-				createSession(t, ts.URL, "slow", SessionOptions{})
+				createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 				submit := map[string]string{"session": "slow", "type": "analyze"}
 				for i := 0; i < 2; i++ {
 					resp, data := do(t, "POST", ts.URL+"/v1/jobs", submit)
@@ -433,7 +435,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "analysis past its deadline", wantStatus: http.StatusServiceUnavailable, wantKind: "deadline",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				_, ts := newTestServer(t, Config{})
-				createSession(t, ts.URL, "slow", SessionOptions{})
+				createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 				return do(t, "POST", ts.URL+"/v1/sessions/slow/analyze?timeout=5ms", nil)
 			},
 		},
@@ -443,7 +445,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "analysis canceled by the forced drain", wantStatus: http.StatusServiceUnavailable, wantKind: "canceled",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{})
-				resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{}))
+				resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, shard.OptionsSpec{}))
 				if resp.StatusCode != http.StatusCreated {
 					t.Fatalf("create: %d: %s", resp.StatusCode, data)
 				}
@@ -464,7 +466,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 			name: "delete racing a request", wantStatus: http.StatusConflict, wantKind: "busy",
 			fire: func(t *testing.T) (*http.Response, []byte) {
 				s, ts := newTestServer(t, Config{})
-				createSession(t, ts.URL, "bus", SessionOptions{})
+				createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 				ss := s.retain("bus") // pin it the way an in-flight request does
 				t.Cleanup(func() { s.releaseRef(ss) })
 				return do(t, "DELETE", ts.URL+"/v1/sessions/bus", nil)
@@ -491,7 +493,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 // 400 — the snad jobs -state flag rides on this.
 func TestJobsStateFilter(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	// One job that completes, one against a missing session that fails.
 	for _, sess := range []string{"bus", "ghost"} {
 		resp, data := do(t, "POST", ts.URL+"/v1/jobs", map[string]string{"session": sess, "type": "analyze"})

@@ -52,7 +52,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 		if err := decodeBody(r.Body, &req); err != nil {
 			return err
 		}
-		ss, err := s.buildSession(ctx, &req)
+		design := req.design()
+		ss, err := s.buildSession(ctx, req.Name, design, keysOf(design))
 		if err != nil {
 			return err
 		}
@@ -80,7 +81,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 			return err
 		}
 		if s.store != nil {
-			if err := s.store.Create(&req); err != nil {
+			if err := s.store.Create(&req, ss.keys); err != nil {
 				func() {
 					s.mu.Lock()
 					defer s.mu.Unlock()
@@ -203,8 +204,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 		}
 		// An iterate cut off mid-fixpoint left its round checkpoint; it
 		// goes with the session.
-		ck := &shard.FileCheckpointer{Dir: s.iterateDir()}
-		if err := ck.Clear(iterateToken(sp.Create)); err != nil {
+		if err := shard.ClearCheckpoint(s.iterateDir(), iterateToken(name, sp.keys.run)); err != nil {
 			s.cfg.Logf("session %q: clearing iterate checkpoint: %v", name, err)
 		}
 	}

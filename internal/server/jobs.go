@@ -83,7 +83,7 @@ func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, attemp
 			// instead of starting over.
 			return s.iterate(ctx, ss, &IterateRequest{
 				Delay: spec.Delay, MaxRounds: spec.MaxRounds, Shards: spec.Shards, Local: spec.Local,
-			}, runToken(id, ss.spec), s.jobCheckpointDir())
+			}, runToken(id, ss.keys.run), s.jobCheckpointDir())
 		case "sweep":
 			sweep, err = s.jobSweep(ctx, ss, spec)
 			return nil, err

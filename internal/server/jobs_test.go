@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/report"
+	"repro/internal/shard"
 )
 
 func waitJobHTTP(t *testing.T, base, id string, state string) *report.JobJSON {
@@ -50,7 +51,7 @@ func submitJob(t *testing.T, base string, spec jobs.Spec) *report.JobJSON {
 
 func TestJobLifecycleHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 
 	ack := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "analyze", Delay: true})
 	if ack.State != "queued" || ack.ID == "" {
@@ -97,7 +98,7 @@ func TestJobLifecycleHTTP(t *testing.T) {
 
 func TestJobSweepHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 
 	ack := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "sweep", Sweep: []jobs.SweepPoint{
 		{Mode: "all"}, {Mode: "noise"}, {Mode: "timing", Threshold: 0.05},
@@ -153,7 +154,7 @@ func TestJobValidationAndNotFound(t *testing.T) {
 // Diag records while the server keeps serving — interactive and batch.
 func TestJobPoisonQuarantineKeepsServing(t *testing.T) {
 	_, ts := newTestServer(t, Config{Faults: testFaults(t, "", "panic:reanalyze:*")})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 
 	ack := submitJob(t, ts.URL, jobs.Spec{
 		Session: "bus", Type: "reanalyze",
@@ -199,7 +200,7 @@ func TestJobQueueSheds(t *testing.T) {
 		JobQueueDepth: 1,
 		Faults:        testFaults(t, "", "hang:analyze:*"),
 	})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 
 	running := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "analyze"})
 	waitJobHTTP(t, ts.URL, running.ID, "running")
@@ -240,7 +241,7 @@ func TestJobQueueSheds(t *testing.T) {
 func TestJobsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "", "hang:iterate:*")})
-	createSession(t, ts1.URL, "bus", SessionOptions{})
+	createSession(t, ts1.URL, "bus", shard.OptionsSpec{})
 	ack := submitJob(t, ts1.URL, jobs.Spec{Session: "bus", Type: "iterate", Local: true})
 	waitJobHTTP(t, ts1.URL, ack.ID, "running")
 	ts1.Close()
@@ -266,7 +267,7 @@ func TestJobSubmitStorageFault(t *testing.T) {
 	// The fault rules count appends across both WALs; the session create
 	// consumes the first append, so the second lands on the job submit.
 	_, ts := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "enospc:append:2", "")})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	resp, data := do(t, "POST", ts.URL+"/v1/jobs", jobs.Spec{Session: "bus", Type: "analyze"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit under fault: %d: %s", resp.StatusCode, data)
@@ -290,7 +291,7 @@ func TestJobCancelStorageFault(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		DataDir: t.TempDir(), JobWorkers: 1, Faults: testFaults(t, "enospc:append:5", "hang:analyze:*"),
 	})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	running := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "analyze"})
 	waitJobHTTP(t, ts.URL, running.ID, "running")
 	queued := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "analyze"})
@@ -313,7 +314,7 @@ func TestJobCancelStorageFault(t *testing.T) {
 func TestJobReanalyzePersistsPadding(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{DataDir: dir})
-	createSession(t, ts1.URL, "bus", SessionOptions{})
+	createSession(t, ts1.URL, "bus", shard.OptionsSpec{})
 	ack := submitJob(t, ts1.URL, jobs.Spec{
 		Session: "bus", Type: "reanalyze",
 		Padding: map[string]float64{"b0": 15e-12},
@@ -368,7 +369,7 @@ func TestMetricsServesWhileDraining(t *testing.T) {
 func TestJobIterateCheckpointCleared(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	ack := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "iterate", Local: true, MaxRounds: 3})
 	waitJobHTTP(t, ts.URL, ack.ID, "done")
 	entries, err := filepath.Glob(fmt.Sprintf("%s/jobs/checkpoints/*", dir))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/report"
+	"repro/internal/shard"
 	"repro/internal/units"
 	"repro/internal/wal"
 )
@@ -39,8 +41,8 @@ func analyzeOK(t *testing.T, base, name, endpoint string, body any) AnalyzeRespo
 func TestServerRestartRestoresSessions(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
-	createSession(t, ts.URL, "alpha", SessionOptions{})
-	createSession(t, ts.URL, "beta", SessionOptions{})
+	createSession(t, ts.URL, "alpha", shard.OptionsSpec{})
+	createSession(t, ts.URL, "beta", shard.OptionsSpec{})
 	before := analyzeOK(t, ts.URL, "alpha", "analyze", nil)
 	padded := analyzeOK(t, ts.URL, "alpha", "reanalyze",
 		ReanalyzeRequest{Padding: map[string]float64{"b1": 5 * units.Pico}})
@@ -107,7 +109,7 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 func TestServerCreateJournaledBefore201(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "torn:append:1", "")})
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "doomed", 4, SessionOptions{}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "doomed", 4, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("unjournaled create: status %d: %s", resp.StatusCode, data)
 	}
@@ -120,7 +122,7 @@ func TestServerCreateJournaledBefore201(t *testing.T) {
 		t.Fatalf("refused create still visible: %d", resp.StatusCode)
 	}
 	// The fault was one-shot: a retry of the same create succeeds.
-	createSession(t, ts.URL, "doomed", SessionOptions{})
+	createSession(t, ts.URL, "doomed", shard.OptionsSpec{})
 	ts.Close()
 
 	_, ts2 := newTestServer(t, Config{DataDir: dir})
@@ -137,7 +139,7 @@ func TestServerDeleteJournaledBefore204(t *testing.T) {
 	dir := t.TempDir()
 	// Append #1 is the create; #2 the delete's tombstone.
 	_, ts := newTestServer(t, Config{DataDir: dir, Faults: testFaults(t, "torn:append:2", "")})
-	createSession(t, ts.URL, "keep", SessionOptions{})
+	createSession(t, ts.URL, "keep", shard.OptionsSpec{})
 
 	resp, data := do(t, "DELETE", ts.URL+"/v1/sessions/keep", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -174,7 +176,7 @@ func TestServerEvictedSessionRematerializes(t *testing.T) {
 	clock := newTestClock()
 	cfg := Config{DataDir: dir, MaxSessions: 1, now: clock.now}
 	_, ts := newTestServer(t, cfg)
-	createSession(t, ts.URL, "first", SessionOptions{})
+	createSession(t, ts.URL, "first", shard.OptionsSpec{})
 	padded := analyzeOK(t, ts.URL, "first", "reanalyze",
 		ReanalyzeRequest{Padding: map[string]float64{"b1": 5 * units.Pico}})
 	if padded.ChangedNets == 0 {
@@ -182,7 +184,7 @@ func TestServerEvictedSessionRematerializes(t *testing.T) {
 	}
 
 	// Creating "second" evicts "first" from memory — but not from disk.
-	createSession(t, ts.URL, "second", SessionOptions{})
+	createSession(t, ts.URL, "second", shard.OptionsSpec{})
 	resp, data := do(t, "GET", ts.URL+"/v1/sessions", nil)
 	var list []SessionInfo
 	if err := json.Unmarshal(data, &list); err != nil {
@@ -217,7 +219,7 @@ func TestServerEvictedSessionRematerializes(t *testing.T) {
 	}
 
 	// The evicted name is still taken.
-	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "second", 4, SessionOptions{}))
+	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "second", 4, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("recreate of evicted persisted session: %d: %s", resp.StatusCode, data)
 	}
@@ -237,7 +239,7 @@ func TestServerRecoveryEndpoint(t *testing.T) {
 
 	dir := t.TempDir()
 	_, ts2 := newTestServer(t, Config{DataDir: dir})
-	createSession(t, ts2.URL, "bus", SessionOptions{})
+	createSession(t, ts2.URL, "bus", shard.OptionsSpec{})
 	ts2.Close()
 
 	_, ts3 := newTestServer(t, Config{DataDir: dir})
@@ -324,11 +326,11 @@ func TestServerUnreplayableSpecQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Create(&CreateSessionRequest{Name: "skewed", Netlist: "not a netlist\n"}); err != nil {
+	if err := st.Create(&CreateSessionRequest{Name: "skewed", Netlist: "not a netlist\n"}, specKeys{}); err != nil {
 		t.Fatal(err)
 	}
-	good := busPayload(t, "good", 4, SessionOptions{})
-	if err := st.Create(&good); err != nil {
+	good := busPayload(t, "good", 4, shard.OptionsSpec{})
+	if err := st.Create(&good, specKeys{}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -381,7 +383,7 @@ func TestServerUnreplayableSpecQuarantined(t *testing.T) {
 // create's.
 func TestReplayIgnoresJournaledInjectFault(t *testing.T) {
 	dir := t.TempDir()
-	req := busPayload(t, "legacy", 4, SessionOptions{})
+	req := busPayload(t, "legacy", 4, shard.OptionsSpec{})
 	payload, err := json.Marshal(&record{Type: "create", Name: req.Name, Create: &req})
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +416,7 @@ func TestReplayIgnoresJournaledInjectFault(t *testing.T) {
 	}
 
 	_, fresh := newTestServer(t, Config{})
-	createSession(t, fresh.URL, "legacy", SessionOptions{})
+	createSession(t, fresh.URL, "legacy", shard.OptionsSpec{})
 	want := analyzeOK(t, fresh.URL, "legacy", "analyze", nil)
 	g, _ := json.Marshal(got.Noise)
 	w, _ := json.Marshal(want.Noise)
@@ -429,7 +431,7 @@ func TestServerBootBeyondSessionCap(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
 	for _, name := range []string{"s1", "s2", "s3"} {
-		createSession(t, ts.URL, name, SessionOptions{})
+		createSession(t, ts.URL, name, shard.OptionsSpec{})
 	}
 	ts.Close()
 
@@ -480,7 +482,7 @@ func TestServerStorageDegradedSurfaced(t *testing.T) {
 	if rr := ready(); !rr.Durable || rr.StorageDegraded {
 		t.Fatalf("fresh readyz = %+v", rr)
 	}
-	resp, _ := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "x", 4, SessionOptions{}))
+	resp, _ := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "x", 4, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create under enospc: %d", resp.StatusCode)
 	}
@@ -501,17 +503,64 @@ func TestRecreatedSessionStartsItsOwnIterate(t *testing.T) {
 	slow := chaos.SessionFaults{"s": {Sleep: []string{"*"}}}
 	_, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
 	ckpts := filepath.Join(dir, "iterate", "*.ckpt.json")
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "s", 6, SessionOptions{}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "s", 6, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d: %s", resp.StatusCode, data)
 	}
 
-	// Cut the run off, the way its deadline would, once round 1 is saved.
+	saved := cutOffIterate(t, ts.URL, "s", ckpts)
+
+	// The canceled run unwinds before the session stops being busy.
+	waitFor(t, func() bool {
+		resp, _ := do(t, "DELETE", ts.URL+"/v1/sessions/s", nil)
+		return resp.StatusCode == http.StatusNoContent
+	})
+	if m, _ := filepath.Glob(ckpts); len(m) != 0 {
+		t.Fatalf("DELETE left the session's checkpoint behind: %v", m)
+	}
+	for p, b := range saved {
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	iterate := func(base string) AnalyzeResponse {
+		resp, data := do(t, "POST", base+"/v1/sessions", busPayload(t, "s", 4, shard.OptionsSpec{}))
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: %d: %s", resp.StatusCode, data)
+		}
+		return analyzeOK(t, base, "s", "iterate", IterateRequest{Local: true, Delay: true})
+	}
+	got := iterate(ts.URL)
+	_, fresh := newTestServer(t, Config{DataDir: t.TempDir()})
+	want := iterate(fresh.URL)
+	if got.Iterate.Resumed || got.Iterate.Rounds != want.Iterate.Rounds {
+		t.Fatalf("re-created session: resumed=%v after %d round(s); a fresh server: resumed=%v after %d",
+			got.Iterate.Resumed, got.Iterate.Rounds, want.Iterate.Resumed, want.Iterate.Rounds)
+	}
+	for _, sec := range []struct {
+		name      string
+		got, want any
+	}{{"noise", got.Noise, want.Noise}, {"delay", got.Delay, want.Delay}} {
+		g, _ := json.Marshal(sec.got)
+		w, _ := json.Marshal(sec.want)
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s section differs from a fresh server's", sec.name)
+		}
+	}
+}
+
+// cutOffIterate starts a local iterate on the named session, which must be
+// slowed, and cancels it the way its deadline would once a round
+// checkpoint matching ckpts is saved; it returns the saved files' bytes
+// once the run has unwound.
+func cutOffIterate(t *testing.T, base, name, ckpts string) map[string][]byte {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)
-		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/sessions/s/iterate", strings.NewReader(`{"local":true,"delay":true}`))
+		req, _ := http.NewRequestWithContext(ctx, "POST", base+"/v1/sessions/"+url.PathEscape(name)+"/iterate", strings.NewReader(`{"local":true,"delay":true}`))
 		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 		}
@@ -533,43 +582,29 @@ func TestRecreatedSessionStartsItsOwnIterate(t *testing.T) {
 	})
 	cancel()
 	<-ran
+	return saved
+}
 
-	// The canceled run unwinds before the session stops being busy.
-	waitFor(t, func() bool {
-		resp, _ := do(t, "DELETE", ts.URL+"/v1/sessions/s", nil)
-		return resp.StatusCode == http.StatusNoContent
-	})
-	if m, _ := filepath.Glob(ckpts); len(m) != 0 {
-		t.Fatalf("DELETE left the session's checkpoint behind: %v", m)
-	}
-	for p, b := range saved {
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
+// TestDeleteKeepsANeighborsCheckpoint: sessions "a b" and "a_b" over one
+// design and options differ only in a byte a file name cannot hold. A
+// DELETE of "a_b" clears "a_b"'s iterate checkpoint and nothing of
+// "a b"'s, which a cut-off iterate left behind.
+func TestDeleteKeepsANeighborsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	slow := chaos.SessionFaults{"a b": {Sleep: []string{"*"}}}
+	_, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
+	for _, name := range []string{"a b", "a_b"} {
+		if resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, name, 6, shard.OptionsSpec{})); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %q: %d: %s", name, resp.StatusCode, data)
 		}
 	}
-
-	iterate := func(base string) AnalyzeResponse {
-		resp, data := do(t, "POST", base+"/v1/sessions", busPayload(t, "s", 4, SessionOptions{}))
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create: %d: %s", resp.StatusCode, data)
-		}
-		return analyzeOK(t, base, "s", "iterate", IterateRequest{Local: true, Delay: true})
+	saved := cutOffIterate(t, ts.URL, "a b", filepath.Join(dir, "iterate", "*.ckpt.json"))
+	if resp, data := do(t, "DELETE", ts.URL+"/v1/sessions/a_b", nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete a_b: %d: %s", resp.StatusCode, data)
 	}
-	got := iterate(ts.URL)
-	_, fresh := newTestServer(t, Config{DataDir: t.TempDir()})
-	want := iterate(fresh.URL)
-	if got.Iterate.Resumed || got.Iterate.Rounds != want.Iterate.Rounds {
-		t.Fatalf("re-created session: resumed=%v after %d round(s); a fresh server: resumed=%v after %d",
-			got.Iterate.Resumed, got.Iterate.Rounds, want.Iterate.Resumed, want.Iterate.Rounds)
-	}
-	for _, sec := range []struct {
-		name      string
-		got, want any
-	}{{"noise", got.Noise, want.Noise}, {"delay", got.Delay, want.Delay}} {
-		g, _ := json.Marshal(sec.got)
-		w, _ := json.Marshal(sec.want)
-		if !bytes.Equal(g, w) {
-			t.Errorf("%s section differs from a fresh server's", sec.name)
+	for p := range saved {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("DELETE of a_b removed a b's iterate checkpoint %s: %v", filepath.Base(p), err)
 		}
 	}
 }

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/bind"
+	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/load"
+	"repro/internal/shard"
 	"repro/internal/sta"
 )
 
@@ -56,7 +59,7 @@ func (s *Server) restoreSessions() {
 // padding in its full analysis, and the session oracle pins that this
 // equals create-then-reanalyze).
 func (s *Server) materialize(ctx context.Context, name string, sp *sessionSpec) (*session, error) {
-	ss, err := s.buildSession(ctx, sp.Create)
+	ss, err := s.buildSession(ctx, sp.Create.Name, sp.Create.design(), sp.keys)
 	if err != nil {
 		return nil, err
 	}
@@ -260,45 +263,73 @@ func (s *Server) insert(ss *session) error {
 	return nil
 }
 
-// buildSession resolves the request into a session: cheap per-session
-// inputs (timing annotation, mode) are parsed here, and the
+// buildSession resolves a design spec into a named session: cheap
+// per-session inputs (timing annotation, mode) are parsed here, and the
 // expensive immutable part — the parsed, linted, bound design — is
 // acquired from the shared content-addressed cache, which builds it at
-// most once per distinct source set. The returned session holds one
-// cache reference; every path that discards the session must release it
+// most once per distinct source set. keys are the spec's, computed where
+// it entered the process. The returned session holds one cache reference;
+// every path that discards the session must release it
 // (dropSessionLocked, or cache.release on pre-insert failures).
-func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*session, error) {
-	if req.Name == "" {
+func (s *Server) buildSession(ctx context.Context, name string, design *shard.DesignSpec, keys specKeys) (*session, error) {
+	if name == "" {
 		return nil, badRequest(errors.New("session name is required"), "")
 	}
-	if (req.Netlist == "") == (req.Verilog == "") {
-		return nil, badRequest(errors.New("exactly one of netlist or verilog is required"), req.Name)
-	}
-	spec := designSpecOf(req)
-	opts, err := engineOptions(spec.Options, spec.Timing)
+	entry, opts, err := s.acquireDesign(ctx, design, keys.design)
 	if err != nil {
-		return nil, badRequest(err, req.Name)
+		return nil, inSession(err, name)
 	}
 	if f := s.cfg.Faults; f != nil && f.Prepare != nil {
-		name := req.Name
 		opts.PrepareHook = func(net string) error { return f.Prepare(name, net) }
 	}
-	src := sourcesOf(spec)
-	//snavet:deferrelease the entry reference is owned by the returned session and released by dropSessionLocked (or by the caller on insert failure)
-	entry, err := s.cache.acquire(ctx, src, func() (*bind.Design, error) {
-		return buildDesign(src, opts.STA.InputTiming)
-	})
-	if err != nil {
-		return nil, inSession(err, req.Name)
-	}
 	return &session{
-		name:  req.Name,
-		spec:  req,
-		busy:  make(chan struct{}, 1),
-		b:     entry.b,
-		entry: entry,
-		opts:  opts,
+		name:   name,
+		design: design,
+		keys:   keys,
+		busy:   make(chan struct{}, 1),
+		b:      entry.b,
+		entry:  entry,
+		opts:   opts,
 	}, nil
+}
+
+// acquireDesign is the one path from a design spec to a bound design and
+// its engine options, taken by a session's build and by a run token's
+// first init on this worker. It maps the service's options onto the
+// engine's — the mode by name (noise when unnamed), the input timing
+// parsed, fail-soft unless FailFast — and acquires the design under key
+// from the shared cache, building it on a miss. The caller owns the
+// entry's reference.
+func (s *Server) acquireDesign(ctx context.Context, spec *shard.DesignSpec, key cacheKey) (*designEntry, core.Options, error) {
+	if (spec.Netlist == "") == (spec.Verilog == "") {
+		return nil, core.Options{}, badRequest(errors.New("exactly one of netlist or verilog is required"), "")
+	}
+	o := &spec.Options
+	opts := core.Options{
+		Mode:             core.ModeNoiseWindows,
+		FilterThreshold:  o.Threshold,
+		NoPropagation:    o.NoPropagation,
+		LogicCorrelation: o.LogicCorrelation,
+		Workers:          o.Workers,
+		FailSoft:         !o.FailFast,
+	}
+	var err error
+	if spec.Timing != "" {
+		if opts.STA.InputTiming, err = sta.ParseInputTiming(strings.NewReader(spec.Timing)); err != nil {
+			return nil, core.Options{}, badRequest(err, "")
+		}
+	}
+	if o.Mode != "" {
+		if opts.Mode, err = core.ParseMode(o.Mode); err != nil {
+			return nil, core.Options{}, badRequest(err, "")
+		}
+	}
+	size := int64(len(spec.Netlist) + len(spec.Verilog) + len(spec.SPEF) + len(spec.Liberty) + len(spec.Timing))
+	//snavet:deferrelease the entry reference is handed to the caller: a session owns it until dropSessionLocked (or the create unwinds), a run token until the shard host releases the token's design; acquire failure returns a nil entry
+	entry, err := s.cache.acquire(ctx, key, size, func() (*bind.Design, error) {
+		return buildDesign(spec, opts.STA.InputTiming)
+	})
+	return entry, opts, err
 }
 
 // buildDesign is the cache-miss build path: parse every database, run
@@ -308,7 +339,7 @@ func (s *Server) buildSession(ctx context.Context, req *CreateSessionRequest) (*
 // results computed from a broken database are worse than no results)
 // and is deliberately not cached: it is deterministic, cheap to rerun,
 // and caching failures would pin rejected source text in memory.
-func buildDesign(src designSources, inputs map[string]*sta.Timing) (*bind.Design, error) {
+func buildDesign(src *shard.DesignSpec, inputs map[string]*sta.Timing) (*bind.Design, error) {
 	ls := load.Sources{
 		Netlist: load.Text(src.Netlist), Liberty: load.Text(src.Liberty), SPEF: load.Text(src.SPEF), Inputs: inputs,
 	}

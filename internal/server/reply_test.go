@@ -126,7 +126,7 @@ func TestConcurrentRepliesMatchSerialOracle(t *testing.T) {
 	_, ots := newTestServer(t, Config{})
 	for i := 0; i <= steps; i++ {
 		for j := 0; j <= steps; j++ {
-			createSession(t, ots.URL, "s", SessionOptions{})
+			createSession(t, ots.URL, "s", shard.OptionsSpec{})
 			body, err := fetch("POST", ots.URL+"/v1/sessions/s/analyze", nil)
 			for g, k := range []int{i, j} {
 				if err == nil && k > 0 {
@@ -147,7 +147,7 @@ func TestConcurrentRepliesMatchSerialOracle(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "s", SessionOptions{})
+	createSession(t, ts.URL, "s", shard.OptionsSpec{})
 	if _, err := fetch("POST", ts.URL+"/v1/sessions/s/analyze", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func jobResult(t *testing.T, base, id string) (one, listed, body []byte) {
 func TestJobResultServedAsStored(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{DataDir: dir})
-	createSession(t, ts1.URL, "bus", SessionOptions{})
+	createSession(t, ts1.URL, "bus", shard.OptionsSpec{})
 	analyzeOK(t, ts1.URL, "bus", "analyze", AnalyzeRequest{Delay: true}) // the job's analysis is then no rebuild
 	ack := submitJob(t, ts1.URL, jobs.Spec{Session: "bus", Type: "analyze", Delay: true})
 	waitJobHTTP(t, ts1.URL, ack.ID, "done")

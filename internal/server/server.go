@@ -252,12 +252,9 @@ type Server struct {
 	// jobs owns the durable async job queue and its worker pool.
 	jobs *jobs.Manager
 
-	// shardHost keeps the shard engines this server hosts as a worker;
-	// shardMu guards the per-run-token design references its engines share
-	// (a bound design is immutable after binding).
-	shardHost    *shard.Host
-	shardMu      sync.Mutex
-	shardDesigns map[string]*sharedDesign
+	// shardHost keeps the shard engines this server hosts as a worker and
+	// the design each run token's engines share.
+	shardHost *shard.Host
 
 	// workerMu guards the registered shard workers (this server as
 	// coordinator); hbStop ends the heartbeat loop, started on the first
@@ -279,21 +276,20 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
-		cfg:          cfg,
-		gate:         newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.TenantCap),
-		cache:        newDesignCache(cfg.MemBudget, cfg.now, cfg.Logf),
-		sessions:     make(map[string]*session),
-		lastUsed:     make(map[string]time.Time),
-		shardDesigns: make(map[string]*sharedDesign),
-		workers:      make(map[string]*workerEntry),
-		hbStop:       make(chan struct{}),
+		cfg:      cfg,
+		gate:     newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.TenantCap),
+		cache:    newDesignCache(cfg.MemBudget, cfg.now, cfg.Logf),
+		sessions: make(map[string]*session),
+		lastUsed: make(map[string]time.Time),
+		workers:  make(map[string]*workerEntry),
+		hbStop:   make(chan struct{}),
 
 		histAdmission: metrics.NewHistogram("snad_admission_wait_seconds", "Time requests spend waiting for a worker slot.", nil),
 		histAnalysis:  metrics.NewHistogram("snad_analysis_seconds", "Engine time of completed analysis requests.", nil),
 		histFsync:     metrics.NewHistogram("snad_journal_fsync_seconds", "Durable session-journal append latency (fsync included).", nil),
 		histJobRun:    metrics.NewHistogram("snad_job_run_seconds", "Wall time of async job execution attempts.", nil),
 	}
-	s.shardHost = shard.NewHost(s.designForToken, s.dropTokenDesign)
+	s.shardHost = shard.NewHost(s.designForToken)
 	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
 	// The job journal shares the data directory and the injected
 	// write-path faults with the session store.

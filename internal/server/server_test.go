@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/netlist"
+	"repro/internal/shard"
 	"repro/internal/spef"
 	"repro/internal/sta"
 	"repro/internal/units"
@@ -25,7 +26,7 @@ import (
 
 // busPayload serializes a generated coupled bus into a create-session
 // request body.
-func busPayload(t *testing.T, name string, bits int, opts SessionOptions) CreateSessionRequest {
+func busPayload(t *testing.T, name string, bits int, opts shard.OptionsSpec) CreateSessionRequest {
 	t.Helper()
 	g, err := workload.Bus(workload.BusSpec{Bits: bits, Segs: 2, WindowWidth: 80 * units.Pico})
 	if err != nil {
@@ -150,7 +151,7 @@ func wantErrKind(t *testing.T, data []byte, kind string) ErrorInfo {
 	return eb.Error
 }
 
-func createSession(t *testing.T, base, name string, opts SessionOptions) {
+func createSession(t *testing.T, base, name string, opts shard.OptionsSpec) {
 	t.Helper()
 	resp, data := do(t, "POST", base+"/v1/sessions", busPayload(t, name, 4, opts))
 	if resp.StatusCode != http.StatusCreated {
@@ -160,10 +161,10 @@ func createSession(t *testing.T, base, name string, opts SessionOptions) {
 
 func TestServerBasicFlow(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 
 	// Duplicate name conflicts.
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "bus", 4, SessionOptions{}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "bus", 4, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate create: status %d", resp.StatusCode)
 	}
@@ -259,7 +260,7 @@ func TestServerBadRequests(t *testing.T) {
 		t.Fatalf("parser error without line number: %q", ei.Message)
 	}
 	// Bad padding values.
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	resp, data = do(t, "POST", ts.URL+"/v1/sessions/bus/reanalyze",
 		ReanalyzeRequest{Padding: map[string]float64{"b1": -1}})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -275,7 +276,7 @@ func TestServerBadRequests(t *testing.T) {
 		body any
 	}{
 		{"/v1/sessions/bus/analyze?timeout=banana", nil},
-		{"/v1/sessions?timeout=bogus", busPayload(t, "late", 4, SessionOptions{})},
+		{"/v1/sessions?timeout=bogus", busPayload(t, "late", 4, shard.OptionsSpec{})},
 	} {
 		resp, data = do(t, "POST", ts.URL+tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -295,7 +296,7 @@ func TestServerBadRequests(t *testing.T) {
 // any request with an unknown field, and no session is made.
 func TestCreateRejectsInjectFault(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body, err := json.Marshal(busPayload(t, "s", 4, SessionOptions{}))
+	body, err := json.Marshal(busPayload(t, "s", 4, shard.OptionsSpec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestCreateRejectsInjectFault(t *testing.T) {
 
 func TestReanalyzeBadPaddingMessageIsStable(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	body := ReanalyzeRequest{Padding: map[string]float64{"b2": -2, "b1": -1}}
 	for i := 0; i < 20; i++ {
 		resp, data := do(t, "POST", ts.URL+"/v1/sessions/bus/reanalyze", body)
@@ -376,8 +377,8 @@ func TestServerPanicFaultIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	// FailFast turns the injected per-victim panic into an engine error for
 	// the whole request — the hard-failure path.
-	createSession(t, ts.URL, "bad", SessionOptions{FailFast: true})
-	createSession(t, ts.URL, "good", SessionOptions{})
+	createSession(t, ts.URL, "bad", shard.OptionsSpec{FailFast: true})
+	createSession(t, ts.URL, "good", shard.OptionsSpec{})
 
 	var wg sync.WaitGroup
 	type outcome struct {
@@ -449,7 +450,7 @@ func TestServerRecoverBarrier(t *testing.T) {
 // a Retry-After hint instead of queueing unboundedly.
 func TestServerAdmissionShedding(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
-	createSession(t, ts.URL, "slow", SessionOptions{})
+	createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 
 	const burst = 6
 	statuses := make([]int, burst)
@@ -503,7 +504,7 @@ func TestServerAdmissionShedding(t *testing.T) {
 // than the work cancels the engine run and maps to a structured 503.
 func TestServerDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "slow", SessionOptions{})
+	createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 	resp, data := do(t, "POST", ts.URL+"/v1/sessions/slow/analyze?timeout=20ms", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -526,7 +527,7 @@ func TestServerBreaker(t *testing.T) {
 	// Fail-soft (default): the injected panic degrades one net per run,
 	// returning a 200 with DegradedNets > 0 — exactly what the breaker
 	// watches.
-	createSession(t, ts.URL, "flaky", SessionOptions{})
+	createSession(t, ts.URL, "flaky", shard.OptionsSpec{})
 
 	for i := 0; i < 2; i++ {
 		resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
@@ -586,13 +587,13 @@ func TestServerLRUEviction(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	createSession(t, ts.URL, "a", SessionOptions{})
-	createSession(t, ts.URL, "b", SessionOptions{})
+	createSession(t, ts.URL, "a", shard.OptionsSpec{})
+	createSession(t, ts.URL, "b", shard.OptionsSpec{})
 	// Touch "a" so "b" is the LRU.
 	if resp, _ := do(t, "GET", ts.URL+"/v1/sessions/a", nil); resp.StatusCode != http.StatusOK {
 		t.Fatal("touch a")
 	}
-	createSession(t, ts.URL, "c", SessionOptions{})
+	createSession(t, ts.URL, "c", shard.OptionsSpec{})
 
 	resp, data := do(t, "GET", ts.URL+"/v1/sessions/b", nil)
 	if resp.StatusCode != http.StatusNotFound {
@@ -634,7 +635,7 @@ func TestServerSessionLimitBusy(t *testing.T) {
 // would be unreachable.
 func TestServerDeleteBusySession(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "bus", SessionOptions{})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	ss := s.retain("bus") // pin it the way an in-flight request does
 	resp, data := do(t, "DELETE", ts.URL+"/v1/sessions/bus", nil)
 	if resp.StatusCode != http.StatusConflict {
@@ -701,7 +702,7 @@ func TestServerAnalysisPanicReleasesSession(t *testing.T) {
 func TestServerSessionWaitRespectsDeadline(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	// A 16-bit bus with per-net sleeps is hundreds of ms of serial work.
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", resp.StatusCode, data)
 	}
@@ -780,7 +781,7 @@ func TestSessionBreakerHalfOpenSingleProbe(t *testing.T) {
 // the budget, new work is refused, readiness flips, Drain reports clean.
 func TestServerDrainClean(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "slow", SessionOptions{})
+	createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 
 	started := make(chan struct{})
 	result := make(chan int, 1)
@@ -842,7 +843,7 @@ func TestServerDrainForced(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// A 16-bit bus with per-net sleeps is hundreds of ms of work — far
 	// beyond the 10ms budget.
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, SessionOptions{}))
+	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "slow", 16, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d: %s", resp.StatusCode, data)
 	}
@@ -893,7 +894,7 @@ func TestServerDrainForced(t *testing.T) {
 // fail the query.
 func TestServerFailSoftDegradedResponse(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts.URL, "flaky", SessionOptions{})
+	createSession(t, ts.URL, "flaky", shard.OptionsSpec{})
 	resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)

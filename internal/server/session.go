@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
+	"repro/internal/shard"
 )
 
 // session owns one loaded design and its persistent incremental analyzer.
@@ -33,10 +34,12 @@ type session struct {
 	// whichever path removes it (dropSessionLocked, create unwind).
 	entry *designEntry
 
-	// spec is the create request the session was built from, retained so
-	// a distributed iterate can ship the same sources to remote workers.
-	// Immutable after create.
-	spec *CreateSessionRequest
+	// design is the spec the session was built from, kept so a
+	// distributed iterate can ship the same sources to remote workers, and
+	// keys its identities, computed where the spec entered the process.
+	// Both are immutable after build.
+	design *shard.DesignSpec
+	keys   specKeys
 
 	// padding is the cumulative per-net window padding every reanalyze has
 	// applied, mirrored from the engine after each successful delta. It is

@@ -27,19 +27,16 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/bind"
 	"repro/internal/core"
 	"repro/internal/shard"
-	"repro/internal/sta"
 )
 
 // workerEntry is one registered shard worker and its heartbeat state.
@@ -185,123 +182,23 @@ func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 
 // --- snad as worker: the hosted engines' designs ---
 
-// dropTokenDesign releases a run token's design-cache reference along with
-// its shardDesigns slot, once the host has dropped the token's last engine.
-// The cache mutex is a leaf, so taking it under shardMu is within the lock
-// order.
-func (s *Server) dropTokenDesign(token string) {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	if e := s.shardDesigns[token]; e != nil {
-		s.cache.release(e.entry)
-		delete(s.shardDesigns, token)
-	}
-}
-
-// sharedDesign is one run token's referenced design-cache entry, shared
-// by every shard engine the token hosts on this worker. A bound design
-// is immutable after binding (the levelization cache is internally
-// guarded), so sharing it is safe; everything mutable —
-// timing annotation, padding, noise state — is private to each engine.
-// The token holds one cache reference, released when its last engine
-// drops (dropTokenDesign).
-type sharedDesign struct {
-	entry *designEntry
-	opts  core.Options
-}
-
-// designForToken is the server's shard.EngineSource: it returns the run
-// token's shared design, building it through the content-addressed design
-// cache on the token's first init.
-// A coordinator driving a session and the workers hosting its shards
-// thus share one bound design per process, and two runs over the same
-// sources share one design across tokens. Racing first inits coalesce
-// in the cache's single-flight build; the install race's loser releases
-// its duplicate reference. Build failures are not cached: they are
-// deterministic, and a retried init simply fails the same way. The cache's
-// error is returned as it is: shardErr finds a budget shed — load, not
-// determinism — inside the FatalError the runner wraps it in.
-func (s *Server) designForToken(ctx context.Context, token string, spec *shard.DesignSpec) (*bind.Design, core.Options, error) {
-	var zero core.Options
+// designForToken is the server's shard.EngineSource: on a run token's
+// first init it acquires the shipped spec's design from the shared cache,
+// so a coordinator's sessions and the shards this process hosts share one
+// bound design, and so do two runs over the same sources. The host holds
+// it for the token and calls release when the token closes. A build
+// failure is not cached (a retried init fails the same way), and the
+// cache's error is returned as it is: shardErr finds a budget shed — load,
+// not determinism — inside the FatalError the runner wraps it in.
+func (s *Server) designForToken(ctx context.Context, spec *shard.DesignSpec) (*bind.Design, core.Options, func(), error) {
 	if spec == nil {
-		return nil, zero, fmt.Errorf("init without a design spec (remote workers build their own engines)")
+		return nil, core.Options{}, nil, fmt.Errorf("init without a design spec (remote workers build their own engines)")
 	}
-	s.shardMu.Lock()
-	e := s.shardDesigns[token]
-	s.shardMu.Unlock()
-	if e != nil {
-		return e.entry.b, e.opts, nil
-	}
-	if (spec.Netlist == "") == (spec.Verilog == "") {
-		return nil, zero, fmt.Errorf("design spec needs exactly one of netlist or verilog")
-	}
-	opts, err := engineOptions(spec.Options, spec.Timing)
+	entry, opts, err := s.acquireDesign(ctx, spec, keysOf(spec).design)
 	if err != nil {
-		return nil, zero, err
+		return nil, core.Options{}, nil, err
 	}
-	src := sourcesOf(spec)
-	//snavet:deferrelease the entry reference is handed to the run token's sharedDesign (released on token drop) or released explicitly on the lost race below; acquire failure returns a nil entry
-	entry, err := s.cache.acquire(ctx, src, func() (*bind.Design, error) {
-		return buildDesign(src, opts.STA.InputTiming)
-	})
-	if err != nil {
-		return nil, zero, err
-	}
-	s.shardMu.Lock()
-	if prev := s.shardDesigns[token]; prev != nil {
-		s.shardMu.Unlock()
-		s.cache.release(entry)
-		return prev.entry.b, prev.opts, nil
-	}
-	s.shardDesigns[token] = &sharedDesign{entry: entry, opts: opts}
-	s.shardMu.Unlock()
-	return entry.b, opts, nil
-}
-
-// engineOptions is the one mapping from the service's option schema — a
-// session's create request, or the spec a coordinator ships of it — to the
-// engine's: the mode by name (noise when unnamed), the input timing parsed,
-// fail-soft unless FailFast.
-func engineOptions(o shard.OptionsSpec, timing string) (opts core.Options, err error) {
-	opts = core.Options{
-		Mode:             core.ModeNoiseWindows,
-		FilterThreshold:  o.Threshold,
-		NoPropagation:    o.NoPropagation,
-		LogicCorrelation: o.LogicCorrelation,
-		Workers:          o.Workers,
-		FailSoft:         !o.FailFast,
-	}
-	if timing != "" {
-		if opts.STA.InputTiming, err = sta.ParseInputTiming(strings.NewReader(timing)); err != nil {
-			return core.Options{}, err
-		}
-	}
-	if o.Mode != "" {
-		if opts.Mode, err = core.ParseMode(o.Mode); err != nil {
-			return core.Options{}, err
-		}
-	}
-	return opts, nil
-}
-
-// designSpecOf converts a session's retained create request into the wire
-// spec shipped to remote workers.
-func designSpecOf(req *CreateSessionRequest) *shard.DesignSpec {
-	return &shard.DesignSpec{
-		Netlist: req.Netlist,
-		Verilog: req.Verilog,
-		SPEF:    req.SPEF,
-		Liberty: req.Liberty,
-		Timing:  req.Timing,
-		Options: shard.OptionsSpec{
-			Mode:             req.Options.Mode,
-			Threshold:        req.Options.Threshold,
-			NoPropagation:    req.Options.NoPropagation,
-			LogicCorrelation: req.Options.LogicCorrelation,
-			Workers:          req.Options.Workers,
-			FailFast:         req.Options.FailFast,
-		},
-	}
+	return entry.b, opts, func() { s.cache.release(entry) }, nil
 }
 
 // handleShardOp executes one coordinator dispatch on the hosted engines.
@@ -352,34 +249,27 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) error {
 		// session and its design: a restarted server resumes a
 		// mid-fixpoint iterate from its last completed round instead of
 		// redoing the run.
-		return s.iterate(ctx, ss, &req, iterateToken(ss.spec), s.iterateDir())
+		return s.iterate(ctx, ss, &req, iterateToken(ss.name, ss.keys.run), s.iterateDir())
 	})
 }
 
 func (s *Server) iterateDir() string { return filepath.Join(s.cfg.DataDir, "iterate") }
 
 // iterateToken keys a session's interactive iterate runs.
-func iterateToken(spec *CreateSessionRequest) string { return runToken("iterate-"+spec.Name, spec) }
+func iterateToken(name string, run cacheKey) string { return runToken("iterate-"+name, run) }
 
-// runToken names an iterate run: key (a session's, or a job's ID) plus a
-// digest of the design spec it runs over — the sources and the options the
-// workers receive. A worker hands a token's cached design to every init
-// that names it, and a checkpoint resumes whichever run saved it; keyed by
-// name alone, a session deleted and re-created over another design would
-// inherit both.
-func runToken(key string, spec *CreateSessionRequest) string {
-	ds := designSpecOf(spec)
-	src := sourcesOf(ds).key()
-	h := sha256.New()
-	h.Write(src[:])
-	fmt.Fprintf(h, "%+v", ds.Options)
-	return fmt.Sprintf("%s-%x", key, h.Sum(nil)[:8])
-}
+// runToken names an iterate run: prefix (a session's, or a job's ID) plus
+// the head of the run key of the design it runs over — the sources and
+// the options that affect its result. A worker hands a token's design to
+// every init that names it, and a checkpoint resumes whichever run saved
+// it; named by session alone, a session deleted and re-created over
+// another design would inherit both.
+func runToken(prefix string, run cacheKey) string { return fmt.Sprintf("%s-%x", prefix, run[:8]) }
 
 // iterate runs the joint noise–delay fixpoint on a session for both
 // callers, the interactive endpoint and iterate jobs: across the healthy
-// workers when there are any (and the request does not force local, and the
-// session kept the sources to ship), in this process otherwise. token keys
+// workers when there are any (and the request does not force local), in
+// this process otherwise. token keys
 // the run on the workers and its round checkpoint under ckptDir.
 func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, token, ckptDir string) (*answer, error) {
 	cfg := shard.Config{
@@ -394,11 +284,11 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 		Logf:            s.cfg.Logf,
 	}
 	if s.store != nil {
-		cfg.Checkpointer = &shard.FileCheckpointer{Dir: ckptDir}
+		cfg.CheckpointDir = ckptDir
 	}
 	run, info := shard.RunLocal, &IterateInfo{}
-	if workers := s.healthyWorkers(); !req.Local && len(workers) > 0 && ss.spec != nil {
-		cfg.Workers, cfg.Shards, cfg.Design = workers, req.Shards, designSpecOf(ss.spec)
+	if workers := s.healthyWorkers(); !req.Local && len(workers) > 0 {
+		cfg.Workers, cfg.Shards, cfg.Design = workers, req.Shards, ss.design
 		if cfg.Shards <= 0 {
 			cfg.Shards = s.cfg.Shards
 		}

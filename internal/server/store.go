@@ -59,13 +59,17 @@ type Store struct {
 type sessionSpec struct {
 	Create  *CreateSessionRequest `json:"create"`
 	Padding map[string]float64    `json:"padding,omitempty"`
+	// keys are the create request's design and run keys: computed by the
+	// create, or when a replayed create record is applied, and read by
+	// every revive and delete after. They are not journaled.
+	keys specKeys
 	// restoredAt is the boot instant the spec was recovered from disk;
 	// zero for specs created in this process's lifetime.
 	restoredAt time.Time
 }
 
 func (sp *sessionSpec) clone() *sessionSpec {
-	return &sessionSpec{Create: sp.Create, Padding: maps.Clone(sp.Padding), restoredAt: sp.restoredAt}
+	return &sessionSpec{Create: sp.Create, Padding: maps.Clone(sp.Padding), keys: sp.keys, restoredAt: sp.restoredAt}
 }
 
 // record is one journaled session lifecycle event.
@@ -128,7 +132,7 @@ func (st *Store) apply(payload []byte, restoredAt time.Time) error {
 		if rec.Create == nil || rec.Create.Name == "" {
 			return errors.New("create record without a request payload")
 		}
-		st.specs[rec.Create.Name] = &sessionSpec{Create: rec.Create, Padding: rec.Padding, restoredAt: restoredAt}
+		st.specs[rec.Create.Name] = &sessionSpec{Create: rec.Create, Padding: rec.Padding, keys: keysOf(rec.Create.design()), restoredAt: restoredAt}
 	case "padding":
 		sp := st.specs[rec.Name]
 		if sp == nil {
@@ -168,16 +172,16 @@ func (st *Store) appendLocked(rec *record) error {
 	return st.log.Append(payload)
 }
 
-// Create durably records a session creation. It must succeed before the
-// server acknowledges the create: an acknowledged session survives a
-// crash.
-func (st *Store) Create(req *CreateSessionRequest) error {
+// Create durably records a session creation, whose keys the create
+// computed. It must succeed before the server acknowledges the create: an
+// acknowledged session survives a crash.
+func (st *Store) Create(req *CreateSessionRequest, keys specKeys) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err := st.appendLocked(&record{Type: "create", Name: req.Name, Create: req}); err != nil {
 		return err
 	}
-	st.specs[req.Name] = &sessionSpec{Create: req}
+	st.specs[req.Name] = &sessionSpec{Create: req, keys: keys}
 	st.compactLocked(false)
 	return nil
 }

@@ -33,7 +33,7 @@ func compact(st *Store) bool {
 
 func storeCreate(t *testing.T, st *Store, name string) {
 	t.Helper()
-	if err := st.Create(&CreateSessionRequest{Name: name, Netlist: "module " + name + "\n"}); err != nil {
+	if err := st.Create(&CreateSessionRequest{Name: name, Netlist: "module " + name + "\n"}, specKeys{}); err != nil {
 		t.Fatalf("create %s: %v", name, err)
 	}
 }
@@ -142,7 +142,7 @@ func TestStoreFailedAppendKeepsTailReplayable(t *testing.T) {
 			dir := t.TempDir()
 			st, _ := openTestStore(t, dir, spec)
 			storeCreate(t, st, "a")
-			if err := st.Create(&CreateSessionRequest{Name: "b", Netlist: "module b\n"}); err == nil {
+			if err := st.Create(&CreateSessionRequest{Name: "b", Netlist: "module b\n"}, specKeys{}); err == nil {
 				t.Fatal("injected fault did not fail the create")
 			}
 			// The failed create must not be acknowledged in memory either.

@@ -30,27 +30,17 @@ type CreateSessionRequest struct {
 	// library.
 	Liberty string `json:"liberty,omitempty"`
 	// Timing is input-timing (.win) text.
-	Timing  string         `json:"timing,omitempty"`
-	Options SessionOptions `json:"options"`
+	Timing string `json:"timing,omitempty"`
+	// Options are the analysis knobs of the sna CLI.
+	Options shard.OptionsSpec `json:"options"`
 }
 
-// SessionOptions mirrors the analysis knobs of the sna CLI.
-type SessionOptions struct {
-	// Mode is the combination policy: "all", "timing", or "noise"
-	// (default).
-	Mode string `json:"mode,omitempty"`
-	// Threshold is the aggressor coupling-ratio filter threshold.
-	Threshold float64 `json:"threshold,omitempty"`
-	// NoPropagation disables noise propagation through gates.
-	NoPropagation bool `json:"noPropagation,omitempty"`
-	// LogicCorrelation enables mutual-exclusion aggressor filtering.
-	LogicCorrelation bool `json:"logicCorrelation,omitempty"`
-	// Workers sets the engine's parallel worker count (0 = serial).
-	Workers int `json:"workers,omitempty"`
-	// FailFast aborts a request on the first per-net failure instead of
-	// degrading fail-soft. Fail-soft is the service default: one bad
-	// victim must not take down the query.
-	FailFast bool `json:"failFast,omitempty"`
+// design is the request's design spec, which the session built from it
+// keeps.
+func (req *CreateSessionRequest) design() *shard.DesignSpec {
+	return &shard.DesignSpec{
+		Netlist: req.Netlist, Verilog: req.Verilog, SPEF: req.SPEF, Liberty: req.Liberty, Timing: req.Timing, Options: req.Options,
+	}
 }
 
 // SessionInfo describes one loaded session.

@@ -13,14 +13,19 @@ import (
 	"repro/internal/wal"
 )
 
-// Checkpoint is the durable form of core.RoundState: everything needed to
+// checkpoint is the durable form of core.RoundState: everything needed to
 // resume the noise–delay fixpoint after a restart. The analysis state
 // itself is NOT saved — padding-seeded engine rebuilds are exactly
 // equivalent to the incremental path (the core.Session rebuild contract),
 // so the cumulative padding plus the divergence-watchdog state is the whole
 // fixpoint.
-type Checkpoint struct {
-	// Token identifies the run (sessions use their name).
+//
+// A run keeps one JSON file per token under Config.CheckpointDir, written
+// with wal.WriteFileAtomic (temp file, fsync, rename, directory fsync), so
+// a crash mid-save leaves the previous checkpoint intact and an
+// acknowledged save survives power loss.
+type checkpoint struct {
+	// Token identifies the run.
 	Token string `json:"token"`
 	// Round is the last fully completed round.
 	Round int `json:"round"`
@@ -35,44 +40,25 @@ type Checkpoint struct {
 	SavedAt string `json:"savedAt,omitempty"`
 }
 
-// Checkpointer persists round state between rounds. A nil Checkpointer in
-// Config disables persistence.
-type Checkpointer interface {
-	// Save durably records cp, replacing any previous checkpoint for its
-	// token.
-	Save(cp *Checkpoint) error
-	// Load returns the checkpoint for token, or (nil, nil) when none
-	// exists.
-	Load(token string) (*Checkpoint, error)
-	// Clear removes the checkpoint for token (no error when absent).
-	Clear(token string) error
-}
-
-// FileCheckpointer stores one JSON checkpoint file per token under Dir,
-// written with wal.WriteFileAtomic (temp file, fsync, rename, directory
-// fsync), so a crash mid-save leaves the previous checkpoint intact and an
-// acknowledged save survives power loss.
-type FileCheckpointer struct {
-	Dir string
-}
-
-// ckptFile maps a token to its file, keeping the name filesystem-safe.
-func (f *FileCheckpointer) ckptFile(token string) string {
-	safe := make([]rune, 0, len(token))
-	for _, r := range token {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '_', r == '-':
-			safe = append(safe, r)
+// ckptFile maps a token to its file under dir. A byte outside
+// [A-Za-z0-9._-] — '%' among them — is escaped as %XX, so the name is
+// filesystem-safe and no two tokens share a file.
+func ckptFile(dir, token string) string {
+	const hex = "0123456789ABCDEF"
+	safe := make([]byte, 0, len(token))
+	for i := 0; i < len(token); i++ {
+		switch c := token[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '.', c == '_', c == '-':
+			safe = append(safe, c)
 		default:
-			safe = append(safe, '_')
+			safe = append(safe, '%', hex[c>>4], hex[c&15])
 		}
 	}
-	return filepath.Join(f.Dir, string(safe)+".ckpt.json")
+	return filepath.Join(dir, string(safe)+".ckpt.json")
 }
 
-// Save implements Checkpointer.
-func (f *FileCheckpointer) Save(cp *Checkpoint) error {
-	if err := os.MkdirAll(f.Dir, 0o755); err != nil {
+func saveCheckpoint(dir string, cp *checkpoint) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: checkpoint dir: %w", err)
 	}
 	data, err := json.MarshalIndent(cp, "", "  ")
@@ -80,22 +66,23 @@ func (f *FileCheckpointer) Save(cp *Checkpoint) error {
 		return fmt.Errorf("shard: marshal checkpoint: %w", err)
 	}
 	data = append(data, '\n')
-	if err := wal.WriteFileAtomic(f.ckptFile(cp.Token), data, wal.Hooks{}); err != nil {
+	if err := wal.WriteFileAtomic(ckptFile(dir, cp.Token), data, wal.Hooks{}); err != nil {
 		return fmt.Errorf("shard: write checkpoint: %w", err)
 	}
 	return nil
 }
 
-// Load implements Checkpointer.
-func (f *FileCheckpointer) Load(token string) (*Checkpoint, error) {
-	data, err := os.ReadFile(f.ckptFile(token))
+// loadCheckpoint returns the token's checkpoint under dir, or (nil, nil)
+// when there is none.
+func loadCheckpoint(dir, token string) (*checkpoint, error) {
+	data, err := os.ReadFile(ckptFile(dir, token))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("shard: read checkpoint: %w", err)
 	}
-	cp := &Checkpoint{}
+	cp := &checkpoint{}
 	if err := json.Unmarshal(data, cp); err != nil {
 		return nil, fmt.Errorf("shard: decode checkpoint: %w", err)
 	}
@@ -105,9 +92,11 @@ func (f *FileCheckpointer) Load(token string) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// Clear implements Checkpointer.
-func (f *FileCheckpointer) Clear(token string) error {
-	err := os.Remove(f.ckptFile(token))
+// ClearCheckpoint removes the token's checkpoint under dir (no error when
+// there is none). A completed run clears its own; a caller retiring a
+// token for good — a deleted session — clears what a cut-off run left.
+func ClearCheckpoint(dir, token string) error {
+	err := os.Remove(ckptFile(dir, token))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
@@ -121,11 +110,11 @@ func (f *FileCheckpointer) Clear(token string) error {
 // must not take down a healthy analysis, so it only logs.
 func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error)) (*Outcome, error) {
 	from := core.RoundState{Padding: make(map[string]float64)}
-	c := cfg.Checkpointer
-	if c == nil {
+	dir := cfg.CheckpointDir
+	if dir == "" {
 		return loop(from, nil)
 	}
-	cp, err := c.Load(cfg.Token)
+	cp, err := loadCheckpoint(dir, cfg.Token)
 	switch {
 	case err != nil:
 		cfg.Logf("shard: checkpoint load failed, starting fresh: %v", err)
@@ -138,7 +127,7 @@ func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(
 		cfg.Logf("shard: resuming after round %d (%d padded nets)", cp.Round, len(cp.Padding))
 	}
 	out, err := loop(from, func(st core.RoundState) {
-		save := &Checkpoint{
+		save := &checkpoint{
 			Token:   cfg.Token,
 			Round:   st.Round,
 			Padding: padEntries(st.Padding),
@@ -148,7 +137,7 @@ func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(
 		if !math.IsInf(st.PrevGrowth, 1) {
 			save.PrevGrowth = &st.PrevGrowth
 		}
-		if err := c.Save(save); err != nil {
+		if err := saveCheckpoint(dir, save); err != nil {
 			cfg.Logf("shard: checkpoint save for round %d failed (continuing): %v", st.Round, err)
 		}
 	})
@@ -156,7 +145,7 @@ func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(
 		return nil, err
 	}
 	out.Resumed = cp != nil
-	if err := c.Clear(cfg.Token); err != nil {
+	if err := ClearCheckpoint(dir, cfg.Token); err != nil {
 		cfg.Logf("shard: checkpoint clear failed: %v", err)
 	}
 	return out, nil

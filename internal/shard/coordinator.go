@@ -40,8 +40,9 @@ type Config struct {
 	// DispatchTimeout bounds each dispatch attempt (0 = only the run
 	// context limits it).
 	DispatchTimeout time.Duration
-	// Checkpointer persists round state for crash resume (nil = off).
-	Checkpointer Checkpointer
+	// CheckpointDir is where round state persists for crash resume, one
+	// file per Token ("" = off).
+	CheckpointDir string
 	// Logf receives coordinator progress and degradation logs (nil = quiet).
 	Logf func(format string, args ...any)
 }
@@ -232,7 +233,7 @@ func newRun(ctx context.Context, cfg Config) (*run, error) {
 
 // RunLocal is Run without workers: the same loop over the single-process
 // engine, under the same checkpoint discipline. Of cfg it reads B, Opts,
-// MaxRounds, Token, Checkpointer and Logf.
+// MaxRounds, Token, CheckpointDir and Logf.
 func RunLocal(ctx context.Context, cfg Config) (*Outcome, error) {
 	cfg.fill()
 	return cfg.checkpointed(func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error) {

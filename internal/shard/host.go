@@ -10,24 +10,34 @@ import (
 )
 
 // EngineSource supplies the bound design and the engine options for a run
-// token's shards on this host. spec is the init request's shipped design
-// (nil from a coordinator that expects the host to have its own). The
-// design may be shared by every engine of the token — a bound design is
-// immutable after binding apart from one internally guarded cache — so a
-// source should build it once per token; everything mutable (timing
-// annotation, padding, noise state) is private to each engine.
-type EngineSource func(ctx context.Context, token string, spec *DesignSpec) (*bind.Design, core.Options, error)
+// token's shards on this host, and release, which gives the design back.
+// spec is the init request's shipped design (nil from a coordinator that
+// expects the host to have its own). The Host calls a source on a token's
+// first init and shares what it returns with every engine of the token — a
+// bound design is immutable after binding apart from one internally
+// guarded cache; everything mutable (timing annotation, padding, noise
+// state) is private to each engine.
+type EngineSource func(ctx context.Context, spec *DesignSpec) (b *bind.Design, opts core.Options, release func(), err error)
 
 type slot struct { // keys one hosted engine
 	token string
 	shard int
 }
 
+// tokenDesign is what a token's engines on one host share: the design, its
+// engine options and the source's release for it.
+type tokenDesign struct {
+	b       *bind.Design
+	opts    core.Options
+	release func()
+}
+
 // Host keeps the shard runners one worker hosts, keyed by (run token,
-// shard), and executes protocol ops against them. Both worker kinds are a
-// Host behind a transport: InProc passes the coordinator's typed messages
-// straight through, snad's /v1/shard/{op} endpoint decodes and encodes the
-// binary wire form. Do is the only place ops are told apart.
+// shard), and the design each token's runners share, and executes protocol
+// ops against them. Both worker kinds are a Host behind a transport: InProc
+// passes the coordinator's typed messages straight through, snad's
+// /v1/shard/{op} endpoint decodes and encodes the binary wire form. Do is
+// the only place ops are told apart.
 //
 // A request addresses every shard of the worker that takes part in the step.
 // Do runs them concurrently and files each shard's error as that shard's
@@ -36,17 +46,15 @@ type slot struct { // keys one hosted engine
 // is returned as Do's error.
 type Host struct {
 	source EngineSource
-	// drop, when non-nil, is told when a token's last runner is gone, so
-	// the source can release what it holds for the token.
-	drop func(token string)
 
 	mu      sync.Mutex
 	runners map[slot]*Runner
+	designs map[string]*tokenDesign
 }
 
 // NewHost returns an empty host building engines from source.
-func NewHost(source EngineSource, drop func(token string)) *Host {
-	return &Host{source: source, drop: drop, runners: make(map[slot]*Runner)}
+func NewHost(source EngineSource) *Host {
+	return &Host{source: source, runners: make(map[slot]*Runner), designs: make(map[string]*tokenDesign)}
 }
 
 // Do executes the op that req (a pointer to a request type) asks for and
@@ -57,14 +65,13 @@ func (h *Host) Do(ctx context.Context, req any, rep *Reply) error {
 		if len(req.Inits) != len(req.Shards) {
 			break
 		}
-		// Once per request: every engine of the token shares the design.
-		b, opts, err := h.source(ctx, req.Token, req.Design)
+		d, err := h.design(ctx, req.Token, req.Design)
 		if err != nil {
 			return fatalUnlessCtx(err)
 		}
 		padding := padMap(req.Padding)
 		h.each(&req.Route, rep, false, func(i int, k slot, _ *Runner) error {
-			eng, err := core.NewShardEngine(ctx, b, opts, req.Plan, req.Inits[i].Owned, padding)
+			eng, err := core.NewShardEngine(ctx, d.b, d.opts, req.Plan, req.Inits[i].Owned, padding)
 			if err != nil {
 				return fatalUnlessCtx(err)
 			}
@@ -148,31 +155,50 @@ func (h *Host) each(at *Route, rep *Reply, hosted bool, fn func(i int, k slot, r
 	wg.Wait()
 }
 
-// close drops the token's runners — every runner for "" — then reports each
-// token left without one: the closed ones and token itself, which may hold a
-// design without an engine (an init whose every build failed). drop runs
-// under the host lock so a token's release is atomic with the disappearance
-// of its last engine.
+// design returns the token's shared design, asking the source on the
+// token's first init. The source runs outside the lock; when first inits
+// race, the loser releases its copy and takes the winner's. A failed source
+// call keeps nothing, so the next init tries again.
+func (h *Host) design(ctx context.Context, token string, spec *DesignSpec) (*tokenDesign, error) {
+	h.mu.Lock()
+	d := h.designs[token]
+	h.mu.Unlock()
+	if d != nil {
+		return d, nil
+	}
+	b, opts, release, err := h.source(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if prev := h.designs[token]; prev != nil {
+		release()
+		return prev, nil
+	}
+	d = &tokenDesign{b: b, opts: opts, release: release}
+	h.designs[token] = d
+	return d, nil
+}
+
+// close drops the token's runners and releases its design — every token's
+// for "". A token may hold a design without an engine (an init whose every
+// build failed); its close releases that one just the same. The release
+// runs under the host lock, so it is atomic with the disappearance of the
+// token's last engine.
 func (h *Host) close(token string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	gone := make(map[string]bool)
-	if token != "" {
-		gone[token] = true
-	}
 	for k, r := range h.runners {
 		if token == "" || k.token == token {
 			r.Close()
 			delete(h.runners, k)
-			gone[k.token] = true
 		}
 	}
-	for k := range h.runners {
-		delete(gone, k.token)
-	}
-	if h.drop != nil {
-		for token := range gone {
-			h.drop(token)
+	for t, d := range h.designs {
+		if token == "" || t == token {
+			d.release()
+			delete(h.designs, t)
 		}
 	}
 }

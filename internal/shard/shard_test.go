@@ -7,7 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -515,19 +518,19 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := &FileCheckpointer{Dir: t.TempDir()}
+	dir := t.TempDir()
 	growth := one.MaxPadding()
-	cp := &Checkpoint{Token: "resume", Round: 1, Padding: padEntries(one.Padding), PrevGrowth: &growth}
-	if err := ck.Save(cp); err != nil {
+	cp := &checkpoint{Token: "resume", Round: 1, Padding: padEntries(one.Padding), PrevGrowth: &growth}
+	if err := saveCheckpoint(dir, cp); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Run(context.Background(), Config{
-		B:            b,
-		Opts:         opts,
-		Workers:      inprocWorkers(mk, opts, 2),
-		Shards:       2,
-		Token:        "resume",
-		Checkpointer: ck,
+		B:             b,
+		Opts:          opts,
+		Workers:       inprocWorkers(mk, opts, 2),
+		Shards:        2,
+		Token:         "resume",
+		CheckpointDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -559,8 +562,46 @@ func TestCheckpointResume(t *testing.T) {
 		t.Errorf("resumed delay report differs from serial fixpoint")
 	}
 	// The completed run clears its checkpoint.
-	if cp, err := ck.Load("resume"); err != nil || cp != nil {
+	if cp, err := loadCheckpoint(dir, "resume"); err != nil || cp != nil {
 		t.Fatalf("checkpoint not cleared after completion: %v %v", cp, err)
+	}
+}
+
+// TestCheckpointFilesAreInjective: a token's file name escapes every byte
+// outside [A-Za-z0-9._-], '%' included, so tokens that differ only there —
+// sessions "a b" and "a_b" over one design — keep apart: clearing one
+// leaves the other's checkpoint in place.
+func TestCheckpointFilesAreInjective(t *testing.T) {
+	dir := t.TempDir()
+	tokens := []string{"iterate-a b-00", "iterate-a_b-00", "iterate-a%20b-00", "iterate-a/b-00", "iterate-a\x00b-00"}
+	files := map[string]string{}
+	for _, tok := range tokens {
+		f := ckptFile(dir, tok)
+		if prev, dup := files[f]; dup {
+			t.Fatalf("tokens %q and %q share checkpoint file %s", prev, tok, f)
+		}
+		if filepath.Dir(f) != dir {
+			t.Fatalf("token %q maps outside the checkpoint dir: %s", tok, f)
+		}
+		files[f] = tok
+		if err := saveCheckpoint(dir, &checkpoint{Token: tok, Round: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ClearCheckpoint(dir, "iterate-a_b-00"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tok := range tokens {
+		cp, err := loadCheckpoint(dir, tok)
+		if err != nil {
+			t.Fatalf("%q: %v", tok, err)
+		}
+		if gone := tok == "iterate-a_b-00"; (cp == nil) != gone {
+			t.Errorf("%q: checkpoint present=%v after clearing iterate-a_b-00", tok, cp != nil)
+		}
+	}
+	if got := filepath.Base(ckptFile(dir, "job-000001-0a1b")); got != "job-000001-0a1b.ckpt.json" {
+		t.Errorf("a job token's file is %s; the server's job-NNNNNN-* glob needs it unescaped", got)
 	}
 }
 
@@ -649,7 +690,7 @@ func TestRunnerEvalMemo(t *testing.T) {
 }
 
 // hostWorker is a bare Host behind the Worker interface — what snad's shard
-// endpoint is behind HTTP — whose runners and drop hook a test can see.
+// endpoint is behind HTTP — whose runners and designs a test can see.
 type hostWorker struct {
 	h      *Host
 	before func(op string)
@@ -663,6 +704,49 @@ func (w hostWorker) Do(ctx context.Context, op string, req, resp any) error {
 	return w.h.Do(ctx, req, rep)
 }
 
+// TestHostHoldsOneDesignPerToken: racing first inits of a token each ask
+// the source — it lets none return until all have asked — one design is
+// kept and every loser's copy is released at once; a token's close
+// releases the kept one, and no other token's.
+func TestHostHoldsOneDesignPerToken(t *testing.T) {
+	const inits = 16
+	b, opts := bindFixture(t, fixtures()["bus"])
+	var held atomic.Int64
+	var asked sync.WaitGroup
+	asked.Add(inits)
+	host := NewHost(func(context.Context, *DesignSpec) (*bind.Design, core.Options, func(), error) {
+		asked.Done()
+		asked.Wait()
+		held.Add(1)
+		return b, opts, func() { held.Add(-1) }, nil
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < inits; i++ {
+		wg.Add(1)
+		go func(token string) {
+			defer wg.Done()
+			if err := host.Do(context.Background(), &InitRequest{Route: Route{Token: token}}, &Reply{}); err != nil {
+				t.Error(err)
+			}
+		}([]string{"a", "b"}[i%2])
+	}
+	wg.Wait()
+	for _, step := range []struct {
+		what  string
+		close func()
+		want  int64
+	}{
+		{"racing inits of a and b", func() {}, 2},
+		{"closing a", func() { host.Do(context.Background(), &CloseRequest{Route{Token: "a"}}, nil) }, 1},
+		{"CloseAll", host.CloseAll, 0},
+	} {
+		step.close()
+		if got := held.Load(); got != step.want {
+			t.Errorf("after %s: %d design(s) held, want %d", step.what, got, step.want)
+		}
+	}
+}
+
 // TestRunReleasesWorkersOnEveryExit: a run that fails or is cancelled must
 // close its engines and release its token's design exactly as a finished one
 // does — a job iterate's token is unique, so nothing else ever would.
@@ -670,9 +754,9 @@ func TestRunReleasesWorkersOnEveryExit(t *testing.T) {
 	b, opts := bindFixture(t, fixtures()["bus"])
 	for _, cancelAtEval := range []int{3, 0} {
 		drops := 0
-		host := NewHost(func(context.Context, string, *DesignSpec) (*bind.Design, core.Options, error) {
-			return b, opts, nil
-		}, func(string) { drops++ })
+		host := NewHost(func(context.Context, *DesignSpec) (*bind.Design, core.Options, func(), error) {
+			return b, opts, func() { drops++ }, nil
+		})
 		ctx, cancel := context.WithCancel(context.Background())
 		evals := 0
 		w := hostWorker{h: host, before: func(op string) {
@@ -688,7 +772,7 @@ func TestRunReleasesWorkersOnEveryExit(t *testing.T) {
 			t.Fatalf("cancel at eval %d: run returned %v", cancelAtEval, err)
 		}
 		if n := len(host.runners); n != 0 || drops != 1 {
-			t.Errorf("cancel at eval %d: %d runner(s) left on the worker, drop hook fired %d time(s); want 0 and 1",
+			t.Errorf("cancel at eval %d: %d runner(s) left on the worker, design released %d time(s); want 0 and 1",
 				cancelAtEval, n, drops)
 		}
 	}
@@ -715,9 +799,9 @@ func TestIdleStepsAreNotDispatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	w := hostWorker{h: NewHost(func(context.Context, string, *DesignSpec) (*bind.Design, core.Options, error) {
-		return b, opts, nil
-	}, nil), before: func(string) { calls++ }}
+	w := hostWorker{h: NewHost(func(context.Context, *DesignSpec) (*bind.Design, core.Options, func(), error) {
+		return b, opts, func() {}, nil
+	}), before: func(string) { calls++ }}
 	got, err := Run(context.Background(), Config{B: b, Opts: opts, Workers: []Worker{w}, Shards: 4, Token: "idle"})
 	if err != nil {
 		t.Fatal(err)
@@ -869,9 +953,9 @@ func TestPositionsAreChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := int32(len(plan.Order))
-	host := NewHost(func(context.Context, string, *DesignSpec) (*bind.Design, core.Options, error) {
-		return b, opts, nil
-	}, nil)
+	host := NewHost(func(context.Context, *DesignSpec) (*bind.Design, core.Options, func(), error) {
+		return b, opts, func() {}, nil
+	})
 	defer host.CloseAll()
 	at := Route{Token: "pos", Shards: []int{0}}
 	fatal := func(what string, req any) {

@@ -149,20 +149,31 @@ type PadEntry struct {
 	Pad float64 `json:"pad"`
 }
 
-// OptionsSpec is the subset of analysis options a remote worker needs to
-// rebuild the coordinator's engine configuration (the snad session options).
+// OptionsSpec is the service's analysis options, the knobs of the sna CLI:
+// a session's create request carries them as JSON, and a coordinator ships
+// them to remote workers in the binary init frame.
 type OptionsSpec struct {
-	Mode             string
-	Threshold        float64
-	NoPropagation    bool
-	LogicCorrelation bool
-	Workers          int
-	FailFast         bool
+	// Mode is the combination policy: "all", "timing", or "noise"
+	// (default).
+	Mode string `json:"mode,omitempty"`
+	// Threshold is the aggressor coupling-ratio filter threshold.
+	Threshold float64 `json:"threshold,omitempty"`
+	// NoPropagation disables noise propagation through gates.
+	NoPropagation bool `json:"noPropagation,omitempty"`
+	// LogicCorrelation enables mutual-exclusion aggressor filtering.
+	LogicCorrelation bool `json:"logicCorrelation,omitempty"`
+	// Workers sets the engine's parallel worker count (0 = serial).
+	Workers int `json:"workers,omitempty"`
+	// FailFast aborts a request on the first per-net failure instead of
+	// degrading fail-soft. Fail-soft is the service default: one bad
+	// victim must not take down the query.
+	FailFast bool `json:"failFast,omitempty"`
 }
 
-// DesignSpec ships the design sources to a remote worker so it can bind
-// and analyze the same inputs the coordinator holds. In-process workers
-// ignore it (they carry their own BuildDesign source).
+// DesignSpec is one design as the service knows it: the sources and the
+// options. A session keeps the one it was built from, and a coordinator
+// ships it to remote workers so they bind and analyze the same inputs.
+// In-process workers ignore it (they carry their own BuildDesign source).
 type DesignSpec struct {
 	Netlist string
 	Verilog string

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/bind"
 	"repro/internal/core"
@@ -26,35 +25,28 @@ type Worker interface {
 }
 
 // BuildDesign supplies an in-process worker's bound design, shared by
-// every shard engine the worker hosts (see EngineSource), mirroring a
-// remote snad worker caching one parsed design per run token. build must
+// every shard engine of a run token the worker hosts (see EngineSource),
+// as a remote snad worker shares one cached design per token. build must
 // produce an identical design every call — the coordinator's byte-identity
 // guarantee rides on every engine seeing the same inputs.
 type BuildDesign func(ctx context.Context) (*bind.Design, error)
 
 // InProc is a worker running in the coordinator's own process: a Host
-// whose engines all share one bound design, handed the coordinator's typed
-// requests and responses as they are — nothing is copied or encoded.
+// whose engines share the design build returns, handed the coordinator's
+// typed requests and responses as they are — nothing is copied or encoded.
 type InProc struct {
-	name  string
-	build BuildDesign
-	host  *Host
-
-	mu sync.Mutex
-	// b is the worker's shared bound design, built on first shard init.
-	b *bind.Design
+	name string
+	host *Host
 }
 
-// NewInProc returns an in-process worker that builds its design once, on
-// the first shard init, and shares it across every engine it hosts. opts
+// NewInProc returns an in-process worker that builds its design on a run
+// token's first shard init and shares it across the token's engines. opts
 // is copied per engine.
 func NewInProc(name string, build BuildDesign, opts core.Options) *InProc {
-	w := &InProc{name: name, build: build}
-	w.host = NewHost(func(ctx context.Context, _ string, _ *DesignSpec) (*bind.Design, core.Options, error) {
-		b, err := w.design(ctx)
-		return b, opts, err
-	}, nil)
-	return w
+	return &InProc{name: name, host: NewHost(func(ctx context.Context, _ *DesignSpec) (*bind.Design, core.Options, func(), error) {
+		b, err := build(ctx)
+		return b, opts, func() {}, err
+	})}
 }
 
 // Name implements Worker.
@@ -62,30 +54,6 @@ func (w *InProc) Name() string { return w.name }
 
 // Ping implements Worker; an in-process worker is alive by construction.
 func (w *InProc) Ping(ctx context.Context) error { return ctx.Err() }
-
-// design returns the worker's shared bound design, building it on first
-// use. Only a successful build is cached — a cancelled or failed build
-// must stay retryable. Concurrent first inits may build twice; the first
-// store wins and the loser's copy is dropped (identical by contract).
-func (w *InProc) design(ctx context.Context) (*bind.Design, error) {
-	w.mu.Lock()
-	b := w.b
-	w.mu.Unlock()
-	if b != nil {
-		return b, nil
-	}
-	b, err := w.build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	if w.b == nil {
-		w.b = b
-	}
-	b = w.b
-	w.mu.Unlock()
-	return b, nil
-}
 
 // Do implements Worker on the worker's Host; the request's type says the op.
 func (w *InProc) Do(ctx context.Context, _ string, req, resp any) error {

@@ -1,10 +1,11 @@
 // Package planted breaks every source gate once, so gates_test.go can show
 // each gate fails. The decoys in comments and strings must not count:
 // map[string]int, http.StatusNotFound, report.BuildJSON(res),
-// "repro/internal/chaos".
+// "repro/internal/chaos", sha256.Sum256(spec).
 package planted
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"net/http"
 
@@ -14,7 +15,7 @@ import (
 
 var byName map[string]int
 
-const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res)"
+const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New()"
 
 // prepare reaches for an injector from product code.
 var prepare = chaos.RuntimeFaults{Panic: []string{"*"}}.Hook()
@@ -39,3 +40,6 @@ func marshalHead(j storedJob) ([]byte, error) {
 	j.Result = nil
 	return json.Marshal(&j)
 }
+
+// specDigest hashes a spec a second time, outside the one key function.
+func specDigest(spec []byte) [sha256.Size]byte { return sha256.Sum256(spec) }

@@ -395,22 +395,7 @@ func exportData(t *testing.T, pkgs ...string) map[string]string {
 // to nil on that variable first.
 func marshalsStored(t *testing.T, exports map[string]string, files []string) []string {
 	t.Helper()
-	fset := token.NewFileSet()
-	var parsed []*ast.File
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parsed = append(parsed, f)
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
-	if _, err := conf.Check(parsed[0].Name.Name, fset, parsed, info); err != nil {
-		t.Fatalf("type-checking %v: %v", files, err)
-	}
+	fset, parsed, _, info := typeCheck(t, exports, files)
 	var out []string
 	for _, f := range parsed {
 		for _, d := range f.Decls {
@@ -466,6 +451,161 @@ func marshalsStored(t *testing.T, exports map[string]string, files []string) []s
 			})
 		}
 	}
+	return out
+}
+
+// typeCheck parses files, one package, and type-checks them against the
+// export data of the packages they import.
+func typeCheck(t *testing.T, exports map[string]string, files []string) (*token.FileSet, []*ast.File, *types.Package, *types.Info) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var parsed []*ast.File
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, f)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	pkg, err := conf.Check(parsed[0].Name.Name, fset, parsed, info)
+	if err != nil {
+		t.Fatalf("type-checking %v: %v", files, err)
+	}
+	return fset, parsed, pkg, info
+}
+
+// TestGateDesignHoldsNoPointers is the pointer-free design gate: the
+// design database is resident from the first parsed line to the last
+// victim, so nothing it stores may be something the collector traces.
+// Every element of every table reachable from netlist.Design — record
+// chunks, the name arena, the name index, the connection-list pool, the
+// cached views — is free of pointers, strings, slices, maps, interfaces,
+// chans and funcs. And the engines keep netlist IDs: no struct field or
+// slice element of non-test core, sta, noise or bind is a pointer into the
+// netlist (the *netlist.Design they analyze aside).
+func TestGateDesignHoldsNoPointers(t *testing.T) {
+	exports := exportData(t, "./internal/netlist", "./internal/server", "./internal/jobs", "./internal/chaos")
+	if got := pointerElements(t, exports, []string{planted}); len(got) != 1 {
+		t.Fatalf("%s: %d pointer-bearing design elements found, want the 1 outside its decoys: %v", planted, len(got), got)
+	}
+	if got := pointerElements(t, exports, goFiles(t, "internal/netlist")); len(got) > 0 {
+		t.Errorf("the design stores elements the collector must scan:\n%s", strings.Join(got, "\n"))
+	}
+
+	if got := netlistPointers(t, []string{planted}); len(got) != 1 {
+		t.Fatalf("%s: %d pointers into the netlist found, want the 1 outside its decoys: %v", planted, len(got), got)
+	}
+	files := goFiles(t, "internal/core", "internal/sta", "internal/noise", "internal/bind")
+	if got := netlistPointers(t, files); len(got) > 0 {
+		t.Errorf("the engines store pointers into the netlist:\n%s", strings.Join(got, "\n"))
+	}
+	if got := netlistPointers(t, append(files, planted)); len(got) == 0 {
+		t.Errorf("the netlist-pointer gate passes with %s added", planted)
+	}
+}
+
+// pointerElements type-checks files, one package, and names every table
+// element reachable from its Design type that holds a pointer. A table is
+// any slice reached through Design's fields, pointers and nested structs;
+// its element is what remains after peeling nested slices (a chunk
+// directory of chunks of records has the record as its element).
+func pointerElements(t *testing.T, exports map[string]string, files []string) []string {
+	t.Helper()
+	_, _, pkg, _ := typeCheck(t, exports, files)
+	design := pkg.Scope().Lookup("Design")
+	if design == nil {
+		t.Fatalf("%v: no Design type", files)
+	}
+	var out []string
+	seen := map[types.Type]bool{}
+	var walk func(typ types.Type, path string)
+	walk = func(typ types.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch u := typ.Underlying().(type) {
+		case *types.Pointer:
+			walk(u.Elem(), path)
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				walk(u.Field(i).Type(), path+"."+u.Field(i).Name())
+			}
+		case *types.Slice:
+			elem := u.Elem()
+			for s, ok := elem.Underlying().(*types.Slice); ok; s, ok = elem.Underlying().(*types.Slice) {
+				elem = s.Elem()
+			}
+			if holdsPointer(elem) {
+				out = append(out, path+": "+elem.String())
+			}
+		}
+	}
+	walk(design.Type(), "Design")
+	return out
+}
+
+// holdsPointer reports whether a value of typ holds anything the
+// collector traces.
+func holdsPointer(typ types.Type) bool {
+	switch u := typ.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() == types.String || u.Kind() == types.UnsafePointer
+	case *types.Array:
+		return holdsPointer(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsPointer(u.Field(i).Type()) {
+				return true
+			}
+		}
+		return false
+	}
+	return true // pointer, slice, map, interface, chan, func
+}
+
+// netlistPointers returns the position of every *netlist.X other than
+// *netlist.Design that is a struct field's type, part of one (a func
+// field's signature aside), or a slice's element.
+func netlistPointers(t *testing.T, files []string) []string {
+	found := map[string]bool{}
+	var out []string
+	note := func(fset *token.FileSet, e ast.Expr) {
+		star, ok := e.(*ast.StarExpr)
+		if !ok {
+			return
+		}
+		sel, ok := star.X.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "netlist" && sel.Sel.Name != "Design" {
+			if pos := fset.Position(star.Pos()).String(); !found[pos] {
+				found[pos] = true
+				out = append(out, pos)
+			}
+		}
+	}
+	inspect(t, files, func(fset *token.FileSet, _ string, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.ArrayType:
+			note(fset, n.Elt)
+		case *ast.StructType:
+			for _, f := range n.Fields.List {
+				ast.Inspect(f.Type, func(m ast.Node) bool {
+					if e, ok := m.(ast.Expr); ok {
+						note(fset, e)
+					}
+					_, fn := m.(*ast.FuncType)
+					return !fn
+				})
+			}
+		}
+	})
 	return out
 }
 

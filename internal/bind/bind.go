@@ -34,16 +34,16 @@ type Design struct {
 	Net *netlist.Design
 	Lib *liberty.Library
 
-	cells []*liberty.Cell // indexed by netlist.Inst.ID()
-	rc    *rc.DB          // every net's parasitics, by netlist.Net.ID()
+	cells []*liberty.Cell // indexed by netlist.InstID
+	rc    *rc.DB          // every net's parasitics, by netlist.NetID
 	// connNode is the node of its net each connection lands on, by
-	// netlist.Conn.ID(); -1 for a pin the extractor omitted, whose cap is
+	// netlist.ConnID; -1 for a pin the extractor omitted, whose cap is
 	// lumped at the driver.
 	connNode []int32
 	// The rare leftovers of binding by name: why a net's tree reduction
 	// failed, by net ID, and the names of coupling partners the netlist
 	// does not have, by victim net ID << 32 | index in Couplings.
-	fails     map[int32]error
+	fails     map[netlist.NetID]error
 	strangers map[int64]string
 }
 
@@ -66,7 +66,7 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 		Lib:       lib,
 		cells:     make([]*liberty.Cell, d.NumInsts()),
 		connNode:  make([]int32, d.NumConns()),
-		fails:     make(map[int32]error),
+		fails:     make(map[netlist.NetID]error),
 		strangers: make(map[int64]string),
 	}
 	// The loops fan out over the cores: an iteration reads the (immutable)
@@ -77,24 +77,24 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 	insts := d.Insts()
 	err := par.For(ctx, len(insts), workers, parallelBelow, func(i int) error {
 		inst := insts[i]
-		cell, err := lib.ResolveCell(inst.Name, inst.Cell)
+		cell, err := lib.ResolveCell(d.InstName(inst), d.CellName(inst))
 		if err != nil {
 			return fmt.Errorf("bind: %w", err)
 		}
 		// Pin-name order, so an instance with two bad pins reports the
 		// same one on every run.
-		for _, conn := range inst.Pins() {
-			pin := cell.Pin(conn.Pin)
+		for _, conn := range d.Pins(inst) {
+			pin := cell.Pin(d.Pin(conn))
 			if pin == nil {
-				return fmt.Errorf("bind: %s.%s: cell %s has no such pin", inst.Name, conn.Pin, cell.Name)
+				return fmt.Errorf("bind: %s: cell %s has no such pin", d.ConnName(conn), cell.Name)
 			}
 			wantOut := pin.Dir == liberty.Output
-			isOut := conn.Dir == netlist.Out
+			isOut := d.Conn(conn).Dir == netlist.Out
 			if wantOut != isOut {
-				return fmt.Errorf("bind: %s.%s: direction mismatch with cell %s", inst.Name, conn.Pin, cell.Name)
+				return fmt.Errorf("bind: %s: direction mismatch with cell %s", d.ConnName(conn), cell.Name)
 			}
 		}
-		b.cells[inst.ID()] = cell
+		b.cells[inst] = cell
 		return nil
 	})
 	if err != nil {
@@ -108,19 +108,20 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 	err = par.ForWorker(ctx, len(nets), workers, parallelBelow, func(w, i int) error {
 		net, nb := nets[i], &scratch[w].Builder
 		if p != nil {
-			extracted[net.ID()] = p.Net(net.Name)
+			extracted[net] = p.Net(d.NetName(net))
 		}
-		sn := extracted[net.ID()]
+		sn := extracted[net]
 		if sn == nil {
 			// Lumped: the driver's node, and one per load behind a
 			// negligible resistor.
-			sizes[net.ID()] = rc.Sizes{Nodes: 1 + len(net.Loads()), Ress: len(net.Loads())}
+			loads := len(d.Loads(net))
+			sizes[net] = rc.Sizes{Nodes: 1 + loads, Ress: loads}
 			return nil
 		}
 		if _, err := read(nb, sn); err != nil {
 			return err
 		}
-		sizes[net.ID()] = nb.Sizes()
+		sizes[net] = nb.Sizes()
 		return nil
 	})
 	if err != nil {
@@ -132,7 +133,7 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 	// Assemble, resolve and reduce every net.
 	var mu sync.Mutex // guards fails and strangers
 	err = par.ForWorker(ctx, len(nets), workers, parallelBelow, func(w, i int) error {
-		b.compile(nets[i], extracted[nets[i].ID()], &scratch[w], &mu)
+		b.compile(nets[i], extracted[nets[i]], &scratch[w], &mu)
 		return nil
 	})
 	return b, err
@@ -177,113 +178,111 @@ func read(nb *rc.Builder, sn *spef.Net) (root int32, err error) {
 // stand-in — resolves its connections to nodes, attaches the receiver pin
 // capacitances, commits it, reduced, to the database, and resolves its
 // coupling partners to nets. What names leave behind goes in under mu.
-func (b *Design) compile(net *netlist.Net, sn *spef.Net, nb *netScratch, mu *sync.Mutex) {
-	root := int32(0)
+func (b *Design) compile(net netlist.NetID, sn *spef.Net, nb *netScratch, mu *sync.Mutex) {
+	d, root := b.Net, int32(0)
 	if sn == nil {
-		nb.Reset(net.Name)
+		nb.Reset(d.NetName(net))
 		nb.SetRoot(nb.Anon())
-		if drv := net.Driver(); drv != nil {
-			b.connNode[drv.ID()] = root
+		if drv := d.Driver(net); drv >= 0 {
+			b.connNode[drv] = root
 		}
-		for _, lc := range net.Loads() {
-			b.connNode[lc.ID()] = nb.Anon()
-			nb.AddRes(root, b.connNode[lc.ID()], 1e-3)
+		for _, lc := range d.Loads(net) {
+			b.connNode[lc] = nb.Anon()
+			nb.AddRes(root, b.connNode[lc], 1e-3)
 		}
 	} else {
 		root, _ = read(&nb.Builder, sn) // cannot fail: it did not when sizing
-		for _, c := range net.Conns {
+		for _, c := range d.NetConns(net) {
 			// The extractor names a connection's node "inst:pin", or by
 			// the bare port name.
-			if c.Inst == nil {
-				b.connNode[c.ID()] = rc.Find(&nb.Builder, c.Port)
-				continue
+			if inst := d.Conn(c).Inst; inst >= 0 {
+				nb.pin = append(append(append(nb.pin[:0], d.InstName(inst)...), ':'), d.Pin(c)...)
+				b.connNode[c] = rc.Find(&nb.Builder, nb.pin)
+			} else {
+				b.connNode[c] = rc.Find(&nb.Builder, d.Pin(c))
 			}
-			nb.pin = append(append(append(nb.pin[:0], c.Inst.Name...), ':'), c.Pin...)
-			b.connNode[c.ID()] = rc.Find(&nb.Builder, nb.pin)
 		}
 	}
-	for _, lc := range net.Loads() {
-		if lc.Inst == nil {
+	for _, lc := range d.Loads(net) {
+		inst := d.Conn(lc).Inst
+		if inst < 0 {
 			continue // output port: no pin cap
 		}
-		node := b.connNode[lc.ID()]
+		node := b.connNode[lc]
 		if node < 0 {
 			// Extractor omitted the pin node; lump the cap at the
 			// driver so it still loads the net.
 			node = root
 		}
-		nb.AddLoadCap(node, b.cells[lc.Inst.ID()].Pin(lc.Pin).Cap)
+		nb.AddLoadCap(node, b.cells[inst].Pin(d.Pin(lc)).Cap)
 	}
-	failed := nb.Commit(b.rc, net.ID())
-	groups := b.rc.Groups(net.ID())
+	failed := nb.Commit(b.rc, int32(net))
+	groups := b.rc.Groups(int32(net))
 	for g, name := range nb.Partners() {
-		if agg := b.Net.FindNet(name); agg != nil {
-			groups[g].Agg = agg.ID()
-			continue
+		groups[g].Agg = int32(d.FindNet(name))
+		if groups[g].Agg < 0 {
+			mu.Lock()
+			b.strangers[int64(net)<<32|int64(g)] = name
+			mu.Unlock()
 		}
-		groups[g].Agg = -1
-		mu.Lock()
-		b.strangers[int64(net.ID())<<32|int64(g)] = name
-		mu.Unlock()
 	}
 	if failed != nil {
 		mu.Lock()
-		b.fails[net.ID()] = failed
+		b.fails[net] = failed
 		mu.Unlock()
 	}
 }
 
 // NetworkOf returns the RC record of a net of the bound netlist: its
 // capacitances, and the scalars of its tree reduction.
-func (b *Design) NetworkOf(n *netlist.Net) *rc.Network { return b.rc.Net(n.ID()) }
+func (b *Design) NetworkOf(n netlist.NetID) *rc.Network { return b.rc.Net(int32(n)) }
 
 // AnalysisOf returns the RC tree analysis of a net of the bound netlist,
 // computed by New, or the reason the net's resistors could not be reduced.
-func (b *Design) AnalysisOf(n *netlist.Net) (rc.Analysis, error) {
-	if !b.rc.Net(n.ID()).Reduced() {
-		return rc.Analysis{}, b.fails[n.ID()]
+func (b *Design) AnalysisOf(n netlist.NetID) (rc.Analysis, error) {
+	if !b.rc.Net(int32(n)).Reduced() {
+		return rc.Analysis{}, b.fails[n]
 	}
-	return b.rc.Analysis(n.ID()), nil
+	return b.rc.Analysis(int32(n)), nil
 }
 
 // NodeOf returns the node of its net a connection lands on, or -1 for a
 // pin the extractor omitted (its cap is lumped at the driver).
-func (b *Design) NodeOf(c *netlist.Conn) int32 { return b.connNode[c.ID()] }
+func (b *Design) NodeOf(c netlist.ConnID) int32 { return b.connNode[c] }
 
 // Couplings returns a net's couplings grouped per partner net, ordered by
 // partner name. A group's Agg is the partner's net ID, or -1 when the
 // netlist has no such net; Stranger then gives its name.
-func (b *Design) Couplings(n *netlist.Net) []rc.Group { return b.rc.Groups(n.ID()) }
+func (b *Design) Couplings(n netlist.NetID) []rc.Group { return b.rc.Groups(int32(n)) }
 
 // Stranger names the partner of net n's i-th coupling group when the
 // netlist does not have it.
-func (b *Design) Stranger(n *netlist.Net, i int) string {
-	return b.strangers[int64(n.ID())<<32|int64(i)]
+func (b *Design) Stranger(n netlist.NetID, i int) string {
+	return b.strangers[int64(n)<<32|int64(i)]
 }
 
 // Cell resolves an instance's library cell (known valid after New).
-func (b *Design) Cell(inst *netlist.Inst) *liberty.Cell {
-	return b.cells[inst.ID()]
+func (b *Design) Cell(inst netlist.InstID) *liberty.Cell {
+	return b.cells[inst]
 }
 
-// DriverCell returns the cell and connection driving a net, or nil for
-// port-driven nets.
-func (b *Design) DriverCell(net *netlist.Net) (*liberty.Cell, *netlist.Conn) {
-	drv := net.Driver()
-	if drv == nil || drv.Inst == nil {
-		return nil, drv
+// DriverCell returns the cell driving a net, or nil for port-driven and
+// undriven nets.
+func (b *Design) DriverCell(net netlist.NetID) *liberty.Cell {
+	if inst := b.Net.DriverInst(net); inst >= 0 {
+		return b.cells[inst]
 	}
-	return b.Cell(drv.Inst), drv
+	return nil
 }
 
 // WireDelayTo returns the Elmore delay from a net's driver to a load
 // connection's pin node.
-func (b *Design) WireDelayTo(lc *netlist.Conn) (float64, error) {
-	a, err := b.AnalysisOf(lc.Net)
+func (b *Design) WireDelayTo(lc netlist.ConnID) (float64, error) {
+	a, err := b.AnalysisOf(b.Net.Conn(lc).Net)
 	if err != nil {
 		return 0, err
 	}
-	node := b.connNode[lc.ID()]
+	node := b.connNode[lc]
 	if node < 0 {
 		// Pin cap was lumped at the driver; no extra wire delay.
 		return 0, nil
@@ -294,8 +293,8 @@ func (b *Design) WireDelayTo(lc *netlist.Conn) (float64, error) {
 // HoldRes returns the holding resistance of a net's driver — the quiet
 // victim's fight against injected charge. Port-driven nets use a strong
 // default (the tester's source impedance) of 50 Ω.
-func (b *Design) HoldRes(net *netlist.Net) float64 {
-	cell, _ := b.DriverCell(net)
+func (b *Design) HoldRes(net netlist.NetID) float64 {
+	cell := b.DriverCell(net)
 	if cell == nil {
 		return 50
 	}
@@ -304,8 +303,8 @@ func (b *Design) HoldRes(net *netlist.Net) float64 {
 
 // DriveRes returns the switching drive resistance of a net's driver, with
 // the same 50 Ω default for ports.
-func (b *Design) DriveRes(net *netlist.Net) float64 {
-	cell, _ := b.DriverCell(net)
+func (b *Design) DriveRes(net netlist.NetID) float64 {
+	cell := b.DriverCell(net)
 	if cell == nil {
 		return 50
 	}

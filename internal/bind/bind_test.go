@@ -73,8 +73,8 @@ func TestBindWithSPEF(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := b.NetworkOf(d.FindNet("mid"))
-	if a, err := b.AnalysisOf(d.FindNet("mid")); err != nil || nw.NumNodes() != 3 || a.Res(b.NodeOf(d.FindNet("mid").Driver())) != 0 {
-		t.Fatalf("%d nodes, driver u0:Y on node %d, error %v", nw.NumNodes(), b.NodeOf(d.FindNet("mid").Driver()), err)
+	if a, err := b.AnalysisOf(d.FindNet("mid")); err != nil || nw.NumNodes() != 3 || a.Res(b.NodeOf(d.Driver(d.FindNet("mid")))) != 0 {
+		t.Fatalf("%d nodes, driver u0:Y on node %d, error %v", nw.NumNodes(), b.NodeOf(d.Driver(d.FindNet("mid"))), err)
 	}
 	// Load cap = wire 3fF + coupling 1fF + u1 pin cap.
 	pinCap := genericCell(t, "INV_X2").Pin("A").Cap
@@ -84,8 +84,8 @@ func TestBindWithSPEF(t *testing.T) {
 		t.Fatalf("TotalCap = %g, want %g", got, want)
 	}
 	// Wire delay to the receiver pin is positive.
-	var loadConn *netlist.Conn
-	for _, lc := range d.FindNet("mid").Loads() {
+	var loadConn netlist.ConnID
+	for _, lc := range d.Loads(d.FindNet("mid")) {
 		loadConn = lc
 	}
 	wd, err := b.WireDelayTo(loadConn)
@@ -267,12 +267,12 @@ func TestPinNode(t *testing.T) {
 		}
 		// Nodes number in order of first mention: u0:Y, then the resistor ends.
 		want := map[string]int32{"u0.Y": 0, "u1.A": 5, "u2.A": -1}
-		for _, c := range d.FindNet("mid").Conns {
-			if got := b.NodeOf(c); got != want[c.Name()] {
-				t.Errorf("%d nodes: %s on node %d, want %d", len(names), c.Name(), got, want[c.Name()])
+		for _, c := range d.NetConns(d.FindNet("mid")) {
+			if got := b.NodeOf(c); got != want[d.ConnName(c)] {
+				t.Errorf("%d nodes: %s on node %d, want %d", len(names), d.ConnName(c), got, want[d.ConnName(c)])
 			}
 		}
-		if got := b.NodeOf(d.FindNet("in").Driver()); got != 0 {
+		if got := b.NodeOf(d.Driver(d.FindNet("in"))); got != 0 {
 			t.Errorf("port in on node %d of its lumped net, want the root", got)
 		}
 	}

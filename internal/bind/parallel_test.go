@@ -41,17 +41,17 @@ func TestNewParallelMatchesSerial(t *testing.T) {
 	}
 	for _, n := range g.Design.Nets() {
 		if !reflect.DeepEqual(par.NetworkOf(n), ser.NetworkOf(n)) || !reflect.DeepEqual(par.Couplings(n), ser.Couplings(n)) {
-			t.Fatalf("net %s: parallel bind built a different network", n.Name)
+			t.Fatalf("net %s: parallel bind built a different network", g.Design.NetName(n))
 		}
 		pa, _ := par.AnalysisOf(n)
 		sa, _ := ser.AnalysisOf(n)
 		for i := int32(0); int(i) < pa.NumNodes(); i++ {
 			if pa.Elmore(i) != sa.Elmore(i) || pa.M2(i) != sa.M2(i) || pa.Res(i) != sa.Res(i) {
-				t.Fatalf("net %s node %d: parallel bind reduced it differently", n.Name, i)
+				t.Fatalf("net %s node %d: parallel bind reduced it differently", g.Design.NetName(n), i)
 			}
 		}
-		if inst := n.Driver().Inst; inst != nil && par.Cell(inst) != ser.Cell(inst) {
-			t.Fatalf("net %s: driver cell differs", n.Name)
+		if inst := g.Design.DriverInst(n); inst >= 0 && par.Cell(inst) != ser.Cell(inst) {
+			t.Fatalf("net %s: driver cell differs", g.Design.NetName(n))
 		}
 	}
 }
@@ -92,8 +92,8 @@ func TestAnalysisOfConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, n := range nets {
-				if a, err := b.AnalysisOf(n); err != nil || a.NumNodes() == 0 || a.Elmore(b.NodeOf(n.Driver())) != 0 {
-					t.Errorf("net %s: analysis %v, error %v", n.Name, a, err)
+				if a, err := b.AnalysisOf(n); err != nil || a.NumNodes() == 0 || a.Elmore(b.NodeOf(g.Design.Driver(n))) != 0 {
+					t.Errorf("net %s: analysis %v, error %v", g.Design.NetName(n), a, err)
 					return
 				}
 			}
@@ -104,7 +104,7 @@ func TestAnalysisOfConcurrent(t *testing.T) {
 		a1, _ := b.AnalysisOf(n)
 		a2, _ := b.AnalysisOf(n)
 		if a1 != a2 {
-			t.Fatalf("net %s: two calls returned two analyses", n.Name)
+			t.Fatalf("net %s: two calls returned two analyses", g.Design.NetName(n))
 		}
 	}
 }
@@ -123,7 +123,7 @@ func TestAllocationGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := g.Design.FindNet(workload.MiddleBusNet(4096))
-	load := net.Loads()[0]
+	load := g.Design.Loads(net)[0]
 	var sink float64
 	for name, fn := range map[string]func(){
 		"NetworkOf":   func() { sink += b.NetworkOf(net).TotalCap() },

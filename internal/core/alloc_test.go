@@ -27,7 +27,7 @@ func TestVictimAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := b.Net.FindNet("v")
-	pos := int(a.posByID[net.ID()])
+	pos := int(a.posByID[net])
 	sc := &a.scratch[0]
 	want := res.slab[pos].Comb
 	if len(want[KindLow].Members) != 2 {
@@ -35,7 +35,7 @@ func TestVictimAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		// Forget the victim, then do what a first analysis does for it.
-		a.ctxs[pos], a.coupled[pos], res.slab[pos] = nil, [2][]Event{}, NetNoise{Net: net.Name}
+		a.ctxs[pos], a.coupled[pos], res.slab[pos] = nil, [2][]Event{}, NetNoise{Net: "v"}
 		a.prepared.clear(pos)
 		p, err := a.safePrepare(pos, sc)
 		if err := a.commitPrepared(pos, &p, err); err != nil {

@@ -145,7 +145,7 @@ type analyzer struct {
 	// net ID back to its position (-1: not analyzed); waves partitions
 	// order into level wavefronts; sortedPos lists the positions in the
 	// alphabetical net order the violation check walks.
-	order     []*netlist.Net
+	order     []netlist.NetID
 	posByID   []int32
 	waves     []Wave
 	sortedPos []int32
@@ -251,7 +251,7 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 	a.prepCounts = make([]prepCount, n)
 	a.propCount = make([]int, n)
 	a.degraded = make([]bool, n)
-	a.waves = wavesOf(a.order)
+	a.waves = wavesOf(b.Net, a.order)
 	return a, nil
 }
 
@@ -259,34 +259,39 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 // the victim order, and the per-net strings the hot loops would otherwise
 // concatenate on every evaluation.
 func (a *analyzer) indexOrder() {
-	a.posByID, a.sortedPos = orderIndex(a.b.Net.NumNets(), a.order)
+	a.posByID, a.sortedPos = orderIndex(a.b.Net, a.order)
 	a.propSrc = make([]string, len(a.posByID))
 	for _, net := range a.order {
-		a.propSrc[net.ID()] = "prop:" + net.Name
+		a.propSrc[net] = "prop:" + a.b.Net.NetName(net)
 	}
 }
 
-// orderIndex returns, for a victim order over a design of nets nets, each net
-// ID's position (-1: not analyzed) and the positions in alphabetical net order.
-func orderIndex(nets int, order []*netlist.Net) (posByID, sortedPos []int32) {
-	posByID, sortedPos = make([]int32, nets), make([]int32, len(order))
+// orderIndex returns, for a victim order over design d, each net ID's
+// position (-1: not analyzed) and the positions in alphabetical net order.
+func orderIndex(d *netlist.Design, order []netlist.NetID) (posByID, sortedPos []int32) {
+	posByID, sortedPos = make([]int32, d.NumNets()), make([]int32, 0, len(order))
 	for id := range posByID {
 		posByID[id] = -1
 	}
 	for i, net := range order {
-		posByID[net.ID()], sortedPos[i] = int32(i), int32(i)
+		posByID[net] = int32(i)
 	}
-	slices.SortFunc(sortedPos, func(a, b int32) int { return strings.Compare(order[a].Name, order[b].Name) })
+	for _, net := range d.Nets() {
+		if p := posByID[net]; p >= 0 {
+			sortedPos = append(sortedPos, p)
+		}
+	}
 	return posByID, sortedPos
 }
 
 // wavesOf groups a level-sorted victim order into contiguous same-level
 // runs. Feedback nets (netLevel 1<<30) form a serial wave, the last.
-func wavesOf(order []*netlist.Net) (waves []Wave) {
+func wavesOf(d *netlist.Design, order []netlist.NetID) (waves []Wave) {
+	lev := d.Levelize()
 	for lo := 0; lo < len(order); {
-		lvl := netLevel(order[lo])
+		lvl := netLevel(d, lev, order[lo])
 		hi := lo + 1
-		for hi < len(order) && netLevel(order[hi]) == lvl {
+		for hi < len(order) && netLevel(d, lev, order[hi]) == lvl {
 			hi++
 		}
 		waves = append(waves, Wave{Lo: lo, Hi: hi, Serial: lvl == feedbackLevel})
@@ -304,8 +309,9 @@ func (a *analyzer) newResult() *Result {
 		slab: make([]NetNoise, len(a.order)),
 	}
 	for pos, net := range a.order {
-		res.slab[pos].Net = net.Name
-		res.Nets[net.Name] = &res.slab[pos]
+		name := a.b.Net.NetName(net)
+		res.slab[pos].Net = name
+		res.Nets[name] = &res.slab[pos]
 	}
 	return res
 }
@@ -350,11 +356,11 @@ func (a *analyzer) safePrepare(pos int, sc *scratch) (p preparedNet, err error) 
 	net := a.order[pos]
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: panic preparing net %s: %v", net.Name, r)
+			err = fmt.Errorf("core: panic preparing net %s: %v", a.b.Net.NetName(net), r)
 		}
 	}()
 	if h := a.opts.PrepareHook; h != nil {
-		if err := h(net.Name); err != nil {
+		if err := h(a.b.Net.NetName(net)); err != nil {
 			return p, err
 		}
 	}
@@ -445,7 +451,7 @@ func (a *analyzer) degradeNet(pos int, stage string, err error) {
 		return
 	}
 	a.degraded[pos] = true
-	a.diags = append(a.diags, Diag{Net: a.order[pos].Name, Stage: stage, Err: err, Degraded: true})
+	a.diags = append(a.diags, Diag{Net: a.b.Net.NetName(a.order[pos]), Stage: stage, Err: err, Degraded: true})
 	e := a.fullRailEvent()
 	a.ctxs[pos] = nil
 	a.setCoupled(pos, [2][]Event{{e}, {e}})
@@ -457,12 +463,12 @@ func (a *analyzer) degradeNet(pos int, stage string, err error) {
 func (a *analyzer) noteStrangers(pos int, nctx *noise.Context) {
 	var names []string
 	for i := range nctx.Couplings {
-		if nctx.Couplings[i].Agg == nil {
+		if nctx.Couplings[i].Agg < 0 {
 			names = append(names, nctx.Couplings[i].Aggressor)
 		}
 	}
 	if len(names) > 0 {
-		a.diags = append(a.diags, Diag{Net: a.order[pos].Name, Stage: StagePrepare,
+		a.diags = append(a.diags, Diag{Net: a.b.Net.NetName(a.order[pos]), Stage: StagePrepare,
 			Err: fmt.Errorf("core: aggressor %s is not in the netlist: assumed to switch at any time", strings.Join(names, ", "))})
 	}
 }
@@ -685,10 +691,10 @@ type netEval struct {
 // own record, owned by its worker during a parallel wave) and reads other
 // nets' committed combinations from strictly earlier waves; all shared
 // analyzer state it touches is immutable during a wave.
-func (a *analyzer) evalNet(oi int, net *netlist.Net, nn *NetNoise, res *Result, sc *scratch) (ev netEval, err error) {
+func (a *analyzer) evalNet(oi int, net netlist.NetID, nn *NetNoise, res *Result, sc *scratch) (ev netEval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: panic evaluating net %s: %v", net.Name, r)
+			err = fmt.Errorf("core: panic evaluating net %s: %v", a.b.Net.NetName(net), r)
 		}
 	}()
 	if a.degraded[oi] {
@@ -724,7 +730,7 @@ func combMoved(a, b Combined) bool {
 // and fail-fast error selection deterministic. It reports the convergence
 // test; a commit that differs exactly makes the net's readers stale and is
 // appended to moved (when collecting).
-func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval, evalErr error, moved *[]WaveUpdate) (bool, error) {
+func (a *analyzer) commitEval(oi int, net netlist.NetID, nn *NetNoise, ev netEval, evalErr error, moved *[]WaveUpdate) (bool, error) {
 	a.evals++
 	if evalErr != nil {
 		if !a.opts.FailSoft {
@@ -768,17 +774,17 @@ func (a *analyzer) commitEval(oi int, net *netlist.Net, nn *NetNoise, ev netEval
 // net's combination: the nets driven by the instances net feeds. (All of an
 // instance's inputs count, with or without a noise-transfer arc — an extra
 // evaluation is exact, a missed one is not.)
-func (a *analyzer) markReaders(net *netlist.Net) {
+func (a *analyzer) markReaders(net netlist.NetID) {
 	if a.opts.NoPropagation {
 		return
 	}
-	for _, lc := range net.Loads() {
-		if lc.Inst == nil {
-			continue
-		}
-		for _, oc := range lc.Inst.Outputs() {
-			if p := a.posByID[oc.Net.ID()]; p >= 0 && a.prepared.has(int(p)) {
-				a.stale.set(int(p))
+	d := a.b.Net
+	for _, lc := range d.Loads(net) {
+		if inst := d.Conn(lc).Inst; inst >= 0 {
+			for _, oc := range d.Outputs(inst) {
+				if p := a.posByID[d.Conn(oc).Net]; p >= 0 && a.prepared.has(int(p)) {
+					a.stale.set(int(p))
+				}
 			}
 		}
 	}
@@ -803,36 +809,35 @@ const feedbackLevel = 1 << 30
 // ones. A net's fanin nets always have strictly smaller levels (ports
 // have no fanin), which is what makes same-level wavefronts safe to
 // evaluate concurrently.
-func netLevel(n *netlist.Net) int {
-	drv := n.Driver()
-	if drv.Inst == nil {
+func netLevel(d *netlist.Design, lev *netlist.Levelization, n netlist.NetID) int {
+	drv := d.DriverInst(n)
+	if drv < 0 {
 		return -1
 	}
-	if drv.Inst.Level < 0 {
-		return feedbackLevel
+	if l := lev.Level(drv); l >= 0 {
+		return l
 	}
-	return drv.Inst.Level
+	return feedbackLevel
 }
 
 // victimOrderOf returns the analyzable nets in propagation-friendly order:
-// port-driven nets first, then by driving instance level (feedback last). The
-// shard planner calls it too, so partitioning sees exactly the evaluation
-// order and wave structure every engine (single-process or shard) will use.
-func victimOrderOf(b *bind.Design) []*netlist.Net {
-	b.Net.Levelize()
-	nets := b.Net.Nets()
-	out := make([]*netlist.Net, 0, len(nets))
+// port-driven nets first, then by driving instance level (feedback last),
+// by name within a level (the stable sort keeps Nets' order). The shard
+// planner calls it too, so partitioning sees exactly the evaluation order
+// and wave structure every engine (single-process or shard) will use.
+func victimOrderOf(b *bind.Design) []netlist.NetID {
+	d := b.Net
+	lev := d.Levelize()
+	nets := d.Nets()
+	out := make([]netlist.NetID, 0, len(nets))
 	for _, n := range nets {
-		if n.Driver() == nil {
+		if d.Driver(n) < 0 {
 			continue // unconnected; Validate would have flagged real designs
 		}
 		out = append(out, n)
 	}
-	slices.SortStableFunc(out, func(x, y *netlist.Net) int {
-		if c := cmp.Compare(netLevel(x), netLevel(y)); c != 0 {
-			return c
-		}
-		return strings.Compare(x.Name, y.Name)
+	slices.SortStableFunc(out, func(x, y netlist.NetID) int {
+		return cmp.Compare(netLevel(d, lev, x), netLevel(d, lev, y))
 	})
 	return out
 }
@@ -857,7 +862,7 @@ func (a *analyzer) prepareEvents(pos int, ctx *noise.Context, sc *scratch) (prep
 			var winSet interval.Set
 			slew := a.opts.DefaultAggSlew
 			switch {
-			case a.opts.Mode == ModeAllAggressors || cpl.Agg == nil:
+			case a.opts.Mode == ModeAllAggressors || cpl.Agg < 0:
 				// A partner the netlist does not have has no switching
 				// window to read: it may switch at any time.
 				winSet = interval.InfiniteSet()
@@ -878,7 +883,7 @@ func (a *analyzer) prepareEvents(pos int, ctx *noise.Context, sc *scratch) (prep
 			}
 			p := ctx.ParamsFor(cpl, slew, a.vdd)
 			if err := p.Validate(); err != nil {
-				return out, fmt.Errorf("core: net %s aggressor %s: %w", a.order[pos].Name, cpl.Aggressor, err)
+				return out, fmt.Errorf("core: net %s aggressor %s: %w", a.b.Net.NetName(a.order[pos]), cpl.Aggressor, err)
 			}
 			peak, width := p.Peak(), p.Width()
 			if peak <= 0 {
@@ -959,11 +964,11 @@ func (a *analyzer) eventWindows(aggWins interval.Set, wireDelay, slew float64) i
 // iteration into nn.Events, reusing its backing arrays: cached coupled
 // events plus freshly derived propagated events. It returns the number of
 // propagated events built.
-func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Result, sc *scratch) int {
+func (a *analyzer) buildEvents(oi int, net netlist.NetID, nn *NetNoise, res *Result, sc *scratch) int {
 	prop := &sc.events
 	prop[KindLow], prop[KindHigh] = prop[KindLow][:0], prop[KindHigh][:0]
 	propagated := 0
-	if drv := net.Driver(); !a.opts.NoPropagation && drv != nil && drv.Inst != nil {
+	if drv := a.b.Net.Driver(net); !a.opts.NoPropagation && drv >= 0 && a.b.Net.Conn(drv).Inst >= 0 {
 		propagated = a.propagatedEvents(drv, a.b.NetworkOf(net).TotalCap(), res, prop)
 	}
 	nn.Events = storeEvents(nn.Events, a.coupled[oi], *prop)
@@ -973,17 +978,19 @@ func (a *analyzer) buildEvents(oi int, net *netlist.Net, nn *NetNoise, res *Resu
 // propagatedEvents appends to out the glitches that the committed
 // combinations of the driving instance's input nets put on its output, and
 // returns how many.
-func (a *analyzer) propagatedEvents(drv *netlist.Conn, load float64, res *Result, out *[2][]Event) int {
-	propagated := 0
-	for _, arc := range a.b.Cell(drv.Inst).ArcsTo(drv.Pin) {
+func (a *analyzer) propagatedEvents(drv netlist.ConnID, load float64, res *Result, out *[2][]Event) int {
+	d, propagated := a.b.Net, 0
+	inst := d.Conn(drv).Inst
+	for _, arc := range a.b.Cell(inst).ArcsTo(d.Pin(drv)) {
 		if arc.Transfer == nil {
 			continue // cell blocks noise through this arc
 		}
-		ic := drv.Inst.Conn(arc.From)
-		if ic == nil {
+		ic := d.PinConn(inst, arc.From)
+		if ic < 0 {
 			continue
 		}
-		ip := a.posByID[ic.Net.ID()]
+		in := d.Conn(ic).Net
+		ip := a.posByID[in]
 		if ip < 0 {
 			continue
 		}
@@ -1018,7 +1025,7 @@ func (a *analyzer) propagatedEvents(drv *netlist.Conn, load float64, res *Result
 					Peak:   outPeak,
 					Width:  outWidth,
 					Window: win,
-					Source: a.propSrc[ic.Net.ID()],
+					Source: a.propSrc[in],
 				})
 			}
 		}
@@ -1071,11 +1078,11 @@ func (a *analyzer) indexReceivers() {
 		for i := 0; ctx != nil && i < len(ctx.Receivers); i++ {
 			rcv := ctx.Receivers[i]
 			var pin *liberty.Pin
-			if rcv.Inst != nil {
-				pin = a.b.Cell(rcv.Inst).Pin(rcv.Pin)
+			if inst := a.b.Net.Conn(rcv).Inst; inst >= 0 {
+				pin = a.b.Cell(inst).Pin(a.b.Net.Pin(rcv))
 			}
 			if curve := a.b.Lib.Immunity(pin); curve != nil {
-				a.receivers = append(a.receivers, receiver{name: rcv.Name(), curve: curve})
+				a.receivers = append(a.receivers, receiver{name: a.b.Net.ConnName(rcv), curve: curve})
 			}
 		}
 		a.rcvOff[pos+1] = int32(len(a.receivers))
@@ -1108,7 +1115,7 @@ func (a *analyzer) gatherChecks(res *Result) {
 		if a.ctxs[oi] == nil {
 			continue
 		}
-		netName := a.order[oi].Name
+		netName := a.b.Net.NetName(a.order[oi])
 		nn := &res.slab[oi]
 		for _, rcv := range a.receivers[a.rcvOff[oi]:a.rcvOff[oi+1]] {
 			for _, k := range Kinds {

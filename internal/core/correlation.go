@@ -53,24 +53,26 @@ type sourceMap map[string]polarity
 // levelized netlist. Nets on or downstream of combinational loops get nil
 // (no correlation claims are made about them).
 func buildCorrelations(b *bind.Design) map[string]sourceMap {
-	out := make(map[string]sourceMap, b.Net.NumNets())
-	for _, p := range b.Net.Ports() {
-		if p.Dir == netlist.In {
-			out[p.Name] = sourceMap{p.Name: polPos}
+	d := b.Net
+	out := make(map[string]sourceMap, d.NumNets())
+	for _, p := range d.Ports() {
+		if d.Port(p).Dir == netlist.In {
+			out[d.PortName(p)] = sourceMap{d.PortName(p): polPos}
 		}
 	}
-	lev := b.Net.Levelize()
+	netName := func(c netlist.ConnID) string { return d.NetName(d.Conn(c).Net) }
+	lev := d.Levelize()
 	for _, inst := range lev.Ordered() {
 		cell := b.Cell(inst)
-		for _, oc := range inst.Outputs() {
+		for _, oc := range d.Outputs(inst) {
 			merged := sourceMap{}
 			known := true
-			for _, arc := range cell.ArcsTo(oc.Pin) {
-				ic := inst.Conn(arc.From)
-				if ic == nil {
+			for _, arc := range cell.ArcsTo(d.Pin(oc)) {
+				ic := d.PinConn(inst, arc.From)
+				if ic < 0 {
 					continue
 				}
-				in, ok := out[ic.Net.Name]
+				in, ok := out[netName(ic)]
 				if !ok || in == nil {
 					known = false
 					break
@@ -86,17 +88,17 @@ func buildCorrelations(b *bind.Design) map[string]sourceMap {
 				}
 			}
 			if !known {
-				out[oc.Net.Name] = nil
+				out[netName(oc)] = nil
 				continue
 			}
-			out[oc.Net.Name] = merged
+			out[netName(oc)] = merged
 		}
 	}
 	// Feedback-driven nets stay absent; normalize them to nil entries so
 	// lookups distinguish "no info" from "no dependence".
 	for _, inst := range lev.Feedback {
-		for _, oc := range inst.Outputs() {
-			out[oc.Net.Name] = nil
+		for _, oc := range d.Outputs(inst) {
+			out[netName(oc)] = nil
 		}
 	}
 	return out

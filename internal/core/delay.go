@@ -184,11 +184,11 @@ func SortImpacts(ims []DelayImpact) {
 // (typically the net's previous slice, truncated) and returns it; on a
 // panic the impacts appended so far survive, matching the historical
 // partial-append behaviour.
-func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact, sc *scratch) (out []DelayImpact, err error) {
+func (a *analyzer) safeDelayNet(ni int, net netlist.NetID, ims []DelayImpact, sc *scratch) (out []DelayImpact, err error) {
 	out = ims
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: panic in delay analysis of net %s: %v", net.Name, r)
+			err = fmt.Errorf("core: panic in delay analysis of net %s: %v", a.b.Net.NetName(net), r)
 		}
 	}()
 	if !a.prepared.has(ni) {
@@ -244,7 +244,7 @@ func (a *analyzer) safeDelayNet(ni int, net *netlist.Net, ims []DelayImpact, sc 
 		}
 		noisePeak := math.Min(comb.Sum, a.vdd)
 		im := DelayImpact{
-			Net:          net.Name,
+			Net:          a.b.Net.NetName(net),
 			Rise:         rise,
 			VictimWindow: vw,
 			NoisePeak:    noisePeak,

@@ -74,7 +74,7 @@ func (e *TestEngine) Noise() *Result { return e.eng.res }
 // Degrade degrades one net at the given stage, as a failure there does.
 func (e *TestEngine) Degrade(net, stage string) {
 	a := e.eng.a
-	a.degradeNet(int(a.posByID[a.b.Net.FindNet(net).ID()]), stage, errors.New("injected "+stage+" failure"))
+	a.degradeNet(int(a.posByID[a.b.Net.FindNet(net)]), stage, errors.New("injected "+stage+" failure"))
 }
 
 // ReanalyzeReference is Reanalyze through the evaluate-everything reference.

@@ -313,7 +313,7 @@ func TestDiagsNotAliasedAcrossNoiseAndDelay(t *testing.T) {
 	if err := a.delayPass(ctx); err != nil {
 		t.Fatal(err)
 	}
-	a.degradeNet(int(a.posByID[b.Net.FindNet("a0").ID()]), StageDelay, errors.New("injected delay failure"))
+	a.degradeNet(int(a.posByID[b.Net.FindNet("a0")]), StageDelay, errors.New("injected delay failure"))
 	dres := a.assembleDelay()
 
 	if got := nets(res.Diags); got != noiseWant {
@@ -323,7 +323,7 @@ func TestDiagsNotAliasedAcrossNoiseAndDelay(t *testing.T) {
 		t.Fatalf("delay diags = %s, want %s", got, want)
 	}
 	// The delay result owns its list too: a later degradation leaves it be.
-	a.degradeNet(int(a.posByID[b.Net.FindNet("v").ID()]), StageDelay, errors.New("later"))
+	a.degradeNet(int(a.posByID[b.Net.FindNet("v")]), StageDelay, errors.New("later"))
 	a.assembleDelay()
 	if got, want := nets(dres.Diags), "a0/delay "+noiseWant; got != want {
 		t.Fatalf("delay diags moved under the result: %s, want %s", got, want)

@@ -31,22 +31,22 @@ func (a *analyzer) buildAggIndex() {
 		return
 	}
 	a.aggOff = make([]int32, a.b.Net.NumNets()+1)
-	each := func(fn func(agg int32, victim int)) {
+	each := func(fn func(agg, victim int)) {
 		for pos, nctx := range a.ctxs {
 			for i := 0; nctx != nil && i < len(nctx.Couplings); i++ {
-				if agg := nctx.Couplings[i].Agg; agg != nil {
-					fn(agg.ID(), pos)
+				if agg := nctx.Couplings[i].Agg; agg >= 0 {
+					fn(int(agg), pos)
 				}
 			}
 		}
 	}
-	each(func(agg int32, _ int) { a.aggOff[agg+1]++ })
+	each(func(agg, _ int) { a.aggOff[agg+1]++ })
 	for id := 1; id < len(a.aggOff); id++ {
 		a.aggOff[id] += a.aggOff[id-1]
 	}
 	a.aggVictims = make([]int32, a.aggOff[len(a.aggOff)-1])
 	next := append([]int32(nil), a.aggOff...)
-	each(func(agg int32, victim int) {
+	each(func(agg, victim int) {
 		a.aggVictims[next[agg]] = int32(victim)
 		next[agg]++
 	})

@@ -74,7 +74,7 @@ func SuggestRepairsCtx(ctx context.Context, b *bind.Design, res *Result, margin 
 			return nil, err
 		}
 		net := b.Net.FindNet(v.Net)
-		if net == nil {
+		if net < 0 {
 			return nil, fmt.Errorf("core: violation on unknown net %q", v.Net)
 		}
 		nctx, err := noise.BuildContext(b, net)
@@ -157,8 +157,8 @@ func holdRepair(v Violation, target float64) float64 {
 // before the "_X" drive suffix) for the weakest drive strength whose
 // holding resistance is at most factor times the current one. It returns
 // "" for port-driven nets or when no family member is strong enough.
-func upsizePick(b *bind.Design, net *netlist.Net, factor float64) string {
-	cell, _ := b.DriverCell(net)
+func upsizePick(b *bind.Design, net netlist.NetID, factor float64) string {
+	cell := b.DriverCell(net)
 	if cell == nil {
 		return ""
 	}

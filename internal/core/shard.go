@@ -59,12 +59,13 @@ type PlanID struct {
 	Digest [sha256.Size]byte
 }
 
-func orderID(order []*netlist.Net) PlanID {
+func orderID(d *netlist.Design, order []netlist.NetID) PlanID {
 	h := sha256.New()
 	var frame [binary.MaxVarintLen64]byte
 	for _, net := range order {
-		h.Write(frame[:binary.PutUvarint(frame[:], uint64(len(net.Name)))])
-		io.WriteString(h, net.Name)
+		name := d.NetName(net)
+		h.Write(frame[:binary.PutUvarint(frame[:], uint64(len(name)))])
+		io.WriteString(h, name)
 	}
 	id := PlanID{Nets: len(order)}
 	h.Sum(id.Digest[:0])
@@ -123,11 +124,11 @@ func edgeLists(n int, edges []uint64) [][]int32 {
 // from the bound design. It runs no timing and builds no noise contexts, so
 // it is cheap enough for the coordinator to rebuild on every run.
 func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
-	order := victimOrderOf(b)
-	plan := &ShardPlan{Order: make([]string, len(order)), ID: orderID(order), Rank: make([]int32, len(order)), Waves: wavesOf(order)}
-	pos, byName := orderIndex(b.Net.NumNets(), order)
+	d, order := b.Net, victimOrderOf(b)
+	plan := &ShardPlan{Order: make([]string, len(order)), ID: orderID(d, order), Rank: make([]int32, len(order)), Waves: wavesOf(d, order)}
+	pos, byName := orderIndex(d, order)
 	for rank, p := range byName {
-		plan.Order[p], plan.Rank[p] = order[p].Name, int32(rank)
+		plan.Rank[p] = int32(rank)
 	}
 	// Adjacency edges carry the neighbour's rank, so the one sort orders each
 	// list alphabetically; they are mapped back to positions below.
@@ -143,14 +144,16 @@ func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
 				return nil, err
 			}
 		}
+		plan.Order[i] = d.NetName(n)
 		// Structural fanin: the driver instance's input nets.
-		if drv := n.Driver(); drv != nil && drv.Inst != nil {
-			for _, ic := range drv.Inst.Inputs() {
-				if ic.Net == nil || pos[ic.Net.ID()] < 0 {
+		if drv := d.DriverInst(n); drv >= 0 {
+			for _, ic := range d.Inputs(drv) {
+				p := pos[d.Conn(ic).Net]
+				if p < 0 {
 					continue
 				}
-				fanin = append(fanin, uint64(i)<<32|uint64(pos[ic.Net.ID()]))
-				link(int32(i), pos[ic.Net.ID()])
+				fanin = append(fanin, uint64(i)<<32|uint64(p))
+				link(int32(i), p)
 			}
 		}
 		// Coupling neighbours, as the bind resolved the extracted parasitics.
@@ -227,7 +230,7 @@ func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, plan Plan
 	if err != nil {
 		return nil, err
 	}
-	if own := orderID(a.order); own != plan {
+	if own := orderID(a.b.Net, a.order); own != plan {
 		return nil, fmt.Errorf("core: shard plan names %d nets (digest %x), this design's victim order %d (digest %x)",
 			plan.Nets, plan.Digest[:4], own.Nets, own.Digest[:4])
 	}

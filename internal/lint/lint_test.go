@@ -7,6 +7,7 @@ import (
 	"repro/internal/interval"
 	"repro/internal/liberty"
 	"repro/internal/lint"
+	"repro/internal/netlist"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -212,7 +213,16 @@ func TestBrokenLibrary(t *testing.T) {
 func TestBindingRule(t *testing.T) {
 	g := genBus(t)
 	// Point one instance at a cell the library does not have.
-	g.Design.FindInst("d0").Cell = "MYSTERY_X9"
+	var text strings.Builder
+	if err := netlist.Write(&text, g.Design); err != nil {
+		t.Fatal(err)
+	}
+	old := "inst d0 " + g.Design.CellName(g.Design.FindInst("d0")) + "\n"
+	d, err := netlist.Parse(strings.NewReader(strings.Replace(text.String(), old, "inst d0 MYSTERY_X9\n", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Design = d
 	res := lintWorkload(t, g, nil, lint.Config{})
 	diags := res.ByRule("BND001")
 	if len(diags) == 0 || !strings.Contains(diags[0].Msg, "MYSTERY_X9") {

@@ -43,7 +43,7 @@ func refCheckSpefValues(in *Input, rep *Reporter) {
 			}
 			partner := spef.NetOfNode(c.Other)
 			pn := in.Paras.Net(partner)
-			if pn == nil && in.Design.FindNet(partner) == nil {
+			if pn == nil && in.Design.FindNet(partner) < 0 {
 				rep.Report(object,
 					fmt.Sprintf("dangling coupling cap: partner net %q exists in neither the parasitics nor the netlist", partner),
 					"remove the capacitor or restore the missing aggressor net")
@@ -69,7 +69,7 @@ func refCheckSpefValues(in *Input, rep *Reporter) {
 
 func refCheckRCTopology(in *Input, rep *Reporter) {
 	for _, sn := range in.Paras.Nets() {
-		if in.Design.FindNet(sn.Name) == nil {
+		if in.Design.FindNet(sn.Name) < 0 {
 			continue
 		}
 		refLintRCNet(sn, rep)

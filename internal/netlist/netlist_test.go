@@ -42,19 +42,19 @@ func TestBuilderAndAccessors(t *testing.T) {
 		t.Fatalf("sizes: insts=%d ports=%d nets=%d", d.NumInsts(), d.NumPorts(), d.NumNets())
 	}
 	u1 := d.FindInst("u1")
-	if u1 == nil || u1.Cell != "INV" {
-		t.Fatalf("u1 = %+v", u1)
+	if u1 < 0 || d.CellName(u1) != "INV" {
+		t.Fatalf("u1 = %d", u1)
 	}
-	if got := len(u1.Inputs()); got != 1 {
+	if got := len(d.Inputs(u1)); got != 1 {
 		t.Fatalf("u1 inputs = %d", got)
 	}
-	if got := u1.Outputs()[0].Net.Name; got != "n1" {
+	if got := d.NetName(d.Conn(d.Outputs(u1)[0]).Net); got != "n1" {
 		t.Fatalf("u1 output net = %s", got)
 	}
-	if d.FindPort("in") == nil || d.FindPort("zz") != nil {
+	if d.FindPort("in") < 0 || d.FindPort("zz") >= 0 {
 		t.Fatal("FindPort misbehaves")
 	}
-	if d.FindNet("n0") == nil {
+	if d.FindNet("n0") < 0 {
 		t.Fatal("FindNet misses n0")
 	}
 }
@@ -87,32 +87,32 @@ func TestDuplicateErrors(t *testing.T) {
 func TestNetDriverAndLoads(t *testing.T) {
 	d := buildChain(t, 2)
 	n0 := d.FindNet("n0")
-	drv := n0.Driver()
-	if drv == nil || drv.Inst.Name != "u0" || drv.Pin != "Y" {
-		t.Fatalf("driver = %+v", drv)
+	drv := d.Driver(n0)
+	if drv < 0 || d.InstName(d.Conn(drv).Inst) != "u0" || d.Pin(drv) != "Y" {
+		t.Fatalf("driver = %d", drv)
 	}
-	loads := n0.Loads()
-	if len(loads) != 1 || loads[0].Inst.Name != "u1" {
-		t.Fatalf("loads = %+v", loads)
+	loads := d.Loads(n0)
+	if len(loads) != 1 || d.InstName(d.Conn(loads[0]).Inst) != "u1" {
+		t.Fatalf("loads = %v", loads)
 	}
 	// Input port drives its net.
 	in := d.FindNet("in")
-	if got := in.Driver(); got == nil || got.Inst != nil || got.Port != "in" {
-		t.Fatalf("port driver = %+v", got)
+	if got := d.Driver(in); got < 0 || d.Conn(got).Inst >= 0 || d.Pin(got) != "in" {
+		t.Fatalf("port driver = %d", got)
 	}
 	// Output port is a load on its net.
 	out := d.FindNet("out")
-	if got := out.Driver(); got == nil || got.Inst == nil {
-		t.Fatalf("out net driver = %+v", got)
+	if got := d.Driver(out); got < 0 || d.Conn(got).Inst < 0 {
+		t.Fatalf("out net driver = %d", got)
 	}
 }
 
 func TestConnName(t *testing.T) {
 	d := buildChain(t, 1)
-	if got := d.FindNet("in").Driver().Name(); got != "port in" {
+	if got := d.ConnName(d.Driver(d.FindNet("in"))); got != "port in" {
 		t.Fatalf("port conn name = %q", got)
 	}
-	if got := d.FindNet("out").Driver().Name(); got != "u0.Y" {
+	if got := d.ConnName(d.Driver(d.FindNet("out"))); got != "u0.Y" {
 		t.Fatalf("inst conn name = %q", got)
 	}
 }
@@ -187,14 +187,14 @@ func TestLevelizeChain(t *testing.T) {
 		t.Fatalf("levels = %d, want 4", len(lev.Levels))
 	}
 	for i, want := range []string{"u0", "u1", "u2", "u3"} {
-		if lev.Levels[i][0].Name != want || lev.Levels[i][0].Level != i {
+		if first := lev.Levels[i][0]; d.InstName(first) != want || lev.Level(first) != i {
 			t.Fatalf("level %d = %v", i, lev.Levels[i][0])
 		}
 	}
-	if lev.NumLeveled() != 4 {
-		t.Fatalf("NumLeveled = %d", lev.NumLeveled())
+	if len(lev.Ordered()) != 4 {
+		t.Fatalf("%d leveled", len(lev.Ordered()))
 	}
-	if got := lev.Ordered(); len(got) != 4 || got[0].Name != "u0" {
+	if got := lev.Ordered(); len(got) != 4 || d.InstName(got[0]) != "u0" {
 		t.Fatalf("Ordered = %v", got)
 	}
 }
@@ -222,8 +222,8 @@ func TestLevelizeDiamond(t *testing.T) {
 	if len(lev.Levels[1]) != 2 {
 		t.Fatalf("level 1 size = %d", len(lev.Levels[1]))
 	}
-	if d.FindInst("d").Level != 2 {
-		t.Fatalf("d level = %d", d.FindInst("d").Level)
+	if lev.Level(d.FindInst("d")) != 2 {
+		t.Fatalf("d level = %d", lev.Level(d.FindInst("d")))
 	}
 }
 
@@ -246,13 +246,13 @@ func TestLevelizeLoop(t *testing.T) {
 		t.Fatalf("feedback count = %d, want 3 (a, b, and downstream tail)", len(lev.Feedback))
 	}
 	for _, i := range lev.Feedback {
-		if i.Level != -1 {
-			t.Fatalf("feedback inst %s has level %d", i.Name, i.Level)
+		if lev.Level(i) != -1 {
+			t.Fatalf("feedback inst %s has level %d", d.InstName(i), lev.Level(i))
 		}
 	}
 	// tail reads the loop, so it is blocked too.
-	if d.FindInst("tail").Level != -1 {
-		t.Fatalf("tail level = %d, want -1 (downstream of loop)", d.FindInst("tail").Level)
+	if lev.Level(d.FindInst("tail")) != -1 {
+		t.Fatalf("tail level = %d, want -1 (downstream of loop)", lev.Level(d.FindInst("tail")))
 	}
 }
 
@@ -278,15 +278,15 @@ func TestLevelizeSelfLoop(t *testing.T) {
 		t.Fatalf("feedback = %v, want [a tail]", lev.Feedback)
 	}
 	for _, name := range []string{"a", "tail"} {
-		if got := d.FindInst(name).Level; got != -1 {
+		if got := lev.Level(d.FindInst(name)); got != -1 {
 			t.Fatalf("%s level = %d, want -1", name, got)
 		}
 	}
-	if got := d.FindInst("free").Level; got != 0 {
+	if got := lev.Level(d.FindInst("free")); got != 0 {
 		t.Fatalf("free level = %d, want 0", got)
 	}
-	if lev.NumLeveled() != 1 {
-		t.Fatalf("NumLeveled = %d, want 1", lev.NumLeveled())
+	if len(lev.Ordered()) != 1 {
+		t.Fatalf("%d leveled, want 1", len(lev.Ordered()))
 	}
 }
 
@@ -309,12 +309,12 @@ func TestLevelizeMultiDriver(t *testing.T) {
 	if len(lev.Feedback) != 0 {
 		t.Fatalf("feedback = %v, want none", lev.Feedback)
 	}
-	if got := d.FindInst("sink").Level; got != 1 {
+	if got := lev.Level(d.FindInst("sink")); got != 1 {
 		t.Fatalf("sink level = %d, want 1", got)
 	}
-	if d.FindInst("a").Level != 0 || d.FindInst("b").Level != 0 {
+	if lev.Level(d.FindInst("a")) != 0 || lev.Level(d.FindInst("b")) != 0 {
 		t.Fatalf("driver levels = %d, %d, want 0, 0",
-			d.FindInst("a").Level, d.FindInst("b").Level)
+			lev.Level(d.FindInst("a")), lev.Level(d.FindInst("b")))
 	}
 }
 
@@ -335,7 +335,7 @@ func TestLevelizeMultiEdge(t *testing.T) {
 	if len(lev.Feedback) != 0 {
 		t.Fatalf("feedback = %v, want none", lev.Feedback)
 	}
-	if got := d.FindInst("g").Level; got != 1 {
+	if got := lev.Level(d.FindInst("g")); got != 1 {
 		t.Fatalf("g level = %d, want 1", got)
 	}
 	if len(lev.Levels) != 2 {

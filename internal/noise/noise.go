@@ -148,11 +148,11 @@ func (p Params) Metrics() waveform.GlitchMetrics {
 // Coupling summarizes one aggressor of a victim net.
 type Coupling struct {
 	Aggressor string // aggressor net name
-	// Agg is the aggressor in the bound netlist, so the engines index their
-	// per-net tables by its ID. Nil when the parasitics couple to a net the
-	// netlist does not have — nothing is known of when it switches — and in
-	// hand-built contexts.
-	Agg     *netlist.Net
+	// Agg is the aggressor's net ID in the bound netlist, which the
+	// engines index their per-net tables by; -1 when the parasitics couple
+	// to a net the netlist does not have — nothing is known of when it
+	// switches. Hand-built contexts, which no engine reads, leave it 0.
+	Agg     netlist.NetID
 	CoupleC float64 // total coupling capacitance to the victim, farads
 	// WireRes is the victim-side wire resistance from the victim driver
 	// to the (capacitance-weighted) coupling site.
@@ -172,7 +172,7 @@ type Context struct {
 	Couplings []Coupling
 	// Receivers are the victim's load connections (where glitches are
 	// checked against immunity curves).
-	Receivers []*netlist.Conn
+	Receivers []netlist.ConnID
 }
 
 // CouplingTo finds a coupling entry by aggressor net name (repair loops
@@ -189,28 +189,27 @@ func (c *Context) CouplingTo(net string) *Coupling {
 // holding resistance from the driver cell, victim capacitance and the
 // per-aggressor coupling groups (with their cap-weighted victim-side wire
 // resistance) from the parasitics database.
-func BuildContext(b *bind.Design, victim *netlist.Net) (*Context, error) {
+func BuildContext(b *bind.Design, victim netlist.NetID) (*Context, error) {
 	a, err := b.AnalysisOf(victim)
 	if err != nil {
 		return nil, err
 	}
 	groups := b.Couplings(victim)
 	ctx := &Context{
-		Victim:    victim.Name,
+		Victim:    b.Net.NetName(victim),
 		HoldRes:   b.HoldRes(victim),
 		VictimC:   a.TotalCap(),
 		Couplings: make([]Coupling, len(groups)),
-		Receivers: victim.Loads(),
+		Receivers: b.Net.Loads(victim),
 	}
 	for i, g := range groups {
 		cpl := &ctx.Couplings[i]
-		cpl.CoupleC, cpl.WireRes = g.C, g.WireRes
-		if g.Agg < 0 {
+		cpl.Agg, cpl.CoupleC, cpl.WireRes = netlist.NetID(g.Agg), g.C, g.WireRes
+		if cpl.Agg < 0 {
 			cpl.Aggressor = b.Stranger(victim, i)
 			continue
 		}
-		cpl.Agg = b.Net.NetByID(g.Agg)
-		cpl.Aggressor = cpl.Agg.Name
+		cpl.Aggressor = b.Net.NetName(cpl.Agg)
 		// Aggressor-side wire delay to its coupling site: the aggressor's
 		// max Elmore is a conservative bound, the exact node not being
 		// resolved on the aggressor network.

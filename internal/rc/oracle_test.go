@@ -141,10 +141,11 @@ func compare(t testing.TB, g *workload.Generated) (diffs []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := func(net *netlist.Net, format string, args ...any) {
-		diffs = append(diffs, fmt.Sprintf("%s net %s: ", g.Design.Name, net.Name)+fmt.Sprintf(format, args...))
+	d := g.Design
+	diff := func(net netlist.NetID, format string, args ...any) {
+		diffs = append(diffs, fmt.Sprintf("%s net %s: ", d.Name, d.NetName(net))+fmt.Sprintf(format, args...))
 	}
-	same := func(net *netlist.Net, what string, got, want float64) {
+	same := func(net netlist.NetID, what string, got, want float64) {
 		if bits(got) != bits(want) {
 			diff(net, "%s = %v (%#x), reference %v (%#x)", what, got, bits(got), want, bits(want))
 		}
@@ -153,14 +154,14 @@ func compare(t testing.TB, g *workload.Generated) (diffs []string) {
 	analyses := make([]*refAnalysis, g.Design.NumNets())
 	errs := make([]error, g.Design.NumNets())
 	for _, net := range g.Design.Nets() {
-		if refs[net.ID()], err = refBind(net, lib, g.Paras); err != nil {
+		if refs[net], err = refBind(d, net, lib, g.Paras); err != nil {
 			t.Fatal(err)
 		}
-		analyses[net.ID()], errs[net.ID()] = refs[net.ID()].Analyze()
+		analyses[net], errs[net] = refs[net].Analyze()
 	}
-	refAnalyze := func(n *netlist.Net) (*refAnalysis, error) { return analyses[n.ID()], errs[n.ID()] }
+	refAnalyze := func(n netlist.NetID) (*refAnalysis, error) { return analyses[n], errs[n] }
 	for _, net := range g.Design.Nets() {
-		ref, refA, refErr := refs[net.ID()], analyses[net.ID()], errs[net.ID()]
+		ref, refA, refErr := refs[net], analyses[net], errs[net]
 		nw := b.NetworkOf(net)
 		a, err := b.AnalysisOf(net)
 		if nw.NumNodes() != ref.NumNodes() {
@@ -172,13 +173,13 @@ func compare(t testing.TB, g *workload.Generated) (diffs []string) {
 		same(net, "LoadCap", load, ref.LoadCap())
 		same(net, "CouplingCap", coupling, ref.CouplingCap())
 		same(net, "TotalCap", nw.TotalCap(), ref.TotalCap())
-		for _, c := range net.Conns {
+		for _, c := range d.NetConns(net) {
 			want := int32(-1)
-			if i, ok := ref.lookup(refPinNode(c)); ok {
+			if i, ok := ref.lookup(refPinNode(d, c)); ok {
 				want = int32(i)
 			}
 			if got := b.NodeOf(c); got != want {
-				diff(net, "connection %s on node %d, reference %d", c.Name(), got, want)
+				diff(net, "connection %s on node %d, reference %d", d.ConnName(c), got, want)
 			}
 		}
 		nctx, ctxErr := noise.BuildContext(b, net)
@@ -201,13 +202,13 @@ func compare(t testing.TB, g *workload.Generated) (diffs []string) {
 		same(net, "π near", near, refNear)
 		same(net, "π R", r, refR)
 		same(net, "π far", far, refFar)
-		for _, lc := range net.Loads() {
+		for _, lc := range d.Loads(net) {
 			got, _ := b.WireDelayTo(lc)
 			var want float64
-			if ref.HasNode(refPinNode(lc)) {
-				want, _ = refA.ElmoreTo(refPinNode(lc))
+			if ref.HasNode(refPinNode(d, lc)) {
+				want, _ = refA.ElmoreTo(refPinNode(d, lc))
 			}
-			same(net, "wire delay to "+lc.Name(), got, want)
+			same(net, "wire delay to "+d.ConnName(lc), got, want)
 		}
 		groups, err := refGroups(g.Design, ref, refA, refAnalyze)
 		if err != nil {
@@ -221,7 +222,7 @@ func compare(t testing.TB, g *workload.Generated) (diffs []string) {
 		for i, want := range groups {
 			got := nctx.Couplings[i]
 			if got.Aggressor != want.Aggressor || got.Agg != want.Agg {
-				diff(net, "group %d is %s (%p), reference %s (%p)", i, got.Aggressor, got.Agg, want.Aggressor, want.Agg)
+				diff(net, "group %d is %s (net %d), reference %s (net %d)", i, got.Aggressor, got.Agg, want.Aggressor, want.Agg)
 			}
 			same(net, "CoupleC to "+want.Aggressor, got.CoupleC, want.CoupleC)
 			same(net, "WireRes to "+want.Aggressor, got.WireRes, want.WireRes)
@@ -340,8 +341,8 @@ func TestFromSPEF(t *testing.T) {
 	v := d.FindNet("v")
 	a, err := b.AnalysisOf(v)
 	must(err)
-	if a.NumNodes() != 3 || b.NodeOf(v.Driver()) != 0 || a.Res(0) != 0 {
-		t.Fatalf("%d nodes, driver on node %d", a.NumNodes(), b.NodeOf(v.Driver()))
+	if a.NumNodes() != 3 || b.NodeOf(d.Driver(v)) != 0 || a.Res(0) != 0 {
+		t.Fatalf("%d nodes, driver on node %d", a.NumNodes(), b.NodeOf(d.Driver(v)))
 	}
 	groups := b.Couplings(v)
 	if len(groups) != 1 || groups[0].C != 2e-15 || groups[0].Agg != -1 || b.Stranger(v, 0) != "a" || groups[0].WireRes != 150 {
@@ -351,7 +352,7 @@ func TestFromSPEF(t *testing.T) {
 	must(err)
 	pin := cell.Pin("A").Cap
 	// Elmore to rcv:A = 150·(3 fF + pin) + 50·pin.
-	got, err := b.WireDelayTo(v.Loads()[0])
+	got, err := b.WireDelayTo(d.Loads(v)[0])
 	must(err)
 	if want := 150*(3e-15+pin) + 50*pin; math.Abs(got-want) > 1e-21 {
 		t.Fatalf("Elmore = %g, want %g", got, want)

@@ -449,20 +449,20 @@ func (a *refAnalysis) Pi() (cnear, r, cfar float64) {
 }
 
 // refPinNode returns the RC node name a connection lands on.
-func refPinNode(c *netlist.Conn) string {
-	if c.Inst == nil {
-		return c.Port
+func refPinNode(d *netlist.Design, c netlist.ConnID) string {
+	if inst := d.Conn(c).Inst; inst >= 0 {
+		return d.InstName(inst) + ":" + d.Pin(c)
 	}
-	return c.Inst.Name + ":" + c.Pin
+	return d.Pin(c)
 }
 
 // refBind builds one net's network the way bind.New did: from SPEF when
 // present, otherwise a lumped stand-in, with receiver pin capacitances
 // attached at their nodes.
-func refBind(net *netlist.Net, lib *liberty.Library, p *spef.Parasitics) (*refNetwork, error) {
+func refBind(d *netlist.Design, net netlist.NetID, lib *liberty.Library, p *spef.Parasitics) (*refNetwork, error) {
 	var nw *refNetwork
 	if p != nil {
-		if sn := p.Net(net.Name); sn != nil {
+		if sn := p.Net(d.NetName(net)); sn != nil {
 			var err error
 			if nw, err = refFromSPEF(sn); err != nil {
 				return nil, err
@@ -470,31 +470,32 @@ func refBind(net *netlist.Net, lib *liberty.Library, p *spef.Parasitics) (*refNe
 		}
 	}
 	if nw == nil {
-		nw = newRefNetwork(net.Name)
+		nw = newRefNetwork(d.NetName(net))
 		root := "root"
-		if drv := net.Driver(); drv != nil {
-			root = refPinNode(drv)
+		if drv := d.Driver(net); drv >= 0 {
+			root = refPinNode(d, drv)
 		}
 		nw.SetRoot(root)
-		for _, lc := range net.Loads() {
-			if node := refPinNode(lc); node != root {
+		for _, lc := range d.Loads(net) {
+			if node := refPinNode(d, lc); node != root {
 				nw.AddRes(root, node, 1e-3)
 			}
 		}
 	}
-	for _, lc := range net.Loads() {
-		if lc.Inst == nil {
+	for _, lc := range d.Loads(net) {
+		inst := d.Conn(lc).Inst
+		if inst < 0 {
 			continue
 		}
-		cell, err := lib.ResolveCell(lc.Inst.Name, lc.Inst.Cell)
+		cell, err := lib.ResolveCell(d.InstName(inst), d.CellName(inst))
 		if err != nil {
 			return nil, err
 		}
-		node := refPinNode(lc)
+		node := refPinNode(d, lc)
 		if !nw.HasNode(node) {
 			node = nw.Root()
 		}
-		nw.AddLoadCap(node, cell.Pin(lc.Pin).Cap)
+		nw.AddLoadCap(node, cell.Pin(d.Pin(lc)).Cap)
 	}
 	return nw, nil
 }
@@ -502,13 +503,13 @@ func refBind(net *netlist.Net, lib *liberty.Library, p *spef.Parasitics) (*refNe
 // refGroup is one entry of the reference noise context's coupling list.
 type refGroup struct {
 	Aggressor                      string
-	Agg                            *netlist.Net
+	Agg                            netlist.NetID
 	CoupleC, WireRes, AggWireDelay float64
 }
 
 // refGroups is noise.BuildContext's grouping: couplings summed per partner
 // name through a map, partners sorted, each resolved by name.
-func refGroups(d *netlist.Design, nw *refNetwork, a *refAnalysis, analyze func(*netlist.Net) (*refAnalysis, error)) ([]refGroup, error) {
+func refGroups(d *netlist.Design, nw *refNetwork, a *refAnalysis, analyze func(netlist.NetID) (*refAnalysis, error)) ([]refGroup, error) {
 	type accum struct{ c, rw float64 }
 	groups := make(map[string]*accum)
 	for _, x := range nw.coup {
@@ -536,7 +537,7 @@ func refGroups(d *netlist.Design, nw *refNetwork, a *refAnalysis, analyze func(*
 		if g.c > 0 {
 			cpl.WireRes = g.rw / g.c
 		}
-		if cpl.Agg != nil {
+		if cpl.Agg >= 0 {
 			if aggA, err := analyze(cpl.Agg); err == nil {
 				cpl.AggWireDelay = aggA.MaxElmore()
 			}

@@ -28,7 +28,7 @@ func TestAllocationGates(t *testing.T) {
 	}
 	points := 0
 	for _, net := range b.Net.Nets() {
-		points += 1 + len(net.Loads())
+		points += 1 + len(b.Net.Loads(net))
 	}
 	for _, workers := range []int{0, 2} {
 		per := testing.AllocsPerRun(3, func() {
@@ -42,7 +42,7 @@ func TestAllocationGates(t *testing.T) {
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if res.TimingOf(nil).HasActivity() {
+		if res.TimingOf(-1).HasActivity() {
 			t.Fatal("no net has activity")
 		}
 	}); n != 0 {

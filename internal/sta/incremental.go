@@ -37,11 +37,12 @@ import (
 // IDs of the nets whose annotation was recomputed, ascending (a superset of
 // the nets whose timing actually changed). opts must match the options of
 // the run that produced the Result, apart from the padding values.
-func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed []string) ([]int32, error) {
+func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed []string) ([]netlist.NetID, error) {
 	opts.fill()
 	b := res.design
-	lev := b.Net.Levelize()
-	var retimed []int32
+	d := b.Net
+	lev := d.Levelize()
+	var retimed []netlist.NetID
 	if len(lev.Feedback) > 0 {
 		fresh, err := RunCtx(ctx, b, opts, res.workers)
 		if err != nil {
@@ -55,7 +56,7 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 				}
 			}
 			if ok {
-				retimed = append(retimed, int32(id))
+				retimed = append(retimed, netlist.NetID(id))
 			}
 		}
 		return retimed, nil
@@ -65,11 +66,11 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 	// seeded, not evaluated, so padding never applies to them. Then the
 	// fanout closure over instances: a re-evaluated output perturbs every
 	// instance reading it. queue ends up holding every dirty instance.
-	dirty := make([]bool, b.Net.NumInsts())
-	var queue []*netlist.Inst
-	mark := func(inst *netlist.Inst) {
-		if inst != nil && !dirty[inst.ID()] {
-			dirty[inst.ID()] = true
+	dirty := make([]bool, d.NumInsts())
+	var queue []netlist.InstID
+	mark := func(inst netlist.InstID) {
+		if inst >= 0 && !dirty[inst] {
+			dirty[inst] = true
 			queue = append(queue, inst)
 		}
 	}
@@ -77,17 +78,17 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if net := b.Net.FindNet(name); net != nil && net.Driver() != nil {
-			mark(net.Driver().Inst)
+		if net := d.FindNet(name); net >= 0 {
+			mark(d.DriverInst(net))
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, oc := range queue[qi].Outputs() {
-			for _, lc := range oc.Net.Loads() {
-				mark(lc.Inst)
+		for _, oc := range d.Outputs(queue[qi]) {
+			for _, lc := range d.Loads(d.Conn(oc).Net) {
+				mark(d.Conn(lc).Inst)
 			}
 		}
 	}
@@ -101,9 +102,10 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, oc := range inst.Outputs() {
-			res.hasNet[oc.Net.ID()] = false
-			retimed = append(retimed, oc.Net.ID())
+		for _, oc := range d.Outputs(inst) {
+			net := d.Conn(oc).Net
+			res.hasNet[net] = false
+			retimed = append(retimed, net)
 		}
 	}
 	for i, inst := range lev.Ordered() {
@@ -112,7 +114,7 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 				return nil, err
 			}
 		}
-		if !dirty[inst.ID()] {
+		if !dirty[inst] {
 			continue
 		}
 		if err := res.evalInst(inst, &opts); err != nil {

@@ -51,7 +51,7 @@ func requireEqualResults(t *testing.T, got, want *Result) {
 	d := want.design.Net
 	for id := range want.nets {
 		if got.hasNet[id] != want.hasNet[id] || !reflect.DeepEqual(got.nets[id], want.nets[id]) {
-			t.Fatalf("net %s: got %v %+v, want %v %+v", d.NetByID(int32(id)).Name,
+			t.Fatalf("net %s: got %v %+v, want %v %+v", d.NetName(netlist.NetID(id)),
 				got.hasNet[id], got.nets[id], want.hasNet[id], want.nets[id])
 		}
 	}
@@ -78,7 +78,7 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	// pointer identity to betray a recomputation, and a count also catches
 	// one that lands on the value it replaced.
 	var evaluated []string
-	res.onEval = func(inst *netlist.Inst) { evaluated = append(evaluated, inst.Name) }
+	res.onEval = func(inst netlist.InstID) { evaluated = append(evaluated, b.Net.InstName(inst)) }
 
 	padding["mid1"] = 30 * units.Pico
 	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []string{"mid1"})
@@ -86,7 +86,7 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exactly the padded cone, as ascending net IDs.
-	want := []int32{b.Net.FindNet("mid1").ID(), b.Net.FindNet("out1").ID()}
+	want := []netlist.NetID{b.Net.FindNet("mid1"), b.Net.FindNet("out1")}
 	slices.Sort(want)
 	if !slices.Equal(dirty, want) {
 		t.Fatalf("dirty = %v, want mid1 and out1 (%v)", dirty, want)

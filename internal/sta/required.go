@@ -24,9 +24,10 @@ func (res *Result) computeRequired(opts *Options) error {
 	for i := range res.required {
 		res.required[i] = math.Inf(1)
 	}
-	for _, p := range b.Net.Ports() {
-		if p.Dir == netlist.Out {
-			res.required[p.Conn.Net.ID()] = opts.ClockPeriod
+	d := b.Net
+	for _, p := range d.Ports() {
+		if port := d.Port(p); port.Dir == netlist.Out {
+			res.required[d.Conn(port.Conn).Net] = opts.ClockPeriod
 		}
 	}
 	lev := b.Net.Levelize()
@@ -34,15 +35,16 @@ func (res *Result) computeRequired(opts *Options) error {
 	for i := len(ordered) - 1; i >= 0; i-- {
 		inst := ordered[i]
 		cell := b.Cell(inst)
-		for _, oc := range inst.Outputs() {
-			outReq := res.required[oc.Net.ID()]
+		for _, oc := range d.Outputs(inst) {
+			net := d.Conn(oc).Net
+			outReq := res.required[net]
 			if math.IsInf(outReq, 1) {
 				continue
 			}
-			load := b.NetworkOf(oc.Net).TotalCap()
-			for _, arc := range cell.ArcsTo(oc.Pin) {
-				ic := inst.Conn(arc.From)
-				if ic == nil {
+			load := b.NetworkOf(net).TotalCap()
+			for _, arc := range cell.ArcsTo(d.Pin(oc)) {
+				ic := d.PinConn(inst, arc.From)
+				if ic < 0 {
 					continue
 				}
 				in := res.TimingOfPin(ic)
@@ -50,15 +52,15 @@ func (res *Result) computeRequired(opts *Options) error {
 				if s := in.SlewRise.union(in.SlewFall); s.valid() {
 					slew = s.Max
 				}
-				d := math.Max(arc.DelayRise.Eval(slew, load), arc.DelayFall.Eval(slew, load))
-				d *= res.late
+				delay := math.Max(arc.DelayRise.Eval(slew, load), arc.DelayFall.Eval(slew, load))
+				delay *= res.late
 				wd, err := b.WireDelayTo(ic)
 				if err != nil {
 					return err
 				}
-				cand := outReq - d - wd*res.late
-				if cand < res.required[ic.Net.ID()] {
-					res.required[ic.Net.ID()] = cand
+				cand := outReq - delay - wd*res.late
+				if in := d.Conn(ic).Net; cand < res.required[in] {
+					res.required[in] = cand
 				}
 			}
 		}
@@ -73,11 +75,11 @@ func (r *Result) TimingSlack(net string) (float64, bool) {
 	return r.slackOf(r.design.Net.FindNet(net))
 }
 
-func (r *Result) slackOf(n *netlist.Net) (float64, bool) {
-	if r.required == nil || n == nil || math.IsInf(r.required[n.ID()], 1) {
+func (r *Result) slackOf(n netlist.NetID) (float64, bool) {
+	if r.required == nil || n < 0 || math.IsInf(r.required[n], 1) {
 		return 0, false
 	}
-	reqT := r.required[n.ID()]
+	reqT := r.required[n]
 	t := r.TimingOf(n)
 	if !t.HasActivity() {
 		return 0, false

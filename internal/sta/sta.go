@@ -174,9 +174,9 @@ func (o *Options) fill() {
 // a point never annotated reads as the shared noTiming.
 type Result struct {
 	design *bind.Design
-	// nets is the annotation at each net's source (driver output), by
-	// Net.ID(); pins the one at each load pin, wire delay applied, by load
-	// index — pinOf maps a Conn.ID() to it, -1 for a connection that is not
+	// nets is the annotation at each net's source (driver output), by net
+	// ID; pins the one at each load pin, wire delay applied, by load index
+	// — pinOf maps a connection ID to it, -1 for a connection that is not
 	// a load. A slot counts only while its presence flag is set (a flag per
 	// slot, not a bit: the instances of a level set them concurrently).
 	nets, pins     []Timing
@@ -184,11 +184,11 @@ type Result struct {
 	pinOf          []int32
 	early, late    float64 // delay derates
 	workers        int     // RunCtx's fan-out, for UpdatePaddingCtx's fresh-run fallback
-	// required times by Net.ID(), +Inf where unconstrained (nil unless
+	// required times by net ID, +Inf where unconstrained (nil unless
 	// ClockPeriod was set).
 	required []float64
 	// onEval, when set, sees every evalInst call (tests count them).
-	onEval func(*netlist.Inst)
+	onEval func(netlist.InstID)
 }
 
 // parallelBelow is the loop length under which a level (or the port list)
@@ -202,28 +202,28 @@ func (r *Result) TimingOfNet(net string) *Timing {
 	return r.TimingOf(r.design.Net.FindNet(net))
 }
 
-// TimingOf is TimingOfNet for a net of the analyzed design (nil reads as
+// TimingOf is TimingOfNet for a net of the analyzed design (-1 reads as
 // a net that never switches). The Timing is the result's own — read it,
 // never write it; an incremental update rewrites it in place.
-func (r *Result) TimingOf(n *netlist.Net) *Timing {
-	if n != nil && r.hasNet[n.ID()] {
-		return &r.nets[n.ID()]
+func (r *Result) TimingOf(n netlist.NetID) *Timing {
+	if n >= 0 && r.hasNet[n] {
+		return &r.nets[n]
 	}
 	return &noTiming
 }
 
 // TimingOfPin returns the switching information at a specific load pin,
 // under TimingOf's contract.
-func (r *Result) TimingOfPin(c *netlist.Conn) *Timing {
-	if i := r.pinOf[c.ID()]; i >= 0 && r.hasPin[i] {
+func (r *Result) TimingOfPin(c netlist.ConnID) *Timing {
+	if i := r.pinOf[c]; i >= 0 && r.hasPin[i] {
 		return &r.pins[i]
 	}
 	return &noTiming
 }
 
 // setNet stores a net's source annotation.
-func (r *Result) setNet(n *netlist.Net, t Timing) {
-	r.nets[n.ID()], r.hasNet[n.ID()] = t, true
+func (r *Result) setNet(n netlist.NetID, t Timing) {
+	r.nets[n], r.hasNet[n] = t, true
 }
 
 // SwitchingWindow returns the switching-window set of a net.
@@ -268,8 +268,8 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 				return nil, err
 			}
 		}
-		for _, lc := range b.Net.NetByID(int32(id)).Loads() {
-			res.pinOf[lc.ID()] = loads
+		for _, lc := range b.Net.Loads(netlist.NetID(id)) {
+			res.pinOf[lc] = loads
 			loads++
 		}
 	}
@@ -280,16 +280,16 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 	dw := interval.NewSet(opts.DefaultInputWindow)
 	ds := Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew}
 	err := par.For(ctx, len(ports), workers, parallelBelow, func(i int) error {
-		p := ports[i]
+		p := b.Net.Port(ports[i])
 		if p.Dir != netlist.In {
 			return nil
 		}
 		t := Timing{Rise: dw, Fall: dw, SlewRise: ds, SlewFall: ds}
-		if in := opts.InputTiming[p.Name]; in != nil {
+		if in := opts.InputTiming[b.Net.PortName(ports[i])]; in != nil {
 			t = *in
 		}
-		res.setNet(p.Conn.Net, t)
-		return res.propagateNetToPins(p.Conn.Net)
+		res.setNet(b.Net.Conn(p.Conn).Net, t)
+		return res.propagateNetToPins(b.Net.Conn(p.Conn).Net)
 	})
 	if err != nil {
 		return nil, err
@@ -337,8 +337,9 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				for _, oc := range inst.Outputs() {
-					t := res.TimingOf(oc.Net)
+				for _, oc := range b.Net.Outputs(inst) {
+					net := b.Net.Conn(oc).Net
+					t := res.TimingOf(net)
 					inf := interval.InfiniteSet()
 					nt := Timing{Rise: inf, Fall: inf, SlewRise: t.SlewRise, SlewFall: t.SlewFall}
 					if !nt.SlewRise.valid() {
@@ -347,8 +348,8 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 					if !nt.SlewFall.valid() {
 						nt.SlewFall = ds
 					}
-					res.setNet(oc.Net, nt)
-					if err := res.propagateNetToPins(oc.Net); err != nil {
+					res.setNet(net, nt)
+					if err := res.propagateNetToPins(net); err != nil {
 						return nil, err
 					}
 				}
@@ -364,16 +365,16 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 }
 
 // snapshotOutputs appends a copy of each of inst's output annotations to snap.
-func snapshotOutputs(res *Result, inst *netlist.Inst, snap []Timing) []Timing {
-	for _, oc := range inst.Outputs() {
-		snap = append(snap, *res.TimingOf(oc.Net))
+func snapshotOutputs(res *Result, inst netlist.InstID, snap []Timing) []Timing {
+	for _, oc := range res.design.Net.Outputs(inst) {
+		snap = append(snap, *res.TimingOf(res.design.Net.Conn(oc).Net))
 	}
 	return snap
 }
 
-func outputsEqual(res *Result, inst *netlist.Inst, snap []Timing, tol float64) bool {
-	for i, oc := range inst.Outputs() {
-		if !res.TimingOf(oc.Net).equalWithin(&snap[i], tol) {
+func outputsEqual(res *Result, inst netlist.InstID, snap []Timing, tol float64) bool {
+	for i, oc := range res.design.Net.Outputs(inst) {
+		if !res.TimingOf(res.design.Net.Conn(oc).Net).equalWithin(&snap[i], tol) {
 			return false
 		}
 	}
@@ -382,18 +383,20 @@ func outputsEqual(res *Result, inst *netlist.Inst, snap []Timing, tol float64) b
 
 // evalInst computes the output timing of one instance from its input pin
 // timings, then updates downstream pin annotations.
-func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
+func (res *Result) evalInst(inst netlist.InstID, opts *Options) error {
 	if res.onEval != nil {
 		res.onEval(inst)
 	}
+	d := res.design.Net
 	cell := res.design.Cell(inst)
-	for _, oc := range inst.Outputs() {
-		load := res.design.NetworkOf(oc.Net).TotalCap()
+	for _, oc := range d.Outputs(inst) {
+		net := d.Conn(oc).Net
+		load := res.design.NetworkOf(net).TotalCap()
 		out := noTiming
-		for _, arc := range cell.ArcsTo(oc.Pin) {
-			ic := inst.Conn(arc.From)
-			if ic == nil {
-				return fmt.Errorf("sta: %s.%s unconnected arc input", inst.Name, arc.From)
+		for _, arc := range cell.ArcsTo(d.Pin(oc)) {
+			ic := d.PinConn(inst, arc.From)
+			if ic < 0 {
+				return fmt.Errorf("sta: %s.%s unconnected arc input", d.InstName(inst), arc.From)
 			}
 			in := res.TimingOfPin(ic)
 			if !in.HasActivity() {
@@ -440,8 +443,8 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 		// Merge with any existing annotation (loop iteration): windows
 		// only grow. Simplify bounds set fragmentation so the fixpoint
 		// stays cheap on loops.
-		if res.hasNet[oc.Net.ID()] {
-			prev := &res.nets[oc.Net.ID()]
+		if res.hasNet[net] {
+			prev := &res.nets[net]
 			out.Rise = out.Rise.Union(prev.Rise)
 			out.Fall = out.Fall.Union(prev.Fall)
 			if prev.SlewRise.valid() {
@@ -451,14 +454,14 @@ func (res *Result) evalInst(inst *netlist.Inst, opts *Options) error {
 				out.SlewFall = out.SlewFall.union(prev.SlewFall)
 			}
 		}
-		if pad := opts.WindowPadding[oc.Net.Name]; pad > 0 {
+		if pad := opts.WindowPadding[d.NetName(net)]; pad > 0 {
 			out.Rise = out.Rise.ShiftRange(0, pad)
 			out.Fall = out.Fall.ShiftRange(0, pad)
 		}
 		out.Rise = out.Rise.Simplify(maxWindowFragments)
 		out.Fall = out.Fall.Simplify(maxWindowFragments)
-		res.setNet(oc.Net, out)
-		if err := res.propagateNetToPins(oc.Net); err != nil {
+		res.setNet(net, out)
+		if err := res.propagateNetToPins(net); err != nil {
 			return err
 		}
 	}
@@ -480,18 +483,18 @@ func outDirections(u liberty.Unateness, inRise bool) ([2]bool, int) {
 
 // propagateNetToPins annotates each load pin of a net with the source
 // timing delayed by the wire (Elmore) and degraded in slew.
-func (res *Result) propagateNetToPins(net *netlist.Net) error {
+func (res *Result) propagateNetToPins(net netlist.NetID) error {
 	src := res.TimingOf(net)
 	a, err := res.design.AnalysisOf(net)
 	if err != nil {
 		return err
 	}
-	for _, lc := range net.Loads() {
+	for _, lc := range res.design.Net.Loads(net) {
 		var wd, sd float64
 		if node := res.design.NodeOf(lc); node >= 0 {
 			wd, sd = a.Elmore(node), a.SlewDegradation(node)
 		}
-		i := res.pinOf[lc.ID()]
+		i := res.pinOf[lc]
 		res.pins[i], res.hasPin[i] = Timing{
 			Rise:     src.Rise.ShiftRange(wd*res.early, wd*res.late),
 			Fall:     src.Fall.ShiftRange(wd*res.early, wd*res.late),

@@ -39,37 +39,29 @@ func designsEqual(t *testing.T, got, want *netlist.Design) {
 	wantNets := want.Nets()
 	for i, gn := range got.Nets() {
 		wn := wantNets[i]
-		if gn.Name != wn.Name || gn.ID() != wn.ID() {
-			t.Fatalf("net %d: %q id %d != %q id %d", i, gn.Name, gn.ID(), wn.Name, wn.ID())
+		if got.NetName(gn) != want.NetName(wn) || gn != wn {
+			t.Fatalf("net %d: %q id %d != %q id %d", i, got.NetName(gn), gn, want.NetName(wn), wn)
 		}
-		if len(gn.Conns) != len(wn.Conns) {
-			t.Fatalf("net %q: %d conns != %d", gn.Name, len(gn.Conns), len(wn.Conns))
+		gcs, wcs := got.NetConns(gn), want.NetConns(wn)
+		if len(gcs) != len(wcs) {
+			t.Fatalf("net %q: %d conns != %d", got.NetName(gn), len(gcs), len(wcs))
 		}
-		for j, gc := range gn.Conns {
-			wc := wn.Conns[j]
-			gi, wi := "", ""
-			if gc.Inst != nil {
-				gi = gc.Inst.Name
-			}
-			if wc.Inst != nil {
-				wi = wc.Inst.Name
-			}
-			if gi != wi || gc.Port != wc.Port || gc.Pin != wc.Pin || gc.Dir != wc.Dir {
-				t.Fatalf("net %q conn %d: {%q %q %q %v} != {%q %q %q %v}",
-					gn.Name, j, gi, gc.Port, gc.Pin, gc.Dir, wi, wc.Port, wc.Pin, wc.Dir)
+		for j, gc := range gcs {
+			wc := wcs[j]
+			if gs, ws := got.ConnName(gc), want.ConnName(wc); gs != ws || got.Conn(gc).Dir != want.Conn(wc).Dir {
+				t.Fatalf("net %q conn %d: {%s %v} != {%s %v}", got.NetName(gn), j, gs, got.Conn(gc).Dir, ws, want.Conn(wc).Dir)
 			}
 		}
-		gd, wd := gn.Driver(), wn.Driver()
-		if (gd == nil) != (wd == nil) {
-			t.Fatalf("net %q: driver nil mismatch", gn.Name)
+		if (got.Driver(gn) < 0) != (want.Driver(wn) < 0) {
+			t.Fatalf("net %q: driver presence mismatch", got.NetName(gn))
 		}
 	}
 	wantInsts := want.Insts()
 	for i, gi := range got.Insts() {
 		wi := wantInsts[i]
-		if gi.Name != wi.Name || gi.Cell != wi.Cell || gi.ID() != wi.ID() {
+		if got.InstName(gi) != want.InstName(wi) || got.CellName(gi) != want.CellName(wi) || gi != wi {
 			t.Fatalf("inst %d: %s(%s) id %d != %s(%s) id %d",
-				i, gi.Name, gi.Cell, gi.ID(), wi.Name, wi.Cell, wi.ID())
+				i, got.InstName(gi), got.CellName(gi), gi, want.InstName(wi), want.CellName(wi), wi)
 		}
 	}
 }

@@ -334,7 +334,7 @@ func (p *parser) module() error {
 		case "endmodule":
 			for len(header) > 0 {
 				end := bytes.IndexByte(header, ' ')
-				if p.d.FindPort(textio.View(header[:end])) == nil {
+				if p.d.FindPort(textio.View(header[:end])) < 0 {
 					return errorf(p.sc.tokLine, "port %q in header but never declared", header[:end])
 				}
 				header = header[end+1:]
@@ -455,17 +455,15 @@ func Write(w io.Writer, d *netlist.Design) error {
 	ports := d.Ports()
 	names := make([]string, len(ports))
 	for i, p := range ports {
-		names[i] = p.Name
+		names[i] = d.PortName(p)
 	}
 	fmt.Fprintf(bw, "module %s (%s);\n", d.Name, strings.Join(names, ", "))
 	var ins, outs []string
-	portNet := map[string]bool{}
 	for _, p := range ports {
-		portNet[p.Name] = true
-		if p.Dir == netlist.In {
-			ins = append(ins, p.Name)
+		if d.Port(p).Dir == netlist.In {
+			ins = append(ins, d.PortName(p))
 		} else {
-			outs = append(outs, p.Name)
+			outs = append(outs, d.PortName(p))
 		}
 	}
 	if len(ins) > 0 {
@@ -476,8 +474,8 @@ func Write(w io.Writer, d *netlist.Design) error {
 	}
 	var wires []string
 	for _, n := range d.Nets() {
-		if !portNet[n.Name] {
-			wires = append(wires, n.Name)
+		if d.FindPort(d.NetName(n)) < 0 {
+			wires = append(wires, d.NetName(n))
 		}
 	}
 	if len(wires) > 0 {
@@ -485,13 +483,12 @@ func Write(w io.Writer, d *netlist.Design) error {
 	}
 	for _, inst := range d.Insts() {
 		var conns []string
-		for _, c := range inst.Inputs() {
-			conns = append(conns, fmt.Sprintf(".%s(%s)", c.Pin, c.Net.Name))
+		for _, pins := range [][]netlist.ConnID{d.Inputs(inst), d.Outputs(inst)} {
+			for _, c := range pins {
+				conns = append(conns, fmt.Sprintf(".%s(%s)", d.Pin(c), d.NetName(d.Conn(c).Net)))
+			}
 		}
-		for _, c := range inst.Outputs() {
-			conns = append(conns, fmt.Sprintf(".%s(%s)", c.Pin, c.Net.Name))
-		}
-		fmt.Fprintf(bw, "  %s %s (%s);\n", inst.Cell, inst.Name, strings.Join(conns, ", "))
+		fmt.Fprintf(bw, "  %s %s (%s);\n", d.CellName(inst), d.InstName(inst), strings.Join(conns, ", "))
 	}
 	fmt.Fprintln(bw, "endmodule")
 	return bw.Flush()

@@ -37,17 +37,17 @@ func TestParseSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	u0 := d.FindInst("u0")
-	if u0 == nil || u0.Cell != "NAND2_X1" {
-		t.Fatalf("u0 = %+v", u0)
+	if u0 < 0 || d.CellName(u0) != "NAND2_X1" {
+		t.Fatalf("u0 = %d", u0)
 	}
-	if got := u0.Outputs()[0].Net.Name; got != "n1" {
+	if got := d.NetName(d.Conn(d.Outputs(u0)[0]).Net); got != "n1" {
 		t.Fatalf("u0.Y net = %q", got)
 	}
 	// Directions resolved from the library.
-	if d.FindNet("n1").Driver().Inst.Name != "u0" {
+	if d.DriverInst(d.FindNet("n1")) != u0 {
 		t.Fatal("n1 driver wrong")
 	}
-	if d.FindPort("a").Dir != netlist.In || d.FindPort("y").Dir != netlist.Out {
+	if d.Port(d.FindPort("a")).Dir != netlist.In || d.Port(d.FindPort("y")).Dir != netlist.Out {
 		t.Fatal("port directions wrong")
 	}
 }
@@ -80,7 +80,7 @@ func TestParseEscapedIdentifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FindPort("a$1") == nil {
+	if d.FindPort("a$1") < 0 {
 		t.Fatalf("escaped port missing; ports = %v", d.Ports())
 	}
 }
@@ -141,7 +141,7 @@ func TestTokenLongerThanWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.FindPort(long) == nil || d.FindPort(long+"y") == nil || d.NumPorts() != 2 {
+		if d.FindPort(long) < 0 || d.FindPort(long+"y") < 0 || d.NumPorts() != 2 {
 			t.Fatalf("%d ports, the long names are not among them", d.NumPorts())
 		}
 	}

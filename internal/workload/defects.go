@@ -179,8 +179,8 @@ func (g *Generated) Inject(d Defects) error {
 // firstDrivenNet returns the alphabetically first net with a driver.
 func firstDrivenNet(d *netlist.Design) (string, error) {
 	for _, n := range d.Nets() {
-		if n.Driver() != nil {
-			return n.Name, nil
+		if d.Driver(n) >= 0 {
+			return d.NetName(n), nil
 		}
 	}
 	return "", fmt.Errorf("workload: no driven net to corrupt")

@@ -161,19 +161,20 @@ func Fabric(spec FabricSpec) (*Generated, error) {
 	}
 	for _, name := range allNets {
 		net := d.FindNet(name)
-		drv := net.Driver()
+		drv := d.Driver(net)
 		n := &spef.Net{Name: name, TotalCap: spec.GroundC}
-		drvNode := drv.Inst.Name + ":" + drv.Pin
+		drvNode := d.InstName(d.Conn(drv).Inst) + ":" + d.Pin(drv)
 		n.Conns = append(n.Conns, spef.Conn{Pin: drvNode, Dir: spef.DirOut, Node: drvNode})
 		node := name + ":1"
 		n.Ress = append(n.Ress, spef.ResEntry{A: drvNode, B: node, Ohms: spec.SegRes})
 		n.Caps = append(n.Caps, spef.CapEntry{Node: node, F: spec.GroundC})
 		n.Caps = append(n.Caps, couplings[name]...)
-		for _, lc := range net.Loads() {
-			if lc.Inst == nil {
+		for _, lc := range d.Loads(net) {
+			inst := d.Conn(lc).Inst
+			if inst < 0 {
 				continue
 			}
-			pinNode := lc.Inst.Name + ":" + lc.Pin
+			pinNode := d.InstName(inst) + ":" + d.Pin(lc)
 			n.Conns = append(n.Conns, spef.Conn{Pin: pinNode, Dir: spef.DirIn, Node: pinNode})
 			n.Ress = append(n.Ress, spef.ResEntry{A: node, B: pinNode, Ohms: spec.SegRes / 4})
 		}

@@ -175,9 +175,10 @@ func TestFabricDeterministicBySeed(t *testing.T) {
 		t.Fatal("same seed produced different structure")
 	}
 	for _, inst := range a.Design.Insts() {
-		other := b.Design.FindInst(inst.Name)
-		if other == nil || other.Cell != inst.Cell {
-			t.Fatalf("instance %s differs", inst.Name)
+		name := a.Design.InstName(inst)
+		other := b.Design.FindInst(name)
+		if other < 0 || b.Design.CellName(other) != a.Design.CellName(inst) {
+			t.Fatalf("instance %s differs", name)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package planted breaks every source gate once, so gates_test.go can show
 // each gate fails. The decoys in comments and strings must not count:
 // map[string]int, http.StatusNotFound, report.BuildJSON(res),
-// "repro/internal/chaos", sha256.Sum256(spec).
+// "repro/internal/chaos", sha256.Sum256(spec), Agg *netlist.Net.
 package planted
 
 import (
@@ -10,12 +10,13 @@ import (
 	"net/http"
 
 	"repro/internal/chaos"
+	"repro/internal/netlist"
 	"repro/internal/report"
 )
 
 var byName map[string]int
 
-const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New()"
+const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn"
 
 // prepare reaches for an injector from product code.
 var prepare = chaos.RuntimeFaults{Panic: []string{"*"}}.Hook()
@@ -43,3 +44,25 @@ func marshalHead(j storedJob) ([]byte, error) {
 
 // specDigest hashes a spec a second time, outside the one key function.
 func specDigest(spec []byte) [sha256.Size]byte { return sha256.Sum256(spec) }
+
+// Design stores a table whose records hold a name the collector must
+// trace; the count beside it is not a table.
+type Design struct {
+	nets arena[netRec]
+	n    int
+}
+
+type arena[T any] struct{ chunks [][]T }
+
+type netRec struct {
+	name string
+	id   int32
+}
+
+// engine keeps a pointer into the netlist where an ID would do; the
+// design itself and a func field's signature are not such pointers.
+type engine struct {
+	design    *netlist.Design
+	receivers []*netlist.Conn
+	onLevel   func(*netlist.Levelization)
+}

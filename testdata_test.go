@@ -102,9 +102,9 @@ func TestTestdataVerilogMatchesNet(t *testing.T) {
 			dV.NumInsts(), dV.NumNets(), dV.NumPorts())
 	}
 	for _, inst := range dNet.Insts() {
-		other := dV.FindInst(inst.Name)
-		if other == nil || other.Cell != inst.Cell {
-			t.Fatalf("instance %s differs between formats", inst.Name)
+		other := dV.FindInst(dNet.InstName(inst))
+		if other < 0 || dV.CellName(other) != dNet.CellName(inst) {
+			t.Fatalf("instance %s differs between formats", dNet.InstName(inst))
 		}
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/liberty"
@@ -100,43 +102,44 @@ func New(d *netlist.Design, lib *liberty.Library, p *spef.Parasitics) (*Design, 
 	if err != nil {
 		return nil, err
 	}
-	// Size the parasitics database: a first pass over the nets counts each
-	// one's nodes and coupling partners, which only naming them can.
+	// Pair each extracted net with its netlist net, and size the database
+	// from the counts the parse took.
 	nets := d.Nets()
-	extracted, sizes := make([]*spef.Net, d.NumNets()), make([]rc.Sizes, d.NumNets())
-	scratch := make([]netScratch, max(workers, 1)) // one per worker
-	err = par.ForWorker(ctx, len(nets), workers, parallelBelow, func(w, i int) error {
-		net, nb := nets[i], &scratch[w].Builder
-		if p != nil {
-			extracted[net] = p.Net(d.NetName(net))
-		}
-		sn := extracted[net]
-		if sn == nil {
+	extracted := make([]int32, d.NumNets()) // extracted net index+1, 0 for none
+	if p != nil {
+		// Cannot fail: every iteration returns nil, and ctx is never done.
+		_ = par.For(ctx, p.NumNets(), workers, parallelBelow, func(i int) error {
+			if net := d.FindNet(p.NetName(i)); net >= 0 {
+				extracted[net] = int32(i) + 1
+			}
+			return nil
+		})
+	}
+	sizes := make([]rc.Sizes, d.NumNets())
+	for net, x := range extracted {
+		if x > 0 {
+			sizes[net] = rc.Sizes(p.Sizes(int(x - 1)))
+		} else {
 			// Lumped: the driver's node, and one per load behind a
 			// negligible resistor.
-			loads := len(d.Loads(net))
+			loads := len(d.Loads(netlist.NetID(net)))
 			sizes[net] = rc.Sizes{Nodes: 1 + loads, Ress: loads}
-			return nil
 		}
-		if _, err := read(nb, sn); err != nil {
-			return err
-		}
-		sizes[net] = nb.Sizes()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	if b.rc, err = rc.NewDB(sizes); err != nil {
 		return nil, err
 	}
 	// Assemble, resolve and reduce every net.
-	var mu sync.Mutex // guards fails and strangers
-	err = par.ForWorker(ctx, len(nets), workers, parallelBelow, func(w, i int) error {
-		b.compile(nets[i], extracted[nets[i]], &scratch[w], &mu)
-		return nil
+	var mu sync.Mutex                              // guards fails and strangers
+	scratch := make([]netScratch, max(workers, 1)) // one per worker
+	return b, par.ForWorker(ctx, len(nets), workers, parallelBelow, func(w, i int) error {
+		var sn *spef.NetView
+		if x := extracted[nets[i]]; x > 0 {
+			v := p.View(int(x - 1))
+			sn = &v
+		}
+		return b.compile(nets[i], sn, &scratch[w], &mu)
 	})
-	return b, err
 }
 
 // netScratch is what one worker reuses from net to net: the builder, and
@@ -146,39 +149,13 @@ type netScratch struct {
 	pin []byte
 }
 
-// read assembles an extracted net: its nodes numbered in order of first
-// mention — connections, then resistor ends, then capacitor nodes — rooted
-// at the first driver (*CONN direction O) entry, which it returns.
-func read(nb *rc.Builder, sn *spef.Net) (root int32, err error) {
-	nb.Reset(sn.Name)
-	root = -1
-	for _, c := range sn.Conns {
-		if i := nb.Node(c.Node); c.Dir == spef.DirOut && root < 0 {
-			root = i
-		}
-	}
-	for _, r := range sn.Ress {
-		nb.AddRes(nb.Node(r.A), nb.Node(r.B), r.Ohms)
-	}
-	for _, c := range sn.Caps {
-		if node := nb.Node(c.Node); c.Other == "" {
-			nb.AddCap(node, c.F)
-		} else {
-			nb.AddCoupling(node, spef.NetOfNode(c.Other), c.F)
-		}
-	}
-	if root < 0 {
-		return root, fmt.Errorf("rc: net %q has no driver connection", sn.Name)
-	}
-	nb.SetRoot(root)
-	return root, nil
-}
-
-// compile assembles a net — from its extracted parasitics, or as a lumped
-// stand-in — resolves its connections to nodes, attaches the receiver pin
-// capacitances, commits it, reduced, to the database, and resolves its
-// coupling partners to nets. What names leave behind goes in under mu.
-func (b *Design) compile(net netlist.NetID, sn *spef.Net, nb *netScratch, mu *sync.Mutex) {
+// compile assembles a net — from its extracted parasitics, nodes as the
+// parse numbered them and rooted at the first driver (*CONN direction O)
+// entry, or as a lumped stand-in — resolves its connections to nodes,
+// attaches the receiver pin capacitances, commits it, reduced, to the
+// database, and resolves its coupling partners to nets. What names leave
+// behind goes in under mu.
+func (b *Design) compile(net netlist.NetID, sn *spef.NetView, nb *netScratch, mu *sync.Mutex) error {
 	d, root := b.Net, int32(0)
 	if sn == nil {
 		nb.Reset(d.NetName(net))
@@ -191,7 +168,26 @@ func (b *Design) compile(net netlist.NetID, sn *spef.Net, nb *netScratch, mu *sy
 			nb.AddRes(root, b.connNode[lc], 1e-3)
 		}
 	} else {
-		root, _ = read(&nb.Builder, sn) // cannot fail: it did not when sizing
+		nb.Reset(sn.Name)
+		for k := range sn.NumNodes() {
+			nb.Named(sn.Node(int32(k)))
+		}
+		i := slices.IndexFunc(sn.Pins, func(c spef.Pin) bool { return c.Dir == spef.DirOut })
+		if i < 0 {
+			return fmt.Errorf("rc: net %q has no driver connection", sn.Name)
+		}
+		root = sn.Pins[i].Node
+		nb.SetRoot(root)
+		for _, r := range sn.Ress {
+			nb.AddRes(r.A, r.B, r.Ohms)
+		}
+		for k, c := range sn.Caps {
+			if c.Partner < 0 {
+				nb.AddCap(c.Node, c.F)
+			} else {
+				nb.AddCoupling(c.Node, spef.NetOfNode(sn.Other(k)), c.F)
+			}
+		}
 		for _, c := range d.NetConns(net) {
 			// The extractor names a connection's node "inst:pin", or by
 			// the bare port name.
@@ -222,7 +218,7 @@ func (b *Design) compile(net netlist.NetID, sn *spef.Net, nb *netScratch, mu *sy
 		groups[g].Agg = int32(d.FindNet(name))
 		if groups[g].Agg < 0 {
 			mu.Lock()
-			b.strangers[int64(net)<<32|int64(g)] = name
+			b.strangers[int64(net)<<32|int64(g)] = strings.Clone(name)
 			mu.Unlock()
 		}
 	}
@@ -231,6 +227,7 @@ func (b *Design) compile(net netlist.NetID, sn *spef.Net, nb *netScratch, mu *sy
 		b.fails[net] = failed
 		mu.Unlock()
 	}
+	return nil
 }
 
 // NetworkOf returns the RC record of a net of the bound netlist: its

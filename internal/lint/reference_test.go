@@ -160,6 +160,7 @@ func randomParasitics(t *testing.T, rng *rand.Rand, nets int) *Input {
 	d := netlist.New("rnd")
 	p := spef.NewParasitics("rnd")
 	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	sns := make([]*spef.Net, nets) // stored once built: the database keeps no handle to change
 	for i := 0; i < nets; i++ {
 		if i < nets-1 {
 			d.Net(name(i))
@@ -190,14 +191,12 @@ func randomParasitics(t *testing.T, rng *rand.Rand, nets int) *Input {
 		if rng.Intn(10) == 0 {
 			sn.Caps = append(sn.Caps, spef.CapEntry{Node: node(nodes + 1), F: -1e-15})
 		}
-		if err := p.AddNet(sn); err != nil {
-			t.Fatal(err)
-		}
+		sns[i] = sn
 	}
 	// Couplings: mostly reciprocal; net 0 couples to everything, so it is
 	// far past the width where a partner's section is scanned.
 	couple := func(a, b int, both bool) {
-		na, nb := p.Net(name(a)), p.Net(name(b))
+		na, nb := sns[a], sns[b]
 		na.Caps = append(na.Caps, spef.CapEntry{Node: name(a) + ":0", Other: name(b) + ":0", F: 2e-15})
 		if both {
 			nb.Caps = append(nb.Caps, spef.CapEntry{Node: name(b) + ":0", Other: name(a) + ":0", F: 2e-15})
@@ -209,8 +208,13 @@ func randomParasitics(t *testing.T, rng *rand.Rand, nets int) *Input {
 			couple(i, j, rng.Intn(4) > 0)
 		}
 		if rng.Intn(15) == 0 {
-			n := p.Net(name(i))
+			n := sns[i]
 			n.Caps = append(n.Caps, spef.CapEntry{Node: name(i) + ":0", Other: "nowhere:1", F: 1e-15})
+		}
+	}
+	for _, sn := range sns {
+		if err := p.AddNet(sn); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return &Input{Design: d, Lib: liberty.Generic(), Paras: p}

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/netlist"
 	"repro/internal/spef"
@@ -33,23 +34,31 @@ func init() {
 }
 
 // eachNet calls f once for every net name of the design or the
-// parasitics, with the name's net on each side, or -1 and nil. Both hand
-// out name-sorted views, so matching them is one merge walk and no lookup.
-func eachNet(in *Input, f func(n netlist.NetID, sn *spef.Net)) {
-	d := in.Design
-	nets, paras := d.Nets(), in.Paras.Nets()
-	for len(nets) > 0 || len(paras) > 0 {
-		switch {
-		case len(paras) == 0 || len(nets) > 0 && d.NetName(nets[0]) < paras[0].Name:
-			f(nets[0], nil)
-			nets = nets[1:]
-		case len(nets) == 0 || paras[0].Name < d.NetName(nets[0]):
-			f(-1, paras[0])
-			paras = paras[1:]
-		default:
-			f(nets[0], paras[0])
-			nets, paras = nets[1:], paras[1:]
+// parasitics, in name order, with the name's net on each side: its
+// netlist ID or -1, and its index in the parasitics or -1. The netlist
+// hands out a name-sorted view; the extracted nets it lacks are few, and
+// sorted here.
+func eachNet(in *Input, f func(n netlist.NetID, i int)) {
+	d, p := in.Design, in.Paras
+	extracted := make([]int32, d.NumNets()) // index+1 in the parasitics, 0 for none
+	var strays []int
+	for i := range p.NumNets() {
+		if n := d.FindNet(p.NetName(i)); n >= 0 {
+			extracted[n] = int32(i) + 1
+		} else {
+			strays = append(strays, i)
 		}
+	}
+	slices.SortFunc(strays, func(a, b int) int { return strings.Compare(p.NetName(a), p.NetName(b)) })
+	for _, n := range d.Nets() {
+		for len(strays) > 0 && p.NetName(strays[0]) < d.NetName(n) {
+			f(-1, strays[0])
+			strays = strays[1:]
+		}
+		f(n, int(extracted[n])-1)
+	}
+	for _, i := range strays {
+		f(-1, i)
 	}
 }
 
@@ -57,13 +66,13 @@ func checkSpefCorrespondence(in *Input, rep *Reporter) {
 	if in.Paras == nil {
 		return
 	}
-	eachNet(in, func(n netlist.NetID, sn *spef.Net) {
+	eachNet(in, func(n netlist.NetID, i int) {
 		switch {
 		case n < 0:
-			rep.Report("spef net "+sn.Name,
+			rep.Report("spef net "+in.Paras.NetName(i),
 				"parasitic net is not present in the netlist",
 				"fix the extractor's name mapping or re-extract against this netlist")
-		case sn == nil && len(in.Design.NetConns(n)) > 0:
+		case i < 0 && len(in.Design.NetConns(n)) > 0:
 			// This direction is informational: a net without extracted
 			// parasitics falls back to the lumped zero-resistance model,
 			// which is routine pre-layout but worth surfacing on signoff
@@ -76,67 +85,73 @@ func checkSpefCorrespondence(in *Input, rep *Reporter) {
 }
 
 func checkSpefValues(in *Input, rep *Reporter) {
-	if in.Paras == nil {
+	p := in.Paras
+	if p == nil {
 		return
 	}
 	// A finding's object path is built when there is a finding.
-	object := func(sn *spef.Net, kind string, i int) string {
-		return fmt.Sprintf("spef net %s %s %d", sn.Name, kind, i+1)
+	object := func(name, kind string, i int) string {
+		return fmt.Sprintf("spef net %s %s %d", name, kind, i+1)
 	}
-	// listsPartner reports whether pn's own section couples it to the
-	// named net. It walks pn's capacitors; only a net with more of them
-	// than a walk per partner should cost gets its totals in a map.
-	var wide map[*spef.Net]map[string]float64
-	listsPartner := func(pn *spef.Net, name string) bool {
-		if len(pn.Caps) <= 32 {
-			return slices.ContainsFunc(pn.Caps, func(c spef.CapEntry) bool {
-				return c.Other != "" && spef.NetOfNode(c.Other) == name
-			})
+	// listsPartner reports whether net i's own section couples it to the
+	// net of name ID id. It walks i's capacitors; only a net with more of
+	// them than a walk per partner should cost gets its partners sorted.
+	var wide map[int][]int32
+	listsPartner := func(i int, id int32) bool {
+		caps := p.View(i).Caps
+		if len(caps) <= 32 {
+			return slices.ContainsFunc(caps, func(c spef.Cap) bool { return c.Partner == id })
 		}
-		m, ok := wide[pn]
+		ids, ok := wide[i]
 		if !ok {
-			if wide == nil {
-				wide = make(map[*spef.Net]map[string]float64)
+			for _, c := range caps {
+				ids = append(ids, c.Partner)
 			}
-			m = pn.CouplingByNet()
-			wide[pn] = m
+			slices.Sort(ids)
+			if wide == nil {
+				wide = make(map[int][]int32)
+			}
+			wide[i] = ids
 		}
-		_, ok = m[name]
+		_, ok = slices.BinarySearch(ids, id)
 		return ok
 	}
-	for _, sn := range in.Paras.Nets() {
-		for i, c := range sn.Caps {
+	eachNet(in, func(_ netlist.NetID, i int) {
+		if i < 0 {
+			return
+		}
+		sn, self := p.View(i), p.NameOf(i)
+		for k, c := range sn.Caps {
 			if c.F < 0 {
-				rep.Report(object(sn, "cap", i),
+				rep.Report(object(sn.Name, "cap", k),
 					fmt.Sprintf("negative capacitance %g F", c.F),
 					"fix the extraction; negative capacitance is unphysical")
 				continue
 			}
-			if c.Other == "" {
+			if c.Partner < 0 {
 				continue
 			}
-			partner := spef.NetOfNode(c.Other)
-			pn := in.Paras.Net(partner)
-			if pn == nil && in.Design.FindNet(partner) < 0 {
-				rep.Report(object(sn, "cap", i),
-					fmt.Sprintf("dangling coupling cap: partner net %q exists in neither the parasitics nor the netlist", partner),
+			pn := p.NetNamed(c.Partner)
+			if pn < 0 && in.Design.FindNet(p.Name(c.Partner)) < 0 {
+				rep.Report(object(sn.Name, "cap", k),
+					fmt.Sprintf("dangling coupling cap: partner net %q exists in neither the parasitics nor the netlist", p.Name(c.Partner)),
 					"remove the capacitor or restore the missing aggressor net")
 				continue
 			}
-			if pn != nil && !listsPartner(pn, sn.Name) {
-				rep.ReportAt(Info, object(sn, "cap", i),
-					fmt.Sprintf("coupling to %q has no reciprocal entry in that net's section", partner),
+			if pn >= 0 && !listsPartner(pn, self) {
+				rep.ReportAt(Info, object(sn.Name, "cap", k),
+					fmt.Sprintf("coupling to %q has no reciprocal entry in that net's section", p.Name(c.Partner)),
 					"extractors list each coupling cap in both partners' sections; the partner will not see this aggressor")
 			}
 		}
-		for i, r := range sn.Ress {
+		for k, r := range sn.Ress {
 			if r.Ohms < 0 {
-				rep.Report(object(sn, "res", i),
+				rep.Report(object(sn.Name, "res", k),
 					fmt.Sprintf("negative resistance %g ohm", r.Ohms),
 					"fix the extraction; negative resistance is unphysical")
 			}
 		}
-	}
+	})
 }
 
 // checkRCTopology verifies, per parasitic net, what the bind's tree
@@ -148,44 +163,20 @@ func checkRCTopology(in *Input, rep *Reporter) {
 		return
 	}
 	var t rcTopology // scratch shared by every net
-	eachNet(in, func(n netlist.NetID, sn *spef.Net) {
-		if n >= 0 && sn != nil { // SPF001 reports a net of one side only
-			t.lint(sn, rep)
+	eachNet(in, func(n netlist.NetID, i int) {
+		if n >= 0 && i >= 0 { // SPF001 reports a net of one side only
+			v := in.Paras.View(i)
+			t.lint(&v, rep)
 		}
 	})
 }
 
-// rcTopology is the working state of one net's topology check: its nodes
-// numbered in order of first mention, exactly as bind.New numbers
-// them, and a union-find over them that the resistors merge.
+// rcTopology is the working state of one net's topology check: a
+// union-find over the net's stored nodes that the resistors merge, and the
+// nodes the check counts — all but those only negative capacitors name —
+// in order of first mention, as bind.New numbers them.
 type rcTopology struct {
-	names  []string
-	index  map[string]int32 // nil while names is short enough to scan
-	parent []int32
-	resA   []int32 // one end of each resistor
-}
-
-// node returns the number of the named node, adding it when new.
-func (t *rcTopology) node(name string) int32 {
-	if t.index != nil {
-		if i, ok := t.index[name]; ok {
-			return i
-		}
-	} else if i := slices.Index(t.names, name); i >= 0 {
-		return int32(i)
-	}
-	i := int32(len(t.names))
-	t.names = append(t.names, name)
-	t.parent = append(t.parent, i)
-	if t.index != nil {
-		t.index[name] = i
-	} else if len(t.names) > 16 {
-		t.index = make(map[string]int32, 2*len(t.names))
-		for j, nm := range t.names {
-			t.index[nm] = int32(j)
-		}
-	}
-	return i
+	parent, rank, order []int32
 }
 
 // find returns the representative of i's component, halving the path.
@@ -197,23 +188,31 @@ func (t *rcTopology) find(i int32) int32 {
 	return i
 }
 
-func (t *rcTopology) lint(sn *spef.Net, rep *Reporter) {
-	t.names, t.parent, t.resA, t.index = t.names[:0], t.parent[:0], t.resA[:0], nil
+func (t *rcTopology) lint(sn *spef.NetView, rep *Reporter) {
+	t.parent, t.rank, t.order = t.parent[:0], t.rank[:0], t.order[:0]
+	for k := range sn.NumNodes() {
+		t.parent, t.rank = append(t.parent, int32(k)), append(t.rank, -1)
+	}
+	mention := func(k int32) {
+		if t.rank[k] < 0 {
+			t.rank[k] = int32(len(t.order))
+			t.order = append(t.order, k)
+		}
+	}
 	root := int32(-1)
-	for _, c := range sn.Conns {
-		i := t.node(c.Node)
-		if c.Dir == spef.DirOut && root < 0 {
-			root = i
+	for _, c := range sn.Pins {
+		if mention(c.Node); c.Dir == spef.DirOut && root < 0 {
+			root = c.Node
 		}
 	}
 	for _, r := range sn.Ress {
-		a, b := t.node(r.A), t.node(r.B)
-		t.resA = append(t.resA, a)
-		t.parent[t.find(a)] = t.find(b)
+		mention(r.A)
+		mention(r.B)
+		t.parent[t.find(r.A)] = t.find(r.B)
 	}
 	for _, c := range sn.Caps {
 		if c.F >= 0 { // negative caps are SPF002's finding
-			t.node(c.Node)
+			mention(c.Node)
 		}
 	}
 	if root < 0 {
@@ -225,13 +224,13 @@ func (t *rcTopology) lint(sn *spef.Net, rep *Reporter) {
 	// The driver's component: its nodes, and the resistors inside it.
 	root = t.find(root)
 	reached, compEdges := 0, 0
-	for i := range t.names {
-		if t.find(int32(i)) == root {
+	for _, k := range t.order {
+		if t.find(k) == root {
 			reached++
 		}
 	}
-	for _, a := range t.resA {
-		if t.find(a) == root {
+	for _, r := range sn.Ress {
+		if t.find(r.A) == root {
 			compEdges++
 		}
 	}
@@ -240,11 +239,11 @@ func (t *rcTopology) lint(sn *spef.Net, rep *Reporter) {
 			fmt.Sprintf("resistive loop: %d resistors span only %d reachable nodes", compEdges, reached),
 			"RC reduction assumes a tree; remove the redundant resistor or merge parallel segments")
 	}
-	if reached < len(t.names) {
+	if reached < len(t.order) {
 		var orphans []string
-		for i, name := range t.names {
-			if t.find(int32(i)) != root {
-				orphans = append(orphans, name)
+		for _, k := range t.order {
+			if t.find(k) != root {
+				orphans = append(orphans, sn.Node(k))
 			}
 		}
 		rep.Report("spef net "+sn.Name,

@@ -6,10 +6,11 @@
 // binds past a lint error.
 //
 // The three databases are independent until lint, so they are parsed
-// concurrently (and the Verilog and SPEF parsers are parallel inside,
-// over GOMAXPROCS). The outcome is the serial one: when several sources
-// are bad, the error reported is the first in the order library,
-// netlist, parasitics, timing.
+// concurrently, each by one streaming pass on its own goroutine. The
+// Verilog reader is the longest of those passes: it is the parse phase's
+// serial long pole. The outcome is the serial one: when several sources
+// are bad, the error reported is the first in the order library, netlist,
+// parasitics, timing.
 package load
 
 import (

@@ -86,6 +86,10 @@ func (b *Builder) Node(name string) int32 {
 	return b.add(name)
 }
 
+// Named adds a node the caller knows is not in the net yet, as a parser
+// that numbered the net's nodes does.
+func (b *Builder) Named(name string) int32 { return b.add(name) }
+
 // Anon adds a node no name will be looked up for.
 func (b *Builder) Anon() int32 { return b.add("") }
 

@@ -287,8 +287,19 @@ func TestOracleCatchesPlantedMutation(t *testing.T) {
 // New with the reference's error.
 func TestFromSPEFNoDriver(t *testing.T) {
 	g := randomTrees(4, 5, false)
-	sn := g.Paras.Net("t1")
-	sn.Conns[0].Dir = spef.DirIn
+	// The database keeps no handle to change a net through: rebuild it
+	// with t1's driver turned into a load.
+	p := spef.NewParasitics(g.Paras.Design)
+	var sn *spef.Net
+	for _, n := range g.Paras.Nets() {
+		if n.Name == "t1" {
+			n.Conns[0].Dir, sn = spef.DirIn, n
+		}
+		if err := p.AddNet(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Paras = p
 	_, refErr := refFromSPEF(sn)
 	_, err := bind.New(g.Design, liberty.Generic(), g.Paras)
 	if err == nil || refErr == nil || err.Error() != refErr.Error() || !strings.Contains(err.Error(), "no driver connection") {

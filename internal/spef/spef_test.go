@@ -1,6 +1,7 @@
 package spef
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -276,5 +277,48 @@ func TestUnmappedReferencePassesThrough(t *testing.T) {
 	}
 	if p.Net("*9") == nil {
 		t.Fatal("unmapped reference lost")
+	}
+}
+
+// TestParseAcrossSegments: nets past openNets fill more than one segment,
+// each sealed to its exact size and the next sized like it, and the
+// database is still the reference parser's — and so is one that AddNet
+// grows after the parse.
+func TestParseAcrossSegments(t *testing.T) {
+	src := bigSource(2*openNets + 100)
+	want, err := parseReference(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Parse(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.segs) != 3 {
+		t.Fatalf("%d segments, want 3", len(got.segs))
+	}
+	for i, s := range got.segs {
+		if s.open || cap(s.text) != len(s.text) || cap(s.caps) != len(s.caps) {
+			t.Fatalf("segment %d not sealed to size: open %v, text %d/%d, caps %d/%d", i, s.open, len(s.text), cap(s.text), len(s.caps), cap(s.caps))
+		}
+	}
+	parasiticsEqual(t, got, want)
+	extra := &Net{Name: "extra", Conns: []Conn{{Pin: "x:Y", Dir: DirOut, Node: "x:Y"}}, Caps: []CapEntry{{Node: "x:Y", Other: "big/net_0:1", F: 1}}}
+	for _, p := range []*Parasitics{got, want} {
+		if err := p.AddNet(extra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parasiticsEqual(t, got, want)
+}
+
+// TestEntryFormatsLikeG pins Write's number rendering to fmt's %g, which
+// it replaced: same bytes for every kind of value.
+func TestEntryFormatsLikeG(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -2.5, 1e-15, 3.0000000000000004e-15, 123456789, 1e21, 1e-7,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got, want := string(entry(nil, v, "a", "b")), fmt.Sprintf(" a b %g\n", v); got != want {
+			t.Errorf("entry(%v) = %q, want %q", v, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sta_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -47,5 +48,28 @@ func TestAllocationGates(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("TimingOf(nil): %v allocations, want 0", n)
+	}
+}
+
+// TestParseTimingAllocationGate: reading a .win file costs one allocation
+// per input line — its name — and a few for the map and the slabs.
+func TestParseTimingAllocationGate(t *testing.T) {
+	g, err := workload.Bus(workload.BusSpec{Bits: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src bytes.Buffer
+	if err := sta.WriteInputTiming(&src, g.Inputs); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Count(src.Bytes(), []byte("\n"))
+	perLine := testing.AllocsPerRun(3, func() {
+		if _, err := sta.ParseInputTiming(bytes.NewReader(src.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(lines)
+	t.Logf("ParseInputTiming: %.3f allocations per line over %d lines", perLine, lines)
+	if perLine > 1.5 {
+		t.Fatalf("ParseInputTiming: %.2f allocations per line, want ≤ 1.5", perLine)
 	}
 }

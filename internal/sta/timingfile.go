@@ -2,6 +2,7 @@ package sta
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/interval"
+	"repro/internal/textio"
 )
 
 // The ".win" input-timing file format carries per-port switching windows
@@ -72,28 +74,36 @@ func numField(v float64) string {
 }
 
 // ParseInputTiming reads a .win file into a port-timing map suitable for
-// Options.InputTiming.
+// Options.InputTiming. It reads line views and parses them in place: a
+// line costs one allocation, its name; the timings come from slabs.
 //
 //snavet:ctxloop file codec bounded by the input file; cancellation belongs to the caller's reader
 func ParseInputTiming(r io.Reader) (map[string]*Timing, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	lr := textio.NewLineReader(r)
 	out := make(map[string]*Timing)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	var (
+		f    [][]byte
+		slab []Timing
+	)
+	for lineNo := 1; ; lineNo++ {
+		raw, ok, err := lr.Next()
+		if err != nil {
+			return nil, fmt.Errorf("sta: line %d: %w", lineNo, err)
+		}
+		if !ok {
+			return out, nil
+		}
+		line := bytes.TrimSpace(raw)
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		f := strings.Fields(line)
-		if f[0] != "input" {
+		f = textio.SplitFields(line, f[:0])
+		if string(f[0]) != "input" {
 			return nil, fmt.Errorf("sta: line %d: unknown keyword %q", lineNo, f[0])
 		}
 		if len(f) < 2 {
 			return nil, fmt.Errorf("sta: line %d: input wants a name", lineNo)
 		}
-		name := f[1]
 		if len(f) != 6 {
 			return nil, fmt.Errorf("sta: line %d: input wants NAME RISE FALL slewMin slewMax", lineNo)
 		}
@@ -110,63 +120,66 @@ func ParseInputTiming(r io.Reader) (map[string]*Timing, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("sta: line %d: bad slew", lineNo)
 		}
+		if _, dup := out[string(f[1])]; dup {
+			return nil, fmt.Errorf("sta: line %d: duplicate input %q", lineNo, f[1])
+		}
+		if len(slab) == cap(slab) {
+			slab = make([]Timing, 0, min(max(64, 2*cap(slab)), 4096))
+		}
+		slab = append(slab, Timing{Rise: rise, Fall: fall, SlewRise: emptyRange(), SlewFall: emptyRange()})
+		t := &slab[len(slab)-1]
 		slew := Range{Min: sMin, Max: sMax}
-		t := &Timing{Rise: rise, Fall: fall, SlewRise: emptyRange(), SlewFall: emptyRange()}
 		if !rise.IsEmpty() {
 			t.SlewRise = slew
 		}
 		if !fall.IsEmpty() {
 			t.SlewFall = slew
 		}
-		if _, dup := out[name]; dup {
-			return nil, fmt.Errorf("sta: line %d: duplicate input %q", lineNo, name)
-		}
-		out[name] = t
+		out[string(f[1])] = t
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sta: line %d: %w", lineNo+1, err)
-	}
-	return out, nil
 }
 
 // parseWinField parses "-" or a comma-separated list of lo:hi windows.
-func parseWinField(field string) (interval.Set, error) {
-	if field == "-" {
+func parseWinField(field []byte) (interval.Set, error) {
+	if string(field) == "-" {
 		return interval.EmptySet(), nil
 	}
-	var ws []interval.Window
-	for _, part := range strings.Split(field, ",") {
-		bounds := strings.Split(part, ":")
-		if len(bounds) != 2 {
+	var buf [4]interval.Window
+	ws := buf[:0]
+	for rest, more := field, true; more; {
+		var part []byte
+		part, rest, more = bytes.Cut(rest, []byte(","))
+		lo, hi, found := bytes.Cut(part, []byte(":"))
+		if !found || bytes.IndexByte(hi, ':') >= 0 {
 			return interval.EmptySet(), fmt.Errorf("window %q wants lo:hi", part)
 		}
-		lo, err1 := parseNum(bounds[0])
-		hi, err2 := parseNum(bounds[1])
+		l, err1 := parseNum(lo)
+		h, err2 := parseNum(hi)
 		if err1 != nil || err2 != nil {
 			return interval.EmptySet(), fmt.Errorf("bad window bounds %q", part)
 		}
 		// ParseFloat accepts "NaN", and NaN compares false to everything,
 		// so the inverted-window check below cannot catch it — reject it
 		// explicitly or interval.New panics on attacker-controlled input.
-		if math.IsNaN(lo) || math.IsNaN(hi) {
+		if math.IsNaN(l) || math.IsNaN(h) {
 			return interval.EmptySet(), fmt.Errorf("NaN window bound in %q", part)
 		}
-		if lo > hi {
-			return interval.EmptySet(), fmt.Errorf("inverted window [%g, %g]", lo, hi)
+		if l > h {
+			return interval.EmptySet(), fmt.Errorf("inverted window [%g, %g]", l, h)
 		}
-		ws = append(ws, interval.New(lo, hi))
+		ws = append(ws, interval.New(l, h))
 	}
 	return interval.NewSet(ws...), nil
 }
 
-func parseNum(s string) (float64, error) {
-	switch s {
+func parseNum(b []byte) (float64, error) {
+	switch string(b) {
 	case "+inf", "inf":
 		return math.Inf(1), nil
 	case "-inf":
 		return math.Inf(-1), nil
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(textio.View(b), 64)
 	if err != nil {
 		return 0, err
 	}

@@ -98,22 +98,30 @@ func TestTimingFileComments(t *testing.T) {
 	}
 }
 
+// TestTimingFileErrors pins each rejection's exact text: the line it
+// names and what it says is wrong.
 func TestTimingFileErrors(t *testing.T) {
-	cases := []string{
-		"output a 0:1 0:1 1 1", // unknown keyword
-		"input",                // missing name
-		"input a 0:1",          // truncated line
-		"input a x:y - 1 1",    // bad bounds
-		"input a 5:1 - 1 1",    // inverted window
-		"input a 0 1 - 1 1",    // window missing colon
-		"input a - - 1",        // missing slew
-		"input a - - x y",      // bad slew
-		"input a 0:1,2 - 1 1",  // malformed list entry
-		"input a 0:1 0:1 1 1\ninput a 0:1 0:1 1 1", // duplicate
+	cases := []struct{ src, want string }{
+		{"output a 0:1 0:1 1 1", `sta: line 1: unknown keyword "output"`},
+		{"input", "sta: line 1: input wants a name"},
+		{"input a 0:1", "sta: line 1: input wants NAME RISE FALL slewMin slewMax"},
+		{"input a x:y - 1 1", `sta: line 1: rise window: bad window bounds "x:y"`},
+		{"input a 5:1 - 1 1", "sta: line 1: rise window: inverted window [5, 1]"},
+		{"input a 0 1 - 1 1", "sta: line 1: input wants NAME RISE FALL slewMin slewMax"},
+		{"input a - - 1", "sta: line 1: input wants NAME RISE FALL slewMin slewMax"},
+		{"input a - - x y", "sta: line 1: bad slew"},
+		{"input a 0:1,2 - 1 1", `sta: line 1: rise window: window "2" wants lo:hi`},
+		{"input a 0:1 0:1 1 1\ninput a 0:1 0:1 1 1", `sta: line 2: duplicate input "a"`},
+		{"input a 0:1 - 1 1 extra\n", "sta: line 1: input wants NAME RISE FALL slewMin slewMax"},
+		{"input a , - 1 1\n", `sta: line 1: rise window: window "" wants lo:hi`},
+		{"input a 0:1, - 1 1\n", `sta: line 1: rise window: window "" wants lo:hi`},
+		{"input a 0:1:2 - 1 1\n", `sta: line 1: rise window: window "0:1:2" wants lo:hi`},
+		{"# c\n\n  input a 0:1 - 1 1  \ninput b 0:1e-11 1e400:1e401 1 1\n", `sta: line 4: fall window: bad window bounds "1e400:1e401"`},
 	}
-	for _, src := range cases {
-		if _, err := ParseInputTiming(strings.NewReader(src)); err == nil {
-			t.Errorf("ParseInputTiming(%q) succeeded", src)
+	for _, tc := range cases {
+		_, err := ParseInputTiming(strings.NewReader(tc.src))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ParseInputTiming(%q) = %v, want %s", tc.src, err, tc.want)
 		}
 	}
 }

@@ -100,32 +100,25 @@ func FirstField(line []byte) []byte {
 	return line
 }
 
-// SplitFields is bytes.Fields into a reusable slice, with a fallback to
-// full Unicode space handling when non-ASCII bytes appear.
+// SplitFields is bytes.Fields into a reusable slice, in one pass over an
+// ASCII line, with a fallback to full Unicode space handling when a
+// non-ASCII byte appears.
 func SplitFields(line []byte, dst [][]byte) [][]byte {
-	ascii := true
-	for _, c := range line {
-		if c >= utf8.RuneSelf {
-			ascii = false
-			break
+	base, st := len(dst), -1
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			return append(dst[:base], bytes.Fields(line)...)
+		case asciiSpace(c):
+			if st >= 0 {
+				dst, st = append(dst, line[st:i]), -1
+			}
+		case st < 0:
+			st = i
 		}
 	}
-	if !ascii {
-		return append(dst, bytes.Fields(line)...)
-	}
-	i, n := 0, len(line)
-	for i < n {
-		for i < n && asciiSpace(line[i]) {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		st := i
-		for i < n && !asciiSpace(line[i]) {
-			i++
-		}
-		dst = append(dst, line[st:i])
+	if st >= 0 {
+		dst = append(dst, line[st:])
 	}
 	return dst
 }

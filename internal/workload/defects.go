@@ -165,6 +165,18 @@ func (g *Generated) Inject(d Defects) error {
 		if d.OrphanRCNode {
 			sn.Caps = append(sn.Caps, spef.CapEntry{Node: sn.Name + ":defect_orphan", F: 1 * units.Femto})
 		}
+		// A stored net does not change: the database is rebuilt with this
+		// one in its place.
+		p := spef.NewParasitics(g.Paras.Design)
+		for _, n := range g.Paras.Nets() {
+			if n.Name == sn.Name {
+				n = sn
+			}
+			if err := p.AddNet(n); err != nil {
+				return err
+			}
+		}
+		g.Paras = p
 	}
 	if d.QuietInput {
 		name, err := firstTimedInput(g.Inputs)

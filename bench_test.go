@@ -184,7 +184,7 @@ func BenchmarkAnalyzeIterativeScratch(b *testing.B) {
 	bd, opts := ladderFixture(b)
 	run := func() int {
 		const tol = units.Pico / 100
-		padding := make(map[string]float64)
+		padding := make([]float64, bd.Net.NumNets())
 		ropts := opts
 		ropts.STA.WindowPadding = padding
 		for round := 1; round <= 8; round++ {
@@ -197,8 +197,8 @@ func BenchmarkAnalyzeIterativeScratch(b *testing.B) {
 			}
 			grew := false
 			for _, im := range delay.Impacts {
-				if im.Delta > padding[im.Net]+tol {
-					padding[im.Net] = im.Delta
+				if im.Delta > padding[im.ID]+tol {
+					padding[im.ID] = im.Delta
 					grew = true
 				}
 			}

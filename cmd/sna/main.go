@@ -336,7 +336,7 @@ func delayTable(stdout io.Writer, res *core.Result, dres *core.DelayResult, peri
 		row := []string{im.Net, edge, report.SI(im.NoisePeak, "V"),
 			report.SI(im.Delta, "s"), strings.Join(im.Members, "+")}
 		if period > 0 {
-			if slack, ok := res.STA.TimingSlack(im.Net); ok {
+			if slack, ok := res.STA.TimingSlack(im.ID); ok {
 				row = append(row, report.SI(slack, "s"), report.SI(slack-im.Delta, "s"))
 			} else {
 				row = append(row, "-", "-")

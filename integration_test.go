@@ -133,7 +133,7 @@ func TestEndToEndConservativeVsSimulation(t *testing.T) {
 	for i := range ctx.Couplings {
 		// Drive the golden cluster with the same edge rate the analysis
 		// used: the STA-computed fastest rise slew of that aggressor.
-		slew := res.STA.TimingOfNet(ctx.Couplings[i].Aggressor).SlewRise.Min
+		slew := res.STA.TimingOf(ctx.Couplings[i].Agg).SlewRise.Min
 		if math.IsInf(slew, 0) || slew <= 0 {
 			t.Fatalf("no STA slew for %s", ctx.Couplings[i].Aggressor)
 		}

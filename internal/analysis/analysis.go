@@ -1,8 +1,8 @@
 // Package analysis is snavet's static-analysis framework: a small,
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
-// model (Analyzer, Pass, Diagnostic) plus the two drivers snavet needs —
-// the `go vet -vettool` unit-checker protocol (unit.go) and a standalone
-// module-aware loader built on `go list -export` (golist.go).
+// model (Analyzer, Pass, Diagnostic) plus the one driver snavet has, the
+// `go vet -vettool` unit-checker protocol (unit.go): go vet loads the
+// packages, snavet checks each compilation unit it is handed.
 //
 // The analyzers in this package exist to enforce invariants this repository
 // learned the hard way (see DESIGN.md §9): context checks in per-net loops,

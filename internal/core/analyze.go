@@ -180,9 +180,11 @@ type analyzer struct {
 	// by order position (nil until the first delay pass); assembleDelay
 	// flattens and sorts them into a DelayResult.
 	impacts [][]DelayImpact
-	// corr maps nets to their primary-input dependence for logic
-	// correlation (nil when the option is off).
-	corr  map[string]sourceMap
+	// corr is each net's primary-input dependence for logic correlation,
+	// by net ID, and aggs the aggressor of each coupled event (-1: none),
+	// parallel to coupled; both nil when the option is off.
+	corr  []source
+	aggs  [][2][]netlist.NetID
 	stats Stats
 	// degraded marks nets substituted with the full-rail fallback; diags
 	// records why. Both are written serially (commit or fixpoint loop).
@@ -212,7 +214,7 @@ type analyzer struct {
 // coupled-event construction — used by AnalyzeCtx, AnalyzeDelayCtx and the
 // iterative engine.
 func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, error) {
-	a, err := newAnalyzerBase(ctx, b, opts)
+	a, err := newAnalyzerBase(ctx, b, opts, victimOrderOf(b))
 	if err != nil {
 		return nil, err
 	}
@@ -227,9 +229,10 @@ func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, 
 }
 
 // newAnalyzerBase builds everything up to (but not including) victim
-// preparation: timing, victim ordering, and the wave schedule. The sharded
-// engine uses it directly so each shard prepares only the victims it owns.
-func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyzer, error) {
+// preparation over the victim order (victimOrderOf): timing, the order's
+// indexes, and the wave schedule. The sharded engine uses it directly so
+// each shard prepares only the victims it owns.
+func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options, order []netlist.NetID) (*analyzer, error) {
 	opts.fill()
 	a := &analyzer{b: b, opts: opts, vdd: EffectiveVdd(b, opts)}
 	staRes, err := sta.RunCtx(ctx, b, opts.STA, opts.Workers)
@@ -237,13 +240,12 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options) (*analyz
 		return nil, err
 	}
 	a.staRes = staRes
-	if opts.LogicCorrelation {
-		a.corr = buildCorrelations(b)
-	}
-
-	a.order = victimOrderOf(b)
+	a.order = order
 	a.indexOrder()
 	n := len(a.order)
+	if opts.LogicCorrelation {
+		a.corr, a.aggs = buildCorrelations(b), make([][2][]netlist.NetID, n)
+	}
 	a.stale, a.delayStale, a.prepared = make(bitset, (n+63)/64), make(bitset, (n+63)/64), make(bitset, (n+63)/64)
 	a.scratch = make([]scratch, max(opts.Workers, 1))
 	a.ctxs = make([]*noise.Context, n)
@@ -710,7 +712,7 @@ func (a *analyzer) evalNet(oi int, net netlist.NetID, nn *NetNoise, res *Result,
 	}
 	ev.propagated = a.buildEvents(oi, net, nn, res, sc)
 	for _, k := range Kinds {
-		ev.comb[k] = sc.cb.combineConstrained(nn.Events[k], a.vdd, a.conflictFunc(nn.Events[k], k), a.occupancy(), &nn.Comb[k])
+		ev.comb[k] = sc.cb.combineConstrained(nn.Events[k], a.vdd, a.conflictFunc(oi, k), a.occupancy(), &nn.Comb[k])
 	}
 	ev.changed = !combEqual(ev.comb[KindLow], nn.Comb[KindLow], 1e-7) ||
 		!combEqual(ev.comb[KindHigh], nn.Comb[KindHigh], 1e-7)
@@ -854,6 +856,11 @@ func (a *analyzer) prepareEvents(pos int, ctx *noise.Context, sc *scratch) (prep
 
 	events := &sc.events
 	events[KindLow], events[KindHigh] = events[KindLow][:0], events[KindHigh][:0]
+	var aggs *[2][]netlist.NetID // the victim's own, under logic correlation
+	if a.aggs != nil {
+		aggs = &a.aggs[pos]
+		aggs[KindLow], aggs[KindHigh] = aggs[KindLow][:0], aggs[KindHigh][:0]
+	}
 	for i := range kept {
 		cpl := &kept[i]
 		aggT := a.staRes.TimingOf(cpl.Agg)
@@ -903,6 +910,9 @@ func (a *analyzer) prepareEvents(pos int, ctx *noise.Context, sc *scratch) (prep
 					Window: noiseWins.At(wi),
 					Source: cpl.Aggressor,
 				})
+				if aggs != nil {
+					aggs[k] = append(aggs[k], cpl.Agg)
+				}
 			}
 		}
 	}
@@ -922,6 +932,9 @@ func (a *analyzer) prepareEvents(pos int, ctx *noise.Context, sc *scratch) (prep
 					Window: interval.Infinite(),
 					Source: "virtual",
 				})
+				if aggs != nil {
+					aggs[k] = append(aggs[k], -1)
+				}
 			}
 		}
 	}

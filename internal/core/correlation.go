@@ -14,8 +14,8 @@ import (
 // same-direction glitches (which is what a single victim state collects)
 // can never align.
 //
-// The analyzer tracks, for every net, the set of primary inputs it depends
-// on and the polarity of each dependence (positive, negative, or both when
+// The analyzer tracks, for every net, the primary inputs it depends on and
+// the polarity of the dependence (positive, negative, or both when
 // reconvergence mixes parities). Under the single-transition-per-cycle
 // model, aggressor A making edge dA and aggressor B making edge dB are
 // mutually exclusive when both depend on exactly the same single input
@@ -44,61 +44,75 @@ func (p polarity) invert() polarity {
 	return out
 }
 
-// sourceMap records a net's dependence on primary inputs: port name →
-// polarity. A nil map means "unknown" (feedback loops, or nets with no
-// computed dependence) and disables correlation for that net.
-type sourceMap map[string]polarity
+// source summarizes a net's dependence on primary inputs as far as
+// exclusion can use it: exclusiveEdges only fires for nets that depend on
+// exactly one input, so two or more are "many", whichever they are. A net
+// whose dependence is not computed (on or past a loop) is unknown, the zero
+// value; many and unknown both disable correlation for the net.
+type source struct {
+	kind srcKind
+	pol  polarity       // srcOne: the parities of the paths from the input
+	port netlist.PortID // srcOne: the input
+}
 
-// buildCorrelations computes every net's source map by one pass over the
-// levelized netlist. Nets on or downstream of combinational loops get nil
-// (no correlation claims are made about them).
-func buildCorrelations(b *bind.Design) map[string]sourceMap {
+type srcKind uint8
+
+const (
+	srcUnknown srcKind = iota
+	srcNone            // depends on no input
+	srcOne
+	srcMany
+)
+
+// merge folds an arc's input net into an output's summary, through the
+// arc's unateness. Unknown absorbs everything, many everything known, and
+// two dependences on one input OR their parities.
+func (s source) merge(in source, u liberty.Unateness) source {
+	switch {
+	case in.kind == srcUnknown || s.kind == srcUnknown:
+		return source{}
+	case in.kind == srcNone:
+		return s
+	case in.kind == srcMany || s.kind == srcMany || s.kind == srcOne && s.port != in.port:
+		return source{kind: srcMany}
+	}
+	switch u {
+	case liberty.NegativeUnate:
+		in.pol = in.pol.invert()
+	case liberty.NonUnate:
+		in.pol = polBoth
+	}
+	in.pol |= s.pol // s is none (no parity) or one on the same input
+	return in
+}
+
+// buildCorrelations computes every net's summary, by net ID, by one pass
+// over the levelized netlist. Nets on or downstream of combinational loops
+// stay unknown (no correlation claims are made about them).
+func buildCorrelations(b *bind.Design) []source {
 	d := b.Net
-	out := make(map[string]sourceMap, d.NumNets())
+	out := make([]source, d.NumNets())
 	for _, p := range d.Ports() {
 		if d.Port(p).Dir == netlist.In {
-			out[d.PortName(p)] = sourceMap{d.PortName(p): polPos}
+			out[d.Conn(d.Port(p).Conn).Net] = source{kind: srcOne, pol: polPos, port: p}
 		}
 	}
-	netName := func(c netlist.ConnID) string { return d.NetName(d.Conn(c).Net) }
 	lev := d.Levelize()
 	for _, inst := range lev.Ordered() {
 		cell := b.Cell(inst)
 		for _, oc := range d.Outputs(inst) {
-			merged := sourceMap{}
-			known := true
+			merged := source{kind: srcNone}
 			for _, arc := range cell.ArcsTo(d.Pin(oc)) {
-				ic := d.PinConn(inst, arc.From)
-				if ic < 0 {
-					continue
-				}
-				in, ok := out[netName(ic)]
-				if !ok || in == nil {
-					known = false
-					break
-				}
-				for port, pol := range in {
-					switch arc.Unate {
-					case liberty.NegativeUnate:
-						pol = pol.invert()
-					case liberty.NonUnate:
-						pol = polBoth
-					}
-					merged[port] |= pol
+				if ic := d.PinConn(inst, arc.From); ic >= 0 {
+					merged = merged.merge(out[d.Conn(ic).Net], arc.Unate)
 				}
 			}
-			if !known {
-				out[netName(oc)] = nil
-				continue
-			}
-			out[netName(oc)] = merged
+			out[d.Conn(oc).Net] = merged
 		}
 	}
-	// Feedback-driven nets stay absent; normalize them to nil entries so
-	// lookups distinguish "no info" from "no dependence".
 	for _, inst := range lev.Feedback {
 		for _, oc := range d.Outputs(inst) {
-			out[netName(oc)] = nil
+			out[d.Conn(oc).Net] = source{}
 		}
 	}
 	return out
@@ -107,43 +121,31 @@ func buildCorrelations(b *bind.Design) map[string]sourceMap {
 // exclusiveEdges reports whether net A making edge riseA and net B making
 // edge riseB are logically mutually exclusive: both depend solely on the
 // same input with definite, contradictory polarity requirements.
-func exclusiveEdges(sA, sB sourceMap, riseA, riseB bool) bool {
-	if len(sA) != 1 || len(sB) != 1 {
-		return false
-	}
-	var portA, portB string
-	var polA, polB polarity
-	for p, q := range sA {
-		portA, polA = p, q
-	}
-	for p, q := range sB {
-		portB, polB = p, q
-	}
-	if portA != portB || polA == polBoth || polB == polBoth {
+func exclusiveEdges(sA, sB source, riseA, riseB bool) bool {
+	if sA.kind != srcOne || sB.kind != srcOne || sA.port != sB.port || sA.pol == polBoth || sB.pol == polBoth {
 		return false
 	}
 	// The input must rise for net X to rise through a positive path, or
 	// fall through a negative one.
-	reqA := riseA == (polA == polPos)
-	reqB := riseB == (polB == polPos)
+	reqA := riseA == (sA.pol == polPos)
+	reqB := riseB == (sB.pol == polPos)
 	return reqA != reqB
 }
 
-// conflictFunc builds the pairwise exclusion test for one victim kind's
-// event list. Only coupled events (whose Source is an aggressor net name
-// with a known source map) participate; propagated and virtual events are
-// never excluded.
-func (a *analyzer) conflictFunc(events []Event, k Kind) func(i, j int) bool {
+// conflictFunc builds the pairwise exclusion test for one kind of the
+// victim at pos. Only coupled events with an aggressor in the netlist take
+// part (the head of the list, which a.aggs parallels): propagated, virtual
+// and stranger events are never excluded.
+func (a *analyzer) conflictFunc(pos int, k Kind) func(i, j int) bool {
 	if a.corr == nil {
 		return nil
 	}
+	aggs := a.aggs[pos][k]
 	rise := k == KindLow // rising aggressors endanger a low victim
 	return func(i, j int) bool {
-		si, okI := a.corr[events[i].Source]
-		sj, okJ := a.corr[events[j].Source]
-		if !okI || !okJ || si == nil || sj == nil {
+		if i >= len(aggs) || j >= len(aggs) || aggs[i] < 0 || aggs[j] < 0 {
 			return false
 		}
-		return exclusiveEdges(si, sj, rise, rise)
+		return exclusiveEdges(a.corr[aggs[i]], a.corr[aggs[j]], rise, rise)
 	}
 }

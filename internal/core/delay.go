@@ -36,6 +36,9 @@ import (
 // transition direction.
 type DelayImpact struct {
 	Net string
+	// ID is Net's ID in the analyzed design: what the noise↔delay loop
+	// grows padding by.
+	ID netlist.NetID
 	// Rise marks the victim transition direction analyzed.
 	Rise bool
 	// VictimWindow is the victim's own switching-window set for this
@@ -245,6 +248,7 @@ func (a *analyzer) safeDelayNet(ni int, net netlist.NetID, ims []DelayImpact, sc
 		noisePeak := math.Min(comb.Sum, a.vdd)
 		im := DelayImpact{
 			Net:          a.b.Net.NetName(net),
+			ID:           net,
 			Rise:         rise,
 			VictimWindow: vw,
 			NoisePeak:    noisePeak,

@@ -46,8 +46,8 @@ type TestEngine struct {
 }
 
 // NewTestEngine returns the change-driven engine, or the evaluate-everything
-// reference. As in ResumeIterativeCtx, opts.STA.WindowPadding must be the map
-// the round loop grows.
+// reference. As in ResumeIterativeCtx, opts.STA.WindowPadding must be the
+// slice the round loop grows.
 func NewTestEngine(b *bind.Design, opts Options, reference bool) *TestEngine {
 	e := &TestEngine{eng: &engine{b: b, opts: opts}}
 	if e.Phases = e.eng; reference {
@@ -79,5 +79,7 @@ func (e *TestEngine) Degrade(net, stage string) {
 
 // ReanalyzeReference is Reanalyze through the evaluate-everything reference.
 func (s *Session) ReanalyzeReference(ctx context.Context, padding map[string]float64) (*Result, int, error) {
-	return s.reanalyze(ctx, everything{&s.eng}, padding)
+	s.phases = everything{&s.eng}
+	defer func() { s.phases = &s.eng }()
+	return s.Reanalyze(ctx, padding)
 }

@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+
+	"repro/internal/netlist"
+)
 
 // What a round of padding growth invalidates. After a round, window padding
 // grows on the nets whose delay impact exceeded it; the STA update reports
@@ -58,7 +62,7 @@ func (a *analyzer) buildAggIndex() {
 // the timing annotation in place for the padded nets' cones, then re-prepare
 // the victims of every re-timed aggressor, in evaluation order, with the same
 // hook, panic isolation and fail-soft degradation as the first preparation.
-func (a *analyzer) applyPadding(ctx context.Context, changed []string) error {
+func (a *analyzer) applyPadding(ctx context.Context, changed []netlist.NetID) error {
 	retimed, err := a.staRes.UpdatePaddingCtx(ctx, a.opts.STA, changed)
 	if err != nil {
 		return err

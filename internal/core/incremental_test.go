@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/liberty"
+	"repro/internal/netlist"
 	"repro/internal/sta"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -130,7 +131,7 @@ func TestIterativeIncrementalMatchesScratch(t *testing.T) {
 				t.Fatalf("loop did not converge (%d rounds, %s)", iter.Rounds, iter.DivergeReason)
 			}
 			scratch := opts
-			scratch.STA.WindowPadding = iter.Padding
+			scratch.STA.WindowPadding = paddingByID(b.Net, iter.Padding)
 			noise, err := AnalyzeCtx(context.Background(), b, scratch)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +180,7 @@ func TestLadderWorkloadConvergence(t *testing.T) {
 			iter.Rounds, iter.Converged)
 	}
 	scratch := opts
-	scratch.STA.WindowPadding = iter.Padding
+	scratch.STA.WindowPadding = paddingByID(b.Net, iter.Padding)
 	noise, err := AnalyzeCtx(context.Background(), b, scratch)
 	if err != nil {
 		t.Fatal(err)
@@ -293,4 +294,14 @@ func TestIncrementalRoundsReuseCleanVictims(t *testing.T) {
 			}
 		}
 	}
+}
+
+// paddingByID resolves a padding record by name to the timing engine's
+// slice by net ID.
+func paddingByID(d *netlist.Design, padding map[string]float64) []float64 {
+	out := make([]float64, d.NumNets())
+	for net, pad := range padding {
+		out[d.FindNet(net)] = pad
+	}
+	return out
 }

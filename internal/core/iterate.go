@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bind"
+	"repro/internal/netlist"
 	"repro/internal/units"
 )
 
@@ -46,7 +47,8 @@ type IterativeResult struct {
 	// Noise and Delay are the final round's analyses.
 	Noise *Result
 	Delay *DelayResult
-	// Padding is the final per-net late-edge widening applied, seconds.
+	// Padding is the final late-edge widening applied, seconds, by the
+	// padded nets' names.
 	Padding map[string]float64
 	// Rounds is the number of analysis rounds run.
 	Rounds int
@@ -69,10 +71,10 @@ type Phases interface {
 	// BeginRound opens a round and returns the number of waves in a pass.
 	// The driver's first call passes nil: build the engines, seeded with
 	// the padding the driver was started with (empty, or a checkpoint's).
-	// Later calls name the nets whose padding the previous round grew; the
-	// new values are already in the padding map the engine shares with the
-	// driver.
-	BeginRound(ctx context.Context, changed []string) (waves int, err error)
+	// Later calls list the nets whose padding the previous round grew; the
+	// new values are already in the padding slice the engine shares with
+	// the driver.
+	BeginRound(ctx context.Context, changed []netlist.NetID) (waves int, err error)
 	// EvalWave evaluates one wave of the current pass and reports whether
 	// any commit moved beyond the convergence tolerance.
 	EvalWave(ctx context.Context, wave int) (changed bool, err error)
@@ -89,9 +91,10 @@ type Phases interface {
 type RoundState struct {
 	// Round is the last completed round; 0 means a fresh start.
 	Round int
-	// Padding is the cumulative per-net window padding. The engine aliases
-	// this map; the loop grows it in place.
-	Padding map[string]float64
+	// Padding is the cumulative window padding by net ID, an entry for
+	// every net of the design. The engine aliases this slice; the loop
+	// grows it in place.
+	Padding []float64
 	// PrevGrowth is Round's largest per-net padding increase and Stalled
 	// the count of consecutive non-contracting rounds (the watchdog).
 	PrevGrowth float64
@@ -100,24 +103,22 @@ type RoundState struct {
 
 // RunIterative is the round loop over any engine. maxRounds bounds it
 // (default 8 when zero); the tolerance for padding convergence is 0.01 ps.
-// st resumes after a checkpointed round (zero value: fresh start; a nil
-// Padding is allocated); afterRound, when non-nil, sees the state after
-// every round that leaves the loop running — the checkpoint hook. The
-// result's Noise is the engine's to fill in: the loop never looks at it.
+// st resumes after a checkpointed round (zero Round: a fresh start) and
+// holds the padding slice, sized by the caller; afterRound, when non-nil,
+// sees the state after every round that leaves the loop running — the
+// checkpoint hook. The result's Noise and Padding are the caller's to fill
+// in: the loop knows neither the engine's result nor a net's name.
 func RunIterative(ctx context.Context, eng Phases, opts Options, maxRounds int, st RoundState, afterRound func(RoundState)) (*IterativeResult, error) {
 	if maxRounds <= 0 {
 		maxRounds = 8
 	}
 	const tol = units.Pico / 100
-	if st.Padding == nil {
-		st.Padding = make(map[string]float64)
-	}
 	if st.Round == 0 {
 		st.PrevGrowth = math.Inf(1)
 	}
 	padding := st.Padding
-	out := &IterativeResult{Padding: padding}
-	var changed []string // nets whose padding grew last round
+	out := &IterativeResult{}
+	var changed []netlist.NetID // nets whose padding grew last round
 	// A checkpoint taken after the last allowed round still gets one round
 	// to build engines and report from.
 	for round := min(st.Round+1, maxRounds); round <= maxRounds; round++ {
@@ -135,10 +136,10 @@ func RunIterative(ctx context.Context, eng Phases, opts Options, maxRounds int, 
 		var growth float64
 		changed = changed[:0]
 		for _, im := range delay.Impacts {
-			if im.Delta > padding[im.Net]+tol {
-				growth = math.Max(growth, im.Delta-padding[im.Net])
-				padding[im.Net] = im.Delta
-				changed = append(changed, im.Net)
+			if im.Delta > padding[im.ID]+tol {
+				growth = math.Max(growth, im.Delta-padding[im.ID])
+				padding[im.ID] = im.Delta
+				changed = append(changed, im.ID)
 			}
 		}
 		if len(changed) == 0 {
@@ -184,7 +185,7 @@ func RunIterative(ctx context.Context, eng Phases, opts Options, maxRounds int, 
 // runRound is one round over any engine: begin, the pass loop, the delay
 // pass. The round loop calls it every round; a Session calls it once to
 // build and once per Reanalyze.
-func runRound(ctx context.Context, eng Phases, opts Options, changed []string) (*DelayResult, error) {
+func runRound(ctx context.Context, eng Phases, opts Options, changed []netlist.NetID) (*DelayResult, error) {
 	opts.fill()
 	waves, err := eng.BeginRound(ctx, changed)
 	if err != nil {
@@ -207,9 +208,9 @@ type engine struct {
 	res  *Result
 }
 
-// BeginRound implements Phases. The padding map is opts.STA.WindowPadding,
-// which the analyzer and the timing engine alias.
-func (e *engine) BeginRound(ctx context.Context, changed []string) (int, error) {
+// BeginRound implements Phases. The padding slice is
+// opts.STA.WindowPadding, which the analyzer and the timing engine alias.
+func (e *engine) BeginRound(ctx context.Context, changed []netlist.NetID) (int, error) {
 	if e.a == nil {
 		a, err := newAnalyzer(ctx, e.b, e.opts)
 		if err != nil {
@@ -250,9 +251,9 @@ func AnalyzeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxR
 // checkpoints rounds uses.
 func ResumeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxRounds int, from RoundState, afterRound func(RoundState)) (*IterativeResult, error) {
 	if from.Padding == nil {
-		from.Padding = make(map[string]float64)
+		from.Padding = make([]float64, b.Net.NumNets())
 	}
-	// The analyzer and the timing engine alias this map: padding grown
+	// The analyzer and the timing engine alias this slice: padding grown
 	// after a round is what the next round's incremental update applies.
 	opts.STA.WindowPadding = from.Padding
 	eng := &engine{b: b, opts: opts}
@@ -260,8 +261,22 @@ func ResumeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxRo
 	if err != nil {
 		return nil, err
 	}
-	out.Noise = eng.res
+	out.Noise, out.Padding = eng.res, PaddingByName(b.Net, from.Padding)
 	return out, nil
+}
+
+// PaddingByName is padding by net ID as the edges speak it — a report, a
+// checkpoint file, a service's journal: each padded net's amount, by name.
+//
+//snavet:ctxloop one pass over a slice at the report edge, no analysis in it
+func PaddingByName(d *netlist.Design, padding []float64) map[string]float64 {
+	out := make(map[string]float64)
+	for id, pad := range padding {
+		if pad > 0 {
+			out[d.NetName(netlist.NetID(id))] = pad
+		}
+	}
+	return out
 }
 
 // MaxPadding returns the largest applied window padding.

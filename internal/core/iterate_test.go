@@ -55,8 +55,8 @@ func TestIterativeConvergesWithDeltaFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wPlain := plain.STA.TimingOfNet("v").Rise.Hull()
-	wIter := res.Noise.STA.TimingOfNet("v").Rise.Hull()
+	wPlain := plain.STA.TimingOf(b.Net.FindNet("v")).Rise.Hull()
+	wIter := res.Noise.STA.TimingOf(b.Net.FindNet("v")).Rise.Hull()
 	if !(wIter.Hi > wPlain.Hi) {
 		t.Fatalf("padded window %v not later than plain %v", wIter, wPlain)
 	}

@@ -225,7 +225,7 @@ func (r *roundRecorder) DelayImpacts(ctx context.Context, passes int, converged 
 // every round.
 func runLocal(t *testing.T, c oracleCase, b *bind.Design, opts core.Options, workers int, reference bool) (*core.IterativeResult, *roundRecorder) {
 	t.Helper()
-	pad := make(map[string]float64)
+	pad := make([]float64, b.Net.NumNets())
 	opts.Workers, opts.STA.WindowPadding = workers, pad
 	rec := &roundRecorder{TestEngine: core.NewTestEngine(b, opts, reference), t: t}
 	if c.degrade != "" {
@@ -239,7 +239,7 @@ func runLocal(t *testing.T, c oracleCase, b *bind.Design, opts core.Options, wor
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.Noise = rec.Noise()
+	out.Noise, out.Padding = rec.Noise(), core.PaddingByName(b.Net, pad)
 	return out, rec
 }
 
@@ -377,6 +377,54 @@ func TestReanalyzeMatchesEvaluateEverything(t *testing.T) {
 				t.Fatalf("change-driven session made %d evaluations, the reference %d", g, w)
 			}
 		})
+	}
+}
+
+// TestSessionPaddingEdge pins the Session's padding record, the one place
+// padding is a name: a net the design lacks is accepted, counted and kept; a
+// value already applied changes nothing and leaves the report's bytes as
+// they were; and a session rebuilt from Padding() — what a service replays
+// from its journal — holds the same record, unknown name included.
+func TestSessionPaddingEdge(t *testing.T) {
+	b, opts := bindCase(t, oracleCases()[0])
+	ctx := context.Background()
+	sess, err := core.NewSession(ctx, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := map[string]float64{"b1": 5 * units.Pico, "ghost": 3 * units.Pico}
+	if _, n, err := sess.Reanalyze(ctx, both); err != nil || n != 2 {
+		t.Fatalf("padding a known and an unknown net: changed %d (want 2), %v", n, err)
+	}
+	padded := reportBytes(t, sess.Noise(), sess.Delay())
+	for _, pad := range []map[string]float64{both, {"ghost": 3 * units.Pico}, {"ghost": 1 * units.Pico, "b1": 2 * units.Pico}} {
+		if _, n, err := sess.Reanalyze(ctx, pad); err != nil || n != 0 || !bytes.Equal(reportBytes(t, sess.Noise(), sess.Delay()), padded) {
+			t.Fatalf("re-applying %v: changed %d (want 0), %v", pad, n, err)
+		}
+	}
+	if _, n, err := sess.Reanalyze(ctx, map[string]float64{"ghost": 4 * units.Pico}); err != nil || n != 1 ||
+		!bytes.Equal(reportBytes(t, sess.Noise(), sess.Delay()), padded) {
+		t.Fatalf("growing the unknown net: changed %d (want 1, and no net moved), %v", n, err)
+	}
+	want := map[string]float64{"b1": 5 * units.Pico, "ghost": 4 * units.Pico}
+	if got := sess.Padding(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("padding record %v, want %v", got, want)
+	}
+	rebuilt, err := core.RestoreSession(ctx, b, opts, sess.Padding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rebuilt.Padding(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt padding record %v, want %v", got, want)
+	}
+	if _, n, err := rebuilt.Reanalyze(ctx, want); err != nil || n != 0 {
+		t.Fatalf("the record again on the rebuilt session: changed %d (want 0), %v", n, err)
+	}
+	// A rebuild counts the passes of its own fixpoint; the rest is the same.
+	gotN, wantN := *rebuilt.Noise(), *sess.Noise()
+	gotN.Stats.Iterations, wantN.Stats.Iterations = 0, 0
+	if !bytes.Equal(reportBytes(t, &gotN, rebuilt.Delay()), reportBytes(t, &wantN, sess.Delay())) {
+		t.Fatal("the rebuilt session's report differs")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/bind"
+	"repro/internal/netlist"
 )
 
 // Session is the exported handle on the persistent incremental analyzer
@@ -30,8 +31,11 @@ import (
 // every later call returns ErrSessionBroken so the owner knows to rebuild
 // it rather than trust stale state.
 type Session struct {
-	eng     engine
-	delay   *DelayResult
+	eng    engine
+	phases Phases // eng, or the oracle tests' reference around it
+	delay  *DelayResult
+	// padding is the record by name, names the design lacks included; the
+	// engine pads by ID (eng.opts.STA.WindowPadding).
 	padding map[string]float64
 	broken  error
 }
@@ -52,15 +56,30 @@ var ErrSessionBroken = errors.New("core: session broken by failed incremental up
 // semantics match AnalyzeCtx; any WindowPadding already present in opts.STA
 // seeds the session's padding state.
 func NewSession(ctx context.Context, b *bind.Design, opts Options) (*Session, error) {
-	padding := make(map[string]float64, len(opts.STA.WindowPadding))
-	maps.Copy(padding, opts.STA.WindowPadding)
-	// The analyzer and the timing engine alias this map, exactly as the
-	// iterative loop does: padding applied later is what the incremental
-	// timing update reads.
-	opts.STA.WindowPadding = padding
-	s := &Session{eng: engine{b: b, opts: opts}, padding: padding}
+	return RestoreSession(ctx, b, opts, nil)
+}
+
+// RestoreSession is NewSession seeded, on top of opts.STA.WindowPadding, with
+// a padding record by name, as a service journals it. The names resolve to
+// net IDs for the timing run; the record keeps them all, those the design
+// lacks included, so a value the session was already given is no change.
+func RestoreSession(ctx context.Context, b *bind.Design, opts Options, padding map[string]float64) (*Session, error) {
+	// The analyzer and the timing engine alias pad, as the iterative loop
+	// does: padding applied later is what the incremental update reads.
+	pad := make([]float64, b.Net.NumNets())
+	copy(pad, opts.STA.WindowPadding)
+	s := &Session{eng: engine{b: b}, padding: PaddingByName(b.Net, pad)}
+	//snavet:ctxloop one pass over the record; the analysis after it consults ctx
+	for net, p := range padding {
+		s.padding[net] = p
+		if id := b.Net.FindNet(net); id >= 0 {
+			pad[id] = p
+		}
+	}
+	opts.STA.WindowPadding = pad
+	s.eng.opts, s.phases = opts, &s.eng
 	var err error
-	if s.delay, err = runRound(ctx, &s.eng, opts, nil); err != nil {
+	if s.delay, err = runRound(ctx, s.phases, opts, nil); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -98,36 +117,38 @@ func (s *Session) Err() error { return s.broken }
 // error the session is broken (see ErrSessionBroken) unless the error
 // occurred before any state was touched.
 func (s *Session) Reanalyze(ctx context.Context, padding map[string]float64) (*Result, int, error) {
-	return s.reanalyze(ctx, &s.eng, padding)
-}
-
-// reanalyze is Reanalyze over eng, the session's engine (or, in the oracle
-// tests, a wrapper around it).
-func (s *Session) reanalyze(ctx context.Context, eng Phases, padding map[string]float64) (*Result, int, error) {
 	if s.broken != nil {
 		return nil, 0, s.broken
 	}
-	changed := make([]string, 0, len(padding))
+	grown := make([]string, 0, len(padding))
 	for net, pad := range padding {
 		if pad > s.padding[net] {
-			changed = append(changed, net)
+			grown = append(grown, net)
 		}
 	}
-	if len(changed) == 0 {
+	if len(grown) == 0 {
 		return s.eng.res, 0, nil
 	}
-	sort.Strings(changed)
+	sort.Strings(grown)
 	// Commit the padding, then update. From here on a failure leaves the
 	// timing annotation, the event caches, and the committed combinations
-	// potentially out of sync, so any error breaks the session.
-	for _, net := range changed {
+	// potentially out of sync, so any error breaks the session. A name the
+	// design lacks is recorded and pads nothing.
+	d, pad := s.eng.b.Net, s.eng.opts.STA.WindowPadding
+	changed := make([]netlist.NetID, 0, len(grown))
+	//snavet:ctxloop one pass over the request's names; the round after it consults ctx
+	for _, net := range grown {
 		s.padding[net] = padding[net]
+		if id := d.FindNet(net); id >= 0 {
+			pad[id] = padding[net]
+			changed = append(changed, id)
+		}
 	}
-	delay, err := runRound(ctx, eng, s.eng.opts, changed)
+	delay, err := runRound(ctx, s.phases, s.eng.opts, changed)
 	if err != nil {
 		s.broken = ErrSessionBroken
-		return nil, len(changed), err
+		return nil, len(grown), err
 	}
 	s.delay = delay
-	return s.eng.res, len(changed), nil
+	return s.eng.res, len(grown), nil
 }

@@ -41,7 +41,7 @@ func TestSessionReanalyzeMatchesScratch(t *testing.T) {
 	}
 
 	scratch := opts
-	scratch.STA.WindowPadding = sess.Padding()
+	scratch.STA.WindowPadding = paddingByID(b.Net, sess.Padding())
 	noise, err := AnalyzeCtx(context.Background(), b, scratch)
 	if err != nil {
 		t.Fatal(err)

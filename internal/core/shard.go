@@ -4,9 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 
 	"repro/internal/bind"
@@ -53,7 +53,7 @@ func FullRail(vdd float64) (Event, Combined) {
 // PlanID identifies a victim order: its length and a digest of its names.
 // A position means the same net on two participants exactly when their IDs
 // are equal, so every init carries the coordinator's and the engine refuses
-// one that is not its own.
+// one that is not its own. (A net ID is each participant's own.)
 type PlanID struct {
 	Nets   int
 	Digest [sha256.Size]byte
@@ -82,6 +82,10 @@ type ShardPlan struct {
 	// position to its net's name. ID identifies it.
 	Order []string
 	ID    PlanID
+	// Nets is Order by net ID in the design the plan was built from, and
+	// Pos the way back: each net ID's position, -1 for a net not analyzed.
+	Nets []netlist.NetID
+	Pos  []int32
 	// Rank is each position's rank in alphabetical net-name order. Ordering
 	// by it is how the partitioner stays independent of everything but the
 	// names without ever comparing them again.
@@ -125,8 +129,8 @@ func edgeLists(n int, edges []uint64) [][]int32 {
 // it is cheap enough for the coordinator to rebuild on every run.
 func BuildShardPlan(ctx context.Context, b *bind.Design) (*ShardPlan, error) {
 	d, order := b.Net, victimOrderOf(b)
-	plan := &ShardPlan{Order: make([]string, len(order)), ID: orderID(d, order), Rank: make([]int32, len(order)), Waves: wavesOf(d, order)}
 	pos, byName := orderIndex(d, order)
+	plan := &ShardPlan{Order: make([]string, len(order)), ID: orderID(d, order), Nets: order, Pos: pos, Rank: make([]int32, len(order)), Waves: wavesOf(d, order)}
 	for rank, p := range byName {
 		plan.Rank[p] = int32(rank)
 	}
@@ -183,6 +187,17 @@ type WaveUpdate struct {
 	Comb [2]Combined
 }
 
+// PadUpdate is one net's absolute window padding, seconds, by its position:
+// what seeds a shard engine's timing and what a round grows it by.
+type PadUpdate struct {
+	Pos int32
+	Pad float64
+}
+
+// ErrPosition marks a net position outside a shard engine's victim order.
+// The engine refused the request whole: nothing of it was applied.
+var ErrPosition = errors.New("core: net position outside the victim order")
+
 // ShardCollect is one shard's final contribution to the merged result.
 type ShardCollect struct {
 	// Nets holds the owned victims' final noise records, in evaluation
@@ -219,20 +234,23 @@ type ShardEngine struct {
 // NewShardEngine builds a shard over the full design that prepares and
 // evaluates only the owned nets, given as positions of the victim order plan
 // identifies; an order other than this design's, or a position outside it, is
-// refused. The padding map seeds the timing run (values are copied); an
-// engine rebuilt after a worker loss with the cumulative padding is therefore
-// in exactly the state a surviving engine reached through incremental
-// updates, by the same rebuild-equivalence contract core.Session relies on.
-func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, plan PlanID, owned []int32, padding map[string]float64) (*ShardEngine, error) {
-	opts.STA.WindowPadding = make(map[string]float64, len(padding))
-	maps.Copy(opts.STA.WindowPadding, padding)
-	a, err := newAnalyzerBase(ctx, b, opts)
-	if err != nil {
-		return nil, err
-	}
-	if own := orderID(a.b.Net, a.order); own != plan {
+// refused. The padding, by position, seeds the timing run; an engine rebuilt
+// after a worker loss with the cumulative padding is therefore in exactly the
+// state a surviving engine reached through incremental updates, by the same
+// rebuild-equivalence contract core.Session relies on.
+func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, plan PlanID, owned []int32, padding []PadUpdate) (*ShardEngine, error) {
+	order := victimOrderOf(b)
+	if own := orderID(b.Net, order); own != plan {
 		return nil, fmt.Errorf("core: shard plan names %d nets (digest %x), this design's victim order %d (digest %x)",
 			plan.Nets, plan.Digest[:4], own.Nets, own.Digest[:4])
+	}
+	opts.STA.WindowPadding = make([]float64, b.Net.NumNets())
+	if _, err := padTo(opts.STA.WindowPadding, order, padding); err != nil {
+		return nil, err
+	}
+	a, err := newAnalyzerBase(ctx, b, opts, order)
+	if err != nil {
+		return nil, err
 	}
 	e := &ShardEngine{a: a, owned: make([]int, len(owned))}
 	for i, pos := range owned {
@@ -293,31 +311,49 @@ func (e *ShardEngine) EvalWave(ctx context.Context, wi int) (forward []WaveUpdat
 // absolute padding values are written into the timing options, and from
 // there the round begins as the single-process engine's does (applyPadding):
 // the timing annotation is updated in place over the full design, and the
-// owned victims of the re-timed aggressors are re-prepared.
-func (e *ShardEngine) ApplyRound(ctx context.Context, changed []string, padding map[string]float64) error {
-	for _, net := range changed {
-		e.a.opts.STA.WindowPadding[net] = padding[net]
+// owned victims of the re-timed aggressors are re-prepared. A position
+// outside the order refuses the round before any of it is applied.
+func (e *ShardEngine) ApplyRound(ctx context.Context, changed []PadUpdate) error {
+	ids, err := padTo(e.a.opts.STA.WindowPadding, e.a.order, changed)
+	if err != nil {
+		return err
 	}
-	return e.a.applyPadding(ctx, changed)
+	return e.a.applyPadding(ctx, ids)
+}
+
+// padTo writes pads, positions of order, into padding by net ID and returns
+// their nets; a position outside order refuses them all, unwritten.
+func padTo(padding []float64, order []netlist.NetID, pads []PadUpdate) ([]netlist.NetID, error) {
+	ids := make([]netlist.NetID, len(pads))
+	for i, p := range pads {
+		if p.Pos < 0 || int(p.Pos) >= len(order) {
+			return nil, fmt.Errorf("%w: padding position %d outside [0, %d)", ErrPosition, p.Pos, len(order))
+		}
+		ids[i] = order[p.Pos]
+	}
+	for i, p := range pads {
+		padding[ids[i]] = p.Pad
+	}
+	return ids, nil
 }
 
 // DelayImpacts runs the crosstalk delta-delay pass over the delay-stale owned
-// victims and returns all owned impacts in evaluation order (the order
-// assembleDelay flattens in). The impact sort comparator is total, so the
-// coordinator may sort the concatenation of all shards' lists and obtain
-// exactly the single-process order.
-func (e *ShardEngine) DelayImpacts(ctx context.Context) ([]DelayImpact, error) {
+// victims and returns their impacts, a list per owned net in ascending
+// position — the place names the net — which is the engine's own until its
+// next delay pass. The impact sort comparator is total, so the coordinator
+// may sort all shards' impacts together and obtain the single-process order.
+func (e *ShardEngine) DelayImpacts(ctx context.Context) ([][]DelayImpact, error) {
 	if err := e.a.delayPass(ctx); err != nil {
 		return nil, err
 	}
-	var out []DelayImpact
+	out := make([][]DelayImpact, len(e.owned))
 	for i, pos := range e.owned {
 		if i&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		out = append(out, e.a.impacts[pos]...)
+		out[i] = e.a.impacts[pos]
 	}
 	return out, nil
 }

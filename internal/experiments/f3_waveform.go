@@ -64,7 +64,7 @@ func F3Waveform(cfg Config) ([]*report.Table, error) {
 		}
 		var aggs []noise.ClusterAggressor
 		for i := range ctx.Couplings {
-			slew := res.STA.TimingOfNet(ctx.Couplings[i].Aggressor).SlewRise.Min
+			slew := res.STA.TimingOf(ctx.Couplings[i].Agg).SlewRise.Min
 			if math.IsInf(slew, 0) || slew <= 0 {
 				return nil, fmt.Errorf("experiments: no slew for %s", ctx.Couplings[i].Aggressor)
 			}

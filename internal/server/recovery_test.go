@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +101,66 @@ func TestServerRestartRestoresSessions(t *testing.T) {
 	}
 	if before.Noise.Stats.Victims != replayed.Noise.Stats.Victims {
 		t.Fatalf("victims %d -> %d across restart", before.Noise.Stats.Victims, replayed.Noise.Stats.Victims)
+	}
+}
+
+// TestReanalyzePaddingEdge pins padding where it enters by name: a net the
+// design lacks is accepted, counted and journaled like any other; a value
+// already applied changes nothing and leaves the reply's analysis bytes as
+// they were; and a journal replay lands on the same state, the unknown
+// name included.
+func TestReanalyzePaddingEdge(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	createSession(t, ts.URL, "alpha", shard.OptionsSpec{})
+	// reanalyze answers the reply's changedNets and its analysis, as bytes.
+	reanalyze := func(base string, pad map[string]float64) (int, string) {
+		t.Helper()
+		resp, data := do(t, "POST", base+"/v1/sessions/alpha/reanalyze", ReanalyzeRequest{Padding: pad, Delay: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reanalyze %v: status %d: %s", pad, resp.StatusCode, data)
+		}
+		var reply struct {
+			ChangedNets  int
+			Noise, Delay json.RawMessage
+		}
+		if err := json.Unmarshal(data, &reply); err != nil {
+			t.Fatal(err)
+		}
+		return reply.ChangedNets, string(reply.Noise) + string(reply.Delay)
+	}
+	both := map[string]float64{"b1": 5 * units.Pico, "ghost": 3 * units.Pico}
+	n, padded := reanalyze(ts.URL, both)
+	if n != 2 {
+		t.Fatalf("padding a known and an unknown net: changedNets %d, want 2", n)
+	}
+	for _, pad := range []map[string]float64{both, {"ghost": 3 * units.Pico}, {"ghost": 1 * units.Pico, "b1": 2 * units.Pico}} {
+		if n, got := reanalyze(ts.URL, pad); n != 0 || got != padded {
+			t.Fatalf("re-applying %v: changedNets %d (want 0), analysis changed: %t", pad, n, got != padded)
+		}
+	}
+	// A grown unknown name is a change like any other: counted, journaled,
+	// and it moves no net.
+	n, grown := reanalyze(ts.URL, map[string]float64{"ghost": 4 * units.Pico})
+	if n != 1 || grown != padded {
+		t.Fatalf("growing the unknown net: changedNets %d (want 1), analysis changed: %t", n, grown != padded)
+	}
+	ts.Close()
+
+	_, ts2 := newTestServer(t, Config{DataDir: dir})
+	n, replayed := reanalyze(ts2.URL, map[string]float64{"b1": 5 * units.Pico, "ghost": 4 * units.Pico})
+	if n != 0 {
+		t.Fatalf("after the journal replay: changedNets %d, want 0 (the unknown name's padding is state too)", n)
+	}
+	// The replayed engine is a rebuild: its fixpoint counts its own
+	// passes. Everything else is the same bytes.
+	iterations := regexp.MustCompile(`"Iterations":\d+`)
+	padded = iterations.ReplaceAllString(padded, `"Iterations":0`)
+	if iterations.ReplaceAllString(replayed, `"Iterations":0`) != padded {
+		t.Fatal("the replayed session's analysis differs from the one before the restart")
+	}
+	if n, again := reanalyze(ts2.URL, map[string]float64{"ghost": 4 * units.Pico}); n != 0 || iterations.ReplaceAllString(again, `"Iterations":0`) != padded {
+		t.Fatalf("after the replay, the unknown name again: changedNets %d (want 0)", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"maps"
 	"sync"
 	"time"
 
@@ -121,19 +120,15 @@ func (s *session) release() { <-s.busy }
 // The rebuild seeds the engine with the session's cumulative padding, so a
 // session restored from the durable store — or rebuilt after a broken
 // incremental update — lands on exactly the state its reanalyze history
-// reached: core.NewSession applies seeded padding inside its full
-// analysis, and the engine oracle pins that this equals applying the same
-// deltas incrementally.
+// reached: core.RestoreSession resolves the names, applies the padding
+// inside its full analysis and keeps the record, and the engine oracle pins
+// that this equals applying the same deltas incrementally.
 func (s *session) ensureEngine(ctx context.Context) (*core.Session, bool, error) {
 	if s.eng != nil && s.eng.Err() == nil {
 		return s.eng, false, nil
 	}
 	s.eng = nil // drop broken state before the rebuild
-	opts := s.opts
-	if len(s.padding) > 0 {
-		opts.STA.WindowPadding = maps.Clone(s.padding)
-	}
-	eng, err := core.NewSession(ctx, s.b, opts)
+	eng, err := core.RestoreSession(ctx, s.b, s.opts, s.padding)
 	if err != nil {
 		return nil, true, err
 	}

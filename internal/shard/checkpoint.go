@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -29,8 +31,9 @@ type checkpoint struct {
 	Token string `json:"token"`
 	// Round is the last fully completed round.
 	Round int `json:"round"`
-	// Padding is the cumulative per-net window padding after Round.
-	Padding []PadEntry `json:"padding,omitempty"`
+	// Padding is the cumulative window padding after Round, by net name in
+	// name order: the file names nets, the run pads them by ID.
+	Padding []namedPad `json:"padding,omitempty"`
 	// PrevGrowth is the round's largest per-net padding increase; nil
 	// encodes the +Inf baseline, which JSON cannot carry.
 	PrevGrowth *float64 `json:"prevGrowth,omitempty"`
@@ -38,6 +41,12 @@ type checkpoint struct {
 	Stalled int `json:"stalled,omitempty"`
 	// SavedAt is the wall-clock save time (RFC3339), informational only.
 	SavedAt string `json:"savedAt,omitempty"`
+}
+
+// namedPad is one net's padding in the file.
+type namedPad struct {
+	Net string  `json:"net"`
+	Pad float64 `json:"pad"`
 }
 
 // ckptFile maps a token to its file under dir. A byte outside
@@ -109,7 +118,8 @@ func ClearCheckpoint(dir, token string) error {
 // checkpoint. Loading and saving are fail-soft — a checkpointing failure
 // must not take down a healthy analysis, so it only logs.
 func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error)) (*Outcome, error) {
-	from := core.RoundState{Padding: make(map[string]float64)}
+	d := cfg.B.Net
+	from := core.RoundState{Padding: make([]float64, d.NumNets())}
 	dir := cfg.CheckpointDir
 	if dir == "" {
 		return loop(from, nil)
@@ -119,7 +129,11 @@ func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(
 	case err != nil:
 		cfg.Logf("shard: checkpoint load failed, starting fresh: %v", err)
 	case cp != nil:
-		from.Padding = padMap(cp.Padding)
+		for _, p := range cp.Padding {
+			if id := d.FindNet(p.Net); id >= 0 {
+				from.Padding[id] = p.Pad
+			}
+		}
 		from.Round, from.Stalled, from.PrevGrowth = cp.Round, cp.Stalled, math.Inf(1)
 		if cp.PrevGrowth != nil {
 			from.PrevGrowth = *cp.PrevGrowth
@@ -130,10 +144,13 @@ func (cfg *Config) checkpointed(loop func(from core.RoundState, afterRound func(
 		save := &checkpoint{
 			Token:   cfg.Token,
 			Round:   st.Round,
-			Padding: padEntries(st.Padding),
 			Stalled: st.Stalled,
 			SavedAt: time.Now().UTC().Format(time.RFC3339Nano),
 		}
+		for net, pad := range core.PaddingByName(d, st.Padding) {
+			save.Padding = append(save.Padding, namedPad{net, pad})
+		}
+		slices.SortFunc(save.Padding, func(a, b namedPad) int { return strings.Compare(a.Net, b.Net) })
 		if !math.IsInf(st.PrevGrowth, 1) {
 			save.PrevGrowth = &st.PrevGrowth
 		}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
+	"repro/internal/netlist"
 )
 
 // Config parameterizes one noise↔delay fixpoint run, coordinated across
@@ -89,8 +90,8 @@ type cell struct{ shard, wave int }
 // run is the mutable state of one coordinated analysis. It is the
 // distributed core.Phases: each phase dispatches to the workers hosting the
 // shards. The loops that call the phases are core's. Everything per net is a
-// slice over the plan's victim order; a name appears where the run meets
-// padding or the report.
+// slice over the plan's victim order, or, for padding, over the design's net
+// IDs; a name appears only where the run meets the report.
 type run struct {
 	cfg  Config
 	plan *core.ShardPlan
@@ -122,7 +123,9 @@ type run struct {
 	combs     [][2]core.Combined
 	committed []bool
 	pending   [][]int32
-	padding   map[string]float64
+	// padding is the round loop's cumulative padding by net ID (aliased:
+	// the loop grows it, the phases ship it by position).
+	padding []float64
 	// progress is how many waves of the current pass are complete — the
 	// warm-up horizon for a rebuilt engine (see reinit).
 	progress int
@@ -167,6 +170,7 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 			return nil, err
 		}
 		out := &Outcome{IterativeResult: *res}
+		out.Padding = core.PaddingByName(r.cfg.B.Net, r.padding)
 		r.assemble(out, cols)
 		return out, nil
 	})
@@ -257,7 +261,7 @@ func (cfg *Config) fill() {
 // BeginRound implements core.Phases: the first round builds every shard's
 // engine, seeded with the cumulative padding (empty on a fresh run, the
 // checkpoint's on resume); later rounds push the growth to every live shard.
-func (r *run) BeginRound(ctx context.Context, changed []string) (int, error) {
+func (r *run) BeginRound(ctx context.Context, changed []netlist.NetID) (int, error) {
 	r.setProgress(0)
 	if changed == nil {
 		return len(r.plan.Waves), r.initAll(ctx)
@@ -355,15 +359,21 @@ func (r *run) tryWorker(ctx context.Context, wi int, op string, req request, rep
 	return last
 }
 
-// ownUpdates vets an eval answer before it indexes the coordinator's state:
+// ownUpdates vets an answer before it indexes the coordinator's state:
 // every forwarded position lies in the plan and belongs to the shard that
-// reports it. Anything else is a worker speaking of another design.
+// reports it, and a shard's delay impacts come in a list per net it owns.
+// Anything else is a worker speaking of another design.
 func (r *run) ownUpdates(shards []int, rep *Reply) error {
 	for i, ev := range rep.Evals {
 		for _, u := range ev.Updates {
 			if u.Pos < 0 || int(u.Pos) >= len(r.asn.Owner) || int(r.asn.Owner[u.Pos]) != shards[i] {
 				return badRequestError("shard: shard %d forwarded net position %d, which it does not own", shards[i], u.Pos)
 			}
+		}
+	}
+	for i, nets := range rep.Impacts {
+		if len(nets) != len(r.asn.Owned[shards[i]]) {
+			return badRequestError("shard: shard %d reported impacts for %d nets, it owns %d", shards[i], len(nets), len(r.asn.Owned[shards[i]]))
 		}
 	}
 	return nil
@@ -541,7 +551,11 @@ func (r *run) initRequest(at Route) request {
 	req := &InitRequest{Route: at, Design: r.cfg.Design, Plan: r.plan.ID, Inits: make([]ShardInit, len(at.Shards))}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	req.Padding = padEntries(r.padding)
+	for id, pad := range r.padding {
+		if pad > 0 && r.plan.Pos[id] >= 0 { // an undriven net, outside the order, has no timing to pad
+			req.Padding = append(req.Padding, PadEntry{Pos: r.plan.Pos[id], Pad: pad})
+		}
+	}
 	for i, shard := range at.Shards {
 		in := &req.Inits[i]
 		in.Owned = r.asn.Owned[shard]
@@ -688,11 +702,11 @@ func (r *run) initAll(ctx context.Context) error {
 }
 
 // applyRoundAll pushes one round of padding growth to every live shard.
-func (r *run) applyRoundAll(ctx context.Context, changed []string) error {
+func (r *run) applyRoundAll(ctx context.Context, changed []netlist.NetID) error {
 	entries := make([]PadEntry, len(changed))
 	r.mu.Lock()
-	for i, net := range changed {
-		entries[i] = PadEntry{Net: net, Pad: r.padding[net]}
+	for i, id := range changed {
+		entries[i] = PadEntry{Pos: r.plan.Pos[id], Pad: r.padding[id]}
 	}
 	// Which victims a round leaves stale only its engine knows.
 	for s := range r.due {
@@ -717,16 +731,22 @@ func (r *run) evalWaveAll(ctx context.Context, wi int) error {
 	}, func(s int, rep *Reply, i int) { r.applyEval(s, wi, &rep.Evals[i]) })
 }
 
-// delayAll gathers every live shard's delta-delay impacts and sorts the
-// concatenation with the engine's own (total) comparator, yielding exactly
-// the single-process impact order.
+// delayAll gathers every live shard's delta-delay impacts, names and numbers
+// their nets from the plan, and sorts the concatenation with the engine's
+// own (total) comparator, yielding exactly the single-process impact order.
 func (r *run) delayAll(ctx context.Context) ([]core.DelayImpact, error) {
-	per := make([][]core.DelayImpact, r.asn.Shards)
+	per := make([][][]core.DelayImpact, r.asn.Shards)
 	err := r.exchange(ctx, OpDelay, -1, func(at Route) request { return &DelayRequest{at} },
 		func(s int, rep *Reply, i int) { per[s] = rep.Impacts[i] })
 	var all []core.DelayImpact
-	for _, ims := range per {
-		all = append(all, ims...)
+	for s, nets := range per {
+		for j, ims := range nets {
+			p := r.asn.Owned[s][j]
+			for _, im := range ims {
+				im.Net, im.ID = r.plan.Order[p], r.plan.Nets[p]
+				all = append(all, im)
+			}
+		}
 	}
 	core.SortImpacts(all)
 	return all, err

@@ -69,9 +69,8 @@ func (h *Host) Do(ctx context.Context, req any, rep *Reply) error {
 		if err != nil {
 			return fatalUnlessCtx(err)
 		}
-		padding := padMap(req.Padding)
 		h.each(&req.Route, rep, false, func(i int, k slot, _ *Runner) error {
-			eng, err := core.NewShardEngine(ctx, d.b, d.opts, req.Plan, req.Inits[i].Owned, padding)
+			eng, err := core.NewShardEngine(ctx, d.b, d.opts, req.Plan, req.Inits[i].Owned, req.Padding)
 			if err != nil {
 				return fatalUnlessCtx(err)
 			}
@@ -104,7 +103,7 @@ func (h *Host) Do(ctx context.Context, req any, rep *Reply) error {
 		h.each(&req.Route, rep, true, func(_ int, _ slot, r *Runner) error { return r.Round(ctx, req.Changed) })
 		return nil
 	case *DelayRequest:
-		rep.Impacts = make([][]core.DelayImpact, len(req.Shards))
+		rep.Impacts = make([][][]core.DelayImpact, len(req.Shards))
 		h.each(&req.Route, rep, true, func(i int, _ slot, r *Runner) (err error) {
 			rep.Impacts[i], err = r.Delay(ctx)
 			return err

@@ -131,9 +131,10 @@ func (r *Runner) evalResult() EvalResult {
 	return res
 }
 
-// Round applies one round of padding growth. A failure marks the engine
-// broken: the timing update mutates in place and a partial update is not a
-// state any single-process run ever visits.
+// Round applies one round of padding growth. A position outside the order
+// is a bad request, refused before anything moved; any other failure marks
+// the engine broken: the timing update mutates in place and a partial
+// update is not a state any single-process run ever visits.
 func (r *Runner) Round(ctx context.Context, changed []PadEntry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -141,11 +142,9 @@ func (r *Runner) Round(ctx context.Context, changed []PadEntry) error {
 	if err != nil {
 		return err
 	}
-	nets := make([]string, len(changed))
-	for i, e := range changed {
-		nets[i] = e.Net
-	}
-	if err := eng.ApplyRound(ctx, nets, padMap(changed)); err != nil {
+	if err := eng.ApplyRound(ctx, changed); errors.Is(err, core.ErrPosition) {
+		return &FatalError{Err: err}
+	} else if err != nil {
 		r.broken = err
 		return fmt.Errorf("%w: %v", ErrEngineBroken, err)
 	}
@@ -156,8 +155,8 @@ func (r *Runner) Round(ctx context.Context, changed []PadEntry) error {
 }
 
 // Delay runs the delta-delay pass over the owned nets and returns their
-// impacts in evaluation order.
-func (r *Runner) Delay(ctx context.Context) ([]core.DelayImpact, error) {
+// impacts, a list per owned net.
+func (r *Runner) Delay(ctx context.Context) ([][]core.DelayImpact, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	eng, err := r.engine()

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -520,7 +521,10 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	dir := t.TempDir()
 	growth := one.MaxPadding()
-	cp := &checkpoint{Token: "resume", Round: 1, Padding: padEntries(one.Padding), PrevGrowth: &growth}
+	cp := &checkpoint{Token: "resume", Round: 1, PrevGrowth: &growth}
+	for net, pad := range one.Padding {
+		cp.Padding = append(cp.Padding, namedPad{net, pad})
+	}
 	if err := saveCheckpoint(dir, cp); err != nil {
 		t.Fatal(err)
 	}
@@ -895,7 +899,7 @@ func TestRebuildMidPassMakesRemainingWavesDue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.finish()
-	r.padding = map[string]float64{}
+	r.padding = make([]float64, b.Net.NumNets())
 	waves, err := r.BeginRound(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -982,6 +986,9 @@ func TestPositionsAreChecked(t *testing.T) {
 	restore := init(id, 0)
 	restore.Inits[0].Restore = []NetComb{{Pos: n}}
 	fatal("init restoring the position past the order", restore)
+	padded := init(id, 0)
+	padded.Padding = []PadEntry{{Pos: n, Pad: 1e-12}}
+	fatal("init padding the position past the order", padded)
 	if len(host.runners) != 0 {
 		t.Fatalf("%d engine(s) built from refused inits", len(host.runners))
 	}
@@ -993,10 +1000,17 @@ func TestPositionsAreChecked(t *testing.T) {
 	for _, bad := range []int32{n, -1} {
 		fatal(fmt.Sprintf("eval importing position %d", bad),
 			&EvalRequest{Route: at, Seq: 1, Boundary: [][]NetComb{{{Pos: bad}}}})
+		fatal(fmt.Sprintf("round padding position %d", bad),
+			&RoundRequest{Route: at, Changed: []PadEntry{{Pos: 0, Pad: 1e-12}, {Pos: bad, Pad: 1e-12}}})
+	}
+	// The refused rounds left the engine whole: a good one applies.
+	if err := host.Do(ctx, &RoundRequest{Route: at, Changed: []PadEntry{{Pos: 0, Pad: 1e-12}}}, rep); err != nil || rep.Faults[0].Kind != faultNone {
+		t.Fatalf("round after the refused ones: %v %+v", err, rep.Faults)
 	}
 
 	// A worker that forwards a net its shard does not own — past the order,
-	// negative, or a neighbour shard's: the run aborts with the fatal error
+	// negative, or a neighbour shard's — or reports delay impacts for another
+	// number of nets than its shard owns: the run aborts with the fatal error
 	// before the answer indexes the coordinator's state.
 	first := func(evals []EvalResult) *NetComb {
 		for i := range evals {
@@ -1006,14 +1020,29 @@ func TestPositionsAreChecked(t *testing.T) {
 		}
 		return nil
 	}
-	forgeries := map[string]func(evals []EvalResult) bool{
-		"past the order": func(evals []EvalResult) bool { u := first(evals); u.Pos = n; return true },
-		"negative":       func(evals []EvalResult) bool { u := first(evals); u.Pos = -1; return true },
-		"a neighbour's": func(evals []EvalResult) bool {
+	forgeries := map[string]func(rep *Reply) bool{
+		"past the order": func(rep *Reply) bool { return forgePos(first(rep.Evals), n) },
+		"negative":       func(rep *Reply) bool { return forgePos(first(rep.Evals), -1) },
+		"a neighbour's": func(rep *Reply) bool {
+			evals := rep.Evals
 			if len(evals) != 2 || len(evals[0].Updates) == 0 || len(evals[1].Updates) == 0 {
 				return false
 			}
 			evals[0].Updates[0].Pos = evals[1].Updates[0].Pos
+			return true
+		},
+		"impacts for a net too many": func(rep *Reply) bool {
+			if len(rep.Impacts) == 0 {
+				return false
+			}
+			rep.Impacts[0] = append(rep.Impacts[0], nil)
+			return true
+		},
+		"impacts for a net too few": func(rep *Reply) bool {
+			if len(rep.Impacts) == 0 || len(rep.Impacts[0]) == 0 {
+				return false
+			}
+			rep.Impacts[0] = rep.Impacts[0][1:]
 			return true
 		},
 	}
@@ -1021,7 +1050,7 @@ func TestPositionsAreChecked(t *testing.T) {
 		liar := &lyingWorker{InProc: NewInProc("liar", func(context.Context) (*bind.Design, error) { return b, nil }, opts), forge: forge}
 		_, err := Run(ctx, Config{B: b, Opts: opts, Workers: []Worker{liar}, Shards: 2, Token: "liar"})
 		if !liar.lied {
-			t.Fatalf("%s: no eval answer to forge", what)
+			t.Fatalf("%s: no answer to forge", what)
 		}
 		if !isFatal(err) {
 			t.Fatalf("run whose worker forwarded a position %s: %v, want a FatalError", what, err)
@@ -1029,23 +1058,61 @@ func TestPositionsAreChecked(t *testing.T) {
 	}
 }
 
-// lyingWorker hands its eval answers that forward anything to forge until
-// forge reports it rewrote one.
+// forgePos rewrites a forwarded update's position, if there is one.
+func forgePos(u *NetComb, pos int32) bool {
+	if u != nil {
+		u.Pos = pos
+	}
+	return u != nil
+}
+
+// lyingWorker hands its answers to forge until forge reports it rewrote one.
 type lyingWorker struct {
 	*InProc
-	forge func(evals []EvalResult) bool
+	forge func(rep *Reply) bool
 	lied  bool
 }
 
 func (w *lyingWorker) Do(ctx context.Context, op string, req, resp any) error {
 	err := w.InProc.Do(ctx, op, req, resp)
 	if rep, ok := resp.(*Reply); ok && err == nil && !w.lied {
-		for _, ev := range rep.Evals {
-			if len(ev.Updates) > 0 {
-				w.lied = w.forge(rep.Evals)
-				break
-			}
-		}
+		w.lied = w.forge(rep)
 	}
 	return err
+}
+
+// TestGoldenCheckpointResumes resumes from a checkpoint file written after
+// round 2 of the hot fabric's fixpoint and checked in as it was written:
+// the on-disk format is an interface to every run a restart picks up, so a
+// change of the in-memory types behind it must still read it. The resumed
+// run must say so, take the uninterrupted run's rounds and render its
+// reports byte for byte.
+func TestGoldenCheckpointResumes(t *testing.T) {
+	b, opts := bindFixture(t, fixtures()["hotfabric"])
+	full, err := RunLocal(context.Background(), Config{B: b, Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("testdata/hotfabric.ckpt.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "golden.ckpt.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunLocal(context.Background(), Config{B: b, Opts: opts, Token: "golden", CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Resumed || got.Rounds != full.Rounds || got.Converged != full.Converged {
+		t.Fatalf("resumed %v after %d rounds (converged %v), the uninterrupted run %d (%v)",
+			got.Resumed, got.Rounds, got.Converged, full.Rounds, full.Converged)
+	}
+	gotNoise, gotDelay := reportBytes(t, got.Noise, got.Delay)
+	wantNoise, wantDelay := reportBytes(t, full.Noise, full.Delay)
+	if !bytes.Equal(gotNoise, wantNoise) || !bytes.Equal(gotDelay, wantDelay) {
+		t.Fatalf("resumed reports differ from the uninterrupted run's (noise %t, delay %t)",
+			!bytes.Equal(gotNoise, wantNoise), !bytes.Equal(gotDelay, wantDelay))
+	}
 }

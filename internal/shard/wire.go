@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/interval"
@@ -134,7 +133,7 @@ type request interface {
 type Reply struct {
 	Faults   []Fault
 	Evals    []EvalResult
-	Impacts  [][]core.DelayImpact
+	Impacts  [][][]core.DelayImpact
 	Collects []core.ShardCollect
 }
 
@@ -142,12 +141,9 @@ type Reply struct {
 // engine's own record of one net's committed combination, by position.
 type NetComb = core.WaveUpdate
 
-// PadEntry is one net's absolute window padding, seconds. (The JSON tags
-// serve the checkpoint file.)
-type PadEntry struct {
-	Net string  `json:"net"`
-	Pad float64 `json:"pad"`
-}
+// PadEntry is one net's absolute window padding, seconds, by position: the
+// engine's own record of it.
+type PadEntry = core.PadUpdate
 
 // OptionsSpec is the service's analysis options, the knobs of the sna CLI:
 // a session's create request carries them as JSON, and a coordinator ships
@@ -267,34 +263,8 @@ var requests = map[string]func() any{
 	OpCollect: func() any { return &CollectRequest{} }, OpClose: func() any { return &CloseRequest{} },
 }
 
-func padEntries(padding map[string]float64) []PadEntry {
-	if len(padding) == 0 {
-		return nil
-	}
-	nets := make([]string, 0, len(padding))
-	for net := range padding {
-		nets = append(nets, net)
-	}
-	// Sorted so the wire bytes (and worker-side application order) are
-	// deterministic.
-	sort.Strings(nets)
-	out := make([]PadEntry, len(nets))
-	for i, net := range nets {
-		out[i] = PadEntry{Net: net, Pad: padding[net]}
-	}
-	return out
-}
-
-func padMap(entries []PadEntry) map[string]float64 {
-	out := make(map[string]float64, len(entries))
-	for _, e := range entries {
-		out[e.Net] = e.Pad
-	}
-	return out
-}
-
 const (
-	wireVersion = 2 // leads every frame
+	wireVersion = 3 // leads every frame
 	frameHeader = 5 // version byte + payload length
 )
 
@@ -516,7 +486,8 @@ func (c *codec) combined(v *core.Combined) {
 
 // pos moves a net's position in the victim order. No negative one crosses,
 // and none at or past the order's length where the message says it (an
-// init); elsewhere the engine checks (SetComb).
+// init); elsewhere the receiver checks — the engine a boundary import or a
+// round's padding (SetComb, ApplyRound), the coordinator an answer.
 func (c *codec) pos(v *int32) {
 	u := uint64(uint32(*v))
 	if c.uvarint(&u); c.dec {
@@ -537,7 +508,7 @@ func (c *codec) netCombs(v *[]NetComb) {
 }
 
 func (c *codec) pads(v *[]PadEntry) {
-	slice(c, v, 9, func(c *codec, p *PadEntry) { c.strs(&p.Net); c.floats(&p.Pad) })
+	slice(c, v, 9, func(c *codec, p *PadEntry) { c.pos(&p.Pos); c.floats(&p.Pad) })
 }
 
 func (c *codec) netNoise(v **core.NetNoise) {
@@ -578,8 +549,10 @@ func (c *codec) diag(v *core.Diag) {
 	}
 }
 
+// impact moves a core.DelayImpact without its victim: an impact crosses in
+// its net's list, and the coordinator names and numbers the net from the
+// list's place in the shard's owned positions.
 func (c *codec) impact(v *core.DelayImpact) {
-	c.strs(&v.Net)
 	c.bools(&v.Rise)
 	ws := v.VictimWindow.Windows()
 	slice(c, &ws, minWindow, (*codec).window)
@@ -621,7 +594,9 @@ func (v *Reply) wire(c *codec) {
 	c.tag('r')
 	slice(c, &v.Faults, 2, func(c *codec, f *Fault) { c.byte(&f.Kind); c.strs(&f.Msg) })
 	slice(c, &v.Evals, 2, func(c *codec, r *EvalResult) { c.netCombs(&r.Updates); c.bools(&r.Changed) })
-	slice(c, &v.Impacts, 1, func(c *codec, ims *[]core.DelayImpact) { slice(c, ims, 4+24, (*codec).impact) })
+	slice(c, &v.Impacts, 1, func(c *codec, nets *[][]core.DelayImpact) {
+		slice(c, nets, 1, func(c *codec, ims *[]core.DelayImpact) { slice(c, ims, 3+24, (*codec).impact) })
+	})
 	slice(c, &v.Collects, 7, (*codec).collect)
 	for _, n := range []int{len(v.Evals), len(v.Impacts), len(v.Collects)} {
 		if n > 0 {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,10 +10,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/interval"
+	"repro/internal/liberty"
 )
 
 // gen draws protocol messages whose values sit on every edge the codec must
@@ -85,11 +88,11 @@ func (g gen) netComb() NetComb {
 	return NetComb{Pos: g.pos(), Comb: [2]core.Combined{g.combined(), g.combined()}}
 }
 
-func (g gen) pad() PadEntry { return PadEntry{Net: g.str(), Pad: g.float()} }
+func (g gen) pad() PadEntry { return PadEntry{Pos: g.pos(), Pad: g.float()} }
 
 func (g gen) impact() core.DelayImpact {
 	im := core.DelayImpact{
-		Net: g.str(), Rise: g.Intn(2) == 0, NoisePeak: g.float(), Delta: g.float(), At: g.float(),
+		Rise: g.Intn(2) == 0, NoisePeak: g.float(), Delta: g.float(), At: g.float(),
 		Members: list(g, g.str),
 	}
 	// A set is normalized by construction; the zero Set is the empty one.
@@ -208,7 +211,9 @@ func (g gen) messages() []any {
 			return EvalResult{Updates: list(g, g.netComb), Changed: g.Intn(2) == 0}
 		})
 	case 1:
-		rep.Impacts = perShard(g, n, func() []core.DelayImpact { return list(g, g.impact) })
+		rep.Impacts = perShard(g, n, func() [][]core.DelayImpact {
+			return list(g, func() []core.DelayImpact { return list(g, g.impact) })
+		})
 	case 2:
 		rep.Collects = perShard(g, n, g.collect)
 	}
@@ -340,8 +345,12 @@ func TestWireRejectsMalformed(t *testing.T) {
 	// plan lacks — owned or restored, at the edge or beyond int32 — never
 	// decodes, and a negative one cannot be encoded into anything that does.
 	for _, bad := range []int32{planNets, math.MaxInt32, -1, math.MinInt32} {
-		for _, in := range []ShardInit{{Owned: []int32{0, bad}}, {Restore: []NetComb{{Pos: bad}}}} {
-			frame, err := Marshal(&InitRequest{Route: Route{Shards: []int{0}}, Plan: core.PlanID{Nets: planNets}, Inits: []ShardInit{in}})
+		for _, in := range []ShardInit{{Owned: []int32{0, bad}}, {Restore: []NetComb{{Pos: bad}}}, {}} {
+			init := &InitRequest{Route: Route{Shards: []int{0}}, Plan: core.PlanID{Nets: planNets}, Inits: []ShardInit{in}}
+			if len(in.Owned)+len(in.Restore) == 0 {
+				init.Padding = []PadEntry{{Pos: bad, Pad: 1e-12}}
+			}
+			frame, err := Marshal(init)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,9 +395,63 @@ func requireInPlan(t *testing.T, p int32, nets int) {
 	}
 }
 
+// fuzzRunner is a runner over the bus fixture owning every net, and its
+// order's length: what a fuzzed round's padding is applied to. No decoder
+// can bound a round's positions (a round carries no plan), so the runner
+// must.
+var fuzzRunner = sync.OnceValues(func() (*Runner, int) {
+	ctx := context.Background()
+	g, err := fixtures()["bus"]()
+	if err != nil {
+		panic(err)
+	}
+	b, err := g.Bind(liberty.Generic())
+	if err != nil {
+		panic(err)
+	}
+	plan, err := core.BuildShardPlan(ctx, b)
+	if err != nil {
+		panic(err)
+	}
+	eng, err := core.NewShardEngine(ctx, b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}, plan.ID, allNets(plan), nil)
+	if err != nil {
+		panic(err)
+	}
+	r, err := NewRunner(eng, nil)
+	if err != nil {
+		panic(err)
+	}
+	return r, len(plan.Order)
+})
+
+// requireRoundChecked applies a decoded round's padding to the fuzz runner:
+// a position outside its order must be refused whole, as a bad request that
+// leaves the engine working; the rest applies. Only the delays a coordinator
+// sends are tried — finite, non-negative.
+func requireRoundChecked(t *testing.T, pads []PadEntry) {
+	t.Helper()
+	outside := false
+	r, n := fuzzRunner()
+	for _, p := range pads {
+		if !(p.Pad >= 0 && p.Pad <= 1e-9) {
+			return
+		}
+		outside = outside || p.Pos < 0 || int(p.Pos) >= n
+	}
+	err := r.Round(context.Background(), pads)
+	if outside && !isFatal(err) || !outside && err != nil {
+		t.Fatalf("a round padding %v of an order of %d nets: %v", pads, n, err)
+	}
+	if _, err := r.engine(); err != nil {
+		t.Fatalf("the runner refuses work after a round: %v", err)
+	}
+}
+
 // FuzzShardWire feeds arbitrary bytes to the decoder of every message type:
 // it may refuse them, never panic, never allocate out of proportion; what it
-// accepts must survive a re-encode unchanged.
+// accepts must survive a re-encode unchanged. A decoded init names no
+// position outside its plan, and a decoded round is refused by a live
+// runner when it pads one outside its order.
 func FuzzShardWire(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		for _, msg := range (gen{rand.New(rand.NewSource(seed))}).messages() {
@@ -398,6 +461,19 @@ func FuzzShardWire(f *testing.F) {
 			}
 			f.Add(frame)
 		}
+	}
+	// Padding by position: an init of a three-net plan padding its last
+	// net, and a round padding a net of the fuzz runner's order and one
+	// past it. A digit more in a varint takes either outside its order.
+	for _, msg := range []any{
+		&InitRequest{Route: Route{Shards: []int{0}}, Plan: core.PlanID{Nets: 3}, Padding: []PadEntry{{Pos: 2, Pad: 1e-12}}, Inits: []ShardInit{{Owned: []int32{0, 1, 2}}}},
+		&RoundRequest{Route: Route{Shards: []int{0}}, Changed: []PadEntry{{Pos: 1, Pad: 2e-12}, {Pos: 100, Pad: 1e-12}}},
+	} {
+		frame, err := Marshal(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
 	}
 	f.Add([]byte{wireVersion, 1, 0, 0, 0, 'r'})
 	f.Add([]byte{1, 1, 0, 0, 0, 'r'}) // the version before positions
@@ -427,6 +503,12 @@ func FuzzShardWire(f *testing.F) {
 						requireInPlan(t, nc.Pos, init.Plan.Nets)
 					}
 				}
+				for _, p := range init.Padding {
+					requireInPlan(t, p.Pos, init.Plan.Nets)
+				}
+			}
+			if round, ok := into.(*RoundRequest); ok {
+				requireRoundChecked(t, round.Changed)
 			}
 			frame, back := roundTrip(t, into)
 			if !bitEqual(reflect.ValueOf(into), reflect.ValueOf(back)) {

@@ -81,7 +81,7 @@ func TestParseMatchesReference(t *testing.T) {
 	}
 	srcs := map[string]string{
 		"bus4": string(bus4),
-		"big":  bigSource(700), // > batchBlocks, so multiple batches
+		"big":  bigSource(700), // a name map, and couplings to nets not yet read
 		"late_units": "*SPEF \"x\"\n*C_UNIT 1 PF\n*D_NET a 1.0\n*CAP\n1 a:1 1.0\n*END\n" +
 			"*C_UNIT 1 FF\n*D_NET b 1.0\n*CAP\n1 b:1 1.0\n*END\n",
 		"crlf": "*SPEF \"x\"\r\n*D_NET a 1.0\r\n*CAP\r\n1 a:1 2.0\r\n*END\r\n",

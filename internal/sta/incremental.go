@@ -33,11 +33,11 @@ import (
 // contract here.
 
 // UpdatePaddingCtx re-runs timing incrementally after opts.WindowPadding
-// changed on the named nets, mutating the Result in place. It returns the
+// changed on the given nets, mutating the Result in place. It returns the
 // IDs of the nets whose annotation was recomputed, ascending (a superset of
 // the nets whose timing actually changed). opts must match the options of
 // the run that produced the Result, apart from the padding values.
-func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed []string) ([]netlist.NetID, error) {
+func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed []netlist.NetID) ([]netlist.NetID, error) {
 	opts.fill()
 	b := res.design
 	d := b.Net
@@ -74,13 +74,11 @@ func (res *Result) UpdatePaddingCtx(ctx context.Context, opts Options, changed [
 			queue = append(queue, inst)
 		}
 	}
-	for _, name := range changed {
+	for _, net := range changed {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if net := d.FindNet(name); net >= 0 {
-			mark(d.DriverInst(net))
-		}
+		mark(d.DriverInst(net))
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		if err := ctx.Err(); err != nil {

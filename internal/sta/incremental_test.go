@@ -68,7 +68,7 @@ func requireEqualResults(t *testing.T, got, want *Result) {
 
 func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	b := mustDesign(t, twoChains)
-	padding := map[string]float64{}
+	padding := make([]float64, b.Net.NumNets())
 	opts := Options{WindowPadding: padding, ClockPeriod: 1 * units.Nano}
 	res, err := Run(b, opts)
 	if err != nil {
@@ -80,13 +80,14 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	var evaluated []string
 	res.onEval = func(inst netlist.InstID) { evaluated = append(evaluated, b.Net.InstName(inst)) }
 
-	padding["mid1"] = 30 * units.Pico
-	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []string{"mid1"})
+	mid1 := b.Net.FindNet("mid1")
+	padding[mid1] = 30 * units.Pico
+	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []netlist.NetID{mid1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exactly the padded cone, as ascending net IDs.
-	want := []netlist.NetID{b.Net.FindNet("mid1"), b.Net.FindNet("out1")}
+	want := []netlist.NetID{mid1, b.Net.FindNet("out1")}
 	slices.Sort(want)
 	if !slices.Equal(dirty, want) {
 		t.Fatalf("dirty = %v, want mid1 and out1 (%v)", dirty, want)
@@ -106,8 +107,8 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 	// hazard: a stale padded annotation merged into the re-evaluation
 	// would pad twice).
 	evaluated = evaluated[:0]
-	padding["mid1"] = 55 * units.Pico
-	if _, err := res.UpdatePaddingCtx(context.Background(), opts, []string{"mid1"}); err != nil {
+	padding[mid1] = 55 * units.Pico
+	if _, err := res.UpdatePaddingCtx(context.Background(), opts, []netlist.NetID{mid1}); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"u1", "v1"}; !slices.Equal(evaluated, want) {
@@ -122,7 +123,7 @@ func TestUpdatePaddingMatchesFreshRun(t *testing.T) {
 
 func TestUpdatePaddingPortNetIsNoop(t *testing.T) {
 	b := mustDesign(t, twoChains)
-	padding := map[string]float64{}
+	padding := make([]float64, b.Net.NumNets())
 	opts := Options{WindowPadding: padding}
 	res, err := Run(b, opts)
 	if err != nil {
@@ -130,16 +131,16 @@ func TestUpdatePaddingPortNetIsNoop(t *testing.T) {
 	}
 	// Port-driven nets are seeded, never padded, so a padding entry on one
 	// dirties nothing.
-	padding["in1"] = 40 * units.Pico
-	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []string{"in1"})
+	in1 := b.Net.FindNet("in1")
+	padding[in1] = 40 * units.Pico
+	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []netlist.NetID{in1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dirty) != 0 {
 		t.Fatalf("dirty = %v, want empty", dirty)
 	}
-	freshOpts := Options{WindowPadding: map[string]float64{}}
-	fresh, err := Run(b, freshOpts)
+	fresh, err := Run(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +171,15 @@ func TestUpdatePaddingFeedbackFallsBackToFullRun(t *testing.T) {
 		}
 		return nil
 	})
-	padding := map[string]float64{}
+	padding := make([]float64, b.Net.NumNets())
 	opts := Options{WindowPadding: padding, MaxLoopIter: 4}
 	res, err := Run(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	padding["p"] = 25 * units.Pico
-	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []string{"p"})
+	p := b.Net.FindNet("p")
+	padding[p] = 25 * units.Pico
+	dirty, err := res.UpdatePaddingCtx(context.Background(), opts, []netlist.NetID{p})
 	if err != nil {
 		t.Fatal(err)
 	}

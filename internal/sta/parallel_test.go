@@ -81,7 +81,7 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 	}{{"acyclic", false}, {"feedback", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := mustDesign(t, wideMesh(n, tc.loop))
-			padding := map[string]float64{}
+			padding := make([]float64, b.Net.NumNets())
 			opts := Options{
 				WindowPadding: padding, ClockPeriod: 1 * units.Nano,
 				InputTiming: map[string]*Timing{"in7": {
@@ -106,9 +106,8 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			padding["a3"] = 25 * units.Pico
-			padding["b100"] = 10 * units.Pico
-			changed := []string{"a3", "b100"}
+			changed := []netlist.NetID{b.Net.FindNet("a3"), b.Net.FindNet("b" + itoa(100))}
+			padding[changed[0]], padding[changed[1]] = 25*units.Pico, 10*units.Pico
 			parDirty, err := par.UpdatePaddingCtx(ctx, opts, changed)
 			if err != nil {
 				t.Fatal(err)

@@ -68,14 +68,10 @@ func (res *Result) computeRequired(opts *Options) error {
 	return nil
 }
 
-// TimingSlack returns the net's timing slack — required time minus latest
+// TimingSlack returns net n's timing slack — required time minus latest
 // arrival — and whether a meaningful slack exists (the net switches and a
 // clock period constrained it). Negative slack is a setup violation.
-func (r *Result) TimingSlack(net string) (float64, bool) {
-	return r.slackOf(r.design.Net.FindNet(net))
-}
-
-func (r *Result) slackOf(n netlist.NetID) (float64, bool) {
+func (r *Result) TimingSlack(n netlist.NetID) (float64, bool) {
 	if r.required == nil || n < 0 || math.IsInf(r.required[n], 1) {
 		return 0, false
 	}

@@ -144,12 +144,12 @@ type Options struct {
 	// every output port must settle by this time, and per-net timing
 	// slacks become available through Result.TimingSlack.
 	ClockPeriod float64
-	// WindowPadding extends the named nets' arrival windows by the given
-	// amount at the late edge. This is how crosstalk delta-delay feeds
-	// back into timing: a net whose transition can be pushed out by Δ may
-	// arrive up to Δ later, which widens every downstream switching
-	// window on the next analysis round.
-	WindowPadding map[string]float64
+	// WindowPadding extends each net's arrival windows at the late edge by
+	// the amount at its net ID (nil, or an ID past the end, pads nothing).
+	// This is how crosstalk delta-delay feeds back into timing: a net whose
+	// transition can be pushed out by Δ may arrive up to Δ later, which
+	// widens every downstream switching window on the next analysis round.
+	WindowPadding []float64
 }
 
 func (o *Options) fill() {
@@ -169,8 +169,8 @@ func (o *Options) fill() {
 
 // Result is the timing annotation of a design. The tables are dense value
 // tables, indexed by the netlist's creation-order IDs: names are resolved
-// once at the edges (TimingOfNet, Options.InputTiming), never inside the
-// passes, and nothing in them points — an annotation is read in place, and
+// once at the edge (Options.InputTiming), never inside the passes, and
+// nothing in them points — an annotation is read in place, and
 // a point never annotated reads as the shared noTiming.
 type Result struct {
 	design *bind.Design
@@ -196,15 +196,10 @@ type Result struct {
 // the workers.
 const parallelBelow = 128
 
-// TimingOfNet returns the switching information at a net's source, or an
-// inactive Timing if the net never switches (e.g. untied inputs).
-func (r *Result) TimingOfNet(net string) *Timing {
-	return r.TimingOf(r.design.Net.FindNet(net))
-}
-
-// TimingOf is TimingOfNet for a net of the analyzed design (-1 reads as
-// a net that never switches). The Timing is the result's own — read it,
-// never write it; an incremental update rewrites it in place.
+// TimingOf returns the switching information at net n's source, or an
+// inactive Timing if the net never switches (e.g. untied inputs; -1 reads
+// as one). The Timing is the result's own — read it, never write it; an
+// incremental update rewrites it in place.
 func (r *Result) TimingOf(n netlist.NetID) *Timing {
 	if n >= 0 && r.hasNet[n] {
 		return &r.nets[n]
@@ -224,11 +219,6 @@ func (r *Result) TimingOfPin(c netlist.ConnID) *Timing {
 // setNet stores a net's source annotation.
 func (r *Result) setNet(n netlist.NetID, t Timing) {
 	r.nets[n], r.hasNet[n] = t, true
-}
-
-// SwitchingWindow returns the switching-window set of a net.
-func (r *Result) SwitchingWindow(net string) interval.Set {
-	return r.TimingOfNet(net).SwitchingWindow()
 }
 
 // Run performs the analysis serially.
@@ -454,9 +444,9 @@ func (res *Result) evalInst(inst netlist.InstID, opts *Options) error {
 				out.SlewFall = out.SlewFall.union(prev.SlewFall)
 			}
 		}
-		if pad := opts.WindowPadding[d.NetName(net)]; pad > 0 {
-			out.Rise = out.Rise.ShiftRange(0, pad)
-			out.Fall = out.Fall.ShiftRange(0, pad)
+		if int(net) < len(opts.WindowPadding) && opts.WindowPadding[net] > 0 {
+			out.Rise = out.Rise.ShiftRange(0, opts.WindowPadding[net])
+			out.Fall = out.Fall.ShiftRange(0, opts.WindowPadding[net])
 		}
 		out.Rise = out.Rise.Simplify(maxWindowFragments)
 		out.Fall = out.Fall.Simplify(maxWindowFragments)

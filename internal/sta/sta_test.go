@@ -72,7 +72,7 @@ func TestChainWindowsMatchTables(t *testing.T) {
 	// from in rise and mid rise from in fall.
 	wantFall := arc.DelayFall.Eval(slew, load)
 	wantRise := arc.DelayRise.Eval(slew, load)
-	mt := res.TimingOfNet("mid")
+	mt := timingOf(res, "mid")
 	fallHull := mt.Fall.Hull()
 	if math.Abs(fallHull.Lo-wantFall) > 1e-15 || math.Abs(fallHull.Hi-wantFall) > 1e-15 {
 		t.Fatalf("mid fall = %v, want point %g", mt.Fall, wantFall)
@@ -86,7 +86,7 @@ func TestChainWindowsMatchTables(t *testing.T) {
 		t.Fatalf("mid slew fall = %+v, want %g", mt.SlewFall, wantSlewF)
 	}
 	// out is two inversions deep: strictly later than mid.
-	ot := res.TimingOfNet("out")
+	ot := timingOf(res, "out")
 	if !(ot.Rise.Hull().Lo > mt.Fall.Hull().Lo) {
 		t.Fatalf("out rise %v not after mid fall %v", ot.Rise, mt.Fall)
 	}
@@ -102,7 +102,7 @@ func TestInputWindowSpreadPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := res.TimingOfNet("mid")
+	mt := timingOf(res, "mid")
 	// The window length must be at least the input spread (delay range
 	// only adds to it).
 	if mt.Fall.TotalLength() < w.Length() {
@@ -124,7 +124,7 @@ func TestInputTimingOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := res.TimingOfNet("mid")
+	mt := timingOf(res, "mid")
 	// in only rises -> mid only falls (negative unate).
 	if !mt.Rise.IsEmpty() {
 		t.Fatalf("mid rise = %v, want empty", mt.Rise)
@@ -177,7 +177,7 @@ func TestNonUnateXorPropagatesBothDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yt := res.TimingOfNet("y")
+	yt := timingOf(res, "y")
 	if yt.Rise.IsEmpty() || yt.Fall.IsEmpty() {
 		t.Fatalf("XOR output = %+v, want both directions active", yt)
 	}
@@ -213,7 +213,7 @@ func TestLoopGetsInfiniteWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The loop nets end up with infinite (fully pessimistic) windows.
-	pt := res.TimingOfNet("p")
+	pt := timingOf(res, "p")
 	if !pt.Rise.IsInfinite() || !pt.Fall.IsInfinite() {
 		t.Fatalf("loop net p = %+v, want infinite windows", pt)
 	}
@@ -237,7 +237,7 @@ func TestPinTimingIncludesWireDelay(t *testing.T) {
 		load = lc
 	}
 	pt := res.TimingOfPin(load)
-	st := res.TimingOfNet("mid")
+	st := timingOf(res, "mid")
 	if pt.Fall.IsEmpty() {
 		t.Fatal("pin timing empty")
 	}
@@ -248,7 +248,7 @@ func TestPinTimingIncludesWireDelay(t *testing.T) {
 	if res.TimingOfPin(b.Net.Driver(mid)).HasActivity() {
 		t.Fatal("a driving pin has activity")
 	}
-	if res.TimingOfNet("ghost").HasActivity() {
+	if timingOf(res, "ghost").HasActivity() {
 		t.Fatal("unknown net has activity")
 	}
 }
@@ -350,8 +350,8 @@ func TestDeratesWidenWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, net := range []string{"mid", "out"} {
-		p := plain.TimingOfNet(net).Fall.Hull()
-		d := derated.TimingOfNet(net).Fall.Hull()
+		p := timingOf(plain, net).Fall.Hull()
+		d := timingOf(derated, net).Fall.Hull()
 		if p.IsEmpty() || d.IsEmpty() {
 			continue
 		}
@@ -367,7 +367,7 @@ func TestDeratesWidenWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ident.TimingOfNet("mid").Fall.Equal(plain.TimingOfNet("mid").Fall) {
+	if !timingOf(ident, "mid").Fall.Equal(timingOf(plain, "mid").Fall) {
 		t.Fatal("identity derates changed windows")
 	}
 }
@@ -394,8 +394,8 @@ func TestQuickWindowMonotonicity(t *testing.T) {
 			return false
 		}
 		for _, net := range []string{"mid", "out"} {
-			sw := small.TimingOfNet(net)
-			bw := big.TimingOfNet(net)
+			sw := timingOf(small, net)
+			bw := timingOf(big, net)
 			for _, rise := range []bool{true, false} {
 				sh, bh := sw.Window(rise).Hull(), bw.Window(rise).Hull()
 				if sh.IsEmpty() {
@@ -412,3 +412,6 @@ func TestQuickWindowMonotonicity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// timingOf is the annotation of the net of that name.
+func timingOf(r *Result, net string) *Timing { return r.TimingOf(r.design.Net.FindNet(net)) }

@@ -1,11 +1,10 @@
 package main
 
 // Async-job crash-recovery acceptance test: an iterate job's server
-// process is SIGKILLed mid-run — after at least one round-boundary
-// checkpoint landed on disk — and a restart over the same data directory
-// must re-enqueue the acknowledged job, resume it from the checkpoint,
-// and finish with noise and delay sections byte-identical to an
-// uninterrupted run. The same restarted server then quarantines a
+// process is SIGKILLed mid-run — after at least one round's state landed
+// in the job journal — and a restart over the same data directory must
+// re-enqueue the acknowledged job, resume it from that round, and finish
+// with noise and delay sections byte-identical to an uninterrupted run. The same restarted server then quarantines a
 // panic-injected poison job while staying fully available.
 
 import (
@@ -33,7 +32,8 @@ func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 	c := client.New(base, client.RetryPolicy{MaxAttempts: 1})
 
 	// A 10-bit bus with 10ms per-net sleeps makes each fixpoint round slow
-	// enough to SIGKILL between a checkpoint landing and the job finishing.
+	// enough to SIGKILL between a round's state landing and the job
+	// finishing.
 	netPath, spefPath, winPath := writeBus(t, t.TempDir(), 10)
 	mustRead := func(p string) string {
 		b, err := os.ReadFile(p)
@@ -53,20 +53,20 @@ func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the instant the first round checkpoint exists. If the job ever
-	// finishes before one is observed, the fixture is too fast to prove
-	// anything — fail loudly rather than pass vacuously.
-	ckptGlob := filepath.Join(dir, "jobs", "checkpoints", "*.ckpt.json")
+	// Kill the instant the job journal holds the first round's state. If
+	// the job ever finishes before one is observed, the fixture is too fast
+	// to prove anything — fail loudly rather than pass vacuously.
+	journal := filepath.Join(dir, "jobs", "jobs.wal")
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if m, _ := filepath.Glob(ckptGlob); len(m) > 0 {
+		if data, _ := os.ReadFile(journal); bytes.Contains(data, []byte(`"type":"progress"`)) {
 			break
 		}
 		if js, err := c.JobStatus(ctx, snap.ID); err == nil && js.Terminal() {
-			t.Fatalf("job reached %s before any checkpoint was written; grow the fixture", js.State)
+			t.Fatalf("job reached %s before any round state was journaled; grow the fixture", js.State)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no round checkpoint ever appeared")
+			t.Fatal("no round state was ever journaled")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -135,7 +135,7 @@ func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 		return b
 	}
 	// Byte-identical analysis content. Execution statistics are exempt,
-	// per the checkpoint-resume contract (see shard.TestCheckpointResume):
+	// per the resume contract (see shard.TestCheckpointResume):
 	// a resumed run's fresh engines re-evaluate more than the oracle's
 	// persistent ones, so counters like Iterations legitimately differ.
 	resumed.Noise.Stats = core.Stats{}
@@ -150,9 +150,15 @@ func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 		t.Fatalf("resumed loop (%d,%v) vs oracle (%d,%v)",
 			resumed.Iterate.Rounds, resumed.Iterate.Converged, oracle.Iterate.Rounds, oracle.Iterate.Converged)
 	}
-	// The job's terminal checkpoint cleanup ran.
-	if m, _ := filepath.Glob(ckptGlob); len(m) != 0 {
-		t.Fatalf("checkpoints left behind after terminal jobs: %v", m)
+	// Round state lives in the journals: the data dir holds nothing else.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); name != "sessions.wal" && name != "quarantine" && name != "jobs" {
+			t.Errorf("the data dir holds %s beside the journals", name)
+		}
 	}
 
 	// Poison half: the injected panic kills every analyze-job attempt, so

@@ -35,7 +35,7 @@
 // submit enqueues an asynchronous job: the 202 is written only after the
 // job spec is journaled (with -data-dir), so an acknowledged job survives
 // a crash — in-flight jobs are re-enqueued at the next boot and iterate
-// jobs resume from their last round checkpoint. Jobs that panic or
+// jobs resume from their last journaled round. Jobs that panic or
 // degrade the engine on every attempt are quarantined as failed poison
 // jobs with per-attempt diagnostics instead of retrying forever.
 //

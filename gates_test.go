@@ -115,6 +115,50 @@ func TestGateOneDesignHash(t *testing.T) {
 	}
 }
 
+// fileWrites are the calls that write, move, remove or list files, by
+// package.
+var fileWrites = map[string][]string{
+	"os":       {"WriteFile", "Create", "Rename", "Remove", "RemoveAll", "Mkdir", "MkdirAll"},
+	"filepath": {"Glob"},
+}
+
+// TestGateStateIsJournaled is the one-store gate: the service's durable
+// state is its two journals — sessions.wal and jobs/jobs.wal, which
+// internal/wal writes — and a cut-off iterate's round state rides them.
+// So no non-test file of internal/server, internal/jobs or internal/shard
+// writes, renames, removes or lists a file of its own.
+func TestGateStateIsJournaled(t *testing.T) {
+	if got := fileWriteCalls(t, []string{planted}); len(got) != 1 {
+		t.Fatalf("%s: %d file writes found, want the 1 outside its decoys: %v", planted, len(got), got)
+	}
+	files := goFiles(t, "internal/server", "internal/jobs", "internal/shard")
+	if got := fileWriteCalls(t, files); len(got) > 0 {
+		t.Errorf("the service writes files beside its journals:\n%s", strings.Join(got, "\n"))
+	}
+	if got := fileWriteCalls(t, append(files, planted)); len(got) == 0 {
+		t.Errorf("the gate passes with %s added", planted)
+	}
+}
+
+// fileWriteCalls returns the position of every call in fileWrites.
+func fileWriteCalls(t *testing.T, files []string) []string {
+	var out []string
+	inspect(t, files, func(fset *token.FileSet, _ string, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		if x, ok := sel.X.(*ast.Ident); ok && slices.Contains(fileWrites[x.Name], sel.Sel.Name) {
+			out = append(out, fset.Position(call.Pos()).String())
+		}
+	})
+	return out
+}
+
 // sha256Callers returns each function (by name and position) that calls
 // into crypto/sha256.
 func sha256Callers(t *testing.T, files []string) []string {

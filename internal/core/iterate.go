@@ -266,7 +266,7 @@ func ResumeIterativeCtx(ctx context.Context, b *bind.Design, opts Options, maxRo
 }
 
 // PaddingByName is padding by net ID as the edges speak it — a report, a
-// checkpoint file, a service's journal: each padded net's amount, by name.
+// service's journal: each padded net's amount, by name.
 //
 //snavet:ctxloop one pass over a slice at the report edge, no analysis in it
 func PaddingByName(d *netlist.Design, padding []float64) map[string]float64 {

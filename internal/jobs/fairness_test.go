@@ -24,7 +24,7 @@ func newGatedExec() *gatedExec {
 	}
 }
 
-func (g *gatedExec) exec(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+func (g *gatedExec) exec(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 	g.mu.Lock()
 	g.order = append(g.order, spec.Tenant)
 	g.mu.Unlock()

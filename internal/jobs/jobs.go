@@ -30,10 +30,13 @@
 //
 //   - Graceful drain requeues: Close cancels running attempts through
 //     their contexts and journals a "requeue" so a clean shutdown does
-//     not burn an attempt; iterate jobs additionally checkpoint at round
-//     boundaries (shard.Config.CheckpointDir, set by the server's
-//     executor), so the next boot resumes mid-fixpoint instead of
-//     rerunning from scratch.
+//     not burn an attempt.
+//
+//   - Progress rides the journal: an attempt may journal an opaque
+//     progress payload (Progress.Save; the server's iterate executor saves
+//     its round state after every fixpoint round), which the job's next
+//     attempt — after a retry, a drain or a crash — is handed back, and
+//     which the job's terminal record drops.
 //
 // The package is deliberately engine-agnostic: execution is an injected
 // Executor callback, so the queue machinery is unit-testable without a
@@ -184,7 +187,31 @@ func (s *Spec) Validate() error {
 // (the bytes GET /v1/jobs/{id} serves once the job is done), whether
 // the engine degraded, and an error. Wrap deterministic failures in
 // Permanent so the manager fails fast instead of burning retries.
-type Executor func(ctx context.Context, id string, spec *Spec, attempt int) (result json.RawMessage, degraded bool, err error)
+type Executor func(ctx context.Context, id string, spec *Spec, progress *Progress) (result json.RawMessage, degraded bool, err error)
+
+// Progress is an attempt's handle on its job's progress record.
+type Progress struct {
+	m *Manager
+	j *job
+	// Last is the payload the job's last Save journaled, in this attempt
+	// or an earlier one; nil when there is none.
+	Last json.RawMessage
+}
+
+// Save journals payload, which must be valid JSON, as the job's progress,
+// for the job's next attempt to start from. A failed append is returned
+// for the caller to log, and the job keeps the progress it had.
+func (p *Progress) Save(payload json.RawMessage) error {
+	m := p.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.appendLocked(&record{Type: recProgress, ID: p.j.ID, Progress: payload}); err != nil {
+		return err
+	}
+	p.j.Progress = payload
+	m.compactLocked(false)
+	return nil
+}
 
 // Config tunes a Manager. The zero value of every field has a usable
 // default except Exec, which is required.
@@ -227,9 +254,6 @@ type Config struct {
 	// and may panic, hang on ctx, force an error, or force a degraded
 	// outcome.
 	Fault func(ctx context.Context, jobType string) (degrade bool, err error)
-	// OnFinal is called (outside the manager lock) when a job reaches a
-	// terminal state; the server uses it to clear iterate checkpoints.
-	OnFinal func(id string, state State)
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -491,9 +515,6 @@ func (m *Manager) Cancel(id string) (*report.JobJSON, error) {
 	}
 	snap := m.snapshotLocked(j)
 	m.mu.Unlock()
-	if final {
-		m.notifyFinal(id, StateCanceled)
-	}
 	m.cfg.Logf("jobs: %s cancel requested", id)
 	return snap, nil
 }
@@ -541,8 +562,8 @@ func (m *Manager) countLocked() (queued, running int) {
 }
 
 // Close drains the pool: no new attempts start, running attempts are
-// cancelled through their contexts (iterate jobs have round-boundary
-// checkpoints, so nothing of value is lost), and a "requeue" record
+// cancelled through their contexts (an iterate job's journaled progress
+// keeps its completed rounds), and a "requeue" record
 // refunds each interrupted attempt so a clean shutdown never burns the
 // retry budget. Blocks until the workers exit or budget elapses.
 func (m *Manager) Close(budget time.Duration) {
@@ -641,13 +662,14 @@ func (m *Manager) runJob(j *job) {
 		jctx, cancel := context.WithCancel(m.baseCtx)
 		j.cancel = cancel
 		deadline := j.deadline
+		progress := &Progress{m: m, j: j, Last: j.Progress}
 		m.mu.Unlock()
 
 		actx, acancel := jctx, context.CancelFunc(func() {})
 		if deadline > 0 {
 			actx, acancel = context.WithTimeout(jctx, deadline)
 		}
-		result, degraded, err, panicked := m.safeExec(actx, j, attempt)
+		result, degraded, err, panicked := m.safeExec(actx, j, progress)
 		deadlineHit := actx.Err() == context.DeadlineExceeded
 		acancel()
 		cancel()
@@ -663,12 +685,10 @@ func (m *Manager) runJob(j *job) {
 			// cancel; a fully successful result still wins below.
 			m.finalizeLocked(j, StateCanceled, "", false, nil)
 			m.mu.Unlock()
-			m.notifyFinal(j.ID, StateCanceled)
 			return
 		case err == nil && !degraded:
 			m.finalizeLocked(j, StateDone, "", false, result)
 			m.mu.Unlock()
-			m.notifyFinal(j.ID, StateDone)
 			return
 		case draining && err != nil && !IsPermanent(err):
 			// The drain cancelled the attempt; refund it so a clean
@@ -703,7 +723,6 @@ func (m *Manager) runJob(j *job) {
 		if IsPermanent(err) {
 			m.finalizeLocked(j, StateFailed, msg, false, nil)
 			m.mu.Unlock()
-			m.notifyFinal(j.ID, StateFailed)
 			return
 		}
 		if j.Attempts >= j.maxAttempts {
@@ -720,7 +739,6 @@ func (m *Manager) runJob(j *job) {
 				fmt.Sprintf("%s on attempt %d/%d: %s", stage, attempt, j.maxAttempts, msg),
 				quarantine, keep)
 			m.mu.Unlock()
-			m.notifyFinal(j.ID, StateFailed)
 			return
 		}
 		// Park as queued during the backoff: a Cancel in this window
@@ -753,7 +771,7 @@ func (m *Manager) failAttemptLocked(j *job, stage, msg string) {
 
 // safeExec runs one attempt under the recover barrier: a panicking
 // executor (or fault hook) kills the attempt, not the worker.
-func (m *Manager) safeExec(ctx context.Context, j *job, attempt int) (result json.RawMessage, degraded bool, err error, panicked bool) {
+func (m *Manager) safeExec(ctx context.Context, j *job, progress *Progress) (result json.RawMessage, degraded bool, err error, panicked bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			result, degraded = nil, false
@@ -768,7 +786,7 @@ func (m *Manager) safeExec(ctx context.Context, j *job, attempt int) (result jso
 		}
 		degraded = d
 	}
-	res, d, err := m.cfg.Exec(ctx, j.ID, j.Spec, attempt)
+	res, d, err := m.cfg.Exec(ctx, j.ID, j.Spec, progress)
 	return res, degraded || d, err, false
 }
 
@@ -811,7 +829,7 @@ func (m *Manager) finalizeLocked(j *job, state State, errMsg string, quarantined
 // journaled (Cancel of a queued job, which must refuse the ack when the
 // append fails) or finalizeLocked has tried to.
 func (m *Manager) finishLocked(j *job, state State, errMsg string, quarantined bool, result json.RawMessage) {
-	j.State = state
+	j.State, j.Progress = state, nil
 	j.Error = errMsg
 	j.Quarantined = quarantined
 	if result != nil {
@@ -831,13 +849,6 @@ func (m *Manager) finishLocked(j *job, state State, errMsg string, quarantined b
 	}
 	m.compactLocked(false)
 	m.cfg.Logf("jobs: %s -> %s%s", j.ID, state, map[bool]string{true: " (quarantined)", false: ""}[quarantined])
-}
-
-// notifyFinal runs the OnFinal callback outside the manager lock.
-func (m *Manager) notifyFinal(id string, state State) {
-	if m.cfg.OnFinal != nil {
-		m.cfg.OnFinal(id, state)
-	}
 }
 
 // --- resolved knobs and snapshots -------------------------------------

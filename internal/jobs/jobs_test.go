@@ -20,7 +20,7 @@ import (
 
 // okExec is an executor that immediately succeeds with a canned result.
 func okExec(calls *atomic.Int64) Executor {
-	return func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	return func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		if calls != nil {
 			calls.Add(1)
 		}
@@ -148,7 +148,7 @@ func TestSpecValidation(t *testing.T) {
 
 func TestQueueFullSheds(t *testing.T) {
 	release := make(chan struct{})
-	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		<-release
 		return nil, false, nil
 	}, func(c *Config) { c.Workers = 1; c.MaxQueued = 2 })
@@ -165,7 +165,7 @@ func TestQueueFullSheds(t *testing.T) {
 
 func TestRetryThenSuccess(t *testing.T) {
 	var calls atomic.Int64
-	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		if calls.Add(1) == 1 {
 			return nil, false, fmt.Errorf("transient wobble")
 		}
@@ -179,7 +179,7 @@ func TestRetryThenSuccess(t *testing.T) {
 }
 
 func TestPermanentErrorFailsFast(t *testing.T) {
-	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		return nil, false, Permanent(fmt.Errorf("no such session"))
 	})
 	id := submit(t, m, &Spec{Session: "ghost", Type: "analyze"})
@@ -192,9 +192,9 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 // A job that panics every attempt must land in quarantine with per-attempt
 // Diags — and the worker pool must survive to run the next job.
 func TestPanicPoisonQuarantine(t *testing.T) {
-	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		if spec.Session == "poison" {
-			panic("boom " + fmt.Sprint(attempt))
+			panic("boom " + id)
 		}
 		return json.RawMessage(`{}`), false, nil
 	})
@@ -220,7 +220,7 @@ func TestPanicPoisonQuarantine(t *testing.T) {
 // Degrade-every-attempt jobs quarantine too, keeping the last degraded
 // result as evidence.
 func TestDegradedPoisonQuarantine(t *testing.T) {
-	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		return json.RawMessage(`{"degraded":true}`), true, nil
 	})
 	id := submit(t, m, &Spec{Session: "s", Type: "analyze", MaxAttempts: 2})
@@ -234,7 +234,7 @@ func TestDegradedPoisonQuarantine(t *testing.T) {
 }
 
 func TestAttemptDeadline(t *testing.T) {
-	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		<-ctx.Done()
 		return nil, false, ctx.Err()
 	})
@@ -247,7 +247,7 @@ func TestAttemptDeadline(t *testing.T) {
 
 func TestCancelQueuedAndTerminal(t *testing.T) {
 	release := make(chan struct{})
-	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -277,7 +277,7 @@ func TestCancelQueuedAndTerminal(t *testing.T) {
 }
 
 func TestCancelRunning(t *testing.T) {
-	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		<-ctx.Done()
 		return nil, false, ctx.Err()
 	})
@@ -310,7 +310,7 @@ func TestRestartResumesInFlightJob(t *testing.T) {
 	dir := t.TempDir()
 	hold := make(chan struct{})
 	defer close(hold)
-	m1 := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m1 := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		<-hold
 		return nil, false, fmt.Errorf("abandoned")
 	})
@@ -335,7 +335,7 @@ func TestRestartQuarantinesCrashLoopJob(t *testing.T) {
 	dir := t.TempDir()
 	hold := make(chan struct{})
 	defer close(hold)
-	m1 := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m1 := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		<-hold
 		return nil, false, fmt.Errorf("abandoned")
 	})
@@ -357,7 +357,7 @@ func TestRestartQuarantinesCrashLoopJob(t *testing.T) {
 // clean restarts never burn retry budget.
 func TestGracefulDrainRefundsAttempt(t *testing.T) {
 	dir := t.TempDir()
-	m1 := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m1 := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		<-ctx.Done()
 		return nil, false, ctx.Err()
 	})
@@ -377,7 +377,7 @@ func TestCancelIntentSurvivesRestart(t *testing.T) {
 	hold := make(chan struct{})
 	defer close(hold)
 	// The executor ignores its context — a worst-case stuck job.
-	m1 := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m1 := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		<-hold
 		return nil, false, fmt.Errorf("abandoned")
 	})
@@ -642,7 +642,7 @@ func TestCancelQueuedJournalsOnce(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
 	defer close(release)
-	m := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, attempt int) (json.RawMessage, bool, error) {
+	m := openManager(t, dir, func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():

@@ -24,6 +24,8 @@ import (
 //	           error}
 //	requeue   {id, attempt}         a drain interrupted the attempt; it
 //	                                is refunded (replay decrements)
+//	progress  {id, progress}        an attempt's opaque progress payload,
+//	                                handed to the job's next attempt
 //	cancel    {id}                  cancel intent (journaled before the
 //	                                DELETE ack; the terminal record follows
 //	                                when the attempt unwinds)
@@ -31,6 +33,8 @@ import (
 //	fail      {id, error,           terminal: retries exhausted or
 //	           quarantined}         permanent failure
 //	canceled  {id}                  terminal: cancel completed
+//	                                (each terminal record drops the
+//	                                job's progress)
 //	job       {job}                 a full snapshot, written by compaction
 //	meta      {nextId}              the ID counter, so pruning terminal
 //	                                jobs never reuses their IDs
@@ -39,6 +43,7 @@ const (
 	recStart    = "start"
 	recAttempt  = "attempt"
 	recRequeue  = "requeue"
+	recProgress = "progress"
 	recCancel   = "cancel"
 	recDone     = "done"
 	recFail     = "fail"
@@ -59,6 +64,7 @@ type record struct {
 	Error       string          `json:"error,omitempty"`
 	Quarantined bool            `json:"quarantined,omitempty"`
 	Result      json.RawMessage `json:"result,omitempty"`
+	Progress    json.RawMessage `json:"progress,omitempty"`
 	Job         *jobSnapshot    `json:"job,omitempty"`
 	NextID      uint64          `json:"nextId,omitempty"`
 }
@@ -78,6 +84,8 @@ type jobSnapshot struct {
 	SubmittedAt     time.Time            `json:"submittedAt"`
 	StartedAt       time.Time            `json:"startedAt"`
 	FinishedAt      time.Time            `json:"finishedAt"`
+	// Progress is the last payload an attempt saved, until the job ends.
+	Progress json.RawMessage `json:"progress,omitempty"`
 }
 
 // appendLocked journals one record. Callers decide whether a failure is
@@ -95,26 +103,27 @@ func (m *Manager) appendLocked(rec *record) error {
 	return m.log.Append(payload)
 }
 
-// encodeRecord marshals rec with its job's result spliced in as the stored
-// bytes it is: an encoder wrote them, or replay decoded them, so they are
-// valid JSON that encoding/json would only re-scan, on every append and
-// rewrite. The result goes last in its object; replay reads by name.
+// encodeRecord marshals rec with its job's result and progress spliced in
+// as the stored bytes they are: an encoder wrote them, or replay decoded
+// them, so they are valid JSON that encoding/json would only re-scan, on
+// every append and rewrite. They go last in their object; replay reads by
+// name.
 func encodeRecord(rec *record) ([]byte, error) {
 	head := *rec
-	head.Result, head.Job = nil, nil
+	head.Result, head.Progress, head.Job = nil, nil, nil
 	b, err := json.Marshal(&head)
 	if snap := rec.Job; err == nil && snap != nil {
 		js := *snap
-		js.Result = nil
+		js.Result, js.Progress = nil, nil
 		var jb []byte
 		if jb, err = json.Marshal(&js); err == nil {
-			b = splice(b, "job", splice(jb, "result", snap.Result))
+			b = splice(b, "job", splice(splice(jb, "progress", snap.Progress), "result", snap.Result))
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("encoding %s record: %w", rec.Type, err)
 	}
-	return splice(b, "result", rec.Result), nil
+	return splice(splice(b, "progress", rec.Progress), "result", rec.Result), nil
 }
 
 // splice adds the member key: raw, unless raw is empty, to the end of the
@@ -189,14 +198,16 @@ func (m *Manager) applyRecord(payload []byte, at time.Time) error {
 			j.Attempts--
 		}
 		j.State = StateQueued
+	case recProgress:
+		j.Progress = rec.Progress
 	case recCancel:
 		j.CancelRequested = true
 	case recDone:
-		j.State = StateDone
+		j.State, j.Progress = StateDone, nil
 		j.Result = rec.Result
 		j.FinishedAt = at
 	case recFail:
-		j.State = StateFailed
+		j.State, j.Progress = StateFailed, nil
 		j.Error = rec.Error
 		j.Quarantined = rec.Quarantined
 		if len(rec.Result) > 0 {
@@ -204,7 +215,7 @@ func (m *Manager) applyRecord(payload []byte, at time.Time) error {
 		}
 		j.FinishedAt = at
 	case recCanceled:
-		j.State = StateCanceled
+		j.State, j.Progress = StateCanceled, nil
 		j.CancelRequested = true
 		j.FinishedAt = at
 	default:
@@ -218,7 +229,6 @@ func (m *Manager) applyRecord(payload []byte, at time.Time) error {
 // the attempt budget — quarantines as a poison job. Runs after the
 // journal writer reopens so the decisions are themselves journaled.
 func (m *Manager) recoverInterrupted() {
-	var finals []string
 	for _, id := range m.sortedIDsLocked() {
 		j := m.jobs[id]
 		if j.State.Terminal() {
@@ -234,22 +244,17 @@ func (m *Manager) recoverInterrupted() {
 			// Cancel intent was durable but the terminal record was not;
 			// honor the intent.
 			m.finalizeLocked(j, StateCanceled, "", false, nil)
-			finals = append(finals, id)
 		case j.Attempts >= j.maxAttempts:
 			// Every budgeted attempt died with the process — the poison
 			// signature a recover barrier can't catch.
 			m.finalizeLocked(j, StateFailed,
 				fmt.Sprintf("interrupted by process exit on attempt %d/%d", j.Attempts, j.maxAttempts),
 				true, nil)
-			finals = append(finals, id)
 		default:
 			j.State = StateQueued
 			m.queue.Push(j.Spec.Tenant, id)
 			m.cfg.Logf("jobs: %s re-enqueued after restart (attempt %d/%d)", id, j.Attempts, j.maxAttempts)
 		}
-	}
-	for _, id := range finals {
-		m.notifyFinal(id, m.jobs[id].State)
 	}
 }
 

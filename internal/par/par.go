@@ -21,11 +21,12 @@ const chunk = 64
 // lowest failing i — what a serial loop stopping at its first error
 // returns. It is that serial loop when workers <= 1 or n < serialBelow. Otherwise
 // up to workers goroutines claim chunks of consecutive indices in
-// ascending order; after a failure no further chunk is claimed, but every
-// chunk below the failing one has been claimed and runs to its own end or
-// first error, so the lowest failure is always seen. Iterations must
-// write only state no other iteration touches. A cancelled context ends
-// the loop with ctx.Err() at the next chunk boundary.
+// ascending order; once an index has failed, no index above it starts,
+// in a claimed chunk or a new one, while every index below it still runs
+// to its own end or first error, so the lowest failure is always seen.
+// Iterations must write only state no other iteration touches. A
+// cancelled context ends the loop with ctx.Err() at the next chunk
+// boundary.
 func For(ctx context.Context, n, workers, serialBelow int, fn func(i int) error) error {
 	return ForWorker(ctx, n, workers, serialBelow, func(_, i int) error { return fn(i) })
 }
@@ -53,26 +54,36 @@ func ForWorker(ctx context.Context, n, workers, serialBelow int, fn func(w, i in
 	}
 	errs := make([]error, chunks)
 	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
+		next atomic.Int64
+		// low is the lowest failing index so far, n while none has failed.
+		low atomic.Int64
+		wg  sync.WaitGroup
 	)
+	low.Store(int64(n))
+	fail := func(i int) {
+		for cur := low.Load(); int64(i) < cur && !low.CompareAndSwap(cur, int64(i)); cur = low.Load() {
+		}
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for !failed.Load() {
+			for {
 				c := int(next.Add(1)) - 1
 				if c >= chunks {
 					return
 				}
-				if errs[c] = ctx.Err(); errs[c] == nil {
-					for i, hi := c*chunk, min(n, (c+1)*chunk); i < hi && errs[c] == nil; i++ {
-						errs[c] = fn(w, i)
-					}
+				lo := c * chunk
+				if errs[c] = ctx.Err(); errs[c] != nil {
+					fail(lo)
 				}
-				if errs[c] != nil {
-					failed.Store(true)
+				if int64(lo) > low.Load() {
+					return // chunks are claimed in order: every later one is above too
+				}
+				for i, hi := lo, min(n, lo+chunk); i < hi && int64(i) < low.Load(); i++ {
+					if errs[c] = fn(w, i); errs[c] != nil {
+						fail(i)
+					}
 				}
 			}
 		}(w)

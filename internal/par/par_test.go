@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForVisitsEveryIndexOnce(t *testing.T) {
@@ -96,6 +97,72 @@ func TestForWorkerNeverSharesAWorker(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// claimCounter is a context that counts its Err calls, which ForWorker
+// makes once per claimed chunk, and closes at when the count reaches n.
+type claimCounter struct {
+	context.Context
+	calls atomic.Int32
+	n     int32
+	at    chan struct{}
+}
+
+func (c *claimCounter) Err() error {
+	if c.calls.Add(1) == c.n {
+		close(c.at)
+	}
+	return nil
+}
+
+// TestForStopsAboveTheLowestFailure pins both halves of the fail-fast
+// drain, ordered by channels alone. Three workers hold chunks 0, 1 and 2
+// of four; index chunk+5 fails while indices 0 and 2*chunk are mid-call.
+// The failing worker's next claim (the fourth) comes after it recorded the
+// failure, and releases both: chunk 0, below the failure, runs on until
+// its own failure at 40, and chunk 2, above it, stops after the index it
+// was in. (The watchdog orders nothing: it turns a loop that never makes
+// that claim into a failure instead of a hang.)
+func TestForStopsAboveTheLowestFailure(t *testing.T) {
+	const n = 4 * chunk
+	ctx := &claimCounter{Context: context.Background(), n: 4, at: make(chan struct{})}
+	var ran [n]atomic.Bool
+	started0, started2 := make(chan struct{}), make(chan struct{})
+	wait := func(i int) error {
+		select {
+		case <-ctx.at:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("index %d: the failing worker never claimed again", i)
+		}
+	}
+	err := ForWorker(ctx, n, 3, 2, func(_, i int) error {
+		ran[i].Store(true)
+		switch i {
+		case 0:
+			close(started0)
+			return wait(i)
+		case 2 * chunk:
+			close(started2)
+			return wait(i)
+		case chunk + 5:
+			<-started0
+			<-started2
+			return fmt.Errorf("index %d", i)
+		case 40:
+			return fmt.Errorf("index %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "index 40" {
+		t.Fatalf("got %v, want the failure at index 40", err)
+	}
+	for i := range ran {
+		want := i <= 40 || chunk <= i && i <= chunk+5 || i == 2*chunk
+		if got := ran[i].Load(); got != want {
+			t.Errorf("index %d ran=%v, want %v", i, got, want)
 		}
 	}
 }

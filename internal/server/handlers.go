@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/report"
-	"repro/internal/shard"
 )
 
 // gated runs fn holding a worker slot of the admission gate and under the
@@ -172,11 +171,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	}
 	// A persisted session may exist on disk only (LRU-evicted); it is
 	// deletable without reloading it.
-	var sp *sessionSpec
-	if s.store != nil {
-		sp = s.store.Spec(name)
-	}
-	persisted := sp != nil
+	persisted := s.store != nil && s.store.Spec(name) != nil
 	if !inMem && !persisted {
 		s.mu.Unlock()
 		return notFound(name)
@@ -201,11 +196,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 			return &ErrorInfo{
 				Kind: "storage", Message: fmt.Sprintf("tombstone could not be journaled: %v", err), Session: name,
 			}
-		}
-		// An iterate cut off mid-fixpoint left its round checkpoint; it
-		// goes with the session.
-		if err := shard.ClearCheckpoint(s.iterateDir(), iterateToken(name, sp.keys.run)); err != nil {
-			s.cfg.Logf("session %q: clearing iterate checkpoint: %v", name, err)
 		}
 	}
 	func() {

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/core"
@@ -41,25 +39,6 @@ type SweepPointResult struct {
 	Noise *report.ResultJSON `json:"noise"`
 }
 
-func (s *Server) jobCheckpointDir() string {
-	return filepath.Join(s.cfg.DataDir, "jobs", "checkpoints")
-}
-
-// jobFinal clears a terminal job's iterate checkpoints — a checkpoint
-// outlives crashes (that is its job) but must not outlive the job. Its
-// run tokens start with the job's ID, whatever design they ran over.
-func (s *Server) jobFinal(id string, state jobs.State) {
-	if s.cfg.DataDir == "" {
-		return
-	}
-	left, _ := filepath.Glob(filepath.Join(s.jobCheckpointDir(), id+"-*.ckpt.json"))
-	for _, p := range left {
-		if err := os.Remove(p); err != nil {
-			s.cfg.Logf("job %s: clearing checkpoint: %v", id, err)
-		}
-	}
-}
-
 // execJob is the jobs.Executor: one attempt of one job, run by a job
 // worker through the same sessionWork harness as an interactive analysis
 // (no admission of its own: the job pool is its gate), routed by job type.
@@ -67,7 +46,7 @@ func (s *Server) jobFinal(id string, state jobs.State) {
 // report serves it; a sweep keeps its own payload. A refusal that would
 // recur — unknown session, unreplayable spec, a bad sweep point — is marked
 // Permanent so the manager fails fast instead of burning the retry budget.
-func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, attempt int) (json.RawMessage, bool, error) {
+func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, progress *jobs.Progress) (json.RawMessage, bool, error) {
 	start := time.Now()
 	defer func() { s.histJobRun.Observe(time.Since(start).Seconds()) }()
 	var sweep json.RawMessage
@@ -78,12 +57,25 @@ func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, attemp
 		case "reanalyze":
 			return s.reanalyzeWork(ctx, ss, spec.Padding, spec.Delay)
 		case "iterate":
-			// The checkpoint token starts with the job ID, unique across
-			// restarts: a SIGKILL'd iterate job resumes mid-fixpoint
-			// instead of starting over.
-			return s.iterate(ctx, ss, &IterateRequest{
-				Delay: spec.Delay, MaxRounds: spec.MaxRounds, Shards: spec.Shards, Local: spec.Local,
-			}, runToken(id, ss.keys.run), s.jobCheckpointDir())
+			req := &IterateRequest{Delay: spec.Delay, MaxRounds: spec.MaxRounds, Shards: spec.Shards, Local: spec.Local}
+			token := runToken(id, ss.keys.run)
+			if s.store == nil {
+				return s.iterate(ctx, ss, req, token, nil, nil)
+			}
+			// The round state rides the job's journal as its progress: a
+			// retried or SIGKILL'd iterate job resumes mid-fixpoint, and
+			// the job's terminal record drops it.
+			var resume *roundState
+			if json.Unmarshal(progress.Last, &resume) != nil {
+				resume = nil // none saved, or unreadable: start fresh
+			}
+			return s.iterate(ctx, ss, req, token, resume, func(rs *roundState) error {
+				b, err := json.Marshal(rs)
+				if err != nil {
+					return err
+				}
+				return progress.Save(b)
+			})
 		case "sweep":
 			sweep, err = s.jobSweep(ctx, ss, spec)
 			return nil, err

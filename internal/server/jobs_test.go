@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -364,19 +366,20 @@ func TestMetricsServesWhileDraining(t *testing.T) {
 	wantErrKind(t, data, "draining")
 }
 
-// Iterate jobs checkpoint at round boundaries under the jobs data dir,
-// keyed by job ID, and the checkpoint is cleared once the job finishes.
+// Iterate jobs journal their round state as the job's progress, and
+// leave nothing else behind in the data directory.
 func TestJobIterateCheckpointCleared(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
 	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	ack := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "iterate", Local: true, MaxRounds: 3})
 	waitJobHTTP(t, ts.URL, ack.ID, "done")
-	entries, err := filepath.Glob(fmt.Sprintf("%s/jobs/checkpoints/*", dir))
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", "jobs.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("checkpoints left after terminal job: %v", entries)
+	if !bytes.Contains(data, []byte(`"type":"progress"`)) {
+		t.Fatal("the iterate job journaled no round state")
 	}
+	wantOnlyJournals(t, dir)
 }

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -553,48 +554,48 @@ func TestServerStorageDegradedSurfaced(t *testing.T) {
 }
 
 // TestRecreatedSessionStartsItsOwnIterate: an iterate cut off mid-fixpoint
-// leaves its round checkpoint, and a session re-created under the deleted
-// one's name over another design must not resume it — not after DELETE,
-// which removes the checkpoint, and not when the file survives anyway (a
-// crash between the tombstone and the removal), because the run token
-// names the design as well as the session. The re-created session answers
-// what a fresh server answers.
+// leaves its round state in the session journal, and a session re-created
+// under the deleted one's name over another design must not resume it —
+// not after DELETE, whose tombstone drops it with the session, and not
+// when the journal holds it for the new session anyway, because the state
+// carries the run token it was saved under, which names the design as
+// well as the session. The re-created session answers what a fresh server
+// answers.
 func TestRecreatedSessionStartsItsOwnIterate(t *testing.T) {
 	dir := t.TempDir()
 	slow := chaos.SessionFaults{"s": {Sleep: []string{"*"}}}
-	_, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
-	ckpts := filepath.Join(dir, "iterate", "*.ckpt.json")
+	s, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
 	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "s", 6, shard.OptionsSpec{}))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d: %s", resp.StatusCode, data)
 	}
 
-	saved := cutOffIterate(t, ts.URL, "s", ckpts)
+	saved := cutOffIterate(t, s, ts.URL, "s")
 
 	// The canceled run unwinds before the session stops being busy.
 	waitFor(t, func() bool {
 		resp, _ := do(t, "DELETE", ts.URL+"/v1/sessions/s", nil)
 		return resp.StatusCode == http.StatusNoContent
 	})
-	if m, _ := filepath.Glob(ckpts); len(m) != 0 {
-		t.Fatalf("DELETE left the session's checkpoint behind: %v", m)
-	}
-	for p, b := range saved {
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	iterate := func(base string) AnalyzeResponse {
+	iterate := func(s *Server, base string) AnalyzeResponse {
 		resp, data := do(t, "POST", base+"/v1/sessions", busPayload(t, "s", 4, shard.OptionsSpec{}))
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create: %d: %s", resp.StatusCode, data)
 		}
+		if s != nil {
+			if rs := s.store.Spec("s").Round; rs != nil {
+				t.Fatalf("the re-created session holds the deleted one's round state %+v", rs)
+			}
+			if err := s.store.Round("s", saved); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return analyzeOK(t, base, "s", "iterate", IterateRequest{Local: true, Delay: true})
 	}
-	got := iterate(ts.URL)
+	got := iterate(s, ts.URL)
 	_, fresh := newTestServer(t, Config{DataDir: t.TempDir()})
-	want := iterate(fresh.URL)
+	want := iterate(nil, fresh.URL)
 	if got.Iterate.Resumed || got.Iterate.Rounds != want.Iterate.Rounds {
 		t.Fatalf("re-created session: resumed=%v after %d round(s); a fresh server: resumed=%v after %d",
 			got.Iterate.Resumed, got.Iterate.Rounds, want.Iterate.Resumed, want.Iterate.Rounds)
@@ -612,10 +613,10 @@ func TestRecreatedSessionStartsItsOwnIterate(t *testing.T) {
 }
 
 // cutOffIterate starts a local iterate on the named session, which must be
-// slowed, and cancels it the way its deadline would once a round
-// checkpoint matching ckpts is saved; it returns the saved files' bytes
+// slowed, and cancels it the way its deadline would once the session
+// journal holds its round state; it returns the state the journal holds
 // once the run has unwound.
-func cutOffIterate(t *testing.T, base, name, ckpts string) map[string][]byte {
+func cutOffIterate(t *testing.T, s *Server, base, name string) *roundState {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := make(chan struct{})
@@ -626,47 +627,41 @@ func cutOffIterate(t *testing.T, base, name, ckpts string) map[string][]byte {
 			resp.Body.Close()
 		}
 	}()
-	saved := map[string][]byte{}
 	waitFor(t, func() bool {
 		select {
 		case <-ran:
-			t.Fatal("iterate finished before any round checkpoint was written; grow the fixture")
+			t.Fatal("iterate finished before any round state was journaled; grow the fixture")
 		default:
 		}
-		m, _ := filepath.Glob(ckpts)
-		for _, p := range m {
-			if b, err := os.ReadFile(p); err == nil {
-				saved[p] = b
-			}
-		}
-		return len(saved) > 0
+		return s.store.Spec(name).Round != nil
 	})
 	cancel()
 	<-ran
-	return saved
+	return s.store.Spec(name).Round
 }
 
 // TestDeleteKeepsANeighborsCheckpoint: sessions "a b" and "a_b" over one
 // design and options differ only in a byte a file name cannot hold. A
-// DELETE of "a_b" clears "a_b"'s iterate checkpoint and nothing of
-// "a b"'s, which a cut-off iterate left behind.
+// DELETE of "a_b" drops "a_b"'s iterate round state and nothing of
+// "a b"'s, which a cut-off iterate left behind, through a restart too.
 func TestDeleteKeepsANeighborsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	slow := chaos.SessionFaults{"a b": {Sleep: []string{"*"}}}
-	_, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
+	s, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
 	for _, name := range []string{"a b", "a_b"} {
 		if resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, name, 6, shard.OptionsSpec{})); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create %q: %d: %s", name, resp.StatusCode, data)
 		}
 	}
-	saved := cutOffIterate(t, ts.URL, "a b", filepath.Join(dir, "iterate", "*.ckpt.json"))
+	saved := cutOffIterate(t, s, ts.URL, "a b")
 	if resp, data := do(t, "DELETE", ts.URL+"/v1/sessions/a_b", nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete a_b: %d: %s", resp.StatusCode, data)
 	}
-	for p := range saved {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("DELETE of a_b removed a b's iterate checkpoint %s: %v", filepath.Base(p), err)
-		}
+	ts.Close()
+	s.Close()
+	s2, _ := newTestServer(t, Config{DataDir: dir})
+	if got := s2.store.Spec("a b").Round; !reflect.DeepEqual(got, saved) {
+		t.Errorf("after DELETE of a_b and a restart, a b holds round state %+v, want %+v", got, saved)
 	}
 }
 

@@ -313,7 +313,6 @@ func New(cfg Config) (*Server, error) {
 		DefaultDeadline:    cfg.JobDeadline,
 		Exec:               s.execJob,
 		Fault:              faults.Job,
-		OnFinal:            s.jobFinal,
 		Logf:               cfg.Logf,
 	}
 	if cfg.DataDir != "" {
@@ -400,7 +399,7 @@ func (s *Server) Drain(budget time.Duration) bool {
 	s.beginDrain()
 	// Job workers drain in parallel with the HTTP in-flight wait: running
 	// attempts are cancelled through their contexts (iterate jobs keep
-	// their round-boundary checkpoints) and requeued for the next boot.
+	// their journaled round state) and requeued for the next boot.
 	jobsDone := make(chan struct{})
 	go func() {
 		s.jobs.Close(budget)

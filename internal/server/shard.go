@@ -22,15 +22,16 @@ package server
 //     and delay sections byte-identical to the local one; worker loss
 //     degrades to re-hosting, then to conservative full-rail results with
 //     degradation diagnostics — never to a failed request. With a data
-//     directory, either kind checkpoints round state so a restarted server
-//     resumes a mid-fixpoint iterate instead of starting over.
+//     directory, either kind journals its round state after every round —
+//     a session's in the session journal, a job's as the job's progress —
+//     so a restarted server resumes a mid-fixpoint iterate instead of
+//     starting over.
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -245,15 +246,26 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	return s.analysis(w, r, func(ctx context.Context, ss *session) (*answer, error) {
-		// Round state persists next to the session journal, keyed by the
-		// session and its design: a restarted server resumes a
-		// mid-fixpoint iterate from its last completed round instead of
-		// redoing the run.
-		return s.iterate(ctx, ss, &req, iterateToken(ss.name, ss.keys.run), s.iterateDir())
+		token := iterateToken(ss.name, ss.keys.run)
+		var sp *sessionSpec
+		if s.store != nil && ss.persisted {
+			sp = s.store.Spec(ss.name)
+		}
+		if sp == nil {
+			return s.iterate(ctx, ss, &req, token, nil, nil)
+		}
+		// The round state rides the session's journal: a restarted server
+		// resumes a mid-fixpoint iterate from its last completed round, and
+		// the session's delete or re-create drops what a cut-off run left.
+		a, err := s.iterate(ctx, ss, &req, token, sp.Round, func(rs *roundState) error { return s.store.Round(ss.name, rs) })
+		if err == nil {
+			if err := s.store.Round(ss.name, nil); err != nil {
+				s.cfg.Logf("session %q: completed iterate not journaled: %v", ss.name, err)
+			}
+		}
+		return a, err
 	})
 }
-
-func (s *Server) iterateDir() string { return filepath.Join(s.cfg.DataDir, "iterate") }
 
 // iterateToken keys a session's interactive iterate runs.
 func iterateToken(name string, run cacheKey) string { return runToken("iterate-"+name, run) }
@@ -261,30 +273,40 @@ func iterateToken(name string, run cacheKey) string { return runToken("iterate-"
 // runToken names an iterate run: prefix (a session's, or a job's ID) plus
 // the head of the run key of the design it runs over — the sources and
 // the options that affect its result. A worker hands a token's design to
-// every init that names it, and a checkpoint resumes whichever run saved
-// it; named by session alone, a session deleted and re-created over
-// another design would inherit both.
+// every init that names it, and a journaled round state resumes only the
+// run whose token it was saved under; named by session or job alone, a
+// run over a session re-created on another design would inherit both.
 func runToken(prefix string, run cacheKey) string { return fmt.Sprintf("%s-%x", prefix, run[:8]) }
 
 // iterate runs the joint noise–delay fixpoint on a session for both
 // callers, the interactive endpoint and iterate jobs: across the healthy
 // workers when there are any (and the request does not force local), in
-// this process otherwise. token keys
-// the run on the workers and its round checkpoint under ckptDir.
-func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, token, ckptDir string) (*answer, error) {
+// this process otherwise. token keys the run on the workers; the run
+// resumes from resume when that was saved under token, and hands save, if
+// any, its state after every round, fail-soft.
+func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, token string, resume *roundState, save func(*roundState) error) (*answer, error) {
 	cfg := shard.Config{
 		B:         ss.b,
 		Opts:      ss.opts,
 		Token:     token,
 		MaxRounds: req.MaxRounds,
+		Resume:    resume.start(ss.b, token),
 		// Each dispatch gets the same ceiling a worker enforces on its own
 		// requests; a hung worker is declared lost instead of pinning the
 		// run forever.
 		DispatchTimeout: s.cfg.MaxRequestTimeout,
 		Logf:            s.cfg.Logf,
 	}
-	if s.store != nil {
-		cfg.CheckpointDir = ckptDir
+	if cfg.Resume.Round > 0 {
+		s.cfg.Logf("iterate %s: resuming after round %d", token, cfg.Resume.Round)
+	}
+	if save != nil {
+		cfg.AfterRound = func(st core.RoundState) {
+			rs := &roundState{Token: token, Round: st.Round, Padding: core.PaddingByName(ss.b.Net, st.Padding), PrevGrowth: st.PrevGrowth, Stalled: st.Stalled}
+			if err := save(rs); err != nil {
+				s.cfg.Logf("iterate %s: round %d not journaled (continuing): %v", token, st.Round, err)
+			}
+		}
 	}
 	run, info := shard.RunLocal, &IterateInfo{}
 	if workers := s.healthyWorkers(); !req.Local && len(workers) > 0 {
@@ -304,11 +326,26 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 	}
 	info.Rounds, info.Converged = out.Rounds, out.Converged
 	info.Diverging, info.DivergeReason = out.Diverging, out.DivergeReason
-	info.Reassigns, info.AbandonedShards, info.Resumed = out.Reassigns, out.AbandonedShards, out.Resumed
+	info.Reassigns, info.AbandonedShards, info.Resumed = out.Reassigns, out.AbandonedShards, cfg.Resume.Round > 0
 	info.Dispatches = out.Dispatches
 	a := &answer{noise: out.Noise, iterate: info}
 	if req.Delay {
 		a.delay = out.Delay
 	}
 	return a, nil
+}
+
+// start is the state a run under token over b starts from: rs's when it
+// was saved under token, a fresh start otherwise.
+func (rs *roundState) start(b *bind.Design, token string) core.RoundState {
+	if rs == nil || rs.Token != token || rs.Round < 1 {
+		return core.RoundState{}
+	}
+	from := core.RoundState{Round: rs.Round, Padding: make([]float64, b.Net.NumNets()), PrevGrowth: rs.PrevGrowth, Stalled: rs.Stalled}
+	for net, pad := range rs.Padding {
+		if id := b.Net.FindNet(net); id >= 0 {
+			from.Padding[id] = pad
+		}
+	}
+	return from
 }

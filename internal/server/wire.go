@@ -154,8 +154,8 @@ type IterateInfo struct {
 	// degraded to conservative full-rail results.
 	Reassigns       int   `json:"reassigns,omitempty"`
 	AbandonedShards []int `json:"abandonedShards,omitempty"`
-	// Resumed reports that the run continued from a persisted round
-	// checkpoint instead of starting at round 1.
+	// Resumed reports that the run continued from journaled round state
+	// instead of starting at round 1.
 	Resumed bool `json:"resumed,omitempty"`
 	// Dispatches is a distributed run's worker traffic by shard op: round
 	// trips and their summed wall clock.

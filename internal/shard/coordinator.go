@@ -30,8 +30,7 @@ type Config struct {
 	Workers []Worker
 	// Shards is the partition size (default: one per worker).
 	Shards int
-	// Token names the run; it routes requests on shared workers and keys
-	// the checkpoint.
+	// Token names the run; it routes requests on shared workers.
 	Token string
 	// Design is the design source shipped to remote workers in init
 	// requests; in-process workers ignore it.
@@ -41,9 +40,13 @@ type Config struct {
 	// DispatchTimeout bounds each dispatch attempt (0 = only the run
 	// context limits it).
 	DispatchTimeout time.Duration
-	// CheckpointDir is where round state persists for crash resume, one
-	// file per Token ("" = off).
-	CheckpointDir string
+	// Resume is the round state to start from: a zero Round starts fresh;
+	// otherwise Padding holds an entry per net of B, which the run takes
+	// over and grows in place.
+	Resume core.RoundState
+	// AfterRound, when set, sees the state after every round that leaves
+	// the loop running: what a caller keeps to resume from.
+	AfterRound func(core.RoundState)
 	// Logf receives coordinator progress and degradation logs (nil = quiet).
 	Logf func(format string, args ...any)
 }
@@ -61,8 +64,6 @@ type Outcome struct {
 	// Degraded reports any fail-soft degradation, including abandoned
 	// shards (equivalent to len(Noise.Diags) > 0).
 	Degraded bool
-	// Resumed reports the run continued from a checkpoint.
-	Resumed bool
 	// Reassigns counts engine rebuilds after the first init (on another
 	// worker after a loss, in place after a broken answer); AbandonedShards
 	// lists shards degraded to full-rail because no worker could host them.
@@ -156,24 +157,26 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.cfg.checkpointed(func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error) {
-		r.padding = from.Padding
-		// On every exit: a failed or cancelled run must not leave its engines,
-		// and the design reference their token pins, on the workers.
-		defer r.finish()
-		res, err := core.RunIterative(ctx, r, r.cfg.Opts, r.cfg.MaxRounds, from, afterRound)
-		if err != nil {
-			return nil, err
-		}
-		cols, err := r.collectAll(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out := &Outcome{IterativeResult: *res}
-		out.Padding = core.PaddingByName(r.cfg.B.Net, r.padding)
-		r.assemble(out, cols)
-		return out, nil
-	})
+	from := r.cfg.Resume
+	if from.Padding == nil {
+		from.Padding = make([]float64, r.cfg.B.Net.NumNets())
+	}
+	r.padding = from.Padding
+	// On every exit: a failed or cancelled run must not leave its engines,
+	// and the design reference their token pins, on the workers.
+	defer r.finish()
+	res, err := core.RunIterative(ctx, r, r.cfg.Opts, r.cfg.MaxRounds, from, r.cfg.AfterRound)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := r.collectAll(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := &Outcome{IterativeResult: *res}
+	out.Padding = core.PaddingByName(r.cfg.B.Net, r.padding)
+	r.assemble(out, cols)
+	return out, nil
 }
 
 // newRun plans and partitions the design and places the shards.
@@ -236,17 +239,13 @@ func newRun(ctx context.Context, cfg Config) (*run, error) {
 }
 
 // RunLocal is Run without workers: the same loop over the single-process
-// engine, under the same checkpoint discipline. Of cfg it reads B, Opts,
-// MaxRounds, Token, CheckpointDir and Logf.
+// engine. Of cfg it reads B, Opts, MaxRounds, Resume and AfterRound.
 func RunLocal(ctx context.Context, cfg Config) (*Outcome, error) {
-	cfg.fill()
-	return cfg.checkpointed(func(from core.RoundState, afterRound func(core.RoundState)) (*Outcome, error) {
-		res, err := core.ResumeIterativeCtx(ctx, cfg.B, cfg.Opts, cfg.MaxRounds, from, afterRound)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{IterativeResult: *res, Degraded: len(res.Noise.Diags) > 0}, nil
-	})
+	res, err := core.ResumeIterativeCtx(ctx, cfg.B, cfg.Opts, cfg.MaxRounds, cfg.Resume, cfg.AfterRound)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{IterativeResult: *res, Degraded: len(res.Noise.Diags) > 0}, nil
 }
 
 func (cfg *Config) fill() {
@@ -260,7 +259,7 @@ func (cfg *Config) fill() {
 
 // BeginRound implements core.Phases: the first round builds every shard's
 // engine, seeded with the cumulative padding (empty on a fresh run, the
-// checkpoint's on resume); later rounds push the growth to every live shard.
+// resumed state's); later rounds push the growth to every live shard.
 func (r *run) BeginRound(ctx context.Context, changed []netlist.NetID) (int, error) {
 	r.setProgress(0)
 	if changed == nil {
@@ -696,7 +695,7 @@ func parallel(n int, fn func(i int) error) error {
 }
 
 // initAll builds every live shard's engine, seeded with the cumulative
-// padding (empty on a fresh run, the checkpoint's on resume).
+// padding (empty on a fresh run, Config.Resume's on resume).
 func (r *run) initAll(ctx context.Context) error {
 	return r.exchange(ctx, OpInit, -1, r.initRequest, func(int, *Reply, int) {})
 }

@@ -7,9 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -500,50 +499,46 @@ func TestAllWorkersLost(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume seeds a checkpoint equal to round 1 of the serial
-// run and verifies a resumed distributed run lands on the serial
-// fixpoint: same padding, rounds, violations, and per-net combinations
-// (execution statistics legitimately differ — fresh engines re-evaluate
-// more than persistent ones).
+// TestCheckpointResume starts a distributed run from Config.Resume, the
+// state a run's AfterRound saw after round 1, and verifies it lands on the
+// serial fixpoint: same padding, rounds, violations, and per-net
+// combinations (execution statistics legitimately differ — fresh engines
+// re-evaluate more than persistent ones). Its AfterRound sees the rounds
+// the uninterrupted run's saw after round 1, with the same state.
 func TestCheckpointResume(t *testing.T) {
-	mk := fixtures()["bus"]
+	mk := fixtures()["hotfabric"]
 	b, opts := bindFixture(t, mk)
-	full, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 0)
+	var seen []core.RoundState
+	keep := func(st core.RoundState) {
+		st.Padding = slices.Clone(st.Padding)
+		seen = append(seen, st)
+	}
+	full, err := RunLocal(context.Background(), Config{B: b, Opts: opts, AfterRound: keep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Rounds < 2 {
-		t.Fatalf("fixture converges in %d rounds; resume needs >= 2", full.Rounds)
+	if len(seen) < 2 {
+		t.Fatalf("fixture saves state after %d of %d rounds; the test needs >= 2", len(seen), full.Rounds)
 	}
-	one, err := core.AnalyzeIterativeCtx(context.Background(), b, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	growth := one.MaxPadding()
-	cp := &checkpoint{Token: "resume", Round: 1, PrevGrowth: &growth}
-	for net, pad := range one.Padding {
-		cp.Padding = append(cp.Padding, namedPad{net, pad})
-	}
-	if err := saveCheckpoint(dir, cp); err != nil {
-		t.Fatal(err)
-	}
+	fullSeen := seen
+	seen = nil
 	got, err := Run(context.Background(), Config{
-		B:             b,
-		Opts:          opts,
-		Workers:       inprocWorkers(mk, opts, 2),
-		Shards:        2,
-		Token:         "resume",
-		CheckpointDir: dir,
+		B:          b,
+		Opts:       opts,
+		Workers:    inprocWorkers(mk, opts, 2),
+		Shards:     2,
+		Token:      "resume",
+		Resume:     fullSeen[0],
+		AfterRound: keep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Resumed {
-		t.Fatal("run did not resume from the checkpoint")
-	}
 	if got.Rounds != full.Rounds || got.Converged != full.Converged {
 		t.Fatalf("resumed run ended (%d,%v), serial (%d,%v)", got.Rounds, got.Converged, full.Rounds, full.Converged)
+	}
+	if !reflect.DeepEqual(seen, fullSeen[1:]) {
+		t.Errorf("the resumed run saw %+v after its rounds, the uninterrupted run %+v after round 1", seen, fullSeen[1:])
 	}
 	if len(got.Padding) != len(full.Padding) {
 		t.Fatalf("resumed padding has %d nets, serial %d", len(got.Padding), len(full.Padding))
@@ -564,48 +559,6 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if !bytes.Equal(gotDelay, wantDelay) {
 		t.Errorf("resumed delay report differs from serial fixpoint")
-	}
-	// The completed run clears its checkpoint.
-	if cp, err := loadCheckpoint(dir, "resume"); err != nil || cp != nil {
-		t.Fatalf("checkpoint not cleared after completion: %v %v", cp, err)
-	}
-}
-
-// TestCheckpointFilesAreInjective: a token's file name escapes every byte
-// outside [A-Za-z0-9._-], '%' included, so tokens that differ only there —
-// sessions "a b" and "a_b" over one design — keep apart: clearing one
-// leaves the other's checkpoint in place.
-func TestCheckpointFilesAreInjective(t *testing.T) {
-	dir := t.TempDir()
-	tokens := []string{"iterate-a b-00", "iterate-a_b-00", "iterate-a%20b-00", "iterate-a/b-00", "iterate-a\x00b-00"}
-	files := map[string]string{}
-	for _, tok := range tokens {
-		f := ckptFile(dir, tok)
-		if prev, dup := files[f]; dup {
-			t.Fatalf("tokens %q and %q share checkpoint file %s", prev, tok, f)
-		}
-		if filepath.Dir(f) != dir {
-			t.Fatalf("token %q maps outside the checkpoint dir: %s", tok, f)
-		}
-		files[f] = tok
-		if err := saveCheckpoint(dir, &checkpoint{Token: tok, Round: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ClearCheckpoint(dir, "iterate-a_b-00"); err != nil {
-		t.Fatal(err)
-	}
-	for _, tok := range tokens {
-		cp, err := loadCheckpoint(dir, tok)
-		if err != nil {
-			t.Fatalf("%q: %v", tok, err)
-		}
-		if gone := tok == "iterate-a_b-00"; (cp == nil) != gone {
-			t.Errorf("%q: checkpoint present=%v after clearing iterate-a_b-00", tok, cp != nil)
-		}
-	}
-	if got := filepath.Base(ckptFile(dir, "job-000001-0a1b")); got != "job-000001-0a1b.ckpt.json" {
-		t.Errorf("a job token's file is %s; the server's job-NNNNNN-* glob needs it unescaped", got)
 	}
 }
 
@@ -1079,40 +1032,4 @@ func (w *lyingWorker) Do(ctx context.Context, op string, req, resp any) error {
 		w.lied = w.forge(rep)
 	}
 	return err
-}
-
-// TestGoldenCheckpointResumes resumes from a checkpoint file written after
-// round 2 of the hot fabric's fixpoint and checked in as it was written:
-// the on-disk format is an interface to every run a restart picks up, so a
-// change of the in-memory types behind it must still read it. The resumed
-// run must say so, take the uninterrupted run's rounds and render its
-// reports byte for byte.
-func TestGoldenCheckpointResumes(t *testing.T) {
-	b, opts := bindFixture(t, fixtures()["hotfabric"])
-	full, err := RunLocal(context.Background(), Config{B: b, Opts: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile("testdata/hotfabric.ckpt.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "golden.ckpt.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunLocal(context.Background(), Config{B: b, Opts: opts, Token: "golden", CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Resumed || got.Rounds != full.Rounds || got.Converged != full.Converged {
-		t.Fatalf("resumed %v after %d rounds (converged %v), the uninterrupted run %d (%v)",
-			got.Resumed, got.Rounds, got.Converged, full.Rounds, full.Converged)
-	}
-	gotNoise, gotDelay := reportBytes(t, got.Noise, got.Delay)
-	wantNoise, wantDelay := reportBytes(t, full.Noise, full.Delay)
-	if !bytes.Equal(gotNoise, wantNoise) || !bytes.Equal(gotDelay, wantDelay) {
-		t.Fatalf("resumed reports differ from the uninterrupted run's (noise %t, delay %t)",
-			!bytes.Equal(gotNoise, wantNoise), !bytes.Equal(gotDelay, wantDelay))
-	}
 }

@@ -277,18 +277,12 @@ func (scan *ScanResult) visit(path string, fn func(payload []byte)) error {
 	}
 }
 
-// WriteFileAtomic lands data at path through the
+// replaceAtomic lands what fill writes to the temp file, in as many pieces
+// as it has (through hooks.write), at path through the
 // temp+fsync+rename+dirsync discipline, with the fault hooks at each
 // stage. A crash at any instant leaves either the old file or the new
-// one, never a hybrid; a stranded path.tmp is overwritten by the next
-// attempt.
-func WriteFileAtomic(path string, data []byte, hooks Hooks) error {
-	return replaceAtomic(path, hooks, func(tmp *os.File) error { return hooks.write(tmp, "write", data) })
-}
-
-// replaceAtomic is WriteFileAtomic for content that fill writes to the
-// temp file in as many pieces as it has (through hooks.write). A failure
-// at any stage leaves the temp file where a crash would.
+// one, never a hybrid; a failure at any stage leaves the temp file where a
+// crash would, and the next attempt overwrites it.
 func replaceAtomic(path string, hooks Hooks, fill func(tmp *os.File) error) error {
 	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -142,10 +142,16 @@ func TestScanMissingFileIsEmpty(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomicRenameFaultStrandsTemp(t *testing.T) {
+// TestReplaceAtomicRenameFaultStrandsTemp: a fault before the rename
+// leaves the target as it was and the temp file where a crash would, and
+// the next replace overwrites it.
+func TestReplaceAtomicRenameFaultStrandsTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "target")
-	err := WriteFileAtomic(path, []byte("data"), Hooks{
+	write := func(hooks Hooks) error {
+		return replaceAtomic(path, hooks, func(tmp *os.File) error { return hooks.write(tmp, "write", []byte("data")) })
+	}
+	err := write(Hooks{
 		BeforeRename: func(op string) error { return fmt.Errorf("injected crash before rename") },
 	})
 	if err == nil {
@@ -157,7 +163,7 @@ func TestWriteFileAtomicRenameFaultStrandsTemp(t *testing.T) {
 	if _, serr := os.Stat(path + ".tmp"); serr != nil {
 		t.Fatalf("temp file not stranded (the crash signature): %v", serr)
 	}
-	if err := WriteFileAtomic(path, []byte("data"), Hooks{}); err != nil {
+	if err := write(Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)

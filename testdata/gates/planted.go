@@ -1,13 +1,15 @@
 // Package planted breaks every source gate once, so gates_test.go can show
 // each gate fails. The decoys in comments and strings must not count:
 // map[string]int, http.StatusNotFound, report.BuildJSON(res),
-// "repro/internal/chaos", sha256.Sum256(spec), Agg *netlist.Net.
+// "repro/internal/chaos", sha256.Sum256(spec), Agg *netlist.Net,
+// os.Remove(path).
 package planted
 
 import (
 	"crypto/sha256"
 	"encoding/json"
 	"net/http"
+	"os"
 
 	"repro/internal/chaos"
 	"repro/internal/netlist"
@@ -16,7 +18,7 @@ import (
 
 var byName map[string]int
 
-const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn"
+const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn filepath.Glob(dir)"
 
 // prepare reaches for an injector from product code.
 var prepare = chaos.RuntimeFaults{Panic: []string{"*"}}.Hook()
@@ -41,6 +43,9 @@ func marshalHead(j storedJob) ([]byte, error) {
 	j.Result = nil
 	return json.Marshal(&j)
 }
+
+// saveRound keeps round state in a file of its own, beside the journals.
+func saveRound(path string, state []byte) error { return os.WriteFile(path, state, 0o644) }
 
 // specDigest hashes a spec a second time, outside the one key function.
 func specDigest(spec []byte) [sha256.Size]byte { return sha256.Sum256(spec) }

@@ -79,7 +79,7 @@ func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 	// poison-job injection armed for the quarantine half below (it targets
 	// analyze jobs only; the iterate resume is untouched).
 	slow.jobs = "panic:analyze:*"
-	_, base2 := startChild(t, dir, slow, "-job-max-attempts", "2")
+	_, base2 := startChild(t, dir, slow)
 	c2 := client.New(base2, client.RetryPolicy{})
 
 	final, err := c2.WaitJob(ctx, snap.ID)
@@ -163,7 +163,7 @@ func TestJobsSIGKILLResumeAndQuarantine(t *testing.T) {
 
 	// Poison half: the injected panic kills every analyze-job attempt, so
 	// the job lands in quarantine with per-attempt evidence...
-	poisonSnap, err := c2.SubmitJob(ctx, &jobs.Spec{Session: "bus", Type: "analyze"})
+	poisonSnap, err := c2.SubmitJob(ctx, &jobs.Spec{Session: "bus", Type: "analyze", MaxAttempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,11 @@
 //
 // Usage:
 //
-//	snad serve   [-listen 127.0.0.1:8347] [-max-sessions 8]
-//	             [-max-concurrent N] [-queue N] [-max-timeout 30s]
-//	             [-drain-budget 10s] [-breaker-trips 3]
-//	             [-breaker-cooldown 10s] [-data-dir DIR]
-//	             [-workers url1,url2,...] [-shards N]
-//	             [-job-workers 2] [-job-queue 16] [-job-max-attempts 3]
-//	             [-mem-budget 512MB] [-tenant-cap N] [-job-tenant-cap N]
+//	snad serve   [-listen 127.0.0.1:8347] [-data-dir DIR]
+//	             [-mem-budget 512MB] [-max-sessions 8]
+//	             [-max-concurrent N] [-queue N] [-job-workers 2]
+//	             [-job-queue 16] [-workers url1,url2,...]
+//	             [-drain-budget 10s] [-quiet]
 //	snad create  -server URL -name S -net design.net [-spef design.spef]
 //	             [-win design.win] [-workers N]
 //	snad analyze -server URL -name S [-delay] [-timeout 10s]
@@ -48,7 +46,7 @@
 // themselves; there is nothing to tune.
 //
 // With -workers, the server is also a coordinator: the listed snad
-// processes are registered as shard workers (heartbeat-probed), and
+// processes are its shard workers (heartbeat-probed), fixed at boot, and
 // `snad iterate` fans the joint noise–delay fixpoint out across them,
 // surviving worker loss by re-hosting shards and, when every worker is
 // gone, degrading to conservative full-rail results rather than failing.
@@ -147,24 +145,17 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	fs := flag.NewFlagSet("snad serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		listen       = fs.String("listen", "127.0.0.1:8347", "listen address")
-		maxSessions  = fs.Int("max-sessions", 0, "max loaded sessions; LRU-evicted past this (default 8)")
-		maxConc      = fs.Int("max-concurrent", 0, "max concurrent analyses (default GOMAXPROCS)")
-		queue        = fs.Int("queue", 0, "max queued requests past the concurrency cap (default 2x)")
-		maxTimeout   = fs.Duration("max-timeout", 0, "server-side cap on one request's analysis deadline (default 30s)")
-		drainBudget  = fs.Duration("drain-budget", 10*time.Second, "grace period for in-flight work on shutdown")
-		trips        = fs.Int("breaker-trips", 0, "consecutive degraded results that trip a session breaker (default 3)")
-		cooldown     = fs.Duration("breaker-cooldown", 0, "breaker cooldown before going half-open (default 10s)")
-		quiet        = fs.Bool("quiet", false, "suppress operational logging")
-		dataDir      = fs.String("data-dir", "", "durable session directory; empty runs memory-only")
-		workerURLs   = fs.String("workers", "", "comma-separated snad worker base URLs to coordinate over")
-		shards       = fs.Int("shards", 0, "default shard count for distributed iterate (0 = one per worker)")
-		jobWorkers   = fs.Int("job-workers", 0, "async job worker pool size (default 2)")
-		jobQueue     = fs.Int("job-queue", 0, "max queued async jobs; submits past it are shed (default 16)")
-		jobAttempts  = fs.Int("job-max-attempts", 0, "default retry budget per async job (default 3)")
-		memBudget    = fs.String("mem-budget", "", "byte budget for cached designs, e.g. 512MB or 2GiB (empty = unlimited); past it, creates shed with 503 instead of growing")
-		tenantCap    = fs.Int("tenant-cap", 0, "max concurrent analyses per tenant (0 = the concurrency cap)")
-		jobTenantCap = fs.Int("job-tenant-cap", 0, "max concurrently running async jobs per tenant (0 = the job worker count)")
+		listen      = fs.String("listen", "127.0.0.1:8347", "listen address")
+		maxSessions = fs.Int("max-sessions", 0, "max loaded sessions; LRU-evicted past this (default 8)")
+		maxConc     = fs.Int("max-concurrent", 0, "max concurrent analyses (default GOMAXPROCS)")
+		queue       = fs.Int("queue", 0, "max queued requests past the concurrency cap (default 2x)")
+		drainBudget = fs.Duration("drain-budget", 10*time.Second, "grace period for in-flight work on shutdown")
+		quiet       = fs.Bool("quiet", false, "suppress operational logging")
+		dataDir     = fs.String("data-dir", "", "durable session directory; empty runs memory-only")
+		workerURLs  = fs.String("workers", "", "comma-separated snad worker base URLs to coordinate over")
+		jobWorkers  = fs.Int("job-workers", 0, "async job worker pool size (default 2)")
+		jobQueue    = fs.Int("job-queue", 0, "max queued async jobs; submits past it are shed (default 16)")
+		memBudget   = fs.String("mem-budget", "", "byte budget for cached designs, e.g. 512MB or 2GiB (empty = unlimited); past it, creates shed with 503 instead of growing")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -180,28 +171,26 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		fmt.Fprintln(stderr, "snad:", err)
 		return exitUsage
 	}
+	// The fleet is dialed here because the server package cannot import
+	// the client (the client imports the server's wire types); a worker is
+	// named by its URL.
+	var workers []shard.Worker
+	for _, u := range strings.Split(*workerURLs, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			workers = append(workers, client.NewShardWorker(u, u, client.RetryPolicy{}))
+		}
+	}
 	srv, err := server.New(server.Config{
-		MaxSessions:       *maxSessions,
-		MaxConcurrent:     *maxConc,
-		QueueDepth:        *queue,
-		MaxRequestTimeout: *maxTimeout,
-		BreakerTrips:      *trips,
-		BreakerCooldown:   *cooldown,
-		Logf:              logf,
-		DataDir:           *dataDir,
-		Shards:            *shards,
-		JobWorkers:        *jobWorkers,
-		JobQueueDepth:     *jobQueue,
-		JobMaxAttempts:    *jobAttempts,
-		MemBudget:         budget,
-		TenantCap:         *tenantCap,
-		JobTenantCap:      *jobTenantCap,
-		Faults:            faults,
-		// The dialer lives here because the server package cannot import
-		// the client (the client imports the server's wire types).
-		WorkerDialer: func(name, url string) shard.Worker {
-			return client.NewShardWorker(name, url, client.RetryPolicy{})
-		},
+		MaxSessions:   *maxSessions,
+		MaxConcurrent: *maxConc,
+		QueueDepth:    *queue,
+		Logf:          logf,
+		DataDir:       *dataDir,
+		JobWorkers:    *jobWorkers,
+		JobQueueDepth: *jobQueue,
+		MemBudget:     budget,
+		Workers:       workers,
+		Faults:        faults,
 	})
 	if err != nil {
 		// Only a structurally unusable data directory gets here; corrupt
@@ -210,16 +199,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return exitFail
 	}
 	defer srv.Close()
-	for _, u := range strings.Split(*workerURLs, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
-		}
-		if _, err := srv.RegisterWorker("", u); err != nil {
-			fmt.Fprintln(stderr, "snad:", err)
-			return exitUsage
-		}
-	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintln(stderr, "snad:", err)

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -393,5 +395,74 @@ func TestNonFiniteValuesAreUsageErrors(t *testing.T) {
 		if code != exitUsage || !strings.Contains(errb.String(), "want finite") {
 			t.Errorf("args %v: exit %d, want %d; stderr: %s", args, code, exitUsage, errb.String())
 		}
+	}
+}
+
+// TestWorkerFleetIsFixedAtBoot: -workers sets the fleet and no request
+// changes it. A POST naming the boot worker with another URL is refused,
+// and the fleet still lists the boot URL.
+func TestWorkerFleetIsFixedAtBoot(t *testing.T) {
+	const boot, other = "http://127.0.0.1:1", "http://127.0.0.1:2"
+	_, base := startChild(t, t.TempDir(), childFaults{}, "-workers", boot)
+	resp, err := http.Post(base+"/v1/workers", "application/json", strings.NewReader(`{"name":"`+boot+`","url":"`+other+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 {
+		t.Errorf("POST /v1/workers answered %d; a request must not change the fleet", resp.StatusCode)
+	}
+	ws, err := client.New(base, client.RetryPolicy{}).Workers(context.Background())
+	if err != nil || len(ws) != 1 || ws[0].Name != boot || ws[0].URL != boot {
+		t.Fatalf("fleet after the POST = %+v (%v), want the boot worker at %s alone", ws, err, boot)
+	}
+}
+
+// TestServeFlagsAreDocumented holds README's `snad serve` flag table to
+// the flags `snad serve -h` prints, both ways. It is first shown to catch
+// a planted undocumented flag and a planted documented flag serve lacks.
+func TestServeFlagsAreDocumented(t *testing.T) {
+	var out, help bytes.Buffer
+	if code := run(context.Background(), []string{"serve", "-h"}, &out, &help); code != exitUsage {
+		t.Fatalf("serve -h: exit %d", code)
+	}
+	var defined, documented []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(help.String(), -1) {
+		defined = append(defined, m[1])
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(readme), "| `snad serve` flag |")
+	table, _, _ = strings.Cut(table, "\n\n")
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|").FindAllStringSubmatch(table, -1) {
+		documented = append(documented, m[1])
+	}
+	drift := func(defined, documented []string) (problems []string) {
+		for _, f := range defined {
+			if !slices.Contains(documented, f) {
+				problems = append(problems, "serve defines -"+f+", which README's table lacks")
+			}
+		}
+		for _, f := range documented {
+			if !slices.Contains(defined, f) {
+				problems = append(problems, "README's table documents -"+f+", which serve does not define")
+			}
+		}
+		return problems
+	}
+	if len(defined) == 0 || len(documented) == 0 {
+		t.Fatalf("read %d flags from serve -h and %d from README", len(defined), len(documented))
+	}
+	found := drift(defined, documented)
+	if p := drift(append(defined, "planted"), documented); len(p) != len(found)+1 {
+		t.Fatalf("a planted undocumented flag was not caught: %q", p)
+	}
+	if p := drift(defined, append(documented, "ghost")); len(p) != len(found)+1 {
+		t.Fatalf("a planted documented flag was not caught: %q", p)
+	}
+	if len(found) > 0 {
+		t.Errorf("serve's flags and README disagree:\n%s", strings.Join(found, "\n"))
 	}
 }

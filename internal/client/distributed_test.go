@@ -75,12 +75,14 @@ func createRequest(t *testing.T, name string, g *workload.Generated) *server.Cre
 	}
 }
 
-// startSnad boots a server with the production worker dialer and returns
-// its client base URL.
-func startSnad(t *testing.T, cfg server.Config) string {
+// startSnad boots a server coordinating the snad workers at workerURLs
+// (none: a plain worker), dialed as cmd/snad dials them, and returns its
+// client base URL.
+func startSnad(t *testing.T, workerURLs ...string) string {
 	t.Helper()
-	cfg.WorkerDialer = func(name, url string) shard.Worker {
-		return NewShardWorker(name, url, RetryPolicy{})
+	var cfg server.Config
+	for _, u := range workerURLs {
+		cfg.Workers = append(cfg.Workers, NewShardWorker(u, u, RetryPolicy{}))
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -103,18 +105,17 @@ func mustJSON(t *testing.T, v any) []byte {
 
 func TestDistributedIterateMatchesLocal(t *testing.T) {
 	ctx := context.Background()
-	coord := startSnad(t, server.Config{})
-	c := New(coord, RetryPolicy{MaxAttempts: 1})
 	creates := []*server.CreateSessionRequest{busCreate(t, "bus"), hotFabricCreate(t, "hotfabric")}
 
-	// The oracle: a forced single-process run on the same session, taken
-	// before any worker exists.
+	// The oracle: a forced single-process run of each design on a server
+	// with no workers.
+	oracle := New(startSnad(t), RetryPolicy{MaxAttempts: 1})
 	locals := make(map[string]*server.AnalyzeResponse)
 	for _, cr := range creates {
-		if _, err := c.CreateSession(ctx, cr); err != nil {
+		if _, err := oracle.CreateSession(ctx, cr); err != nil {
 			t.Fatal(err)
 		}
-		local, err := c.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Local: true}, 30*time.Second)
+		local, err := oracle.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Local: true}, 30*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,25 +125,24 @@ func TestDistributedIterateMatchesLocal(t *testing.T) {
 		locals[cr.Name] = local
 	}
 
-	// Two fleets: two workers first (4 shards there means requests of two
-	// shards each), then the third joins for the 1–4 shard matrix.
+	// One coordinator per fleet: two workers (4 shards there means
+	// requests of two shards each), then three for the 1–4 shard matrix.
 	for _, fleet := range []struct {
 		workers int
 		shards  []int
 	}{{2, []int{4}}, {3, []int{1, 2, 3, 4}}} {
-		ws, err := c.Workers(ctx)
-		if err != nil {
-			t.Fatal(err)
+		urls := make([]string, fleet.workers)
+		for i := range urls {
+			urls[i] = startSnad(t)
 		}
-		for n := len(ws); n < fleet.workers; n++ {
-			if _, err := c.RegisterWorker(ctx, &server.RegisterWorkerRequest{URL: startSnad(t, server.Config{})}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if ws, err = c.Workers(ctx); err != nil || len(ws) != fleet.workers {
-			t.Fatalf("registered %d workers (%v), want %d", len(ws), err, fleet.workers)
+		c := New(startSnad(t, urls...), RetryPolicy{MaxAttempts: 1})
+		if ws, err := c.Workers(ctx); err != nil || len(ws) != fleet.workers {
+			t.Fatalf("coordinating %d workers (%v), want %d", len(ws), err, fleet.workers)
 		}
 		for _, cr := range creates {
+			if _, err := c.CreateSession(ctx, cr); err != nil {
+				t.Fatal(err)
+			}
 			local := locals[cr.Name]
 			for _, shards := range fleet.shards {
 				dist, err := c.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Shards: shards}, 30*time.Second)
@@ -227,27 +227,20 @@ func TestShardRunKeepsOneConnection(t *testing.T) {
 
 func TestDistributedIterateSurvivesDeadWorker(t *testing.T) {
 	ctx := context.Background()
-	coord := startSnad(t, server.Config{})
-	c := New(coord, RetryPolicy{MaxAttempts: 1})
+	// Two live workers and a dead one that no heartbeat has marked down
+	// yet: its httptest server is already closed, so every dispatch to it
+	// fails at the transport. The coordinator must re-host its shards onto
+	// the survivors and still produce the oracle's exact result.
+	dead := httptest.NewServer(nil)
+	deadURL := dead.URL
+	dead.Close()
+	c := New(startSnad(t, startSnad(t), deadURL, startSnad(t)), RetryPolicy{MaxAttempts: 1})
 	if _, err := c.CreateSession(ctx, busCreate(t, "bus")); err != nil {
 		t.Fatal(err)
 	}
 	local, err := c.Iterate(ctx, "bus", &server.IterateRequest{Local: true}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// Two live workers and one that died after registering: its httptest
-	// server is already closed, so every dispatch to it fails at the
-	// transport. The coordinator must re-host its shards onto the
-	// survivors and still produce the oracle's exact result.
-	dead := httptest.NewServer(nil)
-	deadURL := dead.URL
-	dead.Close()
-	for _, u := range []string{startSnad(t, server.Config{}), deadURL, startSnad(t, server.Config{})} {
-		if _, err := c.RegisterWorker(ctx, &server.RegisterWorkerRequest{URL: u}); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	dist, err := c.Iterate(ctx, "bus", &server.IterateRequest{Shards: 3}, 30*time.Second)

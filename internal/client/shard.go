@@ -83,18 +83,7 @@ func (c *Client) Iterate(ctx context.Context, name string, req *server.IterateRe
 	return &out, nil
 }
 
-// RegisterWorker announces a shard worker to the coordinator. Idempotent
-// per name (re-registering replaces the URL), so transport retries are
-// safe.
-func (c *Client) RegisterWorker(ctx context.Context, req *server.RegisterWorkerRequest) (*server.WorkerInfo, error) {
-	var out server.WorkerInfo
-	if err := c.doRetry(ctx, "POST", "/v1/workers", req, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Workers fetches the coordinator's registered worker fleet.
+// Workers fetches the coordinator's worker fleet.
 func (c *Client) Workers(ctx context.Context) ([]server.WorkerInfo, error) {
 	var out []server.WorkerInfo
 	if err := c.doRetry(ctx, "GET", "/v1/workers", nil, &out, true); err != nil {

@@ -1,16 +1,11 @@
 // Package fairq is the tenant-fair queue under snad's two schedulers:
 // the interactive admission gate (internal/server) and the async job
 // pool (internal/jobs). One bulk tenant flooding a global FIFO starves
-// everyone queued behind it; a Ring instead keeps
-//
-//   - a FIFO per tenant (order within a tenant is preserved),
-//   - round-robin pops across the tenants that have entries, and
-//   - a per-tenant running cap, so a single tenant cannot hold every
-//     slot even when nobody else is waiting yet.
-//
-// With the cap equal to the slot count and one tenant it behaves as a
-// plain FIFO. The empty string is an ordinary tenant, so untagged work
-// shares one fair slice instead of bypassing fairness.
+// everyone queued behind it; a Ring instead keeps a FIFO per tenant
+// (order within a tenant is preserved) and pops round-robin across the
+// tenants that have entries. With one tenant it is a plain FIFO. The
+// empty string is an ordinary tenant, so untagged work shares one fair
+// slice instead of bypassing fairness.
 package fairq
 
 import "slices"
@@ -22,36 +17,22 @@ import "slices"
 // Push adds it with its first entry, Pop and Remove drop it with its
 // last — so the rotation never holds a duplicate or a drained tenant.
 type Ring[T comparable] struct {
-	cap     int
-	queues  map[string][]T
-	ring    []string
-	rr      int
-	running map[string]int
-	n       int
+	queues map[string][]T
+	ring   []string
+	rr     int
+	n      int
 }
 
-// New returns an empty Ring for a pool of slots runners in which one
-// tenant may hold at most tenantCap of them; a tenantCap that is not in
-// 1..slots means slots, so single-tenant deployments keep the whole
-// pool.
-func New[T comparable](tenantCap, slots int) *Ring[T] {
-	if tenantCap <= 0 || tenantCap > slots {
-		tenantCap = slots
-	}
-	return &Ring[T]{cap: tenantCap, queues: make(map[string][]T), running: make(map[string]int)}
+// New returns an empty Ring.
+func New[T comparable]() *Ring[T] {
+	return &Ring[T]{queues: make(map[string][]T)}
 }
-
-// Cap is the per-tenant running cap in force.
-func (r *Ring[T]) Cap() int { return r.cap }
 
 // Len is the number of queued entries.
 func (r *Ring[T]) Len() int { return r.n }
 
 // Tenants is the number of tenants with queued entries.
 func (r *Ring[T]) Tenants() int { return len(r.ring) }
-
-// Waiting is the number of tenant's queued entries.
-func (r *Ring[T]) Waiting(tenant string) int { return len(r.queues[tenant]) }
 
 // Push queues v behind tenant's earlier entries.
 func (r *Ring[T]) Push(tenant string, v T) {
@@ -62,49 +43,23 @@ func (r *Ring[T]) Push(tenant string, v T) {
 	r.n++
 }
 
-// Charge takes one of tenant's running slots without queueing, or
-// reports false when the tenant is at its cap.
-func (r *Ring[T]) Charge(tenant string) bool {
-	if r.running[tenant] >= r.cap {
-		return false
-	}
-	r.running[tenant]++
-	return true
-}
-
-// Release returns a running slot charged by Pop or Charge.
-func (r *Ring[T]) Release(tenant string) {
-	if n := r.running[tenant] - 1; n > 0 {
-		r.running[tenant] = n
-	} else {
-		delete(r.running, tenant)
-	}
-}
-
-// Pop dequeues the head entry of the next tenant in rotation that is
-// under its running cap and charges that tenant a slot. ok is false
-// when nothing is queued or every queued tenant is capped — a Release
-// may make the next Pop succeed.
+// Pop dequeues the head entry of the next tenant in rotation; ok is
+// false when nothing is queued.
 func (r *Ring[T]) Pop() (tenant string, v T, ok bool) {
-	for scanned := 0; scanned < len(r.ring); scanned++ {
-		if r.rr >= len(r.ring) {
-			r.rr = 0
-		}
-		tenant = r.ring[r.rr]
-		if r.running[tenant] >= r.cap {
-			r.rr++
-			continue
-		}
-		v = r.queues[tenant][0]
-		// A tenant that leaves the rotation hands its index to the next
-		// one, so rr advances only when the tenant stays.
-		if !r.drop(tenant, r.rr, 0) {
-			r.rr++
-		}
-		r.running[tenant]++
-		return tenant, v, true
+	if len(r.ring) == 0 {
+		return "", v, false
 	}
-	return "", v, false
+	if r.rr >= len(r.ring) {
+		r.rr = 0
+	}
+	tenant = r.ring[r.rr]
+	v = r.queues[tenant][0]
+	// A tenant that leaves the rotation hands its index to the next one,
+	// so rr advances only when the tenant stays.
+	if !r.drop(tenant, r.rr, 0) {
+		r.rr++
+	}
+	return tenant, v, true
 }
 
 // Remove withdraws a queued entry (an abandoned wait, a cancelled job)

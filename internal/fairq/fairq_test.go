@@ -24,11 +24,6 @@ func check(t *testing.T, r *Ring[int]) {
 	if len(r.ring) != len(r.queues) || n != r.Len() {
 		t.Fatalf("ring %v over %d queue(s); Len %d, counted %d", r.ring, len(r.queues), r.Len(), n)
 	}
-	for tenant, c := range r.running {
-		if c <= 0 || c > r.Cap() {
-			t.Fatalf("tenant %q running %d (cap %d)", tenant, c, r.Cap())
-		}
-	}
 }
 
 func count(s []string, v string) (n int) {
@@ -44,20 +39,19 @@ func pop(t *testing.T, r *Ring[int]) (string, int) {
 	t.Helper()
 	tenant, v, ok := r.Pop()
 	if !ok {
-		t.Fatal("Pop found nothing claimable")
+		t.Fatal("Pop found nothing queued")
 	}
 	return tenant, v
 }
 
 func TestRoundRobinAcrossTenantsFIFOWithin(t *testing.T) {
-	r := New[int](4, 4)
+	r := New[int]()
 	for i, tenant := range []string{"bulk", "bulk", "bulk", "live", "bulk", "live"} {
 		r.Push(tenant, i)
 	}
 	var got []int
 	for r.Len() > 0 {
-		tenant, v := pop(t, r)
-		r.Release(tenant)
+		_, v := pop(t, r)
 		got = append(got, v)
 		check(t, r)
 	}
@@ -68,47 +62,10 @@ func TestRoundRobinAcrossTenantsFIFOWithin(t *testing.T) {
 	}
 }
 
-func TestCapSkipsTenantUntilRelease(t *testing.T) {
-	r := New[int](1, 2)
-	r.Push("a", 1)
-	r.Push("a", 2)
-	r.Push("b", 3)
-	if tenant, v := pop(t, r); tenant != "a" || v != 1 {
-		t.Fatalf("first pop = %s/%d", tenant, v)
-	}
-	// a is at its cap of 1: the second slot goes to b, and a's backlog
-	// waits for a's own release.
-	if tenant, v := pop(t, r); tenant != "b" || v != 3 {
-		t.Fatalf("second pop = %s/%d, want b/3", tenant, v)
-	}
-	if _, _, ok := r.Pop(); ok {
-		t.Fatal("popped a capped tenant's entry")
-	}
-	if r.Charge("a") {
-		t.Fatal("Charge past the cap")
-	}
-	r.Release("a")
-	if tenant, v := pop(t, r); tenant != "a" || v != 2 {
-		t.Fatalf("pop after release = %s/%d, want a/2", tenant, v)
-	}
-	check(t, r)
-}
-
-func TestCapClampsToSlots(t *testing.T) {
-	for _, c := range []int{0, -3, 99} {
-		if got := New[int](c, 3).Cap(); got != 3 {
-			t.Fatalf("cap %d over 3 slots = %d, want 3", c, got)
-		}
-	}
-	if got := New[int](2, 3).Cap(); got != 2 {
-		t.Fatalf("cap 2 over 3 slots = %d", got)
-	}
-}
-
 // TestRemoveIsEager: an entry that leaves the queue leaves the rotation
 // in the same call, and the rotation keeps its place.
 func TestRemoveIsEager(t *testing.T) {
-	r := New[int](8, 8)
+	r := New[int]()
 	for i, tenant := range []string{"a", "b", "c"} {
 		r.Push(tenant, i)
 		r.Push(tenant, 10+i)
@@ -122,7 +79,7 @@ func TestRemoveIsEager(t *testing.T) {
 		t.Fatal("Remove must report exactly whether the entry was queued")
 	}
 	check(t, r)
-	if r.Tenants() != 2 || r.Waiting("a") != 0 {
+	if r.Tenants() != 2 || len(r.queues["a"]) != 0 {
 		t.Fatalf("drained tenant still in rotation: %v", r.ring)
 	}
 	if tenant, v := pop(t, r); tenant != "b" || v != 1 {
@@ -130,18 +87,17 @@ func TestRemoveIsEager(t *testing.T) {
 	}
 }
 
-// TestChurnKeepsInvariant drives a seeded mix of pushes, pops, removes
-// and releases — including the drain-then-refill pattern that once grew
+// TestChurnKeepsInvariant drives a seeded mix of pushes, pops and
+// removes — including the drain-then-refill pattern that once grew
 // a duplicate rotation slot per cycle — and checks the invariant after
 // every step.
 func TestChurnKeepsInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tenants := []string{"", "a", "b", "c"}
-	r := New[int](2, 3)
+	r := New[int]()
 	queued := map[int]string{}
-	var held []string
 	for i := 0; i < 5000; i++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			tenant := tenants[rng.Intn(len(tenants))]
 			r.Push(tenant, i)
@@ -152,7 +108,6 @@ func TestChurnKeepsInvariant(t *testing.T) {
 					t.Fatalf("popped %d for %q, pushed for %q", v, tenant, queued[v])
 				}
 				delete(queued, v)
-				held = append(held, tenant)
 			}
 		case 2:
 			// The oldest queued entry, so the run is the same every time.
@@ -164,11 +119,6 @@ func TestChurnKeepsInvariant(t *testing.T) {
 					delete(queued, v)
 					break
 				}
-			}
-		case 3:
-			if len(held) > 0 {
-				r.Release(held[0])
-				held = held[1:]
 			}
 		}
 		check(t, r)

@@ -53,10 +53,7 @@ func (g *gatedExec) waitStart(t *testing.T) string {
 // global-FIFO scheduler would run A,A,A,B.
 func TestTenantRoundRobinClaimOrder(t *testing.T) {
 	g := newGatedExec()
-	m := openManager(t, t.TempDir(), g.exec, func(c *Config) {
-		c.Workers = 1
-		c.TenantCap = 1
-	})
+	m := openManager(t, t.TempDir(), g.exec, func(c *Config) { c.Workers = 1 })
 
 	a1 := submit(t, m, &Spec{Session: "s", Type: "analyze", Tenant: "A"})
 	// Wait until a1 occupies the worker so the backlog below is queued
@@ -89,53 +86,5 @@ func TestTenantRoundRobinClaimOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("claim order = %v, want %v (round-robin must interleave tenant B)", got, want)
 		}
-	}
-}
-
-// TestTenantCapLeavesWorkersForOthers pins the running cap: with two
-// workers and TenantCap 1, tenant A's second job must NOT take the
-// second worker — it goes to tenant B, and A's backlog waits for A's
-// own slot.
-func TestTenantCapLeavesWorkersForOthers(t *testing.T) {
-	g := newGatedExec()
-	m := openManager(t, t.TempDir(), g.exec, func(c *Config) {
-		c.Workers = 2
-		c.TenantCap = 1
-	})
-
-	a1 := submit(t, m, &Spec{Session: "s", Type: "analyze", Tenant: "A"})
-	g.waitStart(t)
-	a2 := submit(t, m, &Spec{Session: "s", Type: "analyze", Tenant: "A"})
-	b1 := submit(t, m, &Spec{Session: "s", Type: "analyze", Tenant: "B"})
-
-	// The free worker must claim b1, skipping the capped tenant A.
-	if tenant := g.waitStart(t); tenant != "B" {
-		t.Fatalf("second worker claimed tenant %q, want B (tenant A is at its cap)", tenant)
-	}
-	// a2 must still be queued while both run.
-	if snap, err := m.Get(a2); err != nil || snap.State != string(StateQueued) {
-		t.Fatalf("a2 = %+v (err %v), want queued behind A's cap", snap, err)
-	}
-
-	close(g.proceed) // release everyone; a2 claims A's freed slot
-	for _, id := range []string{a1, b1, a2} {
-		waitState(t, m, id, StateDone)
-	}
-}
-
-// TestTenantCapClamp pins the config normalization: zero, negative, and
-// over-Workers caps all clamp to Workers so single-tenant deployments
-// keep full throughput.
-func TestTenantCapClamp(t *testing.T) {
-	for _, cap := range []int{0, -2, 99} {
-		cfg := Config{Dir: t.TempDir(), Workers: 3, TenantCap: cap, Exec: okExec(nil), Logf: t.Logf}
-		m, _, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.queue.Cap(); got != 3 {
-			t.Fatalf("TenantCap %d normalized to %d, want Workers (3)", cap, got)
-		}
-		m.Close(time.Second)
 	}
 }

@@ -106,9 +106,10 @@ type Spec struct {
 	// Sweep lists the scenario points of a sweep job, analyzed in order.
 	Sweep []SweepPoint `json:"sweep,omitempty"`
 	// Deadline bounds each execution attempt, as a duration string like
-	// "90s" (empty = manager default).
+	// "90s". It may lower the server's 5m, never raise it (empty = 5m).
 	Deadline string `json:"deadline,omitempty"`
-	// MaxAttempts is the retry budget (0 = manager default).
+	// MaxAttempts is the retry budget. It may lower the server's 3, never
+	// raise it (0 = 3).
 	MaxAttempts int `json:"maxAttempts,omitempty"`
 }
 
@@ -227,18 +228,6 @@ type Config struct {
 	// MaxQueued bounds waiting jobs; Submit past it returns ErrQueueFull
 	// (default 16).
 	MaxQueued int
-	// TenantCap bounds how many of one tenant's jobs may run at once:
-	// set below Workers, a late-arriving tenant gets a worker as soon as
-	// the flooding tenant hits its cap, not after the flood drains. 0 or
-	// > Workers means Workers — single-tenant deployments keep full
-	// throughput.
-	TenantCap int
-	// DefaultMaxAttempts is the retry budget for specs that don't set
-	// one (default 3).
-	DefaultMaxAttempts int
-	// DefaultDeadline bounds each attempt for specs that don't set one
-	// (default 5m).
-	DefaultDeadline time.Duration
 	// Backoff is the base retry delay, doubled per failed attempt and
 	// capped at 16x (default 250ms).
 	Backoff time.Duration
@@ -265,12 +254,6 @@ func (c *Config) fill() {
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = 16
 	}
-	if c.DefaultMaxAttempts <= 0 {
-		c.DefaultMaxAttempts = 3
-	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 5 * time.Minute
-	}
 	if c.Backoff <= 0 {
 		c.Backoff = 250 * time.Millisecond
 	}
@@ -281,6 +264,14 @@ func (c *Config) fill() {
 		c.Logf = func(string, ...any) {}
 	}
 }
+
+// A job's retry budget and per-attempt deadline: a spec may set less,
+// never more (batch work gets more room than an interactive request's
+// 30 s, but one submit must not hold a job worker for weeks).
+const (
+	attemptBudget   = 3
+	attemptDeadline = 5 * time.Minute
+)
 
 // Sentinel errors of the admission and cancel paths. StorageError wraps
 // journal failures so the server can map them to 503 storage.
@@ -339,8 +330,8 @@ type job struct {
 }
 
 // newJob wraps a durable snapshot with the knobs its spec resolves to.
-func (m *Manager) newJob(s jobSnapshot) *job {
-	return &job{jobSnapshot: s, maxAttempts: m.maxAttemptsOf(s.Spec), deadline: m.deadlineOf(s.Spec)}
+func newJob(s jobSnapshot) *job {
+	return &job{jobSnapshot: s, maxAttempts: maxAttemptsOf(s.Spec), deadline: deadlineOf(s.Spec)}
 }
 
 // Manager owns the queue, the journal, and the worker pool. Open one
@@ -353,9 +344,8 @@ type Manager struct {
 	nextID uint64
 	jobs   map[string]*job
 	// queue holds the IDs of claimable jobs, tenant-fair: workers claim
-	// round-robin across tenants, skipping tenants at TenantCap, and a
-	// claim charges the tenant's running slot for the whole runJob. cond
-	// wakes workers on pushes, slot releases, and shutdown.
+	// round-robin across tenants. cond wakes workers on pushes and
+	// shutdown.
 	queue  *fairq.Ring[string]
 	cond   *sync.Cond
 	closed bool
@@ -385,7 +375,7 @@ func Open(cfg Config) (*Manager, *wal.Replay, error) {
 	m := &Manager{
 		cfg:    cfg,
 		jobs:   make(map[string]*job),
-		queue:  fairq.New[string](cfg.TenantCap, cfg.Workers),
+		queue:  fairq.New[string](),
 		nextID: 1,
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -438,7 +428,7 @@ func (m *Manager) Submit(spec *Spec) (*report.JobJSON, error) {
 		return nil, &StorageError{Err: err}
 	}
 	m.nextID++
-	j := m.newJob(jobSnapshot{ID: id, Spec: spec, State: StateQueued, SubmittedAt: time.Now().UTC()})
+	j := newJob(jobSnapshot{ID: id, Spec: spec, State: StateQueued, SubmittedAt: time.Now().UTC()})
 	m.jobs[id] = j
 	m.queue.Push(spec.Tenant, id)
 	snap := m.snapshotLocked(j)
@@ -603,14 +593,10 @@ func (m *Manager) worker() {
 			return
 		}
 		m.runJob(j)
-		m.releaseSlot(j.Spec.Tenant)
 	}
 }
 
-// next blocks for the next claimable job, or nil at shutdown. A job is
-// claimable when its tenant is under TenantCap; claiming charges the
-// tenant's running slot for the whole runJob (including retry backoffs
-// — the worker is occupied either way), released by releaseSlot.
+// next blocks for the next queued job, or nil at shutdown.
 func (m *Manager) next() *job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -623,16 +609,6 @@ func (m *Manager) next() *job {
 		}
 		m.cond.Wait()
 	}
-}
-
-// releaseSlot returns a tenant's running slot and wakes a waiting
-// worker — the release may make a previously capped tenant's queued
-// jobs claimable even though nothing new was enqueued.
-func (m *Manager) releaseSlot(tenant string) {
-	m.mu.Lock()
-	m.queue.Release(tenant)
-	m.mu.Unlock()
-	m.cond.Signal()
 }
 
 // runJob drives one job through its attempt loop to a terminal state —
@@ -853,20 +829,20 @@ func (m *Manager) finishLocked(j *job, state State, errMsg string, quarantined b
 
 // --- resolved knobs and snapshots -------------------------------------
 
-func (m *Manager) maxAttemptsOf(s *Spec) int {
+func maxAttemptsOf(s *Spec) int {
 	if s.MaxAttempts > 0 {
-		return s.MaxAttempts
+		return min(s.MaxAttempts, attemptBudget)
 	}
-	return m.cfg.DefaultMaxAttempts
+	return attemptBudget
 }
 
-func (m *Manager) deadlineOf(s *Spec) time.Duration {
+func deadlineOf(s *Spec) time.Duration {
 	if s.Deadline != "" {
 		if d, err := time.ParseDuration(s.Deadline); err == nil && d > 0 {
-			return d
+			return min(d, attemptDeadline)
 		}
 	}
-	return m.cfg.DefaultDeadline
+	return attemptDeadline
 }
 
 func (m *Manager) snapshotLocked(j *job) *report.JobJSON {

@@ -245,6 +245,32 @@ func TestAttemptDeadline(t *testing.T) {
 	}
 }
 
+// TestSpecLowersNeverRaisesTheBudget: a spec's maxAttempts and deadline
+// may tighten the server's 3 attempts and 5 m, never widen them, the way
+// ?timeout= works for a request.
+func TestSpecLowersNeverRaisesTheBudget(t *testing.T) {
+	m := openManager(t, t.TempDir(), okExec(nil))
+	for _, tc := range []struct {
+		spec     Spec
+		attempts int
+		deadline string
+	}{
+		{Spec{Deadline: "1000h", MaxAttempts: 1000000}, 3, "5m0s"},
+		{Spec{Deadline: "90s", MaxAttempts: 2}, 2, "1m30s"},
+		{Spec{}, 3, "5m0s"},
+	} {
+		spec := tc.spec
+		spec.Session, spec.Type = "s", "analyze"
+		snap, err := m.Submit(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.MaxAttempts != tc.attempts || snap.Deadline != tc.deadline {
+			t.Errorf("spec %+v: budget %d attempts of %s, want %d of %s", tc.spec, snap.MaxAttempts, snap.Deadline, tc.attempts, tc.deadline)
+		}
+	}
+}
+
 func TestCancelQueuedAndTerminal(t *testing.T) {
 	release := make(chan struct{})
 	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {

@@ -158,7 +158,7 @@ func (m *Manager) applyRecord(payload []byte, at time.Time) error {
 		if err := s.Spec.Validate(); err != nil {
 			return fmt.Errorf("unreplayable job spec for %s: %v", s.ID, err)
 		}
-		m.jobs[s.ID] = m.newJob(*s)
+		m.jobs[s.ID] = newJob(*s)
 		return nil
 	case recSubmit:
 		if rec.ID == "" || rec.Spec == nil {
@@ -169,7 +169,7 @@ func (m *Manager) applyRecord(payload []byte, at time.Time) error {
 			// execute; quarantining beats an eternal retry loop.
 			return fmt.Errorf("unreplayable job spec for %s: %v", rec.ID, err)
 		}
-		m.jobs[rec.ID] = m.newJob(jobSnapshot{ID: rec.ID, Spec: rec.Spec, State: StateQueued, SubmittedAt: at})
+		m.jobs[rec.ID] = newJob(jobSnapshot{ID: rec.ID, Spec: rec.Spec, State: StateQueued, SubmittedAt: at})
 		return nil
 	}
 

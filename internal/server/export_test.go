@@ -1,6 +1,9 @@
 package server
 
-import "net/http"
+import (
+	"net/http"
+	"time"
+)
 
 // What wire_test.go needs of the package from outside it: that file drives
 // the real fail through internal/client, which imports this package, so it
@@ -26,3 +29,10 @@ func (s *Server) FailShard(w http.ResponseWriter, err error) { s.fail(w, shardEr
 
 // Fail answers a request the way every handler's error leaves the server.
 func (s *Server) Fail(w http.ResponseWriter, err error) { s.fail(w, err) }
+
+// WithRetryAfter gives info a Retry-After hint of its own, as the breaker
+// gives its refusal the remaining cooldown.
+func WithRetryAfter(info *ErrorInfo, hint time.Duration) *ErrorInfo {
+	info.retryAfter = hint
+	return info
+}

@@ -373,13 +373,15 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 		{
 			name: "breaker open", wantStatus: http.StatusServiceUnavailable, wantKind: "breaker_open",
 			fire: func(t *testing.T) (*http.Response, []byte) {
-				_, ts := newTestServer(t, Config{BreakerTrips: 1})
-				// Fail-soft degrades one net per run; a single degraded
-				// result trips the one-strike breaker.
+				_, ts := newTestServer(t, Config{})
+				// Fail-soft degrades one net per run; breakerTrips degraded
+				// results in a row trip the breaker.
 				createSession(t, ts.URL, "flaky", shard.OptionsSpec{})
-				resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("degraded analyze: %d: %s", resp.StatusCode, data)
+				for range breakerTrips {
+					resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("degraded analyze: %d: %s", resp.StatusCode, data)
+					}
 				}
 				return do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
 			},

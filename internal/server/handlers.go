@@ -18,11 +18,11 @@ import (
 
 // gated runs fn holding a worker slot of the admission gate and under the
 // request's deadline: the client's connection context, bounded by
-// min(client ?timeout, MaxRequestTimeout) from the moment the slot is
+// min(client ?timeout, maxRequestTimeout) from the moment the slot is
 // granted, and tied to the forced-drain signal. Create, the shard ops and
 // the analyses share it.
 func (s *Server) gated(r *http.Request, fn func(context.Context) error) error {
-	eff := s.cfg.MaxRequestTimeout
+	eff := maxRequestTimeout
 	if q := r.URL.Query().Get("timeout"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil || d <= 0 {
@@ -353,7 +353,7 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request, work func(cont
 		if open {
 			return &ErrorInfo{
 				Kind:       "breaker_open",
-				Message:    fmt.Sprintf("session breaker open after %d consecutive degraded results", s.cfg.BreakerTrips),
+				Message:    fmt.Sprintf("session breaker open after %d consecutive degraded results", breakerTrips),
 				Session:    ss.name,
 				retryAfter: retryAfter,
 			}
@@ -430,7 +430,7 @@ func (s *Server) sessionWork(ctx context.Context, name string, admit func(*sessi
 			info := inSession(err, name)
 			switch {
 			case info.Kind == "engine":
-				ss.recordOutcome(true, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
+				ss.recordOutcome(true, s.cfg.now())
 			case errors.Is(err, context.DeadlineExceeded):
 				info.Message = fmt.Sprintf("analysis exceeded its deadline: %v", err)
 			case errors.Is(err, context.Canceled):
@@ -439,7 +439,7 @@ func (s *Server) sessionWork(ctx context.Context, name string, admit func(*sessi
 			return info
 		}
 		if body != nil {
-			ss.recordOutcome(degraded, s.cfg.now(), s.cfg.BreakerTrips, s.cfg.BreakerCooldown)
+			ss.recordOutcome(degraded, s.cfg.now())
 		}
 		return nil
 	}

@@ -11,7 +11,7 @@
 //     rejections instead of unbounded memory growth and timeouts.
 //
 //   - Per-request deadlines: the effective deadline is the tighter of the
-//     client's ?timeout and the server's MaxRequestTimeout, propagated
+//     client's ?timeout and the server's maxRequestTimeout, propagated
 //     into core.AnalyzeCtx's cooperative cancellation. No request can
 //     hold a worker forever.
 //
@@ -77,32 +77,12 @@ type Config struct {
 	// QueueDepth caps requests waiting for a worker slot; overflow is
 	// shed with 429 (default 2×MaxConcurrent).
 	QueueDepth int
-	// MaxRequestTimeout is the server-side ceiling on one request's
-	// analysis deadline; a client ?timeout tighter than this wins
-	// (default 30s).
-	MaxRequestTimeout time.Duration
-	// RetryAfter is the Retry-After hint on every retryable refusal that
-	// carries none of its own (default 1s).
-	RetryAfter time.Duration
-	// BreakerTrips is the number of consecutive engine-degraded results
-	// that trip a session's circuit breaker (default 3).
-	BreakerTrips int
-	// BreakerCooldown is how long a tripped session sheds requests before
-	// going half-open (default 10s).
-	BreakerCooldown time.Duration
 	// MemBudget is the server-wide byte budget for cached bound designs
 	// (serve -mem-budget). Creating or re-materializing a session charges
 	// the design's measured size against it; when idle-entry eviction
 	// cannot make room the request sheds with 503 kind "budget" instead
 	// of growing until the OOM killer arrives. 0 disables budgeting.
 	MemBudget int64
-	// TenantCap caps one tenant's simultaneously running interactive
-	// analyses, so round-robin admission stays fair even against a tenant
-	// that floods the queue (default MaxConcurrent — no per-tenant cap).
-	TenantCap int
-	// JobTenantCap caps one tenant's simultaneously running jobs in the
-	// async worker pool (default JobWorkers — no per-tenant cap).
-	JobTenantCap int
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 
@@ -118,24 +98,14 @@ type Config struct {
 	// JobQueueDepth caps jobs waiting for a job worker; POST /v1/jobs
 	// past it is shed with 429 (default 16).
 	JobQueueDepth int
-	// JobMaxAttempts is the default retry budget for jobs that don't set
-	// their own (default 3).
-	JobMaxAttempts int
-	// JobDeadline is the default per-attempt execution budget for jobs
-	// that don't set their own (default 5m — batch work gets more room
-	// than MaxRequestTimeout gives an interactive request).
-	JobDeadline time.Duration
 
-	// WorkerDialer builds a shard.Worker for a registered worker URL. It
-	// is injected by cmd/snad (the client package implements it, and the
-	// server cannot import the client); nil disables worker registration
-	// and distributed iterate.
-	WorkerDialer func(name, url string) shard.Worker
-	// Shards is the default shard count for distributed iterate (0 = one
-	// shard per healthy worker).
-	Shards int
-	// HeartbeatEvery is the worker health-probe interval (default 2s).
-	HeartbeatEvery time.Duration
+	// Workers is the shard worker fleet this server coordinates, fixed for
+	// its lifetime: New registers it and starts the heartbeat, and no
+	// request can change it. A worker is listed by its Name, which is also
+	// reported as its URL — cmd/snad dials each -workers URL (the server
+	// cannot import the client) and names the worker by it. Empty disables
+	// distributed iterate.
+	Workers []shard.Worker
 
 	// Faults is the fault-injection seam for tests; production leaves it
 	// nil.
@@ -144,6 +114,23 @@ type Config struct {
 	// now is the clock, injectable for breaker tests.
 	now func() time.Time
 }
+
+// The service's fixed policy: nothing sets these per deployment.
+const (
+	// maxRequestTimeout is the ceiling on one request's deadline; a client
+	// ?timeout tighter than this wins.
+	maxRequestTimeout = 30 * time.Second
+	// retryAfterHint is the Retry-After hint of every retryable refusal
+	// that carries none of its own.
+	retryAfterHint = time.Second
+	// breakerTrips consecutive engine-degraded results trip a session's
+	// circuit breaker, which then sheds for breakerCooldown before going
+	// half-open.
+	breakerTrips    = 3
+	breakerCooldown = 10 * time.Second
+	// heartbeatEvery is the worker health-probe interval.
+	heartbeatEvery = 2 * time.Second
+)
 
 // Faults holds the function hooks through which tests make the engine,
 // the journals and job attempts fail. A nil hook never fires.
@@ -170,35 +157,14 @@ func (c *Config) fill() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.MaxConcurrent
 	}
-	if c.MaxRequestTimeout <= 0 {
-		c.MaxRequestTimeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.BreakerTrips <= 0 {
-		c.BreakerTrips = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 2 * time.Second
 	}
 	if c.JobWorkers <= 0 {
 		c.JobWorkers = 2
 	}
 	if c.JobQueueDepth <= 0 {
 		c.JobQueueDepth = 16
-	}
-	if c.JobMaxAttempts <= 0 {
-		c.JobMaxAttempts = 3
-	}
-	if c.JobDeadline <= 0 {
-		c.JobDeadline = 5 * time.Minute
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -212,8 +178,7 @@ type Server struct {
 
 	// gate is the bounded, tenant-fair admission controller: at most
 	// MaxConcurrent analyses run, at most QueueDepth wait, and waiters
-	// are granted round-robin across tenants with a per-tenant running
-	// cap (tenant.go).
+	// are granted round-robin across tenants (tenant.go).
 	gate *admission
 
 	// cache is the content-addressed shared design cache: sessions and
@@ -256,12 +221,11 @@ type Server struct {
 	// the design each run token's engines share.
 	shardHost *shard.Host
 
-	// workerMu guards the registered shard workers (this server as
-	// coordinator); hbStop ends the heartbeat loop, started on the first
-	// registration.
+	// workers is the boot fleet (this server as coordinator), in name
+	// order; workerMu guards each entry's health. hbStop ends the
+	// heartbeat loop.
 	workerMu sync.Mutex
-	workers  map[string]*workerEntry
-	hbOnce   sync.Once
+	workers  []*workerEntry
 	hbStop   chan struct{}
 
 	handler http.Handler
@@ -277,11 +241,11 @@ func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
 		cfg:      cfg,
-		gate:     newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.TenantCap),
+		gate:     newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
 		cache:    newDesignCache(cfg.MemBudget, cfg.now, cfg.Logf),
 		sessions: make(map[string]*session),
 		lastUsed: make(map[string]time.Time),
-		workers:  make(map[string]*workerEntry),
+		workers:  fleet(cfg.Workers),
 		hbStop:   make(chan struct{}),
 
 		histAdmission: metrics.NewHistogram("snad_admission_wait_seconds", "Time requests spend waiting for a worker slot.", nil),
@@ -306,14 +270,11 @@ func New(cfg Config) (*Server, error) {
 		s.restoreSessions()
 	}
 	jcfg := jobs.Config{
-		Workers:            cfg.JobWorkers,
-		MaxQueued:          cfg.JobQueueDepth,
-		TenantCap:          cfg.JobTenantCap,
-		DefaultMaxAttempts: cfg.JobMaxAttempts,
-		DefaultDeadline:    cfg.JobDeadline,
-		Exec:               s.execJob,
-		Fault:              faults.Job,
-		Logf:               cfg.Logf,
+		Workers:   cfg.JobWorkers,
+		MaxQueued: cfg.JobQueueDepth,
+		Exec:      s.execJob,
+		Fault:     faults.Job,
+		Logf:      cfg.Logf,
 	}
 	if cfg.DataDir != "" {
 		jcfg.Dir, jcfg.Hooks = filepath.Join(cfg.DataDir, "jobs"), faults.Store
@@ -365,8 +326,13 @@ func New(cfg Config) (*Server, error) {
 	route("GET /v1/jobs/{id}", s.handleJobStatus)
 	route("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	route("POST /v1/shard/{op}", s.handleShardOp)
-	route("POST /v1/workers", s.handleRegisterWorker)
 	s.handler = s.barrier(mux)
+	for _, e := range s.workers {
+		cfg.Logf("worker %q registered at %s", e.info.Name, e.info.URL)
+	}
+	if len(s.workers) > 0 {
+		go s.heartbeatLoop()
+	}
 	return s, nil
 }
 

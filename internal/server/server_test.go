@@ -449,7 +449,7 @@ func TestServerRecoverBarrier(t *testing.T) {
 // a queue of one, a burst of slow requests sheds the overflow with 429 and
 // a Retry-After hint instead of queueing unboundedly.
 func TestServerAdmissionShedding(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
 	createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 
 	const burst = 6
@@ -485,8 +485,8 @@ func TestServerAdmissionShedding(t *testing.T) {
 			ok++
 		case http.StatusTooManyRequests:
 			shed++
-			if retryAfter[i] != "2" {
-				t.Fatalf("shed response Retry-After = %q, want 2", retryAfter[i])
+			if retryAfter[i] != "1" {
+				t.Fatalf("shed response Retry-After = %q, want 1", retryAfter[i])
 			}
 		default:
 			t.Fatalf("unexpected status %d", st)
@@ -519,7 +519,7 @@ func TestServerDeadline(t *testing.T) {
 // elapses, after which it goes half-open.
 func TestServerBreaker(t *testing.T) {
 	clock := time.Now()
-	cfg := Config{BreakerTrips: 2, BreakerCooldown: 10 * time.Second}
+	var cfg Config
 	cfg.now = func() time.Time { return clock }
 	s := mustNew(t, cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -529,7 +529,7 @@ func TestServerBreaker(t *testing.T) {
 	// watches.
 	createSession(t, ts.URL, "flaky", shard.OptionsSpec{})
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerTrips; i++ {
 		resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("degraded analyze %d: status %d: %s", i, resp.StatusCode, data)
@@ -543,7 +543,7 @@ func TestServerBreaker(t *testing.T) {
 		}
 	}
 
-	// Third request: breaker open.
+	// The next request: breaker open.
 	resp, data := do(t, "POST", ts.URL+"/v1/sessions/flaky/analyze", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -559,7 +559,7 @@ func TestServerBreaker(t *testing.T) {
 	if err := json.Unmarshal(data, &info); err != nil {
 		t.Fatal(err)
 	}
-	if !info.Breaker.Open || info.Breaker.ConsecutiveDegraded < 2 {
+	if !info.Breaker.Open || info.Breaker.ConsecutiveDegraded < breakerTrips {
 		t.Fatalf("breaker info = %+v", info.Breaker)
 	}
 
@@ -656,7 +656,7 @@ func TestServerDeleteBusySession(t *testing.T) {
 // the session's busy slot on the way out, or every later request to the
 // session would block forever waiting for it.
 func TestServerAnalysisPanicReleasesSession(t *testing.T) {
-	s := mustNew(t, Config{MaxRequestTimeout: 100 * time.Millisecond})
+	s := mustNew(t, Config{})
 	if err := s.insert(&session{name: "p"}); err != nil {
 		t.Fatalf("insert: %+v", err)
 	}
@@ -666,7 +666,7 @@ func TestServerAnalysisPanicReleasesSession(t *testing.T) {
 				s.fail(w, err)
 			}
 		}))
-		req := httptest.NewRequest("POST", "/v1/sessions/p/analyze", nil)
+		req := httptest.NewRequest("POST", "/v1/sessions/p/analyze?timeout=100ms", nil)
 		req.SetPathValue("name", "p")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -742,11 +742,11 @@ func TestServerSessionWaitRespectsDeadline(t *testing.T) {
 // re-trips immediately, and a clean probe closes the breaker for everyone.
 func TestSessionBreakerHalfOpenSingleProbe(t *testing.T) {
 	ss := &session{name: "x"}
-	const trips = 2
-	cooldown := 10 * time.Second
+	cooldown := breakerCooldown
 	now := time.Now()
-	ss.recordOutcome(true, now, trips, cooldown)
-	ss.recordOutcome(true, now, trips, cooldown)
+	for range breakerTrips {
+		ss.recordOutcome(true, now)
+	}
 	if _, _, open := ss.breakerAdmit(now.Add(time.Second)); !open {
 		t.Fatal("breaker should be open during the cooldown")
 	}
@@ -759,8 +759,8 @@ func TestSessionBreakerHalfOpenSingleProbe(t *testing.T) {
 		t.Fatalf("second half-open caller: retry=%v probe=%v open=%v, want shed with no wait of its own (fail supplies the default hint)", retry, probe, open)
 	}
 
-	// One degraded probe re-trips immediately — not after `trips` more.
-	ss.recordOutcome(true, half, trips, cooldown)
+	// One degraded probe re-trips immediately — not after breakerTrips more.
+	ss.recordOutcome(true, half)
 	ss.probeRelease()
 	if _, _, open := ss.breakerAdmit(half.Add(time.Second)); !open {
 		t.Fatal("degraded probe must re-trip the breaker")
@@ -770,7 +770,7 @@ func TestSessionBreakerHalfOpenSingleProbe(t *testing.T) {
 	if _, probe, open := ss.breakerAdmit(half2); open || !probe {
 		t.Fatal("second probe not admitted after the re-trip cooldown")
 	}
-	ss.recordOutcome(false, half2, trips, cooldown)
+	ss.recordOutcome(false, half2)
 	ss.probeRelease()
 	if _, probe, open := ss.breakerAdmit(half2); open || probe {
 		t.Fatal("clean probe must close the breaker")

@@ -198,7 +198,7 @@ func (s *session) probeRelease() {
 // cooldown during which requests are shed with 503. A degraded result
 // while the breaker is tripped — i.e. a failed half-open probe — re-trips
 // immediately rather than waiting for the consecutive threshold again.
-func (s *session) recordOutcome(degraded bool, now time.Time, trips int, cooldown time.Duration) {
+func (s *session) recordOutcome(degraded bool, now time.Time) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	if !degraded {
@@ -208,9 +208,9 @@ func (s *session) recordOutcome(degraded bool, now time.Time, trips int, cooldow
 		return
 	}
 	s.consecDegraded++
-	if s.tripped || s.consecDegraded >= trips {
+	if s.tripped || s.consecDegraded >= breakerTrips {
 		s.tripped = true
-		s.trippedUntil = now.Add(cooldown)
+		s.trippedUntil = now.Add(breakerCooldown)
 	}
 }
 

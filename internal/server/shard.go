@@ -13,13 +13,14 @@ package server
 //     snad process. What this file adds is where the designs come from:
 //     the shared design cache, one reference per run token.
 //
-//   - snad as coordinator: registered workers (/v1/workers) are probed by
-//     a heartbeat, and iterate — the interactive endpoint and the job type
-//     alike, through the one function below — runs the joint noise–delay
-//     fixpoint across the healthy ones (shard.Run) or, with none, in this
-//     process (shard.RunLocal). Both are the same loop (core.RunIterative)
-//     over different engines, so a healthy distributed run returns noise
-//     and delay sections byte-identical to the local one; worker loss
+//   - snad as coordinator: the boot fleet (Config.Workers, listed by
+//     GET /v1/workers) is probed by a heartbeat, and iterate — the
+//     interactive endpoint and the job type alike, through the one
+//     function below — runs the joint noise–delay fixpoint across the
+//     healthy ones (shard.Run) or, with none, in this process
+//     (shard.RunLocal). Both are the same loop (core.RunIterative) over
+//     different engines, so a healthy distributed run returns noise and
+//     delay sections byte-identical to the local one; worker loss
 //     degrades to re-hosting, then to conservative full-rail results with
 //     degradation diagnostics — never to a failed request. With a data
 //     directory, either kind journals its round state after every round —
@@ -32,7 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bind"
@@ -40,45 +41,40 @@ import (
 	"repro/internal/shard"
 )
 
-// workerEntry is one registered shard worker and its heartbeat state.
-// info is guarded by the server's workerMu; w is immutable after
-// registration.
+// workerEntry is one shard worker of the boot fleet and its heartbeat
+// state. info is guarded by the server's workerMu; w is immutable.
 type workerEntry struct {
 	info WorkerInfo
 	w    shard.Worker
 }
 
-// RegisterWorker adds (or replaces) a shard worker. It is the programmatic
-// form of POST /v1/workers, used by cmd/snad to register the -workers
-// flag's static fleet at boot.
-func (s *Server) RegisterWorker(name, url string) (WorkerInfo, error) {
-	if s.cfg.WorkerDialer == nil {
-		return WorkerInfo{}, fmt.Errorf("server has no worker dialer; distributed analysis is disabled")
+// fleet indexes the boot workers by name, in name order (probe order is
+// observable through log lines and LastSeenAt skew, and the order feeds
+// the partitioner's deterministic shard→worker mapping). A name listed
+// twice is one worker, the last one listed.
+func fleet(workers []shard.Worker) []*workerEntry {
+	byName := make(map[string]*workerEntry, len(workers))
+	var names []string
+	for _, w := range workers {
+		if byName[w.Name()] == nil {
+			names = append(names, w.Name())
+		}
+		byName[w.Name()] = &workerEntry{info: WorkerInfo{Name: w.Name(), URL: w.Name(), Healthy: true}, w: w}
 	}
-	if url == "" {
-		return WorkerInfo{}, fmt.Errorf("worker url is required")
+	slices.Sort(names)
+	entries := make([]*workerEntry, len(names))
+	for i, name := range names {
+		entries[i] = byName[name]
 	}
-	if name == "" {
-		name = url
-	}
-	entry := &workerEntry{
-		info: WorkerInfo{Name: name, URL: url, Healthy: true},
-		w:    s.cfg.WorkerDialer(name, url),
-	}
-	s.workerMu.Lock()
-	s.workers[name] = entry
-	s.workerMu.Unlock()
-	s.hbOnce.Do(func() { go s.heartbeatLoop() })
-	s.cfg.Logf("worker %q registered at %s", name, url)
-	return entry.info, nil
+	return entries
 }
 
-// heartbeatLoop probes every registered worker each interval. A failed
+// heartbeatLoop probes every worker of the fleet each interval. A failed
 // probe marks the worker unhealthy (iterate skips it); a later success
 // revives it — transient network trouble must not permanently shrink the
 // fleet.
 func (s *Server) heartbeatLoop() {
-	ticker := time.NewTicker(s.cfg.HeartbeatEvery)
+	ticker := time.NewTicker(heartbeatEvery)
 	defer ticker.Stop()
 	for {
 		select {
@@ -86,8 +82,8 @@ func (s *Server) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		for _, e := range s.workerSnapshot() {
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.HeartbeatEvery)
+		for _, e := range s.workers {
+			ctx, cancel := context.WithTimeout(context.Background(), heartbeatEvery)
 			err := e.w.Ping(ctx)
 			cancel()
 			was := s.recordProbe(e, err)
@@ -98,23 +94,6 @@ func (s *Server) heartbeatLoop() {
 			}
 		}
 	}
-}
-
-// workerSnapshot copies the registered fleet in name order (probe order is
-// observable through log lines and LastSeenAt skew; keep it deterministic).
-func (s *Server) workerSnapshot() []*workerEntry {
-	s.workerMu.Lock()
-	defer s.workerMu.Unlock()
-	names := make([]string, 0, len(s.workers))
-	for name := range s.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	entries := make([]*workerEntry, len(names))
-	for i, name := range names {
-		entries[i] = s.workers[name]
-	}
-	return entries
 }
 
 // recordProbe folds one heartbeat outcome into the worker's health state,
@@ -131,10 +110,6 @@ func (s *Server) recordProbe(e *workerEntry, err error) (was bool) {
 }
 
 func (s *Server) stopHeartbeat() {
-	// hbOnce also guards the stop: closing hbStop before any registration
-	// must not panic a later (impossible post-Close, but cheap to harden)
-	// loop start.
-	s.hbOnce.Do(func() {})
 	select {
 	case <-s.hbStop:
 	default:
@@ -142,14 +117,12 @@ func (s *Server) stopHeartbeat() {
 	}
 }
 
-// healthyWorkers snapshots the live fleet in name order — deterministic
-// ordering feeds the partitioner's deterministic shard→worker mapping.
+// healthyWorkers snapshots the live fleet in name order.
 func (s *Server) healthyWorkers() []shard.Worker {
-	entries := s.workerSnapshot()
 	s.workerMu.Lock()
 	defer s.workerMu.Unlock()
 	var out []shard.Worker
-	for _, e := range entries {
+	for _, e := range s.workers {
 		if e.info.Healthy {
 			out = append(out, e.w)
 		}
@@ -157,24 +130,10 @@ func (s *Server) healthyWorkers() []shard.Worker {
 	return out
 }
 
-func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) error {
-	var req RegisterWorkerRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		return err
-	}
-	info, err := s.RegisterWorker(req.Name, req.URL)
-	if err != nil {
-		return badRequest(err, "")
-	}
-	s.writeJSON(w, http.StatusCreated, info)
-	return nil
-}
-
 func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
-	entries := s.workerSnapshot()
-	infos := make([]WorkerInfo, len(entries))
+	infos := make([]WorkerInfo, len(s.workers))
 	s.workerMu.Lock()
-	for i, e := range entries {
+	for i, e := range s.workers {
 		infos[i] = e.info
 	}
 	s.workerMu.Unlock()
@@ -294,7 +253,7 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 		// Each dispatch gets the same ceiling a worker enforces on its own
 		// requests; a hung worker is declared lost instead of pinning the
 		// run forever.
-		DispatchTimeout: s.cfg.MaxRequestTimeout,
+		DispatchTimeout: maxRequestTimeout,
 		Logf:            s.cfg.Logf,
 	}
 	if cfg.Resume.Round > 0 {
@@ -311,14 +270,8 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 	run, info := shard.RunLocal, &IterateInfo{}
 	if workers := s.healthyWorkers(); !req.Local && len(workers) > 0 {
 		cfg.Workers, cfg.Shards, cfg.Design = workers, req.Shards, ss.design
-		if cfg.Shards <= 0 {
-			cfg.Shards = s.cfg.Shards
-		}
-		if cfg.Shards <= 0 {
-			cfg.Shards = len(workers)
-		}
 		run = shard.Run
-		info.Distributed, info.Workers, info.Shards = true, len(workers), cfg.Shards
+		info.Distributed, info.Workers = true, len(workers)
 	}
 	out, err := run(ctx, cfg)
 	if err != nil {
@@ -327,7 +280,7 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 	info.Rounds, info.Converged = out.Rounds, out.Converged
 	info.Diverging, info.DivergeReason = out.Diverging, out.DivergeReason
 	info.Reassigns, info.AbandonedShards, info.Resumed = out.Reassigns, out.AbandonedShards, cfg.Resume.Round > 0
-	info.Dispatches = out.Dispatches
+	info.Dispatches, info.Shards = out.Dispatches, out.Shards
 	a := &answer{noise: out.Noise, iterate: info}
 	if req.Delay {
 		a.delay = out.Delay

@@ -6,12 +6,11 @@ package server
 // interactive user behind it. admission keeps the same outer contract —
 // at most capacity running, at most queueCap waiting, overflow shed
 // immediately — and replaces global FIFO with internal/fairq's Ring,
-// shared with the job pool: per-tenant FIFO queues, round-robin grants
-// across them, and a per-tenant running cap (tenantCap). With tenantCap
-// == capacity (the default) and one tenant, the behavior is
-// indistinguishable from the old gate. The tenant ID is free text from
-// the X-Snad-Tenant header; absent means the "" tenant, so untagged
-// traffic shares one fair slice instead of bypassing fairness.
+// shared with the job pool: per-tenant FIFO queues and round-robin grants
+// across them. With one tenant the behavior is indistinguishable from the
+// old gate. The tenant ID is free text from the X-Snad-Tenant header;
+// absent means the "" tenant, so untagged traffic shares one fair slice
+// instead of bypassing fairness.
 
 import (
 	"fmt"
@@ -39,7 +38,8 @@ type waiter struct {
 
 // admission owns the gate's outer contract — capacity, queueCap, no
 // barging, grant-vs-abandon — over the shared tenant-fair ring, which
-// owns the per-tenant queues, the rotation and the running caps.
+// owns the per-tenant queues and the rotation. A free slot is granted at
+// once, so waiters exist only while every slot is taken.
 type admission struct {
 	capacity int
 	queueCap int
@@ -49,23 +49,17 @@ type admission struct {
 	waiters *fairq.Ring[*waiter]
 }
 
-func newAdmission(capacity, queueCap, tenantCap int) *admission {
-	return &admission{
-		capacity: capacity,
-		queueCap: queueCap,
-		waiters:  fairq.New[*waiter](tenantCap, capacity),
-	}
+func newAdmission(capacity, queueCap int) *admission {
+	return &admission{capacity: capacity, queueCap: queueCap, waiters: fairq.New[*waiter]()}
 }
 
 // tryAcquire takes a slot without waiting. It fails when capacity is
-// exhausted, the tenant already has waiters (a newcomer must not barge
-// past its own tenant's queue; other tenants' waiters are at their cap
-// or a slot would have been dispatched to them already), or the tenant
-// is at its running cap.
-func (a *admission) tryAcquire(tenant string) bool {
+// exhausted — which is also the only time anyone waits, so a newcomer
+// never barges past a queued waiter.
+func (a *admission) tryAcquire() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.running >= a.capacity || a.waiters.Waiting(tenant) > 0 || !a.waiters.Charge(tenant) {
+	if a.running >= a.capacity {
 		return false
 	}
 	a.running++
@@ -82,8 +76,8 @@ func (a *admission) enqueue(tenant string) *waiter {
 	}
 	w := &waiter{tenant: tenant, ready: make(chan struct{})}
 	a.waiters.Push(tenant, w)
-	// A slot may be free right now (e.g. other tenants capped); dispatch
-	// so the new waiter doesn't wait for the next release.
+	// A slot may have freed since tryAcquire; dispatch so the new waiter
+	// doesn't wait for the next release.
 	a.dispatchLocked()
 	return w
 }
@@ -102,17 +96,15 @@ func (a *admission) abandon(w *waiter) bool {
 }
 
 // release returns a slot and dispatches the next waiter.
-func (a *admission) release(tenant string) {
+func (a *admission) release() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.running--
-	a.waiters.Release(tenant)
 	a.dispatchLocked()
 }
 
 // dispatchLocked grants free slots to waiters in the ring's fair order
-// until capacity is full or every waiting tenant is at its cap (the next
-// release re-dispatches). Callers hold a.mu.
+// until capacity is full or nobody waits. Callers hold a.mu.
 func (a *admission) dispatchLocked() {
 	for a.running < a.capacity {
 		_, w, ok := a.waiters.Pop()
@@ -140,8 +132,8 @@ func (a *admission) snapshot() (running, queued int) {
 func (s *Server) admit(r *http.Request) (release func(), err error) {
 	tenant := tenantOf(r)
 	start := time.Now()
-	if !s.gate.tryAcquire(tenant) {
-		// No slot free for this tenant: try to join the wait queue. A full
+	if !s.gate.tryAcquire() {
+		// No slot free: try to join the wait queue. A full
 		// queue means the server is past its configured backlog — shed
 		// immediately rather than building an invisible line of doomed
 		// requests.
@@ -163,11 +155,11 @@ func (s *Server) admit(r *http.Request) (release func(), err error) {
 		if err != nil {
 			if !s.gate.abandon(wt) {
 				// The grant raced the expiry; the slot is ours to return.
-				s.gate.release(tenant)
+				s.gate.release()
 			}
 			return nil, err
 		}
 	}
 	s.histAdmission.Observe(time.Since(start).Seconds())
-	return func() { s.gate.release(tenant) }, nil
+	return func() { s.gate.release() }, nil
 }

@@ -14,40 +14,9 @@ func granted(w *waiter) bool {
 	}
 }
 
-func TestAdmissionTenantCap(t *testing.T) {
-	a := newAdmission(4, 8, 2)
-	if !a.tryAcquire("a") || !a.tryAcquire("a") {
-		t.Fatal("tenant a should get its first two slots")
-	}
-	if a.tryAcquire("a") {
-		t.Fatal("tenant a must be capped at 2 running")
-	}
-	// Capacity remains for other tenants.
-	if !a.tryAcquire("b") || !a.tryAcquire("b") {
-		t.Fatal("tenant b should fill the remaining capacity")
-	}
-	if a.tryAcquire("c") {
-		t.Fatal("capacity 4 is exhausted")
-	}
-	// Releasing an a-slot reopens a for a, not past its cap.
-	a.release("a")
-	if !a.tryAcquire("a") {
-		t.Fatal("released slot should be reacquirable")
-	}
-}
-
-func TestAdmissionCapClampsToCapacity(t *testing.T) {
-	for _, cap := range []int{0, -3, 99} {
-		a := newAdmission(2, 4, cap)
-		if got := a.waiters.Cap(); got != 2 {
-			t.Fatalf("tenantCap %d should clamp to capacity 2, got %d", cap, got)
-		}
-	}
-}
-
 func TestAdmissionRoundRobinAcrossTenants(t *testing.T) {
-	a := newAdmission(1, 16, 1)
-	if !a.tryAcquire("bulk") {
+	a := newAdmission(1, 16)
+	if !a.tryAcquire() {
 		t.Fatal("first slot")
 	}
 	// bulk floods the queue, then live joins behind it.
@@ -59,25 +28,25 @@ func TestAdmissionRoundRobinAcrossTenants(t *testing.T) {
 	}
 	// First release grants the tenant next in ring order (bulk queued
 	// first): b1.
-	a.release("bulk")
+	a.release()
 	if !granted(b1) || granted(b2) || granted(l1) {
 		t.Fatalf("first grant should be b1 (b1=%v b2=%v l1=%v)", granted(b1), granted(b2), granted(l1))
 	}
 	// Round-robin: the next grant goes to live, NOT to bulk's second
 	// waiter — that is the whole point of per-tenant queues.
-	a.release("bulk")
+	a.release()
 	if !granted(l1) || granted(b2) {
 		t.Fatal("second grant must rotate to the live tenant")
 	}
-	a.release("live")
+	a.release()
 	if !granted(b2) {
 		t.Fatal("third grant drains bulk's remaining waiter")
 	}
 }
 
 func TestAdmissionQueueCapSheds(t *testing.T) {
-	a := newAdmission(1, 1, 1)
-	if !a.tryAcquire("a") {
+	a := newAdmission(1, 1)
+	if !a.tryAcquire() {
 		t.Fatal("slot")
 	}
 	if a.enqueue("a") == nil {
@@ -89,24 +58,24 @@ func TestAdmissionQueueCapSheds(t *testing.T) {
 }
 
 func TestAdmissionNoBargingPastOwnQueue(t *testing.T) {
-	a := newAdmission(2, 8, 2)
-	if !a.tryAcquire("a") || !a.tryAcquire("a") {
+	a := newAdmission(2, 8)
+	if !a.tryAcquire() || !a.tryAcquire() {
 		t.Fatal("slots")
 	}
 	w := a.enqueue("a")
 	if w == nil {
 		t.Fatal("waiter")
 	}
-	// A newcomer must not slip into the released slot ahead of its own
-	// tenant's queued waiter: the release hands the slot to the waiter.
-	a.release("a")
+	// A newcomer must not slip into the released slot ahead of a queued
+	// waiter: the release hands the slot to the waiter.
+	a.release()
 	if !granted(w) {
 		t.Fatal("release should grant the queued waiter")
 	}
 	if running, _ := a.snapshot(); running != 2 {
 		t.Fatalf("running = %d, want 2 (grant reoccupied the slot)", running)
 	}
-	if a.tryAcquire("a") {
+	if a.tryAcquire() {
 		t.Fatal("capacity is full again after the grant")
 	}
 }
@@ -126,8 +95,8 @@ func TestAdmissionRingStableUnderChurn(t *testing.T) {
 	// Steady at-capacity single-tenant load: every cycle queues one
 	// waiter, drains it by grant, and refills. The ring must not grow and
 	// the tenant must never occupy two slots.
-	a := newAdmission(1, 8, 1)
-	if !a.tryAcquire("") {
+	a := newAdmission(1, 8)
+	if !a.tryAcquire() {
 		t.Fatal("slot")
 	}
 	for i := 0; i < 100; i++ {
@@ -135,7 +104,7 @@ func TestAdmissionRingStableUnderChurn(t *testing.T) {
 		if w == nil {
 			t.Fatalf("cycle %d: waiter refused", i)
 		}
-		a.release("") // grants w, emptying the queue
+		a.release() // grants w, emptying the queue
 		if !granted(w) {
 			t.Fatalf("cycle %d: waiter not granted", i)
 		}
@@ -164,16 +133,16 @@ func TestAdmissionRingStableUnderChurn(t *testing.T) {
 	// starved by the churned tenant's next waiter.
 	w1 := a.enqueue("")
 	w2 := a.enqueue("live")
-	a.release("")
-	a.release("")
+	a.release()
+	a.release()
 	if !granted(w1) || !granted(w2) {
 		t.Fatal("both tenants should be granted after churn")
 	}
 }
 
 func TestAdmissionAbandon(t *testing.T) {
-	a := newAdmission(1, 8, 1)
-	if !a.tryAcquire("a") {
+	a := newAdmission(1, 8)
+	if !a.tryAcquire() {
 		t.Fatal("slot")
 	}
 	w := a.enqueue("b")
@@ -181,7 +150,7 @@ func TestAdmissionAbandon(t *testing.T) {
 		t.Fatal("abandon before any grant should win")
 	}
 	// The abandoned waiter must not receive the next grant.
-	a.release("a")
+	a.release()
 	if granted(w) {
 		t.Fatal("abandoned waiter must not be granted")
 	}
@@ -192,11 +161,11 @@ func TestAdmissionAbandon(t *testing.T) {
 
 	// Grant-vs-abandon race, resolved in the grant's favor: abandon
 	// reports false and the caller owns the slot.
-	if !a.tryAcquire("a") {
+	if !a.tryAcquire() {
 		t.Fatal("slot")
 	}
 	w2 := a.enqueue("c")
-	a.release("a") // dispatch grants w2
+	a.release() // dispatch grants w2
 	if !granted(w2) {
 		t.Fatal("w2 should be granted")
 	}

@@ -162,21 +162,12 @@ type IterateInfo struct {
 	Dispatches map[string]shard.OpStat `json:"dispatches,omitempty"`
 }
 
-// RegisterWorkerRequest announces a shard worker to the coordinator.
-// Registration is idempotent per name: re-registering replaces the URL.
-type RegisterWorkerRequest struct {
-	// Name identifies the worker (defaults to the URL).
-	Name string `json:"name,omitempty"`
-	// URL is the worker's snad base URL (e.g. "http://127.0.0.1:8351").
-	URL string `json:"url"`
-}
-
 // WorkerInfo reports one registered worker's health.
 type WorkerInfo struct {
 	Name string `json:"name"`
 	URL  string `json:"url"`
-	// Healthy is the last heartbeat's verdict; a worker starts healthy on
-	// registration and is probed every heartbeat interval.
+	// Healthy is the last heartbeat's verdict; a worker starts healthy at
+	// boot and is probed every heartbeat interval.
 	Healthy bool `json:"healthy"`
 	// LastSeenAt is the last successful heartbeat (RFC3339); empty until
 	// the first one lands.
@@ -212,7 +203,7 @@ type ErrorInfo struct {
 	Lint []LintDiagJSON `json:"lint,omitempty"`
 
 	// retryAfter is the failure's own Retry-After hint (breaker_open's
-	// remaining cooldown); zero leaves it to Config.RetryAfter.
+	// remaining cooldown); zero leaves it to retryAfterHint.
 	retryAfter time.Duration
 }
 
@@ -325,7 +316,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	if row.retry {
 		hint := info.retryAfter
 		if hint <= 0 {
-			hint = s.cfg.RetryAfter
+			hint = retryAfterHint
 		}
 		// Retry-After is integral seconds; round up so clients never
 		// retry into a still-closed window.

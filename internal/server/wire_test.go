@@ -21,7 +21,7 @@ import (
 // real exit of a real server.
 func failing(t *testing.T, fail func(*server.Server, http.ResponseWriter, error), errOf func(*http.Request) error) string {
 	t.Helper()
-	s, err := server.New(server.Config{RetryAfter: 1500 * time.Millisecond})
+	s, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +41,10 @@ func TestKindTable(t *testing.T) {
 	if len(rows) != 18 {
 		t.Fatalf("the kind table has %d rows, want the 18 documented kinds", len(rows))
 	}
-	// The kind to fail with is the session the request names.
+	// The kind to fail with is the session the request names; its hint is
+	// fractional, like a breaker's remaining cooldown.
 	url := failing(t, (*server.Server).Fail, func(r *http.Request) error {
-		return &server.ErrorInfo{Kind: path.Base(r.URL.Path), Message: "m", Session: "s"}
+		return server.WithRetryAfter(&server.ErrorInfo{Kind: path.Base(r.URL.Path), Message: "m", Session: "s"}, 1500*time.Millisecond)
 	})
 	c := client.New(url, client.RetryPolicy{MaxAttempts: 1})
 	for kind, row := range rows {
@@ -69,7 +70,7 @@ func TestKindTable(t *testing.T) {
 		resp.Body.Close()
 		ra := resp.Header.Get("Retry-After")
 		if secs, err := strconv.Atoi(ra); row.Retry && (err != nil || secs != 2) {
-			t.Errorf("%s: Retry-After = %q, want Config.RetryAfter rounded up to 2", kind, ra)
+			t.Errorf("%s: Retry-After = %q, want the 1.5 s hint rounded up to 2", kind, ra)
 		} else if !row.Retry && ra != "" {
 			t.Errorf("%s: Retry-After = %q on a kind that is not retryable", kind, ra)
 		}

@@ -71,6 +71,9 @@ type Outcome struct {
 	AbandonedShards []int
 	// Dispatches is the run's ledger by op, every Worker.Do attempt counted.
 	Dispatches map[string]OpStat
+	// Shards is the shard count the run was configured with, one per
+	// worker unless Config.Shards set it.
+	Shards int
 }
 
 // OpStat is one op's share of a run: round trips and their summed wall clock.
@@ -173,7 +176,7 @@ func Run(ctx context.Context, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{IterativeResult: *res}
+	out := &Outcome{IterativeResult: *res, Shards: r.cfg.Shards}
 	out.Padding = core.PaddingByName(r.cfg.B.Net, r.padding)
 	r.assemble(out, cols)
 	return out, nil
@@ -192,11 +195,7 @@ func newRun(ctx context.Context, cfg Config) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = len(cfg.Workers)
-	}
-	asn, err := Partition(plan, shards, 0)
+	asn, err := Partition(plan, cfg.Shards, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -254,6 +253,9 @@ func (cfg *Config) fill() {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = len(cfg.Workers)
 	}
 }
 

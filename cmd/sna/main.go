@@ -36,7 +36,8 @@
 //	0  clean: lint passed and no noise violations
 //	1  analysis found noise violations
 //	2  lint found error-severity problems (analysis not run)
-//	3  usage error (bad flags, missing -net, unknown mode or rule ID)
+//	3  usage error (bad flags, missing -net, unknown mode or rule ID, a
+//	   -threshold or -period that is not finite and >= 0)
 //	4  load or analysis failure (unreadable/unparsable input, engine
 //	   error, deadline exceeded)
 //	5  degraded-clean: no violations, but one or more nets were degraded
@@ -61,6 +62,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/sta"
+	"repro/internal/units"
 )
 
 // Exit codes; documented in the package comment and pinned by the
@@ -135,6 +137,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, prepare f
 	mode, err := core.ParseMode(*modeFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "sna:", err)
+		return exitUsage
+	}
+	if !units.FiniteNonNeg(*threshold) {
+		fmt.Fprintf(stderr, "sna: bad -threshold %v (want finite >= 0)\n", *threshold)
+		return exitUsage
+	}
+	if !units.FiniteNonNeg(*period) {
+		fmt.Fprintf(stderr, "sna: bad -period %v (want finite seconds >= 0; 0 = off)\n", *period)
 		return exitUsage
 	}
 	lintCfg, err := lint.ParseConfig(*suppress, *werror)

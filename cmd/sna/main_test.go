@@ -7,6 +7,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -99,6 +101,13 @@ func TestExitUsage(t *testing.T) {
 		{"-bogusflag"},                          // unknown flag
 		{"-net", "x", "-mode", "warp"},          // bad mode
 		{"-net", "x", "-suppress", "NOSUCH999"}, // unknown rule ID
+		// -threshold and -period must be finite and >= 0, before any load.
+		{"-net", "x", "-threshold", "NaN"},
+		{"-net", "x", "-threshold", "-1"},
+		{"-net", "x", "-threshold", "+Inf"},
+		{"-net", "x", "-period", "NaN"},
+		{"-net", "x", "-period", "-1"},
+		{"-net", "x", "-period", "+Inf"},
 	} {
 		if code, _, _ := runSna(args...); code != exitUsage {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitUsage)
@@ -359,5 +368,54 @@ func TestInterruptSignalCancelsAnalysis(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not return after SIGINT")
+	}
+}
+
+// TestFlagsAreDocumented holds README's `sna` flag table to the flags
+// `sna -h` prints, both ways. It is first shown to catch a planted
+// undocumented flag and a planted documented flag sna lacks.
+func TestFlagsAreDocumented(t *testing.T) {
+	code, _, help := runSna("-h")
+	if code != exitUsage {
+		t.Fatalf("-h: exit %d", code)
+	}
+	var defined, documented []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(help, -1) {
+		defined = append(defined, m[1])
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(readme), "| `sna` flag |")
+	table, _, _ = strings.Cut(table, "\n\n")
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|").FindAllStringSubmatch(table, -1) {
+		documented = append(documented, m[1])
+	}
+	drift := func(defined, documented []string) (problems []string) {
+		for _, f := range defined {
+			if !slices.Contains(documented, f) {
+				problems = append(problems, "sna defines -"+f+", which README's table lacks")
+			}
+		}
+		for _, f := range documented {
+			if !slices.Contains(defined, f) {
+				problems = append(problems, "README's table documents -"+f+", which sna does not define")
+			}
+		}
+		return problems
+	}
+	if len(defined) == 0 || len(documented) == 0 {
+		t.Fatalf("read %d flags from -h and %d from README", len(defined), len(documented))
+	}
+	found := drift(defined, documented)
+	if p := drift(append(defined, "planted"), documented); len(p) != len(found)+1 {
+		t.Fatalf("a planted undocumented flag was not caught: %q", p)
+	}
+	if p := drift(defined, append(documented, "ghost")); len(p) != len(found)+1 {
+		t.Fatalf("a planted documented flag was not caught: %q", p)
+	}
+	if len(found) > 0 {
+		t.Errorf("sna's flags and README disagree:\n%s", strings.Join(found, "\n"))
 	}
 }

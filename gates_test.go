@@ -737,3 +737,114 @@ func holdsRaw(typ types.Type, seen map[types.Type]bool) bool {
 	}
 	return false
 }
+
+// optionTypes are the analysis pipeline's option types, by package name
+// and type name.
+var optionTypes = []string{"core.Options", "sta.Options", "lint.Config"}
+
+// TestGateOptionsAreSet is the no-idle-knob gate: every exported field of
+// an option type is written by some non-test file of the module, benchmark/
+// included — as a composite-literal key or an assignment's target, resolved
+// by type. A fill method's default is not a write: a field that only its
+// default sets has one value in use and is a constant.
+func TestGateOptionsAreSet(t *testing.T) {
+	exports := exportData(t, "./...")
+	want := []string{"planted.Options.Budget", "planted.Options.Vdd"}
+	if got := unsetOptions(t, exports, [][]string{{planted}}, []string{"planted.Options"}); !slices.Equal(got, want) {
+		t.Fatalf("%s: unset option fields %v, want %v (the ones outside its decoys)", planted, got, want)
+	}
+	out, err := exec.Command("go", "list", "-f", `{{.Dir}}{{range .GoFiles}} {{.}}{{end}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var pkgs [][]string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		var files []string
+		for _, name := range f[1:] {
+			files = append(files, filepath.Join(f[0], name))
+		}
+		if len(files) > 0 {
+			pkgs = append(pkgs, files)
+		}
+	}
+	if got := unsetOptions(t, exports, pkgs, optionTypes); len(got) > 0 {
+		t.Errorf("option fields no non-test code sets (make each a constant, or delete it):\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// unsetOptions type-checks each package, given as its files, and returns
+// the exported fields of the named option types ("pkg.Type") that no file
+// writes, sorted. Every named type must be declared by one of the packages.
+func unsetOptions(t *testing.T, exports map[string]string, pkgs [][]string, typeNames []string) []string {
+	t.Helper()
+	var fields []string
+	written := map[string]bool{}
+	for _, files := range pkgs {
+		_, parsed, pkg, info := typeCheck(t, exports, files)
+		for _, name := range typeNames {
+			if pkgName, typ, _ := strings.Cut(name, "."); pkgName == pkg.Name() {
+				st := pkg.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						fields = append(fields, name+"."+f.Name())
+					}
+				}
+			}
+		}
+		for _, f := range parsed {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "fill" {
+					continue
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						owner := namedType(info.TypeOf(n))
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if key, ok := kv.Key.(*ast.Ident); ok {
+									written[owner+"."+key.Name] = true
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+									written[namedType(info.TypeOf(sel.X))+"."+sel.Sel.Name] = true
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for _, name := range typeNames {
+		if !slices.ContainsFunc(fields, func(f string) bool { return strings.HasPrefix(f, name+".") }) {
+			t.Fatalf("no package declares %s with exported fields", name)
+		}
+	}
+	var unset []string
+	for _, f := range fields {
+		if !written[f] {
+			unset = append(unset, f)
+		}
+	}
+	slices.Sort(unset)
+	return unset
+}
+
+// namedType names typ, or the type it points to, as "pkg.Type" by package
+// name; "" when it is not a defined type.
+func namedType(typ types.Type) string {
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	if n, ok := types.Unalias(typ).(*types.Named); ok && n.Obj().Pkg() != nil {
+		return n.Obj().Pkg().Name() + "." + n.Obj().Name()
+	}
+	return ""
+}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/bind"
 	"repro/internal/interval"
@@ -23,20 +22,14 @@ import (
 type Options struct {
 	// Mode selects the combination policy (default ModeNoiseWindows).
 	Mode Mode
-	// Vdd overrides the library supply voltage when non-zero.
-	Vdd float64
-	// FilterThreshold drops couplings with C_x/C_v below it; the dropped
-	// capacitance is lumped into a virtual always-on aggressor unless
-	// DisableVirtual is set. Zero keeps every aggressor.
+	// FilterThreshold filters couplings with C_x/C_v below it out of the
+	// windowed combination; the filtered capacitance is lumped into one
+	// virtual always-on aggressor, never dropped. Zero keeps every
+	// aggressor.
 	FilterThreshold float64
-	// DisableVirtual turns off the conservative lumping of filtered
-	// couplings.
-	DisableVirtual bool
 	// NoPropagation disables noise propagation through gates (coupled
 	// noise only).
 	NoPropagation bool
-	// MaxIter bounds the propagation fixpoint iteration (default 16).
-	MaxIter int
 	// Workers sets the number of goroutines used for the timing pass's
 	// levels (sta.RunCtx), the per-victim context and coupled-event
 	// construction, the propagation fixpoint's level wavefronts and the
@@ -46,9 +39,6 @@ type Options struct {
 	// during preparation and in the delay pass, and within one level
 	// wavefront no net's events depend on another's combination.
 	Workers int
-	// DefaultAggSlew is the aggressor edge rate assumed when timing gives
-	// none (default 20 ps).
-	DefaultAggSlew float64
 	// HullWindows collapses set-valued (multi-phase) switching windows to
 	// their single-window hull before deriving noise windows — the
 	// approximation a tool without set support is forced into. Kept as
@@ -78,22 +68,16 @@ type Options struct {
 	// panic, or block to simulate a malformed or pathological victim. Not
 	// consulted on any other path.
 	PrepareHook func(net string) error
-	// RoundBudget bounds each round's wall clock in AnalyzeIterativeCtx;
-	// a round exceeding it stops the loop with a Diverging diagnostic.
-	// Zero means no budget.
-	RoundBudget time.Duration
 	// STA configures the underlying timing run.
 	STA sta.Options
 }
 
-func (o *Options) fill() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 16
-	}
-	if o.DefaultAggSlew <= 0 {
-		o.DefaultAggSlew = 20 * units.Pico
-	}
-}
+// maxPasses bounds the propagation fixpoint's passes per round, and
+// defaultAggSlew is the aggressor edge rate assumed when timing gives none.
+const (
+	maxPasses      = 16
+	defaultAggSlew = 20 * units.Pico
+)
 
 // Wave is one level of the propagation schedule: the contiguous run
 // [Lo, Hi) of the victim order, nets whose drivers share a levelization
@@ -233,8 +217,7 @@ func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, 
 // indexes, and the wave schedule. The sharded engine uses it directly so
 // each shard prepares only the victims it owns.
 func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options, order []netlist.NetID) (*analyzer, error) {
-	opts.fill()
-	a := &analyzer{b: b, opts: opts, vdd: EffectiveVdd(b, opts)}
+	a := &analyzer{b: b, opts: opts, vdd: b.Lib.Vdd}
 	staRes, err := sta.RunCtx(ctx, b, opts.STA, opts.Workers)
 	if err != nil {
 		return nil, err
@@ -554,13 +537,13 @@ func AnalyzeCtx(ctx context.Context, b *bind.Design, opts Options) (*Result, err
 // runPasses is the pass loop of the propagation fixpoint, the only copy:
 // each pass visits every wave in order, a pass that commits no change
 // beyond tolerance converges, without propagation one pass is exact, and
-// Options.MaxIter bounds the count. evalWave is the engine's side — the
+// maxPasses bounds the count. evalWave is the engine's side — the
 // local analyzer's wavefront below, or a coordinator's dispatch to the
 // shards with stale nets in that wave. The engines evaluate only what is
 // stale, so the confirming pass of an acyclic design still counts as a
 // pass but evaluates nothing.
 func runPasses(ctx context.Context, opts Options, waves int, evalWave func(context.Context, int) (bool, error)) (passes int, converged bool, err error) {
-	for passes < opts.MaxIter && !converged {
+	for passes < maxPasses && !converged {
 		if err := ctx.Err(); err != nil {
 			return passes, false, err
 		}
@@ -867,7 +850,7 @@ func (a *analyzer) prepareEvents(pos int, ctx *noise.Context, sc *scratch) (prep
 		for _, k := range Kinds {
 			rise := k == KindLow // rising aggressor endangers a low victim
 			var winSet interval.Set
-			slew := a.opts.DefaultAggSlew
+			slew := defaultAggSlew
 			switch {
 			case a.opts.Mode == ModeAllAggressors || cpl.Agg < 0:
 				// A partner the netlist does not have has no switching
@@ -916,12 +899,12 @@ func (a *analyzer) prepareEvents(pos int, ctx *noise.Context, sc *scratch) (prep
 			}
 		}
 	}
-	if dropped > 0 && !a.opts.DisableVirtual {
+	if dropped > 0 {
 		p := noise.Params{
 			HoldRes: ctx.HoldRes,
 			CoupleC: dropped,
 			VictimC: ctx.VictimC,
-			AggSlew: a.opts.DefaultAggSlew,
+			AggSlew: defaultAggSlew,
 			Vdd:     a.vdd,
 		}
 		if peak := p.Peak(); peak > 0 {

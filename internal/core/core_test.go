@@ -324,14 +324,6 @@ func TestFilterAndVirtualAggressor(t *testing.T) {
 	if resV.Stats.Filtered != 3 {
 		t.Fatalf("filtered = %d", resV.Stats.Filtered)
 	}
-	// Virtual lumping keeps the analysis conservative versus dropping.
-	resDrop := analyze(t, b, Options{
-		Mode: ModeNoiseWindows, FilterThreshold: 0.9, DisableVirtual: true,
-		STA: sta.Options{InputTiming: inputs},
-	})
-	if resDrop.NoiseOf("v").WorstPeak() > resV.NoiseOf("v").WorstPeak() {
-		t.Fatal("dropping aggressors produced more noise than lumping them")
-	}
 }
 
 func TestCombinedWindowIsMemberIntersection(t *testing.T) {

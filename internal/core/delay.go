@@ -241,7 +241,7 @@ func (a *analyzer) safeDelayNet(ni int, net netlist.NetID, ims []DelayImpact, sc
 			continue
 		}
 		slew := vt.Slew(rise)
-		s := a.opts.DefaultAggSlew
+		s := defaultAggSlew
 		if slew.Min <= slew.Max {
 			s = slew.Max
 		}

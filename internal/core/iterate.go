@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/bind"
 	"repro/internal/netlist"
@@ -19,13 +18,14 @@ import (
 // reanalyze until the padding stops growing. Padding only grows (the
 // maximum over rounds is kept) and each net's delta is bounded by
 // slew·Vdd/Vdd, so the loop converges; non-convergence within the round
-// budget is reported rather than hidden, and a divergence watchdog stops
-// the loop early when the padding growth is not contracting or a round
-// blows its wall-clock budget — a run that will not converge should say
-// so instead of silently burning rounds.
+// limit is reported rather than hidden, and a divergence watchdog stops
+// the loop early when the padding growth is not contracting — a run that
+// will not converge should say so instead of silently burning rounds. The
+// watchdog reads padding only, never the clock, so whether a run diverges
+// does not depend on how fast the host is.
 //
 // Both loops of that flow exist once: RunIterative is the round loop
-// (growth rule, budget, watchdog, resume, after-round hook) and runPasses
+// (growth rule, round limit, watchdog, resume, after-round hook) and runPasses
 // (analyze.go) the pass loop inside a round. What they drive is a Phases:
 // the single-process engine below, or the shard coordinator's dispatching
 // one. Neither engine decides when a pass, a round or the run is over.
@@ -53,12 +53,11 @@ type IterativeResult struct {
 	// Rounds is the number of analysis rounds run.
 	Rounds int
 	// Converged reports whether the padding reached a fixpoint within
-	// the round budget.
+	// the round limit.
 	Converged bool
 	// Diverging reports that the watchdog cut the loop short (padding
-	// growth not contracting, a round over Options.RoundBudget) or that
-	// the padding was still growing when the rounds ran out. Always false
-	// when Converged.
+	// growth not contracting) or that the padding was still growing when
+	// the rounds ran out. Always false when Converged.
 	Diverging bool
 	// DivergeReason explains the watchdog trigger ("" unless Diverging).
 	DivergeReason string
@@ -125,7 +124,6 @@ func RunIterative(ctx context.Context, eng Phases, opts Options, maxRounds int, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		start := time.Now()
 		delay, err := runRound(ctx, eng, opts, changed)
 		if err != nil {
 			return nil, fmt.Errorf("core: iterative round %d: %w", round, err)
@@ -145,14 +143,6 @@ func RunIterative(ctx context.Context, eng Phases, opts Options, maxRounds int, 
 		if len(changed) == 0 {
 			out.Converged = true
 			return out, nil
-		}
-		if opts.RoundBudget > 0 {
-			if elapsed := time.Since(start); elapsed > opts.RoundBudget {
-				out.Diverging = true
-				out.DivergeReason = fmt.Sprintf("round %d took %s, over the %s budget",
-					round, elapsed.Round(time.Millisecond), opts.RoundBudget)
-				return out, nil
-			}
 		}
 		// Contraction check: a healthy loop's padding increments shrink
 		// every round (the feedback gain is < 1). Two consecutive rounds
@@ -174,7 +164,7 @@ func RunIterative(ctx context.Context, eng Phases, opts Options, maxRounds int, 
 			afterRound(st)
 		}
 	}
-	// The budget ran out with padding still growing: the loop did not
+	// The rounds ran out with padding still growing: the loop did not
 	// converge and was still moving — report it as diverging rather than
 	// letting a silent Converged=false look like a near-miss.
 	out.Diverging = true
@@ -186,7 +176,6 @@ func RunIterative(ctx context.Context, eng Phases, opts Options, maxRounds int, 
 // pass. The round loop calls it every round; a Session calls it once to
 // build and once per Reanalyze.
 func runRound(ctx context.Context, eng Phases, opts Options, changed []netlist.NetID) (*DelayResult, error) {
-	opts.fill()
 	waves, err := eng.BeginRound(ctx, changed)
 	if err != nil {
 		return nil, err

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/sta"
 	"repro/internal/units"
@@ -106,28 +104,6 @@ func TestIterativeNonConvergenceReportsDiverging(t *testing.T) {
 	}
 	if res.Rounds != 1 || res.MaxPadding() <= 0 {
 		t.Fatalf("rounds=%d padding=%g", res.Rounds, res.MaxPadding())
-	}
-}
-
-func TestIterativeRoundBudgetTripsWatchdog(t *testing.T) {
-	// A one-nanosecond budget is blown by any real round; the watchdog
-	// must stop after the first growing round and say why.
-	b := busFixture(t, 3, 4*units.Femto, 8*units.Femto)
-	inputs := staggeredInputs(3, 0, 60*units.Pico)
-	inputs["i_v"] = timingAt(0, 60*units.Pico)
-	opts := Options{Mode: ModeNoiseWindows, RoundBudget: time.Nanosecond, STA: sta.Options{InputTiming: inputs}}
-	res, err := AnalyzeIterativeCtx(context.Background(), b, opts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged || !res.Diverging {
-		t.Fatalf("converged=%v diverging=%v, want budget trip", res.Converged, res.Diverging)
-	}
-	if !strings.Contains(res.DivergeReason, "budget") {
-		t.Fatalf("reason = %q, want round-budget explanation", res.DivergeReason)
-	}
-	if res.Rounds != 1 {
-		t.Fatalf("rounds = %d, want watchdog stop after round 1", res.Rounds)
 	}
 }
 

@@ -44,7 +44,7 @@ func hotFabric(width, levels int) (*workload.Generated, error) {
 // output r is its own input, and two nets downstream of the loops, coupled
 // to each other and to two port-driven aggressors whose windows overlap the
 // loop's own. With cx = 9 fF the glitches go round the loops and widen on
-// every pass, so the fixpoint runs into Options.MaxIter; with 2 fF they stay
+// every pass, so the fixpoint runs into its 16-pass limit; with 2 fF they stay
 // under the cells' propagation threshold and it converges.
 func loopDesign(cx float64) (*workload.Generated, error) {
 	d := netlist.New("loop")
@@ -306,13 +306,12 @@ func TestChangeDrivenMatchesEvaluateEverything(t *testing.T) {
 // options that change what an evaluation reads or how a pass ends.
 func TestChangeDrivenMatchesAcrossOptions(t *testing.T) {
 	variants := map[string]func(*core.Options){
-		"all-aggressors":  func(o *core.Options) { o.Mode = core.ModeAllAggressors },
-		"timing-windows":  func(o *core.Options) { o.Mode = core.ModeTimingWindows },
-		"no-propagation":  func(o *core.Options) { o.NoPropagation = true },
-		"correlation":     func(o *core.Options) { o.LogicCorrelation = true },
-		"filtered":        func(o *core.Options) { o.FilterThreshold = 0.05 },
-		"peak-occupancy":  func(o *core.Options) { o.Occupancy = core.OccupancyPeak },
-		"one-pass-budget": func(o *core.Options) { o.MaxIter = 1 },
+		"all-aggressors": func(o *core.Options) { o.Mode = core.ModeAllAggressors },
+		"timing-windows": func(o *core.Options) { o.Mode = core.ModeTimingWindows },
+		"no-propagation": func(o *core.Options) { o.NoPropagation = true },
+		"correlation":    func(o *core.Options) { o.LogicCorrelation = true },
+		"filtered":       func(o *core.Options) { o.FilterThreshold = 0.05 },
+		"peak-occupancy": func(o *core.Options) { o.Occupancy = core.OccupancyPeak },
 	}
 	for _, c := range oracleCases()[:3] {
 		for name, set := range variants {

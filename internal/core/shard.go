@@ -30,17 +30,6 @@ import (
 // nets it owns. The equivalence argument is "same code over the same
 // inputs in the same order", not a parallel implementation to keep in sync.
 
-// EffectiveVdd resolves the supply voltage an analysis of this design will
-// use — Options.Vdd when positive, the library supply otherwise. The
-// coordinator needs it to synthesize full-rail fallbacks for abandoned
-// shards that match what any engine would have produced.
-func EffectiveVdd(b *bind.Design, opts Options) float64 {
-	if opts.Vdd > 0 {
-		return opts.Vdd
-	}
-	return b.Lib.Vdd
-}
-
 // FullRail returns the conservative fallback event and combination for a
 // net the engine could not analyze, identical to the engine's internal
 // fullRailEvent/fullRailComb. Exported so the coordinator can substitute

@@ -23,9 +23,9 @@ func TestUnresolvedAggressorMaySwitchAnyTime(t *testing.T) {
 	slew := sta.Range{Min: 20 * units.Pico, Max: 20 * units.Pico}
 	inputs["i_a1"] = &sta.Timing{Rise: wide, Fall: wide, SlewRise: slew, SlewFall: slew}
 	for _, mode := range []Mode{ModeNoiseWindows, ModeTimingWindows, ModeAllAggressors} {
-		// The assumed edge is no slower than any real one, so the comparison
-		// is about the window alone.
-		opts := Options{Mode: mode, STA: sta.Options{InputTiming: inputs}, DefaultAggSlew: units.Pico, FailSoft: true}
+		// The assumed edge (defaultAggSlew, 20 ps) is no slower than the
+		// inputs' real 20 ps ones, so the comparison is about the window alone.
+		opts := Options{Mode: mode, STA: sta.Options{InputTiming: inputs}, FailSoft: true}
 		present := analyze(t, busFixture(t, 2, cx, cg), opts)
 		missing := analyze(t, busFixture(t, 2, cx, cg, "a1"), opts)
 		for _, k := range Kinds {

@@ -49,7 +49,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -57,6 +56,7 @@ import (
 
 	"repro/internal/fairq"
 	"repro/internal/report"
+	"repro/internal/units"
 	"repro/internal/wal"
 )
 
@@ -125,16 +125,14 @@ type SweepPoint struct {
 }
 
 // CheckValues holds window padding (seconds) and sweep thresholds to the
-// one rule they share, finite and >= 0; a NaN or an Inf would reach the
-// engine, or fail to encode as JSON. With several bad padding entries it
-// names the alphabetically first net, so the message never depends on map
-// order. It is the check every entry point applies: a job spec, a
-// reanalyze request, and the snad flags that build them.
+// one rule they share, units.FiniteNonNeg. With several bad padding
+// entries it names the alphabetically first net, so the message never
+// depends on map order. It is the check every entry point applies: a job
+// spec, a reanalyze request, and the snad flags that build them.
 func CheckValues(padding map[string]float64, sweep []SweepPoint) error {
-	bad := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
 	first, found := "", false
 	for net, pad := range padding {
-		if bad(pad) && (!found || net < first) {
+		if !units.FiniteNonNeg(pad) && (!found || net < first) {
 			first, found = net, true
 		}
 	}
@@ -142,7 +140,7 @@ func CheckValues(padding map[string]float64, sweep []SweepPoint) error {
 		return fmt.Errorf("bad padding %v for net %q (want finite seconds >= 0)", padding[first], first)
 	}
 	for i, pt := range sweep {
-		if bad(pt.Threshold) {
+		if !units.FiniteNonNeg(pt.Threshold) {
 			return fmt.Errorf("bad threshold %v in sweep point %d (want finite >= 0)", pt.Threshold, i)
 		}
 	}

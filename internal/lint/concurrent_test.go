@@ -18,11 +18,7 @@ func runSerial(in *Input, cfg Config) *Result {
 		if cfg.Suppress[rule.ID()] {
 			continue
 		}
-		sev := rule.Severity()
-		if over, ok := cfg.Severity[rule.ID()]; ok {
-			sev = over
-		}
-		rule.Check(in, &Reporter{rule: rule.ID(), sev: sev, cfg: &cfg, out: res})
+		rule.Check(in, &Reporter{rule: rule.ID(), sev: rule.Severity(), cfg: &cfg, out: res})
 	}
 	sort.SliceStable(res.Diags, func(i, j int) bool {
 		a, b := res.Diags[i], res.Diags[j]
@@ -48,7 +44,7 @@ func TestRunMatchesSerial(t *testing.T) {
 	specs := append([]string{"", "all"}, workload.DefectNames()...)
 	cfgs := []Config{
 		{},
-		{Werror: true, Suppress: map[string]bool{"SPF002": true}, Severity: map[string]Severity{"NL001": Warn}},
+		{Werror: true, Suppress: map[string]bool{"SPF002": true}},
 	}
 	for _, spec := range specs {
 		g, err := workload.Bus(workload.BusSpec{Bits: 48, Segs: 3})

@@ -8,9 +8,9 @@
 //
 // Each check is a Rule with a stable ID (NL001, SPF002, ...). Rules report
 // Diagnostics carrying a severity, the offending design-object path, and a
-// fix hint. Run applies a Config (per-rule suppression, severity
-// overrides, warnings-as-errors) and returns a deterministic, sorted
-// Result that cmd/sna renders through internal/report.
+// fix hint. Run applies a Config (per-rule suppression,
+// warnings-as-errors) and returns a deterministic, sorted Result that
+// cmd/sna renders through internal/report.
 package lint
 
 import (
@@ -96,8 +96,6 @@ type Input struct {
 type Config struct {
 	// Suppress disables rules by ID.
 	Suppress map[string]bool
-	// Severity overrides a rule's default severity by ID.
-	Severity map[string]Severity
 	// Werror escalates every warning to an error.
 	Werror bool
 }
@@ -176,12 +174,12 @@ func (r *Result) Has(id string) bool { return len(r.ByRule(id)) > 0 }
 // run's severity policy.
 type Reporter struct {
 	rule string
-	sev  Severity // effective default severity for this rule
+	sev  Severity // the rule's severity
 	cfg  *Config
 	out  *Result
 }
 
-// Report records a finding at the rule's (possibly overridden) severity.
+// Report records a finding at the rule's severity.
 func (rep *Reporter) Report(object, msg, hint string) {
 	rep.ReportAt(rep.sev, object, msg, hint)
 }
@@ -243,15 +241,11 @@ func Run(in *Input, cfg Config) *Result {
 	panics := make([]any, len(rules))
 	var wg sync.WaitGroup
 	for i, rule := range rules {
-		sev := rule.Severity()
-		if over, ok := cfg.Severity[rule.ID()]; ok {
-			sev = over
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { panics[i] = recover() }()
-			rule.Check(in, &Reporter{rule: rule.ID(), sev: sev, cfg: &cfg, out: &parts[i]})
+			rule.Check(in, &Reporter{rule: rule.ID(), sev: rule.Severity(), cfg: &cfg, out: &parts[i]})
 		}()
 	}
 	wg.Wait()

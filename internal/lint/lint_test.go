@@ -242,22 +242,6 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
-func TestSeverityOverride(t *testing.T) {
-	g := genBus(t)
-	d, _ := workload.ParseDefects("multi-driven")
-	if err := g.Inject(d); err != nil {
-		t.Fatal(err)
-	}
-	res := lintWorkload(t, g, nil, lint.Config{Severity: map[string]lint.Severity{"NL001": lint.Info}})
-	diags := res.ByRule("NL001")
-	if len(diags) == 0 || diags[0].Sev != lint.Info {
-		t.Fatalf("severity override not applied: %+v", diags)
-	}
-	if res.HasErrors() {
-		t.Fatalf("demoted finding still counts as error: %+v", res.Diags)
-	}
-}
-
 func TestWerror(t *testing.T) {
 	g := genBus(t)
 	d, _ := workload.ParseDefects("quiet-input")

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/report"
+	"repro/internal/units"
 )
 
 // gated runs fn holding a worker slot of the admission gate and under the
@@ -50,6 +51,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 		var req CreateSessionRequest
 		if err := decodeBody(r.Body, &req); err != nil {
 			return err
+		}
+		if th := req.Options.Threshold; !units.FiniteNonNeg(th) {
+			return badRequest(fmt.Errorf("bad threshold %v (want finite >= 0)", th), "")
 		}
 		design := req.design()
 		ss, err := s.buildSession(ctx, req.Name, design, keysOf(design))

@@ -259,6 +259,18 @@ func TestServerBadRequests(t *testing.T) {
 	if !strings.Contains(ei.Message, "line") {
 		t.Fatalf("parser error without line number: %q", ei.Message)
 	}
+	// A negative threshold is refused before the session exists, by the
+	// rule a sweep point's threshold is held to.
+	resp, data = do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "neg", 4, shard.OptionsSpec{Threshold: -1}))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative threshold: status %d: %s", resp.StatusCode, data)
+	}
+	if ei := wantErrKind(t, data, "bad_request"); !strings.Contains(ei.Message, "bad threshold") {
+		t.Fatalf("negative threshold: refused for another reason: %q", ei.Message)
+	}
+	if resp, _ = do(t, "GET", ts.URL+"/v1/sessions/neg", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused create left a session: status %d", resp.StatusCode)
+	}
 	// Bad padding values.
 	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	resp, data = do(t, "POST", ts.URL+"/v1/sessions/bus/reanalyze",

@@ -19,11 +19,11 @@ import (
 // workers (Run) or in this process (RunLocal).
 type Config struct {
 	// B is the bound design. The coordinator uses it only to derive the
-	// shard plan and the effective supply voltage; the analysis itself runs
+	// shard plan and the library's supply voltage; the analysis itself runs
 	// on the workers.
 	B *bind.Design
 	// Opts are the analysis options, shared verbatim with every engine and
-	// with the loop driver (MaxIter, NoPropagation, RoundBudget).
+	// with the loop driver (NoPropagation ends a round after one pass).
 	Opts core.Options
 	// Workers are the execution backends. Shards are assigned round-robin
 	// and reassigned to surviving workers when one is lost.
@@ -212,7 +212,7 @@ func newRun(ctx context.Context, cfg Config) (*run, error) {
 		pending:   make([][]int32, asn.Shards),
 		ledger:    make(map[string]OpStat),
 	}
-	r.frEvent, r.frComb = core.FullRail(core.EffectiveVdd(cfg.B, cfg.Opts))
+	r.frEvent, r.frComb = core.FullRail(cfg.B.Lib.Vdd)
 	for s := range r.hosts {
 		r.hosts[s] = s % len(cfg.Workers)
 	}

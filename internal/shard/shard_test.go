@@ -488,7 +488,7 @@ func TestAllWorkersLost(t *testing.T) {
 	if !got.Degraded || len(got.AbandonedShards) == 0 {
 		t.Fatalf("expected a degraded outcome, got %+v", got)
 	}
-	vdd := core.EffectiveVdd(b, opts)
+	vdd := b.Lib.Vdd
 	for net, nn := range got.Noise.Nets {
 		if nn.WorstPeak() != vdd {
 			t.Errorf("net %s peak %g, want full-rail %g", net, nn.WorstPeak(), vdd)

@@ -172,7 +172,7 @@ func TestUpdatePaddingFeedbackFallsBackToFullRun(t *testing.T) {
 		return nil
 	})
 	padding := make([]float64, b.Net.NumNets())
-	opts := Options{WindowPadding: padding, MaxLoopIter: 4}
+	opts := Options{WindowPadding: padding}
 	res, err := Run(b, opts)
 	if err != nil {
 		t.Fatal(err)

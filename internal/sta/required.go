@@ -48,7 +48,7 @@ func (res *Result) computeRequired(opts *Options) error {
 					continue
 				}
 				in := res.TimingOfPin(ic)
-				slew := opts.DefaultInputSlew
+				slew := defaultInputSlew
 				if s := in.SlewRise.union(in.SlewFall); s.valid() {
 					slew = s.Max
 				}

@@ -123,18 +123,9 @@ func (t *Timing) equalWithin(o *Timing, tol float64) bool {
 
 // Options tunes an analysis run.
 type Options struct {
-	// DefaultInputWindow is the arrival window assumed for primary inputs
-	// without an explicit constraint. The zero value means [0,0]: inputs
-	// switch exactly at t=0.
-	DefaultInputWindow interval.Window
-	// DefaultInputSlew is the transition time assumed at primary inputs
-	// (default 20 ps).
-	DefaultInputSlew float64
-	// InputTiming overrides timing per input port name.
+	// InputTiming is the timing of the input ports by name. An input it
+	// does not name switches exactly at t = 0 with defaultInputSlew.
 	InputTiming map[string]*Timing
-	// MaxLoopIter bounds the fixpoint iteration over combinational loops
-	// before giving up and assigning infinite windows (default 32).
-	MaxLoopIter int
 	// EarlyDerate and LateDerate scale every gate and wire delay at the
 	// early (minimum) and late (maximum) edge respectively, the standard
 	// OCV-style corner treatment: EarlyDerate ≤ 1 ≤ LateDerate widens
@@ -152,13 +143,15 @@ type Options struct {
 	WindowPadding []float64
 }
 
+// defaultInputSlew is the transition time assumed at an input port without
+// timing, and at a pin whose input carries no slew; maxLoopIter bounds the
+// fixpoint over combinational loops before their nets get infinite windows.
+const (
+	defaultInputSlew = 20 * units.Pico
+	maxLoopIter      = 32
+)
+
 func (o *Options) fill() {
-	if o.DefaultInputSlew <= 0 {
-		o.DefaultInputSlew = 20 * units.Pico
-	}
-	if o.MaxLoopIter <= 0 {
-		o.MaxLoopIter = 32
-	}
 	if o.EarlyDerate <= 0 {
 		o.EarlyDerate = 1
 	}
@@ -265,10 +258,10 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 	}
 	res.pins, res.hasPin = make([]Timing, loads), make([]bool, loads)
 
-	// Seed primary inputs.
+	// Seed primary inputs; one without timing switches at t = 0.
 	ports := b.Net.Ports()
-	dw := interval.NewSet(opts.DefaultInputWindow)
-	ds := Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew}
+	dw := interval.SetOf(0, 0)
+	ds := Range{Min: defaultInputSlew, Max: defaultInputSlew}
 	err := par.For(ctx, len(ports), workers, parallelBelow, func(i int) error {
 		p := b.Net.Port(ports[i])
 		if p.Dir != netlist.In {
@@ -301,7 +294,7 @@ func RunCtx(ctx context.Context, b *bind.Design, opts Options, workers int) (*Re
 	if len(lev.Feedback) > 0 {
 		converged := false
 		var before []Timing
-		for iter := 0; iter < opts.MaxLoopIter; iter++ {
+		for iter := 0; iter < maxLoopIter; iter++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -399,7 +392,7 @@ func (res *Result) evalInst(inst netlist.InstID, opts *Options) error {
 				}
 				slew := in.Slew(inRise)
 				if !slew.valid() {
-					slew = Range{Min: opts.DefaultInputSlew, Max: opts.DefaultInputSlew}
+					slew = Range{Min: defaultInputSlew, Max: defaultInputSlew}
 				}
 				dirs, n := outDirections(arc.Unate, inRise)
 				for _, outRise := range dirs[:n] {

@@ -98,7 +98,9 @@ func TestChainWindowsMatchTables(t *testing.T) {
 func TestInputWindowSpreadPropagates(t *testing.T) {
 	b := mustDesign(t, chain2)
 	w := interval.New(0, 100*units.Pico)
-	res, err := Run(b, Options{DefaultInputWindow: w})
+	slew := Range{Min: defaultInputSlew, Max: defaultInputSlew}
+	in := &Timing{Rise: interval.NewSet(w), Fall: interval.NewSet(w), SlewRise: slew, SlewFall: slew}
+	res, err := Run(b, Options{InputTiming: map[string]*Timing{"in": in}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +210,7 @@ func TestLoopGetsInfiniteWindows(t *testing.T) {
 		}
 		return nil
 	})
-	res, err := Run(b, Options{MaxLoopIter: 4})
+	res, err := Run(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

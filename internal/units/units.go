@@ -58,3 +58,9 @@ func RelErr(a, b, floor float64) float64 {
 	}
 	return math.Abs(a-b) / den
 }
+
+// FiniteNonNeg reports whether v is finite and >= 0 — the one rule a
+// window padding, a filter threshold and a clock period are held to. NaN
+// fails it, and so does +Inf, which would reach the engine or fail to
+// encode as JSON.
+func FiniteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }

@@ -2,7 +2,7 @@
 // each gate fails. The decoys in comments and strings must not count:
 // map[string]int, http.StatusNotFound, report.BuildJSON(res),
 // "repro/internal/chaos", sha256.Sum256(spec), Agg *netlist.Net,
-// os.Remove(path).
+// os.Remove(path), Options{Vdd: 1.1}.
 package planted
 
 import (
@@ -18,7 +18,7 @@ import (
 
 var byName map[string]int
 
-const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn filepath.Glob(dir)"
+const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn filepath.Glob(dir) opts.Vdd = 0.9"
 
 // prepare reaches for an injector from product code.
 var prepare = chaos.RuntimeFaults{Panic: []string{"*"}}.Hook()
@@ -70,4 +70,26 @@ type engine struct {
 	design    *netlist.Design
 	receivers []*netlist.Conn
 	onLevel   func(*netlist.Levelization)
+}
+
+// Options has a field nobody sets (Vdd) and one only its default sets
+// (Budget); Mode is set by a literal and Workers by an assignment.
+type Options struct {
+	Mode    int
+	Workers int
+	Budget  int
+	Vdd     float64
+}
+
+func (o *Options) fill() {
+	if o.Budget <= 0 {
+		o.Budget = 16
+	}
+}
+
+var serial = Options{Mode: 1}
+
+func parallel(o Options) Options {
+	o.Workers = 2
+	return o
 }

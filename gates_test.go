@@ -1,30 +1,136 @@
 package repro
 
 import (
+	"bytes"
+	"cmp"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
-// The source gates hold design rules of this tree on its syntax (and, for
-// what a marshalled value holds, its types), so comments and strings never
-// count. Each gate runs over the real files, which must pass, and over
-// testdata/gates/planted.go, which must fail it: a gate that cannot fail
-// proves nothing.
+// The source gates hold design rules of this tree on its syntax and types,
+// so comments and strings never count. Each gate runs over the real files,
+// which must pass, and over a planted case under testdata/gates, which must
+// fail it: a gate that cannot fail proves nothing.
 
-// planted breaks every gate once (and carries decoys in a comment and a
-// string that must not count).
+// planted breaks every gate but the analyzers' once (and carries decoys in
+// a comment and a string that must not count); each analyzer's planted
+// cases are its golden package, testdata/gates/<analyzer>, which
+// internal/analysis's tests check.
 const planted = "testdata/gates/planted.go"
+
+// source is the module as every gate reads it, loaded once per test binary
+// (loadSource) by analysis.Load: one go list -export -deps ./... names each
+// package's files and the gc export data of everything the module imports,
+// and each package's non-test files are parsed with comments and
+// type-checked once against that export data — benchmark/, cmd/ and
+// examples/ included. The planted file is loaded the same way.
+type source struct {
+	*analysis.Module
+	parsed  map[string]bool // every file loaded
+	planted *pkg
+}
+
+// pkg is one type-checked package.
+type pkg = analysis.Package
+
+var sourceOnce = sync.OnceValues(parseSource)
+
+func loadSource(t *testing.T) *source {
+	t.Helper()
+	src, err := sourceOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+func parseSource() (*source, error) {
+	m, err := analysis.Load(".", "./...")
+	if err != nil {
+		return nil, err
+	}
+	src := &source{Module: m, parsed: map[string]bool{}}
+	if src.planted, err = m.Check("planted", []string{planted}); err != nil {
+		return nil, err
+	}
+	for _, p := range append(slices.Clip(m.Pkgs), src.planted) {
+		for _, f := range p.Files {
+			src.parsed[src.name(f)] = true
+		}
+	}
+	return src, nil
+}
+
+// pkg returns the package in dir.
+func (s *source) pkg(t *testing.T, dir string) *pkg {
+	t.Helper()
+	for _, p := range s.Pkgs {
+		if p.Dir == dir {
+			return p
+		}
+	}
+	t.Fatalf("%s: no such package", dir)
+	return nil
+}
+
+// files returns the files at each path: a .go file, or every non-test file
+// of a package directory.
+func (s *source) files(t *testing.T, paths ...string) []*ast.File {
+	t.Helper()
+	var out []*ast.File
+	for _, path := range paths {
+		n := len(out)
+		for _, p := range s.Pkgs {
+			for _, f := range p.Files {
+				if p.Dir == path || s.name(f) == path {
+					out = append(out, f)
+				}
+			}
+		}
+		if len(out) == n {
+			t.Fatalf("%s: no Go files", path)
+		}
+	}
+	return out
+}
+
+// name is the path of f's file, relative to the module root.
+func (s *source) name(f *ast.File) string { return s.Fset.Position(f.Package).Filename }
+
+// all returns the files of every package outside the skipped directories.
+func (s *source) all(skip ...string) []*ast.File {
+	var out []*ast.File
+	for _, p := range s.Pkgs {
+		if !slices.Contains(skip, p.Dir) {
+			out = append(out, p.Files...)
+		}
+	}
+	return out
+}
+
+// hold runs a gate that tolerates nothing: find, which reports each thing
+// it finds on its own, must report exactly one thing in the planted file
+// (its decoys do not count) and nothing in files.
+func hold(t *testing.T, src *source, files []*ast.File, find func(*token.FileSet, []*ast.File) []string, what string) {
+	t.Helper()
+	if got := find(src.Fset, src.planted.Files); len(got) != 1 {
+		t.Fatalf("%s: %d %s found, want the 1 outside its decoys: %v", planted, len(got), what, got)
+	}
+	if got := find(src.Fset, files); len(got) > 0 {
+		t.Errorf("%s:\n%s", what, strings.Join(got, "\n"))
+	}
+}
 
 // nameLimits is the names-at-the-edges gate: between parse and report a
 // net is its net ID, or its evaluation-order position on the shard wire.
@@ -53,15 +159,16 @@ var nameLimits = []struct {
 }
 
 func TestGateNamesAtTheEdges(t *testing.T) {
-	if got := mapStringTypes(t, []string{planted}); len(got) != 1 {
+	src := loadSource(t)
+	if got := mapStringTypes(src.Fset, src.planted.Files); len(got) != 1 {
 		t.Fatalf("%s: %d map[string] types found, want the 1 outside its decoys: %v", planted, len(got), got)
 	}
 	for _, g := range nameLimits {
-		files := goFiles(t, g.paths...)
-		if got := mapStringTypes(t, files); len(got) > g.limit {
+		files := src.files(t, g.paths...)
+		if got := mapStringTypes(src.Fset, files); len(got) > g.limit {
 			t.Errorf("%v: %d map[string] types, limit %d:\n%s", g.paths, len(got), g.limit, strings.Join(got, "\n"))
 		}
-		if got := mapStringTypes(t, append(files, planted)); len(got) <= g.limit {
+		if got := mapStringTypes(src.Fset, append(files, src.planted.Files...)); len(got) <= g.limit {
 			t.Errorf("%v: the gate passes with %s added (%d types, limit %d); lower the limit to today's count", g.paths, planted, len(got), g.limit)
 		}
 	}
@@ -80,21 +187,14 @@ var errorStatuses = map[string]bool{
 // an error status. The one exception is not an error reply: /readyz
 // (handleReady) answers its usual body with 503 while draining.
 func TestGateOneExit(t *testing.T) {
-	var files []string
-	for _, f := range goFiles(t, "internal/server") {
-		if filepath.Base(f) != "wire.go" {
+	src := loadSource(t)
+	var files []*ast.File
+	for _, f := range src.pkg(t, "internal/server").Files {
+		if filepath.Base(src.name(f)) != "wire.go" {
 			files = append(files, f)
 		}
 	}
-	if got := errorStatusUses(t, []string{planted}); len(got) != 1 {
-		t.Fatalf("%s: %d error statuses found, want the 1 outside its decoys: %v", planted, len(got), got)
-	}
-	if got := errorStatusUses(t, files); len(got) > 0 {
-		t.Errorf("error statuses chosen outside wire.go:\n%s", strings.Join(got, "\n"))
-	}
-	if got := errorStatusUses(t, append(files, planted)); len(got) == 0 {
-		t.Errorf("the gate passes with %s added", planted)
-	}
+	hold(t, src, files, errorStatusUses, "error statuses chosen outside wire.go")
 }
 
 // TestGateOneDesignHash is the one-key gate: a design spec is hashed where
@@ -103,14 +203,15 @@ func TestGateOneExit(t *testing.T) {
 // both the design key and the run key; everything after carries them. So
 // exactly one function of non-test internal/server calls crypto/sha256.
 func TestGateOneDesignHash(t *testing.T) {
-	if got := sha256Callers(t, []string{planted}); len(got) != 1 {
+	src := loadSource(t)
+	if got := sha256Callers(src.Fset, src.planted.Files); len(got) != 1 {
 		t.Fatalf("%s: %d functions calling sha256 found, want the 1 outside its decoys: %v", planted, len(got), got)
 	}
-	files := goFiles(t, "internal/server")
-	if got := sha256Callers(t, files); len(got) != 1 {
+	files := src.pkg(t, "internal/server").Files
+	if got := sha256Callers(src.Fset, files); len(got) != 1 {
 		t.Errorf("internal/server: %d functions call sha256, want exactly 1 (keysOf): %v", len(got), got)
 	}
-	if got := sha256Callers(t, append(files, planted)); len(got) == 1 {
+	if got := sha256Callers(src.Fset, append(slices.Clip(files), src.planted.Files...)); len(got) == 1 {
 		t.Errorf("the gate passes with %s added", planted)
 	}
 }
@@ -128,22 +229,15 @@ var fileWrites = map[string][]string{
 // So no non-test file of internal/server, internal/jobs or internal/shard
 // writes, renames, removes or lists a file of its own.
 func TestGateStateIsJournaled(t *testing.T) {
-	if got := fileWriteCalls(t, []string{planted}); len(got) != 1 {
-		t.Fatalf("%s: %d file writes found, want the 1 outside its decoys: %v", planted, len(got), got)
-	}
-	files := goFiles(t, "internal/server", "internal/jobs", "internal/shard")
-	if got := fileWriteCalls(t, files); len(got) > 0 {
-		t.Errorf("the service writes files beside its journals:\n%s", strings.Join(got, "\n"))
-	}
-	if got := fileWriteCalls(t, append(files, planted)); len(got) == 0 {
-		t.Errorf("the gate passes with %s added", planted)
-	}
+	src := loadSource(t)
+	files := src.files(t, "internal/server", "internal/jobs", "internal/shard")
+	hold(t, src, files, fileWriteCalls, "file writes beside the service's journals")
 }
 
 // fileWriteCalls returns the position of every call in fileWrites.
-func fileWriteCalls(t *testing.T, files []string) []string {
+func fileWriteCalls(fset *token.FileSet, files []*ast.File) []string {
 	var out []string
-	inspect(t, files, func(fset *token.FileSet, _ string, n ast.Node) {
+	inspect(files, func(_ string, n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
@@ -161,10 +255,10 @@ func fileWriteCalls(t *testing.T, files []string) []string {
 
 // sha256Callers returns each function (by name and position) that calls
 // into crypto/sha256.
-func sha256Callers(t *testing.T, files []string) []string {
+func sha256Callers(fset *token.FileSet, files []*ast.File) []string {
 	seen := map[string]bool{}
 	var out []string
-	inspect(t, files, func(fset *token.FileSet, fn string, n ast.Node) {
+	inspect(files, func(fn string, n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
@@ -184,39 +278,10 @@ func sha256Callers(t *testing.T, files []string) []string {
 	return out
 }
 
-// goFiles expands each path, a .go file or a package directory, to its
-// non-test Go files.
-func goFiles(t *testing.T, paths ...string) []string {
-	t.Helper()
-	var out []string
-	for _, p := range paths {
-		if strings.HasSuffix(p, ".go") {
-			out = append(out, p)
-			continue
-		}
-		m, err := filepath.Glob(filepath.Join(p, "*.go"))
-		if err != nil || len(m) == 0 {
-			t.Fatalf("%s: no Go files (%v)", p, err)
-		}
-		for _, f := range m {
-			if !strings.HasSuffix(f, "_test.go") {
-				out = append(out, f)
-			}
-		}
-	}
-	return out
-}
-
-// inspect parses each file and walks its syntax tree, passing the
-// enclosing function's name (empty at top level) with every node.
-func inspect(t *testing.T, files []string, visit func(fset *token.FileSet, fn string, n ast.Node)) {
-	t.Helper()
-	fset := token.NewFileSet()
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+// inspect walks each file's syntax tree, passing the enclosing function's
+// name (empty at top level) with every node.
+func inspect(files []*ast.File, visit func(fn string, n ast.Node)) {
+	for _, f := range files {
 		for _, d := range f.Decls {
 			fn := ""
 			if fd, ok := d.(*ast.FuncDecl); ok {
@@ -224,7 +289,7 @@ func inspect(t *testing.T, files []string, visit func(fset *token.FileSet, fn st
 			}
 			ast.Inspect(d, func(n ast.Node) bool {
 				if n != nil {
-					visit(fset, fn, n)
+					visit(fn, n)
 				}
 				return true
 			})
@@ -233,9 +298,9 @@ func inspect(t *testing.T, files []string, visit func(fset *token.FileSet, fn st
 }
 
 // mapStringTypes returns the position of every map type keyed by string.
-func mapStringTypes(t *testing.T, files []string) []string {
+func mapStringTypes(fset *token.FileSet, files []*ast.File) []string {
 	var out []string
-	inspect(t, files, func(fset *token.FileSet, _ string, n ast.Node) {
+	inspect(files, func(_ string, n ast.Node) {
 		if m, ok := n.(*ast.MapType); ok {
 			if k, ok := m.Key.(*ast.Ident); ok && k.Name == "string" {
 				out = append(out, fset.Position(m.Pos()).String())
@@ -247,9 +312,9 @@ func mapStringTypes(t *testing.T, files []string) []string {
 
 // errorStatusUses returns the position of every http.Status… selector
 // naming an error status, except handleReady's 503.
-func errorStatusUses(t *testing.T, files []string) []string {
+func errorStatusUses(fset *token.FileSet, files []*ast.File) []string {
 	var out []string
-	inspect(t, files, func(fset *token.FileSet, fn string, n ast.Node) {
+	inspect(files, func(fn string, n ast.Node) {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok || !errorStatuses[sel.Sel.Name] {
 			return
@@ -275,66 +340,24 @@ func errorStatusUses(t *testing.T, files []string) []string {
 // never hands encoding/json a value that holds one (a json.RawMessage)
 // unless it cleared that member first.
 func TestGateOneWritePath(t *testing.T) {
-	if got := buildJSONCalls(t, []string{planted}); len(got) != 1 {
-		t.Fatalf("%s: %d BuildJSON calls found, want the 1 outside its decoys: %v", planted, len(got), got)
-	}
-	files := treeGoFiles(t, "benchmark")
-	if got := buildJSONCalls(t, files); len(got) > 0 {
-		t.Errorf("the schema tree is built outside tests and benchmark/:\n%s", strings.Join(got, "\n"))
-	}
-	if got := buildJSONCalls(t, append(files, planted)); len(got) == 0 {
-		t.Errorf("the BuildJSON gate passes with %s added", planted)
-	}
+	src := loadSource(t)
+	hold(t, src, src.all("benchmark"), buildJSONCalls, "schema-tree builds outside tests and benchmark/")
 
-	// planted.go imports internal/chaos too, for the test-seam gate.
-	exports := exportData(t, "./internal/server", "./internal/jobs", "./internal/chaos")
-	if got := marshalsStored(t, exports, []string{planted}); len(got) != 1 {
+	if got := marshalsStored(src.Fset, src.planted); len(got) != 1 {
 		t.Fatalf("%s: %d marshals of a stored result found, want the 1 outside its decoy: %v", planted, len(got), got)
 	}
 	for _, dir := range []string{"internal/server", "internal/jobs"} {
-		if got := marshalsStored(t, exports, goFiles(t, dir)); len(got) > 0 {
+		if got := marshalsStored(src.Fset, src.pkg(t, dir)); len(got) > 0 {
 			t.Errorf("%s marshals a stored job result:\n%s", dir, strings.Join(got, "\n"))
 		}
 	}
 }
 
-// treeGoFiles lists the module's non-test Go files outside testdata,
-// hidden directories and the top-level directories named in skip.
-func treeGoFiles(t *testing.T, skip ...string) []string {
-	t.Helper()
-	var out []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (slices.Contains(skip, path) || name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			out = append(out, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // buildJSONCalls returns the position of every call of report.BuildJSON or
 // BuildDelayJSON (unqualified inside package report).
-func buildJSONCalls(t *testing.T, files []string) []string {
+func buildJSONCalls(fset *token.FileSet, files []*ast.File) []string {
 	var out []string
-	fset := token.NewFileSet()
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -371,52 +394,35 @@ var testSeams = []string{"repro/internal/chaos", "repro/internal/workload"}
 // seams tests set. The dependency half is shown to fail on netgen, which
 // links the generator by design.
 func TestGateTestSeamsStayInTests(t *testing.T) {
-	if got := linkedSeams(t, "./cmd/netgen"); len(got) == 0 {
-		t.Fatalf("./cmd/netgen: no test seam found among its dependencies; the dependency check cannot fail")
+	src := loadSource(t)
+	if got := linkedSeams(src.pkg(t, "cmd/netgen")); len(got) == 0 {
+		t.Fatalf("cmd/netgen: no test seam found among its dependencies; the dependency check cannot fail")
 	}
-	if got := linkedSeams(t, "./cmd/sna", "./cmd/snad"); len(got) > 0 {
+	if got := linkedSeams(src.pkg(t, "cmd/sna"), src.pkg(t, "cmd/snad")); len(got) > 0 {
 		t.Errorf("the shipped binaries link test seams: %v", got)
 	}
 
-	if got := chaosImports(t, []string{planted}); len(got) != 1 {
-		t.Fatalf("%s: %d imports of internal/chaos found, want 1: %v", planted, len(got), got)
-	}
-	files := treeGoFiles(t)
-	if got := chaosImports(t, files); len(got) > 0 {
-		t.Errorf("non-test files import internal/chaos:\n%s", strings.Join(got, "\n"))
-	}
-	if got := chaosImports(t, append(files, planted)); len(got) == 0 {
-		t.Errorf("the import gate passes with %s added", planted)
-	}
+	hold(t, src, src.all(), chaosImports, "imports of internal/chaos by non-test files")
 }
 
 // linkedSeams returns the test seams among the given packages'
 // dependencies.
-func linkedSeams(t *testing.T, pkgs ...string) []string {
-	t.Helper()
-	out, err := exec.Command("go", append([]string{"list", "-deps"}, pkgs...)...).Output()
-	if err != nil {
-		t.Fatalf("go list -deps %v: %v", pkgs, err)
-	}
+func linkedSeams(pkgs ...*pkg) []string {
 	var got []string
-	for _, dep := range strings.Fields(string(out)) {
-		if slices.Contains(testSeams, dep) {
-			got = append(got, dep)
+	for _, p := range pkgs {
+		for _, dep := range p.Deps {
+			if slices.Contains(testSeams, dep) {
+				got = append(got, dep)
+			}
 		}
 	}
 	return got
 }
 
 // chaosImports returns the position of every import of internal/chaos.
-func chaosImports(t *testing.T, files []string) []string {
-	t.Helper()
+func chaosImports(fset *token.FileSet, files []*ast.File) []string {
 	var out []string
-	fset := token.NewFileSet()
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range files {
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"repro/internal/chaos"` {
 				out = append(out, fset.Position(imp.Pos()).String())
@@ -426,31 +432,14 @@ func chaosImports(t *testing.T, files []string) []string {
 	return out
 }
 
-// exportData maps each package the given ones import, directly or not, to
-// the export data go list compiles for it.
-func exportData(t *testing.T, pkgs ...string) map[string]string {
-	t.Helper()
-	out, err := exec.Command("go", append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}, pkgs...)...).Output()
-	if err != nil {
-		t.Fatalf("go list -export: %v", err)
-	}
-	m := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		path, file, _ := strings.Cut(line, "=")
-		m[path] = file
-	}
-	return m
-}
-
-// marshalsStored type-checks files, one package, and returns the position
-// of every json.Marshal, json.MarshalIndent, Encoder.Encode or writeJSON
-// whose value holds a json.RawMessage in a member the function did not set
-// to nil on that variable first.
-func marshalsStored(t *testing.T, exports map[string]string, files []string) []string {
-	t.Helper()
-	fset, parsed, _, info := typeCheck(t, exports, files)
+// marshalsStored returns the position of every json.Marshal,
+// json.MarshalIndent, Encoder.Encode or writeJSON of a package whose value
+// holds a json.RawMessage in a member the function did not set to nil on
+// that variable first.
+func marshalsStored(fset *token.FileSet, p *pkg) []string {
+	info := p.Info
 	var out []string
-	for _, f := range parsed {
+	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -507,30 +496,6 @@ func marshalsStored(t *testing.T, exports map[string]string, files []string) []s
 	return out
 }
 
-// typeCheck parses files, one package, and type-checks them against the
-// export data of the packages they import.
-func typeCheck(t *testing.T, exports map[string]string, files []string) (*token.FileSet, []*ast.File, *types.Package, *types.Info) {
-	t.Helper()
-	fset := token.NewFileSet()
-	var parsed []*ast.File
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parsed = append(parsed, f)
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
-	pkg, err := conf.Check(parsed[0].Name.Name, fset, parsed, info)
-	if err != nil {
-		t.Fatalf("type-checking %v: %v", files, err)
-	}
-	return fset, parsed, pkg, info
-}
-
 // TestGateDesignHoldsNoPointers is the pointer-free design gate: the
 // design database is resident from the first parsed line to the last
 // victim, so nothing it stores may be something the collector traces.
@@ -541,37 +506,28 @@ func typeCheck(t *testing.T, exports map[string]string, files []string) (*token.
 // slice element of non-test core, sta, noise or bind is a pointer into the
 // netlist (the *netlist.Design they analyze aside).
 func TestGateDesignHoldsNoPointers(t *testing.T) {
-	exports := exportData(t, "./internal/netlist", "./internal/server", "./internal/jobs", "./internal/chaos")
-	if got := pointerElements(t, exports, []string{planted}); len(got) != 1 {
+	src := loadSource(t)
+	if got := pointerElements(t, src.planted); len(got) != 1 {
 		t.Fatalf("%s: %d pointer-bearing design elements found, want the 1 outside its decoys: %v", planted, len(got), got)
 	}
-	if got := pointerElements(t, exports, goFiles(t, "internal/netlist")); len(got) > 0 {
+	if got := pointerElements(t, src.pkg(t, "internal/netlist")); len(got) > 0 {
 		t.Errorf("the design stores elements the collector must scan:\n%s", strings.Join(got, "\n"))
 	}
 
-	if got := netlistPointers(t, []string{planted}); len(got) != 1 {
-		t.Fatalf("%s: %d pointers into the netlist found, want the 1 outside its decoys: %v", planted, len(got), got)
-	}
-	files := goFiles(t, "internal/core", "internal/sta", "internal/noise", "internal/bind")
-	if got := netlistPointers(t, files); len(got) > 0 {
-		t.Errorf("the engines store pointers into the netlist:\n%s", strings.Join(got, "\n"))
-	}
-	if got := netlistPointers(t, append(files, planted)); len(got) == 0 {
-		t.Errorf("the netlist-pointer gate passes with %s added", planted)
-	}
+	files := src.files(t, "internal/core", "internal/sta", "internal/noise", "internal/bind")
+	hold(t, src, files, netlistPointers, "pointers into the netlist stored by the engines")
 }
 
-// pointerElements type-checks files, one package, and names every table
-// element reachable from its Design type that holds a pointer. A table is
+// pointerElements names every table element reachable from a package's
+// Design type that holds a pointer. A table is
 // any slice reached through Design's fields, pointers and nested structs;
 // its element is what remains after peeling nested slices (a chunk
 // directory of chunks of records has the record as its element).
-func pointerElements(t *testing.T, exports map[string]string, files []string) []string {
+func pointerElements(t *testing.T, p *pkg) []string {
 	t.Helper()
-	_, _, pkg, _ := typeCheck(t, exports, files)
-	design := pkg.Scope().Lookup("Design")
+	design := p.Types.Scope().Lookup("Design")
 	if design == nil {
-		t.Fatalf("%v: no Design type", files)
+		t.Fatalf("%s: no Design type", p.Dir)
 	}
 	var out []string
 	seen := map[types.Type]bool{}
@@ -624,7 +580,7 @@ func holdsPointer(typ types.Type) bool {
 // netlistPointers returns the position of every *netlist.X other than
 // *netlist.Design that is a struct field's type, part of one (a func
 // field's signature aside), or a slice's element.
-func netlistPointers(t *testing.T, files []string) []string {
+func netlistPointers(fset *token.FileSet, files []*ast.File) []string {
 	found := map[string]bool{}
 	var out []string
 	note := func(fset *token.FileSet, e ast.Expr) {
@@ -643,7 +599,7 @@ func netlistPointers(t *testing.T, files []string) []string {
 			}
 		}
 	}
-	inspect(t, files, func(fset *token.FileSet, _ string, n ast.Node) {
+	inspect(files, func(_ string, n ast.Node) {
 		switch n := n.(type) {
 		case *ast.ArrayType:
 			note(fset, n.Elt)
@@ -748,43 +704,28 @@ var optionTypes = []string{"core.Options", "sta.Options", "lint.Config"}
 // by type. A fill method's default is not a write: a field that only its
 // default sets has one value in use and is a constant.
 func TestGateOptionsAreSet(t *testing.T) {
-	exports := exportData(t, "./...")
+	src := loadSource(t)
 	want := []string{"planted.Options.Budget", "planted.Options.Vdd"}
-	if got := unsetOptions(t, exports, [][]string{{planted}}, []string{"planted.Options"}); !slices.Equal(got, want) {
+	if got := unsetOptions(t, []*pkg{src.planted}, []string{"planted.Options"}); !slices.Equal(got, want) {
 		t.Fatalf("%s: unset option fields %v, want %v (the ones outside its decoys)", planted, got, want)
 	}
-	out, err := exec.Command("go", "list", "-f", `{{.Dir}}{{range .GoFiles}} {{.}}{{end}}`, "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	var pkgs [][]string
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		f := strings.Fields(line)
-		var files []string
-		for _, name := range f[1:] {
-			files = append(files, filepath.Join(f[0], name))
-		}
-		if len(files) > 0 {
-			pkgs = append(pkgs, files)
-		}
-	}
-	if got := unsetOptions(t, exports, pkgs, optionTypes); len(got) > 0 {
+	if got := unsetOptions(t, src.Pkgs, optionTypes); len(got) > 0 {
 		t.Errorf("option fields no non-test code sets (make each a constant, or delete it):\n%s", strings.Join(got, "\n"))
 	}
 }
 
-// unsetOptions type-checks each package, given as its files, and returns
-// the exported fields of the named option types ("pkg.Type") that no file
-// writes, sorted. Every named type must be declared by one of the packages.
-func unsetOptions(t *testing.T, exports map[string]string, pkgs [][]string, typeNames []string) []string {
+// unsetOptions returns the exported fields of the named option types
+// ("pkg.Type") that no file of the packages writes, sorted. Every named
+// type must be declared by one of the packages.
+func unsetOptions(t *testing.T, pkgs []*pkg, typeNames []string) []string {
 	t.Helper()
 	var fields []string
 	written := map[string]bool{}
-	for _, files := range pkgs {
-		_, parsed, pkg, info := typeCheck(t, exports, files)
+	for _, p := range pkgs {
+		info := p.Info
 		for _, name := range typeNames {
-			if pkgName, typ, _ := strings.Cut(name, "."); pkgName == pkg.Name() {
-				st := pkg.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+			if pkgName, typ, _ := strings.Cut(name, "."); pkgName == p.Types.Name() {
+				st := p.Types.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
 				for i := 0; i < st.NumFields(); i++ {
 					if f := st.Field(i); f.Exported() {
 						fields = append(fields, name+"."+f.Name())
@@ -792,7 +733,7 @@ func unsetOptions(t *testing.T, exports map[string]string, pkgs [][]string, type
 				}
 			}
 		}
-		for _, f := range parsed {
+		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "fill" {
 					continue
@@ -847,4 +788,114 @@ func namedType(typ types.Type) string {
 		return n.Obj().Pkg().Name() + "." + n.Obj().Name()
 	}
 	return ""
+}
+
+// analyzers are internal/analysis's five rules, each a past incident turned
+// into a check (DESIGN.md §9).
+var analyzers = []*analysis.Analyzer{analysis.AckOrder, analysis.CtxLoop, analysis.DeferRelease, analysis.MapDeterm, analysis.NaNGuard}
+
+// TestGateAnalyzers holds the five analyzers on every package of the tree:
+// nothing is reported that a reasoned //snavet: waiver does not cover, and
+// no waiver is unknown, unreasoned or unused. Each waiver key must report
+// on the real tree once one of its waivers there is dropped from the syntax
+// in memory. The analyzers' golden cases, testdata/gates/<analyzer>, are
+// internal/analysis's own tests, as is ackorder's probe of the real
+// handlers (the tree never waives ackorder).
+func TestGateAnalyzers(t *testing.T) {
+	src := loadSource(t)
+	for _, p := range src.Pkgs {
+		for _, d := range src.analyze(p, p.Files, analyzers...) {
+			t.Errorf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
+		}
+	}
+	for _, a := range analyzers {
+		if a == analysis.AckOrder {
+			continue
+		}
+		t.Run(a.Name, func(t *testing.T) {
+			p, files, waiver := src.dropWaiver(t, a.DirectiveName())
+			if !slices.ContainsFunc(src.analyze(p, files, analyzers...), func(d analysis.Diagnostic) bool { return d.Analyzer == a.Name }) {
+				t.Errorf("%s: %s reports nothing with this waiver dropped", waiver, a.Name)
+			}
+		})
+	}
+}
+
+// analyze runs the analyzers over files of p and returns the findings no
+// waiver covers, directive problems included.
+func (s *source) analyze(p *pkg, files []*ast.File, as ...*analysis.Analyzer) []analysis.Diagnostic {
+	return analysis.Active(analysis.Run(s.Fset, files, p.Types, p.Info, as))
+}
+
+// dropWaiver returns the package holding the tree's first waiver with the
+// given key, and its files with that waiver's comment group gone from the
+// syntax.
+func (s *source) dropWaiver(t *testing.T, key string) (*pkg, []*ast.File, string) {
+	t.Helper()
+	for _, p := range s.Pkgs {
+		for i, f := range p.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if !strings.HasPrefix(c.Text, "//snavet:"+key+" ") {
+						continue
+					}
+					cp := *f
+					cp.Comments = slices.DeleteFunc(slices.Clone(f.Comments), func(g *ast.CommentGroup) bool { return g == cg })
+					files := slices.Clone(p.Files)
+					files[i] = &cp
+					return p, files, s.Fset.Position(c.Pos()).String()
+				}
+			}
+		}
+	}
+	t.Fatalf("no //snavet:%s waiver in the tree", key)
+	return nil, nil, ""
+}
+
+// TestGateEveryDirectiveIsChecked holds the waivers to the files the
+// analyzers read: the files loaded but the planted one, and the golden
+// packages internal/analysis's tests read. A //snavet: comment anywhere
+// else — a _test.go file, or testdata outside the golden packages —
+// waives nothing, and no analyzer would report it stale, so it is a
+// finding of its own.
+func TestGateEveryDirectiveIsChecked(t *testing.T) {
+	src := loadSource(t)
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		golden := slices.ContainsFunc(analyzers, func(a *analysis.Analyzer) bool {
+			return filepath.Dir(path) == filepath.Join(filepath.Dir(planted), a.Name)
+		})
+		if !strings.HasSuffix(path, ".go") || src.parsed[path] || golden {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err == nil && bytes.Contains(text, []byte("//snavet:")) {
+			var f *ast.File
+			f, err = parser.ParseFile(src.Fset, path, text, parser.ParseComments)
+			files = append(files, f)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold(t, src, files, directives, "directives in files no analyzer reads")
+}
+
+// directives returns the position of every //snavet: comment.
+func directives(fset *token.FileSet, files []*ast.File) []string {
+	var out []string
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(c.Text, "//snavet:") {
+					out = append(out, fset.Position(c.Pos()).String())
+				}
+			}
+		}
+	}
+	return out
 }

@@ -30,9 +30,7 @@ import (
 // ignored; the analyzer only reasons about statuses it can prove are 2xx.
 var AckOrder = &Analyzer{
 	Name: "ackorder",
-	Doc: "in internal/server, 2xx acknowledgements must follow the session " +
-		"store's or job manager's journal-append (journal-before-acknowledge)",
-	Run: runAckOrder,
+	Run:  runAckOrder,
 }
 
 // journalMutators are the methods that append to a journal before
@@ -43,7 +41,7 @@ var journalMutators = map[string]map[string]bool{
 	"Manager": {"Submit": true, "Cancel": true},
 }
 
-func runAckOrder(pass *Pass) error {
+func runAckOrder(pass *Pass) {
 	ackOrderPairs(pass, func(fd *ast.FuncDecl, mutates, acks []*ast.CallExpr) {
 		first := mutates[0].Pos()
 		for _, m := range mutates[1:] {
@@ -59,14 +57,13 @@ func runAckOrder(pass *Pass) error {
 			}
 		}
 	})
-	return nil
 }
 
 // ackOrderPairs calls fn for every function in scope that mutates a
 // journal, with its mutation calls and its 2xx acknowledgements (possibly
 // none).
 func ackOrderPairs(pass *Pass, fn func(fd *ast.FuncDecl, mutates, acks []*ast.CallExpr)) {
-	if !pkgMatches(pass.Pkg.Path(), "ackorder", "internal/server") {
+	if !pkgMatches(pass.Pkg.Path(), "internal/server") {
 		return
 	}
 	funcDecls(pass, func(fd *ast.FuncDecl) {
@@ -110,14 +107,7 @@ func isJournalMutation(pass *Pass, call *ast.CallExpr) bool {
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		if p, ok := t.(*types.Pointer); ok {
-			named, ok = p.Elem().(*types.Named)
-			if !ok {
-				return false
-			}
-		} else {
-			return false
-		}
+		return false
 	}
 	owner := named.Obj().Name()
 	if strings.HasSuffix(owner, "Store") {

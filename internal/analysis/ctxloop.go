@@ -23,14 +23,12 @@ import (
 // never forced into an uncancellable variant.
 var CtxLoop = &Analyzer{
 	Name: "ctxloop",
-	Doc: "per-net loops in core/sta/server must consult their context; " +
-		"exported looping entry points must offer a Ctx variant",
-	Run: runCtxLoop,
+	Run:  runCtxLoop,
 }
 
-func runCtxLoop(pass *Pass) error {
-	if !pkgMatches(pass.Pkg.Path(), "ctxloop", "internal/core", "internal/sta", "internal/server") {
-		return nil
+func runCtxLoop(pass *Pass) {
+	if !pkgMatches(pass.Pkg.Path(), "internal/core", "internal/sta", "internal/server") {
+		return
 	}
 	funcDecls(pass, func(fd *ast.FuncDecl) {
 		ctxs := contextParams(pass, fd)
@@ -40,7 +38,6 @@ func runCtxLoop(pass *Pass) error {
 		}
 		checkEntryPoint(pass, fd)
 	})
-	return nil
 }
 
 // scanForLoops finds for/range statements under n and checks each against

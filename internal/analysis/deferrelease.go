@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"slices"
 )
 
 // DeferRelease enforces the panic-safe release invariant from the PR 4
@@ -21,9 +22,7 @@ import (
 // the lock through another variable defeats it and needs a waiver.
 var DeferRelease = &Analyzer{
 	Name: "deferrelease",
-	Doc: "in internal/server an acquire (Lock/acquire/retain/enter) must be " +
-		"released via defer before any panicking call, or explicitly with no call in between",
-	Run: runDeferRelease,
+	Run:  runDeferRelease,
 }
 
 // releasePairs maps acquire callee names to their release names.
@@ -36,14 +35,14 @@ var releasePairs = map[string][]string{
 	"enter":   {"exit"},
 }
 
-func runDeferRelease(pass *Pass) error {
-	if !pkgMatches(pass.Pkg.Path(), "deferrelease", "internal/server") {
-		return nil
+func runDeferRelease(pass *Pass) {
+	if !pkgMatches(pass.Pkg.Path(), "internal/server") {
+		return
 	}
 	funcDecls(pass, func(fd *ast.FuncDecl) {
 		// The release primitives themselves (func release / exit / ...)
 		// are the one place an acquire legitimately has no pair.
-		if isReleaseName(fd.Name.Name) || acquireNames()[fd.Name.Name] {
+		if isReleaseName(fd.Name.Name) || releasePairs[fd.Name.Name] != nil {
 			return
 		}
 		ast.Inspect(fd.Body, func(x ast.Node) bool {
@@ -55,26 +54,15 @@ func runDeferRelease(pass *Pass) error {
 			return true
 		})
 	})
-	return nil
 }
 
 func isReleaseName(name string) bool {
 	for _, rels := range releasePairs {
-		for _, r := range rels {
-			if r == name {
-				return true
-			}
+		if slices.Contains(rels, name) {
+			return true
 		}
 	}
 	return false
-}
-
-func acquireNames() map[string]bool {
-	out := make(map[string]bool, len(releasePairs))
-	for a := range releasePairs {
-		out[a] = true
-	}
-	return out
 }
 
 // checkBlock scans one statement list for acquires and validates each.
@@ -153,16 +141,7 @@ func releaseFollows(pass *Pass, rest []ast.Stmt, recv string, rels []string) boo
 }
 
 func isReleaseCall(call *ast.CallExpr, recv string, rels []string) bool {
-	if receiverText(call) != recv {
-		return false
-	}
-	name := calleeName(call)
-	for _, r := range rels {
-		if name == r {
-			return true
-		}
-	}
-	return false
+	return receiverText(call) == recv && slices.Contains(rels, calleeName(call))
 }
 
 // releaseCallIn returns a matching release call appearing anywhere in

@@ -10,14 +10,8 @@ import (
 
 // pkgMatches reports whether a package path ends in one of the given
 // slash-separated suffixes ("internal/core" matches "repro/internal/core"
-// but not "x/myinternal/core"), or begins with the analyzer's testdata
-// prefix. Analyzer scoping works on suffixes so the checks apply equally
-// to the real module path and to the bare package paths the analysistest
-// harness loads from testdata/src.
-func pkgMatches(path, testdataPrefix string, suffixes ...string) bool {
-	if strings.HasPrefix(path, testdataPrefix) {
-		return true
-	}
+// but not "x/myinternal/core").
+func pkgMatches(path string, suffixes ...string) bool {
 	for _, suf := range suffixes {
 		if path == suf || strings.HasSuffix(path, "/"+suf) {
 			return true
@@ -27,12 +21,9 @@ func pkgMatches(path, testdataPrefix string, suffixes ...string) bool {
 }
 
 // funcDecls visits every function declaration with a body in the pass's
-// non-test files.
+// files, which the gates take from non-test code only.
 func funcDecls(pass *Pass, fn func(decl *ast.FuncDecl)) {
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				fn(fd)

@@ -34,9 +34,7 @@ import (
 var MapDeterm = &Analyzer{
 	Name:      "mapdeterm",
 	Directive: "ordered",
-	Doc: "range over a map must not feed ordering-sensitive output " +
-		"(rows, records, writers, channels) without a sort",
-	Run: runMapDeterm,
+	Run:       runMapDeterm,
 }
 
 // outputCallPrefixes are callee-name prefixes treated as direct output
@@ -46,7 +44,7 @@ var outputCallPrefixes = []string{
 	"Print", "Fprint", "Write", "Encode", "AddRow", "Render",
 }
 
-func runMapDeterm(pass *Pass) error {
+func runMapDeterm(pass *Pass) {
 	funcDecls(pass, func(fd *ast.FuncDecl) {
 		ast.Inspect(fd.Body, func(x ast.Node) bool {
 			rng, ok := x.(*ast.RangeStmt)
@@ -60,7 +58,6 @@ func runMapDeterm(pass *Pass) error {
 			return true
 		})
 	})
-	return nil
 }
 
 func isMapType(t types.Type) bool {

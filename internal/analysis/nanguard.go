@@ -22,16 +22,14 @@ import (
 // site without repeating the math.IsNaN boilerplate.
 var NaNGuard = &Analyzer{
 	Name: "nanguard",
-	Doc: "non-constant float bounds reaching interval.New must be guarded " +
-		"by math.IsNaN/IsInf (or a *NaN*/*Finite*/sanitize helper) in the enclosing function",
-	Run: runNaNGuard,
+	Run:  runNaNGuard,
 }
 
 // guardNameFragments are callee-name substrings accepted as NaN guards in
 // addition to math.IsNaN/math.IsInf.
 var guardNameFragments = []string{"NaN", "Inf", "Finite", "Sane", "sanitize", "Sanitize", "clamp", "Clamp"}
 
-func runNaNGuard(pass *Pass) error {
+func runNaNGuard(pass *Pass) {
 	funcDecls(pass, func(fd *ast.FuncDecl) {
 		ast.Inspect(fd.Body, func(x ast.Node) bool {
 			call, ok := x.(*ast.CallExpr)
@@ -44,7 +42,6 @@ func runNaNGuard(pass *Pass) error {
 			return true
 		})
 	})
-	return nil
 }
 
 // isIntervalNew reports whether call is interval.New from this module's
@@ -54,7 +51,7 @@ func isIntervalNew(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	path := calleePkgPath(pass, call)
-	return path == "interval" || strings.HasSuffix(path, "/interval")
+	return strings.HasSuffix(path, "/interval")
 }
 
 // checkBound reports a window bound that is neither a compile-time

@@ -14,9 +14,9 @@ import (
 //
 //	//snavet:<key> <reason>
 //
-// where <key> is the analyzer's directive name (`snavet help` lists them)
-// and <reason> is free text explaining why the invariant does not apply.
-// The reason is mandatory: a waiver that does not argue its case is a
+// where <key> is the analyzer's directive name (its Name, or Directive
+// when set: mapdeterm's key is "ordered") and <reason> is free text
+// explaining why the invariant does not apply. The reason is mandatory: a waiver that does not argue its case is a
 // diagnostic. So is a waiver whose key no analyzer owns, and — when the
 // owning analyzer ran — a waiver that suppressed nothing, so stale waivers
 // die with the code they excused.
@@ -31,59 +31,36 @@ type directive struct {
 	used   bool
 }
 
-// directiveSet indexes a package's directives by file and line.
-type directiveSet struct {
-	// byLine maps filename -> line -> directives written on that line.
-	byLine map[string]map[int][]*directive
-	all    []*directive
-}
-
-// collectDirectives scans every comment in the package (test files
-// included: a directive in a test is as binding as anywhere else, and an
-// unused one as stale).
-func collectDirectives(fset *token.FileSet, files []*ast.File) *directiveSet {
-	set := &directiveSet{byLine: make(map[string]map[int][]*directive)}
+// collectDirectives scans every comment of the files. A directive in a
+// file no analyzer reads (a _test.go file, testdata) is a finding of the
+// source gates, so none goes unchecked.
+func collectDirectives(fset *token.FileSet, files []*ast.File) []*directive {
+	var out []*directive
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, directivePrefix) {
-					continue
+				if rest, ok := strings.CutPrefix(c.Text, directivePrefix); ok {
+					key, reason, _ := strings.Cut(rest, " ")
+					out = append(out, &directive{
+						pos:    fset.Position(c.Pos()),
+						key:    strings.TrimSpace(key),
+						reason: strings.TrimSpace(reason),
+					})
 				}
-				rest := strings.TrimPrefix(c.Text, directivePrefix)
-				key, reason, _ := strings.Cut(rest, " ")
-				d := &directive{
-					pos:    fset.Position(c.Pos()),
-					key:    strings.TrimSpace(key),
-					reason: strings.TrimSpace(reason),
-				}
-				set.all = append(set.all, d)
-				lines := set.byLine[d.pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]*directive)
-					set.byLine[d.pos.Filename] = lines
-				}
-				lines[d.pos.Line] = append(lines[d.pos.Line], d)
 			}
 		}
 	}
-	return set
+	return out
 }
 
 // suppress reports whether a directive with the given key covers pos —
 // same line (trailing comment) or the line directly above (standalone
 // comment) — and marks the directive used. Directives with an empty key or
 // reason never suppress; they are reported as problems instead.
-func (s *directiveSet) suppress(key string, pos token.Position) bool {
-	lines := s.byLine[pos.Filename]
-	if lines == nil {
-		return false
-	}
+func suppress(dirs []*directive, key string, pos token.Position) bool {
 	hit := false
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, d := range lines[line] {
-			if d.key != key || d.reason == "" {
-				continue
-			}
+	for _, d := range dirs {
+		if d.key == key && d.reason != "" && d.pos.Filename == pos.Filename && (d.pos.Line == pos.Line || d.pos.Line == pos.Line-1) {
 			d.used = true
 			hit = true
 		}
@@ -94,7 +71,7 @@ func (s *directiveSet) suppress(key string, pos token.Position) bool {
 // problems returns hygiene diagnostics for the package's directives:
 // unknown keys, missing reasons, and — for keys whose analyzer ran —
 // waivers that suppressed nothing.
-func (s *directiveSet) problems(analyzers []*Analyzer) []Diagnostic {
+func problems(dirs []*directive, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.DirectiveName()] = true
@@ -107,7 +84,7 @@ func (s *directiveSet) problems(analyzers []*Analyzer) []Diagnostic {
 			Message:  "directive " + directivePrefix + d.key + ": " + fmt.Sprintf(format, args...),
 		})
 	}
-	for _, d := range s.all {
+	for _, d := range dirs {
 		switch {
 		case d.key == "":
 			report(d, "missing analyzer key")
@@ -115,7 +92,7 @@ func (s *directiveSet) problems(analyzers []*Analyzer) []Diagnostic {
 			report(d, "missing reason; a waiver must say why the invariant does not apply here")
 		case !known[d.key]:
 			// The analyzer for this key is not in the run set: with a
-			// single analyzer selected (tests, snavet -run) we cannot
+			// single analyzer selected (a golden package) we cannot
 			// distinguish "unknown" from "not running", so only a full
 			// suite run reports unknown keys.
 			if len(analyzers) > 1 {

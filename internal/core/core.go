@@ -291,8 +291,9 @@ const (
 	// overlap; kept as the historical baseline and ablation A1.
 	OccupancyPeak
 	// OccupancyWiden counts a glitch at full peak whenever the instant
-	// is within width/2 of its peak window — a coarse conservative
-	// over-approximation of the tent (ablation A1).
+	// is within its width of its peak window — a coarse conservative
+	// over-approximation of the tent, which it covers at every instant
+	// (ablation A1).
 	OccupancyWiden
 )
 
@@ -390,7 +391,7 @@ func contribution(e *Event, t float64, occ Occupancy) float64 {
 		}
 		return 0
 	case OccupancyWiden:
-		if d <= e.Width/2 {
+		if d <= e.Width {
 			return e.Peak
 		}
 		return 0
@@ -409,7 +410,7 @@ func contribution(e *Event, t float64, occ Occupancy) float64 {
 // events under the occupancy policy and optional pairwise exclusions. The
 // objective max_t Σ_i contribution_i(t) is piecewise linear in t, so the
 // maximum lies at a breakpoint: a window edge, or a window edge offset by
-// the event's (half-)width. Each candidate instant is evaluated exactly;
+// the event's width. Each candidate instant is evaluated exactly;
 // with exclusions the best conflict-free subset at each instant comes from
 // an exact branch-and-bound independent-set query. The result's member
 // lists go where memberLists puts them (prev: the combination this one
@@ -432,10 +433,7 @@ func (cb *combiner) combineConstrained(events []Event, vdd float64, conflict fun
 		addCand(e.Window.Lo)
 		addCand(e.Window.Hi)
 		switch occ {
-		case OccupancyWiden:
-			addCand(e.Window.Lo - e.Width/2)
-			addCand(e.Window.Hi + e.Width/2)
-		case OccupancyTent:
+		case OccupancyWiden, OccupancyTent:
 			addCand(e.Window.Lo - e.Width)
 			addCand(e.Window.Hi + e.Width)
 		}

@@ -520,8 +520,8 @@ func TestContributionPolicies(t *testing.T) {
 			t.Fatalf("%v inside = %g", occ, got)
 		}
 	}
-	// 4 away from the edge: tent decays, widen (width/2 = 5) still full,
-	// peak zero.
+	// 4 away from the edge: tent decays, widen (within the width) still
+	// full, peak zero.
 	if got := contribution(&e, 204, OccupancyTent); math.Abs(got-0.6) > 1e-12 {
 		t.Fatalf("tent tail = %g, want 0.6", got)
 	}
@@ -552,6 +552,32 @@ func TestContributionPolicies(t *testing.T) {
 	}
 	if contribution(&zeroW, 0.5, OccupancyTent) != 1 {
 		t.Fatal("zero-width in-window lost")
+	}
+}
+
+// TestWidenCoversTheTent holds ablation A1's ordering: widen is a
+// conservative over-approximation of the tent, so it is never below it —
+// not at any instant of one event's tail, and not in a combination that
+// aligns one event's peak with another's tail.
+func TestWidenCoversTheTent(t *testing.T) {
+	e := Event{Peak: 1.0, Width: 10, Window: interval.New(100, 120)}
+	for at := 80.0; at <= 140; at += 0.5 {
+		peak, tent, widen := contribution(&e, at, OccupancyPeak), contribution(&e, at, OccupancyTent), contribution(&e, at, OccupancyWiden)
+		if peak > tent || tent > widen {
+			t.Errorf("t=%g: peak %g, tent %g, widen %g; want peak <= tent <= widen", at, peak, tent, widen)
+		}
+	}
+	pair := []Event{
+		{Peak: 1, Width: 10, Window: interval.New(0, 0), Source: "a"},
+		{Peak: 1, Width: 10, Window: interval.New(7, 7), Source: "b"},
+	}
+	tent := new(combiner).combineConstrained(pair, 5, nil, OccupancyTent, nil)
+	widen := new(combiner).combineConstrained(pair, 5, nil, OccupancyWiden, nil)
+	if math.Abs(tent.Peak-1.3) > 1e-12 {
+		t.Fatalf("tent combination = %g, want 1.3", tent.Peak)
+	}
+	if widen.Peak < tent.Peak {
+		t.Errorf("widen combination %g is below the tent's %g", widen.Peak, tent.Peak)
 	}
 }
 

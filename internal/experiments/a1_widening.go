@@ -12,7 +12,7 @@ import (
 
 // A1Widening is the ablation for the occupancy policy (DESIGN.md design
 // choice): the sound tent default versus classical peak alignment versus
-// the coarse ±width/2 plateau. Expected shape: all three agree when
+// the coarse ±width plateau. Expected shape: all three agree when
 // windows fully overlap or are far apart; in the marginal band (stagger
 // comparable to the glitch width) peak < tent < widen, with tent tracking
 // the partial-overlap physics the Monte Carlo experiment (T11) samples.

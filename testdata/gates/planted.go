@@ -1,8 +1,9 @@
 // Package planted breaks every source gate once, so gates_test.go can show
-// each gate fails. The decoys in comments and strings must not count:
+// each gate fails; the analyzers' planted cases are their golden packages
+// beside it. The decoys in comments and strings must not count:
 // map[string]int, http.StatusNotFound, report.BuildJSON(res),
 // "repro/internal/chaos", sha256.Sum256(spec), Agg *netlist.Net,
-// os.Remove(path), Options{Vdd: 1.1}.
+// os.Remove(path), Options{Vdd: 1.1}, //snavet:ordered in a comment.
 package planted
 
 import (
@@ -18,7 +19,10 @@ import (
 
 var byName map[string]int
 
-const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn filepath.Glob(dir) opts.Vdd = 0.9"
+const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn filepath.Glob(dir) opts.Vdd = 0.9 //snavet:ctxloop in a string"
+
+// A waiver in a file no analyzer reads, which would waive nothing:
+//snavet:nanguard planted outside the analyzed files
 
 // prepare reaches for an injector from product code.
 var prepare = chaos.RuntimeFaults{Panic: []string{"*"}}.Hook()

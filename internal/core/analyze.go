@@ -288,10 +288,11 @@ func wavesOf(d *netlist.Design, order []netlist.NetID) (waves []Wave) {
 // newResult allocates the Result shell the fixpoint fills in.
 func (a *analyzer) newResult() *Result {
 	res := &Result{
-		Mode: a.opts.Mode,
-		Nets: make(map[string]*NetNoise, len(a.order)),
-		STA:  a.staRes,
-		slab: make([]NetNoise, len(a.order)),
+		Mode:   a.opts.Mode,
+		Nets:   make(map[string]*NetNoise, len(a.order)),
+		STA:    a.staRes,
+		slab:   make([]NetNoise, len(a.order)),
+		byName: a.sortedPos,
 	}
 	for pos, net := range a.order {
 		name := a.b.Net.NetName(net)
@@ -1049,12 +1050,12 @@ func propagateKind(u liberty.Unateness, in Kind) ([2]Kind, int) {
 }
 
 // checkViolations evaluates every receiver's immunity curve against its
-// net's combined noise and records failures sorted by slack. Iterative
-// rounds call it repeatedly; the result slices are reused.
+// net's combined noise and records failures sorted by slack; the slacks stay
+// in gather order until a reader asks for them sorted (Result.tightest).
+// Iterative rounds call it repeatedly; the result slices are reused.
 func (a *analyzer) checkViolations(res *Result) {
 	a.gatherChecks(res)
 	SortViolations(res.Violations)
-	SortSlacks(res.Slacks)
 }
 
 // receiver is what the violation sweep needs of one checked load pin of a
@@ -1087,15 +1088,18 @@ func (a *analyzer) indexReceivers() {
 
 // gatherChecks runs the immunity sweep and appends violations and slacks in
 // canonical order — alphabetical net, then the net's receiver order, then
-// kind — without the final slack sort. The sort comparators are not total
-// (ties on Slack and Net are possible across receivers and kinds), so the
-// deterministic output of checkViolations depends on this exact pre-sort
-// sequence; the shard collector returns it so the coordinator can rebuild
-// the identical sequence before applying the identical sort.
+// kind — and drops the slacks' sorted copy. The sort comparators are not
+// total (ties on Slack and Net are possible across receivers and kinds), so
+// the sorted orders depend on this exact pre-sort sequence; the shard
+// collector returns it so the coordinator can rebuild the identical
+// sequence, which the identical sorts then order identically.
 func (a *analyzer) gatherChecks(res *Result) {
 	if a.rcvOff == nil {
 		a.indexReceivers()
 	}
+	slackMu.Lock()
+	res.sorted = nil
+	slackMu.Unlock()
 	// Exactly one slack per receiver per noisy state of its victim.
 	slacks := 0
 	for oi, ctx := range a.ctxs {
@@ -1168,8 +1172,7 @@ func SortViolations(v []Violation) {
 	slices.SortFunc(v, func(a, b Violation) int { return bySlackThenNet(a.Slack, b.Slack, a.Net, b.Net) })
 }
 
-// SortSlacks orders receiver slacks tightest first, then by net; see
-// SortViolations for why it is exported.
-func SortSlacks(s []ReceiverSlack) {
+// sortSlacks orders receiver slacks tightest first, then by net.
+func sortSlacks(s []ReceiverSlack) {
 	slices.SortFunc(s, func(a, b ReceiverSlack) int { return bySlackThenNet(a.Slack, b.Slack, a.Net, b.Net) })
 }

@@ -33,6 +33,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/interval"
 	"repro/internal/sta"
@@ -206,8 +207,10 @@ type Result struct {
 	Mode       Mode
 	Nets       map[string]*NetNoise
 	Violations []Violation
-	// Slacks records the noise margin of every checked receiver/state,
-	// sorted tightest first (violations included, negative).
+	// Slacks records the noise margin of every checked receiver/state
+	// (violations included, negative) in the canonical gather order:
+	// alphabetical net, then the net's receiver order, then kind.
+	// TightestSlacks and WorstSlack read them tightest first.
 	Slacks []ReceiverSlack
 	Stats  Stats
 	// Diags lists the victims the engine could not analyze and degraded
@@ -224,11 +227,20 @@ type Result struct {
 	// what the engine's hot loops index, and what Nets — the name index at
 	// the edge — points into. Only results built by an analyzer carry it;
 	// merged shard results leave it nil and are never fed back into
-	// engine loops. evals is the analyzer's evaluation count when the
-	// result was last finished.
-	slab  []NetNoise
-	evals int
+	// engine loops. byName lists slab's positions in alphabetical net
+	// order (the analyzer's own index, shared). evals is the analyzer's
+	// evaluation count when the result was last finished.
+	slab   []NetNoise
+	byName []int32
+	evals  int
+	// sorted is Slacks tightest first, built on the first read (under
+	// slackMu) and dropped when the result is finished again.
+	sorted []ReceiverSlack
 }
+
+// slackMu guards every Result's sorted: whichever reader comes first sorts.
+// One lock for all results, not a field of each, keeps Result copyable.
+var slackMu sync.Mutex
 
 // Evals returns how many per-net evaluations the analyzer behind this result
 // had made when it last finished it — an execution counter for benchmarks and
@@ -239,38 +251,61 @@ func (r *Result) Evals() int { return r.evals }
 // NoiseOf returns the noise record for a net (nil if not analyzed).
 func (r *Result) NoiseOf(net string) *NetNoise { return r.Nets[net] }
 
-// TotalNoise sums every net's worst combined peak — the aggregate
-// pessimism metric the experiments track across modes — in net-name order:
-// a float sum depends on its order, and this one is the same for every
-// call, every worker count and a result merged from shards.
-func (r *Result) TotalNoise() float64 {
+// ByName returns how many nets the result holds and the i-th of them in
+// alphabetical order of name, the order reports list nets in. An analyzer's
+// result walks its own index; any other (merged from shards, built by hand)
+// sorts its Nets keys on each call.
+func (r *Result) ByName() (int, func(i int) *NetNoise) {
+	if r.slab != nil {
+		return len(r.byName), func(i int) *NetNoise { return &r.slab[r.byName[i]] }
+	}
 	names := make([]string, 0, len(r.Nets))
 	for name := range r.Nets {
 		names = append(names, name)
 	}
 	slices.Sort(names)
+	return len(names), func(i int) *NetNoise { return r.Nets[names[i]] }
+}
+
+// TotalNoise sums every net's worst combined peak — the aggregate
+// pessimism metric the experiments track across modes — in net-name order:
+// a float sum depends on its order, and this one is the same for every
+// call, every worker count and a result merged from shards.
+func (r *Result) TotalNoise() float64 {
+	n, at := r.ByName()
 	var s float64
-	for _, name := range names {
-		s += r.Nets[name].WorstPeak()
+	for i := 0; i < n; i++ {
+		s += at(i).WorstPeak()
 	}
 	return s
+}
+
+// tightest returns Slacks tightest first: sortSlacks over the canonical
+// sequence, run once per finish by the first reader.
+func (r *Result) tightest() []ReceiverSlack {
+	slackMu.Lock()
+	defer slackMu.Unlock()
+	if r.sorted == nil && len(r.Slacks) > 0 {
+		r.sorted = slices.Clone(r.Slacks)
+		sortSlacks(r.sorted)
+	}
+	return r.sorted
 }
 
 // WorstSlack returns the smallest noise slack across all checked
 // receivers, +Inf when nothing was checked.
 func (r *Result) WorstSlack() float64 {
-	if len(r.Slacks) == 0 {
-		return math.Inf(1)
+	if s := r.tightest(); len(s) > 0 {
+		return s[0].Slack
 	}
-	return r.Slacks[0].Slack
+	return math.Inf(1)
 }
 
-// TightestSlacks returns the n smallest receiver margins.
+// TightestSlacks returns the n smallest receiver margins, tightest first
+// (none for n <= 0). The list is the result's own: do not modify it.
 func (r *Result) TightestSlacks(n int) []ReceiverSlack {
-	if n > len(r.Slacks) {
-		n = len(r.Slacks)
-	}
-	return r.Slacks[:n]
+	s := r.tightest()
+	return s[:max(min(n, len(s)), 0)]
 }
 
 // Occupancy selects how much of a glitch's waveform extent participates in

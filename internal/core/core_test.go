@@ -480,9 +480,10 @@ func TestSlacksRecordedAndSorted(t *testing.T) {
 	if len(res.Slacks) == 0 {
 		t.Fatal("no slacks recorded")
 	}
-	for i := 1; i < len(res.Slacks); i++ {
-		if res.Slacks[i].Slack < res.Slacks[i-1].Slack {
-			t.Fatal("slacks not sorted tightest-first")
+	all := res.TightestSlacks(len(res.Slacks))
+	for i := 1; i < len(all); i++ {
+		if all[i].Slack < all[i-1].Slack {
+			t.Fatal("slacks not read tightest-first")
 		}
 	}
 	// The victim's receiver must be among the tightest.
@@ -493,9 +494,14 @@ func TestSlacksRecordedAndSorted(t *testing.T) {
 	if res.WorstSlack() != tight[0].Slack {
 		t.Fatal("WorstSlack disagrees with sorted list")
 	}
-	// Asking for more than exist returns all.
+	// Asking for more than exist returns all, for fewer than none none.
 	if got := len(res.TightestSlacks(10000)); got != len(res.Slacks) {
 		t.Fatalf("TightestSlacks clamp: %d vs %d", got, len(res.Slacks))
+	}
+	for _, n := range []int{0, -1, -len(res.Slacks) - 1} {
+		if got := res.TightestSlacks(n); len(got) != 0 {
+			t.Fatalf("TightestSlacks(%d) = %d slacks, want none", n, len(got))
+		}
 	}
 }
 

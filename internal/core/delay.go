@@ -151,35 +151,66 @@ const delayParallelBelow = 256
 // assembleDelay flattens the per-net impacts into a sorted DelayResult with
 // its own copy of the diagnostics (see finishNoise).
 func (a *analyzer) assembleDelay() *DelayResult {
-	res := &DelayResult{Mode: a.opts.Mode}
-	for ni := range a.order {
-		res.Impacts = append(res.Impacts, a.impacts[ni]...)
-	}
-	SortImpacts(res.Impacts)
+	res := &DelayResult{Mode: a.opts.Mode, Impacts: FlattenImpacts(a.impacts, nil)}
 	SortDiags(a.diags)
 	res.Diags = append([]Diag(nil), a.diags...)
 	return res
 }
 
-// SortImpacts orders delay impacts by delta (largest first), then net, then
-// edge (rise first). The comparator is total — a net contributes at most
-// one impact per edge — so sorting a merged multi-shard impact list yields
-// exactly the single-process order. Exported for the shard coordinator.
-func SortImpacts(ims []DelayImpact) {
-	slices.SortFunc(ims, func(a, b DelayImpact) int {
-		switch {
-		case a.Delta != b.Delta:
-			if a.Delta > b.Delta {
-				return -1
+// FlattenImpacts copies the per-net impact lists into one list sorted by
+// delta (largest first), then net, then edge (rise first). name, when not
+// nil, fills in each copy's net from the index of its list before the sort.
+// The comparator is total — a net contributes at most one impact per edge —
+// so the impacts of several shards flattened together come out in exactly
+// the single-process order; the shard coordinator relies on that. The sort
+// permutes int32 indexes and copies each record once, not at every swap.
+//
+//snavet:ctxloop a copy and an in-memory sort of impacts a delay pass already made, no analysis in it
+func FlattenImpacts(lists [][]DelayImpact, name func(list int, im *DelayImpact)) []DelayImpact {
+	n := 0
+	for _, ims := range lists {
+		n += len(ims)
+	}
+	if n == 0 {
+		return nil
+	}
+	flat := make([]DelayImpact, 0, n)
+	for l, ims := range lists {
+		for _, im := range ims {
+			if name != nil {
+				name(l, &im)
 			}
-			return 1
-		case a.Net != b.Net:
-			return strings.Compare(a.Net, b.Net)
-		case a.Rise && !b.Rise:
+			flat = append(flat, im)
+		}
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(i, j int32) int { return compareImpacts(&flat[i], &flat[j]) })
+	out := make([]DelayImpact, n)
+	for k, i := range perm {
+		out[k] = flat[i]
+	}
+	return out
+}
+
+// compareImpacts is the impact order FlattenImpacts sorts by.
+func compareImpacts(a, b *DelayImpact) int {
+	switch {
+	case a.Delta != b.Delta:
+		if a.Delta > b.Delta {
 			return -1
 		}
-		return 0
-	})
+		return 1
+	case a.Net != b.Net:
+		return strings.Compare(a.Net, b.Net)
+	case a.Rise && !b.Rise:
+		return -1
+	case b.Rise && !a.Rise:
+		return 1
+	}
+	return 0
 }
 
 // safeDelayNet evaluates one victim's delta-delay impacts with panics

@@ -79,7 +79,7 @@ type Phases interface {
 	EvalWave(ctx context.Context, wave int) (changed bool, err error)
 	// DelayImpacts closes the round's noise fixpoint — passes and converged
 	// are its Stats.Iterations and Stats.Converged — and returns the
-	// delta-delay impacts of every victim, sorted (SortImpacts).
+	// delta-delay impacts of every victim, sorted (FlattenImpacts).
 	DelayImpacts(ctx context.Context, passes int, converged bool) (*DelayResult, error)
 }
 

@@ -195,7 +195,7 @@ type ShardCollect struct {
 	// Violations and Slacks are in canonical gather order (see
 	// gatherChecks) restricted to owned nets — the coordinator interleaves
 	// the shards' sequences by global alphabetical net order and then
-	// applies the identical final sorts.
+	// applies the identical violation sort.
 	Violations []Violation
 	Slacks     []ReceiverSlack
 	// Diags are the shard's fail-soft degradations, sorted.
@@ -330,7 +330,8 @@ func padTo(padding []float64, order []netlist.NetID, pads []PadUpdate) ([]netlis
 // victims and returns their impacts, a list per owned net in ascending
 // position — the place names the net — which is the engine's own until its
 // next delay pass. The impact sort comparator is total, so the coordinator
-// may sort all shards' impacts together and obtain the single-process order.
+// may flatten all shards' impacts together (FlattenImpacts) and obtain the
+// single-process order.
 func (e *ShardEngine) DelayImpacts(ctx context.Context) ([][]DelayImpact, error) {
 	if err := e.a.delayPass(ctx); err != nil {
 		return nil, err

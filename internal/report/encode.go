@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"repro/internal/core"
@@ -13,19 +15,26 @@ import (
 )
 
 // The write path of the JSON export. WriteJSON and WriteDelayJSON walk the
-// engine's result directly and append the indented text into one bounded
-// buffer that is flushed between records, so a 20 MB report costs one pass
-// and a few tens of kilobytes instead of a pointer-per-float tree, its
-// compact marshal, and an indented copy of that. The bytes are exactly what
-// encoding/json's Encoder with SetIndent("", "  ") produces over
-// BuildJSON/BuildDelayJSON; AppendJSON and AppendDelayJSON are the same walk
-// in compact mode, json.Marshal's bytes, for snad's replies. The schema types
-// in json.go stay the specification (and the decode side); encode_test.go
-// pins both modes on every fixture and by fuzzing the scalar rules.
+// engine's result directly and append the indented text into reused
+// buffers, so a 20 MB report costs one pass over the result instead of a
+// pointer-per-float tree, its compact marshal, and an indented copy of that.
+// An array of at least two chunks (chunkLen elements each) is encoded by
+// GOMAXPROCS goroutines into a ring of two chunk buffers per goroutine,
+// which the calling goroutine writes in order as they fill; anything
+// smaller is appended into one bounded buffer flushed between records. The
+// bytes are exactly what encoding/json's Encoder with SetIndent("", "  ")
+// produces over BuildJSON/BuildDelayJSON, whichever path an array takes;
+// AppendJSON and AppendDelayJSON are the same walk in compact mode, always
+// serial, json.Marshal's bytes, for snad's replies. The schema types in
+// json.go stay the specification (and the decode side); encode_test.go pins
+// both modes and both paths on every fixture and by fuzzing the scalar rules.
 
-// flushAt bounds the encoder's buffer: it is handed to the writer at the
-// first record boundary past this size.
+// flushAt bounds the serial path's buffer: it is handed to the writer at
+// the first record boundary past this size.
 const flushAt = 32 << 10
+
+// chunkLen is how many array elements one parallel work item encodes.
+const chunkLen = 64
 
 // encoder appends indented JSON when ws is 1, compact JSON (no writer,
 // never spilling) when it is 0; ws scales the whitespace instead of
@@ -33,7 +42,9 @@ const flushAt = 32 << 10
 // first is true only directly after open, which is all the state the
 // comma rule needs: closing a value makes its parent non-empty. err is the
 // first failure (a write error or a float JSON cannot carry); once set,
-// spill stops writing.
+// spill stops writing. A writing encoder with workers > 1 encodes arrays of
+// at least two chunks of chunk elements in parallel (see parallel), reusing
+// ring's buffers from one array to the next.
 type encoder struct {
 	w     io.Writer
 	buf   []byte
@@ -41,6 +52,9 @@ type encoder struct {
 	first bool
 	ws    int
 	err   error
+
+	workers, chunk int
+	ring           []piece
 }
 
 const newlineIndent = "\n                                "
@@ -188,23 +202,116 @@ func (e *encoder) finish() error {
 	return e.err
 }
 
-// array encodes a slice member as one object per element, spilling after
-// each; an empty slice is null, as the schema's nil slices marshal. It
-// stops at the first error instead of encoding on.
-func (e *encoder) array(name string, n int, elem func(i int)) {
+// array encodes a top-level slice member as one object per element, on
+// the parallel path when the encoder has workers and the array at least two
+// chunks; elem encodes element i's members into the encoder it is given,
+// which is e or a worker's.
+func (e *encoder) array(name string, n int, elem func(e *encoder, i int)) {
+	if e.workers < 2 || n < 2*e.chunk {
+		e.serialArray(name, n, elem)
+		return
+	}
+	e.key(name).open('[')
+	e.parallel(n, elem)
+	e.close(']')
+}
+
+// serialArray is array on the calling goroutine, spilling after each
+// element; an empty slice is null, as the schema's nil slices marshal. It
+// stops at the first error instead of encoding on. Nested arrays use it
+// directly: its elem does not escape, so their closures cost nothing.
+func (e *encoder) serialArray(name string, n int, elem func(e *encoder, i int)) {
 	if n == 0 {
 		e.key(name).null()
 		return
 	}
 	e.key(name).open('[')
 	for i := 0; i < n && e.err == nil; i++ {
-		e.sep()
-		e.open('{')
-		elem(i)
-		e.close('}')
+		e.element(i, elem)
 		e.spill()
 	}
 	e.close(']')
+}
+
+func (e *encoder) element(i int, elem func(e *encoder, i int)) {
+	e.sep()
+	e.open('{')
+	elem(e, i)
+	e.close('}')
+}
+
+// piece is one chunk of a parallel array: its text, or why it stopped.
+type piece struct {
+	buf []byte
+	err error
+}
+
+// parallel encodes the n elements of the array e has just opened, chunk by
+// chunk, on e.workers goroutines, and writes the chunks in index order from
+// the calling goroutine while later ones are still being encoded. A worker
+// takes a free buffer from the ring before it takes the next chunk index:
+// the other way round, the lowest unwritten chunk's worker could wait for a
+// buffer that only later chunks, which wait to be written behind it, hold.
+// So at most len(ring) chunks are taken and unwritten, and chunk c's slot
+// ready[c%len(ring)] is always empty when it is sent. The first failure in
+// document order — an encode error (a NaN) or a write error — ends the
+// writing and stops the workers; none outlives the call.
+func (e *encoder) parallel(n int, elem func(e *encoder, i int)) {
+	if e.err != nil {
+		return
+	}
+	if _, e.err = e.w.Write(e.buf); e.err != nil {
+		return
+	}
+	e.buf = e.buf[:0]
+	if e.ring == nil {
+		e.ring = make([]piece, 2*e.workers)
+	}
+	chunks := (n + e.chunk - 1) / e.chunk
+	free := make(chan *piece, len(e.ring))
+	ready := make([]chan *piece, len(e.ring))
+	for i := range e.ring {
+		free <- &e.ring[i]
+		ready[i] = make(chan *piece, 1)
+	}
+	stop := make(chan struct{})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range e.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			we := &encoder{depth: e.depth, ws: e.ws}
+			for {
+				var p *piece
+				select {
+				case p = <-free:
+				case <-stop:
+					return
+				}
+				c := int(next.Add(1) - 1)
+				if c >= chunks {
+					return
+				}
+				we.buf, we.first, we.err = p.buf[:0], c == 0, nil
+				for i := c * e.chunk; i < min(n, (c+1)*e.chunk) && we.err == nil; i++ {
+					we.element(i, elem)
+				}
+				p.buf, p.err = we.buf, we.err
+				ready[c%len(ready)] <- p
+			}
+		}()
+	}
+	for c := 0; c < chunks && e.err == nil; c++ {
+		p := <-ready[c%len(ready)]
+		if e.err = p.err; e.err == nil {
+			_, e.err = e.w.Write(p.buf)
+			free <- p
+		}
+	}
+	close(stop)
+	wg.Wait()
+	e.first = false
 }
 
 func (e *encoder) strings(name string, ss []string) {
@@ -244,7 +351,7 @@ func (e *encoder) events(name string, events []core.Event) {
 	if len(events) == 0 {
 		return // omitempty
 	}
-	e.array(name, len(events), func(i int) {
+	e.serialArray(name, len(events), func(e *encoder, i int) {
 		ev := &events[i]
 		e.key("source").str(ev.Source)
 		e.key("peakV").float(ev.Peak)
@@ -257,7 +364,7 @@ func (e *encoder) degradations(diags []core.Diag) {
 	if len(diags) == 0 {
 		return // omitempty
 	}
-	e.array("degradations", len(diags), func(i int) {
+	e.array("degradations", len(diags), func(e *encoder, i int) {
 		d := &diags[i]
 		msg := ""
 		if d.Err != nil {
@@ -271,12 +378,14 @@ func (e *encoder) degradations(diags []core.Diag) {
 }
 
 func newEncoder(w io.Writer) *encoder {
-	return &encoder{w: w, buf: make([]byte, 0, flushAt+flushAt/4), ws: 1}
+	return &encoder{w: w, buf: make([]byte, 0, flushAt+flushAt/4), ws: 1, workers: runtime.GOMAXPROCS(0), chunk: chunkLen}
 }
 
 // WriteJSON serializes a full analysis result in the ResultJSON schema,
-// nets sorted by name. It returns the first write error; the writer may
-// then hold a truncated document.
+// nets sorted by name, encoding its long arrays on every CPU. It returns
+// the first error in document order: a write error, or a value JSON cannot
+// carry. Nothing is written after a failed write, the writer may then hold
+// a truncated document, and no goroutine of the call outlives it.
 func WriteJSON(w io.Writer, res *core.Result) error {
 	return newEncoder(w).result(res).finish()
 }
@@ -327,7 +436,7 @@ func (e *encoder) result(res *core.Result) *encoder {
 	e.key("Converged").bool(st.Converged)
 	e.key("DegradedNets").int(st.DegradedNets)
 	e.close('}')
-	e.array("violations", len(res.Violations), func(i int) {
+	e.array("violations", len(res.Violations), func(e *encoder, i int) {
 		v := &res.Violations[i]
 		e.key("net").str(v.Net)
 		e.key("receiver").str(v.Receiver)
@@ -339,14 +448,10 @@ func (e *encoder) result(res *core.Result) *encoder {
 		e.strings("members", v.Members)
 	})
 	e.degradations(res.Diags)
-	names := make([]string, 0, len(res.Nets))
-	for n := range res.Nets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.array("nets", len(names), func(i int) {
-		nn := res.Nets[names[i]]
-		e.key("net").str(names[i])
+	n, at := res.ByName()
+	e.array("nets", n, func(e *encoder, i int) {
+		nn := at(i)
+		e.key("net").str(nn.Net)
 		e.combined("low", &nn.Comb[core.KindLow])
 		e.combined("high", &nn.Comb[core.KindHigh])
 		// Events only for nets with any noise, to keep exports of big
@@ -363,7 +468,7 @@ func (e *encoder) result(res *core.Result) *encoder {
 func (e *encoder) delay(res *core.DelayResult) *encoder {
 	e.open('{')
 	e.key("mode").str(res.Mode.String())
-	e.array("impacts", len(res.Impacts), func(i int) {
+	e.array("impacts", len(res.Impacts), func(e *encoder, i int) {
 		im := &res.Impacts[i]
 		edge := "fall"
 		if im.Rise {

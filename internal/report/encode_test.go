@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -24,23 +26,39 @@ func referenceJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// sameAsReference checks one streamed document against the reference, and
-// the compact encoding of the same result against json.Marshal. When
-// encoding/json refuses the tree (a NaN in a non-nullable field) both
-// encoders must refuse it too.
-func sameAsReference(t *testing.T, what string, tree any, write func(io.Writer) error, appendTo func([]byte) ([]byte, error)) {
+// paths are the encoder settings every streamed check runs: the serial
+// path, and the ordered parallel one at the real chunk size and at chunks
+// of one and of five elements, which cut every array of two (ten) or more.
+var paths = []struct{ workers, chunk int }{{1, chunkLen}, {2, chunkLen}, {3, 1}, {2, 5}}
+
+// encodeWith renders doc through an encoder with the given parallelism.
+func encodeWith(w io.Writer, workers, chunk int, doc func(e *encoder) *encoder) error {
+	e := newEncoder(w)
+	e.workers, e.chunk = workers, chunk
+	return doc(e).finish()
+}
+
+// sameAsReference checks the streamed document, on every path, against the
+// reference, and the compact encoding of the same result against
+// json.Marshal. When encoding/json refuses the tree (a NaN in a
+// non-nullable field) every encoder must refuse it too.
+func sameAsReference(t *testing.T, what string, tree any, doc func(e *encoder) *encoder, appendTo func([]byte) ([]byte, error)) {
 	t.Helper()
-	var want, got bytes.Buffer
+	var want bytes.Buffer
 	refErr := referenceJSON(&want, tree)
-	err := write(&got)
-	if refErr != nil {
-		if err == nil {
-			t.Fatalf("%s: reference refuses (%v), streamed writer accepted", what, refErr)
+	for _, p := range paths {
+		var got bytes.Buffer
+		err := encodeWith(&got, p.workers, p.chunk, doc)
+		label := fmt.Sprintf("%s: streamed, %d worker(s), chunks of %d", what, p.workers, p.chunk)
+		if refErr != nil {
+			if err == nil {
+				t.Fatalf("%s: reference refuses (%v), streamed writer accepted", label, refErr)
+			}
+		} else if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		} else {
+			sameBytes(t, label, got.Bytes(), want.Bytes())
 		}
-	} else if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	} else {
-		sameBytes(t, what+": streamed", got.Bytes(), want.Bytes())
 	}
 
 	// The compact encoder appends: what dst held stays in front.
@@ -76,13 +94,13 @@ func sameBytes(t *testing.T, what string, g, w []byte) {
 
 func checkNoise(t *testing.T, what string, res *core.Result) {
 	t.Helper()
-	sameAsReference(t, what, BuildJSON(res), func(w io.Writer) error { return WriteJSON(w, res) },
+	sameAsReference(t, what, BuildJSON(res), func(e *encoder) *encoder { return e.result(res) },
 		func(b []byte) ([]byte, error) { return AppendJSON(b, res) })
 }
 
 func checkDelay(t *testing.T, what string, res *core.DelayResult) {
 	t.Helper()
-	sameAsReference(t, what+" (delay)", BuildDelayJSON(res), func(w io.Writer) error { return WriteDelayJSON(w, res) },
+	sameAsReference(t, what+" (delay)", BuildDelayJSON(res), func(e *encoder) *encoder { return e.delay(res) },
 		func(b []byte) ([]byte, error) { return AppendDelayJSON(b, res) })
 }
 
@@ -94,51 +112,88 @@ func hotFabric(width, levels int) (*workload.Generated, error) {
 	})
 }
 
-// TestStreamedJSONMatchesReferenceOnFixtures runs every workload generator
-// through the engine in every mode and compares both reports.
-func TestStreamedJSONMatchesReferenceOnFixtures(t *testing.T) {
-	gen := func(g *workload.Generated, err error) *workload.Generated {
-		t.Helper()
+// engineCase is one fixture analyzed in one mode.
+type engineCase struct {
+	name  string
+	noise *core.Result
+	delay *core.DelayResult
+}
+
+// engineCases runs every workload generator through the engine in every
+// mode, once per test binary; fabric-deep is the batch_deep shape.
+var engineCases = sync.OnceValues(func() ([]engineCase, error) {
+	fixtures := []struct {
+		name string
+		gen  func() (*workload.Generated, error)
+	}{
+		{"bus", func() (*workload.Generated, error) {
+			return workload.Bus(workload.BusSpec{Bits: 6, Segs: 2, WindowWidth: 80 * units.Pico})
+		}},
+		{"bus-hot", func() (*workload.Generated, error) {
+			return workload.Bus(workload.BusSpec{Bits: 6, Segs: 2, CoupleC: 30 * units.Femto, GroundC: 1 * units.Femto})
+		}},
+		{"bus-clean", func() (*workload.Generated, error) {
+			return workload.Bus(workload.BusSpec{Bits: 4, Segs: 2, WindowSep: 500 * units.Pico})
+		}},
+		{"fabric", func() (*workload.Generated, error) {
+			return workload.Fabric(workload.FabricSpec{Width: 12, Levels: 8, Seed: 3})
+		}},
+		{"fabric-hot", func() (*workload.Generated, error) { return hotFabric(40, 12) }},
+		{"chain", func() (*workload.Generated, error) { return workload.Chain(workload.ChainSpec{Depth: 4}) }},
+		{"star", func() (*workload.Generated, error) {
+			return workload.Star(workload.StarSpec{Windows: []interval.Window{interval.New(0, 1e-10), interval.New(5e-11, 2e-10)}})
+		}},
+		{"ladder", func() (*workload.Generated, error) { return workload.Ladder(workload.LadderSpec{Lines: 8, Steps: 3}) }},
+		{"differential", func() (*workload.Generated, error) {
+			return workload.Differential(workload.DifferentialSpec{Pairs: 3})
+		}},
+		{"scale", func() (*workload.Generated, error) { return workload.Scale(workload.ScaleSpec{Nets: 64}) }},
+		{"fabric-deep", func() (*workload.Generated, error) { return hotFabric(60, 16) }},
+	}
+	var cases []engineCase
+	for _, f := range fixtures {
+		g, err := f.gen()
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		return g
-	}
-	fixtures := map[string]*workload.Generated{
-		"bus":          gen(workload.Bus(workload.BusSpec{Bits: 6, Segs: 2, WindowWidth: 80 * units.Pico})),
-		"bus-hot":      gen(workload.Bus(workload.BusSpec{Bits: 6, Segs: 2, CoupleC: 30 * units.Femto, GroundC: 1 * units.Femto})),
-		"bus-clean":    gen(workload.Bus(workload.BusSpec{Bits: 4, Segs: 2, WindowSep: 500 * units.Pico})),
-		"fabric":       gen(workload.Fabric(workload.FabricSpec{Width: 12, Levels: 8, Seed: 3})),
-		"fabric-hot":   gen(hotFabric(40, 12)),
-		"chain":        gen(workload.Chain(workload.ChainSpec{Depth: 4})),
-		"star":         gen(workload.Star(workload.StarSpec{Windows: []interval.Window{interval.New(0, 1e-10), interval.New(5e-11, 2e-10)}})),
-		"ladder":       gen(workload.Ladder(workload.LadderSpec{Lines: 8, Steps: 3})),
-		"differential": gen(workload.Differential(workload.DifferentialSpec{Pairs: 3})),
-		"scale":        gen(workload.Scale(workload.ScaleSpec{Nets: 64})),
-	}
-	sawViolations, sawClean, sawPropagated := false, false, false
-	for name, g := range fixtures {
 		b, err := g.Bind(liberty.Generic())
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			return nil, fmt.Errorf("%s: %w", f.name, err)
 		}
 		for _, mode := range []core.Mode{core.ModeAllAggressors, core.ModeTimingWindows, core.ModeNoiseWindows} {
-			what := name + "/" + mode.String()
+			c := engineCase{name: f.name + "/" + mode.String()}
 			opts := core.Options{Mode: mode, STA: g.STAOptions()}
-			res, err := core.AnalyzeCtx(context.Background(), b, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
+			if c.noise, err = core.AnalyzeCtx(context.Background(), b, opts); err != nil {
+				return nil, fmt.Errorf("%s: %w", c.name, err)
 			}
-			checkNoise(t, what, res)
-			sawViolations = sawViolations || len(res.Violations) > 0
-			sawClean = sawClean || len(res.Violations) == 0
-			sawPropagated = sawPropagated || res.Stats.Propagated > 0
-			dres, err := core.AnalyzeDelayCtx(context.Background(), b, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
+			if c.delay, err = core.AnalyzeDelayCtx(context.Background(), b, opts); err != nil {
+				return nil, fmt.Errorf("%s: %w", c.name, err)
 			}
-			checkDelay(t, what, dres)
+			cases = append(cases, c)
 		}
+	}
+	return cases, nil
+})
+
+func loadEngineCases(t *testing.T) []engineCase {
+	t.Helper()
+	cases, err := engineCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cases
+}
+
+// TestStreamedJSONMatchesReferenceOnFixtures compares both reports of every
+// engine case, on every path.
+func TestStreamedJSONMatchesReferenceOnFixtures(t *testing.T) {
+	sawViolations, sawClean, sawPropagated := false, false, false
+	for _, c := range loadEngineCases(t) {
+		checkNoise(t, c.name, c.noise)
+		checkDelay(t, c.name, c.delay)
+		sawViolations = sawViolations || len(c.noise.Violations) > 0
+		sawClean = sawClean || len(c.noise.Violations) == 0
+		sawPropagated = sawPropagated || c.noise.Stats.Propagated > 0
 	}
 	if !sawViolations || !sawClean || !sawPropagated {
 		t.Fatalf("fixtures lost coverage: violations=%v clean=%v propagated=%v", sawViolations, sawClean, sawPropagated)
@@ -228,9 +283,11 @@ func TestStreamedJSONMatchesReferenceOnEdgeCases(t *testing.T) {
 	checkDelay(t, "no diags", &core.DelayResult{Impacts: dres.Impacts[:2]})
 }
 
-// failAfter accepts n bytes, then fails every write and counts them.
+// failAfter accepts writes of n bytes in all, keeping them, then fails
+// every write and counts them.
 type failAfter struct {
 	n      int
+	got    []byte
 	failed int
 }
 
@@ -242,6 +299,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 		return 0, errDiskFull
 	}
 	f.n -= len(p)
+	f.got = append(f.got, p...)
 	return len(p), nil
 }
 

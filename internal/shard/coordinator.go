@@ -733,24 +733,21 @@ func (r *run) evalWaveAll(ctx context.Context, wi int) error {
 }
 
 // delayAll gathers every live shard's delta-delay impacts, names and numbers
-// their nets from the plan, and sorts the concatenation with the engine's
-// own (total) comparator, yielding exactly the single-process impact order.
+// their nets from the plan, and flattens them with the engine's own (total)
+// comparator, yielding exactly the single-process impact order.
 func (r *run) delayAll(ctx context.Context) ([]core.DelayImpact, error) {
 	per := make([][][]core.DelayImpact, r.asn.Shards)
 	err := r.exchange(ctx, OpDelay, -1, func(at Route) request { return &DelayRequest{at} },
 		func(s int, rep *Reply, i int) { per[s] = rep.Impacts[i] })
-	var all []core.DelayImpact
+	var lists [][]core.DelayImpact
+	var pos []int32
 	for s, nets := range per {
-		for j, ims := range nets {
-			p := r.asn.Owned[s][j]
-			for _, im := range ims {
-				im.Net, im.ID = r.plan.Order[p], r.plan.Nets[p]
-				all = append(all, im)
-			}
-		}
+		lists = append(lists, nets...)
+		pos = append(pos, r.asn.Owned[s][:len(nets)]...)
 	}
-	core.SortImpacts(all)
-	return all, err
+	return core.FlattenImpacts(lists, func(l int, im *core.DelayImpact) {
+		im.Net, im.ID = r.plan.Order[pos[l]], r.plan.Nets[pos[l]]
+	}), err
 }
 
 // collectAll gathers every live shard's slice of the final result, by
@@ -778,10 +775,11 @@ func (r *run) finish() {
 // assemble merges the shard collects into the single-process result
 // shapes. Violations and slacks are brought into the canonical gather
 // order (global alphabetical net order, each shard's per-net groups kept
-// intact) and then sorted with the engine's own comparators — the exact
-// sequence checkViolations produces, which matters because that sort's
-// comparator is not total. Abandoned shards contribute synthesized
-// full-rail records and StageShard degradation diags instead.
+// intact); the violations are then sorted with the engine's own comparator
+// and the slacks left in that order, both exactly as checkViolations leaves
+// them, which matters because the comparator is not total. Abandoned shards
+// contribute synthesized full-rail records and StageShard degradation
+// diags instead.
 func (r *run) assemble(out *Outcome, cols []*core.ShardCollect) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -836,7 +834,6 @@ func (r *run) assemble(out *Outcome, cols []*core.ShardCollect) {
 	stableByNet(vs, func(v *core.Violation) string { return v.Net })
 	stableByNet(sls, func(s *core.ReceiverSlack) string { return s.Net })
 	core.SortViolations(vs)
-	core.SortSlacks(sls)
 	core.SortDiags(diags)
 	noise.Violations = vs
 	noise.Slacks = sls

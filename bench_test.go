@@ -495,6 +495,8 @@ func BenchmarkSTARun(b *testing.B) {
 // BenchmarkWriteJSON measures the report path alone on the benchmark's
 // batch_deep shape (a hot 300×32 fabric, ≈ 22 MB of JSON): MB/s and
 // allocs/op of report.WriteJSON, the phase the ledger calls report.json_s.
+// It renders into a file, truncated before each render, as sna -json
+// does: the file write, not the encoding, bounds that phase.
 func BenchmarkWriteJSON(b *testing.B) {
 	g, err := workload.Fabric(workload.FabricSpec{
 		Width: 300, Levels: 32, CouplingDensity: 3, CoupleC: 12 * units.Femto, Seed: 1,
@@ -514,11 +516,22 @@ func BenchmarkWriteJSON(b *testing.B) {
 	if err := report.WriteJSON(&doc, res); err != nil {
 		b.Fatal(err)
 	}
+	f, err := os.Create(filepath.Join(b.TempDir(), "report.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
 	b.SetBytes(int64(doc.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := report.WriteJSON(io.Discard, res); err != nil {
+		if err := f.Truncate(0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			b.Fatal(err)
+		}
+		if err := report.WriteJSON(f, res); err != nil {
 			b.Fatal(err)
 		}
 	}

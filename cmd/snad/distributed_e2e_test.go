@@ -2,7 +2,7 @@ package main
 
 // Distributed-analysis acceptance test: a coordinator snad process with a
 // fleet of three worker snad processes, one of which is SIGKILLed while
-// the fixpoint is in flight. The run must always terminate with a sound
+// an iterate job's fixpoint is in flight. The run must always terminate with a sound
 // report — byte-identical to the single-process oracle when the shards
 // were re-hosted in time, or carrying explicit degradation records when
 // they were abandoned — and the CLI exit code must tell the two apart.
@@ -56,12 +56,12 @@ func TestDistributedIterateSurvivesWorkerSIGKILL(t *testing.T) {
 
 	// The oracle, and the exit code a healthy run earns.
 	var oracleOut, oracleErr strings.Builder
-	oracleCode := run(ctx, []string{"iterate", "-server", coordBase, "-name", "bus", "-delay", "-local"}, &oracleOut, &oracleErr)
+	oracleCode := run(ctx, []string{"submit", "-server", coordBase, "-name", "bus", "-type", "iterate", "-delay", "-local", "-wait"}, &oracleOut, &oracleErr)
 	if oracleCode != exitClean && oracleCode != exitViolations {
 		t.Fatalf("local oracle failed: exit %d\n%s%s", oracleCode, oracleOut.String(), oracleErr.String())
 	}
 
-	// Fire the distributed iterate through the real CLI and SIGKILL
+	// Fire the distributed iterate job through the real CLI and SIGKILL
 	// worker 1 while it runs. The kill races the run on purpose: landing
 	// before, during, or after, the invariant is the same — a sound
 	// terminating report, never a failure.
@@ -71,7 +71,7 @@ func TestDistributedIterateSurvivesWorkerSIGKILL(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		code = run(ctx, []string{"iterate", "-server", coordBase, "-name", "bus", "-delay", "-shards", "3"}, &out, &errb)
+		code = run(ctx, []string{"submit", "-server", coordBase, "-name", "bus", "-type", "iterate", "-delay", "-shards", "3", "-wait"}, &out, &errb)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	kill()

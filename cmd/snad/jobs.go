@@ -163,7 +163,40 @@ func printJob(stdout io.Writer, snap *report.JobJSON, jsonOut bool) int {
 	if err := json.Unmarshal(snap.Result, &resp); err != nil || resp.Noise == nil {
 		return exitClean
 	}
-	return printAnalysis(stdout, &resp)
+	it := resp.Iterate
+	if it != nil {
+		mode := "local"
+		if it.Distributed {
+			trips := 0
+			for _, st := range it.Dispatches {
+				trips += st.Dispatches
+			}
+			mode = fmt.Sprintf("distributed over %d worker(s), %d shard(s), %d round trip(s)", it.Workers, it.Shards, trips)
+		}
+		state := "converged"
+		if !it.Converged {
+			state = "did not converge"
+		}
+		if it.Diverging {
+			state = "diverging: " + it.DivergeReason
+		}
+		fmt.Fprintf(stdout, "iterate %s: %d round(s), %s (%s)\n", snap.Session, it.Rounds, state, mode)
+		if it.Resumed {
+			fmt.Fprintln(stdout, "  resumed from a persisted round checkpoint")
+		}
+		if it.Reassigns > 0 {
+			fmt.Fprintf(stdout, "  %d shard re-hosting(s) after worker loss\n", it.Reassigns)
+		}
+		if len(it.AbandonedShards) > 0 {
+			fmt.Fprintf(stdout, "  shards %v degraded to conservative full-rail results\n", it.AbandonedShards)
+		}
+	}
+	code := printAnalysis(stdout, &resp)
+	// A diverging fixpoint is an incomplete answer, not a clean one.
+	if code == exitClean && it != nil && !it.Converged {
+		code = exitDegraded
+	}
+	return code
 }
 
 func printJSON(stdout io.Writer, v any) int {

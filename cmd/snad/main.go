@@ -15,8 +15,6 @@
 //	snad create  -server URL -name S -net design.net [-spef design.spef]
 //	             [-win design.win] [-workers N]
 //	snad analyze -server URL -name S [-delay] [-timeout 10s]
-//	snad iterate -server URL -name S [-delay] [-shards N] [-local]
-//	             [-timeout 60s]
 //	snad reanalyze -server URL -name S -pad net=3e-12,net2=5e-12 [-delay]
 //	snad report  -server URL -name S
 //	snad list    -server URL
@@ -33,7 +31,9 @@
 // submit enqueues an asynchronous job: the 202 is written only after the
 // job spec is journaled (with -data-dir), so an acknowledged job survives
 // a crash — in-flight jobs are re-enqueued at the next boot and iterate
-// jobs resume from their last journaled round. Jobs that panic or
+// jobs resume from their last journaled round. A done job prints what
+// its analysis found; an iterate job adds the fixpoint's rounds and
+// whether it converged, and exits 5 when it did not. Jobs that panic or
 // degrade the engine on every attempt are quarantined as failed poison
 // jobs with per-attempt diagnostics instead of retrying forever.
 //
@@ -47,7 +47,7 @@
 //
 // With -workers, the server is also a coordinator: the listed snad
 // processes are its shard workers (heartbeat-probed), fixed at boot, and
-// `snad iterate` fans the joint noise–delay fixpoint out across them,
+// an iterate job fans the joint noise–delay fixpoint out across them,
 // surviving worker loss by re-hosting shards and, when every worker is
 // gone, degrading to conservative full-rail results rather than failing.
 // Any plain `snad serve` can be a worker — shard engines are built from
@@ -123,14 +123,14 @@ func main() {
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "snad: a subcommand is required: serve | create | analyze | iterate | reanalyze | report | list | delete | health | recovery | workers | submit | jobs | job | cancel")
+		fmt.Fprintln(stderr, "snad: a subcommand is required: serve | create | analyze | reanalyze | report | list | delete | health | recovery | workers | submit | jobs | job | cancel")
 		return exitUsage
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
 	case "serve":
 		return runServe(ctx, rest, stdout, stderr)
-	case "create", "analyze", "iterate", "reanalyze", "report", "list", "delete", "health", "recovery", "workers":
+	case "create", "analyze", "reanalyze", "report", "list", "delete", "health", "recovery", "workers":
 		return runClient(ctx, cmd, rest, stdout, stderr)
 	case "submit", "jobs", "job", "cancel":
 		return runJobs(ctx, cmd, rest, stdout, stderr)
@@ -247,15 +247,11 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 		// analyze/reanalyze flags
 		delay = fs.Bool("delay", false, "include the crosstalk delta-delay section")
 		pad   = fs.String("pad", "", "reanalyze padding: net=seconds[,net=seconds...]")
-
-		// iterate flags
-		iterShard = fs.Int("shards", 0, "shard count for a distributed iterate (0 = server default)")
-		local     = fs.Bool("local", false, "force a single-process iterate even when workers are registered")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
-	needName := cmd == "create" || cmd == "analyze" || cmd == "iterate" || cmd == "reanalyze" || cmd == "report" || cmd == "delete"
+	needName := cmd == "create" || cmd == "analyze" || cmd == "reanalyze" || cmd == "report" || cmd == "delete"
 	if needName && *name == "" {
 		fmt.Fprintln(stderr, "snad: -name is required")
 		return exitUsage
@@ -310,48 +306,6 @@ func runClient(ctx context.Context, cmd string, args []string, stdout, stderr io
 			return clientFail(stderr, err)
 		}
 		return printAnalysis(stdout, resp)
-	case "iterate":
-		resp, err := c.Iterate(ctx, *name, &server.IterateRequest{
-			Delay:  *delay,
-			Shards: *iterShard,
-			Local:  *local,
-		}, *timeout)
-		if err != nil {
-			return clientFail(stderr, err)
-		}
-		if it := resp.Iterate; it != nil {
-			mode := "local"
-			if it.Distributed {
-				trips := 0
-				for _, st := range it.Dispatches {
-					trips += st.Dispatches
-				}
-				mode = fmt.Sprintf("distributed over %d worker(s), %d shard(s), %d round trip(s)", it.Workers, it.Shards, trips)
-			}
-			state := "converged"
-			if !it.Converged {
-				state = "did not converge"
-			}
-			if it.Diverging {
-				state = "diverging: " + it.DivergeReason
-			}
-			fmt.Fprintf(stdout, "iterate %s: %d round(s), %s (%s)\n", *name, it.Rounds, state, mode)
-			if it.Resumed {
-				fmt.Fprintln(stdout, "  resumed from a persisted round checkpoint")
-			}
-			if it.Reassigns > 0 {
-				fmt.Fprintf(stdout, "  %d shard re-hosting(s) after worker loss\n", it.Reassigns)
-			}
-			if len(it.AbandonedShards) > 0 {
-				fmt.Fprintf(stdout, "  shards %v degraded to conservative full-rail results\n", it.AbandonedShards)
-			}
-		}
-		code := printAnalysis(stdout, resp)
-		// A diverging fixpoint is an incomplete answer, not a clean one.
-		if code == exitClean && resp.Iterate != nil && !resp.Iterate.Converged {
-			code = exitDegraded
-		}
-		return code
 	case "reanalyze":
 		padding, err := parsePadding(*pad)
 		if err != nil {

@@ -364,6 +364,7 @@ func TestUsageErrors(t *testing.T) {
 		{},
 		{"bogus"},
 		{"analyze"},                 // missing -name
+		{"iterate", "-name", "x"},   // iterate runs as a job: submit -type iterate
 		{"create", "-name", "x"},    // missing -net
 		{"reanalyze", "-name", "x"}, // missing -pad
 		{"serve", "-listen"},        // bad flag usage

@@ -696,7 +696,7 @@ func holdsRaw(typ types.Type, seen map[types.Type]bool) bool {
 
 // optionTypes are the analysis pipeline's option types, by package name
 // and type name.
-var optionTypes = []string{"core.Options", "sta.Options", "lint.Config"}
+var optionTypes = []string{"core.Options", "sta.Options", "lint.Config", "jobs.Config", "server.Config", "shard.Config"}
 
 // TestGateOptionsAreSet is the no-idle-knob gate: every exported field of
 // an option type is written by some non-test file of the module, benchmark/

@@ -394,17 +394,6 @@ func (c *Client) Health(ctx context.Context) (*server.HealthResponse, error) {
 	return &out, nil
 }
 
-// Ready fetches the /readyz snapshot — gate occupancy, shed counters,
-// and the memory-governance gauges. A draining server answers 503, which
-// surfaces as an error here; use Health for liveness during a drain.
-func (c *Client) Ready(ctx context.Context) (*server.ReadyResponse, error) {
-	var out server.ReadyResponse
-	if err := c.doOnce(ctx, "GET", "/readyz", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // WaitReady polls /readyz until the server reports ready or ctx expires —
 // the startup handshake for scripts and tests.
 func (c *Client) WaitReady(ctx context.Context) error {

@@ -1,8 +1,8 @@
 package client
 
-// End-to-end oracle for the distributed iterate path: a coordinator snad
-// and a fleet of worker snads, all real HTTP servers, with the production
-// ShardWorker dialer in between. The healthy-fleet run must be
+// End-to-end oracle for the distributed iterate path: iterate jobs on a
+// coordinator snad and a fleet of worker snads, all real HTTP servers, with
+// the production ShardWorker dialer in between. The healthy-fleet run must be
 // byte-identical to the single-process (Local) run — the distributed
 // engine is an implementation detail, not a different analysis.
 
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jobs"
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/server"
@@ -94,6 +95,27 @@ func startSnad(t *testing.T, workerURLs ...string) string {
 	return ts.URL
 }
 
+// iterateJob runs an iterate job of one attempt and returns its result.
+// The client polls the job every 2 ms: WaitJob's backoff suits jobs of
+// seconds, and these take milliseconds.
+func iterateJob(t *testing.T, c *Client, spec jobs.Spec) *server.AnalyzeResponse {
+	t.Helper()
+	spec.Type, spec.MaxAttempts = "iterate", 1
+	snap, err := c.SubmitJob(context.Background(), &spec)
+	if err == nil {
+		c.sleep = func(context.Context, time.Duration) error { time.Sleep(2 * time.Millisecond); return nil }
+		snap, err = c.WaitJob(context.Background(), snap.ID)
+	}
+	if err != nil || snap.State != string(jobs.StateDone) {
+		t.Fatalf("iterate job: %v (%+v)", err, snap)
+	}
+	var out server.AnalyzeResponse
+	if err := json.Unmarshal(snap.Result, &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -115,10 +137,7 @@ func TestDistributedIterateMatchesLocal(t *testing.T) {
 		if _, err := oracle.CreateSession(ctx, cr); err != nil {
 			t.Fatal(err)
 		}
-		local, err := oracle.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Local: true}, 30*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		local := iterateJob(t, oracle, jobs.Spec{Session: cr.Name, Delay: true, Local: true})
 		if local.Iterate == nil || local.Iterate.Distributed {
 			t.Fatalf("%s: local run reported iterate info %+v", cr.Name, local.Iterate)
 		}
@@ -145,10 +164,7 @@ func TestDistributedIterateMatchesLocal(t *testing.T) {
 			}
 			local := locals[cr.Name]
 			for _, shards := range fleet.shards {
-				dist, err := c.Iterate(ctx, cr.Name, &server.IterateRequest{Delay: true, Shards: shards}, 30*time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
+				dist := iterateJob(t, c, jobs.Spec{Session: cr.Name, Delay: true, Shards: shards})
 				it := dist.Iterate
 				if it == nil || !it.Distributed {
 					t.Fatalf("%s/%d: iterate did not go distributed: %+v", cr.Name, shards, it)
@@ -238,15 +254,8 @@ func TestDistributedIterateSurvivesDeadWorker(t *testing.T) {
 	if _, err := c.CreateSession(ctx, busCreate(t, "bus")); err != nil {
 		t.Fatal(err)
 	}
-	local, err := c.Iterate(ctx, "bus", &server.IterateRequest{Local: true}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dist, err := c.Iterate(ctx, "bus", &server.IterateRequest{Shards: 3}, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := iterateJob(t, c, jobs.Spec{Session: "bus", Local: true})
+	dist := iterateJob(t, c, jobs.Spec{Session: "bus", Shards: 3})
 	it := dist.Iterate
 	if it == nil || !it.Distributed {
 		t.Fatalf("iterate did not go distributed: %+v", it)

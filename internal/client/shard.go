@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"net/url"
-	"time"
 
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -68,19 +67,6 @@ func (w *ShardWorker) Do(ctx context.Context, op string, req, resp any) error {
 func (w *ShardWorker) Ping(ctx context.Context) error {
 	_, err := w.c.Health(ctx)
 	return err
-}
-
-// Iterate runs the joint noise–delay padding fixpoint on a session —
-// distributed across the server's registered workers when it has any.
-// Deterministic and checkpoint-resumable server-side, so retrying is
-// safe.
-func (c *Client) Iterate(ctx context.Context, name string, req *server.IterateRequest, timeout time.Duration) (*server.AnalyzeResponse, error) {
-	var out server.AnalyzeResponse
-	path := "/v1/sessions/" + url.PathEscape(name) + "/iterate" + timeoutQuery(timeout)
-	if err := c.doRetry(ctx, "POST", path, req, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // Workers fetches the coordinator's worker fleet.

@@ -226,12 +226,6 @@ type Config struct {
 	// MaxQueued bounds waiting jobs; Submit past it returns ErrQueueFull
 	// (default 16).
 	MaxQueued int
-	// Backoff is the base retry delay, doubled per failed attempt and
-	// capped at 16x (default 250ms).
-	Backoff time.Duration
-	// KeepDone bounds terminal-job retention: compaction prunes all but
-	// the newest this-many finished jobs (default 64).
-	KeepDone int
 	// Hooks is the write-path fault-injection seam (chaos tests).
 	Hooks wal.Hooks
 	// Exec executes attempts. Required.
@@ -243,6 +237,10 @@ type Config struct {
 	Fault func(ctx context.Context, jobType string) (degrade bool, err error)
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
+
+	// backoff is the base retry delay, doubled per failed attempt and
+	// capped at 16x (default 250ms); this package's tests shorten it.
+	backoff time.Duration
 }
 
 func (c *Config) fill() {
@@ -252,11 +250,8 @@ func (c *Config) fill() {
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = 16
 	}
-	if c.Backoff <= 0 {
-		c.Backoff = 250 * time.Millisecond
-	}
-	if c.KeepDone <= 0 {
-		c.KeepDone = 64
+	if c.backoff <= 0 {
+		c.backoff = 250 * time.Millisecond
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -270,6 +265,10 @@ const (
 	attemptBudget   = 3
 	attemptDeadline = 5 * time.Minute
 )
+
+// keepDone bounds terminal-job retention: compaction prunes all but the
+// newest this-many finished jobs.
+const keepDone = 64
 
 // Sentinel errors of the admission and cancel paths. StorageError wraps
 // journal failures so the server can map them to 503 storage.
@@ -764,15 +763,15 @@ func (m *Manager) safeExec(ctx context.Context, j *job, progress *Progress) (res
 	return res, degraded || d, err, false
 }
 
-// backoffFor is the exponential retry delay: Backoff × 2^(attempts-1),
+// backoffFor is the exponential retry delay: backoff × 2^(attempts-1),
 // capped at 16× so a long budget cannot stall the worker for minutes.
 func (m *Manager) backoffFor(attempts int) time.Duration {
-	d := m.cfg.Backoff
-	for i := 1; i < attempts && d < 16*m.cfg.Backoff; i++ {
+	d := m.cfg.backoff
+	for i := 1; i < attempts && d < 16*m.cfg.backoff; i++ {
 		d *= 2
 	}
-	if d > 16*m.cfg.Backoff {
-		d = 16 * m.cfg.Backoff
+	if d > 16*m.cfg.backoff {
+		d = 16 * m.cfg.backoff
 	}
 	return d
 }

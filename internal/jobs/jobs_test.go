@@ -33,7 +33,7 @@ func openManager(t *testing.T, dir string, exec Executor, mutate ...func(*Config
 	cfg := Config{
 		Dir:     dir,
 		Workers: 2,
-		Backoff: time.Millisecond,
+		backoff: time.Millisecond,
 		Exec:    exec,
 		Logf:    t.Logf,
 	}
@@ -444,29 +444,27 @@ func TestRestartDoesNotRerunCompletedJobs(t *testing.T) {
 
 func TestCompactionPrunesTerminalKeepsIDs(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, okExec(nil), func(c *Config) {
-		c.KeepDone = 1
-	})
-	for i := 0; i < 3; i++ {
+	m := openManager(t, dir, okExec(nil))
+	for i := 0; i < keepDone+2; i++ {
 		id := submit(t, m, &Spec{Session: "s", Type: "analyze"})
 		waitState(t, m, id, StateDone)
 	}
-	// After three done jobs a compaction keeps only the newest terminal
-	// job, but IDs never rewind.
+	// After keepDone+2 done jobs a compaction keeps only the newest
+	// keepDone terminal jobs, but IDs never rewind.
 	compact(m)
-	if n := len(m.List()); n != 1 {
-		t.Fatalf("%d job(s) retained past KeepDone 1", n)
+	if n := len(m.List()); n != keepDone {
+		t.Fatalf("%d job(s) retained past keepDone %d", n, keepDone)
 	}
 	id := submit(t, m, &Spec{Session: "s", Type: "analyze"})
-	if id != "job-000004" {
-		t.Fatalf("ID after pruning = %q (terminal pruning must not recycle IDs)", id)
+	if want := fmt.Sprintf("job-%06d", keepDone+3); id != want {
+		t.Fatalf("ID after pruning = %q, want %q (terminal pruning must not recycle IDs)", id, want)
 	}
 	waitState(t, m, id, StateDone)
 	m.Close(2 * time.Second)
 
 	m2 := openManager(t, dir, okExec(nil))
-	if id := submit(t, m2, &Spec{Session: "s", Type: "analyze"}); id != "job-000005" {
-		t.Fatalf("ID after reopen = %q", id)
+	if id, want := submit(t, m2, &Spec{Session: "s", Type: "analyze"}), fmt.Sprintf("job-%06d", keepDone+4); id != want {
+		t.Fatalf("ID after reopen = %q, want %q", id, want)
 	}
 }
 

@@ -271,7 +271,7 @@ func (m *Manager) sortedIDsLocked() []string {
 
 // compactLocked rewrites the journal — when the log says a rewrite is
 // due, or when force is set — as the nextID floor plus one snapshot
-// record per retained job, pruning all but the newest KeepDone terminal
+// record per retained job, pruning all but the newest keepDone terminal
 // jobs. The pruning takes effect in memory only once the rewrite has
 // committed; a failed one leaves journal and job table as they were and
 // is retried after the next append.
@@ -286,7 +286,7 @@ func (m *Manager) compactLocked(force bool) {
 	for i := len(ids) - 1; i >= 0; i-- {
 		if !m.jobs[ids[i]].State.Terminal() {
 			keep[ids[i]] = true
-		} else if terminal < m.cfg.KeepDone {
+		} else if terminal < keepDone {
 			keep[ids[i]] = true
 			terminal++
 		}

@@ -61,10 +61,9 @@ type specKeys struct {
 	// differ only in options share one cache entry.
 	design cacheKey
 	// run covers the design and every option that affects a result: an
-	// iterate run's token, and so its journaled round state, is named by
-	// it. Workers
-	// stays out, because serial and parallel runs are byte-identical by
-	// contract.
+	// iterate job's run token, and so its journaled round state, is named
+	// by it. Workers stays out, because serial and parallel runs are
+	// byte-identical by contract.
 	run cacheKey
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,40 +265,48 @@ func TestCoalescedAcquireHonorsCancel(t *testing.T) {
 }
 
 // TestTenantStarvation drives a bulk tenant that floods the one-worker
-// gate with slow analyses and asserts an interactive tenant still gets
-// through promptly — round-robin dispatch, not FIFO behind the flood.
+// gate with analyses and asserts an interactive tenant still gets through
+// promptly — round-robin dispatch, not FIFO behind the flood. Each bulk
+// analysis holds in its b0's preparation until the test hands it a
+// release, and releases go out one at a time until the live request
+// returns. With one slot, the bulk analyses done before live's own b0 is
+// prepared are the ones done before it finishes: the count is the
+// dispatch order, not a race against the clock.
 func TestTenantStarvation(t *testing.T) {
 	const bulkN = 10
-	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 64, MaxSessions: bulkN + 4})
-	// Each bulk client gets its own session over the same slow sources
-	// (16-bit bus, "sleep:*" per-net sleeps) so EVERY bulk analyze is a
-	// slow first-analysis — a single shared session would be incremental
-	// (and instant) after the first one, and the backlog would drain
-	// before the live request could demonstrate anything. The live
-	// session is a fast 4-bit bus.
-	slow := busPayload(t, "", 16, shard.OptionsSpec{})
+	release := make(chan struct{})
+	var released, doneWhenLiveFinished atomic.Int32
+	hold := func(session, net string) error {
+		switch {
+		case net != "b0":
+		case strings.HasPrefix(session, "bulk-"):
+			<-release
+			released.Add(1)
+		case session == "fast":
+			doneWhenLiveFinished.Store(released.Load())
+		}
+		return nil
+	}
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 64, MaxSessions: bulkN + 4, Faults: &Faults{Prepare: hold}})
+	// Each client gets its own session so EVERY analyze is a first
+	// analysis that prepares b0 — a shared session would be incremental
+	// after the first one. The live session is a 4-bit bus.
+	bulk := busPayload(t, "", 16, shard.OptionsSpec{})
 	for i := 0; i < bulkN; i++ {
-		slow.Name = fmt.Sprintf("slow-%d", i)
-		resp, data := do(t, "POST", ts.URL+"/v1/sessions", slow)
+		bulk.Name = fmt.Sprintf("bulk-%d", i)
+		resp, data := do(t, "POST", ts.URL+"/v1/sessions", bulk)
 		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create %s: %d: %s", slow.Name, resp.StatusCode, data)
+			t.Fatalf("create %s: %d: %s", bulk.Name, resp.StatusCode, data)
 		}
 	}
 	createSession(t, ts.URL, "fast", shard.OptionsSpec{})
-	// Warm the fast engine so the interactive request below measures
-	// scheduling, not first-build cost.
-	if resp, data := do(t, "POST", ts.URL+"/v1/sessions/fast/analyze", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm fast: %d: %s", resp.StatusCode, data)
-	}
 
-	var bulkDone atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < bulkN; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			doTenant(t, "POST", ts.URL+"/v1/sessions/slow-"+strconv.Itoa(i)+"/analyze", "bulk", nil)
-			bulkDone.Add(1)
+			doTenant(t, "POST", ts.URL+"/v1/sessions/bulk-"+strconv.Itoa(i)+"/analyze", "bulk", nil)
 		}(i)
 	}
 	// Fire live only once the whole flood is in the gate — one bulk
@@ -306,9 +315,25 @@ func TestTenantStarvation(t *testing.T) {
 		running, queued := s.gate.snapshot()
 		return running == 1 && queued == bulkN-1
 	})
-
-	resp, data := doTenant(t, "POST", ts.URL+"/v1/sessions/fast/analyze", "live", nil)
-	doneWhenLiveFinished := bulkDone.Load()
+	liveDone := make(chan struct{})
+	var resp *http.Response
+	var data []byte
+	go func() {
+		defer close(liveDone)
+		resp, data = doTenant(t, "POST", ts.URL+"/v1/sessions/fast/analyze", "live", nil)
+	}()
+	waitFor(t, func() bool {
+		_, queued := s.gate.snapshot()
+		return queued == bulkN
+	})
+	for live := false; !live; {
+		select {
+		case release <- struct{}{}:
+		case <-liveDone:
+			live = true
+		}
+	}
+	close(release)
 	wg.Wait()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("live analyze under flood: %d: %s", resp.StatusCode, data)
@@ -316,8 +341,8 @@ func TestTenantStarvation(t *testing.T) {
 	// Round-robin admits live after at most a couple of bulk slots (the
 	// running one plus one ring rotation); global FIFO would make it
 	// wait out the entire nine-deep backlog.
-	if doneWhenLiveFinished > 4 {
-		t.Fatalf("live request waited behind %d of %d bulk requests — starved behind the flood", doneWhenLiveFinished, bulkN)
+	if n := doneWhenLiveFinished.Load(); n > 4 {
+		t.Fatalf("live request waited behind %d of %d bulk requests — starved behind the flood", n, bulkN)
 	}
 }
 

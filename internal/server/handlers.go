@@ -347,8 +347,8 @@ func (s *Server) persistPadding(ss *session) {
 	}
 }
 
-// analysis is the interactive face of sessionWork, under analyze, reanalyze
-// and iterate. What is its alone — breaker admission and the half-open
+// analysis is the interactive face of sessionWork, under analyze and
+// reanalyze. What is its alone — breaker admission and the half-open
 // probe, the admission gate and request deadline, snad_analysis_seconds —
 // wraps the harness's busy-slot half, so each keeps its deferred release.
 func (s *Server) analysis(w http.ResponseWriter, r *http.Request, work func(context.Context, *session) (*answer, error)) error {

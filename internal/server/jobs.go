@@ -57,25 +57,7 @@ func (s *Server) execJob(ctx context.Context, id string, spec *jobs.Spec, progre
 		case "reanalyze":
 			return s.reanalyzeWork(ctx, ss, spec.Padding, spec.Delay)
 		case "iterate":
-			req := &IterateRequest{Delay: spec.Delay, MaxRounds: spec.MaxRounds, Shards: spec.Shards, Local: spec.Local}
-			token := runToken(id, ss.keys.run)
-			if s.store == nil {
-				return s.iterate(ctx, ss, req, token, nil, nil)
-			}
-			// The round state rides the job's journal as its progress: a
-			// retried or SIGKILL'd iterate job resumes mid-fixpoint, and
-			// the job's terminal record drops it.
-			var resume *roundState
-			if json.Unmarshal(progress.Last, &resume) != nil {
-				resume = nil // none saved, or unreadable: start fresh
-			}
-			return s.iterate(ctx, ss, req, token, resume, func(rs *roundState) error {
-				b, err := json.Marshal(rs)
-				if err != nil {
-					return err
-				}
-				return progress.Save(b)
-			})
+			return s.iterate(ctx, ss, id, spec, progress)
 		case "sweep":
 			sweep, err = s.jobSweep(ctx, ss, spec)
 			return nil, err

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jobs"
 	"repro/internal/shard"
 	"repro/internal/wal"
 )
@@ -160,17 +161,18 @@ func TestLegacyCreateRecordReplays(t *testing.T) {
 	if resp, data := do(t, "POST", fresh.URL+"/v1/sessions", rec.Create); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d: %s", resp.StatusCode, data)
 	}
-	for _, q := range []struct {
-		endpoint string
-		body     any
-	}{{"analyze", AnalyzeRequest{Delay: true}}, {"iterate", IterateRequest{Delay: true}}} {
-		r1, got := do(t, "POST", replayed.URL+"/v1/sessions/legacy/"+q.endpoint, q.body)
-		r2, want := do(t, "POST", fresh.URL+"/v1/sessions/legacy/"+q.endpoint, q.body)
-		if r1.StatusCode != http.StatusOK || r2.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d replayed, %d fresh: %s", q.endpoint, r1.StatusCode, r2.StatusCode, got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: the replayed session answers\n%s\na fresh create answers\n%s", q.endpoint, got, want)
-		}
+	r1, got := do(t, "POST", replayed.URL+"/v1/sessions/legacy/analyze", AnalyzeRequest{Delay: true})
+	r2, want := do(t, "POST", fresh.URL+"/v1/sessions/legacy/analyze", AnalyzeRequest{Delay: true})
+	if r1.StatusCode != http.StatusOK || r2.StatusCode != http.StatusOK {
+		t.Fatalf("analyze: status %d replayed, %d fresh: %s", r1.StatusCode, r2.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("analyze: the replayed session answers\n%s\na fresh create answers\n%s", got, want)
+	}
+	iterate := jobs.Spec{Session: "legacy", Type: "iterate", Delay: true}
+	got = waitJobHTTP(t, replayed.URL, submitJob(t, replayed.URL, iterate).ID, "done").Result
+	want = waitJobHTTP(t, fresh.URL, submitJob(t, fresh.URL, iterate).ID, "done").Result
+	if !bytes.Equal(got, want) {
+		t.Errorf("iterate job: the replayed session answers\n%s\na fresh create answers\n%s", got, want)
 	}
 }

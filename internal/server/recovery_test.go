@@ -2,20 +2,16 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/report"
 	"repro/internal/shard"
 	"repro/internal/units"
@@ -550,118 +546,6 @@ func TestServerStorageDegradedSurfaced(t *testing.T) {
 	}
 	if rr := ready(); !rr.StorageDegraded {
 		t.Fatalf("storage failure not surfaced: %+v", rr)
-	}
-}
-
-// TestRecreatedSessionStartsItsOwnIterate: an iterate cut off mid-fixpoint
-// leaves its round state in the session journal, and a session re-created
-// under the deleted one's name over another design must not resume it —
-// not after DELETE, whose tombstone drops it with the session, and not
-// when the journal holds it for the new session anyway, because the state
-// carries the run token it was saved under, which names the design as
-// well as the session. The re-created session answers what a fresh server
-// answers.
-func TestRecreatedSessionStartsItsOwnIterate(t *testing.T) {
-	dir := t.TempDir()
-	slow := chaos.SessionFaults{"s": {Sleep: []string{"*"}}}
-	s, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
-	resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, "s", 6, shard.OptionsSpec{}))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %d: %s", resp.StatusCode, data)
-	}
-
-	saved := cutOffIterate(t, s, ts.URL, "s")
-
-	// The canceled run unwinds before the session stops being busy.
-	waitFor(t, func() bool {
-		resp, _ := do(t, "DELETE", ts.URL+"/v1/sessions/s", nil)
-		return resp.StatusCode == http.StatusNoContent
-	})
-
-	iterate := func(s *Server, base string) AnalyzeResponse {
-		resp, data := do(t, "POST", base+"/v1/sessions", busPayload(t, "s", 4, shard.OptionsSpec{}))
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create: %d: %s", resp.StatusCode, data)
-		}
-		if s != nil {
-			if rs := s.store.Spec("s").Round; rs != nil {
-				t.Fatalf("the re-created session holds the deleted one's round state %+v", rs)
-			}
-			if err := s.store.Round("s", saved); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return analyzeOK(t, base, "s", "iterate", IterateRequest{Local: true, Delay: true})
-	}
-	got := iterate(s, ts.URL)
-	_, fresh := newTestServer(t, Config{DataDir: t.TempDir()})
-	want := iterate(nil, fresh.URL)
-	if got.Iterate.Resumed || got.Iterate.Rounds != want.Iterate.Rounds {
-		t.Fatalf("re-created session: resumed=%v after %d round(s); a fresh server: resumed=%v after %d",
-			got.Iterate.Resumed, got.Iterate.Rounds, want.Iterate.Resumed, want.Iterate.Rounds)
-	}
-	for _, sec := range []struct {
-		name      string
-		got, want any
-	}{{"noise", got.Noise, want.Noise}, {"delay", got.Delay, want.Delay}} {
-		g, _ := json.Marshal(sec.got)
-		w, _ := json.Marshal(sec.want)
-		if !bytes.Equal(g, w) {
-			t.Errorf("%s section differs from a fresh server's", sec.name)
-		}
-	}
-}
-
-// cutOffIterate starts a local iterate on the named session, which must be
-// slowed, and cancels it the way its deadline would once the session
-// journal holds its round state; it returns the state the journal holds
-// once the run has unwound.
-func cutOffIterate(t *testing.T, s *Server, base, name string) *roundState {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	ran := make(chan struct{})
-	go func() {
-		defer close(ran)
-		req, _ := http.NewRequestWithContext(ctx, "POST", base+"/v1/sessions/"+url.PathEscape(name)+"/iterate", strings.NewReader(`{"local":true,"delay":true}`))
-		if resp, err := http.DefaultClient.Do(req); err == nil {
-			resp.Body.Close()
-		}
-	}()
-	waitFor(t, func() bool {
-		select {
-		case <-ran:
-			t.Fatal("iterate finished before any round state was journaled; grow the fixture")
-		default:
-		}
-		return s.store.Spec(name).Round != nil
-	})
-	cancel()
-	<-ran
-	return s.store.Spec(name).Round
-}
-
-// TestDeleteKeepsANeighborsCheckpoint: sessions "a b" and "a_b" over one
-// design and options differ only in a byte a file name cannot hold. A
-// DELETE of "a_b" drops "a_b"'s iterate round state and nothing of
-// "a b"'s, which a cut-off iterate left behind, through a restart too.
-func TestDeleteKeepsANeighborsCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	slow := chaos.SessionFaults{"a b": {Sleep: []string{"*"}}}
-	s, ts := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
-	for _, name := range []string{"a b", "a_b"} {
-		if resp, data := do(t, "POST", ts.URL+"/v1/sessions", busPayload(t, name, 6, shard.OptionsSpec{})); resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create %q: %d: %s", name, resp.StatusCode, data)
-		}
-	}
-	saved := cutOffIterate(t, s, ts.URL, "a b")
-	if resp, data := do(t, "DELETE", ts.URL+"/v1/sessions/a_b", nil); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete a_b: %d: %s", resp.StatusCode, data)
-	}
-	ts.Close()
-	s.Close()
-	s2, _ := newTestServer(t, Config{DataDir: dir})
-	if got := s2.store.Spec("a b").Round; !reflect.DeepEqual(got, saved) {
-		t.Errorf("after DELETE of a_b and a restart, a b holds round state %+v, want %+v", got, saved)
 	}
 }
 

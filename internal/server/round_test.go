@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -79,61 +78,14 @@ func sameAnalysis(t *testing.T, got, want AnalyzeResponse) {
 	}
 }
 
-// TestRoundStateDiesWithItsSession cuts the session journal of
-// create→round→round→delete→create at each record boundary: every replay,
-// and every compaction of it, holds the round state of the last round
-// record, and none after the delete.
-func TestRoundStateDiesWithItsSession(t *testing.T) {
-	create := busPayload(t, "s", 4, shard.OptionsSpec{})
-	rs1 := &roundState{Token: "iterate-s-00", Round: 1, Padding: map[string]float64{"b1": 2e-12}, PrevGrowth: 2e-12}
-	rs2 := &roundState{Token: "iterate-s-00", Round: 2, Padding: map[string]float64{"b1": 3e-12, "b2": 1e-12}, PrevGrowth: 1e-12}
-	var payloads [][]byte
-	for _, rec := range []*record{
-		{Type: "create", Name: "s", Create: &create},
-		{Type: "round", Name: "s", Round: rs1},
-		{Type: "round", Name: "s", Round: rs2},
-		{Type: "delete", Name: "s"},
-		{Type: "create", Name: "s", Create: &create},
-	} {
-		p, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads = append(payloads, p)
-	}
-	// After k records: whether the session exists, and its round state.
-	live := []bool{false, true, true, true, false, true}
-	want := []*roundState{nil, nil, rs1, rs2, nil, nil}
-	for k := range live {
-		dir := t.TempDir()
-		writeSessionJournal(t, dir, payloads[:k]...)
-		for _, step := range []string{"replay", "compacted replay"} {
-			st, _, err := OpenStore(dir, wal.Hooks{}, nil, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp := st.Spec("s")
-			if (sp != nil) != live[k] {
-				t.Fatalf("after %d record(s), %s: session present=%v, want %v", k, step, sp != nil, live[k])
-			}
-			if sp != nil && !reflect.DeepEqual(sp.Round, want[k]) {
-				t.Errorf("after %d record(s), %s: round state %+v, want %+v", k, step, sp.Round, want[k])
-			}
-			st.mu.Lock()
-			st.compactLocked(true)
-			st.mu.Unlock()
-			st.Close()
-		}
-	}
-}
-
-// TestGoldenRoundRecordResumes replays a round record written after round
-// 1 of the fixpoint of the session testdata/create_record.golden.json
-// creates, checked in as it was written: the record is an interface to
-// every run a restart picks up, so a change of the types behind it must
-// still read it. The session resumes from it, and a completed run
-// journals that it holds no round state any more.
-func TestGoldenRoundRecordResumes(t *testing.T) {
+// TestGoldenRoundRecordReplays replays a session journal an older build
+// wrote, whose interactive iterate kept its round state in it: the create
+// of testdata/create_record.golden.json as that build's compaction wrote
+// it, carrying a "round" field, then the round record it journaled after
+// round 1, checked in as it was written. Iterate runs only as a job now, so
+// both restore nothing of a run and quarantine nothing: the session boots,
+// and an iterate job over it answers what one over a fresh create does.
+func TestGoldenRoundRecordReplays(t *testing.T) {
 	var payloads [][]byte
 	for _, f := range []string{"create_record", "round_record"} {
 		p, err := os.ReadFile("testdata/" + f + ".golden.json")
@@ -143,60 +95,29 @@ func TestGoldenRoundRecordResumes(t *testing.T) {
 		payloads = append(payloads, bytes.TrimSuffix(p, []byte("\n")))
 	}
 	var create record
-	if err := json.Unmarshal(payloads[0], &create); err != nil {
-		t.Fatal(err)
+	var round struct{ Round json.RawMessage }
+	if json.Unmarshal(payloads[0], &create) != nil || json.Unmarshal(payloads[1], &round) != nil {
+		t.Fatal("unreadable golden records")
 	}
+	compacted := append(bytes.TrimSuffix(payloads[0], []byte("}")), `,"round":`...)
 	dir := t.TempDir()
-	writeSessionJournal(t, dir, payloads...)
+	writeSessionJournal(t, dir, append(append(compacted, round.Round...), '}'), payloads[1])
 	s, replayed := newTestServer(t, Config{DataDir: dir})
-	if rs := s.store.Spec("legacy").Round; rs == nil || rs.Round != 1 {
-		t.Fatalf("the golden round record replays to %+v", rs)
+	if rec := s.recovery; len(rec.Quarantined) != 0 || !slices.Equal(rec.Restored, []string{"legacy"}) {
+		t.Fatalf("the golden journal restored %q and quarantined %+v", rec.Restored, rec.Quarantined)
 	}
 
 	_, fresh := newTestServer(t, Config{})
 	if resp, data := do(t, "POST", fresh.URL+"/v1/sessions", create.Create); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d: %s", resp.StatusCode, data)
 	}
-	got := analyzeOK(t, replayed.URL, "legacy", "iterate", IterateRequest{Delay: true})
-	want := analyzeOK(t, fresh.URL, "legacy", "iterate", IterateRequest{Delay: true})
-	if !got.Iterate.Resumed || want.Iterate.Resumed {
-		t.Fatalf("resumed=%v from the golden record, %v fresh", got.Iterate.Resumed, want.Iterate.Resumed)
+	spec := jobs.Spec{Session: "legacy", Type: "iterate", Delay: true}
+	got := jobAnalysis(t, replayed.URL, submitJob(t, replayed.URL, spec).ID)
+	want := jobAnalysis(t, fresh.URL, submitJob(t, fresh.URL, spec).ID)
+	if got.Iterate.Resumed || want.Iterate.Resumed {
+		t.Fatalf("resumed=%v over the golden journal, %v fresh", got.Iterate.Resumed, want.Iterate.Resumed)
 	}
 	sameAnalysis(t, got, want)
-	if rs := s.store.Spec("legacy").Round; rs != nil {
-		t.Errorf("the completed run left round state %+v", rs)
-	}
-}
-
-// TestIterateResumesAfterRestart: an interactive iterate cut off after a
-// journaled round resumes from that round on the next server over the data
-// directory, and lands on what an uninterrupted run answers.
-func TestIterateResumesAfterRestart(t *testing.T) {
-	dir := t.TempDir()
-	slow := chaos.SessionFaults{"s": {Sleep: []string{"*"}}}
-	s1, ts1 := newTestServer(t, Config{DataDir: dir, Faults: &Faults{Prepare: slow.Prepare}})
-	p := busPayload(t, "s", 6, shard.OptionsSpec{})
-	if resp, data := do(t, "POST", ts1.URL+"/v1/sessions", p); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %d: %s", resp.StatusCode, data)
-	}
-	cutOffIterate(t, s1, ts1.URL, "s")
-	ts1.Close()
-	s1.Close()
-
-	s2, ts2 := newTestServer(t, Config{DataDir: dir})
-	_, fresh := newTestServer(t, Config{})
-	if resp, data := do(t, "POST", fresh.URL+"/v1/sessions", p); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %d: %s", resp.StatusCode, data)
-	}
-	got := analyzeOK(t, ts2.URL, "s", "iterate", IterateRequest{Local: true, Delay: true})
-	want := analyzeOK(t, fresh.URL, "s", "iterate", IterateRequest{Local: true, Delay: true})
-	if !got.Iterate.Resumed {
-		t.Fatal("the restarted server did not resume the cut-off iterate")
-	}
-	sameAnalysis(t, got, want)
-	if rs := s2.store.Spec("s").Round; rs != nil {
-		t.Errorf("the completed run left round state %+v", rs)
-	}
 }
 
 // cutOffJob submits an iterate job on the slowed session "s" and closes
@@ -224,11 +145,10 @@ func jobAnalysis(t *testing.T, base, id string) AnalyzeResponse {
 	return ar
 }
 
-// TestDataDirHoldsOnlyTheJournals: a session created, an interactive
-// iterate and an iterate job cut off mid-fixpoint, the job resumed and
-// finished after a restart, the session deleted, and another restart
-// leave the data dir holding the two journals and their quarantine
-// directories, nothing else.
+// TestDataDirHoldsOnlyTheJournals: a session created, an iterate job cut
+// off mid-fixpoint, the job resumed and finished after a restart, the
+// session deleted, and another restart leave the data dir holding the two
+// journals and their quarantine directories, nothing else.
 func TestDataDirHoldsOnlyTheJournals(t *testing.T) {
 	dir := t.TempDir()
 	slow := chaos.SessionFaults{"s": {Sleep: []string{"*"}}}
@@ -236,7 +156,6 @@ func TestDataDirHoldsOnlyTheJournals(t *testing.T) {
 	if resp, data := do(t, "POST", ts1.URL+"/v1/sessions", busPayload(t, "s", 6, shard.OptionsSpec{})); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d: %s", resp.StatusCode, data)
 	}
-	cutOffIterate(t, s1, ts1.URL, "s")
 	id := cutOffJob(t, s1, ts1.URL, dir)
 	ts1.Close()
 	wantOnlyJournals(t, dir)

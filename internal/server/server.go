@@ -319,7 +319,6 @@ func New(cfg Config) (*Server, error) {
 	route("DELETE /v1/sessions/{name}", s.handleDelete)
 	route("POST /v1/sessions/{name}/analyze", s.handleAnalyze)
 	route("POST /v1/sessions/{name}/reanalyze", s.handleReanalyze)
-	route("POST /v1/sessions/{name}/iterate", s.handleIterate)
 	route("GET /v1/sessions/{name}/report", s.handleReport)
 	route("POST /v1/jobs", s.handleSubmitJob)
 	route("GET /v1/jobs", s.handleListJobs)

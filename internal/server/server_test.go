@@ -170,6 +170,12 @@ func TestServerBasicFlow(t *testing.T) {
 	}
 	wantErrKind(t, data, "conflict")
 
+	// Iterate runs only as a job: there is no interactive route, and a
+	// request to it builds nothing (the analyze below still rebuilds).
+	if resp, _ = do(t, "POST", ts.URL+"/v1/sessions/bus/iterate", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("interactive iterate: status %d, want 404", resp.StatusCode)
+	}
+
 	// First analyze builds the engine.
 	resp, data = do(t, "POST", ts.URL+"/v1/sessions/bus/analyze", AnalyzeRequest{Delay: true})
 	if resp.StatusCode != http.StatusOK {

@@ -14,22 +14,20 @@ package server
 //     the shared design cache, one reference per run token.
 //
 //   - snad as coordinator: the boot fleet (Config.Workers, listed by
-//     GET /v1/workers) is probed by a heartbeat, and iterate — the
-//     interactive endpoint and the job type alike, through the one
-//     function below — runs the joint noise–delay fixpoint across the
-//     healthy ones (shard.Run) or, with none, in this process
-//     (shard.RunLocal). Both are the same loop (core.RunIterative) over
-//     different engines, so a healthy distributed run returns noise and
-//     delay sections byte-identical to the local one; worker loss
-//     degrades to re-hosting, then to conservative full-rail results with
-//     degradation diagnostics — never to a failed request. With a data
-//     directory, either kind journals its round state after every round —
-//     a session's in the session journal, a job's as the job's progress —
-//     so a restarted server resumes a mid-fixpoint iterate instead of
-//     starting over.
+//     GET /v1/workers) is probed by a heartbeat, and an iterate job runs
+//     the joint noise–delay fixpoint across the healthy ones (shard.Run)
+//     or, with none, in this process (shard.RunLocal). Both are the same
+//     loop (core.RunIterative) over different engines, so a healthy
+//     distributed run returns noise and delay sections byte-identical to
+//     the local one; worker loss degrades to re-hosting, then to
+//     conservative full-rail results with degradation diagnostics — never
+//     to a failed job. With a data directory the job journals its round
+//     state as its progress after every round, so a restarted server
+//     resumes a mid-fixpoint iterate instead of starting over.
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,6 +36,7 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
+	"repro/internal/jobs"
 	"repro/internal/shard"
 )
 
@@ -197,58 +196,46 @@ func (s *Server) handleShardOp(w http.ResponseWriter, r *http.Request) error {
 	})
 }
 
-// --- snad as coordinator: iterate ---
+// --- snad as coordinator: iterate jobs ---
 
-func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) error {
-	var req IterateRequest
-	if err := decodeBodyOptional(r.Body, &req); err != nil {
-		return err
-	}
-	return s.analysis(w, r, func(ctx context.Context, ss *session) (*answer, error) {
-		token := iterateToken(ss.name, ss.keys.run)
-		var sp *sessionSpec
-		if s.store != nil && ss.persisted {
-			sp = s.store.Spec(ss.name)
-		}
-		if sp == nil {
-			return s.iterate(ctx, ss, &req, token, nil, nil)
-		}
-		// The round state rides the session's journal: a restarted server
-		// resumes a mid-fixpoint iterate from its last completed round, and
-		// the session's delete or re-create drops what a cut-off run left.
-		a, err := s.iterate(ctx, ss, &req, token, sp.Round, func(rs *roundState) error { return s.store.Round(ss.name, rs) })
-		if err == nil {
-			if err := s.store.Round(ss.name, nil); err != nil {
-				s.cfg.Logf("session %q: completed iterate not journaled: %v", ss.name, err)
-			}
-		}
-		return a, err
-	})
+// runToken names an iterate job's run: the job's ID plus the head of the
+// run key of the design it runs over — the sources and the options that
+// affect its result. A worker hands a token's design to every init that
+// names it, and a journaled round state resumes only the run whose token
+// it was saved under; named by the job alone, a retry over a session
+// re-created on another design would inherit both.
+func runToken(id string, run cacheKey) string { return fmt.Sprintf("%s-%x", id, run[:8]) }
+
+// roundState is core.RoundState as an iterate job's progress carries it.
+// Padding names its nets, and Token is the run token the state was
+// computed under, which names the design's sources and options: a state
+// saved under another token is not resumed.
+type roundState struct {
+	Token      string             `json:"token"`
+	Round      int                `json:"round"`
+	Padding    map[string]float64 `json:"padding,omitempty"`
+	PrevGrowth float64            `json:"prevGrowth"`
+	Stalled    int                `json:"stalled,omitempty"`
 }
 
-// iterateToken keys a session's interactive iterate runs.
-func iterateToken(name string, run cacheKey) string { return runToken("iterate-"+name, run) }
-
-// runToken names an iterate run: prefix (a session's, or a job's ID) plus
-// the head of the run key of the design it runs over — the sources and
-// the options that affect its result. A worker hands a token's design to
-// every init that names it, and a journaled round state resumes only the
-// run whose token it was saved under; named by session or job alone, a
-// run over a session re-created on another design would inherit both.
-func runToken(prefix string, run cacheKey) string { return fmt.Sprintf("%s-%x", prefix, run[:8]) }
-
-// iterate runs the joint noise–delay fixpoint on a session for both
-// callers, the interactive endpoint and iterate jobs: across the healthy
-// workers when there are any (and the request does not force local), in
-// this process otherwise. token keys the run on the workers; the run
-// resumes from resume when that was saved under token, and hands save, if
-// any, its state after every round, fail-soft.
-func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, token string, resume *roundState, save func(*roundState) error) (*answer, error) {
+// iterate runs an iterate job's joint noise–delay fixpoint on a session:
+// across the healthy workers when there are any (and the spec does not
+// force local), in this process otherwise. With a data directory the round
+// state rides the job's journal as its progress: the run resumes from what
+// an earlier attempt saved under the same token, and saves its own after
+// every round, fail-soft — a retried or SIGKILL'd job resumes
+// mid-fixpoint, and the job's terminal record drops the state.
+func (s *Server) iterate(ctx context.Context, ss *session, id string, spec *jobs.Spec, progress *jobs.Progress) (*answer, error) {
+	token := runToken(id, ss.keys.run)
+	var resume *roundState
+	if s.store == nil || json.Unmarshal(progress.Last, &resume) != nil {
+		resume = nil // memory-only, none saved, or unreadable: start fresh
+	}
 	cfg := shard.Config{
 		B:         ss.b,
 		Opts:      ss.opts,
 		Token:     token,
-		MaxRounds: req.MaxRounds,
+		MaxRounds: spec.MaxRounds,
 		Resume:    resume.start(ss.b, token),
 		// Each dispatch gets the same ceiling a worker enforces on its own
 		// requests; a hung worker is declared lost instead of pinning the
@@ -259,17 +246,20 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 	if cfg.Resume.Round > 0 {
 		s.cfg.Logf("iterate %s: resuming after round %d", token, cfg.Resume.Round)
 	}
-	if save != nil {
+	if s.store != nil {
 		cfg.AfterRound = func(st core.RoundState) {
-			rs := &roundState{Token: token, Round: st.Round, Padding: core.PaddingByName(ss.b.Net, st.Padding), PrevGrowth: st.PrevGrowth, Stalled: st.Stalled}
-			if err := save(rs); err != nil {
+			b, err := json.Marshal(&roundState{Token: token, Round: st.Round, Padding: core.PaddingByName(ss.b.Net, st.Padding), PrevGrowth: st.PrevGrowth, Stalled: st.Stalled})
+			if err == nil {
+				err = progress.Save(b)
+			}
+			if err != nil {
 				s.cfg.Logf("iterate %s: round %d not journaled (continuing): %v", token, st.Round, err)
 			}
 		}
 	}
 	run, info := shard.RunLocal, &IterateInfo{}
-	if workers := s.healthyWorkers(); !req.Local && len(workers) > 0 {
-		cfg.Workers, cfg.Shards, cfg.Design = workers, req.Shards, ss.design
+	if workers := s.healthyWorkers(); !spec.Local && len(workers) > 0 {
+		cfg.Workers, cfg.Shards, cfg.Design = workers, spec.Shards, ss.design
 		run = shard.Run
 		info.Distributed, info.Workers = true, len(workers)
 	}
@@ -282,7 +272,7 @@ func (s *Server) iterate(ctx context.Context, ss *session, req *IterateRequest, 
 	info.Reassigns, info.AbandonedShards, info.Resumed = out.Reassigns, out.AbandonedShards, cfg.Resume.Round > 0
 	info.Dispatches, info.Shards = out.Dispatches, out.Shards
 	a := &answer{noise: out.Noise, iterate: info}
-	if req.Delay {
+	if spec.Delay {
 		a.delay = out.Delay
 	}
 	return a, nil

@@ -34,10 +34,6 @@ import (
 //     monotone in window width, so re-applying a stale record can only
 //     be a no-op.
 //
-//   - A cut-off iterate's round state rides the session: a round record
-//     replaces the session's round state (an empty one clears it), and a
-//     create or delete record drops it with the rest of the session.
-//
 //   - Recovery is fail-soft: an unreplayable record is quarantined with
 //     a reason and the boot continues with every healthy session. Only
 //     an unusable directory refuses the boot — or one in the layout this
@@ -63,8 +59,6 @@ type Store struct {
 type sessionSpec struct {
 	Create  *CreateSessionRequest `json:"create"`
 	Padding map[string]float64    `json:"padding,omitempty"`
-	// Round is the round state of the session's cut-off iterate, if any.
-	Round *roundState `json:"round,omitempty"`
 	// keys are the create request's design and run keys: computed by the
 	// create, or when a replayed create record is applied, and read by
 	// every revive and delete after. They are not journaled.
@@ -75,12 +69,12 @@ type sessionSpec struct {
 }
 
 func (sp *sessionSpec) clone() *sessionSpec {
-	return &sessionSpec{Create: sp.Create, Padding: maps.Clone(sp.Padding), Round: sp.Round, keys: sp.keys, restoredAt: sp.restoredAt}
+	return &sessionSpec{Create: sp.Create, Padding: maps.Clone(sp.Padding), keys: sp.keys, restoredAt: sp.restoredAt}
 }
 
 // record is one journaled session lifecycle event.
 type record struct {
-	// Type is "create", "padding", "round", or "delete".
+	// Type is "create", "padding", or "delete".
 	Type string `json:"type"`
 	// Name is the session the event applies to.
 	Name string `json:"name"`
@@ -91,22 +85,6 @@ type record struct {
 	// map on a "padding" record, and on the "create" record a compaction
 	// writes per live session.
 	Padding map[string]float64 `json:"padding,omitempty"`
-	// Round carries the round state on a "round" record (none clears it),
-	// and on the "create" record a compaction writes.
-	Round *roundState `json:"round,omitempty"`
-}
-
-// roundState is core.RoundState as the journals carry it: the session's
-// on a round record, an iterate job's as its progress. Padding names its
-// nets, and Token is the run token the state was computed under, which
-// names the design's sources and options: a state saved under another
-// token is not resumed.
-type roundState struct {
-	Token      string             `json:"token"`
-	Round      int                `json:"round"`
-	Padding    map[string]float64 `json:"padding,omitempty"`
-	PrevGrowth float64            `json:"prevGrowth"`
-	Stalled    int                `json:"stalled,omitempty"`
 }
 
 const journalName = "sessions.wal"
@@ -154,7 +132,7 @@ func (st *Store) apply(payload []byte, restoredAt time.Time) error {
 		if rec.Create == nil || rec.Create.Name == "" {
 			return errors.New("create record without a request payload")
 		}
-		st.specs[rec.Create.Name] = &sessionSpec{Create: rec.Create, Padding: rec.Padding, Round: rec.Round, keys: keysOf(rec.Create.design()), restoredAt: restoredAt}
+		st.specs[rec.Create.Name] = &sessionSpec{Create: rec.Create, Padding: rec.Padding, keys: keysOf(rec.Create.design()), restoredAt: restoredAt}
 	case "padding":
 		sp := st.specs[rec.Name]
 		if sp == nil {
@@ -169,11 +147,8 @@ func (st *Store) apply(payload []byte, restoredAt time.Time) error {
 			}
 		}
 	case "round":
-		sp := st.specs[rec.Name]
-		if sp == nil {
-			return fmt.Errorf("round state for unknown session %q", rec.Name)
-		}
-		sp.Round = rec.Round
+		// An interactive iterate's round state, which older builds wrote:
+		// iterate runs only as a job now, whose progress carries its own.
 	case "delete":
 		if rec.Name == "" {
 			return errors.New("delete record without a session name")
@@ -248,28 +223,6 @@ func (st *Store) Padding(name string, padding map[string]float64) error {
 	return nil
 }
 
-// Round durably records the round state of the session's iterate after a
-// round, or, with rs nil, that its run completed (a no-op when the session
-// holds none). Like padding it is fail-soft for the caller: a lost record
-// only makes a cut-off run start further back.
-func (st *Store) Round(name string, rs *roundState) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	sp := st.specs[name]
-	if sp == nil {
-		return fmt.Errorf("store: round state for unknown session %q", name)
-	}
-	if rs == nil && sp.Round == nil {
-		return nil
-	}
-	if err := st.appendLocked(&record{Type: "round", Name: name, Round: rs}); err != nil {
-		return err
-	}
-	sp.Round = rs
-	st.compactLocked(false)
-	return nil
-}
-
 // Spec returns a copy of the persisted spec for name, or nil. The server
 // uses it to lazily re-materialize sessions that were LRU-evicted from
 // memory (or never loaded after a restart).
@@ -335,7 +288,7 @@ func (st *Store) Close() error {
 }
 
 // compactLocked rewrites the journal as one create record per live
-// session (request, cumulative padding and round state) when the log says
+// session (request and cumulative padding) when the log says
 // a rewrite is due, or when force is set; it reports whether the journal
 // was rewritten. A failure is logged and retried after the next append:
 // compaction bounds replay time, it is not a durability requirement, and
@@ -347,7 +300,7 @@ func (st *Store) compactLocked(force bool) bool {
 	err := st.log.Rewrite(func(emit func([]byte) error) error {
 		for _, name := range st.namesLocked() {
 			sp := st.specs[name]
-			payload, err := json.Marshal(&record{Type: "create", Name: name, Create: sp.Create, Padding: sp.Padding, Round: sp.Round})
+			payload, err := json.Marshal(&record{Type: "create", Name: name, Create: sp.Create, Padding: sp.Padding})
 			if err != nil {
 				return fmt.Errorf("encoding %q: %w", name, err)
 			}

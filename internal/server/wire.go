@@ -99,8 +99,8 @@ type ReanalyzeRequest struct {
 	Delay bool `json:"delay,omitempty"`
 }
 
-// AnalyzeResponse is the result of an analyze, reanalyze, or iterate
-// query.
+// AnalyzeResponse is the result of an analyze or reanalyze query, and of
+// an analyze, reanalyze or iterate job.
 type AnalyzeResponse struct {
 	Session string             `json:"session"`
 	Noise   *report.ResultJSON `json:"noise"`
@@ -114,30 +114,12 @@ type AnalyzeResponse struct {
 	// broken incremental update).
 	Rebuilt bool `json:"rebuilt,omitempty"`
 	// Iterate describes the joint noise–delay fixpoint loop (iterate
-	// only).
+	// jobs only).
 	Iterate *IterateInfo `json:"iterate,omitempty"`
 }
 
-// IterateRequest runs the joint noise–delay padding fixpoint on a
-// session, distributed across registered workers when the server has any.
-// The fixpoint starts from the session's design and options; reanalyze
-// padding does not seed it.
-type IterateRequest struct {
-	// Delay includes the final delta-delay section in the response.
-	Delay bool `json:"delay,omitempty"`
-	// MaxRounds bounds the outer loop (0 = server default of 8).
-	MaxRounds int `json:"maxRounds,omitempty"`
-	// Shards overrides the shard count for a distributed run (0 = one
-	// shard per healthy worker).
-	Shards int `json:"shards,omitempty"`
-	// Local forces a single-process run even when workers are registered.
-	// A healthy distributed run returns byte-identical noise and delay
-	// sections either way; this is the escape hatch and the oracle knob.
-	Local bool `json:"local,omitempty"`
-}
-
-// IterateInfo is the loop metadata of an iterate response. The noise and
-// delay sections of the response are identical between a local and a
+// IterateInfo is the loop metadata of an iterate job's result. The noise
+// and delay sections of the result are identical between a local and a
 // healthy distributed run; everything that can differ lives here.
 type IterateInfo struct {
 	Rounds        int    `json:"rounds"`

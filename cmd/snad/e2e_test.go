@@ -77,10 +77,9 @@ func startChild(t *testing.T, dir string, cf childFaults, extra ...string) (*exe
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	c := client.New(base, client.RetryPolicy{})
 	wctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if err := c.WaitReady(wctx); err != nil {
+	if err := waitReady(wctx, base); err != nil {
 		t.Fatalf("child server never became ready: %v\noutput: %s", err, out.String())
 	}
 	return cmd, base

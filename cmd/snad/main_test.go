@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
@@ -109,13 +111,37 @@ func startServe(t *testing.T, extra ...string) (base string, exit chan int, stdo
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	c := client.New(base, client.RetryPolicy{})
 	wctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := c.WaitReady(wctx); err != nil {
+	if err := waitReady(wctx, base); err != nil {
 		t.Fatal(err)
 	}
 	return base, exit, stdout
+}
+
+// waitReady polls base's /readyz until the server reports ready or ctx
+// expires.
+func waitReady(ctx context.Context, base string) error {
+	for {
+		req, err := http.NewRequestWithContext(ctx, "GET", base+"/readyz", nil)
+		if err != nil {
+			return err
+		}
+		var out server.ReadyResponse
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+		}
+		if err == nil && out.Status == "ready" {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("server never became ready: %w (last: %v, %q)", ctx.Err(), err, out.Status)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
 }
 
 // serverFaults builds the server's fault hooks from a chaos.SessionFaults
@@ -381,20 +407,25 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestNonFiniteValuesAreUsageErrors pins that the flags holding padding and
-// sweep thresholds apply the same finite-and-non-negative rule as the
-// server: NaN and Inf are refused with the usage exit before any request.
+// sweep points apply the same rules as the server: NaN and Inf, and a
+// sweep mode no analysis has, are refused with the usage exit before any
+// request.
 func TestNonFiniteValuesAreUsageErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"reanalyze", "-name", "x", "-pad", "n=NaN"},
-		{"reanalyze", "-name", "x", "-pad", "n=+Inf"},
-		{"submit", "-name", "x", "-type", "reanalyze", "-pad", "n=NaN"},
-		{"submit", "-name", "x", "-type", "sweep", "-sweep", "noise:NaN"},
-		{"submit", "-name", "x", "-type", "sweep", "-sweep", "noise:Inf"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"reanalyze", "-name", "x", "-pad", "n=NaN"}, "want finite"},
+		{[]string{"reanalyze", "-name", "x", "-pad", "n=+Inf"}, "want finite"},
+		{[]string{"submit", "-name", "x", "-type", "reanalyze", "-pad", "n=NaN"}, "want finite"},
+		{[]string{"submit", "-name", "x", "-type", "sweep", "-sweep", "noise:NaN"}, "want finite"},
+		{[]string{"submit", "-name", "x", "-type", "sweep", "-sweep", "noise:Inf"}, "want finite"},
+		{[]string{"submit", "-name", "x", "-type", "sweep", "-sweep", "bogus:0.1"}, `unknown mode "bogus"`},
 	} {
 		var out, errb bytes.Buffer
-		code := run(context.Background(), append(args, "-server", "http://127.0.0.1:1"), &out, &errb)
-		if code != exitUsage || !strings.Contains(errb.String(), "want finite") {
-			t.Errorf("args %v: exit %d, want %d; stderr: %s", args, code, exitUsage, errb.String())
+		code := run(context.Background(), append(tc.args, "-server", "http://127.0.0.1:1"), &out, &errb)
+		if code != exitUsage || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("args %v: exit %d, want %d; stderr: %s", tc.args, code, exitUsage, errb.String())
 		}
 	}
 }

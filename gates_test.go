@@ -790,6 +790,159 @@ func namedType(typ types.Type) string {
 	return ""
 }
 
+// exportWaivers are the exports under internal/ that only tests call, kept
+// because tests in several packages compare against them.
+var exportWaivers = map[string]string{
+	"repro/internal/workload.Ladder":       "the RC ladder fixture rc, noise and the experiments check their models on",
+	"repro/internal/workload.BreakLibrary": "the broken-library fixture the lint, sna and snad tests load",
+	"repro/internal/workload.Defects.Any":  "the defect-set predicate the netgen and workload tests share",
+	"repro/internal/liberty.Write":         "the round-trip writer the liberty and workload tests parse back",
+}
+
+// exportsExempt are the packages whose exports the exports gate does not
+// hold: test-support packages by design.
+var exportsExempt = []string{"internal/chaos", "internal/analysis"}
+
+// exemptMethods are method names a standard-library interface calls.
+var exemptMethods = []string{"String", "Error", "Unwrap", "Format", "Write", "WriteHeader", "Header", "Len", "Less", "Swap"}
+
+// TestGateExportsAreCalled is the exported-means-called gate: every
+// exported package-level identifier and exported method declared by a
+// non-test file under internal/ is referenced by some non-test file of the
+// module (benchmark/, cmd/ and examples/ included) other than its own
+// declaration. A method is exempt when an interface declared in the module
+// names it, or a standard-library interface does (exemptMethods); so are
+// the test-support packages (exportsExempt). What only tests call lives in
+// the tests, or is a waiver with its reason.
+func TestGateExportsAreCalled(t *testing.T) {
+	src := loadSource(t)
+	if got, want := uncalledExports([]*pkg{src.planted}, append(slices.Clip(src.Pkgs), src.planted)), []string{"planted.Unused"}; !slices.Equal(got, want) {
+		t.Fatalf("%s: uncalled exports %v, want %v (the ones outside its decoys)", planted, got, want)
+	}
+	var decls []*pkg
+	for _, p := range src.Pkgs {
+		if strings.HasPrefix(p.Dir, "internal/") && !slices.Contains(exportsExempt, p.Dir) {
+			decls = append(decls, p)
+		}
+	}
+	if len(exportWaivers) > 8 {
+		t.Errorf("%d export waivers, want at most 8", len(exportWaivers))
+	}
+	got := uncalledExports(decls, src.Pkgs)
+	for name := range exportWaivers {
+		if !slices.Contains(got, name) {
+			t.Errorf("waiver %s hides nothing: delete it", name)
+		}
+	}
+	got = slices.DeleteFunc(got, func(name string) bool { return exportWaivers[name] != "" })
+	if len(got) > 0 {
+		t.Errorf("exports no non-test code calls (delete each, or move it into its package's tests):\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// uncalledExports returns, sorted, the exported package-level identifiers
+// and exported methods the decls packages declare that no file of the users
+// packages references outside the identifier's own declaration. Each
+// package reads its imports through export data, so objects are matched by
+// exportKey, not by identity.
+func uncalledExports(decls, users []*pkg) []string {
+	ifaceMethods := map[string]bool{}
+	for _, p := range users {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, name := range m.Names {
+							ifaceMethods[name.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	declared := map[string]bool{}
+	for _, p := range decls {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				var names []*ast.Ident
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil || !slices.Contains(exemptMethods, d.Name.Name) && !ifaceMethods[d.Name.Name] {
+						names = append(names, d.Name)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							names = append(names, s.Name)
+						case *ast.ValueSpec:
+							names = append(names, s.Names...)
+						}
+					}
+				}
+				for _, name := range names {
+					if key := exportKey(p.Info.Defs[name]); name.IsExported() && key != "" {
+						declared[key] = true
+					}
+				}
+			}
+		}
+	}
+	used := map[string]bool{}
+	for _, p := range users {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				self := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self = exportKey(p.Info.Defs[fd.Name])
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if key := exportKey(p.Info.Uses[id]); key != self {
+							used[key] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var out []string
+	for key := range declared {
+		if !used[key] {
+			out = append(out, key)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// exportKey names a package-level object as "path.Name" and a method as
+// "path.Type.Name", the same in every package that sees it; "" for
+// anything else.
+func exportKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Origin().Type().(*types.Signature).Recv(); recv != nil {
+			typ := recv.Type()
+			if p, ok := typ.(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			if n, ok := types.Unalias(typ).(*types.Named); ok {
+				return obj.Pkg().Path() + "." + n.Obj().Name() + "." + obj.Name()
+			}
+			return ""
+		}
+	}
+	if obj.Pkg().Scope().Lookup(obj.Name()) != obj {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
 // analyzers are internal/analysis's five rules, each a past incident turned
 // into a check (DESIGN.md §9).
 var analyzers = []*analysis.Analyzer{analysis.AckOrder, analysis.CtxLoop, analysis.DeferRelease, analysis.MapDeterm, analysis.NaNGuard}

@@ -82,7 +82,7 @@ func TestPipelineFileRoundTrip(t *testing.T) {
 			t.Fatalf("%v: violations %d direct vs %d file",
 				mode, len(rDirect.Violations), len(rFile.Violations))
 		}
-		if !units.ApproxEqual(rDirect.TotalNoise(), rFile.TotalNoise(), 1e-9) {
+		if math.Abs(rDirect.TotalNoise()-rFile.TotalNoise()) > 1e-9 {
 			t.Fatalf("%v: total noise %g direct vs %g file",
 				mode, rDirect.TotalNoise(), rFile.TotalNoise())
 		}
@@ -90,7 +90,7 @@ func TestPipelineFileRoundTrip(t *testing.T) {
 		mid := workload.MiddleBusNet(8)
 		pd := rDirect.NoiseOf(mid).WorstPeak()
 		pf := rFile.NoiseOf(mid).WorstPeak()
-		if !units.ApproxEqual(pd, pf, 1e-9) {
+		if math.Abs(pd-pf) > 1e-9 {
 			t.Fatalf("%v: %s peak %g direct vs %g file", mode, mid, pd, pf)
 		}
 	}

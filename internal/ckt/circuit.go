@@ -69,9 +69,6 @@ func (c *Circuit) Node(name string) int {
 	return i
 }
 
-// NumNodes returns the node count including ground.
-func (c *Circuit) NumNodes() int { return len(c.names) }
-
 // AddR adds a resistor between two nodes.
 func (c *Circuit) AddR(a, b string, ohms float64) error {
 	if ohms <= 0 {
@@ -108,9 +105,6 @@ type Result struct {
 	names []string
 	volts map[string][]float64
 }
-
-// V returns the sampled voltages of a probed node.
-func (r *Result) V(node string) []float64 { return r.volts[node] }
 
 // Waveform converts a probed node's samples into a PWL waveform.
 func (r *Result) Waveform(node string) (waveform.PWL, error) {

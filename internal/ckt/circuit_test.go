@@ -72,7 +72,7 @@ func TestLUSingular(t *testing.T) {
 
 func TestResistorDividerDC(t *testing.T) {
 	c := New()
-	if err := c.AddV("vin", "a", waveform.Constant(1.0)); err != nil {
+	if err := c.AddV("vin", "a", waveform.MustNew(waveform.Point{V: 1.0})); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddR("a", "mid", 1000); err != nil {
@@ -85,7 +85,7 @@ func TestResistorDividerDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range res.V("mid") {
+	for _, v := range res.volts["mid"] {
 		if math.Abs(v-0.5) > 1e-6 {
 			t.Fatalf("divider voltage = %g, want 0.5", v)
 		}
@@ -192,7 +192,7 @@ func TestEnergyDecaysAfterGlitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := res.V("v")
+	vs := res.volts["v"]
 	// Find the peak index, then check non-increase afterward.
 	peak := 0
 	for i, v := range vs {
@@ -212,7 +212,7 @@ func TestEnergyDecaysAfterGlitch(t *testing.T) {
 
 func TestTranErrors(t *testing.T) {
 	c := New()
-	if err := c.AddV("v", "a", waveform.Constant(1)); err != nil {
+	if err := c.AddV("v", "a", waveform.MustNew(waveform.Point{V: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Tran(-1, 1, nil); err == nil {
@@ -231,7 +231,7 @@ func TestElementValidation(t *testing.T) {
 	if err := c.AddC("a", "b", -1); err == nil {
 		t.Fatal("negative capacitance accepted")
 	}
-	if err := c.AddV("v", "0", waveform.Constant(1)); err == nil {
+	if err := c.AddV("v", "0", waveform.MustNew(waveform.Point{V: 1})); err == nil {
 		t.Fatal("grounded source accepted")
 	}
 }

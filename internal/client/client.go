@@ -350,15 +350,6 @@ func (c *Client) Report(ctx context.Context, name string) (*server.AnalyzeRespon
 	return &out, nil
 }
 
-// Info fetches one session's state.
-func (c *Client) Info(ctx context.Context, name string) (*server.SessionInfo, error) {
-	var out server.SessionInfo
-	if err := c.doRetry(ctx, "GET", "/v1/sessions/"+url.PathEscape(name), nil, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // List fetches all sessions.
 func (c *Client) List(ctx context.Context) ([]server.SessionInfo, error) {
 	var out []server.SessionInfo
@@ -392,24 +383,6 @@ func (c *Client) Health(ctx context.Context) (*server.HealthResponse, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// WaitReady polls /readyz until the server reports ready or ctx expires —
-// the startup handshake for scripts and tests.
-func (c *Client) WaitReady(ctx context.Context) error {
-	for {
-		var out server.ReadyResponse
-		err := c.doOnce(ctx, "GET", "/readyz", nil, &out)
-		if err == nil && out.Status == "ready" {
-			return nil
-		}
-		if serr := c.sleep(ctx, 20*time.Millisecond); serr != nil {
-			if err == nil {
-				err = fmt.Errorf("server not ready")
-			}
-			return fmt.Errorf("snad: server never became ready: %w (last: %v)", serr, err)
-		}
-	}
 }
 
 func timeoutQuery(d time.Duration) string {

@@ -15,7 +15,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/jobs"
@@ -96,14 +95,11 @@ func startSnad(t *testing.T, workerURLs ...string) string {
 }
 
 // iterateJob runs an iterate job of one attempt and returns its result.
-// The client polls the job every 2 ms: WaitJob's backoff suits jobs of
-// seconds, and these take milliseconds.
 func iterateJob(t *testing.T, c *Client, spec jobs.Spec) *server.AnalyzeResponse {
 	t.Helper()
 	spec.Type, spec.MaxAttempts = "iterate", 1
 	snap, err := c.SubmitJob(context.Background(), &spec)
 	if err == nil {
-		c.sleep = func(context.Context, time.Duration) error { time.Sleep(2 * time.Millisecond); return nil }
 		snap, err = c.WaitJob(context.Background(), snap.ID)
 	}
 	if err != nil || snap.State != string(jobs.StateDone) {

@@ -54,10 +54,12 @@ func (c *Client) CancelJob(ctx context.Context, id string) (*report.JobJSON, err
 }
 
 // WaitJob polls a job until it reaches a terminal state (done, failed, or
-// canceled) or ctx expires. Polling backs off gently — jobs run for
-// seconds to minutes; hammering the status endpoint wins nothing.
+// canceled) or ctx expires. The second poll follows within milliseconds —
+// an iterate job on a small design is done by then — and the interval then
+// grows by half each poll up to 3 s, since a batch job can run for
+// minutes and hammering the status endpoint wins nothing.
 func (c *Client) WaitJob(ctx context.Context, id string) (*report.JobJSON, error) {
-	delay := 200 * time.Millisecond
+	delay := 5 * time.Millisecond
 	for {
 		snap, err := c.JobStatus(ctx, id)
 		if err != nil {

@@ -74,8 +74,8 @@ func TestSubmitWaitCancelJob(t *testing.T) {
 		t.Fatalf("status polls = %d, want 3", statusCalls.Load())
 	}
 	// The poll loop slept between the non-terminal statuses, starting at
-	// its 200ms base.
-	if len(*slept) != 2 || (*slept)[0] != 200*time.Millisecond {
+	// its 5 ms base and growing by half.
+	if len(*slept) != 2 || (*slept)[0] != 5*time.Millisecond || (*slept)[1] != 7500*time.Microsecond {
 		t.Fatalf("slept = %v", *slept)
 	}
 
@@ -127,5 +127,25 @@ func TestSubmitJobRetriedOnShed(t *testing.T) {
 	}
 	if snap.ID != "job-000002" || calls.Load() != 2 {
 		t.Fatalf("snap=%+v calls=%d", snap, calls.Load())
+	}
+}
+
+// TestWaitJobReturnsPromptly: a job that finishes about 10 ms after it is
+// submitted is seen done well within 100 ms — the first poll interval is a
+// few milliseconds, not a floor every short job pays.
+func TestWaitJobReturnsPromptly(t *testing.T) {
+	start := time.Now()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		state := "running"
+		if time.Since(start) >= 10*time.Millisecond {
+			state = "done"
+		}
+		json.NewEncoder(w).Encode(report.JobJSON{ID: r.PathValue("id"), State: state})
+	}))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL, RetryPolicy{})
+	snap, err := c.WaitJob(context.Background(), "job-000001")
+	if took := time.Since(start); err != nil || snap.State != "done" || took >= 100*time.Millisecond {
+		t.Fatalf("WaitJob took %v for a 10 ms job: %+v, %v", took, snap, err)
 	}
 }

@@ -242,12 +242,6 @@ type Result struct {
 // One lock for all results, not a field of each, keeps Result copyable.
 var slackMu sync.Mutex
 
-// Evals returns how many per-net evaluations the analyzer behind this result
-// had made when it last finished it — an execution counter for benchmarks and
-// tests, kept out of Stats (whose fields are the report schema). Zero on a
-// merged shard result.
-func (r *Result) Evals() int { return r.evals }
-
 // NoiseOf returns the noise record for a net (nil if not analyzed).
 func (r *Result) NoiseOf(net string) *NetNoise { return r.Nets[net] }
 

@@ -35,7 +35,7 @@ func TestDelayImpactBasics(t *testing.T) {
 	if len(im.Members) == 0 {
 		t.Fatal("no members")
 	}
-	if !im.VictimWindow.Contains(im.At) && a(im.At) {
+	if im.VictimWindow.IntersectWindow(interval.Point(im.At)).IsEmpty() && a(im.At) {
 		t.Fatalf("At %g outside victim window %v", im.At, im.VictimWindow)
 	}
 	if res.WorstDelta() < im.Delta {

@@ -33,6 +33,10 @@ func (a *analyzer) markPrepared(s bitset) {
 	}
 }
 
+// Evals returns how many per-net evaluations the analyzer behind r had
+// made when it last finished it; zero on a merged shard result.
+func (r *Result) Evals() int { return r.evals }
+
 // TestEngine is the single-process engine as the external oracle
 // (oracle_test.go: it needs internal/report and internal/shard, which import
 // this package) drives it through RunIterative.

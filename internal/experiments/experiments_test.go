@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -233,5 +234,27 @@ func TestT6RatioShrinksWithSpan(t *testing.T) {
 	}
 	if first < 0.95 {
 		t.Errorf("zero-span ratio = %g, want ~1", first)
+	}
+}
+
+// TestT11BoundIsSound holds the windowed bound to T11's verdict at full
+// fidelity: on every stagger, no sampled alignment of the aggressors'
+// glitches peaks above the bound the engine reports. Quick mode skips the
+// 100 ps stagger, the one where partly overlapping windows make a halved
+// glitch tail report a bound below the sampled maximum.
+func TestT11BoundIsSound(t *testing.T) {
+	tables, err := T11MonteCarlo(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0]
+	si := slices.Index(tb.Columns, "sound")
+	if si < 0 || len(tb.Rows) != 3 {
+		t.Fatalf("T11 has no sound column or not 3 staggers: %v, %d rows", tb.Columns, len(tb.Rows))
+	}
+	for _, row := range tb.Rows {
+		if row[si] != "true" {
+			t.Errorf("stagger %s: windowed bound %s under the sampled maximum %s", row[0], row[5], row[4])
+		}
 	}
 }

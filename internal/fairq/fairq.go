@@ -31,9 +31,6 @@ func New[T comparable]() *Ring[T] {
 // Len is the number of queued entries.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Tenants is the number of tenants with queued entries.
-func (r *Ring[T]) Tenants() int { return len(r.ring) }
-
 // Push queues v behind tenant's earlier entries.
 func (r *Ring[T]) Push(tenant string, v T) {
 	if len(r.queues[tenant]) == 0 {

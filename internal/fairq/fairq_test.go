@@ -79,7 +79,7 @@ func TestRemoveIsEager(t *testing.T) {
 		t.Fatal("Remove must report exactly whether the entry was queued")
 	}
 	check(t, r)
-	if r.Tenants() != 2 || len(r.queues["a"]) != 0 {
+	if len(r.ring) != 2 || len(r.queues["a"]) != 0 {
 		t.Fatalf("drained tenant still in rotation: %v", r.ring)
 	}
 	if tenant, v := pop(t, r); tenant != "b" || v != 1 {

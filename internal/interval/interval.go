@@ -79,15 +79,6 @@ func (w Window) Contains(t float64) bool {
 	return !w.IsEmpty() && w.Lo <= t && t <= w.Hi
 }
 
-// ContainsWindow reports whether o is entirely inside w. An empty o is
-// contained in every window.
-func (w Window) ContainsWindow(o Window) bool {
-	if o.IsEmpty() {
-		return true
-	}
-	return !w.IsEmpty() && w.Lo <= o.Lo && o.Hi <= w.Hi
-}
-
 // Overlaps reports whether the two closed windows share at least one instant.
 // Touching endpoints count as overlap: two glitches whose windows meet at a
 // single instant can align there.
@@ -104,18 +95,6 @@ func (w Window) Intersect(o Window) Window {
 		return Empty()
 	}
 	return Window{Lo: math.Max(w.Lo, o.Lo), Hi: math.Min(w.Hi, o.Hi)}
-}
-
-// Hull returns the smallest window containing both w and o. The hull of an
-// empty window with x is x.
-func (w Window) Hull(o Window) Window {
-	if w.IsEmpty() {
-		return o
-	}
-	if o.IsEmpty() {
-		return w
-	}
-	return Window{Lo: math.Min(w.Lo, o.Lo), Hi: math.Max(w.Hi, o.Hi)}
 }
 
 // Shift translates the window by dt. Shifting an empty window yields an
@@ -139,30 +118,6 @@ func (w Window) ShiftRange(dMin, dMax float64) Window {
 		return w
 	}
 	return Window{Lo: w.Lo + dMin, Hi: w.Hi + dMax}
-}
-
-// Midpoint returns the center of the window. For an empty window it returns
-// NaN; for an infinite window, 0.
-func (w Window) Midpoint() float64 {
-	switch {
-	case w.IsEmpty():
-		return math.NaN()
-	case w.IsInfinite():
-		return 0
-	case math.IsInf(w.Lo, -1):
-		return w.Hi
-	case math.IsInf(w.Hi, 1):
-		return w.Lo
-	}
-	return w.Lo + (w.Hi-w.Lo)/2
-}
-
-// Equal reports exact equality, treating all empty windows as equal.
-func (w Window) Equal(o Window) bool {
-	if w.IsEmpty() && o.IsEmpty() {
-		return true
-	}
-	return w.Lo == o.Lo && w.Hi == o.Hi
 }
 
 // String renders the window for reports, in picoseconds when finite bounds

@@ -2,7 +2,6 @@ package interval
 
 import (
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -169,33 +168,6 @@ func (s Set) Hull() Window {
 	return Window{Lo: s.At(0).Lo, Hi: s.At(s.n - 1).Hi}
 }
 
-// TotalLength returns the summed lengths of the member windows.
-func (s Set) TotalLength() float64 {
-	var sum float64
-	for _, w := range s.ws() {
-		sum += w.Length()
-	}
-	return sum
-}
-
-// Contains reports whether instant t lies in any member window. It runs in
-// O(log n) by binary search on the sorted member list.
-func (s Set) Contains(t float64) bool {
-	ws := s.ws()
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].Hi >= t })
-	return i < len(ws) && ws[i].Contains(t)
-}
-
-// Overlaps reports whether the set shares any instant with window w.
-func (s Set) Overlaps(w Window) bool {
-	if w.IsEmpty() {
-		return false
-	}
-	ws := s.ws()
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].Hi >= w.Lo })
-	return i < len(ws) && ws[i].Overlaps(w)
-}
-
 // Union returns the set covering every instant in s or o, by a linear
 // merge of the two sorted member lists.
 func (s Set) Union(o Set) Set {
@@ -243,9 +215,6 @@ func (s Set) IntersectWindow(w Window) Set {
 	return s.Intersect(NewSet(w))
 }
 
-// Shift translates every member window by dt.
-func (s Set) Shift(dt float64) Set { return s.ShiftRange(dt, dt) }
-
 // ShiftRange translates every member by an uncertain delay in [dMin, dMax]
 // and re-normalizes in one pass: the shift is monotone, so the members stay
 // sorted and only adjacent ones can come to touch.
@@ -282,11 +251,6 @@ func (s Set) Simplify(max int) Set {
 		ws = append(ws[:best], ws[best+1:]...)
 	}
 	return setOf(ws)
-}
-
-// Equal reports whether two sets cover exactly the same instants.
-func (s Set) Equal(o Set) bool {
-	return slices.EqualFunc(s.ws(), o.ws(), Window.Equal)
 }
 
 // String renders the set for reports.

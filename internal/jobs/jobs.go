@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fairq"
 	"repro/internal/report"
 	"repro/internal/units"
@@ -125,7 +126,8 @@ type SweepPoint struct {
 }
 
 // CheckValues holds window padding (seconds) and sweep thresholds to the
-// one rule they share, units.FiniteNonNeg. With several bad padding
+// one rule they share, units.FiniteNonNeg, and each sweep point's mode,
+// when set, to one core.ParseMode reads. With several bad padding
 // entries it names the alphabetically first net, so the message never
 // depends on map order. It is the check every entry point applies: a job
 // spec, a reanalyze request, and the snad flags that build them.
@@ -142,6 +144,11 @@ func CheckValues(padding map[string]float64, sweep []SweepPoint) error {
 	for i, pt := range sweep {
 		if !units.FiniteNonNeg(pt.Threshold) {
 			return fmt.Errorf("bad threshold %v in sweep point %d (want finite >= 0)", pt.Threshold, i)
+		}
+		if pt.Mode != "" {
+			if _, err := core.ParseMode(pt.Mode); err != nil {
+				return fmt.Errorf("sweep point %d: %v", i, err)
+			}
 		}
 	}
 	return nil

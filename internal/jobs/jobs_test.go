@@ -134,15 +134,20 @@ func TestSpecValidation(t *testing.T) {
 		{Session: "s", Type: "reanalyze", Padding: map[string]float64{"b1": math.Inf(1)}},
 		{Session: "s", Type: "sweep", Sweep: []SweepPoint{{Threshold: math.NaN()}}},
 		{Session: "s", Type: "sweep", Sweep: []SweepPoint{{Threshold: math.Inf(1)}}},
+		{Session: "s", Type: "sweep", Sweep: []SweepPoint{{Mode: "noise"}, {Mode: "bogus"}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("spec %d unexpectedly valid: %+v", i, s)
 		}
 	}
-	good := &Spec{Session: "s", Type: "iterate", MaxRounds: 5, Deadline: "90s", MaxAttempts: 2}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good spec rejected: %v", err)
+	for _, good := range []*Spec{
+		{Session: "s", Type: "iterate", MaxRounds: 5, Deadline: "90s", MaxAttempts: 2},
+		{Session: "s", Type: "sweep", Sweep: []SweepPoint{{Mode: "all"}, {Mode: "timing"}, {Mode: "noise"}, {Threshold: 0.1}}},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("good spec %+v rejected: %v", good, err)
+		}
 	}
 }
 

@@ -86,16 +86,17 @@ type Cell struct {
 	// means smaller glitches.
 	HoldRes float64
 
-	// arcIdx answers ArcsTo and ArcsFrom; see arcIndex.
+	// arcIdx answers ArcsTo; see arcIndex.
 	arcIdx atomic.Pointer[arcIndex]
 }
 
-// arcIndex is a cell's arcs grouped by pin, built on the first query (cells
-// are filled in by hand and by the parser, then only read; queries come from
-// every worker). Each group keeps the arcs in Arcs order.
+// arcIndex is a cell's arcs grouped by output pin, built on the first
+// query (cells are filled in by hand and by the parser, then only read;
+// queries come from every worker). Each group keeps the arcs in Arcs
+// order.
 type arcIndex struct {
-	n        int // len(Arcs) when built: an arc added since rebuilds
-	to, from []arcGroup
+	n  int // len(Arcs) when built: an arc added since rebuilds
+	to []arcGroup
 }
 
 type arcGroup struct {
@@ -109,7 +110,7 @@ func (c *Cell) arcs() *arcIndex {
 	}
 	idx := &arcIndex{n: len(c.Arcs)}
 	for _, a := range c.Arcs {
-		idx.to, idx.from = addArc(idx.to, a.To, a), addArc(idx.from, a.From, a)
+		idx.to = addArc(idx.to, a.To, a)
 	}
 	c.arcIdx.Store(idx)
 	return idx
@@ -164,23 +165,9 @@ func (c *Cell) pinsByDir(d PinDir) []*Pin {
 	return out
 }
 
-// ArcsFrom returns the arcs departing the named input pin, in Arcs order.
-// The slice is shared with the cell; callers must not modify it.
-func (c *Cell) ArcsFrom(pin string) []*Arc { return arcsOf(c.arcs().from, pin) }
-
 // ArcsTo returns the arcs arriving at the named output pin, in Arcs order.
 // The slice is shared with the cell; callers must not modify it.
 func (c *Cell) ArcsTo(pin string) []*Arc { return arcsOf(c.arcs().to, pin) }
-
-// Arc returns the arc from one pin to another, or nil.
-func (c *Cell) Arc(from, to string) *Arc {
-	for _, a := range c.Arcs {
-		if a.From == from && a.To == to {
-			return a
-		}
-	}
-	return nil
-}
 
 // Validate checks internal consistency: arcs reference existing pins with
 // the right directions and all tables are present.
@@ -243,9 +230,6 @@ func (l *Library) Cells() []*Cell {
 	}
 	return out
 }
-
-// NumCells returns the number of cells.
-func (l *Library) NumCells() int { return len(l.cells) }
 
 // Immunity resolves the effective immunity curve for a pin: the pin's own
 // curve, else the library default.

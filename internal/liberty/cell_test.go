@@ -27,8 +27,8 @@ func TestGenericLibraryValidates(t *testing.T) {
 	if lib.Vdd != 1.2 {
 		t.Fatalf("vdd = %g", lib.Vdd)
 	}
-	if lib.NumCells() != 14 {
-		t.Fatalf("cells = %d", lib.NumCells())
+	if len(lib.cells) != 14 {
+		t.Fatalf("cells = %d", len(lib.cells))
 	}
 }
 
@@ -47,9 +47,6 @@ func TestGenericCellStructure(t *testing.T) {
 	nand := mustCell(t, lib, "NAND2_X1")
 	if len(nand.InputPins()) != 2 {
 		t.Fatalf("NAND2 inputs = %d", len(nand.InputPins()))
-	}
-	if len(nand.ArcsFrom("A")) != 1 || len(nand.ArcsFrom("B")) != 1 {
-		t.Fatal("NAND2 arc structure wrong")
 	}
 	if len(nand.ArcsTo("Y")) != 2 {
 		t.Fatalf("ArcsTo(Y) = %d", len(nand.ArcsTo("Y")))
@@ -206,7 +203,7 @@ func TestParseWriteRoundTrip(t *testing.T) {
 	if err := lib2.Validate(); err != nil {
 		t.Fatalf("round-tripped library invalid: %v", err)
 	}
-	if lib2.NumCells() != lib.NumCells() || lib2.Vdd != lib.Vdd {
+	if len(lib2.cells) != len(lib.cells) || lib2.Vdd != lib.Vdd {
 		t.Fatal("round trip changed library")
 	}
 	// Spot-check numeric fidelity through a table evaluation.
@@ -321,7 +318,7 @@ func TestScaleCorners(t *testing.T) {
 	}
 }
 
-// TestArcIndex: ArcsTo and ArcsFrom answer from the cell's index — the
+// TestArcIndex: ArcsTo answers from the cell's index — the
 // arcs of a pin in Arcs order, nothing allocated per query — whoever asks
 // first (every worker of a timing level does), and an arc added after a
 // query is seen by the next.
@@ -339,11 +336,11 @@ func TestArcIndex(t *testing.T) {
 	}
 	wg.Wait()
 	if n := testing.AllocsPerRun(100, func() {
-		if len(cell.ArcsTo("Y")) != 2 || len(cell.ArcsFrom("B")) != 1 || cell.ArcsTo("A") != nil {
+		if len(cell.ArcsTo("Y")) != 2 || cell.ArcsTo("A") != nil {
 			t.Fatal("arc index answers wrongly")
 		}
 	}); n != 0 {
-		t.Errorf("ArcsTo/ArcsFrom: %v allocations per query, want 0", n)
+		t.Errorf("ArcsTo: %v allocations per query, want 0", n)
 	}
 	extra := *cell.Arcs[0]
 	extra.From = "C"
@@ -352,7 +349,17 @@ func TestArcIndex(t *testing.T) {
 		t.Fatal("one arc to Y expected")
 	}
 	grown.Arcs = append(grown.Arcs, &extra)
-	if to := grown.ArcsTo("Y"); len(to) != 2 || len(grown.ArcsFrom("C")) != 1 {
+	if to := grown.ArcsTo("Y"); len(to) != 2 || to[1] != &extra {
 		t.Fatalf("after adding an arc ArcsTo(Y) = %v", to)
 	}
+}
+
+// Arc returns the arc from one pin to another, or nil.
+func (c *Cell) Arc(from, to string) *Arc {
+	for _, a := range c.Arcs {
+		if a.From == from && a.To == to {
+			return a
+		}
+	}
+	return nil
 }

@@ -41,12 +41,6 @@ func (c *ImmunityCurve) MaxPeak(width float64) float64 {
 	return c.Peaks[lo]*(1-f) + c.Peaks[hi]*f
 }
 
-// Slack returns the noise slack for a glitch: MaxPeak(width) − |peak|.
-// Negative slack is a violation.
-func (c *ImmunityCurve) Slack(peak, width float64) float64 {
-	return c.MaxPeak(width) - math.Abs(peak)
-}
-
 // DefaultImmunity builds the canonical rejection curve used by the generic
 // library: allowed peak decays from nearly vdd at zero width to the DC
 // margin dcMargin with characteristic width tChar:

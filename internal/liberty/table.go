@@ -45,11 +45,6 @@ func NewTable2D(slews, loads []float64, vals [][]float64) (*Table2D, error) {
 	return &Table2D{Slews: slews, Loads: loads, Vals: vals}, nil
 }
 
-// Constant returns a degenerate 1x1 table that always evaluates to v.
-func Constant(v float64) *Table2D {
-	return &Table2D{Slews: []float64{0}, Loads: []float64{0}, Vals: [][]float64{{v}}}
-}
-
 // Eval returns the bilinearly interpolated table value at the given input
 // slew and output load, clamped to the table's corner values outside the
 // characterized grid.

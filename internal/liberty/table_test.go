@@ -69,10 +69,12 @@ func TestTableEvalClamps(t *testing.T) {
 	}
 }
 
+// TestTableConstant: a 1×1 table holds its one value at every slew and
+// load, inside or outside its one-point grid.
 func TestTableConstant(t *testing.T) {
-	c := Constant(7)
+	c := &Table2D{Slews: []float64{0}, Loads: []float64{0}, Vals: [][]float64{{7}}}
 	if got := c.Eval(123, -5); got != 7 {
-		t.Fatalf("Constant Eval = %g", got)
+		t.Fatalf("1x1 Eval = %g", got)
 	}
 }
 
@@ -154,12 +156,6 @@ func TestImmunityCurve(t *testing.T) {
 	}
 	if got := ic.MaxPeak(1); got != 0.5 {
 		t.Fatalf("MaxPeak(huge) = %g (clamp)", got)
-	}
-	if got := ic.Slack(0.3, 5e-12); math.Abs(got-0.65) > 1e-12 {
-		t.Fatalf("Slack = %g", got)
-	}
-	if got := ic.Slack(-1.0, 5e-12); math.Abs(got-(-0.05)) > 1e-12 {
-		t.Fatalf("negative-glitch Slack = %g", got)
 	}
 }
 

@@ -156,20 +156,6 @@ func (r *Result) Total() int    { return len(r.Diags) }
 // is what gates analysis and drives the lint exit code.
 func (r *Result) HasErrors() bool { return r.Errors() > 0 }
 
-// ByRule returns the diagnostics of one rule.
-func (r *Result) ByRule(id string) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diags {
-		if d.Rule == id {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Has reports whether the rule produced any diagnostic.
-func (r *Result) Has(id string) bool { return len(r.ByRule(id)) > 0 }
-
 // Reporter collects diagnostics for one rule during Check, applying the
 // run's severity policy.
 type Reporter struct {

@@ -164,7 +164,7 @@ func TestInjectAll(t *testing.T) {
 	}
 	res := lintWorkload(t, g, nil, lint.Config{})
 	for _, id := range []string{"NL001", "NL002", "NL003", "SPF001", "SPF002", "RC001", "STA001"} {
-		if !res.Has(id) {
+		if len(res.ByRule(id)) == 0 {
 			t.Errorf("rule %s silent on the all-defects design", id)
 		}
 	}
@@ -203,7 +203,7 @@ func TestBrokenLibrary(t *testing.T) {
 				t.Fatalf("%s severity = %v, want %v", tc.rule, diags[0].Sev, tc.sev)
 			}
 			// The pristine library must stay clean after BreakLibrary's copy.
-			if res := lintWorkload(t, genBus(t), liberty.Generic(), lint.Config{}); res.Has(tc.rule) && tc.rule == "LIB001" {
+			if res := lintWorkload(t, genBus(t), liberty.Generic(), lint.Config{}); len(res.ByRule(tc.rule)) > 0 && tc.rule == "LIB001" {
 				t.Fatalf("BreakLibrary mutated the source library: %+v", res.ByRule(tc.rule))
 			}
 		})
@@ -237,7 +237,7 @@ func TestSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := lintWorkload(t, g, nil, lint.Config{Suppress: map[string]bool{"NL001": true}})
-	if res.Has("NL001") {
+	if len(res.ByRule("NL001")) > 0 {
 		t.Fatalf("suppressed rule still reported: %+v", res.ByRule("NL001"))
 	}
 }

@@ -25,11 +25,21 @@ func refCheckSpefValues(in *Input, rep *Reporter) {
 		if m, ok := memo[n.Name]; ok {
 			return m
 		}
-		m := n.CouplingByNet()
+		m := make(map[string]float64)
+		for _, c := range n.Caps {
+			if c.Other != "" {
+				m[spef.NetOfNode(c.Other)] += c.F
+			}
+		}
 		memo[n.Name] = m
 		return m
 	}
-	for _, sn := range in.Paras.Nets() {
+	nets := in.Paras.Nets()
+	byName := make(map[string]*spef.Net, len(nets))
+	for _, sn := range nets {
+		byName[sn.Name] = sn
+	}
+	for _, sn := range nets {
 		for i, c := range sn.Caps {
 			object := fmt.Sprintf("spef net %s cap %d", sn.Name, i+1)
 			if c.F < 0 {
@@ -42,7 +52,7 @@ func refCheckSpefValues(in *Input, rep *Reporter) {
 				continue
 			}
 			partner := spef.NetOfNode(c.Other)
-			pn := in.Paras.Net(partner)
+			pn := byName[partner]
 			if pn == nil && in.Design.FindNet(partner) < 0 {
 				rep.Report(object,
 					fmt.Sprintf("dangling coupling cap: partner net %q exists in neither the parasitics nor the netlist", partner),
@@ -242,4 +252,15 @@ func TestSpefRulesMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ByRule returns the diagnostics of one rule.
+func (r *Result) ByRule(id string) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range r.Diags {
+		if d.Rule == id {
+			out = append(out, d)
+		}
+	}
+	return out
 }

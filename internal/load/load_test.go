@@ -2,6 +2,7 @@ package load
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestLoadUsesGivenInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Lint.Has("STA001") {
+	if !slices.ContainsFunc(d.Lint.Diags, func(g lint.Diagnostic) bool { return g.Rule == "STA001" }) {
 		t.Fatalf("given inputs did not reach lint: %+v", d.Lint.Diags)
 	}
 }

@@ -71,9 +71,6 @@ func (h *Histogram) Observe(seconds float64) {
 	}
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values in seconds.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 

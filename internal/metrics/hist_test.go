@@ -29,7 +29,7 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if got := h.Count(); got != 5 {
+	if got := h.count.Load(); got != 5 {
 		t.Errorf("Count() = %d, want 5", got)
 	}
 	if got := h.Sum(); got < 5.6 || got > 5.61 {
@@ -63,7 +63,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*per {
+	if got := h.count.Load(); got != goroutines*per {
 		t.Errorf("Count() = %d, want %d", got, goroutines*per)
 	}
 	want := float64(per) * (0 + 0.01 + 0.02 + 0.03) * float64(goroutines/4)

@@ -16,10 +16,10 @@ import (
 func sameDesign(t testing.TB, got, want *Design) {
 	t.Helper()
 	if got.Name != want.Name || got.NumNets() != want.NumNets() || got.NumInsts() != want.NumInsts() ||
-		got.NumPorts() != want.NumPorts() || got.NumConns() != want.NumConns() {
+		got.ports.n != want.ports.n || got.NumConns() != want.NumConns() {
 		t.Fatalf("design %q nets %d insts %d ports %d conns %d, want %q %d %d %d %d",
-			got.Name, got.NumNets(), got.NumInsts(), got.NumPorts(), got.NumConns(),
-			want.Name, want.NumNets(), want.NumInsts(), want.NumPorts(), want.NumConns())
+			got.Name, got.NumNets(), got.NumInsts(), got.ports.n, got.NumConns(),
+			want.Name, want.NumNets(), want.NumInsts(), want.ports.n, want.NumConns())
 	}
 	sameConns := func(where string, gotIDs, wantIDs []ConnID) {
 		t.Helper()
@@ -51,7 +51,7 @@ func sameDesign(t testing.TB, got, want *Design) {
 		sameConns("inst "+name+" inputs", got.Inputs(id), want.Inputs(id))
 		sameConns("inst "+name+" outputs", got.Outputs(id), want.Outputs(id))
 	}
-	for id := range PortID(want.NumPorts()) {
+	for id := range PortID(want.ports.n) {
 		if gp, wp := got.Port(id), want.Port(id); got.PortName(id) != want.PortName(id) || gp.Dir != wp.Dir || gp.Conn != wp.Conn {
 			t.Fatalf("port %d: %s %v, want %s %v", id, got.PortName(id), gp.Dir, want.PortName(id), wp.Dir)
 		}

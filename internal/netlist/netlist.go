@@ -490,10 +490,9 @@ func sortedIDs[ID ~int32](n int, name func(ID) string) []ID {
 	return ids
 }
 
-// NumNets, NumInsts, NumPorts, NumConns report database sizes.
+// NumNets, NumInsts, NumConns report database sizes.
 func (d *Design) NumNets() int  { return d.nets.n }
 func (d *Design) NumInsts() int { return d.insts.n }
-func (d *Design) NumPorts() int { return d.ports.n }
 func (d *Design) NumConns() int { return d.conns.n }
 
 // Compact repacks every connection list into one exactly-sized pool in ID

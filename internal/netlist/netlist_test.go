@@ -38,8 +38,8 @@ func buildChain(t testing.TB, n int) *Design {
 
 func TestBuilderAndAccessors(t *testing.T) {
 	d := buildChain(t, 3)
-	if d.NumInsts() != 3 || d.NumPorts() != 2 || d.NumNets() != 4 {
-		t.Fatalf("sizes: insts=%d ports=%d nets=%d", d.NumInsts(), d.NumPorts(), d.NumNets())
+	if d.NumInsts() != 3 || d.ports.n != 2 || d.NumNets() != 4 {
+		t.Fatalf("sizes: insts=%d ports=%d nets=%d", d.NumInsts(), d.ports.n, d.NumNets())
 	}
 	u1 := d.FindInst("u1")
 	if u1 < 0 || d.CellName(u1) != "INV" {
@@ -394,7 +394,7 @@ conn u1 Y out out
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, sb.String())
 	}
-	if d2.NumInsts() != d.NumInsts() || d2.NumNets() != d.NumNets() || d2.NumPorts() != d.NumPorts() {
+	if d2.NumInsts() != d.NumInsts() || d2.NumNets() != d.NumNets() || d2.ports.n != d.ports.n {
 		t.Fatal("round trip changed design size")
 	}
 }

@@ -8,8 +8,7 @@ import (
 
 // Builder assembles one net at a time by node and partner-net names and
 // commits it to a database — the only place names meet parasitics. Package
-// bind drives one per worker over a whole design; NewNetwork, Analyze and
-// the Add methods are the hand-build entry for tests and experiments.
+// bind drives one per worker over a whole design.
 // Assembling and committing a net allocates nothing once the buffers have
 // grown to the largest net seen.
 type Builder struct {
@@ -36,9 +35,6 @@ type Builder struct {
 	adjOff, adjTo, parent, order []int32
 	adjR, parentR, caps, sub, w2 []float64
 }
-
-// NewNetwork returns a builder holding an empty net.
-func NewNetwork(name string) *Builder { return &Builder{name: name, root: -1} }
 
 // Reset starts a new, empty net.
 func (b *Builder) Reset(name string) {
@@ -76,14 +72,6 @@ func Find[S string | []byte](b *Builder, name S) int32 {
 		}
 	}
 	return -1
-}
-
-// Node returns the index of the named node, adding it when new.
-func (b *Builder) Node(name string) int32 {
-	if i := Find(b, name); i >= 0 {
-		return i
-	}
-	return b.add(name)
 }
 
 // Named adds a node the caller knows is not in the net yet, as a parser
@@ -168,11 +156,6 @@ func (b *Builder) Partners() []string {
 	return b.partners
 }
 
-// Sizes returns what the net needs of a database.
-func (b *Builder) Sizes() Sizes {
-	return Sizes{Nodes: len(b.names), Ress: len(b.ohms), Cpls: len(b.cplF), Groups: len(b.Partners())}
-}
-
 // Commit writes the net into its place in the database, which must have
 // been sized for it, and reduces it there. Group i's Agg is left i, the
 // index into Partners, for the caller to resolve. The error says, in the
@@ -192,16 +175,6 @@ func (b *Builder) Commit(db *DB, id int32) error {
 		db.groups[int(n.grp0)+g] = Group{Agg: int32(g)}
 	}
 	return b.reduce(db, id)
-}
-
-// Analyze commits the net to a database of its own and returns its reduced
-// view there.
-func (b *Builder) Analyze() (Analysis, error) {
-	db, err := NewDB([]Sizes{b.Sizes()})
-	if err != nil {
-		return Analysis{}, err
-	}
-	return db.Analysis(0), b.Commit(db, 0)
 }
 
 const unseen = -2 // parent of a node the search has not reached
@@ -293,21 +266,9 @@ func (b *Builder) reduce(db *DB, id int32) error {
 	b.accumulate(b.w2, m2)
 
 	n.maxElmore = 0
-	var y1, y2, y3 float64
-	for i, c := range b.caps {
-		if el[i] > n.maxElmore {
-			n.maxElmore = el[i]
-		}
-		y1 += c
-		y2 -= c * el[i]
-		y3 += c * m2[i]
-	}
-	n.piNear, n.piR, n.piFar = y1, 0, 0
-	if y2 != 0 && y3 != 0 {
-		// An unphysical moment match (can happen for exotic cap
-		// distributions) keeps the lumped model.
-		if cfar, r := y2*y2/y3, -y3*y3/(y2*y2*y2); !(y1-cfar < 0 || r < 0 || cfar < 0) {
-			n.piNear, n.piR, n.piFar = y1-cfar, r, cfar
+	for _, e := range el {
+		if e > n.maxElmore {
+			n.maxElmore = e
 		}
 	}
 	for k, f := range b.cplF {

@@ -153,8 +153,14 @@ func compare(t testing.TB, g *workload.Generated) (diffs []string) {
 	refs := make([]*refNetwork, g.Design.NumNets())
 	analyses := make([]*refAnalysis, g.Design.NumNets())
 	errs := make([]error, g.Design.NumNets())
+	paras := map[string]*spef.Net{}
+	if g.Paras != nil {
+		for _, sn := range g.Paras.Nets() {
+			paras[sn.Name] = sn
+		}
+	}
 	for _, net := range g.Design.Nets() {
-		if refs[net], err = refBind(d, net, lib, g.Paras); err != nil {
+		if refs[net], err = refBind(d, net, lib, paras); err != nil {
 			t.Fatal(err)
 		}
 		analyses[net], errs[net] = refs[net].Analyze()
@@ -197,11 +203,6 @@ func compare(t testing.TB, g *workload.Generated) (diffs []string) {
 			same(net, "slew degradation at "+ref.names[i], a.SlewDegradation(int32(i)), sd)
 		}
 		same(net, "MaxElmore", a.MaxElmore(), refA.MaxElmore())
-		near, r, far := a.Pi()
-		refNear, refR, refFar := refA.Pi()
-		same(net, "π near", near, refNear)
-		same(net, "π R", r, refR)
-		same(net, "π far", far, refFar)
 		for _, lc := range d.Loads(net) {
 			got, _ := b.WireDelayTo(lc)
 			var want float64
@@ -233,7 +234,7 @@ func compare(t testing.TB, g *workload.Generated) (diffs []string) {
 }
 
 // TestDatabaseMatchesReference: the parasitics database — node numbering,
-// capacitances, every node's moments and path resistance, the π-model, the
+// capacitances, every node's moments and path resistance, the
 // connection-to-node table, the per-aggressor coupling groups as
 // noise.BuildContext hands them out, and every failure's text — equals the
 // frozen per-net reference bit for bit.

@@ -1,9 +1,8 @@
 // Package rc is the parasitics database of a bound design: every net's
 // distributed RC tree in flat, pointer-free arrays, and the reduced
 // quantities delay and noise analysis consume — Elmore delays, second
-// moments, path resistances, total and coupling capacitances, the
-// couplings summed per partner net, and the O'Brien–Savarino π-model of
-// the driving-point admittance.
+// moments, path resistances, total and coupling capacitances, and the
+// couplings summed per partner net.
 //
 // A Builder names nodes and partner nets while it assembles one net and
 // commits it; in the database they are indexes. Reduction assumes the
@@ -51,7 +50,6 @@ type Network struct {
 	reduced                 bool
 	ground, load, coupling  float64
 	maxElmore               float64
-	piNear, piR, piFar      float64
 }
 
 // Sizes is what one net needs of the database.
@@ -88,15 +86,8 @@ func (db *DB) Groups(id int32) []Group {
 	return db.groups[n.grp0:][:n.grps]
 }
 
-// NumNodes returns the node count.
-func (n *Network) NumNodes() int { return int(n.nodes) }
-
 // Reduced reports whether the tree reduction succeeded.
 func (n *Network) Reduced() bool { return n.reduced }
-
-// Caps returns the net's total grounded wire, attached pin and
-// cross-coupling capacitance.
-func (n *Network) Caps() (ground, load, coupling float64) { return n.ground, n.load, n.coupling }
 
 // TotalCap is the capacitance a quiet victim's driver must hold: grounded
 // wire cap + pin loads + coupling caps (a switching-aggressor boundary
@@ -107,15 +98,6 @@ func (n *Network) TotalCap() float64 { return n.ground + n.load + n.coupling }
 // MaxElmore returns the largest Elmore delay over all nodes — the
 // conservative wire-delay number for the net.
 func (n *Network) MaxElmore() float64 { return n.maxElmore }
-
-// Pi returns the O'Brien–Savarino π-model (near cap, resistance, far cap)
-// of the driving-point admittance: the three-moment match
-//
-//	Cfar = y2²/y3, R = −y3²/y2³, Cnear = y1 − Cfar
-//
-// with y1 = ΣC, y2 = −ΣC·m1, y3 = ΣC·m2. Degenerate nets (no resistance or
-// no capacitance) collapse to a single near capacitor.
-func (n *Network) Pi() (cnear, r, cfar float64) { return n.piNear, n.piR, n.piFar }
 
 // Analysis reads the tree-derived quantities of one successfully reduced
 // net; nodes are indexes within the net.
@@ -132,9 +114,6 @@ func (a Analysis) Elmore(node int32) float64 { return a.db.elmore[a.node0+node] 
 
 // M2 returns the second moment of the step response at a node.
 func (a Analysis) M2(node int32) float64 { return a.db.m2[a.node0+node] }
-
-// Res returns the path resistance from the driver to a node.
-func (a Analysis) Res(node int32) float64 { return a.db.rpath[a.node0+node] }
 
 // SlewDegradation estimates the additional output slew introduced by the
 // wire at a node using the PERI-style two-moment metric

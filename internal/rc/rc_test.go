@@ -308,3 +308,72 @@ func reduceRepeatedly(b *testing.B, n *Builder) {
 		}
 	}
 }
+
+// The hand-build entry these tests use: a builder over one net of its
+// own, and readers of what the engine reads through the database.
+
+// NewNetwork returns a builder holding an empty net.
+func NewNetwork(name string) *Builder { return &Builder{name: name, root: -1} }
+
+// Node returns the index of the named node, adding it when new.
+func (b *Builder) Node(name string) int32 {
+	if i := Find(b, name); i >= 0 {
+		return i
+	}
+	return b.add(name)
+}
+
+// Analyze commits the net to a database of its own and returns its reduced
+// view there.
+func (b *Builder) Analyze() (Analysis, error) {
+	db, err := NewDB([]Sizes{b.Sizes()})
+	if err != nil {
+		return Analysis{}, err
+	}
+	return db.Analysis(0), b.Commit(db, 0)
+}
+
+// Sizes returns what the net needs of a database.
+func (b *Builder) Sizes() Sizes {
+	return Sizes{Nodes: len(b.names), Ress: len(b.ohms), Cpls: len(b.cplF), Groups: len(b.Partners())}
+}
+
+// NumNodes returns the node count.
+func (n *Network) NumNodes() int { return int(n.nodes) }
+
+// Caps returns the net's total grounded wire, attached pin and
+// cross-coupling capacitance.
+func (n *Network) Caps() (ground, load, coupling float64) { return n.ground, n.load, n.coupling }
+
+// Res returns the path resistance from the driver to a node.
+func (a Analysis) Res(node int32) float64 { return a.db.rpath[a.node0+node] }
+
+// Pi returns the O'Brien–Savarino π-model (near cap, resistance, far cap)
+// of the driving-point admittance, matched to the net's first three
+// moments: Cfar = y2²/y3, R = −y3²/y2³, Cnear = y1 − Cfar, with y1 = ΣC,
+// y2 = −ΣC·m1 and y3 = ΣC·m2 over each node's wire, pin and coupling cap.
+// A net without resistance or capacitance, or whose match comes out
+// unphysical, is a single near capacitor.
+func (a Analysis) Pi() (cnear, r, cfar float64) {
+	caps := make([]float64, a.nodes)
+	for i := range caps {
+		caps[i] = a.db.gcap[a.node0+int32(i)] + a.db.load[a.node0+int32(i)]
+	}
+	for k := a.cpl0; k < a.cpl0+a.cpls; k++ {
+		caps[a.db.cplNode[k]] += a.db.cplF[k]
+	}
+	var y1, y2, y3 float64
+	for i, c := range caps {
+		y1 += c
+		y2 -= c * a.Elmore(int32(i))
+		y3 += c * a.M2(int32(i))
+	}
+	if y2 == 0 || y3 == 0 {
+		return y1, 0, 0
+	}
+	cfar, r = y2*y2/y3, -y3*y3/(y2*y2*y2)
+	if cnear = y1 - cfar; cnear < 0 || r < 0 || cfar < 0 {
+		return y1, 0, 0
+	}
+	return cnear, r, cfar
+}

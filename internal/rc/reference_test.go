@@ -1,6 +1,6 @@
 package rc_test
 
-// The frozen reference: the per-net Network, its lazy Analyze, capAt and Pi,
+// The frozen reference: the per-net Network, its lazy Analyze and capAt,
 // bind's network construction and noise.BuildContext's grouping, exactly as
 // they stood before the parasitics database replaced them (names, one map
 // per large net, one allocation per array). The oracle in oracle_test.go
@@ -419,35 +419,6 @@ func (a *refAnalysis) SlewDegradation(node string) (float64, error) {
 	return math.Sqrt(d) * math.Log(9), nil
 }
 
-// Pi returns the O'Brien–Savarino π-model (near cap, resistance, far cap)
-// of the driving-point admittance: the three-moment match
-//
-//	Cfar = y2²/y3, R = −y3²/y2³, Cnear = y1 − Cfar
-//
-// with y1 = ΣC, y2 = −ΣC·m1, y3 = ΣC·m2. Degenerate nets (no resistance or
-// no capacitance) collapse to a single near capacitor.
-func (a *refAnalysis) Pi() (cnear, r, cfar float64) {
-	var y1, y2, y3 float64
-	for i := range a.elmore {
-		c := a.net.capAt(i)
-		y1 += c
-		y2 -= c * a.elmore[i]
-		y3 += c * a.m2[i]
-	}
-	if y2 == 0 || y3 == 0 {
-		return y1, 0, 0
-	}
-	cfar = y2 * y2 / y3
-	r = -y3 * y3 / (y2 * y2 * y2)
-	cnear = y1 - cfar
-	if cnear < 0 || r < 0 || cfar < 0 {
-		// Moment match went unphysical (can happen for exotic cap
-		// distributions); fall back to the lumped model.
-		return y1, 0, 0
-	}
-	return cnear, r, cfar
-}
-
 // refPinNode returns the RC node name a connection lands on.
 func refPinNode(d *netlist.Design, c netlist.ConnID) string {
 	if inst := d.Conn(c).Inst; inst >= 0 {
@@ -458,15 +429,13 @@ func refPinNode(d *netlist.Design, c netlist.ConnID) string {
 
 // refBind builds one net's network the way bind.New did: from SPEF when
 // present, otherwise a lumped stand-in, with receiver pin capacitances
-// attached at their nodes.
-func refBind(d *netlist.Design, net netlist.NetID, lib *liberty.Library, p *spef.Parasitics) (*refNetwork, error) {
+// attached at their nodes. paras holds the SPEF's nets by name.
+func refBind(d *netlist.Design, net netlist.NetID, lib *liberty.Library, paras map[string]*spef.Net) (*refNetwork, error) {
 	var nw *refNetwork
-	if p != nil {
-		if sn := p.Net(d.NetName(net)); sn != nil {
-			var err error
-			if nw, err = refFromSPEF(sn); err != nil {
-				return nil, err
-			}
+	if sn := paras[d.NetName(net)]; sn != nil {
+		var err error
+		if nw, err = refFromSPEF(sn); err != nil {
+			return nil, err
 		}
 	}
 	if nw == nil {

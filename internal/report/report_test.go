@@ -136,7 +136,7 @@ func TestSparkline(t *testing.T) {
 	if got := Sparkline(waveform.PWL{}, 4); got != "▁▁▁▁" {
 		t.Fatalf("zero waveform = %q", got)
 	}
-	if got := Sparkline(waveform.Constant(1), 1); len([]rune(got)) != 2 {
+	if got := Sparkline(waveform.MustNew(waveform.Point{V: 1}), 1); len([]rune(got)) != 2 {
 		t.Fatalf("clamped width = %q", got)
 	}
 }

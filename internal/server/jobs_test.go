@@ -383,3 +383,36 @@ func TestJobIterateCheckpointCleared(t *testing.T) {
 	}
 	wantOnlyJournals(t, dir)
 }
+
+// TestSubmitRefusesUnknownSweepMode: a sweep point naming a mode no
+// analysis has is refused at submit as a bad request, and nothing reaches
+// the job journal, rather than being accepted and failing in the job.
+func TestSubmitRefusesUnknownSweepMode(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
+	journal := filepath.Join(dir, "jobs", "jobs.wal")
+	size := func() int64 {
+		fi, err := os.Stat(journal)
+		if err != nil {
+			return 0
+		}
+		return fi.Size()
+	}
+	before := size()
+	resp, data := do(t, "POST", ts.URL+"/v1/jobs", json.RawMessage(`{"session":"bus","type":"sweep","sweep":[{"mode":"bogus"}]}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bogus sweep mode: status %d: %s", resp.StatusCode, data)
+	}
+	if ei := wantErrKind(t, data, "bad_request"); !strings.Contains(ei.Message, `"bogus"`) {
+		t.Fatalf("bogus sweep mode: refused for another reason: %q", ei.Message)
+	}
+	if after := size(); after != before {
+		t.Fatalf("the refused job reached the journal: %d bytes, %d before", after, before)
+	}
+	resp, data = do(t, "GET", ts.URL+"/v1/jobs", nil)
+	var list JobsResponse
+	if err := json.Unmarshal(data, &list); err != nil || resp.StatusCode != http.StatusOK || len(list.Jobs) != 0 {
+		t.Fatalf("jobs after the refused submit: %d %v: %s", resp.StatusCode, err, data)
+	}
+}

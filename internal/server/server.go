@@ -353,9 +353,6 @@ func (s *Server) Close() error {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Draining reports whether a drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain performs the graceful-shutdown sequence: stop admitting work, wait
 // up to budget for in-flight requests, then cancel whatever is left and
 // wait (bounded) for the cancellation to take. It returns true for a

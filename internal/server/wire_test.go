@@ -48,7 +48,7 @@ func TestKindTable(t *testing.T) {
 	})
 	c := client.New(url, client.RetryPolicy{MaxAttempts: 1})
 	for kind, row := range rows {
-		_, err := c.Info(context.Background(), kind)
+		err := c.Delete(context.Background(), kind)
 		var ae *client.APIError
 		if !errors.As(err, &ae) {
 			t.Fatalf("%s: error %v is not an APIError", kind, err)

@@ -85,32 +85,6 @@ type Net struct {
 	Ress     []ResEntry
 }
 
-// GroundCap and CouplingCap sum the grounded and the coupling capacitance
-// entries.
-func (n *Net) GroundCap() float64   { return n.sum(false) }
-func (n *Net) CouplingCap() float64 { return n.sum(true) }
-
-func (n *Net) sum(coupling bool) (sum float64) {
-	for _, c := range n.Caps {
-		if (c.Other != "") == coupling {
-			sum += c.F
-		}
-	}
-	return sum
-}
-
-// CouplingByNet returns total coupling capacitance grouped by the other
-// net's name (the prefix of the other node before ':').
-func (n *Net) CouplingByNet() map[string]float64 {
-	out := make(map[string]float64)
-	for _, c := range n.Caps {
-		if c.Other != "" {
-			out[NetOfNode(c.Other)] += c.F
-		}
-	}
-	return out
-}
-
 // NetOfNode extracts the net name from a <net>:<index> node name; a bare
 // name maps to itself.
 func NetOfNode(node string) string {
@@ -118,15 +92,6 @@ func NetOfNode(node string) string {
 		return node[:i]
 	}
 	return node
-}
-
-// Net returns the named net in its value form, or nil. Its strings are
-// views of the database; changing the value changes nothing stored.
-func (p *Parasitics) Net(name string) *Net {
-	if i := p.Find(name); i >= 0 {
-		return p.value(i)
-	}
-	return nil
 }
 
 // Nets returns every net in its value form, sorted by name: for tests

@@ -322,3 +322,45 @@ func TestEntryFormatsLikeG(t *testing.T) {
 		}
 	}
 }
+
+// Find returns the index of the named net, or -1.
+func (p *Parasitics) Find(name string) int {
+	if id, _, _ := p.find(name); id >= 0 {
+		return p.NetNamed(id)
+	}
+	return -1
+}
+
+// Net returns the named net in its value form, or nil.
+func (p *Parasitics) Net(name string) *Net {
+	if i := p.Find(name); i >= 0 {
+		return p.value(i)
+	}
+	return nil
+}
+
+// GroundCap and CouplingCap sum the grounded and the coupling capacitance
+// entries.
+func (n *Net) GroundCap() float64   { return n.sum(false) }
+func (n *Net) CouplingCap() float64 { return n.sum(true) }
+
+func (n *Net) sum(coupling bool) (sum float64) {
+	for _, c := range n.Caps {
+		if (c.Other != "") == coupling {
+			sum += c.F
+		}
+	}
+	return sum
+}
+
+// CouplingByNet returns total coupling capacitance grouped by the other
+// net's name.
+func (n *Net) CouplingByNet() map[string]float64 {
+	out := make(map[string]float64)
+	for _, c := range n.Caps {
+		if c.Other != "" {
+			out[NetOfNode(c.Other)] += c.F
+		}
+	}
+	return out
+}

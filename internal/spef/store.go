@@ -121,14 +121,6 @@ func (p *Parasitics) NetName(i int) string { return p.Name(p.nets[i].name) }
 // NameOf returns net i's name ID.
 func (p *Parasitics) NameOf(i int) int32 { return p.nets[i].name }
 
-// Find returns the index of the named net, or -1.
-func (p *Parasitics) Find(name string) int {
-	if id, _, _ := p.find(name); id >= 0 {
-		return p.NetNamed(id)
-	}
-	return -1
-}
-
 // Sizes returns what net i needs, counted when it was stored.
 func (p *Parasitics) Sizes(i int) Sizes {
 	r := &p.nets[i]

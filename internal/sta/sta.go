@@ -83,12 +83,6 @@ func (t *Timing) Slew(rise bool) Range {
 	return t.SlewFall
 }
 
-// SwitchingWindow is the union of both directions' arrival windows: the
-// instants at which the point can be transitioning at all.
-func (t *Timing) SwitchingWindow() interval.Set {
-	return t.Rise.Union(t.Fall)
-}
-
 // HasActivity reports whether any transition can occur here.
 func (t *Timing) HasActivity() bool {
 	return !t.Rise.IsEmpty() || !t.Fall.IsEmpty()

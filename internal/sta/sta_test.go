@@ -3,6 +3,7 @@ package sta
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,7 +68,7 @@ func TestChainWindowsMatchTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arc := cell.Arc("A", "Y")
+	arc := cell.ArcsTo("Y")[0]
 	// Input [0,0] both dirs; INV is negative unate, so mid fall comes
 	// from in rise and mid rise from in fall.
 	wantFall := arc.DelayFall.Eval(slew, load)
@@ -107,7 +108,7 @@ func TestInputWindowSpreadPropagates(t *testing.T) {
 	mt := timingOf(res, "mid")
 	// The window length must be at least the input spread (delay range
 	// only adds to it).
-	if mt.Fall.TotalLength() < w.Length() {
+	if totalLength(mt.Fall) < w.Length() {
 		t.Fatalf("mid fall window %v narrower than input %v", mt.Fall, w)
 	}
 	if mt.Fall.Hull().Lo <= 0 {
@@ -139,7 +140,7 @@ func TestInputTimingOverride(t *testing.T) {
 	}
 	// Slew range at input widens the delay range, so the output window is
 	// wider than the input window.
-	if mt.Fall.TotalLength() < 10*units.Pico {
+	if totalLength(mt.Fall) < 10*units.Pico {
 		t.Fatalf("mid fall window %v lost the input spread", mt.Fall)
 	}
 }
@@ -255,17 +256,6 @@ func TestPinTimingIncludesWireDelay(t *testing.T) {
 	}
 }
 
-func TestSwitchingWindowUnion(t *testing.T) {
-	tm := &Timing{
-		Rise: interval.SetOf(10, 20),
-		Fall: interval.SetOf(30, 40),
-	}
-	want := interval.NewSet(interval.New(10, 20), interval.New(30, 40))
-	if got := tm.SwitchingWindow(); !got.Equal(want) {
-		t.Fatalf("SwitchingWindow = %v", got)
-	}
-}
-
 func TestRangeHelpers(t *testing.T) {
 	r := emptyRange()
 	if r.valid() {
@@ -369,7 +359,7 @@ func TestDeratesWidenWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !timingOf(ident, "mid").Fall.Equal(timingOf(plain, "mid").Fall) {
+	if !sameSet(timingOf(ident, "mid").Fall, timingOf(plain, "mid").Fall) {
 		t.Fatal("identity derates changed windows")
 	}
 }
@@ -417,3 +407,14 @@ func TestQuickWindowMonotonicity(t *testing.T) {
 
 // timingOf is the annotation of the net of that name.
 func timingOf(r *Result, net string) *Timing { return r.TimingOf(r.design.Net.FindNet(net)) }
+
+// totalLength sums the lengths of a set's windows.
+func totalLength(s interval.Set) (sum float64) {
+	for _, w := range s.Windows() {
+		sum += w.Length()
+	}
+	return sum
+}
+
+// sameSet reports whether two sets hold the same windows.
+func sameSet(a, b interval.Set) bool { return slices.Equal(a.Windows(), b.Windows()) }

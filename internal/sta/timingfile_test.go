@@ -42,7 +42,7 @@ func TestTimingFileRoundTrip(t *testing.T) {
 		t.Fatalf("entries = %d", len(got))
 	}
 	in0 := got["in0"]
-	if !in0.Rise.Equal(m["in0"].Rise) || !in0.Fall.Equal(m["in0"].Fall) {
+	if !sameSet(in0.Rise, m["in0"].Rise) || !sameSet(in0.Fall, m["in0"].Fall) {
 		t.Fatalf("in0 windows = %+v", in0)
 	}
 	if in0.SlewRise != m["in0"].SlewRise {
@@ -56,7 +56,7 @@ func TestTimingFileRoundTrip(t *testing.T) {
 	if tp.Rise.Len() != 2 || !tp.Fall.IsEmpty() {
 		t.Fatalf("twophase = %+v", tp)
 	}
-	if !tp.Rise.Equal(m["twophase"].Rise) {
+	if !sameSet(tp.Rise, m["twophase"].Rise) {
 		t.Fatalf("twophase windows = %v", tp.Rise)
 	}
 	if tp.SlewFall.valid() {

@@ -20,33 +20,8 @@ const (
 	Femto = 1e-15
 	Pico  = 1e-12
 	Nano  = 1e-9
-	Micro = 1e-6
-	Milli = 1e-3
 	Kilo  = 1e3
-	Mega  = 1e6
-	Giga  = 1e9
 )
-
-// Eps is the default absolute tolerance used when comparing times and
-// voltages produced by different code paths (analytical model versus
-// simulation, for example). It is deliberately loose relative to float64
-// precision because the quantities being compared pass through iterative
-// solvers.
-const Eps = 1e-12
-
-// ApproxEqual reports whether a and b are equal within tol absolutely or
-// within tol relatively (whichever is looser). A NaN never compares equal.
-func ApproxEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}
 
 // RelErr returns |a-b| / max(|b|, floor). It is used by the accuracy
 // experiments to compare the analytical noise model against transient

@@ -30,8 +30,8 @@ func TestParseSample(t *testing.T) {
 	if d.Name != "top" {
 		t.Fatalf("name = %q", d.Name)
 	}
-	if d.NumInsts() != 2 || d.NumPorts() != 3 {
-		t.Fatalf("insts=%d ports=%d", d.NumInsts(), d.NumPorts())
+	if d.NumInsts() != 2 || len(d.Ports()) != 3 {
+		t.Fatalf("insts=%d ports=%d", d.NumInsts(), len(d.Ports()))
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, sb.String())
 	}
-	if d2.NumInsts() != d.NumInsts() || d2.NumNets() != d.NumNets() || d2.NumPorts() != d.NumPorts() {
+	if d2.NumInsts() != d.NumInsts() || d2.NumNets() != d.NumNets() || len(d2.Ports()) != len(d.Ports()) {
 		t.Fatalf("round trip changed design:\n%s", sb.String())
 	}
 	if err := d2.Validate(); err != nil {
@@ -141,8 +141,8 @@ func TestTokenLongerThanWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.FindPort(long) < 0 || d.FindPort(long+"y") < 0 || d.NumPorts() != 2 {
-			t.Fatalf("%d ports, the long names are not among them", d.NumPorts())
+		if d.FindPort(long) < 0 || d.FindPort(long+"y") < 0 || len(d.Ports()) != 2 {
+			t.Fatalf("%d ports, the long names are not among them", len(d.Ports()))
 		}
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 )
@@ -67,14 +66,11 @@ type FrameError struct {
 
 func (e *FrameError) Error() string { return e.Reason }
 
-// ReadFrame reads one frame from r. io.EOF means a clean end exactly at
-// a frame boundary; a *FrameError reports a torn tail or corruption.
-func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r, math.MaxInt64) }
-
-// readFrame is ReadFrame for a reader known to hold left more bytes: a
-// frame that claims more than that is a torn tail, decided before
-// anything is allocated for it — one flipped bit in a length field must
-// not cost a budgeted server a gigabyte at boot.
+// readFrame reads one frame from r, known to hold left more bytes. io.EOF
+// means a clean end exactly at a frame boundary; a *FrameError reports a
+// torn tail or corruption. A frame that claims more than left is a torn
+// tail, decided before anything is allocated for it — one flipped bit in a
+// length field must not cost a budgeted server a gigabyte at boot.
 func readFrame(r io.Reader, left int64) ([]byte, error) {
 	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -218,8 +214,6 @@ func (j *Writer) Close() error { return j.f.Close() }
 // ScanResult is the result of reading one journal file to its end (or
 // to the first unreadable byte).
 type ScanResult struct {
-	// Frames holds every payload that read back intact, in file order.
-	Frames [][]byte
 	// Torn reports the file ended in a partial frame (crash mid-append).
 	Torn bool
 	// Corrupt is the frame-level reason reading stopped before EOF for a
@@ -231,20 +225,13 @@ type ScanResult struct {
 	GoodOffset int64
 }
 
-// Scan reads every readable frame of the journal at path. A missing
-// file is an empty journal. Reading never fails the caller's boot:
-// every abnormality is reported in the result for the recovery layer to
-// quarantine; the returned error is reserved for the file being
-// unopenable.
-func Scan(path string) (*ScanResult, error) {
-	scan := &ScanResult{}
-	err := scan.visit(path, func(payload []byte) { scan.Frames = append(scan.Frames, payload) })
-	return scan, err
-}
-
-// visit is Scan handing each intact payload to fn instead of collecting
-// it, so a caller that folds frames into state holds one at a time. The
-// file's size bounds every frame length before its payload is allocated.
+// visit reads every readable frame of the journal at path, handing each
+// intact payload to fn, so a caller that folds frames into state holds
+// one at a time. A missing file is an empty journal. Reading never fails
+// the caller's boot: every abnormality is reported in scan for the
+// recovery layer to quarantine; the returned error is reserved for the
+// file being unopenable. The file's size bounds every frame length
+// before its payload is allocated.
 func (scan *ScanResult) visit(path string, fn func(payload []byte)) error {
 	f, err := os.Open(path)
 	if err != nil {

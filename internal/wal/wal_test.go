@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -170,4 +172,21 @@ func TestReplaceAtomicRenameFaultStrandsTemp(t *testing.T) {
 	if err != nil || string(got) != "data" {
 		t.Fatalf("read back %q, %v", got, err)
 	}
+}
+
+// ReadFrame reads one frame from r, which may hold any number of bytes.
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r, math.MaxInt64) }
+
+// scanned is a journal read to its end, with every payload that read
+// back intact, in file order.
+type scanned struct {
+	*ScanResult
+	Frames [][]byte
+}
+
+// Scan reads every readable frame of the journal at path.
+func Scan(path string) (*scanned, error) {
+	s := &scanned{ScanResult: &ScanResult{}}
+	err := s.visit(path, func(payload []byte) { s.Frames = append(s.Frames, payload) })
+	return s, err
 }

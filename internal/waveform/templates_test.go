@@ -48,7 +48,7 @@ func TestTriangle(t *testing.T) {
 }
 
 func TestTriangleDegenerate(t *testing.T) {
-	if !Triangle(1, 1, 1, 0.5).IsZero() {
+	if _, v := Triangle(1, 1, 1, 0.5).Peak(); v != 0 {
 		t.Fatal("point triangle should be zero waveform")
 	}
 	// Zero rise time: starts at peak.

@@ -61,27 +61,6 @@ func MustNew(pts ...Point) PWL {
 	return w
 }
 
-// Constant returns the waveform that is v everywhere.
-func Constant(v float64) PWL {
-	if v == 0 {
-		return PWL{}
-	}
-	return PWL{pts: []Point{{T: 0, V: v}}}
-}
-
-// Points returns a copy of the breakpoints.
-func (w PWL) Points() []Point { return append([]Point(nil), w.pts...) }
-
-// IsZero reports whether the waveform is identically zero.
-func (w PWL) IsZero() bool {
-	for _, p := range w.pts {
-		if p.V != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Eval returns the waveform value at time t.
 func (w PWL) Eval(t float64) float64 {
 	n := len(w.pts)
@@ -120,43 +99,6 @@ func (w PWL) Peak() (t, v float64) {
 		}
 	}
 	return t, best
-}
-
-// Max returns the maximum value of the waveform and a time achieving it.
-func (w PWL) Max() (t, v float64) {
-	if len(w.pts) == 0 {
-		return 0, 0
-	}
-	t, v = w.pts[0].T, w.pts[0].V
-	for _, p := range w.pts[1:] {
-		if p.V > v {
-			t, v = p.T, p.V
-		}
-	}
-	return t, v
-}
-
-// Min returns the minimum value of the waveform and a time achieving it.
-func (w PWL) Min() (t, v float64) {
-	if len(w.pts) == 0 {
-		return 0, 0
-	}
-	t, v = w.pts[0].T, w.pts[0].V
-	for _, p := range w.pts[1:] {
-		if p.V < v {
-			t, v = p.T, p.V
-		}
-	}
-	return t, v
-}
-
-// Shift translates the waveform by dt in time.
-func (w PWL) Shift(dt float64) PWL {
-	out := make([]Point, len(w.pts))
-	for i, p := range w.pts {
-		out[i] = Point{T: p.T + dt, V: p.V}
-	}
-	return PWL{pts: out}
 }
 
 // ScaleV multiplies every voltage by k.
@@ -232,21 +174,6 @@ func (w PWL) Area() float64 {
 		area += (b.T - a.T) * (a.V + b.V) / 2
 	}
 	return area
-}
-
-// Sample evaluates the waveform on a uniform grid of n points across
-// [t0, t1] inclusive. n must be at least 2.
-func (w PWL) Sample(t0, t1 float64, n int) []Point {
-	if n < 2 {
-		panic("waveform: Sample needs n >= 2")
-	}
-	out := make([]Point, n)
-	dt := (t1 - t0) / float64(n-1)
-	for i := range out {
-		t := t0 + float64(i)*dt
-		out[i] = Point{T: t, V: w.Eval(t)}
-	}
-	return out
 }
 
 // String summarises the waveform for debugging.

@@ -12,7 +12,7 @@ func TestNewSortsAndDedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := w.Points()
+	pts := w.pts
 	if len(pts) != 2 || pts[0].T != 0 || pts[1].T != 2 {
 		t.Fatalf("points = %v", pts)
 	}
@@ -47,18 +47,20 @@ func TestEvalInterpolatesAndExtrapolates(t *testing.T) {
 
 func TestEvalZeroWaveform(t *testing.T) {
 	var w PWL
-	if w.Eval(3) != 0 || !w.IsZero() {
+	if _, v := w.Peak(); w.Eval(3) != 0 || v != 0 {
 		t.Fatal("zero waveform misbehaves")
 	}
 }
 
+// TestConstant: a waveform of one breakpoint holds its value at every
+// time, and the zero waveform is zero everywhere.
 func TestConstant(t *testing.T) {
-	w := Constant(1.8)
+	w := MustNew(Point{V: 1.8})
 	if w.Eval(-100) != 1.8 || w.Eval(100) != 1.8 {
-		t.Fatal("Constant not constant")
+		t.Fatal("one breakpoint not constant")
 	}
-	if !Constant(0).IsZero() {
-		t.Fatal("Constant(0) not zero")
+	if _, v := (PWL{}).Peak(); v != 0 || (PWL{}).Eval(5) != 0 {
+		t.Fatal("zero waveform not zero")
 	}
 }
 
@@ -70,16 +72,19 @@ func TestPeakSigned(t *testing.T) {
 	}
 }
 
+// TestMaxMin: a waveform's extremes lie on its breakpoints, and Peak
+// reports the one of larger magnitude with its sign, on either side of
+// zero.
 func TestMaxMin(t *testing.T) {
 	w := MustNew(Point{0, 1}, Point{1, -2}, Point{2, 3})
-	if _, v := w.Max(); v != 3 {
-		t.Fatalf("Max = %g", v)
+	if tt, v := w.Peak(); v != 3 || tt != 2 {
+		t.Fatalf("Peak = (%g, %g), want (2, 3)", tt, v)
 	}
-	if _, v := w.Min(); v != -2 {
-		t.Fatalf("Min = %g", v)
+	if tt, v := w.Negate().Peak(); v != -3 || tt != 2 {
+		t.Fatalf("negated Peak = (%g, %g), want (2, -3)", tt, v)
 	}
-	if _, v := (PWL{}).Max(); v != 0 {
-		t.Fatalf("zero Max = %g", v)
+	if tt, v := w.ScaleV(0.5).Add(w.Negate()).Peak(); v != -1.5 || tt != 2 {
+		t.Fatalf("Peak of the halved difference = (%g, %g), want (2, -1.5)", tt, v)
 	}
 }
 
@@ -108,7 +113,7 @@ func TestAddWithZero(t *testing.T) {
 }
 
 func pwlEqual(a, b PWL) bool {
-	ap, bp := a.Points(), b.Points()
+	ap, bp := a.pts, b.pts
 	if len(ap) != len(bp) {
 		return false
 	}
@@ -141,25 +146,21 @@ func TestArea(t *testing.T) {
 	}
 }
 
+// TestSample: evaluating a ramp on a uniform grid reads the ramp back at
+// every grid point, both ends included.
 func TestSample(t *testing.T) {
 	w := MustNew(Point{0, 0}, Point{10, 10})
-	s := w.Sample(0, 10, 11)
-	if len(s) != 11 || s[5].V != 5 || s[10].V != 10 {
-		t.Fatalf("Sample = %v", s)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sample(n=1) did not panic")
+	for i := 0; i <= 10; i++ {
+		if got := w.Eval(float64(i)); got != float64(i) {
+			t.Fatalf("Eval(%d) = %g", i, got)
 		}
-	}()
-	w.Sample(0, 1, 1)
+	}
 }
 
 func TestShiftScale(t *testing.T) {
 	w := MustNew(Point{0, 1}, Point{1, 2})
-	s := w.Shift(5).ScaleV(2)
-	if got := s.Eval(6); got != 4 {
-		t.Fatalf("shifted scaled Eval(6) = %g", got)
+	if got := w.ScaleV(2).Eval(1); got != 4 {
+		t.Fatalf("scaled Eval(1) = %g", got)
 	}
 	if got := w.Negate().Eval(1); got != -2 {
 		t.Fatalf("Negate Eval = %g", got)

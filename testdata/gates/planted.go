@@ -3,7 +3,8 @@
 // beside it. The decoys in comments and strings must not count:
 // map[string]int, http.StatusNotFound, report.BuildJSON(res),
 // "repro/internal/chaos", sha256.Sum256(spec), Agg *netlist.Net,
-// os.Remove(path), Options{Vdd: 1.1}, //snavet:ordered in a comment.
+// os.Remove(path), Options{Vdd: 1.1}, planted.Unused(), //snavet:ordered in
+// a comment.
 package planted
 
 import (
@@ -19,7 +20,7 @@ import (
 
 var byName map[string]int
 
-const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn filepath.Glob(dir) opts.Vdd = 0.9 //snavet:ctxloop in a string"
+const decoy = "map[string]bool http.StatusConflict report.BuildDelayJSON(res) sha256.New() []*netlist.Conn filepath.Glob(dir) opts.Vdd = 0.9 Unused() //snavet:ctxloop in a string"
 
 // A waiver in a file no analyzer reads, which would waive nothing:
 //snavet:nanguard planted outside the analyzed files
@@ -61,6 +62,9 @@ type Design struct {
 	n    int
 }
 
+// root is the one use of Design.
+var root Design
+
 type arena[T any] struct{ chunks [][]T }
 
 type netRec struct {
@@ -97,3 +101,9 @@ func parallel(o Options) Options {
 	o.Workers = 2
 	return o
 }
+
+// Unused is an export nothing calls.
+func Unused() int { return 0 }
+
+// Severity is a decoy: an interface of the module (lint.Rule) names it.
+func (o Options) Severity() int { return o.Mode }

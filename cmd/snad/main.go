@@ -9,8 +9,8 @@
 //
 //	snad serve   [-listen 127.0.0.1:8347] [-data-dir DIR]
 //	             [-mem-budget 512MB] [-max-sessions 8]
-//	             [-max-concurrent N] [-queue N] [-job-workers 2]
-//	             [-job-queue 16] [-workers url1,url2,...]
+//	             [-max-concurrent N] [-queue N] [-job-queue 16]
+//	             [-workers url1,url2,...]
 //	             [-drain-budget 10s] [-quiet]
 //	snad create  -server URL -name S -net design.net [-spef design.spef]
 //	             [-win design.win] [-workers N]
@@ -147,13 +147,12 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	var (
 		listen      = fs.String("listen", "127.0.0.1:8347", "listen address")
 		maxSessions = fs.Int("max-sessions", 0, "max loaded sessions; LRU-evicted past this (default 8)")
-		maxConc     = fs.Int("max-concurrent", 0, "max concurrent analyses (default GOMAXPROCS)")
+		maxConc     = fs.Int("max-concurrent", 0, "max concurrent engines, requests and jobs together; jobs take at most max(1, N-1) (default GOMAXPROCS)")
 		queue       = fs.Int("queue", 0, "max queued requests past the concurrency cap (default 2x)")
 		drainBudget = fs.Duration("drain-budget", 10*time.Second, "grace period for in-flight work on shutdown")
 		quiet       = fs.Bool("quiet", false, "suppress operational logging")
 		dataDir     = fs.String("data-dir", "", "durable session directory; empty runs memory-only")
 		workerURLs  = fs.String("workers", "", "comma-separated snad worker base URLs to coordinate over")
-		jobWorkers  = fs.Int("job-workers", 0, "async job worker pool size (default 2)")
 		jobQueue    = fs.Int("job-queue", 0, "max queued async jobs; submits past it are shed (default 16)")
 		memBudget   = fs.String("mem-budget", "", "byte budget for cached designs, e.g. 512MB or 2GiB (empty = unlimited); past it, creates shed with 503 instead of growing")
 	)
@@ -186,7 +185,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		QueueDepth:    *queue,
 		Logf:          logf,
 		DataDir:       *dataDir,
-		JobWorkers:    *jobWorkers,
 		JobQueueDepth: *jobQueue,
 		MemBudget:     budget,
 		Workers:       workers,

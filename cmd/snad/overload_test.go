@@ -187,11 +187,12 @@ func busRequest(t *testing.T, bits int) server.CreateSessionRequest {
 
 // TestOverloadContract squeezes a real snad process on every axis at once:
 // a memory budget that holds two designs (each bus here charges ≈ 70 kB) —
-// the base design all tenants share and one more — a one-slot admission
-// gate with a one-deep queue, and one job worker with a one-deep job queue. For two seconds four tenants each run two clients of
+// the base design all tenants share and one more — two engine slots, at
+// most one of them a job's, with a one-deep request queue, and a one-deep
+// job queue. For two seconds four tenants each run two clients of
 // interactive analyses on their base session, one of iterate-job
-// submit→wait cycles on it (10 ms of injected sleep per round keeps the job
-// worker busy), and one of create/analyze/delete churn over three other
+// submit→wait cycles on it (10 ms of injected sleep per round keeps a job
+// slot busy), and one of create/analyze/delete churn over three other
 // designs. No reply may break the contract, the run must provoke each shed
 // it is built to provoke so that it cannot pass vacuously, and SIGTERM must
 // then drain cleanly. The classifier is first shown to fail on planted
@@ -216,8 +217,8 @@ func TestOverloadContract(t *testing.T) {
 		t.Fatalf("a well-formed budget shed classified as %q, %v", kind, err)
 	}
 
-	child, base := startChild(t, t.TempDir(), childFaults{sessions: "base-*=sleep:b0"}, "-mem-budget", "160KiB", "-max-concurrent", "1", "-queue", "1",
-		"-job-workers", "1", "-job-queue", "1")
+	child, base := startChild(t, t.TempDir(), childFaults{sessions: "base-*=sleep:b0"}, "-mem-budget", "160KiB", "-max-concurrent", "2", "-queue", "1",
+		"-job-queue", "1")
 	l := &loadRun{
 		http:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}, Timeout: 30 * time.Second},
 		base:  base,

@@ -23,7 +23,7 @@ import (
 // Rules select on the job type: "analyze", "reanalyze", "iterate",
 // "sweep", or "*" for any.
 //
-// The struct is safe for concurrent use; job workers run in parallel.
+// The struct is safe for concurrent use; job attempts run in parallel.
 type JobFaults faultRules
 
 var jobFaultGrammar = faultGrammar{

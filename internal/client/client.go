@@ -97,8 +97,9 @@ type Client struct {
 	http  *http.Client
 	retry RetryPolicy
 	// tenant, when set, is stamped on every request as the X-Snad-Tenant
-	// header: the server's admission gate and job pool schedule fairly
-	// across tenants, so tagging traffic is how a caller gets its slice.
+	// header: the server's engine slot pool schedules requests and jobs
+	// fairly across tenants, so tagging traffic is how a caller gets its
+	// slice.
 	tenant string
 
 	// sleep, jitter, and now are injectable for tests (now anchors

@@ -20,7 +20,8 @@ import (
 
 // Options tunes an analysis run.
 type Options struct {
-	// Mode selects the combination policy (default ModeNoiseWindows).
+	// Mode selects the combination policy. The zero value is
+	// ModeAllAggressors; ParseMode reads a mode from its name.
 	Mode Mode
 	// FilterThreshold filters couplings with C_x/C_v below it out of the
 	// windowed combination; the filtered capacitance is lumped into one

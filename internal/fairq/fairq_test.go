@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// check asserts the Ring's structural invariant: a tenant holds exactly
+// check asserts the ring's structural invariant: a tenant holds exactly
 // one rotation slot while it has queued entries and none otherwise, and
 // the entry count matches the queues.
-func check(t *testing.T, r *Ring[int]) {
+func check(t *testing.T, r *ring[int]) {
 	t.Helper()
 	n := 0
 	for tenant, q := range r.queues {
@@ -35,7 +35,7 @@ func count(s []string, v string) (n int) {
 	return n
 }
 
-func pop(t *testing.T, r *Ring[int]) (string, int) {
+func pop(t *testing.T, r *ring[int]) (string, int) {
 	t.Helper()
 	tenant, v, ok := r.Pop()
 	if !ok {
@@ -45,7 +45,7 @@ func pop(t *testing.T, r *Ring[int]) (string, int) {
 }
 
 func TestRoundRobinAcrossTenantsFIFOWithin(t *testing.T) {
-	r := New[int]()
+	r := newRing[int]()
 	for i, tenant := range []string{"bulk", "bulk", "bulk", "live", "bulk", "live"} {
 		r.Push(tenant, i)
 	}
@@ -65,7 +65,7 @@ func TestRoundRobinAcrossTenantsFIFOWithin(t *testing.T) {
 // TestRemoveIsEager: an entry that leaves the queue leaves the rotation
 // in the same call, and the rotation keeps its place.
 func TestRemoveIsEager(t *testing.T) {
-	r := New[int]()
+	r := newRing[int]()
 	for i, tenant := range []string{"a", "b", "c"} {
 		r.Push(tenant, i)
 		r.Push(tenant, 10+i)
@@ -94,7 +94,7 @@ func TestRemoveIsEager(t *testing.T) {
 func TestChurnKeepsInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tenants := []string{"", "a", "b", "c"}
-	r := New[int]()
+	r := newRing[int]()
 	queued := map[int]string{}
 	for i := 0; i < 5000; i++ {
 		switch rng.Intn(3) {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/fairq"
 )
 
 // gatedExec records the tenant of each claim in order and blocks until
@@ -42,21 +44,21 @@ func (g *gatedExec) waitStart(t *testing.T) string {
 	case tenant := <-g.started:
 		return tenant
 	case <-time.After(5 * time.Second):
-		t.Fatal("no job claimed a worker in time")
+		t.Fatal("no job claimed a slot in time")
 		return ""
 	}
 }
 
 // TestTenantRoundRobinClaimOrder pins the dispatch order: with one
-// worker and tenant A's backlog queued ahead of tenant B's single job,
+// batch slot and tenant A's backlog queued ahead of tenant B's single job,
 // the round-robin ring interleaves B instead of draining A first. A
 // global-FIFO scheduler would run A,A,A,B.
 func TestTenantRoundRobinClaimOrder(t *testing.T) {
 	g := newGatedExec()
-	m := openManager(t, t.TempDir(), g.exec, func(c *Config) { c.Workers = 1 })
+	m := openManager(t, t.TempDir(), g.exec, func(c *Config) { c.Slots = fairq.NewPool(2, 0) })
 
 	a1 := submit(t, m, &Spec{Session: "s", Type: "analyze", Tenant: "A"})
-	// Wait until a1 occupies the worker so the backlog below is queued
+	// Wait until a1 occupies the slot so the backlog below is queued
 	// behind it deterministically.
 	g.waitStart(t)
 	ids := []string{a1}
@@ -64,7 +66,7 @@ func TestTenantRoundRobinClaimOrder(t *testing.T) {
 		ids = append(ids, submit(t, m, &Spec{Session: "s", Type: "analyze", Tenant: tenant}))
 	}
 
-	// Release the worker one job at a time.
+	// Release the slot one job at a time.
 	for i := 0; i < len(ids); i++ {
 		g.proceed <- struct{}{}
 		if i < len(ids)-1 {

@@ -1,7 +1,8 @@
-// Package jobs is snad's durable asynchronous job subsystem: a bounded
-// worker pool executing batch analyses (analyze / reanalyze / iterate /
-// sweep) submitted over the HTTP API, with the same
-// journal-before-acknowledge durability discipline as the session store.
+// Package jobs is snad's durable asynchronous job subsystem: batch
+// analyses (analyze / reanalyze / iterate / sweep) submitted over the
+// HTTP API, each attempt run in a batch slot of the server's one engine
+// pool (internal/fairq), with the same journal-before-acknowledge
+// durability discipline as the session store.
 //
 // The contract, in the order the robustness machinery earns it:
 //
@@ -83,10 +84,11 @@ func (s State) Terminal() bool {
 type Spec struct {
 	// Session names the session the job runs against.
 	Session string `json:"session"`
-	// Tenant attributes the job for fair scheduling: workers round-robin
-	// across tenants with queued jobs, so one tenant flooding the queue
-	// cannot starve another's submissions. Empty is the shared anonymous
-	// tenant. Journaled with the spec, so fairness survives a restart.
+	// Tenant attributes the job for fair scheduling: batch slots go
+	// round-robin across tenants with queued jobs, so one tenant flooding
+	// the queue cannot starve another's submissions. Empty is the shared
+	// anonymous tenant. Journaled with the spec, so fairness survives a
+	// restart.
 	Tenant string `json:"tenant,omitempty"`
 	// Type is "analyze", "reanalyze", "iterate", or "sweep".
 	Type string `json:"type"`
@@ -225,11 +227,10 @@ type Config struct {
 	// Dir is the job journal directory; empty runs memory-only (jobs die
 	// with the process — the pre-durability behavior).
 	Dir string
-	// Workers is the job worker pool size (default 2). Job workers are a
-	// separate bounded pool from the HTTP admission gate: a queue full
-	// of batch work must not starve interactive requests, and vice
-	// versa.
-	Workers int
+	// Slots is the engine pool whose batch slots attempts run in; the
+	// server shares it with its requests (default: a pool of its own with
+	// two slots, one of them batch).
+	Slots *fairq.Pool
 	// MaxQueued bounds waiting jobs; Submit past it returns ErrQueueFull
 	// (default 16).
 	MaxQueued int
@@ -251,8 +252,8 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Workers <= 0 {
-		c.Workers = 2
+	if c.Slots == nil {
+		c.Slots = fairq.NewPool(2, 0)
 	}
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = 16
@@ -267,7 +268,7 @@ func (c *Config) fill() {
 
 // A job's retry budget and per-attempt deadline: a spec may set less,
 // never more (batch work gets more room than an interactive request's
-// 30 s, but one submit must not hold a job worker for weeks).
+// 30 s, but one submit must not hold an engine slot for weeks).
 const (
 	attemptBudget   = 3
 	attemptDeadline = 5 * time.Minute
@@ -328,8 +329,8 @@ type job struct {
 	jobSnapshot
 	maxAttempts int
 	deadline    time.Duration
-	// cancel tears down the running attempt's context; non-nil exactly
-	// while an attempt executes.
+	// cancel ends the job's context: its wait for a slot, its backoff and
+	// its running attempt. Set when the job is put in line.
 	cancel context.CancelFunc
 }
 
@@ -338,8 +339,8 @@ func newJob(s jobSnapshot) *job {
 	return &job{jobSnapshot: s, maxAttempts: maxAttemptsOf(s.Spec), deadline: deadlineOf(s.Spec)}
 }
 
-// Manager owns the queue, the journal, and the worker pool. Open one
-// with Open; it is safe for concurrent use.
+// Manager owns the jobs and their journal. Open one with Open; it is
+// safe for concurrent use.
 type Manager struct {
 	cfg Config
 
@@ -347,15 +348,11 @@ type Manager struct {
 	log    *wal.Log // nil when memory-only
 	nextID uint64
 	jobs   map[string]*job
-	// queue holds the IDs of claimable jobs, tenant-fair: workers claim
-	// round-robin across tenants. cond wakes workers on pushes and
-	// shutdown.
-	queue  *fairq.Ring[string]
-	cond   *sync.Cond
 	closed bool
 
-	// baseCtx dies when Close begins; every attempt context derives from
-	// it, so a drain cancels running work cooperatively.
+	// baseCtx dies when Close begins; every job's context derives from
+	// it, so a drain withdraws waits and cancels running work
+	// cooperatively. wg counts the jobs' run goroutines.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
@@ -367,7 +364,7 @@ type Manager struct {
 }
 
 // Open builds a Manager: replays the journal (when Dir is set),
-// finalizes or re-enqueues interrupted jobs, and starts the worker pool.
+// and finalizes or re-enqueues interrupted jobs.
 // Like the session store, corrupt records never fail the boot — only a
 // structurally unusable directory does. The returned Replay (nil when
 // memory-only) says what the journal held and what was quarantined.
@@ -379,10 +376,8 @@ func Open(cfg Config) (*Manager, *wal.Replay, error) {
 	m := &Manager{
 		cfg:    cfg,
 		jobs:   make(map[string]*job),
-		queue:  fairq.New[string](),
 		nextID: 1,
 	}
-	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
 	var replay *wal.Replay
 	if cfg.Dir != "" {
@@ -399,12 +394,11 @@ func Open(cfg Config) (*Manager, *wal.Replay, error) {
 				m.nextID = n + 1
 			}
 		}
+		// Under the lock: a re-enqueued job's attempt may start at once.
+		m.mu.Lock()
 		m.compactLocked(false)
 		m.recoverInterrupted()
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		m.wg.Add(1)
-		go m.worker()
+		m.mu.Unlock()
 	}
 	return m, replay, nil
 }
@@ -434,11 +428,10 @@ func (m *Manager) Submit(spec *Spec) (*report.JobJSON, error) {
 	m.nextID++
 	j := newJob(jobSnapshot{ID: id, Spec: spec, State: StateQueued, SubmittedAt: time.Now().UTC()})
 	m.jobs[id] = j
-	m.queue.Push(spec.Tenant, id)
+	m.startLocked(j)
 	snap := m.snapshotLocked(j)
 	m.compactLocked(false)
 	m.mu.Unlock()
-	m.cond.Signal()
 	m.cfg.Logf("jobs: %s submitted (%s on %q)", id, spec.Type, spec.Session)
 	return snap, nil
 }
@@ -469,9 +462,9 @@ func (m *Manager) List() []report.JobJSON {
 
 // Cancel requests a job's cancellation. The intent is journaled before
 // the call returns (a crash after the ack must not resurrect the job as
-// runnable): a queued job finalizes canceled immediately, a running job
-// has its attempt context cancelled and finalizes when the executor
-// returns. Canceling an already-canceled job is idempotent; canceling a
+// runnable): a queued job finalizes canceled immediately and leaves the
+// line, a running job has its attempt context cancelled and finalizes
+// when the executor returns. Canceling an already-canceled job is idempotent; canceling a
 // done/failed job returns ErrTerminal.
 func (m *Manager) Cancel(id string) (*report.JobJSON, error) {
 	m.mu.Lock()
@@ -502,11 +495,9 @@ func (m *Manager) Cancel(id string) (*report.JobJSON, error) {
 	}
 	j.CancelRequested = true
 	if final {
-		m.queue.Remove(j.Spec.Tenant, id)
 		m.finishLocked(j, StateCanceled, "", false, nil)
-	} else if j.cancel != nil {
-		j.cancel()
 	}
+	j.cancel()
 	snap := m.snapshotLocked(j)
 	m.mu.Unlock()
 	m.cfg.Logf("jobs: %s cancel requested", id)
@@ -555,11 +546,12 @@ func (m *Manager) countLocked() (queued, running int) {
 	return queued, running
 }
 
-// Close drains the pool: no new attempts start, running attempts are
-// cancelled through their contexts (an iterate job's journaled progress
-// keeps its completed rounds), and a "requeue" record
-// refunds each interrupted attempt so a clean shutdown never burns the
-// retry budget. Blocks until the workers exit or budget elapses.
+// Close drains the jobs: no new attempts start, waits for a slot are
+// withdrawn, running attempts are cancelled through their contexts (an
+// iterate job's journaled progress keeps its completed rounds), and a
+// "requeue" record refunds each interrupted attempt so a clean shutdown
+// never burns the retry budget. Blocks until every job's goroutine exits
+// or budget elapses.
 func (m *Manager) Close(budget time.Duration) {
 	m.mu.Lock()
 	if m.closed {
@@ -569,7 +561,6 @@ func (m *Manager) Close(budget time.Duration) {
 	m.closed = true
 	m.mu.Unlock()
 	m.baseCancel()
-	m.cond.Broadcast()
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()
@@ -578,7 +569,7 @@ func (m *Manager) Close(budget time.Duration) {
 	select {
 	case <-done:
 	case <-time.After(budget):
-		m.cfg.Logf("jobs: drain budget %s exceeded; abandoning worker wait", budget)
+		m.cfg.Logf("jobs: drain budget %s exceeded; abandoning the wait for running attempts", budget)
 	}
 	if m.log != nil {
 		m.mu.Lock()
@@ -587,155 +578,139 @@ func (m *Manager) Close(budget time.Duration) {
 	}
 }
 
-// --- worker pool ------------------------------------------------------
+// --- running jobs -----------------------------------------------------
 
-func (m *Manager) worker() {
+// startLocked puts j in line for a batch slot and starts the goroutine
+// that runs its attempts. Joining here, under m.mu, keeps a tenant's jobs
+// in the order they were submitted.
+func (m *Manager) startLocked(j *job) {
+	ctx, cancel := context.WithCancel(m.baseCtx)
+	j.cancel = cancel
+	t := m.cfg.Slots.Join(fairq.Batch, j.Spec.Tenant)
+	m.wg.Add(1)
+	go m.run(ctx, cancel, j, t)
+}
+
+// run drives j to a terminal state, one attempt per batch slot, or leaves
+// it queued when the manager drains. The retry backoff holds no slot.
+func (m *Manager) run(ctx context.Context, cancel context.CancelFunc, j *job, t *fairq.Ticket) {
 	defer m.wg.Done()
-	for {
-		j := m.next()
-		if j == nil {
+	defer cancel()
+	for t.Wait(ctx) == nil {
+		backoff, failed := m.attempt(ctx, j)
+		m.cfg.Slots.Release(fairq.Batch)
+		if failed == "" {
 			return
 		}
-		m.runJob(j)
-	}
-}
-
-// next blocks for the next queued job, or nil at shutdown.
-func (m *Manager) next() *job {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if m.closed {
-			return nil
-		}
-		if _, id, ok := m.queue.Pop(); ok {
-			return m.jobs[id]
-		}
-		m.cond.Wait()
-	}
-}
-
-// runJob drives one job through its attempt loop to a terminal state —
-// or parks it back to queued when the manager drains mid-attempt.
-func (m *Manager) runJob(j *job) {
-	for {
-		m.mu.Lock()
-		if j.State != StateQueued || m.closed {
-			// Canceled between claim and start, or drain began: a queued
-			// job's journal state already replays to queued.
-			m.mu.Unlock()
-			return
-		}
-		attempt := j.Attempts + 1
-		// The start record lands BEFORE the attempt runs, so a process
-		// death mid-attempt still consumes the attempt on replay — the
-		// poison-quarantine counter survives crashes. An append failure
-		// here is logged and the attempt runs anyway: refusing work
-		// because bookkeeping failed would turn a sick disk into a dead
-		// queue.
-		if err := m.appendLocked(&record{Type: recStart, ID: j.ID, Attempt: attempt}); err != nil {
-			m.cfg.Logf("jobs: %s attempt %d not journaled (running anyway): %v", j.ID, attempt, err)
-		}
-		j.Attempts = attempt
-		j.State = StateRunning
-		j.StartedAt = time.Now().UTC()
-		jctx, cancel := context.WithCancel(m.baseCtx)
-		j.cancel = cancel
-		deadline := j.deadline
-		progress := &Progress{m: m, j: j, Last: j.Progress}
-		m.mu.Unlock()
-
-		actx, acancel := jctx, context.CancelFunc(func() {})
-		if deadline > 0 {
-			actx, acancel = context.WithTimeout(jctx, deadline)
-		}
-		result, degraded, err, panicked := m.safeExec(actx, j, progress)
-		deadlineHit := actx.Err() == context.DeadlineExceeded
-		acancel()
-		cancel()
-
-		m.mu.Lock()
-		j.cancel = nil
-		canceled := j.CancelRequested
-		draining := m.closed || m.baseCtx.Err() != nil
-
-		switch {
-		case canceled && (err != nil || degraded):
-			// Any failure after a cancel request is attributed to the
-			// cancel; a fully successful result still wins below.
-			m.finalizeLocked(j, StateCanceled, "", false, nil)
-			m.mu.Unlock()
-			return
-		case err == nil && !degraded:
-			m.finalizeLocked(j, StateDone, "", false, result)
-			m.mu.Unlock()
-			return
-		case draining && err != nil && !IsPermanent(err):
-			// The drain cancelled the attempt; refund it so a clean
-			// shutdown costs no retry budget. Replay of start+requeue
-			// nets out to a queued job.
-			if aerr := m.appendLocked(&record{Type: recRequeue, ID: j.ID, Attempt: attempt}); aerr != nil {
-				m.cfg.Logf("jobs: %s requeue not journaled (replay will count the attempt): %v", j.ID, aerr)
-			}
-			j.Attempts--
-			j.State = StateQueued
-			m.mu.Unlock()
-			return
-		}
-
-		// A failed attempt: classify, record the diagnostic, then retry,
-		// quarantine, or fail.
-		stage := "error"
-		switch {
-		case panicked:
-			stage = "panic"
-		case err == nil && degraded:
-			stage = "degraded"
-		case deadlineHit:
-			stage = "deadline"
-		}
-		msg := "engine degraded the analysis"
-		if err != nil {
-			msg = err.Error()
-		}
-		m.failAttemptLocked(j, stage, msg)
-
-		if IsPermanent(err) {
-			m.finalizeLocked(j, StateFailed, msg, false, nil)
-			m.mu.Unlock()
-			return
-		}
-		if j.Attempts >= j.maxAttempts {
-			// Out of budget. Panic and degraded outcomes mark the job as
-			// poison — quarantined so operators can tell "this job broke
-			// the engine" from "this job just kept failing". A degraded
-			// last result is retained as evidence.
-			quarantine := stage == "panic" || stage == "degraded"
-			var keep json.RawMessage
-			if stage == "degraded" {
-				keep = result
-			}
-			m.finalizeLocked(j, StateFailed,
-				fmt.Sprintf("%s on attempt %d/%d: %s", stage, attempt, j.maxAttempts, msg),
-				quarantine, keep)
-			m.mu.Unlock()
-			return
-		}
-		// Park as queued during the backoff: a Cancel in this window
-		// takes the immediate queued path, and the loop's state check
-		// honors it.
-		j.State = StateQueued
-		backoff := m.backoffFor(j.Attempts)
-		m.mu.Unlock()
-		m.cfg.Logf("jobs: %s attempt %d/%d failed (%s): %s; retrying in %s", j.ID, attempt, j.maxAttempts, stage, msg, backoff)
+		m.cfg.Logf("jobs: %s %s; retrying in %s", j.ID, failed, backoff)
 		select {
 		case <-time.After(backoff):
-		case <-m.baseCtx.Done():
-			// Drain during backoff: the attempt was genuinely spent; the
-			// journal already replays this job to queued.
+		case <-ctx.Done():
+			// Canceled, and final; or a drain: the failed attempt was
+			// genuinely spent, and the journal replays the job to queued.
 			return
 		}
+		t = m.cfg.Slots.Join(fairq.Batch, j.Spec.Tenant)
 	}
+}
+
+// attempt runs j's next attempt in the slot the caller holds and records
+// its outcome: a terminal state, a refunded attempt when the manager
+// drains mid-attempt, or a retry after backoff, which failed then says
+// what failed.
+func (m *Manager) attempt(ctx context.Context, j *job) (backoff time.Duration, failed string) {
+	m.mu.Lock()
+	if j.State != StateQueued || m.closed {
+		// Canceled while in line, or drain began: a queued job's journal
+		// state already replays to queued.
+		m.mu.Unlock()
+		return 0, ""
+	}
+	attempt := j.Attempts + 1
+	// The start record lands BEFORE the attempt runs, so a process
+	// death mid-attempt still consumes the attempt on replay — the
+	// poison-quarantine counter survives crashes. An append failure
+	// here is logged and the attempt runs anyway: refusing work
+	// because bookkeeping failed would turn a sick disk into a dead
+	// queue.
+	if err := m.appendLocked(&record{Type: recStart, ID: j.ID, Attempt: attempt}); err != nil {
+		m.cfg.Logf("jobs: %s attempt %d not journaled (running anyway): %v", j.ID, attempt, err)
+	}
+	j.Attempts = attempt
+	j.State = StateRunning
+	j.StartedAt = time.Now().UTC()
+	actx, acancel := context.WithTimeout(ctx, j.deadline)
+	progress := &Progress{m: m, j: j, Last: j.Progress}
+	m.mu.Unlock()
+
+	result, degraded, err, panicked := m.safeExec(actx, j, progress)
+	deadlineHit := actx.Err() == context.DeadlineExceeded
+	acancel()
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case j.CancelRequested && (err != nil || degraded):
+		// Any failure after a cancel request is attributed to the
+		// cancel; a fully successful result still wins below.
+		m.finalizeLocked(j, StateCanceled, "", false, nil)
+		return 0, ""
+	case err == nil && !degraded:
+		m.finalizeLocked(j, StateDone, "", false, result)
+		return 0, ""
+	case m.closed && err != nil && !IsPermanent(err):
+		// The drain cancelled the attempt; refund it so a clean
+		// shutdown costs no retry budget. Replay of start+requeue
+		// nets out to a queued job.
+		if aerr := m.appendLocked(&record{Type: recRequeue, ID: j.ID, Attempt: attempt}); aerr != nil {
+			m.cfg.Logf("jobs: %s requeue not journaled (replay will count the attempt): %v", j.ID, aerr)
+		}
+		j.Attempts--
+		j.State = StateQueued
+		return 0, ""
+	}
+
+	// A failed attempt: classify, record the diagnostic, then retry,
+	// quarantine, or fail.
+	stage := "error"
+	switch {
+	case panicked:
+		stage = "panic"
+	case err == nil && degraded:
+		stage = "degraded"
+	case deadlineHit:
+		stage = "deadline"
+	}
+	msg := "engine degraded the analysis"
+	if err != nil {
+		msg = err.Error()
+	}
+	m.failAttemptLocked(j, stage, msg)
+
+	if IsPermanent(err) {
+		m.finalizeLocked(j, StateFailed, msg, false, nil)
+		return 0, ""
+	}
+	if j.Attempts >= j.maxAttempts {
+		// Out of budget. Panic and degraded outcomes mark the job as
+		// poison — quarantined so operators can tell "this job broke
+		// the engine" from "this job just kept failing". A degraded
+		// last result is retained as evidence.
+		quarantine := stage == "panic" || stage == "degraded"
+		var keep json.RawMessage
+		if stage == "degraded" {
+			keep = result
+		}
+		m.finalizeLocked(j, StateFailed,
+			fmt.Sprintf("%s on attempt %d/%d: %s", stage, attempt, j.maxAttempts, msg),
+			quarantine, keep)
+		return 0, ""
+	}
+	// Park as queued during the backoff: a Cancel in this window
+	// takes the immediate queued path, and the next attempt's state
+	// check honors it.
+	j.State = StateQueued
+	return m.backoffFor(j.Attempts), fmt.Sprintf("attempt %d/%d failed (%s): %s", attempt, j.maxAttempts, stage, msg)
 }
 
 // failAttemptLocked records the diagnostic of the job's current attempt
@@ -771,7 +746,8 @@ func (m *Manager) safeExec(ctx context.Context, j *job, progress *Progress) (res
 }
 
 // backoffFor is the exponential retry delay: backoff × 2^(attempts-1),
-// capped at 16× so a long budget cannot stall the worker for minutes.
+// capped at 16×, so a failing job retries within seconds; the wait holds
+// no engine slot.
 func (m *Manager) backoffFor(attempts int) time.Duration {
 	d := m.cfg.backoff
 	for i := 1; i < attempts && d < 16*m.cfg.backoff; i++ {

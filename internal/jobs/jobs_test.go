@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/fairq"
 	"repro/internal/report"
 	"repro/internal/wal"
 )
@@ -32,7 +33,7 @@ func openManager(t *testing.T, dir string, exec Executor, mutate ...func(*Config
 	t.Helper()
 	cfg := Config{
 		Dir:     dir,
-		Workers: 2,
+		Slots:   fairq.NewPool(3, 0),
 		backoff: time.Millisecond,
 		Exec:    exec,
 		Logf:    t.Logf,
@@ -156,7 +157,7 @@ func TestQueueFullSheds(t *testing.T) {
 	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		<-release
 		return nil, false, nil
-	}, func(c *Config) { c.Workers = 1; c.MaxQueued = 2 })
+	}, func(c *Config) { c.Slots = fairq.NewPool(2, 0); c.MaxQueued = 2 })
 	defer close(release)
 
 	first := submit(t, m, &Spec{Session: "s", Type: "analyze"})
@@ -165,6 +166,33 @@ func TestQueueFullSheds(t *testing.T) {
 	submit(t, m, &Spec{Session: "s", Type: "analyze"})
 	if _, err := m.Submit(&Spec{Session: "s", Type: "analyze"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("4th submit: want ErrQueueFull, got %v", err)
+	}
+}
+
+// TestRetryBackoffHoldsNoSlot: a job waiting out its retry backoff holds
+// no engine slot, so with one batch slot another tenant's job runs and
+// finishes before the failing job's next attempt.
+func TestRetryBackoffHoldsNoSlot(t *testing.T) {
+	exec := func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
+		if spec.Tenant == "A" {
+			return nil, false, errors.New("transient")
+		}
+		return json.RawMessage(`{}`), false, nil
+	}
+	m := openManager(t, t.TempDir(), exec, func(c *Config) { c.Slots = fairq.NewPool(2, 0); c.backoff = time.Minute })
+	a := submit(t, m, &Spec{Session: "s", Type: "analyze", Tenant: "A"})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if snap, _ := m.Get(a); len(snap.Diags) == 1 && snap.State == string(StateQueued) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job A never failed its first attempt")
+		}
+	}
+	b := submit(t, m, &Spec{Session: "s", Type: "analyze", Tenant: "B"})
+	waitState(t, m, b, StateDone)
+	if snap, _ := m.Get(a); snap.Attempts != 1 || snap.State != string(StateQueued) {
+		t.Fatalf("job A = %+v, want still backing off after one attempt", snap)
 	}
 }
 
@@ -195,7 +223,7 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 }
 
 // A job that panics every attempt must land in quarantine with per-attempt
-// Diags — and the worker pool must survive to run the next job.
+// Diags — and the manager must go on to run the next job.
 func TestPanicPoisonQuarantine(t *testing.T) {
 	m := openManager(t, t.TempDir(), func(ctx context.Context, id string, spec *Spec, _ *Progress) (json.RawMessage, bool, error) {
 		if spec.Session == "poison" {
@@ -284,7 +312,7 @@ func TestCancelQueuedAndTerminal(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return json.RawMessage(`{}`), false, nil
-	}, func(c *Config) { c.Workers = 1 })
+	}, func(c *Config) { c.Slots = fairq.NewPool(2, 0) })
 
 	runner := submit(t, m, &Spec{Session: "s", Type: "analyze"})
 	waitState(t, m, runner, StateRunning)
@@ -677,7 +705,7 @@ func TestCancelQueuedJournalsOnce(t *testing.T) {
 		case <-ctx.Done():
 		}
 		return nil, false, ctx.Err()
-	}, func(c *Config) { c.Workers = 1 })
+	}, func(c *Config) { c.Slots = fairq.NewPool(2, 0) })
 	runner := submit(t, m, &Spec{Session: "s", Type: "analyze"})
 	waitState(t, m, runner, StateRunning)
 	queued := submit(t, m, &Spec{Session: "s", Type: "analyze"})

@@ -252,7 +252,7 @@ func (m *Manager) recoverInterrupted() {
 				true, nil)
 		default:
 			j.State = StateQueued
-			m.queue.Push(j.Spec.Tenant, id)
+			m.startLocked(j)
 			m.cfg.Logf("jobs: %s re-enqueued after restart (attempt %d/%d)", id, j.Attempts, j.maxAttempts)
 		}
 	}

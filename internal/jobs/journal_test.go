@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/fairq"
 )
 
 // TestResultJournaledAsStored: a job's result is journaled as the bytes the
@@ -98,7 +100,7 @@ func TestProgressOutlivesAttemptsNotTheJob(t *testing.T) {
 			return nil, false, fmt.Errorf("transient")
 		}
 		return json.RawMessage(`{}`), false, nil
-	}, func(c *Config) { c.Workers = 1 })
+	}, func(c *Config) { c.Slots = fairq.NewPool(2, 0) })
 	waitState(t, m2, id, StateDone)
 	if len(seen) != 2 || seen[0] != string(p1) || seen[1] != string(p2) {
 		t.Fatalf("attempts were handed %q, want %q then %q", seen, p1, p2)

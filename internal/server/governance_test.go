@@ -442,7 +442,7 @@ func TestShedPathsCarryRetryAfter(t *testing.T) {
 		{
 			name: "job queue full", wantStatus: http.StatusTooManyRequests, wantKind: "overloaded",
 			fire: func(t *testing.T) (*http.Response, []byte) {
-				s, ts := newTestServer(t, Config{JobWorkers: 1, JobQueueDepth: 1})
+				s, ts := newTestServer(t, Config{MaxConcurrent: 2, JobQueueDepth: 1})
 				createSession(t, ts.URL, "slow", shard.OptionsSpec{})
 				submit := map[string]string{"session": "slow", "type": "analyze"}
 				for i := 0; i < 2; i++ {

@@ -15,9 +15,8 @@ import (
 )
 
 // Async jobs: POST /v1/jobs accepts a batch-analysis work order and
-// returns 202 once the spec is journaled; a bounded worker pool
-// (separate from the interactive admission gate, so batch work and
-// interactive requests cannot starve each other) executes it with
+// returns 202 once the spec is journaled; each attempt runs in a batch
+// slot of the engine pool the interactive routes share (tenant.go), with
 // retry, per-attempt deadlines, and poison-job quarantine. The queue
 // machinery lives in internal/jobs; this file owns the HTTP surface and
 // the executor that maps job specs onto sessions and engines.
@@ -39,9 +38,9 @@ type SweepPointResult struct {
 	Noise *report.ResultJSON `json:"noise"`
 }
 
-// execJob is the jobs.Executor: one attempt of one job, run by a job
-// worker through the same sessionWork harness as an interactive analysis
-// (no admission of its own: the job pool is its gate), routed by job type.
+// execJob is the jobs.Executor: one attempt of one job, run in the batch
+// slot the manager took for it, through the same sessionWork harness as an
+// interactive analysis (no admission of its own), routed by job type.
 // An analyze-shaped result becomes the session's cached report — GET
 // report serves it; a sweep keeps its own payload. A refusal that would
 // recur — unknown session, unreplayable spec, a bad sweep point — is marked

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,11 +195,79 @@ func TestJobPoisonQuarantineKeepsServing(t *testing.T) {
 	}
 }
 
+// TestRequestsAndJobsShareTheSlots keeps both classes busy at
+// MaxConcurrent 2 — analyses and analyze jobs, each on a session of its
+// own, each held in its b0 preparation until the test lets one go — and
+// counts the engines at once: never more than the two slots, never more
+// than one of them a job's, and a job does run beside the requests.
+func TestRequestsAndJobsShareTheSlots(t *testing.T) {
+	const each = 4
+	var mu sync.Mutex
+	var held, heldJobs, maxHeld, maxJobs int
+	release := make(chan struct{})
+	hold := func(session, net string) error {
+		if net != "b0" {
+			return nil
+		}
+		job := strings.HasPrefix(session, "job-")
+		mu.Lock()
+		held++
+		if job {
+			heldJobs++
+		}
+		maxHeld, maxJobs = max(maxHeld, held), max(maxJobs, heldJobs)
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		held--
+		if job {
+			heldJobs--
+		}
+		mu.Unlock()
+		return nil
+	}
+	_, ts := newTestServer(t, Config{MaxConcurrent: 2, MaxSessions: 2 * each, Faults: &Faults{Prepare: hold}})
+	for i := range each {
+		createSession(t, ts.URL, fmt.Sprintf("live-%d", i), shard.OptionsSpec{})
+		createSession(t, ts.URL, fmt.Sprintf("job-%d", i), shard.OptionsSpec{})
+	}
+	var wg sync.WaitGroup
+	ids := make([]string, each)
+	for i := range each {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, data := do(t, "POST", fmt.Sprintf("%s/v1/sessions/live-%d/analyze", ts.URL, i), nil); resp.StatusCode != http.StatusOK {
+				t.Errorf("analyze live-%d: %d: %s", i, resp.StatusCode, data)
+			}
+		}()
+		ids[i] = submitJob(t, ts.URL, jobs.Spec{Session: fmt.Sprintf("job-%d", i), Type: "analyze"}).ID
+	}
+	holding := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return held
+	}
+	for left := 2 * each; left > 0; left-- {
+		waitFor(t, func() bool { return holding() >= min(2, left) })
+		// Time for an engine past the slots to reach its preparation.
+		time.Sleep(10 * time.Millisecond)
+		release <- struct{}{}
+	}
+	wg.Wait()
+	for _, id := range ids {
+		waitJobHTTP(t, ts.URL, id, "done")
+	}
+	if maxHeld > 2 || maxJobs != 1 {
+		t.Fatalf("saw %d engines at once, %d of them jobs; want at most 2, exactly 1", maxHeld, maxJobs)
+	}
+}
+
 // Bounded job admission: past JobQueueDepth waiting jobs, POST /v1/jobs
 // sheds with 429 + Retry-After.
 func TestJobQueueSheds(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		JobWorkers:    1,
+		MaxConcurrent: 2,
 		JobQueueDepth: 1,
 		Faults:        testFaults(t, "", "hang:analyze:*"),
 	})
@@ -291,7 +360,7 @@ func TestJobCancelStorageFault(t *testing.T) {
 	// Appends across both WALs: the create, the first submit, its start
 	// record, the second submit — the fifth is the cancel.
 	_, ts := newTestServer(t, Config{
-		DataDir: t.TempDir(), JobWorkers: 1, Faults: testFaults(t, "enospc:append:5", "hang:analyze:*"),
+		DataDir: t.TempDir(), MaxConcurrent: 2, Faults: testFaults(t, "enospc:append:5", "hang:analyze:*"),
 	})
 	createSession(t, ts.URL, "bus", shard.OptionsSpec{})
 	running := submitJob(t, ts.URL, jobs.Spec{Session: "bus", Type: "analyze"})

@@ -44,7 +44,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("snad_durable", "1 when a durable data directory is configured.", b01(s.store != nil))
 	gauge("snad_storage_degraded", "1 after any journal append has failed.", b01(s.storageDegraded(jm)))
 
-	gauge("snad_jobs_queued", "Async jobs waiting for a job worker.", jm.Queued)
+	gauge("snad_jobs_queued", "Async jobs waiting for an engine slot or a retry.", jm.Queued)
 	gauge("snad_jobs_running", "Async jobs currently executing.", jm.Running)
 	gauge("snad_job_queue_depth", "Async job queue capacity.", s.cfg.JobQueueDepth)
 	counter("snad_jobs_done_total", "Async jobs completed successfully.", jm.Done)

@@ -5,10 +5,12 @@
 //
 // Robustness is the point, not a feature:
 //
-//   - Bounded admission: at most MaxConcurrent analyses run at once and at
-//     most QueueDepth requests wait; overflow is shed immediately with
-//     429 and a Retry-After hint, so a traffic spike degrades into fast
-//     rejections instead of unbounded memory growth and timeouts.
+//   - Bounded admission: at most MaxConcurrent engines run at once —
+//     requests and job attempts take slots of one tenant-fair pool
+//     (tenant.go) — and at most QueueDepth requests wait; overflow is
+//     shed immediately with 429 and a Retry-After hint, so a traffic
+//     spike degrades into fast rejections instead of unbounded memory
+//     growth and timeouts.
 //
 //   - Per-request deadlines: the effective deadline is the tighter of the
 //     client's ?timeout and the server's maxRequestTimeout, propagated
@@ -57,6 +59,7 @@ import (
 
 	"path/filepath"
 
+	"repro/internal/fairq"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -71,8 +74,9 @@ type Config struct {
 	// the cap evicts the least-recently-used idle session, and if every
 	// session is busy the create is shed (default 8).
 	MaxSessions int
-	// MaxConcurrent caps simultaneously running analyses (default
-	// GOMAXPROCS).
+	// MaxConcurrent caps simultaneously running engines, requests' and
+	// job attempts' together; jobs hold at most max(1, MaxConcurrent−1)
+	// of them (default GOMAXPROCS).
 	MaxConcurrent int
 	// QueueDepth caps requests waiting for a worker slot; overflow is
 	// shed with 429 (default 2×MaxConcurrent).
@@ -91,12 +95,8 @@ type Config struct {
 	// with the process), the pre-persistence behavior.
 	DataDir string
 
-	// JobWorkers sizes the async job worker pool — deliberately separate
-	// from MaxConcurrent so queued batch work cannot starve interactive
-	// requests (default 2).
-	JobWorkers int
-	// JobQueueDepth caps jobs waiting for a job worker; POST /v1/jobs
-	// past it is shed with 429 (default 16).
+	// JobQueueDepth caps jobs waiting to run; POST /v1/jobs past it is
+	// shed with 429 (default 16).
 	JobQueueDepth int
 
 	// Workers is the shard worker fleet this server coordinates, fixed for
@@ -160,9 +160,6 @@ func (c *Config) fill() {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = 2
-	}
 	if c.JobQueueDepth <= 0 {
 		c.JobQueueDepth = 16
 	}
@@ -176,10 +173,10 @@ func (c *Config) fill() {
 type Server struct {
 	cfg Config
 
-	// gate is the bounded, tenant-fair admission controller: at most
-	// MaxConcurrent analyses run, at most QueueDepth wait, and waiters
-	// are granted round-robin across tenants (tenant.go).
-	gate *admission
+	// gate is the engine slot pool the routes and the job attempts share:
+	// at most MaxConcurrent run, at most QueueDepth requests wait, and
+	// waiters are granted round-robin across tenants (tenant.go).
+	gate slots
 
 	// cache is the content-addressed shared design cache: sessions and
 	// shard run tokens hold refcounted entries, and the optional byte
@@ -214,7 +211,8 @@ type Server struct {
 	store    *Store
 	recovery *report.RecoveryJSON
 
-	// jobs owns the durable async job queue and its worker pool.
+	// jobs owns the durable async job queue; its attempts run in gate's
+	// batch slots.
 	jobs *jobs.Manager
 
 	// shardHost keeps the shard engines this server hosts as a worker and
@@ -241,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
 		cfg:      cfg,
-		gate:     newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
+		gate:     slots{fairq.NewPool(cfg.MaxConcurrent, cfg.QueueDepth)},
 		cache:    newDesignCache(cfg.MemBudget, cfg.now, cfg.Logf),
 		sessions: make(map[string]*session),
 		lastUsed: make(map[string]time.Time),
@@ -270,7 +268,7 @@ func New(cfg Config) (*Server, error) {
 		s.restoreSessions()
 	}
 	jcfg := jobs.Config{
-		Workers:   cfg.JobWorkers,
+		Slots:     s.gate.Pool,
 		MaxQueued: cfg.JobQueueDepth,
 		Exec:      s.execJob,
 		Fault:     faults.Job,
@@ -359,7 +357,7 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // clean drain and false when work had to be cancelled.
 func (s *Server) Drain(budget time.Duration) bool {
 	s.beginDrain()
-	// Job workers drain in parallel with the HTTP in-flight wait: running
+	// Jobs drain in parallel with the HTTP in-flight wait: running
 	// attempts are cancelled through their contexts (iterate jobs keep
 	// their journaled round state) and requeued for the next boot.
 	jobsDone := make(chan struct{})

@@ -374,7 +374,7 @@ type ReadyResponse struct {
 	Durable         bool `json:"durable,omitempty"`
 	StorageDegraded bool `json:"storageDegraded,omitempty"`
 	// JobsQueued/JobsRunning are the async job subsystem's gauges: jobs
-	// waiting for a job worker and jobs currently executing.
+	// waiting for an engine slot or a retry, and jobs currently executing.
 	JobsQueued  int `json:"jobsQueued"`
 	JobsRunning int `json:"jobsRunning"`
 	// Memory governance: MemBudget is the configured byte budget (0 =

@@ -274,7 +274,7 @@ func TestBusShielding(t *testing.T) {
 		for _, f := range oc {
 			totOpen += f
 		}
-		if math.Abs(totOpen-totClosed) > 1e-12 {
+		if math.Abs(totOpen-totClosed) > 1e-9*totOpen {
 			t.Fatalf("%s total cap changed: %g vs %g", name, totOpen, totClosed)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"repro/internal/waveform"
 )
 
+func (m *dense) set(i, j int, v float64) { m.a[i*m.n+j] = v }
+
 func TestLUSolveIdentity(t *testing.T) {
 	m := newDense(3)
 	for i := 0; i < 3; i++ {

@@ -17,8 +17,6 @@ func newDense(n int) *dense {
 	return &dense{n: n, a: make([]float64, n*n)}
 }
 
-func (m *dense) at(i, j int) float64     { return m.a[i*m.n+j] }
-func (m *dense) set(i, j int, v float64) { m.a[i*m.n+j] = v }
 func (m *dense) add(i, j int, v float64) { m.a[i*m.n+j] += v }
 
 func (m *dense) clone() *dense {

@@ -41,8 +41,8 @@ func TestVictimAllocations(t *testing.T) {
 		if err := a.commitPrepared(pos, &p, err); err != nil {
 			t.Fatal(err)
 		}
-		ev, err := a.evalNet(pos, net, &res.slab[pos], res, sc)
-		if _, err := a.commitEval(pos, net, &res.slab[pos], ev, err, nil); err != nil {
+		ev, err := a.evalNet(pos, res, sc)
+		if _, err := a.commitEval(pos, res, ev, err, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -152,9 +152,8 @@ type analyzer struct {
 	// inputs and is skipped. delayStale is the same for the delay pass,
 	// whose inputs are the coupled events and the victim's own timing.
 	// Only prepared victims are ever marked, so on a shard the bits are
-	// confined to the nets it owns. evals counts evalNet calls.
+	// confined to the nets it owns.
 	stale, delayStale bitset
-	evals             int
 	// propCount tracks the propagated events each net's latest evaluation
 	// built; propTotal is their running sum, so Stats.Propagated reflects
 	// the final pass without a per-pass recount even when an incremental
@@ -294,6 +293,8 @@ func (a *analyzer) newResult() *Result {
 		STA:    a.staRes,
 		slab:   make([]NetNoise, len(a.order)),
 		byName: a.sortedPos,
+		id:     resultIDs.Add(1),
+		ver:    make([]uint64, len(a.order)),
 	}
 	for pos, net := range a.order {
 		name := a.b.Net.NetName(net)
@@ -312,7 +313,7 @@ func (a *analyzer) finishNoise(res *Result) {
 	a.stats.Propagated = a.propTotal
 	a.stats.Victims = len(a.order)
 	a.stats.DegradedNets = len(a.diags)
-	res.Stats, res.evals = a.stats, a.evals
+	res.Stats = a.stats
 	a.checkViolations(res)
 	SortDiags(a.diags)
 	res.Diags = append(res.Diags[:0], a.diags...)
@@ -607,9 +608,8 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w Wave, moved *[]W
 			if !a.stale.has(oi) {
 				continue
 			}
-			net, nn := a.order[oi], &res.slab[oi]
-			ev, err := a.evalNet(oi, net, nn, res, &a.scratch[0])
-			c, cerr := a.commitEval(oi, net, nn, ev, err, moved)
+			ev, err := a.evalNet(oi, res, &a.scratch[0])
+			c, cerr := a.commitEval(oi, res, ev, err, moved)
 			if cerr != nil {
 				return changed, cerr
 			}
@@ -633,7 +633,7 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w Wave, moved *[]W
 	// where the loop below ends.
 	err := par.ForWorker(ctx, len(todo), a.opts.Workers, 2, func(wk, i int) error {
 		oi := todo[i]
-		results[i], errs[i] = a.evalNet(oi, a.order[oi], &res.slab[oi], res, &a.scratch[wk])
+		results[i], errs[i] = a.evalNet(oi, res, &a.scratch[wk])
 		if a.opts.FailSoft {
 			return nil
 		}
@@ -648,7 +648,7 @@ func (a *analyzer) evalWave(ctx context.Context, res *Result, w Wave, moved *[]W
 				return changed, err
 			}
 		}
-		c, cerr := a.commitEval(oi, a.order[oi], &res.slab[oi], results[i], errs[i], moved)
+		c, cerr := a.commitEval(oi, res, results[i], errs[i], moved)
 		if cerr != nil {
 			return changed, cerr
 		}
@@ -674,11 +674,14 @@ type netEval struct {
 
 // evalNet recomputes one net's event list and windowed combination for
 // the current pass, converting panics into errors so fail-soft runs can
-// degrade the victim instead of crashing. It mutates only nn (the net's
-// own record, owned by its worker during a parallel wave) and reads other
-// nets' committed combinations from strictly earlier waves; all shared
-// analyzer state it touches is immutable during a wave.
-func (a *analyzer) evalNet(oi int, net netlist.NetID, nn *NetNoise, res *Result, sc *scratch) (ev netEval, err error) {
+// degrade the victim instead of crashing. It mutates only the net's own
+// record and version (owned by its worker during a parallel wave) and
+// reads other nets' committed combinations from strictly earlier waves;
+// all shared analyzer state it touches is immutable during a wave. The
+// record's version is 0 from here until commitEval stamps it.
+func (a *analyzer) evalNet(oi int, res *Result, sc *scratch) (ev netEval, err error) {
+	net, nn := a.order[oi], &res.slab[oi]
+	res.ver[oi] = 0
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: panic evaluating net %s: %v", a.b.Net.NetName(net), r)
@@ -714,11 +717,14 @@ func combMoved(a, b Combined) bool {
 
 // commitEval applies one computed evaluation to the shared state. It runs
 // serially in victim order, which keeps stats, degradation bookkeeping,
-// and fail-fast error selection deterministic. It reports the convergence
-// test; a commit that differs exactly makes the net's readers stale and is
+// and fail-fast error selection deterministic. It ticks the result's
+// clock, once per evaluation, and stamps the record's version with it
+// unless the evaluation failed the run. It reports the convergence test; a
+// commit that differs exactly makes the net's readers stale and is
 // appended to moved (when collecting).
-func (a *analyzer) commitEval(oi int, net netlist.NetID, nn *NetNoise, ev netEval, evalErr error, moved *[]WaveUpdate) (bool, error) {
-	a.evals++
+func (a *analyzer) commitEval(oi int, res *Result, ev netEval, evalErr error, moved *[]WaveUpdate) (bool, error) {
+	net, nn := a.order[oi], &res.slab[oi]
+	res.tick++
 	if evalErr != nil {
 		if !a.opts.FailSoft {
 			return false, evalErr
@@ -731,6 +737,7 @@ func (a *analyzer) commitEval(oi int, net netlist.NetID, nn *NetNoise, ev netEva
 	// Cleared before the readers are marked: a feedback net that reads
 	// itself must come out stale.
 	a.stale.clear(oi)
+	res.ver[oi] = res.tick
 	if ev.skip {
 		return false, nil
 	}

@@ -34,6 +34,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/interval"
 	"repro/internal/sta"
@@ -228,11 +229,19 @@ type Result struct {
 	// the edge — points into. Only results built by an analyzer carry it;
 	// merged shard results leave it nil and are never fed back into
 	// engine loops. byName lists slab's positions in alphabetical net
-	// order (the analyzer's own index, shared). evals is the analyzer's
-	// evaluation count when the result was last finished.
+	// order (the analyzer's own index, shared).
 	slab   []NetNoise
 	byName []int32
-	evals  int
+	// The version clock of slab's records (Versions). id is the result's
+	// identity, unique in the process, 0 on a result no analyzer built.
+	// tick counts the evaluations committed into slab, which is how many
+	// evaluations the analyzer behind it has made; ver is, by position, the
+	// tick that last committed into the record, or 0 while the record is
+	// being rewritten (evalNet, until its commit) or after a write that is
+	// no evaluation (ShardEngine.SetComb).
+	id   uint64
+	tick uint64
+	ver  []uint64
 	// sorted is Slacks tightest first, built on the first read (under
 	// slackMu) and dropped when the result is finished again.
 	sorted []ReceiverSlack
@@ -259,6 +268,23 @@ func (r *Result) ByName() (int, func(i int) *NetNoise) {
 	}
 	slices.Sort(names)
 	return len(names), func(i int) *NetNoise { return r.Nets[names[i]] }
+}
+
+// resultIDs hands out result identities.
+var resultIDs atomic.Uint64
+
+// Versions returns the result's identity and the version of the i-th net
+// record in ByName's order. A record's bytes in any report are a function
+// of the record alone, and a record keeps its version exactly as long as it
+// is not written: while the identity and a nonzero version stand, what was
+// encoded from the record may be reused. Version 0 is a record that must be
+// encoded afresh; a result no analyzer built has identity 0 and every
+// version 0.
+func (r *Result) Versions() (id uint64, ver func(i int) uint64) {
+	if r.id == 0 {
+		return 0, func(int) uint64 { return 0 }
+	}
+	return r.id, func(i int) uint64 { return r.ver[r.byName[i]] }
 }
 
 // TotalNoise sums every net's worst combined peak — the aggregate
@@ -335,11 +361,6 @@ func (o Occupancy) String() string {
 		return "widen"
 	}
 	return "tent"
-}
-
-// combine runs the windowed combination with the default (tent) occupancy.
-func combine(events []Event, vdd float64) Combined {
-	return new(combiner).combineConstrained(events, vdd, nil, OccupancyTent, nil)
 }
 
 // combiner holds the scratch buffers one combination query needs, so the

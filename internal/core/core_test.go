@@ -350,6 +350,11 @@ func TestCombinedWindowIsMemberIntersection(t *testing.T) {
 	}
 }
 
+// combine runs the windowed combination with the default (tent) occupancy.
+func combine(events []Event, vdd float64) Combined {
+	return new(combiner).combineConstrained(events, vdd, nil, OccupancyTent, nil)
+}
+
 func TestCombineHelperEdgeCases(t *testing.T) {
 	if c := combine(nil, 1.2); c.Peak != 0 || !math.IsNaN(c.At) {
 		t.Fatalf("empty combine = %+v", c)

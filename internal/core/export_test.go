@@ -33,9 +33,10 @@ func (a *analyzer) markPrepared(s bitset) {
 	}
 }
 
-// Evals returns how many per-net evaluations the analyzer behind r had
-// made when it last finished it; zero on a merged shard result.
-func (r *Result) Evals() int { return r.evals }
+// Evals returns how many per-net evaluations the analyzer behind r has
+// committed into it, which is its version clock; zero on a merged shard
+// result.
+func (r *Result) Evals() int { return int(r.tick) }
 
 // TestEngine is the single-process engine as the external oracle
 // (oracle_test.go: it needs internal/report and internal/shard, which import
@@ -67,9 +68,9 @@ func (e *TestEngine) EvalWave(ctx context.Context, wi int) (bool, error) {
 	if wi == 0 {
 		e.PassEvals = append(e.PassEvals, 0)
 	}
-	before := e.eng.a.evals
+	before := e.eng.res.Evals()
 	changed, err := e.Phases.EvalWave(ctx, wi)
-	e.PassEvals[len(e.PassEvals)-1] += e.eng.a.evals - before
+	e.PassEvals[len(e.PassEvals)-1] += e.eng.res.Evals() - before
 	return changed, err
 }
 

@@ -260,7 +260,8 @@ func NewShardEngine(ctx context.Context, b *bind.Design, opts Options, plan Plan
 // SetComb installs an externally committed combination for the net at pos —
 // a boundary import from another shard, or a restored authoritative value
 // after this engine was rebuilt mid-run — and, when it differs from what the
-// net's owned readers last saw, makes them stale.
+// net's owned readers last saw, makes them stale. The record is no
+// evaluation of this engine's: its version is 0.
 func (e *ShardEngine) SetComb(pos int32, comb [2]Combined) error {
 	if pos < 0 || int(pos) >= len(e.a.order) {
 		return fmt.Errorf("core: shard net position %d outside [0, %d)", pos, len(e.a.order))
@@ -270,7 +271,7 @@ func (e *ShardEngine) SetComb(pos int32, comb [2]Combined) error {
 	if combMoved(comb[KindLow], nn.Comb[KindLow]) || combMoved(comb[KindHigh], nn.Comb[KindHigh]) {
 		e.a.markReaders(net)
 	}
-	nn.Comb = comb
+	nn.Comb, e.res.ver[pos] = comb, 0
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,9 +26,16 @@ import (
 // bytes are exactly what encoding/json's Encoder with SetIndent("", "  ")
 // produces over BuildJSON/BuildDelayJSON, whichever path an array takes;
 // AppendJSON and AppendDelayJSON are the same walk in compact mode, always
-// serial, json.Marshal's bytes, for snad's replies. The schema types in
-// json.go stay the specification (and the decode side); encode_test.go pins
-// both modes and both paths on every fixture and by fuzzing the scalar rules.
+// serial, json.Marshal's bytes, for snad's replies. A reply to a session
+// that re-analyzed a few nets re-encodes only those: AppendJSON may be
+// handed the previous body with its Spans, where each net element lies in
+// it and which version of the net's record it encodes, and copies every
+// element whose record kept its version (core.Result.Versions) instead of
+// encoding it again. The copy is the same bytes because an element's bytes
+// are a function of its record alone. The schema types in json.go stay the
+// specification (and the decode side); encode_test.go pins both modes and
+// both paths on every fixture and by fuzzing the scalar rules, and
+// versions_test.go holds the copied elements to a fresh encode.
 
 // flushAt bounds the serial path's buffer: it is handed to the writer at
 // the first record boundary past this size.
@@ -387,7 +395,7 @@ func newEncoder(w io.Writer) *encoder {
 // carry. Nothing is written after a failed write, the writer may then hold
 // a truncated document, and no goroutine of the call outlives it.
 func WriteJSON(w io.Writer, res *core.Result) error {
-	return newEncoder(w).result(res).finish()
+	return newEncoder(w).result(res, nil, nil).finish()
 }
 
 // WriteDelayJSON serializes a delta-delay result in the DelayResultJSON
@@ -397,9 +405,15 @@ func WriteDelayJSON(w io.Writer, res *core.DelayResult) error {
 }
 
 // AppendJSON appends json.Marshal(BuildJSON(res))'s bytes to dst, or fails
-// where json.Marshal does.
-func AppendJSON(dst []byte, res *core.Result) ([]byte, error) {
-	e := (&encoder{buf: dst}).result(res)
+// where json.Marshal does. When spans is not nil it describes where the
+// nets of an earlier call's encoding lie in prev, the body that call's
+// output began; the nets of the same result whose records have not been
+// written since are copied from there. Either way spans is then rewritten
+// to describe this encoding, with offsets counted from dst's start, so it
+// holds for any body that begins with the returned bytes; after a failure
+// it describes nothing.
+func AppendJSON(dst []byte, res *core.Result, prev []byte, spans *Spans) ([]byte, error) {
+	e := (&encoder{buf: dst}).result(res, prev, spans)
 	return e.buf, e.err
 }
 
@@ -423,7 +437,48 @@ func AppendFloat(dst []byte, v float64) ([]byte, error) {
 	return e.buf, e.err
 }
 
-func (e *encoder) result(res *core.Result) *encoder {
+// Spans is where a compact encoding put each net element, in ByName's
+// order, and the version of the record it encodes, for AppendJSON to copy
+// the unchanged ones into the next encoding. result is the encoded
+// result's identity, 0 while the spans describe nothing. The zero value is
+// ready to use.
+type Spans struct {
+	result uint64
+	at     []span
+}
+
+// span is one net element's members, prev[lo:hi], and the version of the
+// record they were encoded from.
+type span struct {
+	lo, hi int
+	ver    uint64
+}
+
+// copying wraps the element encoder of the n nets of result id, whose
+// record versions ver gives, for a compact and serial encode: an element
+// whose span in prev encodes the version its record still has is copied,
+// any other is encoded, and either way its span is rewritten. Until the
+// caller marks the encode complete, s describes nothing.
+func (s *Spans) copying(id uint64, n int, ver func(i int) uint64, prev []byte, elem func(e *encoder, i int)) func(e *encoder, i int) {
+	same := id != 0 && s.result == id && len(s.at) == n
+	s.result = 0
+	if !same {
+		s.at = slices.Grow(s.at[:0], n)[:n]
+	}
+	return func(e *encoder, i int) {
+		sp, v := &s.at[i], ver(i)
+		lo := len(e.buf)
+		if same && v != 0 && sp.ver == v && sp.hi <= len(prev) {
+			e.buf = append(e.buf, prev[sp.lo:sp.hi]...)
+			e.first = false
+		} else {
+			elem(e, i)
+		}
+		*sp = span{lo: lo, hi: len(e.buf), ver: v}
+	}
+}
+
+func (e *encoder) result(res *core.Result, prev []byte, spans *Spans) *encoder {
 	e.open('{')
 	e.key("mode").str(res.Mode.String())
 	e.key("stats").open('{')
@@ -449,7 +504,7 @@ func (e *encoder) result(res *core.Result) *encoder {
 	})
 	e.degradations(res.Diags)
 	n, at := res.ByName()
-	e.array("nets", n, func(e *encoder, i int) {
+	nets := func(e *encoder, i int) {
 		nn := at(i)
 		e.key("net").str(nn.Net)
 		e.combined("low", &nn.Comb[core.KindLow])
@@ -460,7 +515,16 @@ func (e *encoder) result(res *core.Result) *encoder {
 			e.events("lowEvents", nn.Events[core.KindLow])
 			e.events("highEvents", nn.Events[core.KindHigh])
 		}
-	})
+	}
+	if spans == nil {
+		e.array("nets", n, nets)
+	} else {
+		id, ver := res.Versions()
+		e.array("nets", n, spans.copying(id, n, ver, prev, nets))
+		if e.err == nil {
+			spans.result = id
+		}
+	}
 	e.close('}')
 	return e
 }

@@ -94,8 +94,8 @@ func sameBytes(t *testing.T, what string, g, w []byte) {
 
 func checkNoise(t *testing.T, what string, res *core.Result) {
 	t.Helper()
-	sameAsReference(t, what, BuildJSON(res), func(e *encoder) *encoder { return e.result(res) },
-		func(b []byte) ([]byte, error) { return AppendJSON(b, res) })
+	sameAsReference(t, what, BuildJSON(res), func(e *encoder) *encoder { return e.result(res, nil, nil) },
+		func(b []byte) ([]byte, error) { return AppendJSON(b, res, nil, nil) })
 }
 
 func checkDelay(t *testing.T, what string, res *core.DelayResult) {

@@ -69,7 +69,7 @@ func TestOrderedEncodeArraySizes(t *testing.T) {
 			for _, workers := range []int{1, 2, 3} {
 				label := fmt.Sprintf("arrays of %d, chunks of %d, %d worker(s)", n, chunk, workers)
 				var got, dgot bytes.Buffer
-				if err := encodeWith(&got, workers, chunk, func(e *encoder) *encoder { return e.result(res) }); err != nil {
+				if err := encodeWith(&got, workers, chunk, func(e *encoder) *encoder { return e.result(res, nil, nil) }); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				sameBytes(t, label, got.Bytes(), want.Bytes())
@@ -116,7 +116,7 @@ func requireNoGoroutinesLeft(t *testing.T, what string, base int) {
 func TestOrderedEncodeWriteErrors(t *testing.T) {
 	c := deepCase(t)
 	docs := map[string]func(e *encoder) *encoder{
-		"noise": func(e *encoder) *encoder { return e.result(c.noise) },
+		"noise": func(e *encoder) *encoder { return e.result(c.noise, nil, nil) },
 		"delay": func(e *encoder) *encoder { return e.delay(c.delay) },
 	}
 	for name, doc := range docs {
@@ -165,7 +165,7 @@ func TestOrderedEncodeNaNInLateChunk(t *testing.T) {
 	bad := *at(3 * n / 4)
 	bad.Comb[core.KindHigh].Peak = math.NaN()
 	res.Nets[bad.Net] = &bad
-	doc := func(e *encoder) *encoder { return e.result(res) }
+	doc := func(e *encoder) *encoder { return e.result(res, nil, nil) }
 
 	serialErr := encodeWith(new(bytes.Buffer), 1, chunkLen, doc)
 	if serialErr == nil {

@@ -250,20 +250,24 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 
 // answer is an analysis's reply before it is encoded: the engine's own
 // results, encoded before the busy slot is released, and the members
-// AnalyzeResponse puts around them.
+// AnalyzeResponse puts around them. prev and spans, when set, are the
+// session's last reply and where its nets lie (report.AppendJSON), which
+// encode copies unchanged nets from and re-points at the new reply.
 type answer struct {
 	noise       *core.Result
 	delay       *core.DelayResult // nil unless the request asked for it
 	changedNets int
 	rebuilt     bool
 	iterate     *IterateInfo
+	prev        []byte
+	spans       *report.Spans
 }
 
 // encode appends the answer to dst as json.Marshal would write the
 // AnalyzeResponse it stands for.
 func (a *answer) encode(dst []byte, session string) ([]byte, error) {
 	b := report.AppendString(append(dst, `{"session":`...), session)
-	b, err := report.AppendJSON(append(b, `,"noise":`...), a.noise)
+	b, err := report.AppendJSON(append(b, `,"noise":`...), a.noise, a.prev, a.spans)
 	if err == nil && a.delay != nil {
 		b, err = report.AppendDelayJSON(append(b, `,"delay":`...), a.delay)
 	}
@@ -414,9 +418,11 @@ func (s *Server) sessionWork(ctx context.Context, name string, admit func(*sessi
 			}
 			// 5. Encode the reply once, sized by the last, and cache it as
 			// the report — under the slot: the next analysis rewrites the
-			// engine's result in place once the slot is free.
-			prev := len(ss.report())
-			b, err := a.encode(make([]byte, 0, prev+prev/8), name)
+			// engine's result in place once the slot is free. Only the
+			// nets whose records moved since the last reply are encoded;
+			// the rest are copied out of that reply's body (ss.spans).
+			a.prev, a.spans = ss.report(), &ss.spans
+			b, err := a.encode(make([]byte, 0, len(a.prev)+len(a.prev)/8), name)
 			if err != nil {
 				// Unreachable as long as the report schema keeps its no-NaN
 				// discipline; fail loudly rather than hang the connection.

@@ -107,7 +107,7 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 		}
 		b = report.AppendString(append(b, `{"mode":`...), modeName)
 		if b, err = report.AppendFloat(append(b, `,"threshold":`...), opts.FilterThreshold); err == nil {
-			b, err = report.AppendJSON(append(b, `,"noise":`...), res)
+			b, err = report.AppendJSON(append(b, `,"noise":`...), res, nil, nil)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("encoding sweep result: %w", err)

@@ -32,6 +32,12 @@ func busPayload(t *testing.T, name string, bits int, opts shard.OptionsSpec) Cre
 	if err != nil {
 		t.Fatal(err)
 	}
+	return payload(t, name, g, opts)
+}
+
+// payload serializes a generated design into a create-session request body.
+func payload(t *testing.T, name string, g *workload.Generated, opts shard.OptionsSpec) CreateSessionRequest {
+	t.Helper()
 	var net, sp, win bytes.Buffer
 	if err := netlist.Write(&net, g.Design); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/shard"
 )
 
@@ -76,12 +77,19 @@ type session struct {
 	// analyze request, rebuilt after a broken incremental update. Guarded
 	// by busy.
 	eng *core.Session
+	// spans is where lastResponse's nets lie and which record versions
+	// they encode, for the next reply to copy the unchanged ones from
+	// (report.AppendJSON). Guarded by busy; a reply's encode rewrites it
+	// and recordResult stores the body it describes.
+	spans report.Spans
 
 	stateMu sync.Mutex
 	// suspect marks a handler-level panic observed on this session.
 	suspect bool
 	// analyzed and the summary counters describe the last completed
-	// analysis; lastResponse is its encoded body for GET report.
+	// analysis; lastResponse is its encoded body for GET report, and the
+	// body the next reply copies its unchanged nets from (spans). It is
+	// never written in place, only replaced, so both may read it at once.
 	analyzed     bool
 	victims      int
 	violations   int

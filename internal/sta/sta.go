@@ -40,13 +40,9 @@ type Range struct {
 // valid reports whether the range was ever updated.
 func (r Range) valid() bool { return r.Min <= r.Max }
 
-// emptyRange is the identity for widen.
+// emptyRange is the identity for union.
 func emptyRange() Range {
 	return Range{Min: math.Inf(1), Max: math.Inf(-1)}
-}
-
-func (r Range) widen(v float64) Range {
-	return Range{Min: math.Min(r.Min, v), Max: math.Max(r.Max, v)}
 }
 
 func (r Range) union(o Range) Range {

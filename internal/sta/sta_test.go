@@ -256,6 +256,10 @@ func TestPinTimingIncludesWireDelay(t *testing.T) {
 	}
 }
 
+func (r Range) widen(v float64) Range {
+	return Range{Min: math.Min(r.Min, v), Max: math.Max(r.Max, v)}
+}
+
 func TestRangeHelpers(t *testing.T) {
 	r := emptyRange()
 	if r.valid() {

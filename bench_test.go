@@ -558,7 +558,7 @@ func BenchmarkShardWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := core.NewShardEngine(ctx, bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}, plan.ID, whole.Owned[0], nil)
+	eng, err := core.NewShardEngine(ctx, core.NewShardTiming(bd, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}, nil), plan.ID, whole.Owned[0], nil)
 	if err != nil {
 		b.Fatal(err)
 	}

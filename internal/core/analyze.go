@@ -198,10 +198,11 @@ type analyzer struct {
 // coupled-event construction — used by AnalyzeCtx, AnalyzeDelayCtx and the
 // iterative engine.
 func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, error) {
-	a, err := newAnalyzerBase(ctx, b, opts, victimOrderOf(b))
+	staRes, err := sta.RunCtx(ctx, b, opts.STA, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
+	a := newAnalyzerBase(b, opts, victimOrderOf(b), staRes)
 	all := make([]int, len(a.order))
 	for i := range all {
 		all[i] = i
@@ -213,16 +214,11 @@ func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, 
 }
 
 // newAnalyzerBase builds everything up to (but not including) victim
-// preparation over the victim order (victimOrderOf): timing, the order's
-// indexes, and the wave schedule. The sharded engine uses it directly so
-// each shard prepares only the victims it owns.
-func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options, order []netlist.NetID) (*analyzer, error) {
-	a := &analyzer{b: b, opts: opts, vdd: b.Lib.Vdd}
-	staRes, err := sta.RunCtx(ctx, b, opts.STA, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	a.staRes = staRes
+// preparation over the victim order (victimOrderOf) and its timing: the
+// order's indexes and the wave schedule. The sharded engine uses it directly
+// so each shard prepares only the victims it owns, over a shared timing.
+func newAnalyzerBase(b *bind.Design, opts Options, order []netlist.NetID, staRes *sta.Result) *analyzer {
+	a := &analyzer{b: b, opts: opts, vdd: b.Lib.Vdd, staRes: staRes}
 	a.order = order
 	a.indexOrder()
 	n := len(a.order)
@@ -237,7 +233,7 @@ func newAnalyzerBase(ctx context.Context, b *bind.Design, opts Options, order []
 	a.propCount = make([]int, n)
 	a.degraded = make([]bool, n)
 	a.waves = wavesOf(b.Net, a.order)
-	return a, nil
+	return a
 }
 
 // indexOrder builds the tables that lead back from a net to its place in

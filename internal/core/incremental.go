@@ -56,17 +56,12 @@ func (a *analyzer) buildAggIndex() {
 	})
 }
 
-// applyPadding is every round's BeginRound after the first, on the
-// single-process engine and on a shard alike (a shard's analyzer prepared
-// only the victims it owns, so everything below stays inside them): update
-// the timing annotation in place for the padded nets' cones, then re-prepare
-// the victims of every re-timed aggressor, in evaluation order, with the same
-// hook, panic isolation and fail-soft degradation as the first preparation.
-func (a *analyzer) applyPadding(ctx context.Context, changed []netlist.NetID) error {
-	retimed, err := a.staRes.UpdatePaddingCtx(ctx, a.opts.STA, changed)
-	if err != nil {
-		return err
-	}
+// retime is what a timing update leaves to do, on the single-process engine
+// and on a shard alike (a shard's analyzer prepared only the victims it owns,
+// so everything below stays inside them): re-prepare the victims of every
+// re-timed aggressor, in evaluation order, with the same hook, panic
+// isolation and fail-soft degradation as the first preparation.
+func (a *analyzer) retime(ctx context.Context, retimed []netlist.NetID) error {
 	a.buildAggIndex()
 	reprep := make(bitset, len(a.stale))
 	for i, id := range retimed {

@@ -198,7 +198,8 @@ type engine struct {
 }
 
 // BeginRound implements Phases. The padding slice is
-// opts.STA.WindowPadding, which the analyzer and the timing engine alias.
+// opts.STA.WindowPadding, which the analyzer and the timing engine alias;
+// a later round updates the timing in place for the padded nets' cones.
 func (e *engine) BeginRound(ctx context.Context, changed []netlist.NetID) (int, error) {
 	if e.a == nil {
 		a, err := newAnalyzer(ctx, e.b, e.opts)
@@ -208,7 +209,11 @@ func (e *engine) BeginRound(ctx context.Context, changed []netlist.NetID) (int, 
 		e.a, e.res = a, a.newResult()
 		return len(a.waves), nil
 	}
-	return len(e.a.waves), e.a.applyPadding(ctx, changed)
+	retimed, err := e.a.staRes.UpdatePaddingCtx(ctx, e.a.opts.STA, changed)
+	if err != nil {
+		return 0, err
+	}
+	return len(e.a.waves), e.a.retime(ctx, retimed)
 }
 
 // EvalWave implements Phases with the analyzer's own wavefront — serial or

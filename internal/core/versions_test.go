@@ -75,7 +75,7 @@ func TestVersionsTrackWrites(t *testing.T) {
 	for p := range owned {
 		owned[p] = int32(p)
 	}
-	eng, err := NewShardEngine(ctx, b, opts, orderID(b.Net, order), owned, nil)
+	eng, err := NewShardEngine(ctx, NewShardTiming(b, opts, nil), orderID(b.Net, order), owned, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

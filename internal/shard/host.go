@@ -15,8 +15,9 @@ import (
 // expects the host to have its own). The Host calls a source on a token's
 // first init and shares what it returns with every engine of the token — a
 // bound design is immutable after binding apart from one internally
-// guarded cache; everything mutable (timing annotation, padding, noise
-// state) is private to each engine.
+// guarded cache. So is the token's timing (core.ShardTiming): one
+// annotation per padding state, which a round copies before it updates
+// it. The padding and the noise state are private to each engine.
 type EngineSource func(ctx context.Context, spec *DesignSpec) (b *bind.Design, opts core.Options, release func(), err error)
 
 type slot struct { // keys one hosted engine
@@ -24,11 +25,10 @@ type slot struct { // keys one hosted engine
 	shard int
 }
 
-// tokenDesign is what a token's engines on one host share: the design, its
-// engine options and the source's release for it.
+// tokenDesign is what a token's engines on one host share: the timing over
+// the design (which holds the design) and the source's release for it.
 type tokenDesign struct {
-	b       *bind.Design
-	opts    core.Options
+	timing  *core.ShardTiming
 	release func()
 }
 
@@ -50,6 +50,8 @@ type Host struct {
 	mu      sync.Mutex
 	runners map[slot]*Runner
 	designs map[string]*tokenDesign
+	// onTiming is every token's core.ShardTiming observer (nil but in tests).
+	onTiming func(ctx context.Context, full bool)
 }
 
 // NewHost returns an empty host building engines from source.
@@ -70,7 +72,7 @@ func (h *Host) Do(ctx context.Context, req any, rep *Reply) error {
 			return fatalUnlessCtx(err)
 		}
 		h.each(&req.Route, rep, false, func(i int, k slot, _ *Runner) error {
-			eng, err := core.NewShardEngine(ctx, d.b, d.opts, req.Plan, req.Inits[i].Owned, req.Padding)
+			eng, err := core.NewShardEngine(ctx, d.timing, req.Plan, req.Inits[i].Owned, req.Padding)
 			if err != nil {
 				return fatalUnlessCtx(err)
 			}
@@ -154,8 +156,8 @@ func (h *Host) each(at *Route, rep *Reply, hosted bool, fn func(i int, k slot, r
 	wg.Wait()
 }
 
-// design returns the token's shared design, asking the source on the
-// token's first init. The source runs outside the lock; when first inits
+// design returns the token's shared design and timing, asking the source on
+// the token's first init. The source runs outside the lock; when first inits
 // race, the loser releases its copy and takes the winner's. A failed source
 // call keeps nothing, so the next init tries again.
 func (h *Host) design(ctx context.Context, token string, spec *DesignSpec) (*tokenDesign, error) {
@@ -169,13 +171,14 @@ func (h *Host) design(ctx context.Context, token string, spec *DesignSpec) (*tok
 	if err != nil {
 		return nil, err
 	}
+	timing := core.NewShardTiming(b, opts, h.onTiming)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if prev := h.designs[token]; prev != nil {
 		release()
 		return prev, nil
 	}
-	d = &tokenDesign{b: b, opts: opts, release: release}
+	d = &tokenDesign{timing: timing, release: release}
 	h.designs[token] = d
 	return d, nil
 }

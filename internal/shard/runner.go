@@ -32,9 +32,11 @@ func fatalUnlessCtx(err error) error {
 //     predecessor half-ran (or ran fully but lost its response) reports
 //     every commit since the wave began;
 //
-//   - the broken flag: a padding update that dies halfway leaves the
-//     timing annotation inconsistent, so the engine refuses further work
-//     with ErrEngineBroken until the coordinator re-initializes it.
+//   - the broken flag: a round that dies halfway leaves the engine's
+//     prepared victims inconsistent with its timing, so the engine refuses
+//     further work with ErrEngineBroken until the coordinator
+//     re-initializes it. (The shared timing itself is never left half
+//     updated: a round updates a copy.)
 //
 // All methods serialize on one mutex: a shard's ops are inherently ordered
 // (the coordinator never overlaps them), the lock just makes stray
@@ -133,8 +135,8 @@ func (r *Runner) evalResult() EvalResult {
 
 // Round applies one round of padding growth. A position outside the order
 // is a bad request, refused before anything moved; any other failure marks
-// the engine broken: the timing update mutates in place and a partial
-// update is not a state any single-process run ever visits.
+// the engine broken: a partial re-preparation is not a state any
+// single-process run ever visits.
 func (r *Runner) Round(ctx context.Context, changed []PadEntry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

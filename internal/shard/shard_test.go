@@ -67,7 +67,7 @@ func fixtures() map[string]fixtureMaker {
 	}
 }
 
-func bindFixture(t *testing.T, mk fixtureMaker) (*bind.Design, core.Options) {
+func bindFixture(t testing.TB, mk fixtureMaker) (*bind.Design, core.Options) {
 	t.Helper()
 	g, err := mk()
 	if err != nil {
@@ -296,9 +296,12 @@ func TestDistributedMatchesSerial(t *testing.T) {
 }
 
 // TestWorkerFaultsStaySound drives the coordinator through the whole
-// injected-fault matrix. Every run must terminate with a sound report:
-// never an error, and never a net reported less noisy than the
-// single-process truth (degradation may only add pessimism).
+// injected-fault matrix, twice: 3 shards on 3 workers, and 4 shards on 2
+// (the "cohosted-" cases), where every worker hosts two shards that share one
+// timing and a re-hosted shard joins a worker already hosting two. Every run
+// must terminate with a sound report: never an error, and never a net
+// reported less noisy than the single-process truth (degradation may only
+// add pessimism).
 func TestWorkerFaultsStaySound(t *testing.T) {
 	// bus is quick and couples only; hotfabric is where glitches propagate
 	// across shard boundaries, so "never less noisy" has something to lose.
@@ -330,54 +333,15 @@ func workerFaultsStaySound(t *testing.T, mk fixtureMaker) {
 		"kill:init",
 		"error:eval:*,error:round:*,error:delay:*,error:collect:*,error:init:*",
 	}
-	for _, spec := range specs {
-		t.Run(spec, func(t *testing.T) {
-			faults, err := chaos.ParseWorkerFaults(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			workers := inprocWorkers(mk, opts, 3)
-			workers[1] = chaos.NewFaultyWorker(workers[1], faults)
-			got, err := Run(context.Background(), Config{
-				B:               b,
-				Opts:            opts,
-				Workers:         workers,
-				Shards:          3,
-				Token:           "chaos",
-				DispatchTimeout: 30 * time.Millisecond,
+	for _, layout := range []struct {
+		prefix          string
+		workers, shards int
+	}{{"", 3, 3}, {"cohosted-", 2, 4}} {
+		for _, spec := range specs {
+			t.Run(layout.prefix+spec, func(t *testing.T) {
+				faultsStaySound(t, b, mk, opts, spec, layout.workers, layout.shards, want, wantNoise, wantDelay)
 			})
-			if err != nil {
-				t.Fatalf("run failed under %q (must degrade, not fail): %v", spec, err)
-			}
-			if len(got.Noise.Nets) != len(want.Noise.Nets) {
-				t.Fatalf("%d nets reported, want %d", len(got.Noise.Nets), len(want.Noise.Nets))
-			}
-			for net, wn := range want.Noise.Nets {
-				gn := got.Noise.Nets[net]
-				if gn == nil {
-					t.Fatalf("net %s missing from degraded report", net)
-				}
-				if gn.WorstPeak()+1e-12 < wn.WorstPeak() {
-					t.Errorf("net %s peak %g below single-process %g — degraded run lost pessimism",
-						net, gn.WorstPeak(), wn.WorstPeak())
-				}
-			}
-			if len(got.AbandonedShards) > 0 {
-				if !got.Degraded || len(got.Noise.Diags) == 0 {
-					t.Fatalf("abandoned shards %v but no degradation recorded", got.AbandonedShards)
-				}
-				if got.Noise.Stats.DegradedNets != len(got.Noise.Diags) {
-					t.Errorf("DegradedNets %d != %d diags", got.Noise.Stats.DegradedNets, len(got.Noise.Diags))
-				}
-			} else if !got.Degraded {
-				// Fully recovered (retries or re-hosting absorbed the fault):
-				// the report must be byte-identical to single-process.
-				gotNoise, gotDelay := reportBytes(t, got.Noise, got.Delay)
-				if !bytes.Equal(gotNoise, wantNoise) || !bytes.Equal(gotDelay, wantDelay) {
-					t.Errorf("recovered run differs from single-process report")
-				}
-			}
-		})
+		}
 	}
 
 	// One shard of a two-shard request fails while its neighbour's answer is
@@ -415,6 +379,59 @@ func workerFaultsStaySound(t *testing.T, mk fixtureMaker) {
 				t.Errorf("run differs from single-process report")
 			}
 		})
+	}
+}
+
+// faultsStaySound runs one fault spec on worker 1 of n workers hosting the
+// given number of shards and holds the run to soundness: every net reported
+// and none less noisy than single-process, an abandoned shard recorded, a
+// recovered run byte-identical.
+func faultsStaySound(t *testing.T, b *bind.Design, mk fixtureMaker, opts core.Options, spec string, n, shards int,
+	want *core.IterativeResult, wantNoise, wantDelay []byte) {
+	faults, err := chaos.ParseWorkerFaults(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := inprocWorkers(mk, opts, n)
+	workers[1] = chaos.NewFaultyWorker(workers[1], faults)
+	got, err := Run(context.Background(), Config{
+		B:               b,
+		Opts:            opts,
+		Workers:         workers,
+		Shards:          shards,
+		Token:           "chaos",
+		DispatchTimeout: 30 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("run failed under %q (must degrade, not fail): %v", spec, err)
+	}
+	if len(got.Noise.Nets) != len(want.Noise.Nets) {
+		t.Fatalf("%d nets reported, want %d", len(got.Noise.Nets), len(want.Noise.Nets))
+	}
+	for net, wn := range want.Noise.Nets {
+		gn := got.Noise.Nets[net]
+		if gn == nil {
+			t.Fatalf("net %s missing from degraded report", net)
+		}
+		if gn.WorstPeak()+1e-12 < wn.WorstPeak() {
+			t.Errorf("net %s peak %g below single-process %g — degraded run lost pessimism",
+				net, gn.WorstPeak(), wn.WorstPeak())
+		}
+	}
+	if len(got.AbandonedShards) > 0 {
+		if !got.Degraded || len(got.Noise.Diags) == 0 {
+			t.Fatalf("abandoned shards %v but no degradation recorded", got.AbandonedShards)
+		}
+		if got.Noise.Stats.DegradedNets != len(got.Noise.Diags) {
+			t.Errorf("DegradedNets %d != %d diags", got.Noise.Stats.DegradedNets, len(got.Noise.Diags))
+		}
+	} else if !got.Degraded {
+		// Fully recovered (retries or re-hosting absorbed the fault):
+		// the report must be byte-identical to single-process.
+		gotNoise, gotDelay := reportBytes(t, got.Noise, got.Delay)
+		if !bytes.Equal(gotNoise, wantNoise) || !bytes.Equal(gotDelay, wantDelay) {
+			t.Errorf("recovered run differs from single-process report")
+		}
 	}
 }
 
@@ -585,7 +602,7 @@ func TestRunnerEvalMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	eng, err := core.NewShardEngine(ctx, b, opts, plan.ID, allNets(plan), nil)
+	eng, err := core.NewShardEngine(ctx, core.NewShardTiming(b, opts, nil), plan.ID, allNets(plan), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

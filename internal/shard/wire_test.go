@@ -413,7 +413,7 @@ var fuzzRunner = sync.OnceValues(func() (*Runner, int) {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := core.NewShardEngine(ctx, b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}, plan.ID, allNets(plan), nil)
+	eng, err := core.NewShardEngine(ctx, core.NewShardTiming(b, core.Options{Mode: core.ModeNoiseWindows, STA: g.STAOptions()}, nil), plan.ID, allNets(plan), nil)
 	if err != nil {
 		panic(err)
 	}

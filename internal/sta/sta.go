@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bind"
 	"repro/internal/interval"
@@ -197,6 +198,17 @@ func (r *Result) TimingOfPin(c netlist.ConnID) *Timing {
 		return &r.pins[i]
 	}
 	return &noTiming
+}
+
+// Clone returns a copy of the annotation for an update to rewrite while r
+// is read: the tables an update writes are copied, the rest is shared
+// (pinOf is fixed by the design, and computeRequired replaces required
+// rather than writing into it).
+func (r *Result) Clone() *Result {
+	c := *r
+	c.nets, c.pins = slices.Clone(r.nets), slices.Clone(r.pins)
+	c.hasNet, c.hasPin = slices.Clone(r.hasNet), slices.Clone(r.hasPin)
+	return &c
 }
 
 // setNet stores a net's source annotation.

@@ -205,7 +205,7 @@ func TestJSONFailureLeavesNoFile(t *testing.T) {
 	// A write cancelled part-way (here: before its first byte) removes the
 	// file it created.
 	b, inputs := bound(t, n, s, w)
-	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{STA: sta.Options{InputTiming: inputs}})
+	res, err := core.AnalyzeCtx(context.Background(), b, core.Options{Mode: core.ModeAllAggressors, STA: sta.Options{InputTiming: inputs}})
 	if err != nil {
 		t.Fatal(err)
 	}

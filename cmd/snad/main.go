@@ -216,11 +216,19 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	case <-ctx.Done():
 	}
 	logf("shutdown signal received; draining (budget %s)", *drainBudget)
-	clean := srv.Drain(*drainBudget)
-	httpSrv.Close()
-	if !clean {
+	deadline := time.Now().Add(*drainBudget)
+	if !srv.Drain(*drainBudget) {
+		httpSrv.Close()
 		fmt.Fprintln(stderr, "snad: forced drain: in-flight work was cancelled")
 		return exitForced
+	}
+	// The drain counts a request done when its handler returns, before
+	// net/http has flushed the reply: Shutdown lets those replies out,
+	// within what is left of the budget, where Close would cut them.
+	sctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	if err := httpSrv.Shutdown(sctx); err != nil {
+		httpSrv.Close()
 	}
 	fmt.Fprintln(stdout, "snad: drained cleanly")
 	return exitClean

@@ -137,22 +137,22 @@ func hold(t *testing.T, src *source, files []*ast.File, find func(*token.FileSet
 // The partitioner and the shard runner hold no name-keyed map; the window
 // algebra holds none (a window set is a value); the parasitics path holds
 // none (nodes, partner nets and nets are indexes past bind.New). Non-test
-// core holds nine, every one at an edge that speaks names: the result's
+// core holds six, every one at an edge that speaks names: the result's
 // net index (Result.Nets and the make in newResult; item 6 turns the result
 // into a table), IterativeResult.Padding (what a report and a sharded run's
 // outcome compare) with PaddingByName, its one builder (return type and
-// make), and Session's padding record (the field, Padding, Reanalyze and
-// RestoreSession), which keeps the names a service journals, a net the
-// design lacks included. Non-test sta holds four, the .win edge's
-// (Options.InputTiming, WriteInputTiming, ParseInputTiming and its make):
-// window padding is by net ID. Each limit is the count today: lower it
+// make), and Session.Reanalyze's delta, whose names it resolves to net IDs
+// on the way in: the session pads by ID, and the record by name a service
+// journals, a net the design lacks included, is the service's. Non-test sta
+// holds four, the .win edge's (Options.InputTiming, WriteInputTiming,
+// ParseInputTiming and its make): window padding is by net ID. Each limit is the count today: lower it
 // when a map goes, never raise it.
 var nameLimits = []struct {
 	paths []string
 	limit int
 }{
 	{[]string{"internal/shard/partition.go", "internal/shard/runner.go"}, 0},
-	{[]string{"internal/core"}, 9},
+	{[]string{"internal/core"}, 6},
 	{[]string{"internal/sta"}, 4},
 	{[]string{"internal/interval"}, 0},
 	{[]string{"internal/rc", "internal/bind", "internal/noise"}, 0},

@@ -18,14 +18,11 @@ import (
 func TestVictimAllocations(t *testing.T) {
 	b := busFixture(t, 2, 2*units.Femto, 3*units.Femto)
 	opts := Options{Mode: ModeNoiseWindows, STA: sta.Options{InputTiming: staggeredInputs(2, 10*units.Pico, 100*units.Pico)}}
-	a, err := newAnalyzer(context.Background(), b, opts)
-	if err != nil {
+	eng := &engine{b: b, opts: opts}
+	if _, err := runRound(context.Background(), eng, opts, nil); err != nil {
 		t.Fatal(err)
 	}
-	res := a.newResult()
-	if err := a.runFixpoint(context.Background(), res); err != nil {
-		t.Fatal(err)
-	}
+	a, res := eng.a, eng.res
 	net := b.Net.FindNet("v")
 	pos := int(a.posByID[net])
 	sc := &a.scratch[0]

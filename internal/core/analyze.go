@@ -20,8 +20,8 @@ import (
 
 // Options tunes an analysis run.
 type Options struct {
-	// Mode selects the combination policy. The zero value is
-	// ModeAllAggressors; ParseMode reads a mode from its name.
+	// Mode selects the combination policy. The zero value is the paper's,
+	// ModeNoiseWindows; ParseMode reads a mode from its name.
 	Mode Mode
 	// FilterThreshold filters couplings with C_x/C_v below it out of the
 	// windowed combination; the filtered capacitance is lumped into one
@@ -116,10 +116,11 @@ func (s bitset) appendRange(out []int, lo, hi int) []int {
 	return out
 }
 
-// analyzer carries per-run state. Under AnalyzeIterativeCtx one analyzer
-// persists across rounds and is shared between the noise and delay passes:
-// the timing result is updated in place, coupled events are re-prepared
-// only for victims with a re-timed aggressor, and a net is re-evaluated only
+// analyzer carries per-run state. The single-process engine (iterate.go) —
+// what AnalyzeCtx, a Session and AnalyzeIterativeCtx all drive — keeps one
+// analyzer across rounds, shared between the noise and delay passes: the
+// timing result is updated in place, coupled events are re-prepared only
+// for victims with a re-timed aggressor, and a net is re-evaluated only
 // while it is stale — everything else's committed results carry over.
 type analyzer struct {
 	b      *bind.Design
@@ -195,8 +196,8 @@ type analyzer struct {
 }
 
 // newAnalyzer runs the shared setup — timing, victim ordering, context and
-// coupled-event construction — used by AnalyzeCtx, AnalyzeDelayCtx and the
-// iterative engine.
+// coupled-event construction — used by the single-process engine's first
+// round and by AnalyzeDelayCtx.
 func newAnalyzer(ctx context.Context, b *bind.Design, opts Options) (*analyzer, error) {
 	staRes, err := sta.RunCtx(ctx, b, opts.STA, opts.Workers)
 	if err != nil {
@@ -300,12 +301,13 @@ func (a *analyzer) newResult() *Result {
 	return res
 }
 
-// finishNoise finalizes a Result after the fixpoint: statistics, the
+// finishNoise finalizes a Result after a fixpoint's passes: statistics, the
 // violation sweep, and the sorted diagnostics. The result gets its own copy
 // of the diagnostics (into its own reused backing array, like Violations):
 // the analyzer outlives this call when noise and delay share it, and a
 // later delay-stage degradation appends to and re-sorts a.diags.
-func (a *analyzer) finishNoise(res *Result) {
+func (a *analyzer) finishNoise(res *Result, passes int, converged bool) {
+	a.stats.Iterations, a.stats.Converged = passes, converged
 	a.stats.Propagated = a.propTotal
 	a.stats.Victims = len(a.order)
 	a.stats.DegradedNets = len(a.diags)
@@ -519,25 +521,27 @@ func (a *analyzer) setPropCount(pos, n int) {
 // cooperative cancellation: the context is checked during victim preparation and between propagation passes, and
 // its error is returned as soon as it fires. A cancelled run returns no
 // partial result — partial results come from fail-soft degradation
-// (Options.FailSoft), not from cancellation.
+// (Options.FailSoft), not from cancellation. It is the first round of the
+// engine a Session and the iterative loop drive, without the delay pass.
 func AnalyzeCtx(ctx context.Context, b *bind.Design, opts Options) (*Result, error) {
-	a, err := newAnalyzer(ctx, b, opts)
+	eng := &engine{b: b, opts: opts}
+	waves, err := eng.BeginRound(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := a.newResult()
-	if err := a.runFixpoint(ctx, res); err != nil {
+	passes, converged, err := runPasses(ctx, opts, waves, eng.EvalWave)
+	if err != nil {
 		return nil, err
 	}
-	a.finishNoise(res)
-	return res, nil
+	eng.a.finishNoise(eng.res, passes, converged)
+	return eng.res, nil
 }
 
 // runPasses is the pass loop of the propagation fixpoint, the only copy:
 // each pass visits every wave in order, a pass that commits no change
 // beyond tolerance converges, without propagation one pass is exact, and
 // maxPasses bounds the count. evalWave is the engine's side — the
-// local analyzer's wavefront below, or a coordinator's dispatch to the
+// analyzer's wavefront (evalWave below), or a coordinator's dispatch to the
 // shards with stale nets in that wave. The engines evaluate only what is
 // stale, so the confirming pass of an acyclic design still counts as a
 // pass but evaluates nothing.
@@ -558,21 +562,6 @@ func runPasses(ctx context.Context, opts Options, waves int, evalWave func(conte
 		converged = !changed || opts.NoPropagation
 	}
 	return passes, converged, nil
-}
-
-// runFixpoint runs the pass loop over this analyzer: each pass recomputes
-// every stale net's event list (coupled events are cached; propagated
-// events derive from the current fanin combinations) and its windowed
-// combination, level wavefront by level wavefront.
-func (a *analyzer) runFixpoint(ctx context.Context, res *Result) error {
-	passes, converged, err := runPasses(ctx, a.opts, len(a.waves), func(ctx context.Context, wi int) (bool, error) {
-		return a.evalWave(ctx, res, a.waves[wi], nil)
-	})
-	if err != nil {
-		return err
-	}
-	a.stats.Iterations, a.stats.Converged = passes, converged
-	return nil
 }
 
 // evalWave evaluates the stale nets of one level wavefront. The serial path

@@ -45,17 +45,17 @@ import (
 type Mode int
 
 const (
-	// ModeAllAggressors is the classical no-timing analysis: every
-	// aggressor may switch at any time (infinite windows everywhere).
-	ModeAllAggressors Mode = iota
+	// ModeNoiseWindows is the paper's method, and the zero value: every
+	// glitch, coupled or propagated, carries a noise window, and only
+	// window-overlapping glitches combine.
+	ModeNoiseWindows Mode = iota
 	// ModeTimingWindows filters and aligns coupled glitches by the
 	// aggressors' switching windows but treats propagated noise as
 	// unconstrained — the state of the art the paper improves on.
 	ModeTimingWindows
-	// ModeNoiseWindows is the paper's method: every glitch, coupled or
-	// propagated, carries a noise window, and only window-overlapping
-	// glitches combine.
-	ModeNoiseWindows
+	// ModeAllAggressors is the classical no-timing analysis: every
+	// aggressor may switch at any time (infinite windows everywhere).
+	ModeAllAggressors
 )
 
 // modeNames are the short names options and flags select a mode by.

@@ -293,10 +293,13 @@ func TestDiagsNotAliasedAcrossNoiseAndDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := a.newResult()
-	if err := a.runFixpoint(ctx, res); err != nil {
+	passes, converged, err := runPasses(ctx, a.opts, len(a.waves), func(ctx context.Context, wi int) (bool, error) {
+		return a.evalWave(ctx, res, a.waves[wi], nil)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	a.finishNoise(res)
+	a.finishNoise(res, passes, converged)
 	nets := func(diags []Diag) string {
 		var names []string
 		for _, d := range diags {

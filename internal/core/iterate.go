@@ -225,8 +225,7 @@ func (e *engine) EvalWave(ctx context.Context, wi int) (bool, error) {
 // DelayImpacts implements Phases: finish the noise result, then re-run the
 // delay pass on the delay-stale nets.
 func (e *engine) DelayImpacts(ctx context.Context, passes int, converged bool) (*DelayResult, error) {
-	e.a.stats.Iterations, e.a.stats.Converged = passes, converged
-	e.a.finishNoise(e.res)
+	e.a.finishNoise(e.res, passes, converged)
 	if err := e.a.delayPass(ctx); err != nil {
 		return nil, err
 	}

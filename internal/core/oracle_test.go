@@ -379,11 +379,14 @@ func TestReanalyzeMatchesEvaluateEverything(t *testing.T) {
 	}
 }
 
-// TestSessionPaddingEdge pins the Session's padding record, the one place
-// padding is a name: a net the design lacks is accepted, counted and kept; a
-// value already applied changes nothing and leaves the report's bytes as
-// they were; and a session rebuilt from Padding() — what a service replays
-// from its journal — holds the same record, unknown name included.
+// TestSessionPaddingEdge pins the Session's padding where it enters by
+// name: each name resolves to its net ID; padding is max-monotonic, so a
+// value no larger than the one applied — or a name the design lacks —
+// changes nothing, counts nothing and leaves the report's bytes as they
+// were; and a session opened at the grown padding by ID, as a service
+// rebuilds one from its record, reports what the incremental one does. The
+// record by name, names the design lacks included, is the service's
+// (internal/server TestReanalyzePaddingEdge).
 func TestSessionPaddingEdge(t *testing.T) {
 	b, opts := bindCase(t, oracleCases()[0])
 	ctx := context.Background()
@@ -391,39 +394,39 @@ func TestSessionPaddingEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	both := map[string]float64{"b1": 5 * units.Pico, "ghost": 3 * units.Pico}
+	both := map[string]float64{"b1": 5 * units.Pico, "b2": 3 * units.Pico}
 	if _, n, err := sess.Reanalyze(ctx, both); err != nil || n != 2 {
-		t.Fatalf("padding a known and an unknown net: changed %d (want 2), %v", n, err)
+		t.Fatalf("padding two nets: changed %d (want 2), %v", n, err)
 	}
 	padded := reportBytes(t, sess.Noise(), sess.Delay())
-	for _, pad := range []map[string]float64{both, {"ghost": 3 * units.Pico}, {"ghost": 1 * units.Pico, "b1": 2 * units.Pico}} {
+	for _, pad := range []map[string]float64{both, {"b2": 3 * units.Pico}, {"b2": 1 * units.Pico, "b1": 2 * units.Pico}, {"ghost": 9 * units.Pico}} {
 		if _, n, err := sess.Reanalyze(ctx, pad); err != nil || n != 0 || !bytes.Equal(reportBytes(t, sess.Noise(), sess.Delay()), padded) {
 			t.Fatalf("re-applying %v: changed %d (want 0), %v", pad, n, err)
 		}
 	}
-	if _, n, err := sess.Reanalyze(ctx, map[string]float64{"ghost": 4 * units.Pico}); err != nil || n != 1 ||
-		!bytes.Equal(reportBytes(t, sess.Noise(), sess.Delay()), padded) {
-		t.Fatalf("growing the unknown net: changed %d (want 1, and no net moved), %v", n, err)
+	if _, n, err := sess.Reanalyze(ctx, map[string]float64{"b2": 4 * units.Pico, "ghost": 10 * units.Pico}); err != nil || n != 1 {
+		t.Fatalf("growing one net beside an unknown one: changed %d (want 1), %v", n, err)
 	}
-	want := map[string]float64{"b1": 5 * units.Pico, "ghost": 4 * units.Pico}
-	if got := sess.Padding(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("padding record %v, want %v", got, want)
-	}
-	rebuilt, err := core.RestoreSession(ctx, b, opts, sess.Padding())
+	pad := make([]float64, b.Net.NumNets())
+	pad[b.Net.FindNet("b1")], pad[b.Net.FindNet("b2")] = 5*units.Pico, 4*units.Pico
+	seeded := opts
+	seeded.STA.WindowPadding = slices.Clone(pad)
+	rebuilt, err := core.NewSession(ctx, b, seeded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rebuilt.Padding(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rebuilt padding record %v, want %v", got, want)
-	}
-	if _, n, err := rebuilt.Reanalyze(ctx, want); err != nil || n != 0 {
-		t.Fatalf("the record again on the rebuilt session: changed %d (want 0), %v", n, err)
+	if _, n, err := rebuilt.Reanalyze(ctx, map[string]float64{"b1": 5 * units.Pico, "b2": 4 * units.Pico}); err != nil || n != 0 {
+		t.Fatalf("the grown padding again on the rebuilt session: changed %d (want 0), %v", n, err)
 	}
 	// A rebuild counts the passes of its own fixpoint; the rest is the same.
 	gotN, wantN := *rebuilt.Noise(), *sess.Noise()
 	gotN.Stats.Iterations, wantN.Stats.Iterations = 0, 0
 	if !bytes.Equal(reportBytes(t, &gotN, rebuilt.Delay()), reportBytes(t, &wantN, sess.Delay())) {
 		t.Fatal("the rebuilt session's report differs")
+	}
+	// The session pads its own copy: growing it leaves the caller's slice be.
+	if _, n, err := rebuilt.Reanalyze(ctx, map[string]float64{"b1": 6 * units.Pico}); err != nil || n != 1 || !slices.Equal(seeded.STA.WindowPadding, pad) {
+		t.Fatalf("growing the rebuilt session: changed %d (want 1), %v; seed slice now %v", n, err, seeded.STA.WindowPadding)
 	}
 }
 
@@ -478,5 +481,53 @@ func TestTotalNoiseIsOneNumber(t *testing.T) {
 	}
 	if got := sharded.Noise.TotalNoise(); got != want {
 		t.Errorf("4 shards: %x, serial %x", math.Float64bits(got), math.Float64bits(want))
+	}
+}
+
+// TestZeroOptionsAreNoiseWindows: the zero Options run the paper's method.
+// On a bus and on a fabric, core.Options{} with only the timing set reports
+// byte for byte what an explicit ModeNoiseWindows run does — through a
+// Session and through AnalyzeCtx alike — and not what ModeAllAggressors
+// computes, even with the mode's name set aside.
+func TestZeroOptionsAreNoiseWindows(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range oracleCases()[:2] {
+		g, err := c.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := g.Bind(liberty.Generic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := func(mode core.Mode, set bool) *core.Session {
+			opts := core.Options{STA: g.STAOptions()}
+			if set {
+				opts.Mode = mode
+			}
+			sess, err := core.NewSession(ctx, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sess
+		}
+		zero := open(0, false)
+		got := reportBytes(t, zero.Noise(), zero.Delay())
+		if want := open(core.ModeNoiseWindows, true); !bytes.Equal(got, reportBytes(t, want.Noise(), want.Delay())) {
+			t.Errorf("%s: core.Options{} differs from ModeNoiseWindows", c.name)
+		}
+		noise, err := core.AnalyzeCtx(ctx, b, core.Options{STA: g.STAOptions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, reportBytes(t, noise, zero.Delay())) {
+			t.Errorf("%s: AnalyzeCtx under core.Options{} differs from the session's noise", c.name)
+		}
+		all := open(core.ModeAllAggressors, true)
+		allNoise, allDelay := *all.Noise(), *all.Delay()
+		allNoise.Mode, allDelay.Mode = core.ModeNoiseWindows, core.ModeNoiseWindows
+		if bytes.Equal(got, reportBytes(t, &allNoise, &allDelay)) {
+			t.Errorf("%s: core.Options{} computes what ModeAllAggressors does", c.name)
+		}
 	}
 }

@@ -3,18 +3,17 @@ package core
 import (
 	"context"
 	"errors"
-	"maps"
-	"sort"
+	"slices"
 
 	"repro/internal/bind"
 	"repro/internal/netlist"
 )
 
-// Session is the exported handle on the persistent incremental analyzer
-// that AnalyzeIterativeCtx uses internally: one prepared analyzer shared by
-// the noise and delay passes. A batch run that wants both results opens a
-// Session and reads Noise and Delay once (sna -delay), paying for timing
-// and victim preparation one time instead of once per AnalyzeCtx/
+// Session is the exported handle on the single-process engine that
+// AnalyzeCtx and AnalyzeIterativeCtx also drive: one prepared analyzer
+// shared by the noise and delay passes. A batch run that wants both results
+// opens a Session and reads Noise and Delay once (sna -delay), paying for
+// timing and victim preparation one time instead of once per AnalyzeCtx/
 // AnalyzeDelayCtx call. A long-running service keeps one Session per loaded
 // design: the first (full) analysis builds the timing
 // annotation, the noise contexts, and the coupled events once, and every
@@ -25,6 +24,9 @@ import (
 // same padding (the oracle tests in session_test.go pin this), except for
 // execution statistics.
 //
+// The session pads by net ID (opts.STA.WindowPadding); Reanalyze resolves
+// names as they enter. A record by name is its owner's to keep.
+//
 // A Session is NOT safe for concurrent use; callers serialize access (the
 // server wraps each session in a mutex). A Session whose incremental
 // update fails mid-flight is broken — its caches may be inconsistent — and
@@ -34,16 +36,14 @@ type Session struct {
 	eng    engine
 	phases Phases // eng, or the oracle tests' reference around it
 	delay  *DelayResult
-	// padding is the record by name, names the design lacks included; the
-	// engine pads by ID (eng.opts.STA.WindowPadding).
-	padding map[string]float64
-	broken  error
+	broken error
 }
 
 // ErrSessionBroken marks a Session whose last incremental update did not
 // run to completion (cancellation, deadline, or an engine error). The
 // session's caches may be inconsistent with its timing annotation, so it
-// refuses further work; the owner must create a fresh Session.
+// refuses further work; the owner must create a fresh Session. A
+// ShardEngine's round that failed after its timing moved wraps it too.
 var ErrSessionBroken = errors.New("core: session broken by failed incremental update")
 
 // NewSession runs the full analysis (noise fixpoint plus the delta-delay
@@ -56,28 +56,13 @@ var ErrSessionBroken = errors.New("core: session broken by failed incremental up
 // semantics match AnalyzeCtx; any WindowPadding already present in opts.STA
 // seeds the session's padding state.
 func NewSession(ctx context.Context, b *bind.Design, opts Options) (*Session, error) {
-	return RestoreSession(ctx, b, opts, nil)
-}
-
-// RestoreSession is NewSession seeded, on top of opts.STA.WindowPadding, with
-// a padding record by name, as a service journals it. The names resolve to
-// net IDs for the timing run; the record keeps them all, those the design
-// lacks included, so a value the session was already given is no change.
-func RestoreSession(ctx context.Context, b *bind.Design, opts Options, padding map[string]float64) (*Session, error) {
 	// The analyzer and the timing engine alias pad, as the iterative loop
 	// does: padding applied later is what the incremental update reads.
 	pad := make([]float64, b.Net.NumNets())
 	copy(pad, opts.STA.WindowPadding)
-	s := &Session{eng: engine{b: b}, padding: PaddingByName(b.Net, pad)}
-	//snavet:ctxloop one pass over the record; the analysis after it consults ctx
-	for net, p := range padding {
-		s.padding[net] = p
-		if id := b.Net.FindNet(net); id >= 0 {
-			pad[id] = p
-		}
-	}
 	opts.STA.WindowPadding = pad
-	s.eng.opts, s.phases = opts, &s.eng
+	s := &Session{eng: engine{b: b, opts: opts}}
+	s.phases = &s.eng
 	var err error
 	if s.delay, err = runRound(ctx, s.phases, opts, nil); err != nil {
 		return nil, err
@@ -95,10 +80,6 @@ func (s *Session) Noise() *Result { return s.eng.res }
 // incremental) round. Read-only: every caller gets the same value.
 func (s *Session) Delay() *DelayResult { return s.delay }
 
-// Padding returns a copy of the per-net late-edge window padding currently
-// applied to the session's timing annotation.
-func (s *Session) Padding() map[string]float64 { return maps.Clone(s.padding) }
-
 // Err returns nil for a healthy session and ErrSessionBroken after a
 // failed incremental update.
 func (s *Session) Err() error { return s.broken }
@@ -108,47 +89,40 @@ func (s *Session) Err() error { return s.broken }
 // the padded nets' fanout, coupled events are rebuilt only for victims with
 // a re-timed aggressor, the noise fixpoint re-evaluates only nets with a
 // moved input, and the delay pass only victims whose events or own timing
-// moved. Padding is max-monotonic — an entry smaller than the current
+// moved. Each name resolves to its net ID; a name the design lacks pads
+// nothing. Padding is max-monotonic — an entry no larger than the current
 // padding for that net is ignored — which makes Reanalyze idempotent: a
 // retried delta is absorbed without moving the result.
 //
-// It returns the updated noise result and the number of nets whose padding
-// actually changed. If nothing changed the session state is untouched. On
-// error the session is broken (see ErrSessionBroken) unless the error
-// occurred before any state was touched.
+// It returns the updated noise result and the number of design nets whose
+// padding actually changed. If nothing changed the session state is
+// untouched. On error the session is broken (see ErrSessionBroken) unless
+// the error occurred before any state was touched.
 func (s *Session) Reanalyze(ctx context.Context, padding map[string]float64) (*Result, int, error) {
 	if s.broken != nil {
 		return nil, 0, s.broken
 	}
-	grown := make([]string, 0, len(padding))
-	for net, pad := range padding {
-		if pad > s.padding[net] {
-			grown = append(grown, net)
-		}
-	}
-	if len(grown) == 0 {
-		return s.eng.res, 0, nil
-	}
-	sort.Strings(grown)
 	// Commit the padding, then update. From here on a failure leaves the
 	// timing annotation, the event caches, and the committed combinations
-	// potentially out of sync, so any error breaks the session. A name the
-	// design lacks is recorded and pads nothing.
+	// potentially out of sync, so any error breaks the session.
 	d, pad := s.eng.b.Net, s.eng.opts.STA.WindowPadding
-	changed := make([]netlist.NetID, 0, len(grown))
+	var changed []netlist.NetID
 	//snavet:ctxloop one pass over the request's names; the round after it consults ctx
-	for _, net := range grown {
-		s.padding[net] = padding[net]
-		if id := d.FindNet(net); id >= 0 {
-			pad[id] = padding[net]
+	for net, p := range padding {
+		if id := d.FindNet(net); id >= 0 && p > pad[id] {
+			pad[id] = p
 			changed = append(changed, id)
 		}
 	}
+	if len(changed) == 0 {
+		return s.eng.res, 0, nil
+	}
+	slices.Sort(changed)
 	delay, err := runRound(ctx, s.phases, s.eng.opts, changed)
 	if err != nil {
 		s.broken = ErrSessionBroken
-		return nil, len(grown), err
+		return nil, len(changed), err
 	}
 	s.delay = delay
-	return s.eng.res, len(grown), nil
+	return s.eng.res, len(changed), nil
 }

@@ -20,13 +20,18 @@ func TestSessionReanalyzeMatchesScratch(t *testing.T) {
 	}
 
 	// Drive the session the way a service would: feed back the delay
-	// impacts as padding, twice, like two rounds of the signoff loop.
+	// impacts as padding, twice, like two rounds of the signoff loop, and
+	// keep the cumulative record a service keeps (max-monotonic).
+	applied := make(map[string]float64)
 	for round := 0; round < 2; round++ {
 		delta := make(map[string]float64)
 		for _, im := range sess.Delay().Impacts {
 			if im.Delta > delta[im.Net] {
 				delta[im.Net] = im.Delta
 			}
+		}
+		for net, pad := range delta {
+			applied[net] = max(applied[net], pad)
 		}
 		res, changed, err := sess.Reanalyze(context.Background(), delta)
 		if err != nil {
@@ -41,7 +46,7 @@ func TestSessionReanalyzeMatchesScratch(t *testing.T) {
 	}
 
 	scratch := opts
-	scratch.STA.WindowPadding = paddingByID(b.Net, sess.Padding())
+	scratch.STA.WindowPadding = paddingByID(b.Net, applied)
 	noise, err := AnalyzeCtx(context.Background(), b, scratch)
 	if err != nil {
 		t.Fatal(err)

@@ -400,7 +400,8 @@ func (e *ShardEngine) EvalWave(ctx context.Context, wi int) (forward []WaveUpdat
 // single-process engine's does (retime): the owned victims of the re-timed
 // aggressors are re-prepared. A round that leaves the padding as it is — one
 // this engine already applied — changes nothing. A position outside the order
-// refuses the round before any of it is applied.
+// refuses the round (ErrPosition); any failure before the move leaves the
+// engine as it was, and one after it wraps ErrSessionBroken.
 func (e *ShardEngine) ApplyRound(ctx context.Context, changed []PadUpdate) error {
 	pad := slices.Clone(e.at.pad)
 	ids, err := padTo(pad, e.a.order, changed)
@@ -412,7 +413,10 @@ func (e *ShardEngine) ApplyRound(ctx context.Context, changed []PadUpdate) error
 		return err
 	}
 	e.at, e.a.staRes, e.res.STA = next, next.res, next.res
-	return e.a.retime(ctx, retimed)
+	if err := e.a.retime(ctx, retimed); err != nil {
+		return fmt.Errorf("%w: %w", ErrSessionBroken, err)
+	}
+	return nil
 }
 
 // padTo writes pads, positions of order, into padding by net ID and returns

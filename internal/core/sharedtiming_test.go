@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -117,5 +118,55 @@ func TestShardTimingIsCopiedOnWrite(t *testing.T) {
 	}
 	if updates != attempts || tm.head != next {
 		t.Fatalf("two engines applying one round, one of them twice, made %d more update(s); head moved=%v", updates-attempts, tm.head == next)
+	}
+}
+
+// TestShardRoundBreaksOnlyOnceMoved: a round that fails before its engine
+// moved to the next timing state leaves the engine usable and says nothing
+// of ErrSessionBroken, so the same round may be applied again; one that
+// fails after the move, in the re-preparation, wraps ErrSessionBroken.
+func TestShardRoundBreaksOnlyOnceMoved(t *testing.T) {
+	ctx := context.Background()
+	g, err := workload.Fabric(workload.FabricSpec{
+		Width: 40, Levels: 10, CouplingDensity: 3, CoupleC: 12 * units.Femto,
+		GroundC: 4 * units.Femto, SegRes: 60, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := g.Bind(liberty.Generic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := NewShardTiming(b, Options{STA: g.STAOptions()}, nil)
+	owned := make([]int32, len(tm.order))
+	for p := range owned {
+		owned[p] = int32(p)
+	}
+	var engs [2]*ShardEngine
+	for i := range engs {
+		if engs[i], err = NewShardEngine(ctx, tm, tm.id, owned, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, n := engs[0].at, int32(len(tm.order))
+	round := []PadUpdate{{Pos: n / 3, Pad: 7 * units.Pico}, {Pos: n / 2, Pad: 5 * units.Pico}}
+	before := 0
+	for checks := 0; engs[0].at == s; checks++ {
+		err := engs[0].ApplyRound(&errAfter{Context: ctx, n: checks}, round)
+		if engs[0].at == s && (err == nil || errors.Is(err, ErrSessionBroken)) {
+			t.Fatalf("a round cancelled at check %d before the move: %v, want a plain cancellation", checks, err)
+		}
+		if engs[0].at == s {
+			before++
+		}
+	}
+	if before == 0 {
+		t.Fatal("the sweep cancelled no round before its move")
+	}
+	// The sibling takes the published state without a check and fails at
+	// the re-preparation's first.
+	if err := engs[1].ApplyRound(&errAfter{Context: ctx}, round); !errors.Is(err, ErrSessionBroken) || !errors.Is(err, context.Canceled) || engs[1].at == s {
+		t.Fatalf("a round cancelled after the move: %v, want ErrSessionBroken wrapping the cancellation", err)
 	}
 }

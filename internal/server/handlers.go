@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"strconv"
@@ -318,18 +319,27 @@ func (s *Server) reanalyzeWork(ctx context.Context, ss *session, padding map[str
 	if err != nil {
 		return nil, err
 	}
-	res, changed, err := eng.Reanalyze(ctx, padding)
+	// The record by name is the change: a grown name counts whether or not
+	// the design has it. It is committed once the analysis succeeded.
+	next, grown := make(map[string]float64, len(ss.padding)+len(padding)), 0
+	maps.Copy(next, ss.padding)
+	for net, pad := range padding {
+		if pad > next[net] {
+			next[net] = pad
+			grown++
+		}
+	}
+	res, _, err := eng.Reanalyze(ctx, padding)
 	if err != nil {
 		return nil, err
 	}
-	if changed > 0 {
-		// Mirror the engine's cumulative padding (we hold the busy slot)
-		// and journal it, so a rebuild — in this process or the next —
-		// replays the session to exactly this state.
-		ss.padding = eng.Padding()
+	if grown > 0 {
+		// Journal it (we hold the busy slot), so a rebuild — in this
+		// process or the next — replays the session to exactly this state.
+		ss.padding = next
 		s.persistPadding(ss)
 	}
-	a := &answer{noise: res, changedNets: changed, rebuilt: rebuilt}
+	a := &answer{noise: res, changedNets: grown, rebuilt: rebuilt}
 	if delay {
 		a.delay = eng.Delay()
 	}

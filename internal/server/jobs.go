@@ -85,15 +85,12 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 			return nil, err
 		}
 		opts := ss.opts
-		modeName := pt.Mode
-		if modeName != "" {
-			mode, err := core.ParseMode(modeName)
+		if pt.Mode != "" {
+			mode, err := core.ParseMode(pt.Mode)
 			if err != nil {
 				return nil, badRequest(err, "")
 			}
 			opts.Mode = mode
-		} else {
-			modeName = opts.Mode.Name()
 		}
 		if pt.Threshold > 0 {
 			opts.FilterThreshold = pt.Threshold
@@ -105,7 +102,7 @@ func (s *Server) jobSweep(ctx context.Context, ss *session, spec *jobs.Spec) (js
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = report.AppendString(append(b, `{"mode":`...), modeName)
+		b = report.AppendString(append(b, `{"mode":`...), opts.Mode.Name())
 		if b, err = report.AppendFloat(append(b, `,"threshold":`...), opts.FilterThreshold); err == nil {
 			b, err = report.AppendJSON(append(b, `,"noise":`...), res, nil, nil)
 		}

@@ -159,6 +159,59 @@ func TestReanalyzePaddingEdge(t *testing.T) {
 	if n, again := reanalyze(ts2.URL, map[string]float64{"ghost": 4 * units.Pico}); n != 0 || iterations.ReplaceAllString(again, `"Iterations":0`) != padded {
 		t.Fatalf("after the replay, the unknown name again: changedNets %d (want 0)", n)
 	}
+	// Growing only a name the design lacks is counted and journaled, and
+	// runs no round: the analysis is the replayed one, its pass count
+	// included.
+	if n, grown := reanalyze(ts2.URL, map[string]float64{"ghost": 5 * units.Pico}); n != 1 || grown != replayed {
+		t.Fatalf("after the replay, growing the unknown net: changedNets %d (want 1), analysis changed: %t", n, grown != replayed)
+	}
+}
+
+// TestSessionModeSurvivesRestart: a session's mode travels by name, in the
+// create record, so a journal written under each mode — "" being the
+// engine's zero value, noise windows — replays to sessions whose reports
+// keep their modes, byte for byte.
+func TestSessionModeSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	modes := []struct{ option, name, report string }{
+		{"all", "m-all", "all-aggressors"},
+		{"timing", "m-timing", "timing-windows"},
+		{"noise", "m-noise", "noise-windows"},
+		{"", "m-unnamed", "noise-windows"},
+	}
+	report := func(base, name string) []byte {
+		t.Helper()
+		analyzeOK(t, base, name, "analyze", AnalyzeRequest{Delay: true})
+		resp, data := do(t, "GET", base+"/v1/sessions/"+name+"/report", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("report %s: status %d: %s", name, resp.StatusCode, data)
+		}
+		return data
+	}
+	before := make(map[string][]byte)
+	for _, m := range modes {
+		createSession(t, ts.URL, m.name, shard.OptionsSpec{Mode: m.option})
+		before[m.name] = report(ts.URL, m.name)
+	}
+	ts.Close()
+
+	_, ts2 := newTestServer(t, Config{DataDir: dir})
+	for _, m := range modes {
+		after := report(ts2.URL, m.name)
+		var got struct {
+			Noise, Delay struct{ Mode string }
+		}
+		if err := json.Unmarshal(after, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Noise.Mode != m.report || got.Delay.Mode != m.report {
+			t.Errorf("mode %q after the restart: noise %q, delay %q, want %q", m.option, got.Noise.Mode, got.Delay.Mode, m.report)
+		}
+		if !bytes.Equal(after, before[m.name]) {
+			t.Errorf("mode %q: the report differs across the restart", m.option)
+		}
+	}
 }
 
 // TestServerCreateJournaledBefore201: a create whose journal append fails

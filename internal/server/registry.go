@@ -54,10 +54,10 @@ func (s *Server) restoreSessions() {
 }
 
 // materialize builds an in-memory session from a persisted spec: the same
-// parse/lint/bind pipeline as a create, plus the restored padding, which
-// seeds the engine on first analyze (core.NewSession applies seeded
-// padding in its full analysis, and the session oracle pins that this
-// equals create-then-reanalyze).
+// parse/lint/bind pipeline as a create, plus the restored padding record,
+// which seeds the engine on first analyze (ensureEngine resolves it by net
+// ID, core.NewSession applies it in its full analysis, and the session
+// oracle pins that this equals create-then-reanalyze).
 func (s *Server) materialize(ctx context.Context, name string, sp *sessionSpec) (*session, error) {
 	ss, err := s.buildSession(ctx, sp.Create.Name, sp.Create.design(), sp.keys)
 	if err != nil {
@@ -296,17 +296,16 @@ func (s *Server) buildSession(ctx context.Context, name string, design *shard.De
 // acquireDesign is the one path from a design spec to a bound design and
 // its engine options, taken by a session's build and by a run token's
 // first init on this worker. It maps the service's options onto the
-// engine's — the mode by name (noise when unnamed), the input timing
-// parsed, fail-soft unless FailFast — and acquires the design under key
-// from the shared cache, building it on a miss. The caller owns the
-// entry's reference.
+// engine's — the mode by name (unnamed: the zero value, noise windows), the
+// input timing parsed, fail-soft unless FailFast — and acquires the design
+// under key from the shared cache, building it on a miss. The caller owns
+// the entry's reference.
 func (s *Server) acquireDesign(ctx context.Context, spec *shard.DesignSpec, key cacheKey) (*designEntry, core.Options, error) {
 	if (spec.Netlist == "") == (spec.Verilog == "") {
 		return nil, core.Options{}, badRequest(errors.New("exactly one of netlist or verilog is required"), "")
 	}
 	o := &spec.Options
 	opts := core.Options{
-		Mode:             core.ModeNoiseWindows,
 		FilterThreshold:  o.Threshold,
 		NoPropagation:    o.NoPropagation,
 		LogicCorrelation: o.LogicCorrelation,

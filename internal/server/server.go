@@ -14,8 +14,9 @@
 //
 //   - Per-request deadlines: the effective deadline is the tighter of the
 //     client's ?timeout and the server's maxRequestTimeout, propagated
-//     into core.AnalyzeCtx's cooperative cancellation. No request can
-//     hold a worker forever.
+//     into the engine's cooperative cancellation (core.Session, and
+//     core.AnalyzeCtx for a sweep: one engine). No request can hold a
+//     worker forever.
 //
 //   - Per-request panic isolation: a recover barrier converts a handler
 //     panic into a structured 500 and marks the session suspect; other

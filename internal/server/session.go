@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bind"
 	"repro/internal/core"
+	"repro/internal/netlist"
 	"repro/internal/report"
 	"repro/internal/shard"
 )
@@ -42,10 +43,9 @@ type session struct {
 	keys   specKeys
 
 	// padding is the cumulative per-net window padding every reanalyze has
-	// applied, mirrored from the engine after each successful delta. It is
-	// what the durable store journals, and what re-seeds the engine when a
-	// restored or re-materialized session rebuilds (guarded by busy, like
-	// the engine it mirrors).
+	// applied, by name, names the design lacks included. It is what the
+	// durable store journals, and what re-seeds the engine when a restored
+	// or re-materialized session rebuilds (guarded by busy, like the engine).
 	padding map[string]float64
 
 	// persisted marks a session backed by the durable store: evicting it
@@ -128,20 +128,34 @@ func (s *session) release() { <-s.busy }
 // The rebuild seeds the engine with the session's cumulative padding, so a
 // session restored from the durable store — or rebuilt after a broken
 // incremental update — lands on exactly the state its reanalyze history
-// reached: core.RestoreSession resolves the names, applies the padding
-// inside its full analysis and keeps the record, and the engine oracle pins
-// that this equals applying the same deltas incrementally.
+// reached: padByID resolves the record's names, core.NewSession applies the
+// padding inside its full analysis, and the engine oracle pins that this
+// equals applying the same deltas incrementally.
 func (s *session) ensureEngine(ctx context.Context) (*core.Session, bool, error) {
 	if s.eng != nil && s.eng.Err() == nil {
 		return s.eng, false, nil
 	}
 	s.eng = nil // drop broken state before the rebuild
-	eng, err := core.RestoreSession(ctx, s.b, s.opts, s.padding)
+	opts := s.opts
+	opts.STA.WindowPadding = padByID(s.b.Net, s.padding)
+	eng, err := core.NewSession(ctx, s.b, opts)
 	if err != nil {
 		return nil, true, err
 	}
 	s.eng = eng
 	return eng, true, nil
+}
+
+// padByID resolves a padding record by name to padding by net ID; a name the
+// design lacks pads nothing.
+func padByID(d *netlist.Design, byName map[string]float64) []float64 {
+	pad := make([]float64, d.NumNets())
+	for net, p := range byName {
+		if id := d.FindNet(net); id >= 0 {
+			pad[id] = p
+		}
+	}
+	return pad
 }
 
 // isRestored reports that the session was rebuilt from the durable store.

@@ -284,11 +284,5 @@ func (rs *roundState) start(b *bind.Design, token string) core.RoundState {
 	if rs == nil || rs.Token != token || rs.Round < 1 {
 		return core.RoundState{}
 	}
-	from := core.RoundState{Round: rs.Round, Padding: make([]float64, b.Net.NumNets()), PrevGrowth: rs.PrevGrowth, Stalled: rs.Stalled}
-	for net, pad := range rs.Padding {
-		if id := b.Net.FindNet(net); id >= 0 {
-			from.Padding[id] = pad
-		}
-	}
-	return from
+	return core.RoundState{Round: rs.Round, Padding: padByID(b.Net, rs.Padding), PrevGrowth: rs.PrevGrowth, Stalled: rs.Stalled}
 }

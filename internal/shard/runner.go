@@ -134,9 +134,9 @@ func (r *Runner) evalResult() EvalResult {
 }
 
 // Round applies one round of padding growth. A position outside the order
-// is a bad request, refused before anything moved; any other failure marks
-// the engine broken: a partial re-preparation is not a state any
-// single-process run ever visits.
+// is a bad request; a failure after the engine moved marks it broken (a
+// partial re-preparation is no state a single-process run visits); any other
+// failure left the engine as it was, so a retry may re-send the round.
 func (r *Runner) Round(ctx context.Context, changed []PadEntry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -144,11 +144,14 @@ func (r *Runner) Round(ctx context.Context, changed []PadEntry) error {
 	if err != nil {
 		return err
 	}
-	if err := eng.ApplyRound(ctx, changed); errors.Is(err, core.ErrPosition) {
+	switch err := eng.ApplyRound(ctx, changed); {
+	case errors.Is(err, core.ErrPosition):
 		return &FatalError{Err: err}
-	} else if err != nil {
+	case errors.Is(err, core.ErrSessionBroken):
 		r.broken = err
 		return fmt.Errorf("%w: %v", ErrEngineBroken, err)
+	case err != nil:
+		return fatalUnlessCtx(err)
 	}
 	// A new round invalidates the eval memo (the coordinator also bumps
 	// Seq, this is belt and braces).

@@ -9,7 +9,10 @@
 // trading boundary combinations wave by wave.
 //
 // The contract: a healthy distributed run is byte-identical (at the report
-// JSON level) to the single-process core.AnalyzeIterativeCtx; a run that loses
+// JSON level) to the single-process core.AnalyzeIterativeCtx, whose engine is
+// the one core.AnalyzeCtx and core.Session drive; a round cancelled before a
+// shard's engine moved is re-sent to the same engine, one cancelled after it
+// re-initialises the engine in place; a run that loses
 // workers reassigns their shards to survivors and, when a shard is
 // irrecoverable, substitutes the conservative full-rail bound for its nets
 // with Diag{Stage: "shard"} records — a sound report, never a hang or a
